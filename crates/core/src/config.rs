@@ -59,10 +59,11 @@ pub struct ControllerConfig {
     ///
     /// When enabled, a control cycle only recomputes jobs whose inputs
     /// (sensed pressure, usage feedback or committed grant) changed since
-    /// the previous cycle; jobs at a proven bitwise fixed point are
-    /// skipped, the squish is re-run only when some desired proportion
-    /// changed, and the migration candidate scan only runs when the
-    /// per-CPU load gap exceeds the imbalance bound.  Any structural
+    /// the previous cycle; jobs at a proven bitwise fixed point are not
+    /// even visited, the squish is re-run only when some desired
+    /// proportion changed and the grants are not provably the same anyway,
+    /// and the migration candidate scan only runs when the per-CPU load
+    /// gap exceeds the imbalance bound.  Any structural
     /// change — job add/remove, importance change, CPU-count change, a
     /// registry mutation or a different cycle length — falls back to a
     /// full staged cycle, so committed grants and placements are always

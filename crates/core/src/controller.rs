@@ -12,8 +12,8 @@ use crate::config::ControllerConfig;
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
 use crate::pipeline::{self, CycleContext, JobEntry, JobTable};
-use crate::slot::JobSlot;
-use crate::squish::{squish_into, Importance, SquishRequest, SquishScratch};
+use crate::slot::{JobSlot, SlotSet};
+use crate::squish::{Importance, SquishColumns, SquishPolicy, SquishRequest};
 use crate::taxonomy::{JobClass, JobSpec};
 use rrs_queue::{JobKey, MetricRegistry};
 use rrs_scheduler::{CpuId, Proportion, Reservation};
@@ -212,9 +212,9 @@ pub struct Controller {
 ///
 /// The caches mirror what a full staged cycle derives from scratch every
 /// time: the registry version the per-job `has_metric` flags were read at,
-/// the cycle length, the fixed-reservation total, the committed granted
-/// total and the per-CPU granted load.  A full cycle rebuilds all of them;
-/// an incremental cycle maintains them under the changes it applies.
+/// the cycle length, the committed granted total, which jobs must be
+/// looked at and the squish inputs.  A full cycle rebuilds all of them; an
+/// incremental cycle maintains them under the changes it applies.
 #[derive(Debug)]
 struct IncrState {
     /// A structural change (job add/remove, importance, CPU count)
@@ -224,36 +224,40 @@ struct IncrState {
     registry_version: u64,
     /// Cycle length of the last full cycle (bitwise-compared).
     last_dt: f64,
-    /// Sum of fixed (real-time) reservations, in parts per thousand.
-    fixed_total_ppt: u32,
     /// Sum of all committed grants, in parts per thousand.
     granted_total_ppt: u32,
-    /// Committed granted load per CPU, in parts per thousand.
-    cpu_load: Vec<u64>,
-    // Reusable scratch for the incremental cycle.  Recomputed jobs carry
-    // the cycle's `Q_t` as captured before any reclaim damping, matching
-    // what the staged path records in `CycleRecord::pressure_q`.
-    recomputed: Vec<(JobSlot, JobId, f64)>,
-    requests: Vec<SquishRequest>,
+    /// Slots whose next recompute is not a proven no-op: the usage
+    /// snapshot or the committed grant changed since the last one, or the
+    /// last one still moved state.  A full cycle marks every slot.
+    dirty: SlotSet,
+    /// Real-rate slots.  Their pressure is sampled every cycle, and a
+    /// clean one is recomputed only when the sample moved.
+    real_rate: SlotSet,
+    /// The squishable jobs' requests, one row each in slot order.
+    columns: SquishColumns,
+    /// Row → job, aligned with `columns`.
     request_slots: Vec<(JobSlot, JobId)>,
-    grants: Vec<Proportion>,
-    squish_scratch: SquishScratch,
+    /// Slot index → row, for squishable slots.
+    row_of: Vec<u32>,
+    /// Scratch: the rows this cycle recomputed, each with the cycle's
+    /// `Q_t` as captured before any reclaim damping, matching what the
+    /// staged path records in `CycleRecord::pressure_q`.
+    recomputed: Vec<(u32, f64)>,
 }
 
-impl Default for IncrState {
-    fn default() -> Self {
+impl IncrState {
+    fn new(squish_policy: SquishPolicy) -> Self {
         Self {
             structural_dirty: true,
             registry_version: 0,
             last_dt: 0.0,
-            fixed_total_ppt: 0,
             granted_total_ppt: 0,
-            cpu_load: Vec::new(),
-            recomputed: Vec::new(),
-            requests: Vec::new(),
+            dirty: SlotSet::default(),
+            real_rate: SlotSet::default(),
+            columns: SquishColumns::new(squish_policy),
             request_slots: Vec::new(),
-            grants: Vec::new(),
-            squish_scratch: SquishScratch::default(),
+            row_of: Vec::new(),
+            recomputed: Vec::new(),
         }
     }
 }
@@ -261,12 +265,14 @@ impl Default for IncrState {
 impl Controller {
     /// Creates a controller over the given metric registry.
     pub fn new(config: ControllerConfig, registry: MetricRegistry) -> Self {
+        let mut ctx = CycleContext::new();
+        ctx.reset_cpu_loads(config.placement.cpu_count());
         Self {
             estimator: ProportionEstimator::new(&config),
             config,
             registry,
             jobs: JobTable::new(),
-            ctx: CycleContext::new(),
+            ctx,
             output: {
                 let mut output = ControlOutput::default();
                 // Room for a squish event, a migration and a couple of
@@ -282,7 +288,7 @@ impl Controller {
             stage_timing: false,
             last_stage_ns: [0; 6],
             stage_total_ns: [0; 6],
-            incr: IncrState::default(),
+            incr: IncrState::new(config.squish_policy),
         }
     }
 
@@ -303,6 +309,13 @@ impl Controller {
     pub fn set_cpus(&mut self, cpus: usize) {
         self.config.placement.cpus = cpus.clamp(1, crate::config::PlacementConfig::MAX_CPUS);
         self.incr.structural_dirty = true;
+        // Re-count the per-CPU loads over the new range.  A job left on a
+        // CPU that fell off a shrunken machine counts nowhere until the
+        // Place stage pulls it back on next cycle.
+        self.ctx.reset_cpu_loads(self.config.placement.cpu_count());
+        for (_, _, entry) in self.jobs.iter() {
+            self.ctx.shift_cpu_load(entry, true);
+        }
     }
 
     /// The metric registry the controller samples.
@@ -454,6 +467,7 @@ impl Controller {
         };
         let mut entry = JobEntry::new(spec, importance, &self.config);
         entry.cpu = cpu;
+        self.ctx.shift_cpu_load(&entry, true);
         self.incr.structural_dirty = true;
         Ok(self
             .jobs
@@ -463,10 +477,9 @@ impl Controller {
 
     /// Removes a job and detaches its registry entries.
     pub fn remove_job(&mut self, job: JobId) -> bool {
-        let removed = self.jobs.remove(job).is_some();
+        let removed = self.extract_job(job).is_some();
         if removed {
             self.registry.unregister_job(job.key());
-            self.incr.structural_dirty = true;
         }
         removed
     }
@@ -489,6 +502,7 @@ impl Controller {
     /// job is actually leaving the system.
     pub fn extract_job(&mut self, job: JobId) -> Option<MigratedJob> {
         let (_, entry) = self.jobs.remove(job)?;
+        self.ctx.shift_cpu_load(&entry, false);
         self.incr.structural_dirty = true;
         Some(MigratedJob { job, entry })
     }
@@ -505,9 +519,9 @@ impl Controller {
             return Err(AdmitError::Duplicate(job));
         }
         entry.cpu = cpu;
-        // The receiving controller has never cycled over this job: force a
-        // recompute on its next full cycle.
-        entry.settled = false;
+        self.ctx.shift_cpu_load(&entry, true);
+        // The receiving controller has never cycled over this job; the
+        // full cycle this forces recomputes it.
         self.incr.structural_dirty = true;
         Ok(self
             .jobs
@@ -538,7 +552,7 @@ impl Controller {
             Some(e) => {
                 if e.usage.usage_ratio.to_bits() != usage.usage_ratio.to_bits() {
                     e.usage = usage;
-                    e.usage_dirty = true;
+                    self.incr.dirty.insert(slot.index());
                 }
                 true
             }
@@ -548,27 +562,15 @@ impl Controller {
 
     /// The least-loaded CPU and its load in parts per thousand — by fixed
     /// reservations when admitting a real-time job (`fixed_only`), by
-    /// granted proportions otherwise.  One pass over the job table into a
-    /// per-CPU accumulator (the admission path may allocate; only control
-    /// cycles are allocation-free).  Lowest id wins ties, so a single-CPU
-    /// machine always answers `cpu0`.
+    /// granted proportions otherwise — read off the per-CPU accumulators
+    /// every admission, removal, grant and migration keeps current.
+    /// Lowest id wins ties, so a single-CPU machine always answers `cpu0`.
     fn least_loaded_cpu(&self, fixed_only: bool) -> (CpuId, u64) {
-        let cpus = self.config.placement.cpu_count();
-        let mut loads = vec![0u64; cpus];
-        for (_, _, e) in self.jobs.iter() {
-            let Some(load) = loads.get_mut(e.cpu.index()) else {
-                // A stale CPU from a shrunken machine; the Place stage
-                // pulls the job back on next cycle.
-                continue;
-            };
-            if fixed_only {
-                if !e.spec.classify().is_squishable() {
-                    *load += e.spec.proportion.map(|p| p.ppt() as u64).unwrap_or(0);
-                }
-            } else {
-                *load += e.granted.ppt() as u64;
-            }
-        }
+        let loads = if fixed_only {
+            &self.ctx.cpu_fixed_load
+        } else {
+            &self.ctx.cpu_load
+        };
         let mut best = CpuId::ZERO;
         let mut best_load = u64::MAX;
         for (i, &load) in loads.iter().enumerate() {
@@ -707,42 +709,70 @@ impl Controller {
         }
 
         if self.config.incremental {
-            let incr = &mut self.incr;
+            let (incr, ctx) = (&mut self.incr, &self.ctx);
             incr.registry_version = self.registry.version();
             incr.last_dt = dt;
-            incr.fixed_total_ppt = self.ctx.fixed_total_ppt;
             incr.granted_total_ppt = self.output.total_granted_ppt;
-            incr.cpu_load.clone_from(&self.ctx.cpu_load);
-            for record in &self.ctx.records {
+            let dense_len = self.jobs.dense_len();
+            incr.dirty.reset(dense_len);
+            incr.real_rate.reset(dense_len);
+            incr.row_of.clear();
+            incr.row_of.resize(dense_len, u32::MAX);
+            incr.request_slots.clear();
+            for record in &ctx.records {
                 let entry = self.jobs.get_mut(record.slot).expect("record slot is live");
                 entry.has_metric = record.has_metric;
-                entry.desired = record.desired;
-                entry.settled = false;
-                entry.usage_dirty = false;
+                let index = record.slot.index();
+                incr.dirty.insert(index);
+                if record.class == JobClass::RealRate {
+                    incr.real_rate.insert(index);
+                }
+                if record.class.is_squishable() {
+                    incr.row_of[index] = incr.request_slots.len() as u32;
+                    incr.request_slots.push((record.slot, record.job));
+                }
             }
+            // The same rows, in the same order, the Allocate stage just
+            // evaluated.
+            let floor = self.config.min_proportion;
+            incr.columns.rebuild(
+                ctx.available_ppt,
+                ctx.adaptive.iter().map(|&i| {
+                    let record = &ctx.records[i as usize];
+                    SquishRequest {
+                        desired: record.desired,
+                        importance: record.importance,
+                        floor,
+                    }
+                }),
+            );
             incr.structural_dirty = false;
         }
     }
 
-    /// One incremental cycle: recompute only jobs whose inputs changed,
-    /// re-squish only when some desired proportion moved, scan for a
-    /// migration only when the cached per-CPU load gap exceeds the bound,
-    /// and emit actuations only for jobs whose committed `(grant, period,
+    /// One incremental cycle, at a cost that follows the jobs whose inputs
+    /// changed rather than the population: recompute only the marked
+    /// slots, re-squish only when some desired proportion moved and the
+    /// squish columns cannot prove the grants unchanged, scan for a
+    /// migration only when the per-CPU load gap exceeds the bound, and
+    /// emit actuations only for jobs whose committed `(grant, period,
     /// cpu)` changed.
     ///
     /// Committed state (grants, desires, PID state, placements) evolves
-    /// exactly as under [`Controller::full_cycle`]: a job is skipped only
-    /// after a recompute proved itself a bitwise no-op
+    /// exactly as under [`Controller::full_cycle`]: a job leaves the dirty
+    /// set only after a recompute proved itself a bitwise no-op
     /// ([`crate::PressureEstimator::state_fingerprint`]), and every input a
-    /// recompute reads (sensed pressure, usage, cycle length, committed
-    /// grant, importance, spec, registry attachments) is guarded by a
-    /// change check or a full-cycle fallback trigger.
+    /// recompute reads either re-marks the slot when it changes (usage,
+    /// committed grant), is re-sampled every cycle (a real-rate job's
+    /// pressure) or forces a full cycle (cycle length, importance, spec,
+    /// registry attachments).
     fn incremental_cycle(&mut self, now_s: f64, dt: f64) {
         let Self {
             config,
             registry,
             estimator,
             jobs,
+            ctx,
             output,
             incr,
             ..
@@ -751,112 +781,99 @@ impl Controller {
         output.events.clear();
         incr.recomputed.clear();
 
-        // Fused sense / classify / estimate over the dirty set.  Metricless
-        // jobs never touch the registry (their cached `has_metric` is valid
-        // while the registry version is unchanged, which `needs_full_cycle`
-        // guarantees here).
+        // Fused sense / classify / estimate over the marked slots, in slot
+        // order.  Only real-rate jobs touch the registry (the cached
+        // `has_metric` is valid while the registry version is unchanged,
+        // which `needs_full_cycle` guarantees here).
         let mut desired_changed = false;
-        for (slot, job, entry) in jobs.iter_mut() {
-            let class = entry.spec.with_progress_metric(entry.has_metric).classify();
-            if !class.is_squishable() {
-                // Fixed reservations cannot change between structural
-                // events, and those force a full cycle.
-                continue;
-            }
-            let summed = match class {
-                JobClass::RealRate => registry
-                    .summed_pressure(job.key())
-                    .unwrap_or(config.misc_pressure),
-                _ => config.misc_pressure,
-            };
-            if entry.settled
-                && !entry.usage_dirty
-                && summed.to_bits() == entry.pressure.last_summed_pressure().to_bits()
-            {
-                continue;
-            }
-
-            let before = entry.pressure.state_fingerprint();
-            let q = entry.pressure.update(summed, dt);
-            let outcome = estimator.estimate(entry.granted, q, entry.usage.usage_ratio);
-            if outcome.reclaimed {
-                let target = if entry.granted.ppt() > 0 {
-                    outcome.desired.ppt() as f64 / entry.granted.ppt() as f64
-                } else {
-                    0.0
+        for w in 0..incr.dirty.word_count() {
+            let mut pending = incr.dirty.word(w) | incr.real_rate.word(w);
+            while pending != 0 {
+                let index = w * 64 + pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let Some((_, job, entry)) = jobs.entry_at_mut(index) else {
+                    continue;
                 };
-                entry.pressure.scale_state(target.clamp(0.0, 1.0));
+                let class = entry.spec.with_progress_metric(entry.has_metric).classify();
+                if !class.is_squishable() {
+                    // Fixed reservations cannot change between structural
+                    // events, and those force a full cycle.
+                    incr.dirty.remove(index);
+                    continue;
+                }
+                let summed = match class {
+                    JobClass::RealRate => registry
+                        .summed_pressure(job.key())
+                        .unwrap_or(config.misc_pressure),
+                    _ => config.misc_pressure,
+                };
+                if !incr.dirty.contains(index)
+                    && summed.to_bits() == entry.pressure.last_summed_pressure().to_bits()
+                {
+                    continue;
+                }
+
+                let before = entry.pressure.state_fingerprint();
+                let q = entry.pressure.update(summed, dt);
+                let outcome = estimator.estimate(entry.granted, q, entry.usage.usage_ratio);
+                if outcome.reclaimed {
+                    let target = if entry.granted.ppt() > 0 {
+                        outcome.desired.ppt() as f64 / entry.granted.ppt() as f64
+                    } else {
+                        0.0
+                    };
+                    entry.pressure.scale_state(target.clamp(0.0, 1.0));
+                }
+                if entry.spec.period.is_none() {
+                    entry.period = config.default_period;
+                }
+                let row = incr.row_of[index];
+                let same_desired = outcome.desired == incr.columns.desired(row as usize);
+                if !same_desired {
+                    desired_changed = true;
+                    incr.columns.set_desired(row as usize, outcome.desired);
+                }
+                // The recompute was a bitwise no-op: repeating it with the
+                // same inputs stays a no-op, so the job may be skipped
+                // until an input changes.
+                if same_desired && entry.pressure.state_fingerprint() == before {
+                    incr.dirty.remove(index);
+                } else {
+                    incr.dirty.insert(index);
+                }
+                incr.recomputed.push((row, q));
             }
-            if entry.spec.period.is_none() {
-                entry.period = config.default_period;
-            }
-            let same_desired = outcome.desired == entry.desired;
-            if !same_desired {
-                desired_changed = true;
-                entry.desired = outcome.desired;
-            }
-            // The recompute was a bitwise no-op: repeating it with the same
-            // inputs stays a no-op, so the job may be skipped until an
-            // input changes.
-            entry.settled = same_desired && entry.pressure.state_fingerprint() == before;
-            entry.usage_dirty = false;
-            incr.recomputed.push((slot, job, q));
         }
 
         // Allocate: the squish is a pure function of (desires, importances,
         // available); nothing changed unless some desired moved.
         if desired_changed {
-            let capacity_ppt = config.overload_threshold_ppt * config.placement.cpu_count() as u32;
-            let available_ppt = capacity_ppt.saturating_sub(incr.fixed_total_ppt);
-            incr.requests.clear();
-            incr.request_slots.clear();
-            let mut desired_total_ppt: u64 = 0;
-            for (slot, job, entry) in jobs.iter() {
-                let class = entry.spec.with_progress_metric(entry.has_metric).classify();
-                if !class.is_squishable() {
-                    continue;
-                }
-                incr.requests.push(SquishRequest {
-                    desired: entry.desired,
-                    importance: entry.importance,
-                    floor: config.min_proportion,
-                });
-                incr.request_slots.push((slot, job));
-                desired_total_ppt += entry.desired.ppt() as u64;
-            }
-            if desired_total_ppt > available_ppt as u64 {
+            if incr.columns.overloaded() {
                 output.events.push(ControllerEvent::Squished {
-                    desired_total_ppt,
-                    available_ppt,
+                    desired_total_ppt: incr.columns.desired_total_ppt(),
+                    available_ppt: incr.columns.available_ppt(),
                 });
-                squish_into(
-                    config.squish_policy,
-                    &incr.requests,
-                    available_ppt,
-                    &mut incr.squish_scratch,
-                    &mut incr.grants,
-                );
-            } else {
-                incr.grants.clear();
-                incr.grants.extend(incr.requests.iter().map(|r| r.desired));
             }
-            for (&(slot, job), &grant) in incr.request_slots.iter().zip(incr.grants.iter()) {
-                let entry = jobs.get_mut(slot).expect("request slot is live");
-                if grant == entry.granted {
-                    continue;
+            if let Some(grants) = incr.columns.regrant() {
+                for (&(slot, job), &grant) in incr.request_slots.iter().zip(grants) {
+                    let entry = jobs.get_mut(slot).expect("request slot is live");
+                    if grant == entry.granted {
+                        continue;
+                    }
+                    incr.granted_total_ppt =
+                        incr.granted_total_ppt + grant.ppt() - entry.granted.ppt();
+                    let load = &mut ctx.cpu_load[entry.cpu.index()];
+                    *load = *load - entry.granted.ppt() as u64 + grant.ppt() as u64;
+                    entry.granted = grant;
+                    // The grant is an input of the next recompute.
+                    incr.dirty.insert(slot.index());
+                    output.actuations.push(Actuation {
+                        slot,
+                        job,
+                        reservation: Reservation::new(grant, entry.period),
+                        cpu: entry.cpu,
+                    });
                 }
-                incr.granted_total_ppt = incr.granted_total_ppt + grant.ppt() - entry.granted.ppt();
-                let load = &mut incr.cpu_load[entry.cpu.index()];
-                *load = *load - entry.granted.ppt() as u64 + grant.ppt() as u64;
-                entry.granted = grant;
-                // The grant is an input of the next recompute.
-                entry.settled = false;
-                output.actuations.push(Actuation {
-                    slot,
-                    job,
-                    reservation: Reservation::new(grant, entry.period),
-                    cpu: entry.cpu,
-                });
             }
         }
 
@@ -865,15 +882,15 @@ impl Controller {
         let cpus = config.placement.cpu_count();
         if cpus > 1 {
             let (mut max_c, mut min_c) = (0usize, 0usize);
-            for (i, &load) in incr.cpu_load.iter().enumerate() {
-                if load > incr.cpu_load[max_c] {
+            for (i, &load) in ctx.cpu_load.iter().enumerate() {
+                if load > ctx.cpu_load[max_c] {
                     max_c = i;
                 }
-                if load < incr.cpu_load[min_c] {
+                if load < ctx.cpu_load[min_c] {
                     min_c = i;
                 }
             }
-            let gap = incr.cpu_load[max_c] - incr.cpu_load[min_c];
+            let gap = ctx.cpu_load[max_c] - ctx.cpu_load[min_c];
             if gap > config.placement.imbalance_threshold_ppt as u64 {
                 let mut best: Option<(u64, JobSlot, JobId)> = None;
                 for (slot, job, entry) in jobs.iter() {
@@ -899,8 +916,8 @@ impl Controller {
                     let to = CpuId(min_c as u32);
                     entry.cpu = to;
                     let g = entry.granted.ppt() as u64;
-                    incr.cpu_load[from.index()] -= g;
-                    incr.cpu_load[to.index()] += g;
+                    ctx.cpu_load[from.index()] -= g;
+                    ctx.cpu_load[to.index()] += g;
                     output
                         .events
                         .push(ControllerEvent::Migrated { job, from, to });
@@ -921,17 +938,17 @@ impl Controller {
         }
 
         // Quality exceptions for the jobs this cycle actually recomputed.
-        for &(slot, job, q) in &incr.recomputed {
-            let entry = jobs.get(slot).expect("recomputed slot is live");
-            if entry.granted.ppt() < entry.desired.ppt()
-                && q.abs() >= config.quality_exception_pressure
-            {
+        for &(row, q) in &incr.recomputed {
+            let (slot, job) = incr.request_slots[row as usize];
+            let granted = jobs.get(slot).expect("recomputed slot is live").granted;
+            let desired = incr.columns.desired(row as usize);
+            if granted.ppt() < desired.ppt() && q.abs() >= config.quality_exception_pressure {
                 output
                     .events
                     .push(ControllerEvent::Quality(QualityException {
                         job,
-                        desired: entry.desired,
-                        granted: entry.granted,
+                        desired,
+                        granted,
                         pressure: q,
                         time: now_s,
                     }));
@@ -984,6 +1001,24 @@ mod tests {
             out = c.control_cycle(i as f64 * dt, &usage);
         }
         out
+    }
+
+    /// Asserts the live per-CPU load accumulators equal a recount over the
+    /// job table — the scan `least_loaded_cpu` used to make per admission.
+    fn assert_cpu_loads_current(c: &Controller) {
+        let cpus = c.config.placement.cpu_count();
+        let (mut granted, mut fixed) = (vec![0u64; cpus], vec![0u64; cpus]);
+        for (_, _, e) in c.jobs.iter() {
+            if e.cpu.index() >= cpus {
+                continue;
+            }
+            granted[e.cpu.index()] += e.granted.ppt() as u64;
+            if !e.spec.classify().is_squishable() {
+                fixed[e.cpu.index()] += e.spec.proportion.map_or(0, |p| p.ppt() as u64);
+            }
+        }
+        assert_eq!(c.ctx.cpu_load, granted, "granted load per CPU");
+        assert_eq!(c.ctx.cpu_fixed_load, fixed, "fixed load per CPU");
     }
 
     #[test]
@@ -1366,6 +1401,65 @@ mod tests {
     }
 
     #[test]
+    fn cpu_load_accumulators_follow_every_mutation() {
+        for incremental in [false, true] {
+            let config = ControllerConfig::default()
+                .with_cpus(3)
+                .with_incremental(incremental);
+            let mut c = Controller::new(config, MetricRegistry::new());
+            let mut other = Controller::new(config, MetricRegistry::new());
+            let rt = JobSpec::real_time(Proportion::from_ppt(300), Period::from_millis(10));
+            let mut now = 0.0;
+            let mut cycle = |c: &mut Controller, n: usize| {
+                for _ in 0..n {
+                    now += 0.01;
+                    c.control_cycle_with_dt(now, 0.01);
+                    assert_cpu_loads_current(c);
+                }
+            };
+            for i in 0..4 {
+                c.add_job(JobId(i), rt).unwrap();
+                assert_cpu_loads_current(&c);
+            }
+            // Four 300 ‰ reservations over three CPUs: least-loaded fit
+            // with the lowest id winning ties.
+            let placed: Vec<u32> = (0..4).map(|i| c.cpu_of(JobId(i)).unwrap().0).collect();
+            assert_eq!(placed, vec![0, 1, 2, 0]);
+            for i in 4..10 {
+                c.add_job(JobId(i), JobSpec::miscellaneous()).unwrap();
+                assert_cpu_loads_current(&c);
+            }
+            // Grants grow, squish and (on three CPUs) migrate.
+            cycle(&mut c, 120);
+            let slot = c.slot_of(JobId(5)).unwrap();
+            c.record_usage(slot, UsageSnapshot { usage_ratio: 0.1 });
+            cycle(&mut c, 20);
+            assert!(c.remove_job(JobId(0)));
+            assert_cpu_loads_current(&c);
+            // Shrink under the jobs on cpu2, admit while they are stale,
+            // let the Place stage pull them back, then grow again.
+            c.set_cpus(2);
+            assert_cpu_loads_current(&c);
+            c.add_job(JobId(20), JobSpec::miscellaneous()).unwrap();
+            assert_cpu_loads_current(&c);
+            cycle(&mut c, 5);
+            c.set_cpus(3);
+            assert_cpu_loads_current(&c);
+            cycle(&mut c, 5);
+            // Cross-controller migration, onto a CPU and off the machine.
+            let moved = c.extract_job(JobId(6)).unwrap();
+            assert_cpu_loads_current(&c);
+            other.inject_job(moved, CpuId(1)).unwrap();
+            assert_cpu_loads_current(&other);
+            let moved = c.extract_job(JobId(1)).unwrap();
+            other.inject_job(moved, CpuId(7)).unwrap();
+            assert_cpu_loads_current(&other);
+            cycle(&mut other, 3);
+            cycle(&mut c, 3);
+        }
+    }
+
+    #[test]
     fn multi_cpu_capacity_lets_two_hogs_saturate_two_cpus() {
         let config = ControllerConfig::default().with_cpus(2);
         let registry = MetricRegistry::new();
@@ -1652,6 +1746,8 @@ mod tests {
                         );
                     }
                 }
+                assert_cpu_loads_current(&full);
+                assert_cpu_loads_current(&incr);
             }
         }
     }

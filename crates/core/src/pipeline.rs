@@ -61,14 +61,6 @@ pub(crate) struct JobEntry {
     /// for this job at the last full cycle (valid while the registry
     /// version is unchanged).
     pub(crate) has_metric: bool,
-    /// Incremental cache: the desired proportion from this job's last
-    /// recompute, the input the Allocate stage squishes.
-    pub(crate) desired: Proportion,
-    /// Incremental: the last recompute was a proven bitwise no-op, so the
-    /// job can be skipped until one of its inputs changes.
-    pub(crate) settled: bool,
-    /// Incremental: the usage snapshot changed since the last recompute.
-    pub(crate) usage_dirty: bool,
 }
 
 /// The controller's dense per-job working state for one cycle.
@@ -124,8 +116,14 @@ pub struct CycleContext {
     pub(crate) available_ppt: u32,
     pub(crate) desired_total_ppt: u64,
     pub(crate) squished: bool,
-    /// Place: granted load per CPU, in parts per thousand.
+    /// Committed granted load per CPU, in parts per thousand.  Unlike the
+    /// scratch above this (and `cpu_fixed_load`) is live between cycles:
+    /// the Place stage recounts it, and the controller adjusts it on every
+    /// admission, removal, incremental grant change and migration, so
+    /// admission reads the least-loaded CPU without scanning the jobs.
     pub(crate) cpu_load: Vec<u64>,
+    /// Fixed (real-time) reservations per CPU, in parts per thousand.
+    pub(crate) cpu_fixed_load: Vec<u64>,
     /// Place: the migrations decided this cycle (at most one).
     pub(crate) migrations: Vec<(JobId, CpuId, CpuId)>,
 }
@@ -155,6 +153,37 @@ impl CycleContext {
         self.available_ppt = 0;
         self.desired_total_ppt = 0;
         self.squished = false;
+    }
+
+    /// Zeroes the per-CPU loads over `cpus` CPUs.
+    pub(crate) fn reset_cpu_loads(&mut self, cpus: usize) {
+        for loads in [&mut self.cpu_load, &mut self.cpu_fixed_load] {
+            loads.clear();
+            loads.resize(cpus, 0);
+        }
+    }
+
+    /// Adds a job's committed grant and, for a fixed reservation, its
+    /// proportion to its CPU's loads (`add`), or takes them off again.  A
+    /// job on a CPU outside the machine counts nowhere.
+    pub(crate) fn shift_cpu_load(&mut self, entry: &JobEntry, add: bool) {
+        let cpu = entry.cpu.index();
+        if cpu >= self.cpu_load.len() {
+            return;
+        }
+        let granted = entry.granted.ppt() as u64;
+        let fixed = if entry.spec.classify().is_squishable() {
+            0
+        } else {
+            entry.spec.proportion.map_or(0, |p| p.ppt() as u64)
+        };
+        if add {
+            self.cpu_load[cpu] += granted;
+            self.cpu_fixed_load[cpu] += fixed;
+        } else {
+            self.cpu_load[cpu] -= granted;
+            self.cpu_fixed_load[cpu] -= fixed;
+        }
     }
 
     /// Controller time at the start of the current cycle, in seconds.
@@ -401,8 +430,7 @@ pub(crate) fn allocate(config: &ControllerConfig, ctx: &mut CycleContext) {
 /// untouched, so the paper's figures reproduce exactly.
 pub(crate) fn place(config: &ControllerConfig, jobs: &mut JobTable, ctx: &mut CycleContext) {
     let cpus = config.placement.cpu_count();
-    ctx.cpu_load.clear();
-    ctx.cpu_load.resize(cpus, 0);
+    ctx.reset_cpu_loads(cpus);
     ctx.migrations.clear();
 
     // Fold the Allocate stage's grants back into the records so every
@@ -424,6 +452,9 @@ pub(crate) fn place(config: &ControllerConfig, jobs: &mut JobTable, ctx: &mut Cy
         }
         record.cpu = entry.cpu;
         ctx.cpu_load[entry.cpu.index()] += record.granted.ppt() as u64;
+        if !record.class.is_squishable() {
+            ctx.cpu_fixed_load[entry.cpu.index()] += record.granted.ppt() as u64;
+        }
     }
     if cpus == 1 {
         return;
@@ -559,9 +590,6 @@ impl JobEntry {
             cpu: CpuId::ZERO,
             usage: UsageSnapshot::default(),
             has_metric: false,
-            desired: initial,
-            settled: false,
-            usage_dirty: true,
         }
     }
 }

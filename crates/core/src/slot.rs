@@ -159,6 +159,18 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
         self.get_mut(self.slot_of(id)?)
     }
 
+    /// Exclusive access by dense index ([`JobSlot::index`]), with the slot
+    /// handle and id, for walks over a set of indices.  `None` for a hole
+    /// (a freed index) or an index past [`SlotTable::dense_len`].
+    pub fn entry_at_mut(&mut self, index: usize) -> Option<(JobSlot, Id, &mut T)> {
+        let (id, value) = self.entries.get_mut(index)?.as_mut()?;
+        let slot = JobSlot {
+            index: index as u32,
+            generation: self.generations[index],
+        };
+        Some((slot, *id, value))
+    }
+
     /// Removes the entry for `id`, freeing its slot for reuse.
     pub fn remove(&mut self, id: Id) -> Option<(JobSlot, T)> {
         let slot = self.by_id.remove(&id)?;
@@ -219,6 +231,53 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
     }
 }
 
+/// A set of dense slot indices ([`JobSlot::index`]) as a bitset, walked in
+/// slot order one 64-slot word at a time.
+#[derive(Debug, Default)]
+pub(crate) struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    /// Empties the set and sizes it for indices below `dense_len`.
+    pub(crate) fn reset(&mut self, dense_len: usize) {
+        self.words.clear();
+        self.words.resize(dense_len.div_ceil(64), 0);
+    }
+
+    /// Adds `index`.  An index past the sized range is ignored, which is
+    /// sound for the controller's use: such a slot was created after the
+    /// last full cycle sized the set, and that structural change already
+    /// forces the next cycle to be full and re-mark every live slot.
+    pub(crate) fn insert(&mut self, index: usize) {
+        if let Some(word) = self.words.get_mut(index / 64) {
+            *word |= 1 << (index % 64);
+        }
+    }
+
+    /// Removes `index`, which must lie inside the sized range.
+    pub(crate) fn remove(&mut self, index: usize) {
+        self.words[index / 64] &= !(1 << (index % 64));
+    }
+
+    /// Whether `index` is a member.
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.words
+            .get(index / 64)
+            .is_some_and(|word| word & (1 << (index % 64)) != 0)
+    }
+
+    /// Number of 64-slot words in the sized range.
+    pub(crate) fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Word `w`: bit `b` set means slot index `64·w + b` is a member.
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +333,41 @@ mod tests {
             *v += 1;
         }
         assert_eq!(t.get_by_id_mut(5), Some(&mut 51));
+    }
+
+    #[test]
+    fn entry_at_mut_resolves_live_indices_only() {
+        let mut t: SlotTable<u64, u8> = SlotTable::new();
+        let a = t.insert(1, 10).unwrap();
+        let b = t.insert(2, 20).unwrap();
+        t.remove(1);
+        assert!(
+            t.entry_at_mut(a.index()).is_none(),
+            "a hole resolves to None"
+        );
+        let (slot, id, value) = t.entry_at_mut(b.index()).unwrap();
+        assert_eq!((slot, id, *value), (b, 2, 20));
+        assert!(t.entry_at_mut(2).is_none(), "past the dense range");
+    }
+
+    #[test]
+    fn slot_set_tracks_members_and_ignores_unsized_indices() {
+        let mut s = SlotSet::default();
+        s.insert(3);
+        assert!(!s.contains(3), "unsized: ignored");
+        s.reset(130);
+        assert_eq!(s.word_count(), 3);
+        for i in [0, 63, 64, 129] {
+            s.insert(i);
+        }
+        s.insert(192);
+        assert_eq!(s.word(0), 1 | 1 << 63);
+        assert_eq!(s.word(1), 1);
+        assert_eq!(s.word(2), 1 << 1);
+        s.remove(63);
+        assert!(s.contains(0) && !s.contains(63) && !s.contains(192));
+        s.reset(130);
+        assert!(!s.contains(0), "reset empties the set");
     }
 
     #[test]

@@ -247,6 +247,140 @@ pub fn squish_into(
     }
 }
 
+/// The squish inputs of a fixed job population, kept between controller
+/// cycles so a cycle pays for the desires that moved instead of re-listing
+/// every job.
+///
+/// [`SquishColumns::rebuild`] lists the rows once (after a full controller
+/// cycle); [`SquishColumns::set_desired`] then edits one row in place and
+/// keeps the desired total current, and [`SquishColumns::regrant`] answers
+/// with exactly what [`squish_into`] over the same rows would grant — or
+/// with `None` when it can prove those grants equal the previous answer
+/// without running the squish:
+///
+/// Under [`SquishPolicy::WeightedFairShare`] the water-fill's first round
+/// offers row *i* `unit·wᵢ`, `unit = available / Σw`, and caps the rows
+/// whose offer reaches their desire.  While the rows are overloaded and
+/// that round caps *nobody*, it is also the last round, and every grant is
+/// `max(⌊unit·wᵢ⌋, floorᵢ)` — a function of weights, floors and capacity,
+/// none of which [`SquishColumns::set_desired`] can change.  So two
+/// consecutive evaluations in that regime grant the same thing.  The
+/// columns cache `unit` (summed in [`squish_weighted_into`]'s order) and
+/// count the rows round one would cap, which makes the regime test `O(1)`.
+#[derive(Debug)]
+pub(crate) struct SquishColumns {
+    policy: SquishPolicy,
+    available_ppt: u32,
+    requests: Vec<SquishRequest>,
+    desired_total_ppt: u64,
+    /// The water-fill's first-round `available / Σ weight`.
+    unit: f64,
+    /// Rows that round would cap: `unit·w ≥ desired`.
+    capped_rows: usize,
+    /// The last evaluation (the full cycle's squish at `rebuild`, else
+    /// `regrant`) was in the desire-independent regime.
+    desire_free: bool,
+    grants: Vec<Proportion>,
+    scratch: SquishScratch,
+}
+
+impl SquishColumns {
+    /// Empty columns for `policy`.
+    pub(crate) fn new(policy: SquishPolicy) -> Self {
+        Self {
+            policy,
+            available_ppt: 0,
+            requests: Vec::new(),
+            desired_total_ppt: 0,
+            unit: 0.0,
+            capped_rows: 0,
+            desire_free: false,
+            grants: Vec::new(),
+            scratch: SquishScratch::default(),
+        }
+    }
+
+    /// Replaces the rows.  The caller has just evaluated `squish_into`
+    /// (or, not overloaded, granted every desire) over these same rows.
+    pub(crate) fn rebuild(
+        &mut self,
+        available_ppt: u32,
+        rows: impl Iterator<Item = SquishRequest>,
+    ) {
+        self.available_ppt = available_ppt;
+        self.requests.clear();
+        self.requests.extend(rows);
+        let weight: f64 = self.requests.iter().map(|r| r.importance.weight()).sum();
+        self.unit = available_ppt as f64 / weight;
+        self.desired_total_ppt = 0;
+        self.capped_rows = 0;
+        for r in &self.requests {
+            self.desired_total_ppt += r.desired.ppt() as u64;
+            self.capped_rows += caps(self.unit, r.importance, r.desired) as usize;
+        }
+        self.desire_free = self.in_desire_free_regime();
+    }
+
+    /// Row `row`'s current desire.
+    pub(crate) fn desired(&self, row: usize) -> Proportion {
+        self.requests[row].desired
+    }
+
+    /// Changes row `row`'s desire in place.
+    pub(crate) fn set_desired(&mut self, row: usize, desired: Proportion) {
+        let r = &mut self.requests[row];
+        self.capped_rows -= caps(self.unit, r.importance, r.desired) as usize;
+        self.capped_rows += caps(self.unit, r.importance, desired) as usize;
+        self.desired_total_ppt =
+            self.desired_total_ppt - r.desired.ppt() as u64 + desired.ppt() as u64;
+        r.desired = desired;
+    }
+
+    /// Sum of the rows' desires, in parts per thousand.
+    pub(crate) fn desired_total_ppt(&self) -> u64 {
+        self.desired_total_ppt
+    }
+
+    /// The capacity the rows share, in parts per thousand.
+    pub(crate) fn available_ppt(&self) -> u32 {
+        self.available_ppt
+    }
+
+    /// Whether the desires exceed the capacity (a squish is due).
+    pub(crate) fn overloaded(&self) -> bool {
+        self.desired_total_ppt > self.available_ppt as u64
+    }
+
+    fn in_desire_free_regime(&self) -> bool {
+        self.policy == SquishPolicy::WeightedFairShare && self.overloaded() && self.capped_rows == 0
+    }
+
+    /// Evaluates the rows after a batch of [`SquishColumns::set_desired`]
+    /// calls: the grants, row-aligned, or `None` when they provably equal
+    /// the previous evaluation's.
+    pub(crate) fn regrant(&mut self) -> Option<&[Proportion]> {
+        let was_desire_free = self.desire_free;
+        self.desire_free = self.in_desire_free_regime();
+        if was_desire_free && self.desire_free {
+            return None;
+        }
+        squish_into(
+            self.policy,
+            &self.requests,
+            self.available_ppt,
+            &mut self.scratch,
+            &mut self.grants,
+        );
+        Some(&self.grants)
+    }
+}
+
+/// Whether the water-fill's first round caps a row: the offer test of
+/// [`squish_weighted_into`] with nothing granted yet.
+fn caps(unit: f64, importance: Importance, desired: Proportion) -> bool {
+    unit * importance.weight() >= desired.ppt() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,7 +585,239 @@ mod tests {
         assert_eq!(Importance::default().weight(), 1.0);
     }
 
+    /// What the controller does with [`SquishColumns`]: after a rebuild
+    /// the committed grants are the full cycle's from-scratch squish;
+    /// after a batch of desire changes they are whatever `regrant` hands
+    /// back, or stay put when it hands back nothing.
+    struct DeltaHarness {
+        policy: SquishPolicy,
+        available_ppt: u32,
+        rows: Vec<SquishRequest>,
+        columns: SquishColumns,
+        committed: Vec<Proportion>,
+        total_granted_ppt: u32,
+        scratch: SquishScratch,
+        expected: Vec<Proportion>,
+        skips: usize,
+    }
+
+    impl DeltaHarness {
+        fn new(policy: SquishPolicy, available_ppt: u32, rows: Vec<SquishRequest>) -> Self {
+            let mut h = Self {
+                policy,
+                available_ppt,
+                rows,
+                columns: SquishColumns::new(policy),
+                committed: Vec::new(),
+                total_granted_ppt: 0,
+                scratch: SquishScratch::default(),
+                expected: Vec::new(),
+                skips: 0,
+            };
+            h.rebuild();
+            h
+        }
+
+        fn squish_afresh(&mut self) {
+            squish_into(
+                self.policy,
+                &self.rows,
+                self.available_ppt,
+                &mut self.scratch,
+                &mut self.expected,
+            );
+        }
+
+        fn rebuild(&mut self) {
+            self.squish_afresh();
+            self.committed.clone_from(&self.expected);
+            self.total_granted_ppt = self.committed.iter().map(|g| g.ppt()).sum();
+            self.columns
+                .rebuild(self.available_ppt, self.rows.iter().copied());
+        }
+
+        fn want(&mut self, row: usize, desired: u32) {
+            let desired = Proportion::from_ppt(desired);
+            self.rows[row].desired = desired;
+            self.columns.set_desired(row, desired);
+        }
+
+        /// Ends a batch of desire changes the way an incremental cycle
+        /// does, then checks every output against the oracle.
+        fn regrant_and_check(&mut self) -> Result<(), String> {
+            match self.columns.regrant() {
+                Some(grants) => {
+                    for (old, &new) in self.committed.iter_mut().zip(grants) {
+                        self.total_granted_ppt = self.total_granted_ppt + new.ppt() - old.ppt();
+                        *old = new;
+                    }
+                }
+                None => self.skips += 1,
+            }
+            self.check()
+        }
+
+        fn check(&mut self) -> Result<(), String> {
+            self.squish_afresh();
+            if self.committed != self.expected {
+                return Err(format!(
+                    "grants {:?} != from-scratch {:?} (rows {:?}, available {})",
+                    self.committed, self.expected, self.rows, self.available_ppt
+                ));
+            }
+            let total: u32 = self.expected.iter().map(|g| g.ppt()).sum();
+            if self.total_granted_ppt != total {
+                return Err(format!("total {} != {total}", self.total_granted_ppt));
+            }
+            // The `Squished` event's fields.
+            let desired_total: u64 = self.rows.iter().map(|r| r.desired.ppt() as u64).sum();
+            let event = (
+                self.columns.overloaded(),
+                self.columns.desired_total_ppt(),
+                self.columns.available_ppt(),
+            );
+            let expected_event = (
+                desired_total > self.available_ppt as u64,
+                desired_total,
+                self.available_ppt,
+            );
+            if event != expected_event {
+                return Err(format!("event {event:?} != {expected_event:?}"));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn regrant_skips_only_between_two_uncapped_overloaded_evaluations() {
+        // Four equal rows over 400 ‰: round one offers each 100 ‰.
+        let rows = vec![req(500); 4];
+        let mut h = DeltaHarness::new(SquishPolicy::WeightedFairShare, 400, rows.clone());
+        // Overloaded, nobody capped, before and after: skipped.
+        h.want(0, 900);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 1);
+        // Row 1 now asks for less than its offer: capped, so evaluated.
+        h.want(1, 40);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 1);
+        assert_eq!(h.committed[1].ppt(), 40);
+        // Back above the offer: the cap set empties, but the committed
+        // grants still carry the redistribution, so evaluated once more...
+        h.want(1, 300);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 1);
+        // ...and only then skipped again.
+        h.want(2, 700);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 2);
+        // Leaving overload and coming back both evaluate.
+        for row in 0..4 {
+            h.want(row, 100);
+        }
+        h.regrant_and_check().unwrap();
+        h.want(3, 101);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 2);
+        // A desire exactly at the offer is capped (`>=`), one above is not.
+        h.want(3, 100);
+        h.want(0, 800);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 2);
+        // A floor above the desire does not disturb the argument.
+        let mut floored = rows;
+        floored[0].floor = Proportion::from_ppt(150);
+        floored[0].desired = Proportion::from_ppt(120);
+        let mut h = DeltaHarness::new(SquishPolicy::WeightedFairShare, 400, floored);
+        assert_eq!(h.committed[0].ppt(), 150);
+        h.want(1, 600);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 1);
+        // Fair share scales by the desired total: never skipped.
+        let mut h = DeltaHarness::new(SquishPolicy::FairShare, 400, vec![req(500); 4]);
+        h.want(0, 900);
+        h.regrant_and_check().unwrap();
+        assert_eq!(h.skips, 0);
+    }
+
     proptest! {
+        /// The delta path against a from-scratch `squish_into` after every
+        /// step, for both policies.  Steps are `(selector, row, value,
+        /// extra)` tuples (the vendored proptest miniature has no
+        /// `prop_oneof`): selectors 0–5 change one to three desires and
+        /// evaluate, 6–8 change a weight, a floor or the capacity and
+        /// rebuild, as the structural events behind them force a full
+        /// controller cycle.  Desires come from three bands — below the
+        /// floors and first-round offers, around them, and far above —
+        /// and capacities from zero to beyond the desired total, so runs
+        /// cross overloaded ↔ not, cap set empty ↔ non-empty and desired
+        /// < floor in both directions.
+        #[test]
+        fn delta_path_matches_from_scratch_squish(
+            weighted in proptest::bool::ANY,
+            initial in proptest::collection::vec((0u32..=1000, 0.1f64..8.0, 0u32..=30), 1..12),
+            capacity in 0u32..=1200,
+            steps in proptest::collection::vec(
+                (0u8..9, 0usize..12, 0u32..=1000, 0u8..3),
+                1..60,
+            ),
+        ) {
+            let policy = if weighted {
+                SquishPolicy::WeightedFairShare
+            } else {
+                SquishPolicy::FairShare
+            };
+            let rows: Vec<SquishRequest> = initial
+                .iter()
+                .map(|&(desired, weight, floor)| SquishRequest {
+                    desired: Proportion::from_ppt(desired),
+                    importance: Importance::new(weight),
+                    floor: Proportion::from_ppt(floor),
+                })
+                .collect();
+            let n = rows.len();
+            let mut h = DeltaHarness::new(policy, capacity, rows);
+            if let Err(e) = h.check() {
+                prop_assert!(false, "after the first rebuild: {e}");
+            }
+            for (selector, row, value, extra) in steps {
+                match selector {
+                    0..=5 => {
+                        for k in 0..=extra as usize {
+                            let desired = match (selector + k as u8) % 3 {
+                                0 => value % 40,
+                                1 => value % 250,
+                                _ => value,
+                            };
+                            h.want((row + k * 5) % n, desired);
+                        }
+                        if let Err(e) = h.regrant_and_check() {
+                            prop_assert!(false, "after a desire batch: {e}");
+                        }
+                    }
+                    6 => {
+                        h.rows[row % n].importance = Importance::new(value as f64 / 100.0);
+                        h.rebuild();
+                    }
+                    7 => {
+                        h.rows[row % n].floor = Proportion::from_ppt(value % 60);
+                        h.rebuild();
+                    }
+                    _ => {
+                        h.available_ppt = match extra {
+                            0 => value % 50,
+                            1 => value,
+                            _ => value * 12,
+                        };
+                        h.rebuild();
+                    }
+                }
+                if let Err(e) = h.check() {
+                    prop_assert!(false, "after a rebuild: {e}");
+                }
+            }
+        }
+
         #[test]
         fn fair_share_result_fits_capacity(
             desires in proptest::collection::vec(0u32..=1000, 1..10),

@@ -609,10 +609,12 @@ impl RealTimeExecutor {
         }
         for actuation in &out.actuations {
             if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let _ = self.machine.set_reservation(*tid, actuation.reservation);
                 // Apply the Place stage's decision: logically reshard the
                 // worker onto its assigned CPU.
-                let from = self.machine.cpu_of(*tid);
+                let from = self
+                    .machine
+                    .set_reservation(*tid, actuation.reservation)
+                    .ok();
                 if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
                 {
                     self.stats.migrations += 1;

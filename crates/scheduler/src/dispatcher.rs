@@ -482,15 +482,6 @@ impl Dispatcher {
         self.admission
     }
 
-    /// Resolves an id to its dense slot and entry, for the mutating paths.
-    fn entry_mut_of(&mut self, id: ThreadId) -> Result<(u32, &mut ThreadEntry), SchedError> {
-        let &idx = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
-        let entry = self.entries[idx as usize]
-            .as_mut()
-            .expect("by_id maps every id to an occupied slot (unlink removes both together)");
-        Ok((idx, entry))
-    }
-
     fn entry_of(&self, id: ThreadId) -> Option<&ThreadEntry> {
         let &idx = self.by_id.get(&id)?;
         self.entries[idx as usize].as_ref()
@@ -800,7 +791,9 @@ impl Dispatcher {
             // is re-anchored below.
             self.sync_entry(slot);
         }
-        let (idx, entry) = self.entry_mut_of(id)?;
+        let entry = self.entries[slot as usize]
+            .as_mut()
+            .expect("by_id maps every id to an occupied slot (unlink removes both together)");
         let old_class = entry.class;
         entry.class = ThreadClass::Reserved(reservation);
         let new_budget = reservation.budget_micros();
@@ -840,8 +833,8 @@ impl Dispatcher {
             self.timers
                 .arm(slot, id, now + reservation.period.as_micros());
         }
-        self.reindex(idx);
-        self.watch(idx);
+        self.reindex(slot);
+        self.watch(slot);
         Ok(())
     }
 

@@ -375,13 +375,20 @@ impl Machine {
     }
 
     /// Changes a thread's reservation on its current CPU (the controller's
-    /// per-cycle actuation path).
+    /// per-cycle actuation path) and returns that CPU, so a caller that
+    /// goes on to compare it with the controller's placement need not look
+    /// the thread up a second time.
     pub fn set_reservation(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
-    ) -> Result<(), SchedError> {
-        self.on(id)?.set_reservation(id, reservation)
+    ) -> Result<CpuId, SchedError> {
+        let &cpu = self
+            .placement
+            .get(&id)
+            .ok_or(SchedError::UnknownThread(id))?;
+        self.cpus[cpu.index()].set_reservation(id, reservation)?;
+        Ok(cpu)
     }
 
     /// Returns a thread's current reservation, if it is reserved.

@@ -1153,8 +1153,10 @@ impl Simulation {
         let migration_cost = self.config.migration_cost_us;
         for actuation in &out.actuations {
             if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let _ = self.machine.set_reservation(*tid, actuation.reservation);
-                let from = self.machine.cpu_of(*tid);
+                let from = self
+                    .machine
+                    .set_reservation(*tid, actuation.reservation)
+                    .ok();
                 if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
                 {
                     self.stats.migrations += 1;
@@ -1380,11 +1382,13 @@ impl Simulation {
         let migration_cost = self.config.migration_cost_us;
         for actuation in &out.actuations {
             if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let _ = self.machine.set_reservation(*tid, actuation.reservation);
                 // Apply the Place stage's decision: move the thread to its
                 // assigned CPU and charge the modelled migration cost to
                 // its budget (cache and TLB refill on the new CPU).
-                let from = self.machine.cpu_of(*tid);
+                let from = self
+                    .machine
+                    .set_reservation(*tid, actuation.reservation)
+                    .ok();
                 if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
                 {
                     self.stats.migrations += 1;

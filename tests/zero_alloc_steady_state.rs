@@ -8,7 +8,9 @@
 //! process-global, so any concurrently running test in the same binary
 //! would pollute the measurement.
 
-use realrate::core::{Controller, ControllerConfig, JobId, JobSpec, UsageSnapshot};
+use realrate::core::{
+    Controller, ControllerConfig, ControllerEvent, JobId, JobSpec, UsageSnapshot,
+};
 use realrate::queue::{BoundedBuffer, JobKey, MetricRegistry, Role};
 use realrate::telemetry::{
     CalendarEventKind, Recorder, SettleCause, TelemetryConfig, TraceEventKind,
@@ -117,6 +119,74 @@ fn assert_steady_state_allocation_free(config: ControllerConfig) {
         after - before,
         0,
         "steady-state control cycles must perform no heap allocation"
+    );
+}
+
+/// The incremental cycle's half of the guarantee: `hogs` always-hungry
+/// miscellaneous jobs on `cpus` CPUs, a rotating fifth of them reporting a
+/// flipped usage ratio before every cycle (the sweep a host's
+/// `drain_usage_changes` performs), so every measured cycle walks the
+/// dirty set, edits the persistent squish columns in place and raises the
+/// `Squished` event.  At 10 000 × 8 — the benchmark's `spin_saturated`
+/// population — the machine is so oversubscribed that the water-fill caps
+/// nobody and the columns prove the grants unchanged; at 12 × 1 the
+/// reclaimed jobs fall under their first-round offer and the squish runs
+/// over the columns.  Neither may touch the heap.
+// hot-coverage: crates/core/src/controller.rs
+// hot-coverage: crates/core/src/squish.rs
+fn assert_incremental_cycle_allocation_free(hogs: u64, cpus: usize) {
+    let config = ControllerConfig::default()
+        .with_cpus(cpus)
+        .with_incremental(true);
+    let mut controller = Controller::new(config, MetricRegistry::new());
+    let slots: Vec<_> = (0..hogs)
+        .map(|id| {
+            controller
+                .add_job(JobId(id), JobSpec::miscellaneous())
+                .unwrap()
+        })
+        .collect();
+    // An exact grid: a bitwise-stable `dt` keeps every cycle after the
+    // first on the incremental path.
+    let dt = 0.01;
+    let cycle = |controller: &mut Controller, i: usize| -> bool {
+        let usage_ratio = if (i / 5).is_multiple_of(2) { 0.0 } else { 1.0 };
+        for &slot in slots.iter().skip(i % 5).step_by(5) {
+            controller.record_usage(slot, UsageSnapshot { usage_ratio });
+        }
+        let out = controller.control_cycle_with_dt(i as f64 * dt, dt);
+        out.events
+            .iter()
+            .any(|e| matches!(e, ControllerEvent::Squished { .. }))
+    };
+    // Warm-up: long enough for every job's cumulative pressure to pass
+    // the quality-exception bar, so the event buffer has held one
+    // exception per recomputed job — and, in the first incremental cycle,
+    // the whole population was recomputed at once.
+    for i in 1..=300 {
+        cycle(&mut controller, i);
+    }
+    let incremental_before = controller.cycle_counts().1;
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut squished = 0;
+    for i in 301..=340 {
+        squished += cycle(&mut controller, i) as u32;
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "incremental cycles over {hogs} jobs must perform no heap allocation"
+    );
+    assert_eq!(
+        controller.cycle_counts().1 - incremental_before,
+        40,
+        "every measured cycle must take the incremental path"
+    );
+    assert!(
+        squished >= 15,
+        "the fixture must keep moving desires under overload, saw {squished} squishes"
     );
 }
 
@@ -253,6 +323,10 @@ fn steady_state_control_cycle_is_allocation_free() {
     // the default — so they also pin the recorder-absent cost at zero.
     assert_steady_state_allocation_free(ControllerConfig::default());
     assert_steady_state_allocation_free(ControllerConfig::default().with_cpus(4));
+    // The incremental path, saturated at benchmark scale and lightly
+    // overloaded.
+    assert_incremental_cycle_allocation_free(10_000, 8);
+    assert_incremental_cycle_allocation_free(12, 1);
     // And with telemetry enabled, the recording hot path itself.
     assert_steady_state_recording_allocation_free();
     // And the per-shard guarantee on the two-level machine.

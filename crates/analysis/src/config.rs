@@ -34,6 +34,18 @@ pub struct HotFn {
     pub function: String,
 }
 
+/// One id-keyed map the `edge-only-by-id` lint tracks: a field name,
+/// optionally confined to one file (`<file>::<field>`) when the name is
+/// too common to ban everywhere.
+#[derive(Debug, Clone)]
+pub struct IdMap {
+    /// The only file the name is tracked in, or `None` for every file in
+    /// the lint's scope.
+    pub file: Option<String>,
+    /// The field's identifier.
+    pub field: String,
+}
+
 /// The whole parsed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisConfig {
@@ -48,8 +60,10 @@ pub struct AnalysisConfig {
     pub integer_time_paths: Vec<String>,
     /// Scope of the `edge-only-by-id` lint.
     pub edge_paths: Vec<String>,
-    /// Files allowed to touch `by_id` maps (the public-API edge).
+    /// Files allowed to touch the id-keyed maps (the public-API edge).
     pub edge_files: Vec<String>,
+    /// The id-keyed maps `edge-only-by-id` tracks (default: `by_id`).
+    pub id_maps: Vec<IdMap>,
     /// Scope of the `panic-discipline` lint.
     pub panic_paths: Vec<String>,
     /// Scope of the `unsafe-inventory` lint.
@@ -106,6 +120,22 @@ impl AnalysisConfig {
             parallel_forbidden: doc.str_list("lints.parallel-region.forbidden"),
             ..Default::default()
         };
+        let mut id_maps = doc.str_list("lints.edge-only-by-id.id_maps");
+        if id_maps.is_empty() {
+            id_maps.push("by_id".to_owned());
+        }
+        for entry in id_maps {
+            cfg.id_maps.push(match entry.split_once("::") {
+                Some((file, field)) => IdMap {
+                    file: Some(file.to_owned()),
+                    field: field.to_owned(),
+                },
+                None => IdMap {
+                    file: None,
+                    field: entry,
+                },
+            });
+        }
         if cfg.include.is_empty() {
             return Err("analysis.toml: [paths] include must list at least one directory".into());
         }
@@ -177,6 +207,8 @@ mod tests {
             pattern = "Instant::now"
             count = 2
             why = "telemetry stage timing"
+            [lints.edge-only-by-id]
+            id_maps = ["by_id", "crates/scheduler/src/machine.rs::placement"]
             [lints.hot-path-no-alloc]
             hot = ["crates/scheduler/src/runqueue.rs::*", "a.rs::dispatch"]
             [lints.parallel-region]
@@ -193,6 +225,13 @@ mod tests {
         assert_eq!(cfg.hot_functions.len(), 2);
         assert_eq!(cfg.hot_functions[0].function, "*");
         assert_eq!(cfg.parallel_allowed_self_fields, vec!["shards"]);
+        assert_eq!(cfg.id_maps.len(), 2);
+        assert_eq!(cfg.id_maps[0].file, None);
+        assert_eq!(
+            cfg.id_maps[1].file.as_deref(),
+            Some("crates/scheduler/src/machine.rs")
+        );
+        assert_eq!(cfg.id_maps[1].field, "placement");
     }
 
     #[test]

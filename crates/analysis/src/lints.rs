@@ -8,7 +8,7 @@
 //! | `determinism` | sim/scheduler/controller code is replay-deterministic: no wall clocks, no hash-order-dependent containers |
 //! | `hot-path-no-alloc` | functions declared hot in `analysis.toml` contain no syntactic allocation or clone |
 //! | `integer-time` | no new `f64`-seconds parameters in core/scheduler/sim signatures outside the deprecated API edge |
-//! | `edge-only-by-id` | `by_id` maps are touched only at the public-API edge, never on hot paths |
+//! | `edge-only-by-id` | id-keyed maps (`by_id`, the machine's `placement`) are touched only at the public-API edge, never on hot paths |
 //! | `panic-discipline` | steady-state paths carry no bare `unwrap()` or empty `expect("")` — panics must name the broken invariant |
 //! | `unsafe-inventory` | every `unsafe` is enumerated and carries a `// SAFETY:` comment |
 //! | `parallel-region` | the sharded scoped-thread region reaches shared state only through per-shard handles; barrier-merge machinery stays outside |
@@ -266,9 +266,11 @@ fn seconds_name(name: &str) -> bool {
     name.ends_with("_s") || name.ends_with("_secs") || name == "seconds" || name == "secs"
 }
 
-/// Confines `by_id` map access to the declared public-API-edge files, and
-/// bans it outright inside hot-declared functions even there (the PR 7
-/// contract: steady-state spans are dense-handle only).
+/// Confines access to the configured id-keyed maps (`by_id`, and fields
+/// such as the machine's `placement` tracked in their own file only) to
+/// the declared public-API-edge files, and bans it outright inside
+/// hot-declared functions even there (the PR 7 contract: steady-state
+/// spans are dense-handle only).
 fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
     if !in_scope(&file.path, &config.edge_paths) {
         return;
@@ -284,10 +286,17 @@ fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Vio
                 .filter(move |s| h.function == "*" || s.name == h.function)
         })
         .collect();
+    let tracked: Vec<&str> = config
+        .id_maps
+        .iter()
+        .filter(|m| m.file.as_ref().is_none_or(|f| f == &file.path))
+        .map(|m| m.field.as_str())
+        .collect();
     for (i, t) in file.code.iter().enumerate() {
-        if !t.is_ident("by_id") {
+        if t.kind != TokenKind::Ident || !tracked.contains(&t.text.as_str()) {
             continue;
         }
+        let map = &t.text;
         let in_hot = hot_spans
             .iter()
             .find(|s| i >= s.body_start && i <= s.body_end);
@@ -296,9 +305,9 @@ fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Vio
                 lint: "edge-only-by-id",
                 file: file.path.clone(),
                 line: t.line,
-                snippet: format!("by_id in {}", span.name),
+                snippet: format!("{map} in {}", span.name),
                 message: format!(
-                    "`by_id` inside hot function `{}`: steady-state spans must use dense \
+                    "`{map}` inside hot function `{}`: steady-state spans must use dense \
                      slot handles, id maps survive only at the public API edge",
                     span.name
                 ),
@@ -308,10 +317,11 @@ fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Vio
                 lint: "edge-only-by-id",
                 file: file.path.clone(),
                 line: t.line,
-                snippet: "by_id".to_owned(),
-                message: "`by_id` outside the declared public-API-edge files (see \
-                          analysis.toml [lints.edge-only-by-id] edge_files)"
-                    .to_owned(),
+                snippet: map.clone(),
+                message: format!(
+                    "`{map}` outside the declared public-API-edge files (see \
+                     analysis.toml [lints.edge-only-by-id] edge_files)"
+                ),
             });
         }
     }

@@ -176,8 +176,9 @@ include = ["fixtures"]
 [lints.edge-only-by-id]
 paths = ["fixtures"]
 edge_files = ["fixtures/edge_by_id_clean.rs"]
+id_maps = ["by_id", "fixtures/edge_by_id_trigger.rs::placement"]
 [lints.hot-path-no-alloc]
-hot = ["fixtures/edge_by_id_trigger.rs::dispatch"]
+hot = ["fixtures/edge_by_id_trigger.rs::dispatch", "fixtures/edge_by_id_trigger.rs::actuate"]
 "#;
     let report = run_lints(
         cfg,
@@ -193,6 +194,10 @@ hot = ["fixtures/edge_by_id_trigger.rs::dispatch"]
         .violations
         .iter()
         .any(|v| v.snippet == "by_id in dispatch"));
+    assert!(report
+        .violations
+        .iter()
+        .any(|v| v.snippet == "placement in actuate"));
 }
 
 #[test]
@@ -203,6 +208,9 @@ include = ["fixtures"]
 [lints.edge-only-by-id]
 paths = ["fixtures"]
 edge_files = ["fixtures/edge_by_id_clean.rs"]
+id_maps = ["by_id", "fixtures/edge_by_id_trigger.rs::placement"]
+[lints.hot-path-no-alloc]
+hot = ["fixtures/edge_by_id_clean.rs::dispatch"]
 "#;
     let report = run_lints(
         cfg,

@@ -402,13 +402,10 @@ impl Controller {
     }
 
     /// Sum of every job's current grant, in parts per thousand — the
-    /// sharded machine's per-shard load metric.  One allocation-free pass
-    /// over the slot table.
+    /// sharded machine's per-shard load metric.  `O(CPUs)`: summed from
+    /// the per-CPU load accumulators, not the job table.
     pub fn granted_total_ppt(&self) -> u64 {
-        self.jobs
-            .iter()
-            .map(|(_, _, e)| e.granted.ppt() as u64)
-            .sum()
+        self.ctx.granted_total_ppt()
     }
 
     /// Visits every live job in slot order with its id, effective class
@@ -1019,6 +1016,8 @@ mod tests {
         }
         assert_eq!(c.ctx.cpu_load, granted, "granted load per CPU");
         assert_eq!(c.ctx.cpu_fixed_load, fixed, "fixed load per CPU");
+        let total: u64 = c.jobs.iter().map(|(_, _, e)| e.granted.ppt() as u64).sum();
+        assert_eq!(c.granted_total_ppt(), total, "granted total");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use handle::JobHandle;
 pub use period::PeriodEstimator;
 pub use pipeline::CycleContext;
 pub use pressure::PressureEstimator;
-pub use slot::{JobSlot, SlotTable};
+pub use slot::{JobSlot, SlotSet, SlotTable};
 pub use squish::{squish_fair_share, squish_weighted, Importance, SquishPolicy};
 pub use taxonomy::{JobClass, JobSpec};
 pub use time::{Micros, SimTime};

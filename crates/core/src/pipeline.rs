@@ -124,6 +124,10 @@ pub struct CycleContext {
     pub(crate) cpu_load: Vec<u64>,
     /// Fixed (real-time) reservations per CPU, in parts per thousand.
     pub(crate) cpu_fixed_load: Vec<u64>,
+    /// Committed grants of jobs placed on a CPU outside the machine (after
+    /// a shrink, until the Place stage pulls them back): in no CPU's load,
+    /// but still part of the controller's granted total.
+    pub(crate) off_machine_load: u64,
     /// Place: the migrations decided this cycle (at most one).
     pub(crate) migrations: Vec<(JobId, CpuId, CpuId)>,
 }
@@ -161,17 +165,23 @@ impl CycleContext {
             loads.clear();
             loads.resize(cpus, 0);
         }
+        self.off_machine_load = 0;
     }
 
     /// Adds a job's committed grant and, for a fixed reservation, its
     /// proportion to its CPU's loads (`add`), or takes them off again.  A
-    /// job on a CPU outside the machine counts nowhere.
+    /// job on a CPU outside the machine loads no CPU.
     pub(crate) fn shift_cpu_load(&mut self, entry: &JobEntry, add: bool) {
         let cpu = entry.cpu.index();
+        let granted = entry.granted.ppt() as u64;
         if cpu >= self.cpu_load.len() {
+            if add {
+                self.off_machine_load += granted;
+            } else {
+                self.off_machine_load -= granted;
+            }
             return;
         }
-        let granted = entry.granted.ppt() as u64;
         let fixed = if entry.spec.classify().is_squishable() {
             0
         } else {
@@ -184,6 +194,12 @@ impl CycleContext {
             self.cpu_load[cpu] -= granted;
             self.cpu_fixed_load[cpu] -= fixed;
         }
+    }
+
+    /// Sum of every job's committed grant, in parts per thousand, read off
+    /// the per-CPU accumulators.
+    pub(crate) fn granted_total_ppt(&self) -> u64 {
+        self.cpu_load.iter().sum::<u64>() + self.off_machine_load
     }
 
     /// Controller time at the start of the current cycle, in seconds.

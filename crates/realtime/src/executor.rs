@@ -15,7 +15,7 @@ use rrs_core::{
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
-    CpuId, CpuStats, DispatcherConfig, Machine, Reservation, ThreadId, UsageAccount,
+    CpuId, CpuStats, DispatcherConfig, Machine, Reservation, ThreadHandle, ThreadId, UsageAccount,
 };
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use std::collections::BTreeMap;
@@ -158,9 +158,10 @@ pub struct RealTimeExecutor {
     machine: Machine,
     controller: Controller,
     tasks: BTreeMap<ThreadId, TaskSlot>,
-    /// Slot-indexed map back to the dispatcher's thread id, so actuations
-    /// apply without re-deriving `JobId ↔ ThreadId`.
-    slot_threads: Vec<Option<ThreadId>>,
+    /// Slot-indexed map back to the dispatcher's thread id and the
+    /// thread's machine handle, so actuations apply without re-deriving
+    /// `JobId ↔ ThreadId` or looking the thread up by id.
+    slot_threads: Vec<Option<(ThreadId, ThreadHandle)>>,
     reports: (Sender<WorkerReport>, Receiver<WorkerReport>),
     next_id: u64,
     start: Instant,
@@ -398,8 +399,6 @@ impl RealTimeExecutor {
         if self.slot_threads.len() <= slot.index() {
             self.slot_threads.resize(slot.index() + 1, None);
         }
-        self.slot_threads[slot.index()] = Some(thread);
-
         let initial = Reservation::new(
             spec.proportion
                 .unwrap_or(self.config.controller.min_proportion),
@@ -410,9 +409,11 @@ impl RealTimeExecutor {
             .controller
             .cpu_of_slot(slot)
             .expect("slot was just created");
-        self.machine
+        let handle = self
+            .machine
             .add_thread_preadmitted_on(cpu, thread, initial)
             .expect("fresh id");
+        self.slot_threads[slot.index()] = Some((thread, handle));
 
         let (to_worker, from_executor) = bounded::<WorkerMessage>(1);
         let report_tx = self.reports.0.clone();
@@ -608,19 +609,15 @@ impl RealTimeExecutor {
             }
         }
         for actuation in &out.actuations {
-            if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
+            if let Some(Some((tid, handle))) = self.slot_threads.get_mut(actuation.slot.index()) {
                 // Apply the Place stage's decision: logically reshard the
                 // worker onto its assigned CPU.
-                let from = self
-                    .machine
-                    .set_reservation(*tid, actuation.reservation)
-                    .ok();
-                if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
-                {
+                let moved =
+                    self.machine
+                        .actuate(handle, *tid, actuation.reservation, actuation.cpu);
+                if let Ok(Some(from)) = moved {
                     self.stats.migrations += 1;
-                    if let Some(from) = from {
-                        self.stats.per_cpu[from.index()].migrations_out += 1;
-                    }
+                    self.stats.per_cpu[from.index()].migrations_out += 1;
                     self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
                 }
             }

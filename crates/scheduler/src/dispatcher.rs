@@ -21,14 +21,25 @@
 //! # Dense handles and the span fast path
 //!
 //! The `ThreadId → slot` resolution happens once, at the edge: every
-//! public id-keyed method resolves through `by_id` exactly once, and from
-//! there the hot loop runs entirely on dense `u32` slots — the run queue,
-//! the [`TimerList`] (slot-keyed, so a popped expiry is already a slot)
-//! and the watch list all speak slots.  The steady-state span loop the
-//! simulator drives ([`Dispatcher::dispatch`] →
-//! [`Dispatcher::charge_span`] → [`Dispatcher::advance_to`]) therefore
-//! touches no maps at all, and two further mechanisms remove the remaining
-//! per-span work on an uncontended CPU:
+//! public id-keyed method resolves through `by_id` exactly once and hands
+//! the slot to its slot-addressed twin (`set_reservation` →
+//! [`Dispatcher::set_reservation_slot`], and likewise `reservation`,
+//! `block`, `unblock`, `charge`, `take_thread`), which holds all the logic.
+//! A caller that keeps the slot ([`Dispatcher::slot_of`], or the
+//! machine-level [`crate::ThreadHandle`]) calls the twin directly and
+//! skips the map.  A slot stays a thread's from the call that registered
+//! it until the thread is removed or taken for migration, and freed slots
+//! are reused LIFO, so every slot-addressed entry point checks — always,
+//! not only in debug builds — that the slot still holds the id the caller
+//! names: a stale slot is [`SchedError::UnknownThread`], never another
+//! thread's state.  From the edge inwards the hot loop runs entirely on
+//! dense `u32` slots — the run queue, the [`TimerList`] (slot-keyed, so a
+//! popped expiry is already a slot) and the watch list all speak slots.
+//! The steady-state span loop the simulator drives
+//! ([`Dispatcher::dispatch`] → [`Dispatcher::charge_span`] →
+//! [`Dispatcher::advance_to`]) therefore touches no maps at all, and two
+//! further mechanisms remove the remaining per-span work on an uncontended
+//! CPU:
 //!
 //! * **The next-quantum cache.** `queue_gen` counts every mutation that
 //!   can change the run-queue root (any re-rank or removal).  When a
@@ -482,9 +493,41 @@ impl Dispatcher {
         self.admission
     }
 
+    /// The dense slot `id` occupies — the id → slot edge.  Valid for the
+    /// slot-addressed methods until the thread is removed or taken.
+    pub fn slot_of(&self, id: ThreadId) -> Option<u32> {
+        self.by_id.get(&id).copied()
+    }
+
+    fn resolve(&self, id: ThreadId) -> Result<u32, SchedError> {
+        self.slot_of(id).ok_or(SchedError::UnknownThread(id))
+    }
+
+    /// The entry at `slot`, provided it is still `id`'s.
+    fn entry_at(&self, slot: u32, id: ThreadId) -> Option<&ThreadEntry> {
+        self.entries
+            .get(slot as usize)?
+            .as_ref()
+            .filter(|e| e.id == id)
+    }
+
+    /// Whether `slot` is (still) the slot `id` occupies.
+    pub fn holds(&self, slot: u32, id: ThreadId) -> bool {
+        self.entry_at(slot, id).is_some()
+    }
+
+    /// Fails with [`SchedError::UnknownThread`] unless `slot` holds `id`:
+    /// the identity check behind every slot-addressed entry point.
+    fn verify(&self, slot: u32, id: ThreadId) -> Result<(), SchedError> {
+        if self.holds(slot, id) {
+            Ok(())
+        } else {
+            Err(SchedError::UnknownThread(id))
+        }
+    }
+
     fn entry_of(&self, id: ThreadId) -> Option<&ThreadEntry> {
-        let &idx = self.by_id.get(&id)?;
-        self.entries[idx as usize].as_ref()
+        self.entry_at(self.slot_of(id)?, id)
     }
 
     /// Stores a fresh entry, indexes it, and returns its dense slot.
@@ -516,7 +559,7 @@ impl Dispatcher {
     fn unlink(&mut self, idx: u32) -> ThreadEntry {
         let entry = self.entries[idx as usize]
             .take()
-            .expect("unlink is only called with a slot from by_id, which tracks occupied slots");
+            .expect("unlink is only called with a resolved or verified slot, which is occupied");
         self.queue_gen += 1;
         if self.span_slot == Some(idx) {
             debug_assert_eq!(self.span_pending_us, 0, "unlinked slot with pending charge");
@@ -637,8 +680,19 @@ impl Dispatcher {
     /// destination CPU); its period timer is cancelled here and re-armed by
     /// [`Dispatcher::inject_thread`].
     pub fn take_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
+        let slot = self.resolve(id)?;
+        self.take_thread_slot(slot, id)
+    }
+
+    /// [`Dispatcher::take_thread`] for a caller that holds the thread's
+    /// dense slot.
+    pub fn take_thread_slot(
+        &mut self,
+        idx: u32,
+        id: ThreadId,
+    ) -> Result<MigratedThread, SchedError> {
         self.settle_span();
-        let &idx = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
+        self.verify(idx, id)?;
         let next_boundary_us = if self.config.lazy_rollovers {
             // Settle any boundary backlog on this CPU's clock, then hand the
             // (strictly future) grid boundary to the destination.
@@ -751,9 +805,7 @@ impl Dispatcher {
     /// Removes a thread from the dispatcher.
     pub fn remove_thread(&mut self, id: ThreadId) -> Result<(), SchedError> {
         self.settle_span();
-        let Some(&idx) = self.by_id.get(&id) else {
-            return Err(SchedError::UnknownThread(id));
-        };
+        let idx = self.resolve(id)?;
         if self.config.lazy_rollovers {
             // Settle the departing thread's boundary backlog so the global
             // rollover and miss statistics don't lose its final periods.
@@ -782,10 +834,23 @@ impl Dispatcher {
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<(), SchedError> {
+        let slot = self.resolve(id)?;
+        self.set_reservation_slot(slot, id, reservation)
+    }
+
+    /// [`Dispatcher::set_reservation`] for a caller that holds the
+    /// thread's dense slot — the per-actuation path, with no id → slot
+    /// lookup.
+    pub fn set_reservation_slot(
+        &mut self,
+        slot: u32,
+        id: ThreadId,
+        reservation: Reservation,
+    ) -> Result<(), SchedError> {
         let now = self.now_us;
         let lazy = self.config.lazy_rollovers;
         self.settle_span();
-        let &slot = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
+        self.verify(slot, id)?;
         if lazy {
             // Settle the old reservation's boundary backlog before the grid
             // is re-anchored below.
@@ -793,7 +858,7 @@ impl Dispatcher {
         }
         let entry = self.entries[slot as usize]
             .as_mut()
-            .expect("by_id maps every id to an occupied slot (unlink removes both together)");
+            .expect("verified occupied above; neither settle nor sync frees a slot");
         let old_class = entry.class;
         entry.class = ThreadClass::Reserved(reservation);
         let new_budget = reservation.budget_micros();
@@ -840,7 +905,13 @@ impl Dispatcher {
 
     /// Returns a thread's current reservation, if it is reserved.
     pub fn reservation(&self, id: ThreadId) -> Option<Reservation> {
-        match self.entry_of(id)?.class {
+        self.reservation_slot(self.slot_of(id)?, id)
+    }
+
+    /// [`Dispatcher::reservation`] for a caller that holds the thread's
+    /// dense slot.
+    pub fn reservation_slot(&self, slot: u32, id: ThreadId) -> Option<Reservation> {
+        match self.entry_at(slot, id)?.class {
             ThreadClass::Reserved(r) => Some(r),
             ThreadClass::BestEffort => None,
         }
@@ -876,9 +947,16 @@ impl Dispatcher {
 
     /// Marks a thread as blocked (waiting on I/O or a queue).
     pub fn block(&mut self, id: ThreadId) -> Result<(), SchedError> {
+        let slot = self.resolve(id)?;
+        self.block_slot(slot, id)
+    }
+
+    /// [`Dispatcher::block`] for a caller that holds the thread's dense
+    /// slot.
+    pub fn block_slot(&mut self, slot: u32, id: ThreadId) -> Result<(), SchedError> {
         self.settle_span();
-        let &slot = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
-        self.block_slot(slot)
+        self.verify(slot, id)?;
+        self.block_inner(slot)
     }
 
     /// Blocks the thread picked by the last [`Dispatcher::dispatch`]
@@ -891,19 +969,19 @@ impl Dispatcher {
             .span_slot
             .expect("block_span without a dispatched span");
         self.settle_span();
-        self.block_slot(idx).expect("span slot is live");
+        self.block_inner(idx).expect("span slot is live");
         idx
     }
 
-    fn block_slot(&mut self, idx: u32) -> Result<(), SchedError> {
+    fn block_inner(&mut self, idx: u32) -> Result<(), SchedError> {
         if self.config.lazy_rollovers {
             // Roll boundaries while the thread still counts as runnable so
             // the was-runnable miss accounting matches the eager path.
             self.sync_entry(idx);
         }
-        let entry = self.entries[idx as usize]
-            .as_mut()
-            .expect("block_slot receives a slot from the current span or by_id, both occupied");
+        let entry = self.entries[idx as usize].as_mut().expect(
+            "block_inner receives the current span's slot or a verified one, both occupied",
+        );
         let id = entry.id;
         if entry.state == ThreadState::Exited {
             return Err(SchedError::InvalidState(id, "thread has exited"));
@@ -924,25 +1002,18 @@ impl Dispatcher {
     /// Wakes a blocked thread.  Threads that are throttled stay throttled
     /// until their next period even if woken.
     pub fn unblock(&mut self, id: ThreadId) -> Result<(), SchedError> {
-        self.settle_span();
-        let &slot = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
-        self.unblock_inner(slot);
-        Ok(())
+        let slot = self.resolve(id)?;
+        self.unblock_slot(slot, id)
     }
 
-    /// Wakes the blocked thread in dense slot `idx` without an id → slot
-    /// lookup — the simulator's in-window wake path.  `id` is the identity
-    /// the caller believes occupies the slot; slots are stable for a
-    /// thread's lifetime, and the pairing is checked in debug builds.
-    pub fn unblock_slot(&mut self, idx: u32, id: ThreadId) {
-        debug_assert_eq!(
-            self.entries[idx as usize].as_ref().map(|e| e.id),
-            Some(id),
-            "stale slot handle in unblock_slot"
-        );
-        let _ = id;
+    /// [`Dispatcher::unblock`] for a caller that holds the thread's dense
+    /// slot (from [`Dispatcher::block_span`], say) — the simulator's wake
+    /// path, with no id → slot lookup.
+    pub fn unblock_slot(&mut self, slot: u32, id: ThreadId) -> Result<(), SchedError> {
         self.settle_span();
-        self.unblock_inner(idx);
+        self.verify(slot, id)?;
+        self.unblock_inner(slot);
+        Ok(())
     }
 
     fn unblock_inner(&mut self, idx: u32) {
@@ -1356,9 +1427,16 @@ impl Dispatcher {
     /// Charges `us` microseconds of CPU consumption to a thread, throttling
     /// it if its budget (or best-effort slice) is exhausted.
     pub fn charge(&mut self, id: ThreadId, us: u64) -> Result<(), SchedError> {
+        let slot = self.resolve(id)?;
+        self.charge_slot(slot, id, us)
+    }
+
+    /// [`Dispatcher::charge`] for a caller that holds the thread's dense
+    /// slot.
+    pub fn charge_slot(&mut self, slot: u32, id: ThreadId, us: u64) -> Result<(), SchedError> {
         self.settle_span();
-        let &idx = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
-        self.charge_slot(idx, us);
+        self.verify(slot, id)?;
+        self.charge_inner(slot, us);
         Ok(())
     }
 
@@ -1387,7 +1465,7 @@ impl Dispatcher {
             Some(reason) => {
                 self.note_settle(idx, reason);
                 self.settle_span();
-                self.charge_slot(idx, us);
+                self.charge_inner(idx, us);
             }
         }
     }
@@ -1445,7 +1523,7 @@ impl Dispatcher {
 
     /// The full per-charge path for a resolved slot: sync the period
     /// backlog (lazy mode), then apply the charge.
-    fn charge_slot(&mut self, idx: u32, us: u64) {
+    fn charge_inner(&mut self, idx: u32, us: u64) {
         // Charge against the current period, not a stale one (no-op in
         // eager mode).
         self.sync_entry(idx);
@@ -1455,7 +1533,7 @@ impl Dispatcher {
     fn apply_charge(&mut self, idx: u32, us: u64) {
         let entry = self.entries[idx as usize]
             .as_mut()
-            .expect("apply_charge receives a span or by_id slot, both occupied while charged");
+            .expect("apply_charge receives a span slot or a verified one, both occupied");
         let id = entry.id;
         let mut throttled = false;
         let mut be_charged = false;
@@ -2007,6 +2085,46 @@ mod tests {
         d.assert_consistent();
     }
 
+    /// A slot handle outliving its thread names the slot's next tenant;
+    /// every slot-addressed entry point must refuse it and leave the tenant
+    /// exactly as it was.
+    #[test]
+    fn stale_slot_never_reaches_the_slots_next_tenant() {
+        for config in [DispatcherConfig::default(), lazy_config()] {
+            let mut d = Dispatcher::new(config);
+            d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+            let slot = d.slot_of(ThreadId(1)).unwrap();
+            d.remove_thread(ThreadId(1)).unwrap();
+            let gone = Err(SchedError::UnknownThread(ThreadId(1)));
+            assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone, "freed slot");
+            d.add_thread(ThreadId(2), reserved(200, 20)).unwrap();
+            assert_eq!(d.slot_of(ThreadId(2)), Some(slot), "LIFO reuse");
+            d.block(ThreadId(2)).unwrap();
+            let r = Reservation::new(Proportion::from_ppt(900), Period::from_millis(1));
+            assert_eq!(d.set_reservation_slot(slot, ThreadId(1), r), gone);
+            assert_eq!(d.reservation_slot(slot, ThreadId(1)), None);
+            assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone);
+            assert_eq!(d.block_slot(slot, ThreadId(1)), gone);
+            assert_eq!(d.charge_slot(slot, ThreadId(1), 500), gone);
+            assert!(d.take_thread_slot(slot, ThreadId(1)).is_err());
+            assert_eq!(
+                d.unblock_slot(slot + 7, ThreadId(2)),
+                Err(SchedError::UnknownThread(ThreadId(2))),
+                "out of range"
+            );
+            // The tenant: still blocked, still on its own reservation,
+            // nothing charged.
+            assert_eq!(d.thread_state(ThreadId(2)), Some(ThreadState::Blocked));
+            assert_eq!(d.reservation(ThreadId(2)).unwrap().proportion.ppt(), 200);
+            assert_eq!(d.usage(ThreadId(2)).unwrap().total_used_us, 0);
+            assert_eq!(d.total_reserved_ppt(), 200);
+            // Under its own id the same slot works.
+            d.unblock_slot(slot, ThreadId(2)).unwrap();
+            assert_eq!(d.thread_state(ThreadId(2)), Some(ThreadState::Ready));
+            d.assert_consistent();
+        }
+    }
+
     fn lazy_config() -> DispatcherConfig {
         DispatcherConfig {
             lazy_rollovers: true,
@@ -2169,7 +2287,7 @@ mod tests {
         assert_eq!(d.usage(ThreadId(1)).unwrap().used_this_period_us, 300);
         assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
         // The slot wakes the thread without an id lookup.
-        d.unblock_slot(slot, ThreadId(1));
+        d.unblock_slot(slot, ThreadId(1)).unwrap();
         assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Ready));
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         d.assert_consistent();

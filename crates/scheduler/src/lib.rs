@@ -19,13 +19,14 @@
 //! * [`goodness`] — the Linux-style goodness function (rate monotonic for
 //!   RBS threads, time-slice based for best-effort threads).
 //! * [`Dispatcher`] — goodness-indexed run queue over dense slot-indexed
-//!   thread storage (`O(1)` pick, `O(log n)` re-rank), sorted timer list
-//!   with a per-thread reverse index, per-period accounting, deadline-miss
-//!   detection and dispatch-overhead modelling.
+//!   thread storage (`O(1)` pick, `O(log n)` re-rank) and sorted timer
+//!   list, both one slot-indexed 4-ary heap; per-period accounting,
+//!   deadline-miss detection and dispatch-overhead modelling.
 //! * [`Machine`] — the multi-CPU layer: `N` per-CPU dispatchers in
 //!   lockstep behind the single-CPU API, with thread placement and
 //!   cross-CPU migration ([`CpuId`]).  `N = 1` is bit-for-bit the
-//!   single-dispatcher system.
+//!   single-dispatcher system.  A [`ThreadHandle`] addresses a thread
+//!   without an id lookup.
 //! * [`accounting::UsageAccount`] — per-thread usage the controller reads to
 //!   reclaim over-allocated CPU.
 
@@ -37,6 +38,7 @@ pub mod admission;
 pub mod dispatcher;
 pub mod error;
 pub mod goodness;
+mod heap;
 pub mod machine;
 pub mod reservation;
 mod runqueue;
@@ -54,4 +56,4 @@ pub use error::SchedError;
 pub use machine::{CpuStats, Machine};
 pub use reservation::Reservation;
 pub use settle::{charge_exhausts, span_settle_reason, SettleReason};
-pub use types::{CpuId, Period, Proportion, ThreadId, ThreadState};
+pub use types::{CpuId, Period, Proportion, ThreadHandle, ThreadId, ThreadState};

@@ -19,6 +19,27 @@
 //! [`Dispatcher::take_thread`] / [`Dispatcher::inject_thread`], so a
 //! throttled thread stays throttled until the period boundary its source
 //! CPU had scheduled.
+//!
+//! # Thread handles
+//!
+//! Every id-keyed method resolves the thread's [`ThreadHandle`] — its CPU
+//! and its dense slot in that CPU's dispatcher — through the two id maps
+//! (`placement` here, `by_id` in the dispatcher) exactly once and calls
+//! its handle-addressed twin (`set_reservation` →
+//! [`Machine::set_reservation_at`], and likewise `reservation`, `unblock`,
+//! `charge`, `migrate`), which holds all the logic.  The calls that place
+//! a thread ([`Machine::add_thread_on`],
+//! [`Machine::add_thread_preadmitted_on`], [`Machine::inject_thread_on`],
+//! [`Machine::migrate_at`], [`Machine::actuate`]) hand the handle back, so
+//! a driver that stores it beside the `ThreadId` — both host backends do —
+//! never touches a map on its per-cycle paths.  The handle belongs to
+//! whoever placed the thread and goes stale when the thread next changes
+//! slot: on `migrate*` (which returns the new one), `extract_thread` and
+//! `remove_thread`.  A stale handle is harmless: every `_at` method checks
+//! on every call that the slot still holds the named id and answers
+//! [`SchedError::UnknownThread`] (or `None`) otherwise, so it can never
+//! reach the thread that reused the slot; [`Machine::handle_of`] gets a
+//! fresh one.
 
 use crate::dispatcher::{
     DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, FastPathStats, MigratedThread,
@@ -26,7 +47,7 @@ use crate::dispatcher::{
 };
 use crate::error::SchedError;
 use crate::reservation::Reservation;
-use crate::types::{CpuId, Proportion, ThreadId};
+use crate::types::{CpuId, Proportion, ThreadHandle, ThreadId};
 use crate::UsageAccount;
 use rrs_telemetry::{Recorder, TraceEventKind};
 use serde::{Deserialize, Serialize};
@@ -80,6 +101,8 @@ pub struct CpuStats {
 #[derive(Debug)]
 pub struct Machine {
     cpus: Vec<Dispatcher>,
+    /// Id → CPU, the machine's half of the id edge (the dispatcher's
+    /// `by_id` is the other).
     placement: BTreeMap<ThreadId, CpuId>,
     /// Trace-event sink shared with every dispatcher; `None` when
     /// telemetry is disabled.
@@ -194,6 +217,26 @@ impl Machine {
         self.placement.get(&id).copied()
     }
 
+    /// A thread's current handle — the id edge, two map lookups.  Valid
+    /// for the `_at` methods until the thread migrates or leaves.
+    pub fn handle_of(&self, id: ThreadId) -> Option<ThreadHandle> {
+        let cpu = self.cpu_of(id)?;
+        let slot = self.cpus[cpu.index()].slot_of(id)?;
+        Some(ThreadHandle { cpu, slot })
+    }
+
+    fn resolve(&self, id: ThreadId) -> Result<ThreadHandle, SchedError> {
+        self.handle_of(id).ok_or(SchedError::UnknownThread(id))
+    }
+
+    /// The dispatcher a handle points into; a handle naming a CPU the
+    /// machine does not have is as stale as one naming a freed slot.
+    fn at(&mut self, handle: ThreadHandle, id: ThreadId) -> Result<&mut Dispatcher, SchedError> {
+        self.cpus
+            .get_mut(handle.cpu.index())
+            .ok_or(SchedError::UnknownThread(id))
+    }
+
     /// Total number of threads across all CPUs.
     pub fn thread_count(&self) -> usize {
         self.placement.len()
@@ -251,22 +294,31 @@ impl Machine {
     /// admission control.  Returns the chosen CPU.
     pub fn add_thread(&mut self, id: ThreadId, class: ThreadClass) -> Result<CpuId, SchedError> {
         self.add_thread_on(self.least_loaded_cpu(), id, class)
+            .map(|handle| handle.cpu)
     }
 
     /// Registers a thread on an explicit CPU, subject to that CPU's
-    /// admission control.
+    /// admission control.  Returns the thread's handle.
     pub fn add_thread_on(
         &mut self,
         cpu: CpuId,
         id: ThreadId,
         class: ThreadClass,
-    ) -> Result<CpuId, SchedError> {
+    ) -> Result<ThreadHandle, SchedError> {
         if self.placement.contains_key(&id) {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].add_thread(id, class)?;
+        Ok(self.placed(id, cpu))
+    }
+
+    /// Records that `id` now lives on `cpu` and returns its handle.
+    fn placed(&mut self, id: ThreadId, cpu: CpuId) -> ThreadHandle {
         self.placement.insert(id, cpu);
-        Ok(cpu)
+        let slot = self.cpus[cpu.index()]
+            .slot_of(id)
+            .expect("the dispatcher indexed the thread it just accepted");
+        ThreadHandle { cpu, slot }
     }
 
     /// Registers a pre-admitted thread on the least-loaded CPU (the
@@ -277,22 +329,23 @@ impl Machine {
         reservation: Reservation,
     ) -> Result<CpuId, SchedError> {
         self.add_thread_preadmitted_on(self.least_loaded_cpu(), id, reservation)
+            .map(|handle| handle.cpu)
     }
 
     /// Registers a pre-admitted thread on an explicit CPU — the placement
     /// authority (the control pipeline's Place stage) has already chosen.
+    /// Returns the thread's handle.
     pub fn add_thread_preadmitted_on(
         &mut self,
         cpu: CpuId,
         id: ThreadId,
         reservation: Reservation,
-    ) -> Result<CpuId, SchedError> {
+    ) -> Result<ThreadHandle, SchedError> {
         if self.placement.contains_key(&id) {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].add_thread_preadmitted(id, reservation)?;
-        self.placement.insert(id, cpu);
-        Ok(cpu)
+        Ok(self.placed(id, cpu))
     }
 
     /// Removes a thread from whichever CPU holds it.
@@ -308,18 +361,35 @@ impl Machine {
     /// state and mid-period usage account.  Returns the CPU it came from;
     /// migrating a thread to the CPU it is already on is a no-op.
     pub fn migrate(&mut self, id: ThreadId, to: CpuId) -> Result<CpuId, SchedError> {
-        let from = self.cpu_of(id).ok_or(SchedError::UnknownThread(id))?;
+        let handle = self.resolve(id)?;
+        self.migrate_at(handle, id, to).map(|_| handle.cpu)
+    }
+
+    /// [`Machine::migrate`] for a caller that holds the thread's handle;
+    /// `handle.cpu` is the CPU it comes from.  Returns the thread's new
+    /// handle (the old one is stale from here on), or `handle` itself when
+    /// the thread is already on `to`.
+    pub fn migrate_at(
+        &mut self,
+        handle: ThreadHandle,
+        id: ThreadId,
+        to: CpuId,
+    ) -> Result<ThreadHandle, SchedError> {
+        let from = handle.cpu;
+        if !self.at(handle, id)?.holds(handle.slot, id) {
+            return Err(SchedError::UnknownThread(id));
+        }
         if to.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
         }
         if from == to {
-            return Ok(from);
+            return Ok(handle);
         }
-        let thread = self.cpus[from.index()].take_thread(id)?;
+        let thread = self.cpus[from.index()].take_thread_slot(handle.slot, id)?;
         self.cpus[to.index()]
             .inject_thread(thread)
             .expect("destination cannot already hold the thread");
-        self.placement.insert(id, to);
+        let moved = self.placed(id, to);
         if let Some(t) = &self.telemetry {
             t.record(
                 self.now_us(),
@@ -330,7 +400,29 @@ impl Machine {
                 },
             );
         }
-        Ok(from)
+        Ok(moved)
+    }
+
+    /// Applies one controller actuation through the thread's handle: sets
+    /// the reservation and, when the controller's Place stage wants the
+    /// thread on another `cpu`, migrates it there and refreshes `handle`.
+    /// Returns the CPU the thread migrated from, if it migrated.  A failed
+    /// migration (destination out of range) leaves the new reservation in
+    /// force.
+    pub fn actuate(
+        &mut self,
+        handle: &mut ThreadHandle,
+        id: ThreadId,
+        reservation: Reservation,
+        cpu: CpuId,
+    ) -> Result<Option<CpuId>, SchedError> {
+        self.set_reservation_at(*handle, id, reservation)?;
+        let from = handle.cpu;
+        if from == cpu {
+            return Ok(None);
+        }
+        *handle = self.migrate_at(*handle, id, cpu)?;
+        Ok(Some(from))
     }
 
     /// Removes a thread from the machine but returns its transplantable
@@ -339,8 +431,8 @@ impl Machine {
     /// cross-shard migration path).  The counterpart of
     /// [`Machine::inject_thread_on`].
     pub fn extract_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
-        let from = self.cpu_of(id).ok_or(SchedError::UnknownThread(id))?;
-        let thread = self.cpus[from.index()].take_thread(id)?;
+        let handle = self.resolve(id)?;
+        let thread = self.cpus[handle.cpu.index()].take_thread_slot(handle.slot, id)?;
         self.placement.remove(&id);
         Ok(thread)
     }
@@ -348,12 +440,12 @@ impl Machine {
     /// Installs a thread previously removed with
     /// [`Machine::extract_thread`] (possibly from another machine) on an
     /// explicit CPU, preserving its reservation, throttle state and
-    /// mid-period usage account.
+    /// mid-period usage account.  Returns the thread's handle.
     pub fn inject_thread_on(
         &mut self,
         cpu: CpuId,
         thread: MigratedThread,
-    ) -> Result<(), SchedError> {
+    ) -> Result<ThreadHandle, SchedError> {
         let id = thread.id;
         if cpu.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
@@ -362,54 +454,78 @@ impl Machine {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].inject_thread(thread)?;
-        self.placement.insert(id, cpu);
-        Ok(())
+        Ok(self.placed(id, cpu))
     }
 
-    fn on(&mut self, id: ThreadId) -> Result<&mut Dispatcher, SchedError> {
-        let cpu = self
-            .placement
-            .get(&id)
-            .ok_or(SchedError::UnknownThread(id))?;
-        Ok(&mut self.cpus[cpu.index()])
-    }
-
-    /// Changes a thread's reservation on its current CPU (the controller's
-    /// per-cycle actuation path) and returns that CPU, so a caller that
-    /// goes on to compare it with the controller's placement need not look
-    /// the thread up a second time.
+    /// Changes a thread's reservation on its current CPU and returns that
+    /// CPU.
     pub fn set_reservation(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<CpuId, SchedError> {
-        let &cpu = self
-            .placement
-            .get(&id)
-            .ok_or(SchedError::UnknownThread(id))?;
-        self.cpus[cpu.index()].set_reservation(id, reservation)?;
-        Ok(cpu)
+        let handle = self.resolve(id)?;
+        self.set_reservation_at(handle, id, reservation)?;
+        Ok(handle.cpu)
+    }
+
+    /// [`Machine::set_reservation`] for a caller that holds the thread's
+    /// handle — the controller's per-cycle actuation path.
+    pub fn set_reservation_at(
+        &mut self,
+        handle: ThreadHandle,
+        id: ThreadId,
+        reservation: Reservation,
+    ) -> Result<(), SchedError> {
+        self.at(handle, id)?
+            .set_reservation_slot(handle.slot, id, reservation)
     }
 
     /// Returns a thread's current reservation, if it is reserved.
     pub fn reservation(&self, id: ThreadId) -> Option<Reservation> {
-        let cpu = self.placement.get(&id)?;
-        self.cpus[cpu.index()].reservation(id)
+        self.reservation_at(self.handle_of(id)?, id)
+    }
+
+    /// [`Machine::reservation`] for a caller that holds the thread's
+    /// handle.
+    pub fn reservation_at(&self, handle: ThreadHandle, id: ThreadId) -> Option<Reservation> {
+        self.cpus
+            .get(handle.cpu.index())?
+            .reservation_slot(handle.slot, id)
     }
 
     /// Marks a thread as blocked.
     pub fn block(&mut self, id: ThreadId) -> Result<(), SchedError> {
-        self.on(id)?.block(id)
+        let handle = self.resolve(id)?;
+        self.at(handle, id)?.block_slot(handle.slot, id)
     }
 
     /// Wakes a blocked thread.
     pub fn unblock(&mut self, id: ThreadId) -> Result<(), SchedError> {
-        self.on(id)?.unblock(id)
+        let handle = self.resolve(id)?;
+        self.unblock_at(handle, id)
+    }
+
+    /// [`Machine::unblock`] for a caller that holds the thread's handle —
+    /// the simulator's global wake and poll paths.
+    pub fn unblock_at(&mut self, handle: ThreadHandle, id: ThreadId) -> Result<(), SchedError> {
+        self.at(handle, id)?.unblock_slot(handle.slot, id)
     }
 
     /// Charges CPU consumption to a thread on its current CPU.
     pub fn charge(&mut self, id: ThreadId, us: u64) -> Result<(), SchedError> {
-        self.on(id)?.charge(id, us)
+        let handle = self.resolve(id)?;
+        self.charge_at(handle, id, us)
+    }
+
+    /// [`Machine::charge`] for a caller that holds the thread's handle.
+    pub fn charge_at(
+        &mut self,
+        handle: ThreadHandle,
+        id: ThreadId,
+        us: u64,
+    ) -> Result<(), SchedError> {
+        self.at(handle, id)?.charge_slot(handle.slot, id, us)
     }
 
     /// Returns a copy of a thread's usage account.

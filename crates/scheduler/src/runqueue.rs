@@ -2,14 +2,14 @@
 //!
 //! The dispatcher used to pick the next thread with a full scan over every
 //! registered thread — `O(n)` per dispatch, paid even when one thread spins
-//! alone on a 10k-job machine.  This module keeps the runnable threads in a
-//! dense indexed binary heap ordered by the dispatch key (goodness,
-//! recency, id), so the pick is an `O(1)` peek and every re-rank on a state
-//! change is `O(log n)`.  Storage is two flat `Vec`s indexed by the
-//! dispatcher's dense thread slots (mirroring the controller's
-//! `SlotTable`): no per-operation allocation once the vectors have grown to
-//! the population's high-water mark.
+//! alone on a 10k-job machine.  The runnable threads instead sit in the
+//! dispatcher's [`IndexedHeap`] ordered by the dispatch key (goodness,
+//! recency, id) and addressed by dense thread slot (mirroring the
+//! controller's `SlotTable`), so the pick is an `O(1)` peek and every
+//! re-rank on a state change is `O(log n)`, with no per-operation
+//! allocation once the heap has grown to the population's high-water mark.
 
+use crate::heap::IndexedHeap;
 use crate::types::ThreadId;
 
 /// The dispatch-priority key, ordered so that the *smallest* key is the
@@ -28,144 +28,9 @@ pub(crate) struct RunKey {
     pub id: ThreadId,
 }
 
-/// Heap position marker for "not runnable".
-const ABSENT: u32 = u32::MAX;
-
-/// An indexed min-heap of runnable threads, keyed by [`RunKey`] and
-/// addressed by dense thread-slot index.
-#[derive(Debug, Default)]
-pub(crate) struct RunQueue {
-    /// Heap-ordered `(key, slot)` pairs.
-    heap: Vec<(RunKey, u32)>,
-    /// `slot -> heap position`, [`ABSENT`] when the slot is not queued.
-    pos: Vec<u32>,
-}
-
-impl RunQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of runnable threads (used by the invariant checks).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// The best runnable thread, if any: `(key, slot)` with the minimum key.
-    pub fn peek(&self) -> Option<(RunKey, u32)> {
-        self.heap.first().copied()
-    }
-
-    /// Returns `true` if `slot` is currently queued (used by the invariant
-    /// checks).
-    #[cfg(test)]
-    pub fn contains(&self, slot: u32) -> bool {
-        self.pos.get(slot as usize).is_some_and(|&p| p != ABSENT)
-    }
-
-    fn ensure(&mut self, slot: u32) {
-        if self.pos.len() <= slot as usize {
-            self.pos.resize(slot as usize + 1, ABSENT);
-        }
-    }
-
-    /// Inserts `slot` with `key`, or re-ranks it if already queued.
-    pub fn upsert(&mut self, slot: u32, key: RunKey) {
-        self.ensure(slot);
-        let p = self.pos[slot as usize];
-        if p == ABSENT {
-            self.heap.push((key, slot));
-            let i = self.heap.len() - 1;
-            self.pos[slot as usize] = i as u32;
-            self.sift_up(i);
-        } else {
-            let i = p as usize;
-            let old = self.heap[i].0;
-            if key == old {
-                return;
-            }
-            self.heap[i].0 = key;
-            if key < old {
-                self.sift_up(i);
-            } else {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    /// Removes `slot` from the queue; returns `true` if it was queued.
-    pub fn remove(&mut self, slot: u32) -> bool {
-        let Some(&p) = self.pos.get(slot as usize) else {
-            return false;
-        };
-        if p == ABSENT {
-            return false;
-        }
-        let i = p as usize;
-        self.heap.swap_remove(i);
-        self.pos[slot as usize] = ABSENT;
-        if i < self.heap.len() {
-            // The element moved into the hole may need to go either way.
-            self.pos[self.heap[i].1 as usize] = i as u32;
-            self.sift_up(i);
-            self.sift_down(i);
-        }
-        true
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a].1 as usize] = a as u32;
-        self.pos[self.heap[b].1 as usize] = b as u32;
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].0 < self.heap[parent].0 {
-                self.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < self.heap.len() && self.heap[l].0 < self.heap[best].0 {
-                best = l;
-            }
-            if r < self.heap.len() && self.heap[r].0 < self.heap[best].0 {
-                best = r;
-            }
-            if best == i {
-                break;
-            }
-            self.swap(i, best);
-            i = best;
-        }
-    }
-
-    /// Heap-invariant check for tests: every parent's key is no larger than
-    /// its children's and the position index is consistent.
-    #[cfg(test)]
-    pub fn assert_consistent(&self) {
-        for (i, &(key, slot)) in self.heap.iter().enumerate() {
-            assert_eq!(self.pos[slot as usize], i as u32, "pos index broken");
-            if i > 0 {
-                let parent = (i - 1) / 2;
-                assert!(self.heap[parent].0 <= key, "heap order broken");
-            }
-        }
-        let queued = self.pos.iter().filter(|&&p| p != ABSENT).count();
-        assert_eq!(queued, self.heap.len(), "pos/heap cardinality mismatch");
-    }
-}
+/// The runnable threads, keyed by [`RunKey`] and addressed by dense
+/// thread-slot index.
+pub(crate) type RunQueue = IndexedHeap<RunKey>;
 
 #[cfg(test)]
 mod tests {
@@ -220,9 +85,9 @@ mod tests {
         for i in 0..10u32 {
             q.upsert(i, key(i as i64, 0, i as u64));
         }
-        assert!(q.remove(5));
-        assert!(!q.remove(5), "double remove is false");
-        assert!(!q.remove(99), "out-of-range slot is false");
+        assert!(q.remove(5).is_some());
+        assert!(q.remove(5).is_none(), "double remove");
+        assert!(q.remove(99).is_none(), "out-of-range slot");
         assert!(!q.contains(5));
         assert!(q.contains(9));
         assert_eq!(q.len(), 9);
@@ -235,7 +100,7 @@ mod tests {
         let mut q = RunQueue::new();
         assert_eq!(q.len(), 0);
         assert_eq!(q.peek(), None);
-        assert!(!q.remove(0));
+        assert!(q.remove(0).is_none());
         assert!(!q.contains(0));
     }
 
@@ -254,8 +119,7 @@ mod tests {
                         oracle.insert(slot, k);
                     }
                     _ => {
-                        let existed = oracle.remove(&slot).is_some();
-                        prop_assert_eq!(q.remove(slot), existed);
+                        prop_assert_eq!(q.remove(slot), oracle.remove(&slot));
                     }
                 }
                 q.assert_consistent();

@@ -4,29 +4,25 @@
 //! and cache the next expiration time to avoid doing any work unless at
 //! least one timer has expired" (§4.1).
 //!
-//! Timers are keyed by the dispatcher's dense thread slot, so arming,
-//! cancelling and expiry queries go through a flat `Vec` reverse index —
-//! `O(1)` slot access plus an `O(log n)` sorted-set edit — and a popped
-//! expiry hands the dispatcher the slot directly, with no id → slot map on
-//! the [`pop_next_expired`](TimerList::pop_next_expired) hot path.  The
-//! sorted set still orders equal expiries by [`ThreadId`], so converting
-//! from id keys changed no observable pop order.  The next expiry is cached
-//! so the nothing-expired check stays `O(1)`.
+//! Timers are keyed by the dispatcher's dense thread slot and kept in the
+//! same slot-indexed 4-ary heap the run queue uses, under `(expiry,
+//! ThreadId)`: arming, cancelling and expiry queries are an `O(1)` slot
+//! access plus an `O(log n)` sift, and a popped expiry hands the
+//! dispatcher the slot directly, with no id → slot map on the
+//! [`pop_next_expired`](TimerList::pop_next_expired) hot path.  Equal
+//! expiries pop in [`ThreadId`] order, as they did when the list was a
+//! sorted set of `(expiry, thread, slot)`.  The heap's root *is* the cached
+//! next expiry, so the nothing-expired check stays `O(1)`, and re-arming a
+//! timer at the expiry it already has moves nothing.
 
+use crate::heap::IndexedHeap;
 use crate::types::ThreadId;
-use std::collections::BTreeSet;
 
-/// A sorted set of `(expiry, thread, slot)` timers with a slot-indexed
-/// reverse index and a cached next expiry.
+/// The armed `(expiry, thread)` timers, at most one per dense slot,
+/// ordered by expiry.
 #[derive(Debug, Clone, Default)]
 pub struct TimerList {
-    timers: BTreeSet<(u64, ThreadId, u32)>,
-    /// Per-slot armed `(expiry, id)`, `None` when the slot has no timer.
-    /// Grows to the dispatcher's slot count and is never shrunk; a freed
-    /// dispatcher slot always cancels its timer first.
-    slots: Vec<Option<(u64, ThreadId)>>,
-    cached_next: Option<u64>,
-    armed: usize,
+    timers: IndexedHeap<(u64, ThreadId)>,
 }
 
 impl TimerList {
@@ -35,88 +31,47 @@ impl TimerList {
         Self::default()
     }
 
-    fn refresh_cache(&mut self) {
-        self.cached_next = self.timers.first().map(|&(t, _, _)| t);
-    }
-
     /// Arms (or re-arms) a timer for the thread in dense slot `slot` at
     /// `expiry_us`.  A slot has at most one timer: any existing timer for
     /// it is replaced.
     pub fn arm(&mut self, slot: u32, thread: ThreadId, expiry_us: u64) {
-        if self.slots.len() <= slot as usize {
-            self.slots.resize(slot as usize + 1, None);
-        }
-        match self.slots[slot as usize].replace((expiry_us, thread)) {
-            Some((old, old_id)) => {
-                self.timers.remove(&(old, old_id, slot));
-            }
-            None => self.armed += 1,
-        }
-        self.timers.insert((expiry_us, thread, slot));
-        self.refresh_cache();
+        self.timers.upsert(slot, (expiry_us, thread));
     }
 
     /// Cancels the timer for `slot`; returns `true` if one existed.
     pub fn cancel(&mut self, slot: u32) -> bool {
-        match self.slots.get_mut(slot as usize).and_then(Option::take) {
-            Some((expiry, thread)) => {
-                self.timers.remove(&(expiry, thread, slot));
-                self.armed -= 1;
-                self.refresh_cache();
-                true
-            }
-            None => false,
-        }
+        self.timers.remove(slot).is_some()
     }
 
-    /// The cached next expiry time, if any timer is armed.
+    /// The next expiry time, if any timer is armed.
     pub fn next_expiry(&self) -> Option<u64> {
-        self.cached_next
+        self.timers.peek().map(|((expiry, _), _)| expiry)
     }
 
     /// The armed expiry of `slot`'s timer, if it has one.
     pub fn expiry_of(&self, slot: u32) -> Option<u64> {
-        self.slots
-            .get(slot as usize)
-            .copied()
-            .flatten()
-            .map(|(t, _)| t)
+        self.timers.key_of(slot).map(|(expiry, _)| expiry)
     }
 
-    /// Removes and returns the earliest timer with `expiry <= now_us`, if
-    /// any.  Constant-time when nothing has expired, which is the common
-    /// case the paper optimises for; callers drain expiries one at a time
-    /// without the intermediate `Vec` of [`TimerList::pop_expired`].
+    /// Removes the earliest timer with `expiry <= now_us`, if any, and
+    /// returns its slot.  Constant-time when nothing has expired, which is
+    /// the common case the paper optimises for; callers drain expiries one
+    /// at a time.
     pub fn pop_next_expired(&mut self, now_us: u64) -> Option<u32> {
-        if self.cached_next.is_none_or(|t| t > now_us) {
+        if self.next_expiry().is_none_or(|t| t > now_us) {
             return None;
         }
-        let &(expiry, thread, slot) = self.timers.first().expect("cache says non-empty");
-        self.timers.remove(&(expiry, thread, slot));
-        self.slots[slot as usize] = None;
-        self.armed -= 1;
-        self.refresh_cache();
-        Some(slot)
-    }
-
-    /// Removes and returns every timer with `expiry <= now_us`, in expiry
-    /// order.
-    pub fn pop_expired(&mut self, now_us: u64) -> Vec<u32> {
-        let mut expired = Vec::new();
-        while let Some(slot) = self.pop_next_expired(now_us) {
-            expired.push(slot);
-        }
-        expired
+        self.timers.pop().map(|(_, slot)| slot)
     }
 
     /// Number of armed timers.
     pub fn len(&self) -> usize {
-        self.armed
+        self.timers.len()
     }
 
     /// Returns `true` if no timers are armed.
     pub fn is_empty(&self) -> bool {
-        self.armed == 0
+        self.timers.is_empty()
     }
 }
 
@@ -131,6 +86,11 @@ mod tests {
         tl.arm(slot, ThreadId(slot as u64), expiry);
     }
 
+    /// Every slot whose timer has expired by `now_us`, in pop order.
+    fn pop_expired(tl: &mut TimerList, now_us: u64) -> Vec<u32> {
+        std::iter::from_fn(|| tl.pop_next_expired(now_us)).collect()
+    }
+
     #[test]
     fn arm_and_pop_in_order() {
         let mut tl = TimerList::new();
@@ -138,7 +98,7 @@ mod tests {
         arm(&mut tl, 2, 100);
         arm(&mut tl, 3, 200);
         assert_eq!(tl.next_expiry(), Some(100));
-        let expired = tl.pop_expired(250);
+        let expired = pop_expired(&mut tl, 250);
         assert_eq!(expired, vec![2, 3]);
         assert_eq!(tl.len(), 1);
         assert_eq!(tl.next_expiry(), Some(300));
@@ -148,10 +108,10 @@ mod tests {
     fn nothing_expired_is_cheap_and_empty() {
         let mut tl = TimerList::new();
         arm(&mut tl, 1, 1000);
-        assert!(tl.pop_expired(500).is_empty());
+        assert!(pop_expired(&mut tl, 500).is_empty());
         assert_eq!(tl.pop_next_expired(500), None);
         assert_eq!(tl.len(), 1);
-        assert!(TimerList::new().pop_expired(1_000_000).is_empty());
+        assert!(pop_expired(&mut TimerList::new(), 1_000_000).is_empty());
     }
 
     #[test]
@@ -161,8 +121,8 @@ mod tests {
         arm(&mut tl, 1, 500);
         assert_eq!(tl.len(), 1);
         assert_eq!(tl.expiry_of(1), Some(500));
-        assert!(tl.pop_expired(200).is_empty());
-        assert_eq!(tl.pop_expired(500), vec![1]);
+        assert!(pop_expired(&mut tl, 200).is_empty());
+        assert_eq!(pop_expired(&mut tl, 500), vec![1]);
         assert_eq!(tl.expiry_of(1), None);
     }
 
@@ -185,23 +145,7 @@ mod tests {
         // tie, exactly as the id-keyed original did.
         tl.arm(7, ThreadId(2), 100);
         tl.arm(3, ThreadId(9), 100);
-        assert_eq!(tl.pop_expired(100), vec![7, 3]);
-    }
-
-    #[test]
-    fn pop_one_at_a_time_matches_pop_expired() {
-        let mut a = TimerList::new();
-        let mut b = TimerList::new();
-        for (t, e) in [(1, 50), (2, 10), (3, 30), (4, 70)] {
-            arm(&mut a, t, e);
-            arm(&mut b, t, e);
-        }
-        let mut drained = Vec::new();
-        while let Some(t) = a.pop_next_expired(60) {
-            drained.push(t);
-        }
-        assert_eq!(drained, b.pop_expired(60));
-        assert_eq!(a.len(), b.len());
+        assert_eq!(pop_expired(&mut tl, 100), vec![7, 3]);
     }
 
     proptest! {
@@ -221,7 +165,7 @@ mod tests {
             for (&slot, &expiry) in &expected {
                 prop_assert_eq!(tl.expiry_of(slot), Some(expiry));
             }
-            let expired = tl.pop_expired(cutoff);
+            let expired = pop_expired(&mut tl, cutoff);
             // Every returned slot's final expiry is within the cutoff.
             for s in &expired {
                 prop_assert!(expected[s] <= cutoff);

@@ -45,6 +45,22 @@ impl std::fmt::Display for CpuId {
     }
 }
 
+/// Where a thread lives on a [`crate::Machine`]: its CPU and its dense
+/// slot in that CPU's dispatcher.
+///
+/// Handed out by the calls that place a thread and accepted by the
+/// machine's `_at` methods, which reach the thread without an id lookup.
+/// It is a cache of the id maps, not a capability: it goes stale when the
+/// thread migrates or leaves, and every use is checked against the id it
+/// is presented with (see the [`crate::machine`] module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ThreadHandle {
+    /// The CPU the thread is placed on.
+    pub cpu: CpuId,
+    /// The thread's dense slot in that CPU's dispatcher.
+    pub slot: u32,
+}
+
 /// A CPU proportion in parts per thousand, as specified in §3.1.
 ///
 /// "The proportion is a percentage, specified in parts-per-thousand, of the

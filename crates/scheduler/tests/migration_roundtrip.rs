@@ -9,12 +9,18 @@
 //! with the identical operation sequence but no migrations: reservation,
 //! throttle state and mid-period usage accounting must stay bit-for-bit
 //! equal after every operation.
+//!
+//! The last test pins the handle contract on top: a machine driven
+//! through [`ThreadHandle`]s must be indistinguishable from one driven by
+//! id, and a handle made stale by a migration, a removal or the reuse of
+//! its slot must be refused without touching anything.
 
 use proptest::prelude::*;
 use rrs_scheduler::{
-    CpuId, Dispatcher, DispatcherConfig, Machine, Period, Proportion, Reservation, ThreadId,
-    UsageAccount,
+    CpuId, Dispatcher, DispatcherConfig, Machine, Period, Proportion, Reservation, SchedError,
+    ThreadHandle, ThreadId, UsageAccount,
 };
+use std::collections::BTreeMap;
 
 fn assert_accounts_equal(machine: &UsageAccount, oracle: &UsageAccount) {
     assert_eq!(machine.period_start_us, oracle.period_start_us);
@@ -180,6 +186,169 @@ proptest! {
             prop_assert_eq!(machine.total_reserved_ppt(), expected_total);
             let spread: u32 = machine.cpu_ids().map(|c| machine.cpu_load_ppt(c)).sum();
             prop_assert_eq!(spread, expected_total);
+        }
+    }
+
+    #[test]
+    fn handle_addressed_ops_match_id_addressed_ops(
+        lazy_rollovers in proptest::bool::ANY,
+        cpus in 1usize..=3,
+        ops in collection::vec((0u8..=8, 0u64..6, 0u64..4096, 1u64..=3000), 1..=120),
+    ) {
+        // Two machines take the same operations, one by id, one through
+        // the handles it was given.  Removals and re-admissions keep the
+        // LIFO free list busy, so stale handles routinely name a slot that
+        // now belongs to somebody else.
+        let config = DispatcherConfig { lazy_rollovers, ..DispatcherConfig::default() };
+        let mut by_id = Machine::new(config, cpus);
+        let mut by_handle = Machine::new(config, cpus);
+        let mut handles: BTreeMap<ThreadId, ThreadHandle> = BTreeMap::new();
+        let mut stale: Vec<(ThreadId, ThreadHandle)> = Vec::new();
+        let reservation = |ppt: u64, period: u64| {
+            Reservation::new(
+                Proportion::from_ppt(20 + (ppt % 200) as u32),
+                Period::from_millis(1 + period % 20),
+            )
+        };
+        for (op, pick, a, b) in ops {
+            let id = ThreadId(pick);
+            let to = CpuId((a % cpus as u64) as u32);
+            let held = handles.get(&id).copied();
+            match (op, held) {
+                // Admit the thread (by slot reuse, if anything was freed).
+                (0 | 1, None) => {
+                    let r = reservation(a, b);
+                    by_id.add_thread_preadmitted_on(to, id, r).unwrap();
+                    let handle = by_handle.add_thread_preadmitted_on(to, id, r).unwrap();
+                    prop_assert_eq!(handle.cpu, to);
+                    handles.insert(id, handle);
+                }
+                (0, Some(handle)) => {
+                    by_id.remove_thread(id).unwrap();
+                    by_handle.remove_thread(id).unwrap();
+                    handles.remove(&id);
+                    stale.push((id, handle));
+                }
+                (1, Some(handle)) => {
+                    let thread = by_id.extract_thread(id).unwrap();
+                    by_id.inject_thread_on(to, thread).unwrap();
+                    let thread = by_handle.extract_thread(id).unwrap();
+                    let moved = by_handle.inject_thread_on(to, thread).unwrap();
+                    handles.insert(id, moved);
+                    stale.push((id, handle));
+                }
+                (2, Some(handle)) => {
+                    let from = by_id.migrate(id, to).unwrap();
+                    let moved = by_handle.migrate_at(handle, id, to).unwrap();
+                    prop_assert_eq!((from, moved.cpu), (handle.cpu, to));
+                    handles.insert(id, moved);
+                    stale.push((id, handle));
+                }
+                // The actuation pair as the hosts used to spell it, against
+                // `actuate`.
+                (3, Some(mut handle)) => {
+                    let r = reservation(b, a);
+                    let from = by_id.set_reservation(id, r).unwrap();
+                    let migrated = from != to && by_id.migrate(id, to).is_ok();
+                    let moved = by_handle.actuate(&mut handle, id, r, to).unwrap();
+                    prop_assert_eq!(moved, migrated.then_some(from));
+                    stale.push((id, handles.insert(id, handle).unwrap()));
+                }
+                (4, Some(handle)) => {
+                    let r = reservation(a, b);
+                    by_id.set_reservation(id, r).unwrap();
+                    by_handle.set_reservation_at(handle, id, r).unwrap();
+                }
+                (5, Some(handle)) => {
+                    let dispatcher = by_handle.dispatcher_mut(handle.cpu);
+                    prop_assert_eq!(by_id.block(id), dispatcher.block_slot(handle.slot, id));
+                }
+                (6, Some(handle)) => {
+                    prop_assert_eq!(by_id.unblock(id), by_handle.unblock_at(handle, id));
+                }
+                // One dispatch round, each pick charged part of its quantum.
+                (7, _) => {
+                    let mut max_q = 1;
+                    for cpu in by_id.cpu_ids() {
+                        let got = by_id.dispatch(cpu);
+                        prop_assert_eq!(got, by_handle.dispatch(cpu));
+                        if let Some(t) = got.thread {
+                            let used = (got.quantum_us * (a % 101) / 100).clamp(1, got.quantum_us);
+                            by_id.charge(t, used).unwrap();
+                            by_handle.charge_at(handles[&t], t, used).unwrap();
+                        }
+                        max_q = max_q.max(got.quantum_us);
+                    }
+                    by_id.advance_to(by_id.now_us() + max_q);
+                    by_handle.advance_to(by_handle.now_us() + max_q);
+                }
+                (8, _) => {
+                    by_id.advance_to(by_id.now_us() + b);
+                    by_handle.advance_to(by_handle.now_us() + b);
+                }
+                // Any other op on a thread the machine does not hold: both
+                // edges must say so.
+                (_, None) => {
+                    let gone = Err(SchedError::UnknownThread(id));
+                    prop_assert_eq!(by_id.unblock(id), gone);
+                    prop_assert_eq!(by_handle.charge(id, b), gone);
+                }
+                (_, Some(_)) => unreachable!("ops 0..=8 are all matched above"),
+            }
+
+            // Every handle that has gone stale is refused by every entry
+            // point.  (A thread can win its old slot back; then the handle
+            // is simply right again.)
+            for &(id, handle) in &stale {
+                if by_handle.handle_of(id) == Some(handle) {
+                    continue;
+                }
+                let gone = Err(SchedError::UnknownThread(id));
+                let r = reservation(a, b);
+                prop_assert_eq!(by_handle.set_reservation_at(handle, id, r), gone);
+                prop_assert_eq!(by_handle.reservation_at(handle, id), None);
+                prop_assert_eq!(by_handle.unblock_at(handle, id), gone);
+                prop_assert_eq!(by_handle.charge_at(handle, id, b), gone);
+                prop_assert_eq!(
+                    by_handle.migrate_at(handle, id, to),
+                    Err(SchedError::UnknownThread(id))
+                );
+                let mut cached = handle;
+                prop_assert_eq!(
+                    by_handle.actuate(&mut cached, id, r, to),
+                    Err(SchedError::UnknownThread(id))
+                );
+                prop_assert_eq!(cached, handle);
+                let dispatcher = by_handle.dispatcher_mut(handle.cpu);
+                prop_assert_eq!(dispatcher.block_slot(handle.slot, id), gone);
+            }
+
+            // ... and neither those refusals nor the choice of edge shows:
+            // the two machines agree on every thread and every counter.
+            for raw in 0..6 {
+                let id = ThreadId(raw);
+                prop_assert_eq!(by_handle.handle_of(id), handles.get(&id).copied());
+                prop_assert_eq!(by_id.cpu_of(id), by_handle.cpu_of(id));
+                let Some(handle) = handles.get(&id).copied() else {
+                    prop_assert!(by_id.usage(id).is_none() && by_handle.usage(id).is_none());
+                    continue;
+                };
+                assert_accounts_equal(
+                    by_id.usage_ref(id).unwrap(),
+                    by_handle.usage_ref(id).unwrap(),
+                );
+                prop_assert_eq!(by_id.reservation(id), by_handle.reservation_at(handle, id));
+                prop_assert_eq!(
+                    by_id.dispatcher(handle.cpu).thread_state(id),
+                    by_handle.dispatcher(handle.cpu).thread_state(id)
+                );
+            }
+            prop_assert_eq!(by_id.stats(), by_handle.stats());
+            prop_assert_eq!(by_id.fast_path_stats(), by_handle.fast_path_stats());
+            prop_assert_eq!(by_id.next_timer_expiry(), by_handle.next_timer_expiry());
+            for cpu in by_id.cpu_ids() {
+                prop_assert_eq!(by_id.cpu_load_ppt(cpu), by_handle.cpu_load_ppt(cpu));
+            }
         }
     }
 }

@@ -27,16 +27,17 @@
 
 use crate::calendar::{EventId, Schedule};
 use crate::event::Event;
-use crate::trace::Trace;
+use crate::trace::{SeriesId, Trace};
 use crate::workload::WorkModel;
 use rrs_core::{
-    controller::AdmitError, Controller, ControllerConfig, ControllerEvent, JobHandle, JobId,
-    JobSlot, JobSpec, SimTime, UsageSnapshot,
+    controller::AdmitError, Actuation, Controller, ControllerConfig, ControllerEvent, JobHandle,
+    JobId, JobSlot, JobSpec, SimTime, SlotSet, UsageSnapshot,
 };
+use rrs_metrics::timeseries::Sample;
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
     CpuId, CpuStats, DispatchOutcome, Dispatcher, DispatcherConfig, Machine, MigratedThread,
-    Period, Proportion, Reservation, ThreadId, ThreadState,
+    Period, Proportion, Reservation, ThreadHandle, ThreadId, ThreadState,
 };
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
@@ -177,9 +178,55 @@ pub struct SimStats {
 
 struct SimThread {
     name: String,
+    /// The trace series this thread samples into, indexed by
+    /// [`SimThread::SERIES`]; each name is spelled and looked up once,
+    /// at the series' first sample.
+    series: [Option<SeriesId>; 3],
     slot: JobSlot,
+    /// Where the thread sits on the machine, so actuations, wake-ups and
+    /// trace reads reach it without an id lookup.  Refreshed by whatever
+    /// moves the thread (see [`rrs_scheduler::ThreadHandle`]).
+    handle: ThreadHandle,
     work: Box<dyn WorkModel>,
     last_progress: f64,
+}
+
+impl SimThread {
+    /// The per-thread series, `<kind>/<thread name>`.
+    const SERIES: [&str; 3] = ["alloc", "period", "rate"];
+    const ALLOC: usize = 0;
+    const PERIOD: usize = 1;
+    const RATE: usize = 2;
+
+    fn new(
+        name: String,
+        slot: JobSlot,
+        handle: ThreadHandle,
+        work: Box<dyn WorkModel>,
+        last_progress: f64,
+    ) -> Self {
+        Self {
+            name,
+            series: [None; 3],
+            slot,
+            handle,
+            work,
+            last_progress,
+        }
+    }
+
+    /// Appends a sample to this thread's series of the given kind.
+    fn sample(&mut self, trace: &mut Trace, kind: usize, sample: Sample) {
+        let id = match self.series[kind] {
+            Some(id) => id,
+            None => {
+                let id = trace.series_id(&format!("{}/{}", Self::SERIES[kind], self.name));
+                self.series[kind] = Some(id);
+                id
+            }
+        };
+        trace.record_at(id, sample);
+    }
 }
 
 /// A job's complete simulator-side state, in transit between two shards
@@ -228,18 +275,19 @@ pub struct Simulation {
     /// Dense thread table indexed by `ThreadId.0` (ids are allocated
     /// monotonically from 1 and never reused), so the span hot loop reaches
     /// a dispatched thread's work model without a map lookup.  Entries are
-    /// `None` for removed jobs and for index 0.
-    threads: Vec<Option<SimThread>>,
+    /// `None` for removed jobs and for index 0 — and, under the sharded
+    /// simulator, for the `id_stride - 1` of every `id_stride` ids that
+    /// belong to sibling shards, which is why an entry is a pointer: a
+    /// table that is mostly holes should not pay a whole `SimThread` a hole.
+    threads: Vec<Option<Box<SimThread>>>,
     /// Slot-indexed map back to the dispatcher's thread id, so actuations
     /// apply without re-deriving `JobId ↔ ThreadId`.
     slot_threads: Vec<Option<ThreadId>>,
-    /// The blocked-thread calendar: ids whose work model reported a block
-    /// and has not yet been polled awake.  Keeping them indexed (in id
-    /// order, matching the original full scan) makes the per-step poll
-    /// `O(blocked)` instead of a scan-and-collect over every thread.
-    blocked: BTreeSet<ThreadId>,
-    /// Scratch for the ids polled this step (reused across steps).
-    poll_buf: Vec<ThreadId>,
+    /// The blocked-thread calendar: raw ids (dense, like `threads`) whose
+    /// work model reported a block and has not yet been polled awake.  The
+    /// bitset walks in id order, matching the original full scan, and skips
+    /// 64 unblocked threads per word.
+    blocked: SlotSet,
     /// Scratch for in-window wake entries `(wake_at_us, id, dense slot)`
     /// in [`Simulation::advance_cpus_to`] (reused across CPUs/windows so
     /// the window loop stays allocation-free once warmed).
@@ -343,8 +391,7 @@ impl Simulation {
             controller,
             threads: Vec::new(),
             slot_threads: Vec::new(),
-            blocked: BTreeSet::new(),
-            poll_buf: Vec::new(),
+            blocked: SlotSet::default(),
             scratch_wakes: Vec::new(),
             scratch_poll: Vec::new(),
             cpu_outcomes: Vec::new(),
@@ -541,7 +588,7 @@ impl Simulation {
     fn thread_mut(&mut self, tid: ThreadId) -> Option<&mut SimThread> {
         self.threads
             .get_mut(tid.0 as usize)
-            .and_then(Option::as_mut)
+            .and_then(Option::as_deref_mut)
     }
 
     fn set_wake_event(&mut self, tid: ThreadId, id: EventId) {
@@ -600,21 +647,25 @@ impl Simulation {
             .controller
             .cpu_of_slot(slot)
             .expect("slot was just created");
-        self.machine
+        let handle = self
+            .machine
             .add_thread_preadmitted_on(cpu, thread, initial)
             .expect("fresh thread id cannot clash");
+        self.install_thread(
+            thread,
+            SimThread::new(name.to_string(), slot, handle, work, 0.0),
+        );
+        Ok(JobHandle { job, thread, slot })
+    }
 
-        let i = thread.0 as usize;
+    /// Stores a thread's simulator-side state in the dense tables.
+    fn install_thread(&mut self, tid: ThreadId, thread: SimThread) {
+        let i = tid.0 as usize;
         if self.threads.len() <= i {
             self.threads.resize_with(i + 1, || None);
+            self.blocked.grow(i + 1);
         }
-        self.threads[i] = Some(SimThread {
-            name: name.to_string(),
-            slot,
-            work,
-            last_progress: 0.0,
-        });
-        Ok(JobHandle { job, thread, slot })
+        self.threads[i] = Some(Box::new(thread));
     }
 
     /// Removes a job from the simulation.
@@ -622,7 +673,7 @@ impl Simulation {
         if let Some(entry) = self.threads.get_mut(handle.thread.0 as usize) {
             *entry = None;
         }
-        self.blocked.remove(&handle.thread);
+        self.blocked.remove(handle.thread.0 as usize);
         if let Some(id) = self.take_wake_event(handle.thread) {
             self.calendar.cancel(id);
         }
@@ -653,7 +704,7 @@ impl Simulation {
             .machine
             .extract_thread(tid)
             .expect("thread registered with the machine");
-        self.blocked.remove(&tid);
+        self.blocked.remove(tid.0 as usize);
         if let Some(id) = self.take_wake_event(tid) {
             self.calendar.cancel(id);
         }
@@ -690,42 +741,37 @@ impl Simulation {
         let tid = ThreadId(job.0);
         let was_blocked = mthread.state() == ThreadState::Blocked;
         let slot = self.controller.inject_job(mjob, cpu)?;
-        self.machine
+        let handle = self
+            .machine
             .inject_thread_on(cpu, mthread)
             .expect("controller accepted the id, so the machine must too");
         if self.slot_threads.len() <= slot.index() {
             self.slot_threads.resize(slot.index() + 1, None);
         }
         self.slot_threads[slot.index()] = Some(tid);
-        if was_blocked {
-            let mut scheduled = false;
-            if self.config.stepping == SteppingMode::Calendar {
-                if let Some(w) = work.next_transition(SimTime::from_micros(self.now_us)) {
-                    let at = w.as_micros().max(self.now_us + 1);
-                    let id = self
-                        .calendar
-                        .schedule(SimTime::from_micros(at), Event::Wake(tid));
-                    self.set_wake_event(tid, id);
-                    scheduled = true;
-                }
+        let calendar = self.config.stepping == SteppingMode::Calendar;
+        let wake = if was_blocked && calendar {
+            work.next_transition(SimTime::from_micros(self.now_us))
+        } else {
+            None
+        };
+        self.install_thread(tid, SimThread::new(name, slot, handle, work, last_progress));
+        match wake {
+            Some(w) => {
+                let at = w.as_micros().max(self.now_us + 1);
+                let id = self
+                    .calendar
+                    .schedule(SimTime::from_micros(at), Event::Wake(tid));
+                self.set_wake_event(tid, id);
             }
-            if !scheduled {
-                self.blocked.insert(tid);
-                if self.config.stepping == SteppingMode::Calendar {
+            None if was_blocked => {
+                self.blocked.insert(tid.0 as usize);
+                if calendar {
                     self.ensure_poll_tick(self.now_us);
                 }
             }
+            None => {}
         }
-        let i = tid.0 as usize;
-        if self.threads.len() <= i {
-            self.threads.resize_with(i + 1, || None);
-        }
-        self.threads[i] = Some(SimThread {
-            name,
-            slot,
-            work,
-            last_progress,
-        });
         Ok(JobHandle {
             job,
             thread: tid,
@@ -887,9 +933,10 @@ impl Simulation {
                 // but the model stays the authority: confirm via the poll
                 // hook, and fall back to polling if it disagrees.
                 if entry.work.poll_unblock(now_us) {
-                    let _ = self.machine.unblock(tid);
+                    let handle = entry.handle;
+                    let _ = self.machine.unblock_at(handle, tid);
                 } else {
-                    self.blocked.insert(tid);
+                    self.blocked.insert(tid.0 as usize);
                     self.ensure_poll_tick(now_us);
                 }
             }
@@ -958,7 +1005,10 @@ impl Simulation {
                     local_wakes.swap_remove(i);
                     let entry = self.thread_mut(tid).expect("blocked thread exists");
                     if entry.work.poll_unblock(t) {
-                        self.machine.dispatcher_mut(cpu_id).unblock_slot(dslot, tid);
+                        self.machine
+                            .dispatcher_mut(cpu_id)
+                            .unblock_slot(dslot, tid)
+                            .expect("a slot blocked in this window is still the thread's");
                     } else {
                         local_poll.push((tid, dslot));
                         next_poll = next_poll.min(t + interval);
@@ -972,7 +1022,10 @@ impl Simulation {
                         let entry = self.thread_mut(tid).expect("blocked thread exists");
                         if entry.work.poll_unblock(t) {
                             local_poll.swap_remove(j);
-                            self.machine.dispatcher_mut(cpu_id).unblock_slot(dslot, tid);
+                            self.machine
+                                .dispatcher_mut(cpu_id)
+                                .unblock_slot(dslot, tid)
+                                .expect("a slot blocked in this window is still the thread's");
                         } else {
                             j += 1;
                         }
@@ -1094,8 +1147,9 @@ impl Simulation {
                 }
             }
             // Window over: whatever is still blocked goes global (the
-            // global paths wake by id — a controller event in between may
-            // migrate the thread and invalidate its slot).
+            // global paths wake through the thread's stored handle — a
+            // controller event in between may migrate the thread and
+            // invalidate this window's slot).
             for (at, tid, _) in local_wakes.drain(..) {
                 let id = self
                     .calendar
@@ -1104,7 +1158,7 @@ impl Simulation {
             }
             let had_poll = !local_poll.is_empty();
             for (tid, _) in local_poll.drain(..) {
-                self.blocked.insert(tid);
+                self.blocked.insert(tid.0 as usize);
             }
             if had_poll {
                 self.ensure_poll_tick(target_us);
@@ -1150,26 +1204,14 @@ impl Simulation {
                 _ => {}
             }
         }
-        let migration_cost = self.config.migration_cost_us;
-        for actuation in &out.actuations {
-            if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let from = self
-                    .machine
-                    .set_reservation(*tid, actuation.reservation)
-                    .ok();
-                if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
-                {
-                    self.stats.migrations += 1;
-                    if let Some(from) = from {
-                        self.stats.per_cpu[from.index()].migrations_out += 1;
-                    }
-                    self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                    if migration_cost > 0 {
-                        let _ = self.machine.charge(*tid, migration_cost);
-                    }
-                }
-            }
-        }
+        Self::apply_actuations(
+            &mut self.machine,
+            &mut self.threads,
+            &self.slot_threads,
+            &mut self.stats,
+            self.config.migration_cost_us,
+            &out.actuations,
+        );
         if self.config.charge_controller_cost {
             self.now_us += out.cost_us.round() as u64;
         }
@@ -1201,6 +1243,45 @@ impl Simulation {
             SimTime::from_micros(self.next_controller_us),
             Event::Controller,
         );
+    }
+
+    /// Applies a controller cycle's actuations: each names its job by
+    /// controller slot, which maps to the thread and on to its machine
+    /// handle, so the reservation lands without an id lookup.  When the
+    /// Place stage moved the job, the thread migrates to its assigned CPU
+    /// and the modelled migration cost (cache and TLB refill there) is
+    /// charged to its budget.  Takes the fields it touches one by one
+    /// because `actuations` borrows the controller's output.
+    fn apply_actuations(
+        machine: &mut Machine,
+        threads: &mut [Option<Box<SimThread>>],
+        slot_threads: &[Option<ThreadId>],
+        stats: &mut SimStats,
+        migration_cost_us: u64,
+        actuations: &[Actuation],
+    ) {
+        for actuation in actuations {
+            let Some(&Some(tid)) = slot_threads.get(actuation.slot.index()) else {
+                continue;
+            };
+            let Some(thread) = threads.get_mut(tid.0 as usize).and_then(Option::as_mut) else {
+                continue;
+            };
+            let moved = machine.actuate(
+                &mut thread.handle,
+                tid,
+                actuation.reservation,
+                actuation.cpu,
+            );
+            if let Ok(Some(from)) = moved {
+                stats.migrations += 1;
+                stats.per_cpu[from.index()].migrations_out += 1;
+                stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
+                if migration_cost_us > 0 {
+                    let _ = machine.charge_at(thread.handle, tid, migration_cost_us);
+                }
+            }
+        }
     }
 
     /// One lockstep step: controller if due, one lockstep dispatch round
@@ -1269,7 +1350,7 @@ impl Simulation {
                 .expect("dispatched thread exists");
             if result.blocked {
                 self.machine.block(tid).expect("thread exists");
-                self.blocked.insert(tid);
+                self.blocked.insert(tid.0 as usize);
             }
             self.cpu_used.push(used);
             self.stats.per_cpu[i].used_us += used;
@@ -1338,16 +1419,20 @@ impl Simulation {
 
     fn poll_blocked(&mut self) {
         let now = self.now_us;
-        // Snapshot into the reusable scratch buffer (same id order as the
-        // original full scan) so waking a thread can mutate the calendar.
-        self.poll_buf.clear();
-        self.poll_buf.extend(self.blocked.iter().copied());
-        for i in 0..self.poll_buf.len() {
-            let tid = self.poll_buf[i];
-            let entry = self.thread_mut(tid).expect("exists");
-            if entry.work.poll_unblock(now) {
-                self.blocked.remove(&tid);
-                let _ = self.machine.unblock(tid);
+        // Ascending bits are ascending ids, the order of the original full
+        // scan.  Each word is copied out before its threads are polled, so
+        // taking a woken thread out of the set cannot disturb the walk.
+        for w in 0..self.blocked.word_count() {
+            let mut pending = self.blocked.word(w);
+            while pending != 0 {
+                let raw = w * 64 + pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let entry = self.threads[raw].as_mut().expect("blocked thread exists");
+                if entry.work.poll_unblock(now) {
+                    let handle = entry.handle;
+                    self.blocked.remove(raw);
+                    let _ = self.machine.unblock_at(handle, ThreadId(raw as u64));
+                }
             }
         }
     }
@@ -1379,29 +1464,14 @@ impl Simulation {
                 _ => {}
             }
         }
-        let migration_cost = self.config.migration_cost_us;
-        for actuation in &out.actuations {
-            if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                // Apply the Place stage's decision: move the thread to its
-                // assigned CPU and charge the modelled migration cost to
-                // its budget (cache and TLB refill on the new CPU).
-                let from = self
-                    .machine
-                    .set_reservation(*tid, actuation.reservation)
-                    .ok();
-                if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
-                {
-                    self.stats.migrations += 1;
-                    if let Some(from) = from {
-                        self.stats.per_cpu[from.index()].migrations_out += 1;
-                    }
-                    self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                    if migration_cost > 0 {
-                        let _ = self.machine.charge(*tid, migration_cost);
-                    }
-                }
-            }
-        }
+        Self::apply_actuations(
+            &mut self.machine,
+            &mut self.threads,
+            &self.slot_threads,
+            &mut self.stats,
+            self.config.migration_cost_us,
+            &out.actuations,
+        );
         if self.config.charge_controller_cost {
             self.now_us += out.cost_us.round() as u64;
         }
@@ -1427,22 +1497,16 @@ impl Simulation {
         for (raw, thread) in self.threads.iter_mut().enumerate() {
             let Some(thread) = thread else { continue };
             let tid = ThreadId(raw as u64);
-            if let Some(r) = self.machine.reservation(tid) {
-                self.trace.record(
-                    &format!("alloc/{}", thread.name),
-                    t,
-                    r.proportion.ppt() as f64,
-                );
-                self.trace.record(
-                    &format!("period/{}", thread.name),
-                    t,
-                    r.period.as_secs_f64() * 1e3,
-                );
+            let trace = &mut self.trace;
+            let at = |value: f64| Sample { time: t, value };
+            if let Some(r) = self.machine.reservation_at(thread.handle, tid) {
+                thread.sample(trace, SimThread::ALLOC, at(r.proportion.ppt() as f64));
+                thread.sample(trace, SimThread::PERIOD, at(r.period.as_secs_f64() * 1e3));
             }
             if let Some(progress) = thread.work.progress_counter() {
                 let rate = (progress - thread.last_progress) / interval;
                 thread.last_progress = progress;
-                self.trace.record(&format!("rate/{}", thread.name), t, rate);
+                thread.sample(trace, SimThread::RATE, at(rate));
             }
         }
         // Queue fill levels (deduplicated by metric name).

@@ -1,7 +1,12 @@
 //! Named time-series traces recorded during a simulation run.
 
-use rrs_metrics::TimeSeries;
-use std::collections::BTreeMap;
+use rrs_metrics::timeseries::{Sample, TimeSeries};
+use std::collections::btree_map::{BTreeMap, Entry};
+
+/// A dense handle to one series of a [`Trace`], from
+/// [`Trace::series_id`]; recording through it skips the name lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(u32);
 
 /// A collection of named [`TimeSeries`] recorded during a run.
 ///
@@ -10,7 +15,10 @@ use std::collections::BTreeMap;
 /// `rate/<job>`); workloads and benches may record arbitrary extra series.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    series: BTreeMap<String, TimeSeries>,
+    /// The series, in creation order; [`SeriesId`] indexes here.
+    series: Vec<TimeSeries>,
+    /// Name → position in `series`, and the name-ordered view.
+    by_name: BTreeMap<String, u32>,
     total_samples: u64,
 }
 
@@ -20,12 +28,45 @@ impl Trace {
         Self::default()
     }
 
+    /// The handle of the named series, creating it (empty) if needed.  A
+    /// caller that samples the same series again and again resolves the
+    /// name once, right before its first sample, and keeps the handle.
+    pub fn series_id(&mut self, name: &str) -> SeriesId {
+        match self.by_name.entry(name.to_string()) {
+            Entry::Occupied(entry) => SeriesId(*entry.get()),
+            Entry::Vacant(entry) => {
+                let id = u32::try_from(self.series.len()).expect("fewer than 2^32 series");
+                self.series.push(TimeSeries::new(name));
+                SeriesId(*entry.insert(id))
+            }
+        }
+    }
+
     /// Appends a sample to the named series, creating it if needed.
     pub fn record(&mut self, name: &str, time_s: f64, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_insert_with(|| TimeSeries::new(name))
-            .push(time_s, value);
+        // Look up by `&str` first: only a series' first sample pays for
+        // the owned key `series_id` builds.
+        let id = match self.by_name.get(name) {
+            Some(&id) => SeriesId(id),
+            None => self.series_id(name),
+        };
+        self.record_at(
+            id,
+            Sample {
+                time: time_s,
+                value,
+            },
+        );
+    }
+
+    /// Appends a sample to the series behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from another trace with more series than this
+    /// one.
+    pub fn record_at(&mut self, id: SeriesId, sample: Sample) {
+        self.series[id.0 as usize].push(sample.time, sample.value);
         self.total_samples += 1;
     }
 
@@ -40,18 +81,20 @@ impl Trace {
 
     /// Returns the named series, if it exists.
     pub fn get(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
+        self.by_name.get(name).map(|&id| &self.series[id as usize])
     }
 
     /// Returns the names of all recorded series.
     pub fn names(&self) -> Vec<String> {
-        self.series.keys().cloned().collect()
+        self.by_name.keys().cloned().collect()
     }
 
     /// Iterates over `(name, series)` pairs in name order, without
     /// cloning.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.series.iter().map(|(k, v)| (k.as_str(), v))
+        self.by_name
+            .iter()
+            .map(|(name, &id)| (name.as_str(), &self.series[id as usize]))
     }
 
     /// Number of series.
@@ -64,14 +107,17 @@ impl Trace {
         self.series.is_empty()
     }
 
-    /// Consumes the trace and returns all series.
-    pub fn into_series(self) -> Vec<TimeSeries> {
-        self.series.into_values().collect()
+    /// Consumes the trace and returns all series, in name order.
+    pub fn into_series(mut self) -> Vec<TimeSeries> {
+        self.by_name
+            .values()
+            .map(|&id| std::mem::take(&mut self.series[id as usize]))
+            .collect()
     }
 
-    /// Returns clones of all series.
+    /// Returns clones of all series, in name order.
     pub fn all_series(&self) -> Vec<TimeSeries> {
-        self.series.values().cloned().collect()
+        self.iter().map(|(_, series)| series.clone()).collect()
     }
 }
 
@@ -93,6 +139,39 @@ mod tests {
             t.names(),
             vec!["alloc/consumer".to_string(), "fill/q".to_string()]
         );
+    }
+
+    #[test]
+    fn recording_by_id_is_recording_by_name() {
+        let mut by_name = Trace::new();
+        let mut by_id = Trace::new();
+        // Created out of name order, so position and name order differ.
+        let z = by_id.series_id("z");
+        let a = by_id.series_id("a");
+        assert_eq!(
+            by_id.series_id("z"),
+            z,
+            "resolving again finds the same series"
+        );
+        for (i, (name, id)) in [("z", z), ("a", a), ("z", z)].into_iter().enumerate() {
+            by_name.record(name, i as f64, 10.0 * i as f64);
+            by_id.record_at(
+                id,
+                Sample {
+                    time: i as f64,
+                    value: 10.0 * i as f64,
+                },
+            );
+        }
+        assert_eq!(by_id.total_samples(), 3);
+        assert_eq!(by_id.names(), by_name.names());
+        assert_eq!(by_id.names(), vec!["a".to_string(), "z".to_string()]);
+        for (x, y) in by_id.iter().zip(by_name.iter()) {
+            assert_eq!(x.0, y.0);
+            assert_eq!(x.1.samples(), y.1.samples());
+        }
+        assert_eq!(by_id.get("z").unwrap().len(), 2);
+        assert_eq!(by_id.into_series()[0].name(), "a");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Must-trigger: id-keyed map access outside the declared API-edge
-//! files, plus a `by_id` touch inside a declared-hot function.
+//! files, plus a `by_id` touch inside a declared-hot function, plus a
+//! hot touch of `placement`, a map the config tracks in this file only.
 use std::collections::BTreeMap;
 
 pub struct Index {
     by_id: BTreeMap<u64, u32>,
+    placement: BTreeMap<u64, u32>,
 }
 
 impl Index {
@@ -13,5 +15,9 @@ impl Index {
 
     pub fn dispatch(&self, id: u64) -> u32 {
         self.by_id[&id]
+    }
+
+    pub fn actuate(&self, id: u64) -> u32 {
+        self.placement[&id]
     }
 }

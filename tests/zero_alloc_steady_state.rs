@@ -262,14 +262,15 @@ fn assert_steady_state_recording_allocation_free() {
 /// allocates, and parallel execution is bit-identical anyway.
 ///
 /// The warmed advance window below drives the full per-shard stack —
-/// dispatcher spans (runqueue picks, timer-list rollovers), the event
-/// calendar, and the simulation window loop — so the counting-allocator
-/// measurement dynamically covers every module the static hot list in
-/// analysis.toml declares allocation-free.  The markers are kept in sync
-/// with that list by crates/analysis/tests/coverage_crosscheck.rs:
-/// adding a file to the hot list without extending this test (or vice
-/// versa) fails `cargo test`.
-// hot-coverage: crates/scheduler/src/runqueue.rs
+/// dispatcher spans (run-queue picks and timer-list rollovers, both on
+/// the indexed heap), the event calendar, and the simulation window loop
+/// — so, together with the actuation and wake-up window further down, the
+/// counting-allocator measurement dynamically covers every module the
+/// static hot list in analysis.toml declares allocation-free.  The
+/// markers are kept in sync with that list by
+/// crates/analysis/tests/coverage_crosscheck.rs: adding a file to the hot
+/// list without extending this test (or vice versa) fails `cargo test`.
+// hot-coverage: crates/scheduler/src/heap.rs
 // hot-coverage: crates/scheduler/src/timerlist.rs
 // hot-coverage: crates/scheduler/src/dispatcher.rs
 // hot-coverage: crates/sim/src/calendar.rs
@@ -315,6 +316,108 @@ fn assert_sharded_steady_state_allocation_free() {
     );
 }
 
+/// The paths between the dispatch spans and the controller cycle: a
+/// simulation whose threads all compute in bursts and sleep in between, so
+/// every controller cycle re-grants most of them (the handle-addressed
+/// actuation loop), announced sleeps end in `Event::Wake`, and
+/// unannounced ones that outlast their window sit in the blocked set
+/// until a poll tick finds them awake.  Migration is switched off: moving
+/// a thread edits the id maps, as adding or removing one does, and is no
+/// more part of the steady state than those are.
+// hot-coverage: crates/scheduler/src/machine.rs
+fn assert_actuation_and_wake_paths_allocation_free() {
+    use realrate::core::SimTime;
+    use realrate::sim::{RunResult, SimConfig, Simulation, WorkModel};
+
+    /// Computes for `busy_us`, then sleeps for `nap_us`.
+    struct Napper {
+        busy_us: u64,
+        nap_us: u64,
+        /// Whether the model tells the simulator when its sleep ends.
+        announce: bool,
+        left_us: u64,
+        wake_at_us: u64,
+    }
+    impl WorkModel for Napper {
+        fn run(&mut self, now_us: u64, quantum_us: u64, _hz: f64) -> RunResult {
+            let used = quantum_us.min(self.left_us);
+            self.left_us -= used;
+            if self.left_us > 0 {
+                return RunResult::ran(used);
+            }
+            self.left_us = self.busy_us;
+            self.wake_at_us = now_us + used + self.nap_us;
+            RunResult::blocked_after(used)
+        }
+        fn poll_unblock(&mut self, now_us: u64) -> bool {
+            now_us >= self.wake_at_us
+        }
+        fn next_transition(&self, _now: SimTime) -> Option<SimTime> {
+            self.announce.then(|| SimTime::from_micros(self.wake_at_us))
+        }
+    }
+
+    let mut config = SimConfig::default().with_cpus(4);
+    config.controller.placement.imbalance_threshold_ppt = u32::MAX;
+    let mut sim = Simulation::new(config);
+    let jobs: Vec<_> = (0..48u64)
+        .map(|i| {
+            let busy_us = 300 + 170 * (i % 7);
+            let napper = Napper {
+                busy_us,
+                nap_us: 2_000 + 1_900 * (i % 5),
+                announce: i % 2 == 0,
+                left_us: busy_us,
+                wake_at_us: 0,
+            };
+            sim.add_job(
+                &format!("nap{i}"),
+                JobSpec::miscellaneous(),
+                Box::new(napper),
+            )
+            .unwrap()
+        })
+        .collect();
+    sim.set_trace_interval(SimTime::from_secs(3600));
+    sim.run_for(1.0);
+    let warm = sim.telemetry_snapshot();
+    let mut grants: Vec<u32> = jobs
+        .iter()
+        .map(|&j| sim.current_allocation_ppt(j))
+        .collect();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut regrants = 0;
+    for _ in 0..50 {
+        sim.run_for(0.01);
+        for (grant, &job) in grants.iter_mut().zip(&jobs) {
+            let now = sim.current_allocation_ppt(job);
+            regrants += (now != *grant) as u32;
+            *grant = now;
+        }
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "actuations, wake events and blocked polls must perform no heap allocation"
+    );
+    let done = sim.telemetry_snapshot();
+    assert!(
+        regrants >= 1500,
+        "the fixture must keep the actuation loop busy, saw {regrants} re-grants in 50 cycles"
+    );
+    assert!(
+        done.events_wake - warm.events_wake >= 500,
+        "the fixture must wake threads through the calendar"
+    );
+    assert!(
+        done.events_poll_tick - warm.events_poll_tick >= 250,
+        "the fixture must leave threads for the poll tick to find"
+    );
+    assert_eq!(done.migrations, 0);
+}
+
 #[test]
 fn steady_state_control_cycle_is_allocation_free() {
     // The paper's single CPU, and a 4-CPU machine with the Place stage
@@ -331,4 +434,6 @@ fn steady_state_control_cycle_is_allocation_free() {
     assert_steady_state_recording_allocation_free();
     // And the per-shard guarantee on the two-level machine.
     assert_sharded_steady_state_allocation_free();
+    // And what runs between spans and cycles: actuation, wake-up, poll.
+    assert_actuation_and_wake_paths_allocation_free();
 }

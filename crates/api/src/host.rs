@@ -8,9 +8,9 @@
 //! extended to "…on any backend".
 
 use crate::time::SimTime;
-use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec};
+use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec, SimStats};
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{CpuId, CpuStats, Machine, Reservation, UsageAccount};
+use rrs_scheduler::{CpuId, Machine, Reservation, UsageAccount};
 use rrs_sim::{Trace, WorkModel};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
@@ -50,47 +50,10 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Aggregate statistics of a host run — the backend-neutral core both
-/// `rrs_sim::SimStats` and `rrs_realtime::ExecutorStats` share.
-///
-/// Backend-specific extras (the simulator's modelled overhead sums, the
-/// executor's timing jitter) stay on the concrete types; downcast with
-/// [`Host::as_any`] when an experiment needs them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HostStats {
-    /// Number of controller invocations.
-    pub controller_invocations: u64,
-    /// Number of quality exceptions raised.
-    pub quality_exceptions: u64,
-    /// Number of control cycles in which allocations were squished.
-    pub squish_events: u64,
-    /// Number of real-time admission rejections observed.
-    pub admission_rejections: u64,
-    /// Number of cross-CPU migrations applied.
-    pub migrations: u64,
-    /// Number of scheduling rounds executed (simulator steps or executor
-    /// dispatch sweeps).
-    pub steps: u64,
-    /// Per-CPU breakdown (usage, idle, migrations), one entry per CPU.
-    pub per_cpu: Vec<CpuStats>,
-}
-
-impl HostStats {
-    /// Total CPU time consumed by jobs across all CPUs, in microseconds.
-    pub fn total_used_us(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.used_us).sum()
-    }
-
-    /// Total idle time across all CPUs, in microseconds.
-    pub fn idle_us(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.idle_us).sum()
-    }
-}
-
 /// A place jobs run under the feedback allocator.
 ///
-/// Both backends drive the *same* `rrs-scheduler` machine and `rrs-core`
-/// controller; the trait is the thin waist over what differs — how time
+/// Both backends drive the *same* [`rrs_core::ControlLoop`] — controller,
+/// machine, slot table and counters; the trait is the thin waist over what differs — how time
 /// passes and how a [`WorkModel`]'s computed CPU consumption is realised
 /// (booked against the simulated clock, or actually burned on an OS
 /// thread).
@@ -181,8 +144,9 @@ pub trait Host {
     /// controller (experiments that pin allocations).
     fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation);
 
-    /// Aggregate statistics of the run so far.
-    fn stats(&self) -> HostStats;
+    /// Aggregate statistics of the run so far — the same struct on every
+    /// backend.
+    fn stats(&self) -> SimStats;
 
     /// A point-in-time snapshot of the subsystem telemetry counters
     /// (quantum-cache hit rate, settles by reason, calendar event mix,
@@ -249,6 +213,7 @@ impl dyn Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_scheduler::CpuStats;
 
     #[test]
     fn backend_parses_and_displays() {
@@ -263,7 +228,7 @@ mod tests {
 
     #[test]
     fn host_stats_sums() {
-        let stats = HostStats {
+        let stats = SimStats {
             per_cpu: vec![
                 CpuStats {
                     used_us: 10,
@@ -276,7 +241,7 @@ mod tests {
                     ..CpuStats::default()
                 },
             ],
-            ..HostStats::default()
+            ..SimStats::default()
         };
         assert_eq!(stats.total_used_us(), 17);
         assert_eq!(stats.idle_us(), 8);

@@ -59,7 +59,7 @@ mod sim_host;
 pub mod time;
 pub mod wall_clock;
 
-pub use host::{Backend, Host, HostStats};
+pub use host::{Backend, Host};
 pub use runtime::{Runtime, RuntimeBuilder};
 pub use time::{Micros, SimTime};
 pub use wall_clock::{WallClockConfig, WallClockHost};
@@ -69,7 +69,7 @@ pub use wall_clock::{WallClockConfig, WallClockHost};
 // suffices.
 pub use rrs_core::{
     controller::AdmitError, Controller, ControllerConfig, Importance, JobClass, JobHandle, JobId,
-    JobSlot, JobSpec,
+    JobSlot, JobSpec, SimStats,
 };
 pub use rrs_queue::MetricRegistry;
 pub use rrs_scheduler::{CpuId, CpuStats, Period, Proportion, Reservation, UsageAccount};

@@ -8,9 +8,9 @@
 //! a single reference; machine-wide numbers come from [`Host::stats`] and
 //! [`Host::telemetry`], which aggregate over every shard.
 
-use crate::host::{Backend, Host, HostStats};
+use crate::host::{Backend, Host};
 use crate::time::SimTime;
-use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec};
+use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec, SimStats};
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{CpuId, Machine, Reservation, UsageAccount};
 use rrs_sim::{ShardedSim, Trace, WorkModel};
@@ -93,17 +93,8 @@ impl Host for ShardedSim {
         ShardedSim::force_reservation(self, handle, reservation.proportion, reservation.period)
     }
 
-    fn stats(&self) -> HostStats {
-        let stats = ShardedSim::stats(self);
-        HostStats {
-            controller_invocations: stats.controller_invocations,
-            quality_exceptions: stats.quality_exceptions,
-            squish_events: stats.squish_events,
-            admission_rejections: stats.admission_rejections,
-            migrations: stats.migrations,
-            steps: stats.steps,
-            per_cpu: stats.per_cpu,
-        }
+    fn stats(&self) -> SimStats {
+        ShardedSim::stats(self)
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {

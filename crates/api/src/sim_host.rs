@@ -7,9 +7,9 @@
 //! directly.  `tests/sim_golden_stats.rs` in the workspace root pins
 //! this.
 
-use crate::host::{Backend, Host, HostStats};
+use crate::host::{Backend, Host};
 use crate::time::SimTime;
-use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec};
+use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec, SimStats};
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{CpuId, Machine, Reservation, UsageAccount};
 use rrs_sim::{Simulation, Trace, WorkModel};
@@ -92,17 +92,8 @@ impl Host for Simulation {
         Simulation::force_reservation(self, handle, reservation.proportion, reservation.period)
     }
 
-    fn stats(&self) -> HostStats {
-        let stats = Simulation::stats(self);
-        HostStats {
-            controller_invocations: stats.controller_invocations,
-            quality_exceptions: stats.quality_exceptions,
-            squish_events: stats.squish_events,
-            admission_rejections: stats.admission_rejections,
-            migrations: stats.migrations,
-            steps: stats.steps,
-            per_cpu: stats.per_cpu,
-        }
+    fn stats(&self) -> SimStats {
+        Simulation::stats(self)
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {

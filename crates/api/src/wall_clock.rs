@@ -15,14 +15,14 @@
 //! metrics.  Results match the simulator within scheduling tolerance, not
 //! bit-for-bit — OS timing noise is the point of this backend.
 
-use crate::host::{Backend, Host, HostStats};
+use crate::host::{Backend, Host};
 use crate::time::SimTime;
 use parking_lot::Mutex;
-use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec};
+use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec, SimStats};
 use rrs_queue::MetricRegistry;
 use rrs_realtime::{ExecutorConfig, RealTimeExecutor, StepOutcome};
 use rrs_scheduler::{CpuId, Machine, Reservation, ThreadId, UsageAccount};
-use rrs_sim::{Trace, WorkModel};
+use rrs_sim::{JobSeries, Trace, WorkModel};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -60,10 +60,9 @@ struct ModelCell {
 }
 
 struct WallJob {
-    name: String,
+    series: JobSeries,
     handle: JobHandle,
     cell: Arc<Mutex<ModelCell>>,
-    last_progress: f64,
 }
 
 /// The wall-clock backend: [`WorkModel`]s running for real on OS threads.
@@ -111,42 +110,29 @@ impl WallClockHost {
         }
     }
 
-    /// Records one trace sample round if one is due, mirroring the
-    /// simulator's `alloc/`, `period/`, `rate/` and `fill/` series.
+    /// Records one trace sample round if one is due, through the
+    /// simulator's sampler ([`JobSeries`], [`Trace::record_fills`]).
     fn maybe_record_trace(&mut self) {
         let now = Host::now(self);
         if now < self.next_trace {
             return;
         }
         let t = now.as_secs_f64();
-        let interval_s = (now.saturating_sub(self.last_trace))
+        let interval = (now.saturating_sub(self.last_trace))
             .as_secs_f64()
             .max(1e-9);
         for job in self.jobs.values_mut() {
-            if let Some(r) = self.exec.reservation(job.handle) {
-                self.trace
-                    .record(&format!("alloc/{}", job.name), t, r.proportion.ppt() as f64);
-                self.trace.record(
-                    &format!("period/{}", job.name),
-                    t,
-                    r.period.as_secs_f64() * 1e3,
-                );
-            }
             let progress = job.cell.lock().model.progress_counter();
-            if let Some(progress) = progress {
-                let rate = (progress - job.last_progress) / interval_s;
-                job.last_progress = progress;
-                self.trace.record(&format!("rate/{}", job.name), t, rate);
-            }
+            job.series.sample(
+                &mut self.trace,
+                t,
+                interval,
+                self.exec.reservation(job.handle),
+                progress,
+            );
         }
-        let mut seen = std::collections::BTreeSet::new();
-        for attachment in self.exec.registry().all_attachments() {
-            let name = attachment.metric.name().to_string();
-            if seen.insert(name.clone()) {
-                self.trace
-                    .record(&format!("fill/{name}"), t, attachment.sample().fraction());
-            }
-        }
+        self.trace
+            .record_fills(t, self.exec.controller().registry());
         self.last_trace = now;
         while self.next_trace <= now {
             self.next_trace += self.config.trace_interval;
@@ -197,10 +183,9 @@ impl Host for WallClockHost {
         self.jobs.insert(
             handle.thread,
             WallJob {
-                name: name.to_string(),
+                series: JobSeries::new(name),
                 handle,
                 cell,
-                last_progress: 0.0,
             },
         );
         Ok(handle)
@@ -282,17 +267,8 @@ impl Host for WallClockHost {
         self.exec.force_reservation(handle, reservation)
     }
 
-    fn stats(&self) -> HostStats {
-        let stats = self.exec.stats();
-        HostStats {
-            controller_invocations: stats.controller_invocations,
-            quality_exceptions: stats.quality_exceptions,
-            squish_events: stats.squish_events,
-            admission_rejections: stats.admission_rejections,
-            migrations: stats.migrations,
-            steps: stats.rounds,
-            per_cpu: stats.per_cpu,
-        }
+    fn stats(&self) -> SimStats {
+        self.exec.stats()
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {

@@ -1,0 +1,724 @@
+//! The feedback loop itself: sense → control → actuate, once.
+//!
+//! The paper has exactly one closed loop (§3, Figure 2): progress and
+//! usage are sensed, the controller computes proportion and period, and
+//! the result is actuated on the reservation scheduler.  [`ControlLoop`]
+//! is that loop as a value.  It owns the [`Controller`], the
+//! [`Machine`], the table binding each controller slot to the scheduler
+//! thread serving it, the run's counters ([`SimStats`]) and the optional
+//! trace [`Recorder`], and it holds every step both host backends share:
+//! admission, retirement, cross-machine extract/inject, the controller
+//! cycle, the statistics and telemetry views, CPU hot-add and the
+//! next-cycle-due clock.
+//!
+//! A backend — the simulator in either stepping mode, the wall-clock
+//! executor — keeps only what really differs: how time passes, how a work
+//! model's consumption is realised, and who is blocked waiting for what.
+
+use crate::controller::{AdmitError, Controller, JobId, MigratedJob, UsageSnapshot};
+use crate::events::ControllerEvent;
+use crate::handle::JobHandle;
+use crate::slot::JobSlot;
+use crate::taxonomy::JobSpec;
+use crate::time::SimTime;
+use crate::ControllerConfig;
+use rrs_queue::MetricRegistry;
+use rrs_scheduler::telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
+use rrs_scheduler::{
+    CpuId, CpuStats, DispatcherConfig, Machine, MigratedThread, Reservation, ThreadHandle, ThreadId,
+};
+use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// Aggregate statistics of a host run — one struct on every backend.
+///
+/// The name dates from when only the simulator reported it.  On the
+/// wall-clock backend `steps` counts scheduling rounds, the two modelled
+/// overhead sums stay zero unless the backend books them, and
+/// timing-dependent fields (usage, idle) are only as deterministic as the
+/// OS scheduler underneath.  Under the simulator's lockstep clock
+/// `idle_us` is rebooked to actual elapsed time, like the machine
+/// aggregate.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SimStats {
+    /// Number of controller invocations.
+    pub controller_invocations: u64,
+    /// Total modelled controller execution cost, in microseconds.
+    pub controller_cost_us: f64,
+    /// Total modelled dispatcher overhead, in microseconds.
+    pub dispatch_overhead_us: f64,
+    /// Number of quality exceptions raised.
+    pub quality_exceptions: u64,
+    /// Number of control cycles in which allocations were squished.
+    pub squish_events: u64,
+    /// Number of real-time admission rejections observed.
+    pub admission_rejections: u64,
+    /// Number of cross-CPU migrations applied.
+    pub migrations: u64,
+    /// Number of scheduling steps executed.  Under calendar stepping this
+    /// counts *events handled* (controller cycles, trace samples, wake-ups,
+    /// poll ticks); under lockstep it counts dispatch rounds, where idle
+    /// fast-forward makes it drop on quiet workloads; on the wall-clock
+    /// executor it counts dispatch sweeps.
+    pub steps: u64,
+    /// Per-CPU breakdown (usage, idle, migrations), one entry per CPU.
+    /// The machine-wide aggregates above are sums over these entries plus
+    /// the controller's own counters, so consumers no longer recompute
+    /// per-CPU views from job handles.
+    pub per_cpu: Vec<CpuStats>,
+}
+
+impl SimStats {
+    /// Total CPU time consumed by jobs across all CPUs, in microseconds.
+    pub fn total_used_us(&self) -> u64 {
+        self.per_cpu.iter().map(|c| c.used_us).sum()
+    }
+
+    /// Total idle time across all CPUs, in microseconds.
+    pub fn idle_us(&self) -> u64 {
+        self.per_cpu.iter().map(|c| c.idle_us).sum()
+    }
+}
+
+/// One controller driving one machine: the state and the steps every host
+/// backend shares.
+///
+/// # Examples
+///
+/// ```
+/// use rrs_core::{ControlLoop, ControllerConfig, JobSpec, SimTime};
+/// use rrs_queue::MetricRegistry;
+/// use rrs_scheduler::DispatcherConfig;
+///
+/// let mut ctl = ControlLoop::new(
+///     ControllerConfig::default(),
+///     DispatcherConfig::default(),
+///     MetricRegistry::new(),
+/// );
+/// let job = ctl.admit(JobSpec::miscellaneous()).unwrap();
+/// // A backend would now dispatch and charge `ctl.machine_mut()`; when a
+/// // cycle comes due it runs it and re-arms the clock.
+/// let now = ctl.next_cycle_us();
+/// ctl.cycle(SimTime::from_micros(now), None, 0, |_| Some(job.slot));
+/// assert!(ctl.skip_to_next_cycle(now) > now);
+/// assert_eq!(ctl.stats().controller_invocations, 1);
+/// ctl.retire(job);
+/// ```
+#[derive(Debug)]
+pub struct ControlLoop {
+    controller: Controller,
+    machine: Machine,
+    /// Controller slot → the scheduler thread serving that job and where
+    /// it sits on the machine.  This is the only copy of the handle: it is
+    /// written where the thread is placed (`admit`, `inject`), refreshed
+    /// where it moves ([`Machine::actuate`]) and cleared where it leaves,
+    /// so actuations, wake-ups and trace reads reach the thread without
+    /// an id lookup.
+    threads: Vec<Option<(ThreadId, ThreadHandle)>>,
+    stats: SimStats,
+    /// The structured trace recorder, when telemetry is enabled.  `None`
+    /// (the default) keeps every hot path on a single branch.
+    recorder: Option<Arc<Recorder>>,
+    next_id: u64,
+    /// Gap between consecutively allocated raw ids (see
+    /// [`ControlLoop::with_ids`]).
+    id_stride: u64,
+    period_us: u64,
+    next_cycle_us: u64,
+    last_cycle_us: u64,
+}
+
+impl ControlLoop {
+    /// Creates a loop over a fresh controller and a fresh machine of
+    /// `controller.placement` CPUs.  The first cycle is due one controller
+    /// period after time zero.
+    pub fn new(
+        controller: ControllerConfig,
+        dispatcher: DispatcherConfig,
+        registry: MetricRegistry,
+    ) -> Self {
+        let machine = Machine::new(dispatcher, controller.placement.cpu_count());
+        let period_us = ((controller.controller_period_s * 1e6).round() as u64).max(1);
+        Self {
+            stats: SimStats {
+                per_cpu: vec![CpuStats::default(); machine.cpu_count()],
+                ..SimStats::default()
+            },
+            controller: Controller::new(controller, registry),
+            machine,
+            threads: Vec::new(),
+            recorder: None,
+            next_id: 1,
+            id_stride: 1,
+            period_us,
+            next_cycle_us: period_us,
+            last_cycle_us: 0,
+        }
+    }
+
+    /// Returns the loop allocating raw job/thread ids `first_id, first_id +
+    /// id_stride, ...` (both clamped to at least 1).
+    ///
+    /// The sharded simulator gives shard `k` of `S` the ids `k + 1, k + 1 +
+    /// S, ...`, so ids stay globally unique and a job migrating between
+    /// shards keeps its `JobId`/`ThreadId`/registry key.
+    pub fn with_ids(mut self, first_id: u64, id_stride: u64) -> Self {
+        self.next_id = first_id.max(1);
+        self.id_stride = id_stride.max(1);
+        self
+    }
+
+    /// Read-only access to the controller.
+    #[inline]
+    pub fn controller(&self) -> &Controller {
+        &self.controller
+    }
+
+    /// Read-only access to the machine.
+    #[inline]
+    pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// The machine, for the backend's dispatch / charge / block calls.
+    /// Placing, moving and removing threads goes through the loop, which
+    /// keeps the slot table in step.
+    #[inline]
+    pub fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    /// The counters, for what only the backend can book: steps, per-CPU
+    /// consumption, modelled dispatch overhead.
+    #[inline]
+    pub fn stats_mut(&mut self) -> &mut SimStats {
+        &mut self.stats
+    }
+
+    /// The trace recorder, if telemetry is enabled.
+    #[inline]
+    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
+        self.recorder.as_ref()
+    }
+
+    fn bind(&mut self, slot: JobSlot, thread: ThreadId, handle: ThreadHandle) {
+        if self.threads.len() <= slot.index() {
+            self.threads.resize(slot.index() + 1, None);
+        }
+        self.threads[slot.index()] = Some((thread, handle));
+    }
+
+    fn unbind(&mut self, slot: JobSlot) {
+        if let Some(entry) = self.threads.get_mut(slot.index()) {
+            *entry = None;
+        }
+    }
+
+    /// Admits a job: the controller rules on admission (real-time specs)
+    /// and picks the CPU (least-loaded fit), and the job's thread starts
+    /// there from its requested reservation or the minimum allocation.  A
+    /// rejected real-time reservation is counted in
+    /// [`SimStats::admission_rejections`] and consumes no id.
+    pub fn admit(&mut self, spec: JobSpec) -> Result<JobHandle, AdmitError> {
+        let job = JobId(self.next_id);
+        let thread = ThreadId(self.next_id);
+        let slot = self.controller.add_job(job, spec).inspect_err(|e| {
+            if matches!(e, AdmitError::Rejected { .. }) {
+                self.stats.admission_rejections += 1;
+            }
+        })?;
+        self.next_id += self.id_stride;
+        let config = self.controller.config();
+        let initial = Reservation::new(
+            spec.proportion.unwrap_or(config.min_proportion),
+            spec.period.unwrap_or(config.default_period),
+        );
+        let cpu = self
+            .controller
+            .cpu_of_slot(slot)
+            .expect("slot was just created");
+        let handle = self
+            .machine
+            .add_thread_preadmitted_on(cpu, thread, initial)
+            .expect("fresh thread id cannot clash");
+        self.bind(slot, thread, handle);
+        Ok(JobHandle { job, thread, slot })
+    }
+
+    /// Removes a job: withdraws its reservation, deregisters it from the
+    /// controller (detaching its registry entries) and frees its slot.
+    /// Unknown or already-removed handles are a no-op.
+    pub fn retire(&mut self, handle: JobHandle) {
+        let _ = self.machine.remove_thread(handle.thread);
+        if self.controller.remove_slot(handle.slot) {
+            self.unbind(handle.slot);
+        }
+    }
+
+    /// Detaches a job's controller entry and scheduler thread, mid-period
+    /// state intact, for [`ControlLoop::inject`] into another loop.  The
+    /// job's queue-metric attachments stay registered.  Returns `None` if
+    /// the job is unknown.
+    pub fn extract(&mut self, job: JobId) -> Option<(MigratedJob, MigratedThread)> {
+        let slot = self.controller.slot_of(job)?;
+        let mjob = self
+            .controller
+            .extract_job(job)
+            .expect("slot resolved above");
+        let mthread = self
+            .machine
+            .extract_thread(ThreadId(job.0))
+            .expect("thread registered with the machine");
+        self.unbind(slot);
+        Some((mjob, mthread))
+    }
+
+    /// Installs a job detached by [`ControlLoop::extract`] on an explicit
+    /// CPU of this machine.  No admission control runs — the caller has
+    /// already ruled on capacity; fails only on a duplicate id.
+    pub fn inject(
+        &mut self,
+        mjob: MigratedJob,
+        mthread: MigratedThread,
+        cpu: CpuId,
+    ) -> Result<JobHandle, AdmitError> {
+        let job = mjob.job();
+        let thread = ThreadId(job.0);
+        let slot = self.controller.inject_job(mjob, cpu)?;
+        let handle = self
+            .machine
+            .inject_thread_on(cpu, mthread)
+            .expect("controller accepted the id, so the machine must too");
+        self.bind(slot, thread, handle);
+        Ok(JobHandle { job, thread, slot })
+    }
+
+    /// Where `thread` sits on the machine, if it is still the thread
+    /// serving `slot` — thread ids are never reused, so a slot left over
+    /// from a removed job cannot reach the slot's next tenant.
+    fn handle_at(&self, slot: JobSlot, thread: ThreadId) -> Option<ThreadHandle> {
+        match self.threads.get(slot.index()) {
+            Some(&Some((tenant, handle))) if tenant == thread => Some(handle),
+            _ => None,
+        }
+    }
+
+    /// Wakes `thread`, the thread serving `slot`; a stale slot or a thread
+    /// that is not blocked is a no-op.
+    pub fn unblock(&mut self, slot: JobSlot, thread: ThreadId) {
+        if let Some(handle) = self.handle_at(slot, thread) {
+            let _ = self.machine.unblock_at(handle, thread);
+        }
+    }
+
+    /// The reservation currently held by `thread`, the thread serving
+    /// `slot`.
+    pub fn reservation(&self, slot: JobSlot, thread: ThreadId) -> Option<Reservation> {
+        self.machine
+            .reservation_at(self.handle_at(slot, thread)?, thread)
+    }
+
+    /// When the next controller cycle is due, in microseconds.
+    #[inline]
+    pub fn next_cycle_us(&self) -> u64 {
+        self.next_cycle_us
+    }
+
+    /// When the last controller cycle ran, in microseconds (zero before
+    /// the first).
+    #[inline]
+    pub fn last_cycle_us(&self) -> u64 {
+        self.last_cycle_us
+    }
+
+    /// Moves the next-cycle-due time past `now_us` on the period grid and
+    /// returns it.  Ticks missed during a stall (or while the cycle's own
+    /// modelled cost was charged to the clock) are skipped, not replayed
+    /// back to back with near-zero `dt`.
+    pub fn skip_to_next_cycle(&mut self, now_us: u64) -> u64 {
+        while self.next_cycle_us <= now_us {
+            self.next_cycle_us += self.period_us;
+        }
+        self.next_cycle_us
+    }
+
+    /// Runs one controller cycle at `now` and returns its modelled
+    /// execution cost in whole microseconds, for the caller to charge to
+    /// its clock (or not) before calling
+    /// [`ControlLoop::skip_to_next_cycle`].
+    ///
+    /// * **Sense**: drains the usage ratios that changed since the last
+    ///   cycle ([`Machine::drain_usage_changes`]) into the controller's
+    ///   sticky snapshots; `slot_of` maps a reporting thread to its
+    ///   controller slot from the backend's own dense table.
+    /// * **Control**: with `dt` given (an exact integer event-time delta)
+    ///   the cycle length is `dt`; without, the controller derives it from
+    ///   consecutive `now` values.
+    /// * **Actuate**: applies each actuation through the slot table; a
+    ///   thread the Place stage moved migrates, is counted on both CPUs,
+    ///   and is charged `migration_cost_us` (cache and TLB refill on the
+    ///   destination; zero on a backend that pays it for real).
+    pub fn cycle(
+        &mut self,
+        now: SimTime,
+        dt: Option<SimTime>,
+        migration_cost_us: u64,
+        mut slot_of: impl FnMut(ThreadId) -> Option<JobSlot>,
+    ) -> u64 {
+        let Self {
+            controller,
+            machine,
+            threads,
+            stats,
+            recorder,
+            last_cycle_us,
+            ..
+        } = self;
+        machine.drain_usage_changes(|thread, ratio| {
+            if let Some(slot) = slot_of(thread) {
+                controller.record_usage(slot, UsageSnapshot { usage_ratio: ratio });
+            }
+        });
+        *last_cycle_us = now.as_micros();
+        let full_before = controller.cycle_counts().0;
+        // allow(determinism): wall-clock duration of the controller cycle
+        // for the telemetry recorder only; never read back by the loop, so
+        // event order and SimStats are identical with and without it.
+        // Allowlisted in analysis.toml.
+        let timer = recorder.as_ref().map(|_| std::time::Instant::now());
+        let out = match dt {
+            Some(dt) => {
+                controller.control_cycle_with_dt(now.as_secs_f64(), dt.as_micros() as f64 * 1e-6)
+            }
+            None => controller.control_cycle_in_place(now.as_secs_f64()),
+        };
+        stats.controller_invocations += 1;
+        stats.controller_cost_us += out.cost_us;
+        for event in &out.events {
+            match event {
+                ControllerEvent::Quality(_) => stats.quality_exceptions += 1,
+                ControllerEvent::Squished { .. } => stats.squish_events += 1,
+                _ => {}
+            }
+        }
+        for actuation in &out.actuations {
+            let Some(Some((thread, handle))) = threads.get_mut(actuation.slot.index()) else {
+                continue;
+            };
+            let moved = machine.actuate(handle, *thread, actuation.reservation, actuation.cpu);
+            if let Ok(Some(from)) = moved {
+                stats.migrations += 1;
+                stats.per_cpu[from.index()].migrations_out += 1;
+                stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
+                if migration_cost_us > 0 {
+                    let _ = machine.charge_at(*handle, *thread, migration_cost_us);
+                }
+            }
+        }
+        let cost_us = out.cost_us.round() as u64;
+        if let (Some(recorder), Some(started)) = (recorder, timer) {
+            let incremental = controller.cycle_counts().0 == full_before;
+            let mut stage_ns = [0u32; 6];
+            if !incremental {
+                for (dst, src) in stage_ns.iter_mut().zip(controller.last_stage_ns()) {
+                    *dst = src.min(u32::MAX as u64) as u32;
+                }
+            }
+            recorder.record(
+                now.as_micros(),
+                TraceEventKind::ControllerCycle {
+                    dur_ns: started.elapsed().as_nanos() as u64,
+                    incremental,
+                    jobs: controller.job_count() as u32,
+                    stage_ns,
+                },
+            );
+        }
+        cost_us
+    }
+
+    /// Aggregate statistics, with the per-CPU idle and deadline counters
+    /// filled in from the machine's dispatchers at read time.
+    pub fn stats(&self) -> SimStats {
+        let mut stats = self.stats.clone();
+        for (i, cpu) in stats.per_cpu.iter_mut().enumerate() {
+            let d = self.machine.dispatcher(CpuId(i as u32)).stats();
+            cpu.idle_us = d.idle_us;
+            cpu.deadlines_missed = d.deadlines_missed;
+        }
+        stats
+    }
+
+    /// A point-in-time snapshot of the subsystem counters: quantum-cache
+    /// hits/misses, settles by reason, controller cycle split and stage
+    /// timing, machine-level dispatch totals.  One schema on every
+    /// backend; a backend with an event calendar adds its `events_*`
+    /// counts on top.
+    ///
+    /// The counters behind this are always on (plain integer increments on
+    /// paths that already write statistics); only the `trace_events_*`
+    /// fields require an enabled recorder.
+    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let dispatch = self.machine.stats();
+        let (full, incremental) = self.controller.cycle_counts();
+        let stage = self.controller.stage_total_ns();
+        TelemetrySnapshot {
+            quantum_cache_hits: dispatch.quantum_cache_hits,
+            quantum_cache_misses: dispatch.quantum_cache_misses,
+            settles_goodness: dispatch.settles_goodness,
+            settles_period_boundary: dispatch.settles_period_boundary,
+            settles_throttle_edge: dispatch.settles_throttle_edge,
+            settles_zero_span: dispatch.settles_zero_span,
+            controller_full_cycles: full,
+            controller_incremental_cycles: incremental,
+            stage_sense_ns: stage[0],
+            stage_classify_ns: stage[1],
+            stage_estimate_ns: stage[2],
+            stage_allocate_ns: stage[3],
+            stage_place_ns: stage[4],
+            stage_actuate_ns: stage[5],
+            dispatches: dispatch.dispatches,
+            context_switches: dispatch.context_switches,
+            period_rollovers: dispatch.period_rollovers,
+            migrations: self.stats.migrations,
+            trace_events_recorded: self.recorder.as_ref().map_or(0, |r| r.recorded()),
+            trace_events_dropped: self.recorder.as_ref().map_or(0, |r| r.dropped()),
+            ..TelemetrySnapshot::default()
+        }
+        .finalize()
+    }
+
+    /// Grows the machine to `cpus` CPUs mid-run (hot-add), returning the
+    /// resulting CPU count.
+    ///
+    /// New CPUs join with empty run queues at the shared clock; the
+    /// control pipeline's Place stage starts fitting jobs onto them (and
+    /// the Allocate stage's machine-wide capacity widens) on its next
+    /// cycle.  Shrinking is not supported — the machine layer has no
+    /// hot-remove — so a `cpus` at or below the current count is a no-op.
+    /// The count stays clamped to the Place stage's 4096-CPU bound.
+    pub fn grow_cpus(&mut self, cpus: usize) -> usize {
+        let n = self.machine.grow_to(cpus);
+        self.controller.set_cpus(n);
+        self.stats.per_cpu.resize(n, CpuStats::default());
+        n
+    }
+
+    /// Enables structured trace recording and controller stage timing,
+    /// returning the shared recorder.
+    ///
+    /// The ring buffer is allocated up front
+    /// ([`TelemetryConfig::ring_capacity`] events); once warm, recording
+    /// overwrites the oldest entry and never allocates.  Calling this again
+    /// replaces the recorder (and its ring).
+    pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
+        let recorder = Recorder::new(config);
+        self.attach_telemetry(recorder.clone());
+        recorder
+    }
+
+    /// Attaches an *existing* recorder instead of creating one — the
+    /// sharded simulator shares one ring across every shard.
+    pub fn attach_telemetry(&mut self, recorder: Arc<Recorder>) {
+        self.machine.set_telemetry(Some(recorder.clone()));
+        self.controller.set_stage_timing(recorder.stage_timing());
+        self.recorder = Some(recorder);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rrs_scheduler::{Period, Proportion, ThreadState};
+
+    fn bare(cpus: usize) -> ControlLoop {
+        ControlLoop::new(
+            ControllerConfig::default().with_cpus(cpus),
+            DispatcherConfig::default(),
+            MetricRegistry::new(),
+        )
+    }
+
+    /// Runs the cycle that is due, as a backend with no work to simulate
+    /// would: straight at its due time, cost not charged.
+    fn run_due_cycle(ctl: &mut ControlLoop) {
+        let now = ctl.next_cycle_us();
+        // Ids are dense from 1 here, so the controller's own id index
+        // stands in for a backend's thread table.
+        let slots: Vec<Option<JobSlot>> = (0..64)
+            .map(|raw| ctl.controller().slot_of(JobId(raw)))
+            .collect();
+        ctl.cycle(SimTime::from_micros(now), None, 0, |thread| {
+            slots.get(thread.0 as usize).copied().flatten()
+        });
+        ctl.skip_to_next_cycle(now);
+    }
+
+    fn state_of(ctl: &ControlLoop, thread: ThreadId) -> Option<ThreadState> {
+        let cpu = ctl.machine().cpu_of(thread)?;
+        ctl.machine().dispatcher(cpu).thread_state(thread)
+    }
+
+    #[test]
+    fn rejection_is_counted_once_and_consumes_no_id() {
+        let mut ctl = bare(1);
+        let rt = |ppt| JobSpec::real_time(Proportion::from_ppt(ppt), Period::from_millis(10));
+        let first = ctl.admit(rt(800)).unwrap();
+        assert_eq!(first.job, JobId(1));
+        assert!(matches!(
+            ctl.admit(rt(400)),
+            Err(AdmitError::Rejected { .. })
+        ));
+        assert_eq!(ctl.stats().admission_rejections, 1);
+        assert_eq!(ctl.machine().thread_count(), 1, "nothing was placed");
+        let next = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        assert_eq!(next.job, JobId(2), "the rejected request took no id");
+        assert_eq!(next.thread, ThreadId(2));
+        assert_eq!(ctl.stats().admission_rejections, 1);
+    }
+
+    #[test]
+    fn admit_cycle_retire_clears_the_slot_entry_and_reuses_it() {
+        let mut ctl = bare(1);
+        let a = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        let initial = ctl
+            .reservation(a.slot, a.thread)
+            .expect("placed at admission");
+        assert_eq!(
+            initial.proportion,
+            ControllerConfig::default().min_proportion
+        );
+        for _ in 0..50 {
+            run_due_cycle(&mut ctl);
+        }
+        assert_eq!(ctl.stats().controller_invocations, 50);
+        assert_eq!(ctl.last_cycle_us(), 500_000);
+        assert_eq!(ctl.next_cycle_us(), 510_000);
+        let grown = ctl.reservation(a.slot, a.thread).unwrap();
+        assert!(
+            grown.proportion.ppt() > initial.proportion.ppt(),
+            "the cycle's actuations reach the thread through the slot table"
+        );
+
+        ctl.retire(a);
+        assert_eq!(ctl.reservation(a.slot, a.thread), None, "entry cleared");
+        assert_eq!(ctl.controller().job_count(), 0);
+        assert_eq!(ctl.machine().thread_count(), 0);
+        ctl.retire(a); // an already-removed handle is a no-op
+
+        let b = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        assert_eq!(b.slot.index(), a.slot.index(), "slot reused");
+        assert!(ctl.reservation(b.slot, b.thread).is_some());
+        // The leftover handle reaches neither the entry nor its new tenant.
+        assert_eq!(ctl.reservation(a.slot, a.thread), None);
+        ctl.retire(a);
+        assert_eq!(ctl.controller().job_count(), 1, "b survives a's handle");
+        run_due_cycle(&mut ctl);
+        assert!(ctl.reservation(b.slot, b.thread).is_some());
+    }
+
+    #[test]
+    fn place_stage_migration_refreshes_the_handle_in_the_slot_table() {
+        // a, b, c land cpu0 / cpu1 / cpu0; retiring b empties cpu1 while
+        // a and c crowd cpu0, so the Place stage migrates one of them.
+        let mut ctl = bare(2);
+        let a = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        let b = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        let c = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        let before = [a, c].map(|h| ctl.machine().handle_of(h.thread).unwrap());
+        assert_eq!(before[0].cpu, before[1].cpu);
+        ctl.retire(b);
+        for _ in 0..1_000 {
+            if ctl.stats().migrations > 0 {
+                break;
+            }
+            run_due_cycle(&mut ctl);
+        }
+        let stats = ctl.stats();
+        assert_eq!(stats.migrations, 1, "one survivor moved");
+        assert_eq!(stats.per_cpu[0].migrations_out, 1);
+        assert_eq!(stats.per_cpu[1].migrations_in, 1);
+        assert_eq!(ctl.telemetry_snapshot().migrations, 1);
+        let (moved, stale) = if ctl.machine().cpu_of(a.thread) == Some(CpuId(1)) {
+            (a, before[0])
+        } else {
+            (c, before[1])
+        };
+        let fresh = ctl.machine().handle_of(moved.thread).unwrap();
+        assert_ne!(fresh, stale, "the pre-migration handle is stale");
+        // The table holds the fresh one: the next cycles' actuations and
+        // a wake-up still reach the thread on its new CPU.
+        ctl.machine_mut().block(moved.thread).unwrap();
+        ctl.unblock(moved.slot, moved.thread);
+        assert_eq!(state_of(&ctl, moved.thread), Some(ThreadState::Ready));
+        run_due_cycle(&mut ctl);
+        assert_eq!(
+            ctl.reservation(moved.slot, moved.thread),
+            ctl.machine().reservation(moved.thread)
+        );
+
+        // The slot's next tenant is out of reach of everything left over
+        // from the old one: its handle, its slot, its id.
+        ctl.retire(moved);
+        let tenant = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        assert_eq!(tenant.slot.index(), moved.slot.index());
+        ctl.machine_mut().block(tenant.thread).unwrap();
+        ctl.unblock(moved.slot, moved.thread);
+        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Blocked));
+        assert_eq!(ctl.machine().reservation_at(stale, moved.thread), None);
+        assert_eq!(ctl.machine().reservation_at(fresh, moved.thread), None);
+        assert_eq!(ctl.reservation(moved.slot, moved.thread), None);
+        ctl.unblock(tenant.slot, tenant.thread);
+        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Ready));
+    }
+
+    #[test]
+    fn extract_and_inject_move_a_job_between_loops() {
+        let registry = MetricRegistry::new();
+        let shard = |first| {
+            ControlLoop::new(
+                ControllerConfig::default(),
+                DispatcherConfig::default(),
+                registry.clone(),
+            )
+            .with_ids(first, 2)
+        };
+        let (mut src, mut dst) = (shard(1), shard(2));
+        let job = src.admit(JobSpec::miscellaneous()).unwrap();
+        assert_eq!(src.admit(JobSpec::miscellaneous()).unwrap().job, JobId(3));
+        for _ in 0..20 {
+            run_due_cycle(&mut src);
+        }
+        let granted = src.reservation(job.slot, job.thread).unwrap();
+        assert!(src.extract(JobId(99)).is_none());
+        let (mjob, mthread) = src.extract(job.job).unwrap();
+        assert_eq!(src.reservation(job.slot, job.thread), None);
+        assert_eq!(src.machine().thread_count(), 1);
+        let landed = dst.inject(mjob, mthread, CpuId(0)).unwrap();
+        assert_eq!(landed.job, job.job, "the id travels with the job");
+        assert_eq!(dst.reservation(landed.slot, landed.thread), Some(granted));
+        assert_eq!(dst.admit(JobSpec::miscellaneous()).unwrap().job, JobId(2));
+    }
+
+    #[test]
+    fn missed_cycles_are_skipped_not_replayed() {
+        let mut ctl = bare(1);
+        assert_eq!(ctl.next_cycle_us(), 10_000);
+        // A stall until t = 47 ms: one cycle runs, the next is due at the
+        // next grid point after the stall, not at 20 ms.
+        ctl.cycle(SimTime::from_micros(47_000), None, 0, |_| None);
+        assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000);
+        assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000, "idempotent");
+        assert_eq!(ctl.stats().controller_invocations, 1);
+    }
+
+    #[test]
+    fn grow_cpus_widens_machine_controller_and_counters_together() {
+        let mut ctl = bare(1);
+        assert_eq!(ctl.grow_cpus(3), 3);
+        assert_eq!(ctl.machine().cpu_count(), 3);
+        assert_eq!(ctl.controller().config().placement.cpu_count(), 3);
+        assert_eq!(ctl.stats().per_cpu.len(), 3);
+        assert_eq!(ctl.grow_cpus(2), 3, "shrinking is a no-op");
+    }
+}

@@ -658,51 +658,41 @@ impl Controller {
     /// every incremental cache from the cycle's context.
     fn full_cycle(&mut self, now_s: f64, dt: f64) {
         self.ctx.begin(now_s, dt);
-        if self.stage_timing {
-            // allow(determinism): opt-in stage timing (off by default)
-            // measures wall-clock cost per pipeline stage for telemetry;
-            // the durations feed TelemetrySnapshot only and never a
-            // control decision.  Allowlisted in analysis.toml.
-            let mut ns = [0u64; 6];
-            let mut mark = std::time::Instant::now();
-            let mut lap = |ns: &mut u64| {
+        // allow(determinism): opt-in stage timing (off by default)
+        // measures wall-clock cost per pipeline stage for telemetry; the
+        // durations feed TelemetrySnapshot only and never a control
+        // decision.  Allowlisted in analysis.toml.
+        let mut ns = [0u64; 6];
+        let mut mark = self.stage_timing.then(std::time::Instant::now);
+        let mut lap = |stage: usize| {
+            if let Some(mark) = &mut mark {
                 let now = std::time::Instant::now();
-                *ns = now.duration_since(mark).as_nanos() as u64;
-                mark = now;
-            };
-            pipeline::sense(
-                &self.registry,
-                &mut self.jobs,
-                self.config.period_estimation,
-                &mut self.ctx,
-            );
-            lap(&mut ns[0]);
-            pipeline::classify(&self.config, &mut self.jobs, &mut self.ctx);
-            lap(&mut ns[1]);
-            pipeline::estimate(&self.config, &self.estimator, &mut self.jobs, &mut self.ctx);
-            lap(&mut ns[2]);
-            pipeline::allocate(&self.config, &mut self.ctx);
-            lap(&mut ns[3]);
-            pipeline::place(&self.config, &mut self.jobs, &mut self.ctx);
-            lap(&mut ns[4]);
-            pipeline::actuate(&self.config, &mut self.jobs, &self.ctx, &mut self.output);
-            lap(&mut ns[5]);
+                ns[stage] = now.duration_since(*mark).as_nanos() as u64;
+                *mark = now;
+            }
+        };
+        pipeline::sense(
+            &self.registry,
+            &mut self.jobs,
+            self.config.period_estimation,
+            &mut self.ctx,
+        );
+        lap(0);
+        pipeline::classify(&self.config, &mut self.jobs, &mut self.ctx);
+        lap(1);
+        pipeline::estimate(&self.config, &self.estimator, &mut self.jobs, &mut self.ctx);
+        lap(2);
+        pipeline::allocate(&self.config, &mut self.ctx);
+        lap(3);
+        pipeline::place(&self.config, &mut self.jobs, &mut self.ctx);
+        lap(4);
+        pipeline::actuate(&self.config, &mut self.jobs, &self.ctx, &mut self.output);
+        lap(5);
+        if self.stage_timing {
             self.last_stage_ns = ns;
             for (total, n) in self.stage_total_ns.iter_mut().zip(ns) {
                 *total += n;
             }
-        } else {
-            pipeline::sense(
-                &self.registry,
-                &mut self.jobs,
-                self.config.period_estimation,
-                &mut self.ctx,
-            );
-            pipeline::classify(&self.config, &mut self.jobs, &mut self.ctx);
-            pipeline::estimate(&self.config, &self.estimator, &mut self.jobs, &mut self.ctx);
-            pipeline::allocate(&self.config, &mut self.ctx);
-            pipeline::place(&self.config, &mut self.jobs, &mut self.ctx);
-            pipeline::actuate(&self.config, &mut self.jobs, &self.ctx, &mut self.output);
         }
 
         if self.config.incremental {

@@ -52,6 +52,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod control_loop;
 pub mod controller;
 pub mod cost;
 pub mod estimator;
@@ -66,6 +67,7 @@ pub mod taxonomy;
 pub mod time;
 
 pub use config::{ControllerConfig, PlacementConfig};
+pub use control_loop::{ControlLoop, SimStats};
 pub use controller::{
     Actuation, AdmitError, ControlOutput, Controller, JobId, MigratedJob, UsageSnapshot,
 };

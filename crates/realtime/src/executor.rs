@@ -10,14 +10,12 @@
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rrs_core::{
-    controller::AdmitError, Controller, ControllerConfig, ControllerEvent, JobHandle, JobId,
-    JobSlot, JobSpec, UsageSnapshot,
+    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobSlot, JobSpec,
+    SimStats, SimTime,
 };
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{
-    CpuId, CpuStats, DispatcherConfig, Machine, Reservation, ThreadHandle, ThreadId, UsageAccount,
-};
-use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
+use rrs_scheduler::{CpuId, DispatcherConfig, Machine, Reservation, ThreadId, UsageAccount};
+use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -84,32 +82,6 @@ impl ExecutorConfig {
     }
 }
 
-/// Aggregate statistics of an executor run.
-///
-/// The wall-clock analogue of the simulator's `SimStats`: the same
-/// control-plane counters and the same per-CPU breakdown
-/// ([`rrs_scheduler::CpuStats`]), measured over real time instead of
-/// simulated time.  Timing-dependent fields (usage, idle) are only as
-/// deterministic as the OS scheduler underneath.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecutorStats {
-    /// Number of controller invocations.
-    pub controller_invocations: u64,
-    /// Number of quality exceptions raised.
-    pub quality_exceptions: u64,
-    /// Number of control cycles in which allocations were squished.
-    pub squish_events: u64,
-    /// Number of real-time admission rejections observed.
-    pub admission_rejections: u64,
-    /// Number of cross-CPU worker re-shards (migrations) applied.
-    pub migrations: u64,
-    /// Number of scheduling rounds executed (one dispatch sweep over
-    /// every CPU each).
-    pub rounds: u64,
-    /// Per-CPU breakdown (usage, idle, migrations), one entry per CPU.
-    pub per_cpu: Vec<CpuStats>,
-}
-
 enum WorkerMessage {
     /// Run one step with the given quantum.
     Run(Duration),
@@ -154,136 +126,76 @@ struct TaskSlot {
 /// ```
 pub struct RealTimeExecutor {
     config: ExecutorConfig,
-    registry: MetricRegistry,
-    machine: Machine,
-    controller: Controller,
+    /// The feedback loop proper — the same one the simulator drives.
+    /// Everything else here is real time and the worker threads.
+    ctl: ControlLoop,
     tasks: BTreeMap<ThreadId, TaskSlot>,
-    /// Slot-indexed map back to the dispatcher's thread id and the
-    /// thread's machine handle, so actuations apply without re-deriving
-    /// `JobId ↔ ThreadId` or looking the thread up by id.
-    slot_threads: Vec<Option<(ThreadId, ThreadHandle)>>,
     reports: (Sender<WorkerReport>, Receiver<WorkerReport>),
-    next_id: u64,
     start: Instant,
     cpu_time: Arc<Mutex<BTreeMap<u64, Duration>>>,
-    stats: ExecutorStats,
-    /// The structured trace recorder, when telemetry is enabled.
-    telemetry: Option<Arc<Recorder>>,
 }
 
 impl RealTimeExecutor {
     /// Creates an executor.
     pub fn new(config: ExecutorConfig) -> Self {
-        let registry = MetricRegistry::new();
-        let cpus = config.controller.placement.cpu_count();
         Self {
-            controller: Controller::new(config.controller, registry.clone()),
-            machine: Machine::new(config.dispatcher, cpus),
-            registry,
+            ctl: ControlLoop::new(config.controller, config.dispatcher, MetricRegistry::new()),
             config,
             tasks: BTreeMap::new(),
-            slot_threads: Vec::new(),
             reports: bounded(64),
-            next_id: 1,
             start: Instant::now(),
             cpu_time: Arc::new(Mutex::new(BTreeMap::new())),
-            stats: ExecutorStats {
-                per_cpu: vec![CpuStats::default(); cpus],
-                ..ExecutorStats::default()
-            },
-            telemetry: None,
         }
     }
 
     /// Enables structured trace recording and controller stage timing,
-    /// returning the shared recorder.
-    ///
-    /// The wall-clock analogue of the simulator's `enable_telemetry`:
-    /// the same ring buffer, the same event vocabulary, timestamps from
-    /// the executor's own elapsed clock.
+    /// returning the shared recorder: the same ring buffer and event
+    /// vocabulary as the simulator, timestamps from the executor's own
+    /// elapsed clock.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
-        let recorder = Recorder::new(config);
-        self.machine.set_telemetry(Some(recorder.clone()));
-        self.controller.set_stage_timing(recorder.stage_timing());
-        self.telemetry = Some(recorder.clone());
-        recorder
+        self.ctl.enable_telemetry(config)
     }
 
     /// The trace recorder installed by
     /// [`RealTimeExecutor::enable_telemetry`], if any.
     pub fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
-        self.telemetry.clone()
+        self.ctl.recorder().cloned()
     }
 
-    /// A point-in-time snapshot of the subsystem counters, sharing the
-    /// simulator's schema so sim-vs-wall-clock runs compare directly.
-    /// The executor has no event calendar, so the `events_*` counters
-    /// stay zero on this backend.
+    /// A point-in-time snapshot of the subsystem counters
+    /// ([`ControlLoop::telemetry_snapshot`]).  The executor has no event
+    /// calendar, so the `events_*` counters stay zero on this backend.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let fast = self.machine.fast_path_stats();
-        let dispatch = self.machine.stats();
-        let (full, incremental) = self.controller.cycle_counts();
-        let stage = self.controller.stage_total_ns();
-        let snapshot = TelemetrySnapshot {
-            quantum_cache_hits: fast.quantum_cache_hits,
-            quantum_cache_misses: fast.quantum_cache_misses,
-            settles_goodness: fast.settles_goodness,
-            settles_period_boundary: fast.settles_period_boundary,
-            settles_throttle_edge: fast.settles_throttle_edge,
-            settles_zero_span: fast.settles_zero_span,
-            controller_full_cycles: full,
-            controller_incremental_cycles: incremental,
-            stage_sense_ns: stage[0],
-            stage_classify_ns: stage[1],
-            stage_estimate_ns: stage[2],
-            stage_allocate_ns: stage[3],
-            stage_place_ns: stage[4],
-            stage_actuate_ns: stage[5],
-            dispatches: dispatch.dispatches,
-            context_switches: dispatch.context_switches,
-            period_rollovers: dispatch.period_rollovers,
-            migrations: self.stats.migrations,
-            trace_events_recorded: self.telemetry.as_ref().map(|r| r.recorded()).unwrap_or(0),
-            trace_events_dropped: self.telemetry.as_ref().map(|r| r.dropped()).unwrap_or(0),
-            ..TelemetrySnapshot::default()
-        };
-        snapshot.finalize()
+        self.ctl.telemetry_snapshot()
     }
 
     /// The number of logical CPUs workers are sharded over.
     pub fn cpu_count(&self) -> usize {
-        self.machine.cpu_count()
+        self.machine().cpu_count()
     }
 
     /// The CPU a task is currently placed on.
     pub fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.machine.cpu_of(handle.thread)
+        self.machine().cpu_of(handle.thread)
     }
 
     /// Read-only access to the multi-CPU machine the workers are sharded
     /// over — the same [`rrs_scheduler::Machine`] the simulator drives.
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        self.ctl.machine()
     }
 
     /// Read-only access to the controller.
     pub fn controller(&self) -> &Controller {
-        &self.controller
+        self.ctl.controller()
     }
 
     /// Grows the machine to `cpus` logical CPUs mid-run (hot-add),
-    /// returning the resulting CPU count.
-    ///
-    /// New CPUs join with empty run queues; the next scheduling round
-    /// dispatches them, and the control pipeline's Place stage starts
-    /// re-sharding workers onto them on its next cycle.  Shrinking is not
-    /// supported, so a `cpus` at or below the current count is a no-op.
+    /// returning the resulting CPU count (see
+    /// [`ControlLoop::grow_cpus`]).  The next scheduling round dispatches
+    /// the new CPUs.
     pub fn grow_cpus(&mut self, cpus: usize) -> usize {
-        let n = self.machine.grow_to(cpus);
-        self.controller.set_cpus(n);
-        self.config.controller.placement.cpus = n;
-        self.stats.per_cpu.resize(n, CpuStats::default());
-        n
+        self.ctl.grow_cpus(cpus)
     }
 
     /// Wall-clock time elapsed since the executor was created — the
@@ -292,21 +204,16 @@ impl RealTimeExecutor {
         self.start.elapsed()
     }
 
-    /// Aggregate statistics, with the per-CPU idle and deadline counters
-    /// filled in from the machine's dispatchers at read time.
-    pub fn stats(&self) -> ExecutorStats {
-        let mut stats = self.stats.clone();
-        for (i, cpu) in stats.per_cpu.iter_mut().enumerate() {
-            let d = self.machine.dispatcher(CpuId(i as u32)).stats();
-            cpu.idle_us = d.idle_us;
-            cpu.deadlines_missed = d.deadlines_missed;
-        }
-        stats
+    /// Aggregate statistics — the struct the simulator reports, measured
+    /// over real time; `steps` counts scheduling rounds (one dispatch sweep
+    /// over every CPU each).
+    pub fn stats(&self) -> SimStats {
+        self.ctl.stats()
     }
 
     /// The progress-metric registry shared with tasks.
     pub fn registry(&self) -> MetricRegistry {
-        self.registry.clone()
+        self.controller().registry().clone()
     }
 
     /// Number of registered (not yet finished) tasks.
@@ -325,21 +232,20 @@ impl RealTimeExecutor {
 
     /// The proportion currently reserved for a task, in parts per thousand.
     pub fn current_allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.machine
-            .reservation(handle.thread)
+        self.reservation(handle)
             .map(|r| r.proportion.ppt())
             .unwrap_or(0)
     }
 
     /// The reservation currently held by a task.
     pub fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.machine.reservation(handle.thread)
+        self.machine().reservation(handle.thread)
     }
 
     /// A task's dispatcher-side usage account (budget, period rollovers,
     /// missed deadlines).
     pub fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.machine.usage(handle.thread)
+        self.machine().usage(handle.thread)
     }
 
     /// Forces a reservation directly on the dispatcher, bypassing the
@@ -347,7 +253,10 @@ impl RealTimeExecutor {
     /// `force_reservation`.  The controller may overwrite it on its next
     /// cycle unless the job is real-time.
     pub fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
-        let _ = self.machine.set_reservation(handle.thread, reservation);
+        let _ = self
+            .ctl
+            .machine_mut()
+            .set_reservation(handle.thread, reservation);
     }
 
     /// Spawns a task.
@@ -383,37 +292,9 @@ impl RealTimeExecutor {
     where
         F: FnMut(Duration) -> StepOutcome + Send + 'static,
     {
-        let raw = self.next_id;
-        let job = JobId(raw);
-        let thread = ThreadId(raw);
-        let slot = match self.controller.add_job(job, spec) {
-            Ok(slot) => slot,
-            Err(e) => {
-                if matches!(e, AdmitError::Rejected { .. }) {
-                    self.stats.admission_rejections += 1;
-                }
-                return Err(e);
-            }
-        };
-        self.next_id += 1;
-        if self.slot_threads.len() <= slot.index() {
-            self.slot_threads.resize(slot.index() + 1, None);
-        }
-        let initial = Reservation::new(
-            spec.proportion
-                .unwrap_or(self.config.controller.min_proportion),
-            spec.period.unwrap_or(self.config.controller.default_period),
-        );
-        // The controller already ruled on admission and chose the CPU.
-        let cpu = self
-            .controller
-            .cpu_of_slot(slot)
-            .expect("slot was just created");
-        let handle = self
-            .machine
-            .add_thread_preadmitted_on(cpu, thread, initial)
-            .expect("fresh id");
-        self.slot_threads[slot.index()] = Some((thread, handle));
+        let handle = self.ctl.admit(spec)?;
+        let thread = handle.thread;
+        let raw = thread.raw();
 
         let (to_worker, from_executor) = bounded::<WorkerMessage>(1);
         let report_tx = self.reports.0.clone();
@@ -452,14 +333,14 @@ impl RealTimeExecutor {
         self.tasks.insert(
             thread,
             TaskSlot {
-                slot,
+                slot: handle.slot,
                 to_worker,
                 join: Some(join),
                 blocked: false,
                 done: false,
             },
         );
-        Ok(JobHandle { job, thread, slot })
+        Ok(handle)
     }
 
     /// Removes a task: stops its worker thread, deregisters it from the
@@ -477,15 +358,10 @@ impl RealTimeExecutor {
         if let Some(join) = slot.join.take() {
             let _ = join.join();
         }
-        let _ = self.machine.remove_thread(handle.thread);
         // Thread ids are never reused, so the per-task counter would
         // otherwise accumulate forever under job churn.
         self.cpu_time.lock().remove(&handle.thread.raw());
-        if self.controller.remove_slot(handle.slot) {
-            if let Some(entry) = self.slot_threads.get_mut(handle.slot.index()) {
-                *entry = None;
-            }
-        }
+        self.ctl.retire(handle);
     }
 
     fn now_us(&self) -> u64 {
@@ -493,38 +369,44 @@ impl RealTimeExecutor {
     }
 
     /// Runs the scheduling loop for the given wall-clock duration.
+    ///
+    /// The controller's next-cycle-due time lives in the control loop and
+    /// so persists across calls: a caller advancing in chunks shorter than
+    /// the controller period still gets its cycles (and its blocked tasks
+    /// re-polled) on the period grid.
     pub fn run_for(&mut self, duration: Duration) {
         let deadline = Instant::now() + duration;
-        let controller_period = Duration::from_secs_f64(self.config.controller.controller_period_s);
-        let mut next_controller = Instant::now() + controller_period;
 
         while Instant::now() < deadline {
-            self.stats.rounds += 1;
-            if Instant::now() >= next_controller {
-                self.run_controller();
-                next_controller += controller_period;
+            self.ctl.stats_mut().steps += 1;
+            let now_us = self.now_us();
+            if now_us >= self.ctl.next_cycle_us() {
+                // The cycle's cost elapses for real, so none is charged.
+                let tasks = &self.tasks;
+                self.ctl
+                    .cycle(SimTime::from_micros(now_us), None, 0, |tid| {
+                        tasks.get(&tid).map(|t| t.slot)
+                    });
+                self.ctl.skip_to_next_cycle(self.now_us());
                 // Re-poll blocked tasks at controller frequency.
-                let blocked: Vec<ThreadId> = self
-                    .tasks
-                    .iter()
-                    .filter(|(_, t)| t.blocked && !t.done)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for tid in blocked {
-                    self.tasks.get_mut(&tid).expect("exists").blocked = false;
-                    let _ = self.machine.unblock(tid);
+                for (&tid, task) in &mut self.tasks {
+                    if task.blocked && !task.done {
+                        task.blocked = false;
+                        let _ = self.ctl.machine_mut().unblock(tid);
+                    }
                 }
             }
 
-            self.machine.advance_to(self.now_us());
+            let now_us = self.now_us();
+            self.ctl.machine_mut().advance_to(now_us);
 
             // Dispatch every CPU, release the selected workers in
             // parallel, then wait for all of them (each simulated CPU runs
             // at most one worker at a time).
             let mut running = 0usize;
             let mut min_idle_quantum = u64::MAX;
-            for cpu in 0..self.machine.cpu_count() {
-                let outcome = self.machine.dispatch(CpuId(cpu as u32));
+            for cpu in 0..self.ctl.machine().cpu_count() {
+                let outcome = self.ctl.machine_mut().dispatch(CpuId(cpu as u32));
                 let Some(tid) = outcome.thread else {
                     min_idle_quantum = min_idle_quantum.min(outcome.quantum_us);
                     continue;
@@ -532,7 +414,7 @@ impl RealTimeExecutor {
                 let quantum = Duration::from_micros(outcome.quantum_us);
                 let slot = self.tasks.get_mut(&tid).expect("dispatched task exists");
                 if slot.done || slot.to_worker.send(WorkerMessage::Run(quantum)).is_err() {
-                    let _ = self.machine.block(tid);
+                    let _ = self.ctl.machine_mut().block(tid);
                     continue;
                 }
                 running += 1;
@@ -557,12 +439,12 @@ impl RealTimeExecutor {
         let used_us = report.elapsed.as_micros().max(1) as u64;
         // Attribute the consumption to the CPU the worker ran on, like the
         // simulator's per-CPU breakdown.
-        if let Some(cpu) = self.machine.cpu_of(report.thread) {
-            if let Some(c) = self.stats.per_cpu.get_mut(cpu.index()) {
+        if let Some(cpu) = self.ctl.machine().cpu_of(report.thread) {
+            if let Some(c) = self.ctl.stats_mut().per_cpu.get_mut(cpu.index()) {
                 c.used_us += used_us;
             }
         }
-        let _ = self.machine.charge(report.thread, used_us);
+        let _ = self.ctl.machine_mut().charge(report.thread, used_us);
         // A report may outlive its task: if `run_for` timed out waiting
         // while a worker was mid-step and the task was then removed, the
         // stale report drains here on the next round.  Drop it.
@@ -573,72 +455,12 @@ impl RealTimeExecutor {
             StepOutcome::Continue => {}
             StepOutcome::Blocked => {
                 slot.blocked = true;
-                let _ = self.machine.block(report.thread);
+                let _ = self.ctl.machine_mut().block(report.thread);
             }
             StepOutcome::Done => {
                 slot.done = true;
-                let _ = self.machine.block(report.thread);
+                let _ = self.ctl.machine_mut().block(report.thread);
             }
-        }
-    }
-
-    fn run_controller(&mut self) {
-        // Feed the machine's accounting to the controller by slot, then
-        // run the staged pipeline in place — no per-cycle allocation.
-        for (tid, task) in &self.tasks {
-            if let Some(acct) = self.machine.usage_ref(*tid) {
-                self.controller.record_usage(
-                    task.slot,
-                    UsageSnapshot {
-                        usage_ratio: acct.last_period_usage_ratio(),
-                    },
-                );
-            }
-        }
-        let cycle_ts = self.now_us();
-        let full_before = self.controller.cycle_counts().0;
-        let timer = self.telemetry.as_ref().map(|_| Instant::now());
-        let now_s = self.start.elapsed().as_secs_f64();
-        let out = self.controller.control_cycle_in_place(now_s);
-        self.stats.controller_invocations += 1;
-        for event in &out.events {
-            match event {
-                ControllerEvent::Quality(_) => self.stats.quality_exceptions += 1,
-                ControllerEvent::Squished { .. } => self.stats.squish_events += 1,
-                _ => {}
-            }
-        }
-        for actuation in &out.actuations {
-            if let Some(Some((tid, handle))) = self.slot_threads.get_mut(actuation.slot.index()) {
-                // Apply the Place stage's decision: logically reshard the
-                // worker onto its assigned CPU.
-                let moved =
-                    self.machine
-                        .actuate(handle, *tid, actuation.reservation, actuation.cpu);
-                if let Ok(Some(from)) = moved {
-                    self.stats.migrations += 1;
-                    self.stats.per_cpu[from.index()].migrations_out += 1;
-                    self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                }
-            }
-        }
-        if let (Some(recorder), Some(started)) = (&self.telemetry, timer) {
-            let incremental = self.controller.cycle_counts().0 == full_before;
-            let mut stage_ns = [0u32; 6];
-            if !incremental {
-                for (dst, src) in stage_ns.iter_mut().zip(self.controller.last_stage_ns()) {
-                    *dst = src.min(u32::MAX as u64) as u32;
-                }
-            }
-            recorder.record(
-                cycle_ts,
-                TraceEventKind::ControllerCycle {
-                    dur_ns: started.elapsed().as_nanos() as u64,
-                    incremental,
-                    jobs: self.controller.job_count() as u32,
-                    stage_ns,
-                },
-            );
         }
     }
 

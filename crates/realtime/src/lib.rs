@@ -17,8 +17,8 @@
 //! Since the machine-layer refactor the executor emulates an `N`-CPU
 //! machine (logical worker sharding), supports mid-run CPU hot-add
 //! ([`executor::RealTimeExecutor::grow_cpus`]) and task removal, and
-//! reports the same per-CPU statistics breakdown as the simulator
-//! ([`executor::ExecutorStats`]) — the parity that lets the
+//! reports the same statistics struct as the simulator
+//! ([`rrs_core::SimStats`]) — the parity that lets the
 //! backend-agnostic `realrate::api` host trait treat it interchangeably
 //! with `rrs-sim`.
 
@@ -27,5 +27,5 @@
 
 pub mod executor;
 
-pub use executor::{ExecutorConfig, ExecutorStats, RealTimeExecutor, StepOutcome};
+pub use executor::{ExecutorConfig, RealTimeExecutor, StepOutcome};
 pub use rrs_core::JobHandle;

@@ -18,7 +18,7 @@
 use crate::arrivals::ArrivalRng;
 use crate::slo::{Observations, SloOutcome};
 use crate::spec::{Member, ScenarioSpec, SpecError, TransientJob};
-use rrs_api::{Host, HostStats, Runtime, SimTime};
+use rrs_api::{Host, Runtime, SimStats, SimTime};
 use rrs_core::{JobHandle, JobSpec};
 use rrs_scheduler::{Period, Proportion};
 use rrs_sim::{RunResult, WorkModel};
@@ -84,7 +84,7 @@ pub struct ScenarioReport {
     /// Job-population counters.
     pub jobs: JobCounts,
     /// The host's aggregate statistics, per-CPU breakdown included.
-    pub stats: HostStats,
+    pub stats: SimStats,
     /// Per-phase telemetry counter slices (migrations, settles, cache
     /// hit rate, …), one entry per phase in schedule order.
     #[serde(default)]

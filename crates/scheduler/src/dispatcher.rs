@@ -75,9 +75,9 @@
 //! SimStats captures pin the whole optimisation as observationally
 //! invisible.
 //!
-//! Both mechanisms are counted by the always-on [`FastPathStats`]
-//! (exposed per CPU by [`Dispatcher::fast_path_stats`] and machine-wide
-//! by [`crate::Machine::fast_path_stats`]): every dispatch decision is
+//! Both mechanisms are counted by the always-on [`DispatchStats`]
+//! (exposed per CPU by [`Dispatcher::stats`] and machine-wide by
+//! [`crate::Machine::stats`]): every dispatch decision is
 //! either a `quantum_cache_hits` (served by the cache in `O(1)`) or a
 //! `quantum_cache_misses` (slow path), and every forced settle lands in
 //! exactly one of `settles_goodness`, `settles_period_boundary`,
@@ -170,6 +170,13 @@ impl Default for DispatcherConfig {
 }
 
 /// Counters describing what the dispatcher has done so far.
+///
+/// The last six are the counter names the module docs' fast-path
+/// invariants refer to: `quantum_cache_hits` / `quantum_cache_misses`
+/// split every dispatch decision by whether the next-quantum cache served
+/// it, and the four `settles_*` counters split batched span settles by
+/// their [`SettleReason`].  Always counted (an increment is cheaper than a
+/// branch to skip it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DispatchStats {
     /// Number of dispatch decisions taken.
@@ -184,21 +191,6 @@ pub struct DispatchStats {
     pub overhead_us: f64,
     /// Time during which no thread was runnable, in microseconds.
     pub idle_us: u64,
-}
-
-/// Fast-path effectiveness counters, kept separate from [`DispatchStats`]
-/// so the golden stats captures (which pin the scheduling *outcome*) stay
-/// byte-identical while the *mechanism* remains observable.
-///
-/// These are the counter names the module docs' fast-path invariants refer
-/// to: `quantum_cache_hits` / `quantum_cache_misses` split every dispatch
-/// decision by whether the next-quantum cache served it, and the four
-/// `settles_*` counters split batched span settles by their
-/// [`SettleReason`].  Always counted (an increment is cheaper than a
-/// branch to skip it); aggregated machine-wide by
-/// [`crate::Machine::fast_path_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FastPathStats {
     /// Dispatch decisions served by the next-quantum cache in `O(1)`.
     pub quantum_cache_hits: u64,
     /// Dispatch decisions that took the slow path (queue peek + re-rank).
@@ -213,33 +205,21 @@ pub struct FastPathStats {
     pub settles_zero_span: u64,
 }
 
-impl FastPathStats {
+impl DispatchStats {
     /// Accumulates another CPU's counters into this one.
-    pub fn merge(&mut self, other: &FastPathStats) {
+    pub fn merge(&mut self, other: &DispatchStats) {
+        self.dispatches += other.dispatches;
+        self.context_switches += other.context_switches;
+        self.period_rollovers += other.period_rollovers;
+        self.deadlines_missed += other.deadlines_missed;
+        self.overhead_us += other.overhead_us;
+        self.idle_us += other.idle_us;
         self.quantum_cache_hits += other.quantum_cache_hits;
         self.quantum_cache_misses += other.quantum_cache_misses;
         self.settles_goodness += other.settles_goodness;
         self.settles_period_boundary += other.settles_period_boundary;
         self.settles_throttle_edge += other.settles_throttle_edge;
         self.settles_zero_span += other.settles_zero_span;
-    }
-
-    /// `hits / (hits + misses)`, or 0 when no dispatch has run.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.quantum_cache_hits + self.quantum_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.quantum_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Settles of every cause combined.
-    pub fn settles_total(&self) -> u64 {
-        self.settles_goodness
-            + self.settles_period_boundary
-            + self.settles_throttle_edge
-            + self.settles_zero_span
     }
 }
 
@@ -386,10 +366,6 @@ pub struct Dispatcher {
     /// Span charges accumulated against `span_slot`'s account but not yet
     /// settled into it (lazy mode only; see the module docs).
     span_pending_us: u64,
-    /// Always-on fast-path effectiveness counters (cache hits/misses,
-    /// settles by reason); separate from `stats` so the golden captures
-    /// stay stable.
-    fast_path: FastPathStats,
     /// Trace-event sink when telemetry is enabled; `None` costs one branch
     /// per instrumentation point.
     telemetry: Option<Arc<Recorder>>,
@@ -424,15 +400,9 @@ impl Dispatcher {
             span_slot: None,
             quantum_cache_gen: None,
             span_pending_us: 0,
-            fast_path: FastPathStats::default(),
             telemetry: None,
             telemetry_cpu: 0,
         }
-    }
-
-    /// The always-on fast-path effectiveness counters.
-    pub fn fast_path_stats(&self) -> FastPathStats {
-        self.fast_path
     }
 
     /// Attaches (or detaches) a telemetry recorder; `cpu` is the index
@@ -1290,7 +1260,7 @@ impl Dispatcher {
         self.settle_span();
         self.stats.dispatches += 1;
         self.stats.overhead_us += self.config.dispatch_cost_us;
-        self.fast_path.quantum_cache_misses += 1;
+        self.stats.quantum_cache_misses += 1;
         if let Some(t) = &self.telemetry {
             t.record(
                 self.now_us,
@@ -1409,7 +1379,7 @@ impl Dispatcher {
             .saturating_sub(entry.account.used_this_period_us + pending)
             .max(1);
         let thread = entry.id;
-        self.fast_path.quantum_cache_hits += 1;
+        self.stats.quantum_cache_hits += 1;
         if let Some(t) = &self.telemetry {
             t.record(
                 self.now_us,
@@ -1475,19 +1445,19 @@ impl Dispatcher {
     fn note_settle(&mut self, idx: u32, reason: SettleReason) {
         let cause = match reason {
             SettleReason::GoodnessCrossing => {
-                self.fast_path.settles_goodness += 1;
+                self.stats.settles_goodness += 1;
                 SettleCause::Goodness
             }
             SettleReason::PeriodBoundary => {
-                self.fast_path.settles_period_boundary += 1;
+                self.stats.settles_period_boundary += 1;
                 SettleCause::PeriodBoundary
             }
             SettleReason::ThrottleEdge => {
-                self.fast_path.settles_throttle_edge += 1;
+                self.stats.settles_throttle_edge += 1;
                 SettleCause::ThrottleEdge
             }
             SettleReason::ZeroSpan => {
-                self.fast_path.settles_zero_span += 1;
+                self.stats.settles_zero_span += 1;
                 SettleCause::ZeroSpan
             }
         };

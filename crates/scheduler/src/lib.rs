@@ -49,11 +49,12 @@ pub mod types;
 pub use accounting::UsageAccount;
 pub use admission::AdmissionControl;
 pub use dispatcher::{
-    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, FastPathStats, MigratedThread,
-    ThreadClass,
+    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread, ThreadClass,
 };
 pub use error::SchedError;
 pub use machine::{CpuStats, Machine};
 pub use reservation::Reservation;
+/// The trace/telemetry types [`Machine::set_telemetry`] speaks.
+pub use rrs_telemetry as telemetry;
 pub use settle::{charge_exhausts, span_settle_reason, SettleReason};
 pub use types::{CpuId, Period, Proportion, ThreadHandle, ThreadId, ThreadState};

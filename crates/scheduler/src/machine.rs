@@ -42,8 +42,7 @@
 //! fresh one.
 
 use crate::dispatcher::{
-    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, FastPathStats, MigratedThread,
-    ThreadClass,
+    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread, ThreadClass,
 };
 use crate::error::SchedError;
 use crate::reservation::Reservation;
@@ -139,15 +138,6 @@ impl Machine {
     /// The attached telemetry recorder, if any.
     pub fn telemetry(&self) -> Option<Arc<Recorder>> {
         self.telemetry.clone()
-    }
-
-    /// Aggregate fast-path effectiveness counters summed over all CPUs.
-    pub fn fast_path_stats(&self) -> FastPathStats {
-        let mut total = FastPathStats::default();
-        for d in &self.cpus {
-            total.merge(&d.fast_path_stats());
-        }
-        total
     }
 
     /// Number of CPUs.
@@ -279,13 +269,7 @@ impl Machine {
     pub fn stats(&self) -> DispatchStats {
         let mut total = DispatchStats::default();
         for d in &self.cpus {
-            let s = d.stats();
-            total.dispatches += s.dispatches;
-            total.context_switches += s.context_switches;
-            total.period_rollovers += s.period_rollovers;
-            total.deadlines_missed += s.deadlines_missed;
-            total.overhead_us += s.overhead_us;
-            total.idle_us += s.idle_us;
+            total.merge(&d.stats());
         }
         total
     }

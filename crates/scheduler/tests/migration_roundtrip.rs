@@ -344,7 +344,6 @@ proptest! {
                 );
             }
             prop_assert_eq!(by_id.stats(), by_handle.stats());
-            prop_assert_eq!(by_id.fast_path_stats(), by_handle.fast_path_stats());
             prop_assert_eq!(by_id.next_timer_expiry(), by_handle.next_timer_expiry());
             for cpu in by_id.cpu_ids() {
                 prop_assert_eq!(by_id.cpu_load_ppt(cpu), by_handle.cpu_load_ppt(cpu));

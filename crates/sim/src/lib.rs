@@ -58,5 +58,5 @@ pub use rrs_core::{JobHandle, SimTime};
 pub use rrs_scheduler::CpuStats;
 pub use sharded::{ShardConfig, ShardedSim};
 pub use simulation::{CpuConfig, SimConfig, SimStats, Simulation, SteppingMode};
-pub use trace::Trace;
+pub use trace::{JobSeries, Trace};
 pub use workload::{RunResult, WorkModel};

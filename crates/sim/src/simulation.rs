@@ -27,23 +27,22 @@
 
 use crate::calendar::{EventId, Schedule};
 use crate::event::Event;
-use crate::trace::{SeriesId, Trace};
+use crate::trace::{JobSeries, Trace};
 use crate::workload::WorkModel;
+pub use rrs_core::SimStats;
 use rrs_core::{
-    controller::AdmitError, Actuation, Controller, ControllerConfig, ControllerEvent, JobHandle,
-    JobId, JobSlot, JobSpec, SimTime, SlotSet, UsageSnapshot,
+    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobId, JobSlot,
+    JobSpec, SimTime, SlotSet,
 };
-use rrs_metrics::timeseries::Sample;
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
-    CpuId, CpuStats, DispatchOutcome, Dispatcher, DispatcherConfig, Machine, MigratedThread,
-    Period, Proportion, Reservation, ThreadHandle, ThreadId, ThreadState,
+    CpuId, DispatchOutcome, Dispatcher, DispatcherConfig, Machine, MigratedThread, Period,
+    Proportion, Reservation, ThreadId, ThreadState,
 };
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The simulated CPU.
@@ -143,99 +142,21 @@ impl SimConfig {
     }
 }
 
-/// Aggregate statistics for a simulation run.
-///
-/// The per-CPU entries are [`rrs_scheduler::CpuStats`]; under the
-/// lockstep clock, `idle_us` is rebooked to actual elapsed time, like the
-/// machine aggregate.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SimStats {
-    /// Number of controller invocations.
-    pub controller_invocations: u64,
-    /// Total modelled controller execution cost, in microseconds.
-    pub controller_cost_us: f64,
-    /// Total modelled dispatcher overhead, in microseconds.
-    pub dispatch_overhead_us: f64,
-    /// Number of quality exceptions raised.
-    pub quality_exceptions: u64,
-    /// Number of control cycles in which allocations were squished.
-    pub squish_events: u64,
-    /// Number of real-time admission rejections observed.
-    pub admission_rejections: u64,
-    /// Number of cross-CPU migrations applied.
-    pub migrations: u64,
-    /// Number of simulation steps executed.  Under calendar stepping this
-    /// counts *events handled* (controller cycles, trace samples, wake-ups,
-    /// poll ticks); under lockstep it counts dispatch rounds, where idle
-    /// fast-forward makes it drop on quiet workloads.
-    pub steps: u64,
-    /// Per-CPU breakdown (usage, idle, migrations), one entry per CPU.
-    /// The machine-wide aggregates above are sums over these entries plus
-    /// the controller's own counters, so consumers no longer recompute
-    /// per-CPU views from job handles.
-    pub per_cpu: Vec<CpuStats>,
-}
-
 struct SimThread {
-    name: String,
-    /// The trace series this thread samples into, indexed by
-    /// [`SimThread::SERIES`]; each name is spelled and looked up once,
-    /// at the series' first sample.
-    series: [Option<SeriesId>; 3],
+    /// The job's `alloc/`, `period/` and `rate/` trace series.
+    series: JobSeries,
+    /// The controller slot, which is also how the control loop finds the
+    /// thread on the machine (wake-ups, trace reads).
     slot: JobSlot,
-    /// Where the thread sits on the machine, so actuations, wake-ups and
-    /// trace reads reach it without an id lookup.  Refreshed by whatever
-    /// moves the thread (see [`rrs_scheduler::ThreadHandle`]).
-    handle: ThreadHandle,
     work: Box<dyn WorkModel>,
-    last_progress: f64,
-}
-
-impl SimThread {
-    /// The per-thread series, `<kind>/<thread name>`.
-    const SERIES: [&str; 3] = ["alloc", "period", "rate"];
-    const ALLOC: usize = 0;
-    const PERIOD: usize = 1;
-    const RATE: usize = 2;
-
-    fn new(
-        name: String,
-        slot: JobSlot,
-        handle: ThreadHandle,
-        work: Box<dyn WorkModel>,
-        last_progress: f64,
-    ) -> Self {
-        Self {
-            name,
-            series: [None; 3],
-            slot,
-            handle,
-            work,
-            last_progress,
-        }
-    }
-
-    /// Appends a sample to this thread's series of the given kind.
-    fn sample(&mut self, trace: &mut Trace, kind: usize, sample: Sample) {
-        let id = match self.series[kind] {
-            Some(id) => id,
-            None => {
-                let id = trace.series_id(&format!("{}/{}", Self::SERIES[kind], self.name));
-                self.series[kind] = Some(id);
-                id
-            }
-        };
-        trace.record_at(id, sample);
-    }
 }
 
 /// A job's complete simulator-side state, in transit between two shards
 /// of the sharded simulator.  Produced by [`Simulation::extract_job`],
 /// consumed by [`Simulation::inject_job`].
 pub(crate) struct MigratedSimJob {
-    name: String,
+    series: JobSeries,
     work: Box<dyn WorkModel>,
-    last_progress: f64,
     mjob: rrs_core::MigratedJob,
     mthread: MigratedThread,
 }
@@ -269,9 +190,10 @@ impl MigratedSimJob {
 /// ```
 pub struct Simulation {
     config: SimConfig,
-    registry: MetricRegistry,
-    machine: Machine,
-    controller: Controller,
+    /// The feedback loop proper: controller, machine, slot table, counters
+    /// and recorder.  Everything below is the simulated clock and the work
+    /// models it drives.
+    ctl: ControlLoop,
     /// Dense thread table indexed by `ThreadId.0` (ids are allocated
     /// monotonically from 1 and never reused), so the span hot loop reaches
     /// a dispatched thread's work model without a map lookup.  Entries are
@@ -280,9 +202,6 @@ pub struct Simulation {
     /// belong to sibling shards, which is why an entry is a pointer: a
     /// table that is mostly holes should not pay a whole `SimThread` a hole.
     threads: Vec<Option<Box<SimThread>>>,
-    /// Slot-indexed map back to the dispatcher's thread id, so actuations
-    /// apply without re-deriving `JobId ↔ ThreadId`.
-    slot_threads: Vec<Option<ThreadId>>,
     /// The blocked-thread calendar: raw ids (dense, like `threads`) whose
     /// work model reported a block and has not yet been polled awake.  The
     /// bitset walks in id order, matching the original full scan, and skips
@@ -300,13 +219,7 @@ pub struct Simulation {
     /// Per-step CPU time actually consumed, aligned with `cpu_outcomes`
     /// (reused across steps).
     cpu_used: Vec<u64>,
-    next_id: u64,
-    /// Gap between consecutively allocated raw ids (1 standalone; the
-    /// shard count under the sharded simulator, see
-    /// [`Simulation::with_shard_identity`]).
-    id_stride: u64,
     now_us: u64,
-    next_controller_us: u64,
     next_trace_us: u64,
     /// End bound of the `run_until_micros` call in progress, clamping how
     /// far an idle fast-forward may jump past the requested horizon.
@@ -320,19 +233,12 @@ pub struct Simulation {
     wake_events: Vec<Option<EventId>>,
     /// The single outstanding `Event::PollTick`, if any.
     poll_tick: Option<EventId>,
-    /// When the controller last fired (calendar stepping), so `dt` is
-    /// derived from exact integer microsecond deltas.
-    last_controller_fire_us: u64,
     /// Per-CPU dispatcher overhead watermark (calendar stepping charges
     /// overhead per CPU rather than averaging over the machine).
     last_cpu_overhead: Vec<f64>,
     /// Per-CPU fractional overhead not yet consumed as simulated time.
     overhead_carry: Vec<f64>,
     trace: Trace,
-    stats: SimStats,
-    /// The structured trace recorder, when telemetry is enabled.  `None`
-    /// (the default) keeps every hot path on a single branch.
-    telemetry: Option<Arc<Recorder>>,
     /// Always-on calendar event counters, one per [`Event`] variant, in
     /// pop order: controller, trace, wake, poll-tick, horizon.
     event_counts: [u64; 5],
@@ -367,58 +273,43 @@ impl Simulation {
             config.dispatcher.lazy_rollovers = true;
             config.controller.incremental = true;
         }
-        let controller = Controller::new(config.controller, registry.clone());
-        let machine = Machine::new(config.dispatcher, config.cpus());
-        let controller_period_us = (config.controller.controller_period_s * 1e6).round() as u64;
-        let next_controller_us = controller_period_us.max(1);
-        let stats = SimStats {
-            per_cpu: vec![CpuStats::default(); machine.cpu_count()],
-            ..SimStats::default()
-        };
+        let ctl = ControlLoop::new(config.controller, config.dispatcher, registry)
+            .with_ids(first_id, id_stride);
         let mut calendar = Schedule::new();
         if config.stepping == SteppingMode::Calendar {
             // Seed the periodic events; each handler reschedules itself.
             calendar.schedule(SimTime::ZERO, Event::Trace);
             if config.controller_enabled {
-                calendar.schedule(SimTime::from_micros(next_controller_us), Event::Controller);
+                calendar.schedule(SimTime::from_micros(ctl.next_cycle_us()), Event::Controller);
             }
         }
-        let cpus = machine.cpu_count();
+        let cpus = ctl.machine().cpu_count();
         Self {
             config,
-            registry,
-            machine,
-            controller,
+            ctl,
             threads: Vec::new(),
-            slot_threads: Vec::new(),
             blocked: SlotSet::default(),
             scratch_wakes: Vec::new(),
             scratch_poll: Vec::new(),
             cpu_outcomes: Vec::new(),
             cpu_used: Vec::new(),
-            next_id: first_id.max(1),
-            id_stride: id_stride.max(1),
             now_us: 0,
-            next_controller_us,
             next_trace_us: 0,
             run_end_us: None,
             last_dispatch_overhead_us: 0.0,
             calendar,
             wake_events: Vec::new(),
             poll_tick: None,
-            last_controller_fire_us: 0,
             last_cpu_overhead: vec![0.0; cpus],
             overhead_carry: vec![0.0; cpus],
             trace: Trace::new(),
-            stats,
-            telemetry: None,
             event_counts: [0; 5],
         }
     }
 
     /// The progress-metric registry; workloads register their queues here.
     pub fn registry(&self) -> MetricRegistry {
-        self.registry.clone()
+        self.ctl.controller().registry().clone()
     }
 
     /// The simulation's current configuration (mid-run setters like
@@ -445,29 +336,14 @@ impl Simulation {
     /// Aggregate statistics, with the per-CPU breakdown filled in from the
     /// machine's dispatchers at read time.
     pub fn stats(&self) -> SimStats {
-        let mut stats = self.stats.clone();
-        for (i, cpu) in stats.per_cpu.iter_mut().enumerate() {
-            let d = self.machine.dispatcher(CpuId(i as u32)).stats();
-            cpu.idle_us = d.idle_us;
-            cpu.deadlines_missed = d.deadlines_missed;
-        }
-        stats
+        self.ctl.stats()
     }
 
     /// Grows the machine to `cpus` CPUs mid-run (hot-add), returning the
-    /// resulting CPU count.
-    ///
-    /// New CPUs join with empty run queues at the shared clock; the
-    /// control pipeline's Place stage starts fitting jobs onto them (and
-    /// the Allocate stage's machine-wide capacity widens) on its next
-    /// cycle.  Shrinking is not supported — the machine layer has no
-    /// hot-remove — so a `cpus` at or below the current count is a no-op.
-    /// The count stays clamped to the Place stage's 4096-CPU bound.
+    /// resulting CPU count (see [`ControlLoop::grow_cpus`]).
     pub fn grow_cpus(&mut self, cpus: usize) -> usize {
-        let n = self.machine.grow_to(cpus);
-        self.controller.set_cpus(n);
+        let n = self.ctl.grow_cpus(cpus);
         self.config.controller.placement.cpus = n;
-        self.stats.per_cpu.resize(n, CpuStats::default());
         self.last_cpu_overhead.resize(n, 0.0);
         self.overhead_carry.resize(n, 0.0);
         n
@@ -496,93 +372,55 @@ impl Simulation {
     /// default single-CPU configuration.  Multi-CPU queries should go
     /// through [`Simulation::machine`].
     pub fn dispatcher(&self) -> &Dispatcher {
-        self.machine.dispatcher(CpuId::ZERO)
+        self.machine().dispatcher(CpuId::ZERO)
     }
 
     /// Read-only access to the multi-CPU machine.
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        self.ctl.machine()
     }
 
     /// The CPU a job's thread is currently placed on.
     pub fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.machine.cpu_of(handle.thread)
+        self.machine().cpu_of(handle.thread)
     }
 
     /// Read-only access to the controller.
     pub fn controller(&self) -> &Controller {
-        &self.controller
+        self.ctl.controller()
     }
 
     /// Enables structured trace recording and controller stage timing,
-    /// returning the shared recorder.
-    ///
-    /// The ring buffer is allocated up front ([`TelemetryConfig::ring_capacity`]
-    /// events); once warm, recording overwrites the oldest entry and never
-    /// allocates.  Calling this again replaces the recorder (and its ring).
+    /// returning the shared recorder (see
+    /// [`ControlLoop::enable_telemetry`]).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
-        let recorder = Recorder::new(config);
-        self.machine.set_telemetry(Some(recorder.clone()));
-        self.controller.set_stage_timing(recorder.stage_timing());
-        self.telemetry = Some(recorder.clone());
-        recorder
+        self.ctl.enable_telemetry(config)
     }
 
     /// The trace recorder installed by [`Simulation::enable_telemetry`],
     /// if any.
     pub fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
-        self.telemetry.clone()
+        self.ctl.recorder().cloned()
     }
 
     /// Attaches an *existing* recorder instead of creating one — the
     /// sharded simulator shares one ring across every shard.
     pub(crate) fn attach_telemetry(&mut self, recorder: Arc<Recorder>) {
-        self.machine.set_telemetry(Some(recorder.clone()));
-        self.controller.set_stage_timing(recorder.stage_timing());
-        self.telemetry = Some(recorder);
+        self.ctl.attach_telemetry(recorder);
     }
 
-    /// A point-in-time snapshot of every subsystem counter: quantum-cache
-    /// hits/misses, settles by reason, calendar events by type, controller
-    /// cycle split and stage timing, and machine-level dispatch totals.
-    ///
-    /// The counters behind this are always on (plain integer increments on
-    /// paths that already write statistics); only the `trace_events_*`
-    /// fields require an enabled recorder.
+    /// A point-in-time snapshot of every subsystem counter: the control
+    /// loop's ([`ControlLoop::telemetry_snapshot`]) plus the calendar's
+    /// events by type.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let fast = self.machine.fast_path_stats();
-        let dispatch = self.machine.stats();
-        let (full, incremental) = self.controller.cycle_counts();
-        let stage = self.controller.stage_total_ns();
-        let snapshot = TelemetrySnapshot {
-            quantum_cache_hits: fast.quantum_cache_hits,
-            quantum_cache_misses: fast.quantum_cache_misses,
-            settles_goodness: fast.settles_goodness,
-            settles_period_boundary: fast.settles_period_boundary,
-            settles_throttle_edge: fast.settles_throttle_edge,
-            settles_zero_span: fast.settles_zero_span,
+        TelemetrySnapshot {
             events_controller: self.event_counts[0],
             events_trace: self.event_counts[1],
             events_wake: self.event_counts[2],
             events_poll_tick: self.event_counts[3],
             events_horizon: self.event_counts[4],
-            controller_full_cycles: full,
-            controller_incremental_cycles: incremental,
-            stage_sense_ns: stage[0],
-            stage_classify_ns: stage[1],
-            stage_estimate_ns: stage[2],
-            stage_allocate_ns: stage[3],
-            stage_place_ns: stage[4],
-            stage_actuate_ns: stage[5],
-            dispatches: dispatch.dispatches,
-            context_switches: dispatch.context_switches,
-            period_rollovers: dispatch.period_rollovers,
-            migrations: self.stats.migrations,
-            trace_events_recorded: self.telemetry.as_ref().map(|r| r.recorded()).unwrap_or(0),
-            trace_events_dropped: self.telemetry.as_ref().map(|r| r.dropped()).unwrap_or(0),
-            ..TelemetrySnapshot::default()
-        };
-        snapshot.finalize()
+            ..self.ctl.telemetry_snapshot()
+        }
     }
 
     fn thread_mut(&mut self, tid: ThreadId) -> Option<&mut SimThread> {
@@ -609,63 +447,40 @@ impl Simulation {
     ///
     /// The job is registered with the controller (real-time jobs go through
     /// admission control) and with the dispatcher, starting from either its
-    /// requested reservation or the minimum allocation.  The importance
-    /// weight is read from the spec ([`JobSpec::with_importance`]).
+    /// requested reservation or the minimum allocation
+    /// ([`ControlLoop::admit`]).  The importance weight is read from the
+    /// spec ([`JobSpec::with_importance`]).
     pub fn add_job(
         &mut self,
         name: &str,
         spec: JobSpec,
         work: Box<dyn WorkModel>,
     ) -> Result<JobHandle, AdmitError> {
-        let raw = self.next_id;
-        let job = JobId(raw);
-        let thread = ThreadId(raw);
-
-        let slot = match self.controller.add_job(job, spec) {
-            Ok(slot) => slot,
-            Err(e) => {
-                if matches!(e, AdmitError::Rejected { .. }) {
-                    self.stats.admission_rejections += 1;
-                }
-                return Err(e);
-            }
-        };
-        self.next_id += self.id_stride;
-        if self.slot_threads.len() <= slot.index() {
-            self.slot_threads.resize(slot.index() + 1, None);
-        }
-        self.slot_threads[slot.index()] = Some(thread);
-
-        let initial = Reservation::new(
-            spec.proportion
-                .unwrap_or(self.config.controller.min_proportion),
-            spec.period.unwrap_or(self.config.controller.default_period),
-        );
-        // The controller already ruled on admission and chose the CPU
-        // (least-loaded fit) above.
-        let cpu = self
-            .controller
-            .cpu_of_slot(slot)
-            .expect("slot was just created");
-        let handle = self
-            .machine
-            .add_thread_preadmitted_on(cpu, thread, initial)
-            .expect("fresh thread id cannot clash");
-        self.install_thread(
-            thread,
-            SimThread::new(name.to_string(), slot, handle, work, 0.0),
-        );
-        Ok(JobHandle { job, thread, slot })
+        let handle = self.ctl.admit(spec)?;
+        self.install_thread(handle, JobSeries::new(name), work);
+        Ok(handle)
     }
 
     /// Stores a thread's simulator-side state in the dense tables.
-    fn install_thread(&mut self, tid: ThreadId, thread: SimThread) {
-        let i = tid.0 as usize;
+    fn install_thread(&mut self, handle: JobHandle, series: JobSeries, work: Box<dyn WorkModel>) {
+        let i = handle.thread.0 as usize;
         if self.threads.len() <= i {
             self.threads.resize_with(i + 1, || None);
             self.blocked.grow(i + 1);
         }
-        self.threads[i] = Some(Box::new(thread));
+        self.threads[i] = Some(Box::new(SimThread {
+            series,
+            slot: handle.slot,
+            work,
+        }));
+    }
+
+    /// Forgets a thread's block/wake status (the thread is leaving).
+    fn clear_wait(&mut self, tid: ThreadId) {
+        self.blocked.remove(tid.0 as usize);
+        if let Some(id) = self.take_wake_event(tid) {
+            self.calendar.cancel(id);
+        }
     }
 
     /// Removes a job from the simulation.
@@ -673,16 +488,8 @@ impl Simulation {
         if let Some(entry) = self.threads.get_mut(handle.thread.0 as usize) {
             *entry = None;
         }
-        self.blocked.remove(handle.thread.0 as usize);
-        if let Some(id) = self.take_wake_event(handle.thread) {
-            self.calendar.cancel(id);
-        }
-        let _ = self.machine.remove_thread(handle.thread);
-        if self.controller.remove_slot(handle.slot) {
-            if let Some(entry) = self.slot_threads.get_mut(handle.slot.index()) {
-                *entry = None;
-            }
-        }
+        self.clear_wait(handle.thread);
+        self.ctl.retire(handle);
     }
 
     /// Detaches a job's complete simulator-side state — work model,
@@ -691,30 +498,18 @@ impl Simulation {
     /// attachments stay registered (the registry is shared between
     /// shards).  Returns `None` if the job is unknown.
     pub(crate) fn extract_job(&mut self, job: JobId) -> Option<MigratedSimJob> {
-        let slot = self.controller.slot_of(job)?;
         let tid = ThreadId(job.0);
         let sim_thread = self.threads.get_mut(tid.0 as usize)?.take()?;
         // From here on every layer must agree the job exists: the thread
         // table entry is already out.
-        let mjob = self
-            .controller
-            .extract_job(job)
-            .expect("slot resolved above");
-        let mthread = self
-            .machine
-            .extract_thread(tid)
-            .expect("thread registered with the machine");
-        self.blocked.remove(tid.0 as usize);
-        if let Some(id) = self.take_wake_event(tid) {
-            self.calendar.cancel(id);
-        }
-        if let Some(s) = self.slot_threads.get_mut(slot.index()) {
-            *s = None;
-        }
+        let (mjob, mthread) = self
+            .ctl
+            .extract(job)
+            .expect("a thread in the table is a job in the loop");
+        self.clear_wait(tid);
         Some(MigratedSimJob {
-            name: sim_thread.name,
+            series: sim_thread.series.rebased(),
             work: sim_thread.work,
-            last_progress: sim_thread.last_progress,
             mjob,
             mthread,
         })
@@ -731,31 +526,21 @@ impl Simulation {
         cpu: CpuId,
     ) -> Result<JobHandle, AdmitError> {
         let MigratedSimJob {
-            name,
+            series,
             work,
-            last_progress,
             mjob,
             mthread,
         } = migrated;
-        let job = mjob.job();
-        let tid = ThreadId(job.0);
         let was_blocked = mthread.state() == ThreadState::Blocked;
-        let slot = self.controller.inject_job(mjob, cpu)?;
-        let handle = self
-            .machine
-            .inject_thread_on(cpu, mthread)
-            .expect("controller accepted the id, so the machine must too");
-        if self.slot_threads.len() <= slot.index() {
-            self.slot_threads.resize(slot.index() + 1, None);
-        }
-        self.slot_threads[slot.index()] = Some(tid);
+        let handle = self.ctl.inject(mjob, mthread, cpu)?;
+        let tid = handle.thread;
         let calendar = self.config.stepping == SteppingMode::Calendar;
         let wake = if was_blocked && calendar {
             work.next_transition(SimTime::from_micros(self.now_us))
         } else {
             None
         };
-        self.install_thread(tid, SimThread::new(name, slot, handle, work, last_progress));
+        self.install_thread(handle, series, work);
         match wake {
             Some(w) => {
                 let at = w.as_micros().max(self.now_us + 1);
@@ -772,16 +557,12 @@ impl Simulation {
             }
             None => {}
         }
-        Ok(JobHandle {
-            job,
-            thread: tid,
-            slot,
-        })
+        Ok(handle)
     }
 
     /// Rebuilds a job's handle from its id, if the job is live here.
     pub(crate) fn handle_of(&self, job: JobId) -> Option<JobHandle> {
-        let slot = self.controller.slot_of(job)?;
+        let slot = self.ctl.controller().slot_of(job)?;
         Some(JobHandle {
             job,
             thread: ThreadId(job.0),
@@ -791,7 +572,7 @@ impl Simulation {
 
     /// The proportion currently reserved for a job, in parts per thousand.
     pub fn current_allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.machine
+        self.machine()
             .reservation(handle.thread)
             .map(|r| r.proportion.ppt())
             .unwrap_or(0)
@@ -799,7 +580,7 @@ impl Simulation {
 
     /// Total CPU time a job has consumed so far, in microseconds.
     pub fn cpu_used_us(&self, handle: JobHandle) -> u64 {
-        self.machine
+        self.machine()
             .usage(handle.thread)
             .map(|u| u.total_used_us)
             .unwrap_or(0)
@@ -862,7 +643,7 @@ impl Simulation {
                 break;
             }
             let (_, event) = self.calendar.pop().expect("peeked above");
-            self.stats.steps += 1;
+            self.ctl.stats_mut().steps += 1;
             self.handle_event(event);
         }
     }
@@ -892,11 +673,11 @@ impl Simulation {
             let Some((_, event)) = self.calendar.pop() else {
                 break;
             };
-            self.stats.steps += 1;
+            self.ctl.stats_mut().steps += 1;
             self.handle_event(event);
         }
         self.calendar.cancel(horizon);
-        self.machine.sync_all();
+        self.ctl.machine_mut().sync_all();
     }
 
     /// Handles one popped calendar event at the current clock.
@@ -909,19 +690,19 @@ impl Simulation {
             Event::Horizon => CalendarEventKind::Horizon,
         };
         self.event_counts[kind as usize] += 1;
-        if let Some(recorder) = &self.telemetry {
+        if let Some(recorder) = self.ctl.recorder() {
             recorder.record(self.now_us, TraceEventKind::CalendarEvent { kind });
         }
         match event {
-            Event::Controller => self.run_controller_calendar(),
-            Event::Trace => {
-                self.record_trace();
-                let interval_us = (self.config.trace_interval_s * 1e6).round().max(1.0) as u64;
-                while self.next_trace_us <= self.now_us {
-                    self.next_trace_us += interval_us;
-                }
+            Event::Controller => {
+                let next = self.run_controller();
                 self.calendar
-                    .schedule(SimTime::from_micros(self.next_trace_us), Event::Trace);
+                    .schedule(SimTime::from_micros(next), Event::Controller);
+            }
+            Event::Trace => {
+                let next = self.record_trace();
+                self.calendar
+                    .schedule(SimTime::from_micros(next), Event::Trace);
             }
             Event::Wake(tid) => {
                 self.take_wake_event(tid);
@@ -933,8 +714,8 @@ impl Simulation {
                 // but the model stays the authority: confirm via the poll
                 // hook, and fall back to polling if it disagrees.
                 if entry.work.poll_unblock(now_us) {
-                    let handle = entry.handle;
-                    let _ = self.machine.unblock_at(handle, tid);
+                    let slot = entry.slot;
+                    self.ctl.unblock(slot, tid);
                 } else {
                     self.blocked.insert(tid.0 as usize);
                     self.ensure_poll_tick(now_us);
@@ -982,7 +763,7 @@ impl Simulation {
         let cpu_hz = self.config.cpu.clock_hz;
         let interval = self.config.dispatcher.dispatch_interval_us.max(1);
         let charge_overhead = self.config.charge_dispatch_overhead;
-        for cpu in 0..self.machine.cpu_count() {
+        for cpu in 0..self.ctl.machine().cpu_count() {
             let cpu_id = CpuId(cpu as u32);
             let mut t = start;
             // In-window wake/poll entries carry the dispatcher's dense slot
@@ -1005,7 +786,8 @@ impl Simulation {
                     local_wakes.swap_remove(i);
                     let entry = self.thread_mut(tid).expect("blocked thread exists");
                     if entry.work.poll_unblock(t) {
-                        self.machine
+                        self.ctl
+                            .machine_mut()
                             .dispatcher_mut(cpu_id)
                             .unblock_slot(dslot, tid)
                             .expect("a slot blocked in this window is still the thread's");
@@ -1022,7 +804,8 @@ impl Simulation {
                         let entry = self.thread_mut(tid).expect("blocked thread exists");
                         if entry.work.poll_unblock(t) {
                             local_poll.swap_remove(j);
-                            self.machine
+                            self.ctl
+                                .machine_mut()
                                 .dispatcher_mut(cpu_id)
                                 .unblock_slot(dslot, tid)
                                 .expect("a slot blocked in this window is still the thread's");
@@ -1038,34 +821,34 @@ impl Simulation {
                 }
 
                 // Settle throttle-release timers up to the local clock.
-                self.machine.dispatcher_mut(cpu_id).advance_to(t);
+                self.ctl.machine_mut().dispatcher_mut(cpu_id).advance_to(t);
                 if t >= target_us {
                     break;
                 }
 
-                if !self.machine.dispatcher(cpu_id).has_runnable() {
+                if !self.ctl.machine().dispatcher(cpu_id).has_runnable() {
                     // Idle: jump straight to the next local event.
                     let mut jump = target_us;
-                    if let Some(e) = self.machine.dispatcher(cpu_id).next_timer_expiry() {
+                    if let Some(e) = self.ctl.machine().dispatcher(cpu_id).next_timer_expiry() {
                         jump = jump.min(e);
                     }
                     for &(at, _, _) in &local_wakes {
                         jump = jump.min(at);
                     }
                     jump = jump.min(next_poll).clamp(t + 1, target_us);
-                    self.machine.rebook_idle_us(cpu_id, 0, jump - t);
+                    self.ctl.machine_mut().rebook_idle_us(cpu_id, 0, jump - t);
                     t = jump;
                     continue;
                 }
 
-                let outcome = self.machine.dispatch(cpu_id);
+                let outcome = self.ctl.machine_mut().dispatch(cpu_id);
                 // Book this CPU's dispatch overhead, consuming whole
                 // microseconds of the window; the fractional remainder
                 // carries over.
-                let total = self.machine.dispatcher(cpu_id).stats().overhead_us;
+                let total = self.ctl.machine().dispatcher(cpu_id).stats().overhead_us;
                 let delta = total - self.last_cpu_overhead[cpu];
                 self.last_cpu_overhead[cpu] = total;
-                self.stats.dispatch_overhead_us += delta;
+                self.ctl.stats_mut().dispatch_overhead_us += delta;
                 if charge_overhead && delta > 0.0 {
                     self.overhead_carry[cpu] += delta;
                     let charge = (self.overhead_carry[cpu].floor() as u64).min(target_us - t);
@@ -1082,7 +865,8 @@ impl Simulation {
                 let Some(tid) = outcome.thread else {
                     // Defensive: an idle dispatch despite `has_runnable`.
                     let jump = (t + outcome.quantum_us.max(1)).min(target_us);
-                    self.machine
+                    self.ctl
+                        .machine_mut()
                         .rebook_idle_us(cpu_id, outcome.quantum_us, jump - t);
                     t = jump;
                     continue;
@@ -1107,9 +891,12 @@ impl Simulation {
                 // Slot-addressed batched charge on the span's own CPU: no
                 // placement lookup, no id → slot map, and consecutive
                 // uncontended spans settle in one account update.
-                self.machine.dispatcher_mut(cpu_id).charge_span(used);
-                self.stats.per_cpu[cpu].used_us += used;
-                if let Some(recorder) = &self.telemetry {
+                self.ctl
+                    .machine_mut()
+                    .dispatcher_mut(cpu_id)
+                    .charge_span(used);
+                self.ctl.stats_mut().per_cpu[cpu].used_us += used;
+                if let Some(recorder) = self.ctl.recorder() {
                     recorder.record(
                         t,
                         TraceEventKind::DispatchSpan {
@@ -1121,7 +908,7 @@ impl Simulation {
                 }
                 t += used;
                 if blocked {
-                    let dslot = self.machine.dispatcher_mut(cpu_id).block_span();
+                    let dslot = self.ctl.machine_mut().dispatcher_mut(cpu_id).block_span();
                     match wake {
                         Some(w) => {
                             let at = w.as_micros().max(t + 1);
@@ -1142,7 +929,7 @@ impl Simulation {
                 } else if used == 0 {
                     // Progress guard: a runnable model that consumed
                     // nothing still moves the local clock one microsecond.
-                    self.machine.rebook_idle_us(cpu_id, 0, 1);
+                    self.ctl.machine_mut().rebook_idle_us(cpu_id, 0, 1);
                     t += 1;
                 }
             }
@@ -1168,148 +955,47 @@ impl Simulation {
         }
     }
 
-    /// One controller cycle on the calendar path: drain only the usage
-    /// deltas the machine observed since the last cycle, run the cycle
-    /// with `dt` derived from exact event-time deltas, apply the output,
-    /// and reschedule.
-    fn run_controller_calendar(&mut self) {
-        {
-            let threads = &self.threads;
-            let controller = &mut self.controller;
-            self.machine.drain_usage_changes(|tid, ratio| {
-                if let Some(thread) = threads.get(tid.0 as usize).and_then(Option::as_ref) {
-                    controller.record_usage(thread.slot, UsageSnapshot { usage_ratio: ratio });
-                }
-            });
-        }
-        let dt_us = (self.now_us - self.last_controller_fire_us).max(1);
-        self.last_controller_fire_us = self.now_us;
-        let now_s = self.now_seconds();
-        let cycle_ts = self.now_us;
-        let full_before = self.controller.cycle_counts().0;
-        // allow(determinism): wall-clock duration of the controller cycle
-        // for the telemetry recorder only; never read back by the sim, so
-        // event order and SimStats are identical with and without it.
-        // Allowlisted in analysis.toml.
-        let timer = self.telemetry.as_ref().map(|_| std::time::Instant::now());
-        let out = self
-            .controller
-            .control_cycle_with_dt(now_s, dt_us as f64 * 1e-6);
-        self.stats.controller_invocations += 1;
-        self.stats.controller_cost_us += out.cost_us;
-        for event in &out.events {
-            match event {
-                ControllerEvent::Quality(_) => self.stats.quality_exceptions += 1,
-                ControllerEvent::Squished { .. } => self.stats.squish_events += 1,
-                _ => {}
-            }
-        }
-        Self::apply_actuations(
-            &mut self.machine,
-            &mut self.threads,
-            &self.slot_threads,
-            &mut self.stats,
+    /// One controller cycle ([`ControlLoop::cycle`]) at the current clock,
+    /// its modelled cost charged to the clock when configured.  Returns
+    /// when the next cycle is due.  Under calendar stepping `dt` is the
+    /// exact integer event-time delta since the last cycle; the lockstep
+    /// reference leaves it to the controller's own timestamps.
+    fn run_controller(&mut self) -> u64 {
+        let dt = match self.config.stepping {
+            SteppingMode::Calendar => Some(SimTime::from_micros(
+                (self.now_us - self.ctl.last_cycle_us()).max(1),
+            )),
+            SteppingMode::Lockstep => None,
+        };
+        let threads = &self.threads;
+        let cost_us = self.ctl.cycle(
+            SimTime::from_micros(self.now_us),
+            dt,
             self.config.migration_cost_us,
-            &out.actuations,
+            |tid| Some(threads.get(tid.0 as usize)?.as_ref()?.slot),
         );
         if self.config.charge_controller_cost {
-            self.now_us += out.cost_us.round() as u64;
+            self.now_us += cost_us;
         }
-        if let (Some(recorder), Some(started)) = (&self.telemetry, timer) {
-            let incremental = self.controller.cycle_counts().0 == full_before;
-            let mut stage_ns = [0u32; 6];
-            if !incremental {
-                for (dst, src) in stage_ns.iter_mut().zip(self.controller.last_stage_ns()) {
-                    *dst = src.min(u32::MAX as u64) as u32;
-                }
-            }
-            recorder.record(
-                cycle_ts,
-                TraceEventKind::ControllerCycle {
-                    dur_ns: started.elapsed().as_nanos() as u64,
-                    incremental,
-                    jobs: self.controller.job_count() as u32,
-                    stage_ns,
-                },
-            );
-        }
-        let period_us = (self.config.controller.controller_period_s * 1e6)
-            .round()
-            .max(1.0) as u64;
-        while self.next_controller_us <= self.now_us {
-            self.next_controller_us += period_us;
-        }
-        self.calendar.schedule(
-            SimTime::from_micros(self.next_controller_us),
-            Event::Controller,
-        );
-    }
-
-    /// Applies a controller cycle's actuations: each names its job by
-    /// controller slot, which maps to the thread and on to its machine
-    /// handle, so the reservation lands without an id lookup.  When the
-    /// Place stage moved the job, the thread migrates to its assigned CPU
-    /// and the modelled migration cost (cache and TLB refill there) is
-    /// charged to its budget.  Takes the fields it touches one by one
-    /// because `actuations` borrows the controller's output.
-    fn apply_actuations(
-        machine: &mut Machine,
-        threads: &mut [Option<Box<SimThread>>],
-        slot_threads: &[Option<ThreadId>],
-        stats: &mut SimStats,
-        migration_cost_us: u64,
-        actuations: &[Actuation],
-    ) {
-        for actuation in actuations {
-            let Some(&Some(tid)) = slot_threads.get(actuation.slot.index()) else {
-                continue;
-            };
-            let Some(thread) = threads.get_mut(tid.0 as usize).and_then(Option::as_mut) else {
-                continue;
-            };
-            let moved = machine.actuate(
-                &mut thread.handle,
-                tid,
-                actuation.reservation,
-                actuation.cpu,
-            );
-            if let Ok(Some(from)) = moved {
-                stats.migrations += 1;
-                stats.per_cpu[from.index()].migrations_out += 1;
-                stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                if migration_cost_us > 0 {
-                    let _ = machine.charge_at(thread.handle, tid, migration_cost_us);
-                }
-            }
-        }
+        self.ctl.skip_to_next_cycle(self.now_us)
     }
 
     /// One lockstep step: controller if due, one lockstep dispatch round
     /// over every CPU, one quantum of work per busy CPU.
     fn step_lockstep(&mut self) {
-        self.stats.steps += 1;
+        self.ctl.stats_mut().steps += 1;
 
         // Controller invocation.
-        if self.config.controller_enabled && self.now_us >= self.next_controller_us {
+        if self.config.controller_enabled && self.now_us >= self.ctl.next_cycle_us() {
             self.run_controller();
-            let period_us = (self.config.controller.controller_period_s * 1e6)
-                .round()
-                .max(1.0) as u64;
-            while self.next_controller_us <= self.now_us {
-                self.next_controller_us += period_us;
-            }
         }
 
         // Trace sampling.
         if self.now_us >= self.next_trace_us {
             self.record_trace();
-            let interval_us = (self.config.trace_interval_s * 1e6).round().max(1.0) as u64;
-            while self.next_trace_us <= self.now_us {
-                self.next_trace_us += interval_us;
-            }
         }
 
-        self.machine.advance_to(self.now_us);
+        self.ctl.machine_mut().advance_to(self.now_us);
         self.poll_blocked();
 
         // Dispatch every CPU; the machine runs in lockstep for the
@@ -1317,8 +1003,8 @@ impl Simulation {
         self.cpu_outcomes.clear();
         let mut any_thread = false;
         let mut min_quantum = u64::MAX;
-        for cpu in 0..self.machine.cpu_count() {
-            let outcome = self.machine.dispatch(CpuId(cpu as u32));
+        for cpu in 0..self.ctl.machine().cpu_count() {
+            let outcome = self.ctl.machine_mut().dispatch(CpuId(cpu as u32));
             any_thread |= outcome.thread.is_some();
             min_quantum = min_quantum.min(outcome.quantum_us);
             self.cpu_outcomes.push(outcome);
@@ -1345,15 +1031,16 @@ impl Simulation {
             let entry = self.thread_mut(tid).expect("dispatched thread exists");
             let result = entry.work.run(now, dt, cpu_hz);
             let used = result.used_us.min(dt);
-            self.machine
+            self.ctl
+                .machine_mut()
                 .charge(tid, used)
                 .expect("dispatched thread exists");
             if result.blocked {
-                self.machine.block(tid).expect("thread exists");
+                self.ctl.machine_mut().block(tid).expect("thread exists");
                 self.blocked.insert(tid.0 as usize);
             }
             self.cpu_used.push(used);
-            self.stats.per_cpu[i].used_us += used;
+            self.ctl.stats_mut().per_cpu[i].used_us += used;
             max_used = max_used.max(used);
         }
         let advance = max_used.max(1);
@@ -1372,11 +1059,11 @@ impl Simulation {
             idle_quantum
         } else {
             let mut target = u64::MAX;
-            if let Some(t) = self.machine.next_timer_expiry() {
+            if let Some(t) = self.ctl.machine().next_timer_expiry() {
                 target = target.min(t);
             }
             if self.config.controller_enabled {
-                target = target.min(self.next_controller_us);
+                target = target.min(self.ctl.next_cycle_us());
             }
             target = target.min(self.next_trace_us);
             if target == u64::MAX {
@@ -1403,13 +1090,17 @@ impl Simulation {
         for (i, outcome) in self.cpu_outcomes.iter().enumerate() {
             match outcome.thread {
                 None => {
-                    self.machine
-                        .rebook_idle_us(CpuId(i as u32), outcome.quantum_us, actual_us);
+                    self.ctl.machine_mut().rebook_idle_us(
+                        CpuId(i as u32),
+                        outcome.quantum_us,
+                        actual_us,
+                    );
                 }
                 Some(_) => {
                     let used = self.cpu_used.get(i).copied().unwrap_or(actual_us);
                     if actual_us > used {
-                        self.machine
+                        self.ctl
+                            .machine_mut()
                             .rebook_idle_us(CpuId(i as u32), 0, actual_us - used);
                     }
                 }
@@ -1429,95 +1120,48 @@ impl Simulation {
                 pending &= pending - 1;
                 let entry = self.threads[raw].as_mut().expect("blocked thread exists");
                 if entry.work.poll_unblock(now) {
-                    let handle = entry.handle;
+                    let slot = entry.slot;
                     self.blocked.remove(raw);
-                    let _ = self.machine.unblock_at(handle, ThreadId(raw as u64));
+                    self.ctl.unblock(slot, ThreadId(raw as u64));
                 }
             }
         }
     }
 
-    fn run_controller(&mut self) {
-        // Feed the machine's accounting to the controller by slot, then
-        // run the staged pipeline in place — no per-cycle allocation.
-        // Dense iteration visits threads in id order, as the map did.
-        for (raw, thread) in self.threads.iter().enumerate() {
-            let Some(thread) = thread else { continue };
-            let tid = ThreadId(raw as u64);
-            if let Some(acct) = self.machine.usage_ref(tid) {
-                self.controller.record_usage(
-                    thread.slot,
-                    UsageSnapshot {
-                        usage_ratio: acct.last_period_usage_ratio(),
-                    },
-                );
-            }
-        }
-        let now_s = self.now_seconds();
-        let out = self.controller.control_cycle_in_place(now_s);
-        self.stats.controller_invocations += 1;
-        self.stats.controller_cost_us += out.cost_us;
-        for event in &out.events {
-            match event {
-                ControllerEvent::Quality(_) => self.stats.quality_exceptions += 1,
-                ControllerEvent::Squished { .. } => self.stats.squish_events += 1,
-                _ => {}
-            }
-        }
-        Self::apply_actuations(
-            &mut self.machine,
-            &mut self.threads,
-            &self.slot_threads,
-            &mut self.stats,
-            self.config.migration_cost_us,
-            &out.actuations,
-        );
-        if self.config.charge_controller_cost {
-            self.now_us += out.cost_us.round() as u64;
-        }
-    }
-
     fn charge_dispatch_overhead(&mut self) {
-        let total = self.machine.stats().overhead_us;
+        let total = self.ctl.machine().stats().overhead_us;
         let delta = total - self.last_dispatch_overhead_us;
         self.last_dispatch_overhead_us = total;
-        self.stats.dispatch_overhead_us += delta;
+        self.ctl.stats_mut().dispatch_overhead_us += delta;
         if self.config.charge_dispatch_overhead && delta > 0.0 {
             // CPUs pay their dispatch overhead in parallel: the shared
             // clock advances by the per-CPU average, which on one CPU is
             // exactly the original charge.
-            let wall = delta / self.machine.cpu_count() as f64;
+            let wall = delta / self.ctl.machine().cpu_count() as f64;
             self.now_us += wall.round() as u64;
         }
     }
 
-    fn record_trace(&mut self) {
+    /// Takes one round of trace samples and returns when the next is due.
+    fn record_trace(&mut self) -> u64 {
         let t = self.now_seconds();
         let interval = self.config.trace_interval_s.max(1e-9);
         for (raw, thread) in self.threads.iter_mut().enumerate() {
             let Some(thread) = thread else { continue };
-            let tid = ThreadId(raw as u64);
-            let trace = &mut self.trace;
-            let at = |value: f64| Sample { time: t, value };
-            if let Some(r) = self.machine.reservation_at(thread.handle, tid) {
-                thread.sample(trace, SimThread::ALLOC, at(r.proportion.ppt() as f64));
-                thread.sample(trace, SimThread::PERIOD, at(r.period.as_secs_f64() * 1e3));
-            }
-            if let Some(progress) = thread.work.progress_counter() {
-                let rate = (progress - thread.last_progress) / interval;
-                thread.last_progress = progress;
-                thread.sample(trace, SimThread::RATE, at(rate));
-            }
+            thread.series.sample(
+                &mut self.trace,
+                t,
+                interval,
+                self.ctl.reservation(thread.slot, ThreadId(raw as u64)),
+                thread.work.progress_counter(),
+            );
         }
-        // Queue fill levels (deduplicated by metric name).
-        let mut seen = BTreeSet::new();
-        for attachment in self.registry.all_attachments() {
-            let name = attachment.metric.name().to_string();
-            if seen.insert(name.clone()) {
-                self.trace
-                    .record(&format!("fill/{name}"), t, attachment.sample().fraction());
-            }
+        self.trace.record_fills(t, self.ctl.controller().registry());
+        let interval_us = (self.config.trace_interval_s * 1e6).round().max(1.0) as u64;
+        while self.next_trace_us <= self.now_us {
+            self.next_trace_us += interval_us;
         }
+        self.next_trace_us
     }
 
     /// Forces a reservation directly on the dispatcher, bypassing the
@@ -1525,7 +1169,8 @@ impl Simulation {
     /// example the Figure 8 sweep, which runs without the controller).
     pub fn force_reservation(&mut self, handle: JobHandle, proportion: Proportion, period: Period) {
         let _ = self
-            .machine
+            .ctl
+            .machine_mut()
             .set_reservation(handle.thread, Reservation::new(proportion, period));
     }
 }

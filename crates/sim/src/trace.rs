@@ -1,7 +1,10 @@
 //! Named time-series traces recorded during a simulation run.
 
 use rrs_metrics::timeseries::{Sample, TimeSeries};
+use rrs_queue::MetricRegistry;
+use rrs_scheduler::Reservation;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 
 /// A dense handle to one series of a [`Trace`], from
 /// [`Trace::series_id`]; recording through it skips the name lookup.
@@ -20,6 +23,80 @@ pub struct Trace {
     /// Name → position in `series`, and the name-ordered view.
     by_name: BTreeMap<String, u32>,
     total_samples: u64,
+}
+
+/// One job's share of the sample trace — the `alloc/<job>`, `period/<job>`
+/// and `rate/<job>` series every host backend records — with each series
+/// name spelled and looked up once, at that series' first sample.
+#[derive(Debug)]
+pub struct JobSeries {
+    name: String,
+    /// Handles into the trace being sampled, indexed like
+    /// [`JobSeries::KINDS`].
+    ids: [Option<SeriesId>; 3],
+    /// The progress counter at the previous sample (`rate/` is its
+    /// difference quotient).
+    last_progress: f64,
+}
+
+impl JobSeries {
+    const KINDS: [&str; 3] = ["alloc", "period", "rate"];
+    const ALLOC: usize = 0;
+    const PERIOD: usize = 1;
+    const RATE: usize = 2;
+
+    /// The series of the job called `name`, with no sample taken yet.
+    pub fn new(name: &str) -> Self {
+        Self {
+            name: name.to_string(),
+            ids: [None; 3],
+            last_progress: 0.0,
+        }
+    }
+
+    /// The same job about to be sampled into a *different* trace (the
+    /// sharded simulator moves jobs between shards): the handles into the
+    /// old trace are dropped, the progress baseline is kept.
+    pub fn rebased(mut self) -> Self {
+        self.ids = [None; 3];
+        self
+    }
+
+    fn push(&mut self, trace: &mut Trace, kind: usize, sample: Sample) {
+        let id = match self.ids[kind] {
+            Some(id) => id,
+            None => {
+                let id = trace.series_id(&format!("{}/{}", Self::KINDS[kind], self.name));
+                self.ids[kind] = Some(id);
+                id
+            }
+        };
+        trace.record_at(id, sample);
+    }
+
+    /// Takes one sample at `time` (seconds): the job's reserved proportion
+    /// (ppt) and period (ms) if it holds a reservation, and the rate of its
+    /// progress counter over the `interval` (seconds) since the previous
+    /// sample if its work model reports one.
+    pub fn sample(
+        &mut self,
+        trace: &mut Trace,
+        time: f64,
+        interval: f64,
+        reservation: Option<Reservation>,
+        progress: Option<f64>,
+    ) {
+        let at = |value: f64| Sample { time, value };
+        if let Some(r) = reservation {
+            self.push(trace, Self::ALLOC, at(r.proportion.ppt() as f64));
+            self.push(trace, Self::PERIOD, at(r.period.as_secs_f64() * 1e3));
+        }
+        if let Some(progress) = progress {
+            let rate = (progress - self.last_progress) / interval;
+            self.last_progress = progress;
+            self.push(trace, Self::RATE, at(rate));
+        }
+    }
 }
 
 impl Trace {
@@ -68,6 +145,23 @@ impl Trace {
     pub fn record_at(&mut self, id: SeriesId, sample: Sample) {
         self.series[id.0 as usize].push(sample.time, sample.value);
         self.total_samples += 1;
+    }
+
+    /// Samples every registered queue's fill level into `fill/<queue>` at
+    /// `time` (seconds), once per metric name however many jobs attach
+    /// to it.
+    pub fn record_fills(&mut self, time: f64, registry: &MetricRegistry) {
+        let mut seen = BTreeSet::new();
+        for attachment in registry.all_attachments() {
+            let name = attachment.metric.name().to_string();
+            if seen.insert(name.clone()) {
+                self.record(
+                    &format!("fill/{name}"),
+                    time,
+                    attachment.sample().fraction(),
+                );
+            }
+        }
     }
 
     /// Monotonic count of samples ever recorded, across all series.

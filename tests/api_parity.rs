@@ -8,7 +8,9 @@
 //! grant for the adaptive stage — even though one backend finishes in
 //! milliseconds of wall time and the other spends real seconds.
 
-use realrate::api::{Backend, Host, JobClass, JobHandle, Runtime, SimTime};
+use realrate::api::{
+    Backend, Host, JobClass, JobHandle, JobSpec, Runtime, SimTime, WallClockConfig,
+};
 use realrate::workloads::{PipelineConfig, PulsePipeline};
 
 #[derive(Debug)]
@@ -75,18 +77,92 @@ fn same_pipeline_converges_on_sim_and_wall_clock() {
 
 #[test]
 fn both_backends_report_through_the_same_stats_surface() {
-    for backend in [Backend::Sim, Backend::WallClock] {
-        let mut host = Runtime::backend(backend).build();
+    // Sim, 4-shard sim and wall-clock: `Host::stats` is one struct, so
+    // its JSON carries one key set, whoever filled it in.
+    let hosts = [
+        ("sim", Runtime::sim().build()),
+        ("sim x4 shards", Runtime::sim().cpus(4).shards(4).build()),
+        ("wall_clock", Runtime::wall_clock().build()),
+    ];
+    let mut key_sets = Vec::new();
+    for (label, mut host) in hosts {
         let _ = PulsePipeline::install(host.as_mut(), PipelineConfig::steady(2.5e-5));
-        host.advance(match backend {
+        host.advance(match host.backend() {
             Backend::Sim => SimTime::from_secs(2),
             Backend::WallClock => SimTime::from_millis(400),
         });
-        let stats = host.stats();
-        assert!(stats.controller_invocations > 0, "{backend}");
-        assert_eq!(stats.per_cpu.len(), 1, "{backend}");
-        assert!(stats.total_used_us() > 0, "{backend}");
-        assert!(host.trace().get("alloc/consumer").is_some(), "{backend}");
-        assert!(host.trace().get("fill/pipeline").is_some(), "{backend}");
+        let stats: realrate::core::SimStats = host.stats();
+        assert!(stats.controller_invocations > 0, "{label}");
+        assert_eq!(stats.per_cpu.len(), host.cpu_count(), "{label}");
+        assert!(stats.total_used_us() > 0, "{label}");
+        assert!(stats.steps > 0, "{label}");
+        assert!(host.trace().get("alloc/consumer").is_some(), "{label}");
+        assert!(host.trace().get("fill/pipeline").is_some(), "{label}");
+        let json = serde_json::to_string(&stats).expect("stats serialise");
+        let value: serde::Value = serde_json::from_str(&json).expect("and parse back");
+        let keys: Vec<String> = value
+            .as_obj()
+            .expect("a JSON object")
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
+        assert!(keys.iter().any(|k| k == "controller_cost_us"), "{label}");
+        key_sets.push((label, keys));
     }
+    for (label, keys) in &key_sets[1..] {
+        assert_eq!(keys, &key_sets[0].1, "{label} vs {}", key_sets[0].0);
+    }
+}
+
+/// Blocks after every 100 µs burst and is runnable again as soon as it is
+/// asked — so it runs once per re-poll, and the executor only re-polls
+/// blocked tasks on its controller tick.
+struct Blocker(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+impl realrate::sim::WorkModel for Blocker {
+    fn run(&mut self, _now: u64, _quantum_us: u64, _hz: f64) -> realrate::sim::RunResult {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        realrate::sim::RunResult::blocked_after(100)
+    }
+
+    fn poll_unblock(&mut self, _now_us: u64) -> bool {
+        true
+    }
+}
+
+#[test]
+fn wall_clock_controller_runs_when_the_trace_interval_is_below_its_period() {
+    // `advance` hands the executor chunks of one trace interval.  With
+    // the interval (5 ms) at or below the controller period (10 ms) the
+    // next-cycle-due time must survive from one chunk to the next, or no
+    // cycle ever comes due and no blocked task is ever re-polled.
+    let mut host = Runtime::wall_clock()
+        .wall_clock_config(WallClockConfig {
+            trace_interval: SimTime::from_millis(5),
+            ..WallClockConfig::default()
+        })
+        .build();
+    let runs = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let blocker = Blocker(std::sync::Arc::clone(&runs));
+    host.add_job("blocker", JobSpec::miscellaneous(), Box::new(blocker))
+        .unwrap();
+    host.advance(SimTime::from_millis(300));
+    let stats = host.stats();
+    // 30 periods elapse; leave room for a loaded test machine, none for
+    // the bug (0 cycles, 1 run).
+    assert!(
+        stats.controller_invocations >= 5,
+        "controller starved: {} cycles in 300 ms",
+        stats.controller_invocations
+    );
+    assert!(
+        stats.controller_invocations <= 31,
+        "missed ticks are skipped, not replayed: {} cycles in 300 ms",
+        stats.controller_invocations
+    );
+    let runs = runs.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        runs >= 3,
+        "the blocked task was never re-polled ({runs} runs)"
+    );
 }

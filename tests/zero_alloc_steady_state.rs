@@ -325,6 +325,7 @@ fn assert_sharded_steady_state_allocation_free() {
 /// a thread edits the id maps, as adding or removing one does, and is no
 /// more part of the steady state than those are.
 // hot-coverage: crates/scheduler/src/machine.rs
+// hot-coverage: crates/core/src/control_loop.rs
 fn assert_actuation_and_wake_paths_allocation_free() {
     use realrate::core::SimTime;
     use realrate::sim::{RunResult, SimConfig, Simulation, WorkModel};

@@ -4,15 +4,22 @@
 //! without the simulator around it so span cost is tracked independently of
 //! whole-sim throughput.
 //!
-//! Two queue shapes per population size:
+//! Three queue shapes per population size:
 //!
 //! * **uncontended** — one runnable reserved thread (the rest of the
 //!   population is resident but blocked).  Successive spans re-pick the same
 //!   thread, so the per-CPU next-quantum cache serves every dispatch and the
 //!   span batch accumulates without touching the heap.
 //! * **contended** — the whole population runnable at equal goodness.  The
-//!   pick round-robins, so every dispatch re-ranks through the run queue and
-//!   every span batch settles on the next pick.
+//!   pick round-robins, so every dispatch rotates the run queue's head to
+//!   its tail and every span batch settles on the next pick.
+//! * **requeue_mid** — the sorted run queue's linear case, which no
+//!   benchmark workload produces: the thread just picked is blocked, half
+//!   the queue rotates past, and unblocking it re-queues it under the pick
+//!   sequence it left with — halfway down the queue, a shift of `n / 2`
+//!   entries.  That sequence runs once, in set-up; one iteration is the
+//!   unblock plus the block that takes the thread back out from mid-queue
+//!   (the same shift), so the number is two mid-queue operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrs_scheduler::{Dispatcher, DispatcherConfig, Period, Proportion, Reservation, ThreadId};
@@ -91,5 +98,36 @@ fn bench_contended(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_uncontended, bench_contended);
+fn bench_requeue_mid(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dispatch_span/requeue_mid");
+    for &threads in &[1_000usize, 10_000] {
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &n| {
+            let mut d = Dispatcher::new(lazy_config());
+            populate(&mut d, n);
+            let mut now = d.now_us();
+            // One full turn first, so every thread carries a pick sequence.
+            for _ in 0..n {
+                span_loop(&mut d, &mut now);
+            }
+            let picked = d.dispatch().thread.expect("everything is runnable");
+            let slot = d.slot_of(picked).expect("just picked");
+            d.block_slot(slot, picked).unwrap();
+            for _ in 0..n / 2 {
+                span_loop(&mut d, &mut now);
+            }
+            b.iter(|| {
+                d.unblock_slot(slot, picked).unwrap();
+                d.block_slot(slot, picked).unwrap();
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_uncontended,
+    bench_contended,
+    bench_requeue_mid
+);
 criterion_main!(benches);

@@ -10,9 +10,11 @@
 //!
 //! Internally threads live in dense slot-indexed storage (mirroring the
 //! controller's `SlotTable`) and every runnable thread is kept ranked in a
-//! goodness-indexed run queue, so a dispatch decision is an `O(1)` peek
-//! plus an `O(log n)` re-rank instead of the original full scan over every
-//! registered thread.  Re-ranking is lazy: a thread's queue entry is only
+//! goodness-ordered run queue (a sorted deque, `runqueue.rs`), so a
+//! dispatch decision is an `O(1)` peek plus a re-rank that, on a saturated
+//! CPU, is an `O(1)` rotation from the front of the queue to its tail,
+//! instead of the original full scan over every registered thread.
+//! Re-ranking is lazy: a thread's queue entry is only
 //! touched by the state changes that can affect it (block/unblock,
 //! throttle, charge, reservation change, pick), so an idle dispatcher —
 //! the paper's "no work unless at least one timer has expired" case —
@@ -42,13 +44,13 @@
 //! CPU:
 //!
 //! * **The next-quantum cache.** `queue_gen` counts every mutation that
-//!   can change the run-queue root (any re-rank or removal).  When a
-//!   dispatch picks a reserved thread that is *still* at the root after
+//!   can change the run-queue head (any re-rank or removal).  When a
+//!   dispatch picks a reserved thread that is *still* at the head after
 //!   its own re-rank, the decision is cached by recording the post-pick
 //!   generation; as long as the generation is unchanged and the clock has
 //!   not reached the thread's period boundary, the next dispatch re-issues
-//!   the pick in `O(1)` without touching the heap.  A fast pick bumps the
-//!   pick sequence on the entry but leaves its heap key stale — safe
+//!   the pick in `O(1)` without touching the queue.  A fast pick bumps the
+//!   pick sequence on the entry but leaves its queue key stale — safe
 //!   because the cached thread is by construction the most recent pick, so
 //!   its true sequence exceeds every other thread's and the stale (older)
 //!   key loses exactly the same tie-breaks; the next slow dispatch
@@ -551,7 +553,9 @@ impl Dispatcher {
 
     /// Re-derives the entry's run-queue membership, rank and recalc-counter
     /// contribution from its current state.  Called after every mutation
-    /// that can affect them; `O(log n)`.  Conservatively bumps `queue_gen`
+    /// that can affect them: `O(1)` for the post-pick rotation and for a
+    /// throttle, block or release at or near the queue's tail, a binary
+    /// search plus a shift otherwise.  Conservatively bumps `queue_gen`
     /// (disarming the next-quantum cache) even when nothing changes.
     fn reindex(&mut self, idx: u32) {
         self.queue_gen += 1;
@@ -1252,7 +1256,7 @@ impl Dispatcher {
     ///
     /// When the next-quantum cache is valid — nothing mutated the queue
     /// since the last pick, and that pick's period boundary is still ahead
-    /// — the decision is re-issued in `O(1)` without touching the heap.
+    /// — the decision is re-issued in `O(1)` without touching the queue.
     pub fn dispatch(&mut self) -> DispatchOutcome {
         if let Some(outcome) = self.cached_outcome() {
             return outcome;
@@ -1328,7 +1332,7 @@ impl Dispatcher {
         let quantum = self.config.dispatch_interval_us.max(1).min(budget_cap);
         self.reindex(idx);
         // Arm the next-quantum cache: if the freshly re-ranked pick is
-        // still at the root, nothing can outrank it until some operation
+        // still at the head, nothing can outrank it until some operation
         // bumps `queue_gen` (only lazy reserved picks qualify — eager mode
         // rolls accounts behind the cache's back, and a best-effort pick's
         // own charge re-ranks it).
@@ -1345,7 +1349,7 @@ impl Dispatcher {
 
     /// The `O(1)` fast path of [`Dispatcher::dispatch`]: re-issues the
     /// cached pick when the queue generation is unchanged and the pick's
-    /// period boundary is still ahead.  Touches no map and no heap;
+    /// period boundary is still ahead.  Touches no map and no queue;
     /// observably identical to the slow path re-picking the same thread.
     fn cached_outcome(&mut self) -> Option<DispatchOutcome> {
         if self.quantum_cache_gen != Some(self.queue_gen) {
@@ -1686,14 +1690,14 @@ impl Dispatcher {
                 entry.id
             );
         }
-        // Next-quantum-cache invariant: an armed cache means the heap has
-        // not moved since the pick, so the cached slot is still the root.
+        // Next-quantum-cache invariant: an armed cache means the queue has
+        // not moved since the pick, so the cached slot is still the head.
         if self.quantum_cache_gen == Some(self.queue_gen) {
             let idx = self.span_slot.expect("armed cache without a span slot");
             assert_eq!(
                 self.runnable.peek().map(|(_, top)| top),
                 Some(idx),
-                "armed cache but the cached slot is not the run-queue root"
+                "armed cache but the cached slot is not the run-queue head"
             );
         }
     }
@@ -2270,7 +2274,7 @@ mod tests {
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         d.charge_span(50);
         // A queue mutation between spans bumps the generation: the next
-        // dispatch must re-pick through the heap and see the newcomer (and
+        // dispatch must re-pick through the queue and see the newcomer (and
         // settle the outstanding batch on the way).
         d.add_thread(ThreadId(2), reserved(100, 10)).unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
@@ -2297,58 +2301,62 @@ mod tests {
 
     proptest! {
         /// The tentpole's safety net: over arbitrary thread-state
-        /// sequences, the goodness-indexed pick must equal the naive
-        /// full-scan pick, and every derived index must stay consistent.
+        /// sequences, the run queue's pick must equal the naive full-scan
+        /// pick, and every derived index must stay consistent — in both
+        /// rollover modes, and over enough ids that the queue outgrows the
+        /// few places its tail walk covers.
         ///
         /// Ops are encoded as `(selector, id, ppt, aux)` tuples because the
         /// vendored proptest miniature has no `prop_oneof`; selectors 8–10
         /// all dispatch so the pick comparison dominates the mix.
         #[test]
         fn indexed_pick_matches_naive_scan(
-            ops in proptest::collection::vec((0u8..11, 0u64..12, 0u32..600, 1u64..60), 1..150),
+            ops in proptest::collection::vec((0u8..11, 0u64..48, 0u32..600, 1u64..60), 1..250),
         ) {
-            let mut d = Dispatcher::new(DispatcherConfig::default());
-            for (op, i, p, aux) in ops {
-                match op {
-                    0 => {
-                        let _ = d.add_thread(ThreadId(i), reserved(p, aux));
-                    }
-                    1 => {
-                        let _ = d.add_thread(ThreadId(i), ThreadClass::BestEffort);
-                    }
-                    2 => {
-                        let _ = d.remove_thread(ThreadId(i));
-                    }
-                    3 => {
-                        let _ = d.block(ThreadId(i));
-                    }
-                    4 => {
-                        let _ = d.unblock(ThreadId(i));
-                    }
-                    5 => {
-                        let _ = d.charge(ThreadId(i), p as u64 * 37);
-                    }
-                    6 => {
-                        let r = Reservation::new(
-                            Proportion::from_ppt(p),
-                            Period::from_millis(aux),
-                        );
-                        let _ = d.set_reservation(ThreadId(i), r);
-                    }
-                    7 => d.advance_to(d.now_us() + aux * 499),
-                    _ => {
-                        let oracle = d.oracle_pick();
-                        let outcome = d.dispatch();
-                        prop_assert_eq!(
-                            outcome.thread, oracle,
-                            "indexed pick diverged from the full scan"
-                        );
-                        if let Some(t) = outcome.thread {
-                            d.charge(t, outcome.quantum_us).expect("picked exists");
+            for config in [DispatcherConfig::default(), lazy_config()] {
+                let mut d = Dispatcher::new(config);
+                for &(op, i, p, aux) in &ops {
+                    match op {
+                        0 => {
+                            let _ = d.add_thread(ThreadId(i), reserved(p, aux));
+                        }
+                        1 => {
+                            let _ = d.add_thread(ThreadId(i), ThreadClass::BestEffort);
+                        }
+                        2 => {
+                            let _ = d.remove_thread(ThreadId(i));
+                        }
+                        3 => {
+                            let _ = d.block(ThreadId(i));
+                        }
+                        4 => {
+                            let _ = d.unblock(ThreadId(i));
+                        }
+                        5 => {
+                            let _ = d.charge(ThreadId(i), p as u64 * 37);
+                        }
+                        6 => {
+                            let r = Reservation::new(
+                                Proportion::from_ppt(p),
+                                Period::from_millis(aux),
+                            );
+                            let _ = d.set_reservation(ThreadId(i), r);
+                        }
+                        7 => d.advance_to(d.now_us() + aux * 499),
+                        _ => {
+                            let oracle = d.oracle_pick();
+                            let outcome = d.dispatch();
+                            prop_assert_eq!(
+                                outcome.thread, oracle,
+                                "indexed pick diverged from the full scan"
+                            );
+                            if let Some(t) = outcome.thread {
+                                d.charge(t, outcome.quantum_us).expect("picked exists");
+                            }
                         }
                     }
+                    d.assert_consistent();
                 }
-                d.assert_consistent();
             }
         }
 
@@ -2487,7 +2495,7 @@ mod tests {
         /// drive two lazy dispatcher pairs (two "CPUs"), the fast side
         /// charging spans through [`Dispatcher::charge_span`] and the
         /// reference settling every charge through [`Dispatcher::charge`].
-        /// The per-id charge re-ranks the heap after every span, so the
+        /// The per-id charge re-ranks the queue after every span, so the
         /// reference can never serve a pick from the cache; picks, quanta,
         /// post-sync accounts and stats must nevertheless match exactly,
         /// across wakes, re-reservations and cross-CPU migrations.

@@ -1,14 +1,13 @@
-//! The position-indexed 4-ary min-heap behind the run queue and the
-//! timer list.
+//! The position-indexed 4-ary min-heap behind the timer list.
 //!
-//! Both of the dispatcher's ordered structures answer the same three
-//! questions — what is the minimum, re-rank this slot, drop this slot —
-//! over elements addressed by the dispatcher's dense thread slot, so both
-//! are this one heap with a different key: [`crate::runqueue::RunKey`]
-//! for the run queue, `(expiry, ThreadId)` for
-//! [`crate::timerlist::TimerList`].  Elements compare as `(key, slot)`
-//! pairs, so a heap whose keys can tie (two timers at one expiry for one
-//! id) still has a total order and a deterministic minimum.
+//! [`crate::timerlist::TimerList`] asks three questions — what is the
+//! minimum, re-rank this slot, drop this slot — over elements addressed by
+//! the dispatcher's dense thread slot, under the key `(expiry, ThreadId)`.
+//! (The run queue is deliberately not this heap: rotation, what a
+//! saturated CPU does to it, sifts root to leaf every time; see
+//! [`crate::runqueue`].)  Elements compare as `(key, slot)` pairs, so a
+//! heap whose keys can tie (two timers at one expiry for one id) still has
+//! a total order and a deterministic minimum.
 //!
 //! The heap is 4-ary — half the levels of a binary heap, and the four
 //! children of a node sit side by side in memory — and sifts move a hole
@@ -44,10 +43,6 @@ impl<K> Default for IndexedHeap<K> {
 }
 
 impl<K: Ord + Copy> IndexedHeap<K> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of queued slots.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -73,12 +68,6 @@ impl<K: Ord + Copy> IndexedHeap<K> {
     /// The key `slot` is queued under, if it is queued.
     pub fn key_of(&self, slot: u32) -> Option<K> {
         self.position(slot).map(|i| self.heap[i].0)
-    }
-
-    /// Returns `true` if `slot` is queued (used by the invariant checks).
-    #[cfg(test)]
-    pub fn contains(&self, slot: u32) -> bool {
-        self.position(slot).is_some()
     }
 
     /// Queues `slot` under `key`, or re-ranks it if already queued.
@@ -199,26 +188,71 @@ impl<K: Ord + Copy> IndexedHeap<K> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::runqueue::RunKey;
     use crate::types::ThreadId;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// Drives the heap and a `BTreeSet` oracle through the same ops and
+    /// What [`check_against_oracle`] drives: the slot-addressed ordered
+    /// queue both of the dispatcher's structures are — this heap under the
+    /// timer list, the sorted deque of [`crate::runqueue::RunQueue`].
+    pub(crate) trait SlotQueue<K: Copy>: Default {
+        fn upsert(&mut self, slot: u32, key: K);
+        fn remove(&mut self, slot: u32) -> Option<K>;
+        fn peek(&self) -> Option<(K, u32)>;
+        fn len(&self) -> usize;
+        fn key_of(&self, slot: u32) -> Option<K>;
+        fn assert_consistent(&self);
+        /// Removes and returns the minimum pair.
+        fn pop(&mut self) -> Option<(K, u32)> {
+            let min = self.peek()?;
+            self.remove(min.1);
+            Some(min)
+        }
+    }
+
+    impl<K: Ord + Copy> SlotQueue<K> for IndexedHeap<K> {
+        fn upsert(&mut self, slot: u32, key: K) {
+            IndexedHeap::upsert(self, slot, key)
+        }
+        fn remove(&mut self, slot: u32) -> Option<K> {
+            IndexedHeap::remove(self, slot)
+        }
+        fn peek(&self) -> Option<(K, u32)> {
+            IndexedHeap::peek(self)
+        }
+        fn len(&self) -> usize {
+            IndexedHeap::len(self)
+        }
+        fn key_of(&self, slot: u32) -> Option<K> {
+            IndexedHeap::key_of(self, slot)
+        }
+        fn assert_consistent(&self) {
+            IndexedHeap::assert_consistent(self)
+        }
+        fn pop(&mut self) -> Option<(K, u32)> {
+            IndexedHeap::pop(self)
+        }
+    }
+
+    /// Drives a queue and a `BTreeSet` oracle through the same ops and
     /// compares them after every step, then drains both and compares the
     /// pop order.  `ops` are `(slot, op, key)`: op 0–2 upserts (insert, or
-    /// re-key up or down), op 3 removes the slot (root, middle or last,
+    /// re-key up or down), op 3 removes the slot (first, middle or last,
     /// wherever it happens to sit), op 4 pops the minimum.
-    fn check_against_oracle<K: Ord + Copy + std::fmt::Debug>(ops: &[(u32, u8, K)]) {
-        let mut heap = IndexedHeap::new();
+    pub(crate) fn check_against_oracle<K, Q>(ops: &[(u32, u8, K)])
+    where
+        K: Ord + Copy + std::fmt::Debug,
+        Q: SlotQueue<K>,
+    {
+        let mut queue = Q::default();
         let mut oracle: BTreeSet<(K, u32)> = BTreeSet::new();
         let mut keys: BTreeMap<u32, K> = BTreeMap::new();
         for &(slot, op, key) in ops {
             match op {
                 0..=2 => {
-                    heap.upsert(slot, key);
+                    queue.upsert(slot, key);
                     if let Some(old) = keys.insert(slot, key) {
                         oracle.remove(&(old, slot));
                     }
@@ -229,31 +263,31 @@ mod tests {
                     if let Some(old) = old {
                         oracle.remove(&(old, slot));
                     }
-                    assert_eq!(heap.remove(slot), old);
+                    assert_eq!(queue.remove(slot), old);
                 }
                 _ => {
                     let min = oracle.pop_first();
                     if let Some((_, slot)) = min {
                         keys.remove(&slot);
                     }
-                    assert_eq!(heap.pop(), min);
+                    assert_eq!(queue.pop(), min);
                 }
             }
-            heap.assert_consistent();
-            assert_eq!(heap.peek(), oracle.first().copied());
-            assert_eq!(heap.len(), oracle.len());
-            assert_eq!(heap.key_of(slot), keys.get(&slot).copied());
+            queue.assert_consistent();
+            assert_eq!(queue.peek(), oracle.first().copied());
+            assert_eq!(queue.len(), oracle.len());
+            assert_eq!(queue.key_of(slot), keys.get(&slot).copied());
         }
         while let Some(min) = oracle.pop_first() {
-            assert_eq!(heap.pop(), Some(min));
+            assert_eq!(queue.pop(), Some(min));
         }
-        assert!(heap.is_empty());
-        assert_eq!(heap.pop(), None);
+        assert_eq!(queue.len(), 0);
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]
     fn remove_root_middle_last_and_absent() {
-        let mut h = IndexedHeap::new();
+        let mut h = IndexedHeap::default();
         for slot in 0..10u32 {
             h.upsert(slot, 100 - slot as u64);
         }
@@ -272,7 +306,7 @@ mod tests {
 
     #[test]
     fn equal_keys_order_by_slot() {
-        let mut h = IndexedHeap::new();
+        let mut h = IndexedHeap::default();
         h.upsert(7, 5u64);
         h.upsert(3, 5u64);
         assert_eq!(h.pop(), Some((5, 3)));
@@ -281,7 +315,7 @@ mod tests {
 
     #[test]
     fn upsert_under_the_same_key_moves_nothing() {
-        let mut h = IndexedHeap::new();
+        let mut h = IndexedHeap::default();
         for slot in 0..20u32 {
             h.upsert(slot, slot as u64);
         }
@@ -291,26 +325,6 @@ mod tests {
     }
 
     proptest! {
-        /// The run queue's key: goodness, recency, id.
-        #[test]
-        fn run_keys_match_the_btreeset_oracle(
-            ops in proptest::collection::vec(
-                (0u32..24, 0u8..5, -4i64..4, 0u64..6), 1..300),
-        ) {
-            let ops: Vec<(u32, u8, RunKey)> = ops
-                .into_iter()
-                .map(|(slot, op, g, seq)| {
-                    let key = RunKey {
-                        neg_goodness: -g,
-                        last_picked_seq: seq,
-                        id: ThreadId(slot as u64),
-                    };
-                    (slot, op, key)
-                })
-                .collect();
-            check_against_oracle(&ops);
-        }
-
         /// The timer list's key: expiry, then id.  The narrow expiry range
         /// forces equal-expiry ties, and ids run against slot order so the
         /// id (not the slot) is what breaks them.
@@ -322,7 +336,7 @@ mod tests {
                 .into_iter()
                 .map(|(slot, op, expiry)| (slot, op, (expiry, ThreadId(100 - slot as u64))))
                 .collect();
-            check_against_oracle(&ops);
+            check_against_oracle::<_, IndexedHeap<_>>(&ops);
         }
     }
 }

@@ -18,9 +18,9 @@
 //! * [`AdmissionControl`] — the overload threshold and admission test.
 //! * [`goodness`] — the Linux-style goodness function (rate monotonic for
 //!   RBS threads, time-slice based for best-effort threads).
-//! * [`Dispatcher`] — goodness-indexed run queue over dense slot-indexed
-//!   thread storage (`O(1)` pick, `O(log n)` re-rank) and sorted timer
-//!   list, both one slot-indexed 4-ary heap; per-period accounting,
+//! * [`Dispatcher`] — goodness-ordered run queue over dense slot-indexed
+//!   thread storage (a sorted deque: `O(1)` pick and rotation) and sorted
+//!   timer list (a slot-indexed 4-ary heap); per-period accounting,
 //!   deadline-miss detection and dispatch-overhead modelling.
 //! * [`Machine`] — the multi-CPU layer: `N` per-CPU dispatchers in
 //!   lockstep behind the single-CPU API, with thread placement and

@@ -5,7 +5,7 @@
 //! least one timer has expired" (§4.1).
 //!
 //! Timers are keyed by the dispatcher's dense thread slot and kept in the
-//! same slot-indexed 4-ary heap the run queue uses, under `(expiry,
+//! slot-indexed 4-ary heap of `heap.rs`, under `(expiry,
 //! ThreadId)`: arming, cancelling and expiry queries are an `O(1)` slot
 //! access plus an `O(log n)` sift, and a popped expiry hands the
 //! dispatcher the slot directly, with no id → slot map on the

@@ -252,6 +252,14 @@ fn assert_steady_state_recording_allocation_free() {
     assert_eq!(held, 1024, "the ring must stay at its configured capacity");
 }
 
+/// Always runnable, uses every quantum it is given.
+struct Spin;
+impl realrate::sim::WorkModel for Spin {
+    fn run(&mut self, _now: u64, quantum_us: u64, _hz: f64) -> realrate::sim::RunResult {
+        realrate::sim::RunResult::ran(quantum_us)
+    }
+}
+
 /// The sharded machine's half of the guarantee: *between* rebalance
 /// barriers each shard is an ordinary simulation on its own dense state,
 /// so a warmed multi-shard advance window allocates nothing.  The
@@ -262,8 +270,8 @@ fn assert_steady_state_recording_allocation_free() {
 /// allocates, and parallel execution is bit-identical anyway.
 ///
 /// The warmed advance window below drives the full per-shard stack —
-/// dispatcher spans (run-queue picks and timer-list rollovers, both on
-/// the indexed heap), the event calendar, and the simulation window loop
+/// dispatcher spans (run-queue picks, and timer-list rollovers on the
+/// indexed heap), the event calendar, and the simulation window loop
 /// — so, together with the actuation and wake-up window further down, the
 /// counting-allocator measurement dynamically covers every module the
 /// static hot list in analysis.toml declares allocation-free.  The
@@ -276,14 +284,7 @@ fn assert_steady_state_recording_allocation_free() {
 // hot-coverage: crates/sim/src/calendar.rs
 // hot-coverage: crates/sim/src/simulation.rs
 fn assert_sharded_steady_state_allocation_free() {
-    use realrate::sim::{RunResult, ShardConfig, ShardedSim, SimConfig, WorkModel};
-
-    struct Spin;
-    impl WorkModel for Spin {
-        fn run(&mut self, _now: u64, quantum_us: u64, _hz: f64) -> RunResult {
-            RunResult::ran(quantum_us)
-        }
-    }
+    use realrate::sim::{ShardConfig, ShardedSim, SimConfig};
 
     let mut sim = ShardedSim::new(
         SimConfig::default().with_cpus(4),
@@ -419,6 +420,60 @@ fn assert_actuation_and_wake_paths_allocation_free() {
     assert_eq!(done.migrations, 0);
 }
 
+/// The saturated CPU's half of the dispatch guarantee: far more spinners
+/// than the machine can serve, so no pick is ever served from the
+/// next-quantum cache — every dispatch takes the head of the run queue,
+/// rotates it to the tail, runs it into its throttle and drops it from the
+/// queue, and the period timer later re-queues it under the pick sequence
+/// it left with, a few places in from the tail.  Migration is switched off
+/// for the reason given above.
+// hot-coverage: crates/scheduler/src/runqueue.rs
+fn assert_saturated_dispatch_allocation_free() {
+    use realrate::core::SimTime;
+    use realrate::sim::{SimConfig, Simulation};
+
+    let mut config = SimConfig::default().with_cpus(2);
+    config.controller.placement.imbalance_threshold_ppt = u32::MAX;
+    let mut sim = Simulation::new(config);
+    for i in 0..400 {
+        sim.add_job(
+            &format!("spin{i}"),
+            JobSpec::miscellaneous(),
+            Box::new(Spin),
+        )
+        .unwrap();
+    }
+    sim.set_trace_interval(SimTime::from_secs(3600));
+    sim.run_for(1.0);
+    let warm = sim.telemetry_snapshot();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    sim.run_for(0.5);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "saturated dispatch (rotate, throttle, release) must perform no heap allocation"
+    );
+    let done = sim.telemetry_snapshot();
+    let dispatches = done.dispatches - warm.dispatches;
+    assert!(dispatches >= 2000, "saw {dispatches} dispatches");
+    assert_eq!(
+        done.quantum_cache_misses - warm.quantum_cache_misses,
+        dispatches,
+        "the fixture must keep every pick on the run queue"
+    );
+    assert!(
+        done.context_switches - warm.context_switches >= dispatches * 9 / 10,
+        "the fixture must rotate: nearly every pick is a different thread"
+    );
+    assert!(
+        done.period_rollovers - warm.period_rollovers >= dispatches / 2,
+        "the fixture must throttle what it picks and release it at the boundary"
+    );
+    assert_eq!(done.migrations, 0);
+}
+
 #[test]
 fn steady_state_control_cycle_is_allocation_free() {
     // The paper's single CPU, and a 4-CPU machine with the Place stage
@@ -437,4 +492,6 @@ fn steady_state_control_cycle_is_allocation_free() {
     assert_sharded_steady_state_allocation_free();
     // And what runs between spans and cycles: actuation, wake-up, poll.
     assert_actuation_and_wake_paths_allocation_free();
+    // And the saturated run queue: rotation and displaced re-queues.
+    assert_saturated_dispatch_allocation_free();
 }

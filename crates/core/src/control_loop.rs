@@ -80,6 +80,13 @@ impl SimStats {
     }
 }
 
+/// Reads the dense id → slot table (see `ControlLoop::slots`).
+#[inline]
+fn lookup(slots: &[JobSlot], thread: ThreadId) -> Option<JobSlot> {
+    let slot = *slots.get(thread.0 as usize)?;
+    (slot != JobSlot::NONE).then_some(slot)
+}
+
 /// One controller driving one machine: the state and the steps every host
 /// backend shares.
 ///
@@ -99,7 +106,8 @@ impl SimStats {
 /// // A backend would now dispatch and charge `ctl.machine_mut()`; when a
 /// // cycle comes due it runs it and re-arms the clock.
 /// let now = ctl.next_cycle_us();
-/// ctl.cycle(SimTime::from_micros(now), None, 0, |_| Some(job.slot));
+/// ctl.cycle(SimTime::from_micros(now), None, 0);
+/// assert_eq!(ctl.slot_of(job.thread), Some(job.slot));
 /// assert!(ctl.skip_to_next_cycle(now) > now);
 /// assert_eq!(ctl.stats().controller_invocations, 1);
 /// ctl.retire(job);
@@ -115,6 +123,13 @@ pub struct ControlLoop {
     /// so actuations, wake-ups and trace reads reach the thread without
     /// an id lookup.
     threads: Vec<Option<(ThreadId, ThreadHandle)>>,
+    /// The way back: raw thread id → controller slot, [`JobSlot::NONE`]
+    /// where the id serves no job here.  Written and cleared with
+    /// `threads`, so the usage feed and a backend's own slot-indexed
+    /// tables resolve a reporting or dispatched thread in one dense load —
+    /// the one id-keyed table a backend needs, kept once.  Ids are never
+    /// reused, so an id left over from a removed job reaches nobody.
+    slots: Vec<JobSlot>,
     stats: SimStats,
     /// The structured trace recorder, when telemetry is enabled.  `None`
     /// (the default) keeps every hot path on a single branch.
@@ -147,6 +162,7 @@ impl ControlLoop {
             controller: Controller::new(controller, registry),
             machine,
             threads: Vec::new(),
+            slots: Vec::new(),
             recorder: None,
             next_id: 1,
             id_stride: 1,
@@ -206,12 +222,35 @@ impl ControlLoop {
             self.threads.resize(slot.index() + 1, None);
         }
         self.threads[slot.index()] = Some((thread, handle));
+        let id = thread.0 as usize;
+        if self.slots.len() <= id {
+            self.slots.resize(id + 1, JobSlot::NONE);
+        }
+        self.slots[id] = slot;
     }
 
     fn unbind(&mut self, slot: JobSlot) {
-        if let Some(entry) = self.threads.get_mut(slot.index()) {
-            *entry = None;
+        if let Some((thread, _)) = self.threads.get_mut(slot.index()).and_then(Option::take) {
+            self.slots[thread.0 as usize] = JobSlot::NONE;
         }
+    }
+
+    /// The controller slot of the job `thread` serves, if it serves one
+    /// here: `None` once the job is retired or extracted, whoever holds
+    /// its slot index now.
+    #[inline]
+    pub fn slot_of(&self, thread: ThreadId) -> Option<JobSlot> {
+        lookup(&self.slots, thread)
+    }
+
+    /// Every thread serving a job here, with the job's slot, in thread-id
+    /// order — the order a backend's sampler needs to stay independent of
+    /// slot reuse.
+    pub fn threads_by_id(&self) -> impl Iterator<Item = (ThreadId, JobSlot)> + '_ {
+        (0..self.slots.len() as u64).filter_map(|raw| {
+            let thread = ThreadId(raw);
+            Some((thread, lookup(&self.slots, thread)?))
+        })
     }
 
     /// Admits a job: the controller rules on admission (real-time specs)
@@ -349,8 +388,8 @@ impl ControlLoop {
     ///
     /// * **Sense**: drains the usage ratios that changed since the last
     ///   cycle ([`Machine::drain_usage_changes`]) into the controller's
-    ///   sticky snapshots; `slot_of` maps a reporting thread to its
-    ///   controller slot from the backend's own dense table.
+    ///   sticky snapshots, each reporting thread resolved through the
+    ///   loop's own id → slot table.
     /// * **Control**: with `dt` given (an exact integer event-time delta)
     ///   the cycle length is `dt`; without, the controller derives it from
     ///   consecutive `now` values.
@@ -358,24 +397,19 @@ impl ControlLoop {
     ///   thread the Place stage moved migrates, is counted on both CPUs,
     ///   and is charged `migration_cost_us` (cache and TLB refill on the
     ///   destination; zero on a backend that pays it for real).
-    pub fn cycle(
-        &mut self,
-        now: SimTime,
-        dt: Option<SimTime>,
-        migration_cost_us: u64,
-        mut slot_of: impl FnMut(ThreadId) -> Option<JobSlot>,
-    ) -> u64 {
+    pub fn cycle(&mut self, now: SimTime, dt: Option<SimTime>, migration_cost_us: u64) -> u64 {
         let Self {
             controller,
             machine,
             threads,
+            slots,
             stats,
             recorder,
             last_cycle_us,
             ..
         } = self;
         machine.drain_usage_changes(|thread, ratio| {
-            if let Some(slot) = slot_of(thread) {
+            if let Some(slot) = lookup(slots, thread) {
                 controller.record_usage(slot, UsageSnapshot { usage_ratio: ratio });
             }
         });
@@ -543,14 +577,7 @@ mod tests {
     /// would: straight at its due time, cost not charged.
     fn run_due_cycle(ctl: &mut ControlLoop) {
         let now = ctl.next_cycle_us();
-        // Ids are dense from 1 here, so the controller's own id index
-        // stands in for a backend's thread table.
-        let slots: Vec<Option<JobSlot>> = (0..64)
-            .map(|raw| ctl.controller().slot_of(JobId(raw)))
-            .collect();
-        ctl.cycle(SimTime::from_micros(now), None, 0, |thread| {
-            slots.get(thread.0 as usize).copied().flatten()
-        });
+        ctl.cycle(SimTime::from_micros(now), None, 0);
         ctl.skip_to_next_cycle(now);
     }
 
@@ -600,8 +627,10 @@ mod tests {
             "the cycle's actuations reach the thread through the slot table"
         );
 
+        assert_eq!(ctl.slot_of(a.thread), Some(a.slot));
         ctl.retire(a);
         assert_eq!(ctl.reservation(a.slot, a.thread), None, "entry cleared");
+        assert_eq!(ctl.slot_of(a.thread), None, "both ways");
         assert_eq!(ctl.controller().job_count(), 0);
         assert_eq!(ctl.machine().thread_count(), 0);
         ctl.retire(a); // an already-removed handle is a no-op
@@ -609,6 +638,12 @@ mod tests {
         let b = ctl.admit(JobSpec::miscellaneous()).unwrap();
         assert_eq!(b.slot.index(), a.slot.index(), "slot reused");
         assert!(ctl.reservation(b.slot, b.thread).is_some());
+        assert_eq!(ctl.slot_of(b.thread), Some(b.slot));
+        assert_eq!(
+            ctl.slot_of(a.thread),
+            None,
+            "a's id does not follow the index"
+        );
         // The leftover handle reaches neither the entry nor its new tenant.
         assert_eq!(ctl.reservation(a.slot, a.thread), None);
         ctl.retire(a);
@@ -693,9 +728,11 @@ mod tests {
         assert!(src.extract(JobId(99)).is_none());
         let (mjob, mthread) = src.extract(job.job).unwrap();
         assert_eq!(src.reservation(job.slot, job.thread), None);
+        assert_eq!(src.slot_of(job.thread), None);
         assert_eq!(src.machine().thread_count(), 1);
         let landed = dst.inject(mjob, mthread, CpuId(0)).unwrap();
         assert_eq!(landed.job, job.job, "the id travels with the job");
+        assert_eq!(dst.slot_of(landed.thread), Some(landed.slot));
         assert_eq!(dst.reservation(landed.slot, landed.thread), Some(granted));
         assert_eq!(dst.admit(JobSpec::miscellaneous()).unwrap().job, JobId(2));
     }
@@ -706,7 +743,7 @@ mod tests {
         assert_eq!(ctl.next_cycle_us(), 10_000);
         // A stall until t = 47 ms: one cycle runs, the next is due at the
         // next grid point after the stall, not at 20 ms.
-        ctl.cycle(SimTime::from_micros(47_000), None, 0, |_| None);
+        ctl.cycle(SimTime::from_micros(47_000), None, 0);
         assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000);
         assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000, "idempotent");
         assert_eq!(ctl.stats().controller_invocations, 1);

@@ -1257,6 +1257,48 @@ mod tests {
         assert!(saw_exception);
     }
 
+    /// The period estimator is created by the first real-rate Estimate that
+    /// reaches a job.  A miscellaneous job that gains a progress metric
+    /// mid-run must decide its periods exactly as one whose estimator was
+    /// there from admission: until then nothing would have been observed.
+    #[test]
+    fn a_late_period_estimator_decides_like_one_present_from_admission() {
+        let run = |from_admission: bool| {
+            let registry = MetricRegistry::new();
+            let config = ControllerConfig::default().with_period_estimation(true);
+            let mut c = Controller::new(config, registry.clone());
+            let slot = c.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
+            if from_admission {
+                c.jobs.get_mut(slot).unwrap().period_estimator =
+                    Some(Box::new(crate::PeriodEstimator::with_defaults()));
+            }
+            let queue = Arc::new(BoundedBuffer::<u8>::new("q", 10));
+            let usage = BTreeMap::new();
+            let mut periods = Vec::new();
+            for i in 1..=160 {
+                if i == 40 {
+                    registry.register(JobKey(1), Role::Consumer, queue.clone());
+                }
+                // Swing the fill level from cycle to cycle so the jitter
+                // branch has something to average.
+                if i % 2 == 0 {
+                    while queue.try_push(0).is_ok() {}
+                } else {
+                    queue.drain();
+                }
+                let out = c.control_cycle(i as f64 * 0.01, &usage);
+                periods.push(out.actuation_for(JobId(1)).map(|a| a.reservation.period));
+                let created = c.jobs.get(slot).unwrap().period_estimator.is_some();
+                assert_eq!(created, from_admission || i >= 40, "cycle {i}");
+            }
+            periods
+        };
+        let late = run(false);
+        assert_eq!(late, run(true));
+        let distinct: std::collections::BTreeSet<_> = late.iter().flatten().collect();
+        assert!(distinct.len() > 1, "the heuristic moved the period");
+    }
+
     #[test]
     fn usage_feedback_reclaims_unused_allocation() {
         let (mut c, reg) = controller();

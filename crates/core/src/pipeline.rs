@@ -48,7 +48,13 @@ pub(crate) struct JobEntry {
     pub(crate) spec: JobSpec,
     pub(crate) importance: Importance,
     pub(crate) pressure: PressureEstimator,
-    pub(crate) period_estimator: PeriodEstimator,
+    /// The §3.3 period heuristic's state, out of line and created by the
+    /// first real-rate Estimate that reaches the job with period
+    /// estimation on: every other job (all of them, in the paper's
+    /// configuration) would carry its 128 bytes and heap-allocated window
+    /// through each cycle's cache without ever reading them.  A fresh
+    /// estimator has seen nothing, so creating it late decides the same.
+    pub(crate) period_estimator: Option<Box<PeriodEstimator>>,
     pub(crate) period: Period,
     pub(crate) granted: Proportion,
     /// The CPU the Place stage has the job on.
@@ -362,12 +368,13 @@ pub(crate) fn estimate(
 
         if config.period_estimation && record.class == JobClass::RealRate {
             let start = record.fills_start as usize;
-            for &fill in &fills[start..start + record.fills_len as usize] {
-                entry.period_estimator.observe_fill(fill);
-            }
-            entry.period = entry
+            let period_estimator = entry
                 .period_estimator
-                .end_period(entry.granted, entry.period);
+                .get_or_insert_with(|| Box::new(PeriodEstimator::with_defaults()));
+            for &fill in &fills[start..start + record.fills_len as usize] {
+                period_estimator.observe_fill(fill);
+            }
+            entry.period = period_estimator.end_period(entry.granted, entry.period);
         } else if entry.spec.period.is_none() {
             entry.period = config.default_period;
         }
@@ -600,7 +607,7 @@ impl JobEntry {
             spec,
             importance,
             pressure: PressureEstimator::new(config.pid),
-            period_estimator: PeriodEstimator::with_defaults(),
+            period_estimator: None,
             period,
             granted: initial,
             cpu: CpuId::ZERO,
@@ -615,6 +622,16 @@ mod tests {
     use super::*;
     use rrs_queue::{BoundedBuffer, JobKey, Role};
     use std::sync::Arc;
+
+    /// Every cycle's Estimate and Actuate walk the job table, and 10 000
+    /// entries do not fit the 2 MiB L2.  Moving the period estimator out of
+    /// line took an entry from 296 B to 176 B and, on top of the inline
+    /// thread tables, `spin_saturated` `run_wall_s` 0.140 → 0.130 and
+    /// `sharded_churn` 0.499 → 0.474; three cache lines is the budget.
+    #[test]
+    fn layout_budget() {
+        assert!(std::mem::size_of::<JobEntry>() <= 192);
+    }
 
     fn table_with(specs: &[(u64, JobSpec)]) -> (JobTable, ControllerConfig) {
         let config = ControllerConfig::default();

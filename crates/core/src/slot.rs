@@ -27,6 +27,14 @@ pub struct JobSlot {
 }
 
 impl JobSlot {
+    /// "No slot", for dense tables of slots that would otherwise pay
+    /// `Option`'s extra word per entry.  No [`SlotTable`] hands it out: a
+    /// table would need 2³² live entries to reach the index.
+    pub(crate) const NONE: JobSlot = JobSlot {
+        index: u32::MAX,
+        generation: u32::MAX,
+    };
+
     /// The dense index of this slot, usable for parallel side tables.
     ///
     /// Indices are reused after removal; pair with the generation (the full

@@ -10,7 +10,7 @@
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rrs_core::{
-    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobSlot, JobSpec,
+    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobSpec,
     SimStats, SimTime,
 };
 use rrs_queue::MetricRegistry;
@@ -96,7 +96,6 @@ struct WorkerReport {
 }
 
 struct TaskSlot {
-    slot: JobSlot,
     to_worker: Sender<WorkerMessage>,
     join: Option<JoinHandle<()>>,
     blocked: bool,
@@ -333,7 +332,6 @@ impl RealTimeExecutor {
         self.tasks.insert(
             thread,
             TaskSlot {
-                slot: handle.slot,
                 to_worker,
                 join: Some(join),
                 blocked: false,
@@ -382,11 +380,7 @@ impl RealTimeExecutor {
             let now_us = self.now_us();
             if now_us >= self.ctl.next_cycle_us() {
                 // The cycle's cost elapses for real, so none is charged.
-                let tasks = &self.tasks;
-                self.ctl
-                    .cycle(SimTime::from_micros(now_us), None, 0, |tid| {
-                        tasks.get(&tid).map(|t| t.slot)
-                    });
+                self.ctl.cycle(SimTime::from_micros(now_us), None, 0);
                 self.ctl.skip_to_next_cycle(self.now_us());
                 // Re-poll blocked tasks at controller frequency.
                 for (&tid, task) in &mut self.tasks {

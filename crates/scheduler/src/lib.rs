@@ -18,10 +18,10 @@
 //! * [`AdmissionControl`] — the overload threshold and admission test.
 //! * [`goodness`] — the Linux-style goodness function (rate monotonic for
 //!   RBS threads, time-slice based for best-effort threads).
-//! * [`Dispatcher`] — goodness-ordered run queue over dense slot-indexed
-//!   thread storage (a sorted deque: `O(1)` pick and rotation) and sorted
-//!   timer list (a slot-indexed 4-ary heap); per-period accounting,
-//!   deadline-miss detection and dispatch-overhead modelling.
+//! * [`Dispatcher`] — goodness-ordered run queue and expiry-ordered timer
+//!   list over dense slot-indexed thread storage, both on one sorted deque
+//!   (`O(1)` pick, rotation, next expiry and tail arm); per-period
+//!   accounting, deadline-miss detection and dispatch-overhead modelling.
 //! * [`Machine`] — the multi-CPU layer: `N` per-CPU dispatchers in
 //!   lockstep behind the single-CPU API, with thread placement and
 //!   cross-CPU migration ([`CpuId`]).  `N = 1` is bit-for-bit the
@@ -35,10 +35,10 @@
 
 pub mod accounting;
 pub mod admission;
+mod deque;
 pub mod dispatcher;
 pub mod error;
 pub mod goodness;
-mod heap;
 pub mod machine;
 pub mod reservation;
 mod runqueue;

@@ -39,7 +39,14 @@ impl Reservation {
     /// The execution budget per period, in microseconds:
     /// `proportion × period`.
     pub fn budget_micros(&self) -> u64 {
-        (self.period.as_micros() as u128 * self.proportion.ppt() as u128 / 1000) as u64
+        let (period, ppt) = (self.period.as_micros(), self.proportion.ppt() as u64);
+        // Every dispatcher sync asks, so stay in 64 bits (one `mul`, one
+        // `div`) unless the product overflows — a period beyond 500 000
+        // years — where the 128-bit division is a runtime-library call.
+        match period.checked_mul(ppt) {
+            Some(product) => product / 1000,
+            None => (period as u128 * ppt as u128 / 1000) as u64,
+        }
     }
 
     /// The CPU cycles this reservation corresponds to per period, for a CPU
@@ -113,6 +120,28 @@ mod tests {
     fn zero_proportion_has_zero_budget() {
         let r = Reservation::new(Proportion::ZERO, Period::from_millis(30));
         assert_eq!(r.budget_micros(), 0);
+    }
+
+    /// `proportion × period` as it was computed before the 64-bit path.
+    fn wide_budget(r: Reservation) -> u64 {
+        (r.period.as_micros() as u128 * r.proportion.ppt() as u128 / 1000) as u64
+    }
+
+    #[test]
+    fn budget_falls_back_to_128_bits_where_the_product_overflows() {
+        let edge = u64::MAX / 1000;
+        for period_us in [1, 30_000, edge - 1, edge, edge + 1, u64::MAX - 1, u64::MAX] {
+            for ppt in [0, 1, 2, 999, 1000] {
+                let r = Reservation::new(Proportion::from_ppt(ppt), Period::from_micros(period_us));
+                assert_eq!(
+                    r.budget_micros(),
+                    wide_budget(r),
+                    "{ppt}‰ of {period_us} µs"
+                );
+            }
+        }
+        let whole = Reservation::new(Proportion::from_ppt(1000), Period::from_micros(u64::MAX));
+        assert_eq!(whole.budget_micros(), u64::MAX);
     }
 
     proptest! {

@@ -54,12 +54,11 @@ impl JobSeries {
         }
     }
 
-    /// The same job about to be sampled into a *different* trace (the
-    /// sharded simulator moves jobs between shards): the handles into the
-    /// old trace are dropped, the progress baseline is kept.
-    pub fn rebased(mut self) -> Self {
+    /// Points the job at a *different* trace (the sharded simulator moves
+    /// jobs between shards): the handles into the old trace are dropped,
+    /// the progress baseline is kept.
+    pub fn rebase(&mut self) {
         self.ids = [None; 3];
-        self
     }
 
     fn push(&mut self, trace: &mut Trace, kind: usize, sample: Sample) {

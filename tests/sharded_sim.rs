@@ -208,3 +208,118 @@ fn multi_shard_runs_the_mixed_workload() {
     // 4 real-time + n surviving hogs + 2n io jobs.
     assert_eq!(job_count as u64, 4 + 3 * n, "jobs conserved across shards");
 }
+
+/// Wraps a work model and counts, on the model's side, the CPU time it
+/// was run for.
+struct Counted<W> {
+    inner: W,
+    used_us: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl<W: WorkModel> WorkModel for Counted<W> {
+    fn run(&mut self, now_us: u64, quantum_us: u64, hz: f64) -> RunResult {
+        let result = self.inner.run(now_us, quantum_us, hz);
+        self.used_us.fetch_add(
+            result.used_us.min(quantum_us),
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        result
+    }
+    fn poll_unblock(&mut self, now_us: u64) -> bool {
+        self.inner.poll_unblock(now_us)
+    }
+    fn next_transition(&self, now: SimTime) -> Option<SimTime> {
+        self.inner.next_transition(now)
+    }
+}
+
+/// Each shard finds a dispatched thread's work model through two tables —
+/// thread id → controller slot, slot index → simulator entry — and a
+/// cross-shard migration rewrites both on both shards while removals free
+/// slot indices for reuse.  If they ever fell out of step a thread would
+/// run some other job's model, so: every job's model-side count of the CPU
+/// time it was run for must equal what the machine charged its thread.
+#[test]
+fn migration_and_slot_reuse_keep_every_thread_on_its_own_work_model() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    // No modelled migration cost: that charge reaches the account without
+    // running the model.
+    let config = SimConfig {
+        migration_cost_us: 0,
+        ..SimConfig::default().with_cpus(8)
+    };
+    let mut sim = ShardedSim::new(config, ShardConfig::default().with_shards(4));
+    let add = |sim: &mut ShardedSim, i: u64| {
+        let used_us = Arc::new(AtomicU64::new(0));
+        let work: Box<dyn WorkModel> = if i.is_multiple_of(3) {
+            Box::new(Counted {
+                inner: BurstSleep {
+                    burst_us: 300 + 70 * i,
+                    sleep_us: 2_000 + 500 * i,
+                    wake_at_us: 0,
+                },
+                used_us: used_us.clone(),
+            })
+        } else {
+            Box::new(Counted {
+                inner: Spin,
+                used_us: used_us.clone(),
+            })
+        };
+        let handle = sim
+            .add_job(&format!("job{i}"), JobSpec::miscellaneous(), work)
+            .unwrap();
+        (handle, used_us)
+    };
+    let mut jobs: Vec<_> = (0..32).map(|i| add(&mut sim, i)).collect();
+    sim.run_for(1.0);
+    let home: Vec<_> = jobs.iter().map(|(h, _)| sim.shard_of(h.job)).collect();
+
+    // Empty two shards: the rebalancer refills them from the other two,
+    // and later arrivals take the slot indices the removals freed.
+    let mut removed = Vec::new();
+    let mut k = 0;
+    jobs.retain(|(h, used_us)| {
+        let leaves = home[k].is_some_and(|shard| shard < 2);
+        k += 1;
+        if leaves {
+            sim.remove_job(*h);
+            removed.push((*h, used_us.clone(), used_us.load(Ordering::Relaxed)));
+        }
+        !leaves
+    });
+    assert!(!removed.is_empty() && !jobs.is_empty());
+    sim.run_for(0.5);
+    jobs.extend((32..44).map(|i| add(&mut sim, i)));
+    sim.run_for(1.5);
+
+    let (_, migrations) = sim.rebalance_counts();
+    assert!(migrations > 0, "the emptied shards must pull jobs over");
+    let moved = jobs
+        .iter()
+        .zip(&home)
+        .filter(|((h, _), home)| sim.shard_of(h.job) != **home)
+        .count();
+    assert!(moved > 0, "some original job changed shard");
+    for (h, used_us) in &jobs {
+        assert_eq!(
+            used_us.load(Ordering::Relaxed),
+            sim.cpu_used_us(*h),
+            "{:?}: model-side and machine-side CPU time",
+            h.job
+        );
+        let shard = sim.shard(sim.shard_of(h.job).expect("live job has a shard"));
+        assert!(shard.controller().slot_of(h.job).is_some());
+    }
+    for (h, used_us, at_removal) in &removed {
+        assert_eq!(
+            used_us.load(Ordering::Relaxed),
+            *at_removal,
+            "{:?} ran after its removal",
+            h.job
+        );
+        assert_eq!(sim.shard_of(h.job), None);
+    }
+}

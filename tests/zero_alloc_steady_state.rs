@@ -278,7 +278,6 @@ impl realrate::sim::WorkModel for Spin {
 /// markers are kept in sync with that list by
 /// crates/analysis/tests/coverage_crosscheck.rs: adding a file to the hot
 /// list without extending this test (or vice versa) fails `cargo test`.
-// hot-coverage: crates/scheduler/src/heap.rs
 // hot-coverage: crates/scheduler/src/timerlist.rs
 // hot-coverage: crates/scheduler/src/dispatcher.rs
 // hot-coverage: crates/sim/src/calendar.rs
@@ -427,7 +426,7 @@ fn assert_actuation_and_wake_paths_allocation_free() {
 /// queue, and the period timer later re-queues it under the pick sequence
 /// it left with, a few places in from the tail.  Migration is switched off
 /// for the reason given above.
-// hot-coverage: crates/scheduler/src/runqueue.rs
+// hot-coverage: crates/scheduler/src/deque.rs
 fn assert_saturated_dispatch_allocation_free() {
     use realrate::core::SimTime;
     use realrate::sim::{SimConfig, Simulation};

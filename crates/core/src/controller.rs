@@ -18,7 +18,6 @@ use crate::taxonomy::{JobClass, JobSpec};
 use rrs_queue::{JobKey, MetricRegistry};
 use rrs_scheduler::{CpuId, Proportion, Reservation};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifies a job to the controller.
 ///
@@ -746,8 +745,9 @@ impl Controller {
     /// cpu)` changed.
     ///
     /// Committed state (grants, desires, PID state, placements) evolves
-    /// exactly as under [`Controller::full_cycle`]: a job leaves the dirty
-    /// set only after a recompute proved itself a bitwise no-op
+    /// exactly as under [`Controller::full_cycle`]: both decide through the
+    /// same [`crate::pipeline`] kernels, a job leaves the dirty set only
+    /// after a recompute proved itself a bitwise no-op
     /// ([`crate::PressureEstimator::state_fingerprint`]), and every input a
     /// recompute reads either re-marks the slot when it changes (usage,
     /// committed grant), is re-sampled every cycle (a real-rate job's
@@ -801,24 +801,15 @@ impl Controller {
                 }
 
                 let before = entry.pressure.state_fingerprint();
-                let q = entry.pressure.update(summed, dt);
-                let outcome = estimator.estimate(entry.granted, q, entry.usage.usage_ratio);
-                if outcome.reclaimed {
-                    let target = if entry.granted.ppt() > 0 {
-                        outcome.desired.ppt() as f64 / entry.granted.ppt() as f64
-                    } else {
-                        0.0
-                    };
-                    entry.pressure.scale_state(target.clamp(0.0, 1.0));
-                }
+                let (q, desired) = entry.demand(estimator, summed, entry.usage.usage_ratio, dt);
                 if entry.spec.period.is_none() {
                     entry.period = config.default_period;
                 }
                 let row = incr.row_of[index];
-                let same_desired = outcome.desired == incr.columns.desired(row as usize);
+                let same_desired = desired == incr.columns.desired(row as usize);
                 if !same_desired {
                     desired_changed = true;
-                    incr.columns.set_desired(row as usize, outcome.desired);
+                    incr.columns.set_desired(row as usize, desired);
                 }
                 // The recompute was a bitwise no-op: repeating it with the
                 // same inputs stays a no-op, so the job may be skipped
@@ -866,60 +857,34 @@ impl Controller {
 
         // Place: the cached per-CPU loads are current; run the candidate
         // scan only when the imbalance bound is actually exceeded.
-        let cpus = config.placement.cpu_count();
-        if cpus > 1 {
-            let (mut max_c, mut min_c) = (0usize, 0usize);
-            for (i, &load) in ctx.cpu_load.iter().enumerate() {
-                if load > ctx.cpu_load[max_c] {
-                    max_c = i;
-                }
-                if load < ctx.cpu_load[min_c] {
-                    min_c = i;
-                }
-            }
-            let gap = ctx.cpu_load[max_c] - ctx.cpu_load[min_c];
-            if gap > config.placement.imbalance_threshold_ppt as u64 {
-                let mut best: Option<(u64, JobSlot, JobId)> = None;
-                for (slot, job, entry) in jobs.iter() {
-                    if entry.cpu.index() != max_c {
-                        continue;
-                    }
-                    let class = entry.spec.with_progress_metric(entry.has_metric).classify();
-                    if !class.is_squishable() {
-                        continue;
-                    }
-                    let g = entry.granted.ppt() as u64;
-                    if g == 0 || g >= gap {
-                        continue;
-                    }
-                    let dist = g.abs_diff(gap / 2);
-                    if best.is_none_or(|(d, _, _)| dist < d) {
-                        best = Some((dist, slot, job));
-                    }
-                }
-                if let Some((_, slot, job)) = best {
-                    let entry = jobs.get_mut(slot).expect("candidate slot is live");
-                    let from = entry.cpu;
-                    let to = CpuId(min_c as u32);
-                    entry.cpu = to;
-                    let g = entry.granted.ppt() as u64;
-                    ctx.cpu_load[from.index()] -= g;
-                    ctx.cpu_load[to.index()] += g;
-                    output
-                        .events
-                        .push(ControllerEvent::Migrated { job, from, to });
-                    // Carry the new CPU on this cycle's actuation for the
-                    // job, patching the grant-change one if it exists.
-                    let reservation = Reservation::new(entry.granted, entry.period);
-                    match output.actuations.iter_mut().find(|a| a.slot == slot) {
-                        Some(a) => a.cpu = to,
-                        None => output.actuations.push(Actuation {
-                            slot,
-                            job,
-                            reservation,
-                            cpu: to,
-                        }),
-                    }
+        if let Some((max_c, min_c, gap)) = pipeline::imbalance(&ctx.cpu_load, config) {
+            let on_max = jobs.iter().filter_map(|(slot, job, entry)| {
+                let class = entry.spec.with_progress_metric(entry.has_metric).classify();
+                (entry.cpu.index() == max_c && class.is_squishable())
+                    .then_some(((slot, job), entry.granted))
+            });
+            if let Some((slot, job)) = pipeline::migrant(gap, on_max) {
+                let entry = jobs.get_mut(slot).expect("candidate slot is live");
+                let from = entry.cpu;
+                let to = CpuId(min_c as u32);
+                entry.cpu = to;
+                let g = entry.granted.ppt() as u64;
+                ctx.cpu_load[from.index()] -= g;
+                ctx.cpu_load[to.index()] += g;
+                output
+                    .events
+                    .push(ControllerEvent::Migrated { job, from, to });
+                // Carry the new CPU on this cycle's actuation for the job,
+                // patching the grant-change one if it exists.
+                let reservation = Reservation::new(entry.granted, entry.period);
+                match output.actuations.iter_mut().find(|a| a.slot == slot) {
+                    Some(a) => a.cpu = to,
+                    None => output.actuations.push(Actuation {
+                        slot,
+                        job,
+                        reservation,
+                        cpu: to,
+                    }),
                 }
             }
         }
@@ -929,41 +894,13 @@ impl Controller {
             let (slot, job) = incr.request_slots[row as usize];
             let granted = jobs.get(slot).expect("recomputed slot is live").granted;
             let desired = incr.columns.desired(row as usize);
-            if granted.ppt() < desired.ppt() && q.abs() >= config.quality_exception_pressure {
-                output
-                    .events
-                    .push(ControllerEvent::Quality(QualityException {
-                        job,
-                        desired,
-                        granted,
-                        pressure: q,
-                        time: now_s,
-                    }));
-            }
+            output.events.extend(pipeline::quality_exception(
+                config, job, desired, granted, q, now_s,
+            ));
         }
 
         output.total_granted_ppt = incr.granted_total_ppt;
         output.cost_us = config.cost_model.invocation_cost_us(jobs.len());
-    }
-
-    /// Runs one control cycle at time `now_s` (seconds), with usage
-    /// feedback supplied as a map, and returns an owned copy of the output.
-    ///
-    /// Convenience wrapper over [`Controller::record_usage`] +
-    /// [`Controller::control_cycle_in_place`] for callers that are not on
-    /// the hot path; jobs missing from the map are assumed to have used
-    /// their full allocation.
-    pub fn control_cycle(
-        &mut self,
-        now_s: f64,
-        usage: &BTreeMap<JobId, UsageSnapshot>,
-    ) -> ControlOutput {
-        for (&job, &snapshot) in usage {
-            if let Some(slot) = self.jobs.slot_of(job) {
-                self.record_usage(slot, snapshot);
-            }
-        }
-        self.control_cycle_in_place(now_s).clone()
     }
 }
 
@@ -973,6 +910,7 @@ mod tests {
     use proptest::prelude::*;
     use rrs_queue::{BoundedBuffer, Role};
     use rrs_scheduler::Period;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn controller() -> (Controller, MetricRegistry) {
@@ -982,12 +920,10 @@ mod tests {
     }
 
     fn run_cycles(c: &mut Controller, n: usize, dt: f64) -> ControlOutput {
-        let usage = BTreeMap::new();
-        let mut out = ControlOutput::default();
         for i in 1..=n {
-            out = c.control_cycle(i as f64 * dt, &usage);
+            c.control_cycle_in_place(i as f64 * dt);
         }
-        out
+        c.output.clone()
     }
 
     /// Asserts the live per-CPU load accumulators equal a recount over the
@@ -1168,11 +1104,10 @@ mod tests {
         reg.register(JobKey(2), Role::Consumer, queue);
         c.add_job(JobId(2), JobSpec::real_rate()).unwrap();
 
-        let usage = BTreeMap::new();
         let mut squished = false;
         let mut last_total = 0;
         for i in 1..=300 {
-            let out = c.control_cycle(i as f64 * 0.01, &usage);
+            let out = c.control_cycle_in_place(i as f64 * 0.01);
             last_total = out.total_granted_ppt;
             if out
                 .events
@@ -1243,10 +1178,9 @@ mod tests {
         c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
         c.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
 
-        let usage = BTreeMap::new();
         let mut saw_exception = false;
         for i in 1..=400 {
-            let out = c.control_cycle(i as f64 * 0.01, &usage);
+            let out = c.control_cycle_in_place(i as f64 * 0.01);
             if !out.quality_exceptions().is_empty() {
                 saw_exception = true;
                 let q = out.quality_exceptions()[0];
@@ -1273,7 +1207,6 @@ mod tests {
                     Some(Box::new(crate::PeriodEstimator::with_defaults()));
             }
             let queue = Arc::new(BoundedBuffer::<u8>::new("q", 10));
-            let usage = BTreeMap::new();
             let mut periods = Vec::new();
             for i in 1..=160 {
                 if i == 40 {
@@ -1286,7 +1219,7 @@ mod tests {
                 } else {
                     queue.drain();
                 }
-                let out = c.control_cycle(i as f64 * 0.01, &usage);
+                let out = c.control_cycle_in_place(i as f64 * 0.01);
                 periods.push(out.actuation_for(JobId(1)).map(|a| a.reservation.period));
                 let created = c.jobs.get(slot).unwrap().period_estimator.is_some();
                 assert_eq!(created, from_admission || i >= 40, "cycle {i}");
@@ -1307,14 +1240,14 @@ mod tests {
             queue.try_push(i).unwrap();
         }
         reg.register(JobKey(1), Role::Consumer, queue);
-        c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
+        let slot = c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
 
-        // First grow the allocation with full usage.
-        let full_usage = BTreeMap::new();
+        // First grow the allocation with full usage (the default for a job
+        // that has never reported).
         let mut grown = 0;
         for i in 1..=100 {
             grown = c
-                .control_cycle(i as f64 * 0.01, &full_usage)
+                .control_cycle_in_place(i as f64 * 0.01)
                 .actuation_for(JobId(1))
                 .unwrap()
                 .reservation
@@ -1323,12 +1256,11 @@ mod tests {
         }
         // Now report that the job only uses 10 % of what it is given (for
         // example because the disk is the real bottleneck).
-        let mut low_usage = BTreeMap::new();
-        low_usage.insert(JobId(1), UsageSnapshot { usage_ratio: 0.1 });
+        c.record_usage(slot, UsageSnapshot { usage_ratio: 0.1 });
         let mut shrunk = grown;
         for i in 101..=200 {
             shrunk = c
-                .control_cycle(i as f64 * 0.01, &low_usage)
+                .control_cycle_in_place(i as f64 * 0.01)
                 .actuation_for(JobId(1))
                 .unwrap()
                 .reservation

@@ -29,6 +29,13 @@
 //! with cache-friendly linear scans over the slot table.  The stages only
 //! communicate through the context, which keeps them independently
 //! testable and swappable.
+//!
+//! What the stages decide for one job or one machine — `JobEntry::demand`
+//! (Figures 3–4 with the reclaim damping), `imbalance` and `migrant`
+//! (the Place rule), `quality_exception` — are kernels of their own:
+//! the incremental cycle (`Controller::incremental_cycle`) calls the same
+//! ones and differs from the staged cycle only in what it walks (its dirty
+//! set, its squish columns, the changed grants).
 
 use crate::config::ControllerConfig;
 use crate::controller::{Actuation, ControlOutput, JobId, UsageSnapshot};
@@ -353,18 +360,7 @@ pub(crate) fn estimate(
             JobClass::RealRate => record.summed_pressure.unwrap_or(config.misc_pressure),
             _ => config.misc_pressure,
         };
-        let q = entry.pressure.update(summed, dt);
-        let outcome = estimator.estimate(entry.granted, q, record.usage_ratio);
-        if outcome.reclaimed {
-            // Damp the PID state so the reclaimed allocation is not
-            // immediately re-requested.
-            let target = if entry.granted.ppt() > 0 {
-                outcome.desired.ppt() as f64 / entry.granted.ppt() as f64
-            } else {
-                0.0
-            };
-            entry.pressure.scale_state(target.clamp(0.0, 1.0));
-        }
+        let (q, desired) = entry.demand(estimator, summed, record.usage_ratio, dt);
 
         if config.period_estimation && record.class == JobClass::RealRate {
             let start = record.fills_start as usize;
@@ -380,7 +376,7 @@ pub(crate) fn estimate(
         }
 
         record.pressure_q = q;
-        record.desired = outcome.desired;
+        record.desired = desired;
         record.period = entry.period;
     }
 }
@@ -479,41 +475,18 @@ pub(crate) fn place(config: &ControllerConfig, jobs: &mut JobTable, ctx: &mut Cy
             ctx.cpu_fixed_load[entry.cpu.index()] += record.granted.ppt() as u64;
         }
     }
-    if cpus == 1 {
-        return;
-    }
 
     // Threshold-triggered migration: most → least loaded CPU.
-    let (mut max_c, mut min_c) = (0usize, 0usize);
-    for (i, &load) in ctx.cpu_load.iter().enumerate() {
-        if load > ctx.cpu_load[max_c] {
-            max_c = i;
-        }
-        if load < ctx.cpu_load[min_c] {
-            min_c = i;
-        }
-    }
-    let gap = ctx.cpu_load[max_c] - ctx.cpu_load[min_c];
-    if gap <= config.placement.imbalance_threshold_ppt as u64 {
+    let Some((max_c, min_c, gap)) = imbalance(&ctx.cpu_load, config) else {
         return;
-    }
-    let mut best: Option<(u64, usize)> = None;
-    for (idx, record) in ctx.records.iter().enumerate() {
-        if record.cpu.index() != max_c || !record.class.is_squishable() {
-            continue;
-        }
-        let g = record.granted.ppt() as u64;
-        // Only moves that strictly reduce the gap qualify (0 < g < gap);
-        // among those, prefer the grant closest to half the gap.
-        if g == 0 || g >= gap {
-            continue;
-        }
-        let dist = g.abs_diff(gap / 2);
-        if best.is_none_or(|(d, _)| dist < d) {
-            best = Some((dist, idx));
-        }
-    }
-    let Some((_, idx)) = best else { return };
+    };
+    let on_max = ctx.records.iter().enumerate().filter_map(|(idx, record)| {
+        (record.cpu.index() == max_c && record.class.is_squishable())
+            .then_some((idx, record.granted))
+    });
+    let Some(idx) = migrant(gap, on_max) else {
+        return;
+    };
     let record = &mut ctx.records[idx];
     let from = record.cpu;
     let to = CpuId(min_c as u32);
@@ -571,17 +544,14 @@ pub(crate) fn actuate(
         let entry = jobs.get_mut(record.slot).expect("record slot is live");
         entry.granted = grant;
         out.total_granted_ppt += grant.ppt();
-        if grant.ppt() < record.desired.ppt()
-            && record.pressure_q.abs() >= config.quality_exception_pressure
-        {
-            out.events.push(ControllerEvent::Quality(QualityException {
-                job: record.job,
-                desired: record.desired,
-                granted: grant,
-                pressure: record.pressure_q,
-                time: ctx.now_s,
-            }));
-        }
+        out.events.extend(quality_exception(
+            config,
+            record.job,
+            record.desired,
+            grant,
+            record.pressure_q,
+            ctx.now_s,
+        ));
         out.actuations.push(Actuation {
             slot: record.slot,
             job: record.job,
@@ -593,7 +563,94 @@ pub(crate) fn actuate(
     out.cost_us = config.cost_model.invocation_cost_us(jobs.len());
 }
 
+/// The Place rule's trigger: the most and the least loaded CPU (lowest id
+/// on ties) and the granted-load gap between them, when the gap exceeds
+/// the configured imbalance bound.  A single CPU is never imbalanced.
+pub(crate) fn imbalance(
+    cpu_load: &[u64],
+    config: &ControllerConfig,
+) -> Option<(usize, usize, u64)> {
+    let (mut max_c, mut min_c) = (0usize, 0usize);
+    for (i, &load) in cpu_load.iter().enumerate() {
+        if load > cpu_load[max_c] {
+            max_c = i;
+        }
+        if load < cpu_load[min_c] {
+            min_c = i;
+        }
+    }
+    let gap = cpu_load[max_c] - cpu_load[min_c];
+    (gap > config.placement.imbalance_threshold_ppt as u64).then_some((max_c, min_c, gap))
+}
+
+/// The Place rule's choice: among the squishable jobs on the most loaded
+/// CPU (`candidates`, each with its grant), the one whose grant is closest
+/// to half the gap.  Only moves that strictly reduce the gap qualify
+/// (`0 < grant < gap`); the first candidate wins a tie.
+pub(crate) fn migrant<K>(gap: u64, candidates: impl Iterator<Item = (K, Proportion)>) -> Option<K> {
+    let mut best: Option<(u64, K)> = None;
+    for (key, granted) in candidates {
+        let g = granted.ppt() as u64;
+        if g == 0 || g >= gap {
+            continue;
+        }
+        let dist = g.abs_diff(gap / 2);
+        if best.as_ref().is_none_or(|(d, _)| dist < *d) {
+            best = Some((dist, key));
+        }
+    }
+    best.map(|(_, key)| key)
+}
+
+/// The quality exception an adaptive job raises when its demand could not
+/// be met: granted less than it desired *and* under at least the
+/// configured pressure.
+pub(crate) fn quality_exception(
+    config: &ControllerConfig,
+    job: JobId,
+    desired: Proportion,
+    granted: Proportion,
+    pressure: f64,
+    time: f64,
+) -> Option<ControllerEvent> {
+    let unmet =
+        granted.ppt() < desired.ppt() && pressure.abs() >= config.quality_exception_pressure;
+    unmet.then_some(ControllerEvent::Quality(QualityException {
+        job,
+        desired,
+        granted,
+        pressure,
+        time,
+    }))
+}
+
 impl JobEntry {
+    /// Figures 3–4 for one adaptive job: feeds the summed pressure through
+    /// the PID control function, turns the resulting `Q_t` into a desired
+    /// proportion (`P'_t = k·Q_t`, or the usage-based reclaim), and on a
+    /// reclaim damps the PID state so the reclaimed allocation is not
+    /// immediately re-requested.  Returns `(Q_t, desired)`, `Q_t` as it was
+    /// before any damping.
+    pub(crate) fn demand(
+        &mut self,
+        estimator: &ProportionEstimator,
+        summed: f64,
+        usage_ratio: f64,
+        dt: f64,
+    ) -> (f64, Proportion) {
+        let q = self.pressure.update(summed, dt);
+        let outcome = estimator.estimate(self.granted, q, usage_ratio);
+        if outcome.reclaimed {
+            let target = if self.granted.ppt() > 0 {
+                outcome.desired.ppt() as f64 / self.granted.ppt() as f64
+            } else {
+                0.0
+            };
+            self.pressure.scale_state(target.clamp(0.0, 1.0));
+        }
+        (q, outcome.desired)
+    }
+
     pub(crate) fn new(spec: JobSpec, importance: Importance, config: &ControllerConfig) -> Self {
         let class = spec.classify();
         let period = spec.period.unwrap_or(config.default_period);
@@ -969,6 +1026,65 @@ mod tests {
             out.total_granted_ppt,
             150 + misc.reservation.proportion.ppt()
         );
+    }
+
+    #[test]
+    fn imbalance_needs_a_gap_strictly_over_the_bound_and_breaks_ties_low() {
+        let config = ControllerConfig::default().with_cpus(4);
+        let bound = config.placement.imbalance_threshold_ppt as u64;
+        assert_eq!(
+            imbalance(&[100 + bound, 100], &config),
+            None,
+            "at the bound"
+        );
+        assert_eq!(
+            imbalance(&[100, 101 + bound], &config),
+            Some((1, 0, bound + 1))
+        );
+        // Two CPUs tie at each end: the lowest id is named for both.
+        assert_eq!(imbalance(&[900, 100, 900, 100], &config), Some((0, 1, 800)));
+        assert_eq!(imbalance(&[700], &config), None, "one CPU has no gap");
+    }
+
+    #[test]
+    fn migrant_takes_the_grant_closest_to_half_the_gap() {
+        let ppt = Proportion::from_ppt;
+        let pick = |gap, grants: &[u32]| migrant(gap, grants.iter().map(|&g| ppt(g)).enumerate());
+        // Half the gap is 200: 150 is closer than 300 or 20.
+        assert_eq!(pick(400, &[300, 150, 20]), Some(1));
+        // A zero grant moves nothing and a grant of the whole gap (or more)
+        // only flips the imbalance: neither ever qualifies.
+        assert_eq!(pick(400, &[0, 400, 401]), None);
+        assert_eq!(pick(400, &[0, 399, 400]), Some(1));
+        // 150 and 250 are equally far from 200: the first one seen wins.
+        assert_eq!(pick(400, &[250, 150]), Some(0));
+        assert_eq!(pick(400, &[150, 250]), Some(0));
+        assert_eq!(pick(400, &[]), None);
+    }
+
+    #[test]
+    fn quality_exception_needs_a_short_grant_and_the_pressure_bar() {
+        let config = ControllerConfig::default();
+        let bar = config.quality_exception_pressure;
+        let ppt = Proportion::from_ppt;
+        let raise = |desired, granted, q| {
+            quality_exception(&config, JobId(7), ppt(desired), ppt(granted), q, 0.5)
+        };
+        assert_eq!(raise(300, 300, 1.0), None, "demand met");
+        assert_eq!(raise(300, 100, bar / 2.0), None, "pressure under the bar");
+        // The bar is inclusive and reads the pressure's magnitude.
+        for q in [bar, -bar] {
+            assert_eq!(
+                raise(300, 100, q),
+                Some(ControllerEvent::Quality(QualityException {
+                    job: JobId(7),
+                    desired: ppt(300),
+                    granted: ppt(100),
+                    pressure: q,
+                    time: 0.5,
+                }))
+            );
+        }
     }
 
     #[test]

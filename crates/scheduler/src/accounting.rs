@@ -77,7 +77,9 @@ impl UsageAccount {
     /// Closes the current period at `now_us`, opening a new one with
     /// `next_budget_us`.  Returns `true` if the closing period counts as a
     /// missed deadline (the thread was runnable but did not receive its full
-    /// budget).
+    /// budget).  The one-boundary reference [`UsageAccount::roll_periods`]
+    /// is tested against; the dispatcher closes every period through the
+    /// batch form.
     pub fn roll_period(&mut self, now_us: u64, next_budget_us: u64) -> bool {
         let missed = self.was_runnable_this_period
             && self.budget_us > 0
@@ -97,10 +99,11 @@ impl UsageAccount {
         missed
     }
 
-    /// Closes `k >= 1` consecutive periods in one `O(1)` batch — the lazy
-    /// rollover used by [`crate::DispatcherConfig::lazy_rollovers`], where a
-    /// thread's account is only brought up to date when the thread is next
-    /// touched and may be several boundaries behind.
+    /// Closes `k >= 1` consecutive periods in one `O(1)` batch.  The eager
+    /// drain closes one per expired timer; under
+    /// [`crate::DispatcherConfig::lazy_rollovers`] a thread's account is
+    /// only brought up to date when the thread is next touched and may be
+    /// several boundaries behind.
     ///
     /// The first boundary closes the in-flight period exactly like
     /// [`UsageAccount::roll_period`] (real usage, real runnable flag, old

@@ -68,16 +68,37 @@
 //!   pending slot's account has strictly positive remaining budget after
 //!   the batch and its next period boundary is still in the future at
 //!   every accumulation instant, so the batch always lands in the period
-//!   it was consumed in.  `advance_to` never settles: the cached thread is
-//!   running (never throttled), so no armed timer can name its slot, and
-//!   other slots' rollovers cannot touch its account.
+//!   it was consumed in.  The lazy drain in `advance_to` never settles:
+//!   the span thread is running (never throttled), so no armed timer can
+//!   name its slot, and other slots' rollovers cannot touch its account.
+//!   The eager drain settles first: there the running thread keeps a
+//!   timer like every other reserved thread.
 //!
-//! Both mechanisms are gated to lazy-rollover mode (the calendar
-//! simulator); the eager reference path is untouched, and the golden
-//! SimStats captures pin the whole optimisation as observationally
-//! invisible.
+//! The cache arms in lazy-rollover mode only (the calendar simulator) —
+//! the eager drain rolls accounts behind its back — while span charges
+//! batch in either mode; the golden SimStats captures pin the whole
+//! optimisation as observationally invisible.
 //!
-//! Both mechanisms are counted by the always-on [`DispatchStats`]
+//! # Period boundaries and timers
+//!
+//! What happens to one thread at a period boundary, and who keeps a timer,
+//! are each stated once, for both rollover modes
+//! ([`DispatcherConfig::lazy_rollovers`]):
+//!
+//! * **The boundary roll** (`roll`) closes the thread's period(s) in its
+//!   [`UsageAccount`], moves its next boundary, releases it if it was
+//!   throttled, books the rollovers and missed deadlines, and puts it on
+//!   the usage watch list if its ratio moved.  Eager mode rolls one
+//!   boundary per expired timer, ending at the drain instant; lazy mode
+//!   rolls a thread's whole backlog on its grid when the thread is next
+//!   touched (`sync_entry`).
+//! * **The timer rule** (`rearm`): eager, every reserved thread keeps a
+//!   timer at its next boundary; lazy, only a throttled one does — its
+//!   release is the one boundary that can change a dispatch decision.
+//!   Every site that changes a thread's class, state or boundary re-applies
+//!   the rule instead of arming or cancelling for itself.
+//!
+//! The cache and the span batch are counted by the always-on [`DispatchStats`]
 //! (exposed per CPU by [`Dispatcher::stats`] and machine-wide by
 //! [`crate::Machine::stats`]): every dispatch decision is
 //! either a `quantum_cache_hits` (served by the cache in `O(1)`) or a
@@ -132,24 +153,25 @@ pub struct DispatcherConfig {
     pub best_effort_slice_us: u64,
     /// Roll reservation periods lazily (event-calendar mode).
     ///
-    /// In the default eager mode every reserved thread keeps a period timer
-    /// armed and [`Dispatcher::advance_to`] processes each boundary as the
-    /// clock passes it — `O(threads)` timer work per period, even for
-    /// threads nobody touches.  In lazy mode only *throttled* threads arm a
-    /// timer (at their replenishment boundary, which is the only boundary
-    /// that can change a dispatch decision); every other account is brought
-    /// up to date in one `O(1)` batch
+    /// The two modes run the same boundary roll and differ in two places
+    /// only.  *The drain* ([`Dispatcher::advance_to`]): eager processes one
+    /// boundary per expired timer as the clock passes it — `O(threads)`
+    /// timer work per period, even for threads nobody touches; lazy brings
+    /// an account up to date in one `O(1)` batch
     /// ([`crate::UsageAccount::roll_periods`]) when the thread is next
     /// touched (picked, charged, blocked, unblocked, re-reserved, migrated)
     /// or explicitly synced ([`Dispatcher::sync_all`],
-    /// [`Dispatcher::drain_usage_changes`]).
+    /// [`Dispatcher::drain_usage_changes`]).  *The timer rule*: eager keeps
+    /// a period timer armed for every reserved thread; lazy only for
+    /// *throttled* ones (at their replenishment boundary, which is the only
+    /// boundary that can change a dispatch decision).
     ///
-    /// Two deliberate semantic differences from the eager path: boundaries
-    /// stay on the exact periodic grid anchored at the last reservation
-    /// change (the eager path re-arms from the drain instant, so late
-    /// drains drift), and a thread that sits runnable-but-starved across
-    /// `k` boundaries counts `k` missed deadlines (the eager path counts
-    /// one per processed timer, so a fast-forwarded gap undercounts).
+    /// Two deliberate semantic differences follow: lazy boundaries stay on
+    /// the exact periodic grid anchored at the last reservation change (the
+    /// eager path re-arms from the drain instant, so late drains drift),
+    /// and a thread that sits runnable-but-starved across `k` boundaries
+    /// counts `k` missed deadlines (the eager path counts one per processed
+    /// timer, so a fast-forwarded gap undercounts).
     /// Usage queries via [`Dispatcher::usage`] / [`Dispatcher::usage_ref`] /
     /// [`Dispatcher::for_each_usage`] may lag until the entry is synced.
     #[serde(default)]
@@ -250,11 +272,13 @@ struct ThreadEntry {
     /// [`Dispatcher::runnable_be_with_slice`]; kept on the entry so the
     /// counter can be adjusted incrementally on any state change.
     counted_be_slice: bool,
-    /// Lazy mode: the earliest period boundary not yet rolled into the
-    /// account.  Boundaries sit on the exact periodic grid anchored at the
-    /// last reservation change, so `[Dispatcher::sync_entry]` can batch any
-    /// backlog in `O(1)`.  Unused (0) for best-effort threads and in eager
-    /// mode, where the timer list is authoritative.
+    /// The earliest period boundary not yet rolled into the account — the
+    /// one source of truth in both rollover modes ([`Dispatcher::rearm`]
+    /// arms the timer here, [`Dispatcher::roll`] moves it).  In lazy mode
+    /// boundaries sit on the exact periodic grid anchored at the last
+    /// reservation change, so [`Dispatcher::sync_entry`] can batch any
+    /// backlog in `O(1)`; in eager mode each is one period after the drain
+    /// that rolled the last.  Unused (0) for best-effort threads.
     next_boundary_us: u64,
     /// The last usage ratio handed out through
     /// [`Dispatcher::drain_usage_changes`]; a thread is only re-reported
@@ -282,10 +306,10 @@ pub struct MigratedThread {
     state: ThreadState,
     account: UsageAccount,
     remaining_slice_us: u64,
-    /// The expiry the source CPU had armed for the thread's next period
-    /// boundary.  Carried verbatim so a mid-period reservation change
-    /// (which re-arms from the change instant, not the period start)
-    /// survives migration.
+    /// The thread's next period boundary on the source CPU (`None` for a
+    /// best-effort thread).  Carried verbatim so a mid-period reservation
+    /// change (which re-anchors from the change instant, not the period
+    /// start) survives migration.
     next_boundary_us: Option<u64>,
 }
 
@@ -347,7 +371,6 @@ pub struct Dispatcher {
     running: Option<ThreadId>,
     pick_seq: u64,
     stats: DispatchStats,
-    missed_since_last_poll: u64,
     /// Dense slots whose usage ratio may have moved since the last
     /// [`Dispatcher::drain_usage_changes`] — the changed-only usage feed
     /// for the controller.  May hold stale slots (cleared on drain).
@@ -366,7 +389,7 @@ pub struct Dispatcher {
     /// (the counter only grows, so any mutation disarms it for good).
     quantum_cache_gen: Option<u64>,
     /// Span charges accumulated against `span_slot`'s account but not yet
-    /// settled into it (lazy mode only; see the module docs).
+    /// settled into it (see the module docs).
     span_pending_us: u64,
     /// Trace-event sink when telemetry is enabled; `None` costs one branch
     /// per instrumentation point.
@@ -396,7 +419,6 @@ impl Dispatcher {
             running: None,
             pick_seq: 0,
             stats: DispatchStats::default(),
-            missed_since_last_poll: 0,
             watch_list: Vec::new(),
             queue_gen: 0,
             span_slot: None,
@@ -591,8 +613,8 @@ impl Dispatcher {
     }
 
     /// Registers a thread.  Reserved threads are subject to admission
-    /// control; the new thread starts Ready with a full budget and a period
-    /// timer armed at `now + period`.
+    /// control; the new thread starts Ready with a full budget and its first
+    /// period boundary at `now + period`.
     pub fn add_thread(&mut self, id: ThreadId, class: ThreadClass) -> Result<(), SchedError> {
         if self.by_id.contains_key(&id) {
             return Err(SchedError::DuplicateThread(id));
@@ -620,11 +642,8 @@ impl Dispatcher {
             watched: false,
         };
         entry.account.mark_runnable();
-        let reserved = matches!(class, ThreadClass::Reserved(_));
         let idx = self.link(entry);
-        if reserved && !self.config.lazy_rollovers {
-            self.timers.arm(idx, id, next_boundary_us);
-        }
+        self.rearm(idx);
         Ok(())
     }
 
@@ -667,17 +686,13 @@ impl Dispatcher {
     ) -> Result<MigratedThread, SchedError> {
         self.settle_span();
         self.verify(idx, id)?;
-        let next_boundary_us = if self.config.lazy_rollovers {
-            // Settle any boundary backlog on this CPU's clock, then hand the
-            // (strictly future) grid boundary to the destination.
-            self.sync_entry(idx);
-            self.entries[idx as usize]
-                .as_ref()
-                .filter(|e| matches!(e.class, ThreadClass::Reserved(_)))
-                .map(|e| e.next_boundary_us)
-        } else {
-            self.timers.expiry_of(idx)
-        };
+        // Settle any boundary backlog on this CPU's clock, then hand the
+        // next boundary to the destination.
+        self.sync_entry(idx);
+        let next_boundary_us = self.entries[idx as usize]
+            .as_ref()
+            .filter(|e| matches!(e.class, ThreadClass::Reserved(_)))
+            .map(|e| e.next_boundary_us);
         self.timers.cancel(idx);
         if self.running == Some(id) {
             self.running = None;
@@ -710,17 +725,16 @@ impl Dispatcher {
         if self.by_id.contains_key(&thread.id) {
             return Err(SchedError::DuplicateThread(thread.id));
         }
-        let lazy = self.config.lazy_rollovers;
         let mut next_boundary_us = 0;
-        let mut eager_boundary = None;
         if let ThreadClass::Reserved(r) = thread.class {
-            let boundary = thread
+            next_boundary_us = thread
                 .next_boundary_us
                 .unwrap_or(thread.account.period_start_us + r.period.as_micros());
-            if lazy {
-                next_boundary_us = boundary;
-            } else {
-                eager_boundary = Some(boundary.max(self.now_us + 1));
+            if !self.config.lazy_rollovers {
+                // The eager drain fires timers, not backlogs: a boundary
+                // this CPU's clock already passed fires at the next
+                // `advance_to`.
+                next_boundary_us = next_boundary_us.max(self.now_us + 1);
             }
         }
         if matches!(thread.class, ThreadClass::BestEffort)
@@ -740,20 +754,10 @@ impl Dispatcher {
             last_reported_ratio: 1.0,
             watched: false,
         });
-        if let Some(boundary) = eager_boundary {
-            self.timers.arm(idx, thread.id, boundary);
-        }
-        if lazy {
-            // Boundaries that already passed on this CPU's clock roll
-            // immediately; a still-throttled arrival re-arms its release.
-            self.sync_entry(idx);
-            if let Some(entry) = self.entries[idx as usize].as_ref() {
-                if entry.state == ThreadState::Throttled {
-                    let boundary = entry.next_boundary_us;
-                    self.timers.arm(idx, thread.id, boundary);
-                }
-            }
-        }
+        // Lazy: boundaries that already passed on this CPU's clock roll
+        // immediately.
+        self.sync_entry(idx);
+        self.rearm(idx);
         Ok(())
     }
 
@@ -780,11 +784,9 @@ impl Dispatcher {
     pub fn remove_thread(&mut self, id: ThreadId) -> Result<(), SchedError> {
         self.settle_span();
         let idx = self.resolve(id)?;
-        if self.config.lazy_rollovers {
-            // Settle the departing thread's boundary backlog so the global
-            // rollover and miss statistics don't lose its final periods.
-            self.sync_entry(idx);
-        }
+        // Settle the departing thread's boundary backlog so the global
+        // rollover and miss statistics don't lose its final periods.
+        self.sync_entry(idx);
         // Cancel before the unlink frees (and possibly recycles) the slot
         // the timer list is keyed by.
         self.timers.cancel(idx);
@@ -822,14 +824,11 @@ impl Dispatcher {
         reservation: Reservation,
     ) -> Result<(), SchedError> {
         let now = self.now_us;
-        let lazy = self.config.lazy_rollovers;
         self.settle_span();
         self.verify(slot, id)?;
-        if lazy {
-            // Settle the old reservation's boundary backlog before the grid
-            // is re-anchored below.
-            self.sync_entry(slot);
-        }
+        // Settle the old reservation's boundary backlog before the grid is
+        // re-anchored below.
+        self.sync_entry(slot);
         let entry = self.entries[slot as usize]
             .as_mut()
             .expect("verified occupied above; neither settle nor sync frees a slot");
@@ -852,26 +851,12 @@ impl Dispatcher {
             // New period length: re-anchor the boundary grid from now.
             entry.next_boundary_us = now + reservation.period.as_micros();
         }
-        let throttled = entry.state == ThreadState::Throttled;
-        let next_boundary_us = entry.next_boundary_us;
         match old_class {
             ThreadClass::Reserved(r) => self.reserved_ppt -= r.proportion.ppt(),
             ThreadClass::BestEffort => self.be_count -= 1,
         }
         self.reserved_ppt += reservation.proportion.ppt();
-        if lazy {
-            // Restore the lazy timer invariant: exactly the throttled
-            // threads keep a release timer armed, at their next boundary.
-            if throttled {
-                self.timers.arm(slot, id, next_boundary_us);
-            } else {
-                self.timers.cancel(slot);
-            }
-        } else if period_changed {
-            // Eager mode: re-arm the period timer from now.
-            self.timers
-                .arm(slot, id, now + reservation.period.as_micros());
-        }
+        self.rearm(slot);
         self.reindex(slot);
         self.watch(slot);
         Ok(())
@@ -948,11 +933,9 @@ impl Dispatcher {
     }
 
     fn block_inner(&mut self, idx: u32) -> Result<(), SchedError> {
-        if self.config.lazy_rollovers {
-            // Roll boundaries while the thread still counts as runnable so
-            // the was-runnable miss accounting matches the eager path.
-            self.sync_entry(idx);
-        }
+        // Roll boundaries while the thread still counts as runnable so the
+        // was-runnable miss accounting matches the eager path.
+        self.sync_entry(idx);
         let entry = self.entries[idx as usize].as_mut().expect(
             "block_inner receives the current span's slot or a verified one, both occupied",
         );
@@ -961,11 +944,7 @@ impl Dispatcher {
             return Err(SchedError::InvalidState(id, "thread has exited"));
         }
         entry.state = ThreadState::Blocked;
-        if self.config.lazy_rollovers {
-            // A blocked thread cannot be dispatched, so its replenishment is
-            // no longer an event anybody needs a timer for.
-            self.timers.cancel(idx);
-        }
+        self.rearm(idx);
         if self.running == Some(id) {
             self.running = None;
         }
@@ -991,28 +970,20 @@ impl Dispatcher {
     }
 
     fn unblock_inner(&mut self, idx: u32) {
-        if self.config.lazy_rollovers {
-            // Refresh the budget first: a thread that slept across its
-            // boundary wakes into a fresh period, not a stale throttle.
-            self.sync_entry(idx);
-        }
+        // Refresh the budget first: a thread that slept across its boundary
+        // wakes into a fresh period, not a stale throttle.
+        self.sync_entry(idx);
         let Some(entry) = self.entries[idx as usize].as_mut() else {
             return;
         };
         if entry.state == ThreadState::Blocked {
-            let id = entry.id;
-            let mut rethrottled = false;
             if entry.account.exhausted() && matches!(entry.class, ThreadClass::Reserved(_)) {
                 entry.state = ThreadState::Throttled;
-                rethrottled = true;
             } else {
                 entry.state = ThreadState::Ready;
                 entry.account.mark_runnable();
             }
-            let next_boundary_us = entry.next_boundary_us;
-            if self.config.lazy_rollovers && rethrottled {
-                self.timers.arm(idx, id, next_boundary_us);
-            }
+            self.rearm(idx);
             self.reindex(idx);
         }
     }
@@ -1026,69 +997,37 @@ impl Dispatcher {
         }
         self.now_us = now_us;
         if self.config.lazy_rollovers {
-            // Only throttle-release timers are armed; the batch sync rolls
-            // the boundary backlog, unthrottles, and never re-arms (a fresh
-            // budget means no pending release).  The popped slot is the
-            // dispatcher's own dense index — no id resolution.
+            // Only throttle-release timers are armed, and the popped slot is
+            // the dispatcher's own dense index — no id resolution.
             while let Some(idx) = self.timers.pop_next_expired(now_us) {
                 self.sync_entry(idx);
             }
             return;
         }
-        // Drain expired timers in expiry order, one at a time — re-armed
-        // boundaries land strictly in the future, so the drain terminates
-        // without collecting into an intermediate `Vec`.
+        // The running thread keeps a timer too, so its open span batch lands
+        // before the drain can close the period it was consumed in.
+        self.settle_span();
+        // One boundary per expired timer, in expiry order, each ending at
+        // the drain instant: the re-armed timers land strictly in the
+        // future, so the drain terminates.
         while let Some(idx) = self.timers.pop_next_expired(now_us) {
-            let Some(entry) = self.entries[idx as usize].as_mut() else {
-                continue;
-            };
-            let ThreadClass::Reserved(r) = entry.class else {
-                continue;
-            };
-            let missed = entry.account.roll_period(now_us, r.budget_micros());
-            self.stats.period_rollovers += 1;
-            if let Some(t) = &self.telemetry {
-                t.record(
-                    now_us,
-                    TraceEventKind::PeriodRollover {
-                        cpu: self.telemetry_cpu,
-                        thread: entry.id.0,
-                        count: 1,
-                    },
-                );
-            }
-            if missed {
-                self.stats.deadlines_missed += 1;
-                self.missed_since_last_poll += 1;
-            }
-            if entry.state == ThreadState::Throttled {
-                entry.state = ThreadState::Ready;
-            }
-            if entry.state.is_runnable() {
-                entry.account.mark_runnable();
-            }
-            let ratio_changed =
-                entry.account.last_period_usage_ratio() != entry.last_reported_ratio;
-            let id = entry.id;
-            // Re-arm for the next period boundary.
-            self.timers.arm(idx, id, now_us + r.period.as_micros());
-            self.reindex(idx);
-            if ratio_changed {
-                self.watch(idx);
+            let class = self.entries[idx as usize].as_ref().map(|e| e.class);
+            if let Some(ThreadClass::Reserved(r)) = class {
+                self.roll(idx, r, 1, now_us);
             }
         }
     }
 
     /// Lazy mode: rolls the slot's period-boundary backlog into its account
-    /// in one `O(1)` batch and restores the dispatch state (unthrottling a
-    /// released thread, cancelling its timer).  No-op in eager mode, for
-    /// best-effort threads, and when no boundary has passed.
+    /// in one `O(1)` batch on the grid.  No-op in eager mode (the drain in
+    /// [`Dispatcher::advance_to`] rolls instead), for best-effort threads,
+    /// and when no boundary has passed.
     fn sync_entry(&mut self, idx: u32) {
         if !self.config.lazy_rollovers {
             return;
         }
         let now = self.now_us;
-        let Some(entry) = self.entries.get_mut(idx as usize).and_then(Option::as_mut) else {
+        let Some(entry) = self.entries.get(idx as usize).and_then(Option::as_ref) else {
             return;
         };
         let ThreadClass::Reserved(r) = entry.class else {
@@ -1097,22 +1036,35 @@ impl Dispatcher {
         if entry.next_boundary_us > now {
             return;
         }
+        let period = r.period.as_micros().max(1);
+        let k = (now - entry.next_boundary_us) / period + 1;
+        let final_start = entry.next_boundary_us + (k - 1) * period;
+        self.roll(idx, r, k, final_start);
+    }
+
+    /// The period-boundary roll, for both rollover modes: closes `k`
+    /// periods of the thread's account, the last one ending — and the open
+    /// one starting — at `final_start_us`, puts its next boundary one
+    /// period after that, releases it if it was throttled, and books the
+    /// rollovers and missed deadlines.
+    fn roll(&mut self, idx: u32, reservation: Reservation, k: u64, final_start_us: u64) {
         // A boundary roll must never race an unsettled span batch for the
-        // same slot: every settle point runs before its sync, and the span
-        // thread is Running, so it never holds the release timer that
-        // `advance_to` drains into this sync.
+        // same slot: every settle point runs before its roll.
         debug_assert!(
             self.span_pending_us == 0 || self.span_slot != Some(idx),
             "boundary roll with an unsettled span batch for the same slot"
         );
-        let period = r.period.as_micros().max(1);
-        let k = (now - entry.next_boundary_us) / period + 1;
-        let final_start = entry.next_boundary_us + (k - 1) * period;
+        let entry = self.entries[idx as usize]
+            .as_mut()
+            .expect("both callers read the reservation off this slot's entry");
         let runnable_rest = entry.state.is_runnable();
-        let missed = entry
-            .account
-            .roll_periods(k, r.budget_micros(), runnable_rest, final_start);
-        entry.next_boundary_us = final_start + period;
+        let missed = entry.account.roll_periods(
+            k,
+            reservation.budget_micros(),
+            runnable_rest,
+            final_start_us,
+        );
+        entry.next_boundary_us = final_start_us + reservation.period.as_micros().max(1);
         let released = entry.state == ThreadState::Throttled;
         if released {
             entry.state = ThreadState::Ready;
@@ -1124,10 +1076,9 @@ impl Dispatcher {
         let thread = entry.id.0;
         self.stats.period_rollovers += k;
         self.stats.deadlines_missed += missed;
-        self.missed_since_last_poll += missed;
         if let Some(t) = &self.telemetry {
             t.record(
-                now,
+                self.now_us,
                 TraceEventKind::PeriodRollover {
                     cpu: self.telemetry_cpu,
                     thread,
@@ -1135,14 +1086,35 @@ impl Dispatcher {
                 },
             );
         }
+        // A lazy thread that was not throttled held no timer and holds none
+        // now; skipping the rule for it keeps the timer list's key table
+        // off the dispatch span.
+        if released || !self.config.lazy_rollovers {
+            self.rearm(idx);
+        }
         if released {
-            // The release already happened; any still-armed timer (e.g. a
-            // sync racing ahead of `advance_to`'s drain) is stale.
-            self.timers.cancel(idx);
             self.reindex(idx);
         }
         if ratio_changed {
             self.watch(idx);
+        }
+    }
+
+    /// The timer rule, for both rollover modes: eager, every reserved thread
+    /// keeps a timer at its next boundary; lazy, only a throttled one does
+    /// (its release is the one boundary that can change a dispatch
+    /// decision).  Called after every change to a thread's class, state or
+    /// next boundary; arming a timer where it already is moves nothing.
+    fn rearm(&mut self, idx: u32) {
+        let Some(entry) = self.entries[idx as usize].as_ref() else {
+            return;
+        };
+        let keeps = matches!(entry.class, ThreadClass::Reserved(_))
+            && (!self.config.lazy_rollovers || entry.state == ThreadState::Throttled);
+        if keeps {
+            self.timers.arm(idx, entry.id, entry.next_boundary_us);
+        } else {
+            self.timers.cancel(idx);
         }
     }
 
@@ -1213,13 +1185,6 @@ impl Dispatcher {
     /// driver's `O(1)` "is this CPU busy?" probe.
     pub fn has_runnable(&self) -> bool {
         self.runnable.peek().is_some()
-    }
-
-    /// Returns (and clears) the number of deadlines missed since the last
-    /// call.  The controller polls this to decide whether to grow its spare
-    /// capacity by lowering the admission threshold.
-    pub fn take_missed_deadlines(&mut self) -> u64 {
-        std::mem::take(&mut self.missed_since_last_poll)
     }
 
     /// The Linux "recalculate goodness" pass: when every runnable
@@ -1302,12 +1267,10 @@ impl Dispatcher {
             };
         };
         let picked = key.id;
-        if self.config.lazy_rollovers {
-            // Bring the picked thread's account up to date before the
-            // quantum is capped by its remaining budget.  The rank key is
-            // period-derived, so a roll cannot invalidate the pick.
-            self.sync_entry(idx);
-        }
+        // Bring the picked thread's account up to date before the quantum is
+        // capped by its remaining budget.  The rank key is period-derived,
+        // so a roll cannot invalidate the pick.
+        self.sync_entry(idx);
 
         if self.running != Some(picked) {
             self.stats.context_switches += 1;
@@ -1535,7 +1498,6 @@ impl Dispatcher {
                 }
             }
         }
-        let next_boundary_us = entry.next_boundary_us;
         if be_charged {
             self.be_slices_dirty = true;
         }
@@ -1543,11 +1505,7 @@ impl Dispatcher {
             if self.running == Some(id) {
                 self.running = None;
             }
-            if self.config.lazy_rollovers {
-                // The replenishment is now a dispatch-relevant event: arm
-                // the release timer at the thread's next grid boundary.
-                self.timers.arm(idx, id, next_boundary_us);
-            }
+            self.rearm(idx);
         }
         self.reindex(idx);
         if !be_charged {
@@ -1634,31 +1592,18 @@ impl Dispatcher {
             if entry.state.is_runnable() {
                 runnable += 1;
             }
-            let expiry = self.timers.expiry_of(idx);
-            match entry.class {
-                ThreadClass::Reserved(_) if self.config.lazy_rollovers => {
-                    // Lazy invariant: exactly the throttled threads keep a
-                    // release timer armed, at their next grid boundary.
-                    if entry.state == ThreadState::Throttled {
-                        assert_eq!(
-                            expiry,
-                            Some(entry.next_boundary_us),
-                            "throttled {id} has no release timer at its boundary"
-                        );
-                    } else {
-                        assert_eq!(expiry, None, "unthrottled {id} keeps a stale timer");
-                    }
-                }
-                ThreadClass::Reserved(_) => {
-                    assert!(
-                        expiry.is_some(),
-                        "eager reserved {id} lost its period timer"
-                    );
-                }
-                ThreadClass::BestEffort => {
-                    assert_eq!(expiry, None, "best-effort {id} has a period timer");
-                }
-            }
+            // The timer rule ([`Dispatcher::rearm`]), restated: eager, every
+            // reserved thread keeps a timer at its next boundary; lazy, only
+            // a throttled one does.
+            let keeps = matches!(entry.class, ThreadClass::Reserved(_))
+                && (!self.config.lazy_rollovers || entry.state == ThreadState::Throttled);
+            assert_eq!(
+                self.timers.expiry_of(idx),
+                keeps.then_some(entry.next_boundary_us),
+                "timer rule broken for {id} ({:?}, {:?})",
+                entry.class,
+                entry.state
+            );
             if entry.watched {
                 assert!(
                     self.watch_list.contains(&idx),
@@ -1887,8 +1832,6 @@ mod tests {
             d.run_quantum();
         }
         assert!(d.stats().deadlines_missed > 0);
-        assert!(d.take_missed_deadlines() > 0);
-        assert_eq!(d.take_missed_deadlines(), 0);
     }
 
     #[test]
@@ -2317,6 +2260,118 @@ mod tests {
         d.assert_consistent();
     }
 
+    #[test]
+    fn an_eager_span_batch_lands_in_the_period_it_was_consumed_in() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
+        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
+        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
+        d.charge_span(400);
+        d.advance_to(10_000);
+        let acct = d.usage(ThreadId(1)).unwrap();
+        assert_eq!(acct.last_period_used_us, 400);
+        assert_eq!(acct.used_this_period_us, 0);
+        d.assert_consistent();
+    }
+
+    /// The timer rule over its whole table, from either prior timer state:
+    /// eager, a reserved thread keeps a timer at its next boundary whatever
+    /// its state; lazy, only while throttled; a best-effort thread never.
+    #[test]
+    fn rearm_holds_the_timer_rule_in_every_mode_class_and_state() {
+        use ThreadState::{Blocked, Ready, Running, Throttled};
+        for lazy in [false, true] {
+            for class in [reserved(100, 10), ThreadClass::BestEffort] {
+                for state in [Ready, Running, Throttled, Blocked] {
+                    for stale_timer in [None, Some(777)] {
+                        let mut d = Dispatcher::new(DispatcherConfig {
+                            lazy_rollovers: lazy,
+                            ..DispatcherConfig::default()
+                        });
+                        d.add_thread(ThreadId(1), class).unwrap();
+                        let idx = d.slot_of(ThreadId(1)).unwrap();
+                        d.entries[idx as usize].as_mut().unwrap().state = state;
+                        d.timers.cancel(idx);
+                        if let Some(expiry) = stale_timer {
+                            d.timers.arm(idx, ThreadId(1), expiry);
+                        }
+                        d.rearm(idx);
+                        let is_reserved = matches!(class, ThreadClass::Reserved(_));
+                        let keeps = is_reserved && (!lazy || state == Throttled);
+                        assert_eq!(
+                            d.timers.expiry_of(idx),
+                            keeps.then_some(10_000),
+                            "lazy={lazy} {class:?} {state:?} from {stale_timer:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One boundary through the eager drain — `roll` with `k = 1` ending at
+    /// the drain instant — against hand-written expectations: the account,
+    /// the release, the counters, and the re-arm one period after the
+    /// (late) drain rather than on the grid.
+    #[test]
+    fn eager_drain_rolls_one_boundary_ending_at_the_drain_instant() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
+        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
+        d.add_thread(ThreadId(2), reserved(200, 20)).unwrap();
+        let (s1, s2) = (
+            d.slot_of(ThreadId(1)).unwrap(),
+            d.slot_of(ThreadId(2)).unwrap(),
+        );
+        // Thread 1 runs into its throttle; thread 2 uses a quarter of its
+        // budget and stays ready.
+        d.charge(ThreadId(1), 5_000).unwrap();
+        d.charge(ThreadId(2), 1_000).unwrap();
+        assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Throttled));
+
+        // A late drain: thread 1's boundary (10 000) has passed, thread 2's
+        // (20 000) has not.
+        d.advance_to(10_300);
+        let a1 = d.usage(ThreadId(1)).unwrap();
+        assert_eq!(a1.period_start_us, 10_300);
+        assert_eq!(
+            (a1.last_period_used_us, a1.last_period_budget_us),
+            (5_000, 5_000)
+        );
+        assert_eq!((a1.used_this_period_us, a1.budget_us), (0, 5_000));
+        assert_eq!((a1.periods_completed, a1.deadlines_missed), (1, 0));
+        assert!(a1.was_runnable_this_period, "a released thread is runnable");
+        assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Ready));
+        assert_eq!(
+            d.timers.expiry_of(s1),
+            Some(20_300),
+            "re-armed from the drain"
+        );
+        assert_eq!(d.usage(ThreadId(2)).unwrap().periods_completed, 0);
+        assert_eq!(d.timers.expiry_of(s2), Some(20_000));
+        let stats = d.stats();
+        assert_eq!((stats.period_rollovers, stats.deadlines_missed), (1, 0));
+        d.assert_consistent();
+
+        // Thread 2's own boundary, on time: runnable and underserved, so a
+        // miss; nobody is released; thread 1 is not due.
+        d.advance_to(20_000);
+        let a2 = d.usage(ThreadId(2)).unwrap();
+        assert_eq!(a2.period_start_us, 20_000);
+        assert_eq!(
+            (a2.last_period_used_us, a2.last_period_budget_us),
+            (1_000, 4_000)
+        );
+        assert_eq!((a2.periods_completed, a2.deadlines_missed), (1, 1));
+        assert_eq!(d.timers.expiry_of(s2), Some(40_000));
+        assert_eq!(d.timers.expiry_of(s1), Some(20_300));
+        let stats = d.stats();
+        assert_eq!((stats.period_rollovers, stats.deadlines_missed), (2, 1));
+        // Only the ratio that moved (1.0 → 0.25) reaches the usage feed.
+        let mut fed = Vec::new();
+        d.drain_usage_changes(|id, ratio| fed.push((id, ratio)));
+        assert_eq!(fed, vec![(ThreadId(2), 0.25)]);
+        d.assert_consistent();
+    }
+
     proptest! {
         /// The tentpole's safety net: over arbitrary thread-state
         /// sequences, the run queue's pick must equal the naive full-scan
@@ -2504,6 +2559,78 @@ mod tests {
             let (es, ls) = (eager.stats(), lazy.stats());
             prop_assert_eq!(es.dispatches, ls.dispatches);
             prop_assert_eq!(es.context_switches, ls.context_switches);
+            prop_assert_eq!(es.period_rollovers, ls.period_rollovers);
+            prop_assert_eq!(es.deadlines_missed, ls.deadlines_missed);
+        }
+
+        /// Span batching under eager rollovers: the pairing of
+        /// `lazy_rollovers_match_eager_reference` with the eager side
+        /// charged through [`Dispatcher::charge_span`], so every eager
+        /// boundary meets an open batch that must land in the period it
+        /// was consumed in.
+        #[test]
+        fn eager_span_charges_match_the_lazy_reference(
+            ops in proptest::collection::vec((0u8..8, 0u64..6, 0u32..500, 1u64..40), 1..120),
+        ) {
+            let mut eager = Dispatcher::new(DispatcherConfig::default());
+            let mut lazy = Dispatcher::new(lazy_config());
+            for (op, i, p, aux) in ops {
+                let id = ThreadId(i);
+                match op {
+                    0 => {
+                        let a = eager.add_thread(id, reserved(p, aux));
+                        prop_assert_eq!(a, lazy.add_thread(id, reserved(p, aux)));
+                    }
+                    1 => {
+                        let _ = eager.block(id);
+                        let _ = lazy.block(id);
+                    }
+                    2 => {
+                        let _ = eager.unblock(id);
+                        let _ = lazy.unblock(id);
+                    }
+                    3 => {
+                        let r = Reservation::new(
+                            Proportion::from_ppt(p),
+                            Period::from_millis(aux),
+                        );
+                        let _ = eager.set_reservation(id, r);
+                        let _ = lazy.set_reservation(id, r);
+                    }
+                    4 => {
+                        // On the eager grid, as in the reference pairing.
+                        if let Some(t) = eager.next_timer_expiry() {
+                            eager.advance_to(t);
+                            lazy.advance_to(t);
+                        }
+                    }
+                    _ => {
+                        let oe = eager.dispatch();
+                        let ol = lazy.dispatch();
+                        prop_assert_eq!(oe.thread, ol.thread, "picks diverged");
+                        if let Some(t) = oe.thread {
+                            prop_assert_eq!(oe.quantum_us, ol.quantum_us, "quanta diverged");
+                            let used = (oe.quantum_us * (aux % 3 + 1) / 3).max(1);
+                            eager.charge_span(used);
+                            lazy.charge(t, used).expect("picked exists");
+                        }
+                    }
+                }
+                eager.assert_consistent();
+                lazy.assert_consistent();
+            }
+            eager.sync_all();
+            lazy.sync_all();
+            for id in eager.thread_ids().collect::<Vec<_>>() {
+                prop_assert_eq!(eager.thread_state(id), lazy.thread_state(id));
+                let (ea, la) = (eager.usage(id).unwrap(), lazy.usage(id).unwrap());
+                prop_assert_eq!(
+                    format!("{ea:?}"),
+                    format!("{la:?}"),
+                    "account diverged for {:?}", id
+                );
+            }
+            let (es, ls) = (eager.stats(), lazy.stats());
             prop_assert_eq!(es.period_rollovers, ls.period_rollovers);
             prop_assert_eq!(es.deadlines_missed, ls.deadlines_missed);
         }

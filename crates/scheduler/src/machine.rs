@@ -575,14 +575,6 @@ impl Machine {
         self.cpus[cpu.index()].rebook_idle_us(recorded_us, actual_us);
     }
 
-    /// Sum of missed deadlines (and clears the counters) across all CPUs.
-    pub fn take_missed_deadlines(&mut self) -> u64 {
-        self.cpus
-            .iter_mut()
-            .map(|d| d.take_missed_deadlines())
-            .sum()
-    }
-
     /// Total proportion granted across the machine as a fraction of one
     /// CPU, clamped — the aggregate view a single-CPU caller expects.
     pub fn total_reserved(&self) -> Proportion {
@@ -767,7 +759,7 @@ mod tests {
             seen.push((cpu, id));
         });
         assert_eq!(seen, vec![(CpuId(0), ThreadId(1)), (CpuId(1), ThreadId(2))]);
-        assert_eq!(m.take_missed_deadlines(), 0);
+        assert_eq!(agg.deadlines_missed, 0);
         assert!(m.next_timer_expiry().is_some());
     }
 

@@ -133,6 +133,7 @@ fn assert_steady_state_allocation_free(config: ControllerConfig) {
 /// reclaimed jobs fall under their first-round offer and the squish runs
 /// over the columns.  Neither may touch the heap.
 // hot-coverage: crates/core/src/controller.rs
+// hot-coverage: crates/core/src/pipeline.rs
 // hot-coverage: crates/core/src/squish.rs
 fn assert_incremental_cycle_allocation_free(hogs: u64, cpus: usize) {
     let config = ControllerConfig::default()

@@ -9,8 +9,8 @@ fn main() {
     let record = run(Fig9Params::default());
     print_report(&record);
     println!(
-        "The machine layer: N per-CPU dispatchers in lockstep, jobs placed by \
-         least-loaded fit and rebalanced by threshold-triggered migration."
+        "The machine layer: N per-CPU dispatchers on one event calendar, jobs placed \
+         by least-loaded fit and rebalanced by threshold-triggered migration."
     );
     if let Some(path) = write_json(&record) {
         println!("Wrote {}", path.display());

@@ -3,8 +3,9 @@
 //! Each `figN` module runs one experiment end to end on the simulator and
 //! returns an [`rrs_metrics::ExperimentRecord`] with the same series and
 //! headline scalars the paper reports.  The binaries under `src/bin/` print
-//! those records (tables, ASCII plots, CSV) and the Criterion benches under
-//! `benches/` time them.
+//! those records (tables, ASCII plots, CSV).  Every number here is
+//! simulated; wall-clock speed is measured by the `benchmark/` package, the
+//! repo's one performance harness.
 //!
 //! | module | paper figure | content |
 //! |---|---|---|
@@ -14,7 +15,6 @@
 //! | [`fig8`] | Figure 8 | dispatch overhead vs. dispatcher frequency |
 //! | [`fig9`] | — (beyond the paper) | aggregate throughput vs. number of CPUs (machine layer) |
 //! | [`ablations`] | — | design-choice ablations (PID gains, squish policy, controller period, period estimation, buffer size) |
-//! | [`sim_throughput`] | — (beyond the paper) | simulator throughput sweep: simulated-us per wall-second over a jobs × CPUs grid, plus scenario-corpus wall time |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,7 +25,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod sim_throughput;
 
 use rrs_metrics::plot::{ascii_plot, PlotConfig};
 use rrs_metrics::ExperimentRecord;

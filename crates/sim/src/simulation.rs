@@ -361,13 +361,6 @@ impl Simulation {
         self.config.trace_interval_s = interval.as_micros().max(1) as f64 / 1e6;
     }
 
-    /// Changes the trace sampling interval mid-run, in seconds.  Thin
-    /// wrapper over [`Simulation::set_trace_interval`], which is the
-    /// preferred exact-microsecond form.
-    pub fn set_trace_interval_s(&mut self, interval_s: f64) {
-        self.set_trace_interval(SimTime::from_secs_f64(interval_s));
-    }
-
     /// Changes the modelled cross-CPU migration cost mid-run.
     pub fn set_migration_cost_us(&mut self, cost_us: u64) {
         self.config.migration_cost_us = cost_us;
@@ -1752,7 +1745,7 @@ mod tests {
         sim.force_reservation(h, Proportion::from_ppt(500), Period::from_millis(10));
         sim.run_for(1.0);
         let coarse = sim.trace().get("alloc/spin").unwrap().len();
-        sim.set_trace_interval_s(0.01);
+        sim.set_trace_interval(SimTime::from_millis(10));
         sim.set_migration_cost_us(123);
         assert_eq!(sim.config().migration_cost_us, 123);
         assert_eq!(sim.config().trace_interval_s, 0.01);
@@ -2045,8 +2038,8 @@ mod tests {
             fine > coarse * 4,
             "10x finer sampling must record more: {coarse} then {fine}"
         );
-        // The old f64 door routes through the exact form, clamping at 1 µs.
-        sim.set_trace_interval_s(0.0);
+        // A zero interval clamps at 1 µs.
+        sim.set_trace_interval(SimTime::ZERO);
         assert_eq!(sim.config().trace_interval_s, 1e-6);
     }
 

@@ -198,15 +198,19 @@ fn multi_shard_runs_the_mixed_workload() {
     assert_eq!(snap.rebalance_cycles, cycles);
     assert_eq!(snap.rebalance_migrations, migrations);
 
-    // Every job the workload left alive resolves through the global
-    // queries, on a valid global CPU.
-    let n = cpus as u64;
-    let mut job_count = 0;
-    for k in 0..sharded.shard_count() {
-        job_count += sharded.shard(k).controller().job_count();
-    }
     // 4 real-time + n surviving hogs + 2n io jobs.
-    assert_eq!(job_count as u64, 4 + 3 * n, "jobs conserved across shards");
+    assert_eq!(
+        resident_jobs(sharded),
+        4 + 3 * cpus,
+        "jobs conserved across shards"
+    );
+}
+
+/// Jobs resident in the shards' controllers, summed over the machine.
+fn resident_jobs(sim: &ShardedSim) -> usize {
+    (0..sim.shard_count())
+        .map(|k| sim.shard(k).controller().job_count())
+        .sum()
 }
 
 /// Wraps a work model and counts, on the model's side, the CPU time it
@@ -322,4 +326,52 @@ fn migration_and_slot_reuse_keep_every_thread_on_its_own_work_model() {
         );
         assert_eq!(sim.shard_of(h.job), None);
     }
+}
+
+/// The scale point only the two-level machine reaches: 100 000 greedy
+/// miscellaneous jobs on 1 024 CPUs in 16 shards (one controller over that
+/// population would charge more modelled overhead per cycle than the cycle
+/// is long).  Functional only — nothing here is timed; every job must be
+/// conserved, placed on a valid global CPU and charged within capacity, and
+/// the shards must produce the same `SimStats` whether they advance on
+/// their own OS threads or one after another.
+#[test]
+fn scale_point_100k_jobs_1024_cpus_16_shards_conserves_every_job() {
+    const JOBS: usize = 100_000;
+    const CPUS: usize = 1_024;
+    let run = |parallel: bool| {
+        let mut sim = ShardedSim::new(
+            SimConfig::default().with_cpus(CPUS),
+            ShardConfig {
+                parallel,
+                ..ShardConfig::default().with_shards(16)
+            },
+        );
+        let handles: Vec<_> = (0..JOBS)
+            .map(|i| {
+                sim.add_job(&format!("j{i}"), JobSpec::miscellaneous(), Box::new(Spin))
+                    .expect("miscellaneous jobs are always admitted")
+            })
+            .collect();
+        sim.run_for(0.3);
+
+        assert_eq!(resident_jobs(&sim), JOBS, "jobs conserved across shards");
+        for h in &handles {
+            let cpu = sim.cpu_of(*h).expect("every live job is placed");
+            assert!(cpu.index() < CPUS, "{:?} on {cpu:?}", h.job);
+        }
+        let stats = sim.stats();
+        assert_eq!(stats.per_cpu.len(), CPUS);
+        assert!(stats.total_used_us() > 0);
+        assert!(
+            stats.total_used_us() <= CPUS as u64 * sim.now_micros(),
+            "charged CPU time exceeds the machine's capacity"
+        );
+        stats
+    };
+    assert_eq!(
+        run(true),
+        run(false),
+        "parallel and sequential shard advance must agree"
+    );
 }

@@ -499,7 +499,7 @@ impl ControlLoop {
         TelemetrySnapshot {
             quantum_cache_hits: dispatch.quantum_cache_hits,
             quantum_cache_misses: dispatch.quantum_cache_misses,
-            settles_goodness: dispatch.settles_goodness,
+            settles_goodness: 0,
             settles_period_boundary: dispatch.settles_period_boundary,
             settles_throttle_edge: dispatch.settles_throttle_edge,
             settles_zero_span: dispatch.settles_zero_span,

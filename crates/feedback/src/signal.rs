@@ -1,10 +1,10 @@
-//! Deterministic signal generators.
+//! The deterministic pulse-train generator.
 //!
 //! The responsiveness experiment (Figure 6) drives the producer with "rising
 //! pulses of various widths, doubling its rate of production ... before
-//! falling back to the original rate", followed by falling pulses.  These
-//! generators express that and related test signals as pure functions of
-//! time so simulator runs are reproducible.
+//! falling back to the original rate", followed by falling pulses.
+//! [`PulseTrain`] expresses that as a pure function of time so simulator
+//! runs are reproducible.
 
 use serde::{Deserialize, Serialize};
 
@@ -109,137 +109,6 @@ impl PulseTrain {
     }
 }
 
-/// A square wave alternating between `low` and `high` with the given period
-/// and duty cycle.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SquareWave {
-    low: f64,
-    high: f64,
-    period: f64,
-    duty: f64,
-}
-
-impl SquareWave {
-    /// Creates a square wave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive or `duty` is outside `[0, 1]`.
-    pub fn new(low: f64, high: f64, period: f64, duty: f64) -> Self {
-        assert!(period > 0.0, "period must be positive");
-        assert!((0.0..=1.0).contains(&duty), "duty must be in [0, 1]");
-        Self {
-            low,
-            high,
-            period,
-            duty,
-        }
-    }
-
-    /// Returns the value at time `t`; the wave is high for the first
-    /// `duty`-fraction of each period.
-    pub fn value(&self, t: f64) -> f64 {
-        let phase = (t / self.period).rem_euclid(1.0);
-        if phase < self.duty {
-            self.high
-        } else {
-            self.low
-        }
-    }
-}
-
-/// A sine wave `offset + amplitude · sin(2π·t/period)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SineWave {
-    offset: f64,
-    amplitude: f64,
-    period: f64,
-}
-
-impl SineWave {
-    /// Creates a sine wave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive.
-    pub fn new(offset: f64, amplitude: f64, period: f64) -> Self {
-        assert!(period > 0.0, "period must be positive");
-        Self {
-            offset,
-            amplitude,
-            period,
-        }
-    }
-
-    /// Returns the value at time `t`.
-    pub fn value(&self, t: f64) -> f64 {
-        self.offset + self.amplitude * (2.0 * std::f64::consts::PI * t / self.period).sin()
-    }
-}
-
-/// A bounded linear ramp from `start_value` to `end_value` over
-/// `[start_time, end_time]`, constant outside that interval.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RampWave {
-    start_time: f64,
-    end_time: f64,
-    start_value: f64,
-    end_value: f64,
-}
-
-impl RampWave {
-    /// Creates a ramp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end_time <= start_time`.
-    pub fn new(start_time: f64, end_time: f64, start_value: f64, end_value: f64) -> Self {
-        assert!(end_time > start_time, "ramp must have positive duration");
-        Self {
-            start_time,
-            end_time,
-            start_value,
-            end_value,
-        }
-    }
-
-    /// Returns the value at time `t`.
-    pub fn value(&self, t: f64) -> f64 {
-        if t <= self.start_time {
-            self.start_value
-        } else if t >= self.end_time {
-            self.end_value
-        } else {
-            let frac = (t - self.start_time) / (self.end_time - self.start_time);
-            self.start_value + frac * (self.end_value - self.start_value)
-        }
-    }
-}
-
-/// A step: `before` until `at`, `after` afterwards.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct StepSignal {
-    at: f64,
-    before: f64,
-    after: f64,
-}
-
-impl StepSignal {
-    /// Creates a step signal switching at time `at`.
-    pub fn new(at: f64, before: f64, after: f64) -> Self {
-        Self { at, before, after }
-    }
-
-    /// Returns the value at time `t`.
-    pub fn value(&self, t: f64) -> f64 {
-        if t < self.at {
-            self.before
-        } else {
-            self.after
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,53 +154,6 @@ mod tests {
         assert!(saw_high && saw_low);
     }
 
-    #[test]
-    fn square_wave_respects_duty_cycle() {
-        let s = SquareWave::new(0.0, 1.0, 10.0, 0.3);
-        assert_eq!(s.value(0.0), 1.0);
-        assert_eq!(s.value(2.9), 1.0);
-        assert_eq!(s.value(3.1), 0.0);
-        assert_eq!(s.value(9.9), 0.0);
-        assert_eq!(s.value(10.1), 1.0);
-    }
-
-    #[test]
-    fn square_wave_handles_negative_time() {
-        let s = SquareWave::new(0.0, 1.0, 4.0, 0.5);
-        // rem_euclid keeps the phase in [0, 1) for negative times.
-        let v = s.value(-1.0);
-        assert!(v == 0.0 || v == 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duty must be in [0, 1]")]
-    fn square_wave_rejects_bad_duty() {
-        let _ = SquareWave::new(0.0, 1.0, 1.0, 1.5);
-    }
-
-    #[test]
-    fn sine_wave_oscillates_around_offset() {
-        let s = SineWave::new(5.0, 2.0, 1.0);
-        assert!((s.value(0.0) - 5.0).abs() < 1e-12);
-        assert!((s.value(0.25) - 7.0).abs() < 1e-9);
-        assert!((s.value(0.75) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ramp_is_clamped_outside_interval() {
-        let r = RampWave::new(1.0, 3.0, 0.0, 10.0);
-        assert_eq!(r.value(0.0), 0.0);
-        assert_eq!(r.value(2.0), 5.0);
-        assert_eq!(r.value(5.0), 10.0);
-    }
-
-    #[test]
-    fn step_switches_at_threshold() {
-        let s = StepSignal::new(2.0, 1.0, 9.0);
-        assert_eq!(s.value(1.999), 1.0);
-        assert_eq!(s.value(2.0), 9.0);
-    }
-
     proptest! {
         #[test]
         fn pulse_train_only_emits_two_levels(
@@ -342,20 +164,6 @@ mod tests {
             let p = PulseTrain::new(10.0, 20.0, pulses);
             let v = p.value(t);
             prop_assert!(v == 10.0 || v == 20.0);
-        }
-
-        #[test]
-        fn sine_is_bounded(t in -100.0f64..100.0, offset in -5.0f64..5.0, amp in 0.0f64..5.0) {
-            let s = SineWave::new(offset, amp, 3.0);
-            let v = s.value(t);
-            prop_assert!(v >= offset - amp - 1e-9 && v <= offset + amp + 1e-9);
-        }
-
-        #[test]
-        fn ramp_is_monotone_when_increasing(t1 in 0.0f64..10.0, t2 in 0.0f64..10.0) {
-            let r = RampWave::new(2.0, 8.0, 0.0, 1.0);
-            let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-            prop_assert!(r.value(lo) <= r.value(hi) + 1e-12);
         }
     }
 }

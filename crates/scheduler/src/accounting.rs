@@ -63,8 +63,7 @@ impl UsageAccount {
     /// A zero budget counts as exhausted as soon as any CPU is consumed:
     /// an explicit zero-proportion reservation grants nothing, so the
     /// thread must throttle after its first (minimal) quantum instead of
-    /// winning every rate-monotonic dispatch for free.  Best-effort
-    /// threads are governed by their time slice, not this check.
+    /// winning every rate-monotonic dispatch for free.
     pub fn exhausted(&self) -> bool {
         self.used_this_period_us >= self.budget_us && self.used_this_period_us > 0
     }
@@ -208,8 +207,8 @@ mod tests {
 
     #[test]
     fn zero_budget_exhausts_on_first_use() {
-        // A fresh zero-budget account is dispatchable (so a newly reserved
-        // or best-effort thread is not born throttled)...
+        // A fresh zero-budget account is dispatchable (so a thread admitted
+        // at zero proportion is not born throttled)...
         let mut a = UsageAccount::new(0, 0);
         assert!(!a.exhausted());
         // ...but a zero-proportion reservation grants nothing: the first

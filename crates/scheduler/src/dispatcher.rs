@@ -45,7 +45,7 @@
 //!
 //! * **The next-quantum cache.** `queue_gen` counts every mutation that
 //!   can change the run-queue head (any re-rank or removal).  When a
-//!   dispatch picks a reserved thread that is *still* at the head after
+//!   dispatch picks a thread that is *still* at the head after
 //!   its own re-rank, the decision is cached by recording the post-pick
 //!   generation; as long as the generation is unchanged and the clock has
 //!   not reached the thread's period boundary, the next dispatch re-issues
@@ -59,9 +59,9 @@
 //!   consecutive charges to the cached thread in `span_pending_us` and
 //!   settles them into the account in one batch, but only while the
 //!   deferral is invisible: [`crate::settle::span_settle_reason`] forces a
-//!   settle on any goodness crossing (best-effort), period boundary,
-//!   throttle edge or zero-length charge, and every other operation that
-//!   could read or roll the account ([`Dispatcher::dispatch`]'s slow path,
+//!   settle on any period boundary, throttle edge or zero-length charge,
+//!   and every other operation that could read or roll the account
+//!   ([`Dispatcher::dispatch`]'s slow path,
 //!   [`Dispatcher::charge`], block/unblock, migration, re-reservation,
 //!   [`Dispatcher::sync_all`], [`Dispatcher::drain_usage_changes`])
 //!   settles on entry.  Invariant: while `span_pending_us > 0`, the
@@ -72,7 +72,7 @@
 //!   the span thread is running (never throttled), so no armed timer can
 //!   name its slot, and other slots' rollovers cannot touch its account.
 //!   The eager drain settles first: there the running thread keeps a
-//!   timer like every other reserved thread.
+//!   timer like every other thread.
 //!
 //! The cache arms in lazy-rollover mode only (the calendar simulator) —
 //! the eager drain rolls accounts behind its back — while span charges
@@ -92,28 +92,27 @@
 //!   boundary per expired timer, ending at the drain instant; lazy mode
 //!   rolls a thread's whole backlog on its grid when the thread is next
 //!   touched (`sync_entry`).
-//! * **The timer rule** (`rearm`): eager, every reserved thread keeps a
-//!   timer at its next boundary; lazy, only a throttled one does — its
-//!   release is the one boundary that can change a dispatch decision.
-//!   Every site that changes a thread's class, state or boundary re-applies
-//!   the rule instead of arming or cancelling for itself.
+//! * **The timer rule** (`rearm`): eager, every thread keeps a timer at
+//!   its next boundary; lazy, only a throttled one does — its release is
+//!   the one boundary that can change a dispatch decision.  Every site
+//!   that changes a thread's state or boundary re-applies the rule instead
+//!   of arming or cancelling for itself.
 //!
 //! The cache and the span batch are counted by the always-on [`DispatchStats`]
 //! (exposed per CPU by [`Dispatcher::stats`] and machine-wide by
 //! [`crate::Machine::stats`]): every dispatch decision is
 //! either a `quantum_cache_hits` (served by the cache in `O(1)`) or a
 //! `quantum_cache_misses` (slow path), and every forced settle lands in
-//! exactly one of `settles_goodness`, `settles_period_boundary`,
-//! `settles_throttle_edge` or `settles_zero_span` — the
-//! [`crate::settle::SettleReason`] taxonomy.  With a telemetry recorder
-//! attached ([`Dispatcher::set_telemetry`]) the same points also emit
+//! exactly one of `settles_period_boundary`, `settles_throttle_edge` or
+//! `settles_zero_span` — the [`crate::settle::SettleReason`] taxonomy.
+//! With a telemetry recorder attached ([`Dispatcher::set_telemetry`]) the
+//! same points also emit
 //! structured trace events (`quantum_cache_hit` / `quantum_cache_miss`
 //! instants, `settle:<reason>` points, `period_rollover` marks).
 
 use crate::accounting::UsageAccount;
-use crate::admission::AdmissionControl;
 use crate::error::SchedError;
-use crate::goodness::{best_effort_goodness, rbs_goodness};
+use crate::goodness::rbs_goodness;
 use crate::reservation::Reservation;
 use crate::runqueue::{RunKey, RunQueue};
 use crate::settle::{charge_exhausts, span_settle_reason, SettleReason};
@@ -124,24 +123,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How a thread is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadClass {
-    /// Scheduled by the RBS with a proportion/period reservation.
-    Reserved(Reservation),
-    /// Scheduled best-effort (the default Linux policy); only runs when no
-    /// reserved thread is runnable.
-    BestEffort,
-}
-
 /// Configuration for the dispatcher.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DispatcherConfig {
     /// The dispatch (timer) interval in microseconds; the paper's prototype
     /// uses 1 ms.
     pub dispatch_interval_us: u64,
-    /// Admission threshold for reservations.
-    pub admission_threshold_ppt: u32,
     /// Modelled cost of one dispatch decision (`schedule()` plus
     /// `do_timers()`), in microseconds.  Used for the Figure 8 overhead
     /// experiment; set to 0.0 to disable overhead modelling.
@@ -149,8 +136,6 @@ pub struct DispatcherConfig {
     /// Additional modelled cost per context switch (cache and TLB refill),
     /// in microseconds.
     pub context_switch_cost_us: f64,
-    /// Time slice granted to best-effort threads, in microseconds.
-    pub best_effort_slice_us: u64,
     /// Roll reservation periods lazily (event-calendar mode).
     ///
     /// The two modes run the same boundary roll and differ in two places
@@ -162,7 +147,7 @@ pub struct DispatcherConfig {
     /// touched (picked, charged, blocked, unblocked, re-reserved, migrated)
     /// or explicitly synced ([`Dispatcher::sync_all`],
     /// [`Dispatcher::drain_usage_changes`]).  *The timer rule*: eager keeps
-    /// a period timer armed for every reserved thread; lazy only for
+    /// a period timer armed for every thread; lazy only for
     /// *throttled* ones (at their replenishment boundary, which is the only
     /// boundary that can change a dispatch decision).
     ///
@@ -172,8 +157,8 @@ pub struct DispatcherConfig {
     /// and a thread that sits runnable-but-starved across `k` boundaries
     /// counts `k` missed deadlines (the eager path counts one per processed
     /// timer, so a fast-forwarded gap undercounts).
-    /// Usage queries via [`Dispatcher::usage`] / [`Dispatcher::usage_ref`] /
-    /// [`Dispatcher::for_each_usage`] may lag until the entry is synced.
+    /// Usage queries via [`Dispatcher::usage`] / [`Dispatcher::usage_ref`]
+    /// may lag until the entry is synced.
     #[serde(default)]
     pub lazy_rollovers: bool,
 }
@@ -182,12 +167,10 @@ impl Default for DispatcherConfig {
     fn default() -> Self {
         Self {
             dispatch_interval_us: 1_000,
-            admission_threshold_ppt: AdmissionControl::DEFAULT_THRESHOLD_PPT,
             // Calibrated so that a 250 µs dispatch interval costs ≈ 2.7 % of
             // the CPU, matching the knee reported in Figure 8.
             dispatch_cost_us: 6.8,
             context_switch_cost_us: 1.9,
-            best_effort_slice_us: 10_000,
             lazy_rollovers: false,
         }
     }
@@ -195,10 +178,10 @@ impl Default for DispatcherConfig {
 
 /// Counters describing what the dispatcher has done so far.
 ///
-/// The last six are the counter names the module docs' fast-path
+/// The last five are the counter names the module docs' fast-path
 /// invariants refer to: `quantum_cache_hits` / `quantum_cache_misses`
 /// split every dispatch decision by whether the next-quantum cache served
-/// it, and the four `settles_*` counters split batched span settles by
+/// it, and the three `settles_*` counters split batched span settles by
 /// their [`SettleReason`].  Always counted (an increment is cheaper than a
 /// branch to skip it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -219,8 +202,6 @@ pub struct DispatchStats {
     pub quantum_cache_hits: u64,
     /// Dispatch decisions that took the slow path (queue peek + re-rank).
     pub quantum_cache_misses: u64,
-    /// Span settles forced by a best-effort goodness re-rank.
-    pub settles_goodness: u64,
     /// Span settles forced by reaching the thread's period boundary.
     pub settles_period_boundary: u64,
     /// Span settles forced by budget exhaustion (the throttle edge).
@@ -240,7 +221,6 @@ impl DispatchStats {
         self.idle_us += other.idle_us;
         self.quantum_cache_hits += other.quantum_cache_hits;
         self.quantum_cache_misses += other.quantum_cache_misses;
-        self.settles_goodness += other.settles_goodness;
         self.settles_period_boundary += other.settles_period_boundary;
         self.settles_throttle_edge += other.settles_throttle_edge;
         self.settles_zero_span += other.settles_zero_span;
@@ -261,24 +241,19 @@ pub struct DispatchOutcome {
 #[derive(Debug)]
 struct ThreadEntry {
     id: ThreadId,
-    class: ThreadClass,
+    reservation: Reservation,
     state: ThreadState,
     account: UsageAccount,
-    remaining_slice_us: u64,
     /// Monotonic sequence number of the last time this thread was picked;
-    /// used to round-robin among equal-goodness best-effort threads.
+    /// used to round-robin among equal-period threads.
     last_picked_seq: u64,
-    /// Whether this entry currently contributes to
-    /// [`Dispatcher::runnable_be_with_slice`]; kept on the entry so the
-    /// counter can be adjusted incrementally on any state change.
-    counted_be_slice: bool,
     /// The earliest period boundary not yet rolled into the account — the
     /// one source of truth in both rollover modes ([`Dispatcher::rearm`]
     /// arms the timer here, [`Dispatcher::roll`] moves it).  In lazy mode
     /// boundaries sit on the exact periodic grid anchored at the last
     /// reservation change, so [`Dispatcher::sync_entry`] can batch any
     /// backlog in `O(1)`; in eager mode each is one period after the drain
-    /// that rolled the last.  Unused (0) for best-effort threads.
+    /// that rolled the last.
     next_boundary_us: u64,
     /// The last usage ratio handed out through
     /// [`Dispatcher::drain_usage_changes`]; a thread is only re-reported
@@ -293,30 +268,27 @@ struct ThreadEntry {
 /// payload of a cross-CPU migration.
 ///
 /// Carries everything the destination CPU needs to continue the thread's
-/// current period exactly where the source CPU left it: the class
-/// (reservation), run state, the full usage account (budget, consumption,
-/// lifetime totals), the remaining best-effort slice and the armed period
-/// boundary.  Obtained from [`Dispatcher::take_thread`], consumed by
-/// [`Dispatcher::inject_thread`].
+/// current period exactly where the source CPU left it: the reservation,
+/// run state, the full usage account (budget, consumption, lifetime
+/// totals) and the next period boundary.  Obtained from
+/// [`Dispatcher::take_thread`], consumed by [`Dispatcher::inject_thread`].
 #[derive(Debug, Clone, Copy)]
 pub struct MigratedThread {
     /// The migrating thread's id.
     pub id: ThreadId,
-    class: ThreadClass,
+    reservation: Reservation,
     state: ThreadState,
     account: UsageAccount,
-    remaining_slice_us: u64,
-    /// The thread's next period boundary on the source CPU (`None` for a
-    /// best-effort thread).  Carried verbatim so a mid-period reservation
-    /// change (which re-anchors from the change instant, not the period
-    /// start) survives migration.
-    next_boundary_us: Option<u64>,
+    /// The thread's next period boundary on the source CPU.  Carried
+    /// verbatim so a mid-period reservation change (which re-anchors from
+    /// the change instant, not the period start) survives migration.
+    next_boundary_us: u64,
 }
 
 impl MigratedThread {
-    /// The thread's scheduling class (reservation or best-effort).
-    pub fn class(&self) -> ThreadClass {
-        self.class
+    /// The thread's reservation at the moment it was taken.
+    pub fn reservation(&self) -> Reservation {
+        self.reservation
     }
 
     /// The thread's run state at the moment it was taken.
@@ -335,18 +307,17 @@ impl MigratedThread {
 /// # Examples
 ///
 /// ```
-/// use rrs_scheduler::{Dispatcher, DispatcherConfig, Period, Proportion, Reservation, ThreadClass, ThreadId};
+/// use rrs_scheduler::{Dispatcher, DispatcherConfig, Period, Proportion, Reservation, ThreadId};
 ///
 /// let mut d = Dispatcher::new(DispatcherConfig::default());
 /// let r = Reservation::new(Proportion::from_ppt(500), Period::from_millis(10));
-/// d.add_thread(ThreadId(1), ThreadClass::Reserved(r)).unwrap();
+/// d.add_thread_preadmitted(ThreadId(1), r).unwrap();
 /// let outcome = d.dispatch();
 /// assert_eq!(outcome.thread, Some(ThreadId(1)));
 /// ```
 #[derive(Debug)]
 pub struct Dispatcher {
     config: DispatcherConfig,
-    admission: AdmissionControl,
     /// Dense slot-indexed thread storage; freed slots are reused LIFO.
     entries: Vec<Option<ThreadEntry>>,
     free: Vec<u32>,
@@ -354,16 +325,6 @@ pub struct Dispatcher {
     by_id: BTreeMap<ThreadId, u32>,
     /// Every runnable thread, ranked by the dispatch key.
     runnable: RunQueue,
-    /// Number of registered best-effort threads.
-    be_count: usize,
-    /// Number of runnable best-effort threads with slice remaining — the
-    /// `O(1)` form of the "does anything still have a slice?" scan that
-    /// guards the Linux-style goodness recalculation pass.
-    runnable_be_with_slice: usize,
-    /// `true` while some best-effort slice may sit below its full value;
-    /// when `false` the recalculation pass would be a no-op and is skipped,
-    /// so repeated idle dispatches do no per-thread work.
-    be_slices_dirty: bool,
     /// Running sum of reserved proportions, in parts per thousand.
     reserved_ppt: u32,
     timers: TimerList,
@@ -402,17 +363,11 @@ impl Dispatcher {
     /// Creates a dispatcher with the given configuration.
     pub fn new(config: DispatcherConfig) -> Self {
         Self {
-            admission: AdmissionControl::with_threshold(Proportion::from_ppt(
-                config.admission_threshold_ppt,
-            )),
             config,
             entries: Vec::new(),
             free: Vec::new(),
             by_id: BTreeMap::new(),
             runnable: RunQueue::default(),
-            be_count: 0,
-            runnable_be_with_slice: 0,
-            be_slices_dirty: false,
             reserved_ppt: 0,
             timers: TimerList::new(),
             now_us: 0,
@@ -456,35 +411,18 @@ impl Dispatcher {
         self.by_id.len()
     }
 
-    /// All registered thread ids, in id order, without allocating.
-    pub fn thread_ids(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        self.by_id.keys().copied()
-    }
-
-    /// Sum of the proportions of all reserved threads, in parts per
+    /// Sum of the proportions of all threads' reservations, in parts per
     /// thousand.  Unlike [`Proportion`], this is not clamped at 1000, so an
     /// oversubscribed system reports a value above 1000.  Maintained
-    /// incrementally, so the admission test and least-loaded placement stay
-    /// `O(1)` per query.
+    /// incrementally, so least-loaded placement stays `O(1)` per query.
     pub fn total_reserved_ppt(&self) -> u32 {
         self.reserved_ppt
     }
 
-    /// Sum of the proportions of all reserved threads, clamped to the full
-    /// CPU.
+    /// Sum of the proportions of all threads' reservations, clamped to the
+    /// full CPU.
     pub fn total_reserved(&self) -> Proportion {
         Proportion::from_ppt(self.total_reserved_ppt())
-    }
-
-    /// Returns `true` if the sum of reservations exceeds the admission
-    /// threshold.
-    pub fn is_overloaded(&self) -> bool {
-        self.total_reserved_ppt() > self.admission.threshold().ppt()
-    }
-
-    /// The admission controller (threshold and headroom queries).
-    pub fn admission(&self) -> AdmissionControl {
-        self.admission
     }
 
     /// The dense slot `id` occupies — the id → slot edge.  Valid for the
@@ -533,19 +471,13 @@ impl Dispatcher {
                 u32::try_from(self.entries.len() - 1).expect("fewer than 2^32 threads")
             }
         };
-        match entry.class {
-            ThreadClass::Reserved(r) => self.reserved_ppt += r.proportion.ppt(),
-            ThreadClass::BestEffort => self.be_count += 1,
-        }
-        let reserved = matches!(entry.class, ThreadClass::Reserved(_));
+        self.reserved_ppt += entry.reservation.proportion.ppt();
         self.by_id.insert(entry.id, idx);
         self.entries[idx as usize] = Some(entry);
         self.reindex(idx);
-        if reserved {
-            // A fresh reservation's ratio is about to diverge from whatever
-            // the controller last saw, so it goes straight on watch.
-            self.watch(idx);
-        }
+        // A fresh reservation's ratio is about to diverge from whatever the
+        // controller last saw, so it goes straight on watch.
+        self.watch(idx);
         idx
     }
 
@@ -561,48 +493,25 @@ impl Dispatcher {
             self.span_pending_us = 0;
         }
         self.runnable.remove(idx);
-        if entry.counted_be_slice {
-            self.runnable_be_with_slice -= 1;
-        }
-        match entry.class {
-            ThreadClass::Reserved(r) => self.reserved_ppt -= r.proportion.ppt(),
-            ThreadClass::BestEffort => self.be_count -= 1,
-        }
+        self.reserved_ppt -= entry.reservation.proportion.ppt();
         self.by_id.remove(&entry.id);
         self.free.push(idx);
         entry
     }
 
-    /// Re-derives the entry's run-queue membership, rank and recalc-counter
-    /// contribution from its current state.  Called after every mutation
-    /// that can affect them: `O(1)` for the post-pick rotation and for a
-    /// throttle, block or release at or near the queue's tail, a binary
-    /// search plus a shift otherwise.  Conservatively bumps `queue_gen`
+    /// Re-derives the entry's run-queue membership and rank from its current
+    /// state.  Called after every mutation that can affect them: `O(1)` for
+    /// the post-pick rotation and for a throttle, block or release at or
+    /// near the queue's tail, a binary search plus a shift otherwise.  Conservatively bumps `queue_gen`
     /// (disarming the next-quantum cache) even when nothing changes.
     fn reindex(&mut self, idx: u32) {
         self.queue_gen += 1;
         let Some(entry) = self.entries[idx as usize].as_mut() else {
             return;
         };
-        let runnable = entry.state.is_runnable();
-        let counted = runnable
-            && matches!(entry.class, ThreadClass::BestEffort)
-            && entry.remaining_slice_us > 0;
-        if counted != entry.counted_be_slice {
-            entry.counted_be_slice = counted;
-            if counted {
-                self.runnable_be_with_slice += 1;
-            } else {
-                self.runnable_be_with_slice -= 1;
-            }
-        }
-        if runnable {
-            let goodness = match entry.class {
-                ThreadClass::Reserved(r) => rbs_goodness(r.period),
-                ThreadClass::BestEffort => best_effort_goodness(entry.remaining_slice_us),
-            };
+        if entry.state.is_runnable() {
             let key = RunKey {
-                neg_goodness: -goodness,
+                neg_goodness: -rbs_goodness(entry.reservation.period),
                 last_picked_seq: entry.last_picked_seq,
                 id: entry.id,
             };
@@ -612,62 +521,41 @@ impl Dispatcher {
         }
     }
 
-    /// Registers a thread.  Reserved threads are subject to admission
-    /// control; the new thread starts Ready with a full budget and its first
-    /// period boundary at `now + period`.
-    pub fn add_thread(&mut self, id: ThreadId, class: ThreadClass) -> Result<(), SchedError> {
-        if self.by_id.contains_key(&id) {
-            return Err(SchedError::DuplicateThread(id));
-        }
-        let mut next_boundary_us = 0;
-        let account = match class {
-            ThreadClass::Reserved(r) => {
-                self.admission
-                    .try_admit(self.total_reserved(), r.proportion)?;
-                next_boundary_us = self.now_us + r.period.as_micros();
-                UsageAccount::new(self.now_us, r.budget_micros())
-            }
-            ThreadClass::BestEffort => UsageAccount::new(self.now_us, 0),
-        };
-        let mut entry = ThreadEntry {
-            id,
-            class,
-            state: ThreadState::Ready,
-            account,
-            remaining_slice_us: self.config.best_effort_slice_us,
-            last_picked_seq: 0,
-            counted_be_slice: false,
-            next_boundary_us,
-            last_reported_ratio: 1.0,
-            watched: false,
-        };
-        entry.account.mark_runnable();
-        let idx = self.link(entry);
-        self.rearm(idx);
-        Ok(())
-    }
-
-    /// Registers a thread whose reservation was already admitted by a
-    /// higher authority (the adaptive controller), bypassing this
-    /// dispatcher's own admission test.
+    /// Registers a thread under `reservation`: it starts Ready with a full
+    /// budget for a period opened now, its first boundary one period away.
     ///
-    /// The controller squishes allocations instead of rejecting them, so
-    /// its running jobs can legitimately sit at the admission threshold;
-    /// re-checking here would spuriously reject late arrivals.  Fails only
-    /// on a duplicate id.
+    /// The dispatcher has no admission test of its own.  Whether the
+    /// reservation fits is the adaptive controller's ruling, made against
+    /// its overload threshold before it calls here ("preadmitted"); it
+    /// squishes allocations instead of rejecting them, so its running jobs
+    /// can legitimately sit at that threshold.  Fails only on a duplicate
+    /// id.
     pub fn add_thread_preadmitted(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<(), SchedError> {
-        self.add_thread(id, ThreadClass::BestEffort)?;
-        self.set_reservation(id, reservation)
-            .expect("thread was just added");
+        if self.by_id.contains_key(&id) {
+            return Err(SchedError::DuplicateThread(id));
+        }
+        let mut account = UsageAccount::new(self.now_us, reservation.budget_micros());
+        account.mark_runnable();
+        let idx = self.link(ThreadEntry {
+            id,
+            reservation,
+            state: ThreadState::Ready,
+            account,
+            last_picked_seq: 0,
+            next_boundary_us: self.now_us + reservation.period.as_micros(),
+            last_reported_ratio: 1.0,
+            watched: false,
+        });
+        self.rearm(idx);
         Ok(())
     }
 
     /// Lifts a thread out of this dispatcher for migration to another CPU,
-    /// preserving its class, run state and usage account.
+    /// preserving its reservation, run state and usage account.
     ///
     /// A running thread is demoted to Ready (it is not running on the
     /// destination CPU); its period timer is cancelled here and re-armed by
@@ -689,10 +577,6 @@ impl Dispatcher {
         // Settle any boundary backlog on this CPU's clock, then hand the
         // next boundary to the destination.
         self.sync_entry(idx);
-        let next_boundary_us = self.entries[idx as usize]
-            .as_ref()
-            .filter(|e| matches!(e.class, ThreadClass::Reserved(_)))
-            .map(|e| e.next_boundary_us);
         self.timers.cancel(idx);
         if self.running == Some(id) {
             self.running = None;
@@ -704,52 +588,36 @@ impl Dispatcher {
         };
         Ok(MigratedThread {
             id,
-            class: entry.class,
+            reservation: entry.reservation,
             state,
             account: entry.account,
-            remaining_slice_us: entry.remaining_slice_us,
-            next_boundary_us,
+            next_boundary_us: entry.next_boundary_us,
         })
     }
 
     /// Inserts a migrated thread, continuing its current period.
     ///
     /// The period timer is re-armed at exactly the boundary the source CPU
-    /// had scheduled (falling back to `period_start + period` for
-    /// payloads with no armed timer); if that boundary has already passed
-    /// on this CPU's clock it fires at the next
-    /// [`Dispatcher::advance_to`].  Admission is not re-checked: placement
-    /// is the migrating authority's responsibility, exactly like the
+    /// had scheduled; if that boundary has already passed on this CPU's
+    /// clock it fires at the next [`Dispatcher::advance_to`].  Placement is
+    /// the migrating authority's responsibility, exactly like the
     /// controller's actuation path.
     pub fn inject_thread(&mut self, thread: MigratedThread) -> Result<(), SchedError> {
         if self.by_id.contains_key(&thread.id) {
             return Err(SchedError::DuplicateThread(thread.id));
         }
-        let mut next_boundary_us = 0;
-        if let ThreadClass::Reserved(r) = thread.class {
-            next_boundary_us = thread
-                .next_boundary_us
-                .unwrap_or(thread.account.period_start_us + r.period.as_micros());
-            if !self.config.lazy_rollovers {
-                // The eager drain fires timers, not backlogs: a boundary
-                // this CPU's clock already passed fires at the next
-                // `advance_to`.
-                next_boundary_us = next_boundary_us.max(self.now_us + 1);
-            }
-        }
-        if matches!(thread.class, ThreadClass::BestEffort)
-            && thread.remaining_slice_us < self.config.best_effort_slice_us
-        {
-            self.be_slices_dirty = true;
+        let mut next_boundary_us = thread.next_boundary_us;
+        if !self.config.lazy_rollovers {
+            // The eager drain fires timers, not backlogs: a boundary this
+            // CPU's clock already passed fires at the next `advance_to`.
+            next_boundary_us = next_boundary_us.max(self.now_us + 1);
         }
         let idx = self.link(ThreadEntry {
             id: thread.id,
-            class: thread.class,
+            reservation: thread.reservation,
             state: thread.state,
             account: thread.account,
-            remaining_slice_us: thread.remaining_slice_us,
             last_picked_seq: 0,
-            counted_be_slice: false,
             next_boundary_us,
             last_reported_ratio: 1.0,
             watched: false,
@@ -802,9 +670,9 @@ impl Dispatcher {
     /// immediately for the budget of future periods; the current period's
     /// budget is adjusted proportionally if it grows.
     ///
-    /// Admission is *not* re-checked here: the controller is responsible for
-    /// keeping the total under the threshold (it squishes allocations when
-    /// the system would otherwise be oversubscribed).
+    /// Nothing is checked against a threshold here: the controller is
+    /// responsible for keeping the total under its own (it squishes
+    /// allocations when the system would otherwise be oversubscribed).
     pub fn set_reservation(
         &mut self,
         id: ThreadId,
@@ -832,8 +700,7 @@ impl Dispatcher {
         let entry = self.entries[slot as usize]
             .as_mut()
             .expect("verified occupied above; neither settle nor sync frees a slot");
-        let old_class = entry.class;
-        entry.class = ThreadClass::Reserved(reservation);
+        let old = std::mem::replace(&mut entry.reservation, reservation);
         let new_budget = reservation.budget_micros();
         // Growing the budget mid-period can un-throttle the thread; a
         // shrinking budget only applies from the next period so work already
@@ -845,16 +712,11 @@ impl Dispatcher {
                 entry.account.mark_runnable();
             }
         }
-        let period_changed =
-            !matches!(old_class, ThreadClass::Reserved(r) if r.period == reservation.period);
-        if period_changed {
+        if old.period != reservation.period {
             // New period length: re-anchor the boundary grid from now.
             entry.next_boundary_us = now + reservation.period.as_micros();
         }
-        match old_class {
-            ThreadClass::Reserved(r) => self.reserved_ppt -= r.proportion.ppt(),
-            ThreadClass::BestEffort => self.be_count -= 1,
-        }
+        self.reserved_ppt -= old.proportion.ppt();
         self.reserved_ppt += reservation.proportion.ppt();
         self.rearm(slot);
         self.reindex(slot);
@@ -862,7 +724,7 @@ impl Dispatcher {
         Ok(())
     }
 
-    /// Returns a thread's current reservation, if it is reserved.
+    /// Returns a thread's current reservation.
     pub fn reservation(&self, id: ThreadId) -> Option<Reservation> {
         self.reservation_slot(self.slot_of(id)?, id)
     }
@@ -870,10 +732,7 @@ impl Dispatcher {
     /// [`Dispatcher::reservation`] for a caller that holds the thread's
     /// dense slot.
     pub fn reservation_slot(&self, slot: u32, id: ThreadId) -> Option<Reservation> {
-        match self.entry_at(slot, id)?.class {
-            ThreadClass::Reserved(r) => Some(r),
-            ThreadClass::BestEffort => None,
-        }
+        self.entry_at(slot, id).map(|t| t.reservation)
     }
 
     /// Returns a thread's current state.
@@ -890,18 +749,6 @@ impl Dispatcher {
     /// per-cycle accounting read.
     pub fn usage_ref(&self, id: ThreadId) -> Option<&UsageAccount> {
         self.entry_of(id).map(|t| &t.account)
-    }
-
-    /// Visits every thread's usage account in dense slot order (admission
-    /// order) in one pass without allocating.  Drives the controller's
-    /// usage feedback in the simulator and the wall-clock executor; the
-    /// controller's per-job stores are order-independent.  Like
-    /// [`Dispatcher::usage`], in lazy mode an account may lag by an
-    /// unsettled boundary backlog or span batch until the next sync.
-    pub fn for_each_usage(&self, mut f: impl FnMut(ThreadId, &UsageAccount)) {
-        for entry in self.entries.iter().flatten() {
-            f(entry.id, &entry.account);
-        }
     }
 
     /// Marks a thread as blocked (waiting on I/O or a queue).
@@ -977,7 +824,7 @@ impl Dispatcher {
             return;
         };
         if entry.state == ThreadState::Blocked {
-            if entry.account.exhausted() && matches!(entry.class, ThreadClass::Reserved(_)) {
+            if entry.account.exhausted() {
                 entry.state = ThreadState::Throttled;
             } else {
                 entry.state = ThreadState::Ready;
@@ -1011,17 +858,14 @@ impl Dispatcher {
         // the drain instant: the re-armed timers land strictly in the
         // future, so the drain terminates.
         while let Some(idx) = self.timers.pop_next_expired(now_us) {
-            let class = self.entries[idx as usize].as_ref().map(|e| e.class);
-            if let Some(ThreadClass::Reserved(r)) = class {
-                self.roll(idx, r, 1, now_us);
-            }
+            self.roll(idx, 1, now_us);
         }
     }
 
     /// Lazy mode: rolls the slot's period-boundary backlog into its account
     /// in one `O(1)` batch on the grid.  No-op in eager mode (the drain in
-    /// [`Dispatcher::advance_to`] rolls instead), for best-effort threads,
-    /// and when no boundary has passed.
+    /// [`Dispatcher::advance_to`] rolls instead) and when no boundary has
+    /// passed.
     fn sync_entry(&mut self, idx: u32) {
         if !self.config.lazy_rollovers {
             return;
@@ -1030,16 +874,13 @@ impl Dispatcher {
         let Some(entry) = self.entries.get(idx as usize).and_then(Option::as_ref) else {
             return;
         };
-        let ThreadClass::Reserved(r) = entry.class else {
-            return;
-        };
         if entry.next_boundary_us > now {
             return;
         }
-        let period = r.period.as_micros().max(1);
+        let period = entry.reservation.period.as_micros().max(1);
         let k = (now - entry.next_boundary_us) / period + 1;
         let final_start = entry.next_boundary_us + (k - 1) * period;
-        self.roll(idx, r, k, final_start);
+        self.roll(idx, k, final_start);
     }
 
     /// The period-boundary roll, for both rollover modes: closes `k`
@@ -1047,7 +888,7 @@ impl Dispatcher {
     /// one starting — at `final_start_us`, puts its next boundary one
     /// period after that, releases it if it was throttled, and books the
     /// rollovers and missed deadlines.
-    fn roll(&mut self, idx: u32, reservation: Reservation, k: u64, final_start_us: u64) {
+    fn roll(&mut self, idx: u32, k: u64, final_start_us: u64) {
         // A boundary roll must never race an unsettled span batch for the
         // same slot: every settle point runs before its roll.
         debug_assert!(
@@ -1056,7 +897,8 @@ impl Dispatcher {
         );
         let entry = self.entries[idx as usize]
             .as_mut()
-            .expect("both callers read the reservation off this slot's entry");
+            .expect("both callers hold a live slot: a popped timer's or a probed entry's");
+        let reservation = entry.reservation;
         let runnable_rest = entry.state.is_runnable();
         let missed = entry.account.roll_periods(
             k,
@@ -1100,18 +942,16 @@ impl Dispatcher {
         }
     }
 
-    /// The timer rule, for both rollover modes: eager, every reserved thread
-    /// keeps a timer at its next boundary; lazy, only a throttled one does
-    /// (its release is the one boundary that can change a dispatch
-    /// decision).  Called after every change to a thread's class, state or
-    /// next boundary; arming a timer where it already is moves nothing.
+    /// The timer rule, for both rollover modes: eager, every thread keeps a
+    /// timer at its next boundary; lazy, only a throttled one does (its
+    /// release is the one boundary that can change a dispatch decision).
+    /// Called after every change to a thread's state or next boundary;
+    /// arming a timer where it already is moves nothing.
     fn rearm(&mut self, idx: u32) {
         let Some(entry) = self.entries[idx as usize].as_ref() else {
             return;
         };
-        let keeps = matches!(entry.class, ThreadClass::Reserved(_))
-            && (!self.config.lazy_rollovers || entry.state == ThreadState::Throttled);
-        if keeps {
+        if !self.config.lazy_rollovers || entry.state == ThreadState::Throttled {
             self.timers.arm(idx, entry.id, entry.next_boundary_us);
         } else {
             self.timers.cancel(idx);
@@ -1129,10 +969,9 @@ impl Dispatcher {
         }
     }
 
-    /// Visits every reserved thread whose usage ratio changed since its
-    /// last visit, after settling its boundary backlog — the changed-only
-    /// usage feed the controller consumes instead of a full
-    /// [`Dispatcher::for_each_usage`] sweep.
+    /// Visits every thread whose usage ratio changed since its last visit,
+    /// after settling its boundary backlog — the changed-only usage feed
+    /// the controller consumes instead of a sweep over every account.
     ///
     /// A thread leaves the watch set once it has settled at a 0.0 ratio
     /// with nothing consumed in the current period; any later activity
@@ -1187,34 +1026,6 @@ impl Dispatcher {
         self.runnable.peek().is_some()
     }
 
-    /// The Linux "recalculate goodness" pass: when every runnable
-    /// best-effort thread has exhausted its slice, refill every best-effort
-    /// slice.  Skipped in `O(1)` when some runnable slice remains or when
-    /// every slice is already known to be full, so repeated idle dispatches
-    /// touch no per-thread state.
-    fn maybe_recalc(&mut self) {
-        if self.runnable_be_with_slice > 0 {
-            return;
-        }
-        if self.be_count == 0 || !self.be_slices_dirty {
-            return;
-        }
-        let slice = self.config.best_effort_slice_us;
-        for idx in 0..self.entries.len() {
-            let is_be = self.entries[idx]
-                .as_ref()
-                .is_some_and(|e| matches!(e.class, ThreadClass::BestEffort));
-            if is_be {
-                self.entries[idx]
-                    .as_mut()
-                    .expect("occupancy verified by the `is_be` probe above")
-                    .remaining_slice_us = slice;
-                self.reindex(idx as u32);
-            }
-        }
-        self.be_slices_dirty = false;
-    }
-
     /// Takes one dispatch decision: picks the runnable thread with the
     /// highest goodness and returns it together with the quantum it may run
     /// for.  Charges the modelled dispatch overhead.
@@ -1238,11 +1049,6 @@ impl Dispatcher {
                 },
             );
         }
-
-        // Recalculate best-effort slices when every runnable best-effort
-        // thread has exhausted its slice (the Linux "recalculate goodness"
-        // pass).
-        self.maybe_recalc();
 
         // Pick the best runnable thread: highest goodness, ties broken by
         // least recently picked, then lowest id.
@@ -1287,21 +1093,15 @@ impl Dispatcher {
         entry.state = ThreadState::Running;
         entry.account.mark_runnable();
 
-        let reserved = matches!(entry.class, ThreadClass::Reserved(_));
-        let budget_cap = match entry.class {
-            ThreadClass::Reserved(_) => entry.account.remaining_us().max(1),
-            ThreadClass::BestEffort => entry.remaining_slice_us.max(1),
-        };
+        let budget_cap = entry.account.remaining_us().max(1);
         let quantum = self.config.dispatch_interval_us.max(1).min(budget_cap);
         self.reindex(idx);
         // Arm the next-quantum cache: if the freshly re-ranked pick is
         // still at the head, nothing can outrank it until some operation
-        // bumps `queue_gen` (only lazy reserved picks qualify — eager mode
-        // rolls accounts behind the cache's back, and a best-effort pick's
-        // own charge re-ranks it).
+        // bumps `queue_gen` (only lazy picks qualify — eager mode rolls
+        // accounts behind the cache's back).
         self.span_slot = Some(idx);
         self.quantum_cache_gen = (self.config.lazy_rollovers
-            && reserved
             && self.runnable.peek().is_some_and(|(_, top)| top == idx))
         .then_some(self.queue_gen);
         DispatchOutcome {
@@ -1362,7 +1162,7 @@ impl Dispatcher {
     }
 
     /// Charges `us` microseconds of CPU consumption to a thread, throttling
-    /// it if its budget (or best-effort slice) is exhausted.
+    /// it if its budget is exhausted.
     pub fn charge(&mut self, id: ThreadId, us: u64) -> Result<(), SchedError> {
         let slot = self.resolve(id)?;
         self.charge_slot(slot, id, us)
@@ -1379,9 +1179,9 @@ impl Dispatcher {
 
     /// Charges `us` microseconds to the thread picked by the last
     /// [`Dispatcher::dispatch`] without resolving its id — the simulator's
-    /// hot-path pairing.  Consecutive reserved-thread charges accumulate
-    /// into a pending batch and settle in one account update when the
-    /// deferral could change a decision (see [`crate::settle`]).
+    /// hot-path pairing.  Consecutive charges accumulate into a pending
+    /// batch and settle in one account update when the deferral could
+    /// change a decision (see [`crate::settle`]).
     pub fn charge_span(&mut self, us: u64) {
         let idx = self
             .span_slot
@@ -1390,7 +1190,6 @@ impl Dispatcher {
             .as_ref()
             .expect("unlink clears span_slot, so a live span always points at an occupied slot");
         let reason = span_settle_reason(
-            matches!(entry.class, ThreadClass::BestEffort),
             us,
             self.span_pending_us,
             &entry.account,
@@ -1411,10 +1210,6 @@ impl Dispatcher {
     /// enabled, records the settle point as a trace event.
     fn note_settle(&mut self, idx: u32, reason: SettleReason) {
         let cause = match reason {
-            SettleReason::GoodnessCrossing => {
-                self.stats.settles_goodness += 1;
-                SettleCause::Goodness
-            }
             SettleReason::PeriodBoundary => {
                 self.stats.settles_period_boundary += 1;
                 SettleCause::PeriodBoundary
@@ -1472,51 +1267,28 @@ impl Dispatcher {
             .as_mut()
             .expect("apply_charge receives a span slot or a verified one, both occupied");
         let id = entry.id;
-        let mut throttled = false;
-        let mut be_charged = false;
-        match entry.class {
-            ThreadClass::Reserved(_) => {
-                // The shared settlement arithmetic IS the throttle test:
-                // the batcher's edge prediction and this reference path
-                // cannot drift.
-                let exhausts = charge_exhausts(&entry.account, 0, us);
-                entry.account.charge(us);
-                debug_assert_eq!(exhausts, entry.account.exhausted());
-                if exhausts && entry.state.is_runnable() {
-                    entry.state = ThreadState::Throttled;
-                    throttled = true;
-                } else if entry.state == ThreadState::Running {
-                    entry.state = ThreadState::Ready;
-                }
-            }
-            ThreadClass::BestEffort => {
-                entry.account.charge(us);
-                entry.remaining_slice_us = entry.remaining_slice_us.saturating_sub(us);
-                be_charged = true;
-                if entry.state == ThreadState::Running {
-                    entry.state = ThreadState::Ready;
-                }
-            }
-        }
-        if be_charged {
-            self.be_slices_dirty = true;
-        }
-        if throttled {
+        // The shared settlement arithmetic IS the throttle test: the
+        // batcher's edge prediction and this reference path cannot drift.
+        let exhausts = charge_exhausts(&entry.account, 0, us);
+        entry.account.charge(us);
+        debug_assert_eq!(exhausts, entry.account.exhausted());
+        if exhausts && entry.state.is_runnable() {
+            entry.state = ThreadState::Throttled;
             if self.running == Some(id) {
                 self.running = None;
             }
             self.rearm(idx);
+        } else if entry.state == ThreadState::Running {
+            entry.state = ThreadState::Ready;
         }
         self.reindex(idx);
-        if !be_charged {
-            // Only reserved threads report usage ratios to the controller.
-            self.watch(idx);
-        }
+        self.watch(idx);
     }
 
-    /// Convenience: advances time by one quantum for the outcome of a
+    /// Test convenience: advances time by one quantum for the outcome of a
     /// dispatch where the selected thread ran for the full quantum.
-    pub fn run_quantum(&mut self) -> DispatchOutcome {
+    #[cfg(test)]
+    fn run_quantum(&mut self) -> DispatchOutcome {
         let outcome = self.dispatch();
         if let Some(id) = outcome.thread {
             self.charge(id, outcome.quantum_us).expect("thread exists");
@@ -1530,19 +1302,15 @@ impl Dispatcher {
     /// entry storage with an explicit lowest-id tie-break (the id-ordered
     /// original relied on first-seen-wins iteration order).
     #[cfg(test)]
-    fn oracle_pick(&mut self) -> Option<ThreadId> {
+    fn oracle_pick(&self) -> Option<ThreadId> {
         use std::cmp::Reverse;
-        self.maybe_recalc();
         let mut best: Option<(i64, u64, Reverse<u64>)> = None;
         let mut best_id = None;
         for entry in self.entries.iter().flatten() {
             if !entry.state.is_runnable() {
                 continue;
             }
-            let g = match entry.class {
-                ThreadClass::Reserved(r) => rbs_goodness(r.period),
-                ThreadClass::BestEffort => best_effort_goodness(entry.remaining_slice_us),
-            };
+            let g = rbs_goodness(entry.reservation.period);
             let key = (g, u64::MAX - entry.last_picked_seq, Reverse(entry.id.0));
             if best.is_none_or(|b| key > b) {
                 best = Some(key);
@@ -1556,8 +1324,6 @@ impl Dispatcher {
     #[cfg(test)]
     fn assert_consistent(&self) {
         let mut reserved = 0u32;
-        let mut be = 0usize;
-        let mut be_with_slice = 0usize;
         let mut runnable = 0usize;
         let mut live = 0usize;
         for (slot, entry) in self.entries.iter().enumerate() {
@@ -1570,20 +1336,7 @@ impl Dispatcher {
                 Some(&idx),
                 "by_id disagrees with dense storage for {id}"
             );
-            match entry.class {
-                ThreadClass::Reserved(r) => reserved += r.proportion.ppt(),
-                ThreadClass::BestEffort => be += 1,
-            }
-            let counted = entry.state.is_runnable()
-                && matches!(entry.class, ThreadClass::BestEffort)
-                && entry.remaining_slice_us > 0;
-            assert_eq!(
-                entry.counted_be_slice, counted,
-                "recalc flag stale for {id}"
-            );
-            if counted {
-                be_with_slice += 1;
-            }
+            reserved += entry.reservation.proportion.ppt();
             assert_eq!(
                 self.runnable.key_of(idx).is_some(),
                 entry.state.is_runnable(),
@@ -1593,15 +1346,13 @@ impl Dispatcher {
                 runnable += 1;
             }
             // The timer rule ([`Dispatcher::rearm`]), restated: eager, every
-            // reserved thread keeps a timer at its next boundary; lazy, only
-            // a throttled one does.
-            let keeps = matches!(entry.class, ThreadClass::Reserved(_))
-                && (!self.config.lazy_rollovers || entry.state == ThreadState::Throttled);
+            // thread keeps a timer at its next boundary; lazy, only a
+            // throttled one does.
+            let keeps = !self.config.lazy_rollovers || entry.state == ThreadState::Throttled;
             assert_eq!(
                 self.timers.expiry_of(idx),
                 keeps.then_some(entry.next_boundary_us),
-                "timer rule broken for {id} ({:?}, {:?})",
-                entry.class,
+                "timer rule broken for {id} ({:?})",
                 entry.state
             );
             if entry.watched {
@@ -1613,22 +1364,15 @@ impl Dispatcher {
         }
         assert_eq!(self.by_id.len(), live, "by_id holds a freed slot");
         assert_eq!(self.reserved_ppt, reserved);
-        assert_eq!(self.be_count, be);
-        assert_eq!(self.runnable_be_with_slice, be_with_slice);
         assert_eq!(self.runnable.len(), runnable);
-        // Span-batch invariants: pending usage always has a live reserved
-        // owner and stays strictly under its budget (the throttle edge
+        // Span-batch invariants: pending usage always has a live owner and
+        // stays strictly under its budget (the throttle edge
         // settles before it is reached).
         if self.span_pending_us > 0 {
             let idx = self.span_slot.expect("pending charge without a span slot");
             let entry = self.entries[idx as usize]
                 .as_ref()
                 .expect("span slot freed with pending charge");
-            assert!(
-                matches!(entry.class, ThreadClass::Reserved(_)),
-                "best-effort {} accumulated a span batch",
-                entry.id
-            );
             assert!(
                 entry.account.used_this_period_us + self.span_pending_us < entry.account.budget_us,
                 "span batch for {} reached the throttle edge unsettled",
@@ -1665,63 +1409,46 @@ mod tests {
     #[test]
     fn layout_budget() {
         use std::mem::size_of;
-        assert!(size_of::<ThreadEntry>() <= 152);
+        assert!(size_of::<ThreadEntry>() <= 136);
         assert!(size_of::<(RunKey, u32)>() <= 32);
         assert!(size_of::<Option<RunKey>>() <= 32);
         assert!(size_of::<((u64, ThreadId), u32)>() <= 32);
         assert!(size_of::<Option<(u64, ThreadId)>>() <= 32);
     }
 
-    fn reserved(ppt: u32, period_ms: u64) -> ThreadClass {
-        ThreadClass::Reserved(Reservation::new(
-            Proportion::from_ppt(ppt),
-            Period::from_millis(period_ms),
-        ))
+    fn reserved(ppt: u32, period_ms: u64) -> Reservation {
+        Reservation::new(Proportion::from_ppt(ppt), Period::from_millis(period_ms))
+    }
+
+    fn ids(d: &Dispatcher) -> Vec<ThreadId> {
+        d.by_id.keys().copied().collect()
     }
 
     #[test]
     fn add_and_remove_threads() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(100, 30)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 30))
+            .unwrap();
         assert_eq!(
-            d.add_thread(ThreadId(1), ThreadClass::BestEffort),
+            d.add_thread_preadmitted(ThreadId(1), reserved(1, 10)),
             Err(SchedError::DuplicateThread(ThreadId(1)))
         );
         assert_eq!(d.thread_count(), 1);
-        assert_eq!(d.thread_ids().collect::<Vec<_>>(), vec![ThreadId(1)]);
         d.remove_thread(ThreadId(1)).unwrap();
         assert_eq!(
             d.remove_thread(ThreadId(1)),
             Err(SchedError::UnknownThread(ThreadId(1)))
         );
-        assert_eq!(d.thread_ids().next(), None);
-    }
-
-    #[test]
-    fn admission_control_rejects_oversubscription() {
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(600, 30)).unwrap();
-        let err = d.add_thread(ThreadId(2), reserved(500, 30)).unwrap_err();
-        assert!(matches!(err, SchedError::Oversubscribed { .. }));
-        // Best-effort threads are always admitted.
-        d.add_thread(ThreadId(3), ThreadClass::BestEffort).unwrap();
-        assert_eq!(d.total_reserved().ppt(), 600);
-        assert!(!d.is_overloaded());
-    }
-
-    #[test]
-    fn reserved_thread_beats_best_effort() {
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), ThreadClass::BestEffort).unwrap();
-        d.add_thread(ThreadId(2), reserved(100, 30)).unwrap();
-        assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
+        assert_eq!(d.thread_count(), 0);
     }
 
     #[test]
     fn shorter_period_beats_longer_period() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(100, 100)).unwrap();
-        d.add_thread(ThreadId(2), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 100))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(100, 10))
+            .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
     }
 
@@ -1729,7 +1456,8 @@ mod tests {
     fn exhausted_thread_is_throttled_until_next_period() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
         // 10 % of 10 ms = 1 ms budget, equal to one dispatch interval.
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let o = d.dispatch();
         assert_eq!(o.thread, Some(ThreadId(1)));
         assert_eq!(o.quantum_us, 1000);
@@ -1748,37 +1476,37 @@ mod tests {
     fn quantum_is_capped_by_remaining_budget() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
         // 5 % of 10 ms = 500 µs budget < 1 ms dispatch interval.
-        d.add_thread(ThreadId(1), reserved(50, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(50, 10))
+            .unwrap();
         let o = d.dispatch();
         assert_eq!(o.quantum_us, 500);
     }
 
+    /// Equal periods mean equal goodness: the pick sequence breaks the tie,
+    /// least recently picked first, so neither thread starves the other.
     #[test]
-    fn best_effort_threads_round_robin() {
-        let config = DispatcherConfig {
-            best_effort_slice_us: 2_000,
-            ..DispatcherConfig::default()
-        };
-        let mut d = Dispatcher::new(config);
-        d.add_thread(ThreadId(1), ThreadClass::BestEffort).unwrap();
-        d.add_thread(ThreadId(2), ThreadClass::BestEffort).unwrap();
+    fn equal_period_threads_round_robin() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
+        d.add_thread_preadmitted(ThreadId(1), reserved(400, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(400, 10))
+            .unwrap();
         let mut picks = Vec::new();
         for _ in 0..6 {
             let o = d.dispatch();
             let id = o.thread.unwrap();
-            picks.push(id);
+            picks.push(id.0);
             d.charge(id, o.quantum_us).unwrap();
             d.advance_to(d.now_us() + o.quantum_us);
         }
-        // Both threads get picked (no starvation of one by the other).
-        assert!(picks.contains(&ThreadId(1)));
-        assert!(picks.contains(&ThreadId(2)));
+        assert_eq!(picks, [1, 2, 1, 2, 1, 2]);
     }
 
     #[test]
     fn blocked_thread_is_not_dispatched() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         d.block(ThreadId(1)).unwrap();
         assert_eq!(d.dispatch().thread, None);
         d.unblock(ThreadId(1)).unwrap();
@@ -1788,7 +1516,8 @@ mod tests {
     #[test]
     fn unblocking_exhausted_thread_keeps_it_throttled() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let o = d.dispatch();
         d.charge(ThreadId(1), o.quantum_us).unwrap();
         d.block(ThreadId(1)).unwrap();
@@ -1810,23 +1539,16 @@ mod tests {
         // Two threads each wanting 60 % of a 10 ms period: only ~100 % is
         // available so someone must miss.
         let config = DispatcherConfig {
-            admission_threshold_ppt: 1000,
             dispatch_cost_us: 0.0,
             context_switch_cost_us: 0.0,
             ..DispatcherConfig::default()
         };
         let mut d = Dispatcher::new(config);
-        d.add_thread(ThreadId(1), reserved(600, 10)).unwrap();
-        // Admission would reject a second 60 % reservation, so admit it
-        // small and grow it through the controller's actuation path (which
-        // does not re-check admission).
-        d.add_thread(ThreadId(2), reserved(100, 10)).unwrap();
-        d.set_reservation(
-            ThreadId(2),
-            Reservation::new(Proportion::from_ppt(600), Period::from_millis(10)),
-        )
-        .unwrap();
-        assert!(d.is_overloaded());
+        d.add_thread_preadmitted(ThreadId(1), reserved(600, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(600, 10))
+            .unwrap();
+        assert_eq!(d.total_reserved_ppt(), 1200);
         // Run for 30 ms of simulated time.
         while d.now_us() < 30_000 {
             d.run_quantum();
@@ -1837,7 +1559,8 @@ mod tests {
     #[test]
     fn set_reservation_changes_budget_and_can_unthrottle() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let o = d.dispatch();
         d.charge(ThreadId(1), o.quantum_us).unwrap();
         assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Throttled));
@@ -1859,20 +1582,6 @@ mod tests {
     }
 
     #[test]
-    fn best_effort_thread_can_become_reserved() {
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), ThreadClass::BestEffort).unwrap();
-        assert!(d.reservation(ThreadId(1)).is_none());
-        d.set_reservation(
-            ThreadId(1),
-            Reservation::new(Proportion::from_ppt(50), Period::from_millis(30)),
-        )
-        .unwrap();
-        assert_eq!(d.reservation(ThreadId(1)).unwrap().proportion.ppt(), 50);
-        assert_eq!(d.total_reserved().ppt(), 50);
-    }
-
-    #[test]
     fn reserved_thread_gets_its_proportion_over_time() {
         let config = DispatcherConfig {
             dispatch_cost_us: 0.0,
@@ -1880,9 +1589,12 @@ mod tests {
             ..DispatcherConfig::default()
         };
         let mut d = Dispatcher::new(config);
-        // 30 % reservation competing with a best-effort hog.
-        d.add_thread(ThreadId(1), reserved(300, 10)).unwrap();
-        d.add_thread(ThreadId(2), ThreadClass::BestEffort).unwrap();
+        // 30 % reservation competing with a longer-period hog that would
+        // take the whole CPU if it could.
+        d.add_thread_preadmitted(ThreadId(1), reserved(300, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(1000, 30))
+            .unwrap();
         while d.now_us() < 1_000_000 {
             d.run_quantum();
         }
@@ -1892,7 +1604,7 @@ mod tests {
             (fraction - 0.3).abs() < 0.02,
             "reserved thread got {fraction} of the CPU"
         );
-        // The best-effort hog gets the rest.
+        // The hog gets the rest.
         let hog = d.usage(ThreadId(2)).unwrap();
         let hog_fraction = hog.total_used_us as f64 / 1_000_000.0;
         assert!(hog_fraction > 0.6, "hog got {hog_fraction}");
@@ -1901,7 +1613,8 @@ mod tests {
     #[test]
     fn overhead_accumulates_with_dispatches() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
+            .unwrap();
         for _ in 0..10 {
             d.run_quantum();
         }
@@ -1913,12 +1626,15 @@ mod tests {
     #[test]
     fn preadmitted_thread_bypasses_admission_but_not_duplicates() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(900, 10)).unwrap();
-        // The regular path is full; a pre-admitted reservation still lands.
-        let r = Reservation::new(Proportion::from_ppt(300), Period::from_millis(10));
+        d.add_thread_preadmitted(ThreadId(1), reserved(900, 10))
+            .unwrap();
+        // The CPU is all but full; the dispatcher has no threshold of its
+        // own to refuse with, so a reservation the controller admitted
+        // still lands.
+        let r = reserved(300, 10);
         d.add_thread_preadmitted(ThreadId(2), r).unwrap();
         assert_eq!(d.reservation(ThreadId(2)), Some(r));
-        assert!(d.is_overloaded());
+        assert_eq!(d.total_reserved_ppt(), 1200);
         assert_eq!(
             d.add_thread_preadmitted(ThreadId(2), r),
             Err(SchedError::DuplicateThread(ThreadId(2)))
@@ -1928,18 +1644,18 @@ mod tests {
     #[test]
     fn usage_views_agree() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(300, 10)).unwrap();
-        d.add_thread(ThreadId(2), reserved(200, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(300, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(200, 10))
+            .unwrap();
         for _ in 0..5 {
             d.run_quantum();
         }
-        let mut visited = 0;
-        d.for_each_usage(|id, acct| {
-            visited += 1;
-            assert_eq!(d.usage(id).unwrap().total_used_us, acct.total_used_us);
-            assert_eq!(d.usage_ref(id).unwrap().total_used_us, acct.total_used_us);
-        });
-        assert_eq!(visited, 2);
+        for id in [ThreadId(1), ThreadId(2)] {
+            let used = d.usage(id).unwrap().total_used_us;
+            assert!(used > 0);
+            assert_eq!(d.usage_ref(id).unwrap().total_used_us, used);
+        }
         assert!(d.usage_ref(ThreadId(9)).is_none());
     }
 
@@ -1947,7 +1663,8 @@ mod tests {
     fn take_and_inject_preserve_account_and_throttle() {
         let mut src = Dispatcher::new(DispatcherConfig::default());
         let mut dst = Dispatcher::new(DispatcherConfig::default());
-        src.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        src.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         // Exhaust the budget so the thread is throttled mid-period.
         let o = src.dispatch();
         src.charge(ThreadId(1), o.quantum_us).unwrap();
@@ -1970,11 +1687,10 @@ mod tests {
         assert_eq!(
             dst.inject_thread(MigratedThread {
                 id: ThreadId(1),
-                class: reserved(10, 10),
+                reservation: reserved(10, 10),
                 state: ThreadState::Ready,
                 account: UsageAccount::new(0, 0),
-                remaining_slice_us: 0,
-                next_boundary_us: None,
+                next_boundary_us: 10_000,
             }),
             Err(SchedError::DuplicateThread(ThreadId(1)))
         );
@@ -1983,11 +1699,12 @@ mod tests {
     #[test]
     fn taking_the_running_thread_demotes_it_to_ready() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
+            .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         let taken = d.take_thread(ThreadId(1)).unwrap();
         assert_eq!(taken.state(), ThreadState::Ready);
-        assert!(matches!(taken.class(), ThreadClass::Reserved(_)));
+        assert_eq!(taken.reservation(), reserved(500, 10));
         // The source no longer schedules it.
         assert_eq!(d.dispatch().thread, None);
     }
@@ -1996,7 +1713,8 @@ mod tests {
     fn next_timer_expiry_tracks_reserved_threads() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
         assert_eq!(d.next_timer_expiry(), None);
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         assert_eq!(d.next_timer_expiry(), Some(10_000));
     }
 
@@ -2011,10 +1729,13 @@ mod tests {
     #[test]
     fn freed_slots_are_reused() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
-        d.add_thread(ThreadId(2), reserved(100, 20)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(100, 20))
+            .unwrap();
         d.remove_thread(ThreadId(1)).unwrap();
-        d.add_thread(ThreadId(3), reserved(100, 30)).unwrap();
+        d.add_thread_preadmitted(ThreadId(3), reserved(100, 30))
+            .unwrap();
         assert_eq!(d.entries.len(), 2, "dense storage does not grow on reuse");
         assert_eq!(d.thread_count(), 2);
         d.assert_consistent();
@@ -2027,12 +1748,14 @@ mod tests {
     fn stale_slot_never_reaches_the_slots_next_tenant() {
         for config in [DispatcherConfig::default(), lazy_config()] {
             let mut d = Dispatcher::new(config);
-            d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+            d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+                .unwrap();
             let slot = d.slot_of(ThreadId(1)).unwrap();
             d.remove_thread(ThreadId(1)).unwrap();
             let gone = Err(SchedError::UnknownThread(ThreadId(1)));
             assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone, "freed slot");
-            d.add_thread(ThreadId(2), reserved(200, 20)).unwrap();
+            d.add_thread_preadmitted(ThreadId(2), reserved(200, 20))
+                .unwrap();
             assert_eq!(d.slot_of(ThreadId(2)), Some(slot), "LIFO reuse");
             d.block(ThreadId(2)).unwrap();
             let r = Reservation::new(Proportion::from_ppt(900), Period::from_millis(1));
@@ -2070,7 +1793,8 @@ mod tests {
     #[test]
     fn lazy_exhausted_thread_is_replenished_at_the_boundary() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let o = d.dispatch();
         assert_eq!(o.thread, Some(ThreadId(1)));
         assert_eq!(o.quantum_us, 1000);
@@ -2092,7 +1816,8 @@ mod tests {
     #[test]
     fn lazy_sync_batches_a_multi_period_backlog() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         // Runnable but never picked for 5 whole periods: no timers fire,
         // no per-boundary work happens...
         d.advance_to(52_000);
@@ -2115,7 +1840,8 @@ mod tests {
     #[test]
     fn lazy_blocked_thread_misses_only_its_runnable_period() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         d.block(ThreadId(1)).unwrap();
         d.advance_to(45_000);
         d.unblock(ThreadId(1)).unwrap();
@@ -2131,7 +1857,8 @@ mod tests {
     fn lazy_take_and_inject_keep_the_release_timer() {
         let mut src = Dispatcher::new(lazy_config());
         let mut dst = Dispatcher::new(lazy_config());
-        src.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        src.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let o = src.dispatch();
         src.charge(ThreadId(1), o.quantum_us).unwrap();
         assert_eq!(src.thread_state(ThreadId(1)), Some(ThreadState::Throttled));
@@ -2152,7 +1879,8 @@ mod tests {
     #[test]
     fn drain_usage_changes_reports_only_transitions() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let drain = |d: &mut Dispatcher| {
             let mut got = Vec::new();
             d.drain_usage_changes(|id, ratio| got.push((id, ratio)));
@@ -2184,7 +1912,8 @@ mod tests {
     #[test]
     fn charge_span_batches_until_the_throttle_edge() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
         let o = d.dispatch();
         assert_eq!(o.thread, Some(ThreadId(1)));
         assert_eq!(o.quantum_us, 1000);
@@ -2210,8 +1939,10 @@ mod tests {
     #[test]
     fn block_span_settles_and_unblock_slot_rewakes() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 10)).unwrap();
-        d.add_thread(ThreadId(2), reserved(100, 20)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(100, 20))
+            .unwrap();
         let o = d.dispatch();
         assert_eq!(o.thread, Some(ThreadId(1)), "shorter period wins");
         d.charge_span(300);
@@ -2231,13 +1962,15 @@ mod tests {
     #[test]
     fn next_quantum_cache_invalidates_on_queue_change() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(100, 20)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 20))
+            .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         d.charge_span(50);
         // A queue mutation between spans bumps the generation: the next
         // dispatch must re-pick through the queue and see the newcomer (and
         // settle the outstanding batch on the way).
-        d.add_thread(ThreadId(2), reserved(100, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(100, 10))
+            .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
         assert_eq!(d.usage(ThreadId(1)).unwrap().used_this_period_us, 50);
         d.assert_consistent();
@@ -2246,7 +1979,8 @@ mod tests {
     #[test]
     fn span_batch_settles_before_the_boundary_roll() {
         let mut d = Dispatcher::new(lazy_config());
-        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
+            .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         d.charge_span(1000);
         d.advance_to(10_000);
@@ -2263,7 +1997,8 @@ mod tests {
     #[test]
     fn an_eager_span_batch_lands_in_the_period_it_was_consumed_in() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
+            .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         d.charge_span(400);
         d.advance_to(10_000);
@@ -2274,37 +2009,80 @@ mod tests {
     }
 
     /// The timer rule over its whole table, from either prior timer state:
-    /// eager, a reserved thread keeps a timer at its next boundary whatever
-    /// its state; lazy, only while throttled; a best-effort thread never.
+    /// eager, a thread keeps a timer at its next boundary whatever its
+    /// state; lazy, only while throttled.
     #[test]
-    fn rearm_holds_the_timer_rule_in_every_mode_class_and_state() {
+    fn rearm_holds_the_timer_rule_in_every_mode_and_state() {
         use ThreadState::{Blocked, Ready, Running, Throttled};
         for lazy in [false, true] {
-            for class in [reserved(100, 10), ThreadClass::BestEffort] {
-                for state in [Ready, Running, Throttled, Blocked] {
-                    for stale_timer in [None, Some(777)] {
-                        let mut d = Dispatcher::new(DispatcherConfig {
-                            lazy_rollovers: lazy,
-                            ..DispatcherConfig::default()
-                        });
-                        d.add_thread(ThreadId(1), class).unwrap();
-                        let idx = d.slot_of(ThreadId(1)).unwrap();
-                        d.entries[idx as usize].as_mut().unwrap().state = state;
-                        d.timers.cancel(idx);
-                        if let Some(expiry) = stale_timer {
-                            d.timers.arm(idx, ThreadId(1), expiry);
-                        }
-                        d.rearm(idx);
-                        let is_reserved = matches!(class, ThreadClass::Reserved(_));
-                        let keeps = is_reserved && (!lazy || state == Throttled);
-                        assert_eq!(
-                            d.timers.expiry_of(idx),
-                            keeps.then_some(10_000),
-                            "lazy={lazy} {class:?} {state:?} from {stale_timer:?}"
-                        );
+            for state in [Ready, Running, Throttled, Blocked] {
+                for stale_timer in [None, Some(777)] {
+                    let mut d = Dispatcher::new(DispatcherConfig {
+                        lazy_rollovers: lazy,
+                        ..DispatcherConfig::default()
+                    });
+                    d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+                        .unwrap();
+                    let idx = d.slot_of(ThreadId(1)).unwrap();
+                    d.entries[idx as usize].as_mut().unwrap().state = state;
+                    d.timers.cancel(idx);
+                    if let Some(expiry) = stale_timer {
+                        d.timers.arm(idx, ThreadId(1), expiry);
                     }
+                    d.rearm(idx);
+                    let keeps = !lazy || state == Throttled;
+                    assert_eq!(
+                        d.timers.expiry_of(idx),
+                        keeps.then_some(10_000),
+                        "lazy={lazy} {state:?} from {stale_timer:?}"
+                    );
                 }
             }
+        }
+    }
+
+    /// Admission places a thread in one step: ready, with a full budget
+    /// for a period opened at the admission instant, once on the run queue
+    /// and once on the watch list, its timer where the rule says — and a
+    /// zero-proportion reservation still runs one minimal quantum, then
+    /// throttles, instead of winning every dispatch for free.
+    #[test]
+    fn preadmitted_thread_is_placed_whole_in_one_step() {
+        for config in [DispatcherConfig::default(), lazy_config()] {
+            let mut d = Dispatcher::new(config);
+            d.advance_to(3_000);
+            let r = reserved(250, 20);
+            d.add_thread_preadmitted(ThreadId(7), r).unwrap();
+            let idx = d.slot_of(ThreadId(7)).unwrap();
+            assert_eq!(d.thread_state(ThreadId(7)), Some(ThreadState::Ready));
+            assert_eq!(d.reservation(ThreadId(7)), Some(r));
+            let a = d.usage(ThreadId(7)).unwrap();
+            assert_eq!(a.period_start_us, 3_000);
+            assert_eq!((a.budget_us, a.used_this_period_us), (r.budget_micros(), 0));
+            assert!(a.was_runnable_this_period);
+            let entry = d.entries[idx as usize].as_ref().unwrap();
+            assert_eq!(entry.next_boundary_us, 23_000);
+            assert_eq!(d.runnable.len(), 1);
+            assert!(d.runnable.key_of(idx).is_some());
+            assert_eq!(d.watch_list, [idx]);
+            assert_eq!(
+                d.timers.expiry_of(idx),
+                (!config.lazy_rollovers).then_some(23_000)
+            );
+            assert_eq!(d.total_reserved_ppt(), 250);
+            d.assert_consistent();
+
+            // Zero proportion, shorter period: it outranks thread 7 once,
+            // for the minimal quantum, and is throttled by that charge.
+            d.add_thread_preadmitted(ThreadId(8), reserved(0, 10))
+                .unwrap();
+            assert_eq!(d.usage(ThreadId(8)).unwrap().budget_us, 0);
+            let o = d.dispatch();
+            assert_eq!((o.thread, o.quantum_us), (Some(ThreadId(8)), 1));
+            d.charge(ThreadId(8), o.quantum_us).unwrap();
+            assert_eq!(d.thread_state(ThreadId(8)), Some(ThreadState::Throttled));
+            assert_eq!(d.dispatch().thread, Some(ThreadId(7)));
+            d.assert_consistent();
         }
     }
 
@@ -2315,8 +2093,10 @@ mod tests {
     #[test]
     fn eager_drain_rolls_one_boundary_ending_at_the_drain_instant() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread(ThreadId(1), reserved(500, 10)).unwrap();
-        d.add_thread(ThreadId(2), reserved(200, 20)).unwrap();
+        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
+            .unwrap();
+        d.add_thread_preadmitted(ThreadId(2), reserved(200, 20))
+            .unwrap();
         let (s1, s2) = (
             d.slot_of(ThreadId(1)).unwrap(),
             d.slot_of(ThreadId(2)).unwrap(),
@@ -2380,42 +2160,35 @@ mod tests {
         /// few places its tail walk covers.
         ///
         /// Ops are encoded as `(selector, id, ppt, aux)` tuples because the
-        /// vendored proptest miniature has no `prop_oneof`; selectors 8–10
+        /// vendored proptest miniature has no `prop_oneof`; selectors 7–9
         /// all dispatch so the pick comparison dominates the mix.
         #[test]
         fn indexed_pick_matches_naive_scan(
-            ops in proptest::collection::vec((0u8..11, 0u64..48, 0u32..600, 1u64..60), 1..250),
+            ops in proptest::collection::vec((0u8..10, 0u64..48, 0u32..600, 1u64..60), 1..250),
         ) {
             for config in [DispatcherConfig::default(), lazy_config()] {
                 let mut d = Dispatcher::new(config);
                 for &(op, i, p, aux) in &ops {
                     match op {
                         0 => {
-                            let _ = d.add_thread(ThreadId(i), reserved(p, aux));
+                            let _ = d.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
                         }
                         1 => {
-                            let _ = d.add_thread(ThreadId(i), ThreadClass::BestEffort);
-                        }
-                        2 => {
                             let _ = d.remove_thread(ThreadId(i));
                         }
-                        3 => {
+                        2 => {
                             let _ = d.block(ThreadId(i));
                         }
-                        4 => {
+                        3 => {
                             let _ = d.unblock(ThreadId(i));
                         }
-                        5 => {
+                        4 => {
                             let _ = d.charge(ThreadId(i), p as u64 * 37);
                         }
-                        6 => {
-                            let r = Reservation::new(
-                                Proportion::from_ppt(p),
-                                Period::from_millis(aux),
-                            );
-                            let _ = d.set_reservation(ThreadId(i), r);
+                        5 => {
+                            let _ = d.set_reservation(ThreadId(i), reserved(p, aux));
                         }
-                        7 => d.advance_to(d.now_us() + aux * 499),
+                        6 => d.advance_to(d.now_us() + aux * 499),
                         _ => {
                             let oracle = d.oracle_pick();
                             let outcome = d.dispatch();
@@ -2443,9 +2216,7 @@ mod tests {
             let mut src = Dispatcher::new(DispatcherConfig::default());
             let mut dst = Dispatcher::new(src.config());
             for (i, &(ppt, ms)) in seed_threads.iter().enumerate() {
-                // Oversubscribed seeds are rejected by admission; the
-                // surviving population still migrates back and forth.
-                let _ = src.add_thread(ThreadId(i as u64), reserved(ppt, ms));
+                src.add_thread_preadmitted(ThreadId(i as u64), reserved(ppt, ms)).unwrap();
             }
             let n = seed_threads.len() as u64;
             for (step, &forward) in moves.iter().enumerate() {
@@ -2472,42 +2243,34 @@ mod tests {
         /// stats (except idle bookkeeping) must match exactly.
         #[test]
         fn lazy_rollovers_match_eager_reference(
-            ops in proptest::collection::vec((0u8..10, 0u64..6, 0u32..500, 1u64..40), 1..120),
+            ops in proptest::collection::vec((0u8..9, 0u64..6, 0u32..500, 1u64..40), 1..120),
         ) {
             let mut eager = Dispatcher::new(DispatcherConfig::default());
             let mut lazy = Dispatcher::new(lazy_config());
             for (op, i, p, aux) in ops {
                 match op {
                     0 => {
-                        let a = eager.add_thread(ThreadId(i), reserved(p, aux));
-                        let b = lazy.add_thread(ThreadId(i), reserved(p, aux));
+                        let a = eager.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
+                        let b = lazy.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
                         prop_assert_eq!(a, b);
                     }
                     1 => {
-                        let _ = eager.add_thread(ThreadId(i), ThreadClass::BestEffort);
-                        let _ = lazy.add_thread(ThreadId(i), ThreadClass::BestEffort);
-                    }
-                    2 => {
                         let _ = eager.remove_thread(ThreadId(i));
                         let _ = lazy.remove_thread(ThreadId(i));
                     }
-                    3 => {
+                    2 => {
                         let _ = eager.block(ThreadId(i));
                         let _ = lazy.block(ThreadId(i));
                     }
-                    4 => {
+                    3 => {
                         let _ = eager.unblock(ThreadId(i));
                         let _ = lazy.unblock(ThreadId(i));
                     }
-                    5 => {
-                        let r = Reservation::new(
-                            Proportion::from_ppt(p),
-                            Period::from_millis(aux),
-                        );
-                        let _ = eager.set_reservation(ThreadId(i), r);
-                        let _ = lazy.set_reservation(ThreadId(i), r);
+                    4 => {
+                        let _ = eager.set_reservation(ThreadId(i), reserved(p, aux));
+                        let _ = lazy.set_reservation(ThreadId(i), reserved(p, aux));
                     }
-                    6 => {
+                    5 => {
                         // Advance exactly to the eager dispatcher's next
                         // period boundary (its timers fire *on* the grid, so
                         // its re-arm-from-now cannot drift off it).
@@ -2516,7 +2279,7 @@ mod tests {
                             lazy.advance_to(t);
                         }
                     }
-                    7 => {
+                    6 => {
                         // Both modes report the same changed-usage feed,
                         // order aside.
                         let mut a = Vec::new();
@@ -2544,9 +2307,8 @@ mod tests {
             }
             // Settle the lazy backlog, then every observable must agree.
             lazy.sync_all();
-            let ids: Vec<ThreadId> = eager.thread_ids().collect();
-            prop_assert_eq!(&ids, &lazy.thread_ids().collect::<Vec<_>>());
-            for id in ids {
+            prop_assert_eq!(ids(&eager), ids(&lazy));
+            for id in ids(&eager) {
                 prop_assert_eq!(eager.thread_state(id), lazy.thread_state(id));
                 prop_assert_eq!(eager.reservation(id), lazy.reservation(id));
                 let (ea, la) = (eager.usage(id).unwrap(), lazy.usage(id).unwrap());
@@ -2578,8 +2340,8 @@ mod tests {
                 let id = ThreadId(i);
                 match op {
                     0 => {
-                        let a = eager.add_thread(id, reserved(p, aux));
-                        prop_assert_eq!(a, lazy.add_thread(id, reserved(p, aux)));
+                        let a = eager.add_thread_preadmitted(id, reserved(p, aux));
+                        prop_assert_eq!(a, lazy.add_thread_preadmitted(id, reserved(p, aux)));
                     }
                     1 => {
                         let _ = eager.block(id);
@@ -2590,12 +2352,8 @@ mod tests {
                         let _ = lazy.unblock(id);
                     }
                     3 => {
-                        let r = Reservation::new(
-                            Proportion::from_ppt(p),
-                            Period::from_millis(aux),
-                        );
-                        let _ = eager.set_reservation(id, r);
-                        let _ = lazy.set_reservation(id, r);
+                        let _ = eager.set_reservation(id, reserved(p, aux));
+                        let _ = lazy.set_reservation(id, reserved(p, aux));
                     }
                     4 => {
                         // On the eager grid, as in the reference pairing.
@@ -2621,7 +2379,7 @@ mod tests {
             }
             eager.sync_all();
             lazy.sync_all();
-            for id in eager.thread_ids().collect::<Vec<_>>() {
+            for id in ids(&eager) {
                 prop_assert_eq!(eager.thread_state(id), lazy.thread_state(id));
                 let (ea, la) = (eager.usage(id).unwrap(), lazy.usage(id).unwrap());
                 prop_assert_eq!(
@@ -2646,7 +2404,7 @@ mod tests {
         /// across wakes, re-reservations and cross-CPU migrations.
         #[test]
         fn span_fast_path_matches_settled_reference(
-            ops in proptest::collection::vec((0u8..12, 0u64..8, 0u32..500, 1u64..40), 1..150),
+            ops in proptest::collection::vec((0u8..11, 0u64..8, 0u32..500, 1u64..40), 1..150),
         ) {
             let mut fast = [Dispatcher::new(lazy_config()), Dispatcher::new(lazy_config())];
             let mut refd = [Dispatcher::new(lazy_config()), Dispatcher::new(lazy_config())];
@@ -2657,48 +2415,36 @@ mod tests {
                     0 => {
                         // A thread lives on at most one CPU at a time.
                         if fast.iter().all(|d| d.thread_state(id).is_none()) {
-                            let a = fast[cpu].add_thread(id, reserved(p, aux));
-                            let b = refd[cpu].add_thread(id, reserved(p, aux));
+                            let a = fast[cpu].add_thread_preadmitted(id, reserved(p, aux));
+                            let b = refd[cpu].add_thread_preadmitted(id, reserved(p, aux));
                             prop_assert_eq!(a, b);
                         }
                     }
-                    1 => {
-                        if fast.iter().all(|d| d.thread_state(id).is_none()) {
-                            let _ = fast[cpu].add_thread(id, ThreadClass::BestEffort);
-                            let _ = refd[cpu].add_thread(id, ThreadClass::BestEffort);
-                        }
-                    }
-                    2 => for c in 0..2 {
+                    1 => for c in 0..2 {
                         let a = fast[c].remove_thread(id);
                         let b = refd[c].remove_thread(id);
                         prop_assert_eq!(a.is_ok(), b.is_ok());
                     },
-                    3 => for c in 0..2 {
+                    2 => for c in 0..2 {
                         let _ = fast[c].block(id);
                         let _ = refd[c].block(id);
                     },
-                    4 => for c in 0..2 {
+                    3 => for c in 0..2 {
                         let _ = fast[c].unblock(id);
                         let _ = refd[c].unblock(id);
                     },
-                    5 => {
-                        let r = Reservation::new(
-                            Proportion::from_ppt(p),
-                            Period::from_millis(aux),
-                        );
-                        for c in 0..2 {
-                            let a = fast[c].set_reservation(id, r);
-                            let b = refd[c].set_reservation(id, r);
-                            prop_assert_eq!(a.is_ok(), b.is_ok());
-                        }
-                    }
-                    6 => for c in 0..2 {
+                    4 => for c in 0..2 {
+                        let a = fast[c].set_reservation(id, reserved(p, aux));
+                        let b = refd[c].set_reservation(id, reserved(p, aux));
+                        prop_assert_eq!(a.is_ok(), b.is_ok());
+                    },
+                    5 => for c in 0..2 {
                         // Both CPUs share one clock, like the machine layer.
                         let t = fast[c].now_us() + aux * 499;
                         fast[c].advance_to(t);
                         refd[c].advance_to(t);
                     },
-                    7 => {
+                    6 => {
                         // Cross-CPU migration; both sides move the same
                         // thread (which also settles any open span batch).
                         let to = 1 - cpu;
@@ -2729,9 +2475,8 @@ mod tests {
             for c in 0..2 {
                 fast[c].sync_all();
                 refd[c].sync_all();
-                let ids: Vec<ThreadId> = refd[c].thread_ids().collect();
-                prop_assert_eq!(&ids, &fast[c].thread_ids().collect::<Vec<_>>());
-                for id in ids {
+                prop_assert_eq!(ids(&refd[c]), ids(&fast[c]));
+                for id in ids(&refd[c]) {
                     prop_assert_eq!(refd[c].thread_state(id), fast[c].thread_state(id));
                     let (ra, fa) = (refd[c].usage(id).unwrap(), fast[c].usage(id).unwrap());
                     prop_assert_eq!(

@@ -1,21 +1,14 @@
 //! Scheduler error types.
 
-use crate::types::{Proportion, ThreadId};
+use crate::types::ThreadId;
 
-/// Errors returned by the dispatcher and admission control.
+/// Errors returned by the dispatcher and the machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
     /// The thread id is not registered with the dispatcher.
     UnknownThread(ThreadId),
     /// The thread id is already registered.
     DuplicateThread(ThreadId),
-    /// Admitting the reservation would oversubscribe the CPU.
-    Oversubscribed {
-        /// The proportion that was requested.
-        requested: Proportion,
-        /// The proportion still available under the admission threshold.
-        available: Proportion,
-    },
     /// The operation is invalid in the thread's current state.
     InvalidState(ThreadId, &'static str),
 }
@@ -25,13 +18,6 @@ impl std::fmt::Display for SchedError {
         match self {
             SchedError::UnknownThread(id) => write!(f, "unknown thread {id}"),
             SchedError::DuplicateThread(id) => write!(f, "thread {id} already registered"),
-            SchedError::Oversubscribed {
-                requested,
-                available,
-            } => write!(
-                f,
-                "admission rejected: requested {requested} but only {available} available"
-            ),
             SchedError::InvalidState(id, what) => {
                 write!(f, "invalid operation on thread {id}: {what}")
             }
@@ -53,12 +39,6 @@ mod tests {
         assert!(SchedError::DuplicateThread(ThreadId(4))
             .to_string()
             .contains("already"));
-        let e = SchedError::Oversubscribed {
-            requested: Proportion::from_ppt(500),
-            available: Proportion::from_ppt(100),
-        };
-        assert!(e.to_string().contains("500‰"));
-        assert!(e.to_string().contains("100‰"));
         assert!(SchedError::InvalidState(ThreadId(1), "not blocked")
             .to_string()
             .contains("not blocked"));

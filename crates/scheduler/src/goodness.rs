@@ -4,17 +4,17 @@
 //! calculates goodness to ensure that threads it controls have higher
 //! goodness than jobs under other policies, and that jobs with shorter
 //! periods have higher goodness values" (§3.1).  This module reproduces
-//! that ordering as a pure function so it can be tested exhaustively.
+//! the second half of that ordering as a pure function so it can be tested
+//! exhaustively.  Jobs under other policies are not modelled: every thread
+//! the dispatcher holds carries a reservation (the controller gives
+//! miscellaneous jobs one too, §3.2), so there is nothing for an RBS thread
+//! to outrank.
 
 use crate::types::Period;
 
-/// Base goodness for any runnable RBS-controlled thread.  It is far above
-/// anything a best-effort thread can reach, so RBS threads always win.
+/// Base goodness for any runnable RBS-controlled thread — in the prototype,
+/// far above anything a thread under another Linux policy could reach.
 pub const RBS_BASE_GOODNESS: i64 = 1_000_000_000;
-
-/// Maximum goodness a best-effort thread can have (its remaining time slice
-/// in microseconds plus a small bonus), well below [`RBS_BASE_GOODNESS`].
-pub const BEST_EFFORT_MAX_GOODNESS: i64 = 1_000_000;
 
 /// Goodness of an RBS thread with budget remaining in its current period.
 ///
@@ -26,24 +26,10 @@ pub fn rbs_goodness(period: Period) -> i64 {
     RBS_BASE_GOODNESS + (1_000_000_000_000u64 / period.as_micros()) as i64
 }
 
-/// Goodness of a best-effort thread with the given remaining time slice in
-/// microseconds.  Zero when the slice is exhausted (forcing a recalculation
-/// pass, as in Linux).
-pub fn best_effort_goodness(remaining_slice_us: u64) -> i64 {
-    remaining_slice_us.min(BEST_EFFORT_MAX_GOODNESS as u64) as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn rbs_always_beats_best_effort() {
-        let long_period = rbs_goodness(Period::from_millis(10_000));
-        let best_effort = best_effort_goodness(u64::MAX);
-        assert!(long_period > best_effort);
-    }
 
     #[test]
     fn shorter_period_wins() {
@@ -60,16 +46,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn exhausted_best_effort_thread_scores_zero() {
-        assert_eq!(best_effort_goodness(0), 0);
-    }
-
-    #[test]
-    fn best_effort_goodness_is_capped() {
-        assert_eq!(best_effort_goodness(u64::MAX), BEST_EFFORT_MAX_GOODNESS);
-    }
-
     proptest! {
         #[test]
         fn rbs_goodness_is_monotone_in_period(a in 1u64..1_000_000, b in 1u64..1_000_000) {
@@ -78,11 +54,6 @@ mod tests {
             if a < b {
                 prop_assert!(ga >= gb);
             }
-        }
-
-        #[test]
-        fn any_rbs_beats_any_best_effort(period_us in 1u64..1_000_000_000, slice in 0u64..u64::MAX) {
-            prop_assert!(rbs_goodness(Period::from_micros(period_us)) > best_effort_goodness(slice));
         }
     }
 }

@@ -4,20 +4,20 @@
 //! two attributes: a **proportion** expressed in parts per thousand and a
 //! **period** in milliseconds over which the allocation must be delivered.
 //! The prototype implements rate-monotonic scheduling on top of Linux's
-//! `goodness()`-based dispatcher with a 1 ms timer: RBS threads always beat
-//! best-effort threads, threads with shorter periods beat threads with
-//! longer ones, a thread that has used its allocation for the current period
-//! sleeps until its next period begins, and overload is detected by summing
-//! proportions against an admission threshold.
+//! `goodness()`-based dispatcher with a 1 ms timer: threads with shorter
+//! periods beat threads with longer ones, and a thread that has used its
+//! allocation for the current period sleeps until its next period begins.
 //!
 //! This crate reproduces that scheduler as a pure state machine driven by an
 //! explicit clock, so the same dispatcher runs under the discrete-event
-//! simulator (`rrs-sim`) and the wall-clock executor (`rrs-realtime`):
+//! simulator (`rrs-sim`) and the wall-clock executor (`rrs-realtime`).  It
+//! schedules reservations and nothing else: every thread has one, and
+//! whether a reservation fits — the paper's overload test, the sum of
+//! proportions against a threshold — is ruled on by the adaptive controller
+//! (`rrs-core`) before a thread is placed here.
 //!
 //! * [`Proportion`] / [`Period`] / [`Reservation`] — the allocation types.
-//! * [`AdmissionControl`] — the overload threshold and admission test.
-//! * [`goodness`] — the Linux-style goodness function (rate monotonic for
-//!   RBS threads, time-slice based for best-effort threads).
+//! * [`goodness`] — the Linux-style goodness function (rate monotonic).
 //! * [`Dispatcher`] — goodness-ordered run queue and expiry-ordered timer
 //!   list over dense slot-indexed thread storage, both on one sorted deque
 //!   (`O(1)` pick, rotation, next expiry and tail arm); per-period
@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod accounting;
-pub mod admission;
 mod deque;
 pub mod dispatcher;
 pub mod error;
@@ -47,9 +46,8 @@ pub mod timerlist;
 pub mod types;
 
 pub use accounting::UsageAccount;
-pub use admission::AdmissionControl;
 pub use dispatcher::{
-    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread, ThreadClass,
+    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread,
 };
 pub use error::SchedError;
 pub use machine::{CpuStats, Machine};

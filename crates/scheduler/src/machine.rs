@@ -3,10 +3,10 @@
 //! The paper's prototype ran on one 400 MHz CPU; this module makes "the
 //! machine" a first-class abstraction so the same dispatcher state machine
 //! scales to `N` CPUs.  A [`Machine`] owns one [`Dispatcher`] per CPU —
-//! each with its own run queue, timer list, admission control and
-//! accounting — plus the thread→CPU placement map, and routes every
-//! single-CPU call (`add_thread`, `charge`, `set_reservation`,
-//! `advance_to`, usage queries) to the owning CPU.  With `N = 1` it is a
+//! each with its own run queue, timer list and accounting — plus the
+//! thread→CPU placement map, and routes every single-CPU call
+//! (`add_thread_preadmitted`, `charge`, `set_reservation`, `advance_to`,
+//! usage queries) to the owning CPU.  With `N = 1` it is a
 //! transparent shell around one dispatcher: every operation takes the
 //! exact code path the single-CPU system took, so the paper's figures
 //! reproduce bit-for-bit.
@@ -28,9 +28,9 @@
 //! its handle-addressed twin (`set_reservation` →
 //! [`Machine::set_reservation_at`], and likewise `reservation`, `unblock`,
 //! `charge`, `migrate`), which holds all the logic.  The calls that place
-//! a thread ([`Machine::add_thread_on`],
-//! [`Machine::add_thread_preadmitted_on`], [`Machine::inject_thread_on`],
-//! [`Machine::migrate_at`], [`Machine::actuate`]) hand the handle back, so
+//! a thread ([`Machine::add_thread_preadmitted_on`],
+//! [`Machine::inject_thread_on`], [`Machine::migrate_at`],
+//! [`Machine::actuate`]) hand the handle back, so
 //! a driver that stores it beside the `ThreadId` — both host backends do —
 //! never touches a map on its per-cycle paths.  The handle belongs to
 //! whoever placed the thread and goes stale when the thread next changes
@@ -42,7 +42,7 @@
 //! fresh one.
 
 use crate::dispatcher::{
-    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread, ThreadClass,
+    DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread,
 };
 use crate::error::SchedError;
 use crate::reservation::Reservation;
@@ -274,28 +274,6 @@ impl Machine {
         total
     }
 
-    /// Registers a thread on the least-loaded CPU, subject to that CPU's
-    /// admission control.  Returns the chosen CPU.
-    pub fn add_thread(&mut self, id: ThreadId, class: ThreadClass) -> Result<CpuId, SchedError> {
-        self.add_thread_on(self.least_loaded_cpu(), id, class)
-            .map(|handle| handle.cpu)
-    }
-
-    /// Registers a thread on an explicit CPU, subject to that CPU's
-    /// admission control.  Returns the thread's handle.
-    pub fn add_thread_on(
-        &mut self,
-        cpu: CpuId,
-        id: ThreadId,
-        class: ThreadClass,
-    ) -> Result<ThreadHandle, SchedError> {
-        if self.placement.contains_key(&id) {
-            return Err(SchedError::DuplicateThread(id));
-        }
-        self.cpus[cpu.index()].add_thread(id, class)?;
-        Ok(self.placed(id, cpu))
-    }
-
     /// Records that `id` now lives on `cpu` and returns its handle.
     fn placed(&mut self, id: ThreadId, cpu: CpuId) -> ThreadHandle {
         self.placement.insert(id, cpu);
@@ -465,7 +443,7 @@ impl Machine {
             .set_reservation_slot(handle.slot, id, reservation)
     }
 
-    /// Returns a thread's current reservation, if it is reserved.
+    /// Returns a thread's current reservation.
     pub fn reservation(&self, id: ThreadId) -> Option<Reservation> {
         self.reservation_at(self.handle_of(id)?, id)
     }
@@ -524,14 +502,6 @@ impl Machine {
         self.cpus[cpu.index()].usage_ref(id)
     }
 
-    /// Visits every thread's usage account across all CPUs in one pass.
-    pub fn for_each_usage(&self, mut f: impl FnMut(CpuId, ThreadId, &UsageAccount)) {
-        for (i, d) in self.cpus.iter().enumerate() {
-            let cpu = CpuId(i as u32);
-            d.for_each_usage(|id, acct| f(cpu, id, acct));
-        }
-    }
-
     /// Advances every CPU's clock to `now_us` in lockstep, processing each
     /// CPU's expired period timers.
     pub fn advance_to(&mut self, now_us: u64) {
@@ -548,7 +518,7 @@ impl Machine {
         }
     }
 
-    /// Visits every reserved thread (machine-wide, CPU 0 first) whose
+    /// Visits every thread (machine-wide, CPU 0 first) whose
     /// usage ratio changed since its last visit — the changed-only usage
     /// feed for the controller (see [`Dispatcher::drain_usage_changes`]).
     pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, f64)) {
@@ -641,35 +611,13 @@ mod tests {
     #[test]
     fn duplicate_ids_rejected_across_cpus() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread_on(CpuId(0), ThreadId(1), ThreadClass::Reserved(res(100, 10)))
+        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10))
             .unwrap();
         assert_eq!(
-            m.add_thread_on(CpuId(1), ThreadId(1), ThreadClass::BestEffort),
+            m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(1, 10)),
             Err(SchedError::DuplicateThread(ThreadId(1))),
             "a thread exists once per machine, not once per CPU"
         );
-        assert_eq!(
-            m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(1, 10)),
-            Err(SchedError::DuplicateThread(ThreadId(1)))
-        );
-    }
-
-    #[test]
-    fn saturated_cpu_admission_is_per_cpu() {
-        let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread_on(CpuId(0), ThreadId(1), ThreadClass::Reserved(res(900, 10)))
-            .unwrap();
-        // CPU 0 is full; the same reservation still fits on CPU 1, and
-        // least-loaded placement finds it.
-        let cpu = m
-            .add_thread(ThreadId(2), ThreadClass::Reserved(res(900, 10)))
-            .unwrap();
-        assert_eq!(cpu, CpuId(1));
-        // A third such reservation fits nowhere.
-        assert!(matches!(
-            m.add_thread(ThreadId(3), ThreadClass::Reserved(res(900, 10))),
-            Err(SchedError::Oversubscribed { .. })
-        ));
     }
 
     #[test]
@@ -752,13 +700,10 @@ mod tests {
         let agg = m.stats();
         assert_eq!(agg.dispatches, 40);
         assert!(agg.period_rollovers > 0);
-        // Usage visits both CPUs.
-        let mut seen = Vec::new();
-        m.for_each_usage(|cpu, id, acct| {
-            assert!(acct.total_used_us > 0);
-            seen.push((cpu, id));
-        });
-        assert_eq!(seen, vec![(CpuId(0), ThreadId(1)), (CpuId(1), ThreadId(2))]);
+        // Both CPUs' threads consumed.
+        for id in [ThreadId(1), ThreadId(2)] {
+            assert!(m.usage(id).unwrap().total_used_us > 0);
+        }
         assert_eq!(agg.deadlines_missed, 0);
         assert!(m.next_timer_expiry().is_some());
     }
@@ -766,8 +711,7 @@ mod tests {
     #[test]
     fn remove_thread_frees_its_cpu() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread(ThreadId(1), ThreadClass::Reserved(res(500, 10)))
-            .unwrap();
+        m.add_thread_preadmitted(ThreadId(1), res(500, 10)).unwrap();
         m.remove_thread(ThreadId(1)).unwrap();
         assert_eq!(m.thread_count(), 0);
         assert_eq!(m.total_reserved_ppt(), 0);

@@ -178,10 +178,10 @@ mod tests {
         for slot in 0..3u32 {
             q.upsert(slot, key(1000, 0, slot as u64));
         }
-        // Best-effort threads queue behind every reserved one — here more
-        // of them than the walk covers.
-        let be = 3..3 + 2 * TAIL_WALK as u32;
-        for slot in be.clone() {
+        // Lower-goodness (longer-period) threads queue behind them — here
+        // more of them than the walk covers.
+        let low = 3..3 + 2 * TAIL_WALK as u32;
+        for slot in low.clone() {
             q.upsert(slot, key(slot as i64 % 4, 0, slot as u64));
         }
         let behind = slots(&q)[3..].to_vec();
@@ -189,7 +189,7 @@ mod tests {
         assert_eq!(slots(&q)[..3], [1, 2, 0]);
         assert_eq!(slots(&q)[3..], behind);
         // And with only two of them left, inside the walk.
-        for slot in be.skip(2) {
+        for slot in low.skip(2) {
             q.remove(slot);
         }
         q.upsert(1, key(1000, 2, 1));

@@ -3,7 +3,7 @@
 //! The dispatcher's batched span charging
 //! ([`Dispatcher::charge_span`](crate::Dispatcher::charge_span)) defers the
 //! account update and run-queue re-rank for consecutive charges to the same
-//! reserved thread, settling only when the deferral could change a dispatch
+//! thread, settling only when the deferral could change a dispatch
 //! decision or an observable statistic.  This module is the single source
 //! of truth for *when* that is, shared by the batched sim path and the
 //! per-charge reference path
@@ -18,10 +18,6 @@ use crate::accounting::UsageAccount;
 /// Why a batched span charge had to settle instead of accumulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SettleReason {
-    /// The thread is best-effort: its goodness is derived from the
-    /// remaining time slice, so every charge can re-rank it (and rotate
-    /// the round-robin), and none may be deferred.
-    GoodnessCrossing,
     /// The clock reached the thread's next period boundary: the pending
     /// usage belongs to the finished period and must land in the account
     /// before the boundary rolls.
@@ -51,8 +47,8 @@ pub fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool
 /// Decides whether a span charge of `us` microseconds may be deferred.
 ///
 /// `None` means the charge can accumulate into the pending batch: the
-/// thread is reserved, the clock has not reached its next period boundary,
-/// the budget survives the charge, and the charge is non-zero (so no state
+/// clock has not reached the thread's next period boundary, the budget
+/// survives the charge, and the charge is non-zero (so no state
 /// or watch transition is due).  Any `Some` reason requires settling the
 /// batch and taking the full per-charge path.
 ///
@@ -61,16 +57,12 @@ pub fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool
 /// can observe or perturb the account (dispatch after a queue mutation,
 /// block, migration, re-reservation, sync, usage drain).
 pub fn span_settle_reason(
-    best_effort: bool,
     us: u64,
     pending_us: u64,
     account: &UsageAccount,
     now_us: u64,
     next_boundary_us: u64,
 ) -> Option<SettleReason> {
-    if best_effort {
-        return Some(SettleReason::GoodnessCrossing);
-    }
     if now_us >= next_boundary_us {
         return Some(SettleReason::PeriodBoundary);
     }
@@ -94,32 +86,23 @@ mod tests {
     }
 
     #[test]
-    fn best_effort_never_defers() {
-        let a = account(0, 0);
-        assert_eq!(
-            span_settle_reason(true, 100, 0, &a, 0, u64::MAX),
-            Some(SettleReason::GoodnessCrossing)
-        );
-    }
-
-    #[test]
     fn boundary_reached_settles_before_the_roll() {
         let a = account(1000, 10);
         assert_eq!(
-            span_settle_reason(false, 10, 0, &a, 5_000, 5_000),
+            span_settle_reason(10, 0, &a, 5_000, 5_000),
             Some(SettleReason::PeriodBoundary)
         );
-        assert_eq!(span_settle_reason(false, 10, 0, &a, 4_999, 5_000), None);
+        assert_eq!(span_settle_reason(10, 0, &a, 4_999, 5_000), None);
     }
 
     #[test]
     fn throttle_edge_counts_the_pending_batch() {
         let a = account(1000, 600);
         // 600 used + 300 pending + 99 = 999 < 1000: still deferrable.
-        assert_eq!(span_settle_reason(false, 99, 300, &a, 0, 1), None);
+        assert_eq!(span_settle_reason(99, 300, &a, 0, 1), None);
         // ... + 100 = 1000: exhausts, settle and throttle.
         assert_eq!(
-            span_settle_reason(false, 100, 300, &a, 0, 1),
+            span_settle_reason(100, 300, &a, 0, 1),
             Some(SettleReason::ThrottleEdge)
         );
         assert!(charge_exhausts(&a, 300, 100));
@@ -130,7 +113,7 @@ mod tests {
     fn zero_span_takes_the_full_path() {
         let a = account(1000, 10);
         assert_eq!(
-            span_settle_reason(false, 0, 0, &a, 0, 1),
+            span_settle_reason(0, 0, &a, 0, 1),
             Some(SettleReason::ZeroSpan)
         );
     }

@@ -67,8 +67,6 @@ impl Default for TelemetryConfig {
 /// converts into it at the recording site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SettleCause {
-    /// Best-effort goodness re-rank: no charge may be deferred.
-    Goodness,
     /// The clock reached the thread's next period boundary.
     PeriodBoundary,
     /// The charge exhausts the period budget: throttle now.
@@ -81,7 +79,6 @@ impl SettleCause {
     /// Stable lowercase label used in trace event names and counters.
     pub fn label(self) -> &'static str {
         match self {
-            SettleCause::Goodness => "goodness",
             SettleCause::PeriodBoundary => "period_boundary",
             SettleCause::ThrottleEdge => "throttle_edge",
             SettleCause::ZeroSpan => "zero_span",
@@ -607,7 +604,9 @@ pub struct TelemetrySnapshot {
     /// `hits / (hits + misses)`, or 0 when no dispatches ran.
     #[serde(default)]
     pub cache_hit_rate: f64,
-    /// Span settles forced by a best-effort goodness re-rank.
+    /// Always 0: the one cause that moved it (a best-effort thread's span)
+    /// left the scheduler in PR 20.  `benchmark/src/measure.rs` reads the
+    /// field, so removing it takes a `benchmark`-only PR first.
     #[serde(default)]
     pub settles_goodness: u64,
     /// Span settles forced by a period boundary.

@@ -27,8 +27,8 @@
 //!   preserves mid-period accounting ([`scheduler::CpuId`]).
 //! * [`queue`] (`rrs-queue`) — symbiotic interfaces: bounded buffers, pipes
 //!   and the progress-metric registry.
-//! * [`feedback`] (`rrs-feedback`) — the software feedback toolkit (PID,
-//!   filters, signal generators, circuits).
+//! * [`feedback`] (`rrs-feedback`) — the software feedback toolkit (the PID
+//!   controller, the moving-average filter, the pulse-train generator).
 //! * [`sim`] (`rrs-sim`) — the deterministic CPU simulator backend.
 //! * [`workloads`] (`rrs-workloads`) — the workload generators driving the
 //!   paper's evaluation; their installers take any [`api::Host`].

@@ -209,7 +209,7 @@ fn assert_steady_state_recording_allocation_free() {
         TraceEventKind::Settle {
             cpu: 0,
             thread: 1,
-            cause: SettleCause::Goodness,
+            cause: SettleCause::ZeroSpan,
         },
         TraceEventKind::CacheHit { cpu: 0 },
         TraceEventKind::CacheMiss { cpu: 1 },

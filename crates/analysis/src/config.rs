@@ -74,6 +74,9 @@ pub struct AnalysisConfig {
     pub parallel_allowed_self_fields: Vec<String>,
     /// Identifiers (barrier-merge machinery) forbidden inside it.
     pub parallel_forbidden: Vec<String>,
+    /// Scope of the `dead-public` lint: library crates whose `pub` items
+    /// must have a caller in another crate.
+    pub dead_public_paths: Vec<String>,
     /// Every justified allowlist entry, across all lints.
     pub allows: Vec<AllowEntry>,
 }
@@ -87,6 +90,7 @@ pub const LINT_NAMES: &[&str] = &[
     "panic-discipline",
     "unsafe-inventory",
     "parallel-region",
+    "dead-public",
 ];
 
 impl AnalysisConfig {
@@ -118,6 +122,7 @@ impl AnalysisConfig {
                 .to_owned(),
             parallel_allowed_self_fields: doc.str_list("lints.parallel-region.allowed_self_fields"),
             parallel_forbidden: doc.str_list("lints.parallel-region.forbidden"),
+            dead_public_paths: doc.str_list("lints.dead-public.paths"),
             ..Default::default()
         };
         let mut id_maps = doc.str_list("lints.edge-only-by-id.id_maps");

@@ -6,7 +6,7 @@
 //! comment stays findable), string/char literals become single
 //! [`TokenKind::Literal`] tokens (a `"{"` in a format string cannot
 //! unbalance brace matching), and `#[cfg(test)]`-gated items can be
-//! elided wholesale with [`elide_cfg_test`] so test-only code is exempt
+//! elided wholesale with `elide_cfg_test` so test-only code is exempt
 //! from production-path lints.
 //!
 //! This is deliberately *not* a parser: lints match small token
@@ -51,12 +51,12 @@ impl Token {
     }
 
     /// `true` if this is an identifier with exactly the given text.
-    pub fn is_ident(&self, text: &str) -> bool {
+    pub(crate) fn is_ident(&self, text: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == text
     }
 
     /// `true` if this is a punctuation token with exactly the given text.
-    pub fn is_punct(&self, text: &str) -> bool {
+    pub(crate) fn is_punct(&self, text: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == text
     }
 }
@@ -64,7 +64,7 @@ impl Token {
 /// Lexes Rust source into a token stream.  Never fails: unterminated
 /// constructs simply run to end of input (good enough for linting real,
 /// compiling source).
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -161,7 +161,13 @@ pub fn lex(src: &str) -> Vec<Token> {
             i += if c == 'b' { 2 } else { 1 };
             while i < chars.len() {
                 match chars[i] {
-                    '\\' => i += 2,
+                    '\\' => {
+                        // A `\` line continuation still ends a line.
+                        if chars.get(i + 1) == Some(&'\n') {
+                            line += 1;
+                        }
+                        i += 2;
+                    }
                     '"' => {
                         i += 1;
                         break;
@@ -245,7 +251,7 @@ pub fn lex(src: &str) -> Vec<Token> {
 /// `open` (which must be `(`, `[` or `{`), or `tokens.len()` if
 /// unbalanced.  Counts all three bracket kinds together, which is safe
 /// because literals and comments are opaque single tokens.
-pub fn matching_close(tokens: &[Token], open: usize) -> usize {
+pub(crate) fn matching_close(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0i64;
     for (k, t) in tokens.iter().enumerate().skip(open) {
         if t.kind == TokenKind::Punct {
@@ -268,7 +274,7 @@ pub fn matching_close(tokens: &[Token], open: usize) -> usize {
 /// (an attribute naming `cfg` and `test` but not `not`), including the
 /// attribute itself, any stacked attributes after it, and the item's
 /// whole body.  Everything else passes through unchanged.
-pub fn elide_cfg_test(tokens: &[Token]) -> Vec<Token> {
+pub(crate) fn elide_cfg_test(tokens: &[Token]) -> Vec<Token> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0usize;
     while i < tokens.len() {
@@ -343,7 +349,7 @@ pub struct FnSpan {
 /// functions.  Bodiless declarations (trait methods ending in `;`) are
 /// skipped; `fn`-pointer types never match because the next token is not
 /// an identifier.
-pub fn fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
+pub(crate) fn fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -448,6 +454,10 @@ mod tests {
         let toks = lex("a\nb\n\nc");
         let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
+        // A `\` line continuation inside a string still ends a line.
+        let toks = lex("\"one \\\n   two\"\nnext");
+        let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
+        assert_eq!(lines, vec![1, 3]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! on: steady-state paths allocate nothing, the sim core is
 //! replay-deterministic, `by_id` maps survive only at the public API
 //! edge, panics name their invariant, `unsafe` carries `SAFETY:`
-//! documentation, and the sharded parallel region touches shared state
-//! only at barriers.  Each lint is grounded in an invariant the repo
+//! documentation, the sharded parallel region touches shared state only
+//! at barriers, and every `pub` item of a library crate has a caller in
+//! another crate.  Each lint is grounded in an invariant the repo
 //! already tests *dynamically*; the linter makes the same contract fail
 //! at the source level, before a golden re-record or a counting-
 //! allocator test has to catch it.

@@ -12,10 +12,12 @@
 //! | `panic-discipline` | steady-state paths carry no bare `unwrap()` or empty `expect("")` — panics must name the broken invariant |
 //! | `unsafe-inventory` | every `unsafe` is enumerated and carries a `// SAFETY:` comment |
 //! | `parallel-region` | the sharded scoped-thread region reaches shared state only through per-shard handles; barrier-merge machinery stays outside |
+//! | `dead-public` | an unrestricted `pub` item in a library crate is named by non-test code of another crate — a `pub` is a promise to a caller that exists |
 
 use crate::config::AnalysisConfig;
 use crate::lexer::{self, FnSpan, Token, TokenKind};
 use crate::report::{AnalysisReport, UnsafeSite, Violation};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One source file, pre-lexed into the views the lints need.
 #[derive(Debug)]
@@ -73,6 +75,7 @@ pub fn run(config: &AnalysisConfig, files: &[SourceFile]) -> AnalysisReport {
     }
     hot_path_no_alloc(config, files, &mut raw);
     parallel_region_presence(config, files, &mut raw);
+    dead_public(config, files, &mut raw);
     let line_text = |v: &Violation| {
         files
             .iter()
@@ -500,4 +503,269 @@ fn parallel_region_presence(
                 .to_owned(),
         });
     }
+}
+
+/// The compilation unit a source file belongs to, for `dead-public`: its
+/// name and whether it is a library crate (whose `pub` items the lint
+/// audits).  `None` for test code — anything under a `tests/` or
+/// `benches/` directory — which is never a caller.
+///
+/// `crates/<name>/src/**` is the library `crates/<name>`, except its
+/// `src/bin/**` and `src/main.rs`, which are separate binary crates and
+/// therefore callers *of* that library.  Everything else (the facade's
+/// `src/`, `examples/`, `benchmark/src`) is a caller-only unit named by
+/// its first path component.
+fn crate_unit(path: &str) -> Option<(String, bool)> {
+    let parts: Vec<&str> = path.split('/').collect();
+    if parts.iter().any(|p| *p == "tests" || *p == "benches") {
+        return None;
+    }
+    Some(match parts.as_slice() {
+        ["crates", name, "src", "bin", ..] | ["crates", name, "src", "main.rs"] => {
+            (format!("crates/{name}/src/bin"), false)
+        }
+        ["crates", name, "src", ..] => (format!("crates/{name}"), true),
+        ["crates", name, ..] => (format!("crates/{name}/{}", parts[2]), false),
+        _ => (parts[0].to_owned(), false),
+    })
+}
+
+/// Item kinds `dead-public` audits after an unrestricted `pub`.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const"];
+
+/// The item kinds that name a type.  A caller can hold one of these
+/// without ever spelling it (the return value of a live `pub fn`, a
+/// `pub` field), so they are also kept by [`exposed_names`].
+const TYPE_KEYWORDS: &[&str] = &["struct", "enum", "trait", "type"];
+
+/// Function qualifiers that may sit between `pub` and `fn`.
+const FN_QUALIFIERS: &[&str] = &["const", "async", "unsafe", "extern"];
+
+/// A `pub` is a promise to another crate.  Every unrestricted `pub`
+/// `fn` / `struct` / `enum` / `trait` / `type` / `const` in a library
+/// crate under the configured paths must be *named* by non-test code of
+/// a different compilation unit (see [`crate_unit`]): another library, a
+/// binary, an example, the facade, the benchmark package.  `pub use`
+/// re-exports, `#[cfg(test)]` items, `tests/` directories, comments
+/// (doctests included) and string literals do not count as callers.
+///
+/// The match is by bare identifier, with no name resolution, so it is
+/// conservative: a `new` or `len` somewhere else keeps every `new` and
+/// `len` alive.  What it does flag has no caller by any spelling.  One
+/// more thing keeps a *type* alive: appearing in a public signature of
+/// its own crate ([`exposed_names`]) — rustc's `private_interfaces`
+/// would refuse the demotion anyway.
+///
+/// The remedy is to delete the item, demote it to `pub(crate)` (after
+/// which rustc's own `dead_code` decides, with real name resolution,
+/// whether it is live inside its crate), or allowlist it with a reason.
+fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Violation>) {
+    if config.dead_public_paths.is_empty() {
+        return;
+    }
+    let units: Vec<Option<(String, bool)>> = files.iter().map(|f| crate_unit(&f.path)).collect();
+    // name → the distinct units whose non-test, non-re-export code names it.
+    let mut named_by: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    // library unit → names its own public signatures expose.
+    let mut exposed: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    // per file: the unrestricted `pub` declarations of a library's source.
+    let mut decls: Vec<Vec<PubDecl>> = Vec::with_capacity(files.len());
+    for (file, unit) in files.iter().zip(&units) {
+        decls.push(Vec::new());
+        let Some((unit, is_lib)) = unit else { continue };
+        let code = &file.code;
+        let mut i = 0usize;
+        while i < code.len() {
+            if let Some(end) = pub_use_end(code, i) {
+                i = end + 1;
+                continue;
+            }
+            if code[i].kind == TokenKind::Ident {
+                let units = named_by.entry(code[i].text.as_str()).or_default();
+                if !units.contains(&unit.as_str()) {
+                    units.push(unit);
+                }
+            }
+            i += 1;
+        }
+        if *is_lib {
+            let found = pub_decls(code);
+            exposed_names(code, &found, exposed.entry(unit).or_default());
+            *decls.last_mut().expect("pushed above") = found;
+        }
+    }
+    for ((file, unit), decls) in files.iter().zip(&units).zip(&decls) {
+        let Some((unit, true)) = unit else { continue };
+        if !in_scope(&file.path, &config.dead_public_paths) {
+            continue;
+        }
+        let code = &file.code;
+        for decl in decls {
+            let (kind, Some(name)) = (&code[decl.keyword], code.get(decl.keyword + 1)) else {
+                continue;
+            };
+            if !ITEM_KEYWORDS.contains(&kind.text.as_str()) || name.kind != TokenKind::Ident {
+                continue;
+            }
+            let named_elsewhere = named_by
+                .get(name.text.as_str())
+                .is_some_and(|units| units.iter().any(|u| u != unit));
+            let exposed_here = TYPE_KEYWORDS.contains(&kind.text.as_str())
+                && exposed[unit.as_str()].contains(name.text.as_str());
+            if !named_elsewhere && !exposed_here {
+                out.push(Violation {
+                    lint: "dead-public",
+                    file: file.path.clone(),
+                    line: name.line,
+                    snippet: format!("{} {}", kind.text, name.text),
+                    message: format!(
+                        "`pub {} {}` is named by no non-test code outside {unit}: delete it, \
+                         demote it to `pub(crate)`, or allowlist it with a reason",
+                        kind.text, name.text
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// One unrestricted `pub` declaration (not a `pub use` / `pub mod`).
+struct PubDecl {
+    /// Index of the item keyword (`fn`, `struct`, ...); for a `pub`
+    /// field, of the first token after `pub`.
+    keyword: usize,
+    /// One past the last token of the declaration's public *head*: a
+    /// `fn` signature or `struct` header up to its body, a whole `trait`
+    /// or `enum` (methods, variants and payloads are as public as the
+    /// item), a `type` / `const` / `static` through its `;`, a field
+    /// through its type.
+    head_end: usize,
+}
+
+/// Finds every unrestricted `pub` declaration in `code`.  `pub(crate)` /
+/// `pub(super)` promise nothing outside the crate and are skipped.
+fn pub_decls(code: &[Token]) -> Vec<PubDecl> {
+    let mut out = Vec::new();
+    for i in 0..code.len() {
+        if !code[i].is_ident("pub") || code.get(i + 1).is_some_and(|t| t.is_punct("(")) {
+            continue;
+        }
+        // Step over function qualifiers (`pub const unsafe extern "C" fn`);
+        // a `const` followed by a name is the item keyword itself.
+        let mut k = i + 1;
+        while code
+            .get(k)
+            .is_some_and(|t| FN_QUALIFIERS.contains(&t.text.as_str()))
+            && code.get(k + 1).is_some_and(|n| {
+                n.is_ident("fn")
+                    || n.kind == TokenKind::Literal
+                    || FN_QUALIFIERS.contains(&n.text.as_str())
+            })
+        {
+            k += 1;
+            if code[k].kind == TokenKind::Literal {
+                k += 1;
+            }
+        }
+        let Some(keyword) = code.get(k) else { continue };
+        let head_end = match keyword.text.as_str() {
+            "use" | "mod" => continue,
+            "trait" | "enum" => {
+                let stop = scan_to(code, k, &["{", ";"]);
+                if code.get(stop).is_some_and(|t| t.is_punct("{")) {
+                    lexer::matching_close(code, stop)
+                } else {
+                    stop
+                }
+            }
+            "fn" | "struct" | "union" => scan_to(code, k, &["{", ";"]),
+            "type" | "const" | "static" => scan_to(code, k, &[";"]),
+            _ => scan_to(code, k, &[","]),
+        };
+        out.push(PubDecl {
+            keyword: k,
+            head_end,
+        });
+    }
+    out
+}
+
+/// Index of the first token at or after `from` that sits at bracket
+/// depth zero (`()`, `[]`, `<>`, and `{}` unless `{` is itself a stop)
+/// and is one of `stops` — or closes a bracket opened before `from`.
+/// `code.len()` if there is none.
+fn scan_to(code: &[Token], from: usize, stops: &[&str]) -> usize {
+    let mut depth = 0i64;
+    for (k, t) in code.iter().enumerate().skip(from) {
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        let text = t.text.as_str();
+        if depth == 0 && stops.contains(&text) {
+            return k;
+        }
+        match text {
+            "(" | "[" | "{" | "<" => depth += 1,
+            // `->` is an arrow, not a closing angle bracket.
+            ">" if code[k - 1].is_punct("-") => {}
+            ")" | "]" | "}" | ">" => {
+                depth -= 1;
+                if depth < 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    code.len()
+}
+
+/// Collects into `out` every identifier a library's public signatures
+/// expose: the heads of its [`pub_decls`] (`decls`), minus each declaration's own
+/// name, and minus — inside an `impl` block — the names in that block's
+/// header, so `impl Foo { pub fn merge(&mut self, other: &Foo) }` does
+/// not keep `Foo` alive by itself.
+fn exposed_names<'a>(code: &'a [Token], decls: &[PubDecl], out: &mut BTreeSet<&'a str>) {
+    // (one past the block's closing brace, identifiers in its header)
+    let mut impl_block: (usize, &[Token]) = (0, &[]);
+    let mut decls = decls.iter().peekable();
+    for (i, t) in code.iter().enumerate() {
+        // `impl` in item position opens a block; `x: impl Trait` does not.
+        let item_position = i == 0 || ["}", "{", ";", "]"].contains(&code[i - 1].text.as_str());
+        if t.is_ident("impl") && item_position && i >= impl_block.0 {
+            let open = scan_to(code, i, &["{", ";"]);
+            impl_block = (lexer::matching_close(code, open) + 1, &code[i..open]);
+        }
+        let Some(decl) = decls.next_if(|d| d.keyword == i) else {
+            continue;
+        };
+        let own_name = ITEM_KEYWORDS.contains(&t.text.as_str()) as usize;
+        for t in &code[(i + own_name + 1).min(decl.head_end)..decl.head_end] {
+            let in_header = i < impl_block.0 && impl_block.1.iter().any(|h| h.text == t.text);
+            if t.kind == TokenKind::Ident && !in_header {
+                out.insert(t.text.as_str());
+            }
+        }
+    }
+}
+
+/// If a `pub use ...;` re-export (restricted or not) starts at token
+/// `i`, the index of its closing `;`.
+fn pub_use_end(code: &[Token], i: usize) -> Option<usize> {
+    if !code[i].is_ident("pub") {
+        return None;
+    }
+    let mut k = i + 1;
+    if code.get(k).is_some_and(|t| t.is_punct("(")) {
+        k = lexer::matching_close(code, k) + 1;
+    }
+    if !code.get(k).is_some_and(|t| t.is_ident("use")) {
+        return None;
+    }
+    Some(
+        code[k..]
+            .iter()
+            .position(|t| t.is_punct(";"))
+            .map_or(code.len(), |p| k + p),
+    )
 }

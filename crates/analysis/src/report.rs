@@ -63,7 +63,7 @@ impl AnalysisReport {
     /// Reconciles raw findings against the allowlist: each entry may
     /// absorb up to `count` matching findings in its file; everything
     /// else (and every entry left unused) is reported.
-    pub fn reconcile(
+    pub(crate) fn reconcile(
         raw: Vec<Violation>,
         allows: Vec<AllowEntry>,
         line_text: impl Fn(&Violation) -> String,

@@ -48,7 +48,7 @@ impl Value {
     }
 
     /// The value as an integer, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(n) => Some(*n),
             _ => None,
@@ -56,7 +56,7 @@ impl Value {
     }
 
     /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub(crate) fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(items) => Some(items),
             _ => None,
@@ -64,7 +64,7 @@ impl Value {
     }
 
     /// The value as a table, if it is one.
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
+    pub(crate) fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Table(map) => Some(map),
             _ => None,
@@ -73,7 +73,7 @@ impl Value {
 
     /// Convenience: the entry at `path` as a list of strings (empty when
     /// absent).
-    pub fn str_list(&self, path: &str) -> Vec<String> {
+    pub(crate) fn str_list(&self, path: &str) -> Vec<String> {
         self.get(path)
             .and_then(Value::as_array)
             .map(|items| {

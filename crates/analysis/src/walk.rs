@@ -13,7 +13,10 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "analysis_fixtures", ".git", "r
 /// Collects every `.rs` file under the `include` directories of `root`,
 /// returning `(workspace-relative path, contents)` pairs sorted by path
 /// so runs are deterministic.
-pub fn collect_sources(root: &Path, include: &[String]) -> io::Result<Vec<(String, String)>> {
+pub(crate) fn collect_sources(
+    root: &Path,
+    include: &[String],
+) -> io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     for dir in include {
         let abs = root.join(dir);

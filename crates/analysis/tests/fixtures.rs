@@ -1,8 +1,9 @@
-//! Runs every lint against its fixture pair in `tests/analysis_fixtures/`
+//! Runs every lint against its fixtures in `tests/analysis_fixtures/`
 //! (at the workspace root): the `*_trigger.rs` file must fire the lint,
-//! the `*_clean.rs` file must stay quiet.  Each test builds its config
-//! through the real TOML parser, so the fixtures also exercise the
-//! config path end to end.
+//! the `*_clean.rs` file must stay quiet; `dead-public`, whose verdict
+//! depends on which crate spells a name, gets the miniature workspace
+//! under `dead_public/`.  Each test builds its config through the real
+//! TOML parser, so the fixtures also exercise the config path end to end.
 
 use rrs_analysis::config::AnalysisConfig;
 use rrs_analysis::lints::{self, SourceFile};
@@ -358,4 +359,149 @@ why = "fixture exercising staleness detection"
     assert!(report.violations.iter().all(|v| v.snippet.contains("Hash")));
     assert_eq!(report.stale_allows.len(), 1);
     assert!(!report.is_clean(), "stale entries fail the run");
+}
+
+/// The `dead_public/` fixture is a miniature workspace, not a file pair:
+/// what the lint decides depends on *where* a name is spelled.
+const DEAD_PUBLIC_TREE: &[&str] = &[
+    "benchmark/src/main.rs",
+    "crates/alpha/src/bin/tool.rs",
+    "crates/alpha/src/lib.rs",
+    "crates/alpha/tests/it.rs",
+    "crates/beta/src/lib.rs",
+    "examples/demo.rs",
+    "src/lib.rs",
+    "tests/it.rs",
+];
+
+const DEAD_PUBLIC_CFG: &str = r#"
+[paths]
+include = ["crates", "src", "tests", "examples", "benchmark/src"]
+[lints.dead-public]
+paths = ["crates"]
+"#;
+
+/// Every unrestricted `pub` item of the fixture's `alpha` library that
+/// has no caller: referenced only from its own crate, only from
+/// `#[cfg(test)]`, only from `tests/` directories, only from `pub use`
+/// lines, only in comments — plus a `const fn`, a `const`, and a type
+/// named only by its own method's signature.
+const DEAD_IN_ALPHA: &[&str] = &[
+    "const DEAD_CONST",
+    "fn dead_const_fn",
+    "fn only_cfg_test",
+    "fn only_comment",
+    "fn only_own_crate",
+    "fn only_pub_use",
+    "fn only_tests_dir",
+    "struct SelfNamed",
+];
+
+/// Runs `dead-public` over the fixture tree minus the files in `without`.
+fn dead_public_without(cfg: &str, without: &[&str]) -> AnalysisReport {
+    let files: Vec<(&str, String)> = DEAD_PUBLIC_TREE
+        .iter()
+        .filter(|path| !without.contains(path))
+        .map(|path| (*path, fixture(&format!("dead_public/{path}"))))
+        .collect();
+    run_lints(cfg, &files)
+}
+
+fn flagged(report: &AnalysisReport) -> Vec<&str> {
+    let mut names: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.lint == "dead-public")
+        .map(|v| v.snippet.as_str())
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+#[test]
+fn dead_public_flags_exactly_the_items_no_other_crate_calls() {
+    // Through the real walker and the fixture's own analysis.toml, so the
+    // directory classification (src/bin, tests/, examples/, benchmark/src)
+    // is exercised end to end.
+    let root =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/analysis_fixtures/dead_public");
+    let config = rrs_analysis::load_config(&root.join("analysis.toml")).expect("fixture config");
+    let report = rrs_analysis::analyze_workspace(&root, &config).expect("fixture tree scans");
+    assert_eq!(report.files_scanned, DEAD_PUBLIC_TREE.len());
+    assert_eq!(flagged(&report), DEAD_IN_ALPHA);
+    // Every finding names its item, its file and the remedy.
+    let v = &report.violations[0];
+    assert_eq!(v.file, "crates/alpha/src/lib.rs");
+    assert!(v.message.contains("pub(crate)"), "{}", v.message);
+    // The same verdict from in-memory sources.
+    assert_eq!(
+        flagged(&dead_public_without(DEAD_PUBLIC_CFG, &[])),
+        DEAD_IN_ALPHA
+    );
+}
+
+#[test]
+fn dead_public_counts_each_kind_of_caller() {
+    // Take one caller away and exactly its callee loses its promise.
+    for (caller, callees) in [
+        (
+            "crates/alpha/src/bin/tool.rs",
+            &["fn beta_entry", "fn used_by_bin"][..],
+        ),
+        ("examples/demo.rs", &["fn used_by_example"][..]),
+        ("benchmark/src/main.rs", &["fn used_by_benchmark"][..]),
+        ("src/lib.rs", &["fn used_by_facade"][..]),
+        // Without `beta`, nothing calls `used_by_other_crate`; the type it
+        // returns stays exposed by that (still public) signature until the
+        // function itself is demoted, and `merge` loses its namesake.
+        (
+            "crates/beta/src/lib.rs",
+            &["fn merge", "fn used_by_other_crate"][..],
+        ),
+    ] {
+        let report = dead_public_without(DEAD_PUBLIC_CFG, &[caller]);
+        let mut expected: Vec<&str> = DEAD_IN_ALPHA.iter().chain(callees).copied().collect();
+        expected.sort_unstable();
+        assert_eq!(flagged(&report), expected, "without {caller}");
+    }
+    // Test code is not a caller, so removing it changes nothing.
+    let report = dead_public_without(
+        DEAD_PUBLIC_CFG,
+        &["crates/alpha/tests/it.rs", "tests/it.rs"],
+    );
+    assert_eq!(flagged(&report), DEAD_IN_ALPHA);
+}
+
+#[test]
+fn dead_public_allow_entries_absorb_count_matches_and_go_stale() {
+    let cfg = format!(
+        r#"{DEAD_PUBLIC_CFG}
+[[lints.dead-public.allow]]
+file = "crates/alpha/src/lib.rs"
+pattern = "fn only_"
+count = 3
+why = "fixture: three of the five only_* functions are excused"
+[[lints.dead-public.allow]]
+file = "crates/alpha/src/lib.rs"
+pattern = "fn deleted_last_year"
+why = "fixture: the item this excused no longer exists"
+"#
+    );
+    let report = dead_public_without(&cfg, &[]);
+    assert_eq!(report.allowed.len(), 3, "{report:?}");
+    assert_eq!(flagged(&report).len(), DEAD_IN_ALPHA.len() - 3);
+    assert_eq!(
+        flagged(&report)
+            .iter()
+            .filter(|s| s.starts_with("fn only_"))
+            .count(),
+        2,
+        "the entry absorbs exactly `count` matches"
+    );
+    assert_eq!(
+        report.stale_allows,
+        vec![1],
+        "an entry for a vanished item is stale"
+    );
+    assert!(!report.is_clean());
 }

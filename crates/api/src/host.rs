@@ -198,16 +198,6 @@ impl dyn Host {
     pub fn as_sharded_sim_mut(&mut self) -> Option<&mut rrs_sim::ShardedSim> {
         self.as_any_mut().downcast_mut()
     }
-
-    /// Downcasts to the wall-clock backend, if that is what this host is.
-    pub fn as_wall_clock(&self) -> Option<&crate::wall_clock::WallClockHost> {
-        self.as_any().downcast_ref()
-    }
-
-    /// Mutable downcast to the wall-clock backend.
-    pub fn as_wall_clock_mut(&mut self) -> Option<&mut crate::wall_clock::WallClockHost> {
-        self.as_any_mut().downcast_mut()
-    }
 }
 
 #[cfg(test)]

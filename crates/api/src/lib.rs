@@ -12,7 +12,7 @@
 //!   both backends;
 //! * [`JobHandle`] — the single handle type (re-exported from
 //!   `rrs-core`), carrying the controller's dense slot;
-//! * [`SimTime`] / [`Micros`] — the one time type, integer microseconds,
+//! * [`SimTime`] — the one time type, integer microseconds,
 //!   ending the `f64`-seconds-vs-`Duration` split;
 //! * [`Runtime`] — the builder:
 //!   `Runtime::sim().cpus(8).build()` or `Runtime::wall_clock().build()`,
@@ -61,8 +61,8 @@ pub mod wall_clock;
 
 pub use host::{Backend, Host};
 pub use runtime::{Runtime, RuntimeBuilder};
-pub use time::{Micros, SimTime};
-pub use wall_clock::{WallClockConfig, WallClockHost};
+pub use time::SimTime;
+pub use wall_clock::WallClockConfig;
 
 // One-stop re-exports: everything a program written against the host API
 // typically needs, so `use rrs_api::...` (or `realrate::api::...`)
@@ -79,6 +79,7 @@ pub use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wall_clock::WallClockHost;
 
     struct Spin;
     impl WorkModel for Spin {
@@ -116,7 +117,7 @@ mod tests {
         assert!(host.trace().get("alloc/a").is_some());
         // The escape hatch reaches the concrete simulator.
         assert!(host.as_sim().is_some());
-        assert!(host.as_wall_clock().is_none());
+        assert!(!host.as_any().is::<WallClockHost>());
         host.remove_job(a);
         assert_eq!(host.controller().job_count(), 1);
     }
@@ -188,7 +189,7 @@ mod tests {
         assert!(host.cpu_used(job) > SimTime::ZERO, "work really ran");
         let stats = host.stats();
         assert!(stats.controller_invocations > 0);
-        assert!(host.as_wall_clock().is_some());
+        assert!(host.as_any().is::<WallClockHost>());
         assert!(host.as_sim().is_none());
         host.remove_job(job);
         assert_eq!(host.controller().job_count(), 0);

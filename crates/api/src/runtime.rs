@@ -2,7 +2,6 @@
 
 use crate::host::{Backend, Host};
 use crate::wall_clock::{WallClockConfig, WallClockHost};
-use rrs_core::ControllerConfig;
 use rrs_sim::{ShardConfig, ShardedSim, SimConfig, Simulation};
 use rrs_telemetry::TelemetryConfig;
 
@@ -64,11 +63,6 @@ impl RuntimeBuilder {
         }
     }
 
-    /// The backend this builder will construct.
-    pub fn backend_kind(&self) -> Backend {
-        self.backend
-    }
-
     /// Number of CPUs (simulated CPUs, or logical worker shards on the
     /// wall-clock backend).  Overrides whatever the backend config says.
     pub fn cpus(mut self, cpus: usize) -> Self {
@@ -92,14 +86,6 @@ impl RuntimeBuilder {
     /// parallel shard execution) for the simulator backend.
     pub fn shard_config(mut self, config: ShardConfig) -> Self {
         self.shard = config;
-        self
-    }
-
-    /// Replaces the controller configuration (applies to whichever
-    /// backend is built).
-    pub fn controller_config(mut self, config: ControllerConfig) -> Self {
-        self.sim.controller = config;
-        self.wall.executor.controller = config;
         self
     }
 

@@ -37,8 +37,7 @@ impl Host for ShardedSim {
     }
 
     fn advance(&mut self, dt: SimTime) {
-        let end = self.now_micros() + dt.as_micros();
-        self.run_until_micros(end);
+        self.run_for_micros(dt.as_micros());
     }
 
     fn now(&self) -> SimTime {

@@ -5,4 +5,4 @@
 //! dependency graph); this module re-exports it so `rrs_api::SimTime` and
 //! `rrs_api::time::SimTime` keep working unchanged.
 
-pub use rrs_core::time::{Micros, SimTime};
+pub use rrs_core::time::SimTime;

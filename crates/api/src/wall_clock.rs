@@ -68,7 +68,7 @@ struct WallJob {
 /// The wall-clock backend: [`WorkModel`]s running for real on OS threads.
 ///
 /// Build one with [`crate::Runtime::wall_clock`].
-pub struct WallClockHost {
+pub(crate) struct WallClockHost {
     exec: RealTimeExecutor,
     config: WallClockConfig,
     /// The epoch worker closures timestamp `WorkModel::run` calls with;
@@ -95,11 +95,6 @@ impl WallClockHost {
             next_trace: SimTime::ZERO,
             last_trace: SimTime::ZERO,
         }
-    }
-
-    /// Read-only access to the underlying executor.
-    pub fn executor(&self) -> &RealTimeExecutor {
-        &self.exec
     }
 
     /// Burns `us` microseconds of real CPU.

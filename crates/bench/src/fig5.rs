@@ -33,7 +33,7 @@ impl Default for Fig5Params {
 }
 
 /// Measures controller utilisation for one process count.
-pub fn controller_utilisation(processes: usize, seconds: f64) -> f64 {
+pub(crate) fn controller_utilisation(processes: usize, seconds: f64) -> f64 {
     let mut sim = Simulation::new(SimConfig::default());
     for i in 0..processes {
         sim.add_job(

@@ -39,7 +39,7 @@ impl Default for Fig6Params {
 /// (queue of 40 × 250-byte blocks on a 400 MHz CPU) has a natural frequency
 /// of a few rad/s with moderate damping, giving the ≈⅓ s reaction the paper
 /// reports.
-pub fn responsive_controller_config() -> ControllerConfig {
+pub(crate) fn responsive_controller_config() -> ControllerConfig {
     ControllerConfig {
         gain_k_ppt: 2000.0,
         pid: PidConfig {

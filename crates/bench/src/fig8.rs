@@ -32,7 +32,7 @@ impl Default for Fig8Params {
 
 /// Measures the CPU fraction available to a greedy process at one dispatcher
 /// frequency.
-pub fn available_cpu(frequency_hz: f64, seconds: f64) -> f64 {
+pub(crate) fn available_cpu(frequency_hz: f64, seconds: f64) -> f64 {
     let interval_us = ((1e6 / frequency_hz).round() as u64).max(1);
     let config = SimConfig {
         controller_enabled: false,

@@ -37,7 +37,7 @@ impl Default for Fig9Params {
 /// Runs one configuration and returns the aggregate throughput in "CPUs
 /// worth of delivered work" (total CPU time consumed by all jobs divided
 /// by elapsed simulated time; an ideal `N`-CPU machine yields `N`).
-pub fn aggregate_throughput(cpus: usize, jobs: usize, seconds: f64) -> f64 {
+pub(crate) fn aggregate_throughput(cpus: usize, jobs: usize, seconds: f64) -> f64 {
     let mut sim = Simulation::new(SimConfig::default().with_cpus(cpus));
     let mut handles = Vec::with_capacity(jobs);
     for i in 0..jobs {

@@ -146,30 +146,6 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Returns a copy with a different controller period.
-    pub fn with_controller_period(mut self, seconds: f64) -> Self {
-        self.controller_period_s = seconds;
-        self
-    }
-
-    /// Returns a copy with different PID gains.
-    pub fn with_pid(mut self, pid: PidConfig) -> Self {
-        self.pid = pid;
-        self
-    }
-
-    /// Returns a copy with a different squish policy.
-    pub fn with_squish_policy(mut self, policy: SquishPolicy) -> Self {
-        self.squish_policy = policy;
-        self
-    }
-
-    /// Returns a copy with period estimation enabled or disabled.
-    pub fn with_period_estimation(mut self, enabled: bool) -> Self {
-        self.period_estimation = enabled;
-        self
-    }
-
     /// Returns a copy placing jobs over `cpus` CPUs (clamped to
     /// `1..=PlacementConfig::MAX_CPUS`).
     pub fn with_cpus(mut self, cpus: usize) -> Self {
@@ -233,18 +209,5 @@ mod tests {
             imbalance_threshold_ppt: 1,
         };
         assert_eq!(wild.cpu_count(), PlacementConfig::MAX_CPUS);
-    }
-
-    #[test]
-    fn builder_style_modifiers() {
-        let c = ControllerConfig::default()
-            .with_controller_period(0.03)
-            .with_squish_policy(SquishPolicy::FairShare)
-            .with_period_estimation(true)
-            .with_pid(PidConfig::p_only(1.0));
-        assert_eq!(c.controller_period_s, 0.03);
-        assert_eq!(c.squish_policy, SquishPolicy::FairShare);
-        assert!(c.period_estimation);
-        assert_eq!(c.pid.ki, 0.0);
     }
 }

@@ -2,10 +2,10 @@
 //! together.
 //!
 //! Since the staged-pipeline refactor the controller is a thin shell: it
-//! owns the dense slot-indexed job table ([`crate::slot::SlotTable`]), the
-//! reusable [`CycleContext`] and output buffers, and drives the five
+//! owns the dense slot-indexed job table (`crate::slot::SlotTable`), the
+//! reusable `CycleContext` and output buffers, and drives the five
 //! pipeline stages of [`crate::pipeline`] once per controller period.  The
-//! steady-state entry point, [`Controller::control_cycle_in_place`],
+//! steady-state entry point, `Controller::control_cycle_in_place`,
 //! performs no heap allocation once the scratch buffers have warmed up.
 
 use crate::config::ControllerConfig;
@@ -118,7 +118,8 @@ pub struct ControlOutput {
 
 impl ControlOutput {
     /// Looks up the actuation for a job, if any.
-    pub fn actuation_for(&self, job: JobId) -> Option<Actuation> {
+    #[cfg(test)]
+    pub(crate) fn actuation_for(&self, job: JobId) -> Option<Actuation> {
         self.actuations.iter().copied().find(|a| a.job == job)
     }
 
@@ -179,7 +180,7 @@ impl std::error::Error for AdmitError {}
 ///
 /// // Steady-state path: record usage by slot, run the pipeline in place.
 /// controller.record_usage(slot, UsageSnapshot { usage_ratio: 1.0 });
-/// let out = controller.control_cycle_in_place(0.01);
+/// let out = controller.control_cycle_with_dt(0.01, 0.01);
 /// assert_eq!(out.actuations.len(), 1);
 /// assert_eq!(out.actuations[0].slot, slot);
 /// ```
@@ -305,7 +306,7 @@ impl Controller {
     /// remaps any job placed on a now-out-of-range CPU on the next cycle;
     /// callers driving a real [`rrs_scheduler::Machine`] should only ever
     /// grow, since the machine layer has no hot-remove.
-    pub fn set_cpus(&mut self, cpus: usize) {
+    pub(crate) fn set_cpus(&mut self, cpus: usize) {
         self.config.placement.cpus = cpus.clamp(1, crate::config::PlacementConfig::MAX_CPUS);
         self.incr.structural_dirty = true;
         // Re-count the per-CPU loads over the new range.  A job left on a
@@ -343,25 +344,20 @@ impl Controller {
     /// Enables (or disables) per-stage wall-clock timing inside full
     /// cycles.  Off by default: the steady-state cycle stays free of
     /// clock reads.
-    pub fn set_stage_timing(&mut self, on: bool) {
+    pub(crate) fn set_stage_timing(&mut self, on: bool) {
         self.stage_timing = on;
     }
 
     /// Per-stage nanoseconds of the last timed full cycle, in pipeline
     /// order (sense, classify, estimate, allocate, place, actuate).  All
     /// zero until a full cycle runs with stage timing enabled.
-    pub fn last_stage_ns(&self) -> [u64; 6] {
+    pub(crate) fn last_stage_ns(&self) -> [u64; 6] {
         self.last_stage_ns
     }
 
     /// Cumulative per-stage nanoseconds over all timed full cycles.
     pub fn stage_total_ns(&self) -> [u64; 6] {
         self.stage_total_ns
-    }
-
-    /// Ids of all managed jobs, in id order.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.ids().collect()
     }
 
     /// The dense slot currently assigned to a job id.
@@ -372,12 +368,6 @@ impl Controller {
     /// The job id stored at a slot, if the slot is live and current.
     pub fn job_of(&self, slot: JobSlot) -> Option<JobId> {
         self.jobs.id_of(slot)
-    }
-
-    /// Upper bound (exclusive) of live slot indices; consumer layers size
-    /// their slot-indexed side tables with this.
-    pub fn slot_capacity(&self) -> usize {
-        self.jobs.dense_len()
     }
 
     /// The class the controller currently assigns to a job.
@@ -393,11 +383,6 @@ impl Controller {
     /// The proportion most recently granted to a job.
     pub fn granted(&self, job: JobId) -> Option<Proportion> {
         self.jobs.get_by_id(job).map(|e| e.granted)
-    }
-
-    /// The proportion most recently granted to the job at `slot`.
-    pub fn granted_at(&self, slot: JobSlot) -> Option<Proportion> {
-        self.jobs.get(slot).map(|e| e.granted)
     }
 
     /// Sum of every job's current grant, in parts per thousand — the
@@ -431,7 +416,7 @@ impl Controller {
     /// admission control: if the requested proportion does not fit under the
     /// overload threshold together with the already-admitted real-time jobs,
     /// the registration is rejected.
-    pub fn add_job_with_importance(
+    pub(crate) fn add_job_with_importance(
         &mut self,
         job: JobId,
         spec: JobSpec,
@@ -482,7 +467,7 @@ impl Controller {
 
     /// Removes the job at `slot` (if live) and detaches its registry
     /// entries.
-    pub fn remove_slot(&mut self, slot: JobSlot) -> bool {
+    pub(crate) fn remove_slot(&mut self, slot: JobSlot) -> bool {
         match self.jobs.id_of(slot) {
             Some(job) => self.remove_job(job),
             None => false,
@@ -523,18 +508,6 @@ impl Controller {
             .jobs
             .insert(job, entry)
             .expect("duplicate ids were rejected above"))
-    }
-
-    /// Changes a job's importance weight.
-    pub fn set_importance(&mut self, job: JobId, importance: Importance) -> bool {
-        match self.jobs.get_by_id_mut(job) {
-            Some(e) => {
-                e.importance = importance;
-                self.incr.structural_dirty = true;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Records usage feedback for the job at `slot`.  Returns `false` if
@@ -584,7 +557,7 @@ impl Controller {
     }
 
     /// The CPU the Place stage currently has the job at `slot` on.
-    pub fn cpu_of_slot(&self, slot: JobSlot) -> Option<CpuId> {
+    pub(crate) fn cpu_of_slot(&self, slot: JobSlot) -> Option<CpuId> {
         self.jobs.get(slot).map(|e| e.cpu)
     }
 
@@ -607,7 +580,7 @@ impl Controller {
     /// change pending, the cycle recomputes only jobs whose inputs changed
     /// and emits actuations only for jobs whose `(grant, period, cpu)`
     /// actually moved; otherwise it runs the full staged pipeline.
-    pub fn control_cycle_in_place(&mut self, now_s: f64) -> &ControlOutput {
+    pub(crate) fn control_cycle_in_place(&mut self, now_s: f64) -> &ControlOutput {
         let dt = match self.last_cycle {
             Some(prev) if now_s > prev => now_s - prev,
             _ => self.config.controller_period_s,
@@ -620,7 +593,7 @@ impl Controller {
     /// period).
     ///
     /// Callers stepping on an exact grid should prefer this over
-    /// [`Controller::control_cycle_in_place`]: a `dt` derived from integer
+    /// `Controller::control_cycle_in_place`: a `dt` derived from integer
     /// ticks is bitwise-identical every cycle, whereas differences of
     /// accumulated floating-point timestamps jitter in the last ulp — and
     /// [`ControllerConfig::incremental`] falls back to a full cycle
@@ -965,7 +938,7 @@ mod tests {
         let slot = c.add_job(JobId(7), JobSpec::miscellaneous()).unwrap();
         assert_eq!(c.slot_of(JobId(7)), Some(slot));
         assert_eq!(c.job_of(slot), Some(JobId(7)));
-        assert!(c.granted_at(slot).is_some());
+        assert!(c.jobs.get(slot).map(|e| e.granted).is_some());
         assert!(c.remove_slot(slot));
         assert_eq!(c.job_of(slot), None, "slot is stale after removal");
         assert!(!c.record_usage(slot, UsageSnapshot::default()));
@@ -973,7 +946,7 @@ mod tests {
         let next = c.add_job(JobId(8), JobSpec::miscellaneous()).unwrap();
         assert_eq!(next.index(), slot.index());
         assert_ne!(next, slot);
-        assert_eq!(c.granted_at(slot), None);
+        assert_eq!(c.jobs.get(slot).map(|e| e.granted), None);
     }
 
     #[test]
@@ -1199,7 +1172,10 @@ mod tests {
     fn a_late_period_estimator_decides_like_one_present_from_admission() {
         let run = |from_admission: bool| {
             let registry = MetricRegistry::new();
-            let config = ControllerConfig::default().with_period_estimation(true);
+            let config = ControllerConfig {
+                period_estimation: true,
+                ..ControllerConfig::default()
+            };
             let mut c = Controller::new(config, registry.clone());
             let slot = c.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
             if from_admission {
@@ -1281,7 +1257,7 @@ mod tests {
         for i in 1..=50 {
             c.control_cycle_in_place(i as f64 * 0.01);
         }
-        let grown = c.granted_at(slot).unwrap().ppt();
+        let grown = c.jobs.get(slot).map(|e| e.granted).unwrap().ppt();
         let reclaim = c.config().reclaim_ppt;
         assert!(
             grown > 2 * reclaim + 1,
@@ -1291,20 +1267,26 @@ mod tests {
         // the following cycle reclaims again without a fresh recording.
         c.record_usage(slot, UsageSnapshot { usage_ratio: 0.0 });
         c.control_cycle_in_place(0.51);
-        assert_eq!(c.granted_at(slot).unwrap().ppt(), grown - reclaim);
+        assert_eq!(
+            c.jobs.get(slot).map(|e| e.granted).unwrap().ppt(),
+            grown - reclaim
+        );
         c.control_cycle_in_place(0.52);
-        assert_eq!(c.granted_at(slot).unwrap().ppt(), grown - 2 * reclaim);
+        assert_eq!(
+            c.jobs.get(slot).map(|e| e.granted).unwrap().ppt(),
+            grown - 2 * reclaim
+        );
         // Overwriting the snapshot with full usage ends the reclamation:
         // under constant positive misc pressure the grant recovers.
         c.record_usage(slot, UsageSnapshot { usage_ratio: 1.0 });
-        let floor = c.granted_at(slot).unwrap().ppt();
+        let floor = c.jobs.get(slot).map(|e| e.granted).unwrap().ppt();
         for i in 1..=30 {
             c.control_cycle_in_place(0.52 + i as f64 * 0.01);
         }
         assert!(
-            c.granted_at(slot).unwrap().ppt() >= floor,
+            c.jobs.get(slot).map(|e| e.granted).unwrap().ppt() >= floor,
             "full usage must stop the shrink ({floor} -> {})",
-            c.granted_at(slot).unwrap().ppt()
+            c.jobs.get(slot).map(|e| e.granted).unwrap().ppt()
         );
     }
 
@@ -1476,7 +1458,7 @@ mod tests {
         assert!(out.actuation_for(JobId(99)).is_none());
         assert!(out.quality_exceptions().is_empty());
         assert_eq!(c.cycles(), 1);
-        assert_eq!(c.job_ids(), vec![JobId(5)]);
+        assert_eq!(c.slot_of(JobId(5)).map(|s| s.index()), Some(0));
         assert!(c.granted(JobId(5)).unwrap().ppt() > 0);
     }
 
@@ -1660,14 +1642,6 @@ mod tests {
                         mirror_incr.remove(&job);
                     }
                     4 => {
-                        let w = if flag {
-                            Importance::new(5.0)
-                        } else {
-                            Importance::NORMAL
-                        };
-                        prop_assert_eq!(full.set_importance(job, w), incr.set_importance(job, w));
-                    }
-                    5 => {
                         let ratio = [0.0, 0.3, 0.6, 1.0][ratio_sel as usize];
                         let snap = UsageSnapshot { usage_ratio: ratio };
                         if let Some(slot) = full.slot_of(job) {
@@ -1677,10 +1651,10 @@ mod tests {
                             incr.record_usage(slot, snap);
                         }
                     }
-                    6 => {
+                    5 => {
                         let _ = queue.try_push(0);
                     }
-                    7 => {
+                    6 => {
                         let _ = queue.try_pop();
                     }
                     _ => {
@@ -1699,7 +1673,7 @@ mod tests {
                             "granted totals diverged"
                         );
                         prop_assert_eq!(out_full.cost_us, out_incr.cost_us);
-                        for job in full.job_ids() {
+                        for job in (0..6).map(JobId) {
                             prop_assert_eq!(full.granted(job), incr.granted(job));
                             prop_assert_eq!(full.cpu_of(job), incr.cpu_of(job));
                         }

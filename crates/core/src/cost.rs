@@ -51,18 +51,8 @@ impl ControllerCostModel {
 
     /// Cost of one controller invocation over `jobs` controlled jobs, in
     /// microseconds.
-    pub fn invocation_cost_us(&self, jobs: usize) -> f64 {
+    pub(crate) fn invocation_cost_us(&self, jobs: usize) -> f64 {
         self.fixed_us + self.per_job_us * jobs as f64
-    }
-
-    /// Steady-state CPU utilisation of the controller when it runs every
-    /// `controller_period_s` seconds over `jobs` jobs (the quantity plotted
-    /// on the Figure 5 y-axis).
-    pub fn utilisation(&self, jobs: usize, controller_period_s: f64) -> f64 {
-        if controller_period_s <= 0.0 {
-            return 0.0;
-        }
-        (self.invocation_cost_us(jobs) * 1e-6) / controller_period_s
     }
 }
 
@@ -74,13 +64,16 @@ mod tests {
     #[test]
     fn default_matches_figure_5_fit() {
         let m = ControllerCostModel::default();
+        // The Figure 5 y-axis: the controller's share of a CPU when it runs
+        // every 10 ms over `jobs` jobs.
+        let utilisation = |jobs| m.invocation_cost_us(jobs) * 1e-6 / 0.010;
         // Intercept at 0 jobs.
-        assert!((m.utilisation(0, 0.010) - 0.00057).abs() < 1e-9);
+        assert!((utilisation(0) - 0.00057).abs() < 1e-9);
         // Slope per job.
-        let slope = m.utilisation(1, 0.010) - m.utilisation(0, 0.010);
+        let slope = utilisation(1) - utilisation(0);
         assert!((slope - 0.00066).abs() < 1e-9);
         // 40 jobs ≈ 2.7 % of the CPU, as quoted in the figure caption.
-        let at_40 = m.utilisation(40, 0.010);
+        let at_40 = utilisation(40);
         assert!((at_40 - 0.027).abs() < 0.001, "got {at_40}");
     }
 
@@ -88,13 +81,6 @@ mod tests {
     fn free_model_costs_nothing() {
         let m = ControllerCostModel::free();
         assert_eq!(m.invocation_cost_us(100), 0.0);
-        assert_eq!(m.utilisation(100, 0.01), 0.0);
-    }
-
-    #[test]
-    fn zero_period_reports_zero_utilisation() {
-        let m = ControllerCostModel::default();
-        assert_eq!(m.utilisation(10, 0.0), 0.0);
     }
 
     proptest! {
@@ -104,12 +90,6 @@ mod tests {
             let combined = m.invocation_cost_us(a + b);
             let split = m.invocation_cost_us(a) + m.invocation_cost_us(b) - m.fixed_us;
             prop_assert!((combined - split).abs() < 1e-9);
-        }
-
-        #[test]
-        fn utilisation_is_monotone_in_jobs(jobs in 0usize..200) {
-            let m = ControllerCostModel::default();
-            prop_assert!(m.utilisation(jobs + 1, 0.01) >= m.utilisation(jobs, 0.01));
         }
     }
 }

@@ -12,7 +12,7 @@ use rrs_scheduler::Proportion;
 
 /// The outcome of one proportion-estimation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EstimateOutcome {
+pub(crate) struct EstimateOutcome {
     /// The desired proportion before any squishing.
     pub desired: Proportion,
     /// Whether the reclamation branch (`−C`, "too generous") was taken.
@@ -20,21 +20,8 @@ pub struct EstimateOutcome {
 }
 
 /// Stateless proportion estimator implementing Figure 4.
-///
-/// # Examples
-///
-/// ```
-/// use rrs_core::{ControllerConfig, ProportionEstimator};
-/// use rrs_scheduler::Proportion;
-///
-/// let config = ControllerConfig::default();
-/// let est = ProportionEstimator::new(&config);
-/// // A job under strong positive pressure is given more CPU.
-/// let out = est.estimate(Proportion::from_ppt(100), 1.0, 1.0);
-/// assert!(out.desired.ppt() > 100);
-/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct ProportionEstimator {
+pub(crate) struct ProportionEstimator {
     gain_k_ppt: f64,
     reclaim_ppt: u32,
     usage_threshold: f64,
@@ -66,7 +53,7 @@ impl ProportionEstimator {
     /// reduced by the constant `C`; otherwise the allocation is `k·Q_t`.
     /// The result is clamped to the configured `[min, max]` proportion so
     /// every job always keeps a non-zero allocation (no starvation).
-    pub fn estimate(
+    pub(crate) fn estimate(
         &self,
         current: Proportion,
         cumulative_pressure: f64,
@@ -97,16 +84,6 @@ impl ProportionEstimator {
     fn clamp(&self, ppt: u32) -> Proportion {
         Proportion::from_ppt(ppt.clamp(self.min.ppt(), self.max.ppt()))
     }
-
-    /// The smallest proportion the estimator will ever emit.
-    pub fn min_proportion(&self) -> Proportion {
-        self.min
-    }
-
-    /// The largest proportion the estimator will ever emit.
-    pub fn max_proportion(&self) -> Proportion {
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +108,7 @@ mod tests {
     fn negative_pressure_floors_at_min() {
         let est = estimator();
         let out = est.estimate(Proportion::from_ppt(300), -0.4, 1.0);
-        assert_eq!(out.desired, est.min_proportion());
+        assert_eq!(out.desired, est.min);
         assert!(!out.reclaimed);
     }
 
@@ -148,7 +125,7 @@ mod tests {
         let est = estimator();
         let out = est.estimate(Proportion::from_ppt(5), 0.5, 0.0);
         assert!(out.reclaimed);
-        assert_eq!(out.desired, est.min_proportion());
+        assert_eq!(out.desired, est.min);
     }
 
     #[test]
@@ -163,7 +140,7 @@ mod tests {
     fn desired_is_clamped_to_max() {
         let est = estimator();
         let out = est.estimate(Proportion::from_ppt(100), 100.0, 1.0);
-        assert_eq!(out.desired, est.max_proportion());
+        assert_eq!(out.desired, est.max);
     }
 
     #[test]
@@ -187,8 +164,8 @@ mod tests {
         ) {
             let est = estimator();
             let out = est.estimate(Proportion::from_ppt(current), pressure, usage);
-            prop_assert!(out.desired.ppt() >= est.min_proportion().ppt());
-            prop_assert!(out.desired.ppt() <= est.max_proportion().ppt());
+            prop_assert!(out.desired.ppt() >= est.min.ppt());
+            prop_assert!(out.desired.ppt() <= est.max.ppt());
         }
 
         #[test]

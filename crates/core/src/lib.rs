@@ -37,12 +37,12 @@
 //!    CPU) and raises quality exceptions when demand cannot be met
 //!    ([`events`]).
 //!
-//! The stages share a reusable [`pipeline::CycleContext`] with
+//! The stages share a reusable `pipeline::CycleContext` with
 //! pre-allocated scratch buffers and operate on dense [`slot`]-indexed
 //! job storage, so the steady-state cycle is allocation-free, `O(jobs)`,
 //! and each stage is independently testable.  The [`controller::Controller`]
 //! shell drives the pipeline via
-//! [`controller::Controller::control_cycle_in_place`] (usage recorded by
+//! `controller::Controller::control_cycle_in_place` (usage recorded by
 //! slot, borrowed output).  Its own execution cost is modelled by
 //! [`cost::ControllerCostModel`] so the Figure 5 overhead experiment can
 //! be reproduced.
@@ -71,13 +71,11 @@ pub use controller::{
     Actuation, AdmitError, ControlOutput, Controller, JobId, MigratedJob, UsageSnapshot,
 };
 pub use cost::ControllerCostModel;
-pub use estimator::ProportionEstimator;
 pub use events::{ControllerEvent, QualityException};
 pub use handle::JobHandle;
 pub use period::PeriodEstimator;
-pub use pipeline::CycleContext;
 pub use pressure::PressureEstimator;
-pub use slot::{JobSlot, SlotSet, SlotTable};
+pub use slot::{JobSlot, SlotSet};
 pub use squish::{squish_fair_share, squish_weighted, Importance, SquishPolicy};
 pub use taxonomy::{JobClass, JobSpec};
-pub use time::{Micros, SimTime};
+pub use time::SimTime;

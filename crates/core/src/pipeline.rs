@@ -1,7 +1,7 @@
 //! The staged control-plane pipeline.
 //!
 //! One controller period flows through six explicit stages, each a named
-//! function over a shared, reusable [`CycleContext`]:
+//! function over a shared, reusable `CycleContext`:
 //!
 //! 1. **sense** — sample every job's progress metrics (fill levels, signed
 //!    pressure) and dispatcher usage feedback into dense cycle records;
@@ -23,7 +23,7 @@
 //!    emit the reservation actuations, squish/migration events and
 //!    quality exceptions.
 //!
-//! Every buffer the stages touch lives in the [`CycleContext`] (or the
+//! Every buffer the stages touch lives in the `CycleContext` (or the
 //! reused [`crate::ControlOutput`]), so a warmed-up steady-state cycle
 //! performs **no heap allocation** and runs in `O(jobs + attachments)`
 //! with cache-friendly linear scans over the slot table.  The stages only
@@ -112,7 +112,7 @@ pub(crate) struct CycleRecord {
 /// All vectors are cleared — never shrunk — between cycles, so their
 /// capacity warms up to the live job count and stays there.
 #[derive(Debug, Default)]
-pub struct CycleContext {
+pub(crate) struct CycleContext {
     /// Controller time at the start of the cycle, in seconds.
     now_s: f64,
     /// Seconds elapsed since the previous cycle.
@@ -213,26 +213,6 @@ impl CycleContext {
     /// the per-CPU accumulators.
     pub(crate) fn granted_total_ppt(&self) -> u64 {
         self.cpu_load.iter().sum::<u64>() + self.off_machine_load
-    }
-
-    /// Controller time at the start of the current cycle, in seconds.
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// Seconds elapsed since the previous cycle.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Whether the Allocate stage squished allocations this cycle.
-    pub fn was_squished(&self) -> bool {
-        self.squished
-    }
-
-    /// Number of jobs the current cycle visited.
-    pub fn jobs_visited(&self) -> usize {
-        self.records.len()
     }
 }
 
@@ -841,7 +821,7 @@ mod tests {
         classify(&config, &mut jobs, &mut ctx);
         estimate(&config, &estimator, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
-        assert!(!ctx.was_squished());
+        assert!(!ctx.squished);
         assert_eq!(ctx.granted.len(), 1);
         assert_eq!(ctx.granted[0], ctx.records[0].desired);
     }
@@ -861,7 +841,7 @@ mod tests {
             ctx.records[i as usize].desired = Proportion::from_ppt(1000);
         }
         allocate(&config, &mut ctx);
-        assert!(ctx.was_squished());
+        assert!(ctx.squished);
         let total: u32 = ctx.granted.iter().map(|p| p.ppt()).sum();
         assert!(total <= config.overload_threshold_ppt);
         assert!(ctx.granted.iter().all(|p| p.ppt() >= 1), "no starvation");
@@ -936,8 +916,8 @@ mod tests {
         let config = ControllerConfig::default(); // one CPU
         let mut jobs = JobTable::new();
         let entry = JobEntry::new(JobSpec::miscellaneous(), Importance::NORMAL, &config);
-        jobs.insert(JobId(1), entry).unwrap();
-        jobs.get_by_id_mut(JobId(1)).unwrap().cpu = CpuId(5);
+        let slot = jobs.insert(JobId(1), entry).unwrap();
+        jobs.get_mut(slot).unwrap().cpu = CpuId(5);
         let registry = MetricRegistry::new();
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);

@@ -18,7 +18,7 @@ use rrs_queue::{JobKey, MetricRegistry};
 /// use rrs_core::PressureEstimator;
 /// use rrs_feedback::PidConfig;
 ///
-/// let mut est = PressureEstimator::new(PidConfig::p_only(1.0));
+/// let mut est = PressureEstimator::new(PidConfig::pi(1.0, 0.0));
 /// // A consumer of a completely full queue has summed pressure +1/2.
 /// let q = est.update(0.5, 0.01);
 /// assert_eq!(q, 0.5);
@@ -50,13 +50,8 @@ impl PressureEstimator {
     }
 
     /// The most recent summed instantaneous pressure.
-    pub fn last_summed_pressure(&self) -> f64 {
+    pub(crate) fn last_summed_pressure(&self) -> f64 {
         self.last_summed
-    }
-
-    /// The most recent cumulative pressure `Q_t`.
-    pub fn last_cumulative_pressure(&self) -> f64 {
-        self.last_q
     }
 
     /// Clears the PID state (used when a job's metrics are detached).
@@ -75,7 +70,7 @@ impl PressureEstimator {
     /// update with the same inputs is a no-op.  The incremental controller
     /// uses this to prove a job has reached a fixed point and can be
     /// skipped without changing any observable behaviour.
-    pub fn state_fingerprint(&self) -> (u64, u64, u64, Option<u64>) {
+    pub(crate) fn state_fingerprint(&self) -> (u64, u64, u64, Option<u64>) {
         (
             self.last_summed.to_bits(),
             self.last_q.to_bits(),
@@ -89,7 +84,7 @@ impl PressureEstimator {
     /// The proportion estimator calls this when it reclaims allocation from
     /// an over-provisioned job (Figure 4's "−C" branch) so that the PID does
     /// not immediately push the allocation back up.
-    pub fn scale_state(&mut self, factor: f64) {
+    pub(crate) fn scale_state(&mut self, factor: f64) {
         let cfg = self.pid.config();
         let target = self.pid.integral() * factor.clamp(0.0, 1.0);
         // Rebuild the controller with the scaled integral by resetting and
@@ -122,10 +117,10 @@ mod tests {
 
     #[test]
     fn proportional_estimator_tracks_summed_pressure() {
-        let mut est = PressureEstimator::new(PidConfig::p_only(2.0));
+        let mut est = PressureEstimator::new(PidConfig::pi(2.0, 0.0));
         assert_eq!(est.update(0.25, 0.01), 0.5);
         assert_eq!(est.last_summed_pressure(), 0.25);
-        assert_eq!(est.last_cumulative_pressure(), 0.5);
+        assert_eq!(est.last_q, 0.5);
     }
 
     #[test]
@@ -144,7 +139,7 @@ mod tests {
         let mut est = PressureEstimator::new(PidConfig::default());
         est.update(0.5, 0.01);
         est.reset();
-        assert_eq!(est.last_cumulative_pressure(), 0.0);
+        assert_eq!(est.last_q, 0.0);
         assert_eq!(est.last_summed_pressure(), 0.0);
     }
 
@@ -154,9 +149,9 @@ mod tests {
         for _ in 0..100 {
             est.update(0.5, 0.01);
         }
-        let before = est.last_cumulative_pressure();
+        let before = est.last_q;
         est.scale_state(0.5);
-        let after = est.last_cumulative_pressure();
+        let after = est.last_q;
         assert!(after < before);
         assert!(after > 0.0);
     }
@@ -166,7 +161,7 @@ mod tests {
         let mut est = PressureEstimator::new(PidConfig::pi(0.0, 1.0));
         est.update(0.5, 1.0);
         est.scale_state(0.0);
-        assert_eq!(est.last_cumulative_pressure(), 0.0);
+        assert_eq!(est.last_q, 0.0);
     }
 
     #[test]

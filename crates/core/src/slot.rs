@@ -42,11 +42,6 @@ impl JobSlot {
     pub fn index(self) -> usize {
         self.index as usize
     }
-
-    /// The slot's generation; bumped each time the index is reused.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
 }
 
 impl std::fmt::Display for JobSlot {
@@ -61,7 +56,7 @@ impl std::fmt::Display for JobSlot {
 /// reused LIFO), not id order; [`SlotTable::ids`] provides the id-ordered
 /// view for queries that want determinism by id.
 #[derive(Debug)]
-pub struct SlotTable<Id: Ord + Copy, T> {
+pub(crate) struct SlotTable<Id: Ord + Copy, T> {
     entries: Vec<Option<(Id, T)>>,
     generations: Vec<u32>,
     free: Vec<u32>,
@@ -90,14 +85,9 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
         self.by_id.len()
     }
 
-    /// Returns `true` if no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
     /// Upper bound (exclusive) of live slot indices; the capacity side
     /// tables indexed by [`JobSlot::index`] must have.
-    pub fn dense_len(&self) -> usize {
+    pub(crate) fn dense_len(&self) -> usize {
         self.entries.len()
     }
 
@@ -132,7 +122,7 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
     }
 
     /// The id stored at `slot`, if the slot is live and current.
-    pub fn id_of(&self, slot: JobSlot) -> Option<Id> {
+    pub(crate) fn id_of(&self, slot: JobSlot) -> Option<Id> {
         self.check(slot)?;
         self.entries[slot.index()].as_ref().map(|(id, _)| *id)
     }
@@ -158,19 +148,14 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
     }
 
     /// Shared access by id.
-    pub fn get_by_id(&self, id: Id) -> Option<&T> {
+    pub(crate) fn get_by_id(&self, id: Id) -> Option<&T> {
         self.get(self.slot_of(id)?)
-    }
-
-    /// Exclusive access by id.
-    pub fn get_by_id_mut(&mut self, id: Id) -> Option<&mut T> {
-        self.get_mut(self.slot_of(id)?)
     }
 
     /// Exclusive access by dense index ([`JobSlot::index`]), with the slot
     /// handle and id, for walks over a set of indices.  `None` for a hole
     /// (a freed index) or an index past [`SlotTable::dense_len`].
-    pub fn entry_at_mut(&mut self, index: usize) -> Option<(JobSlot, Id, &mut T)> {
+    pub(crate) fn entry_at_mut(&mut self, index: usize) -> Option<(JobSlot, Id, &mut T)> {
         let (id, value) = self.entries.get_mut(index)?.as_mut()?;
         let slot = JobSlot {
             index: index as u32,
@@ -188,13 +173,6 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
         self.generations[slot.index()] = self.generations[slot.index()].wrapping_add(1);
         self.free.push(slot.index);
         Some((slot, value))
-    }
-
-    /// Removes the entry at `slot` if it is live and current.
-    pub fn remove_slot(&mut self, slot: JobSlot) -> Option<(Id, T)> {
-        let id = self.id_of(slot)?;
-        let (_, value) = self.remove(id)?;
-        Some((id, value))
     }
 
     /// Iterates live entries in slot order without allocating.
@@ -231,11 +209,6 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
                     )
                 })
             })
-    }
-
-    /// Live ids in id order.
-    pub fn ids(&self) -> impl Iterator<Item = Id> + '_ {
-        self.by_id.keys().copied()
     }
 }
 
@@ -340,7 +313,7 @@ mod tests {
         t.remove(1);
         let b = t.insert(2, 1).unwrap();
         assert_eq!(a.index(), b.index(), "freed slot index is reused");
-        assert_ne!(a.generation(), b.generation());
+        assert_ne!(a.generation, b.generation);
         assert_eq!(t.get(a), None, "old generation stays dead");
         assert_eq!(t.get(b), Some(&1));
         assert_eq!(t.dense_len(), 1, "no dense growth on reuse");
@@ -355,12 +328,12 @@ mod tests {
         t.remove(3);
         let seen: Vec<(u64, u8)> = t.iter().map(|(_, id, v)| (id, *v)).collect();
         assert_eq!(seen, vec![(5, 50), (9, 90)]);
-        let ids: Vec<u64> = t.ids().collect();
+        let ids: Vec<u64> = t.by_id.keys().copied().collect();
         assert_eq!(ids, vec![5, 9]);
         for (_, _, v) in t.iter_mut() {
             *v += 1;
         }
-        assert_eq!(t.get_by_id_mut(5), Some(&mut 51));
+        assert_eq!(t.get_by_id(5), Some(&51));
     }
 
     #[test]
@@ -414,7 +387,9 @@ mod tests {
         let a = t.insert(1, 0).unwrap();
         t.remove(1);
         t.insert(2, 1).unwrap();
-        assert!(t.remove_slot(a).is_none(), "stale slot cannot remove");
+        // `Controller::remove_slot` resolves the slot first; a stale one
+        // names no id, so it cannot remove its index's next tenant.
+        assert_eq!(t.id_of(a), None, "stale slot cannot remove");
         assert_eq!(t.len(), 1);
     }
 }

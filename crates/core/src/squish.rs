@@ -18,7 +18,7 @@ pub struct Importance(f64);
 
 impl Importance {
     /// The default importance.
-    pub const NORMAL: Importance = Importance(1.0);
+    pub(crate) const NORMAL: Importance = Importance(1.0);
 
     /// Creates an importance weight; values are clamped to be at least a
     /// small positive number so no job can be weighted to zero (which would
@@ -28,7 +28,7 @@ impl Importance {
     }
 
     /// Returns the weight.
-    pub fn weight(self) -> f64 {
+    pub(crate) fn weight(self) -> f64 {
         self.0
     }
 }
@@ -232,7 +232,7 @@ pub fn squish(
 /// Applies the configured policy without allocating: grants go to `out`,
 /// working state to `scratch` (capacities reused across calls).
 /// `available_ppt` may exceed 1000 on a multi-CPU machine.
-pub fn squish_into(
+pub(crate) fn squish_into(
     policy: SquishPolicy,
     requests: &[SquishRequest],
     available_ppt: u32,

@@ -8,7 +8,7 @@
 //! | no  | —   | no  | miscellaneous |
 
 use crate::squish::Importance;
-use rrs_scheduler::{Period, Proportion, Reservation};
+use rrs_scheduler::{Period, Proportion};
 use serde::{Deserialize, Serialize};
 
 /// The controller's classification of a job (Figure 2).
@@ -29,15 +29,10 @@ pub enum JobClass {
 }
 
 impl JobClass {
-    /// Returns `true` if the controller may change this job's proportion.
-    pub fn proportion_is_adaptive(self) -> bool {
-        matches!(self, JobClass::RealRate | JobClass::Miscellaneous)
-    }
-
     /// Returns `true` if this class's allocation may be squished under
     /// overload.  Real-time and aperiodic real-time jobs hold reservations
     /// and are instead subject to admission control.
-    pub fn is_squishable(self) -> bool {
+    pub(crate) fn is_squishable(self) -> bool {
         matches!(self, JobClass::RealRate | JobClass::Miscellaneous)
     }
 }
@@ -69,7 +64,7 @@ pub struct JobSpec {
     /// meta-interface.
     pub has_progress_metric: bool,
     /// The job's importance weight under weighted fair-share squishing.
-    /// Defaults to [`Importance::NORMAL`]; set it with
+    /// Defaults to `Importance::NORMAL`; set it with
     /// [`JobSpec::with_importance`] — the importance knob lives on the
     /// spec, not on per-backend `*_with_importance` method pairs.
     #[serde(default)]
@@ -127,18 +122,10 @@ impl JobSpec {
         }
     }
 
-    /// The reservation a real-time job asked for, if fully specified.
-    pub fn requested_reservation(&self) -> Option<Reservation> {
-        match (self.proportion, self.period) {
-            (Some(p), Some(t)) => Some(Reservation::new(p, t)),
-            _ => None,
-        }
-    }
-
     /// Marks the spec as having (or not having) a registered progress
     /// metric; called when symbiotic interfaces are attached or detached at
     /// run time.
-    pub fn with_progress_metric(mut self, has: bool) -> Self {
+    pub(crate) fn with_progress_metric(mut self, has: bool) -> Self {
         self.has_progress_metric = has;
         self
     }
@@ -192,11 +179,11 @@ mod tests {
     fn requested_reservation_only_for_real_time() {
         let p = Proportion::from_ppt(100);
         let t = Period::from_millis(30);
-        assert!(JobSpec::real_time(p, t).requested_reservation().is_some());
-        assert!(JobSpec::aperiodic_real_time(p)
-            .requested_reservation()
-            .is_none());
-        assert!(JobSpec::real_rate().requested_reservation().is_none());
+        // A reservation is requested only by a spec that fixes both halves.
+        let requested = |spec: JobSpec| spec.proportion.zip(spec.period);
+        assert_eq!(requested(JobSpec::real_time(p, t)), Some((p, t)));
+        assert_eq!(requested(JobSpec::aperiodic_real_time(p)), None);
+        assert_eq!(requested(JobSpec::real_rate()), None);
     }
 
     #[test]
@@ -205,8 +192,6 @@ mod tests {
         assert!(!JobClass::AperiodicRealTime.is_squishable());
         assert!(JobClass::RealRate.is_squishable());
         assert!(JobClass::Miscellaneous.is_squishable());
-        assert!(!JobClass::RealTime.proportion_is_adaptive());
-        assert!(JobClass::RealRate.proportion_is_adaptive());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::time::Duration;
 /// use rrs_core::SimTime;
 /// use std::time::Duration;
 ///
-/// assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1_500));
+/// assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2_000));
 /// assert_eq!(SimTime::from(Duration::from_millis(2)).as_micros(), 2_000);
 /// let t = SimTime::from_millis(10) + SimTime::from_micros(5);
 /// assert_eq!(t.as_micros(), 10_005);
@@ -30,10 +30,6 @@ use std::time::Duration;
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
 pub struct SimTime(u64);
-
-/// Alias for [`SimTime`] emphasising the unit: every host clock counts
-/// integer microseconds.
-pub type Micros = SimTime;
 
 impl SimTime {
     /// Zero elapsed time.
@@ -54,13 +50,6 @@ impl SimTime {
         Self(s * 1_000_000)
     }
 
-    /// A span of `s` seconds, rounded to the nearest microsecond — the
-    /// same rounding the simulator's old `run_for(f64)` applied, so
-    /// migrated callers reproduce their runs exactly.
-    pub fn from_secs_f64(s: f64) -> Self {
-        Self((s * 1e6).round().max(0.0) as u64)
-    }
-
     /// The span in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -73,7 +62,7 @@ impl SimTime {
     }
 
     /// The span as a [`Duration`].
-    pub const fn as_duration(self) -> Duration {
+    pub(crate) const fn as_duration(self) -> Duration {
         Duration::from_micros(self.0)
     }
 
@@ -135,15 +124,11 @@ mod tests {
     fn conversions_are_exact() {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimTime::from_secs_f64(0.0105).as_micros(), 10_500);
-        assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimTime::from(Duration::from_secs(1)), SimTime::from_secs(1));
         assert_eq!(
             Duration::from(SimTime::from_millis(7)),
             Duration::from_millis(7)
         );
-        let m: Micros = SimTime::from_micros(9);
-        assert_eq!(m.as_micros(), 9);
     }
 
     #[test]

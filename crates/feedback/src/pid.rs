@@ -39,16 +39,6 @@ impl Default for PidConfig {
 }
 
 impl PidConfig {
-    /// A purely proportional configuration (used by the ablation benches).
-    pub fn p_only(kp: f64) -> Self {
-        Self {
-            kp,
-            ki: 0.0,
-            kd: 0.0,
-            ..Self::default()
-        }
-    }
-
     /// A proportional-integral configuration.
     pub fn pi(kp: f64, ki: f64) -> Self {
         Self {
@@ -77,7 +67,7 @@ impl PidConfig {
 /// ```
 /// use rrs_feedback::{PidConfig, PidController};
 ///
-/// let mut pid = PidController::new(PidConfig::p_only(2.0));
+/// let mut pid = PidController::new(PidConfig::pi(2.0, 0.0));
 /// // A constant error of 0.5 with a purely proportional controller
 /// // produces a constant output of 1.0.
 /// assert_eq!(pid.update(0.5, 0.01), 1.0);
@@ -105,11 +95,6 @@ impl PidController {
     /// Returns the configuration.
     pub fn config(&self) -> PidConfig {
         self.config
-    }
-
-    /// Replaces the configuration, keeping the accumulated state.
-    pub fn set_config(&mut self, config: PidConfig) {
-        self.config = config;
     }
 
     /// Advances the controller by one step with the given error and time
@@ -170,7 +155,7 @@ mod tests {
 
     #[test]
     fn proportional_only_scales_error() {
-        let mut pid = PidController::new(PidConfig::p_only(3.0));
+        let mut pid = PidController::new(PidConfig::pi(3.0, 0.0));
         assert_eq!(pid.update(0.5, 0.1), 1.5);
         assert_eq!(pid.update(-0.5, 0.1), -1.5);
     }

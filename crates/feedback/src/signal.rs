@@ -93,16 +93,6 @@ impl PulseTrain {
         self.base_level
     }
 
-    /// Returns the base (non-pulse) level.
-    pub fn base_level(&self) -> f64 {
-        self.base_level
-    }
-
-    /// Returns the pulse level.
-    pub fn pulse_level(&self) -> f64 {
-        self.pulse_level
-    }
-
     /// Returns the pulse list as `(start, width)` pairs.
     pub fn pulses(&self) -> &[(f64, f64)] {
         &self.pulses
@@ -122,8 +112,6 @@ mod tests {
         assert_eq!(p.value(6.9), 2.0);
         assert_eq!(p.value(7.0), 1.0);
         assert_eq!(p.value(10.5), 2.0);
-        assert_eq!(p.base_level(), 1.0);
-        assert_eq!(p.pulse_level(), 2.0);
         assert_eq!(p.pulses().len(), 2);
     }
 

@@ -1,4 +1,4 @@
-//! Export of experiment results as CSV, JSON and aligned text tables.
+//! Export of experiment results as JSON and aligned text tables.
 
 use crate::timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -54,11 +54,6 @@ impl ExperimentRecord {
         serde_json::to_string_pretty(self).expect("experiment records are always serialisable")
     }
 
-    /// Parses a record from JSON.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
-
     /// Renders the scalar outcomes as an aligned two-column text table.
     pub fn scalar_table(&self) -> String {
         let width = self
@@ -74,83 +69,6 @@ impl ExperimentRecord {
         }
         out
     }
-}
-
-/// A set of time series resampled onto a common grid for CSV emission.
-///
-/// The paper's figures plot several series against the same time axis
-/// (allocation, fill level, production rate); `SeriesTable` lines the
-/// series up column-wise so a single CSV file reproduces one figure.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesTable {
-    columns: Vec<TimeSeries>,
-}
-
-impl SeriesTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a column.
-    pub fn add(&mut self, series: TimeSeries) -> &mut Self {
-        self.columns.push(series);
-        self
-    }
-
-    /// Number of columns.
-    pub fn columns(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Renders the table as CSV with a `time` column followed by one column
-    /// per series, resampling every series onto the grid of the first one.
-    ///
-    /// Returns an empty string when the table has no columns or the first
-    /// series is empty.
-    pub fn to_csv(&self) -> String {
-        let Some(first) = self.columns.first() else {
-            return String::new();
-        };
-        if first.is_empty() {
-            return String::new();
-        }
-        let times = first.times();
-        let mut out = String::from("time");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(&sanitize(c.name()));
-        }
-        out.push('\n');
-        for (i, &t) in times.iter().enumerate() {
-            let _ = write!(out, "{t:.6}");
-            for c in &self.columns {
-                let v = if i < c.len() {
-                    c.samples()[i].value
-                } else {
-                    c.value_at(t).unwrap_or(0.0)
-                };
-                let _ = write!(out, ",{v:.6}");
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c == ',' || c == '\n' { '_' } else { c })
-        .collect()
-}
-
-/// Writes a CSV string for a single series (`time,value` per line).
-pub fn series_to_csv(series: &TimeSeries) -> String {
-    let mut out = format!("time,{}\n", sanitize(series.name()));
-    for (t, v) in series.iter() {
-        let _ = writeln!(out, "{t:.6},{v:.6}");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -171,7 +89,7 @@ mod tests {
         rec.scalar("slope", 0.00066).scalar("intercept", 0.00057);
         rec.add_series(ts("overhead", &[(0.0, 0.001), (1.0, 0.002)]));
         let json = rec.to_json();
-        let parsed = ExperimentRecord::from_json(&json).unwrap();
+        let parsed = serde_json::from_str::<ExperimentRecord>(&json).unwrap();
         assert_eq!(parsed.id, "figure5");
         assert_eq!(parsed.get_scalar("slope"), Some(0.00066));
         assert_eq!(parsed.series.len(), 1);
@@ -191,44 +109,5 @@ mod tests {
         let table = rec.scalar_table();
         assert!(table.contains("alpha"));
         assert!(table.contains("beta"));
-    }
-
-    #[test]
-    fn series_table_csv_has_header_and_rows() {
-        let mut table = SeriesTable::new();
-        table.add(ts("fill", &[(0.0, 0.5), (1.0, 0.6)]));
-        table.add(ts("alloc", &[(0.0, 100.0), (1.0, 200.0)]));
-        let csv = table.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "time,fill,alloc");
-        assert!(lines[1].starts_with("0.000000,0.500000,100.000000"));
-    }
-
-    #[test]
-    fn series_table_with_mismatched_lengths_uses_hold() {
-        let mut table = SeriesTable::new();
-        table.add(ts("a", &[(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]));
-        table.add(ts("b", &[(0.0, 5.0)]));
-        let csv = table.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        // Column b holds its last value for later rows.
-        assert!(lines[3].ends_with("5.000000"));
-    }
-
-    #[test]
-    fn empty_table_renders_empty_csv() {
-        let table = SeriesTable::new();
-        assert!(table.to_csv().is_empty());
-        let mut t2 = SeriesTable::new();
-        t2.add(TimeSeries::new("empty"));
-        assert!(t2.to_csv().is_empty());
-    }
-
-    #[test]
-    fn commas_in_names_are_sanitised() {
-        let csv = series_to_csv(&ts("a,b", &[(0.0, 1.0)]));
-        assert!(csv.starts_with("time,a_b"));
     }
 }

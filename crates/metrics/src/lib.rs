@@ -5,15 +5,13 @@
 //! overhead.  This crate provides the small amount of numerical
 //! infrastructure those experiments need:
 //!
-//! * [`TimeSeries`] — an append-only `(time, value)` series with windowing,
-//!   resampling and summary statistics.
-//! * [`stats`] — scalar summaries ([`stats::Summary`]) and streaming
-//!   statistics ([`stats::OnlineStats`]).
+//! * [`TimeSeries`] — an append-only `(time, value)` series with windowing
+//!   and summary statistics.
+//! * [`stats`] — scalar summaries ([`stats::Summary`]).
 //! * [`histogram`] — a fixed-bucket histogram with percentile queries.
 //! * [`regression`] — ordinary-least-squares linear regression, used to fit
 //!   the controller-overhead line of Figure 5.
-//! * [`jitter`] — inter-sample jitter and deadline-miss accounting.
-//! * [`export`] — CSV and JSON emission of experiment records.
+//! * [`export`] — JSON emission of experiment records.
 //! * [`plot`] — terminal-friendly ASCII plots for the example binaries.
 //!
 //! The crate is deliberately free of scheduling concepts: it only knows about
@@ -24,15 +22,13 @@
 
 pub mod export;
 pub mod histogram;
-pub mod jitter;
 pub mod plot;
 pub mod regression;
 pub mod stats;
 pub mod timeseries;
 
-pub use export::{ExperimentRecord, SeriesTable};
+pub use export::ExperimentRecord;
 pub use histogram::Histogram;
-pub use jitter::{DeadlineTracker, JitterTracker};
 pub use regression::{linear_fit, LinearFit};
-pub use stats::{OnlineStats, Summary};
+pub use stats::Summary;
 pub use timeseries::TimeSeries;

@@ -7,9 +7,13 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use rrs_metrics::Summary;
+/// use rrs_metrics::TimeSeries;
 ///
-/// let s = Summary::from_values([1.0, 2.0, 3.0, 4.0]);
+/// let mut series = TimeSeries::new("samples");
+/// for (t, v) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+///     series.push(t as f64, v);
+/// }
+/// let s = series.summary();
 /// assert_eq!(s.count, 4);
 /// assert_eq!(s.mean, 2.5);
 /// assert_eq!(s.min, 1.0);
@@ -35,7 +39,7 @@ pub struct Summary {
 
 impl Summary {
     /// Computes a summary from an iterator of values.
-    pub fn from_values<I: IntoIterator<Item = f64>>(values: I) -> Self {
+    pub(crate) fn from_values<I: IntoIterator<Item = f64>>(values: I) -> Self {
         let mut online = OnlineStats::new();
         for v in values {
             online.push(v);
@@ -44,7 +48,7 @@ impl Summary {
     }
 
     /// Returns an all-zero summary for an empty collection.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             count: 0,
             mean: 0.0,
@@ -55,36 +59,12 @@ impl Summary {
             sum: 0.0,
         }
     }
-
-    /// Coefficient of variation (stddev / mean), or 0.0 when the mean is 0.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean.abs()
-        }
-    }
 }
 
-/// Streaming (Welford) mean/variance accumulator.
-///
-/// Keeps O(1) state so the simulator can track statistics for long runs
-/// without storing every sample.
-///
-/// # Examples
-///
-/// ```
-/// use rrs_metrics::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.variance(), 4.0);
-/// ```
+/// Streaming (Welford) mean/variance accumulator behind
+/// [`Summary::from_values`].
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
+pub(crate) struct OnlineStats {
     count: usize,
     mean: f64,
     m2: f64,
@@ -118,11 +98,6 @@ impl OnlineStats {
         self.max = self.max.max(value);
     }
 
-    /// Number of values pushed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Current mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -133,7 +108,7 @@ impl OnlineStats {
     }
 
     /// Population variance (0.0 when empty).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -141,18 +116,8 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance with Bessel's correction (0.0 with fewer than two
-    /// values).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -174,11 +139,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sum of pushed values.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Converts the accumulated state into a [`Summary`].
     pub fn summary(&self) -> Summary {
         if self.count == 0 {
@@ -194,28 +154,6 @@ impl OnlineStats {
             sum: self.sum,
         }
     }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = (self.count + other.count) as f64;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total;
-        let new_m2 =
-            self.m2 + other.m2 + delta * delta * self.count as f64 * other.count as f64 / total;
-        self.count += other.count;
-        self.mean = new_mean;
-        self.m2 = new_m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +165,6 @@ mod tests {
     fn empty_summary_is_all_zero() {
         let s = Summary::from_values(std::iter::empty());
         assert_eq!(s, Summary::empty());
-        assert_eq!(s.coefficient_of_variation(), 0.0);
     }
 
     #[test]
@@ -251,62 +188,7 @@ mod tests {
         assert_eq!(s.stddev(), 2.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn sample_variance_uses_bessel_correction() {
-        let mut s = OnlineStats::new();
-        for v in [1.0, 2.0, 3.0] {
-            s.push(v);
-        }
-        assert!((s.sample_variance() - 1.0).abs() < 1e-12);
-        assert!((s.variance() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_of_disjoint_accumulators_matches_single_pass() {
-        let values = [1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0];
-        let mut whole = OnlineStats::new();
-        for &v in &values {
-            whole.push(v);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &v in &values[..3] {
-            a.push(v);
-        }
-        for &v in &values[3..] {
-            b.push(v);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-12);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a.summary();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.summary(), before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.summary(), before);
-    }
-
-    #[test]
-    fn coefficient_of_variation() {
-        let s = Summary::from_values([10.0, 10.0, 10.0]);
-        assert_eq!(s.coefficient_of_variation(), 0.0);
-        let s2 = Summary::from_values([5.0, 15.0]);
-        assert!(s2.coefficient_of_variation() > 0.0);
+        assert_eq!(s.summary().sum, 40.0);
     }
 
     proptest! {
@@ -316,25 +198,6 @@ mod tests {
             prop_assert!(s.min <= s.mean + 1e-9);
             prop_assert!(s.mean <= s.max + 1e-9);
             prop_assert!(s.variance >= 0.0);
-        }
-
-        #[test]
-        fn merge_is_equivalent_to_concatenation(
-            a in proptest::collection::vec(-1e3f64..1e3, 0..100),
-            b in proptest::collection::vec(-1e3f64..1e3, 0..100),
-        ) {
-            let mut merged = OnlineStats::new();
-            for &v in &a { merged.push(v); }
-            let mut other = OnlineStats::new();
-            for &v in &b { other.push(v); }
-            merged.merge(&other);
-
-            let mut whole = OnlineStats::new();
-            for &v in a.iter().chain(b.iter()) { whole.push(v); }
-
-            prop_assert_eq!(merged.count(), whole.count());
-            prop_assert!((merged.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((merged.variance() - whole.variance()).abs() < 1e-6);
         }
     }
 }

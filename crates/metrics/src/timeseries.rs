@@ -101,11 +101,6 @@ impl TimeSeries {
         self.samples.iter().map(|s| s.value).collect()
     }
 
-    /// Returns the timestamps only.
-    pub fn times(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| s.time).collect()
-    }
-
     /// Returns a summary of the sample values.
     pub fn summary(&self) -> Summary {
         Summary::from_values(self.samples.iter().map(|s| s.value))
@@ -153,28 +148,6 @@ impl TimeSeries {
         result
     }
 
-    /// Resamples the series onto a fixed grid `[t0, t0 + dt, ...]` with
-    /// zero-order hold, producing `count` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive.
-    pub fn resample(&self, t0: f64, dt: f64, count: usize) -> TimeSeries {
-        assert!(dt > 0.0, "resample interval must be positive");
-        let mut out = TimeSeries::with_capacity(self.name.clone(), count);
-        let mut idx = 0usize;
-        let mut held = self.samples.first().map(|s| s.value).unwrap_or(0.0);
-        for k in 0..count {
-            let t = t0 + dt * k as f64;
-            while idx < self.samples.len() && self.samples[idx].time <= t {
-                held = self.samples[idx].value;
-                idx += 1;
-            }
-            out.push(t, held);
-        }
-        out
-    }
-
     /// Returns the time of the first sample (at or after `from`) whose value
     /// satisfies `pred`, or `None` if none does.
     ///
@@ -185,40 +158,6 @@ impl TimeSeries {
             .iter()
             .find(|s| s.time >= from && pred(s.value))
             .map(|s| s.time)
-    }
-
-    /// Computes a new series of the point-wise difference `self - other`
-    /// over the shorter of the two lengths, pairing samples by index.
-    pub fn pointwise_sub(&self, other: &TimeSeries) -> TimeSeries {
-        let n = self.len().min(other.len());
-        let mut out = TimeSeries::with_capacity(format!("{}-{}", self.name, other.name), n);
-        for i in 0..n {
-            out.push(
-                self.samples[i].time,
-                self.samples[i].value - other.samples[i].value,
-            );
-        }
-        out
-    }
-
-    /// Returns the maximum absolute deviation of the values from `target`.
-    pub fn max_abs_deviation(&self, target: f64) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| (s.value - target).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Integrates the series over time using the trapezoidal rule.
-    ///
-    /// Returns 0.0 for series with fewer than two samples.
-    pub fn integrate(&self) -> f64 {
-        let mut acc = 0.0;
-        for pair in self.samples.windows(2) {
-            let dt = pair[1].time - pair[0].time;
-            acc += 0.5 * (pair[0].value + pair[1].value) * dt;
-        }
-        acc
     }
 }
 
@@ -278,50 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn resample_holds_last_value() {
-        let ts = series(&[(0.0, 1.0), (1.0, 3.0)]);
-        let r = ts.resample(0.0, 0.5, 4);
-        assert_eq!(r.values(), vec![1.0, 1.0, 3.0, 3.0]);
-        assert_eq!(r.times(), vec![0.0, 0.5, 1.0, 1.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "resample interval must be positive")]
-    fn resample_rejects_zero_dt() {
-        let ts = series(&[(0.0, 1.0)]);
-        let _ = ts.resample(0.0, 0.0, 4);
-    }
-
-    #[test]
     fn first_time_where_finds_threshold_crossing() {
         let ts = series(&[(0.0, 0.0), (1.0, 0.4), (2.0, 0.9), (3.0, 1.0)]);
         assert_eq!(ts.first_time_where(0.0, |v| v >= 0.9), Some(2.0));
         assert_eq!(ts.first_time_where(2.5, |v| v >= 0.9), Some(3.0));
         assert_eq!(ts.first_time_where(0.0, |v| v >= 2.0), None);
-    }
-
-    #[test]
-    fn pointwise_sub_pairs_by_index() {
-        let a = series(&[(0.0, 5.0), (1.0, 6.0), (2.0, 7.0)]);
-        let b = series(&[(0.0, 1.0), (1.0, 2.0)]);
-        let d = a.pointwise_sub(&b);
-        assert_eq!(d.values(), vec![4.0, 4.0]);
-    }
-
-    #[test]
-    fn max_abs_deviation_from_target() {
-        let ts = series(&[(0.0, 0.4), (1.0, 0.7), (2.0, 0.45)]);
-        let dev = ts.max_abs_deviation(0.5);
-        assert!((dev - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn integrate_trapezoid() {
-        // f(t) = t on [0, 2] integrates to 2.0.
-        let ts = series(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        assert!((ts.integrate() - 2.0).abs() < 1e-12);
-        // Fewer than two samples integrates to zero.
-        assert_eq!(series(&[(0.0, 7.0)]).integrate(), 0.0);
     }
 
     #[test]

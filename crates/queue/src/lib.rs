@@ -12,30 +12,26 @@
 //!
 //! * [`BoundedBuffer`] — a thread-safe bounded FIFO whose fill level is
 //!   observable, the direct analogue of the paper's shared-queue library.
-//! * [`Pipe`] — a byte-oriented bounded channel modelling the in-kernel pipe
-//!   and socket implementations the authors extended.
 //! * [`ProgressMetric`] — the trait through which the controller samples any
 //!   progress source; [`FillSample`] is one observation.
 //! * [`MetricRegistry`] — the meta-interface: jobs register `(metric, role)`
 //!   attachments and the controller enumerates them each period.
 //! * [`Role`] — producer or consumer, which flips the sign of the pressure.
-//! * [`pseudo`] — pseudo-progress metrics (§4.5) that map an arbitrary
-//!   counter (keys cracked, digits computed) onto a virtual fill level so
-//!   legacy jobs can participate in real-rate scheduling.
+//!
+//! Only the shared queue is modelled.  A byte-pipe model and the §4.5
+//! pseudo-progress metrics (an arbitrary work counter mapped onto a
+//! virtual fill level) would plug in through [`ProgressMetric`]; no
+//! workload needs either yet.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bounded;
 pub mod metric;
-pub mod pipe;
-pub mod pseudo;
 pub mod registry;
 pub mod role;
 
 pub use bounded::{BoundedBuffer, Full};
-pub use metric::{ConstantMetric, FillSample, ProgressMetric, SharedMetric};
-pub use pipe::Pipe;
-pub use pseudo::{CounterProgress, RateTarget};
+pub use metric::{FillSample, ProgressMetric, SharedMetric};
 pub use registry::{Attachment, AttachmentId, JobKey, MetricRegistry};
 pub use role::Role;

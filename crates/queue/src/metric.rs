@@ -49,8 +49,8 @@ impl FillSample {
 
 /// A source of progress observations.
 ///
-/// Implemented by [`crate::BoundedBuffer`], [`crate::Pipe`] and the
-/// pseudo-progress adapters; the controller only ever sees this trait.
+/// Implemented by [`crate::BoundedBuffer`]; the controller only ever sees
+/// this trait.
 pub trait ProgressMetric: Send + Sync {
     /// Samples the current fill level.
     fn sample(&self) -> FillSample;
@@ -74,34 +74,27 @@ impl<M: ProgressMetric + ?Sized> ProgressMetric for Arc<M> {
     }
 }
 
-/// A fixed-value metric, useful in tests and for the constant-pressure
-/// heuristic applied to miscellaneous jobs.
+/// A fixed-value metric: the fake the registry and `Arc` delegation
+/// tests sample.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct ConstantMetric {
+pub(crate) struct ConstantMetric {
     sample: FillSample,
     name: String,
 }
 
+#[cfg(test)]
 impl ConstantMetric {
     /// Creates a metric that always reports `level` out of `capacity`.
-    pub fn new(level: usize, capacity: usize) -> Self {
+    pub(crate) fn new(level: usize, capacity: usize) -> Self {
         Self {
             sample: FillSample::new(level, capacity),
             name: format!("constant({level}/{capacity})"),
         }
     }
-
-    /// Creates a metric from a centred pressure value in `[-1/2, 1/2]`.
-    ///
-    /// The capacity is fixed at 1000 "slots"; the level is chosen so that
-    /// [`FillSample::centered`] returns approximately `pressure`.
-    pub fn from_pressure(pressure: f64) -> Self {
-        let p = pressure.clamp(-0.5, 0.5);
-        let level = ((p + 0.5) * 1000.0).round() as usize;
-        Self::new(level, 1000)
-    }
 }
 
+#[cfg(test)]
 impl ProgressMetric for ConstantMetric {
     fn sample(&self) -> FillSample {
         self.sample
@@ -152,14 +145,6 @@ mod tests {
         let m = ConstantMetric::new(25, 100);
         assert_eq!(m.sample().fraction(), 0.25);
         assert!(m.name().contains("constant"));
-    }
-
-    #[test]
-    fn constant_metric_from_pressure() {
-        let m = ConstantMetric::from_pressure(0.25);
-        assert!((m.sample().centered() - 0.25).abs() < 1e-3);
-        let clamped = ConstantMetric::from_pressure(5.0);
-        assert!((clamped.sample().centered() - 0.5).abs() < 1e-3);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Attachment {
 
     /// The signed, centred pressure contribution `R_{t,i} · F_{t,i}` of this
     /// attachment (Figure 3).
-    pub fn signed_pressure(&self) -> f64 {
+    pub(crate) fn signed_pressure(&self) -> f64 {
         self.role.sign() * self.sample().centered()
     }
 }
@@ -81,7 +81,8 @@ impl std::fmt::Debug for Attachment {
 /// let queue = Arc::new(BoundedBuffer::<u32>::new("frames", 8));
 /// registry.register(JobKey(1), Role::Producer, queue.clone());
 /// registry.register(JobKey(2), Role::Consumer, queue);
-/// assert_eq!(registry.attachments_for(JobKey(2)).len(), 1);
+/// assert!(registry.has_attachments(JobKey(2)));
+/// assert_eq!(registry.len(), 2);
 /// ```
 #[derive(Clone, Default)]
 pub struct MetricRegistry {
@@ -92,15 +93,8 @@ pub struct MetricRegistry {
 struct RegistryInner {
     next_id: AtomicU64,
     version: AtomicU64,
-    table: RwLock<Buckets>,
-}
-
-/// Attachments bucketed by owning job, plus an id → job index so
-/// [`MetricRegistry::unregister`] stays cheap.
-#[derive(Default)]
-struct Buckets {
-    by_job: BTreeMap<JobKey, Vec<Attachment>>,
-    owner_of: BTreeMap<AttachmentId, JobKey>,
+    /// Attachments bucketed by owning job.
+    table: RwLock<BTreeMap<JobKey, Vec<Attachment>>>,
 }
 
 impl MetricRegistry {
@@ -119,63 +113,27 @@ impl MetricRegistry {
             metric,
         };
         let mut table = self.inner.table.write();
-        table.by_job.entry(job).or_default().push(attachment);
-        table.owner_of.insert(id, job);
+        table.entry(job).or_default().push(attachment);
         self.inner.version.fetch_add(1, Ordering::Relaxed);
         id
-    }
-
-    /// Removes an attachment; returns `true` if it existed.
-    pub fn unregister(&self, id: AttachmentId) -> bool {
-        let mut table = self.inner.table.write();
-        let Some(job) = table.owner_of.remove(&id) else {
-            return false;
-        };
-        if let Some(bucket) = table.by_job.get_mut(&job) {
-            bucket.retain(|a| a.id != id);
-            if bucket.is_empty() {
-                table.by_job.remove(&job);
-            }
-        }
-        self.inner.version.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// Removes every attachment belonging to `job` and returns how many were
     /// removed.  Called when a job exits.
     pub fn unregister_job(&self, job: JobKey) -> usize {
-        let mut table = self.inner.table.write();
-        let Some(bucket) = table.by_job.remove(&job) else {
+        let Some(bucket) = self.inner.table.write().remove(&job) else {
             return 0;
         };
-        for a in &bucket {
-            table.owner_of.remove(&a.id);
-        }
         self.inner.version.fetch_add(1, Ordering::Relaxed);
         bucket.len()
     }
 
-    /// A counter bumped on every successful [`register`](Self::register),
-    /// [`unregister`](Self::unregister) and
-    /// [`unregister_job`](Self::unregister_job).  Callers that cache derived
-    /// per-job state (e.g. "does this job have a progress metric?") can
-    /// compare versions instead of re-enumerating the table.
+    /// A counter bumped on every [`register`](Self::register) and every
+    /// successful [`unregister_job`](Self::unregister_job).  Callers that
+    /// cache derived per-job state (e.g. "does this job have a progress
+    /// metric?") can compare versions instead of re-enumerating the table.
     pub fn version(&self) -> u64 {
         self.inner.version.load(Ordering::Relaxed)
-    }
-
-    /// Returns all attachments for the given job.
-    ///
-    /// Allocates a fresh `Vec`; the controller's hot path uses
-    /// [`MetricRegistry::for_each_attachment`] instead.
-    pub fn attachments_for(&self, job: JobKey) -> Vec<Attachment> {
-        self.inner
-            .table
-            .read()
-            .by_job
-            .get(&job)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Visits every attachment of `job` without allocating.
@@ -183,7 +141,7 @@ impl MetricRegistry {
     /// The registry's read lock is held for the duration of the call; do not
     /// register or unregister from inside `f`.
     pub fn for_each_attachment(&self, job: JobKey, mut f: impl FnMut(&Attachment)) {
-        if let Some(bucket) = self.inner.table.read().by_job.get(&job) {
+        if let Some(bucket) = self.inner.table.read().get(&job) {
             for a in bucket {
                 f(a);
             }
@@ -193,7 +151,7 @@ impl MetricRegistry {
     /// Returns `true` if `job` has at least one registered attachment —
     /// the "progress metric visible" input to the Figure 2 taxonomy.
     pub fn has_attachments(&self, job: JobKey) -> bool {
-        self.inner.table.read().by_job.contains_key(&job)
+        self.inner.table.read().contains_key(&job)
     }
 
     /// Returns every registered attachment, ordered by job then
@@ -202,7 +160,6 @@ impl MetricRegistry {
         self.inner
             .table
             .read()
-            .by_job
             .values()
             .flatten()
             .cloned()
@@ -211,7 +168,7 @@ impl MetricRegistry {
 
     /// Returns the distinct jobs that currently have attachments.
     pub fn jobs(&self) -> Vec<JobKey> {
-        self.inner.table.read().by_job.keys().copied().collect()
+        self.inner.table.read().keys().copied().collect()
     }
 
     /// Returns the summed signed pressure `Σ_i R_{t,i} · F_{t,i}` for `job`,
@@ -219,13 +176,13 @@ impl MetricRegistry {
     /// Does not allocate.
     pub fn summed_pressure(&self, job: JobKey) -> Option<f64> {
         let table = self.inner.table.read();
-        let bucket = table.by_job.get(&job)?;
+        let bucket = table.get(&job)?;
         Some(bucket.iter().map(Attachment::signed_pressure).sum())
     }
 
     /// Number of registered attachments.
     pub fn len(&self) -> usize {
-        self.inner.table.read().owner_of.len()
+        self.inner.table.read().values().map(Vec::len).sum()
     }
 
     /// Returns `true` if nothing is registered.
@@ -260,22 +217,26 @@ mod tests {
         reg.register(JobKey(2), Role::Consumer, q);
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.jobs(), vec![JobKey(1), JobKey(2)]);
-        assert_eq!(reg.attachments_for(JobKey(1)).len(), 1);
-        assert_eq!(reg.attachments_for(JobKey(3)).len(), 0);
+        let count = |job| {
+            let mut n = 0;
+            reg.for_each_attachment(job, |_| n += 1);
+            n
+        };
+        assert_eq!(count(JobKey(1)), 1);
+        assert_eq!(count(JobKey(3)), 0);
         assert!(reg.has_attachments(JobKey(1)));
         assert!(!reg.has_attachments(JobKey(3)));
     }
 
     #[test]
-    fn unregister_by_id_and_by_job() {
+    fn unregister_job_removes_every_attachment_of_the_job() {
         let reg = MetricRegistry::new();
         let q = buffer(4);
-        let id = reg.register(JobKey(1), Role::Producer, q.clone());
+        reg.register(JobKey(1), Role::Producer, q.clone());
         reg.register(JobKey(1), Role::Consumer, q.clone());
         reg.register(JobKey(2), Role::Consumer, q);
-        assert!(reg.unregister(id));
-        assert!(!reg.unregister(id));
-        assert_eq!(reg.unregister_job(JobKey(1)), 1);
+        assert_eq!(reg.unregister_job(JobKey(1)), 2);
+        assert_eq!(reg.unregister_job(JobKey(1)), 0);
         assert_eq!(reg.len(), 1);
         assert!(!reg.is_empty());
         assert!(!reg.has_attachments(JobKey(1)));
@@ -285,19 +246,15 @@ mod tests {
     fn version_bumps_on_every_mutation() {
         let reg = MetricRegistry::new();
         let v0 = reg.version();
-        let id = reg.register(JobKey(1), Role::Producer, buffer(4));
+        reg.register(JobKey(1), Role::Producer, buffer(4));
         assert!(reg.version() > v0);
         let v1 = reg.version();
-        assert!(reg.unregister(id));
+        assert_eq!(reg.unregister_job(JobKey(1)), 1);
         assert!(reg.version() > v1);
         let v2 = reg.version();
         // Failed unregister leaves the version alone.
-        assert!(!reg.unregister(id));
+        assert_eq!(reg.unregister_job(JobKey(1)), 0);
         assert_eq!(reg.version(), v2);
-        reg.register(JobKey(2), Role::Consumer, buffer(4));
-        let v3 = reg.version();
-        assert_eq!(reg.unregister_job(JobKey(2)), 1);
-        assert!(reg.version() > v3);
     }
 
     #[test]

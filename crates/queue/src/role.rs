@@ -24,24 +24,6 @@ impl Role {
             Role::Consumer => 1.0,
         }
     }
-
-    /// Returns the opposite role.
-    pub fn opposite(self) -> Role {
-        match self {
-            Role::Producer => Role::Consumer,
-            Role::Consumer => Role::Producer,
-        }
-    }
-
-    /// Returns `true` for [`Role::Producer`].
-    pub fn is_producer(self) -> bool {
-        matches!(self, Role::Producer)
-    }
-
-    /// Returns `true` for [`Role::Consumer`].
-    pub fn is_consumer(self) -> bool {
-        matches!(self, Role::Consumer)
-    }
 }
 
 impl std::fmt::Display for Role {
@@ -61,20 +43,6 @@ mod tests {
     fn signs_match_figure_3() {
         assert_eq!(Role::Producer.sign(), -1.0);
         assert_eq!(Role::Consumer.sign(), 1.0);
-    }
-
-    #[test]
-    fn opposite_is_involutive() {
-        assert_eq!(Role::Producer.opposite(), Role::Consumer);
-        assert_eq!(Role::Consumer.opposite(), Role::Producer);
-        assert_eq!(Role::Producer.opposite().opposite(), Role::Producer);
-    }
-
-    #[test]
-    fn predicates() {
-        assert!(Role::Producer.is_producer());
-        assert!(!Role::Producer.is_consumer());
-        assert!(Role::Consumer.is_consumer());
     }
 
     #[test]

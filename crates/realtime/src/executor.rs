@@ -76,7 +76,7 @@ impl ExecutorConfig {
 
     /// The idle sleep for a given idle quantum: the quantum clamped to the
     /// configured bounds.
-    pub fn idle_sleep(&self, quantum_us: u64) -> Duration {
+    pub(crate) fn idle_sleep(&self, quantum_us: u64) -> Duration {
         let max = self.idle_sleep_max_us.max(self.idle_sleep_min_us);
         Duration::from_micros(quantum_us.clamp(self.idle_sleep_min_us, max))
     }
@@ -213,11 +213,6 @@ impl RealTimeExecutor {
     /// The progress-metric registry shared with tasks.
     pub fn registry(&self) -> MetricRegistry {
         self.controller().registry().clone()
-    }
-
-    /// Number of registered (not yet finished) tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.values().filter(|t| !t.done).count()
     }
 
     /// Total CPU time granted to a task so far.
@@ -515,7 +510,7 @@ mod tests {
         exec.shutdown();
         assert!(counter.load(Ordering::Relaxed) > 0);
         assert!(exec.cpu_time(handle) > Duration::ZERO);
-        assert_eq!(exec.task_count(), 0);
+        assert!(exec.tasks.is_empty());
     }
 
     #[test]

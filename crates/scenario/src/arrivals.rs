@@ -40,7 +40,7 @@ impl ArrivalRng {
     }
 
     /// A uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -98,11 +98,11 @@ pub enum ArrivalProcess {
 
 /// Hard cap on the arrivals one `sample` call may produce, protecting
 /// fuzzed specs from accidentally unbounded populations.
-pub const MAX_ARRIVALS_PER_WINDOW: usize = 100_000;
+pub(crate) const MAX_ARRIVALS_PER_WINDOW: usize = 100_000;
 
 impl ArrivalProcess {
     /// The instantaneous arrival rate at scenario time `t_s`.
-    pub fn rate_at(&self, t_s: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t_s: f64) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_hz } => rate_hz,
             ArrivalProcess::OnOff {
@@ -148,7 +148,7 @@ impl ArrivalProcess {
     }
 
     /// An upper bound on the rate over all time (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_hz } => rate_hz,
             ArrivalProcess::OnOff { rate_hz, .. } => rate_hz,
@@ -166,7 +166,7 @@ impl ArrivalProcess {
     ///
     /// Sampling is exact thinning against the peak-rate envelope and fully
     /// determined by `rng`'s state.  At most
-    /// [`MAX_ARRIVALS_PER_WINDOW`] arrivals are returned.
+    /// `MAX_ARRIVALS_PER_WINDOW` arrivals are returned.
     pub fn sample(&self, rng: &mut ArrivalRng, start_s: f64, end_s: f64, scale: f64) -> Vec<f64> {
         let envelope = self.peak_rate() * scale;
         if envelope <= 0.0 || end_s <= start_s {

@@ -25,7 +25,7 @@ fn phase(name: &str, duration_s: f64, load: f64, inject_hogs: u32, cpus: Option<
 
 /// `steady_video`: the §4.4 multimedia pipeline plus an interactive
 /// typist on the paper's single CPU — the bread-and-butter case.
-pub fn steady_video() -> ScenarioSpec {
+pub(crate) fn steady_video() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "steady_video",
         "30 fps video pipeline plus an interactive typist on one CPU; queues \
@@ -70,7 +70,7 @@ pub fn steady_video() -> ScenarioSpec {
 
 /// `flash_crowd_8cpu`: a fleet of hogs and a web server on eight CPUs
 /// surviving a 30× arrival spike of short-lived workers.
-pub fn flash_crowd_8cpu() -> ScenarioSpec {
+pub(crate) fn flash_crowd_8cpu() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "flash_crowd_8cpu",
         "web server plus six hogs on 8 CPUs; a flash crowd of transient \
@@ -129,7 +129,7 @@ pub fn flash_crowd_8cpu() -> ScenarioSpec {
 
 /// `diurnal_server`: a web server riding a day-shaped load curve with
 /// stepped phase multipliers on top.
-pub fn diurnal_server() -> ScenarioSpec {
+pub(crate) fn diurnal_server() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "diurnal_server",
         "web server on two CPUs under a diurnal arrival ramp with phase load \
@@ -192,7 +192,7 @@ pub fn diurnal_server() -> ScenarioSpec {
 
 /// `hog_storm`: a real-time reservation rides out a storm of injected
 /// hogs — the paper's isolation claim, made machine-checkable.
-pub fn hog_storm() -> ScenarioSpec {
+pub(crate) fn hog_storm() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "hog_storm",
         "a 300 ‰ real-time spinner and two adaptive hogs on two CPUs survive \
@@ -220,7 +220,7 @@ pub fn hog_storm() -> ScenarioSpec {
 
 /// `mixed_rt_adaptive`: reserved isochronous work, adaptive multimedia
 /// and background churn sharing a four-CPU machine.
-pub fn mixed_rt_adaptive() -> ScenarioSpec {
+pub(crate) fn mixed_rt_adaptive() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "mixed_rt_adaptive",
         "software modem (reserved) + video pipeline + hogs + Poisson churn \
@@ -265,7 +265,7 @@ pub fn mixed_rt_adaptive() -> ScenarioSpec {
 
 /// `modem_burst`: the §1 software modem keeps every deadline while
 /// bursty best-effort load comes and goes around it.
-pub fn modem_burst() -> ScenarioSpec {
+pub(crate) fn modem_burst() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "modem_burst",
         "reserved software modem on one CPU against an on/off burst train \
@@ -295,7 +295,7 @@ pub fn modem_burst() -> ScenarioSpec {
 
 /// `pipeline_cascade`: two queue-coupled cascades (pulse pipeline and
 /// disk reader) plus a typist — three progress signals regulated at once.
-pub fn pipeline_cascade() -> ScenarioSpec {
+pub(crate) fn pipeline_cascade() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "pipeline_cascade",
         "figure-6 pulse pipeline + disk/reader cascade + typist on two CPUs: \
@@ -335,7 +335,7 @@ pub fn pipeline_cascade() -> ScenarioSpec {
 
 /// `churn_saturated`: a saturated small machine that scales out mid-run —
 /// the hot-add hook under a heavy churning population.
-pub fn churn_saturated() -> ScenarioSpec {
+pub(crate) fn churn_saturated() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "churn_saturated",
         "three hogs plus 6 Hz transient-hog churn saturate two CPUs; the \
@@ -392,7 +392,7 @@ pub fn smoke_corpus() -> Vec<ScenarioSpec> {
 /// against two hogs — on **real OS threads**.  Three real seconds; the
 /// SLOs are tolerance bands (wall-clock runs carry OS timing noise), not
 /// the simulator's exact expectations.
-pub fn wall_steady_mix() -> ScenarioSpec {
+pub(crate) fn wall_steady_mix() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "wall_steady_mix",
         "reserved spinner plus two hogs on the wall-clock backend; the \
@@ -422,7 +422,7 @@ pub fn wall_steady_mix() -> ScenarioSpec {
 /// `wall_pipeline_churn`: the Figure 6 pulse pipeline plus Poisson
 /// worker churn and a mid-run hog storm, sharded over two logical CPUs —
 /// on **real OS threads**.
-pub fn wall_pipeline_churn() -> ScenarioSpec {
+pub(crate) fn wall_pipeline_churn() -> ScenarioSpec {
     let mut s = ScenarioSpec::named(
         "wall_pipeline_churn",
         "steady pulse pipeline under transient churn and a hog injection on \

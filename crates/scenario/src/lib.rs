@@ -42,6 +42,6 @@ pub mod spec;
 pub use arrivals::{ArrivalProcess, ArrivalRng};
 pub use corpus::{corpus, scenario_by_name, smoke_corpus, wall_clock_smoke_corpus};
 pub use rrs_api::Backend;
-pub use runner::{run_scenario, run_scenario_on, write_report, JobCounts, ScenarioReport};
+pub use runner::{run_scenario, write_report, JobCounts, ScenarioReport};
 pub use slo::{Slo, SloOutcome};
 pub use spec::{ArrivalStream, Member, Phase, ScenarioSpec, SpecError, TransientJob};

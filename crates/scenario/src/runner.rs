@@ -5,7 +5,7 @@
 //! the schedule — phase starts (load steps, hog storms, CPU hot-adds),
 //! seeded transient arrivals and their departures — and then drives the
 //! host from event to event.  At the end it assembles the
-//! [`Observations`] the SLOs are evaluated against and, optionally,
+//! `Observations` the SLOs are evaluated against and, optionally,
 //! writes the report to `results/scenario_<name>.json`.
 //!
 //! The run is backend-agnostic: the spec's `backend` field picks the
@@ -336,7 +336,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, SpecError> {
 ///
 /// The host should be freshly built with the spec's CPU count; jobs the
 /// caller installed beforehand simply compete with the scenario.
-pub fn run_scenario_on(
+pub(crate) fn run_scenario_on(
     host: &mut dyn Host,
     spec: &ScenarioSpec,
 ) -> Result<ScenarioReport, SpecError> {

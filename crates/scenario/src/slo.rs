@@ -102,7 +102,7 @@ pub enum Slo {
 
 /// Everything an [`Slo`] may be evaluated against.
 #[derive(Debug, Clone)]
-pub struct Observations<'a> {
+pub(crate) struct Observations<'a> {
     /// The run's recorded time series.
     pub trace: &'a Trace,
     /// Elapsed simulated time in seconds.
@@ -156,7 +156,7 @@ impl Slo {
     /// a queue that was never registered for [`Slo::FillBand`]) fail
     /// rather than pass vacuously — a spec asserting on a missing signal
     /// is a spec bug worth surfacing.
-    pub fn evaluate(&self, obs: &Observations<'_>) -> SloOutcome {
+    pub(crate) fn evaluate(&self, obs: &Observations<'_>) -> SloOutcome {
         let (description, measured, passed) = match self {
             Slo::DeadlineMissRate { max } => {
                 if obs.period_rollovers == 0 {

@@ -239,14 +239,14 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Upper bound on the expected transient population of one run.
-pub const MAX_EXPECTED_ARRIVALS: f64 = 20_000.0;
+pub(crate) const MAX_EXPECTED_ARRIVALS: f64 = 20_000.0;
 
 /// Largest machine a scenario may ask for.
-pub const MAX_SCENARIO_CPUS: usize = 64;
+pub(crate) const MAX_SCENARIO_CPUS: usize = 64;
 
 /// Longest run a wall-clock scenario may declare, in (real) seconds —
 /// wall-clock runs spend actual time, so the corpus keeps them short.
-pub const MAX_WALL_CLOCK_HORIZON_S: f64 = 30.0;
+pub(crate) const MAX_WALL_CLOCK_HORIZON_S: f64 = 30.0;
 
 impl ScenarioSpec {
     /// An empty spec with a name, description, one CPU and seed 1.
@@ -261,12 +261,12 @@ impl ScenarioSpec {
     }
 
     /// Total simulated length: the sum of the phase durations.
-    pub fn horizon_s(&self) -> f64 {
+    pub(crate) fn horizon_s(&self) -> f64 {
         self.phases.iter().map(|p| p.duration_s).sum()
     }
 
     /// Absolute `[start_s, end_s)` windows of every phase.
-    pub fn phase_windows(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn phase_windows(&self) -> Vec<(f64, f64)> {
         let mut out = Vec::with_capacity(self.phases.len());
         let mut t = 0.0;
         for p in &self.phases {

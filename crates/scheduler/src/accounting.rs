@@ -54,7 +54,7 @@ impl UsageAccount {
     }
 
     /// Remaining budget in the current period.
-    pub fn remaining_us(&self) -> u64 {
+    pub(crate) fn remaining_us(&self) -> u64 {
         self.budget_us.saturating_sub(self.used_this_period_us)
     }
 
@@ -64,12 +64,12 @@ impl UsageAccount {
     /// an explicit zero-proportion reservation grants nothing, so the
     /// thread must throttle after its first (minimal) quantum instead of
     /// winning every rate-monotonic dispatch for free.
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.used_this_period_us >= self.budget_us && self.used_this_period_us > 0
     }
 
     /// Marks that the thread was runnable at some point this period.
-    pub fn mark_runnable(&mut self) {
+    pub(crate) fn mark_runnable(&mut self) {
         self.was_runnable_this_period = true;
     }
 
@@ -79,7 +79,8 @@ impl UsageAccount {
     /// budget).  The one-boundary reference [`UsageAccount::roll_periods`]
     /// is tested against; the dispatcher closes every period through the
     /// batch form.
-    pub fn roll_period(&mut self, now_us: u64, next_budget_us: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn roll_period(&mut self, now_us: u64, next_budget_us: u64) -> bool {
         let missed = self.was_runnable_this_period
             && self.budget_us > 0
             && self.used_this_period_us < self.budget_us;
@@ -114,7 +115,7 @@ impl UsageAccount {
     /// every boundary.  `final_start_us` is the last boundary's instant and
     /// becomes the new period start.  Returns how many of the `k` closed
     /// periods missed their deadline.
-    pub fn roll_periods(
+    pub(crate) fn roll_periods(
         &mut self,
         k: u64,
         next_budget_us: u64,
@@ -152,21 +153,11 @@ impl UsageAccount {
     /// used, in `[0, 1]`; 1.0 when the last budget was zero (nothing was
     /// wasted).  The controller's reclamation rule (Figure 4) reduces the
     /// allocation when this falls below a threshold.
-    pub fn last_period_usage_ratio(&self) -> f64 {
+    pub(crate) fn last_period_usage_ratio(&self) -> f64 {
         if self.last_period_budget_us == 0 {
             1.0
         } else {
             (self.last_period_used_us as f64 / self.last_period_budget_us as f64).min(1.0)
-        }
-    }
-
-    /// Lifetime usage ratio (total used / total budgeted), 1.0 when nothing
-    /// has been budgeted yet.
-    pub fn lifetime_usage_ratio(&self) -> f64 {
-        if self.total_budget_us == 0 {
-            1.0
-        } else {
-            (self.total_used_us as f64 / self.total_budget_us as f64).min(1.0)
         }
     }
 
@@ -261,7 +252,6 @@ mod tests {
         assert_eq!(a.periods_completed, 2);
         assert_eq!(a.total_used_us, 2500);
         assert_eq!(a.total_budget_us, 3000);
-        assert!((a.lifetime_usage_ratio() - 2500.0 / 3000.0).abs() < 1e-12);
         assert_eq!(a.miss_ratio(), 0.5);
     }
 
@@ -269,7 +259,6 @@ mod tests {
     fn fresh_account_ratios() {
         let a = UsageAccount::new(0, 500);
         assert_eq!(a.last_period_usage_ratio(), 1.0);
-        assert_eq!(a.lifetime_usage_ratio(), 1.0);
         assert_eq!(a.miss_ratio(), 0.0);
     }
 
@@ -345,7 +334,6 @@ mod tests {
             }
             prop_assert_eq!(a.total_used_us, total);
             prop_assert!(a.miss_ratio() >= 0.0 && a.miss_ratio() <= 1.0);
-            prop_assert!(a.lifetime_usage_ratio() >= 0.0 && a.lifetime_usage_ratio() <= 1.0);
         }
     }
 }

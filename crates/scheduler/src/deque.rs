@@ -88,7 +88,8 @@ impl<K: Ord + Copy> SortedDeque<K> {
     }
 
     /// The key `slot` is queued under, if it is queued.
-    pub fn key_of(&self, slot: u32) -> Option<K> {
+    #[cfg(test)]
+    pub(crate) fn key_of(&self, slot: u32) -> Option<K> {
         self.keys.get(slot as usize).copied().flatten()
     }
 
@@ -96,7 +97,7 @@ impl<K: Ord + Copy> SortedDeque<K> {
     /// Re-ranking under an unchanged key touches nothing, and a re-keyed
     /// head that still sorts first is overwritten where it sits (a lone
     /// runnable thread re-picked over and over moves nothing).
-    pub fn upsert(&mut self, slot: u32, key: K) {
+    pub(crate) fn upsert(&mut self, slot: u32, key: K) {
         let item = (key, slot);
         if self.keys.len() <= slot as usize {
             self.keys.resize(slot as usize + 1, None);

@@ -25,7 +25,7 @@
 //! The `ThreadId → slot` resolution happens once, at the edge: every
 //! public id-keyed method resolves through `by_id` exactly once and hands
 //! the slot to its slot-addressed twin (`set_reservation` →
-//! [`Dispatcher::set_reservation_slot`], and likewise `reservation`,
+//! `Dispatcher::set_reservation_slot`, and likewise `reservation`,
 //! `block`, `unblock`, `charge`, `take_thread`), which holds all the logic.
 //! A caller that keeps the slot ([`Dispatcher::slot_of`], or the
 //! machine-level [`crate::ThreadHandle`]) calls the twin directly and
@@ -58,7 +58,7 @@
 //! * **Batched span charging.** [`Dispatcher::charge_span`] accumulates
 //!   consecutive charges to the cached thread in `span_pending_us` and
 //!   settles them into the account in one batch, but only while the
-//!   deferral is invisible: [`crate::settle::span_settle_reason`] forces a
+//!   deferral is invisible: `crate::settle::span_settle_reason` forces a
 //!   settle on any period boundary, throttle edge or zero-length charge,
 //!   and every other operation that could read or roll the account
 //!   ([`Dispatcher::dispatch`]'s slow path,
@@ -104,7 +104,7 @@
 //! either a `quantum_cache_hits` (served by the cache in `O(1)`) or a
 //! `quantum_cache_misses` (slow path), and every forced settle lands in
 //! exactly one of `settles_period_boundary`, `settles_throttle_edge` or
-//! `settles_zero_span` — the [`crate::settle::SettleReason`] taxonomy.
+//! `settles_zero_span` — the `crate::settle::SettleReason` taxonomy.
 //! With a telemetry recorder attached ([`Dispatcher::set_telemetry`]) the
 //! same points also emit
 //! structured trace events (`quantum_cache_hit` / `quantum_cache_miss`
@@ -117,7 +117,7 @@ use crate::reservation::Reservation;
 use crate::runqueue::{RunKey, RunQueue};
 use crate::settle::{charge_exhausts, span_settle_reason, SettleReason};
 use crate::timerlist::TimerList;
-use crate::types::{Proportion, ThreadId, ThreadState};
+use crate::types::{ThreadId, ThreadState};
 use rrs_telemetry::{Recorder, SettleCause, TraceEventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -143,7 +143,7 @@ pub struct DispatcherConfig {
     /// boundary per expired timer as the clock passes it — `O(threads)`
     /// timer work per period, even for threads nobody touches; lazy brings
     /// an account up to date in one `O(1)` batch
-    /// ([`crate::UsageAccount::roll_periods`]) when the thread is next
+    /// (`crate::UsageAccount::roll_periods`) when the thread is next
     /// touched (picked, charged, blocked, unblocked, re-reserved, migrated)
     /// or explicitly synced ([`Dispatcher::sync_all`],
     /// [`Dispatcher::drain_usage_changes`]).  *The timer rule*: eager keeps
@@ -157,7 +157,7 @@ pub struct DispatcherConfig {
     /// and a thread that sits runnable-but-starved across `k` boundaries
     /// counts `k` missed deadlines (the eager path counts one per processed
     /// timer, so a fast-forwarded gap undercounts).
-    /// Usage queries via [`Dispatcher::usage`] / [`Dispatcher::usage_ref`]
+    /// Usage queries via [`Dispatcher::usage`]
     /// may lag until the entry is synced.
     #[serde(default)]
     pub lazy_rollovers: bool,
@@ -182,7 +182,7 @@ impl Default for DispatcherConfig {
 /// invariants refer to: `quantum_cache_hits` / `quantum_cache_misses`
 /// split every dispatch decision by whether the next-quantum cache served
 /// it, and the three `settles_*` counters split batched span settles by
-/// their [`SettleReason`].  Always counted (an increment is cheaper than a
+/// their `SettleReason`.  Always counted (an increment is cheaper than a
 /// branch to skip it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DispatchStats {
@@ -271,7 +271,7 @@ struct ThreadEntry {
 /// current period exactly where the source CPU left it: the reservation,
 /// run state, the full usage account (budget, consumption, lifetime
 /// totals) and the next period boundary.  Obtained from
-/// [`Dispatcher::take_thread`], consumed by [`Dispatcher::inject_thread`].
+/// `Dispatcher::take_thread`, consumed by `Dispatcher::inject_thread`.
 #[derive(Debug, Clone, Copy)]
 pub struct MigratedThread {
     /// The migrating thread's id.
@@ -294,11 +294,6 @@ impl MigratedThread {
     /// The thread's run state at the moment it was taken.
     pub fn state(&self) -> ThreadState {
         self.state
-    }
-
-    /// The thread's usage account at the moment it was taken.
-    pub fn account(&self) -> UsageAccount {
-        self.account
     }
 }
 
@@ -406,23 +401,12 @@ impl Dispatcher {
         self.stats
     }
 
-    /// Number of threads known to the dispatcher.
-    pub fn thread_count(&self) -> usize {
-        self.by_id.len()
-    }
-
     /// Sum of the proportions of all threads' reservations, in parts per
-    /// thousand.  Unlike [`Proportion`], this is not clamped at 1000, so an
+    /// thousand.  Unlike [`crate::Proportion`], this is not clamped at 1000, so an
     /// oversubscribed system reports a value above 1000.  Maintained
     /// incrementally, so least-loaded placement stays `O(1)` per query.
     pub fn total_reserved_ppt(&self) -> u32 {
         self.reserved_ppt
-    }
-
-    /// Sum of the proportions of all threads' reservations, clamped to the
-    /// full CPU.
-    pub fn total_reserved(&self) -> Proportion {
-        Proportion::from_ppt(self.total_reserved_ppt())
     }
 
     /// The dense slot `id` occupies — the id → slot edge.  Valid for the
@@ -444,7 +428,7 @@ impl Dispatcher {
     }
 
     /// Whether `slot` is (still) the slot `id` occupies.
-    pub fn holds(&self, slot: u32, id: ThreadId) -> bool {
+    pub(crate) fn holds(&self, slot: u32, id: ThreadId) -> bool {
         self.entry_at(slot, id).is_some()
     }
 
@@ -560,14 +544,15 @@ impl Dispatcher {
     /// A running thread is demoted to Ready (it is not running on the
     /// destination CPU); its period timer is cancelled here and re-armed by
     /// [`Dispatcher::inject_thread`].
-    pub fn take_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
+    #[cfg(test)]
+    pub(crate) fn take_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
         let slot = self.resolve(id)?;
         self.take_thread_slot(slot, id)
     }
 
     /// [`Dispatcher::take_thread`] for a caller that holds the thread's
     /// dense slot.
-    pub fn take_thread_slot(
+    pub(crate) fn take_thread_slot(
         &mut self,
         idx: u32,
         id: ThreadId,
@@ -602,7 +587,7 @@ impl Dispatcher {
     /// clock it fires at the next [`Dispatcher::advance_to`].  Placement is
     /// the migrating authority's responsibility, exactly like the
     /// controller's actuation path.
-    pub fn inject_thread(&mut self, thread: MigratedThread) -> Result<(), SchedError> {
+    pub(crate) fn inject_thread(&mut self, thread: MigratedThread) -> Result<(), SchedError> {
         if self.by_id.contains_key(&thread.id) {
             return Err(SchedError::DuplicateThread(thread.id));
         }
@@ -685,7 +670,7 @@ impl Dispatcher {
     /// [`Dispatcher::set_reservation`] for a caller that holds the
     /// thread's dense slot — the per-actuation path, with no id → slot
     /// lookup.
-    pub fn set_reservation_slot(
+    pub(crate) fn set_reservation_slot(
         &mut self,
         slot: u32,
         id: ThreadId,
@@ -731,7 +716,7 @@ impl Dispatcher {
 
     /// [`Dispatcher::reservation`] for a caller that holds the thread's
     /// dense slot.
-    pub fn reservation_slot(&self, slot: u32, id: ThreadId) -> Option<Reservation> {
+    pub(crate) fn reservation_slot(&self, slot: u32, id: ThreadId) -> Option<Reservation> {
         self.entry_at(slot, id).map(|t| t.reservation)
     }
 
@@ -743,12 +728,6 @@ impl Dispatcher {
     /// Returns a copy of a thread's usage account.
     pub fn usage(&self, id: ThreadId) -> Option<UsageAccount> {
         self.entry_of(id).map(|t| t.account)
-    }
-
-    /// Borrows a thread's usage account without copying — the controller's
-    /// per-cycle accounting read.
-    pub fn usage_ref(&self, id: ThreadId) -> Option<&UsageAccount> {
-        self.entry_of(id).map(|t| &t.account)
     }
 
     /// Marks a thread as blocked (waiting on I/O or a queue).
@@ -1170,7 +1149,12 @@ impl Dispatcher {
 
     /// [`Dispatcher::charge`] for a caller that holds the thread's dense
     /// slot.
-    pub fn charge_slot(&mut self, slot: u32, id: ThreadId, us: u64) -> Result<(), SchedError> {
+    pub(crate) fn charge_slot(
+        &mut self,
+        slot: u32,
+        id: ThreadId,
+        us: u64,
+    ) -> Result<(), SchedError> {
         self.settle_span();
         self.verify(slot, id)?;
         self.charge_inner(slot, us);
@@ -1181,7 +1165,7 @@ impl Dispatcher {
     /// [`Dispatcher::dispatch`] without resolving its id — the simulator's
     /// hot-path pairing.  Consecutive charges accumulate into a pending
     /// batch and settle in one account update when the deferral could
-    /// change a decision (see [`crate::settle`]).
+    /// change a decision (see `crate::settle`).
     pub fn charge_span(&mut self, us: u64) {
         let idx = self
             .span_slot
@@ -1395,7 +1379,7 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Period;
+    use crate::types::{Period, Proportion};
     use proptest::prelude::*;
 
     /// The dispatch span's per-thread footprint.  With 10 000 threads the
@@ -1433,13 +1417,13 @@ mod tests {
             d.add_thread_preadmitted(ThreadId(1), reserved(1, 10)),
             Err(SchedError::DuplicateThread(ThreadId(1)))
         );
-        assert_eq!(d.thread_count(), 1);
+        assert_eq!(d.by_id.len(), 1);
         d.remove_thread(ThreadId(1)).unwrap();
         assert_eq!(
             d.remove_thread(ThreadId(1)),
             Err(SchedError::UnknownThread(ThreadId(1)))
         );
-        assert_eq!(d.thread_count(), 0);
+        assert_eq!(d.by_id.len(), 0);
     }
 
     #[test]
@@ -1654,9 +1638,8 @@ mod tests {
         for id in [ThreadId(1), ThreadId(2)] {
             let used = d.usage(id).unwrap().total_used_us;
             assert!(used > 0);
-            assert_eq!(d.usage_ref(id).unwrap().total_used_us, used);
         }
-        assert!(d.usage_ref(ThreadId(9)).is_none());
+        assert!(d.usage(ThreadId(9)).is_none());
     }
 
     #[test]
@@ -1737,7 +1720,7 @@ mod tests {
         d.add_thread_preadmitted(ThreadId(3), reserved(100, 30))
             .unwrap();
         assert_eq!(d.entries.len(), 2, "dense storage does not grow on reuse");
-        assert_eq!(d.thread_count(), 2);
+        assert_eq!(d.by_id.len(), 2);
         d.assert_consistent();
     }
 

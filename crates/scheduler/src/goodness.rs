@@ -14,12 +14,12 @@ use crate::types::Period;
 
 /// Base goodness for any runnable RBS-controlled thread — in the prototype,
 /// far above anything a thread under another Linux policy could reach.
-pub const RBS_BASE_GOODNESS: i64 = 1_000_000_000;
+pub(crate) const RBS_BASE_GOODNESS: i64 = 1_000_000_000;
 
 /// Goodness of an RBS thread with budget remaining in its current period.
 ///
 /// Shorter periods produce strictly higher goodness (rate-monotonic order).
-pub fn rbs_goodness(period: Period) -> i64 {
+pub(crate) fn rbs_goodness(period: Period) -> i64 {
     // 1e12 / period_us: a 1 ms period scores 1e9 above base, a 1 s period
     // scores 1e6 above base; all are above RBS_BASE_GOODNESS and ordered by
     // period.

@@ -41,7 +41,7 @@ pub mod goodness;
 pub mod machine;
 pub mod reservation;
 mod runqueue;
-pub mod settle;
+mod settle;
 pub mod timerlist;
 pub mod types;
 
@@ -54,5 +54,4 @@ pub use machine::{CpuStats, Machine};
 pub use reservation::Reservation;
 /// The trace/telemetry types [`Machine::set_telemetry`] speaks.
 pub use rrs_telemetry as telemetry;
-pub use settle::{charge_exhausts, span_settle_reason, SettleReason};
 pub use types::{CpuId, Period, Proportion, ThreadHandle, ThreadId, ThreadState};

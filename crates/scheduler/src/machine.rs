@@ -16,7 +16,7 @@
 //! and the wall-clock executor drive it.  Cross-CPU migration
 //! ([`Machine::migrate`]) transplants a thread's full mid-period state —
 //! reservation, throttle status, usage account — via
-//! [`Dispatcher::take_thread`] / [`Dispatcher::inject_thread`], so a
+//! `Dispatcher::take_thread` / `Dispatcher::inject_thread`, so a
 //! throttled thread stays throttled until the period boundary its source
 //! CPU had scheduled.
 //!
@@ -46,7 +46,7 @@ use crate::dispatcher::{
 };
 use crate::error::SchedError;
 use crate::reservation::Reservation;
-use crate::types::{CpuId, Proportion, ThreadHandle, ThreadId};
+use crate::types::{CpuId, ThreadHandle, ThreadId};
 use crate::UsageAccount;
 use rrs_telemetry::{Recorder, TraceEventKind};
 use serde::{Deserialize, Serialize};
@@ -153,7 +153,7 @@ impl Machine {
     /// There is no hot-*remove*: draining a CPU would require migrating
     /// every thread off it, which is a placement-authority decision, not a
     /// machine-layer one.
-    pub fn add_cpu(&mut self) -> Option<CpuId> {
+    pub(crate) fn add_cpu(&mut self) -> Option<CpuId> {
         if self.cpus.len() >= Self::MAX_CPUS {
             return None;
         }
@@ -165,7 +165,7 @@ impl Machine {
     }
 
     /// Grows the machine to `cpus` CPUs by hot-adding dispatchers one at
-    /// a time ([`Machine::add_cpu`]), returning the resulting total.
+    /// a time (`Machine::add_cpu`), returning the resulting total.
     /// Shrinking is unsupported: a `cpus` at or below the current count
     /// is a no-op, and growth stops at [`Machine::MAX_CPUS`].
     pub fn grow_to(&mut self, cpus: usize) -> usize {
@@ -175,11 +175,6 @@ impl Machine {
             }
         }
         self.cpus.len()
-    }
-
-    /// All CPU ids, in order.
-    pub fn cpu_ids(&self) -> impl Iterator<Item = CpuId> {
-        (0..self.cpus.len() as u32).map(CpuId)
     }
 
     /// Read-only access to one CPU's dispatcher.
@@ -496,12 +491,6 @@ impl Machine {
         self.cpus[cpu.index()].usage(id)
     }
 
-    /// Borrows a thread's usage account without copying.
-    pub fn usage_ref(&self, id: ThreadId) -> Option<&UsageAccount> {
-        let cpu = self.placement.get(&id)?;
-        self.cpus[cpu.index()].usage_ref(id)
-    }
-
     /// Advances every CPU's clock to `now_us` in lockstep, processing each
     /// CPU's expired period timers.
     pub fn advance_to(&mut self, now_us: u64) {
@@ -544,18 +533,12 @@ impl Machine {
     pub fn rebook_idle_us(&mut self, cpu: CpuId, recorded_us: u64, actual_us: u64) {
         self.cpus[cpu.index()].rebook_idle_us(recorded_us, actual_us);
     }
-
-    /// Total proportion granted across the machine as a fraction of one
-    /// CPU, clamped — the aggregate view a single-CPU caller expects.
-    pub fn total_reserved(&self) -> Proportion {
-        Proportion::from_ppt(self.total_reserved_ppt())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Period, ThreadState};
+    use crate::types::{Period, Proportion, ThreadState};
 
     fn res(ppt: u32, period_ms: u64) -> Reservation {
         Reservation::new(Proportion::from_ppt(ppt), Period::from_millis(period_ms))
@@ -590,7 +573,6 @@ mod tests {
     fn zero_cpus_clamps_to_one() {
         let m = Machine::new(DispatcherConfig::default(), 0);
         assert_eq!(m.cpu_count(), 1);
-        assert_eq!(m.cpu_ids().collect::<Vec<_>>(), vec![CpuId(0)]);
     }
 
     #[test]
@@ -600,11 +582,10 @@ mod tests {
             m.add_thread_preadmitted(ThreadId(i), res(200, 10)).unwrap();
         }
         // Two threads per CPU: every CPU carries 400 ppt.
-        for cpu in m.cpu_ids() {
+        for cpu in (0..m.cpu_count() as u32).map(CpuId) {
             assert_eq!(m.cpu_load_ppt(cpu), 400);
         }
         assert_eq!(m.total_reserved_ppt(), 1600, "aggregate is unclamped");
-        assert_eq!(m.total_reserved(), Proportion::FULL, "clamped view");
         assert_eq!(m.thread_count(), 8);
     }
 
@@ -694,7 +675,7 @@ mod tests {
             }
             m.advance_to(m.now_us() + max_q);
         }
-        for cpu in m.cpu_ids() {
+        for cpu in (0..m.cpu_count() as u32).map(CpuId) {
             assert_eq!(m.dispatcher(cpu).now_us(), m.now_us(), "lockstep clocks");
         }
         let agg = m.stats();
@@ -721,6 +702,6 @@ mod tests {
         );
         assert_eq!(m.reservation(ThreadId(1)), None);
         assert!(m.usage(ThreadId(1)).is_none());
-        assert!(m.usage_ref(ThreadId(1)).is_none());
+        assert!(m.usage(ThreadId(1)).is_none());
     }
 }

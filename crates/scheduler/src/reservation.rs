@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 /// use rrs_scheduler::{Period, Proportion, Reservation};
 ///
 /// let r = Reservation::new(Proportion::from_ppt(50), Period::from_millis(30));
-/// assert_eq!(r.budget_micros(), 1_500);
+/// let budget_micros = r.period.as_micros() * r.proportion.ppt() as u64 / 1000;
+/// assert_eq!(budget_micros, 1_500);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Reservation {
@@ -31,14 +32,9 @@ impl Reservation {
         Self { proportion, period }
     }
 
-    /// A reservation with the paper's default 30 ms period.
-    pub fn with_default_period(proportion: Proportion) -> Self {
-        Self::new(proportion, Period::DEFAULT)
-    }
-
     /// The execution budget per period, in microseconds:
     /// `proportion × period`.
-    pub fn budget_micros(&self) -> u64 {
+    pub(crate) fn budget_micros(&self) -> u64 {
         let (period, ppt) = (self.period.as_micros(), self.proportion.ppt() as u64);
         // Every dispatcher sync asks, so stay in 64 bits (one `mul`, one
         // `div`) unless the product overflows — a period beyond 500 000
@@ -47,23 +43,6 @@ impl Reservation {
             Some(product) => product / 1000,
             None => (period as u128 * ppt as u128 / 1000) as u64,
         }
-    }
-
-    /// The CPU cycles this reservation corresponds to per period, for a CPU
-    /// with the given clock rate in Hz ("the proportion times the period
-    /// times the CPU's clock rate", §3.1).
-    pub fn budget_cycles(&self, clock_hz: f64) -> f64 {
-        self.proportion.as_fraction() * self.period.as_secs_f64() * clock_hz
-    }
-
-    /// Returns a copy with a different proportion.
-    pub fn with_proportion(self, proportion: Proportion) -> Self {
-        Self { proportion, ..self }
-    }
-
-    /// Returns a copy with a different period.
-    pub fn with_period(self, period: Period) -> Self {
-        Self { period, ..self }
     }
 }
 
@@ -83,31 +62,6 @@ mod tests {
         // 5 % of 30 ms is 1.5 ms.
         let r = Reservation::new(Proportion::from_ppt(50), Period::from_millis(30));
         assert_eq!(r.budget_micros(), 1500);
-    }
-
-    #[test]
-    fn budget_cycles_uses_clock_rate() {
-        // 50 % of a 10 ms period on a 400 MHz CPU = 2 million cycles.
-        let r = Reservation::new(Proportion::from_ppt(500), Period::from_millis(10));
-        assert_eq!(r.budget_cycles(400e6), 2_000_000.0);
-    }
-
-    #[test]
-    fn default_period_constructor() {
-        let r = Reservation::with_default_period(Proportion::from_ppt(100));
-        assert_eq!(r.period, Period::DEFAULT);
-    }
-
-    #[test]
-    fn with_modifiers() {
-        let r = Reservation::with_default_period(Proportion::from_ppt(100));
-        assert_eq!(
-            r.with_proportion(Proportion::from_ppt(200))
-                .proportion
-                .ppt(),
-            200
-        );
-        assert_eq!(r.with_period(Period::from_millis(5)).period.as_millis(), 5);
     }
 
     #[test]

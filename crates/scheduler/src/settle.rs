@@ -17,7 +17,7 @@ use crate::accounting::UsageAccount;
 
 /// Why a batched span charge had to settle instead of accumulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SettleReason {
+pub(crate) enum SettleReason {
     /// The clock reached the thread's next period boundary: the pending
     /// usage belongs to the finished period and must land in the account
     /// before the boundary rolls.
@@ -39,7 +39,7 @@ pub enum SettleReason {
 /// charge would land: the eager charge path asserts the equivalence, so the
 /// batcher's throttle-edge prediction and the reference's post-charge
 /// throttle test are one rule.
-pub fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool {
+pub(crate) fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool {
     let used = account.used_this_period_us + pending_us + us;
     used >= account.budget_us && used > 0
 }
@@ -56,7 +56,7 @@ pub fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool
 /// single charge: the dispatcher settles explicitly at every operation that
 /// can observe or perturb the account (dispatch after a queue mutation,
 /// block, migration, re-reservation, sync, usage drain).
-pub fn span_settle_reason(
+pub(crate) fn span_settle_reason(
     us: u64,
     pending_us: u64,
     account: &UsageAccount,

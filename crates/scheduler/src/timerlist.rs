@@ -49,12 +49,13 @@ impl TimerList {
     }
 
     /// The next expiry time, if any timer is armed.
-    pub fn next_expiry(&self) -> Option<u64> {
+    pub(crate) fn next_expiry(&self) -> Option<u64> {
         self.timers.peek().map(|((expiry, _), _)| expiry)
     }
 
     /// The armed expiry of `slot`'s timer, if it has one.
-    pub fn expiry_of(&self, slot: u32) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn expiry_of(&self, slot: u32) -> Option<u64> {
         self.timers.key_of(slot).map(|(expiry, _)| expiry)
     }
 

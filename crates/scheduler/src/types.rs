@@ -111,16 +111,6 @@ impl Proportion {
         self.0 as f64 / 1000.0
     }
 
-    /// Returns `true` if the proportion is zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating addition, capped at the full CPU.
-    pub fn saturating_add(self, other: Proportion) -> Proportion {
-        Proportion::from_ppt(self.0 + other.0)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Proportion) -> Proportion {
         Proportion(self.0.saturating_sub(other.0))
@@ -174,11 +164,6 @@ impl Period {
         self.0
     }
 
-    /// Returns the period in milliseconds (integer division).
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1000
-    }
-
     /// Returns the period in seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -219,7 +204,7 @@ pub enum ThreadState {
 
 impl ThreadState {
     /// Returns `true` if the thread can be placed on the run queue.
-    pub fn is_runnable(self) -> bool {
+    pub(crate) fn is_runnable(self) -> bool {
         matches!(self, ThreadState::Ready | ThreadState::Running)
     }
 }
@@ -236,15 +221,12 @@ mod tests {
         assert_eq!(Proportion::from_fraction(-1.0).ppt(), 0);
         assert_eq!(Proportion::from_fraction(2.0).ppt(), 1000);
         assert_eq!(Proportion::from_ppt(5000).ppt(), 1000);
-        assert!(Proportion::ZERO.is_zero());
-        assert!(!Proportion::MIN_NONZERO.is_zero());
     }
 
     #[test]
     fn proportion_arithmetic() {
         let a = Proportion::from_ppt(600);
         let b = Proportion::from_ppt(500);
-        assert_eq!(a.saturating_add(b), Proportion::FULL);
         assert_eq!(a.saturating_sub(b).ppt(), 100);
         assert_eq!(b.saturating_sub(a).ppt(), 0);
         assert_eq!(a.scale(0.5).ppt(), 300);
@@ -261,7 +243,7 @@ mod tests {
     fn period_conversions() {
         let p = Period::from_millis(30);
         assert_eq!(p.as_micros(), 30_000);
-        assert_eq!(p.as_millis(), 30);
+        assert_eq!(p.as_micros(), 30_000);
         assert_eq!(p.as_secs_f64(), 0.03);
         assert_eq!(p, Period::DEFAULT);
         assert_eq!(Period::default(), Period::DEFAULT);
@@ -309,12 +291,6 @@ mod tests {
             let p = Proportion::from_ppt(ppt);
             let back = Proportion::from_fraction(p.as_fraction());
             prop_assert_eq!(p, back);
-        }
-
-        #[test]
-        fn saturating_add_never_exceeds_full(a in 0u32..=1000, b in 0u32..=1000) {
-            let sum = Proportion::from_ppt(a).saturating_add(Proportion::from_ppt(b));
-            prop_assert!(sum.ppt() <= 1000);
         }
 
         #[test]

@@ -123,8 +123,8 @@ proptest! {
                 "throttle/run state diverged"
             );
             assert_accounts_equal(
-                machine.usage_ref(id).unwrap(),
-                oracle.usage_ref(id).unwrap(),
+                &machine.usage(id).unwrap(),
+                &oracle.usage(id).unwrap(),
             );
         }
     }
@@ -179,12 +179,12 @@ proptest! {
                 machine.dispatcher(to).thread_state(id),
                 Some(before_state)
             );
-            assert_accounts_equal(machine.usage_ref(id).unwrap(), &before_account);
+            assert_accounts_equal(&machine.usage(id).unwrap(), &before_account);
 
             // Conservation: nobody was lost, duplicated or re-weighted.
             prop_assert_eq!(machine.thread_count(), threads as usize);
             prop_assert_eq!(machine.total_reserved_ppt(), expected_total);
-            let spread: u32 = machine.cpu_ids().map(|c| machine.cpu_load_ppt(c)).sum();
+            let spread: u32 = (0..cpus as u32).map(|c| machine.cpu_load_ppt(CpuId(c))).sum();
             prop_assert_eq!(spread, expected_total);
         }
     }
@@ -269,7 +269,7 @@ proptest! {
                 // One dispatch round, each pick charged part of its quantum.
                 (7, _) => {
                     let mut max_q = 1;
-                    for cpu in by_id.cpu_ids() {
+                    for cpu in (0..cpus as u32).map(CpuId) {
                         let got = by_id.dispatch(cpu);
                         prop_assert_eq!(got, by_handle.dispatch(cpu));
                         if let Some(t) = got.thread {
@@ -334,8 +334,8 @@ proptest! {
                     continue;
                 };
                 assert_accounts_equal(
-                    by_id.usage_ref(id).unwrap(),
-                    by_handle.usage_ref(id).unwrap(),
+                    &by_id.usage(id).unwrap(),
+                    &by_handle.usage(id).unwrap(),
                 );
                 prop_assert_eq!(by_id.reservation(id), by_handle.reservation_at(handle, id));
                 prop_assert_eq!(
@@ -345,7 +345,7 @@ proptest! {
             }
             prop_assert_eq!(by_id.stats(), by_handle.stats());
             prop_assert_eq!(by_id.next_timer_expiry(), by_handle.next_timer_expiry());
-            for cpu in by_id.cpu_ids() {
+            for cpu in (0..cpus as u32).map(CpuId) {
                 prop_assert_eq!(by_id.cpu_load_ppt(cpu), by_handle.cpu_load_ppt(cpu));
             }
         }

@@ -41,7 +41,7 @@
 //! golden [`SimStats`] bit for bit (`tests/sharded_sim.rs` pins this
 //! against the captures in `tests/sim_golden_stats.rs`).
 
-use crate::simulation::{SimConfig, SimStats, Simulation};
+use crate::simulation::{end_after, SimConfig, SimStats, Simulation};
 use crate::trace::Trace;
 use crate::workload::WorkModel;
 use rrs_core::{controller::AdmitError, Controller, JobClass, JobHandle, JobId, JobSpec, SimTime};
@@ -92,14 +92,6 @@ impl Default for ShardConfig {
     }
 }
 
-impl ShardConfig {
-    /// Returns a copy with the given shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-}
-
 /// A machine of `S` independent [`Simulation`] shards behind the
 /// single-simulation API, with a slow-cadence rebalancer on top.
 ///
@@ -118,13 +110,13 @@ impl ShardConfig {
 ///
 /// let mut sim = ShardedSim::new(
 ///     SimConfig::default().with_cpus(8),
-///     ShardConfig::default().with_shards(4),
+///     ShardConfig { shards: 4, ..ShardConfig::default() },
 /// );
 /// for i in 0..16 {
 ///     sim.add_job(&format!("hog{i}"), JobSpec::miscellaneous(), Box::new(Spin)).unwrap();
 /// }
 /// sim.run_for(1.0);
-/// assert!(sim.now_seconds() >= 1.0);
+/// assert!(sim.now_micros() >= 1_000_000);
 /// ```
 pub struct ShardedSim {
     config: SimConfig,
@@ -249,19 +241,9 @@ impl ShardedSim {
         }
     }
 
-    /// Current simulated time in seconds.
-    pub fn now_seconds(&self) -> f64 {
-        self.now_micros() as f64 / 1e6
-    }
-
     /// Total CPUs across every shard.
     pub fn cpu_count(&self) -> usize {
         *self.cpu_base.last().expect("one trailing entry always")
-    }
-
-    /// Rebalancer activity so far: `(cycles, cross-shard migrations)`.
-    pub fn rebalance_counts(&self) -> (u64, u64) {
-        (self.rebalance_cycles, self.rebalance_migrations)
     }
 
     fn owning_shard(&self, job: JobId) -> Option<&Simulation> {
@@ -485,8 +467,13 @@ impl ShardedSim {
 
     /// Runs the simulation for `duration_s` simulated seconds.
     pub fn run_for(&mut self, duration_s: f64) {
-        let end = self.now_micros() + (duration_s * 1e6).round() as u64;
-        self.run_until_micros(end);
+        self.run_for_micros((duration_s * 1e6).round() as u64);
+    }
+
+    /// Runs the simulation for `dt_us` more simulated microseconds (to the
+    /// end of the clock if that comes first).
+    pub fn run_for_micros(&mut self, dt_us: u64) {
+        self.run_until_micros(end_after(self.now_micros(), dt_us));
     }
 
     /// Runs the simulation until the given absolute simulated time.
@@ -496,7 +483,7 @@ impl ShardedSim {
     /// [`ShardConfig::rebalance_interval_s`] cadence; at the barrier the
     /// rebalancer runs and traces merge.  Single shard: direct
     /// delegation, no barriers.
-    pub fn run_until_micros(&mut self, end_us: u64) {
+    pub(crate) fn run_until_micros(&mut self, end_us: u64) {
         if self.shards.len() == 1 {
             self.shards[0].run_until_micros(end_us);
             return;
@@ -691,7 +678,10 @@ mod tests {
     fn sharded(cpus: usize, shards: usize) -> ShardedSim {
         ShardedSim::new(
             SimConfig::default().with_cpus(cpus),
-            ShardConfig::default().with_shards(shards),
+            ShardConfig {
+                shards,
+                ..ShardConfig::default()
+            },
         )
     }
 
@@ -767,7 +757,7 @@ mod tests {
             );
         }
         sim.run_for(1.0);
-        let (cycles, _) = sim.rebalance_counts();
+        let cycles = sim.telemetry_snapshot().rebalance_cycles;
         assert!(cycles >= 10, "rebalancer must run at its cadence");
         // No job lost: every handle still resolves.
         for h in &handles {

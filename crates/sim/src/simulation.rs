@@ -122,6 +122,15 @@ impl Default for SimConfig {
     }
 }
 
+/// The instant a run of `dt_us` microseconds starting at `now_us` ends:
+/// every "run for / advance by" entry point of both simulators computes
+/// its horizon here.  Saturating, because a host may be told to advance
+/// by `SimTime::from_micros(u64::MAX)`; a wrapped end would lie before
+/// `now` and return at once.
+pub(crate) fn end_after(now_us: u64, dt_us: u64) -> u64 {
+    now_us.saturating_add(dt_us)
+}
+
 impl SimConfig {
     /// Returns a copy simulating a machine of `cpus` CPUs (clamped to at
     /// least one).  The default configuration is the paper's single CPU.
@@ -188,7 +197,7 @@ impl MigratedSimJob {
 /// let mut sim = Simulation::new(SimConfig::default());
 /// sim.add_job("hog", JobSpec::miscellaneous(), Box::new(Spin)).unwrap();
 /// sim.run_for(1.0);
-/// assert!(sim.now_seconds() >= 1.0);
+/// assert!(sim.now_micros() >= 1_000_000);
 /// ```
 pub struct Simulation {
     config: SimConfig,
@@ -225,6 +234,9 @@ pub struct Simulation {
     /// (reused across steps).
     cpu_used: Vec<u64>,
     now_us: u64,
+    /// Time of the last event popped off the calendar; event times must
+    /// never run backwards (checked on every pop in debug builds).
+    last_event_us: u64,
     next_trace_us: u64,
     /// End bound of the `run_until_micros` call in progress, clamping how
     /// far an idle fast-forward may jump past the requested horizon.
@@ -299,6 +311,7 @@ impl Simulation {
             cpu_outcomes: Vec::new(),
             cpu_used: Vec::new(),
             now_us: 0,
+            last_event_us: 0,
             next_trace_us: 0,
             run_end_us: None,
             last_dispatch_overhead_us: 0.0,
@@ -318,7 +331,7 @@ impl Simulation {
     }
 
     /// The simulation's current configuration (mid-run setters like
-    /// [`Simulation::set_migration_cost_us`] are visible here).
+    /// [`Simulation::set_trace_interval`] are visible here).
     pub fn config(&self) -> &SimConfig {
         &self.config
     }
@@ -329,7 +342,7 @@ impl Simulation {
     }
 
     /// Current simulated time in seconds.
-    pub fn now_seconds(&self) -> f64 {
+    pub(crate) fn now_seconds(&self) -> f64 {
         self.now_us as f64 / 1e6
     }
 
@@ -359,11 +372,6 @@ impl Simulation {
     /// sample.
     pub fn set_trace_interval(&mut self, interval: SimTime) {
         self.config.trace_interval_s = interval.as_micros().max(1) as f64 / 1e6;
-    }
-
-    /// Changes the modelled cross-CPU migration cost mid-run.
-    pub fn set_migration_cost_us(&mut self, cost_us: u64) {
-        self.config.migration_cost_us = cost_us;
     }
 
     /// Read-only access to CPU 0's dispatcher — the whole machine on the
@@ -590,12 +598,17 @@ impl Simulation {
 
     /// Runs the simulation for `duration_s` simulated seconds.
     pub fn run_for(&mut self, duration_s: f64) {
-        let end = self.now_us + (duration_s * 1e6).round() as u64;
-        self.run_until_micros(end);
+        self.run_for_micros((duration_s * 1e6).round() as u64);
+    }
+
+    /// Runs the simulation for `dt_us` more simulated microseconds (to the
+    /// end of the clock if that comes first).
+    pub fn run_for_micros(&mut self, dt_us: u64) {
+        self.run_until_micros(end_after(self.now_us, dt_us));
     }
 
     /// Runs the simulation until the given absolute simulated time.
-    pub fn run_until_micros(&mut self, end_us: u64) {
+    pub(crate) fn run_until_micros(&mut self, end_us: u64) {
         match self.config.stepping {
             SteppingMode::Calendar => self.run_calendar_until(end_us),
             SteppingMode::Lockstep => {
@@ -630,28 +643,24 @@ impl Simulation {
     /// deadline statistics are only guaranteed current after a `run_*`
     /// call's final sync.
     fn step_calendar(&mut self) {
-        let target = match self.calendar.next_time() {
-            Some(t) => t.as_micros().max(self.now_us),
+        if !self.step_until(u64::MAX) {
             // Nothing scheduled (controller and trace both produce events,
             // so this is defensive): burn one dispatch quantum.
-            None => self.now_us + self.config.dispatcher.dispatch_interval_us.max(1),
-        };
-        if target > self.now_us {
+            let target = self.now_us + self.config.dispatcher.dispatch_interval_us.max(1);
             self.advance_cpus_to(target);
             self.now_us = target;
+            return;
         }
-        while let Some(t) = self.calendar.next_time() {
-            if t.as_micros() > self.now_us {
-                break;
-            }
-            let (_, event) = self.calendar.pop().expect("peeked above");
-            self.ctl.stats_mut().steps += 1;
-            self.handle_event(event);
+        while self
+            .calendar
+            .next_time()
+            .is_some_and(|t| t.as_micros() <= self.now_us)
+        {
+            self.step_until(u64::MAX);
         }
     }
 
-    /// The calendar main loop: pop the earliest event, advance every CPU
-    /// analytically to it, handle it, repeat until the horizon.
+    /// The calendar main loop: turn after turn until the horizon.
     fn run_calendar_until(&mut self, end_us: u64) {
         if self.now_us >= end_us {
             return;
@@ -662,24 +671,43 @@ impl Simulation {
         let horizon = self
             .calendar
             .schedule(SimTime::from_micros(end_us), Event::Horizon);
-        while let Some(next) = self.calendar.next_time() {
-            let t_next = next.as_micros();
-            if t_next > self.now_us {
-                let target = t_next.min(end_us);
-                self.advance_cpus_to(target);
-                self.now_us = target;
-            }
-            if self.now_us >= end_us {
-                break;
-            }
-            let Some((_, event)) = self.calendar.pop() else {
-                break;
-            };
-            self.ctl.stats_mut().steps += 1;
-            self.handle_event(event);
-        }
+        while self.step_until(end_us) {}
         self.calendar.cancel(horizon);
         self.ctl.machine_mut().sync_all();
+    }
+
+    /// One turn of the calendar loop, the only place an event leaves the
+    /// calendar: peek the earliest event, advance every CPU analytically
+    /// to it (or to `limit_us` if that comes first), pop it, handle it.
+    /// Returns `false` without popping once the clock has reached
+    /// `limit_us` or the calendar is empty.
+    fn step_until(&mut self, limit_us: u64) -> bool {
+        let Some(next) = self.calendar.next_time() else {
+            return false;
+        };
+        let target = next.as_micros().min(limit_us);
+        if target > self.now_us {
+            self.advance_cpus_to(target);
+            self.now_us = target;
+        }
+        if self.now_us >= limit_us {
+            return false;
+        }
+        let (time, event) = self.calendar.pop().expect("peeked above");
+        // minim's `assert!(cur_time <= time)`, in this simulator's terms:
+        // the clock may run ahead of a same-instant event (a controller
+        // cycle charges its modelled cost to the clock), but event times
+        // never run backwards and no event fires before its time.
+        debug_assert!(
+            self.last_event_us <= time.as_micros() && time.as_micros() <= self.now_us,
+            "calendar order broken: popped {time:?} after {} µs at {} µs",
+            self.last_event_us,
+            self.now_us
+        );
+        self.last_event_us = time.as_micros();
+        self.ctl.stats_mut().steps += 1;
+        self.handle_event(event);
+        true
     }
 
     /// Handles one popped calendar event at the current clock.
@@ -1746,8 +1774,6 @@ mod tests {
         sim.run_for(1.0);
         let coarse = sim.trace().get("alloc/spin").unwrap().len();
         sim.set_trace_interval(SimTime::from_millis(10));
-        sim.set_migration_cost_us(123);
-        assert_eq!(sim.config().migration_cost_us, 123);
         assert_eq!(sim.config().trace_interval_s, 0.01);
         sim.run_for(1.0);
         let fine = sim.trace().get("alloc/spin").unwrap().len() - coarse;
@@ -1788,10 +1814,11 @@ mod tests {
         };
         let (fast, at_horizon) = run(true);
         assert_eq!(at_horizon, 0.5, "fast-forward stops exactly at the horizon");
-        let times = fast.trace().get("alloc/spin").unwrap().times();
+        let series = fast.trace().get("alloc/spin").unwrap();
         assert!(
-            times.contains(&0.5),
-            "the boundary sample must fire on resume: {times:?}"
+            series.iter().any(|(t, _)| t == 0.5),
+            "the boundary sample must fire on resume: {:?}",
+            series.samples()
         );
         let (oneshot, _) = run(false);
         assert_eq!(
@@ -1992,10 +2019,11 @@ mod tests {
         assert_eq!(sim.now_seconds(), 0.5, "stops exactly at the horizon");
         let before = sim.trace().get("alloc/spin").unwrap().len();
         sim.run_for(0.1);
-        let times = sim.trace().get("alloc/spin").unwrap().times();
+        let series = sim.trace().get("alloc/spin").unwrap();
         assert!(
-            times.contains(&0.5),
-            "the boundary sample fires on resume: {times:?}"
+            series.iter().any(|(t, _)| t == 0.5),
+            "the boundary sample fires on resume: {:?}",
+            series.samples()
         );
         assert!(sim.trace().get("alloc/spin").unwrap().len() > before);
 
@@ -2041,6 +2069,18 @@ mod tests {
         // A zero interval clamps at 1 µs.
         sim.set_trace_interval(SimTime::ZERO);
         assert_eq!(sim.config().trace_interval_s, 1e-6);
+    }
+
+    #[test]
+    fn a_run_past_the_end_of_the_clock_ends_at_the_end_of_the_clock() {
+        // The run itself cannot be tested (it never finishes); its horizon
+        // can.  Unchecked, these panic in debug and wrap in release.
+        assert_eq!(end_after(10_000, u64::MAX), u64::MAX);
+        assert_eq!(end_after(u64::MAX, 1), u64::MAX);
+        assert_eq!(end_after(u64::MAX - 5, 5), u64::MAX);
+        assert_eq!(end_after(10_000, 2_500), 12_500);
+        // `run_for`'s seconds → micros cast saturates the same way.
+        assert_eq!(end_after(10_000, (f64::MAX * 1e6).round() as u64), u64::MAX);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 /// A dense handle to one series of a [`Trace`], from
 /// [`Trace::series_id`]; recording through it skips the name lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesId(u32);
+pub(crate) struct SeriesId(u32);
 
 /// A collection of named [`TimeSeries`] recorded during a run.
 ///
@@ -57,7 +57,7 @@ impl JobSeries {
     /// Points the job at a *different* trace (the sharded simulator moves
     /// jobs between shards): the handles into the old trace are dropped,
     /// the progress baseline is kept.
-    pub fn rebase(&mut self) {
+    pub(crate) fn rebase(&mut self) {
         self.ids = [None; 3];
     }
 
@@ -107,7 +107,7 @@ impl Trace {
     /// The handle of the named series, creating it (empty) if needed.  A
     /// caller that samples the same series again and again resolves the
     /// name once, right before its first sample, and keeps the handle.
-    pub fn series_id(&mut self, name: &str) -> SeriesId {
+    pub(crate) fn series_id(&mut self, name: &str) -> SeriesId {
         match self.by_name.entry(name.to_string()) {
             Entry::Occupied(entry) => SeriesId(*entry.get()),
             Entry::Vacant(entry) => {
@@ -141,7 +141,7 @@ impl Trace {
     ///
     /// Panics if `id` came from another trace with more series than this
     /// one.
-    pub fn record_at(&mut self, id: SeriesId, sample: Sample) {
+    pub(crate) fn record_at(&mut self, id: SeriesId, sample: Sample) {
         self.series[id.0 as usize].push(sample.time, sample.value);
         self.total_samples += 1;
     }
@@ -168,7 +168,7 @@ impl Trace {
     /// Lets a reader that folds traces incrementally (the sharded
     /// machine's barrier merge) detect "nothing new since last look"
     /// with one comparison instead of walking every series.
-    pub fn total_samples(&self) -> u64 {
+    pub(crate) fn total_samples(&self) -> u64 {
         self.total_samples
     }
 

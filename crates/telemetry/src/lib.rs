@@ -116,7 +116,7 @@ impl CalendarEventKind {
 
 /// The six controller pipeline stages, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     /// Read progress/fill signals from the registry.
     Sense,
     /// Classify jobs (real-time / real-rate / adaptive / best-effort).
@@ -134,7 +134,7 @@ pub enum Stage {
 impl Stage {
     /// All stages, in pipeline order (indexes match the per-stage timing
     /// arrays).
-    pub const ALL: [Stage; 6] = [
+    pub(crate) const ALL: [Stage; 6] = [
         Stage::Sense,
         Stage::Classify,
         Stage::Estimate,
@@ -203,7 +203,7 @@ pub enum TraceEventKind {
         incremental: bool,
         /// Jobs visible to the cycle.
         jobs: u32,
-        /// Per-stage wall-clock nanoseconds (indexes per [`Stage::ALL`]);
+        /// Per-stage wall-clock nanoseconds (indexes per `Stage::ALL`);
         /// all zero unless stage timing is enabled and the cycle was full.
         stage_ns: [u32; 6],
     },
@@ -367,8 +367,8 @@ impl Recorder {
     /// form, `{"traceEvents": [...]}`), loadable in Perfetto.
     ///
     /// Track layout: `pid` is always 0; per-CPU events use the CPU index
-    /// as `tid`, calendar events use [`TID_CALENDAR`], controller cycles
-    /// and stage slices use [`TID_CONTROLLER`].  Controller cycles render
+    /// as `tid`, calendar events use `TID_CALENDAR`, controller cycles
+    /// and stage slices use `TID_CONTROLLER`.  Controller cycles render
     /// as balanced `"B"`/`"E"` pairs, dispatch spans as complete `"X"`
     /// slices, and point events as instants (`"ph":"i"`).  Entries are
     /// emitted in non-decreasing timestamp order.
@@ -378,11 +378,11 @@ impl Recorder {
 }
 
 /// Synthetic `tid` for the simulator's calendar track.
-pub const TID_CALENDAR: u32 = 998;
+pub(crate) const TID_CALENDAR: u32 = 998;
 /// Synthetic `tid` for the controller track.
-pub const TID_CONTROLLER: u32 = 999;
+pub(crate) const TID_CONTROLLER: u32 = 999;
 /// Synthetic `tid` for the sharded machine's rebalancer track.
-pub const TID_REBALANCER: u32 = 997;
+pub(crate) const TID_REBALANCER: u32 = 997;
 
 /// One renderable Chrome trace entry, pre-sorting.
 struct ChromeEntry {
@@ -417,7 +417,7 @@ fn chrome_event(
 }
 
 /// Renders a slice of trace events as Chrome trace-event JSON.
-pub fn chrome_trace(events: &[TraceEvent]) -> String {
+pub(crate) fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut entries: Vec<ChromeEntry> = Vec::new();
     let mut push = |ts_us: f64, json: String| entries.push(ChromeEntry { ts_us, json });
 

@@ -25,12 +25,11 @@ pub struct IoBlock {
 /// The simulated disk: delivers blocks at a fixed bandwidth without
 /// consuming CPU (DMA).
 #[derive(Debug)]
-pub struct Disk {
+pub(crate) struct Disk {
     queue: Arc<BoundedBuffer<IoBlock>>,
     block_bytes: usize,
     block_interval_us: u64,
     next_block_us: u64,
-    delivered: u64,
 }
 
 impl Disk {
@@ -53,13 +52,7 @@ impl Disk {
             block_bytes,
             block_interval_us: ((1e6 / blocks_per_sec).round() as u64).max(1),
             next_block_us: 0,
-            delivered: 0,
         }
-    }
-
-    /// Blocks delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 }
 
@@ -69,15 +62,10 @@ impl WorkModel for Disk {
             self.next_block_us = now_us + self.block_interval_us;
         }
         while self.next_block_us <= now_us {
-            if self
-                .queue
-                .try_push(IoBlock {
-                    bytes: self.block_bytes,
-                })
-                .is_ok()
-            {
-                self.delivered += 1;
-            }
+            // A full queue drops the block: the device does not wait.
+            let _ = self.queue.try_push(IoBlock {
+                bytes: self.block_bytes,
+            });
             self.next_block_us += self.block_interval_us;
         }
         RunResult::blocked_after(1)
@@ -120,11 +108,6 @@ impl DiskReader {
             cycles_remaining: 0.0,
             bytes_processed: 0.0,
         }
-    }
-
-    /// Bytes processed so far.
-    pub fn bytes_processed(&self) -> f64 {
-        self.bytes_processed
     }
 
     /// Installs a disk/reader pair into any [`Host`]: the disk gets a
@@ -215,7 +198,7 @@ mod tests {
             disk.run(now, 10, 400e6);
             now += 1_000;
         }
-        let delivered = disk.delivered();
+        let delivered = queue.total_pushed();
         assert!(
             (230..=260).contains(&delivered),
             "delivered {delivered} blocks in 1 s"

@@ -10,8 +10,8 @@
 //! Recording is opt-in: models carry an `Option<Arc<LatencyStats>>` that
 //! defaults to `None`, so uninstrumented installs pay nothing per
 //! request.  The histogram itself reuses [`rrs_metrics::Histogram`];
-//! percentile queries are bucket-midpoint approximations at
-//! [`LatencyStats::BUCKET_WIDTH_US`] resolution.
+//! percentile queries are bucket-midpoint approximations at 250 µs
+//! resolution.
 
 use rrs_metrics::Histogram;
 use serde::{Deserialize, Serialize};
@@ -19,10 +19,10 @@ use std::sync::{Arc, Mutex};
 
 /// Upper edge of the latency histogram range, in microseconds.  Samples
 /// at or above it are clamped into the last bucket (never dropped).
-pub const LATENCY_RANGE_US: f64 = 1_000_000.0;
+pub(crate) const LATENCY_RANGE_US: f64 = 1_000_000.0;
 
 /// Number of uniform buckets over `[0, LATENCY_RANGE_US)`.
-pub const LATENCY_BUCKETS: usize = 4000;
+pub(crate) const LATENCY_BUCKETS: usize = 4000;
 
 /// An `Arc`-shared latency histogram a workload records into.
 #[derive(Debug)]
@@ -32,7 +32,8 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Resolution of one bucket, in microseconds.
-    pub const BUCKET_WIDTH_US: f64 = LATENCY_RANGE_US / LATENCY_BUCKETS as f64;
+    #[cfg(test)]
+    pub(crate) const BUCKET_WIDTH_US: f64 = LATENCY_RANGE_US / LATENCY_BUCKETS as f64;
 
     /// A fresh, shareable histogram over `[0, 1 s)` at 250 µs resolution.
     pub fn new() -> Arc<Self> {

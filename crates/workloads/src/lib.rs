@@ -45,5 +45,5 @@ pub use io::DiskReader;
 pub use latency::{LatencyStats, LatencySummary};
 pub use modem::{ModemConfig, ModemStats, SoftwareModem};
 pub use pipeline::{PipelineConfig, PipelineHandles, PulsePipeline};
-pub use server::{RequestGenerator, ServerConfig, WebServer};
+pub use server::{ServerConfig, WebServer};
 pub use video::{VideoPipeline, VideoPipelineConfig, VideoPipelineHandles};

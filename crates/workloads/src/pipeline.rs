@@ -297,18 +297,12 @@ mod tests {
         let handles = PulsePipeline::install(&mut sim, PipelineConfig::default());
         assert_eq!(handles.queue.capacity(), 40);
         assert_eq!(handles.queue.len(), 20); // preloaded to half full
-        assert_eq!(
+        for job in [handles.producer.job, handles.consumer.job] {
+            let mut attachments = 0;
             sim.registry()
-                .attachments_for(JobKey(handles.producer.job.0))
-                .len(),
-            1
-        );
-        assert_eq!(
-            sim.registry()
-                .attachments_for(JobKey(handles.consumer.job.0))
-                .len(),
-            1
-        );
+                .for_each_attachment(JobKey(job.0), |_| attachments += 1);
+            assert_eq!(attachments, 1);
+        }
     }
 
     #[test]

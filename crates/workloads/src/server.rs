@@ -52,13 +52,11 @@ impl Default for ServerConfig {
 /// it regularly; it enqueues however many requests have "arrived" since it
 /// last ran and immediately blocks until the next arrival is due.
 #[derive(Debug)]
-pub struct RequestGenerator {
+pub(crate) struct RequestGenerator {
     queue: Arc<BoundedBuffer<Request>>,
     arrival_rate_hz: f64,
     cycles_per_request: f64,
     next_arrival_us: u64,
-    generated: u64,
-    dropped: u64,
 }
 
 impl RequestGenerator {
@@ -69,19 +67,7 @@ impl RequestGenerator {
             arrival_rate_hz: config.arrival_rate_hz,
             cycles_per_request: config.cycles_per_request,
             next_arrival_us: 0,
-            generated: 0,
-            dropped: 0,
         }
-    }
-
-    /// Requests generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// Requests dropped because the backlog was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     fn interarrival_us(&self) -> u64 {
@@ -99,11 +85,8 @@ impl WorkModel for RequestGenerator {
                 cycles: self.cycles_per_request,
                 arrival_us: self.next_arrival_us,
             };
-            if self.queue.try_push(request).is_ok() {
-                self.generated += 1;
-            } else {
-                self.dropped += 1;
-            }
+            // A full backlog drops the request: the network does not wait.
+            let _ = self.queue.try_push(request);
             self.next_arrival_us += self.interarrival_us();
         }
         // Arrivals are free (the network card does the work); block until
@@ -126,7 +109,6 @@ pub struct WebServer {
     queue: Arc<BoundedBuffer<Request>>,
     cycles_remaining: f64,
     served: u64,
-    total_latency_us: f64,
     current_arrival_us: u64,
     latency: Option<Arc<LatencyStats>>,
 }
@@ -138,7 +120,6 @@ impl WebServer {
             queue,
             cycles_remaining: 0.0,
             served: 0,
-            total_latency_us: 0.0,
             current_arrival_us: 0,
             latency: None,
         }
@@ -155,15 +136,6 @@ impl WebServer {
     /// Requests fully served so far.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Mean queueing + service latency of served requests, in seconds.
-    pub fn mean_latency_s(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.total_latency_us / self.served as f64 / 1e6
-        }
     }
 
     /// Installs a generator/server pair into any [`Host`]: the generator
@@ -240,7 +212,6 @@ impl WorkModel for WebServer {
             self.cycles_remaining = 0.0;
             self.served += 1;
             let latency_us = now_us.saturating_sub(self.current_arrival_us);
-            self.total_latency_us += latency_us as f64;
             if let Some(stats) = &self.latency {
                 stats.record_us(latency_us);
             }
@@ -281,12 +252,12 @@ mod tests {
             generator.run(now, 100, 400e6);
             now += 1_000;
         }
-        let made = generator.generated();
+        let made = queue.total_pushed();
         assert!(
             (45..=55).contains(&made),
             "generated {made} requests in 1 s"
         );
-        assert_eq!(generator.dropped(), 0);
+        assert_eq!(queue.len() as u64, made, "nothing dropped");
     }
 
     #[test]
@@ -302,7 +273,8 @@ mod tests {
             generator.run(now, 100, 400e6);
             now += 1_000;
         }
-        assert!(generator.dropped() > 0);
+        // ~100 arrivals offered, room for two.
+        assert_eq!(queue.total_pushed(), 2);
         assert_eq!(queue.len(), 2);
     }
 
@@ -357,13 +329,16 @@ mod tests {
                 arrival_us: 0,
             })
             .unwrap();
-        let mut server = WebServer::new(Arc::clone(&queue));
-        assert_eq!(server.mean_latency_s(), 0.0);
+        let stats = LatencyStats::new();
+        let mut server = WebServer::new(Arc::clone(&queue)).with_latency_stats(Arc::clone(&stats));
+        assert_eq!(stats.count(), 0);
         let r = server.run(500, 1_000, 400e6);
         // The single request is served, after which the server blocks on the
         // now-empty queue.
         assert!(r.blocked);
         assert_eq!(server.served(), 1);
-        assert!(server.mean_latency_s() > 0.0);
+        // Arrived at 0, served in the quantum granted at 500 µs.
+        assert_eq!(stats.count(), 1);
+        assert!(stats.percentile_us(100.0) > 0.0);
     }
 }

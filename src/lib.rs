@@ -25,7 +25,7 @@
 //!   ([`scheduler::Machine`]): `N` per-CPU dispatchers advancing in
 //!   lockstep behind the single-CPU API, with cross-CPU migration that
 //!   preserves mid-period accounting ([`scheduler::CpuId`]).
-//! * [`queue`] (`rrs-queue`) — symbiotic interfaces: bounded buffers, pipes
+//! * [`queue`] (`rrs-queue`) — symbiotic interfaces: the bounded buffer
 //!   and the progress-metric registry.
 //! * [`feedback`] (`rrs-feedback`) — the software feedback toolkit (the PID
 //!   controller, the moving-average filter, the pulse-train generator).
@@ -43,9 +43,9 @@
 //!   self-contained static-analysis pass (own Rust lexer, no external
 //!   parser) that machine-checks the hot-path contracts — zero-alloc
 //!   steady state, replay determinism, integer time, edge-only id maps,
-//!   panic discipline, `unsafe` inventory, and the sharded
-//!   parallel-region audit — against the justified allowlist in
-//!   `analysis.toml`.  CI blocks on `cargo run -p rrs-analysis -- --deny`.
+//!   panic discipline, `unsafe` inventory, the sharded parallel-region
+//!   audit — and that every `pub` item has a caller in another crate,
+//!   against the justified allowlist in `analysis.toml`.  CI blocks on `cargo run -p rrs-analysis -- --deny`.
 //! * [`telemetry`] (`rrs-telemetry`) — zero-cost runtime tracing: the
 //!   bounded-ring [`telemetry::Recorder`] (enabled per host via
 //!   `Runtime::sim().telemetry(..)`), the shared
@@ -80,8 +80,9 @@
 //! // the job can use the CPU and grew its proportion.
 //! assert!(host.allocation_ppt(job) > 100);
 //! // The handle carries the controller's dense slot, shared by every
-//! // layer — the same grant is visible through it.
-//! let granted = host.controller().granted_at(job.slot).unwrap();
+//! // layer, next to the id — both name the same job and the same grant.
+//! assert_eq!(host.controller().job_of(job.slot), Some(job.job));
+//! let granted = host.controller().granted(job.job).unwrap();
 //! assert_eq!(granted.ppt(), host.allocation_ppt(job));
 //! ```
 //!
@@ -114,8 +115,8 @@
 //! The concrete backends remain available — `sim::Simulation::new` and
 //! `realtime::RealTimeExecutor::new` are the same engines the [`api`]
 //! builder constructs, and [`api::Host::as_any`] (or `dyn Host`'s
-//! `as_sim` / `as_wall_clock`) downcasts a built host back to them for
-//! backend-specific queries.  New code should go through [`api`]; the
+//! `as_sim` / `as_sharded_sim`) downcasts a built simulator host back to
+//! them for backend-specific queries.  New code should go through [`api`]; the
 //! direct paths stay for one release of deprecation-by-documentation.
 
 #![warn(missing_docs)]

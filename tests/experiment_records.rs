@@ -17,7 +17,7 @@ fn figure5_quick_sweep_is_linear_and_small() {
     assert!(slope > 0.0, "overhead must grow with process count");
     assert!(r2 > 0.9, "growth should be essentially linear (R² = {r2})");
     // Round trip through JSON.
-    let parsed = ExperimentRecord::from_json(&record.to_json()).unwrap();
+    let parsed = serde_json::from_str::<ExperimentRecord>(&record.to_json()).unwrap();
     assert_eq!(parsed.id, "figure5");
     assert_eq!(parsed.series.len(), record.series.len());
 }

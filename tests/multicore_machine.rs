@@ -108,7 +108,7 @@ fn controller_migration_events_surface_through_the_facade() {
     // Three equal grants on two CPUs cannot be balanced by moving one
     // job, so the Place stage correctly refuses to thrash...
     for i in 1..=200 {
-        let out = controller.control_cycle_in_place(i as f64 * 0.01);
+        let out = controller.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         assert!(
             !out.events
                 .iter()
@@ -121,7 +121,7 @@ fn controller_migration_events_surface_through_the_facade() {
     controller.remove_job(JobId(2));
     let mut saw_migration = false;
     for i in 201..=400 {
-        let out = controller.control_cycle_in_place(i as f64 * 0.01);
+        let out = controller.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         for event in &out.events {
             if let ControllerEvent::Migrated { from, to, .. } = event {
                 assert_ne!(from, to);

@@ -110,13 +110,13 @@ fn run_mixed_workload(cpus: usize, stepping: SteppingMode) -> SimStats {
         )
         .unwrap();
     }
-    host.advance(SimTime::from_secs_f64(1.5));
+    host.advance(SimTime::from_millis(1_500));
     // Remove every other hog: the emptied CPUs pull survivors across,
     // exercising take/inject (and thus the timer reverse index) mid-period.
     for h in hogs.iter().step_by(2) {
         host.remove_job(*h);
     }
-    host.advance(SimTime::from_secs_f64(1.5));
+    host.advance(SimTime::from_millis(1_500));
     // The backend-specific capture (modelled overhead sums included)
     // comes from the concrete simulator behind the trait object.
     host.as_sim()

@@ -98,7 +98,7 @@ fn assert_steady_state_allocation_free(config: ControllerConfig) {
     let mut saw_squish = false;
     for i in 1..=300 {
         controller.record_usage(consumer, UsageSnapshot { usage_ratio: 1.0 });
-        let out = controller.control_cycle_in_place(i as f64 * 0.01);
+        let out = controller.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         saw_squish |= !out.events.is_empty();
     }
     assert!(saw_squish, "fixture must exercise the squish path");
@@ -111,7 +111,7 @@ fn assert_steady_state_allocation_free(config: ControllerConfig) {
         for &hog in &hogs {
             controller.record_usage(hog, UsageSnapshot { usage_ratio: 1.0 });
         }
-        let out = controller.control_cycle_in_place(i as f64 * 0.01);
+        let out = controller.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         assert_eq!(out.actuations.len(), 9);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);

@@ -39,13 +39,12 @@ impl Runtime {
 ///
 /// The defaults are the paper's machine — one 400 MHz CPU, the
 /// prototype's controller gains — on either backend.  `cpus(n)` is the
-/// common knob; `sim_config` / `wall_clock_config` are the full escape
-/// hatches for experiment-grade control.
+/// common knob; `shard_config` / `wall_clock_config` hand a whole backend
+/// config through for experiment-grade control.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeBuilder {
     backend: Backend,
     cpus: Option<usize>,
-    sim: SimConfig,
     shard: ShardConfig,
     wall: WallClockConfig,
     telemetry: Option<TelemetryConfig>,
@@ -56,7 +55,6 @@ impl RuntimeBuilder {
         Self {
             backend,
             cpus: None,
-            sim: SimConfig::default(),
             shard: ShardConfig::default(),
             wall: WallClockConfig::default(),
             telemetry: None,
@@ -89,13 +87,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Full simulator configuration (used only when the backend is
-    /// [`Backend::Sim`]).
-    pub fn sim_config(mut self, config: SimConfig) -> Self {
-        self.sim = config;
-        self
-    }
-
     /// Full wall-clock configuration (used only when the backend is
     /// [`Backend::WallClock`]).
     pub fn wall_clock_config(mut self, config: WallClockConfig) -> Self {
@@ -115,10 +106,10 @@ impl RuntimeBuilder {
     pub fn build(self) -> Box<dyn Host> {
         let mut host: Box<dyn Host> = match self.backend {
             Backend::Sim => {
-                let config = match self.cpus {
-                    Some(n) => self.sim.with_cpus(n),
-                    None => self.sim,
-                };
+                let mut config = SimConfig::default();
+                if let Some(n) = self.cpus {
+                    config = config.with_cpus(n);
+                }
                 if self.shard.shards > 1 {
                     Box::new(ShardedSim::new(config, self.shard))
                 } else {

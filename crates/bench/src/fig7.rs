@@ -8,10 +8,10 @@
 //! hog because its pressure grows as it falls behind while the hog's
 //! pressure is constant.
 
-use crate::fig6::Fig6Params;
+use crate::fig6::{add_windowed_series, sim_config, Fig6Params};
 use rrs_core::JobSpec;
 use rrs_metrics::ExperimentRecord;
-use rrs_sim::{SimConfig, Simulation, Trace};
+use rrs_sim::{Simulation, Trace};
 use rrs_workloads::{CpuHog, PulsePipeline};
 
 /// Parameters for the under-load experiment.
@@ -23,12 +23,7 @@ pub struct Fig7Params {
 
 /// Runs the scenario: pipeline plus hog.
 pub fn run_scenario(params: &Fig7Params) -> Trace {
-    let config = SimConfig {
-        controller: params.base.controller,
-        trace_interval_s: 0.25,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(config);
+    let mut sim = Simulation::new(sim_config(params.base.controller));
     let _handles = PulsePipeline::install(&mut sim, params.base.pipeline.clone());
     sim.add_job("hog", JobSpec::miscellaneous(), Box::new(CpuHog::new()))
         .expect("misc jobs are always admitted");
@@ -38,10 +33,11 @@ pub fn run_scenario(params: &Fig7Params) -> Trace {
 
 /// Runs the experiment and assembles the figure's series and scalars.
 ///
-/// Series: consumer, producer and hog allocations (parts per thousand) and
-/// the queue fill level.  Scalars: mean allocations in the second half of
-/// the run, the throughput match between producer and consumer, and whether
-/// the system oversubscribed (`squished`).
+/// Series (0.25 s window means): consumer, producer and hog allocations
+/// (parts per thousand) and the queue fill level.  Scalars: mean
+/// allocations in the second half of the run, the throughput match between
+/// producer and consumer, and whether the system oversubscribed
+/// (`squished`).
 pub fn run(params: Fig7Params) -> ExperimentRecord {
     let duration = params.base.duration_s;
     let trace = run_scenario(&params);
@@ -50,18 +46,19 @@ pub fn run(params: Fig7Params) -> ExperimentRecord {
         "Controller response under load: the pulse pipeline competes with a CPU hog; \
          the controller squishes the hog and consumer but not the reserved producer",
     );
-    for name in [
-        "alloc/consumer",
-        "alloc/producer",
-        "alloc/hog",
-        "rate/producer",
-        "rate/consumer",
-        "fill/pipeline",
-    ] {
-        if let Some(series) = trace.get(name) {
-            record.add_series(series.clone());
-        }
-    }
+    add_windowed_series(
+        &mut record,
+        &trace,
+        &params.base.controller,
+        &[
+            "alloc/consumer",
+            "alloc/producer",
+            "alloc/hog",
+            "rate/producer",
+            "rate/consumer",
+            "fill/pipeline",
+        ],
+    );
     let half = duration / 2.0;
     for (scalar, series) in [
         ("mean_consumer_alloc_ppt", "alloc/consumer"),

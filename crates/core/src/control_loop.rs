@@ -11,9 +11,9 @@
 //! cycle, the statistics and telemetry views, CPU hot-add and the
 //! next-cycle-due clock.
 //!
-//! A backend — the simulator in either stepping mode, the wall-clock
-//! executor — keeps only what really differs: how time passes, how a work
-//! model's consumption is realised, and who is blocked waiting for what.
+//! A backend — the simulator, the wall-clock executor — keeps only what
+//! really differs: how time passes, how a work model's consumption is
+//! realised, and who is blocked waiting for what.
 
 use crate::controller::{AdmitError, Controller, JobId, MigratedJob, UsageSnapshot};
 use crate::events::ControllerEvent;
@@ -36,9 +36,7 @@ use std::sync::Arc;
 /// wall-clock backend `steps` counts scheduling rounds, the two modelled
 /// overhead sums stay zero unless the backend books them, and
 /// timing-dependent fields (usage, idle) are only as deterministic as the
-/// OS scheduler underneath.  Under the simulator's lockstep clock
-/// `idle_us` is rebooked to actual elapsed time, like the machine
-/// aggregate.
+/// OS scheduler underneath.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Number of controller invocations.
@@ -55,11 +53,9 @@ pub struct SimStats {
     pub admission_rejections: u64,
     /// Number of cross-CPU migrations applied.
     pub migrations: u64,
-    /// Number of scheduling steps executed.  Under calendar stepping this
-    /// counts *events handled* (controller cycles, trace samples, wake-ups,
-    /// poll ticks); under lockstep it counts dispatch rounds, where idle
-    /// fast-forward makes it drop on quiet workloads; on the wall-clock
-    /// executor it counts dispatch sweeps.
+    /// Number of scheduling steps executed.  On the simulator this counts
+    /// *events handled* (controller cycles, trace samples, wake-ups, poll
+    /// ticks); on the wall-clock executor it counts dispatch sweeps.
     pub steps: u64,
     /// Per-CPU breakdown (usage, idle, migrations), one entry per CPU.
     /// The machine-wide aggregates above are sums over these entries plus
@@ -106,7 +102,7 @@ fn lookup(slots: &[JobSlot], thread: ThreadId) -> Option<JobSlot> {
 /// // A backend would now dispatch and charge `ctl.machine_mut()`; when a
 /// // cycle comes due it runs it and re-arms the clock.
 /// let now = ctl.next_cycle_us();
-/// ctl.cycle(SimTime::from_micros(now), None, 0);
+/// ctl.cycle(SimTime::from_micros(now), 0);
 /// assert_eq!(ctl.slot_of(job.thread), Some(job.slot));
 /// assert!(ctl.skip_to_next_cycle(now) > now);
 /// assert_eq!(ctl.stats().controller_invocations, 1);
@@ -140,6 +136,8 @@ pub struct ControlLoop {
     id_stride: u64,
     period_us: u64,
     next_cycle_us: u64,
+    /// When the last controller cycle ran, in microseconds (zero before
+    /// the first); the next cycle's `dt` is measured from here.
     last_cycle_us: u64,
 }
 
@@ -363,13 +361,6 @@ impl ControlLoop {
         self.next_cycle_us
     }
 
-    /// When the last controller cycle ran, in microseconds (zero before
-    /// the first).
-    #[inline]
-    pub fn last_cycle_us(&self) -> u64 {
-        self.last_cycle_us
-    }
-
     /// Moves the next-cycle-due time past `now_us` on the period grid and
     /// returns it.  Ticks missed during a stall (or while the cycle's own
     /// modelled cost was charged to the clock) are skipped, not replayed
@@ -390,14 +381,14 @@ impl ControlLoop {
     ///   cycle ([`Machine::drain_usage_changes`]) into the controller's
     ///   sticky snapshots, each reporting thread resolved through the
     ///   loop's own id → slot table.
-    /// * **Control**: with `dt` given (an exact integer event-time delta)
-    ///   the cycle length is `dt`; without, the controller derives it from
-    ///   consecutive `now` values.
+    /// * **Control**: the cycle length is the exact integer time since the
+    ///   previous cycle (at least one microsecond), whatever the backend's
+    ///   clock.
     /// * **Actuate**: applies each actuation through the slot table; a
     ///   thread the Place stage moved migrates, is counted on both CPUs,
     ///   and is charged `migration_cost_us` (cache and TLB refill on the
     ///   destination; zero on a backend that pays it for real).
-    pub fn cycle(&mut self, now: SimTime, dt: Option<SimTime>, migration_cost_us: u64) -> u64 {
+    pub fn cycle(&mut self, now: SimTime, migration_cost_us: u64) -> u64 {
         let Self {
             controller,
             machine,
@@ -413,6 +404,7 @@ impl ControlLoop {
                 controller.record_usage(slot, UsageSnapshot { usage_ratio: ratio });
             }
         });
+        let dt_us = now.as_micros().saturating_sub(*last_cycle_us).max(1);
         *last_cycle_us = now.as_micros();
         let full_before = controller.cycle_counts().0;
         // allow(determinism): wall-clock duration of the controller cycle
@@ -420,12 +412,7 @@ impl ControlLoop {
         // event order and SimStats are identical with and without it.
         // Allowlisted in analysis.toml.
         let timer = recorder.as_ref().map(|_| std::time::Instant::now());
-        let out = match dt {
-            Some(dt) => {
-                controller.control_cycle_with_dt(now.as_secs_f64(), dt.as_micros() as f64 * 1e-6)
-            }
-            None => controller.control_cycle_in_place(now.as_secs_f64()),
-        };
+        let out = controller.control_cycle_with_dt(now.as_secs_f64(), dt_us as f64 * 1e-6);
         stats.controller_invocations += 1;
         stats.controller_cost_us += out.cost_us;
         for event in &out.events {
@@ -577,7 +564,7 @@ mod tests {
     /// would: straight at its due time, cost not charged.
     fn run_due_cycle(ctl: &mut ControlLoop) {
         let now = ctl.next_cycle_us();
-        ctl.cycle(SimTime::from_micros(now), None, 0);
+        ctl.cycle(SimTime::from_micros(now), 0);
         ctl.skip_to_next_cycle(now);
     }
 
@@ -619,7 +606,7 @@ mod tests {
             run_due_cycle(&mut ctl);
         }
         assert_eq!(ctl.stats().controller_invocations, 50);
-        assert_eq!(ctl.last_cycle_us(), 500_000);
+        assert_eq!(ctl.last_cycle_us, 500_000);
         assert_eq!(ctl.next_cycle_us(), 510_000);
         let grown = ctl.reservation(a.slot, a.thread).unwrap();
         assert!(
@@ -743,7 +730,7 @@ mod tests {
         assert_eq!(ctl.next_cycle_us(), 10_000);
         // A stall until t = 47 ms: one cycle runs, the next is due at the
         // next grid point after the stall, not at 20 ms.
-        ctl.cycle(SimTime::from_micros(47_000), None, 0);
+        ctl.cycle(SimTime::from_micros(47_000), 0);
         assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000);
         assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000, "idempotent");
         assert_eq!(ctl.stats().controller_invocations, 1);

@@ -5,8 +5,8 @@
 //! owns the dense slot-indexed job table (`crate::slot::SlotTable`), the
 //! reusable `CycleContext` and output buffers, and drives the five
 //! pipeline stages of [`crate::pipeline`] once per controller period.  The
-//! steady-state entry point, `Controller::control_cycle_in_place`,
-//! performs no heap allocation once the scratch buffers have warmed up.
+//! cycle entry point, [`Controller::control_cycle_with_dt`], performs no
+//! heap allocation once the scratch buffers have warmed up.
 
 use crate::config::ControllerConfig;
 use crate::estimator::ProportionEstimator;
@@ -192,7 +192,6 @@ pub struct Controller {
     jobs: JobTable,
     ctx: CycleContext,
     output: ControlOutput,
-    last_cycle: Option<f64>,
     cycles: u64,
     /// Cycles that ran the full staged pipeline.
     full_cycles: u64,
@@ -281,7 +280,6 @@ impl Controller {
                 output.events.reserve(4);
                 output
             },
-            last_cycle: None,
             cycles: 0,
             full_cycles: 0,
             incremental_cycles: 0,
@@ -568,43 +566,29 @@ impl Controller {
         spec.with_progress_metric(self.registry.has_attachments(job.key()))
     }
 
-    /// Runs one control cycle at time `now_s` (seconds) and returns a
-    /// reference to the reused output buffers.
+    /// Runs one control cycle at `now_s` (seconds) over a cycle length of
+    /// `dt` seconds (non-positive falls back to the configured period) and
+    /// returns a reference to the reused output buffers.
     ///
-    /// This is the steady-state entry point: once the scratch buffers have
-    /// warmed up it performs no heap allocation.  Usage feedback is taken
-    /// from the sticky snapshots recorded via [`Controller::record_usage`]
-    /// (full usage when none was ever recorded).
+    /// Once the scratch buffers have warmed up it performs no heap
+    /// allocation.  Usage feedback is taken from the sticky snapshots
+    /// recorded via [`Controller::record_usage`] (full usage when none was
+    /// ever recorded).
     ///
     /// With [`ControllerConfig::incremental`] enabled and no structural
     /// change pending, the cycle recomputes only jobs whose inputs changed
     /// and emits actuations only for jobs whose `(grant, period, cpu)`
-    /// actually moved; otherwise it runs the full staged pipeline.
-    pub(crate) fn control_cycle_in_place(&mut self, now_s: f64) -> &ControlOutput {
-        let dt = match self.last_cycle {
-            Some(prev) if now_s > prev => now_s - prev,
-            _ => self.config.controller_period_s,
-        };
-        self.control_cycle_with_dt(now_s, dt)
-    }
-
-    /// Runs one control cycle at `now_s` with an explicitly supplied cycle
-    /// length `dt` (seconds; non-positive falls back to the configured
-    /// period).
-    ///
-    /// Callers stepping on an exact grid should prefer this over
-    /// `Controller::control_cycle_in_place`: a `dt` derived from integer
-    /// ticks is bitwise-identical every cycle, whereas differences of
-    /// accumulated floating-point timestamps jitter in the last ulp — and
-    /// [`ControllerConfig::incremental`] falls back to a full cycle
-    /// whenever `dt` is not bitwise-equal to the previous one.
+    /// actually moved; otherwise it runs the full staged pipeline.  It
+    /// also falls back to a full cycle whenever `dt` is not bitwise-equal
+    /// to the previous one, so callers derive `dt` from integer ticks
+    /// ([`crate::ControlLoop::cycle`] does): differences of accumulated
+    /// floating-point timestamps jitter in the last ulp.
     pub fn control_cycle_with_dt(&mut self, now_s: f64, dt: f64) -> &ControlOutput {
         let dt = if dt > 0.0 {
             dt
         } else {
             self.config.controller_period_s
         };
-        self.last_cycle = Some(now_s);
         self.cycles += 1;
 
         if self.needs_full_cycle(dt) {
@@ -894,7 +878,7 @@ mod tests {
 
     fn run_cycles(c: &mut Controller, n: usize, dt: f64) -> ControlOutput {
         for i in 1..=n {
-            c.control_cycle_in_place(i as f64 * dt);
+            c.control_cycle_with_dt(i as f64 * dt, dt);
         }
         c.output.clone()
     }
@@ -1080,7 +1064,7 @@ mod tests {
         let mut squished = false;
         let mut last_total = 0;
         for i in 1..=300 {
-            let out = c.control_cycle_in_place(i as f64 * 0.01);
+            let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
             last_total = out.total_granted_ppt;
             if out
                 .events
@@ -1153,7 +1137,7 @@ mod tests {
 
         let mut saw_exception = false;
         for i in 1..=400 {
-            let out = c.control_cycle_in_place(i as f64 * 0.01);
+            let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
             if !out.quality_exceptions().is_empty() {
                 saw_exception = true;
                 let q = out.quality_exceptions()[0];
@@ -1195,7 +1179,7 @@ mod tests {
                 } else {
                     queue.drain();
                 }
-                let out = c.control_cycle_in_place(i as f64 * 0.01);
+                let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
                 periods.push(out.actuation_for(JobId(1)).map(|a| a.reservation.period));
                 let created = c.jobs.get(slot).unwrap().period_estimator.is_some();
                 assert_eq!(created, from_admission || i >= 40, "cycle {i}");
@@ -1223,7 +1207,7 @@ mod tests {
         let mut grown = 0;
         for i in 1..=100 {
             grown = c
-                .control_cycle_in_place(i as f64 * 0.01)
+                .control_cycle_with_dt(i as f64 * 0.01, 0.01)
                 .actuation_for(JobId(1))
                 .unwrap()
                 .reservation
@@ -1236,7 +1220,7 @@ mod tests {
         let mut shrunk = grown;
         for i in 101..=200 {
             shrunk = c
-                .control_cycle_in_place(i as f64 * 0.01)
+                .control_cycle_with_dt(i as f64 * 0.01, 0.01)
                 .actuation_for(JobId(1))
                 .unwrap()
                 .reservation
@@ -1255,7 +1239,7 @@ mod tests {
         let slot = c.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
         // Grow the allocation first.
         for i in 1..=50 {
-            c.control_cycle_in_place(i as f64 * 0.01);
+            c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         }
         let grown = c.jobs.get(slot).map(|e| e.granted).unwrap().ppt();
         let reclaim = c.config().reclaim_ppt;
@@ -1266,12 +1250,12 @@ mod tests {
         // A low-usage snapshot triggers a −C reclamation — and persists, so
         // the following cycle reclaims again without a fresh recording.
         c.record_usage(slot, UsageSnapshot { usage_ratio: 0.0 });
-        c.control_cycle_in_place(0.51);
+        c.control_cycle_with_dt(0.51, 0.01);
         assert_eq!(
             c.jobs.get(slot).map(|e| e.granted).unwrap().ppt(),
             grown - reclaim
         );
-        c.control_cycle_in_place(0.52);
+        c.control_cycle_with_dt(0.52, 0.01);
         assert_eq!(
             c.jobs.get(slot).map(|e| e.granted).unwrap().ppt(),
             grown - 2 * reclaim
@@ -1281,7 +1265,7 @@ mod tests {
         c.record_usage(slot, UsageSnapshot { usage_ratio: 1.0 });
         let floor = c.jobs.get(slot).map(|e| e.granted).unwrap().ppt();
         for i in 1..=30 {
-            c.control_cycle_in_place(0.52 + i as f64 * 0.01);
+            c.control_cycle_with_dt(0.52 + i as f64 * 0.01, 0.01);
         }
         assert!(
             c.jobs.get(slot).map(|e| e.granted).unwrap().ppt() >= floor,
@@ -1337,7 +1321,7 @@ mod tests {
         c.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
         // Let job 1's grant grow so cpu0 carries real load.
         for i in 1..=100 {
-            c.control_cycle_in_place(i as f64 * 0.01);
+            c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         }
         assert!(c.granted(JobId(1)).unwrap().ppt() > 100);
         // The newcomer lands on the other, empty CPU.
@@ -1413,7 +1397,9 @@ mod tests {
         c.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
         let mut last = 0;
         for i in 1..=300 {
-            last = c.control_cycle_in_place(i as f64 * 0.01).total_granted_ppt;
+            last = c
+                .control_cycle_with_dt(i as f64 * 0.01, 0.01)
+                .total_granted_ppt;
         }
         // On one CPU the pair would be squished under 950 ‰; two CPUs let
         // both grow toward a full CPU each.
@@ -1470,14 +1456,14 @@ mod tests {
         }
         // Warm up, then capture buffer capacities.
         for i in 1..=50 {
-            c.control_cycle_in_place(i as f64 * 0.01);
+            c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         }
         let caps = {
-            let out = c.control_cycle_in_place(0.51);
+            let out = c.control_cycle_with_dt(0.51, 0.01);
             (out.actuations.capacity(), out.events.capacity())
         };
         for i in 52..=300 {
-            let out = c.control_cycle_in_place(i as f64 * 0.01);
+            let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
             assert_eq!(out.actuations.len(), 8);
             assert_eq!(
                 (out.actuations.capacity(), out.events.capacity()),

@@ -42,7 +42,7 @@
 //! job storage, so the steady-state cycle is allocation-free, `O(jobs)`,
 //! and each stage is independently testable.  The [`controller::Controller`]
 //! shell drives the pipeline via
-//! `controller::Controller::control_cycle_in_place` (usage recorded by
+//! [`controller::Controller::control_cycle_with_dt`] (usage recorded by
 //! slot, borrowed output).  Its own execution cost is modelled by
 //! [`cost::ControllerCostModel`] so the Figure 5 overhead experiment can
 //! be reproduced.

@@ -1,9 +1,8 @@
 //! A thread-safe bounded FIFO exposing its fill level.
 
 use crate::metric::{FillSample, ProgressMetric};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Error returned by [`BoundedBuffer::try_push`] when the buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,9 +20,9 @@ struct Inner<T> {
 /// A bounded multi-producer multi-consumer FIFO with an observable fill
 /// level — the shared-queue symbiotic interface of §3.2.
 ///
-/// The non-blocking `try_*` operations are used by the discrete-event
-/// simulator (which models blocking itself); the blocking operations are
-/// used by the wall-clock executor where real threads park on the buffer.
+/// Operations never block: a work model that finds the buffer full or
+/// empty reports itself blocked to its host, which models the wait (the
+/// simulator) or re-polls it (the wall-clock executor).
 ///
 /// # Examples
 ///
@@ -41,8 +40,6 @@ pub struct BoundedBuffer<T> {
     name: String,
     capacity: usize,
     inner: Mutex<Inner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
 }
 
 impl<T> BoundedBuffer<T> {
@@ -61,8 +58,6 @@ impl<T> BoundedBuffer<T> {
                 total_pushed: 0,
                 total_popped: 0,
             }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
         }
     }
 
@@ -105,8 +100,6 @@ impl<T> BoundedBuffer<T> {
         }
         inner.queue.push_back(item);
         inner.total_pushed += 1;
-        drop(inner);
-        self.not_empty.notify_one();
         Ok(())
     }
 
@@ -116,48 +109,6 @@ impl<T> BoundedBuffer<T> {
         let item = inner.queue.pop_front();
         if item.is_some() {
             inner.total_popped += 1;
-            drop(inner);
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Enqueues, blocking until space is available or the timeout expires.
-    ///
-    /// Returns the item back inside [`Full`] on timeout.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), Full<T>> {
-        let mut inner = self.inner.lock();
-        if inner.queue.len() >= self.capacity
-            && self
-                .not_full
-                .wait_while_for(&mut inner, |i| i.queue.len() >= self.capacity, timeout)
-                .timed_out()
-        {
-            return Err(Full(item));
-        }
-        inner.queue.push_back(item);
-        inner.total_pushed += 1;
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues, blocking until an item is available or the timeout expires.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut inner = self.inner.lock();
-        if inner.queue.is_empty()
-            && self
-                .not_empty
-                .wait_while_for(&mut inner, |i| i.queue.is_empty(), timeout)
-                .timed_out()
-        {
-            return None;
-        }
-        let item = inner.queue.pop_front();
-        if item.is_some() {
-            inner.total_popped += 1;
-            drop(inner);
-            self.not_full.notify_one();
         }
         item
     }
@@ -167,8 +118,6 @@ impl<T> BoundedBuffer<T> {
         let mut inner = self.inner.lock();
         let drained: Vec<T> = inner.queue.drain(..).collect();
         inner.total_popped += drained.len() as u64;
-        drop(inner);
-        self.not_full.notify_all();
         drained
     }
 }
@@ -258,44 +207,6 @@ mod tests {
     #[should_panic(expected = "capacity must be non-zero")]
     fn zero_capacity_rejected() {
         let _ = BoundedBuffer::<u8>::new("q", 0);
-    }
-
-    #[test]
-    fn pop_timeout_returns_none_when_empty() {
-        let buf: BoundedBuffer<u8> = BoundedBuffer::new("q", 1);
-        assert_eq!(buf.pop_timeout(Duration::from_millis(10)), None);
-    }
-
-    #[test]
-    fn push_timeout_times_out_when_full() {
-        let buf = BoundedBuffer::new("q", 1);
-        buf.try_push(1).unwrap();
-        assert_eq!(buf.push_timeout(2, Duration::from_millis(10)), Err(Full(2)));
-    }
-
-    #[test]
-    fn blocking_push_wakes_blocked_pop() {
-        let buf = Arc::new(BoundedBuffer::new("q", 1));
-        let consumer = {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || buf.pop_timeout(Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        buf.try_push(42).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn blocking_pop_wakes_blocked_push() {
-        let buf = Arc::new(BoundedBuffer::new("q", 1));
-        buf.try_push(1).unwrap();
-        let producer = {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || buf.push_timeout(2, Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(buf.pop_timeout(Duration::from_secs(1)), Some(1));
-        assert!(producer.join().unwrap().is_ok());
     }
 
     #[test]

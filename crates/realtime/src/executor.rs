@@ -375,7 +375,7 @@ impl RealTimeExecutor {
             let now_us = self.now_us();
             if now_us >= self.ctl.next_cycle_us() {
                 // The cycle's cost elapses for real, so none is charged.
-                self.ctl.cycle(SimTime::from_micros(now_us), None, 0);
+                self.ctl.cycle(SimTime::from_micros(now_us), 0);
                 self.ctl.skip_to_next_cycle(self.now_us());
                 // Re-poll blocked tasks at controller frequency.
                 for (&tid, task) in &mut self.tasks {

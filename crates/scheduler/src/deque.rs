@@ -36,7 +36,7 @@
 //! `O(1)`; anything else is an `O(log n)` search plus a shift, and the
 //! shift is the known worst case — an entry that lands or leaves `i`
 //! places from the front of `n` moves `min(i, n − i)` entries (`memmove`),
-//! where a heap pays `O(log n)`.  Eager (lockstep / wall-clock) rollovers
+//! where a heap pays `O(log n)`.  Eager (wall-clock executor) rollovers
 //! over threads of mixed periods are what can hit it on the timer list:
 //! every thread keeps a timer armed and a short-period one re-arms in
 //! front of every longer one.  Over the eight corpus scenarios run eagerly

@@ -624,11 +624,11 @@ impl Dispatcher {
     ///
     /// An idle [`Dispatcher::dispatch`] charges its returned quantum to
     /// [`DispatchStats::idle_us`] on the assumption that the caller idles
-    /// for exactly that long.  A lockstep driver may advance the shared
-    /// clock by a different amount — less when another CPU's thread
-    /// yielded early, more when it fast-forwards across a quiet gap — and
-    /// calls this with what was recorded and what actually elapsed so the
-    /// statistic stays truthful.
+    /// for exactly that long.  A driver that idles for a different span —
+    /// the simulator jumps an idle CPU straight to its next local event,
+    /// and books the jump with `recorded_us = 0` — calls this with what
+    /// was recorded and what actually elapsed so the statistic stays
+    /// truthful.
     pub fn rebook_idle_us(&mut self, recorded_us: u64, actual_us: u64) {
         self.stats.idle_us = self.stats.idle_us.saturating_sub(recorded_us) + actual_us;
     }

@@ -521,14 +521,8 @@ impl Machine {
         self.cpus[cpu.index()].dispatch()
     }
 
-    /// The earliest armed period timer across all CPUs — the next instant
-    /// at which an entirely idle machine has work to do.
-    pub fn next_timer_expiry(&self) -> Option<u64> {
-        self.cpus.iter().filter_map(|d| d.next_timer_expiry()).min()
-    }
-
-    /// Re-books one CPU's idle time after a lockstep round whose actual
-    /// elapsed time differed from the idle quantum the CPU recorded (see
+    /// Re-books one CPU's idle time when what actually elapsed differs
+    /// from the idle quantum the CPU recorded (see
     /// [`Dispatcher::rebook_idle_us`]).
     pub fn rebook_idle_us(&mut self, cpu: CpuId, recorded_us: u64, actual_us: u64) {
         self.cpus[cpu.index()].rebook_idle_us(recorded_us, actual_us);
@@ -686,7 +680,7 @@ mod tests {
             assert!(m.usage(id).unwrap().total_used_us > 0);
         }
         assert_eq!(agg.deadlines_missed, 0);
-        assert!(m.next_timer_expiry().is_some());
+        assert!(m.dispatcher(CpuId(0)).next_timer_expiry().is_some());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! decision or an observable statistic.  This module is the single source
 //! of truth for *when* that is, shared by the batched sim path and the
 //! per-charge reference path
-//! ([`Dispatcher::charge`](crate::Dispatcher::charge), which the lockstep
-//! simulator and the wall-clock executor drive), so the two modes cannot
+//! ([`Dispatcher::charge`](crate::Dispatcher::charge), which the
+//! wall-clock executor drives), so the two modes cannot
 //! drift: the eager path derives its throttle decision from the same
 //! [`charge_exhausts`] arithmetic the batcher uses to detect the throttle
 //! edge.

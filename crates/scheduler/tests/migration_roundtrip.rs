@@ -344,8 +344,11 @@ proptest! {
                 );
             }
             prop_assert_eq!(by_id.stats(), by_handle.stats());
-            prop_assert_eq!(by_id.next_timer_expiry(), by_handle.next_timer_expiry());
             for cpu in (0..cpus as u32).map(CpuId) {
+                prop_assert_eq!(
+                    by_id.dispatcher(cpu).next_timer_expiry(),
+                    by_handle.dispatcher(cpu).next_timer_expiry()
+                );
                 prop_assert_eq!(by_id.cpu_load_ppt(cpu), by_handle.cpu_load_ppt(cpu));
             }
         }

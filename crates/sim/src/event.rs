@@ -4,10 +4,10 @@ use rrs_scheduler::ThreadId;
 
 /// One scheduled occurrence in the simulator's event calendar.
 ///
-/// Everything that used to be discovered by polling every lockstep tick —
-/// controller cycles, trace samples, workload wake-ups — is now a typed
-/// entry in the [`crate::calendar::Schedule`]; between events nothing
-/// happens that the dispatch assignment cannot describe analytically.
+/// Everything that changes the dispatch assignment — controller cycles,
+/// trace samples, workload wake-ups — is a typed entry in the
+/// [`crate::calendar::Schedule`]; between events nothing happens that the
+/// dispatch assignment cannot describe analytically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A controller cycle is due: drain usage feedback, run the pipeline,
@@ -29,8 +29,7 @@ pub enum Event {
 }
 
 impl Event {
-    /// Tie-breaking rank for events scheduled at the same instant, mirroring
-    /// the order the old lockstep `step()` handled them within one tick:
+    /// Tie-breaking rank for events scheduled at the same instant:
     /// controller work first, then the trace sample, then wake-ups.
     pub(crate) fn priority(&self) -> u8 {
         match self {

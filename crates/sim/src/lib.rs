@@ -19,16 +19,17 @@
 //!
 //! # How the simulator advances time
 //!
-//! The default stepping mode ([`simulation::SteppingMode::Calendar`]) is a
-//! discrete-event loop built around an event calendar
+//! [`Simulation`] is one discrete-event loop built around an event calendar
 //! ([`calendar::Schedule`], a binary-heap agenda keyed by integer-microsecond
 //! [`rrs_core::SimTime`] with deterministic tie-breaking).  Only things that
 //! *change* the dispatch assignment are events: controller cycles, trace
 //! samples, workload wake-ups ([`Event::Wake`], announced by
 //! [`WorkModel::next_transition`]), and a dispatch-interval
 //! [`Event::PollTick`] for blocked workloads that cannot announce their
-//! wake-up.  Between two events the simulator advances each CPU
-//! *analytically*: the dispatcher picks a thread, the work model consumes
+//! wake-up.  One turn of the loop peeks the earliest event, advances every
+//! CPU to it, pops it, checks that event times never run backwards, handles
+//! it, and lets the handler push its successor.  Between two events the
+//! simulator advances each CPU *analytically*: the dispatcher picks a thread, the work model consumes
 //! its quantum (clipped to the event window), usage is charged, and the CPU
 //! repeats until the window is exhausted — no global tick, no heap
 //! operation per span, and no idle fast-forward special case, because an
@@ -36,11 +37,6 @@
 //! period boundaries do not enter the calendar at all: the dispatcher rolls
 //! them lazily ([`rrs_scheduler::DispatcherConfig::lazy_rollovers`]) and
 //! only throttle releases arm real timers.
-//!
-//! The previous tick-driven loop survives as
-//! [`simulation::SteppingMode::Lockstep`] — a naive reference the calendar
-//! path is property-tested against, and the anchor for the historical
-//! golden-stats captures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,6 +53,6 @@ pub use event::Event;
 pub use rrs_core::{JobHandle, SimTime};
 pub use rrs_scheduler::CpuStats;
 pub use sharded::{ShardConfig, ShardedSim};
-pub use simulation::{CpuConfig, SimConfig, SimStats, Simulation, SteppingMode};
+pub use simulation::{CpuConfig, SimConfig, SimStats, Simulation};
 pub use trace::{JobSeries, Trace};
 pub use workload::{RunResult, WorkModel};

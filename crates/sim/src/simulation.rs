@@ -1,29 +1,21 @@
 //! The simulation event loop.
 //!
 //! The simulator drives an [`rrs_scheduler::Machine`] of `N` per-CPU
-//! dispatchers.  Two stepping modes share every other piece of machinery
-//! (jobs, controller, tracing, statistics):
-//!
-//! * [`SteppingMode::Calendar`] (the default) is a discrete-event loop:
-//!   controller cycles, trace samples, workload wake-ups and poll ticks
-//!   are typed [`Event`]s in a binary-heap [`Schedule`] keyed by
-//!   [`SimTime`], and between two events each CPU's usage is advanced
-//!   *analytically* from its dispatch assignment — dispatch, run the
-//!   chosen work model for the span the assignment stays valid, charge,
-//!   repeat.  An idle CPU jumps straight to its next timer; there is no
-//!   idle fast-forward special case because idleness is simply "no event
-//!   until T".
-//! * [`SteppingMode::Lockstep`] is the original tick-driven loop: every
-//!   step dispatches each CPU, runs the selected work models for the
-//!   shortest granted quantum, and moves the shared clock once.  It is
-//!   retained as the naive reference the calendar path is property-tested
-//!   against, and as the anchor for the historical golden-stats captures.
+//! dispatchers with one discrete-event loop.  Controller cycles, trace
+//! samples, workload wake-ups and poll ticks are typed [`Event`]s in a
+//! binary-heap [`Schedule`] keyed by [`SimTime`]; each turn
+//! (`Simulation::step_until`) peeks the earliest event, advances every
+//! CPU's usage *analytically* across the gap — dispatch, run the chosen
+//! work model for the span the assignment stays valid, charge, repeat
+//! (`Simulation::advance_cpus_to`) — then pops the event, checks that
+//! event times never run backwards, handles it, and lets the handler push
+//! its successor.  An idle CPU jumps straight to its next timer; there is
+//! no idle fast-forward special case because idleness is simply "no event
+//! until T".
 //!
 //! Cross-CPU migrations decided by the control pipeline's Place stage are
-//! applied between cycles and charged a configurable cost in both modes.
-//! `tests/sim_golden_stats.rs` pins `SimStats` for both modes at `N = 1`
-//! and `N = 8` so the calendar optimisations stay observable only where
-//! documented.
+//! applied between cycles and charged a configurable cost.
+//! `tests/sim_golden_stats.rs` pins `SimStats` at `N = 1` and `N = 8`.
 
 use crate::calendar::{EventId, Schedule};
 use crate::event::Event;
@@ -36,8 +28,8 @@ use rrs_core::{
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
-    CpuId, DispatchOutcome, Dispatcher, DispatcherConfig, Machine, MigratedThread, Period,
-    Proportion, Reservation, ThreadId, ThreadState,
+    CpuId, Dispatcher, DispatcherConfig, Machine, MigratedThread, Period, Proportion, Reservation,
+    ThreadId, ThreadState,
 };
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
@@ -56,24 +48,6 @@ impl Default for CpuConfig {
     fn default() -> Self {
         Self { clock_hz: 400e6 }
     }
-}
-
-/// How the simulation advances time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SteppingMode {
-    /// Discrete-event stepping on the event calendar (the default).
-    ///
-    /// Controller cycles, trace samples, workload wake-ups and poll ticks
-    /// are entries in a [`Schedule`]; between two events each CPU advances
-    /// analytically from its current dispatch assignment.  Selecting this
-    /// mode forces the lazy-rollover dispatcher and the incremental
-    /// controller, the two optimisations the calendar loop is built on.
-    #[default]
-    Calendar,
-    /// The original tick-driven loop: one lockstep dispatch round over
-    /// every CPU per [`Simulation::step`].  Retained as the naive
-    /// reference the calendar path is property-tested against.
-    Lockstep,
 }
 
 /// Simulation parameters.
@@ -102,8 +76,6 @@ pub struct SimConfig {
     /// to the migrating thread's budget (cache and TLB refill on the
     /// destination CPU).
     pub migration_cost_us: u64,
-    /// How the simulation advances time (see [`SteppingMode`]).
-    pub stepping: SteppingMode,
 }
 
 impl Default for SimConfig {
@@ -117,7 +89,6 @@ impl Default for SimConfig {
             charge_dispatch_overhead: true,
             trace_interval_s: 0.1,
             migration_cost_us: 50,
-            stepping: SteppingMode::Calendar,
         }
     }
 }
@@ -136,12 +107,6 @@ impl SimConfig {
     /// least one).  The default configuration is the paper's single CPU.
     pub fn with_cpus(mut self, cpus: usize) -> Self {
         self.controller = self.controller.with_cpus(cpus);
-        self
-    }
-
-    /// Returns a copy using the given stepping mode.
-    pub fn with_stepping(mut self, stepping: SteppingMode) -> Self {
-        self.stepping = stepping;
         self
     }
 
@@ -228,30 +193,20 @@ pub struct Simulation {
     /// Scratch for in-window poll entries `(id, dense slot)`, same reuse
     /// discipline as `scratch_wakes`.
     scratch_poll: Vec<(ThreadId, u32)>,
-    /// Per-step dispatch outcomes, one per CPU (reused across steps).
-    cpu_outcomes: Vec<DispatchOutcome>,
-    /// Per-step CPU time actually consumed, aligned with `cpu_outcomes`
-    /// (reused across steps).
-    cpu_used: Vec<u64>,
     now_us: u64,
     /// Time of the last event popped off the calendar; event times must
     /// never run backwards (checked on every pop in debug builds).
     last_event_us: u64,
     next_trace_us: u64,
-    /// End bound of the `run_until_micros` call in progress, clamping how
-    /// far an idle fast-forward may jump past the requested horizon.
-    run_end_us: Option<u64>,
-    last_dispatch_overhead_us: f64,
-    /// The event calendar (calendar stepping only): controller cycles,
-    /// trace samples, known wake-ups and poll ticks.
+    /// The event calendar: controller cycles, trace samples, known
+    /// wake-ups and poll ticks.
     calendar: Schedule,
     /// Pending `Event::Wake` entries indexed by `ThreadId.0` (dense, like
     /// `threads`), so removing a job cancels its wake-up.
     wake_events: Vec<Option<EventId>>,
     /// The single outstanding `Event::PollTick`, if any.
     poll_tick: Option<EventId>,
-    /// Per-CPU dispatcher overhead watermark (calendar stepping charges
-    /// overhead per CPU rather than averaging over the machine).
+    /// Per-CPU dispatcher overhead watermark.
     last_cpu_overhead: Vec<f64>,
     /// Per-CPU fractional overhead not yet consumed as simulated time.
     overhead_carry: Vec<f64>,
@@ -264,9 +219,9 @@ pub struct Simulation {
 impl Simulation {
     /// Creates a simulation with the given configuration.
     ///
-    /// Calendar stepping (the default) forces the two machine-level
-    /// optimisations it is built on: the dispatcher's lazy period
-    /// rollovers and the controller's incremental cycles.
+    /// The event loop forces the two machine-level optimisations it is
+    /// built on: the dispatcher's lazy period rollovers and the
+    /// controller's incremental cycles.
     pub fn new(config: SimConfig) -> Self {
         Self::with_shard_identity(config, MetricRegistry::new(), 1, 1)
     }
@@ -286,19 +241,15 @@ impl Simulation {
         first_id: u64,
         id_stride: u64,
     ) -> Self {
-        if config.stepping == SteppingMode::Calendar {
-            config.dispatcher.lazy_rollovers = true;
-            config.controller.incremental = true;
-        }
+        config.dispatcher.lazy_rollovers = true;
+        config.controller.incremental = true;
         let ctl = ControlLoop::new(config.controller, config.dispatcher, registry)
             .with_ids(first_id, id_stride);
         let mut calendar = Schedule::new();
-        if config.stepping == SteppingMode::Calendar {
-            // Seed the periodic events; each handler reschedules itself.
-            calendar.schedule(SimTime::ZERO, Event::Trace);
-            if config.controller_enabled {
-                calendar.schedule(SimTime::from_micros(ctl.next_cycle_us()), Event::Controller);
-            }
+        // Seed the periodic events; each handler reschedules itself.
+        calendar.schedule(SimTime::ZERO, Event::Trace);
+        if config.controller_enabled {
+            calendar.schedule(SimTime::from_micros(ctl.next_cycle_us()), Event::Controller);
         }
         let cpus = ctl.machine().cpu_count();
         Self {
@@ -308,13 +259,9 @@ impl Simulation {
             blocked: SlotSet::default(),
             scratch_wakes: Vec::new(),
             scratch_poll: Vec::new(),
-            cpu_outcomes: Vec::new(),
-            cpu_used: Vec::new(),
             now_us: 0,
             last_event_us: 0,
             next_trace_us: 0,
-            run_end_us: None,
-            last_dispatch_overhead_us: 0.0,
             calendar,
             wake_events: Vec::new(),
             poll_tick: None,
@@ -542,8 +489,7 @@ impl Simulation {
         let was_blocked = mthread.state() == ThreadState::Blocked;
         let handle = self.ctl.inject(mjob, mthread, cpu)?;
         let tid = handle.thread;
-        let calendar = self.config.stepping == SteppingMode::Calendar;
-        let wake = if was_blocked && calendar {
+        let wake = if was_blocked {
             thread
                 .work
                 .next_transition(SimTime::from_micros(self.now_us))
@@ -561,9 +507,7 @@ impl Simulation {
             }
             None if was_blocked => {
                 self.blocked.insert(tid.0 as usize);
-                if calendar {
-                    self.ensure_poll_tick(self.now_us);
-                }
+                self.ensure_poll_tick(self.now_us);
             }
             None => {}
         }
@@ -607,42 +551,33 @@ impl Simulation {
         self.run_until_micros(end_after(self.now_us, dt_us));
     }
 
-    /// Runs the simulation until the given absolute simulated time.
+    /// Runs the simulation until the given absolute simulated time: turn
+    /// after turn of [`Simulation::step_until`] up to the horizon.
     pub(crate) fn run_until_micros(&mut self, end_us: u64) {
-        match self.config.stepping {
-            SteppingMode::Calendar => self.run_calendar_until(end_us),
-            SteppingMode::Lockstep => {
-                self.run_end_us = Some(end_us);
-                while self.now_us < end_us {
-                    self.step_lockstep();
-                }
-                self.run_end_us = None;
-            }
+        if self.now_us >= end_us {
+            return;
         }
+        // A sentinel pins the horizon so the gap up to `end_us` is always
+        // bounded by a calendar entry; events scheduled exactly on the
+        // horizon stay pending and fire when the simulation resumes.
+        let horizon = self
+            .calendar
+            .schedule(SimTime::from_micros(end_us), Event::Horizon);
+        while self.step_until(end_us) {}
+        self.calendar.cancel(horizon);
+        self.ctl.machine_mut().sync_all();
     }
 
-    /// Executes one scheduling step.
+    /// Executes one scheduling step: jumps to the next scheduled event,
+    /// advancing every CPU's usage analytically across the gap, then
+    /// handles every event due there.
     ///
-    /// Under calendar stepping this advances every CPU to the next
-    /// scheduled event and handles everything due there; under lockstep it
-    /// runs one dispatch round over every CPU and one quantum of work per
-    /// busy CPU.
-    pub fn step(&mut self) {
-        match self.config.stepping {
-            SteppingMode::Calendar => self.step_calendar(),
-            SteppingMode::Lockstep => self.step_lockstep(),
-        }
-    }
-
-    /// One calendar step: jump to the next event, advancing every CPU's
-    /// usage analytically across the gap, then handle all events due.
-    ///
-    /// Unlike [`Simulation::run_until_micros`] this does not settle the
+    /// Unlike [`Simulation::run_for`] this does not settle the
     /// dispatchers' lazy period-boundary backlog afterwards: total used
     /// time stays exact (charges are immediate), but per-period ratios and
     /// deadline statistics are only guaranteed current after a `run_*`
     /// call's final sync.
-    fn step_calendar(&mut self) {
+    pub fn step(&mut self) {
         if !self.step_until(u64::MAX) {
             // Nothing scheduled (controller and trace both produce events,
             // so this is defensive): burn one dispatch quantum.
@@ -658,22 +593,6 @@ impl Simulation {
         {
             self.step_until(u64::MAX);
         }
-    }
-
-    /// The calendar main loop: turn after turn until the horizon.
-    fn run_calendar_until(&mut self, end_us: u64) {
-        if self.now_us >= end_us {
-            return;
-        }
-        // A sentinel pins the horizon so the gap up to `end_us` is always
-        // bounded by a calendar entry; events scheduled exactly on the
-        // horizon stay pending and fire when the simulation resumes.
-        let horizon = self
-            .calendar
-            .schedule(SimTime::from_micros(end_us), Event::Horizon);
-        while self.step_until(end_us) {}
-        self.calendar.cancel(horizon);
-        self.ctl.machine_mut().sync_all();
     }
 
     /// One turn of the calendar loop, the only place an event leaves the
@@ -986,153 +905,16 @@ impl Simulation {
 
     /// One controller cycle ([`ControlLoop::cycle`]) at the current clock,
     /// its modelled cost charged to the clock when configured.  Returns
-    /// when the next cycle is due.  Under calendar stepping `dt` is the
-    /// exact integer event-time delta since the last cycle; the lockstep
-    /// reference leaves it to the controller's own timestamps.
+    /// when the next cycle is due.
     fn run_controller(&mut self) -> u64 {
-        let dt = match self.config.stepping {
-            SteppingMode::Calendar => Some(SimTime::from_micros(
-                (self.now_us - self.ctl.last_cycle_us()).max(1),
-            )),
-            SteppingMode::Lockstep => None,
-        };
         let cost_us = self.ctl.cycle(
             SimTime::from_micros(self.now_us),
-            dt,
             self.config.migration_cost_us,
         );
         if self.config.charge_controller_cost {
             self.now_us += cost_us;
         }
         self.ctl.skip_to_next_cycle(self.now_us)
-    }
-
-    /// One lockstep step: controller if due, one lockstep dispatch round
-    /// over every CPU, one quantum of work per busy CPU.
-    fn step_lockstep(&mut self) {
-        self.ctl.stats_mut().steps += 1;
-
-        // Controller invocation.
-        if self.config.controller_enabled && self.now_us >= self.ctl.next_cycle_us() {
-            self.run_controller();
-        }
-
-        // Trace sampling.
-        if self.now_us >= self.next_trace_us {
-            self.record_trace();
-        }
-
-        self.ctl.machine_mut().advance_to(self.now_us);
-        self.poll_blocked();
-
-        // Dispatch every CPU; the machine runs in lockstep for the
-        // shortest quantum any CPU granted.
-        self.cpu_outcomes.clear();
-        let mut any_thread = false;
-        let mut min_quantum = u64::MAX;
-        for cpu in 0..self.ctl.machine().cpu_count() {
-            let outcome = self.ctl.machine_mut().dispatch(CpuId(cpu as u32));
-            any_thread |= outcome.thread.is_some();
-            min_quantum = min_quantum.min(outcome.quantum_us);
-            self.cpu_outcomes.push(outcome);
-        }
-        self.charge_dispatch_overhead();
-
-        if !any_thread {
-            self.advance_idle(min_quantum.max(1));
-            return;
-        }
-
-        let dt = min_quantum.max(1);
-        let cpu_hz = self.config.cpu.clock_hz;
-        let now = self.now_us;
-        // The clock advances by the longest time any CPU was actually busy
-        // this round; a CPU whose thread yielded early idles out the rest.
-        let mut max_used = 0;
-        self.cpu_used.clear();
-        for i in 0..self.cpu_outcomes.len() {
-            let Some(tid) = self.cpu_outcomes[i].thread else {
-                self.cpu_used.push(0);
-                continue;
-            };
-            let (_, entry) = self.thread_mut(tid).expect("dispatched thread exists");
-            let result = entry.work.run(now, dt, cpu_hz);
-            let used = result.used_us.min(dt);
-            self.ctl
-                .machine_mut()
-                .charge(tid, used)
-                .expect("dispatched thread exists");
-            if result.blocked {
-                self.ctl.machine_mut().block(tid).expect("thread exists");
-                self.blocked.insert(tid.0 as usize);
-            }
-            self.cpu_used.push(used);
-            self.ctl.stats_mut().per_cpu[i].used_us += used;
-            max_used = max_used.max(used);
-        }
-        let advance = max_used.max(1);
-        self.rebook_idle_cpus(advance);
-        self.now_us += advance;
-    }
-
-    /// Moves the clock across a fully idle dispatch round.  With no
-    /// blocked thread waiting to be polled the clock jumps straight to the
-    /// next event — a period timer, the controller tick or the trace
-    /// sampler — instead of accumulating one bounded idle quantum per
-    /// step.
-    fn advance_idle(&mut self, idle_quantum: u64) {
-        let pollable_blocked = !self.blocked.is_empty();
-        let advance = if pollable_blocked {
-            idle_quantum
-        } else {
-            let mut target = u64::MAX;
-            if let Some(t) = self.ctl.machine().next_timer_expiry() {
-                target = target.min(t);
-            }
-            if self.config.controller_enabled {
-                target = target.min(self.ctl.next_cycle_us());
-            }
-            target = target.min(self.next_trace_us);
-            if target == u64::MAX {
-                target = self.now_us + idle_quantum;
-            }
-            // Never overshoot the caller's horizon: pre-refactor runs
-            // ended within one dispatch quantum of the requested time.
-            if let Some(end) = self.run_end_us {
-                target = target.min(end);
-            }
-            target.max(self.now_us + 1) - self.now_us
-        };
-        self.rebook_idle_cpus(advance);
-        self.now_us += advance;
-    }
-
-    /// An idle dispatch books its returned quantum as idle time, but the
-    /// lockstep round may elapse a different span (another CPU's thread
-    /// yielded early, or fast-forward jumped a quiet gap); re-book every
-    /// idle CPU's statistic to what actually passed.  A CPU whose thread
-    /// ran for less than the round booked nothing at dispatch time, so its
-    /// unused remainder is added here.
-    fn rebook_idle_cpus(&mut self, actual_us: u64) {
-        for (i, outcome) in self.cpu_outcomes.iter().enumerate() {
-            match outcome.thread {
-                None => {
-                    self.ctl.machine_mut().rebook_idle_us(
-                        CpuId(i as u32),
-                        outcome.quantum_us,
-                        actual_us,
-                    );
-                }
-                Some(_) => {
-                    let used = self.cpu_used.get(i).copied().unwrap_or(actual_us);
-                    if actual_us > used {
-                        self.ctl
-                            .machine_mut()
-                            .rebook_idle_us(CpuId(i as u32), 0, actual_us - used);
-                    }
-                }
-            }
-        }
     }
 
     fn poll_blocked(&mut self) {
@@ -1152,20 +934,6 @@ impl Simulation {
                     self.ctl.unblock(slot, tid);
                 }
             }
-        }
-    }
-
-    fn charge_dispatch_overhead(&mut self) {
-        let total = self.ctl.machine().stats().overhead_us;
-        let delta = total - self.last_dispatch_overhead_us;
-        self.last_dispatch_overhead_us = total;
-        self.ctl.stats_mut().dispatch_overhead_us += delta;
-        if self.config.charge_dispatch_overhead && delta > 0.0 {
-            // CPUs pay their dispatch overhead in parallel: the shared
-            // clock advances by the per-CPU average, which on one CPU is
-            // exactly the original charge.
-            let wall = delta / self.ctl.machine().cpu_count() as f64;
-            self.now_us += wall.round() as u64;
         }
     }
 
@@ -1417,9 +1185,8 @@ mod tests {
 
     #[test]
     fn multicore_idle_accounting_tracks_actual_elapsed_time() {
-        // One throttled spinner on cpu0 leaves cpu1 permanently idle.
-        // Every lockstep round cpu1 books an idle quantum that may exceed
-        // what actually elapses; the rebooking correction must keep total
+        // One throttled spinner on cpu0 leaves cpu1 permanently idle:
+        // cpu1's idle jumps must book what actually elapses, keeping total
         // idle time within the machine's physical capacity.
         let config = SimConfig {
             controller_enabled: false,
@@ -1565,27 +1332,15 @@ mod tests {
         let dbg = format!("{sim:?}");
         assert!(dbg.contains("Simulation"));
 
-        // Idle fast-forward (lockstep only): with nothing runnable the
-        // clock jumps from event to event (controller ticks at 10 ms,
-        // trace at 100 ms) instead of burning one dispatch tick (1 ms) at
-        // a time, so an idle second takes far fewer steps than the naive
-        // tick count (1 s at the 1 ms dispatch interval = 1000 ticks).
+        // With nothing runnable the clock jumps from event to event
+        // (controller ticks at 10 ms, trace at 100 ms) instead of burning
+        // one dispatch tick (1 ms) at a time: a step is an event handled,
+        // so an idle second takes far fewer steps than the naive tick
+        // count (1 s at the 1 ms dispatch interval = 1000 ticks).
         let naive_ticks = 1000;
-        let mut lockstep = Simulation::new(SimConfig {
-            stepping: SteppingMode::Lockstep,
-            ..SimConfig::default()
-        });
-        lockstep.run_for(1.0);
-        let fast_steps = lockstep.stats().steps;
-        assert!(
-            fast_steps * 4 < naive_ticks,
-            "fast-forward must cut the step count ({fast_steps} vs {naive_ticks})"
-        );
-        // The calendar run above processes one event per step and never
-        // burns idle ticks, so it too stays far below the naive loop.
         assert!(
             sim.stats().steps * 4 < naive_ticks,
-            "calendar steps = events handled ({} vs {naive_ticks})",
+            "steps = events handled ({} vs {naive_ticks})",
             sim.stats().steps
         );
     }
@@ -1595,66 +1350,47 @@ mod tests {
         // No jobs, no controller, a 10 s trace interval: the only jump
         // target is far beyond the requested run; the clock must still
         // stop at (not overshoot) the horizon.
-        for stepping in [SteppingMode::Lockstep, SteppingMode::Calendar] {
-            let config = SimConfig {
-                controller_enabled: false,
-                trace_interval_s: 10.0,
-                stepping,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(config);
-            sim.run_for(0.5);
-            assert!(sim.now_seconds() >= 0.5);
-            assert!(
-                sim.now_seconds() < 0.51,
-                "{stepping:?} overshot the requested horizon: {}",
-                sim.now_seconds()
-            );
-        }
+        let config = SimConfig {
+            controller_enabled: false,
+            trace_interval_s: 10.0,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(config);
+        sim.run_for(0.5);
+        assert!(sim.now_seconds() >= 0.5);
+        assert!(
+            sim.now_seconds() < 0.51,
+            "overshot the requested horizon: {}",
+            sim.now_seconds()
+        );
     }
 
     #[test]
     fn idle_fast_forward_jumps_to_throttle_replenishment() {
         // A single reserved thread that exhausts its budget leaves the
-        // machine idle until its period boundary; fast-forward must jump
-        // there, not change how much CPU the thread receives (a 200 ‰
-        // reservation delivers a 0.2 fraction).
-        let run = |stepping: SteppingMode| {
-            let config = SimConfig {
-                controller_enabled: false,
-                stepping,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(config);
-            let h = sim
-                .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
-                .unwrap();
-            sim.force_reservation(h, Proportion::from_ppt(200), Period::from_millis(10));
-            sim.run_for(2.0);
-            (
-                sim.cpu_used_us(h) as f64 / sim.now_micros() as f64,
-                sim.stats().steps,
-            )
+        // machine idle until its period boundary; the idle jump must land
+        // there — the throttled thread's release timer bounds it — and not
+        // change how much CPU the thread receives (a 200 ‰ reservation
+        // delivers a 0.2 fraction).
+        let config = SimConfig {
+            controller_enabled: false,
+            ..SimConfig::default()
         };
+        let mut sim = Simulation::new(config);
+        let h = sim
+            .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
+            .unwrap();
+        sim.force_reservation(h, Proportion::from_ppt(200), Period::from_millis(10));
+        sim.run_for(2.0);
+        let frac = sim.cpu_used_us(h) as f64 / sim.now_micros() as f64;
+        assert!(
+            (frac - 0.2).abs() < 0.02,
+            "idle jumps must not change delivered CPU ({frac} vs 0.2)"
+        );
         // A tick-at-a-time loop would take ~2000 steps (2 s at the 1 ms
         // dispatch interval); jumping across each period's idle tail must
         // land well below that.
-        let naive_ticks = 2000;
-        let (fast_frac, fast_steps) = run(SteppingMode::Lockstep);
-        assert!(
-            (fast_frac - 0.2).abs() < 0.02,
-            "fast-forward must not change delivered CPU ({fast_frac} vs 0.2)"
-        );
-        assert!(fast_steps < naive_ticks);
-        // The calendar path has no fast-forward special case to get wrong:
-        // the throttled thread's release timer bounds every idle jump, so
-        // the delivered fraction matches.
-        let (cal_frac, cal_steps) = run(SteppingMode::Calendar);
-        assert!(
-            (cal_frac - fast_frac).abs() < 0.02,
-            "calendar stepping must not change delivered CPU ({cal_frac} vs {fast_frac})"
-        );
-        assert!(cal_steps < naive_ticks);
+        assert!(sim.stats().steps < 2000);
     }
 
     #[test]
@@ -1794,7 +1530,6 @@ mod tests {
         let run = |split: bool| {
             let mut sim = Simulation::new(SimConfig {
                 controller_enabled: false,
-                stepping: SteppingMode::Lockstep,
                 ..SimConfig::default()
             });
             let h = sim
@@ -1831,10 +1566,7 @@ mod tests {
         // continuing past the horizon the split run has invoked the
         // controller exactly as often as a one-shot run to the same end.
         let run_ctl = |split: bool| {
-            let mut sim = Simulation::new(SimConfig {
-                stepping: SteppingMode::Lockstep,
-                ..SimConfig::default()
-            });
+            let mut sim = Simulation::new(SimConfig::default());
             let h = sim
                 .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
                 .unwrap();
@@ -1876,9 +1608,9 @@ mod tests {
 
     #[test]
     fn calendar_wakes_timer_sleepers_without_polling() {
-        // 1 ms of work, 9 ms of timer sleep: a 10 % duty cycle.  Under
-        // calendar stepping each sleep is one Wake event confirmed by one
-        // poll; the lockstep loop instead polls every dispatch tick.
+        // 1 ms of work, 9 ms of timer sleep: a 10 % duty cycle.  Each
+        // sleep is one Wake event confirmed by one poll, not a poll every
+        // dispatch tick.
         let polls = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let config = SimConfig {
             controller_enabled: false,
@@ -2003,8 +1735,7 @@ mod tests {
 
     #[test]
     fn calendar_horizon_boundary_events_fire_on_resume() {
-        // The calendar analog of the lockstep fast-forward regression
-        // above: a trace sample scheduled exactly on the run horizon stays
+        // A trace sample scheduled exactly on the run horizon stays
         // pending — the run stops at (not past) the horizon — and fires
         // first thing on resume, at exactly t = 0.5.
         let mut sim = Simulation::new(SimConfig {
@@ -2084,17 +1815,6 @@ mod tests {
     }
 
     #[test]
-    fn with_stepping_selects_the_mode() {
-        assert_eq!(
-            SimConfig::default()
-                .with_stepping(SteppingMode::Lockstep)
-                .stepping,
-            SteppingMode::Lockstep
-        );
-        assert_eq!(SimConfig::default().stepping, SteppingMode::Calendar);
-    }
-
-    #[test]
     fn telemetry_snapshot_counts_the_fast_paths() {
         // Counters are always on: even without a recorder the snapshot
         // reports cache hits, settles and calendar event counts.
@@ -2131,54 +1851,50 @@ mod tests {
     }
 
     proptest! {
-        /// Oracle: on blocking-free workloads with fixed under-committed
-        /// reservations, calendar stepping reproduces the retained naive
-        /// lockstep loop *exactly* — per-thread consumed CPU and the final
-        /// clock agree to the microsecond.  (Total demand is kept below
-        /// each CPU's capacity so every thread drains its whole budget
-        /// every period; scheduling order then cannot change totals.)
+        /// Closed-form oracle: on blocking-free workloads with fixed
+        /// under-committed reservations every thread drains its whole
+        /// budget every period (total demand stays below each CPU's
+        /// capacity, so scheduling order cannot change totals), and the
+        /// run ends exactly on its horizon — per-thread consumed CPU and
+        /// the final clock are known to the microsecond.
         #[test]
-        fn calendar_stepping_matches_the_lockstep_oracle(
+        fn stepping_matches_the_closed_form_oracle(
             cpus in 1usize..4,
             specs in proptest::collection::vec((20u32..46, 0usize..3), 1..6),
         ) {
-            let run = |stepping: SteppingMode| {
-                let config = SimConfig {
-                    controller_enabled: false,
-                    charge_controller_cost: false,
-                    charge_dispatch_overhead: false,
-                    stepping,
-                    ..SimConfig::default().with_cpus(cpus)
-                };
-                let mut sim = Simulation::new(config);
-                let mut handles = Vec::new();
-                for (i, &(ppt, period_idx)) in specs.iter().enumerate() {
-                    let h = sim
-                        .add_job(&format!("j{i}"), JobSpec::miscellaneous(), Box::new(Spin::new()))
-                        .unwrap();
-                    let period_ms = [10u64, 20, 40][period_idx];
-                    sim.force_reservation(
-                        h,
-                        Proportion::from_ppt(ppt),
-                        Period::from_millis(period_ms),
-                    );
-                    handles.push(h);
-                }
-                // Two calls cover stopping and resuming at a horizon.
-                sim.run_for(0.06);
-                sim.run_for(0.06);
-                let used: Vec<u64> = handles.iter().map(|&h| sim.cpu_used_us(h)).collect();
-                (sim.now_micros(), used)
+            let config = SimConfig {
+                controller_enabled: false,
+                charge_controller_cost: false,
+                charge_dispatch_overhead: false,
+                ..SimConfig::default().with_cpus(cpus)
             };
-            let (cal_now, cal_used) = run(SteppingMode::Calendar);
-            let (lock_now, lock_used) = run(SteppingMode::Lockstep);
-            prop_assert_eq!(cal_now, 120_000);
-            prop_assert_eq!(cal_now, lock_now);
-            prop_assert_eq!(cal_used, lock_used);
+            let mut sim = Simulation::new(config);
+            let mut handles = Vec::new();
+            let mut expected = Vec::new();
+            for (i, &(ppt, period_idx)) in specs.iter().enumerate() {
+                let h = sim
+                    .add_job(&format!("j{i}"), JobSpec::miscellaneous(), Box::new(Spin::new()))
+                    .unwrap();
+                let period_ms = [10u64, 20, 40][period_idx];
+                sim.force_reservation(
+                    h,
+                    Proportion::from_ppt(ppt),
+                    Period::from_millis(period_ms),
+                );
+                handles.push(h);
+                let budget_us = period_ms * 1_000 * u64::from(ppt) / 1_000;
+                expected.push(budget_us * (120 / period_ms));
+            }
+            // Two calls cover stopping and resuming at a horizon.
+            sim.run_for(0.06);
+            sim.run_for(0.06);
+            let used: Vec<u64> = handles.iter().map(|&h| sim.cpu_used_us(h)).collect();
+            prop_assert_eq!(sim.now_micros(), 120_000);
+            prop_assert_eq!(used, expected);
         }
 
-        /// Replaying the same mixed workload under calendar stepping gives
-        /// bitwise-identical statistics: the event order is deterministic.
+        /// Replaying the same mixed workload gives bitwise-identical
+        /// statistics: the event order is deterministic.
         #[test]
         fn calendar_replay_is_deterministic(
             jobs in proptest::collection::vec(0u8..3, 1..6),

@@ -199,19 +199,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
     }
-
-    /// Consumes the trace and returns all series, in name order.
-    pub fn into_series(mut self) -> Vec<TimeSeries> {
-        self.by_name
-            .values()
-            .map(|&id| std::mem::take(&mut self.series[id as usize]))
-            .collect()
-    }
-
-    /// Returns clones of all series, in name order.
-    pub fn all_series(&self) -> Vec<TimeSeries> {
-        self.iter().map(|(_, series)| series.clone()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -264,18 +251,5 @@ mod tests {
             assert_eq!(x.1.samples(), y.1.samples());
         }
         assert_eq!(by_id.get("z").unwrap().len(), 2);
-        assert_eq!(by_id.into_series()[0].name(), "a");
-    }
-
-    #[test]
-    fn into_series_preserves_data() {
-        let mut t = Trace::new();
-        t.record("a", 0.0, 1.0);
-        t.record("b", 0.0, 2.0);
-        let all = t.all_series();
-        assert_eq!(all.len(), 2);
-        let series = t.into_series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].name(), "a");
     }
 }

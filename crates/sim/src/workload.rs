@@ -53,12 +53,11 @@ pub trait WorkModel: Send {
     /// The next instant at which a model that just blocked (at `now`) can
     /// change state, if it knows one.
     ///
-    /// Calendar stepping queries this right after a block: `Some(t)`
-    /// schedules a single wake-up event at `t` — the model is still asked
-    /// to confirm via [`WorkModel::poll_unblock`] when it fires — while
-    /// `None` (the default) falls back to polling the model at the
-    /// dispatch-interval cadence, which is how every model behaves under
-    /// lockstep stepping.  Models blocked on a timer (I/O completion, a
+    /// The simulator queries this right after a block: `Some(t)` schedules
+    /// a single wake-up event at `t` — the model is still asked to confirm
+    /// via [`WorkModel::poll_unblock`] when it fires — while `None` (the
+    /// default) falls back to polling the model at the dispatch-interval
+    /// cadence.  Models blocked on a timer (I/O completion, a
     /// sleep until the next frame) should override this; models blocked on
     /// another job's progress (a full or empty queue) cannot know and
     /// should not.

@@ -17,9 +17,7 @@
 //! the rebalancer's telemetry counters.
 
 use realrate::api::{Host, JobSpec, Period, Proportion, Runtime, SimTime};
-use realrate::sim::{
-    RunResult, ShardConfig, ShardedSim, SimConfig, SimStats, SteppingMode, WorkModel,
-};
+use realrate::sim::{RunResult, ShardConfig, ShardedSim, SimConfig, SimStats, WorkModel};
 
 /// Uses every cycle offered, never blocks.
 struct Spin;
@@ -99,54 +97,37 @@ fn drive_mixed_workload(host: &mut dyn Host, cpus: usize, rt_jobs: u64) {
     host.advance(SimTime::from_millis(1_500));
 }
 
-fn plain_stats(cpus: usize, stepping: SteppingMode) -> SimStats {
-    let config = SimConfig {
-        stepping,
-        ..SimConfig::default().with_cpus(cpus)
-    };
-    let mut host = Runtime::sim().cpus(cpus).sim_config(config).build();
+fn plain_stats(cpus: usize) -> SimStats {
+    let mut host = Runtime::sim().cpus(cpus).build();
     drive_mixed_workload(host.as_mut(), cpus, cpus as u64);
     host.as_sim().expect("plain simulation").stats()
 }
 
-fn sharded_one_stats(cpus: usize, stepping: SteppingMode) -> SimStats {
-    let config = SimConfig {
-        stepping,
-        ..SimConfig::default().with_cpus(cpus)
-    };
+fn sharded_one_stats(cpus: usize) -> SimStats {
+    let config = SimConfig::default().with_cpus(cpus);
     let mut host: Box<dyn Host> = Box::new(ShardedSim::new(config, ShardConfig::default()));
     drive_mixed_workload(host.as_mut(), cpus, cpus as u64);
     host.as_sharded_sim().expect("sharded simulation").stats()
 }
 
-fn check_equivalence(cpus: usize, stepping: SteppingMode) {
-    let plain = plain_stats(cpus, stepping);
-    let sharded = sharded_one_stats(cpus, stepping);
+fn check_equivalence(cpus: usize) {
+    let plain = plain_stats(cpus);
+    let sharded = sharded_one_stats(cpus);
     assert_eq!(
         sharded, plain,
         "shards=1 must reproduce the unsharded SimStats bit for bit \
-         at {cpus} cpu(s), {stepping:?} (the golden-pinned workload)"
+         at {cpus} cpu(s) (the golden-pinned workload)"
     );
 }
 
 #[test]
-fn single_shard_matches_golden_lockstep_1cpu() {
-    check_equivalence(1, SteppingMode::Lockstep);
-}
-
-#[test]
-fn single_shard_matches_golden_lockstep_8cpu() {
-    check_equivalence(8, SteppingMode::Lockstep);
-}
-
-#[test]
 fn single_shard_matches_golden_calendar_1cpu() {
-    check_equivalence(1, SteppingMode::Calendar);
+    check_equivalence(1);
 }
 
 #[test]
 fn single_shard_matches_golden_calendar_8cpu() {
-    check_equivalence(8, SteppingMode::Calendar);
+    check_equivalence(8);
 }
 
 /// `Runtime::sim().shards(n)` builds the sharded backend for `n > 1` and

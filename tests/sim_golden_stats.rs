@@ -1,26 +1,15 @@
-//! Golden `SimStats` pins, one per stepping mode.
+//! Golden `SimStats` pins for the simulator's event loop.
 //!
-//! **Lockstep**: the expected JSON blobs were captured by running this
-//! exact workload on the pre-optimisation simulator (commit `84db007`:
-//! full-scan dispatch pick, O(n) timer cancel, lockstep stepping with
-//! per-step blocked scans).  The retained naive loop must keep
-//! reproducing every field — clock, counters, floating-point overhead
-//! sums and the whole `per_cpu` breakdown — bit for bit, at `N = 1` and
-//! at `N = 8`.
-//!
-//! **Calendar**: the event-calendar rewrite is a *deliberate, documented
-//! re-golden*.  Dispatch decisions hold for up to a full dispatch
-//! interval instead of being re-taken every lockstep round, idle CPUs
-//! take no dispatch decisions at all, per-CPU overhead is charged per
-//! CPU rather than averaged over the machine, and the incremental
-//! controller emits quality/squish events only on recomputed cycles —
-//! so step counts, overhead sums and event counters legitimately differ
-//! from the lockstep capture.  Scheduling outcomes stay equivalent
-//! (delivered CPU per job within a couple of percent; see
-//! `multicore_equivalence.rs` and the in-crate calendar-vs-lockstep
-//! proptest oracle, which proves *exact* equality on blocking-free
-//! workloads).  The calendar blobs below pin the new behaviour bit for
-//! bit so further optimisation of the calendar path stays invisible.
+//! The JSON blobs below pin every field — clock-derived counters,
+//! floating-point overhead sums and the whole `per_cpu` breakdown — bit
+//! for bit, at `N = 1` and at `N = 8`, so optimisation of the calendar
+//! path stays invisible.  They were captured when the event calendar
+//! replaced the original tick-driven loop (a deliberate, documented
+//! re-golden: dispatch decisions hold for up to a full dispatch interval,
+//! idle CPUs take no dispatch decisions at all, overhead is charged per
+//! CPU, and the incremental controller emits quality/squish events only
+//! on recomputed cycles) and have not moved since; `calendar` in the test
+//! names dates from when a second stepping mode had goldens of its own.
 //!
 //! To re-capture after an *intentional* behaviour change, run
 //! `GOLDEN_PRINT=1 cargo test --release --test sim_golden_stats -- --nocapture`
@@ -32,7 +21,7 @@
 //! simulator — same code path, same numbers, bit for bit.
 
 use realrate::api::{JobSpec, Period, Proportion, Runtime, SimTime};
-use realrate::sim::{RunResult, SimConfig, SimStats, Simulation, SteppingMode, WorkModel};
+use realrate::sim::{RunResult, SimStats, Simulation, WorkModel};
 
 /// Uses every cycle offered, never blocks.
 struct Spin;
@@ -44,8 +33,8 @@ impl WorkModel for Spin {
 }
 
 /// Runs `burst_us`, then blocks until `now + sleep_us` — a deterministic
-/// periodic I/O-ish job exercising block/unblock: the poll path under
-/// lockstep, the timer-wake path (`next_transition`) under the calendar.
+/// periodic I/O-ish job exercising block/unblock through the timer-wake
+/// path (`next_transition`).
 struct BurstSleep {
     burst_us: u64,
     sleep_us: u64,
@@ -76,12 +65,8 @@ impl WorkModel for BurstSleep {
 /// burst-sleep jobs; at `N = 8` a mid-run removal forces rebalancing
 /// migrations.  Populations scale with the CPU count so every CPU carries
 /// work.
-fn run_mixed_workload(cpus: usize, stepping: SteppingMode) -> SimStats {
-    let config = SimConfig {
-        stepping,
-        ..SimConfig::default().with_cpus(cpus)
-    };
-    let mut host = Runtime::sim().cpus(cpus).sim_config(config).build();
+fn run_mixed_workload(cpus: usize) -> SimStats {
+    let mut host = Runtime::sim().cpus(cpus).build();
     let n = cpus as u64;
     for i in 0..n {
         host.add_job(
@@ -124,11 +109,11 @@ fn run_mixed_workload(cpus: usize, stepping: SteppingMode) -> SimStats {
         .expect("Runtime::sim() builds a Simulation")
 }
 
-fn check(cpus: usize, stepping: SteppingMode, expected_json: &str) {
-    let stats = run_mixed_workload(cpus, stepping);
+fn check(cpus: usize, expected_json: &str) {
+    let stats = run_mixed_workload(cpus);
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         println!(
-            "golden for {cpus} cpu(s), {stepping:?}:\n{}",
+            "golden for {cpus} cpu(s):\n{}",
             serde_json::to_string(&stats).unwrap()
         );
         return;
@@ -136,34 +121,20 @@ fn check(cpus: usize, stepping: SteppingMode, expected_json: &str) {
     let expected: SimStats = serde_json::from_str(expected_json).expect("golden blob parses");
     assert_eq!(
         stats, expected,
-        "SimStats diverged from the golden capture at {cpus} cpu(s), {stepping:?}"
+        "SimStats diverged from the golden capture at {cpus} cpu(s)"
     );
 }
-
-const GOLDEN_LOCKSTEP_1CPU: &str = r#"{"controller_invocations":300,"controller_cost_us":10613.40000000004,"dispatch_overhead_us":35018.30000000067,"quality_exceptions":401,"squish_events":282,"admission_rejections":0,"migrations":0,"steps":4271,"per_cpu":[{"used_us":2665210,"idle_us":289132,"migrations_in":0,"migrations_out":0,"deadlines_missed":234}]}"#;
-
-const GOLDEN_LOCKSTEP_8CPU: &str = r#"{"controller_invocations":299,"controller_cost_us":72720.29999999996,"dispatch_overhead_us":231424.99999999697,"quality_exceptions":5365,"squish_events":285,"admission_rejections":0,"migrations":118,"steps":3497,"per_cpu":[{"used_us":2337768,"idle_us":560252,"migrations_in":48,"migrations_out":40,"deadlines_missed":416},{"used_us":2664125,"idle_us":233895,"migrations_in":22,"migrations_out":23,"deadlines_missed":202},{"used_us":2661913,"idle_us":236107,"migrations_in":10,"migrations_out":11,"deadlines_missed":235},{"used_us":2675698,"idle_us":222322,"migrations_in":11,"migrations_out":12,"deadlines_missed":215},{"used_us":2688441,"idle_us":209579,"migrations_in":8,"migrations_out":9,"deadlines_missed":170},{"used_us":2586303,"idle_us":311717,"migrations_in":1,"migrations_out":3,"deadlines_missed":220},{"used_us":2661292,"idle_us":236728,"migrations_in":8,"migrations_out":9,"deadlines_missed":135},{"used_us":2624116,"idle_us":273904,"migrations_in":10,"migrations_out":11,"deadlines_missed":141}]}"#;
 
 const GOLDEN_CALENDAR_1CPU: &str = r#"{"controller_invocations":299,"controller_cost_us":10581.30000000004,"dispatch_overhead_us":36448.50000000133,"quality_exceptions":416,"squish_events":279,"admission_rejections":0,"migrations":0,"steps":751,"per_cpu":[{"used_us":2695927,"idle_us":257014,"migrations_in":0,"migrations_out":0,"deadlines_missed":229}]}"#;
 
 const GOLDEN_CALENDAR_8CPU: &str = r#"{"controller_invocations":299,"controller_cost_us":72720.29999999996,"dispatch_overhead_us":343591.70000009064,"quality_exceptions":5815,"squish_events":286,"admission_rejections":0,"migrations":98,"steps":3668,"per_cpu":[{"used_us":2384320,"idle_us":503671,"migrations_in":37,"migrations_out":35,"deadlines_missed":239},{"used_us":2666606,"idle_us":216250,"migrations_in":12,"migrations_out":12,"deadlines_missed":166},{"used_us":2713652,"idle_us":168861,"migrations_in":7,"migrations_out":6,"deadlines_missed":142},{"used_us":2758689,"idle_us":124322,"migrations_in":4,"migrations_out":5,"deadlines_missed":136},{"used_us":2734094,"idle_us":149897,"migrations_in":10,"migrations_out":9,"deadlines_missed":141},{"used_us":2754110,"idle_us":129220,"migrations_in":4,"migrations_out":5,"deadlines_missed":123},{"used_us":2699509,"idle_us":186359,"migrations_in":14,"migrations_out":15,"deadlines_missed":144},{"used_us":2759897,"idle_us":124715,"migrations_in":10,"migrations_out":11,"deadlines_missed":131}]}"#;
 
 #[test]
-fn golden_simstats_lockstep_1cpu() {
-    check(1, SteppingMode::Lockstep, GOLDEN_LOCKSTEP_1CPU);
-}
-
-#[test]
-fn golden_simstats_lockstep_8cpu() {
-    check(8, SteppingMode::Lockstep, GOLDEN_LOCKSTEP_8CPU);
-}
-
-#[test]
 fn golden_simstats_calendar_1cpu() {
-    check(1, SteppingMode::Calendar, GOLDEN_CALENDAR_1CPU);
+    check(1, GOLDEN_CALENDAR_1CPU);
 }
 
 #[test]
 fn golden_simstats_calendar_8cpu() {
-    check(8, SteppingMode::Calendar, GOLDEN_CALENDAR_8CPU);
+    check(8, GOLDEN_CALENDAR_8CPU);
 }

@@ -104,7 +104,9 @@ pub trait Host {
 
     /// The proportion currently reserved for a job, in parts per
     /// thousand (zero for unknown handles).
-    fn allocation_ppt(&self, handle: JobHandle) -> u32;
+    fn allocation_ppt(&self, handle: JobHandle) -> u32 {
+        self.reservation(handle).map_or(0, |r| r.proportion.ppt())
+    }
 
     /// The reservation currently held by a job.
     fn reservation(&self, handle: JobHandle) -> Option<Reservation>;
@@ -112,8 +114,12 @@ pub trait Host {
     /// The CPU a job's thread is currently placed on.
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId>;
 
-    /// Total CPU time a job has consumed so far.
-    fn cpu_used(&self, handle: JobHandle) -> SimTime;
+    /// Total CPU time a job has consumed so far: the `total_used_us` of
+    /// its usage account (zero for unknown handles).
+    fn cpu_used(&self, handle: JobHandle) -> SimTime {
+        self.usage(handle)
+            .map_or(SimTime::ZERO, |u| SimTime::from_micros(u.total_used_us))
+    }
 
     /// A job's dispatcher-side usage account (budget, period rollovers,
     /// missed deadlines).

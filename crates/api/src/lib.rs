@@ -3,7 +3,7 @@
 //! The workspace grows the paper's single-CPU prototype toward a
 //! production system, and that growth had forked the front door:
 //! `rrs_sim::Simulation` (`add_job`, `run_for(f64)` seconds) and
-//! `rrs_realtime::RealTimeExecutor` (`spawn`, `run_for(Duration)`) were
+//! `rrs_realtime::RealTimeExecutor` (`try_spawn`, `run_for(Duration)`) were
 //! two incompatible APIs for the same idea — *give the allocator jobs and
 //! let it run them*.  This crate is the thin waist that ends the fork:
 //!
@@ -57,12 +57,11 @@ pub mod runtime;
 mod sharded_host;
 mod sim_host;
 pub mod time;
-pub mod wall_clock;
+mod wall_clock;
 
 pub use host::{Backend, Host};
 pub use runtime::{Runtime, RuntimeBuilder};
 pub use time::SimTime;
-pub use wall_clock::WallClockConfig;
 
 // One-stop re-exports: everything a program written against the host API
 // typically needs, so `use rrs_api::...` (or `realrate::api::...`)

@@ -1,7 +1,8 @@
 //! Building hosts: `Runtime::sim().cpus(8).build()`.
 
 use crate::host::{Backend, Host};
-use crate::wall_clock::{WallClockConfig, WallClockHost};
+use crate::wall_clock::WallClockHost;
+use rrs_realtime::ExecutorConfig;
 use rrs_sim::{ShardConfig, ShardedSim, SimConfig, Simulation};
 use rrs_telemetry::TelemetryConfig;
 
@@ -39,14 +40,13 @@ impl Runtime {
 ///
 /// The defaults are the paper's machine — one 400 MHz CPU, the
 /// prototype's controller gains — on either backend.  `cpus(n)` is the
-/// common knob; `shard_config` / `wall_clock_config` hand a whole backend
-/// config through for experiment-grade control.
+/// common knob; `shard_config` hands the whole sharding config through
+/// for experiment-grade control.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeBuilder {
     backend: Backend,
-    cpus: Option<usize>,
+    cpus: usize,
     shard: ShardConfig,
-    wall: WallClockConfig,
     telemetry: Option<TelemetryConfig>,
 }
 
@@ -54,17 +54,16 @@ impl RuntimeBuilder {
     fn new(backend: Backend) -> Self {
         Self {
             backend,
-            cpus: None,
+            cpus: 1,
             shard: ShardConfig::default(),
-            wall: WallClockConfig::default(),
             telemetry: None,
         }
     }
 
     /// Number of CPUs (simulated CPUs, or logical worker shards on the
-    /// wall-clock backend).  Overrides whatever the backend config says.
+    /// wall-clock backend).
     pub fn cpus(mut self, cpus: usize) -> Self {
-        self.cpus = Some(cpus);
+        self.cpus = cpus;
         self
     }
 
@@ -87,13 +86,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Full wall-clock configuration (used only when the backend is
-    /// [`Backend::WallClock`]).
-    pub fn wall_clock_config(mut self, config: WallClockConfig) -> Self {
-        self.wall = config;
-        self
-    }
-
     /// Enables structured trace recording on the built host (see
     /// [`Host::enable_telemetry`]).  Without this call the host records
     /// nothing and its hot paths carry only the always-on counters.
@@ -106,10 +98,7 @@ impl RuntimeBuilder {
     pub fn build(self) -> Box<dyn Host> {
         let mut host: Box<dyn Host> = match self.backend {
             Backend::Sim => {
-                let mut config = SimConfig::default();
-                if let Some(n) = self.cpus {
-                    config = config.with_cpus(n);
-                }
+                let config = SimConfig::default().with_cpus(self.cpus);
                 if self.shard.shards > 1 {
                     Box::new(ShardedSim::new(config, self.shard))
                 } else {
@@ -117,10 +106,7 @@ impl RuntimeBuilder {
                 }
             }
             Backend::WallClock => {
-                let mut config = self.wall;
-                if let Some(n) = self.cpus {
-                    config.executor = config.executor.with_cpus(n);
-                }
+                let config = ExecutorConfig::default().with_cpus(self.cpus);
                 Box::new(WallClockHost::new(config))
             }
         };

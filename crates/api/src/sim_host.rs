@@ -43,20 +43,12 @@ impl Host for Simulation {
         SimTime::from_micros(self.now_micros())
     }
 
-    fn allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.current_allocation_ppt(handle)
-    }
-
     fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
         self.machine().reservation(handle.thread)
     }
 
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
         Simulation::cpu_of(self, handle)
-    }
-
-    fn cpu_used(&self, handle: JobHandle) -> SimTime {
-        SimTime::from_micros(self.cpu_used_us(handle))
     }
 
     fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {

@@ -1,19 +1,21 @@
 //! [`Host`] over the wall-clock executor: real OS threads running
 //! [`WorkModel`]s.
 //!
-//! The simulator *books* a work model's computed CPU consumption against
-//! a simulated clock; this host *realises* it — each job's model runs on
-//! a dedicated worker thread that computes its consumption for the
-//! granted quantum (same cycles-to-time arithmetic, same virtual clock
-//! rate) and then actually burns that much CPU before reporting back.
-//! Blocking works the same way as in the simulator: a model that blocks
-//! is re-polled (`poll_unblock`) until it reports runnable.
+//! This backend is a parity harness, not OS scheduling.  The simulator
+//! *books* a work model's computed CPU consumption against a simulated
+//! clock; this host *spin-realises* it — each job's model runs on a
+//! dedicated worker thread that computes its consumption for the granted
+//! quantum (same cycles-to-time arithmetic, same virtual clock rate) and
+//! then busy-waits that long before reporting back.  Blocking works the
+//! same way as in the simulator: a model that blocks is re-polled
+//! (`poll_unblock`) until it reports runnable.
 //!
-//! Everything above the work model is the production code path: the real
-//! `rrs-scheduler` machine decides who runs, the real `rrs-core`
-//! controller adapts reservations from the real `rrs-queue` progress
-//! metrics.  Results match the simulator within scheduling tolerance, not
-//! bit-for-bit — OS timing noise is the point of this backend.
+//! What it validates is the control math under real timing noise:
+//! everything above the work model is the production code path — the same
+//! [`rrs_core::ControlLoop`] the simulator drives decides who runs and
+//! adapts reservations from the real `rrs-queue` progress metrics.
+//! Results match the simulator within scheduling tolerance, not
+//! bit-for-bit.
 
 use crate::host::{Backend, Host};
 use crate::time::SimTime;
@@ -21,48 +23,18 @@ use parking_lot::Mutex;
 use rrs_core::{controller::AdmitError, Controller, JobHandle, JobSpec, SimStats};
 use rrs_queue::MetricRegistry;
 use rrs_realtime::{ExecutorConfig, RealTimeExecutor, StepOutcome};
-use rrs_scheduler::{CpuId, Machine, Reservation, ThreadId, UsageAccount};
-use rrs_sim::{JobSeries, Trace, WorkModel};
+use rrs_scheduler::{CpuId, Machine, Reservation, UsageAccount};
+use rrs_sim::{JobSeries, SimConfig, Trace, WorkModel};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of the wall-clock host.
-#[derive(Debug, Clone, Copy)]
-pub struct WallClockConfig {
-    /// Executor configuration (dispatcher, controller, idle sleeps).
-    pub executor: ExecutorConfig,
-    /// The virtual clock rate work models convert cycles to time with,
-    /// in Hz.  Defaults to the simulator's 400 MHz so a workload's CPU
-    /// demand means the same thing on both backends.
-    pub cpu_hz: f64,
-    /// Interval between trace samples.
-    pub trace_interval: SimTime,
-}
-
-impl Default for WallClockConfig {
-    fn default() -> Self {
-        Self {
-            executor: ExecutorConfig::default(),
-            cpu_hz: 400e6,
-            trace_interval: SimTime::from_millis(100),
-        }
-    }
-}
-
-/// A work model plus its blocked flag, shared between the worker thread
-/// that steps it and the host thread that samples its progress counter.
-struct ModelCell {
-    model: Box<dyn WorkModel>,
-    blocked: bool,
-}
-
 struct WallJob {
     series: JobSeries,
-    handle: JobHandle,
-    cell: Arc<Mutex<ModelCell>>,
+    /// Shared between the worker thread that steps the model and the host
+    /// thread that samples its progress counter.
+    model: Arc<Mutex<Box<dyn WorkModel>>>,
 }
 
 /// The wall-clock backend: [`WorkModel`]s running for real on OS threads.
@@ -70,28 +42,30 @@ struct WallJob {
 /// Build one with [`crate::Runtime::wall_clock`].
 pub(crate) struct WallClockHost {
     exec: RealTimeExecutor,
-    config: WallClockConfig,
-    /// The epoch worker closures timestamp `WorkModel::run` calls with;
-    /// created alongside the executor so both clocks agree.
-    epoch: Instant,
-    jobs: BTreeMap<ThreadId, WallJob>,
+    /// Indexed by [`rrs_core::JobSlot::index`], like the executor's tasks.
+    jobs: Vec<Option<WallJob>>,
+    /// The virtual clock rate work models convert cycles to time with —
+    /// the simulator's, so a workload's CPU demand means the same thing
+    /// on both backends.
+    cpu_hz: f64,
     trace: Trace,
+    /// Interval between trace samples — the simulator's.
+    trace_interval: SimTime,
     next_trace: SimTime,
     last_trace: SimTime,
 }
 
 impl WallClockHost {
     /// Creates a wall-clock host.
-    pub fn new(mut config: WallClockConfig) -> Self {
-        // A zero interval would make the trace sampler spin without
-        // progress; clamp rather than hang the first `advance`.
-        config.trace_interval = config.trace_interval.max(SimTime::from_micros(1));
+    pub fn new(executor: ExecutorConfig) -> Self {
+        let sim = SimConfig::default();
+        let trace_interval_us = (sim.trace_interval_s * 1e6).round().max(1.0) as u64;
         Self {
-            exec: RealTimeExecutor::new(config.executor),
-            config,
-            epoch: Instant::now(),
-            jobs: BTreeMap::new(),
+            exec: RealTimeExecutor::new(executor),
+            jobs: Vec::new(),
+            cpu_hz: sim.cpu.clock_hz,
             trace: Trace::new(),
+            trace_interval: SimTime::from_micros(trace_interval_us),
             next_trace: SimTime::ZERO,
             last_trace: SimTime::ZERO,
         }
@@ -106,7 +80,8 @@ impl WallClockHost {
     }
 
     /// Records one trace sample round if one is due, through the
-    /// simulator's sampler ([`JobSeries`], [`Trace::record_fills`]).
+    /// simulator's sampler ([`JobSeries`], [`Trace::record_fills`]) and in
+    /// its order (thread id, so slot reuse does not renumber the series).
     fn maybe_record_trace(&mut self) {
         let now = Host::now(self);
         if now < self.next_trace {
@@ -116,21 +91,24 @@ impl WallClockHost {
         let interval = (now.saturating_sub(self.last_trace))
             .as_secs_f64()
             .max(1e-9);
-        for job in self.jobs.values_mut() {
-            let progress = job.cell.lock().model.progress_counter();
+        let ctl = self.exec.control();
+        for (thread, slot) in ctl.threads_by_id() {
+            let job = self.jobs[slot.index()]
+                .as_mut()
+                .expect("a bound slot has its host entry");
+            let progress = job.model.lock().progress_counter();
             job.series.sample(
                 &mut self.trace,
                 t,
                 interval,
-                self.exec.reservation(job.handle),
+                ctl.reservation(slot, thread),
                 progress,
             );
         }
-        self.trace
-            .record_fills(t, self.exec.controller().registry());
+        self.trace.record_fills(t, ctl.controller().registry());
         self.last_trace = now;
         while self.next_trace <= now {
-            self.next_trace += self.config.trace_interval;
+            self.next_trace += self.trace_interval;
         }
     }
 }
@@ -146,26 +124,21 @@ impl Host for WallClockHost {
         spec: JobSpec,
         work: Box<dyn WorkModel>,
     ) -> Result<JobHandle, AdmitError> {
-        let cell = Arc::new(Mutex::new(ModelCell {
-            model: work,
-            blocked: false,
-        }));
-        let worker_cell = Arc::clone(&cell);
-        let epoch = self.epoch;
-        let cpu_hz = self.config.cpu_hz;
+        let model = Arc::new(Mutex::new(work));
+        let worker_model = Arc::clone(&model);
+        let epoch = self.exec.epoch();
+        let cpu_hz = self.cpu_hz;
+        let mut blocked = false;
         let handle = self.exec.try_spawn(name, spec, move |quantum: Duration| {
             let now_us = epoch.elapsed().as_micros() as u64;
             let quantum_us = (quantum.as_micros() as u64).max(1);
-            let mut cell = worker_cell.lock();
-            if cell.blocked {
-                if !cell.model.poll_unblock(now_us) {
-                    return StepOutcome::Blocked;
-                }
-                cell.blocked = false;
+            let mut model = worker_model.lock();
+            if blocked && !model.poll_unblock(now_us) {
+                return StepOutcome::Blocked;
             }
-            let result = cell.model.run(now_us, quantum_us, cpu_hz);
-            cell.blocked = result.blocked;
-            drop(cell);
+            let result = model.run(now_us, quantum_us, cpu_hz);
+            blocked = result.blocked;
+            drop(model);
             // Realise the model's computed consumption: burn that much
             // real CPU (the simulator books it; we spend it).
             WallClockHost::spin_for_us(result.used_us.min(quantum_us));
@@ -175,20 +148,24 @@ impl Host for WallClockHost {
                 StepOutcome::Continue
             }
         })?;
-        self.jobs.insert(
-            handle.thread,
-            WallJob {
-                series: JobSeries::new(name),
-                handle,
-                cell,
-            },
-        );
+        let index = handle.slot.index();
+        if self.jobs.len() <= index {
+            self.jobs.resize_with(index + 1, || None);
+        }
+        self.jobs[index] = Some(WallJob {
+            series: JobSeries::new(name),
+            model,
+        });
         Ok(handle)
     }
 
     fn remove_job(&mut self, handle: JobHandle) {
-        self.jobs.remove(&handle.thread);
-        self.exec.remove(handle);
+        // Slot indices are reused: a leftover handle must not evict the
+        // slot's next tenant.
+        if self.exec.control().slot_of(handle.thread) == Some(handle.slot) {
+            self.jobs[handle.slot.index()] = None;
+            self.exec.remove(handle);
+        }
     }
 
     fn advance(&mut self, dt: SimTime) {
@@ -207,31 +184,22 @@ impl Host for WallClockHost {
                 .min(until_trace.as_micros().max(1_000));
             self.exec.run_for(Duration::from_micros(chunk));
         }
-        self.maybe_record_trace();
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from(self.exec.elapsed())
-    }
-
-    fn allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.exec.current_allocation_ppt(handle)
+        SimTime::from(self.exec.epoch().elapsed())
     }
 
     fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.exec.reservation(handle)
+        self.exec.control().reservation(handle.slot, handle.thread)
     }
 
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.exec.cpu_of(handle)
-    }
-
-    fn cpu_used(&self, handle: JobHandle) -> SimTime {
-        SimTime::from(self.exec.cpu_time(handle))
+        self.machine().cpu_of(handle.thread)
     }
 
     fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.exec.usage(handle)
+        self.machine().usage(handle.thread)
     }
 
     fn grow_cpus(&mut self, cpus: usize) -> usize {
@@ -239,23 +207,23 @@ impl Host for WallClockHost {
     }
 
     fn cpu_count(&self) -> usize {
-        self.exec.cpu_count()
+        self.machine().cpu_count()
     }
 
     fn cpu_hz(&self) -> f64 {
-        self.config.cpu_hz
+        self.cpu_hz
     }
 
     fn controller(&self) -> &Controller {
-        self.exec.controller()
+        self.exec.control().controller()
     }
 
     fn machine(&self) -> &Machine {
-        self.exec.machine()
+        self.exec.control().machine()
     }
 
     fn registry(&self) -> MetricRegistry {
-        self.exec.registry()
+        self.controller().registry().clone()
     }
 
     fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
@@ -263,11 +231,13 @@ impl Host for WallClockHost {
     }
 
     fn stats(&self) -> SimStats {
-        self.exec.stats()
+        self.exec.control().stats()
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {
-        self.exec.telemetry_snapshot()
+        // The executor has no event calendar, so the `events_*` counters
+        // stay zero on this backend.
+        self.exec.control().telemetry_snapshot()
     }
 
     fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
@@ -275,7 +245,7 @@ impl Host for WallClockHost {
     }
 
     fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
-        self.exec.telemetry_recorder()
+        self.exec.control().recorder().cloned()
     }
 
     fn trace(&self) -> &Trace {
@@ -288,14 +258,5 @@ impl Host for WallClockHost {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-impl std::fmt::Debug for WallClockHost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WallClockHost")
-            .field("jobs", &self.jobs.len())
-            .field("cpus", &self.exec.cpu_count())
-            .finish()
     }
 }

@@ -99,8 +99,8 @@ fn lookup(slots: &[JobSlot], thread: ThreadId) -> Option<JobSlot> {
 ///     MetricRegistry::new(),
 /// );
 /// let job = ctl.admit(JobSpec::miscellaneous()).unwrap();
-/// // A backend would now dispatch and charge `ctl.machine_mut()`; when a
-/// // cycle comes due it runs it and re-arms the clock.
+/// // A backend would now dispatch `ctl.machine_mut()` and `ctl.charge`
+/// // what ran; when a cycle comes due it runs it and re-arms the clock.
 /// let now = ctl.next_cycle_us();
 /// ctl.cycle(SimTime::from_micros(now), 0);
 /// assert_eq!(ctl.slot_of(job.thread), Some(job.slot));
@@ -345,6 +345,25 @@ impl ControlLoop {
     pub fn unblock(&mut self, slot: JobSlot, thread: ThreadId) {
         if let Some(handle) = self.handle_at(slot, thread) {
             let _ = self.machine.unblock_at(handle, thread);
+        }
+    }
+
+    /// Marks `thread`, the thread serving `slot`, as blocked; a stale slot
+    /// is a no-op.
+    pub fn block(&mut self, slot: JobSlot, thread: ThreadId) {
+        if let Some(handle) = self.handle_at(slot, thread) {
+            let _ = self.machine.block_at(handle, thread);
+        }
+    }
+
+    /// Charges `us` of consumption to `thread`, the thread serving `slot`,
+    /// and books it on the CPU the thread sits on; a stale slot is a
+    /// no-op.
+    pub fn charge(&mut self, slot: JobSlot, thread: ThreadId, us: u64) {
+        if let Some(handle) = self.handle_at(slot, thread) {
+            if self.machine.charge_at(handle, thread, us).is_ok() {
+                self.stats.per_cpu[handle.cpu.index()].used_us += us;
+            }
         }
     }
 
@@ -670,7 +689,7 @@ mod tests {
         assert_ne!(fresh, stale, "the pre-migration handle is stale");
         // The table holds the fresh one: the next cycles' actuations and
         // a wake-up still reach the thread on its new CPU.
-        ctl.machine_mut().block(moved.thread).unwrap();
+        ctl.block(moved.slot, moved.thread);
         ctl.unblock(moved.slot, moved.thread);
         assert_eq!(state_of(&ctl, moved.thread), Some(ThreadState::Ready));
         run_due_cycle(&mut ctl);
@@ -684,7 +703,7 @@ mod tests {
         ctl.retire(moved);
         let tenant = ctl.admit(JobSpec::miscellaneous()).unwrap();
         assert_eq!(tenant.slot.index(), moved.slot.index());
-        ctl.machine_mut().block(tenant.thread).unwrap();
+        ctl.block(tenant.slot, tenant.thread);
         ctl.unblock(moved.slot, moved.thread);
         assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Blocked));
         assert_eq!(ctl.machine().reservation_at(stale, moved.thread), None);

@@ -1,4 +1,4 @@
-//! Controller events: quality exceptions and admission decisions.
+//! Controller events: quality exceptions, squishes and migrations.
 
 use crate::controller::JobId;
 use rrs_scheduler::{CpuId, Proportion};
@@ -29,22 +29,6 @@ pub struct QualityException {
 /// Anything of note the controller did during a control cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ControllerEvent {
-    /// A real-time job's reservation was admitted.
-    RealTimeAdmitted {
-        /// The admitted job.
-        job: JobId,
-        /// The proportion that was reserved.
-        proportion: Proportion,
-    },
-    /// A real-time job's reservation was rejected by admission control.
-    RealTimeRejected {
-        /// The rejected job.
-        job: JobId,
-        /// The proportion that was requested.
-        requested: Proportion,
-        /// The proportion that was still available.
-        available: Proportion,
-    },
     /// A quality exception was raised.
     Quality(QualityException),
     /// The controller squished allocations because the CPU was
@@ -94,10 +78,10 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let ev = ControllerEvent::RealTimeRejected {
+        let ev = ControllerEvent::Migrated {
             job: JobId(3),
-            requested: Proportion::from_ppt(700),
-            available: Proportion::from_ppt(100),
+            from: CpuId(0),
+            to: CpuId(1),
         };
         let json = serde_json::to_string(&ev).unwrap();
         let back: ControllerEvent = serde_json::from_str(&json).unwrap();

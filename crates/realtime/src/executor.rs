@@ -1,22 +1,24 @@
 //! The cooperative wall-clock executor.
 //!
-//! Emulates an `N`-CPU machine over real OS threads: every scheduling
-//! round dispatches each CPU of an [`rrs_scheduler::Machine`], releases
-//! the selected workers in parallel, and waits for all of them to report
-//! back (logical sharding — workers are not pinned to hardware cores, but
-//! at most one worker runs per simulated CPU at a time).  `N = 1` (the
-//! default) behaves exactly like the original single-CPU executor.
+//! A backend is a clock and a way to spend a quantum.  The clock here is
+//! [`Instant`]; a quantum is spent by releasing the dispatched task's
+//! worker thread for one *step* and charging what the step took.  All the
+//! rest — admission, the controller cycle, actuation, statistics,
+//! telemetry — is the [`ControlLoop`] the simulator drives too, read
+//! through [`RealTimeExecutor::control`].
+//!
+//! Every scheduling round dispatches each CPU of the loop's machine,
+//! releases the selected workers in parallel and waits for all of them to
+//! report back (logical sharding — workers are not pinned to hardware
+//! cores, but at most one worker runs per logical CPU at a time).
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rrs_core::{
-    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobSpec,
-    SimStats, SimTime,
+    controller::AdmitError, ControlLoop, ControllerConfig, JobHandle, JobSpec, SimTime,
 };
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{CpuId, DispatcherConfig, Machine, Reservation, ThreadId, UsageAccount};
-use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
-use std::collections::BTreeMap;
+use rrs_scheduler::{CpuId, DispatcherConfig, Reservation};
+use rrs_telemetry::{Recorder, TelemetryConfig};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,7 +37,7 @@ pub enum StepOutcome {
 }
 
 /// Executor configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExecutorConfig {
     /// Dispatcher configuration (dispatch interval is interpreted in real
     /// microseconds).
@@ -43,27 +45,6 @@ pub struct ExecutorConfig {
     /// Controller configuration.  Its `placement.cpus` sets how many
     /// logical CPUs the executor shards workers over (default 1).
     pub controller: ControllerConfig,
-    /// Shortest sleep when no task is runnable, in microseconds.  The
-    /// idle sleep is the dispatcher's idle quantum clamped to
-    /// [`ExecutorConfig::idle_sleep_min_us`,
-    /// `ExecutorConfig::idle_sleep_max_us`]: the lower bound stops the
-    /// loop from busy-spinning on sub-100 µs quanta the OS timer cannot
-    /// honour anyway, the upper bound keeps the executor responsive to
-    /// period boundaries however long the quantum.
-    pub idle_sleep_min_us: u64,
-    /// Longest sleep when no task is runnable, in microseconds.
-    pub idle_sleep_max_us: u64,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        Self {
-            dispatcher: DispatcherConfig::default(),
-            controller: ControllerConfig::default(),
-            idle_sleep_min_us: 100,
-            idle_sleep_max_us: 1_000,
-        }
-    }
 }
 
 impl ExecutorConfig {
@@ -73,36 +54,51 @@ impl ExecutorConfig {
         self.controller = self.controller.with_cpus(cpus);
         self
     }
-
-    /// The idle sleep for a given idle quantum: the quantum clamped to the
-    /// configured bounds.
-    pub(crate) fn idle_sleep(&self, quantum_us: u64) -> Duration {
-        let max = self.idle_sleep_max_us.max(self.idle_sleep_min_us);
-        Duration::from_micros(quantum_us.clamp(self.idle_sleep_min_us, max))
-    }
 }
 
-enum WorkerMessage {
-    /// Run one step with the given quantum.
-    Run(Duration),
-    /// Shut down.
-    Stop,
+/// Shortest sleep when no task is runnable, in microseconds: stops the
+/// loop from busy-spinning on sub-100 µs idle quanta the OS timer cannot
+/// honour anyway.
+const IDLE_SLEEP_MIN_US: u64 = 100;
+/// Longest sleep when no task is runnable, in microseconds: keeps the
+/// executor responsive to period boundaries however long the idle quantum.
+const IDLE_SLEEP_MAX_US: u64 = 1_000;
+
+/// The idle sleep for a given idle quantum: the quantum clamped to
+/// [`IDLE_SLEEP_MIN_US`, `IDLE_SLEEP_MAX_US`].
+fn idle_sleep(quantum_us: u64) -> Duration {
+    Duration::from_micros(quantum_us.clamp(IDLE_SLEEP_MIN_US, IDLE_SLEEP_MAX_US))
 }
 
 struct WorkerReport {
-    thread: ThreadId,
+    handle: JobHandle,
     elapsed: Duration,
     outcome: StepOutcome,
 }
 
-struct TaskSlot {
-    to_worker: Sender<WorkerMessage>,
-    join: Option<JoinHandle<()>>,
-    blocked: bool,
-    done: bool,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TaskState {
+    Runnable,
+    /// Blocked until the next controller tick re-polls it.
+    Blocked,
+    /// Finished: blocked for good.
+    Done,
 }
 
-/// A cooperative wall-clock executor emulating a single CPU.
+/// One task's worker thread, at its job's controller slot in
+/// [`RealTimeExecutor::tasks`].
+struct Task {
+    /// Slot indices are reused, thread ids never: the id tells this task
+    /// from a former tenant of its slot.
+    handle: JobHandle,
+    /// Releases the worker for one step of the sent quantum; dropping it
+    /// stops the worker.
+    to_worker: Sender<Duration>,
+    join: JoinHandle<()>,
+    state: TaskState,
+}
+
+/// A cooperative wall-clock executor over `N` logical CPUs.
 ///
 /// # Examples
 ///
@@ -115,23 +111,27 @@ struct TaskSlot {
 /// let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
 /// let counter = Arc::new(AtomicU64::new(0));
 /// let c = Arc::clone(&counter);
-/// exec.spawn("worker", JobSpec::miscellaneous(), move |_quantum| {
-///     c.fetch_add(1, Ordering::Relaxed);
-///     StepOutcome::Continue
-/// });
+/// let job = exec
+///     .try_spawn("worker", JobSpec::miscellaneous(), move |_quantum| {
+///         c.fetch_add(1, Ordering::Relaxed);
+///         StepOutcome::Continue
+///     })
+///     .expect("miscellaneous jobs are always admitted");
 /// exec.run_for(Duration::from_millis(50));
 /// exec.shutdown();
 /// assert!(counter.load(Ordering::Relaxed) > 0);
+/// // Everything the control loop knows is read through `control()`.
+/// assert!(exec.control().machine().usage(job.thread).unwrap().total_used_us > 0);
 /// ```
 pub struct RealTimeExecutor {
-    config: ExecutorConfig,
     /// The feedback loop proper — the same one the simulator drives.
     /// Everything else here is real time and the worker threads.
     ctl: ControlLoop,
-    tasks: BTreeMap<ThreadId, TaskSlot>,
+    /// Indexed by [`rrs_core::JobSlot::index`]; the loop owns the one id →
+    /// slot table ([`ControlLoop::slot_of`]).
+    tasks: Vec<Option<Task>>,
     reports: (Sender<WorkerReport>, Receiver<WorkerReport>),
     start: Instant,
-    cpu_time: Arc<Mutex<BTreeMap<u64, Duration>>>,
 }
 
 impl RealTimeExecutor {
@@ -139,12 +139,19 @@ impl RealTimeExecutor {
     pub fn new(config: ExecutorConfig) -> Self {
         Self {
             ctl: ControlLoop::new(config.controller, config.dispatcher, MetricRegistry::new()),
-            config,
-            tasks: BTreeMap::new(),
+            tasks: Vec::new(),
             reports: bounded(64),
             start: Instant::now(),
-            cpu_time: Arc::new(Mutex::new(BTreeMap::new())),
         }
+    }
+
+    /// The control loop, read-only: controller, machine (reservations,
+    /// usage accounts, placement), the progress-metric registry, statistics
+    /// (`steps` counts scheduling rounds here) and telemetry.  There is no
+    /// mutable twin: retiring a job without stopping its worker must stay
+    /// impossible.
+    pub fn control(&self) -> &ControlLoop {
+        &self.ctl
     }
 
     /// Enables structured trace recording and controller stage timing,
@@ -155,40 +162,6 @@ impl RealTimeExecutor {
         self.ctl.enable_telemetry(config)
     }
 
-    /// The trace recorder installed by
-    /// [`RealTimeExecutor::enable_telemetry`], if any.
-    pub fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
-        self.ctl.recorder().cloned()
-    }
-
-    /// A point-in-time snapshot of the subsystem counters
-    /// ([`ControlLoop::telemetry_snapshot`]).  The executor has no event
-    /// calendar, so the `events_*` counters stay zero on this backend.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.ctl.telemetry_snapshot()
-    }
-
-    /// The number of logical CPUs workers are sharded over.
-    pub fn cpu_count(&self) -> usize {
-        self.machine().cpu_count()
-    }
-
-    /// The CPU a task is currently placed on.
-    pub fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.machine().cpu_of(handle.thread)
-    }
-
-    /// Read-only access to the multi-CPU machine the workers are sharded
-    /// over — the same [`rrs_scheduler::Machine`] the simulator drives.
-    pub fn machine(&self) -> &Machine {
-        self.ctl.machine()
-    }
-
-    /// Read-only access to the controller.
-    pub fn controller(&self) -> &Controller {
-        self.ctl.controller()
-    }
-
     /// Grows the machine to `cpus` logical CPUs mid-run (hot-add),
     /// returning the resulting CPU count (see
     /// [`ControlLoop::grow_cpus`]).  The next scheduling round dispatches
@@ -197,49 +170,10 @@ impl RealTimeExecutor {
         self.ctl.grow_cpus(cpus)
     }
 
-    /// Wall-clock time elapsed since the executor was created — the
-    /// executor's notion of "now".
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Aggregate statistics — the struct the simulator reports, measured
-    /// over real time; `steps` counts scheduling rounds (one dispatch sweep
-    /// over every CPU each).
-    pub fn stats(&self) -> SimStats {
-        self.ctl.stats()
-    }
-
-    /// The progress-metric registry shared with tasks.
-    pub fn registry(&self) -> MetricRegistry {
-        self.controller().registry().clone()
-    }
-
-    /// Total CPU time granted to a task so far.
-    pub fn cpu_time(&self, handle: JobHandle) -> Duration {
-        self.cpu_time
-            .lock()
-            .get(&handle.thread.raw())
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// The proportion currently reserved for a task, in parts per thousand.
-    pub fn current_allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.reservation(handle)
-            .map(|r| r.proportion.ppt())
-            .unwrap_or(0)
-    }
-
-    /// The reservation currently held by a task.
-    pub fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.machine().reservation(handle.thread)
-    }
-
-    /// A task's dispatcher-side usage account (budget, period rollovers,
-    /// missed deadlines).
-    pub fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.machine().usage(handle.thread)
+    /// When the executor was created: time zero of its clock, the one
+    /// its control loop, statistics and trace timestamps run on.
+    pub fn epoch(&self) -> Instant {
+        self.start
     }
 
     /// Forces a reservation directly on the dispatcher, bypassing the
@@ -253,107 +187,72 @@ impl RealTimeExecutor {
             .set_reservation(handle.thread, reservation);
     }
 
-    /// Spawns a task.
+    /// Spawns a task on a worker thread of its own, or reports that
+    /// admission control rejected its real-time reservation.
     ///
     /// `step` is called once per granted quantum with the quantum length and
     /// must return whether the task wants to continue, block or finish.
     /// The importance weight is read from the spec
     /// ([`JobSpec::with_importance`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a real-time reservation is rejected by admission control;
-    /// use [`RealTimeExecutor::try_spawn`] to handle rejection.
-    pub fn spawn<F>(&mut self, name: &str, spec: JobSpec, step: F) -> JobHandle
-    where
-        F: FnMut(Duration) -> StepOutcome + Send + 'static,
-    {
-        self.try_spawn(name, spec, step)
-            .expect("admission rejected: reduce the requested reservation")
-    }
-
-    /// Spawns a task, reporting real-time admission rejection instead of
-    /// panicking.
-    ///
-    /// `step` is called once per granted quantum with the quantum length and
-    /// must return whether the task wants to continue, block or finish.
-    pub fn try_spawn<F>(
+    pub fn try_spawn(
         &mut self,
         name: &str,
         spec: JobSpec,
-        mut step: F,
-    ) -> Result<JobHandle, AdmitError>
-    where
-        F: FnMut(Duration) -> StepOutcome + Send + 'static,
-    {
+        mut step: impl FnMut(Duration) -> StepOutcome + Send + 'static,
+    ) -> Result<JobHandle, AdmitError> {
         let handle = self.ctl.admit(spec)?;
-        let thread = handle.thread;
-        let raw = thread.raw();
-
-        let (to_worker, from_executor) = bounded::<WorkerMessage>(1);
+        let (to_worker, from_executor) = bounded::<Duration>(1);
         let report_tx = self.reports.0.clone();
-        let cpu_time = Arc::clone(&self.cpu_time);
-        let worker_name = name.to_string();
         let join = std::thread::Builder::new()
-            .name(worker_name)
+            .name(name.to_string())
             .spawn(move || {
-                while let Ok(msg) = from_executor.recv() {
-                    match msg {
-                        WorkerMessage::Stop => break,
-                        WorkerMessage::Run(quantum) => {
-                            let t0 = Instant::now();
-                            let outcome = step(quantum);
-                            let elapsed = t0.elapsed();
-                            *cpu_time.lock().entry(raw).or_default() += elapsed;
-                            if report_tx
-                                .send(WorkerReport {
-                                    thread,
-                                    elapsed,
-                                    outcome,
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                            if outcome == StepOutcome::Done {
-                                break;
-                            }
-                        }
+                while let Ok(quantum) = from_executor.recv() {
+                    let t0 = Instant::now();
+                    let outcome = step(quantum);
+                    let report = WorkerReport {
+                        handle,
+                        elapsed: t0.elapsed(),
+                        outcome,
+                    };
+                    if report_tx.send(report).is_err() || outcome == StepOutcome::Done {
+                        break;
                     }
                 }
             })
             .expect("spawning a worker thread");
 
-        self.tasks.insert(
-            thread,
-            TaskSlot {
-                to_worker,
-                join: Some(join),
-                blocked: false,
-                done: false,
-            },
-        );
+        let index = handle.slot.index();
+        if self.tasks.len() <= index {
+            self.tasks.resize_with(index + 1, || None);
+        }
+        self.tasks[index] = Some(Task {
+            handle,
+            to_worker,
+            join,
+            state: TaskState::Runnable,
+        });
         Ok(handle)
     }
 
     /// Removes a task: stops its worker thread, deregisters it from the
-    /// controller and withdraws its reservation.
+    /// controller, withdraws its reservation and frees its slot's entry.
     ///
     /// Safe to call between scheduling rounds (workers only run inside
     /// [`RealTimeExecutor::run_for`], which waits for every released
     /// worker before returning).  Removing an unknown or already-removed
     /// handle is a no-op.
     pub fn remove(&mut self, handle: JobHandle) {
-        let Some(mut slot) = self.tasks.remove(&handle.thread) else {
+        // Slot indices are reused: only the slot's present tenant goes.
+        let tenant = |task: &mut Task| task.handle.thread == handle.thread;
+        let Some(task) = self
+            .tasks
+            .get_mut(handle.slot.index())
+            .and_then(|entry| entry.take_if(tenant))
+        else {
             return;
         };
-        let _ = slot.to_worker.send(WorkerMessage::Stop);
-        if let Some(join) = slot.join.take() {
-            let _ = join.join();
-        }
-        // Thread ids are never reused, so the per-task counter would
-        // otherwise accumulate forever under job churn.
-        self.cpu_time.lock().remove(&handle.thread.raw());
+        drop(task.to_worker);
+        let _ = task.join.join();
         self.ctl.retire(handle);
     }
 
@@ -378,10 +277,10 @@ impl RealTimeExecutor {
                 self.ctl.cycle(SimTime::from_micros(now_us), 0);
                 self.ctl.skip_to_next_cycle(self.now_us());
                 // Re-poll blocked tasks at controller frequency.
-                for (&tid, task) in &mut self.tasks {
-                    if task.blocked && !task.done {
-                        task.blocked = false;
-                        let _ = self.ctl.machine_mut().unblock(tid);
+                for task in self.tasks.iter_mut().flatten() {
+                    if task.state == TaskState::Blocked {
+                        task.state = TaskState::Runnable;
+                        self.ctl.unblock(task.handle.slot, task.handle.thread);
                     }
                 }
             }
@@ -390,7 +289,7 @@ impl RealTimeExecutor {
             self.ctl.machine_mut().advance_to(now_us);
 
             // Dispatch every CPU, release the selected workers in
-            // parallel, then wait for all of them (each simulated CPU runs
+            // parallel, then wait for all of them (each logical CPU runs
             // at most one worker at a time).
             let mut running = 0usize;
             let mut min_idle_quantum = u64::MAX;
@@ -400,19 +299,24 @@ impl RealTimeExecutor {
                     min_idle_quantum = min_idle_quantum.min(outcome.quantum_us);
                     continue;
                 };
+                let slot = self
+                    .ctl
+                    .slot_of(tid)
+                    .expect("dispatched thread serves a job");
+                let task = self.tasks[slot.index()]
+                    .as_ref()
+                    .expect("dispatched job has a task");
                 let quantum = Duration::from_micros(outcome.quantum_us);
-                let slot = self.tasks.get_mut(&tid).expect("dispatched task exists");
-                if slot.done || slot.to_worker.send(WorkerMessage::Run(quantum)).is_err() {
-                    let _ = self.ctl.machine_mut().block(tid);
+                // A worker whose step panicked is gone; park its thread.
+                if task.to_worker.send(quantum).is_err() {
+                    self.ctl.block(slot, tid);
                     continue;
                 }
                 running += 1;
             }
 
             if running == 0 {
-                if min_idle_quantum < u64::MAX {
-                    std::thread::sleep(self.config.idle_sleep(min_idle_quantum));
-                }
+                std::thread::sleep(idle_sleep(min_idle_quantum));
                 continue;
             }
             for _ in 0..running {
@@ -425,47 +329,44 @@ impl RealTimeExecutor {
     }
 
     fn handle_report(&mut self, report: WorkerReport) {
+        let handle = report.handle;
         let used_us = report.elapsed.as_micros().max(1) as u64;
-        // Attribute the consumption to the CPU the worker ran on, like the
-        // simulator's per-CPU breakdown.
-        if let Some(cpu) = self.ctl.machine().cpu_of(report.thread) {
-            if let Some(c) = self.ctl.stats_mut().per_cpu.get_mut(cpu.index()) {
-                c.used_us += used_us;
-            }
-        }
-        let _ = self.ctl.machine_mut().charge(report.thread, used_us);
         // A report may outlive its task: if `run_for` timed out waiting
         // while a worker was mid-step and the task was then removed, the
-        // stale report drains here on the next round.  Drop it.
-        let Some(slot) = self.tasks.get_mut(&report.thread) else {
+        // stale report drains here on a later round — by when the slot may
+        // serve another job.  The loop refuses the stale charge by thread
+        // id, the task table likewise.
+        self.ctl.charge(handle.slot, handle.thread, used_us);
+        let Some(task) = self
+            .tasks
+            .get_mut(handle.slot.index())
+            .and_then(Option::as_mut)
+            .filter(|task| task.handle.thread == handle.thread)
+        else {
             return;
         };
-        match report.outcome {
-            StepOutcome::Continue => {}
-            StepOutcome::Blocked => {
-                slot.blocked = true;
-                let _ = self.ctl.machine_mut().block(report.thread);
-            }
-            StepOutcome::Done => {
-                slot.done = true;
-                let _ = self.ctl.machine_mut().block(report.thread);
-            }
-        }
+        task.state = match report.outcome {
+            StepOutcome::Continue => return,
+            StepOutcome::Blocked => TaskState::Blocked,
+            StepOutcome::Done => TaskState::Done,
+        };
+        self.ctl.block(handle.slot, handle.thread);
     }
 
     /// Stops every worker thread and waits for them to exit.
     pub fn shutdown(&mut self) {
-        for slot in self.tasks.values_mut() {
-            let _ = slot.to_worker.send(WorkerMessage::Stop);
-        }
+        // Dropping a task drops its sender, which is its stop signal.
+        let joins: Vec<JoinHandle<()>> = self
+            .tasks
+            .drain(..)
+            .flatten()
+            .map(|task| task.join)
+            .collect();
         // Drain any in-flight report so workers are not stuck sending.
         while self.reports.1.try_recv().is_ok() {}
-        for slot in self.tasks.values_mut() {
-            if let Some(join) = slot.join.take() {
-                let _ = join.join();
-            }
+        for join in joins {
+            let _ = join.join();
         }
-        self.tasks.clear();
     }
 }
 
@@ -478,7 +379,7 @@ impl Drop for RealTimeExecutor {
 impl std::fmt::Debug for RealTimeExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RealTimeExecutor")
-            .field("tasks", &self.tasks.len())
+            .field("tasks", &self.tasks.iter().flatten().count())
             .finish()
     }
 }
@@ -496,20 +397,43 @@ mod tests {
         }
     }
 
+    /// A task that burns up to `cap_us` of each quantum and never blocks.
+    fn spinner(cap_us: u64) -> impl FnMut(Duration) -> StepOutcome + Send + 'static {
+        move |q| {
+            spin_for(q.min(Duration::from_micros(cap_us)));
+            StepOutcome::Continue
+        }
+    }
+
+    fn allocation_ppt(exec: &RealTimeExecutor, handle: JobHandle) -> u32 {
+        exec.control()
+            .reservation(handle.slot, handle.thread)
+            .map_or(0, |r| r.proportion.ppt())
+    }
+
+    fn cpu_used_us(exec: &RealTimeExecutor, handle: JobHandle) -> u64 {
+        exec.control()
+            .machine()
+            .usage(handle.thread)
+            .map_or(0, |u| u.total_used_us)
+    }
+
     #[test]
     fn tasks_run_and_shutdown_cleanly() {
         let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
-        let handle = exec.spawn("spin", JobSpec::miscellaneous(), move |q| {
-            spin_for(q.min(Duration::from_micros(500)));
-            c.fetch_add(1, Ordering::Relaxed);
-            StepOutcome::Continue
-        });
+        let handle = exec
+            .try_spawn("spin", JobSpec::miscellaneous(), move |q| {
+                spin_for(q.min(Duration::from_micros(500)));
+                c.fetch_add(1, Ordering::Relaxed);
+                StepOutcome::Continue
+            })
+            .unwrap();
         exec.run_for(Duration::from_millis(100));
         exec.shutdown();
         assert!(counter.load(Ordering::Relaxed) > 0);
-        assert!(exec.cpu_time(handle) > Duration::ZERO);
+        assert!(cpu_used_us(&exec, handle) > 0);
         assert!(exec.tasks.is_empty());
     }
 
@@ -518,10 +442,11 @@ mod tests {
         let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
-        exec.spawn("once", JobSpec::miscellaneous(), move |_q| {
+        exec.try_spawn("once", JobSpec::miscellaneous(), move |_q| {
             c.fetch_add(1, Ordering::Relaxed);
             StepOutcome::Done
-        });
+        })
+        .unwrap();
         exec.run_for(Duration::from_millis(80));
         exec.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 1);
@@ -530,12 +455,11 @@ mod tests {
     #[test]
     fn misc_task_allocation_grows_under_the_controller() {
         let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
-        let handle = exec.spawn("spin", JobSpec::miscellaneous(), move |q| {
-            spin_for(q.min(Duration::from_micros(300)));
-            StepOutcome::Continue
-        });
+        let handle = exec
+            .try_spawn("spin", JobSpec::miscellaneous(), spinner(300))
+            .unwrap();
         exec.run_for(Duration::from_millis(300));
-        let alloc = exec.current_allocation_ppt(handle);
+        let alloc = allocation_ppt(&exec, handle);
         exec.shutdown();
         assert!(alloc > 1, "allocation should have grown, got {alloc}");
     }
@@ -544,78 +468,56 @@ mod tests {
     fn real_time_task_keeps_its_reservation() {
         let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
         let spec = JobSpec::real_time(Proportion::from_ppt(300), Period::from_millis(20));
-        let rt = exec.spawn("rt", spec, move |q| {
-            spin_for(q.min(Duration::from_micros(300)));
-            StepOutcome::Continue
-        });
-        let _bg = exec.spawn("bg", JobSpec::miscellaneous(), move |q| {
-            spin_for(q.min(Duration::from_micros(300)));
-            StepOutcome::Continue
-        });
+        let rt = exec.try_spawn("rt", spec, spinner(300)).unwrap();
+        // A second reservation that does not fit is refused, not panicked on.
+        let too_much = JobSpec::real_time(Proportion::from_ppt(800), Period::from_millis(20));
+        assert!(exec.try_spawn("rt2", too_much, spinner(300)).is_err());
+        assert_eq!(exec.control().stats().admission_rejections, 1);
+        exec.try_spawn("bg", JobSpec::miscellaneous(), spinner(300))
+            .unwrap();
         exec.run_for(Duration::from_millis(200));
-        let alloc = exec.current_allocation_ppt(rt);
+        let alloc = allocation_ppt(&exec, rt);
         exec.shutdown();
         assert_eq!(alloc, 300);
     }
 
     #[test]
     fn idle_sleep_is_the_quantum_clamped_to_the_configured_bounds() {
-        let config = ExecutorConfig::default();
-        assert_eq!(config.idle_sleep_min_us, 100);
-        assert_eq!(config.idle_sleep_max_us, 1_000);
-        assert_eq!(config.idle_sleep(5), Duration::from_micros(100));
-        assert_eq!(config.idle_sleep(500), Duration::from_micros(500));
-        assert_eq!(config.idle_sleep(50_000), Duration::from_micros(1_000));
+        assert_eq!(idle_sleep(5), Duration::from_micros(IDLE_SLEEP_MIN_US));
+        assert_eq!(idle_sleep(500), Duration::from_micros(500));
+        assert_eq!(idle_sleep(50_000), Duration::from_micros(IDLE_SLEEP_MAX_US));
 
-        let wide = ExecutorConfig {
-            idle_sleep_min_us: 10,
-            idle_sleep_max_us: 20_000,
-            ..ExecutorConfig::default()
-        };
-        assert_eq!(wide.idle_sleep(50_000), Duration::from_micros(20_000));
-        assert_eq!(wide.idle_sleep(15), Duration::from_micros(15));
-        // A min above the max is forgiven, not panicked on.
-        let crossed = ExecutorConfig {
-            idle_sleep_min_us: 5_000,
-            idle_sleep_max_us: 10,
-            ..ExecutorConfig::default()
-        };
-        assert_eq!(crossed.idle_sleep(1), Duration::from_micros(5_000));
-    }
-
-    #[test]
-    fn idle_executor_honours_a_larger_sleep_bound() {
-        // With no tasks at all, the loop is pure idle sleeping; it must
-        // still return promptly and not busy-spin.
-        let mut exec = RealTimeExecutor::new(ExecutorConfig {
-            idle_sleep_min_us: 2_000,
-            idle_sleep_max_us: 4_000,
-            ..ExecutorConfig::default()
-        });
+        // With no tasks at all the loop is pure idle sleeping; it must
+        // still return promptly and not busy-spin past its deadline.
+        let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
         let t0 = Instant::now();
         exec.run_for(Duration::from_millis(30));
         assert!(t0.elapsed() >= Duration::from_millis(30));
         assert!(t0.elapsed() < Duration::from_millis(300));
+        assert!(exec.control().stats().steps > 0);
     }
 
     #[test]
     fn two_cpu_executor_runs_two_workers_concurrently() {
         let mut exec = RealTimeExecutor::new(ExecutorConfig::default().with_cpus(2));
-        assert_eq!(exec.cpu_count(), 2);
-        let a = exec.spawn("a", JobSpec::miscellaneous(), move |q| {
-            spin_for(q.min(Duration::from_micros(500)));
-            StepOutcome::Continue
-        });
-        let b = exec.spawn("b", JobSpec::miscellaneous(), move |q| {
-            spin_for(q.min(Duration::from_micros(500)));
-            StepOutcome::Continue
-        });
+        assert_eq!(exec.control().machine().cpu_count(), 2);
+        let a = exec
+            .try_spawn("a", JobSpec::miscellaneous(), spinner(500))
+            .unwrap();
+        let b = exec
+            .try_spawn("b", JobSpec::miscellaneous(), spinner(500))
+            .unwrap();
         exec.run_for(Duration::from_millis(200));
-        let (ca, cb) = (exec.cpu_of(a), exec.cpu_of(b));
-        let (ta, tb) = (exec.cpu_time(a), exec.cpu_time(b));
+        let machine = exec.control().machine();
+        let (ca, cb) = (machine.cpu_of(a.thread), machine.cpu_of(b.thread));
+        let (ta, tb) = (cpu_used_us(&exec, a), cpu_used_us(&exec, b));
+        let per_cpu = exec.control().stats().per_cpu;
         exec.shutdown();
         assert_ne!(ca, cb, "workers sharded over distinct CPUs");
-        assert!(ta > Duration::ZERO && tb > Duration::ZERO);
+        assert!(ta > 0 && tb > 0);
+        // Each worker's consumption is booked on the CPU it ran on.
+        assert!(per_cpu.iter().all(|cpu| cpu.used_us > 0), "{per_cpu:?}");
+        assert_eq!(per_cpu.iter().map(|cpu| cpu.used_us).sum::<u64>(), ta + tb);
     }
 
     #[test]
@@ -623,14 +525,61 @@ mod tests {
         let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
-        exec.spawn("blocker", JobSpec::miscellaneous(), move |_q| {
+        exec.try_spawn("blocker", JobSpec::miscellaneous(), move |_q| {
             c.fetch_add(1, Ordering::Relaxed);
             StepOutcome::Blocked
-        });
+        })
+        .unwrap();
         exec.run_for(Duration::from_millis(150));
         exec.shutdown();
         // It blocks after every step but should still have run several
         // times because the controller tick re-polls it.
         assert!(counter.load(Ordering::Relaxed) >= 2);
+    }
+
+    #[test]
+    fn removal_frees_the_slot_and_its_next_tenant_gets_a_fresh_worker() {
+        let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
+        let old = exec
+            .try_spawn("old", JobSpec::miscellaneous(), spinner(300))
+            .unwrap();
+        exec.run_for(Duration::from_millis(30));
+        exec.remove(old);
+        assert!(exec.tasks[old.slot.index()].is_none(), "entry freed");
+        assert_eq!(exec.control().slot_of(old.thread), None);
+        exec.remove(old); // an already-removed handle is a no-op
+
+        let steps = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&steps);
+        let new = exec
+            .try_spawn("new", JobSpec::miscellaneous(), move |q| {
+                s.fetch_add(1, Ordering::Relaxed);
+                spin_for(q.min(Duration::from_micros(300)));
+                StepOutcome::Continue
+            })
+            .unwrap();
+        assert_eq!(new.slot.index(), old.slot.index(), "slot reused");
+        assert_ne!(new.thread, old.thread);
+
+        // A report the old worker left behind (it can outlive a `run_for`
+        // that timed out) reaches neither the slot's new tenant's account
+        // nor its state, and the leftover handle cannot remove it.
+        let booked = exec.control().stats().total_used_us();
+        exec.handle_report(WorkerReport {
+            handle: old,
+            elapsed: Duration::from_millis(7),
+            outcome: StepOutcome::Done,
+        });
+        exec.remove(old);
+        assert_eq!(exec.control().stats().total_used_us(), booked);
+        assert_eq!(cpu_used_us(&exec, new), 0);
+        let tenant = exec.tasks[new.slot.index()].as_ref().expect("still there");
+        assert_eq!(tenant.handle, new);
+        assert_eq!(tenant.state, TaskState::Runnable);
+
+        exec.run_for(Duration::from_millis(60));
+        assert!(steps.load(Ordering::Relaxed) > 0, "the fresh worker runs");
+        assert!(cpu_used_us(&exec, new) > 0);
+        exec.shutdown();
     }
 }

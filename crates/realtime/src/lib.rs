@@ -1,25 +1,29 @@
 //! Wall-clock user-space executor.
 //!
 //! The paper's prototype controller ran as "a user-level program" above a
-//! modified Linux kernel; this crate demonstrates that the same scheduler
-//! and controller code paths used by the simulator (`rrs-sim`) also work
-//! against real OS threads and real wall-clock time.  The executor emulates
-//! a single CPU: worker threads each wait on a gate and are released one at
-//! a time for one quantum, in the order decided by the
-//! [`rrs_scheduler::Dispatcher`], while the [`rrs_core::Controller`] adjusts
-//! their reservations from the progress they make on real shared queues.
+//! modified Linux kernel; this crate runs the same feedback loop the
+//! simulator (`rrs-sim`) drives — one [`rrs_core::ControlLoop`]: controller,
+//! machine, slot table, counters — against real OS threads and real
+//! wall-clock time.  It is a parity harness for the control math, not OS
+//! scheduling: the executor keeps only a clock and a way to spend a
+//! quantum.  Worker threads each wait on a channel and are released for one
+//! *step* per quantum, at most one per logical CPU at a time, in the order
+//! the machine's dispatchers decide, while the controller adjusts their
+//! reservations from the progress they make on real shared queues.
 //!
-//! The executor is intentionally cooperative — tasks run one *step* per
+//! The executor is intentionally cooperative — tasks run one step per
 //! quantum and return control — because a user-space library cannot preempt
 //! arbitrary code.  The paper makes the same concession: its RBS can only
-//! enforce allocations at dispatch time.
+//! enforce allocations at dispatch time.  Nothing pins a worker to a
+//! hardware core and nothing stops the OS from descheduling it mid-step;
+//! what a step is charged is the wall time it took.
 //!
-//! Since the machine-layer refactor the executor emulates an `N`-CPU
-//! machine (logical worker sharding), supports mid-run CPU hot-add
-//! ([`executor::RealTimeExecutor::grow_cpus`]) and task removal, and
-//! reports the same statistics struct as the simulator
-//! ([`rrs_core::SimStats`]) — the parity that lets the
-//! backend-agnostic `realrate::api` host trait treat it interchangeably
+//! Everything the loop knows — reservations, usage accounts, placement,
+//! statistics ([`rrs_core::SimStats`], the struct the simulator reports),
+//! telemetry — is read through [`executor::RealTimeExecutor::control`];
+//! the executor adds spawning, removal, mid-run CPU hot-add
+//! ([`executor::RealTimeExecutor::grow_cpus`]) and the run loop.  The
+//! backend-agnostic `realrate::api` host trait wraps it interchangeably
 //! with `rrs-sim`.
 
 #![warn(missing_docs)]

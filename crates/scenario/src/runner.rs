@@ -21,12 +21,12 @@ use crate::spec::{Member, ScenarioSpec, SpecError, TransientJob};
 use rrs_api::{Host, Runtime, SimStats, SimTime};
 use rrs_core::{JobHandle, JobSpec};
 use rrs_scheduler::{Period, Proportion};
-use rrs_sim::{RunResult, WorkModel};
+use rrs_sim::WorkModel;
 use rrs_telemetry::TelemetrySnapshot;
 use rrs_workloads::{
-    CpuHog, DiskReader, DummyProcess, InteractiveJob, LatencyStats, LatencySummary, ModemConfig,
-    PipelineConfig, PulsePipeline, ServerConfig, SoftwareModem, VideoPipeline, VideoPipelineConfig,
-    WebServer,
+    CpuHog, DiskReader, DummyProcess, FiniteWork, InteractiveJob, LatencyStats, LatencySummary,
+    ModemConfig, PipelineConfig, PulsePipeline, ServerConfig, SoftwareModem, VideoPipeline,
+    VideoPipelineConfig, WebServer,
 };
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -97,38 +97,6 @@ pub struct ScenarioReport {
     pub slos: Vec<SloOutcome>,
     /// Whether every SLO passed.
     pub passed: bool,
-}
-
-/// A transient job with a fixed amount of work: spins until done, then
-/// blocks until its scheduled departure.
-#[derive(Debug)]
-struct FiniteWork {
-    cycles_remaining: f64,
-}
-
-impl WorkModel for FiniteWork {
-    fn run(&mut self, _now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
-        if self.cycles_remaining <= 0.0 {
-            return RunResult::blocked_after(0);
-        }
-        let offered = quantum_us as f64 * cpu_hz / 1e6;
-        if offered < self.cycles_remaining {
-            self.cycles_remaining -= offered;
-            RunResult::ran(quantum_us)
-        } else {
-            let used_us = (self.cycles_remaining / cpu_hz * 1e6).round() as u64;
-            self.cycles_remaining = 0.0;
-            RunResult::blocked_after(used_us.min(quantum_us))
-        }
-    }
-
-    fn poll_unblock(&mut self, _now_us: u64) -> bool {
-        false
-    }
-
-    fn label(&self) -> &str {
-        "finite-work"
-    }
 }
 
 /// What a member contributed to the observation groups.
@@ -301,9 +269,7 @@ struct Event {
 fn spawn_model(job: &TransientJob) -> Box<dyn WorkModel> {
     match *job {
         TransientJob::Hog { .. } => Box::new(CpuHog::new()),
-        TransientJob::Worker { mcycles, .. } => Box::new(FiniteWork {
-            cycles_remaining: mcycles * 1e6,
-        }),
+        TransientJob::Worker { mcycles, .. } => Box::new(FiniteWork::new(mcycles * 1e6)),
         TransientJob::Interactive {
             keystrokes_hz,
             mcycles_per_keystroke,

@@ -738,10 +738,11 @@ impl Dispatcher {
 
     /// [`Dispatcher::block`] for a caller that holds the thread's dense
     /// slot.
-    pub fn block_slot(&mut self, slot: u32, id: ThreadId) -> Result<(), SchedError> {
+    pub(crate) fn block_slot(&mut self, slot: u32, id: ThreadId) -> Result<(), SchedError> {
         self.settle_span();
         self.verify(slot, id)?;
-        self.block_inner(slot)
+        self.block_inner(slot);
+        Ok(())
     }
 
     /// Blocks the thread picked by the last [`Dispatcher::dispatch`]
@@ -754,11 +755,11 @@ impl Dispatcher {
             .span_slot
             .expect("block_span without a dispatched span");
         self.settle_span();
-        self.block_inner(idx).expect("span slot is live");
+        self.block_inner(idx);
         idx
     }
 
-    fn block_inner(&mut self, idx: u32) -> Result<(), SchedError> {
+    fn block_inner(&mut self, idx: u32) {
         // Roll boundaries while the thread still counts as runnable so the
         // was-runnable miss accounting matches the eager path.
         self.sync_entry(idx);
@@ -766,16 +767,12 @@ impl Dispatcher {
             "block_inner receives the current span's slot or a verified one, both occupied",
         );
         let id = entry.id;
-        if entry.state == ThreadState::Exited {
-            return Err(SchedError::InvalidState(id, "thread has exited"));
-        }
         entry.state = ThreadState::Blocked;
         self.rearm(idx);
         if self.running == Some(id) {
             self.running = None;
         }
         self.reindex(idx);
-        Ok(())
     }
 
     /// Wakes a blocked thread.  Threads that are throttled stay throttled

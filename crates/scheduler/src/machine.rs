@@ -5,8 +5,8 @@
 //! scales to `N` CPUs.  A [`Machine`] owns one [`Dispatcher`] per CPU —
 //! each with its own run queue, timer list and accounting — plus the
 //! thread→CPU placement map, and routes every single-CPU call
-//! (`add_thread_preadmitted`, `charge`, `set_reservation`, `advance_to`,
-//! usage queries) to the owning CPU.  With `N = 1` it is a
+//! (`add_thread_preadmitted`, `charge_at`, `set_reservation`,
+//! `advance_to`, usage queries) to the owning CPU.  With `N = 1` it is a
 //! transparent shell around one dispatcher: every operation takes the
 //! exact code path the single-CPU system took, so the paper's figures
 //! reproduce bit-for-bit.
@@ -26,8 +26,11 @@
 //! and its dense slot in that CPU's dispatcher — through the two id maps
 //! (`placement` here, `by_id` in the dispatcher) exactly once and calls
 //! its handle-addressed twin (`set_reservation` →
-//! [`Machine::set_reservation_at`], and likewise `reservation`, `unblock`,
-//! `charge`, `migrate`), which holds all the logic.  The calls that place
+//! [`Machine::set_reservation_at`], and likewise `reservation`,
+//! `migrate`), which holds all the logic; block, wake and charge — what a
+//! backend does every span — exist only handle-addressed
+//! ([`Machine::block_at`], [`Machine::unblock_at`],
+//! [`Machine::charge_at`]).  The calls that place
 //! a thread ([`Machine::add_thread_preadmitted_on`],
 //! [`Machine::inject_thread_on`], [`Machine::migrate_at`],
 //! [`Machine::actuate`]) hand the handle back, so
@@ -451,31 +454,18 @@ impl Machine {
             .reservation_slot(handle.slot, id)
     }
 
-    /// Marks a thread as blocked.
-    pub fn block(&mut self, id: ThreadId) -> Result<(), SchedError> {
-        let handle = self.resolve(id)?;
+    /// Marks the thread `handle` points at as blocked.
+    pub fn block_at(&mut self, handle: ThreadHandle, id: ThreadId) -> Result<(), SchedError> {
         self.at(handle, id)?.block_slot(handle.slot, id)
     }
 
-    /// Wakes a blocked thread.
-    pub fn unblock(&mut self, id: ThreadId) -> Result<(), SchedError> {
-        let handle = self.resolve(id)?;
-        self.unblock_at(handle, id)
-    }
-
-    /// [`Machine::unblock`] for a caller that holds the thread's handle —
-    /// the simulator's global wake and poll paths.
+    /// Wakes the blocked thread `handle` points at — the backends' wake
+    /// and poll paths.
     pub fn unblock_at(&mut self, handle: ThreadHandle, id: ThreadId) -> Result<(), SchedError> {
         self.at(handle, id)?.unblock_slot(handle.slot, id)
     }
 
-    /// Charges CPU consumption to a thread on its current CPU.
-    pub fn charge(&mut self, id: ThreadId, us: u64) -> Result<(), SchedError> {
-        let handle = self.resolve(id)?;
-        self.charge_at(handle, id, us)
-    }
-
-    /// [`Machine::charge`] for a caller that holds the thread's handle.
+    /// Charges CPU consumption to the thread `handle` points at.
     pub fn charge_at(
         &mut self,
         handle: ThreadHandle,
@@ -538,6 +528,11 @@ mod tests {
         Reservation::new(Proportion::from_ppt(ppt), Period::from_millis(period_ms))
     }
 
+    fn charge(m: &mut Machine, id: ThreadId, us: u64) {
+        let handle = m.handle_of(id).expect("resident");
+        m.charge_at(handle, id, us).unwrap();
+    }
+
     #[test]
     fn single_cpu_machine_matches_dispatcher_behaviour() {
         let mut m = Machine::new(DispatcherConfig::default(), 1);
@@ -549,7 +544,7 @@ mod tests {
             let od = d.dispatch();
             assert_eq!(om, od);
             if let Some(t) = om.thread {
-                m.charge(t, om.quantum_us).unwrap();
+                charge(&mut m, t, om.quantum_us);
                 d.charge(t, od.quantum_us).unwrap();
             }
             let next = m.now_us() + om.quantum_us;
@@ -601,7 +596,7 @@ mod tests {
         m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10))
             .unwrap();
         let o = m.dispatch(CpuId(0));
-        m.charge(ThreadId(1), o.quantum_us).unwrap();
+        charge(&mut m, ThreadId(1), o.quantum_us);
         assert_eq!(
             m.dispatcher(CpuId(0)).thread_state(ThreadId(1)),
             Some(ThreadState::Throttled)
@@ -663,7 +658,7 @@ mod tests {
             for cpu in [CpuId(0), CpuId(1)] {
                 let o = m.dispatch(cpu);
                 if let Some(t) = o.thread {
-                    m.charge(t, o.quantum_us).unwrap();
+                    charge(&mut m, t, o.quantum_us);
                 }
                 max_q = max_q.max(o.quantum_us);
             }

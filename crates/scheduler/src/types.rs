@@ -198,8 +198,6 @@ pub enum ThreadState {
     /// Exhausted its allocation for the current period and parked until the
     /// next period begins.
     Throttled,
-    /// Removed from the scheduler.
-    Exited,
 }
 
 impl ThreadState {
@@ -267,7 +265,6 @@ mod tests {
         assert!(ThreadState::Running.is_runnable());
         assert!(!ThreadState::Blocked.is_runnable());
         assert!(!ThreadState::Throttled.is_runnable());
-        assert!(!ThreadState::Exited.is_runnable());
     }
 
     #[test]

@@ -22,6 +22,24 @@ use rrs_scheduler::{
 };
 use std::collections::BTreeMap;
 
+/// The id edge as a caller without a stored handle spells it: resolve
+/// through the two id maps, then act on the handle.
+fn resolve(machine: &Machine, id: ThreadId) -> Result<ThreadHandle, SchedError> {
+    machine.handle_of(id).ok_or(SchedError::UnknownThread(id))
+}
+
+fn block(machine: &mut Machine, id: ThreadId) -> Result<(), SchedError> {
+    resolve(machine, id).and_then(|h| machine.block_at(h, id))
+}
+
+fn unblock(machine: &mut Machine, id: ThreadId) -> Result<(), SchedError> {
+    resolve(machine, id).and_then(|h| machine.unblock_at(h, id))
+}
+
+fn charge(machine: &mut Machine, id: ThreadId, us: u64) -> Result<(), SchedError> {
+    resolve(machine, id).and_then(|h| machine.charge_at(h, id, us))
+}
+
 fn assert_accounts_equal(machine: &UsageAccount, oracle: &UsageAccount) {
     assert_eq!(machine.period_start_us, oracle.period_start_us);
     assert_eq!(machine.budget_us, oracle.budget_us);
@@ -71,7 +89,7 @@ proptest! {
                     if let Some(t) = got.thread {
                         let used = (got.quantum_us * (param % 101) / 100)
                             .clamp(1, got.quantum_us);
-                        machine.charge(t, used).unwrap();
+                        charge(&mut machine, t, used).unwrap();
                         oracle.charge(t, used).unwrap();
                     }
                     let next = machine.now_us() + got.quantum_us.max(1);
@@ -87,9 +105,9 @@ proptest! {
                 // Block / unblock (both sides must agree on the outcome).
                 2 => {
                     if param % 2 == 0 {
-                        prop_assert_eq!(machine.block(id).is_ok(), oracle.block(id).is_ok());
+                        prop_assert_eq!(block(&mut machine, id).is_ok(), oracle.block(id).is_ok());
                     } else {
-                        prop_assert_eq!(machine.unblock(id).is_ok(), oracle.unblock(id).is_ok());
+                        prop_assert_eq!(unblock(&mut machine, id).is_ok(), oracle.unblock(id).is_ok());
                     }
                 }
                 // The operation under test: migrate to an arbitrary CPU
@@ -157,7 +175,7 @@ proptest! {
             for cpu in 0..cpus {
                 let o = machine.dispatch(CpuId(cpu as u32));
                 if let Some(t) = o.thread {
-                    machine.charge(t, o.quantum_us).unwrap();
+                    charge(&mut machine, t, o.quantum_us).unwrap();
                 }
                 max_q = max_q.max(o.quantum_us);
             }
@@ -260,11 +278,10 @@ proptest! {
                     by_handle.set_reservation_at(handle, id, r).unwrap();
                 }
                 (5, Some(handle)) => {
-                    let dispatcher = by_handle.dispatcher_mut(handle.cpu);
-                    prop_assert_eq!(by_id.block(id), dispatcher.block_slot(handle.slot, id));
+                    prop_assert_eq!(block(&mut by_id, id), by_handle.block_at(handle, id));
                 }
                 (6, Some(handle)) => {
-                    prop_assert_eq!(by_id.unblock(id), by_handle.unblock_at(handle, id));
+                    prop_assert_eq!(unblock(&mut by_id, id), by_handle.unblock_at(handle, id));
                 }
                 // One dispatch round, each pick charged part of its quantum.
                 (7, _) => {
@@ -274,7 +291,7 @@ proptest! {
                         prop_assert_eq!(got, by_handle.dispatch(cpu));
                         if let Some(t) = got.thread {
                             let used = (got.quantum_us * (a % 101) / 100).clamp(1, got.quantum_us);
-                            by_id.charge(t, used).unwrap();
+                            charge(&mut by_id, t, used).unwrap();
                             by_handle.charge_at(handles[&t], t, used).unwrap();
                         }
                         max_q = max_q.max(got.quantum_us);
@@ -290,8 +307,8 @@ proptest! {
                 // edges must say so.
                 (_, None) => {
                     let gone = Err(SchedError::UnknownThread(id));
-                    prop_assert_eq!(by_id.unblock(id), gone);
-                    prop_assert_eq!(by_handle.charge(id, b), gone);
+                    prop_assert_eq!(unblock(&mut by_id, id), gone);
+                    prop_assert_eq!(charge(&mut by_handle, id, b), gone);
                 }
                 (_, Some(_)) => unreachable!("ops 0..=8 are all matched above"),
             }
@@ -319,8 +336,7 @@ proptest! {
                     Err(SchedError::UnknownThread(id))
                 );
                 prop_assert_eq!(cached, handle);
-                let dispatcher = by_handle.dispatcher_mut(handle.cpu);
-                prop_assert_eq!(dispatcher.block_slot(handle.slot, id), gone);
+                prop_assert_eq!(by_handle.block_at(handle, id), gone);
             }
 
             // ... and neither those refusals nor the choice of edge shows:

@@ -72,11 +72,6 @@ pub trait WorkModel: Send {
     fn progress_counter(&self) -> Option<f64> {
         None
     }
-
-    /// A short label for traces.
-    fn label(&self) -> &str {
-        "work"
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +108,6 @@ mod tests {
         let mut s = Spin;
         assert!(s.poll_unblock(0));
         assert!(s.progress_counter().is_none());
-        assert_eq!(s.label(), "work");
         assert_eq!(s.run(0, 5, 1e6).used_us, 5);
     }
 }

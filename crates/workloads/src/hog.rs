@@ -1,5 +1,6 @@
 //! CPU hogs and dummy processes.
 
+use crate::kernel::Burn;
 use rrs_sim::{RunResult, WorkModel};
 
 /// A miscellaneous job that consumes every cycle it is offered and never
@@ -31,10 +32,6 @@ impl WorkModel for CpuHog {
     fn progress_counter(&self) -> Option<f64> {
         Some(self.total_cycles)
     }
-
-    fn label(&self) -> &str {
-        "cpu-hog"
-    }
 }
 
 /// A process that consumes no CPU at all but remains registered with the
@@ -61,9 +58,39 @@ impl WorkModel for DummyProcess {
     fn poll_unblock(&mut self, _now_us: u64) -> bool {
         false
     }
+}
 
-    fn label(&self) -> &str {
-        "dummy"
+/// A transient job with a fixed amount of work: spins until it is done,
+/// then blocks for good (its host removes it at its scheduled departure).
+#[derive(Debug)]
+pub struct FiniteWork {
+    cycles_remaining: f64,
+}
+
+impl FiniteWork {
+    /// A job with `cycles` of work to do.
+    pub fn new(cycles: f64) -> Self {
+        Self {
+            cycles_remaining: cycles,
+        }
+    }
+}
+
+impl WorkModel for FiniteWork {
+    fn run(&mut self, _now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
+        if self.cycles_remaining <= 0.0 {
+            return RunResult::blocked_after(0);
+        }
+        let mut burn = Burn::new(quantum_us, cpu_hz);
+        if burn.spend(&mut self.cycles_remaining) {
+            burn.blocked()
+        } else {
+            RunResult::ran(quantum_us)
+        }
+    }
+
+    fn poll_unblock(&mut self, _now_us: u64) -> bool {
+        false
     }
 }
 
@@ -81,7 +108,6 @@ mod tests {
         assert!(!r.blocked);
         assert_eq!(hog.cycles(), 400e6 * 0.001);
         assert_eq!(hog.progress_counter(), Some(hog.cycles()));
-        assert_eq!(hog.label(), "cpu-hog");
     }
 
     #[test]
@@ -91,7 +117,16 @@ mod tests {
         assert_eq!(r.used_us, 0);
         assert!(r.blocked);
         assert!(!d.poll_unblock(1_000_000));
-        assert_eq!(d.label(), "dummy");
+    }
+
+    #[test]
+    fn finite_work_spins_until_done_then_blocks_for_good() {
+        // 1 000 µs at 400 MHz = 400 000 cycles a quantum.
+        let mut work = FiniteWork::new(500_000.0);
+        assert_eq!(work.run(0, 1_000, 400e6), RunResult::ran(1_000));
+        assert_eq!(work.run(1_000, 1_000, 400e6), RunResult::blocked_after(250));
+        assert_eq!(work.run(2_000, 1_000, 400e6), RunResult::blocked_after(0));
+        assert!(!work.poll_unblock(1_000_000));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! sleeps until a keystroke arrives, then runs a short burst of work; its
 //! response time (keystroke to completed burst) is the metric of interest.
 
+use crate::kernel::Burn;
 use crate::latency::LatencyStats;
 use rrs_sim::{RunResult, SimTime, WorkModel};
 use std::sync::Arc;
@@ -75,20 +76,18 @@ impl WorkModel for InteractiveJob {
             return RunResult::blocked_after(0);
         };
 
-        let cycles_available = quantum_us as f64 * cpu_hz / 1e6;
-        if cycles_available < self.cycles_remaining {
-            self.cycles_remaining -= cycles_available;
+        let mut burn = Burn::new(quantum_us, cpu_hz);
+        if !burn.spend(&mut self.cycles_remaining) {
             return RunResult::ran(quantum_us.max(1));
         }
-        let used_us = (self.cycles_remaining / cpu_hz * 1e6).round() as u64;
-        self.cycles_remaining = 0.0;
+        let used_us = burn.used_us();
         self.pending_keystroke_arrival_us = None;
         self.handled += 1;
         if let Some(stats) = &self.latency {
             stats.record_us((now_us + used_us).saturating_sub(arrival));
         }
         // Burst finished: block until the next keystroke.
-        RunResult::blocked_after(used_us.min(quantum_us).max(1))
+        RunResult::blocked_after(used_us.max(1))
     }
 
     fn poll_unblock(&mut self, now_us: u64) -> bool {
@@ -109,10 +108,6 @@ impl WorkModel for InteractiveJob {
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.handled as f64)
-    }
-
-    fn label(&self) -> &str {
-        "interactive"
     }
 }
 

@@ -8,6 +8,7 @@
 //! Because the disk (not the CPU) is the bottleneck, this workload also
 //! exercises the controller's reclamation path (Figure 4's "−C" branch).
 
+use crate::kernel::{Burn, Cadence};
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
 use rrs_queue::{BoundedBuffer, JobKey, Role};
@@ -28,8 +29,7 @@ pub struct IoBlock {
 pub(crate) struct Disk {
     queue: Arc<BoundedBuffer<IoBlock>>,
     block_bytes: usize,
-    block_interval_us: u64,
-    next_block_us: u64,
+    blocks: Cadence,
 }
 
 impl Disk {
@@ -50,42 +50,30 @@ impl Disk {
         Self {
             queue,
             block_bytes,
-            block_interval_us: ((1e6 / blocks_per_sec).round() as u64).max(1),
-            next_block_us: 0,
+            blocks: Cadence::per_second(blocks_per_sec),
         }
     }
 }
 
 impl WorkModel for Disk {
     fn run(&mut self, now_us: u64, _quantum_us: u64, _cpu_hz: f64) -> RunResult {
-        if self.next_block_us == 0 {
-            self.next_block_us = now_us + self.block_interval_us;
-        }
-        while self.next_block_us <= now_us {
+        self.blocks.tick(now_us, |_| {
             // A full queue drops the block: the device does not wait.
             let _ = self.queue.try_push(IoBlock {
                 bytes: self.block_bytes,
             });
-            self.next_block_us += self.block_interval_us;
-        }
+        });
         RunResult::blocked_after(1)
     }
 
     fn poll_unblock(&mut self, now_us: u64) -> bool {
-        now_us + 1 >= self.next_block_us
+        self.blocks.due(now_us)
     }
 
     fn next_transition(&self, now: SimTime) -> Option<SimTime> {
         // The device clock ticks on a fixed interval, so the next block
         // arrival is always known.
-        if self.next_block_us == 0 {
-            return Some(now);
-        }
-        Some(SimTime::from_micros(self.next_block_us.saturating_sub(1)))
-    }
-
-    fn label(&self) -> &str {
-        "disk"
+        Some(self.blocks.wake_at(now))
     }
 }
 
@@ -142,32 +130,19 @@ impl DiskReader {
 
 impl WorkModel for DiskReader {
     fn run(&mut self, _now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
-        let mut cycles_available = quantum_us as f64 * cpu_hz / 1e6;
-        let mut cycles_used = 0.0;
+        let mut burn = Burn::new(quantum_us, cpu_hz);
         loop {
             if self.cycles_remaining <= 0.0 {
-                match self.queue.try_pop() {
-                    Some(block) => {
-                        self.cycles_remaining = block.bytes as f64 * self.cycles_per_byte;
-                        self.bytes_processed += block.bytes as f64;
-                    }
-                    None => {
-                        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-                        return RunResult::blocked_after(used_us.min(quantum_us));
-                    }
-                }
+                let Some(block) = self.queue.try_pop() else {
+                    return burn.blocked();
+                };
+                self.cycles_remaining = block.bytes as f64 * self.cycles_per_byte;
+                self.bytes_processed += block.bytes as f64;
             }
-            if cycles_available < self.cycles_remaining {
-                self.cycles_remaining -= cycles_available;
-                cycles_used += cycles_available;
-                break;
+            if !burn.spend(&mut self.cycles_remaining) {
+                return burn.ran();
             }
-            cycles_available -= self.cycles_remaining;
-            cycles_used += self.cycles_remaining;
-            self.cycles_remaining = 0.0;
         }
-        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-        RunResult::ran(used_us.min(quantum_us).max(1))
     }
 
     fn poll_unblock(&mut self, _now_us: u64) -> bool {
@@ -176,10 +151,6 @@ impl WorkModel for DiskReader {
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.bytes_processed)
-    }
-
-    fn label(&self) -> &str {
-        "disk-reader"
     }
 }
 
@@ -198,7 +169,9 @@ mod tests {
             disk.run(now, 10, 400e6);
             now += 1_000;
         }
-        let delivered = queue.total_pushed();
+        // Nothing consumes and the queue never fills, so what is queued is
+        // what was delivered.
+        let delivered = queue.len();
         assert!(
             (230..=260).contains(&delivered),
             "delivered {delivered} blocks in 1 s"

@@ -8,6 +8,8 @@
 //!   offered (the "competing load" of Figure 7).
 //! * [`hog::DummyProcess`] — consumes no CPU but is scheduled, monitored and
 //!   controlled (the Figure 5 overhead experiment).
+//! * [`hog::FiniteWork`] — a fixed amount of work, then nothing (the
+//!   scenario engine's transient workers).
 //! * [`pipeline`] — the pulse-driven producer/consumer pipeline of
 //!   Figures 6 and 7: a producer with a fixed reservation and a variable
 //!   production rate, a consumer with a fixed consumption rate whose
@@ -33,13 +35,14 @@
 pub mod hog;
 pub mod interactive;
 pub mod io;
+mod kernel;
 pub mod latency;
 pub mod modem;
 pub mod pipeline;
 pub mod server;
 pub mod video;
 
-pub use hog::{CpuHog, DummyProcess};
+pub use hog::{CpuHog, DummyProcess, FiniteWork};
 pub use interactive::InteractiveJob;
 pub use io::DiskReader;
 pub use latency::{LatencyStats, LatencySummary};

@@ -8,6 +8,7 @@
 //! period; a batch that is not finished by the arrival of the next one is a
 //! missed deadline.
 
+use crate::kernel::{Burn, Cadence};
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
 use rrs_scheduler::{Period, Proportion};
@@ -80,9 +81,9 @@ impl ModemConfig {
 /// The modem work model.
 #[derive(Debug)]
 pub struct SoftwareModem {
-    config: ModemConfig,
+    cycles_per_batch: f64,
     stats: Arc<ModemStats>,
-    next_batch_us: u64,
+    batches: Cadence,
     cycles_remaining: f64,
     batch_in_flight: bool,
 }
@@ -93,9 +94,9 @@ impl SoftwareModem {
         let stats = Arc::new(ModemStats::default());
         (
             Self {
-                config,
+                cycles_per_batch: config.cycles_per_batch,
                 stats: Arc::clone(&stats),
-                next_batch_us: 0,
+                batches: Cadence::every(config.batch_period_us),
                 cycles_remaining: 0.0,
                 batch_in_flight: false,
             },
@@ -140,52 +141,41 @@ impl SoftwareModem {
 
 impl WorkModel for SoftwareModem {
     fn run(&mut self, now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
-        if self.next_batch_us == 0 {
-            self.next_batch_us = now_us + self.config.batch_period_us;
-        }
         // New batch arrivals; an unfinished batch at arrival time is a miss
         // and is abandoned (the line glitches and we resynchronise).
-        while self.next_batch_us <= now_us {
+        self.batches.tick(now_us, |_| {
             if self.batch_in_flight {
                 self.stats.deadlines_missed.fetch_add(1, Ordering::Relaxed);
             }
             self.batch_in_flight = true;
-            self.cycles_remaining = self.config.cycles_per_batch;
-            self.next_batch_us += self.config.batch_period_us;
-        }
+            self.cycles_remaining = self.cycles_per_batch;
+        });
         if !self.batch_in_flight {
             return RunResult::blocked_after(0);
         }
-        let cycles_available = quantum_us as f64 * cpu_hz / 1e6;
-        if cycles_available < self.cycles_remaining {
-            self.cycles_remaining -= cycles_available;
+        let mut burn = Burn::new(quantum_us, cpu_hz);
+        if !burn.spend(&mut self.cycles_remaining) {
             return RunResult::ran(quantum_us.max(1));
         }
-        let used_us = (self.cycles_remaining / cpu_hz * 1e6).round() as u64;
-        self.cycles_remaining = 0.0;
         self.batch_in_flight = false;
         self.stats.batches_completed.fetch_add(1, Ordering::Relaxed);
-        RunResult::blocked_after(used_us.clamp(1, quantum_us))
+        RunResult::blocked_after(burn.used_us().max(1))
     }
 
     fn poll_unblock(&mut self, now_us: u64) -> bool {
-        self.batch_in_flight || self.next_batch_us == 0 || now_us + 1 >= self.next_batch_us
+        self.batch_in_flight || self.batches.due(now_us)
     }
 
     fn next_transition(&self, now: SimTime) -> Option<SimTime> {
         // Sample batches arrive on the line's fixed cadence.
-        if self.batch_in_flight || self.next_batch_us == 0 {
+        if self.batch_in_flight {
             return Some(now);
         }
-        Some(SimTime::from_micros(self.next_batch_us.saturating_sub(1)))
+        Some(self.batches.wake_at(now))
     }
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.stats.batches_completed() as f64)
-    }
-
-    fn label(&self) -> &str {
-        "software-modem"
     }
 }
 

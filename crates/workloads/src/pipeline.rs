@@ -8,6 +8,7 @@
 //! For the consumer, we fix the rate of consumption, but let the controller
 //! determine the allocation."
 
+use crate::kernel::Burn;
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
 use rrs_feedback::PulseTrain;
@@ -221,10 +222,6 @@ impl WorkModel for Producer {
     fn progress_counter(&self) -> Option<f64> {
         Some(self.bytes_produced)
     }
-
-    fn label(&self) -> &str {
-        "producer"
-    }
 }
 
 /// Consumer work model: dequeues a block, then loops for
@@ -238,34 +235,19 @@ struct Consumer {
 
 impl WorkModel for Consumer {
     fn run(&mut self, _now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
-        let mut cycles_available = quantum_us as f64 * cpu_hz / 1e6;
-        let mut cycles_used = 0.0;
-
+        let mut burn = Burn::new(quantum_us, cpu_hz);
         loop {
             if self.cycles_remaining <= 0.0 {
-                // Fetch the next block.
-                match self.queue.try_pop() {
-                    Some(block) => {
-                        self.cycles_remaining = block.bytes as f64 / self.bytes_per_cycle;
-                        self.bytes_consumed += block.bytes as f64;
-                    }
-                    None => {
-                        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-                        return RunResult::blocked_after(used_us.min(quantum_us));
-                    }
-                }
+                let Some(block) = self.queue.try_pop() else {
+                    return burn.blocked();
+                };
+                self.cycles_remaining = block.bytes as f64 / self.bytes_per_cycle;
+                self.bytes_consumed += block.bytes as f64;
             }
-            if cycles_available < self.cycles_remaining {
-                self.cycles_remaining -= cycles_available;
-                cycles_used += cycles_available;
-                break;
+            if !burn.spend(&mut self.cycles_remaining) {
+                return burn.ran();
             }
-            cycles_used += self.cycles_remaining;
-            cycles_available -= self.cycles_remaining;
-            self.cycles_remaining = 0.0;
         }
-        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-        RunResult::ran(used_us.min(quantum_us).max(1))
     }
 
     fn poll_unblock(&mut self, _now_us: u64) -> bool {
@@ -274,10 +256,6 @@ impl WorkModel for Consumer {
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.bytes_consumed)
-    }
-
-    fn label(&self) -> &str {
-        "consumer"
     }
 }
 

@@ -7,6 +7,7 @@
 //! server thread is CPU-bound, and the controller must discover how much
 //! CPU it needs to keep up with the offered load.
 
+use crate::kernel::{Burn, Cadence};
 use crate::latency::LatencyStats;
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
@@ -54,9 +55,8 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 pub(crate) struct RequestGenerator {
     queue: Arc<BoundedBuffer<Request>>,
-    arrival_rate_hz: f64,
+    arrivals: Cadence,
     cycles_per_request: f64,
-    next_arrival_us: u64,
 }
 
 impl RequestGenerator {
@@ -64,42 +64,29 @@ impl RequestGenerator {
     pub fn new(queue: Arc<BoundedBuffer<Request>>, config: ServerConfig) -> Self {
         Self {
             queue,
-            arrival_rate_hz: config.arrival_rate_hz,
+            arrivals: Cadence::per_second(config.arrival_rate_hz),
             cycles_per_request: config.cycles_per_request,
-            next_arrival_us: 0,
         }
-    }
-
-    fn interarrival_us(&self) -> u64 {
-        ((1e6 / self.arrival_rate_hz).round() as u64).max(1)
     }
 }
 
 impl WorkModel for RequestGenerator {
     fn run(&mut self, now_us: u64, _quantum_us: u64, _cpu_hz: f64) -> RunResult {
-        if self.next_arrival_us == 0 {
-            self.next_arrival_us = now_us + self.interarrival_us();
-        }
-        while self.next_arrival_us <= now_us {
+        self.arrivals.tick(now_us, |arrival_us| {
             let request = Request {
                 cycles: self.cycles_per_request,
-                arrival_us: self.next_arrival_us,
+                arrival_us,
             };
             // A full backlog drops the request: the network does not wait.
             let _ = self.queue.try_push(request);
-            self.next_arrival_us += self.interarrival_us();
-        }
+        });
         // Arrivals are free (the network card does the work); block until
         // the next one is due.
         RunResult::blocked_after(1)
     }
 
     fn poll_unblock(&mut self, now_us: u64) -> bool {
-        now_us + 1 >= self.next_arrival_us
-    }
-
-    fn label(&self) -> &str {
-        "request-generator"
+        self.arrivals.due(now_us)
     }
 }
 
@@ -187,37 +174,24 @@ impl WebServer {
 
 impl WorkModel for WebServer {
     fn run(&mut self, now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
-        let mut cycles_available = quantum_us as f64 * cpu_hz / 1e6;
-        let mut cycles_used = 0.0;
+        let mut burn = Burn::new(quantum_us, cpu_hz);
         loop {
             if self.cycles_remaining <= 0.0 {
-                match self.queue.try_pop() {
-                    Some(request) => {
-                        self.cycles_remaining = request.cycles;
-                        self.current_arrival_us = request.arrival_us;
-                    }
-                    None => {
-                        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-                        return RunResult::blocked_after(used_us.min(quantum_us));
-                    }
-                }
+                let Some(request) = self.queue.try_pop() else {
+                    return burn.blocked();
+                };
+                self.cycles_remaining = request.cycles;
+                self.current_arrival_us = request.arrival_us;
             }
-            if cycles_available < self.cycles_remaining {
-                self.cycles_remaining -= cycles_available;
-                cycles_used += cycles_available;
-                break;
+            if !burn.spend(&mut self.cycles_remaining) {
+                return burn.ran();
             }
-            cycles_available -= self.cycles_remaining;
-            cycles_used += self.cycles_remaining;
-            self.cycles_remaining = 0.0;
             self.served += 1;
             let latency_us = now_us.saturating_sub(self.current_arrival_us);
             if let Some(stats) = &self.latency {
                 stats.record_us(latency_us);
             }
         }
-        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-        RunResult::ran(used_us.min(quantum_us).max(1))
     }
 
     fn poll_unblock(&mut self, _now_us: u64) -> bool {
@@ -226,10 +200,6 @@ impl WorkModel for WebServer {
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.served as f64)
-    }
-
-    fn label(&self) -> &str {
-        "web-server"
     }
 }
 
@@ -252,12 +222,13 @@ mod tests {
             generator.run(now, 100, 400e6);
             now += 1_000;
         }
-        let made = queue.total_pushed();
+        // Nothing consumes and the backlog never fills, so what is queued
+        // is what was generated.
+        let made = queue.len();
         assert!(
             (45..=55).contains(&made),
             "generated {made} requests in 1 s"
         );
-        assert_eq!(queue.len() as u64, made, "nothing dropped");
     }
 
     #[test]
@@ -273,9 +244,11 @@ mod tests {
             generator.run(now, 100, 400e6);
             now += 1_000;
         }
-        // ~100 arrivals offered, room for two.
-        assert_eq!(queue.total_pushed(), 2);
+        // ~100 arrivals offered, room for two: the first two are kept,
+        // the rest dropped.
         assert_eq!(queue.len(), 2);
+        let kept: Vec<u64> = queue.drain().iter().map(|r| r.arrival_us).collect();
+        assert_eq!(kept, [1_000, 2_000]);
     }
 
     #[test]

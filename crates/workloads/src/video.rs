@@ -11,6 +11,7 @@
 //! few.  Both decoder and renderer are real-rate jobs whose allocations the
 //! controller must discover.
 
+use crate::kernel::{Burn, Cadence};
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
 use rrs_queue::{BoundedBuffer, JobKey, Role};
@@ -82,8 +83,7 @@ impl VideoPipeline {
 
         let source = FrameSource {
             queue: Arc::clone(&capture_queue),
-            fps: config.fps,
-            next_frame_us: 0,
+            frames: Cadence::per_second(config.fps),
             seq: 0,
         };
         let decoder = PipelineStage {
@@ -153,41 +153,26 @@ impl VideoPipeline {
 #[derive(Debug)]
 struct FrameSource {
     queue: Arc<BoundedBuffer<Frame>>,
-    fps: f64,
-    next_frame_us: u64,
+    frames: Cadence,
     seq: u64,
-}
-
-impl FrameSource {
-    fn frame_interval_us(&self) -> u64 {
-        ((1e6 / self.fps).round() as u64).max(1)
-    }
 }
 
 impl WorkModel for FrameSource {
     fn run(&mut self, now_us: u64, _quantum_us: u64, _cpu_hz: f64) -> RunResult {
-        if self.next_frame_us == 0 {
-            self.next_frame_us = now_us + self.frame_interval_us();
-        }
-        while self.next_frame_us <= now_us {
+        self.frames.tick(now_us, |_| {
             if self.queue.try_push(Frame { seq: self.seq }).is_ok() {
                 self.seq += 1;
             }
-            self.next_frame_us += self.frame_interval_us();
-        }
+        });
         RunResult::blocked_after(1)
     }
 
     fn poll_unblock(&mut self, now_us: u64) -> bool {
-        now_us + 1 >= self.next_frame_us
+        self.frames.due(now_us)
     }
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.seq as f64)
-    }
-
-    fn label(&self) -> &str {
-        "frame-source"
     }
 }
 
@@ -205,29 +190,18 @@ struct PipelineStage {
 
 impl WorkModel for PipelineStage {
     fn run(&mut self, _now_us: u64, quantum_us: u64, cpu_hz: f64) -> RunResult {
-        let mut cycles_available = quantum_us as f64 * cpu_hz / 1e6;
-        let mut cycles_used = 0.0;
+        let mut burn = Burn::new(quantum_us, cpu_hz);
         loop {
             if self.current.is_none() {
-                match self.input.try_pop() {
-                    Some(frame) => {
-                        self.current = Some(frame);
-                        self.cycles_remaining = self.cycles_per_frame;
-                    }
-                    None => {
-                        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-                        return RunResult::blocked_after(used_us.min(quantum_us));
-                    }
-                }
+                let Some(frame) = self.input.try_pop() else {
+                    return burn.blocked();
+                };
+                self.current = Some(frame);
+                self.cycles_remaining = self.cycles_per_frame;
             }
-            if cycles_available < self.cycles_remaining {
-                self.cycles_remaining -= cycles_available;
-                cycles_used += cycles_available;
-                break;
+            if !burn.spend(&mut self.cycles_remaining) {
+                return burn.ran();
             }
-            cycles_available -= self.cycles_remaining;
-            cycles_used += self.cycles_remaining;
-            self.cycles_remaining = 0.0;
             let frame = self.current.take().expect("frame in flight");
             self.processed += 1;
             if let Some(out) = &self.output {
@@ -236,8 +210,6 @@ impl WorkModel for PipelineStage {
                 let _ = out.try_push(frame);
             }
         }
-        let used_us = (cycles_used / cpu_hz * 1e6).round() as u64;
-        RunResult::ran(used_us.min(quantum_us).max(1))
     }
 
     fn poll_unblock(&mut self, _now_us: u64) -> bool {
@@ -246,10 +218,6 @@ impl WorkModel for PipelineStage {
 
     fn progress_counter(&self) -> Option<f64> {
         Some(self.processed as f64)
-    }
-
-    fn label(&self) -> &str {
-        "pipeline-stage"
     }
 }
 
@@ -295,8 +263,7 @@ mod tests {
         let queue = Arc::new(BoundedBuffer::new("q", 256));
         let mut source = FrameSource {
             queue: Arc::clone(&queue),
-            fps: 30.0,
-            next_frame_us: 0,
+            frames: Cadence::per_second(30.0),
             seq: 0,
         };
         let mut now = 0u64;

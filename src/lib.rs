@@ -32,8 +32,9 @@
 //! * [`sim`] (`rrs-sim`) — the deterministic CPU simulator backend.
 //! * [`workloads`] (`rrs-workloads`) — the workload generators driving the
 //!   paper's evaluation; their installers take any [`api::Host`].
-//! * [`realtime`] (`rrs-realtime`) — the wall-clock executor backend,
-//!   applying the same scheduler and controller to real OS threads.
+//! * [`realtime`] (`rrs-realtime`) — the wall-clock executor backend: the
+//!   same control loop over real time and real OS threads, a parity
+//!   harness for the control math rather than OS scheduling.
 //! * [`scenario`] (`rrs-scenario`) — declarative scenarios: seeded arrival
 //!   processes, phase schedules (load steps, hog storms, CPU hot-adds)
 //!   and SLO-checked runs on either backend, with a built-in corpus.
@@ -116,8 +117,9 @@
 //! `realtime::RealTimeExecutor::new` are the same engines the [`api`]
 //! builder constructs, and [`api::Host::as_any`] (or `dyn Host`'s
 //! `as_sim` / `as_sharded_sim`) downcasts a built simulator host back to
-//! them for backend-specific queries.  New code should go through [`api`]; the
-//! direct paths stay for one release of deprecation-by-documentation.
+//! them for backend-specific queries.  New code should go through [`api`];
+//! the direct paths stay because the figure binaries, the benchmark and
+//! the backends' own tests drive the engines through them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -8,9 +8,7 @@
 //! grant for the adaptive stage — even though one backend finishes in
 //! milliseconds of wall time and the other spends real seconds.
 
-use realrate::api::{
-    Backend, Host, JobClass, JobHandle, JobSpec, Runtime, SimTime, WallClockConfig,
-};
+use realrate::api::{Backend, Host, JobClass, JobHandle, JobSpec, Runtime, SimTime};
 use realrate::workloads::{PipelineConfig, PulsePipeline};
 
 #[derive(Debug)]
@@ -86,7 +84,7 @@ fn both_backends_report_through_the_same_stats_surface() {
     ];
     let mut key_sets = Vec::new();
     for (label, mut host) in hosts {
-        let _ = PulsePipeline::install(host.as_mut(), PipelineConfig::steady(2.5e-5));
+        let handles = PulsePipeline::install(host.as_mut(), PipelineConfig::steady(2.5e-5));
         host.advance(match host.backend() {
             Backend::Sim => SimTime::from_secs(2),
             Backend::WallClock => SimTime::from_millis(400),
@@ -98,6 +96,19 @@ fn both_backends_report_through_the_same_stats_surface() {
         assert!(stats.steps > 0, "{label}");
         assert!(host.trace().get("alloc/consumer").is_some(), "{label}");
         assert!(host.trace().get("fill/pipeline").is_some(), "{label}");
+        // The two derived reads say what the reservation and the usage
+        // account say, whoever implements the host.
+        for job in [handles.producer, handles.consumer] {
+            let reserved = host.reservation(job).expect("resident").proportion;
+            assert_eq!(host.allocation_ppt(job), reserved.ppt(), "{label}");
+            let account = host.usage(job).expect("resident");
+            assert_eq!(
+                host.cpu_used(job),
+                SimTime::from_micros(account.total_used_us),
+                "{label}"
+            );
+        }
+        assert!(host.cpu_used(handles.consumer) > SimTime::ZERO, "{label}");
         let json = serde_json::to_string(&stats).expect("stats serialise");
         let value: serde::Value = serde_json::from_str(&json).expect("and parse back");
         let keys: Vec<String> = value
@@ -131,22 +142,20 @@ impl realrate::sim::WorkModel for Blocker {
 }
 
 #[test]
-fn wall_clock_controller_runs_when_the_trace_interval_is_below_its_period() {
-    // `advance` hands the executor chunks of one trace interval.  With
-    // the interval (5 ms) at or below the controller period (10 ms) the
-    // next-cycle-due time must survive from one chunk to the next, or no
-    // cycle ever comes due and no blocked task is ever re-polled.
-    let mut host = Runtime::wall_clock()
-        .wall_clock_config(WallClockConfig {
-            trace_interval: SimTime::from_millis(5),
-            ..WallClockConfig::default()
-        })
-        .build();
+fn wall_clock_controller_runs_when_advanced_in_chunks_below_its_period() {
+    // Each `advance` hands the executor one chunk.  With the chunk (5 ms)
+    // below the controller period (10 ms) the next-cycle-due time must
+    // survive from one chunk to the next, or no cycle ever comes due and
+    // no blocked task is ever re-polled.
+    let mut host = Runtime::wall_clock().build();
     let runs = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
     let blocker = Blocker(std::sync::Arc::clone(&runs));
     host.add_job("blocker", JobSpec::miscellaneous(), Box::new(blocker))
         .unwrap();
-    host.advance(SimTime::from_millis(300));
+    let end = host.now() + SimTime::from_millis(300);
+    while host.now() < end {
+        host.advance(SimTime::from_millis(5));
+    }
     let stats = host.stats();
     // 30 periods elapse; leave room for a loaded test machine, none for
     // the bug (0 cycles, 1 run).
@@ -155,9 +164,10 @@ fn wall_clock_controller_runs_when_the_trace_interval_is_below_its_period() {
         "controller starved: {} cycles in 300 ms",
         stats.controller_invocations
     );
+    let periods = host.now().as_micros() / 10_000;
     assert!(
-        stats.controller_invocations <= 31,
-        "missed ticks are skipped, not replayed: {} cycles in 300 ms",
+        stats.controller_invocations <= periods,
+        "missed ticks are skipped, not replayed: {} cycles in {periods} periods",
         stats.controller_invocations
     );
     let runs = runs.load(std::sync::atomic::Ordering::Relaxed);

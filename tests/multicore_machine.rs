@@ -65,7 +65,9 @@ fn throttled_thread_migrates_mid_period_without_losing_state() {
     m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), r)
         .unwrap();
     let outcome = m.dispatch(CpuId(0));
-    m.charge(ThreadId(1), outcome.quantum_us).unwrap();
+    let handle = m.handle_of(ThreadId(1)).unwrap();
+    m.charge_at(handle, ThreadId(1), outcome.quantum_us)
+        .unwrap();
     assert_eq!(
         m.dispatcher(CpuId(0)).thread_state(ThreadId(1)),
         Some(ThreadState::Throttled)

@@ -26,28 +26,32 @@ fn wall_clock_pipeline_makes_progress_under_the_controller() {
     // Producer: a short burst of CPU then one item.
     let q = Arc::clone(&queue);
     let p = Arc::clone(&produced);
-    let producer = exec.spawn("producer", JobSpec::real_rate(), move |_quantum| {
-        spin_for(Duration::from_micros(200));
-        if q.try_push(1).is_ok() {
-            p.fetch_add(1, Ordering::Relaxed);
-        }
-        StepOutcome::Continue
-    });
+    let producer = exec
+        .try_spawn("producer", JobSpec::real_rate(), move |_quantum| {
+            spin_for(Duration::from_micros(200));
+            if q.try_push(1).is_ok() {
+                p.fetch_add(1, Ordering::Relaxed);
+            }
+            StepOutcome::Continue
+        })
+        .expect("real-rate jobs are always admitted");
 
     // Consumer: drains one item per step with a slightly larger burst.
     let q = Arc::clone(&queue);
     let c = Arc::clone(&consumed);
-    let consumer = exec.spawn("consumer", JobSpec::real_rate(), move |_quantum| {
-        if q.try_pop().is_some() {
-            c.fetch_add(1, Ordering::Relaxed);
-            spin_for(Duration::from_micros(300));
-            StepOutcome::Continue
-        } else {
-            StepOutcome::Blocked
-        }
-    });
+    let consumer = exec
+        .try_spawn("consumer", JobSpec::real_rate(), move |_quantum| {
+            if q.try_pop().is_some() {
+                c.fetch_add(1, Ordering::Relaxed);
+                spin_for(Duration::from_micros(300));
+                StepOutcome::Continue
+            } else {
+                StepOutcome::Blocked
+            }
+        })
+        .expect("real-rate jobs are always admitted");
 
-    let registry = exec.registry();
+    let registry = exec.control().controller().registry();
     registry.register(JobKey(producer.job.0), Role::Producer, queue.clone());
     registry.register(JobKey(consumer.job.0), Role::Consumer, queue.clone());
 
@@ -62,7 +66,10 @@ fn wall_clock_pipeline_makes_progress_under_the_controller() {
         eaten <= made,
         "cannot consume more than was produced ({eaten} vs {made})"
     );
-    // Both ends received real CPU time.
-    assert!(exec.cpu_time(producer) > Duration::ZERO);
-    assert!(exec.cpu_time(consumer) > Duration::ZERO);
+    // Both ends received real CPU time, charged to their usage accounts.
+    let machine = exec.control().machine();
+    for job in [producer, consumer] {
+        let account = machine.usage(job.thread).expect("still resident");
+        assert!(account.total_used_us > 0, "{job:?}");
+    }
 }

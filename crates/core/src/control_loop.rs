@@ -25,7 +25,8 @@ use crate::ControllerConfig;
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use rrs_scheduler::{
-    CpuId, CpuStats, DispatcherConfig, Machine, MigratedThread, Reservation, ThreadHandle, ThreadId,
+    CpuId, CpuStats, Dispatcher, DispatcherConfig, Machine, MigratedThread, Reservation,
+    ThreadHandle, ThreadId,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -152,12 +153,14 @@ impl ControlLoop {
     ) -> Self {
         let machine = Machine::new(dispatcher, controller.placement.cpu_count());
         let period_us = ((controller.controller_period_s * 1e6).round() as u64).max(1);
+        let mut controller = Controller::new(controller, registry);
+        controller.set_dispatch_interval_us(dispatcher.dispatch_interval_us);
         Self {
             stats: SimStats {
                 per_cpu: vec![CpuStats::default(); machine.cpu_count()],
                 ..SimStats::default()
             },
-            controller: Controller::new(controller, registry),
+            controller,
             machine,
             threads: Vec::new(),
             slots: Vec::new(),
@@ -213,6 +216,35 @@ impl ControlLoop {
     #[inline]
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
         self.recorder.as_ref()
+    }
+
+    /// One CPU's share of the loop, split-borrowed for a backend's span
+    /// loop: the CPU's dispatcher, the id → slot table read-only (as
+    /// [`ControlLoop::slot_of`]) and the recorder.  Taken once per window,
+    /// so the loop body re-resolves none of them; what the window books
+    /// (per-CPU use, dispatch overhead) goes through
+    /// [`ControlLoop::stats_mut`] once it is over.
+    #[inline]
+    pub fn cpu_window(
+        &mut self,
+        cpu: CpuId,
+    ) -> (
+        &mut Dispatcher,
+        impl Fn(ThreadId) -> Option<JobSlot> + Copy + '_,
+        Option<&Arc<Recorder>>,
+    ) {
+        let Self {
+            machine,
+            slots,
+            recorder,
+            ..
+        } = self;
+        let slots: &[JobSlot] = slots;
+        (
+            machine.dispatcher_mut(cpu),
+            move |thread| lookup(slots, thread),
+            recorder.as_ref(),
+        )
     }
 
     fn bind(&mut self, slot: JobSlot, thread: ThreadId, handle: ThreadHandle) {
@@ -569,6 +601,7 @@ impl ControlLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_queue::{BoundedBuffer, JobKey, Role};
     use rrs_scheduler::{Period, Proportion, ThreadState};
 
     fn bare(cpus: usize) -> ControlLoop {
@@ -753,6 +786,46 @@ mod tests {
         assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000);
         assert_eq!(ctl.skip_to_next_cycle(47_000), 50_000, "idempotent");
         assert_eq!(ctl.stats().controller_invocations, 1);
+    }
+
+    /// §3.3's period heuristic grows a period whose budget is fewer than
+    /// four dispatch quanta — quanta of the machine the loop drives.  A
+    /// real-rate job pinned at 267 ‰ of a 30 ms period has an 8 ms
+    /// budget: eight 1 ms quanta, enough to keep the period, but two 4 ms
+    /// ones, too few.
+    #[test]
+    fn period_estimation_quantises_against_the_machines_dispatch_interval() {
+        let period_after_cycles = |dispatch_interval_us| {
+            let registry = MetricRegistry::new();
+            let pinned = Proportion::from_ppt(267);
+            let mut ctl = ControlLoop::new(
+                ControllerConfig {
+                    period_estimation: true,
+                    min_proportion: pinned,
+                    max_proportion: pinned,
+                    ..ControllerConfig::default()
+                },
+                DispatcherConfig {
+                    dispatch_interval_us,
+                    ..DispatcherConfig::default()
+                },
+                registry.clone(),
+            );
+            let job = ctl.admit(JobSpec::real_rate()).unwrap();
+            // A half-full queue that never moves: no jitter to shrink for.
+            let queue = Arc::new(BoundedBuffer::<u8>::new("q", 4));
+            queue.try_push(0).unwrap();
+            queue.try_push(0).unwrap();
+            registry.register(JobKey(job.job.0), Role::Consumer, queue);
+            for _ in 0..3 {
+                run_due_cycle(&mut ctl);
+            }
+            let reservation = ctl.reservation(job.slot, job.thread).unwrap();
+            assert_eq!(reservation.proportion, pinned);
+            reservation.period.as_micros()
+        };
+        assert_eq!(period_after_cycles(1_000), 30_000);
+        assert!(period_after_cycles(4_000) > 30_000);
     }
 
     #[test]

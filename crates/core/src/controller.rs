@@ -11,6 +11,7 @@
 use crate::config::ControllerConfig;
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
+use crate::period::PeriodEstimatorConfig;
 use crate::pipeline::{self, CycleContext, JobEntry, JobTable};
 use crate::slot::{JobSlot, SlotSet};
 use crate::squish::{Importance, SquishColumns, SquishPolicy, SquishRequest};
@@ -189,6 +190,11 @@ pub struct Controller {
     config: ControllerConfig,
     registry: MetricRegistry,
     estimator: ProportionEstimator,
+    /// The scheduler's dispatch interval, which period estimation (§3.3)
+    /// quantises budgets against: the machine's when a
+    /// [`crate::ControlLoop`] built the controller, the estimator's
+    /// default for a bare one.
+    dispatch_interval_us: u64,
     jobs: JobTable,
     ctx: CycleContext,
     output: ControlOutput,
@@ -268,6 +274,7 @@ impl Controller {
         ctx.reset_cpu_loads(config.placement.cpu_count());
         Self {
             estimator: ProportionEstimator::new(&config),
+            dispatch_interval_us: PeriodEstimatorConfig::default().dispatch_interval_us,
             config,
             registry,
             jobs: JobTable::new(),
@@ -314,6 +321,12 @@ impl Controller {
         for (_, _, entry) in self.jobs.iter() {
             self.ctx.shift_cpu_load(entry, true);
         }
+    }
+
+    /// Sets the dispatch interval period estimation quantises budgets
+    /// against — how [`crate::ControlLoop::new`] hands down its machine's.
+    pub(crate) fn set_dispatch_interval_us(&mut self, us: u64) {
+        self.dispatch_interval_us = us;
     }
 
     /// The metric registry the controller samples.
@@ -636,7 +649,13 @@ impl Controller {
         lap(0);
         pipeline::classify(&self.config, &mut self.jobs, &mut self.ctx);
         lap(1);
-        pipeline::estimate(&self.config, &self.estimator, &mut self.jobs, &mut self.ctx);
+        pipeline::estimate(
+            &self.config,
+            &self.estimator,
+            self.dispatch_interval_us,
+            &mut self.jobs,
+            &mut self.ctx,
+        );
         lap(2);
         pipeline::allocate(&self.config, &mut self.ctx);
         lap(3);

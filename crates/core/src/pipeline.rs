@@ -41,7 +41,7 @@ use crate::config::ControllerConfig;
 use crate::controller::{Actuation, ControlOutput, JobId, UsageSnapshot};
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
-use crate::period::PeriodEstimator;
+use crate::period::{PeriodEstimator, PeriodEstimatorConfig};
 use crate::pressure::PressureEstimator;
 use crate::slot::{JobSlot, SlotTable};
 use crate::squish::{squish_into, Importance, SquishRequest, SquishScratch};
@@ -312,10 +312,12 @@ pub(crate) fn classify(config: &ControllerConfig, jobs: &mut JobTable, ctx: &mut
 /// reclamation fires, the PID state is damped so the reclaimed allocation
 /// is not immediately re-requested.  Optionally replays the sensed fill
 /// levels into the period estimator (§3.3's heuristic, off by default as
-/// in the paper).
+/// in the paper), which quantises budgets against the scheduler's
+/// `dispatch_interval_us`.
 pub(crate) fn estimate(
     config: &ControllerConfig,
     estimator: &ProportionEstimator,
+    dispatch_interval_us: u64,
     jobs: &mut JobTable,
     ctx: &mut CycleContext,
 ) {
@@ -344,9 +346,12 @@ pub(crate) fn estimate(
 
         if config.period_estimation && record.class == JobClass::RealRate {
             let start = record.fills_start as usize;
-            let period_estimator = entry
-                .period_estimator
-                .get_or_insert_with(|| Box::new(PeriodEstimator::with_defaults()));
+            let period_estimator = entry.period_estimator.get_or_insert_with(|| {
+                Box::new(PeriodEstimator::new(PeriodEstimatorConfig {
+                    dispatch_interval_us,
+                    ..PeriodEstimatorConfig::default()
+                }))
+            });
             for &fill in &fills[start..start + record.fills_len as usize] {
                 period_estimator.observe_fill(fill);
             }
@@ -777,7 +782,7 @@ mod tests {
             ctx.begin(cycle as f64 * 0.01, 0.01);
             sense(&registry, &mut jobs, false, &mut ctx);
             classify(&config, &mut jobs, &mut ctx);
-            estimate(&config, &estimator, &mut jobs, &mut ctx);
+            estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
             last = ctx.records[0].desired.ppt();
         }
         assert!(
@@ -800,7 +805,7 @@ mod tests {
         ctx.begin(0.01, 0.01);
         sense(&registry, &mut jobs, false, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
-        estimate(&config, &estimator, &mut jobs, &mut ctx);
+        estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
 
         let desired = ctx.records[0].desired.ppt();
         assert_eq!(
@@ -819,7 +824,7 @@ mod tests {
         ctx.begin(0.01, 0.01);
         sense(&registry, &mut jobs, false, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
-        estimate(&config, &estimator, &mut jobs, &mut ctx);
+        estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
         assert!(!ctx.squished);
         assert_eq!(ctx.granted.len(), 1);
@@ -857,7 +862,7 @@ mod tests {
         ctx.begin(0.01, 0.01);
         sense(&registry, &mut jobs, false, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
-        estimate(&config, &estimator, &mut jobs, &mut ctx);
+        estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
         let grants_before = ctx.granted.clone();
         place(&config, &mut jobs, &mut ctx);
@@ -1082,7 +1087,7 @@ mod tests {
             ctx.begin(t, 0.01);
             sense(&registry, jobs, false, ctx);
             classify(&config, jobs, ctx);
-            estimate(&config, &estimator, jobs, ctx);
+            estimate(&config, &estimator, 1_000, jobs, ctx);
             allocate(&config, ctx);
             actuate(&config, jobs, ctx, out);
         };

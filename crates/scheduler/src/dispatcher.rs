@@ -401,6 +401,13 @@ impl Dispatcher {
         self.stats
     }
 
+    /// [`DispatchStats::overhead_us`] alone — what a span loop reads after
+    /// every dispatch, without copying the other ten counters.
+    #[inline]
+    pub fn overhead_us(&self) -> f64 {
+        self.stats.overhead_us
+    }
+
     /// Sum of the proportions of all threads' reservations, in parts per
     /// thousand.  Unlike [`crate::Proportion`], this is not clamped at 1000, so an
     /// oversubscribed system reports a value above 1000.  Maintained
@@ -813,11 +820,19 @@ impl Dispatcher {
 
     /// Advances the scheduler clock to `now_us`, processing any period
     /// timers that expired on the way (`do_timers()` in the prototype).
-    /// Constant-time when no timer has expired.
+    /// Constant-time when no timer has expired; a clock that is already
+    /// there costs the caller one inlined compare.
+    #[inline]
     pub fn advance_to(&mut self, now_us: u64) {
-        if now_us <= self.now_us {
-            return;
+        if now_us > self.now_us {
+            self.advance_slow(now_us);
         }
+    }
+
+    /// [`Dispatcher::advance_to`] once the clock really moves: out of line,
+    /// so the span loop inlines only the compare.
+    #[inline(never)]
+    fn advance_slow(&mut self, now_us: u64) {
         self.now_us = now_us;
         if self.config.lazy_rollovers {
             // Only throttle-release timers are armed, and the popped slot is
@@ -1009,10 +1024,19 @@ impl Dispatcher {
     /// When the next-quantum cache is valid — nothing mutated the queue
     /// since the last pick, and that pick's period boundary is still ahead
     /// — the decision is re-issued in `O(1)` without touching the queue.
+    /// That check is all a span loop inlines; the slow path is out of line.
+    #[inline]
     pub fn dispatch(&mut self) -> DispatchOutcome {
-        if let Some(outcome) = self.cached_outcome() {
-            return outcome;
+        match self.cached_outcome() {
+            Some(outcome) => outcome,
+            None => self.dispatch_slow(),
         }
+    }
+
+    /// [`Dispatcher::dispatch`] past the next-quantum cache: peek the run
+    /// queue, re-rank the pick, re-arm the cache.
+    #[inline(never)]
+    fn dispatch_slow(&mut self) -> DispatchOutcome {
         self.settle_span();
         self.stats.dispatches += 1;
         self.stats.overhead_us += self.config.dispatch_cost_us;
@@ -1090,6 +1114,7 @@ impl Dispatcher {
     /// cached pick when the queue generation is unchanged and the pick's
     /// period boundary is still ahead.  Touches no map and no queue;
     /// observably identical to the slow path re-picking the same thread.
+    #[inline]
     fn cached_outcome(&mut self) -> Option<DispatchOutcome> {
         if self.quantum_cache_gen != Some(self.queue_gen) {
             return None;
@@ -1162,7 +1187,9 @@ impl Dispatcher {
     /// [`Dispatcher::dispatch`] without resolving its id — the simulator's
     /// hot-path pairing.  Consecutive charges accumulate into a pending
     /// batch and settle in one account update when the deferral could
-    /// change a decision (see `crate::settle`).
+    /// change a decision (see `crate::settle`).  The batching is all a span
+    /// loop inlines; a forced settle is out of line.
+    #[inline]
     pub fn charge_span(&mut self, us: u64) {
         let idx = self
             .span_slot
@@ -1179,12 +1206,16 @@ impl Dispatcher {
         );
         match reason {
             None => self.span_pending_us += us,
-            Some(reason) => {
-                self.note_settle(idx, reason);
-                self.settle_span();
-                self.charge_inner(idx, us);
-            }
+            Some(reason) => self.charge_span_slow(idx, us, reason),
         }
+    }
+
+    /// [`Dispatcher::charge_span`] when the batch must settle first.
+    #[inline(never)]
+    fn charge_span_slow(&mut self, idx: u32, us: u64, reason: SettleReason) {
+        self.note_settle(idx, reason);
+        self.settle_span();
+        self.charge_inner(idx, us);
     }
 
     /// Counts a forced span settle by its reason and, when telemetry is

@@ -189,9 +189,9 @@ impl Machine {
         &self.cpus[cpu.index()]
     }
 
-    /// Mutable access to one CPU's dispatcher — the calendar driver's
-    /// per-CPU span loop runs dispatch/charge directly against the owning
-    /// dispatcher without re-resolving placement each span.
+    /// Mutable access to one CPU's dispatcher — the calendar driver borrows
+    /// it once per window and runs its whole span loop (dispatch, charge,
+    /// block, wake, idle booking) against it.
     ///
     /// # Panics
     ///
@@ -509,13 +509,6 @@ impl Machine {
     /// Takes one dispatch decision on one CPU.
     pub fn dispatch(&mut self, cpu: CpuId) -> DispatchOutcome {
         self.cpus[cpu.index()].dispatch()
-    }
-
-    /// Re-books one CPU's idle time when what actually elapsed differs
-    /// from the idle quantum the CPU recorded (see
-    /// [`Dispatcher::rebook_idle_us`]).
-    pub fn rebook_idle_us(&mut self, cpu: CpuId, recorded_us: u64, actual_us: u64) {
-        self.cpus[cpu.index()].rebook_idle_us(recorded_us, actual_us);
     }
 }
 

@@ -128,6 +128,22 @@ struct SimThread {
     series: Box<JobSeries>,
 }
 
+/// The entry of [`Simulation::threads`] at `slot`, if the slot is live.
+#[inline]
+fn entry_mut(threads: &mut [Option<SimThread>], slot: Option<JobSlot>) -> Option<&mut SimThread> {
+    threads.get_mut(slot?.index())?.as_mut()
+}
+
+/// Records `id` as `tid`'s pending `Event::Wake` in
+/// [`Simulation::wake_events`].
+fn set_wake_event(wake_events: &mut Vec<Option<EventId>>, tid: ThreadId, id: EventId) {
+    let i = tid.0 as usize;
+    if wake_events.len() <= i {
+        wake_events.resize(i + 1, None);
+    }
+    wake_events[i] = Some(id);
+}
+
 /// A job's complete simulator-side state, in transit between two shards
 /// of the sharded simulator.  Produced by [`Simulation::extract_job`],
 /// consumed by [`Simulation::inject_job`].
@@ -380,16 +396,7 @@ impl Simulation {
     #[inline]
     fn thread_mut(&mut self, tid: ThreadId) -> Option<(JobSlot, &mut SimThread)> {
         let slot = self.ctl.slot_of(tid)?;
-        let entry = self.threads.get_mut(slot.index())?.as_mut()?;
-        Some((slot, entry))
-    }
-
-    fn set_wake_event(&mut self, tid: ThreadId, id: EventId) {
-        let i = tid.0 as usize;
-        if self.wake_events.len() <= i {
-            self.wake_events.resize(i + 1, None);
-        }
-        self.wake_events[i] = Some(id);
+        Some((slot, entry_mut(&mut self.threads, Some(slot))?))
     }
 
     fn take_wake_event(&mut self, tid: ThreadId) -> Option<EventId> {
@@ -503,7 +510,7 @@ impl Simulation {
                 let id = self
                     .calendar
                     .schedule(SimTime::from_micros(at), Event::Wake(tid));
-                self.set_wake_event(tid, id);
+                set_wake_event(&mut self.wake_events, tid, id);
             }
             None if was_blocked => {
                 self.blocked.insert(tid.0 as usize);
@@ -708,12 +715,7 @@ impl Simulation {
         if target_us <= start {
             return;
         }
-        let cpu_hz = self.config.cpu.clock_hz;
-        let interval = self.config.dispatcher.dispatch_interval_us.max(1);
-        let charge_overhead = self.config.charge_dispatch_overhead;
         for cpu in 0..self.ctl.machine().cpu_count() {
-            let cpu_id = CpuId(cpu as u32);
-            let mut t = start;
             // In-window wake/poll entries carry the dispatcher's dense slot
             // (returned by `block_span`), so waking is slot-addressed: no
             // placement or id → slot map on the hot path.  Slots are stable
@@ -721,166 +723,13 @@ impl Simulation {
             // controller events, which bound it.
             let mut local_wakes = std::mem::take(&mut self.scratch_wakes);
             let mut local_poll = std::mem::take(&mut self.scratch_poll);
-            let mut next_poll = u64::MAX;
-            loop {
-                // Fire local wake-ups that have come due.
-                let mut i = 0;
-                while i < local_wakes.len() {
-                    let (at, tid, dslot) = local_wakes[i];
-                    if at > t {
-                        i += 1;
-                        continue;
-                    }
-                    local_wakes.swap_remove(i);
-                    let (_, entry) = self.thread_mut(tid).expect("blocked thread exists");
-                    if entry.work.poll_unblock(t) {
-                        self.ctl
-                            .machine_mut()
-                            .dispatcher_mut(cpu_id)
-                            .unblock_slot(dslot, tid)
-                            .expect("a slot blocked in this window is still the thread's");
-                    } else {
-                        local_poll.push((tid, dslot));
-                        next_poll = next_poll.min(t + interval);
-                    }
-                }
-                // Poll locally blocked threads at the dispatch cadence.
-                if t >= next_poll && !local_poll.is_empty() {
-                    let mut j = 0;
-                    while j < local_poll.len() {
-                        let (tid, dslot) = local_poll[j];
-                        let (_, entry) = self.thread_mut(tid).expect("blocked thread exists");
-                        if entry.work.poll_unblock(t) {
-                            local_poll.swap_remove(j);
-                            self.ctl
-                                .machine_mut()
-                                .dispatcher_mut(cpu_id)
-                                .unblock_slot(dslot, tid)
-                                .expect("a slot blocked in this window is still the thread's");
-                        } else {
-                            j += 1;
-                        }
-                    }
-                    next_poll = if local_poll.is_empty() {
-                        u64::MAX
-                    } else {
-                        t + interval
-                    };
-                }
-
-                // Settle throttle-release timers up to the local clock.
-                self.ctl.machine_mut().dispatcher_mut(cpu_id).advance_to(t);
-                if t >= target_us {
-                    break;
-                }
-
-                if !self.ctl.machine().dispatcher(cpu_id).has_runnable() {
-                    // Idle: jump straight to the next local event.
-                    let mut jump = target_us;
-                    if let Some(e) = self.ctl.machine().dispatcher(cpu_id).next_timer_expiry() {
-                        jump = jump.min(e);
-                    }
-                    for &(at, _, _) in &local_wakes {
-                        jump = jump.min(at);
-                    }
-                    jump = jump.min(next_poll).clamp(t + 1, target_us);
-                    self.ctl.machine_mut().rebook_idle_us(cpu_id, 0, jump - t);
-                    t = jump;
-                    continue;
-                }
-
-                let outcome = self.ctl.machine_mut().dispatch(cpu_id);
-                // Book this CPU's dispatch overhead, consuming whole
-                // microseconds of the window; the fractional remainder
-                // carries over.
-                let total = self.ctl.machine().dispatcher(cpu_id).stats().overhead_us;
-                let delta = total - self.last_cpu_overhead[cpu];
-                self.last_cpu_overhead[cpu] = total;
-                self.ctl.stats_mut().dispatch_overhead_us += delta;
-                if charge_overhead && delta > 0.0 {
-                    self.overhead_carry[cpu] += delta;
-                    // The carry only ever holds a non-negative remainder, so
-                    // the cast's truncation is its floor (and not the libm
-                    // call `floor` is on baseline x86-64).
-                    debug_assert!(self.overhead_carry[cpu] >= 0.0);
-                    let charge = (self.overhead_carry[cpu] as u64).min(target_us - t);
-                    if charge > 0 {
-                        self.overhead_carry[cpu] -= charge as f64;
-                        t += charge;
-                        if t >= target_us {
-                            // The pick stands unexecuted; the next window
-                            // re-dispatches.
-                            continue;
-                        }
-                    }
-                }
-                let Some(tid) = outcome.thread else {
-                    // Defensive: an idle dispatch despite `has_runnable`.
-                    let jump = (t + outcome.quantum_us.max(1)).min(target_us);
-                    self.ctl
-                        .machine_mut()
-                        .rebook_idle_us(cpu_id, outcome.quantum_us, jump - t);
-                    t = jump;
-                    continue;
-                };
-
-                let span = outcome.quantum_us.min(target_us - t).max(1);
-                let (used, blocked, wake) = {
-                    let (_, entry) = self.thread_mut(tid).expect("dispatched thread exists");
-                    let result = entry.work.run(t, span, cpu_hz);
-                    let used = result.used_us.min(span);
-                    let wake = if result.blocked {
-                        entry.work.next_transition(SimTime::from_micros(t + used))
-                    } else {
-                        None
-                    };
-                    (used, result.blocked, wake)
-                };
-                // Slot-addressed batched charge on the span's own CPU: no
-                // placement lookup, no id → slot map, and consecutive
-                // uncontended spans settle in one account update.
-                self.ctl
-                    .machine_mut()
-                    .dispatcher_mut(cpu_id)
-                    .charge_span(used);
-                self.ctl.stats_mut().per_cpu[cpu].used_us += used;
-                if let Some(recorder) = self.ctl.recorder() {
-                    recorder.record(
-                        t,
-                        TraceEventKind::DispatchSpan {
-                            cpu: cpu as u32,
-                            thread: tid.0,
-                            len_us: used,
-                        },
-                    );
-                }
-                t += used;
-                if blocked {
-                    let dslot = self.ctl.machine_mut().dispatcher_mut(cpu_id).block_span();
-                    match wake {
-                        Some(w) => {
-                            let at = w.as_micros().max(t + 1);
-                            if at < target_us {
-                                local_wakes.push((at, tid, dslot));
-                            } else {
-                                let id = self
-                                    .calendar
-                                    .schedule(SimTime::from_micros(at), Event::Wake(tid));
-                                self.set_wake_event(tid, id);
-                            }
-                        }
-                        None => {
-                            local_poll.push((tid, dslot));
-                            next_poll = next_poll.min(t + interval);
-                        }
-                    }
-                } else if used == 0 {
-                    // Progress guard: a runnable model that consumed
-                    // nothing still moves the local clock one microsecond.
-                    self.ctl.machine_mut().rebook_idle_us(cpu_id, 0, 1);
-                    t += 1;
-                }
-            }
+            self.advance_cpu(
+                CpuId(cpu as u32),
+                start,
+                target_us,
+                &mut local_wakes,
+                &mut local_poll,
+            );
             // Window over: whatever is still blocked goes global (the
             // global paths wake through the thread's stored handle — a
             // controller event in between may migrate the thread and
@@ -889,7 +738,7 @@ impl Simulation {
                 let id = self
                     .calendar
                     .schedule(SimTime::from_micros(at.max(target_us)), Event::Wake(tid));
-                self.set_wake_event(tid, id);
+                set_wake_event(&mut self.wake_events, tid, id);
             }
             let had_poll = !local_poll.is_empty();
             for (tid, _) in local_poll.drain(..) {
@@ -901,6 +750,198 @@ impl Simulation {
             self.scratch_wakes = local_wakes;
             self.scratch_poll = local_poll;
         }
+    }
+
+    /// One CPU's window from `start` to `target_us`, the simulator's
+    /// innermost loop (see [`Simulation::advance_cpus_to`]).  The CPU's
+    /// dispatcher, the id → slot table, the thread table and the recorder
+    /// are borrowed once, and the window's counters — the CPU's overhead
+    /// watermark and carry, its used time, the global overhead sum — live
+    /// in locals written back when the window ends, so a span touches
+    /// nothing through `self`.
+    fn advance_cpu(
+        &mut self,
+        cpu: CpuId,
+        start: u64,
+        target_us: u64,
+        local_wakes: &mut Vec<(u64, ThreadId, u32)>,
+        local_poll: &mut Vec<(ThreadId, u32)>,
+    ) {
+        let cpu_hz = self.config.cpu.clock_hz;
+        let interval = self.config.dispatcher.dispatch_interval_us.max(1);
+        let charge_overhead = self.config.charge_dispatch_overhead;
+        let Self {
+            ctl,
+            threads,
+            calendar,
+            wake_events,
+            last_cpu_overhead,
+            overhead_carry,
+            ..
+        } = self;
+        let mut last_overhead = last_cpu_overhead[cpu.index()];
+        let mut carry = overhead_carry[cpu.index()];
+        // Starts from the global sum and adds this CPU's deltas in span
+        // order: per-CPU partials added at the end would re-associate the
+        // f64 sum.
+        let mut overhead_sum = ctl.stats_mut().dispatch_overhead_us;
+        let mut used_sum = 0;
+        let (dispatcher, slot_of, recorder) = ctl.cpu_window(cpu);
+        let mut t = start;
+        let mut next_poll = u64::MAX;
+        loop {
+            // Fire local wake-ups that have come due.
+            let mut i = 0;
+            while i < local_wakes.len() {
+                let (at, tid, dslot) = local_wakes[i];
+                if at > t {
+                    i += 1;
+                    continue;
+                }
+                local_wakes.swap_remove(i);
+                let entry = entry_mut(threads, slot_of(tid)).expect("blocked thread exists");
+                if entry.work.poll_unblock(t) {
+                    dispatcher
+                        .unblock_slot(dslot, tid)
+                        .expect("a slot blocked in this window is still the thread's");
+                } else {
+                    local_poll.push((tid, dslot));
+                    next_poll = next_poll.min(t + interval);
+                }
+            }
+            // Poll locally blocked threads at the dispatch cadence.
+            if t >= next_poll && !local_poll.is_empty() {
+                let mut j = 0;
+                while j < local_poll.len() {
+                    let (tid, dslot) = local_poll[j];
+                    let entry = entry_mut(threads, slot_of(tid)).expect("blocked thread exists");
+                    if entry.work.poll_unblock(t) {
+                        local_poll.swap_remove(j);
+                        dispatcher
+                            .unblock_slot(dslot, tid)
+                            .expect("a slot blocked in this window is still the thread's");
+                    } else {
+                        j += 1;
+                    }
+                }
+                next_poll = if local_poll.is_empty() {
+                    u64::MAX
+                } else {
+                    t + interval
+                };
+            }
+
+            // Settle throttle-release timers up to the local clock.
+            dispatcher.advance_to(t);
+            if t >= target_us {
+                break;
+            }
+
+            if !dispatcher.has_runnable() {
+                // Idle: jump straight to the next local event.
+                let mut jump = target_us;
+                if let Some(e) = dispatcher.next_timer_expiry() {
+                    jump = jump.min(e);
+                }
+                for &(at, _, _) in local_wakes.iter() {
+                    jump = jump.min(at);
+                }
+                jump = jump.min(next_poll).clamp(t + 1, target_us);
+                dispatcher.rebook_idle_us(0, jump - t);
+                t = jump;
+                continue;
+            }
+
+            let outcome = dispatcher.dispatch();
+            // Book this CPU's dispatch overhead, consuming whole
+            // microseconds of the window; the fractional remainder carries
+            // over.  `total - last` rather than the dispatch's own cost:
+            // the two are not the same f64.
+            let total = dispatcher.overhead_us();
+            let delta = total - last_overhead;
+            last_overhead = total;
+            overhead_sum += delta;
+            if charge_overhead && delta > 0.0 {
+                carry += delta;
+                // The carry only ever holds a non-negative remainder, so the
+                // cast's truncation is its floor (and not the libm call
+                // `floor` is on baseline x86-64).  Both conversions go
+                // through `i64`: the same values here, and one instruction
+                // each where the unsigned ones take several.
+                debug_assert!(carry >= 0.0);
+                let charge = ((carry as i64) as u64).min(target_us - t);
+                if charge > 0 {
+                    carry -= (charge as i64) as f64;
+                    t += charge;
+                    if t >= target_us {
+                        // The pick stands unexecuted; the next window
+                        // re-dispatches.
+                        continue;
+                    }
+                }
+            }
+            let Some(tid) = outcome.thread else {
+                // Defensive: an idle dispatch despite `has_runnable`.
+                let jump = (t + outcome.quantum_us.max(1)).min(target_us);
+                dispatcher.rebook_idle_us(outcome.quantum_us, jump - t);
+                t = jump;
+                continue;
+            };
+
+            let span = outcome.quantum_us.min(target_us - t).max(1);
+            let entry = entry_mut(threads, slot_of(tid)).expect("dispatched thread exists");
+            let result = entry.work.run(t, span, cpu_hz);
+            let used = result.used_us.min(span);
+            let wake = if result.blocked {
+                entry.work.next_transition(SimTime::from_micros(t + used))
+            } else {
+                None
+            };
+            // Slot-addressed batched charge on the span's own CPU: no
+            // placement lookup, no id → slot map, and consecutive
+            // uncontended spans settle in one account update.
+            dispatcher.charge_span(used);
+            used_sum += used;
+            if let Some(recorder) = recorder {
+                recorder.record(
+                    t,
+                    TraceEventKind::DispatchSpan {
+                        cpu: cpu.0,
+                        thread: tid.0,
+                        len_us: used,
+                    },
+                );
+            }
+            t += used;
+            if result.blocked {
+                let dslot = dispatcher.block_span();
+                match wake {
+                    Some(w) => {
+                        let at = w.as_micros().max(t + 1);
+                        if at < target_us {
+                            local_wakes.push((at, tid, dslot));
+                        } else {
+                            let id = calendar.schedule(SimTime::from_micros(at), Event::Wake(tid));
+                            set_wake_event(wake_events, tid, id);
+                        }
+                    }
+                    None => {
+                        local_poll.push((tid, dslot));
+                        next_poll = next_poll.min(t + interval);
+                    }
+                }
+            } else if used == 0 {
+                // Progress guard: a runnable model that consumed nothing
+                // still moves the local clock one microsecond.
+                dispatcher.rebook_idle_us(0, 1);
+                t += 1;
+            }
+        }
+        last_cpu_overhead[cpu.index()] = last_overhead;
+        overhead_carry[cpu.index()] = carry;
+        let stats = ctl.stats_mut();
+        stats.dispatch_overhead_us = overhead_sum;
+        stats.per_cpu[cpu.index()].used_us += used_sum;
     }
 
     /// One controller cycle ([`ControlLoop::cycle`]) at the current clock,
@@ -1209,18 +1250,20 @@ mod tests {
         assert!(idle > capacity / 2, "idle {idle} of {capacity}");
     }
 
+    /// Sips 1 µs of every quantum, then blocks until the next poll.
+    struct Sip;
+
+    impl WorkModel for Sip {
+        fn run(&mut self, _now: u64, _quantum_us: u64, _hz: f64) -> RunResult {
+            RunResult::blocked_after(1)
+        }
+        fn poll_unblock(&mut self, _now_us: u64) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn early_yielding_thread_books_its_idle_remainder() {
-        /// Sips 1 µs of every quantum, then blocks until the next poll.
-        struct Sip;
-        impl WorkModel for Sip {
-            fn run(&mut self, _now: u64, _quantum_us: u64, _hz: f64) -> RunResult {
-                RunResult::blocked_after(1)
-            }
-            fn poll_unblock(&mut self, _now_us: u64) -> bool {
-                true
-            }
-        }
         let config = SimConfig {
             controller_enabled: false,
             ..SimConfig::default().with_cpus(2)
@@ -1891,6 +1934,56 @@ mod tests {
             let used: Vec<u64> = handles.iter().map(|&h| sim.cpu_used_us(h)).collect();
             prop_assert_eq!(sim.now_micros(), 120_000);
             prop_assert_eq!(used, expected);
+        }
+
+        /// Every microsecond of every CPU's window is booked exactly once —
+        /// as a job's use, as idle time or as consumed dispatch overhead —
+        /// across windows of odd sizes, blocking and polling models and
+        /// migrations.  With the controller's cost off the clock, the only
+        /// slack is the CPUs' overhead carry: booked in
+        /// `dispatch_overhead_us`, not yet consumed.  That is a
+        /// sub-microsecond remainder, except where a window ended inside
+        /// a dispatch's charge (a 1 µs run leaves 7.7 µs of an 8.7 µs
+        /// switch), so the slack is held to the carry itself.  A counter a
+        /// window fails to write back breaks it.
+        #[test]
+        fn windows_conserve_capacity_to_the_microsecond(
+            cpus in 1usize..5,
+            jobs in proptest::collection::vec(0u8..3, 1..7),
+            chunks in proptest::collection::vec(1u64..25_000, 1..8),
+        ) {
+            let config = SimConfig {
+                charge_controller_cost: false,
+                ..SimConfig::default().with_cpus(cpus)
+            };
+            let mut sim = Simulation::new(config);
+            for (i, &kind) in jobs.iter().enumerate() {
+                let work: Box<dyn WorkModel> = match kind {
+                    0 => Box::new(Spin::new()),
+                    1 => Box::new(Sip),
+                    _ => Box::new(Sleeper {
+                        burst_us: 700,
+                        sleep_us: 2_300,
+                        wake_at: None,
+                        polls: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+                    }),
+                };
+                sim.add_job(&format!("j{i}"), JobSpec::miscellaneous(), work)
+                    .unwrap();
+            }
+            for &chunk in &chunks {
+                sim.run_for_micros(chunk);
+                let stats = sim.stats();
+                let booked = (stats.total_used_us() + stats.idle_us()) as f64
+                    + stats.dispatch_overhead_us;
+                let slack = booked - (cpus as u64 * sim.now_micros()) as f64;
+                let carry: f64 = sim.overhead_carry.iter().sum();
+                prop_assert!(
+                    slack >= 0.0 && (slack - carry).abs() < 1e-3,
+                    "slack {slack} µs against a carry of {carry} µs over {cpus} CPUs at {} µs",
+                    sim.now_micros()
+                );
+            }
         }
 
         /// Replaying the same mixed workload gives bitwise-identical

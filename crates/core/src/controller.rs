@@ -12,7 +12,7 @@ use crate::config::ControllerConfig;
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
 use crate::period::PeriodEstimatorConfig;
-use crate::pipeline::{self, CycleContext, JobEntry, JobTable};
+use crate::pipeline::{self, CycleContext, JobEntry, JobTable, ResolvedSense};
 use crate::slot::{JobSlot, SlotSet};
 use crate::squish::{Importance, SquishColumns, SquishPolicy, SquishRequest};
 use crate::taxonomy::{JobClass, JobSpec};
@@ -216,16 +216,17 @@ pub struct Controller {
 /// Caches and scratch for [`ControllerConfig::incremental`] cycles.
 ///
 /// The caches mirror what a full staged cycle derives from scratch every
-/// time: the registry version the per-job `has_metric` flags were read at,
-/// the cycle length, the committed granted total, which jobs must be
-/// looked at and the squish inputs.  A full cycle rebuilds all of them; an
+/// time: the registry version the per-job `has_metric` flags and the
+/// resolved metrics were read at, the cycle length, the committed granted
+/// total, which jobs must be looked at and the squish inputs.  A full cycle rebuilds all of them; an
 /// incremental cycle maintains them under the changes it applies.
 #[derive(Debug)]
 struct IncrState {
     /// A structural change (job add/remove, importance, CPU count)
     /// invalidated the caches; the next cycle must be full.
     structural_dirty: bool,
-    /// Registry version the cached `has_metric` flags were read at.
+    /// Registry version the cached `has_metric` flags and `sense` were
+    /// read at.
     registry_version: u64,
     /// Cycle length of the last full cycle (bitwise-compared).
     last_dt: f64,
@@ -238,6 +239,10 @@ struct IncrState {
     /// Real-rate slots.  Their pressure is sampled every cycle, and a
     /// clean one is recomputed only when the sample moved.
     real_rate: SlotSet,
+    /// Each job's attachments as the last full cycle's Sense visited
+    /// them, so the real-rate samples above read their queues without the
+    /// registry's lock or tree.
+    sense: ResolvedSense,
     /// The squishable jobs' requests, one row each in slot order.
     columns: SquishColumns,
     /// Row → job, aligned with `columns`.
@@ -259,6 +264,7 @@ impl IncrState {
             granted_total_ppt: 0,
             dirty: SlotSet::default(),
             real_rate: SlotSet::default(),
+            sense: ResolvedSense::default(),
             columns: SquishColumns::new(squish_policy),
             request_slots: Vec::new(),
             row_of: Vec::new(),
@@ -644,6 +650,7 @@ impl Controller {
             &self.registry,
             &mut self.jobs,
             self.config.period_estimation,
+            self.config.incremental.then_some(&mut self.incr.sense),
             &mut self.ctx,
         );
         lap(0);
@@ -745,9 +752,10 @@ impl Controller {
         incr.recomputed.clear();
 
         // Fused sense / classify / estimate over the marked slots, in slot
-        // order.  Only real-rate jobs touch the registry (the cached
-        // `has_metric` is valid while the registry version is unchanged,
-        // which `needs_full_cycle` guarantees here).
+        // order.  Only real-rate jobs sample queues, through the metrics the
+        // last full cycle resolved (they, like the cached `has_metric`, are
+        // valid while the registry version is unchanged, which
+        // `needs_full_cycle` guarantees here).
         let mut desired_changed = false;
         for w in 0..incr.dirty.word_count() {
             let mut pending = incr.dirty.word(w) | incr.real_rate.word(w);
@@ -765,9 +773,13 @@ impl Controller {
                     continue;
                 }
                 let summed = match class {
-                    JobClass::RealRate => registry
-                        .summed_pressure(job.key())
-                        .unwrap_or(config.misc_pressure),
+                    JobClass::RealRate => {
+                        debug_assert!(
+                            incr.sense.mirrors(registry, index, job.key()),
+                            "{job}'s resolved metrics diverged from the registry"
+                        );
+                        incr.sense.summed_pressure(index)
+                    }
                     _ => config.misc_pressure,
                 };
                 if !incr.dirty.contains(index)
@@ -1578,6 +1590,63 @@ mod tests {
         assert_eq!(full.granted(JobId(1)), incr.granted(JobId(1)));
     }
 
+    /// The incremental cycle samples the metrics the full cycle resolved,
+    /// not the registry — and must sum them to the registry's value bit
+    /// for bit, because its skip test compares `to_bits()`.  A producer at
+    /// exactly half fill contributes `−1 · 0 = −0.0`: two of them sum to
+    /// `−0.0` under `Iterator::sum` (the registry's fold) but to `+0.0`
+    /// under `0.0 + …`.
+    #[test]
+    fn resolved_sense_is_bit_identical_to_the_registrys() {
+        let registry = MetricRegistry::new();
+        let mut c = Controller::new(
+            ControllerConfig::default().with_incremental(true),
+            registry.clone(),
+        );
+        let half = Arc::new(BoundedBuffer::<u8>::new("half", 4));
+        let other = Arc::new(BoundedBuffer::<u8>::new("other", 6));
+        for i in 0..2 {
+            half.try_push(i).unwrap();
+        }
+        registry.register(JobKey(1), Role::Producer, half);
+        registry.register(JobKey(1), Role::Producer, other.clone());
+        let slot = c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
+        let sensed = |c: &Controller| {
+            let resolved = c.incr.sense.summed_pressure(slot.index());
+            let expected = registry.summed_pressure(JobKey(1)).unwrap();
+            assert_eq!(
+                resolved.to_bits(),
+                expected.to_bits(),
+                "{resolved} vs {expected}"
+            );
+            resolved
+        };
+        // The full cycle resolves; walk the second queue through every
+        // level on incremental cycles, crossing half fill both ways.
+        let levels = [3, 0, 1, 2, 3, 4, 5, 6, 3];
+        for (i, level) in levels.into_iter().enumerate() {
+            other.drain();
+            for _ in 0..level {
+                other.try_push(0).unwrap();
+            }
+            c.control_cycle_with_dt((i + 1) as f64 * 0.01, 0.01);
+            let summed = sensed(&c);
+            if level == 3 {
+                assert_eq!(summed.to_bits(), (-0.0f64).to_bits());
+            }
+            // The job is never skipped here (the sample moved, or its
+            // PID state did), so the cycle recorded what it sensed.
+            if i > 0 {
+                let entry = c.jobs.get(slot).unwrap();
+                assert_eq!(
+                    entry.pressure.last_summed_pressure().to_bits(),
+                    summed.to_bits()
+                );
+            }
+        }
+        assert_eq!(c.cycle_counts(), (1, levels.len() as u64 - 1));
+    }
+
     proptest! {
         /// The incremental controller against the staged reference: the
         /// same operation sequence drives one controller of each mode on a
@@ -1587,8 +1656,12 @@ mod tests {
         /// actuations (the incremental side's changed-only stream must
         /// suffice to track the full side's every-cycle stream).
         ///
+        /// Real-rate jobs attach to one or both of two queues, in either
+        /// order, so the incremental side's resolved sense sums one- and
+        /// two-term lists in registration order.
+        ///
         /// Ops are `(selector, id, ratio_sel, flag)` tuples because the
-        /// vendored proptest miniature has no `prop_oneof`; selectors 6–9
+        /// vendored proptest miniature has no `prop_oneof`; selectors 7–9
         /// all run a paired cycle so the comparison dominates the mix.
         #[test]
         fn incremental_matches_full_under_arbitrary_ops(
@@ -1598,7 +1671,10 @@ mod tests {
             ),
         ) {
             let registry = MetricRegistry::new();
-            let queue = Arc::new(BoundedBuffer::<u8>::new("pq", 8));
+            let queues = [
+                Arc::new(BoundedBuffer::<u8>::new("pq", 8)),
+                Arc::new(BoundedBuffer::<u8>::new("pq2", 6)),
+            ];
             let mut full = Controller::new(
                 ControllerConfig::default().with_cpus(2),
                 registry.clone(),
@@ -1619,15 +1695,30 @@ mod tests {
                         prop_assert_eq!(a.is_ok(), b.is_ok());
                     }
                     1 => {
-                        // A real-rate job fed by the shared queue.  Both
-                        // controllers read the same registry, so they sense
-                        // identical pressures.
+                        // A real-rate job on the shared queues: `ratio_sel`
+                        // picks the first, the second, or both in either
+                        // order, `flag` its role on the first it attaches
+                        // to (the other role on a second).  Both
+                        // controllers read the same registry, so they
+                        // sense identical pressures.
                         let a = full.add_job(job, JobSpec::real_rate());
                         let b = incr.add_job(job, JobSpec::real_rate());
                         prop_assert_eq!(a.is_ok(), b.is_ok());
                         if a.is_ok() {
-                            let role = if flag { Role::Producer } else { Role::Consumer };
-                            registry.register(job.key(), role, queue.clone());
+                            let order: &[usize] = match ratio_sel {
+                                0 => &[0],
+                                1 => &[1],
+                                2 => &[0, 1],
+                                _ => &[1, 0],
+                            };
+                            for (k, &q) in order.iter().enumerate() {
+                                let role = if flag == (k == 0) {
+                                    Role::Producer
+                                } else {
+                                    Role::Consumer
+                                };
+                                registry.register(job.key(), role, queues[q].clone());
+                            }
                         }
                     }
                     2 => {
@@ -1657,10 +1748,10 @@ mod tests {
                         }
                     }
                     5 => {
-                        let _ = queue.try_push(0);
+                        let _ = queues[flag as usize].try_push(0);
                     }
                     6 => {
-                        let _ = queue.try_pop();
+                        let _ = queues[flag as usize].try_pop();
                     }
                     _ => {
                         let dt = if flag { 0.01 } else { 0.02 };

@@ -46,7 +46,7 @@ use crate::pressure::PressureEstimator;
 use crate::slot::{JobSlot, SlotTable};
 use crate::squish::{squish_into, Importance, SquishRequest, SquishScratch};
 use crate::taxonomy::{JobClass, JobSpec};
-use rrs_queue::MetricRegistry;
+use rrs_queue::{Attachment, JobKey, MetricRegistry};
 use rrs_scheduler::{CpuId, Period, Proportion, Reservation};
 
 /// Per-job controller state: the payload of the controller's slot table.
@@ -218,26 +218,77 @@ impl CycleContext {
 
 pub(crate) type JobTable = SlotTable<JobId, JobEntry>;
 
+/// Every job's attachments as one full Sense found them in the registry,
+/// each job's in registration order.  Valid while the registry version is
+/// unchanged; the incremental cycle samples them directly instead of
+/// taking the registry's lock and looking the job up again every cycle.
+#[derive(Debug, Default)]
+pub(crate) struct ResolvedSense {
+    /// The jobs' attachments, concatenated in slot order.
+    attachments: Vec<Attachment>,
+    /// Slot index → `(start, len)` of its attachments, up to the last slot
+    /// that has any.
+    span: Vec<(u32, u32)>,
+}
+
+impl ResolvedSense {
+    fn of(&self, index: usize) -> &[Attachment] {
+        let (start, len) = self.span[index];
+        &self.attachments[start as usize..][..len as usize]
+    }
+
+    /// The summed signed pressure `Σ_i R_{t,i}·F_{t,i}` of the job at slot
+    /// `index`, folded exactly as [`MetricRegistry::summed_pressure`] folds
+    /// it: `Iterator::sum` over the same terms in the same order, so the
+    /// result is bit-identical — a job whose terms are all `−0.0` sums to
+    /// `−0.0`, where `0.0 + …` would give `+0.0`.
+    pub(crate) fn summed_pressure(&self, index: usize) -> f64 {
+        self.of(index)
+            .iter()
+            .map(|a| a.role.sign() * a.sample().centered())
+            .sum()
+    }
+
+    /// Whether the attachments resolved for `index` are still exactly
+    /// `job`'s in the registry, in order.  With the shared fold that makes
+    /// the two sums equal bit for bit, without sampling a live queue twice.
+    pub(crate) fn mirrors(&self, registry: &MetricRegistry, index: usize, job: JobKey) -> bool {
+        let mut resolved = self.of(index).iter();
+        let mut same = true;
+        registry.for_each_attachment(job, |a| {
+            same &= resolved.next().is_some_and(|r| r.id == a.id);
+        });
+        same && resolved.next().is_none()
+    }
+}
+
 /// Stage 1 — **Sense**: samples the registry's progress metrics and the
 /// per-job usage feedback into dense [`CycleRecord`]s.
 ///
 /// Each attachment is sampled exactly once; the sample feeds both the
 /// summed signed pressure (Figure 3) and, when period estimation is on,
 /// the fill pool the Estimate stage replays into the period estimator.
-/// Usage snapshots are sticky: the stage reads whatever was most recently
-/// recorded and leaves it in place, so a job that stops reporting keeps
-/// its last known ratio until the caller overwrites it.
+/// Given `resolved`, the stage also rebuilds it from the attachments it
+/// visits.  Usage snapshots are sticky: the stage reads whatever was most
+/// recently recorded and leaves it in place, so a job that stops
+/// reporting keeps its last known ratio until the caller overwrites it.
 pub(crate) fn sense(
     registry: &MetricRegistry,
     jobs: &mut JobTable,
     collect_fills: bool,
+    mut resolved: Option<&mut ResolvedSense>,
     ctx: &mut CycleContext,
 ) {
+    if let Some(r) = resolved.as_deref_mut() {
+        r.attachments.clear();
+        r.span.clear();
+    }
     for (slot, job, entry) in jobs.iter_mut() {
         let fills_start = ctx.fills.len() as u32;
         let mut any = false;
         let mut sum = 0.0;
         let fills = &mut ctx.fills;
+        let start = resolved.as_ref().map_or(0, |r| r.attachments.len() as u32);
         registry.for_each_attachment(job.key(), |a| {
             any = true;
             let sample = a.sample();
@@ -245,7 +296,19 @@ pub(crate) fn sense(
             if collect_fills {
                 fills.push(sample.fraction());
             }
+            if let Some(r) = resolved.as_deref_mut() {
+                r.attachments.push(a.clone());
+            }
         });
+        if let Some(r) = resolved.as_deref_mut().filter(|_| any) {
+            // Grown only as far as the last job with a metric: a population
+            // without queues keeps no per-slot table.
+            let index = slot.index();
+            if r.span.len() <= index {
+                r.span.resize(index + 1, (0, 0));
+            }
+            r.span[index] = (start, r.attachments.len() as u32 - start);
+        }
         let usage_ratio = entry.usage.usage_ratio;
         ctx.records.push(CycleRecord {
             slot,
@@ -695,7 +758,7 @@ mod tests {
 
     fn run_sense(registry: &MetricRegistry, jobs: &mut JobTable, ctx: &mut CycleContext) {
         ctx.begin(0.01, 0.01);
-        sense(registry, jobs, true, ctx);
+        sense(registry, jobs, true, None, ctx);
     }
 
     #[test]
@@ -780,7 +843,7 @@ mod tests {
         let mut last = 0;
         for cycle in 1..=20 {
             ctx.begin(cycle as f64 * 0.01, 0.01);
-            sense(&registry, &mut jobs, false, &mut ctx);
+            sense(&registry, &mut jobs, false, None, &mut ctx);
             classify(&config, &mut jobs, &mut ctx);
             estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
             last = ctx.records[0].desired.ppt();
@@ -803,7 +866,7 @@ mod tests {
 
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
 
@@ -822,7 +885,7 @@ mod tests {
         let estimator = ProportionEstimator::new(&config);
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
@@ -838,7 +901,7 @@ mod tests {
         let registry = MetricRegistry::new();
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         // Force each job to want the whole machine: skip Estimate and plant
         // desires directly, which is exactly what stage isolation allows.
@@ -860,7 +923,7 @@ mod tests {
         let estimator = ProportionEstimator::new(&config);
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         estimate(&config, &estimator, 1_000, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
@@ -888,7 +951,7 @@ mod tests {
         let registry = MetricRegistry::new();
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         // Plant grants directly (stage isolation): 300 ‰ each on cpu0.
         ctx.granted.clear();
@@ -906,7 +969,7 @@ mod tests {
         // A second cycle with the same grants is already balanced enough:
         // gap 300 > 200 but moving a 300 ‰ job cannot shrink it.
         ctx.begin(0.02, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         ctx.granted.clear();
         for _ in 0..ctx.adaptive.len() {
@@ -926,7 +989,7 @@ mod tests {
         let registry = MetricRegistry::new();
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
         place(&config, &mut jobs, &mut ctx);
@@ -945,7 +1008,7 @@ mod tests {
         let registry = MetricRegistry::new();
         let mut ctx = CycleContext::new();
         ctx.begin(0.01, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         allocate(&config, &mut ctx);
         place(&config, &mut jobs, &mut ctx);
@@ -980,7 +1043,7 @@ mod tests {
         let registry = MetricRegistry::new();
         let mut ctx = CycleContext::new();
         ctx.begin(0.5, 0.01);
-        sense(&registry, &mut jobs, false, &mut ctx);
+        sense(&registry, &mut jobs, false, None, &mut ctx);
         classify(&config, &mut jobs, &mut ctx);
         // Plant an unmeetable demand with pressure above the exception bar.
         let i = ctx.adaptive[0] as usize;
@@ -1085,7 +1148,7 @@ mod tests {
         let mut out = ControlOutput::default();
         let run = |ctx: &mut CycleContext, out: &mut ControlOutput, jobs: &mut JobTable, t: f64| {
             ctx.begin(t, 0.01);
-            sense(&registry, jobs, false, ctx);
+            sense(&registry, jobs, false, None, ctx);
             classify(&config, jobs, ctx);
             estimate(&config, &estimator, 1_000, jobs, ctx);
             allocate(&config, ctx);

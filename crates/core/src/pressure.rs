@@ -7,7 +7,6 @@
 //! cumulative progress pressure `Q_t`.
 
 use rrs_feedback::{PidConfig, PidController};
-use rrs_queue::{JobKey, MetricRegistry};
 
 /// Per-job PID state turning summed instantaneous pressure into the
 /// cumulative pressure `Q_t`.
@@ -101,19 +100,10 @@ impl PressureEstimator {
     }
 }
 
-/// Samples the registry and returns the summed instantaneous pressure
-/// `Σ_i R_{t,i}·F_{t,i}` for `job`, or `None` if the job has no registered
-/// progress metric.
-pub fn summed_pressure(registry: &MetricRegistry, job: JobKey) -> Option<f64> {
-    registry.summed_pressure(job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rrs_queue::{BoundedBuffer, Role};
-    use std::sync::Arc;
 
     #[test]
     fn proportional_estimator_tracks_summed_pressure() {
@@ -162,29 +152,6 @@ mod tests {
         est.update(0.5, 1.0);
         est.scale_state(0.0);
         assert_eq!(est.last_q, 0.0);
-    }
-
-    #[test]
-    fn registry_pressure_for_producer_consumer_pair() {
-        let registry = MetricRegistry::new();
-        let queue = Arc::new(BoundedBuffer::<u8>::new("q", 10));
-        registry.register(JobKey(1), Role::Producer, queue.clone());
-        registry.register(JobKey(2), Role::Consumer, queue.clone());
-
-        // Empty queue: producer is behind (positive pressure), consumer is
-        // ahead (negative pressure).
-        assert_eq!(summed_pressure(&registry, JobKey(1)), Some(0.5));
-        assert_eq!(summed_pressure(&registry, JobKey(2)), Some(-0.5));
-
-        // Half-full queue: no pressure on either.
-        for i in 0..5 {
-            queue.try_push(i).unwrap();
-        }
-        assert_eq!(summed_pressure(&registry, JobKey(1)), Some(0.0));
-        assert_eq!(summed_pressure(&registry, JobKey(2)), Some(0.0));
-
-        // Unknown job: no metric.
-        assert_eq!(summed_pressure(&registry, JobKey(3)), None);
     }
 
     proptest! {

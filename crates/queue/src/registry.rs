@@ -7,9 +7,14 @@
 //! that kernel-side table: jobs register attachments, the controller
 //! enumerates and samples them every controller period.
 //!
-//! Attachments are stored bucketed by job so the controller's sense stage
-//! can sample one job's metrics in `O(log jobs + attachments-of-job)` and —
-//! via [`MetricRegistry::for_each_attachment`] — without allocating.
+//! Attachments are stored bucketed by job, under one lock.  Per-cycle
+//! readers do not come here per sample: the controller's full Sense stage
+//! visits each job's bucket via [`MetricRegistry::for_each_attachment`]
+//! (`O(log jobs + attachments-of-job)`, without allocating) and keeps
+//! clones of the attachments it found, and the trace sampler resolves its
+//! `fill/<queue>` series the same way; both re-resolve only when
+//! [`MetricRegistry::version`] moves, and otherwise sample the metrics
+//! directly.
 
 use crate::metric::{FillSample, SharedMetric};
 use crate::role::Role;

@@ -1,7 +1,7 @@
 //! Named time-series traces recorded during a simulation run.
 
 use rrs_metrics::timeseries::{Sample, TimeSeries};
-use rrs_queue::MetricRegistry;
+use rrs_queue::{Attachment, MetricRegistry};
 use rrs_scheduler::Reservation;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::BTreeSet;
@@ -23,6 +23,18 @@ pub struct Trace {
     /// Name → position in `series`, and the name-ordered view.
     by_name: BTreeMap<String, u32>,
     total_samples: u64,
+    fills: FillSeries,
+}
+
+/// What [`Trace::record_fills`] samples, resolved against one registry
+/// version: for each distinct metric name, the first attachment and the
+/// handle of its `fill/<name>` series in this trace.
+#[derive(Debug, Clone, Default)]
+struct FillSeries {
+    /// The registry version `series` was resolved at; `None` before the
+    /// first sample.
+    version: Option<u64>,
+    series: Vec<(SeriesId, Attachment)>,
 }
 
 /// One job's share of the sample trace — the `alloc/<job>`, `period/<job>`
@@ -148,19 +160,46 @@ impl Trace {
 
     /// Samples every registered queue's fill level into `fill/<queue>` at
     /// `time` (seconds), once per metric name however many jobs attach
-    /// to it.
+    /// to it.  The queues are looked up again only when the registry's
+    /// version has moved since the last sample; a trace samples one
+    /// registry.
     pub fn record_fills(&mut self, time: f64, registry: &MetricRegistry) {
+        let version = registry.version();
+        if self.fills.version != Some(version) {
+            self.resolve_fills(version, registry);
+        }
+        let Self {
+            series,
+            fills,
+            total_samples,
+            ..
+        } = self;
+        for (id, attachment) in &fills.series {
+            series[id.0 as usize].push(time, attachment.sample().fraction());
+        }
+        *total_samples += fills.series.len() as u64;
+    }
+
+    /// Re-resolves [`Trace::record_fills`]' queues at registry `version`:
+    /// the first attachment of each metric name, in
+    /// [`MetricRegistry::all_attachments`] order, each with its series
+    /// (created, empty, if this is its first sample).
+    #[cold]
+    fn resolve_fills(&mut self, version: u64, registry: &MetricRegistry) {
+        let attachments = registry.all_attachments();
         let mut seen = BTreeSet::new();
-        for attachment in registry.all_attachments() {
-            let name = attachment.metric.name().to_string();
-            if seen.insert(name.clone()) {
-                self.record(
-                    &format!("fill/{name}"),
-                    time,
-                    attachment.sample().fraction(),
-                );
+        let mut series = Vec::new();
+        for attachment in &attachments {
+            let name = attachment.metric.name();
+            if seen.insert(name) {
+                let id = self.series_id(&format!("fill/{name}"));
+                series.push((id, attachment.clone()));
             }
         }
+        self.fills = FillSeries {
+            version: Some(version),
+            series,
+        };
     }
 
     /// Monotonic count of samples ever recorded, across all series.
@@ -204,6 +243,8 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_queue::{BoundedBuffer, JobKey, Role};
+    use std::sync::Arc;
 
     #[test]
     fn record_and_get() {
@@ -251,5 +292,77 @@ mod tests {
             assert_eq!(x.1.samples(), y.1.samples());
         }
         assert_eq!(by_id.get("z").unwrap().len(), 2);
+    }
+
+    /// `record_fills` as it was before it kept its queues resolved:
+    /// every sample enumerates the registry and looks each name up.
+    fn record_fills_by_name(trace: &mut Trace, time: f64, registry: &MetricRegistry) {
+        let mut seen = BTreeSet::new();
+        for attachment in registry.all_attachments() {
+            let name = attachment.metric.name().to_string();
+            if seen.insert(name.clone()) {
+                trace.record(
+                    &format!("fill/{name}"),
+                    time,
+                    attachment.sample().fraction(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_series_follow_the_registry() {
+        let registry = MetricRegistry::new();
+        let (mut resolved, mut by_name) = (Trace::new(), Trace::new());
+        let queue = |name: &str, capacity: usize, level: usize| {
+            let q = Arc::new(BoundedBuffer::<u8>::new(name, capacity));
+            for _ in 0..level {
+                q.try_push(0).unwrap();
+            }
+            q
+        };
+        let mut time = 0.0;
+        let mut sample = |resolved: &mut Trace, by_name: &mut Trace| {
+            resolved.record_fills(time, &registry);
+            record_fills_by_name(by_name, time, &registry);
+            time += 0.1;
+        };
+        // Two jobs on "b" and one on "a": job 2's "b" comes first in
+        // `all_attachments` order, so it is the one sampled.
+        let b = queue("b", 8, 2);
+        let a = queue("a", 4, 1);
+        registry.register(JobKey(3), Role::Consumer, b.clone());
+        registry.register(JobKey(2), Role::Producer, b.clone());
+        registry.register(JobKey(5), Role::Producer, a.clone());
+        sample(&mut resolved, &mut by_name);
+        a.try_push(0).unwrap();
+        sample(&mut resolved, &mut by_name);
+        // A second queue that shares job 2's queue's name, and a new name
+        // that sorts first.
+        let other_b = queue("b", 2, 2);
+        let c = queue("0c", 5, 4);
+        registry.register(JobKey(1), Role::Consumer, other_b.clone());
+        registry.register(JobKey(4), Role::Consumer, c);
+        sample(&mut resolved, &mut by_name);
+        // Unregistering job 1 hands "b" back to the first queue.
+        registry.unregister_job(JobKey(1));
+        b.try_pop().unwrap();
+        sample(&mut resolved, &mut by_name);
+        registry.unregister_job(JobKey(5));
+        sample(&mut resolved, &mut by_name);
+
+        let order =
+            |t: &Trace| -> Vec<String> { t.series.iter().map(|s| s.name().to_string()).collect() };
+        assert_eq!(order(&resolved), ["fill/b", "fill/a", "fill/0c"]);
+        assert_eq!(order(&resolved), order(&by_name));
+        assert_eq!(resolved.names(), by_name.names());
+        assert_eq!(resolved.total_samples(), by_name.total_samples());
+        for ((x, xs), (y, ys)) in resolved.iter().zip(by_name.iter()) {
+            assert_eq!(x, y);
+            assert_eq!(xs.samples(), ys.samples(), "{x}");
+        }
+        let b_fills: Vec<f64> = resolved.get("fill/b").unwrap().values();
+        assert_eq!(b_fills, [0.25, 0.25, 1.0, 0.125, 0.125]);
+        assert_eq!(resolved.get("fill/a").unwrap().len(), 4);
     }
 }

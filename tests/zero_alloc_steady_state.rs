@@ -191,6 +191,78 @@ fn assert_incremental_cycle_allocation_free(hogs: u64, cpus: usize) {
     );
 }
 
+/// The incremental cycle's sensing: six two-stage pipelines on a ring of
+/// queues — each producer on its queue, each consumer draining it and
+/// feeding the next one, so consumers sum two terms — with every queue
+/// stepped one item along a triangle wave before each cycle.  Every
+/// real-rate slot is re-sampled through the metrics the full cycle
+/// resolved, every sample moves, so the moved jobs are recomputed and
+/// re-granted; none of it may touch the heap.
+fn assert_incremental_sense_allocation_free() {
+    const CAPACITY: usize = 12;
+    let registry = MetricRegistry::new();
+    let config = ControllerConfig::default().with_incremental(true);
+    let mut controller = Controller::new(config, registry.clone());
+    let queues: Vec<_> = (0..6)
+        .map(|k| Arc::new(BoundedBuffer::<u8>::new(format!("ring{k}"), CAPACITY)))
+        .collect();
+    for (k, queue) in queues.iter().enumerate() {
+        let (producer, consumer) = (JobKey(2 * k as u64), JobKey(2 * k as u64 + 1));
+        registry.register(producer, Role::Producer, queue.clone());
+        registry.register(consumer, Role::Consumer, queue.clone());
+        registry.register(consumer, Role::Producer, queues[(k + 1) % 6].clone());
+        for key in [producer, consumer] {
+            controller
+                .add_job(JobId(key.0), JobSpec::real_rate())
+                .unwrap();
+        }
+    }
+    // Queue `k`'s level at cycle `i`: a triangle wave, one item per cycle.
+    let step = |i: usize| {
+        for (k, queue) in queues.iter().enumerate() {
+            let x = (i + 5 * k) % (2 * CAPACITY);
+            let level = if x <= CAPACITY { x } else { 2 * CAPACITY - x };
+            while queue.len() < level {
+                queue.try_push(0).unwrap();
+            }
+            while queue.len() > level {
+                queue.try_pop();
+            }
+        }
+    };
+    let dt = 0.01;
+    for i in 1..=300 {
+        step(i);
+        controller.control_cycle_with_dt(i as f64 * dt, dt);
+    }
+    let incremental_before = controller.cycle_counts().1;
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut regrants = 0;
+    for i in 301..=340 {
+        step(i);
+        regrants += controller
+            .control_cycle_with_dt(i as f64 * dt, dt)
+            .actuations
+            .len();
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "incremental cycles sensing moving queues must perform no heap allocation"
+    );
+    assert_eq!(
+        controller.cycle_counts().1 - incremental_before,
+        40,
+        "every measured cycle must take the incremental path"
+    );
+    assert!(
+        regrants >= 40,
+        "the fixture must keep re-granting the moved jobs, saw {regrants}"
+    );
+}
+
 /// Telemetry's half of the guarantee: once the pre-allocated ring has
 /// wrapped (overwrite mode), recording events of every kind — the exact
 /// calls the dispatcher, simulator and controller make on their hot
@@ -486,6 +558,8 @@ fn steady_state_control_cycle_is_allocation_free() {
     // overloaded.
     assert_incremental_cycle_allocation_free(10_000, 8);
     assert_incremental_cycle_allocation_free(12, 1);
+    // And the incremental path's sensing of real-rate jobs on moving queues.
+    assert_incremental_sense_allocation_free();
     // And with telemetry enabled, the recording hot path itself.
     assert_steady_state_recording_allocation_free();
     // And the per-shard guarantee on the two-level machine.

@@ -94,10 +94,11 @@ pub const LINT_NAMES: &[&str] = &[
 ];
 
 impl AnalysisConfig {
-    /// Builds the typed config from a parsed TOML document, validating
-    /// the allowlist (`file`, `pattern` and a non-empty `why` are
-    /// mandatory on every entry).
-    pub fn from_toml(doc: &Value) -> Result<Self, String> {
+    /// Builds the typed config from the text of an `analysis.toml`,
+    /// validating the allowlist (`file`, `pattern` and a non-empty `why`
+    /// are mandatory on every entry).
+    pub fn from_toml(src: &str) -> Result<Self, String> {
+        let doc = &crate::toml::parse(src)?;
         if let Some(lints) = doc.get("lints").and_then(Value::as_table) {
             for name in lints.keys() {
                 if !LINT_NAMES.contains(&name.as_str()) {
@@ -197,11 +198,10 @@ fn parse_allow(lint: &str, item: &Value) -> Result<AllowEntry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toml;
 
     #[test]
     fn loads_a_full_config() {
-        let doc = toml::parse(
+        let cfg = AnalysisConfig::from_toml(
             r#"
             [paths]
             include = ["crates"]
@@ -223,7 +223,6 @@ mod tests {
             "#,
         )
         .unwrap();
-        let cfg = AnalysisConfig::from_toml(&doc).unwrap();
         assert_eq!(cfg.determinism_paths, vec!["crates/core/src"]);
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(cfg.allows[0].count, 2);
@@ -241,19 +240,17 @@ mod tests {
 
     #[test]
     fn rejects_unjustified_allow_entries() {
-        let doc = toml::parse(
+        let err = AnalysisConfig::from_toml(
             "[paths]\ninclude = [\"crates\"]\n[[lints.determinism.allow]]\nfile = \"a.rs\"\npattern = \"x\"\nwhy = \"\"\n",
         )
-        .unwrap();
-        let err = AnalysisConfig::from_toml(&doc).unwrap_err();
+        .unwrap_err();
         assert!(err.contains("justification"), "{err}");
     }
 
     #[test]
     fn rejects_unknown_lints() {
-        let doc = toml::parse("[paths]\ninclude = [\"crates\"]\n[lints.typo-lint]\npaths = []\n")
-            .unwrap();
-        assert!(AnalysisConfig::from_toml(&doc)
+        let src = "[paths]\ninclude = [\"crates\"]\n[lints.typo-lint]\npaths = []\n";
+        assert!(AnalysisConfig::from_toml(src)
             .unwrap_err()
             .contains("typo-lint"));
     }

@@ -49,8 +49,7 @@ pub use report::{AnalysisReport, UnsafeSite, Violation};
 pub fn load_config(path: &Path) -> Result<AnalysisConfig, String> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = toml::parse(&src)?;
-    AnalysisConfig::from_toml(&doc)
+    AnalysisConfig::from_toml(&src)
 }
 
 /// Walks the workspace at `root`, lexes every source file in the

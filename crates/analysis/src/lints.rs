@@ -18,6 +18,7 @@ use crate::config::AnalysisConfig;
 use crate::lexer::{self, FnSpan, Token, TokenKind};
 use crate::report::{AnalysisReport, UnsafeSite, Violation};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One source file, pre-lexed into the views the lints need.
 #[derive(Debug)]
@@ -552,9 +553,12 @@ const FN_QUALIFIERS: &[&str] = &["const", "async", "unsafe", "extern"];
 /// The match is by bare identifier, with no name resolution, so it is
 /// conservative: a `new` or `len` somewhere else keeps every `new` and
 /// `len` alive.  What it does flag has no caller by any spelling.  One
-/// more thing keeps a *type* alive: appearing in a public signature of
-/// its own crate ([`exposed_names`]) — rustc's `private_interfaces`
-/// would refuse the demotion anyway.
+/// sharpening: a *free* function (declared outside any `impl` or `trait`
+/// block) is not kept alive by a method call `x.name()` or a declaration
+/// `fn name`, which cannot reach it — only by a path, a bare call or a
+/// use as a value.  One more thing keeps a *type* alive: appearing in a
+/// public signature of its own crate ([`exposed_names`]) — rustc's
+/// `private_interfaces` would refuse the demotion anyway.
 ///
 /// The remedy is to delete the item, demote it to `pub(crate)` (after
 /// which rustc's own `dead_code` decides, with real name resolution,
@@ -564,8 +568,9 @@ fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Viol
         return;
     }
     let units: Vec<Option<(String, bool)>> = files.iter().map(|f| crate_unit(&f.path)).collect();
-    // name → the distinct units whose non-test, non-re-export code names it.
-    let mut named_by: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    // (name, spelled where only a method can be meant) → the distinct
+    // units whose non-test, non-re-export code names it so.
+    let mut named_by: BTreeMap<(&str, bool), Vec<&str>> = BTreeMap::new();
     // library unit → names its own public signatures expose.
     let mut exposed: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     // per file: the unrestricted `pub` declarations of a library's source.
@@ -581,7 +586,8 @@ fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Viol
                 continue;
             }
             if code[i].kind == TokenKind::Ident {
-                let units = named_by.entry(code[i].text.as_str()).or_default();
+                let key = (code[i].text.as_str(), method_or_decl(code, i));
+                let units = named_by.entry(key).or_default();
                 if !units.contains(&unit.as_str()) {
                     units.push(unit);
                 }
@@ -607,9 +613,12 @@ fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Viol
             if !ITEM_KEYWORDS.contains(&kind.text.as_str()) || name.kind != TokenKind::Ident {
                 continue;
             }
-            let named_elsewhere = named_by
-                .get(name.text.as_str())
-                .is_some_and(|units| units.iter().any(|u| u != unit));
+            let free_fn = kind.text == "fn" && decl.owner.is_none();
+            let spellings: &[bool] = if free_fn { &[false] } else { &[false, true] };
+            let named_elsewhere = spellings
+                .iter()
+                .filter_map(|&method_only| named_by.get(&(name.text.as_str(), method_only)))
+                .any(|units| units.iter().any(|u| u != unit));
             let exposed_here = TYPE_KEYWORDS.contains(&kind.text.as_str())
                 && exposed[unit.as_str()].contains(name.text.as_str());
             if !named_elsewhere && !exposed_here {
@@ -629,6 +638,34 @@ fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Viol
     }
 }
 
+/// `true` when the identifier at `i` is spelled where no free function
+/// of another crate can be meant: after a method-call `.` (not `..`), or
+/// after `fn` (a declaration of its own).
+fn method_or_decl(code: &[Token], i: usize) -> bool {
+    let before = |k: usize| i.checked_sub(k).map(|j| &code[j]);
+    before(1).is_some_and(|t| t.is_ident("fn"))
+        || (before(1).is_some_and(|t| t.is_punct("."))
+            && !before(2).is_some_and(|t| t.is_punct(".")))
+}
+
+/// Every `impl` and `trait` block in `code`: its header (from the
+/// keyword up to its `{`) and the index of its closing `}`.
+fn assoc_blocks(code: &[Token]) -> Vec<(Range<usize>, usize)> {
+    let mut out = Vec::new();
+    for (i, t) in code.iter().enumerate() {
+        // `impl` in item position opens a block; `x: impl Trait` does not.
+        let item_position =
+            i == 0 || ["}", "{", ";", "]", "unsafe"].contains(&code[i - 1].text.as_str());
+        if t.is_ident("trait") || (t.is_ident("impl") && item_position) {
+            let open = scan_to(code, i, &["{", ";"]);
+            if code.get(open).is_some_and(|t| t.is_punct("{")) {
+                out.push((i..open, lexer::matching_close(code, open)));
+            }
+        }
+    }
+    out
+}
+
 /// One unrestricted `pub` declaration (not a `pub use` / `pub mod`).
 struct PubDecl {
     /// Index of the item keyword (`fn`, `struct`, ...); for a `pub`
@@ -640,11 +677,15 @@ struct PubDecl {
     /// item), a `type` / `const` / `static` through its `;`, a field
     /// through its type.
     head_end: usize,
+    /// The header of the `impl` or `trait` block the declaration sits in
+    /// (a method), or `None` (a free item).
+    owner: Option<Range<usize>>,
 }
 
 /// Finds every unrestricted `pub` declaration in `code`.  `pub(crate)` /
 /// `pub(super)` promise nothing outside the crate and are skipped.
 fn pub_decls(code: &[Token]) -> Vec<PubDecl> {
+    let blocks = assoc_blocks(code);
     let mut out = Vec::new();
     for i in 0..code.len() {
         if !code[i].is_ident("pub") || code.get(i + 1).is_some_and(|t| t.is_punct("(")) {
@@ -682,9 +723,14 @@ fn pub_decls(code: &[Token]) -> Vec<PubDecl> {
             "type" | "const" | "static" => scan_to(code, k, &[";"]),
             _ => scan_to(code, k, &[","]),
         };
+        let owner = blocks
+            .iter()
+            .find(|(header, close)| header.end < k && k < *close)
+            .map(|(header, _)| header.clone());
         out.push(PubDecl {
             keyword: k,
             head_end,
+            owner,
         });
     }
     out
@@ -721,28 +767,17 @@ fn scan_to(code: &[Token], from: usize, stops: &[&str]) -> usize {
 }
 
 /// Collects into `out` every identifier a library's public signatures
-/// expose: the heads of its [`pub_decls`] (`decls`), minus each declaration's own
-/// name, and minus — inside an `impl` block — the names in that block's
-/// header, so `impl Foo { pub fn merge(&mut self, other: &Foo) }` does
-/// not keep `Foo` alive by itself.
+/// expose: the heads of its [`pub_decls`] (`decls`), minus each
+/// declaration's own name, and minus — inside an `impl` block — the names
+/// in that block's header, so `impl Foo { pub fn merge(&mut self, other:
+/// &Foo) }` does not keep `Foo` alive by itself.
 fn exposed_names<'a>(code: &'a [Token], decls: &[PubDecl], out: &mut BTreeSet<&'a str>) {
-    // (one past the block's closing brace, identifiers in its header)
-    let mut impl_block: (usize, &[Token]) = (0, &[]);
-    let mut decls = decls.iter().peekable();
-    for (i, t) in code.iter().enumerate() {
-        // `impl` in item position opens a block; `x: impl Trait` does not.
-        let item_position = i == 0 || ["}", "{", ";", "]"].contains(&code[i - 1].text.as_str());
-        if t.is_ident("impl") && item_position && i >= impl_block.0 {
-            let open = scan_to(code, i, &["{", ";"]);
-            impl_block = (lexer::matching_close(code, open) + 1, &code[i..open]);
-        }
-        let Some(decl) = decls.next_if(|d| d.keyword == i) else {
-            continue;
-        };
-        let own_name = ITEM_KEYWORDS.contains(&t.text.as_str()) as usize;
+    for decl in decls {
+        let i = decl.keyword;
+        let header = decl.owner.clone().map_or(&[][..], |h| &code[h]);
+        let own_name = ITEM_KEYWORDS.contains(&code[i].text.as_str()) as usize;
         for t in &code[(i + own_name + 1).min(decl.head_end)..decl.head_end] {
-            let in_header = i < impl_block.0 && impl_block.1.iter().any(|h| h.text == t.text);
-            if t.kind == TokenKind::Ident && !in_header {
+            if t.kind == TokenKind::Ident && !header.iter().any(|h| h.text == t.text) {
                 out.insert(t.text.as_str());
             }
         }

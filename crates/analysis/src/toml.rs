@@ -87,7 +87,7 @@ impl Value {
 }
 
 /// Parses a TOML-subset document into its root table.
-pub fn parse(src: &str) -> Result<Value, String> {
+pub(crate) fn parse(src: &str) -> Result<Value, String> {
     let mut root = BTreeMap::new();
     // Path of the table currently being filled; for `[[...]]` headers the
     // last element of the array at that path.

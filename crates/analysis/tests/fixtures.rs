@@ -8,7 +8,6 @@
 use rrs_analysis::config::AnalysisConfig;
 use rrs_analysis::lints::{self, SourceFile};
 use rrs_analysis::report::AnalysisReport;
-use rrs_analysis::toml;
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -19,8 +18,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn run_lints(cfg: &str, files: &[(&str, String)]) -> AnalysisReport {
-    let doc = toml::parse(cfg).expect("fixture config parses");
-    let config = AnalysisConfig::from_toml(&doc).expect("fixture config is valid");
+    let config = AnalysisConfig::from_toml(cfg).expect("fixture config is valid");
     let parsed: Vec<SourceFile> = files
         .iter()
         .map(|(path, src)| SourceFile::parse(*path, src))
@@ -384,11 +382,13 @@ paths = ["crates"]
 /// Every unrestricted `pub` item of the fixture's `alpha` library that
 /// has no caller: referenced only from its own crate, only from
 /// `#[cfg(test)]`, only from `tests/` directories, only from `pub use`
-/// lines, only in comments — plus a `const fn`, a `const`, and a type
-/// named only by its own method's signature.
+/// lines, only in comments — plus a `const fn`, a `const`, a type named
+/// only by its own method's signature, and a free function named only as
+/// another crate's method.
 const DEAD_IN_ALPHA: &[&str] = &[
     "const DEAD_CONST",
     "fn dead_const_fn",
+    "fn method_calls_only",
     "fn only_cfg_test",
     "fn only_comment",
     "fn only_own_crate",
@@ -453,10 +453,16 @@ fn dead_public_counts_each_kind_of_caller() {
         ("src/lib.rs", &["fn used_by_facade"][..]),
         // Without `beta`, nothing calls `used_by_other_crate`; the type it
         // returns stays exposed by that (still public) signature until the
-        // function itself is demoted, and `merge` loses its namesake.
+        // function itself is demoted, `merge` loses its namesake, and the
+        // free functions lose their path and by-value spellings.
         (
             "crates/beta/src/lib.rs",
-            &["fn merge", "fn used_by_other_crate"][..],
+            &[
+                "fn merge",
+                "fn method_and_path_calls",
+                "fn method_calls_and_value",
+                "fn used_by_other_crate",
+            ][..],
         ),
     ] {
         let report = dead_public_without(DEAD_PUBLIC_CFG, &[caller]);

@@ -1,9 +1,10 @@
 //! The backend-agnostic host surface.
 //!
 //! A [`Host`] is anywhere jobs can run under the feedback allocator: the
-//! deterministic simulator (`rrs-sim`) or the wall-clock executor
-//! (`rrs-realtime`).  Workloads, scenarios and experiments written
-//! against this trait run unchanged on either backend — the paper's
+//! deterministic simulator (`rrs-sim`) or the wall-clock backend (real
+//! OS threads, this crate's `wall_clock` module).  Workloads, scenarios
+//! and experiments written against this trait run unchanged on either
+//! backend — the paper's
 //! thesis ("one allocator serves every workload without per-app tuning")
 //! extended to "…on any backend".
 
@@ -24,8 +25,8 @@ pub enum Backend {
     /// time, bit-for-bit reproducible runs.
     #[default]
     Sim,
-    /// The cooperative wall-clock executor (`rrs-realtime`): real OS
-    /// threads, real time, results within tolerance rather than exact.
+    /// The cooperative wall-clock backend: real OS threads, real time,
+    /// results within tolerance rather than exact.
     WallClock,
 }
 

@@ -1,11 +1,9 @@
 //! # `rrs-api` — one host API over every backend
 //!
-//! The workspace grows the paper's single-CPU prototype toward a
-//! production system, and that growth had forked the front door:
-//! `rrs_sim::Simulation` (`add_job`, `run_for(f64)` seconds) and
-//! `rrs_realtime::RealTimeExecutor` (`try_spawn`, `run_for(Duration)`) were
-//! two incompatible APIs for the same idea — *give the allocator jobs and
-//! let it run them*.  This crate is the thin waist that ends the fork:
+//! One front door for one idea — *give the allocator jobs and let it run
+//! them* — over two backends: the deterministic simulator (`rrs-sim`)
+//! and the wall-clock backend, which lives in this crate and runs the
+//! same control loop over real OS threads and real time.
 //!
 //! * [`Host`] — the canonical host surface (`add_job` / `remove_job` /
 //!   `advance` / `grow_cpus` / `stats` / `trace` / …), implemented by

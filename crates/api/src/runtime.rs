@@ -2,7 +2,6 @@
 
 use crate::host::{Backend, Host};
 use crate::wall_clock::WallClockHost;
-use rrs_realtime::ExecutorConfig;
 use rrs_sim::{ShardConfig, ShardedSim, SimConfig, Simulation};
 use rrs_telemetry::TelemetryConfig;
 
@@ -105,10 +104,7 @@ impl RuntimeBuilder {
                     Box::new(Simulation::new(config))
                 }
             }
-            Backend::WallClock => {
-                let config = ExecutorConfig::default().with_cpus(self.cpus);
-                Box::new(WallClockHost::new(config))
-            }
+            Backend::WallClock => Box::new(WallClockHost::new(self.cpus)),
         };
         if let Some(config) = self.telemetry {
             host.enable_telemetry(config);

@@ -10,7 +10,7 @@
 //!
 //! This crate reproduces that scheduler as a pure state machine driven by an
 //! explicit clock, so the same dispatcher runs under the discrete-event
-//! simulator (`rrs-sim`) and the wall-clock executor (`rrs-realtime`).  It
+//! simulator (`rrs-sim`) and the wall-clock backend (`rrs-api`).  It
 //! schedules reservations and nothing else: every thread has one, and
 //! whether a reservation fits — the paper's overload test, the sum of
 //! proportions against a threshold — is ruled on by the adaptive controller

@@ -11,7 +11,9 @@
 //!   `Runtime::wall_clock().build()`), the single [`api::JobHandle`] and
 //!   the [`api::SimTime`] microsecond time type.  Programs written
 //!   against it run unchanged on the deterministic simulator *and* on
-//!   real OS threads.
+//!   real OS threads — the wall-clock backend, which lives here too: the
+//!   same control loop over real time, a parity harness for the control
+//!   math rather than OS scheduling.
 //! * [`core`] (`rrs-core`) — the adaptive controller: thread taxonomy,
 //!   progress pressure, PID control, proportion estimation, squishing and
 //!   admission control, organised as a staged control-plane pipeline
@@ -32,9 +34,6 @@
 //! * [`sim`] (`rrs-sim`) — the deterministic CPU simulator backend.
 //! * [`workloads`] (`rrs-workloads`) — the workload generators driving the
 //!   paper's evaluation; their installers take any [`api::Host`].
-//! * [`realtime`] (`rrs-realtime`) — the wall-clock executor backend: the
-//!   same control loop over real time and real OS threads, a parity
-//!   harness for the control math rather than OS scheduling.
 //! * [`scenario`] (`rrs-scenario`) — declarative scenarios: seeded arrival
 //!   processes, phase schedules (load steps, hog storms, CPU hot-adds)
 //!   and SLO-checked runs on either backend, with a built-in corpus.
@@ -113,13 +112,13 @@
 //!
 //! ## Direct backend APIs
 //!
-//! The concrete backends remain available — `sim::Simulation::new` and
-//! `realtime::RealTimeExecutor::new` are the same engines the [`api`]
-//! builder constructs, and [`api::Host::as_any`] (or `dyn Host`'s
-//! `as_sim` / `as_sharded_sim`) downcasts a built simulator host back to
-//! them for backend-specific queries.  New code should go through [`api`];
-//! the direct paths stay because the figure binaries, the benchmark and
-//! the backends' own tests drive the engines through them.
+//! The simulator remains available directly — `sim::Simulation::new` is
+//! the engine `Runtime::sim()` constructs, and [`api::Host::as_any`] (or
+//! `dyn Host`'s `as_sim` / `as_sharded_sim`) downcasts a built simulator
+//! host back to it for backend-specific queries.  New code should go
+//! through [`api`]; the direct path stays because the figure binaries,
+//! the benchmark and the simulator's own tests drive it.  The wall-clock
+//! backend has no direct API: `Runtime::wall_clock()` builds it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -130,7 +129,6 @@ pub use rrs_core as core;
 pub use rrs_feedback as feedback;
 pub use rrs_metrics as metrics;
 pub use rrs_queue as queue;
-pub use rrs_realtime as realtime;
 pub use rrs_scenario as scenario;
 pub use rrs_scheduler as scheduler;
 pub use rrs_sim as sim;

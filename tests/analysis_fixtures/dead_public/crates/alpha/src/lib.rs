@@ -43,6 +43,18 @@ impl SelfNamed {
     pub fn merge(&self, _other: &SelfNamed) {}
 }
 
+/// A free function `beta` names only as a method call and a method
+/// declaration of its own: neither can reach it.
+pub fn method_calls_only() {}
+
+/// The same, but `beta` also calls it by path.
+pub fn method_and_path_calls() {}
+
+/// The same, but `beta` also passes it by value.
+pub fn method_calls_and_value(x: u32) -> u32 {
+    x
+}
+
 /// Called by this crate's own binary, a different compilation unit.
 pub fn used_by_bin() {}
 

@@ -8,12 +8,20 @@ pub use alpha::only_pub_use;
 pub fn beta_entry() {
     let _held = alpha::used_by_other_crate();
     Totals.merge(&Totals);
+    Totals.method_calls_only();
+    Totals.method_and_path_calls();
+    alpha::method_and_path_calls();
+    Totals.method_calls_and_value();
+    let _ = [1u32].map(alpha::method_calls_and_value);
 }
 
 struct Totals;
 
 impl Totals {
     fn merge(&self, _other: &Totals) {}
+    fn method_calls_only(&self) {}
+    fn method_and_path_calls(&self) {}
+    fn method_calls_and_value(&self) {}
 }
 
 #[cfg(test)]

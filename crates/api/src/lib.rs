@@ -6,8 +6,10 @@
 //! same control loop over real OS threads and real time.
 //!
 //! * [`Host`] — the canonical host surface (`add_job` / `remove_job` /
-//!   `advance` / `grow_cpus` / `stats` / `trace` / …), implemented by
-//!   both backends;
+//!   `advance` / `grow_cpus` / `stats` / `trace` / …), re-exported from
+//!   `rrs-sim`, where it is declared and where both simulators
+//!   (`Simulation`, `ShardedSim`) implement it; this crate's wall-clock
+//!   backend implements it too;
 //! * [`JobHandle`] — the single handle type (re-exported from
 //!   `rrs-core`), carrying the controller's dense slot;
 //! * [`SimTime`] — the one time type, integer microseconds,
@@ -50,14 +52,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod host;
 pub mod runtime;
-mod sharded_host;
-mod sim_host;
 pub mod time;
 mod wall_clock;
 
-pub use host::{Backend, Host};
+pub use rrs_sim::host::{Backend, Host};
 pub use runtime::{Runtime, RuntimeBuilder};
 pub use time::SimTime;
 
@@ -86,52 +85,6 @@ mod tests {
         fn progress_counter(&self) -> Option<f64> {
             Some(1.0)
         }
-    }
-
-    #[test]
-    fn sim_host_behaves_like_the_simulator() {
-        let mut host = Runtime::sim().cpus(2).build();
-        assert_eq!(host.backend(), Backend::Sim);
-        assert_eq!(host.cpu_count(), 2);
-        assert_eq!(host.cpu_hz(), 400e6);
-        let a = host
-            .add_job("a", JobSpec::miscellaneous(), Box::new(Spin))
-            .unwrap();
-        let b = host
-            .add_job("b", JobSpec::miscellaneous(), Box::new(Spin))
-            .unwrap();
-        host.advance(SimTime::from_secs(3));
-        assert_eq!(host.now(), SimTime::from_secs(3));
-        assert_ne!(host.cpu_of(a), host.cpu_of(b));
-        assert!(host.allocation_ppt(a) > 100);
-        assert!(host.reservation(a).is_some());
-        assert!(host.cpu_used(a) > SimTime::ZERO);
-        assert!(host.usage(a).is_some());
-        let stats = host.stats();
-        assert!(stats.controller_invocations > 0);
-        assert_eq!(stats.per_cpu.len(), 2);
-        assert!(stats.total_used_us() > 0);
-        assert!(host.trace().get("alloc/a").is_some());
-        // The escape hatch reaches the concrete simulator.
-        assert!(host.as_sim().is_some());
-        assert!(!host.as_any().is::<WallClockHost>());
-        host.remove_job(a);
-        assert_eq!(host.controller().job_count(), 1);
-    }
-
-    #[test]
-    fn sim_host_grow_cpus_and_force_reservation() {
-        let mut host = Runtime::sim().build();
-        let h = host
-            .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin))
-            .unwrap();
-        assert_eq!(host.grow_cpus(2), 2);
-        assert_eq!(host.grow_cpus(1), 2, "shrinking is a no-op");
-        host.force_reservation(
-            h,
-            Reservation::new(Proportion::from_ppt(123), Period::from_millis(10)),
-        );
-        assert_eq!(host.allocation_ppt(h), 123);
     }
 
     #[test]

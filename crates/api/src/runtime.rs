@@ -1,7 +1,7 @@
 //! Building hosts: `Runtime::sim().cpus(8).build()`.
 
-use crate::host::{Backend, Host};
 use crate::wall_clock::WallClockHost;
+use crate::{Backend, Host};
 use rrs_sim::{ShardConfig, ShardedSim, SimConfig, Simulation};
 use rrs_telemetry::TelemetryConfig;
 

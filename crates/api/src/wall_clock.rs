@@ -22,13 +22,13 @@
 //! OS scheduling: results match the simulator within scheduling
 //! tolerance, not bit-for-bit.
 
-use crate::host::{Backend, Host};
 use crate::time::SimTime;
+use crate::{Backend, Host};
 use rrs_core::{
     controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobSpec, SimStats,
 };
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{CpuId, DispatcherConfig, Machine, Reservation, UsageAccount};
+use rrs_scheduler::{CpuId, DispatcherConfig, Reservation, UsageAccount};
 use rrs_sim::{JobSeries, SimConfig, Trace, WorkModel};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use std::any::Any;
@@ -352,11 +352,11 @@ impl Host for WallClockHost {
     }
 
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.machine().cpu_of(handle.thread)
+        self.ctl.machine().cpu_of(handle.thread)
     }
 
     fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.machine().usage(handle.thread)
+        self.ctl.machine().usage(handle.thread)
     }
 
     fn grow_cpus(&mut self, cpus: usize) -> usize {
@@ -364,19 +364,11 @@ impl Host for WallClockHost {
     }
 
     fn cpu_count(&self) -> usize {
-        self.machine().cpu_count()
-    }
-
-    fn cpu_hz(&self) -> f64 {
-        self.cpu_hz
+        self.ctl.machine().cpu_count()
     }
 
     fn controller(&self) -> &Controller {
         self.ctl.controller()
-    }
-
-    fn machine(&self) -> &Machine {
-        self.ctl.machine()
     }
 
     fn registry(&self) -> MetricRegistry {
@@ -397,7 +389,7 @@ impl Host for WallClockHost {
     fn telemetry(&self) -> TelemetrySnapshot {
         // There is no event calendar, so the `events_*` counters stay zero
         // on this backend.
-        self.ctl.telemetry_snapshot()
+        self.ctl.telemetry()
     }
 
     fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {

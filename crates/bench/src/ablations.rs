@@ -11,7 +11,7 @@ use crate::fig6::{responsive_controller_config, run as run_fig6, Fig6Params};
 use rrs_core::{ControllerConfig, JobSpec, SquishPolicy};
 use rrs_feedback::{PidConfig, PulseTrain};
 use rrs_metrics::{ExperimentRecord, TimeSeries};
-use rrs_sim::{SimConfig, Simulation};
+use rrs_sim::{Host, SimConfig, Simulation};
 use rrs_workloads::{CpuHog, PipelineConfig, PulsePipeline};
 
 fn single_pulse_params(duration_s: f64) -> Fig6Params {
@@ -107,11 +107,11 @@ pub fn squish_policy(duration_s: f64) -> ExperimentRecord {
         sim.run_for(duration_s);
         record.scalar(
             format!("{name}_important_alloc_ppt"),
-            sim.current_allocation_ppt(important) as f64,
+            sim.allocation_ppt(important) as f64,
         );
         record.scalar(
             format!("{name}_normal_alloc_ppt"),
-            sim.current_allocation_ppt(normal) as f64,
+            sim.allocation_ppt(normal) as f64,
         );
     }
     record

@@ -8,7 +8,7 @@
 
 use rrs_core::JobSpec;
 use rrs_metrics::{linear_fit, ExperimentRecord, TimeSeries};
-use rrs_sim::{SimConfig, Simulation};
+use rrs_sim::{Host, SimConfig, Simulation};
 use rrs_workloads::DummyProcess;
 
 /// Parameters for the overhead sweep.

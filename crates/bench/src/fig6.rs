@@ -9,7 +9,7 @@
 use rrs_core::ControllerConfig;
 use rrs_feedback::{PidConfig, PulseTrain};
 use rrs_metrics::{ExperimentRecord, TimeSeries};
-use rrs_sim::{SimConfig, Simulation, Trace};
+use rrs_sim::{Host, SimConfig, Simulation, Trace};
 use rrs_workloads::{PipelineConfig, PulsePipeline};
 
 /// Parameters for the responsiveness experiment.

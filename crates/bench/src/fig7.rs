@@ -11,7 +11,7 @@
 use crate::fig6::{add_windowed_series, sim_config, Fig6Params};
 use rrs_core::JobSpec;
 use rrs_metrics::ExperimentRecord;
-use rrs_sim::{Simulation, Trace};
+use rrs_sim::{Host, Simulation, Trace};
 use rrs_workloads::{CpuHog, PulsePipeline};
 
 /// Parameters for the under-load experiment.

@@ -8,8 +8,8 @@
 
 use rrs_core::JobSpec;
 use rrs_metrics::{ExperimentRecord, TimeSeries};
-use rrs_scheduler::{DispatcherConfig, Period, Proportion};
-use rrs_sim::{SimConfig, Simulation};
+use rrs_scheduler::{DispatcherConfig, Period, Proportion, Reservation};
+use rrs_sim::{Host, SimConfig, Simulation};
 use rrs_workloads::CpuHog;
 
 /// Parameters for the dispatch-overhead sweep.
@@ -46,9 +46,12 @@ pub(crate) fn available_cpu(frequency_hz: f64, seconds: f64) -> f64 {
     let hog = sim
         .add_job("hog", JobSpec::miscellaneous(), Box::new(CpuHog::new()))
         .expect("misc jobs are always admitted");
-    sim.force_reservation(hog, Proportion::from_ppt(1000), Period::from_millis(10));
+    sim.force_reservation(
+        hog,
+        Reservation::new(Proportion::from_ppt(1000), Period::from_millis(10)),
+    );
     sim.run_for(seconds);
-    sim.cpu_used_us(hog) as f64 / sim.now_micros() as f64
+    sim.cpu_used(hog).as_micros() as f64 / sim.now_micros() as f64
 }
 
 /// Runs the sweep and returns the experiment record.

@@ -10,7 +10,7 @@
 
 use rrs_core::JobSpec;
 use rrs_metrics::{ExperimentRecord, TimeSeries};
-use rrs_sim::{SimConfig, Simulation};
+use rrs_sim::{Host, SimConfig, Simulation};
 use rrs_workloads::CpuHog;
 
 /// Parameters for the multicore scaling sweep.
@@ -51,7 +51,7 @@ pub(crate) fn aggregate_throughput(cpus: usize, jobs: usize, seconds: f64) -> f6
         );
     }
     sim.run_for(seconds);
-    let total_used: u64 = handles.iter().map(|h| sim.cpu_used_us(*h)).sum();
+    let total_used: u64 = handles.iter().map(|h| sim.cpu_used(*h).as_micros()).sum();
     total_used as f64 / sim.now_micros() as f64
 }
 

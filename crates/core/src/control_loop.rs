@@ -530,7 +530,7 @@ impl ControlLoop {
     /// The counters behind this are always on (plain integer increments on
     /// paths that already write statistics); only the `trace_events_*`
     /// fields require an enabled recorder.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+    pub fn telemetry(&self) -> TelemetrySnapshot {
         let dispatch = self.machine.stats();
         let (full, incremental) = self.controller.cycle_counts();
         let stage = self.controller.stage_total_ns();
@@ -712,7 +712,7 @@ mod tests {
         assert_eq!(stats.migrations, 1, "one survivor moved");
         assert_eq!(stats.per_cpu[0].migrations_out, 1);
         assert_eq!(stats.per_cpu[1].migrations_in, 1);
-        assert_eq!(ctl.telemetry_snapshot().migrations, 1);
+        assert_eq!(ctl.telemetry().migrations, 1);
         let (moved, stale) = if ctl.machine().cpu_of(a.thread) == Some(CpuId(1)) {
             (a, before[0])
         } else {

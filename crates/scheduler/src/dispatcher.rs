@@ -412,7 +412,7 @@ impl Dispatcher {
     /// thousand.  Unlike [`crate::Proportion`], this is not clamped at 1000, so an
     /// oversubscribed system reports a value above 1000.  Maintained
     /// incrementally, so least-loaded placement stays `O(1)` per query.
-    pub fn total_reserved_ppt(&self) -> u32 {
+    pub(crate) fn total_reserved_ppt(&self) -> u32 {
         self.reserved_ppt
     }
 

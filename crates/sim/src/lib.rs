@@ -11,8 +11,13 @@
 //! progress monitoring are the production code paths.
 //!
 //! * [`WorkModel`] — what a simulated thread does with the CPU it is given.
+//! * [`Host`] — the one job-level API (`add_job` / `advance` / `stats` /
+//!   `trace` / …), implemented here by both simulators and in `rrs-api`
+//!   by the wall-clock backend.
 //! * [`Simulation`] — the event loop: dispatch, run, charge, block/unblock,
 //!   controller invocation, overhead accounting and tracing.
+//! * [`ShardedSim`] — `S` simulations behind the same [`Host`] API, with a
+//!   slow-cadence rebalancer between them.
 //! * [`Trace`] — named time series recorded during a run, used by the
 //!   figure-regeneration benches.
 //! * [`SimConfig`] / [`CpuConfig`] — experiment parameters.
@@ -43,6 +48,7 @@
 
 pub mod calendar;
 pub mod event;
+pub mod host;
 pub mod sharded;
 pub mod simulation;
 pub mod trace;
@@ -50,6 +56,7 @@ pub mod workload;
 
 pub use calendar::{EventId, Schedule};
 pub use event::Event;
+pub use host::{Backend, Host};
 pub use rrs_core::{JobHandle, SimTime};
 pub use rrs_scheduler::CpuStats;
 pub use sharded::{ShardConfig, ShardedSim};

@@ -41,13 +41,15 @@
 //! golden [`SimStats`] bit for bit (`tests/sharded_sim.rs` pins this
 //! against the captures in `tests/sim_golden_stats.rs`).
 
+use crate::host::{Backend, Host};
 use crate::simulation::{end_after, SimConfig, SimStats, Simulation};
 use crate::trace::Trace;
 use crate::workload::WorkModel;
 use rrs_core::{controller::AdmitError, Controller, JobClass, JobHandle, JobId, JobSpec, SimTime};
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{CpuId, Machine, Period, Proportion, Reservation, ThreadId, UsageAccount};
+use rrs_scheduler::{CpuId, Reservation, ThreadId, UsageAccount};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -216,11 +218,6 @@ impl ShardedSim {
         }
     }
 
-    /// The shared progress-metric registry.
-    pub fn registry(&self) -> MetricRegistry {
-        self.registry.clone()
-    }
-
     /// The global configuration the machine was built from.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -239,11 +236,6 @@ impl ShardedSim {
         } else {
             self.clock_us
         }
-    }
-
-    /// Total CPUs across every shard.
-    pub fn cpu_count(&self) -> usize {
-        *self.cpu_base.last().expect("one trailing entry always")
     }
 
     fn owning_shard(&self, job: JobId) -> Option<&Simulation> {
@@ -293,105 +285,6 @@ impl ShardedSim {
         Ok(handle)
     }
 
-    /// Removes a job from whichever shard owns it.  The handle's slot may
-    /// be stale (the rebalancer reassigns slots on migration); only the
-    /// job id is trusted.
-    pub fn remove_job(&mut self, handle: JobHandle) {
-        let Some(s) = self.shard_of(handle.job) else {
-            return;
-        };
-        if let Some(fresh) = self.shards[s].handle_of(handle.job) {
-            self.shards[s].remove_job(fresh);
-        }
-        self.job_shard[handle.job.0 as usize] = u32::MAX;
-    }
-
-    /// The proportion currently reserved for a job, in parts per
-    /// thousand.
-    pub fn current_allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.owning_shard(handle.job)
-            .and_then(|s| s.machine().reservation(ThreadId(handle.job.0)))
-            .map(|r| r.proportion.ppt())
-            .unwrap_or(0)
-    }
-
-    /// A job's current reservation, if any.
-    pub fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.owning_shard(handle.job)?
-            .machine()
-            .reservation(ThreadId(handle.job.0))
-    }
-
-    /// A job's usage account, if the job is live.
-    pub fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.owning_shard(handle.job)?
-            .machine()
-            .usage(ThreadId(handle.job.0))
-    }
-
-    /// Total CPU time a job has consumed so far, in microseconds.
-    pub fn cpu_used_us(&self, handle: JobHandle) -> u64 {
-        self.usage(handle).map(|u| u.total_used_us).unwrap_or(0)
-    }
-
-    /// The *global* CPU index a job's thread is placed on: the owning
-    /// shard's CPU base plus its local index.
-    pub fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        let s = self.shard_of(handle.job)?;
-        let local = self.shards[s].machine().cpu_of(ThreadId(handle.job.0))?;
-        Some(CpuId((self.cpu_base[s] + local.index()) as u32))
-    }
-
-    /// Shard 0's controller — the anchor shard every reservation and
-    /// queue-coupled job runs on.  Per-shard controllers are reachable
-    /// through [`ShardedSim::shard`].
-    pub fn controller(&self) -> &Controller {
-        self.shards[0].controller()
-    }
-
-    /// Shard 0's machine.  Machine-wide statistics should come from
-    /// [`ShardedSim::stats`] / [`ShardedSim::telemetry_snapshot`], which
-    /// aggregate over every shard.
-    pub fn machine(&self) -> &Machine {
-        self.shards[0].machine()
-    }
-
-    /// Forces a reservation directly on the owning shard's dispatcher,
-    /// bypassing the controller.
-    pub fn force_reservation(&mut self, handle: JobHandle, proportion: Proportion, period: Period) {
-        if let Some(s) = self.shard_of(handle.job) {
-            if let Some(fresh) = self.shards[s].handle_of(handle.job) {
-                self.shards[s].force_reservation(fresh, proportion, period);
-            }
-        }
-    }
-
-    /// Grows the machine to `cpus` total CPUs, dealing the new capacity
-    /// across shards with the same even split as construction.  Returns
-    /// the resulting total.
-    pub fn grow_cpus(&mut self, cpus: usize) -> usize {
-        let current = self.cpu_count();
-        if cpus <= current {
-            return current;
-        }
-        let shards_n = self.shards.len();
-        let mut base = 0usize;
-        for k in 0..shards_n {
-            let target = cpus / shards_n + usize::from(k < cpus % shards_n);
-            // Per-shard grow is monotonic, so an already-larger shard
-            // keeps its size (mirrors the unsharded no-shrink rule).
-            let got = if target > self.shards[k].machine().cpu_count() {
-                self.shards[k].grow_cpus(target)
-            } else {
-                self.shards[k].machine().cpu_count()
-            };
-            self.cpu_base[k] = base;
-            base += got;
-        }
-        self.cpu_base[shards_n] = base;
-        base
-    }
-
     /// Changes the trace sampling interval on every shard.
     pub fn set_trace_interval(&mut self, interval: SimTime) {
         for shard in &mut self.shards {
@@ -399,81 +292,10 @@ impl ShardedSim {
         }
     }
 
-    /// Enables structured trace recording: one shared ring across every
-    /// shard (the recorder is internally synchronised and recording never
-    /// allocates).
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
-        let recorder = Recorder::new(config);
-        for shard in &mut self.shards {
-            shard.attach_telemetry(recorder.clone());
-        }
-        self.telemetry = Some(recorder.clone());
-        recorder
-    }
-
-    /// The shared trace recorder, if telemetry is enabled.
-    pub fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
-        self.telemetry.clone()
-    }
-
-    /// Aggregate statistics over every shard: scalar counters summed,
-    /// per-CPU entries concatenated in shard order (so the global CPU
-    /// index of [`ShardedSim::cpu_of`] indexes `per_cpu` directly).
-    pub fn stats(&self) -> SimStats {
-        if self.shards.len() == 1 {
-            return self.shards[0].stats();
-        }
-        let mut total = SimStats::default();
-        for shard in &self.shards {
-            let s = shard.stats();
-            total.controller_invocations += s.controller_invocations;
-            total.controller_cost_us += s.controller_cost_us;
-            total.dispatch_overhead_us += s.dispatch_overhead_us;
-            total.quality_exceptions += s.quality_exceptions;
-            total.squish_events += s.squish_events;
-            total.admission_rejections += s.admission_rejections;
-            total.migrations += s.migrations;
-            total.steps += s.steps;
-            total.per_cpu.extend(s.per_cpu);
-        }
-        total.migrations += self.rebalance_migrations;
-        total
-    }
-
-    /// Machine-wide telemetry counters: per-shard snapshots summed, the
-    /// shared ring's `trace_events_*` taken once, and the rebalancer's
-    /// own counters added.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot::default();
-        for shard in &self.shards {
-            snap.absorb(&shard.telemetry_snapshot());
-        }
-        snap.trace_events_recorded = self.telemetry.as_ref().map(|r| r.recorded()).unwrap_or(0);
-        snap.trace_events_dropped = self.telemetry.as_ref().map(|r| r.dropped()).unwrap_or(0);
-        snap.rebalance_cycles = self.rebalance_cycles;
-        snap.rebalance_migrations = self.rebalance_migrations;
-        snap.finalize()
-    }
-
-    /// The recorded trace: the inner simulation's own trace with one
-    /// shard, the barrier-merged cross-shard view otherwise.
-    pub fn trace(&self) -> &Trace {
-        if self.shards.len() == 1 {
-            self.shards[0].trace()
-        } else {
-            &self.merged_trace
-        }
-    }
-
-    /// Runs the simulation for `duration_s` simulated seconds.
+    /// Runs the simulation for `duration_s` simulated seconds
+    /// ([`Host::advance`] in seconds).
     pub fn run_for(&mut self, duration_s: f64) {
-        self.run_for_micros((duration_s * 1e6).round() as u64);
-    }
-
-    /// Runs the simulation for `dt_us` more simulated microseconds (to the
-    /// end of the clock if that comes first).
-    pub fn run_for_micros(&mut self, dt_us: u64) {
-        self.run_until_micros(end_after(self.now_micros(), dt_us));
+        self.advance(SimTime::from_micros((duration_s * 1e6).round() as u64));
     }
 
     /// Runs the simulation until the given absolute simulated time.
@@ -653,6 +475,177 @@ impl ShardedSim {
     }
 }
 
+impl Host for ShardedSim {
+    fn backend(&self) -> Backend {
+        Backend::Sim
+    }
+
+    fn add_job(
+        &mut self,
+        name: &str,
+        spec: JobSpec,
+        work: Box<dyn WorkModel>,
+    ) -> Result<JobHandle, AdmitError> {
+        ShardedSim::add_job(self, name, spec, work)
+    }
+
+    /// The handle's slot may be stale (the rebalancer reassigns slots on
+    /// migration); only the job id is trusted.
+    fn remove_job(&mut self, handle: JobHandle) {
+        let Some(s) = self.shard_of(handle.job) else {
+            return;
+        };
+        if let Some(fresh) = self.shards[s].handle_of(handle.job) {
+            self.shards[s].remove_job(fresh);
+        }
+        self.job_shard[handle.job.0 as usize] = u32::MAX;
+    }
+
+    fn advance(&mut self, dt: SimTime) {
+        self.run_until_micros(end_after(self.now_micros(), dt.as_micros()));
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.now_micros())
+    }
+
+    fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
+        self.owning_shard(handle.job)?
+            .machine()
+            .reservation(ThreadId(handle.job.0))
+    }
+
+    /// The owning shard's CPU base plus the job's local CPU index.
+    fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
+        let s = self.shard_of(handle.job)?;
+        let local = self.shards[s].machine().cpu_of(ThreadId(handle.job.0))?;
+        Some(CpuId((self.cpu_base[s] + local.index()) as u32))
+    }
+
+    fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
+        self.owning_shard(handle.job)?
+            .machine()
+            .usage(ThreadId(handle.job.0))
+    }
+
+    /// Deals the new capacity across shards with the same even split as
+    /// construction.
+    fn grow_cpus(&mut self, cpus: usize) -> usize {
+        let current = self.cpu_count();
+        if cpus <= current {
+            return current;
+        }
+        let shards_n = self.shards.len();
+        let mut base = 0usize;
+        for k in 0..shards_n {
+            let target = cpus / shards_n + usize::from(k < cpus % shards_n);
+            // Per-shard grow is monotonic, so an already-larger shard
+            // keeps its size (mirrors the unsharded no-shrink rule).
+            let got = if target > self.shards[k].machine().cpu_count() {
+                self.shards[k].grow_cpus(target)
+            } else {
+                self.shards[k].machine().cpu_count()
+            };
+            self.cpu_base[k] = base;
+            base += got;
+        }
+        self.cpu_base[shards_n] = base;
+        base
+    }
+
+    fn cpu_count(&self) -> usize {
+        *self.cpu_base.last().expect("one trailing entry always")
+    }
+
+    /// Shard 0's controller; per-shard controllers are reachable through
+    /// [`ShardedSim::shard`].
+    fn controller(&self) -> &Controller {
+        self.shards[0].controller()
+    }
+
+    fn registry(&self) -> MetricRegistry {
+        self.registry.clone()
+    }
+
+    fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
+        if let Some(s) = self.shard_of(handle.job) {
+            if let Some(fresh) = self.shards[s].handle_of(handle.job) {
+                self.shards[s].force_reservation(fresh, reservation);
+            }
+        }
+    }
+
+    /// Scalar counters summed, per-CPU entries concatenated in shard
+    /// order (so [`Host::cpu_of`]'s global index indexes `per_cpu`).
+    fn stats(&self) -> SimStats {
+        if self.shards.len() == 1 {
+            return self.shards[0].stats();
+        }
+        let mut total = SimStats::default();
+        for shard in &self.shards {
+            let s = shard.stats();
+            total.controller_invocations += s.controller_invocations;
+            total.controller_cost_us += s.controller_cost_us;
+            total.dispatch_overhead_us += s.dispatch_overhead_us;
+            total.quality_exceptions += s.quality_exceptions;
+            total.squish_events += s.squish_events;
+            total.admission_rejections += s.admission_rejections;
+            total.migrations += s.migrations;
+            total.steps += s.steps;
+            total.per_cpu.extend(s.per_cpu);
+        }
+        total.migrations += self.rebalance_migrations;
+        total
+    }
+
+    /// Per-shard snapshots summed, the shared ring's `trace_events_*`
+    /// taken once, and the rebalancer's own counters added.
+    fn telemetry(&self) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::default();
+        for shard in &self.shards {
+            snap.absorb(&shard.telemetry());
+        }
+        snap.trace_events_recorded = self.telemetry.as_ref().map(|r| r.recorded()).unwrap_or(0);
+        snap.trace_events_dropped = self.telemetry.as_ref().map(|r| r.dropped()).unwrap_or(0);
+        snap.rebalance_cycles = self.rebalance_cycles;
+        snap.rebalance_migrations = self.rebalance_migrations;
+        snap.finalize()
+    }
+
+    /// One shared ring across every shard (the recorder is internally
+    /// synchronised and recording never allocates).
+    fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
+        let recorder = Recorder::new(config);
+        for shard in &mut self.shards {
+            shard.attach_telemetry(recorder.clone());
+        }
+        self.telemetry = Some(recorder.clone());
+        recorder
+    }
+
+    fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
+        self.telemetry.clone()
+    }
+
+    /// The inner simulation's own trace with one shard, the
+    /// barrier-merged cross-shard view otherwise.
+    fn trace(&self) -> &Trace {
+        if self.shards.len() == 1 {
+            self.shards[0].trace()
+        } else {
+            &self.merged_trace
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 impl std::fmt::Debug for ShardedSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSim")
@@ -667,6 +660,7 @@ impl std::fmt::Debug for ShardedSim {
 mod tests {
     use super::*;
     use crate::workload::RunResult;
+    use rrs_scheduler::{Period, Proportion};
 
     struct Spin;
     impl WorkModel for Spin {
@@ -757,12 +751,12 @@ mod tests {
             );
         }
         sim.run_for(1.0);
-        let cycles = sim.telemetry_snapshot().rebalance_cycles;
+        let cycles = sim.telemetry().rebalance_cycles;
         assert!(cycles >= 10, "rebalancer must run at its cadence");
         // No job lost: every handle still resolves.
         for h in &handles {
             assert!(sim.shard_of(h.job).is_some());
-            assert!(sim.current_allocation_ppt(*h) > 0);
+            assert!(sim.allocation_ppt(*h) > 0);
         }
         let c0 = sim.shard(0).controller().job_count();
         let c1 = sim.shard(1).controller().job_count();
@@ -862,7 +856,7 @@ mod tests {
                     .unwrap();
             }
             sim.run_for(0.5);
-            (sim.stats(), sim.telemetry_snapshot())
+            (sim.stats(), sim.telemetry())
         };
         let (seq_stats, seq_snap) = run(false);
         let (par_stats, par_snap) = run(true);

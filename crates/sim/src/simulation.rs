@@ -19,6 +19,7 @@
 
 use crate::calendar::{EventId, Schedule};
 use crate::event::Event;
+use crate::host::{Backend, Host};
 use crate::trace::{JobSeries, Trace};
 use crate::workload::WorkModel;
 pub use rrs_core::SimStats;
@@ -28,13 +29,14 @@ use rrs_core::{
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
-    CpuId, Dispatcher, DispatcherConfig, Machine, MigratedThread, Period, Proportion, Reservation,
-    ThreadId, ThreadState,
+    CpuId, Dispatcher, DispatcherConfig, Machine, MigratedThread, Reservation, ThreadId,
+    ThreadState, UsageAccount,
 };
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::sync::Arc;
 
 /// The simulated CPU.
@@ -63,13 +65,6 @@ pub struct SimConfig {
     /// disabled, reservations stay at whatever they were set to — the
     /// configuration used for the Figure 8 dispatch-overhead sweep.
     pub controller_enabled: bool,
-    /// Whether the controller's modelled execution cost consumes simulated
-    /// CPU time (it does on the real system, where the controller is a
-    /// user-level process).
-    pub charge_controller_cost: bool,
-    /// Whether the dispatcher's modelled overhead consumes simulated CPU
-    /// time.
-    pub charge_dispatch_overhead: bool,
     /// Interval between trace samples, in seconds.
     pub trace_interval_s: f64,
     /// Modelled cost of one cross-CPU migration, in microseconds, charged
@@ -85,8 +80,6 @@ impl Default for SimConfig {
             dispatcher: DispatcherConfig::default(),
             controller: ControllerConfig::default(),
             controller_enabled: true,
-            charge_controller_cost: true,
-            charge_dispatch_overhead: true,
             trace_interval_s: 0.1,
             migration_cost_us: 50,
         }
@@ -100,6 +93,11 @@ impl Default for SimConfig {
 /// `now` and return at once.
 pub(crate) fn end_after(now_us: u64, dt_us: u64) -> u64 {
     now_us.saturating_add(dt_us)
+}
+
+/// The trace sampling interval in whole microseconds (at least one).
+fn trace_interval_us(config: &SimConfig) -> u64 {
+    (config.trace_interval_s * 1e6).round().max(1.0) as u64
 }
 
 impl SimConfig {
@@ -166,7 +164,7 @@ impl MigratedSimJob {
 ///
 /// ```
 /// use rrs_core::JobSpec;
-/// use rrs_sim::{RunResult, SimConfig, Simulation, WorkModel};
+/// use rrs_sim::{Host, RunResult, SimConfig, Simulation, WorkModel};
 ///
 /// struct Spin;
 /// impl WorkModel for Spin {
@@ -214,6 +212,9 @@ pub struct Simulation {
     /// never run backwards (checked on every pop in debug builds).
     last_event_us: u64,
     next_trace_us: u64,
+    /// The gap between the previous trace sample's grid instant and
+    /// `next_trace_us`: what the next `rate/` sample divides by.
+    trace_gap_us: u64,
     /// The event calendar: controller cycles, trace samples, known
     /// wake-ups and poll ticks.
     calendar: Schedule,
@@ -278,6 +279,7 @@ impl Simulation {
             now_us: 0,
             last_event_us: 0,
             next_trace_us: 0,
+            trace_gap_us: trace_interval_us(&config),
             calendar,
             wake_events: Vec::new(),
             poll_tick: None,
@@ -286,11 +288,6 @@ impl Simulation {
             trace: Trace::new(),
             event_counts: [0; 5],
         }
-    }
-
-    /// The progress-metric registry; workloads register their queues here.
-    pub fn registry(&self) -> MetricRegistry {
-        self.ctl.controller().registry().clone()
     }
 
     /// The simulation's current configuration (mid-run setters like
@@ -309,30 +306,9 @@ impl Simulation {
         self.now_us as f64 / 1e6
     }
 
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Aggregate statistics, with the per-CPU breakdown filled in from the
-    /// machine's dispatchers at read time.
-    pub fn stats(&self) -> SimStats {
-        self.ctl.stats()
-    }
-
-    /// Grows the machine to `cpus` CPUs mid-run (hot-add), returning the
-    /// resulting CPU count (see [`ControlLoop::grow_cpus`]).
-    pub fn grow_cpus(&mut self, cpus: usize) -> usize {
-        let n = self.ctl.grow_cpus(cpus);
-        self.config.controller.placement.cpus = n;
-        self.last_cpu_overhead.resize(n, 0.0);
-        self.overhead_carry.resize(n, 0.0);
-        n
-    }
-
     /// Changes the trace sampling interval mid-run (clamped to at least
     /// one microsecond).  Takes effect after the next already-scheduled
-    /// sample.
+    /// sample, whose `rate/` values still span the old interval.
     pub fn set_trace_interval(&mut self, interval: SimTime) {
         self.config.trace_interval_s = interval.as_micros().max(1) as f64 / 1e6;
     }
@@ -349,47 +325,10 @@ impl Simulation {
         self.ctl.machine()
     }
 
-    /// The CPU a job's thread is currently placed on.
-    pub fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.machine().cpu_of(handle.thread)
-    }
-
-    /// Read-only access to the controller.
-    pub fn controller(&self) -> &Controller {
-        self.ctl.controller()
-    }
-
-    /// Enables structured trace recording and controller stage timing,
-    /// returning the shared recorder (see
-    /// [`ControlLoop::enable_telemetry`]).
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
-        self.ctl.enable_telemetry(config)
-    }
-
-    /// The trace recorder installed by [`Simulation::enable_telemetry`],
-    /// if any.
-    pub fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
-        self.ctl.recorder().cloned()
-    }
-
     /// Attaches an *existing* recorder instead of creating one — the
     /// sharded simulator shares one ring across every shard.
     pub(crate) fn attach_telemetry(&mut self, recorder: Arc<Recorder>) {
         self.ctl.attach_telemetry(recorder);
-    }
-
-    /// A point-in-time snapshot of every subsystem counter: the control
-    /// loop's ([`ControlLoop::telemetry_snapshot`]) plus the calendar's
-    /// events by type.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            events_controller: self.event_counts[0],
-            events_trace: self.event_counts[1],
-            events_wake: self.event_counts[2],
-            events_poll_tick: self.event_counts[3],
-            events_horizon: self.event_counts[4],
-            ..self.ctl.telemetry_snapshot()
-        }
     }
 
     /// The live job `tid` serves: its controller slot and its entry.
@@ -403,25 +342,6 @@ impl Simulation {
         self.wake_events
             .get_mut(tid.0 as usize)
             .and_then(Option::take)
-    }
-
-    /// Adds a job.
-    ///
-    /// The job is registered with the controller (real-time jobs go through
-    /// admission control) and with the dispatcher, starting from either its
-    /// requested reservation or the minimum allocation
-    /// ([`ControlLoop::admit`]).  The importance weight is read from the
-    /// spec ([`JobSpec::with_importance`]).
-    pub fn add_job(
-        &mut self,
-        name: &str,
-        spec: JobSpec,
-        work: Box<dyn WorkModel>,
-    ) -> Result<JobHandle, AdmitError> {
-        let handle = self.ctl.admit(spec)?;
-        let series = Box::new(JobSeries::new(name));
-        self.install_thread(handle, SimThread { work, series });
-        Ok(handle)
     }
 
     /// Stores a thread's simulator-side state in the dense tables.
@@ -440,17 +360,6 @@ impl Simulation {
         if let Some(id) = self.take_wake_event(tid) {
             self.calendar.cancel(id);
         }
-    }
-
-    /// Removes a job from the simulation.
-    pub fn remove_job(&mut self, handle: JobHandle) {
-        // Only the slot's current tenant: a handle left over from a removed
-        // job names an index that may be somebody else's by now.
-        if self.ctl.slot_of(handle.thread) == Some(handle.slot) {
-            self.threads[handle.slot.index()] = None;
-        }
-        self.clear_wait(handle.thread);
-        self.ctl.retire(handle);
     }
 
     /// Detaches a job's complete simulator-side state — work model,
@@ -531,31 +440,10 @@ impl Simulation {
         })
     }
 
-    /// The proportion currently reserved for a job, in parts per thousand.
-    pub fn current_allocation_ppt(&self, handle: JobHandle) -> u32 {
-        self.machine()
-            .reservation(handle.thread)
-            .map(|r| r.proportion.ppt())
-            .unwrap_or(0)
-    }
-
-    /// Total CPU time a job has consumed so far, in microseconds.
-    pub fn cpu_used_us(&self, handle: JobHandle) -> u64 {
-        self.machine()
-            .usage(handle.thread)
-            .map(|u| u.total_used_us)
-            .unwrap_or(0)
-    }
-
-    /// Runs the simulation for `duration_s` simulated seconds.
+    /// Runs the simulation for `duration_s` simulated seconds
+    /// ([`Host::advance`] in seconds).
     pub fn run_for(&mut self, duration_s: f64) {
-        self.run_for_micros((duration_s * 1e6).round() as u64);
-    }
-
-    /// Runs the simulation for `dt_us` more simulated microseconds (to the
-    /// end of the clock if that comes first).
-    pub fn run_for_micros(&mut self, dt_us: u64) {
-        self.run_until_micros(end_after(self.now_us, dt_us));
+        self.advance(SimTime::from_micros((duration_s * 1e6).round() as u64));
     }
 
     /// Runs the simulation until the given absolute simulated time: turn
@@ -579,7 +467,7 @@ impl Simulation {
     /// advancing every CPU's usage analytically across the gap, then
     /// handles every event due there.
     ///
-    /// Unlike [`Simulation::run_for`] this does not settle the
+    /// Unlike [`Host::advance`] this does not settle the
     /// dispatchers' lazy period-boundary backlog afterwards: total used
     /// time stays exact (charges are immediate), but per-period ratios and
     /// deadline statistics are only guaranteed current after a `run_*`
@@ -769,7 +657,6 @@ impl Simulation {
     ) {
         let cpu_hz = self.config.cpu.clock_hz;
         let interval = self.config.dispatcher.dispatch_interval_us.max(1);
-        let charge_overhead = self.config.charge_dispatch_overhead;
         let Self {
             ctl,
             threads,
@@ -861,7 +748,7 @@ impl Simulation {
             let delta = total - last_overhead;
             last_overhead = total;
             overhead_sum += delta;
-            if charge_overhead && delta > 0.0 {
+            if delta > 0.0 {
                 carry += delta;
                 // The carry only ever holds a non-negative remainder, so the
                 // cast's truncation is its floor (and not the libm call
@@ -945,16 +832,14 @@ impl Simulation {
     }
 
     /// One controller cycle ([`ControlLoop::cycle`]) at the current clock,
-    /// its modelled cost charged to the clock when configured.  Returns
-    /// when the next cycle is due.
+    /// its modelled cost charged to the clock (the controller is a
+    /// user-level process on the real system).  Returns when the next
+    /// cycle is due.
     fn run_controller(&mut self) -> u64 {
-        let cost_us = self.ctl.cycle(
+        self.now_us += self.ctl.cycle(
             SimTime::from_micros(self.now_us),
             self.config.migration_cost_us,
         );
-        if self.config.charge_controller_cost {
-            self.now_us += cost_us;
-        }
         self.ctl.skip_to_next_cycle(self.now_us)
     }
 
@@ -981,7 +866,7 @@ impl Simulation {
     /// Takes one round of trace samples and returns when the next is due.
     fn record_trace(&mut self) -> u64 {
         let t = self.now_seconds();
-        let interval = self.config.trace_interval_s.max(1e-9);
+        let gap_s = self.trace_gap_us as f64 / 1e6;
         // In thread-id order, not table order: a series takes its id in
         // the trace at its first sample, and slot indices are reused, so a
         // walk over `threads` would number a churned run's series by which
@@ -993,27 +878,134 @@ impl Simulation {
             thread.series.sample(
                 &mut self.trace,
                 t,
-                interval,
+                gap_s,
                 self.ctl.reservation(slot, tid),
                 thread.work.progress_counter(),
             );
         }
         self.trace.record_fills(t, self.ctl.controller().registry());
-        let interval_us = (self.config.trace_interval_s * 1e6).round().max(1.0) as u64;
+        let (at, interval_us) = (self.next_trace_us, trace_interval_us(&self.config));
         while self.next_trace_us <= self.now_us {
             self.next_trace_us += interval_us;
         }
+        self.trace_gap_us = self.next_trace_us - at;
         self.next_trace_us
     }
+}
 
-    /// Forces a reservation directly on the dispatcher, bypassing the
-    /// controller.  Used by experiments that pin a thread's allocation (for
-    /// example the Figure 8 sweep, which runs without the controller).
-    pub fn force_reservation(&mut self, handle: JobHandle, proportion: Proportion, period: Period) {
+impl Host for Simulation {
+    fn backend(&self) -> Backend {
+        Backend::Sim
+    }
+
+    /// Registers the job with the controller (real-time jobs go through
+    /// admission control) and with the dispatcher, starting from either
+    /// its requested reservation or the minimum allocation
+    /// ([`ControlLoop::admit`]).
+    fn add_job(
+        &mut self,
+        name: &str,
+        spec: JobSpec,
+        work: Box<dyn WorkModel>,
+    ) -> Result<JobHandle, AdmitError> {
+        let handle = self.ctl.admit(spec)?;
+        let series = Box::new(JobSeries::new(name));
+        self.install_thread(handle, SimThread { work, series });
+        Ok(handle)
+    }
+
+    fn remove_job(&mut self, handle: JobHandle) {
+        // Only the slot's current tenant: a handle left over from a removed
+        // job names an index that may be somebody else's by now.
+        if self.ctl.slot_of(handle.thread) == Some(handle.slot) {
+            self.threads[handle.slot.index()] = None;
+        }
+        self.clear_wait(handle.thread);
+        self.ctl.retire(handle);
+    }
+
+    fn advance(&mut self, dt: SimTime) {
+        self.run_until_micros(end_after(self.now_us, dt.as_micros()));
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.now_us)
+    }
+
+    fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
+        self.machine().reservation(handle.thread)
+    }
+
+    fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
+        self.machine().cpu_of(handle.thread)
+    }
+
+    fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
+        self.machine().usage(handle.thread)
+    }
+
+    fn grow_cpus(&mut self, cpus: usize) -> usize {
+        let n = self.ctl.grow_cpus(cpus);
+        self.config.controller.placement.cpus = n;
+        self.last_cpu_overhead.resize(n, 0.0);
+        self.overhead_carry.resize(n, 0.0);
+        n
+    }
+
+    fn cpu_count(&self) -> usize {
+        self.machine().cpu_count()
+    }
+
+    fn controller(&self) -> &Controller {
+        self.ctl.controller()
+    }
+
+    fn registry(&self) -> MetricRegistry {
+        self.ctl.controller().registry().clone()
+    }
+
+    fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
         let _ = self
             .ctl
             .machine_mut()
-            .set_reservation(handle.thread, Reservation::new(proportion, period));
+            .set_reservation(handle.thread, reservation);
+    }
+
+    fn stats(&self) -> SimStats {
+        self.ctl.stats()
+    }
+
+    /// The control loop's counters ([`ControlLoop::telemetry`]) plus the
+    /// calendar's events by type.
+    fn telemetry(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            events_controller: self.event_counts[0],
+            events_trace: self.event_counts[1],
+            events_wake: self.event_counts[2],
+            events_poll_tick: self.event_counts[3],
+            events_horizon: self.event_counts[4],
+            ..self.ctl.telemetry()
+        }
+    }
+
+    fn enable_telemetry(&mut self, config: TelemetryConfig) -> Arc<Recorder> {
+        self.ctl.enable_telemetry(config)
+    }
+
+    fn telemetry_recorder(&self) -> Option<Arc<Recorder>> {
+        self.ctl.recorder().cloned()
+    }
+
+    fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -1031,7 +1023,9 @@ mod tests {
     use super::*;
     use crate::workload::RunResult;
     use proptest::prelude::*;
+    use rrs_core::ControllerCostModel;
     use rrs_queue::{JobKey, Role};
+    use rrs_scheduler::{Period, Proportion};
     use std::sync::Arc;
 
     /// Uses every cycle it is offered and never blocks.
@@ -1077,9 +1071,9 @@ mod tests {
             .add_job("hog", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
         sim.run_for(5.0);
-        let alloc = sim.current_allocation_ppt(h);
+        let alloc = sim.allocation_ppt(h);
         assert!(alloc > 500, "allocation grew to {alloc}");
-        let used_fraction = sim.cpu_used_us(h) as f64 / sim.now_micros() as f64;
+        let used_fraction = sim.cpu_used(h).as_micros() as f64 / sim.now_micros() as f64;
         assert!(used_fraction > 0.4, "hog used {used_fraction} of the CPU");
     }
 
@@ -1093,8 +1087,8 @@ mod tests {
             .add_job("b", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
         sim.run_for(10.0);
-        let ua = sim.cpu_used_us(a) as f64;
-        let ub = sim.cpu_used_us(b) as f64;
+        let ua = sim.cpu_used(a).as_micros() as f64;
+        let ub = sim.cpu_used(b).as_micros() as f64;
         let ratio = ua / ub;
         assert!(
             (0.7..1.4).contains(&ratio),
@@ -1116,7 +1110,7 @@ mod tests {
             .add_job("hog", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
         sim.run_for(5.0);
-        let fraction = sim.cpu_used_us(rt) as f64 / sim.now_micros() as f64;
+        let fraction = sim.cpu_used(rt).as_micros() as f64 / sim.now_micros() as f64;
         assert!(
             (fraction - 0.3).abs() < 0.05,
             "real-time job got {fraction}, expected ≈ 0.30"
@@ -1151,9 +1145,12 @@ mod tests {
         let h = sim
             .add_job("hog", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(123), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(123), Period::from_millis(10)),
+        );
         sim.run_for(2.0);
-        assert_eq!(sim.current_allocation_ppt(h), 123);
+        assert_eq!(sim.allocation_ppt(h), 123);
         assert_eq!(sim.stats().controller_invocations, 0);
     }
 
@@ -1173,7 +1170,7 @@ mod tests {
         }
         sim.run_for(2.0);
         for h in &handles {
-            assert_eq!(sim.cpu_used_us(*h), 0);
+            assert_eq!(sim.cpu_used(*h).as_micros(), 0);
         }
         assert!(sim.stats().controller_invocations > 0);
         assert!(sim.stats().controller_cost_us > 0.0);
@@ -1237,7 +1234,10 @@ mod tests {
         let h = sim
             .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(100), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(100), Period::from_millis(10)),
+        );
         sim.run_for(2.0);
         let idle = sim.machine().stats().idle_us;
         let capacity = sim.now_micros() * sim.machine().cpu_count() as u64;
@@ -1275,8 +1275,14 @@ mod tests {
         let sip = sim
             .add_job("sip", JobSpec::miscellaneous(), Box::new(Sip))
             .unwrap();
-        sim.force_reservation(hog, Proportion::from_ppt(1000), Period::from_millis(10));
-        sim.force_reservation(sip, Proportion::from_ppt(500), Period::from_millis(10));
+        sim.force_reservation(
+            hog,
+            Reservation::new(Proportion::from_ppt(1000), Period::from_millis(10)),
+        );
+        sim.force_reservation(
+            sip,
+            Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
+        );
         assert_ne!(sim.cpu_of(hog), sim.cpu_of(sip));
         sim.run_for(1.0);
         // The sipper's CPU is idle for ~999/1000 of every busy round; that
@@ -1305,9 +1311,12 @@ mod tests {
             let h = sim
                 .add_job("hog", JobSpec::miscellaneous(), Box::new(Spin::new()))
                 .unwrap();
-            sim.force_reservation(h, Proportion::from_ppt(1000), Period::from_millis(10));
+            sim.force_reservation(
+                h,
+                Reservation::new(Proportion::from_ppt(1000), Period::from_millis(10)),
+            );
             sim.run_for(2.0);
-            sim.cpu_used_us(h) as f64 / sim.now_micros() as f64
+            sim.cpu_used(h).as_micros() as f64 / sim.now_micros() as f64
         };
         let coarse = available(10_000);
         let fine = available(100);
@@ -1325,11 +1334,15 @@ mod tests {
             .add_job("hog", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
         sim.run_for(0.5);
-        let used_before = sim.cpu_used_us(h);
+        let used_before = sim.cpu_used(h).as_micros();
         assert!(used_before > 0);
         sim.remove_job(h);
         sim.run_for(0.5);
-        assert_eq!(sim.cpu_used_us(h), 0, "removed job no longer tracked");
+        assert_eq!(
+            sim.cpu_used(h).as_micros(),
+            0,
+            "removed job no longer tracked"
+        );
         assert_eq!(sim.controller().job_count(), 0);
     }
 
@@ -1345,16 +1358,13 @@ mod tests {
             .add_job("first", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
         sim.run_for(3.0);
-        assert!(
-            sim.current_allocation_ppt(first) > 800,
-            "machine is saturated"
-        );
+        assert!(sim.allocation_ppt(first) > 800, "machine is saturated");
         let late = sim
             .add_job("late", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .expect("late arrivals are admitted, not panicked on");
         sim.run_for(5.0);
-        let a = sim.current_allocation_ppt(first);
-        let b = sim.current_allocation_ppt(late);
+        let a = sim.allocation_ppt(first);
+        let b = sim.allocation_ppt(late);
         assert!(b > 100, "late job must ramp up, got {b}");
         assert!(a + b <= 952, "squish keeps the pair under the threshold");
         // The reused machinery also holds after a removal.
@@ -1364,7 +1374,7 @@ mod tests {
             .unwrap();
         assert_eq!(third.slot.index(), first.slot.index(), "slot reused");
         sim.run_for(3.0);
-        assert!(sim.current_allocation_ppt(third) > 100);
+        assert!(sim.allocation_ppt(third) > 100);
     }
 
     #[test]
@@ -1423,9 +1433,12 @@ mod tests {
         let h = sim
             .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(200), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(200), Period::from_millis(10)),
+        );
         sim.run_for(2.0);
-        let frac = sim.cpu_used_us(h) as f64 / sim.now_micros() as f64;
+        let frac = sim.cpu_used(h).as_micros() as f64 / sim.now_micros() as f64;
         assert!(
             (frac - 0.2).abs() < 0.02,
             "idle jumps must not change delivered CPU ({frac} vs 0.2)"
@@ -1449,8 +1462,8 @@ mod tests {
         // Each hog has a whole CPU: both should consume most of the
         // elapsed time, which is impossible on one CPU.
         let elapsed = sim.now_micros() as f64;
-        let fa = sim.cpu_used_us(a) as f64 / elapsed;
-        let fb = sim.cpu_used_us(b) as f64 / elapsed;
+        let fa = sim.cpu_used(a).as_micros() as f64 / elapsed;
+        let fb = sim.cpu_used(b).as_micros() as f64 / elapsed;
         assert!(fa > 0.6, "hog a got {fa}");
         assert!(fb > 0.6, "hog b got {fb}");
         assert_ne!(sim.cpu_of(a), sim.cpu_of(b), "placed on different CPUs");
@@ -1465,7 +1478,7 @@ mod tests {
             .unwrap();
         sim.run_for(3.0);
         assert!(
-            sim.current_allocation_ppt(first) > 800,
+            sim.allocation_ppt(first) > 800,
             "first hog saturates its CPU"
         );
         let late = sim
@@ -1478,8 +1491,8 @@ mod tests {
         );
         sim.run_for(5.0);
         // Both can now grow toward a full CPU each — no squish fight.
-        assert!(sim.current_allocation_ppt(first) > 700);
-        assert!(sim.current_allocation_ppt(late) > 500);
+        assert!(sim.allocation_ppt(first) > 700);
+        assert!(sim.allocation_ppt(late) > 500);
     }
 
     #[test]
@@ -1495,7 +1508,10 @@ mod tests {
         let stats = sim.stats();
         assert_eq!(stats.per_cpu.len(), 2);
         let used: u64 = stats.per_cpu.iter().map(|c| c.used_us).sum();
-        assert_eq!(used, sim.cpu_used_us(a) + sim.cpu_used_us(b));
+        assert_eq!(
+            used,
+            sim.cpu_used(a).as_micros() + sim.cpu_used(b).as_micros()
+        );
         let idle: u64 = stats.per_cpu.iter().map(|c| c.idle_us).sum();
         assert_eq!(idle, sim.machine().stats().idle_us);
         let migs: u64 = stats
@@ -1520,7 +1536,7 @@ mod tests {
             .unwrap();
         sim.run_for(3.0);
         assert_eq!(sim.cpu_of(a), sim.cpu_of(b), "one CPU holds both");
-        let one_cpu_used = sim.cpu_used_us(a) + sim.cpu_used_us(b);
+        let one_cpu_used = sim.cpu_used(a).as_micros() + sim.cpu_used(b).as_micros();
         assert!(one_cpu_used <= sim.now_micros());
 
         assert_eq!(sim.grow_cpus(2), 2);
@@ -1530,7 +1546,7 @@ mod tests {
         sim.run_for(5.0);
         assert_ne!(sim.cpu_of(a), sim.cpu_of(b), "rebalanced onto the new CPU");
         assert!(sim.stats().migrations >= 1);
-        let both_used = sim.cpu_used_us(a) + sim.cpu_used_us(b) - one_cpu_used;
+        let both_used = sim.cpu_used(a).as_micros() + sim.cpu_used(b).as_micros() - one_cpu_used;
         let elapsed = sim.now_micros() - before;
         assert!(
             both_used as f64 > elapsed as f64 * 1.2,
@@ -1549,7 +1565,10 @@ mod tests {
         let h = sim
             .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(500), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
+        );
         sim.run_for(1.0);
         let coarse = sim.trace().get("alloc/spin").unwrap().len();
         sim.set_trace_interval(SimTime::from_millis(10));
@@ -1578,7 +1597,10 @@ mod tests {
             let h = sim
                 .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
                 .unwrap();
-            sim.force_reservation(h, Proportion::from_ppt(100), Period::from_millis(10));
+            sim.force_reservation(
+                h,
+                Reservation::new(Proportion::from_ppt(100), Period::from_millis(10)),
+            );
             let at_horizon = if split {
                 sim.run_for(0.5);
                 let at = sim.now_seconds();
@@ -1613,7 +1635,10 @@ mod tests {
             let h = sim
                 .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
                 .unwrap();
-            sim.force_reservation(h, Proportion::from_ppt(100), Period::from_millis(10));
+            sim.force_reservation(
+                h,
+                Reservation::new(Proportion::from_ppt(100), Period::from_millis(10)),
+            );
             if split {
                 sim.run_until_micros(500_000);
             }
@@ -1672,14 +1697,17 @@ mod tests {
                 }),
             )
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(500), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
+        );
         sim.run_for(2.0);
-        let frac = sim.cpu_used_us(h) as f64 / sim.now_micros() as f64;
+        let frac = sim.cpu_used(h).as_micros() as f64 / sim.now_micros() as f64;
         assert!(
             (frac - 0.1).abs() < 0.02,
             "10% duty cycle must survive event-driven wake-ups, got {frac}"
         );
-        let cycles = sim.cpu_used_us(h) / 1_000;
+        let cycles = sim.cpu_used(h).as_micros() / 1_000;
         let polled = polls.load(std::sync::atomic::Ordering::Relaxed);
         assert!(
             polled <= cycles * 2 + 10,
@@ -1708,14 +1736,21 @@ mod tests {
                 }),
             )
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(500), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
+        );
         sim.run_for(0.1);
-        assert_eq!(sim.cpu_used_us(h), 100, "one burst, then asleep");
+        assert_eq!(sim.cpu_used(h).as_micros(), 100, "one burst, then asleep");
         sim.remove_job(h);
         // Running past the (cancelled) wake-up must not fire it against
         // the removed thread.
         sim.run_for(11.0);
-        assert_eq!(sim.cpu_used_us(h), 0, "removed job no longer tracked");
+        assert_eq!(
+            sim.cpu_used(h).as_micros(),
+            0,
+            "removed job no longer tracked"
+        );
     }
 
     /// Three words an entry: with 10 000 jobs the table the span loop
@@ -1757,7 +1792,10 @@ mod tests {
         let new = sim
             .add_job("new", JobSpec::miscellaneous(), sleeper(&new_polls))
             .unwrap();
-        sim.force_reservation(new, Proportion::from_ppt(500), Period::from_millis(10));
+        sim.force_reservation(
+            new,
+            Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
+        );
         assert_eq!(new.slot.index(), old.slot.index(), "index reused");
         assert_ne!(new.thread, old.thread);
         assert!(sim.thread_mut(old.thread).is_none());
@@ -1773,7 +1811,7 @@ mod tests {
         assert!(sim.thread_mut(new.thread).is_some());
         assert_eq!(sim.controller().job_count(), 1);
         sim.run_for(0.05);
-        assert_eq!(sim.cpu_used_us(new), 100, "the tenant's own burst");
+        assert_eq!(sim.cpu_used(new).as_micros(), 100, "the tenant's own burst");
     }
 
     #[test]
@@ -1788,7 +1826,10 @@ mod tests {
         let h = sim
             .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(100), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(100), Period::from_millis(10)),
+        );
         sim.run_for(0.5);
         assert_eq!(sim.now_seconds(), 0.5, "stops exactly at the horizon");
         let before = sim.trace().get("alloc/spin").unwrap().len();
@@ -1808,7 +1849,10 @@ mod tests {
             let h = sim
                 .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
                 .unwrap();
-            sim.force_reservation(h, Proportion::from_ppt(100), Period::from_millis(10));
+            sim.force_reservation(
+                h,
+                Reservation::new(Proportion::from_ppt(100), Period::from_millis(10)),
+            );
             if split {
                 sim.run_until_micros(500_000);
                 sim.run_until_micros(600_000);
@@ -1829,7 +1873,10 @@ mod tests {
         let h = sim
             .add_job("spin", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
-        sim.force_reservation(h, Proportion::from_ppt(500), Period::from_millis(10));
+        sim.force_reservation(
+            h,
+            Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
+        );
         sim.run_for(1.0);
         let coarse = sim.trace().get("alloc/spin").unwrap().len();
         sim.set_trace_interval(SimTime::from_millis(10));
@@ -1865,7 +1912,7 @@ mod tests {
         sim.add_job("hog", JobSpec::miscellaneous(), Box::new(Spin::new()))
             .unwrap();
         sim.run_for(1.0);
-        let snap = sim.telemetry_snapshot();
+        let snap = sim.telemetry();
         assert!(snap.quantum_cache_hits > 0, "warm spans must hit the cache");
         assert!(snap.cache_hit_rate > 0.0 && snap.cache_hit_rate <= 1.0);
         assert!(snap.settles_total() > 0, "spans must settle");
@@ -1882,7 +1929,7 @@ mod tests {
             .unwrap();
         sim.run_for(1.0);
         assert!(sim.telemetry_recorder().is_some());
-        let snap = sim.telemetry_snapshot();
+        let snap = sim.telemetry();
         assert!(snap.trace_events_recorded > 0);
         assert_eq!(snap.trace_events_recorded, recorder.recorded());
         let events = recorder.events();
@@ -1905,12 +1952,12 @@ mod tests {
             cpus in 1usize..4,
             specs in proptest::collection::vec((20u32..46, 0usize..3), 1..6),
         ) {
-            let config = SimConfig {
+            let mut config = SimConfig {
                 controller_enabled: false,
-                charge_controller_cost: false,
-                charge_dispatch_overhead: false,
                 ..SimConfig::default().with_cpus(cpus)
             };
+            config.dispatcher.dispatch_cost_us = 0.0;
+            config.dispatcher.context_switch_cost_us = 0.0;
             let mut sim = Simulation::new(config);
             let mut handles = Vec::new();
             let mut expected = Vec::new();
@@ -1919,11 +1966,7 @@ mod tests {
                     .add_job(&format!("j{i}"), JobSpec::miscellaneous(), Box::new(Spin::new()))
                     .unwrap();
                 let period_ms = [10u64, 20, 40][period_idx];
-                sim.force_reservation(
-                    h,
-                    Proportion::from_ppt(ppt),
-                    Period::from_millis(period_ms),
-                );
+                sim.force_reservation(h, Reservation::new(Proportion::from_ppt(ppt), Period::from_millis(period_ms)));
                 handles.push(h);
                 let budget_us = period_ms * 1_000 * u64::from(ppt) / 1_000;
                 expected.push(budget_us * (120 / period_ms));
@@ -1931,7 +1974,7 @@ mod tests {
             // Two calls cover stopping and resuming at a horizon.
             sim.run_for(0.06);
             sim.run_for(0.06);
-            let used: Vec<u64> = handles.iter().map(|&h| sim.cpu_used_us(h)).collect();
+            let used: Vec<u64> = handles.iter().map(|&h| sim.cpu_used(h).as_micros()).collect();
             prop_assert_eq!(sim.now_micros(), 120_000);
             prop_assert_eq!(used, expected);
         }
@@ -1952,10 +1995,8 @@ mod tests {
             jobs in proptest::collection::vec(0u8..3, 1..7),
             chunks in proptest::collection::vec(1u64..25_000, 1..8),
         ) {
-            let config = SimConfig {
-                charge_controller_cost: false,
-                ..SimConfig::default().with_cpus(cpus)
-            };
+            let mut config = SimConfig::default().with_cpus(cpus);
+            config.controller.cost_model = ControllerCostModel::free();
             let mut sim = Simulation::new(config);
             for (i, &kind) in jobs.iter().enumerate() {
                 let work: Box<dyn WorkModel> = match kind {
@@ -1972,7 +2013,7 @@ mod tests {
                     .unwrap();
             }
             for &chunk in &chunks {
-                sim.run_for_micros(chunk);
+                sim.advance(SimTime::from_micros(chunk));
                 let stats = sim.stats();
                 let booked = (stats.total_used_us() + stats.idle_us()) as f64
                     + stats.dispatch_overhead_us;
@@ -2042,7 +2083,7 @@ mod tests {
         assert_ne!(sim.cpu_of(a), sim.cpu_of(c), "the pair ends up one per CPU");
         // Rebalanced, both can use most of a CPU each.
         let elapsed = sim.now_micros() as f64;
-        assert!(sim.cpu_used_us(a) as f64 / elapsed > 0.4);
-        assert!(sim.cpu_used_us(c) as f64 / elapsed > 0.4);
+        assert!(sim.cpu_used(a).as_micros() as f64 / elapsed > 0.4);
+        assert!(sim.cpu_used(c).as_micros() as f64 / elapsed > 0.4);
     }
 }

@@ -98,7 +98,7 @@ impl WorkModel for FiniteWork {
 mod tests {
     use super::*;
     use rrs_core::JobSpec;
-    use rrs_sim::{SimConfig, Simulation};
+    use rrs_sim::{Host, SimConfig, Simulation};
 
     #[test]
     fn hog_uses_full_quantum() {
@@ -136,7 +136,7 @@ mod tests {
             .add_job("hog", JobSpec::miscellaneous(), Box::new(CpuHog::new()))
             .unwrap();
         sim.run_for(5.0);
-        let fraction = sim.cpu_used_us(h) as f64 / sim.now_micros() as f64;
+        let fraction = sim.cpu_used(h).as_micros() as f64 / sim.now_micros() as f64;
         assert!(fraction > 0.5, "hog got {fraction}");
     }
 }

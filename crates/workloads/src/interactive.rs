@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use crate::hog::CpuHog;
     use rrs_core::JobSpec;
-    use rrs_sim::{SimConfig, Simulation};
+    use rrs_sim::{Host, SimConfig, Simulation};
 
     #[test]
     fn typist_keystrokes_are_handled() {

@@ -194,7 +194,7 @@ mod tests {
             throughput > 0.8e6,
             "reader should process ≈1 MB/s, got {throughput}"
         );
-        let alloc = sim.current_allocation_ppt(reader);
+        let alloc = sim.allocation_ppt(reader);
         assert!(
             (50..=400).contains(&alloc),
             "reader allocation {alloc} should be near 100 ‰"
@@ -209,7 +209,7 @@ mod tests {
         // whole machine.
         let (_disk, reader) = DiskReader::install(&mut sim, 100e3, 4096, 40.0, 32);
         sim.run_for(15.0);
-        let alloc = sim.current_allocation_ppt(reader);
+        let alloc = sim.allocation_ppt(reader);
         assert!(
             alloc < 500,
             "reader allocation {alloc} should stay modest when the disk is the bottleneck"

@@ -12,7 +12,7 @@ use crate::kernel::{Burn, Cadence};
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
 use rrs_scheduler::{Period, Proportion};
-use rrs_sim::{RunResult, SimTime, WorkModel};
+use rrs_sim::{CpuConfig, RunResult, SimTime, WorkModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -107,15 +107,16 @@ impl SoftwareModem {
     /// Installs the modem into any [`Host`] as a real-time job with
     /// exactly the reservation it needs (plus 20 % headroom), as the paper
     /// recommends for isochronous devices.  The reservation is sized
-    /// against the host's own clock rate ([`Host::cpu_hz`]).  Returns the
-    /// handle and the shared statistics.
+    /// against the paper's 400 MHz CPU ([`CpuConfig::default`]), the
+    /// clock rate every `rrs_api::Runtime` host runs work models at.
+    /// Returns the handle and the shared statistics.
     pub fn install_with_reservation(
         host: &mut (impl Host + ?Sized),
         config: ModemConfig,
     ) -> (JobHandle, Arc<ModemStats>) {
         let (modem, stats) = SoftwareModem::new(config);
         let spec = JobSpec::real_time(
-            config.required_proportion(host.cpu_hz(), 1.2),
+            config.required_proportion(CpuConfig::default().clock_hz, 1.2),
             config.period(),
         );
         let handle = host
@@ -248,7 +249,7 @@ mod tests {
             SoftwareModem::install_with_reservation(&mut sim, ModemConfig::default());
         sim.run_for(5.0);
         assert!(stats.miss_ratio() < 0.01);
-        let used = sim.cpu_used_us(handle) as f64 / sim.now_micros() as f64;
+        let used = sim.cpu_used(handle).as_micros() as f64 / sim.now_micros() as f64;
         assert!(
             (0.15..0.30).contains(&used),
             "the modem needs ≈20 % of the CPU, used {used}"

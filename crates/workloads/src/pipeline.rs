@@ -290,7 +290,7 @@ mod tests {
         sim.run_for(20.0);
         // The consumer's allocation should have converged near the
         // producer's (both need ~200 ‰ to move 2000 bytes/s).
-        let consumer_alloc = sim.current_allocation_ppt(handles.consumer);
+        let consumer_alloc = sim.allocation_ppt(handles.consumer);
         assert!(
             (100..=400).contains(&consumer_alloc),
             "consumer allocation {consumer_alloc} should be near the producer's 200"
@@ -313,9 +313,9 @@ mod tests {
         };
         let handles = PulsePipeline::install(&mut sim, config);
         sim.run_for(4.0);
-        let before = sim.current_allocation_ppt(handles.consumer);
+        let before = sim.allocation_ppt(handles.consumer);
         sim.run_for(26.0);
-        let after = sim.current_allocation_ppt(handles.consumer);
+        let after = sim.allocation_ppt(handles.consumer);
         assert!(
             after as f64 > before as f64 * 1.5,
             "consumer allocation should roughly double ({before} -> {after})"
@@ -327,7 +327,7 @@ mod tests {
         let mut sim = fast_sim();
         let handles = PulsePipeline::install(&mut sim, PipelineConfig::default());
         sim.run_for(10.0);
-        assert_eq!(sim.current_allocation_ppt(handles.producer), 200);
+        assert_eq!(sim.allocation_ppt(handles.producer), 200);
     }
 
     #[test]

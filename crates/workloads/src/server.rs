@@ -260,7 +260,7 @@ mod tests {
         // 100 req/s at 1 Mcycles needs 25 % of the CPU; the controller
         // should find an allocation in that region and the backlog should
         // not stay saturated.
-        let alloc = sim.current_allocation_ppt(server);
+        let alloc = sim.allocation_ppt(server);
         assert!(
             (150..=600).contains(&alloc),
             "server allocation {alloc} should be near 250"

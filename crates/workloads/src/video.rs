@@ -231,8 +231,8 @@ mod tests {
         let mut sim = Simulation::new(SimConfig::default());
         let handles = VideoPipeline::install(&mut sim, VideoPipelineConfig::default());
         sim.run_for(20.0);
-        let decoder = sim.current_allocation_ppt(handles.decoder);
-        let renderer = sim.current_allocation_ppt(handles.renderer);
+        let decoder = sim.allocation_ppt(handles.decoder);
+        let renderer = sim.allocation_ppt(handles.renderer);
         // Decoding needs ~300 ‰, rendering ~30 ‰: the controller should
         // discover an asymmetry of several times without being told.
         assert!(

@@ -62,10 +62,15 @@ fn main() {
         report(&format!("hog{i}"), *h);
     }
 
-    // The simulator keeps the per-CPU breakdown itself — no need to
-    // recompute machine-wide aggregates from job handles.
+    // The simulator keeps the per-CPU time breakdown itself; each CPU's
+    // granted load is the sum of the grants of the jobs placed on it.
     let stats = host.stats();
-    let machine = host.machine();
+    let mut load_ppt = vec![0u32; host.cpu_count()];
+    for &h in std::iter::once(&rt).chain(&hogs) {
+        if let Some(cpu) = host.cpu_of(h) {
+            load_ppt[cpu.index()] += host.allocation_ppt(h);
+        }
+    }
     println!(
         "\n{:<6} {:>8} {:>10} {:>9} {:>9}",
         "cpu", "load ‰", "used ms", "idle ms", "migr +/-"
@@ -73,7 +78,7 @@ fn main() {
     for (i, cpu) in stats.per_cpu.iter().enumerate() {
         println!(
             "cpu{i:<3} {:>8} {:>10.1} {:>9.1} {:>5}/{}",
-            machine.cpu_load_ppt(realrate::api::CpuId(i as u32)),
+            load_ppt[i],
             cpu.used_us as f64 / 1e3,
             cpu.idle_us as f64 / 1e3,
             cpu.migrations_in,
@@ -89,7 +94,7 @@ fn main() {
     println!("cross-CPU migrations : {}", stats.migrations);
     println!(
         "machine-wide grants  : {} ‰ across {CPUS} CPUs",
-        machine.total_reserved_ppt()
+        load_ppt.iter().sum::<u32>()
     );
     assert!(throughput > 2.0, "a 4-CPU machine must beat one CPU");
 }

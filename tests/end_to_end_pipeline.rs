@@ -4,7 +4,7 @@
 
 use realrate::core::JobSpec;
 use realrate::queue::ProgressMetric;
-use realrate::sim::{SimConfig, Simulation};
+use realrate::sim::{Host, SimConfig, Simulation};
 use realrate::workloads::{CpuHog, PipelineConfig, PulsePipeline};
 
 #[test]
@@ -63,16 +63,13 @@ fn pipeline_survives_competing_load_without_starvation() {
         consumed > produced * 0.75,
         "consumer ({consumed}) starved by hog (producer {produced})"
     );
-    assert!(
-        sim.current_allocation_ppt(hog) > 100,
-        "hog should get leftover CPU"
-    );
+    assert!(sim.allocation_ppt(hog) > 100, "hog should get leftover CPU");
     // The producer's reservation is untouched.
-    assert_eq!(sim.current_allocation_ppt(handles.producer), 200);
+    assert_eq!(sim.allocation_ppt(handles.producer), 200);
     // Granted allocations never exceed the overload threshold.
-    let total = sim.current_allocation_ppt(handles.producer)
-        + sim.current_allocation_ppt(handles.consumer)
-        + sim.current_allocation_ppt(hog);
+    let total = sim.allocation_ppt(handles.producer)
+        + sim.allocation_ppt(handles.consumer)
+        + sim.allocation_ppt(hog);
     assert!(total <= 952, "total granted {total} exceeds the threshold");
 }
 
@@ -117,7 +114,7 @@ fn five_hogs_share_the_machine_roughly_equally() {
     sim.run_for(20.0);
     let used: Vec<f64> = handles
         .iter()
-        .map(|h| sim.cpu_used_us(*h) as f64 / sim.now_micros() as f64)
+        .map(|h| sim.cpu_used(*h).as_micros() as f64 / sim.now_micros() as f64)
         .collect();
     let min = used.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = used.iter().cloned().fold(0.0, f64::max);

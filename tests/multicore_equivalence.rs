@@ -14,7 +14,7 @@
 use realrate::core::JobSpec;
 use realrate::queue::{BoundedBuffer, JobKey, Role};
 use realrate::scheduler::{CpuId, Period, Proportion};
-use realrate::sim::{RunResult, SimConfig, Simulation, WorkModel};
+use realrate::sim::{Host, RunResult, SimConfig, Simulation, WorkModel};
 use std::sync::Arc;
 
 struct Spin;
@@ -65,9 +65,9 @@ fn one_cpu_machine_reproduces_the_pre_refactor_simulation_exactly() {
     assert_eq!(stats.quality_exceptions, 347);
     assert_eq!(stats.admission_rejections, 0);
     assert_eq!(stats.migrations, 0, "one CPU has nowhere to migrate to");
-    assert_eq!(sim.current_allocation_ppt(rt), 300);
-    assert_eq!(sim.current_allocation_ppt(hog), 325);
-    assert_eq!(sim.current_allocation_ppt(consumer), 325);
+    assert_eq!(sim.allocation_ppt(rt), 300);
+    assert_eq!(sim.allocation_ppt(hog), 325);
+    assert_eq!(sim.allocation_ppt(consumer), 325);
 
     // The machine view agrees with the single-dispatcher view.
     assert_eq!(sim.machine().cpu_count(), 1);
@@ -96,7 +96,7 @@ fn calendar_stepping_preserves_scheduling_outcomes() {
     // workload: 594 000 / 607 210 / 651 030 of 2 000 211 µs at `df90dc9`.
     let (sim, jobs) = run_fixed_workload();
     for (job, captured) in jobs.into_iter().zip([0.29697, 0.30357, 0.32548]) {
-        let share = sim.cpu_used_us(job) as f64 / sim.now_micros() as f64;
+        let share = sim.cpu_used(job).as_micros() as f64 / sim.now_micros() as f64;
         assert!(
             (share - captured).abs() < 0.02,
             "job delivery changed: {share} vs {captured}"

@@ -5,7 +5,7 @@ use realrate::core::{ControllerEvent, JobSpec};
 use realrate::scheduler::{
     CpuId, DispatcherConfig, Machine, Period, Proportion, Reservation, ThreadId, ThreadState,
 };
-use realrate::sim::{RunResult, SimConfig, Simulation, WorkModel};
+use realrate::sim::{Host, RunResult, SimConfig, Simulation, WorkModel};
 
 struct Spin;
 
@@ -50,7 +50,7 @@ fn arrival_on_a_machine_with_one_saturated_and_one_empty_cpu() {
     sim.run_for(2.0);
     let elapsed = sim.now_micros() as f64;
     for h in [first, second] {
-        let frac = sim.cpu_used_us(h) as f64 / elapsed;
+        let frac = sim.cpu_used(h).as_micros() as f64 / elapsed;
         assert!((frac - 0.9).abs() < 0.05, "reservation delivered {frac}");
     }
 }
@@ -157,7 +157,11 @@ fn four_cpu_simulation_quadruples_hog_throughput() {
             );
         }
         sim.run_for(3.0);
-        handles.iter().map(|h| sim.cpu_used_us(*h)).sum::<u64>() as f64 / sim.now_micros() as f64
+        handles
+            .iter()
+            .map(|h| sim.cpu_used(*h).as_micros())
+            .sum::<u64>() as f64
+            / sim.now_micros() as f64
     };
     let one = throughput(1);
     let four = throughput(4);

@@ -281,7 +281,7 @@ fn migration_and_slot_reuse_keep_every_thread_on_its_own_work_model() {
     jobs.extend((32..44).map(|i| add(&mut sim, i)));
     sim.run_for(1.5);
 
-    let migrations = sim.telemetry_snapshot().rebalance_migrations;
+    let migrations = sim.telemetry().rebalance_migrations;
     assert!(migrations > 0, "the emptied shards must pull jobs over");
     let moved = jobs
         .iter()
@@ -292,7 +292,7 @@ fn migration_and_slot_reuse_keep_every_thread_on_its_own_work_model() {
     for (h, used_us) in &jobs {
         assert_eq!(
             used_us.load(Ordering::Relaxed),
-            sim.cpu_used_us(*h),
+            sim.cpu_used(*h).as_micros(),
             "{:?}: model-side and machine-side CPU time",
             h.job
         );

@@ -20,7 +20,7 @@
 //! proof that the new front door is a zero-cost veneer over the
 //! simulator — same code path, same numbers, bit for bit.
 
-use realrate::api::{JobSpec, Period, Proportion, Runtime, SimTime};
+use realrate::api::{Host, JobSpec, Period, Proportion, Runtime, SimTime};
 use realrate::sim::{RunResult, SimStats, Simulation, WorkModel};
 
 /// Uses every cycle offered, never blocks.

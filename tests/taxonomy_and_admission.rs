@@ -3,7 +3,7 @@
 
 use realrate::core::{controller::AdmitError, JobSpec};
 use realrate::scheduler::{Period, Proportion};
-use realrate::sim::{SimConfig, Simulation};
+use realrate::sim::{Host, SimConfig, Simulation};
 use realrate::workloads::CpuHog;
 
 #[test]
@@ -37,9 +37,9 @@ fn real_time_jobs_are_admission_controlled_and_isolated() {
         .unwrap();
     sim.run_for(10.0);
 
-    let f1 = sim.cpu_used_us(rt1) as f64 / sim.now_micros() as f64;
-    let f2 = sim.cpu_used_us(rt2) as f64 / sim.now_micros() as f64;
-    let fh = sim.cpu_used_us(hog) as f64 / sim.now_micros() as f64;
+    let f1 = sim.cpu_used(rt1).as_micros() as f64 / sim.now_micros() as f64;
+    let f2 = sim.cpu_used(rt2).as_micros() as f64 / sim.now_micros() as f64;
+    let fh = sim.cpu_used(hog).as_micros() as f64 / sim.now_micros() as f64;
     assert!((f1 - 0.5).abs() < 0.05, "rt1 got {f1}, wanted ≈ 0.5");
     assert!((f2 - 0.3).abs() < 0.05, "rt2 got {f2}, wanted ≈ 0.3");
     assert!(
@@ -156,10 +156,10 @@ fn zero_proportion_real_time_job_is_admitted_and_stays_at_zero() {
         .unwrap();
     sim.run_for(3.0);
     // The reservation is honoured verbatim: never squished, never grown.
-    assert_eq!(sim.current_allocation_ppt(zero), 0);
+    assert_eq!(sim.allocation_ppt(zero), 0);
     // A zero reservation may still ride otherwise-idle dispatch slots, but
     // with a hog present it must get essentially nothing.
-    let fraction = sim.cpu_used_us(zero) as f64 / sim.now_micros() as f64;
+    let fraction = sim.cpu_used(zero).as_micros() as f64 / sim.now_micros() as f64;
     assert!(fraction < 0.02, "zero-proportion job used {fraction}");
 }
 
@@ -197,8 +197,8 @@ fn equal_importances_split_the_overload_equally() {
         )
         .unwrap();
     sim.run_for(15.0);
-    let ua = sim.cpu_used_us(a) as f64;
-    let ub = sim.cpu_used_us(b) as f64;
+    let ua = sim.cpu_used(a).as_micros() as f64;
+    let ub = sim.cpu_used(b).as_micros() as f64;
     let ratio = ua / ub.max(1.0);
     assert!(
         (0.8..1.25).contains(&ratio),
@@ -225,8 +225,8 @@ fn importance_changes_the_overload_split_but_never_starves() {
         )
         .unwrap();
     sim.run_for(15.0);
-    let imp = sim.cpu_used_us(important);
-    let hum = sim.cpu_used_us(humble);
+    let imp = sim.cpu_used(important).as_micros();
+    let hum = sim.cpu_used(humble).as_micros();
     assert!(
         imp > hum,
         "importance should bias the split ({imp} vs {hum})"

@@ -401,7 +401,7 @@ fn assert_sharded_steady_state_allocation_free() {
 // hot-coverage: crates/core/src/control_loop.rs
 fn assert_actuation_and_wake_paths_allocation_free() {
     use realrate::core::SimTime;
-    use realrate::sim::{RunResult, SimConfig, Simulation, WorkModel};
+    use realrate::sim::{Host, RunResult, SimConfig, Simulation, WorkModel};
 
     /// Computes for `busy_us`, then sleeps for `nap_us`.
     struct Napper {
@@ -454,18 +454,15 @@ fn assert_actuation_and_wake_paths_allocation_free() {
         .collect();
     sim.set_trace_interval(SimTime::from_secs(3600));
     sim.run_for(1.0);
-    let warm = sim.telemetry_snapshot();
-    let mut grants: Vec<u32> = jobs
-        .iter()
-        .map(|&j| sim.current_allocation_ppt(j))
-        .collect();
+    let warm = sim.telemetry();
+    let mut grants: Vec<u32> = jobs.iter().map(|&j| sim.allocation_ppt(j)).collect();
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut regrants = 0;
     for _ in 0..50 {
         sim.run_for(0.01);
         for (grant, &job) in grants.iter_mut().zip(&jobs) {
-            let now = sim.current_allocation_ppt(job);
+            let now = sim.allocation_ppt(job);
             regrants += (now != *grant) as u32;
             *grant = now;
         }
@@ -476,7 +473,7 @@ fn assert_actuation_and_wake_paths_allocation_free() {
         0,
         "actuations, wake events and blocked polls must perform no heap allocation"
     );
-    let done = sim.telemetry_snapshot();
+    let done = sim.telemetry();
     assert!(
         regrants >= 1500,
         "the fixture must keep the actuation loop busy, saw {regrants} re-grants in 50 cycles"
@@ -502,7 +499,7 @@ fn assert_actuation_and_wake_paths_allocation_free() {
 // hot-coverage: crates/scheduler/src/deque.rs
 fn assert_saturated_dispatch_allocation_free() {
     use realrate::core::SimTime;
-    use realrate::sim::{SimConfig, Simulation};
+    use realrate::sim::{Host, SimConfig, Simulation};
 
     let mut config = SimConfig::default().with_cpus(2);
     config.controller.placement.imbalance_threshold_ppt = u32::MAX;
@@ -517,7 +514,7 @@ fn assert_saturated_dispatch_allocation_free() {
     }
     sim.set_trace_interval(SimTime::from_secs(3600));
     sim.run_for(1.0);
-    let warm = sim.telemetry_snapshot();
+    let warm = sim.telemetry();
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     sim.run_for(0.5);
@@ -527,7 +524,7 @@ fn assert_saturated_dispatch_allocation_free() {
         0,
         "saturated dispatch (rotate, throttle, release) must perform no heap allocation"
     );
-    let done = sim.telemetry_snapshot();
+    let done = sim.telemetry();
     let dispatches = done.dispatches - warm.dispatches;
     assert!(dispatches >= 2000, "saw {dispatches} dispatches");
     assert_eq!(

@@ -52,39 +52,40 @@ pub struct ControllerConfig {
     pub period_estimation: bool,
     /// Model of the controller's own execution cost (Figure 5).
     pub cost_model: ControllerCostModel,
-    /// Multi-CPU placement: how many CPUs the Place stage spreads jobs
-    /// over, and when it migrates.  Defaults to the paper's single CPU.
+    /// Multi-CPU placement: how many CPUs jobs are spread over, and when
+    /// one migrates.  Defaults to the paper's single CPU.
     pub placement: PlacementConfig,
-    /// Opt-in incremental control cycles.
+    /// Whether the controller keeps its caches between cycles.
     ///
-    /// When enabled, a control cycle only recomputes jobs whose inputs
-    /// (sensed pressure, usage feedback or committed grant) changed since
-    /// the previous cycle; jobs at a proven bitwise fixed point are not
-    /// even visited, the squish is re-run only when some desired
-    /// proportion changed and the grants are not provably the same anyway,
-    /// and the migration candidate scan only runs when the per-CPU load
-    /// gap exceeds the imbalance bound.  Any structural
-    /// change — job add/remove, importance change, CPU-count change, a
-    /// registry mutation or a different cycle length — falls back to a
-    /// full staged cycle, so committed grants and placements are always
-    /// identical to the non-incremental path.
+    /// Every cycle recomputes only the jobs whose inputs (sensed pressure,
+    /// usage feedback or committed grant) changed since the previous one;
+    /// jobs at a proven bitwise fixed point are not even visited, the
+    /// squish re-runs only when some desired proportion changed and the
+    /// grants are not provably the same anyway, and the migration scan
+    /// runs only when the per-CPU load gap exceeds the imbalance bound.
+    /// Whatever invalidates the caches — job add/remove, a CPU added, a
+    /// registry mutation, a different cycle length, period estimation —
+    /// makes the next cycle rebuild them from the job table first, and
+    /// that cycle actuates every job and raises every squish and quality
+    /// event.  With `incremental` off every cycle rebuilds: the
+    /// from-scratch reference the maintained cycles are tested against.
+    /// Committed grants and placements are identical either way.
     ///
-    /// Two *observable* deltas are accepted and documented: actuations are
-    /// emitted only for jobs whose `(grant, period, cpu)` actually changed
-    /// (consumers must treat missing actuations as "unchanged"), and
-    /// squish/quality-exception events are emitted only on cycles that
-    /// recomputed the jobs involved.  Incremental mode requires
-    /// `period_estimation` to stay off (the paper's configuration); when
-    /// it is on every cycle falls back to the full path.
+    /// Two *observable* deltas separate a maintained cycle from a rebuild
+    /// one: actuations are emitted only for jobs whose `(grant, period,
+    /// cpu)` actually changed (consumers must treat missing actuations as
+    /// "unchanged"), and squish/quality-exception events only on cycles
+    /// that recomputed the jobs involved.  [`crate::ControlLoop`] turns it
+    /// on; a bare [`crate::Controller`] defaults to off.
     #[serde(default)]
     pub incremental: bool,
 }
 
-/// Configuration of the pipeline's Place stage (multi-CPU placement and
+/// Configuration of the controller's Place rule (multi-CPU placement and
 /// migration).
 ///
-/// With the default single CPU the stage pins every job to `cpu0` and
-/// never migrates, which is exactly the paper's machine.
+/// With the default single CPU every job sits on `cpu0` and never
+/// migrates, which is exactly the paper's machine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PlacementConfig {
     /// Number of CPUs jobs are placed onto (at least 1).
@@ -105,10 +106,11 @@ impl Default for PlacementConfig {
 }
 
 impl PlacementConfig {
-    /// The largest machine the Place stage will address.  Bounds the
-    /// per-CPU accumulators (and keeps `threshold × CPUs` far from u32
-    /// overflow) while comfortably exceeding any real machine.
-    pub const MAX_CPUS: usize = 4096;
+    /// The largest machine jobs are placed on: the scheduler's own
+    /// [`rrs_scheduler::Machine::MAX_CPUS`].  Bounds the per-CPU
+    /// accumulators (and keeps `threshold × CPUs` far from u32 overflow)
+    /// while comfortably exceeding any real machine.
+    pub const MAX_CPUS: usize = rrs_scheduler::Machine::MAX_CPUS;
 
     /// Number of CPUs, clamped to `1..=MAX_CPUS`.
     pub fn cpu_count(&self) -> usize {
@@ -177,7 +179,7 @@ mod tests {
         assert_eq!(c.default_period, Period::from_millis(30));
         assert_eq!(c.overload_threshold_ppt, 950);
         assert!(!c.period_estimation);
-        assert!(!c.incremental, "full staged cycles are the default");
+        assert!(!c.incremental, "a bare controller rebuilds every cycle");
         assert_eq!(c.min_proportion.ppt(), 1);
         assert_eq!(c.placement.cpus, 1, "the paper's machine has one CPU");
         assert_eq!(c.placement.cpu_count(), 1);

@@ -144,13 +144,16 @@ pub struct ControlLoop {
 
 impl ControlLoop {
     /// Creates a loop over a fresh controller and a fresh machine of
-    /// `controller.placement` CPUs.  The first cycle is due one controller
-    /// period after time zero.
+    /// `controller.placement` CPUs.  The controller keeps its caches
+    /// between cycles ([`ControllerConfig::incremental`] is forced on), as
+    /// the loop's integer-tick `dt` lets it.  The first cycle is due one
+    /// controller period after time zero.
     pub fn new(
-        controller: ControllerConfig,
+        mut controller: ControllerConfig,
         dispatcher: DispatcherConfig,
         registry: MetricRegistry,
     ) -> Self {
+        controller.incremental = true;
         let machine = Machine::new(dispatcher, controller.placement.cpu_count());
         let period_us = ((controller.controller_period_s * 1e6).round() as u64).max(1);
         let mut controller = Controller::new(controller, registry);
@@ -436,7 +439,7 @@ impl ControlLoop {
     ///   previous cycle (at least one microsecond), whatever the backend's
     ///   clock.
     /// * **Actuate**: applies each actuation through the slot table; a
-    ///   thread the Place stage moved migrates, is counted on both CPUs,
+    ///   thread the Place rule moved migrates, is counted on both CPUs,
     ///   and is charged `migration_cost_us` (cache and TLB refill on the
     ///   destination; zero on a backend that pays it for real).
     pub fn cycle(&mut self, now: SimTime, migration_cost_us: u64) -> u64 {
@@ -564,14 +567,14 @@ impl ControlLoop {
     /// resulting CPU count.
     ///
     /// New CPUs join with empty run queues at the shared clock; the
-    /// control pipeline's Place stage starts fitting jobs onto them (and
-    /// the Allocate stage's machine-wide capacity widens) on its next
-    /// cycle.  Shrinking is not supported — the machine layer has no
-    /// hot-remove — so a `cpus` at or below the current count is a no-op.
-    /// The count stays clamped to the Place stage's 4096-CPU bound.
+    /// controller's Place rule starts fitting jobs onto them (and its
+    /// machine-wide squish capacity widens) on its next cycle.  Shrinking
+    /// is not supported — the machine layer has no hot-remove — so a
+    /// `cpus` at or below the current count is a no-op.  The count stays
+    /// clamped to [`Machine::MAX_CPUS`].
     pub fn grow_cpus(&mut self, cpus: usize) -> usize {
         let n = self.machine.grow_to(cpus);
-        self.controller.set_cpus(n);
+        self.controller.grow_cpus(n);
         self.stats.per_cpu.resize(n, CpuStats::default());
         n
     }
@@ -694,7 +697,7 @@ mod tests {
     #[test]
     fn place_stage_migration_refreshes_the_handle_in_the_slot_table() {
         // a, b, c land cpu0 / cpu1 / cpu0; retiring b empties cpu1 while
-        // a and c crowd cpu0, so the Place stage migrates one of them.
+        // a and c crowd cpu0, so the Place rule migrates one of them.
         let mut ctl = bare(2);
         let a = ctl.admit(JobSpec::miscellaneous()).unwrap();
         let b = ctl.admit(JobSpec::miscellaneous()).unwrap();

@@ -1,18 +1,18 @@
 //! The adaptive controller tying monitoring, estimation and actuation
 //! together.
 //!
-//! Since the staged-pipeline refactor the controller is a thin shell: it
-//! owns the dense slot-indexed job table (`crate::slot::SlotTable`), the
-//! reusable `CycleContext` and output buffers, and drives the five
-//! pipeline stages of [`crate::pipeline`] once per controller period.  The
-//! cycle entry point, [`Controller::control_cycle_with_dt`], performs no
-//! heap allocation once the scratch buffers have warmed up.
+//! The controller owns the dense slot-indexed job table
+//! (`crate::slot::SlotTable`), the per-CPU loads, the caches its cycle
+//! maintains and the reused output buffers, and runs one cycle per
+//! controller period through the kernels of `crate::pipeline`.  The cycle
+//! entry point, [`Controller::control_cycle_with_dt`], performs no heap
+//! allocation once the buffers have warmed up.
 
 use crate::config::ControllerConfig;
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
 use crate::period::PeriodEstimatorConfig;
-use crate::pipeline::{self, CycleContext, JobEntry, JobTable, ResolvedSense};
+use crate::pipeline::{self, CpuLoads, JobEntry, JobTable, ResolvedSense};
 use crate::slot::{JobSlot, SlotSet};
 use crate::squish::{Importance, SquishColumns, SquishPolicy, SquishRequest};
 use crate::taxonomy::{JobClass, JobSpec};
@@ -97,7 +97,7 @@ pub struct Actuation {
     pub job: JobId,
     /// The new reservation.
     pub reservation: Reservation,
-    /// The CPU the Place stage has the job on.  Consumers holding the
+    /// The CPU the Place rule has the job on.  Consumers holding the
     /// thread on a different CPU should migrate it; on a single-CPU
     /// machine this is always `cpu0`.
     pub cpu: CpuId,
@@ -148,6 +148,8 @@ pub enum AdmitError {
         /// The proportion available for real-time reservations.
         available: Proportion,
     },
+    /// The CPU a migrating job was to land on is not on this machine.
+    NoSuchCpu(CpuId),
 }
 
 impl std::fmt::Display for AdmitError {
@@ -161,6 +163,7 @@ impl std::fmt::Display for AdmitError {
                 f,
                 "real-time admission rejected: requested {requested}, available {available}"
             ),
+            AdmitError::NoSuchCpu(cpu) => write!(f, "{cpu} is not on this machine"),
         }
     }
 }
@@ -169,6 +172,12 @@ impl std::error::Error for AdmitError {}
 
 /// The feedback-driven proportion allocator.
 ///
+/// Each cycle is one pass of the paper's loop — sense, control, actuate —
+/// over the jobs whose inputs changed.  A structural change (a job added
+/// or removed, a CPU added, a registry mutation, a new cycle length)
+/// first rebuilds what the cycle keeps between periods from the job
+/// table; that cycle then recomputes and actuates every job.
+///
 /// # Examples
 ///
 /// ```
@@ -176,14 +185,20 @@ impl std::error::Error for AdmitError {}
 /// use rrs_queue::MetricRegistry;
 ///
 /// let registry = MetricRegistry::new();
-/// let mut controller = Controller::new(ControllerConfig::default(), registry);
+/// let config = ControllerConfig::default().with_incremental(true);
+/// let mut controller = Controller::new(config, registry);
 /// let slot = controller.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
 ///
-/// // Steady-state path: record usage by slot, run the pipeline in place.
+/// // The admission forces a rebuild: the cycle actuates every job.
 /// controller.record_usage(slot, UsageSnapshot { usage_ratio: 1.0 });
 /// let out = controller.control_cycle_with_dt(0.01, 0.01);
 /// assert_eq!(out.actuations.len(), 1);
 /// assert_eq!(out.actuations[0].slot, slot);
+/// assert_eq!(controller.cycle_counts(), (1, 0));
+/// // The next cycle revisits what changed: the job's growing grant.
+/// let out = controller.control_cycle_with_dt(0.02, 0.01);
+/// assert_eq!(out.actuations.len(), 1);
+/// assert_eq!(controller.cycle_counts(), (1, 1));
 /// ```
 #[derive(Debug)]
 pub struct Controller {
@@ -196,52 +211,52 @@ pub struct Controller {
     /// default for a bare one.
     dispatch_interval_us: u64,
     jobs: JobTable,
-    ctx: CycleContext,
+    loads: CpuLoads,
     output: ControlOutput,
     cycles: u64,
-    /// Cycles that ran the full staged pipeline.
+    /// Cycles that began with a rebuild.
     full_cycles: u64,
-    /// Cycles served by the incremental dirty-set path.
+    /// Cycles that ran on the caches as they stood.
     incremental_cycles: u64,
-    /// Measure per-stage wall-clock time inside full cycles (telemetry).
+    /// Measure per-stage wall-clock time inside rebuild cycles (telemetry).
     stage_timing: bool,
-    /// Per-stage nanoseconds of the last *timed* full cycle, in pipeline
+    /// Per-stage nanoseconds of the last *timed* rebuild cycle, in loop
     /// order (sense, classify, estimate, allocate, place, actuate).
     last_stage_ns: [u64; 6],
-    /// Cumulative per-stage nanoseconds over all timed full cycles.
+    /// Cumulative per-stage nanoseconds over all timed rebuild cycles.
     stage_total_ns: [u64; 6],
     incr: IncrState,
 }
 
-/// Caches and scratch for [`ControllerConfig::incremental`] cycles.
+/// What the cycle keeps between controller periods, so a period costs
+/// the jobs whose inputs changed rather than the population.
 ///
-/// The caches mirror what a full staged cycle derives from scratch every
-/// time: the registry version the per-job `has_metric` flags and the
-/// resolved metrics were read at, the cycle length, the committed granted
-/// total, which jobs must be looked at and the squish inputs.  A full cycle rebuilds all of them; an
-/// incremental cycle maintains them under the changes it applies.
+/// Everything here is derived from the job table and the registry: which
+/// jobs are real-rate and where their queues are, the squish inputs, the
+/// registry version and cycle length they hold for, and which jobs must
+/// be looked at.  `Controller::rebuild` derives it all afresh; every other
+/// cycle maintains it under the changes it applies.
 #[derive(Debug)]
 struct IncrState {
     /// A structural change (job add/remove, importance, CPU count)
-    /// invalidated the caches; the next cycle must be full.
+    /// invalidated the caches; the next cycle must rebuild.
     structural_dirty: bool,
     /// Registry version the cached `has_metric` flags and `sense` were
     /// read at.
     registry_version: u64,
-    /// Cycle length of the last full cycle (bitwise-compared).
+    /// Cycle length of the last rebuild (bitwise-compared).
     last_dt: f64,
-    /// Sum of all committed grants, in parts per thousand.
-    granted_total_ppt: u32,
     /// Slots whose next recompute is not a proven no-op: the usage
     /// snapshot or the committed grant changed since the last one, or the
-    /// last one still moved state.  A full cycle marks every slot.
+    /// last one still moved state.  A rebuild cycle leaves every slot
+    /// marked.
     dirty: SlotSet,
     /// Real-rate slots.  Their pressure is sampled every cycle, and a
     /// clean one is recomputed only when the sample moved.
     real_rate: SlotSet,
-    /// Each job's attachments as the last full cycle's Sense visited
-    /// them, so the real-rate samples above read their queues without the
-    /// registry's lock or tree.
+    /// Each job's attachments as the last rebuild resolved them, so the
+    /// real-rate samples above read their queues without the registry's
+    /// lock or tree.
     sense: ResolvedSense,
     /// The squishable jobs' requests, one row each in slot order.
     columns: SquishColumns,
@@ -250,9 +265,11 @@ struct IncrState {
     /// Slot index → row, for squishable slots.
     row_of: Vec<u32>,
     /// Scratch: the rows this cycle recomputed, each with the cycle's
-    /// `Q_t` as captured before any reclaim damping, matching what the
-    /// staged path records in `CycleRecord::pressure_q`.
+    /// `Q_t` as captured before any reclaim damping.
     recomputed: Vec<(u32, f64)>,
+    /// Scratch: the fill levels one real-rate job's queues were sampled
+    /// at, for the period heuristic.
+    fills: Vec<f64>,
 }
 
 impl IncrState {
@@ -261,7 +278,6 @@ impl IncrState {
             structural_dirty: true,
             registry_version: 0,
             last_dt: 0.0,
-            granted_total_ppt: 0,
             dirty: SlotSet::default(),
             real_rate: SlotSet::default(),
             sense: ResolvedSense::default(),
@@ -269,6 +285,37 @@ impl IncrState {
             request_slots: Vec::new(),
             row_of: Vec::new(),
             recomputed: Vec::new(),
+            fills: Vec::new(),
+        }
+    }
+}
+
+/// Wall-clock laps over a rebuild cycle's six stages — sense, classify,
+/// estimate, allocate, place, actuate — when stage timing is on; inert
+/// otherwise.
+struct Laps {
+    mark: Option<std::time::Instant>,
+    ns: [u64; 6],
+}
+
+impl Laps {
+    // allow(determinism): opt-in stage timing (off by default) measures
+    // wall-clock cost per stage for telemetry; the durations feed
+    // TelemetrySnapshot only and never a control decision.  Allowlisted
+    // in analysis.toml.
+    fn start(on: bool) -> Self {
+        Self {
+            mark: on.then(std::time::Instant::now),
+            ns: [0; 6],
+        }
+    }
+
+    /// Ends `stage`'s lap.
+    fn lap(&mut self, stage: usize) {
+        if let Some(mark) = &mut self.mark {
+            let now = std::time::Instant::now();
+            self.ns[stage] = now.duration_since(*mark).as_nanos() as u64;
+            *mark = now;
         }
     }
 }
@@ -276,15 +323,13 @@ impl IncrState {
 impl Controller {
     /// Creates a controller over the given metric registry.
     pub fn new(config: ControllerConfig, registry: MetricRegistry) -> Self {
-        let mut ctx = CycleContext::new();
-        ctx.reset_cpu_loads(config.placement.cpu_count());
         Self {
             estimator: ProportionEstimator::new(&config),
             dispatch_interval_us: PeriodEstimatorConfig::default().dispatch_interval_us,
             config,
             registry,
             jobs: JobTable::new(),
-            ctx,
+            loads: CpuLoads::new(config.placement.cpu_count()),
             output: {
                 let mut output = ControlOutput::default();
                 // Room for a squish event, a migration and a couple of
@@ -308,25 +353,20 @@ impl Controller {
         &self.config
     }
 
-    /// Changes the number of CPUs the Place stage spreads jobs over
-    /// (clamped to `1..=PlacementConfig::MAX_CPUS`), mid-run.
-    ///
-    /// Growing the machine takes effect on the next control cycle: the
-    /// Allocate stage's capacity (`overload_threshold × CPUs`) widens and
-    /// the Place stage starts fitting jobs onto the new CPUs.  Shrinking
-    /// remaps any job placed on a now-out-of-range CPU on the next cycle;
-    /// callers driving a real [`rrs_scheduler::Machine`] should only ever
-    /// grow, since the machine layer has no hot-remove.
-    pub(crate) fn set_cpus(&mut self, cpus: usize) {
-        self.config.placement.cpus = cpus.clamp(1, crate::config::PlacementConfig::MAX_CPUS);
+    /// Grows the machine jobs are placed on to `cpus` CPUs (at most
+    /// `PlacementConfig::MAX_CPUS`), mid-run; a count at or below the
+    /// current one changes nothing, as the machine layer has no
+    /// hot-remove.  The next cycle rebuilds: the squish capacity
+    /// (`overload_threshold × CPUs`) widens and Place starts fitting jobs
+    /// onto the new CPUs.
+    pub(crate) fn grow_cpus(&mut self, cpus: usize) {
+        let placement = &mut self.config.placement;
+        placement.cpus = cpus.clamp(
+            placement.cpu_count(),
+            crate::config::PlacementConfig::MAX_CPUS,
+        );
+        self.loads.grow(placement.cpus);
         self.incr.structural_dirty = true;
-        // Re-count the per-CPU loads over the new range.  A job left on a
-        // CPU that fell off a shrunken machine counts nowhere until the
-        // Place stage pulls it back on next cycle.
-        self.ctx.reset_cpu_loads(self.config.placement.cpu_count());
-        for (_, _, entry) in self.jobs.iter() {
-            self.ctx.shift_cpu_load(entry, true);
-        }
     }
 
     /// Sets the dispatch interval period estimation quantises budgets
@@ -350,29 +390,29 @@ impl Controller {
         self.cycles
     }
 
-    /// `(full, incremental)` cycle counts: how many cycles ran the full
-    /// staged pipeline versus the dirty-set incremental path.  Their sum
+    /// `(full, incremental)` cycle counts: how many cycles began with a
+    /// rebuild versus ran on the caches as they stood.  Their sum
     /// is [`Controller::cycles`]; `incremental / total` is the
     /// incremental-cycle skip rate telemetry reports.
     pub fn cycle_counts(&self) -> (u64, u64) {
         (self.full_cycles, self.incremental_cycles)
     }
 
-    /// Enables (or disables) per-stage wall-clock timing inside full
+    /// Enables (or disables) per-stage wall-clock timing inside rebuild
     /// cycles.  Off by default: the steady-state cycle stays free of
     /// clock reads.
     pub(crate) fn set_stage_timing(&mut self, on: bool) {
         self.stage_timing = on;
     }
 
-    /// Per-stage nanoseconds of the last timed full cycle, in pipeline
+    /// Per-stage nanoseconds of the last timed rebuild cycle, in loop
     /// order (sense, classify, estimate, allocate, place, actuate).  All
-    /// zero until a full cycle runs with stage timing enabled.
+    /// zero until a rebuild cycle runs with stage timing enabled.
     pub(crate) fn last_stage_ns(&self) -> [u64; 6] {
         self.last_stage_ns
     }
 
-    /// Cumulative per-stage nanoseconds over all timed full cycles.
+    /// Cumulative per-stage nanoseconds over all timed rebuild cycles.
     pub fn stage_total_ns(&self) -> [u64; 6] {
         self.stage_total_ns
     }
@@ -406,7 +446,7 @@ impl Controller {
     /// sharded machine's per-shard load metric.  `O(CPUs)`: summed from
     /// the per-CPU load accumulators, not the job table.
     pub fn granted_total_ppt(&self) -> u64 {
-        self.ctx.granted_total_ppt()
+        self.loads.granted_total_ppt()
     }
 
     /// Visits every live job in slot order with its id, effective class
@@ -465,7 +505,7 @@ impl Controller {
         };
         let mut entry = JobEntry::new(spec, importance, &self.config);
         entry.cpu = cpu;
-        self.ctx.shift_cpu_load(&entry, true);
+        self.loads.shift(&entry, true);
         self.incr.structural_dirty = true;
         Ok(self
             .jobs
@@ -500,7 +540,7 @@ impl Controller {
     /// job is actually leaving the system.
     pub fn extract_job(&mut self, job: JobId) -> Option<MigratedJob> {
         let (_, entry) = self.jobs.remove(job)?;
-        self.ctx.shift_cpu_load(&entry, false);
+        self.loads.shift(&entry, false);
         self.incr.structural_dirty = true;
         Some(MigratedJob { job, entry })
     }
@@ -510,16 +550,20 @@ impl Controller {
     /// an explicit CPU, preserving its estimator and grant state.
     ///
     /// No admission control runs here — the caller (the rebalancer) has
-    /// already ruled on capacity.  Fails only on a duplicate id.
+    /// already ruled on capacity.  Fails on a duplicate id and on a CPU
+    /// this machine does not have.
     pub fn inject_job(&mut self, migrated: MigratedJob, cpu: CpuId) -> Result<JobSlot, AdmitError> {
         let MigratedJob { job, mut entry } = migrated;
         if self.jobs.slot_of(job).is_some() {
             return Err(AdmitError::Duplicate(job));
         }
+        if cpu.index() >= self.loads.granted.len() {
+            return Err(AdmitError::NoSuchCpu(cpu));
+        }
         entry.cpu = cpu;
-        self.ctx.shift_cpu_load(&entry, true);
+        self.loads.shift(&entry, true);
         // The receiving controller has never cycled over this job; the
-        // full cycle this forces recomputes it.
+        // rebuild this forces recomputes it.
         self.incr.structural_dirty = true;
         Ok(self
             .jobs
@@ -553,9 +597,9 @@ impl Controller {
     /// Lowest id wins ties, so a single-CPU machine always answers `cpu0`.
     fn least_loaded_cpu(&self, fixed_only: bool) -> (CpuId, u64) {
         let loads = if fixed_only {
-            &self.ctx.cpu_fixed_load
+            &self.loads.fixed
         } else {
-            &self.ctx.cpu_load
+            &self.loads.granted
         };
         let mut best = CpuId::ZERO;
         let mut best_load = u64::MAX;
@@ -568,12 +612,12 @@ impl Controller {
         (best, best_load)
     }
 
-    /// The CPU the Place stage currently has a job on.
+    /// The CPU the Place rule currently has a job on.
     pub fn cpu_of(&self, job: JobId) -> Option<CpuId> {
         self.jobs.get_by_id(job).map(|e| e.cpu)
     }
 
-    /// The CPU the Place stage currently has the job at `slot` on.
+    /// The CPU the Place rule currently has the job at `slot` on.
     pub(crate) fn cpu_of_slot(&self, slot: JobSlot) -> Option<CpuId> {
         self.jobs.get(slot).map(|e| e.cpu)
     }
@@ -589,17 +633,17 @@ impl Controller {
     /// `dt` seconds (non-positive falls back to the configured period) and
     /// returns a reference to the reused output buffers.
     ///
-    /// Once the scratch buffers have warmed up it performs no heap
-    /// allocation.  Usage feedback is taken from the sticky snapshots
-    /// recorded via [`Controller::record_usage`] (full usage when none was
-    /// ever recorded).
+    /// Once the buffers have warmed up it performs no heap allocation.
+    /// Usage feedback is taken from the sticky snapshots recorded via
+    /// [`Controller::record_usage`] (full usage when none was ever
+    /// recorded).
     ///
-    /// With [`ControllerConfig::incremental`] enabled and no structural
-    /// change pending, the cycle recomputes only jobs whose inputs changed
-    /// and emits actuations only for jobs whose `(grant, period, cpu)`
-    /// actually moved; otherwise it runs the full staged pipeline.  It
-    /// also falls back to a full cycle whenever `dt` is not bitwise-equal
-    /// to the previous one, so callers derive `dt` from integer ticks
+    /// The cycle recomputes only the jobs whose inputs changed and emits
+    /// actuations only for jobs whose `(grant, period, cpu)` moved — unless
+    /// it must rebuild its caches first (see
+    /// [`ControllerConfig::incremental`]), when it recomputes and actuates
+    /// every job.  A `dt` that is not bitwise-equal to the previous one
+    /// forces a rebuild, so callers derive `dt` from integer ticks
     /// ([`crate::ControlLoop::cycle`] does): differences of accumulated
     /// floating-point timestamps jitter in the last ulp.
     pub fn control_cycle_with_dt(&mut self, now_s: f64, dt: f64) -> &ControlOutput {
@@ -609,19 +653,26 @@ impl Controller {
             self.config.controller_period_s
         };
         self.cycles += 1;
-
-        if self.needs_full_cycle(dt) {
+        let rebuild = self.needs_rebuild(dt);
+        let mut laps = Laps::start(rebuild && self.stage_timing);
+        if rebuild {
             self.full_cycles += 1;
-            self.full_cycle(now_s, dt);
+            self.rebuild(dt, &mut laps);
         } else {
             self.incremental_cycles += 1;
-            self.incremental_cycle(now_s, dt);
+        }
+        self.cycle(now_s, dt, rebuild, &mut laps);
+        if laps.mark.is_some() {
+            self.last_stage_ns = laps.ns;
+            for (total, n) in self.stage_total_ns.iter_mut().zip(laps.ns) {
+                *total += n;
+            }
         }
         &self.output
     }
 
-    /// Whether the next cycle must run the full staged pipeline.
-    fn needs_full_cycle(&self, dt: f64) -> bool {
+    /// Whether the next cycle must rebuild its caches first.
+    fn needs_rebuild(&self, dt: f64) -> bool {
         !self.config.incremental
             || self.config.period_estimation
             || self.incr.structural_dirty
@@ -629,120 +680,101 @@ impl Controller {
             || dt.to_bits() != self.incr.last_dt.to_bits()
     }
 
-    /// The classic staged pipeline, plus (in incremental mode) a rebuild of
-    /// every incremental cache from the cycle's context.
-    fn full_cycle(&mut self, now_s: f64, dt: f64) {
-        self.ctx.begin(now_s, dt);
-        // allow(determinism): opt-in stage timing (off by default)
-        // measures wall-clock cost per pipeline stage for telemetry; the
-        // durations feed TelemetrySnapshot only and never a control
-        // decision.  Allowlisted in analysis.toml.
-        let mut ns = [0u64; 6];
-        let mut mark = self.stage_timing.then(std::time::Instant::now);
-        let mut lap = |stage: usize| {
-            if let Some(mark) = &mut mark {
-                let now = std::time::Instant::now();
-                ns[stage] = now.duration_since(*mark).as_nanos() as u64;
-                *mark = now;
-            }
-        };
-        pipeline::sense(
-            &self.registry,
-            &mut self.jobs,
-            self.config.period_estimation,
-            self.config.incremental.then_some(&mut self.incr.sense),
-            &mut self.ctx,
-        );
-        lap(0);
-        pipeline::classify(&self.config, &mut self.jobs, &mut self.ctx);
-        lap(1);
-        pipeline::estimate(
-            &self.config,
-            &self.estimator,
-            self.dispatch_interval_us,
-            &mut self.jobs,
-            &mut self.ctx,
-        );
-        lap(2);
-        pipeline::allocate(&self.config, &mut self.ctx);
-        lap(3);
-        pipeline::place(&self.config, &mut self.jobs, &mut self.ctx);
-        lap(4);
-        pipeline::actuate(&self.config, &mut self.jobs, &self.ctx, &mut self.output);
-        lap(5);
-        if self.stage_timing {
-            self.last_stage_ns = ns;
-            for (total, n) in self.stage_total_ns.iter_mut().zip(ns) {
-                *total += n;
-            }
-        }
+    /// Derives everything the cycle keeps between periods afresh from the
+    /// job table and the registry — Sense: each job's queues and whether
+    /// it has any; Classify: the real-time jobs' periods and grants, the
+    /// per-CPU loads and the squishable jobs' squish rows.  Every slot is
+    /// left marked and the squish due, so the cycle that follows
+    /// recomputes and regrants every job.
+    fn rebuild(&mut self, dt: f64, laps: &mut Laps) {
+        let Self {
+            config,
+            registry,
+            jobs,
+            loads,
+            incr,
+            ..
+        } = self;
+        incr.registry_version = registry.version();
+        incr.sense.resolve(registry, jobs);
+        laps.lap(0);
 
-        if self.config.incremental {
-            let (incr, ctx) = (&mut self.incr, &self.ctx);
-            incr.registry_version = self.registry.version();
-            incr.last_dt = dt;
-            incr.granted_total_ppt = self.output.total_granted_ppt;
-            let dense_len = self.jobs.dense_len();
-            incr.dirty.reset(dense_len);
-            incr.real_rate.reset(dense_len);
-            incr.row_of.clear();
-            incr.row_of.resize(dense_len, u32::MAX);
-            incr.request_slots.clear();
-            for record in &ctx.records {
-                let entry = self.jobs.get_mut(record.slot).expect("record slot is live");
-                entry.has_metric = record.has_metric;
-                let index = record.slot.index();
-                incr.dirty.insert(index);
-                if record.class == JobClass::RealRate {
-                    incr.real_rate.insert(index);
+        let dense_len = jobs.dense_len();
+        incr.dirty.reset(dense_len);
+        incr.real_rate.reset(dense_len);
+        incr.row_of.clear();
+        incr.row_of.resize(dense_len, u32::MAX);
+        incr.request_slots.clear();
+        loads.clear();
+        let mut fixed_total_ppt = 0;
+        for (slot, job, entry) in jobs.iter_mut() {
+            let index = slot.index();
+            incr.dirty.insert(index);
+            match entry.class() {
+                JobClass::RealTime | JobClass::AperiodicRealTime => {
+                    let p = entry
+                        .spec
+                        .proportion
+                        .expect("a reservation has a proportion");
+                    entry.granted = p;
+                    entry.period = entry.spec.period.unwrap_or(config.default_period);
+                    fixed_total_ppt += p.ppt();
                 }
-                if record.class.is_squishable() {
+                class => {
+                    if class == JobClass::RealRate {
+                        incr.real_rate.insert(index);
+                    }
                     incr.row_of[index] = incr.request_slots.len() as u32;
-                    incr.request_slots.push((record.slot, record.job));
+                    incr.request_slots.push((slot, job));
                 }
             }
-            // The same rows, in the same order, the Allocate stage just
-            // evaluated.
-            let floor = self.config.min_proportion;
-            incr.columns.rebuild(
-                ctx.available_ppt,
-                ctx.adaptive.iter().map(|&i| {
-                    let record = &ctx.records[i as usize];
-                    SquishRequest {
-                        desired: record.desired,
-                        importance: record.importance,
-                        floor,
-                    }
-                }),
-            );
-            incr.structural_dirty = false;
+            loads.shift(entry, true);
         }
+        // The machine's capacity is `overload_threshold × CPUs`: on the
+        // paper's single CPU exactly the original threshold.  The rows'
+        // desires are placeholders the cycle overwrites.
+        let capacity_ppt = config.overload_threshold_ppt * config.placement.cpu_count() as u32;
+        let floor = config.min_proportion;
+        incr.columns.rebuild(
+            capacity_ppt.saturating_sub(fixed_total_ppt),
+            incr.request_slots.iter().map(|&(slot, _)| SquishRequest {
+                desired: Proportion::ZERO,
+                importance: jobs.get(slot).expect("request slot is live").importance,
+                floor,
+            }),
+        );
+        incr.last_dt = dt;
+        incr.structural_dirty = false;
+        laps.lap(1);
     }
 
-    /// One incremental cycle, at a cost that follows the jobs whose inputs
-    /// changed rather than the population: recompute only the marked
-    /// slots, re-squish only when some desired proportion moved and the
-    /// squish columns cannot prove the grants unchanged, scan for a
-    /// migration only when the per-CPU load gap exceeds the bound, and
-    /// emit actuations only for jobs whose committed `(grant, period,
-    /// cpu)` changed.
+    /// One pass of the loop, at a cost that follows the jobs whose inputs
+    /// changed rather than the population: recompute the marked slots
+    /// (and the real-rate ones whose queues moved), re-squish only when
+    /// some desired proportion moved and the squish columns cannot prove
+    /// the grants unchanged, scan for a migration only when the per-CPU
+    /// load gap exceeds the bound, and emit actuations only for jobs whose
+    /// committed `(grant, period, cpu)` changed.
     ///
-    /// Committed state (grants, desires, PID state, placements) evolves
-    /// exactly as under [`Controller::full_cycle`]: both decide through the
-    /// same [`crate::pipeline`] kernels, a job leaves the dirty set only
-    /// after a recompute proved itself a bitwise no-op
+    /// After a `rebuild` every slot is marked, so the same pass recomputes
+    /// and regrants every job, raises `Squished` whenever the machine is
+    /// overloaded and actuates every job — fixed reservations first, then
+    /// the adaptive ones, each in slot order.  Otherwise a job leaves the
+    /// dirty set only after a recompute proved itself a bitwise no-op
     /// ([`crate::PressureEstimator::state_fingerprint`]), and every input a
     /// recompute reads either re-marks the slot when it changes (usage,
     /// committed grant), is re-sampled every cycle (a real-rate job's
-    /// pressure) or forces a full cycle (cycle length, importance, spec,
-    /// registry attachments).
-    fn incremental_cycle(&mut self, now_s: f64, dt: f64) {
+    /// pressure) or forces a rebuild (cycle length, importance, spec,
+    /// registry attachments): committed grants and placements evolve
+    /// exactly as if every cycle rebuilt.
+    fn cycle(&mut self, now_s: f64, dt: f64, rebuild: bool, laps: &mut Laps) {
         let Self {
             config,
             registry,
             estimator,
+            dispatch_interval_us,
             jobs,
-            ctx,
+            loads,
             output,
             incr,
             ..
@@ -751,12 +783,12 @@ impl Controller {
         output.events.clear();
         incr.recomputed.clear();
 
-        // Fused sense / classify / estimate over the marked slots, in slot
-        // order.  Only real-rate jobs sample queues, through the metrics the
-        // last full cycle resolved (they, like the cached `has_metric`, are
-        // valid while the registry version is unchanged, which
-        // `needs_full_cycle` guarantees here).
-        let mut desired_changed = false;
+        // Sense / classify / estimate, fused over the marked slots in slot
+        // order.  Only real-rate jobs sample queues, through the
+        // attachments the last rebuild resolved (they, like the cached
+        // `has_metric`, are valid while the registry version is unchanged,
+        // which `needs_rebuild` guarantees here).
+        let mut desired_changed = rebuild;
         for w in 0..incr.dirty.word_count() {
             let mut pending = incr.dirty.word(w) | incr.real_rate.word(w);
             while pending != 0 {
@@ -765,20 +797,27 @@ impl Controller {
                 let Some((_, job, entry)) = jobs.entry_at_mut(index) else {
                     continue;
                 };
-                let class = entry.spec.with_progress_metric(entry.has_metric).classify();
+                let class = entry.class();
                 if !class.is_squishable() {
                     // Fixed reservations cannot change between structural
-                    // events, and those force a full cycle.
+                    // events, and those force a rebuild.
                     incr.dirty.remove(index);
                     continue;
                 }
+                let estimate_period = config.period_estimation && class == JobClass::RealRate;
                 let summed = match class {
                     JobClass::RealRate => {
                         debug_assert!(
                             incr.sense.mirrors(registry, index, job.key()),
                             "{job}'s resolved metrics diverged from the registry"
                         );
-                        incr.sense.summed_pressure(index)
+                        let fills = if estimate_period {
+                            incr.fills.clear();
+                            Some(&mut incr.fills)
+                        } else {
+                            None
+                        };
+                        incr.sense.summed_pressure(index, fills)
                     }
                     _ => config.misc_pressure,
                 };
@@ -790,7 +829,9 @@ impl Controller {
 
                 let before = entry.pressure.state_fingerprint();
                 let (q, desired) = entry.demand(estimator, summed, entry.usage.usage_ratio, dt);
-                if entry.spec.period.is_none() {
+                if estimate_period {
+                    entry.estimate_period(&incr.fills, *dispatch_interval_us);
+                } else if entry.spec.period.is_none() {
                     entry.period = config.default_period;
                 }
                 let row = incr.row_of[index];
@@ -810,9 +851,11 @@ impl Controller {
                 incr.recomputed.push((row, q));
             }
         }
+        laps.lap(2);
 
-        // Allocate: the squish is a pure function of (desires, importances,
-        // available); nothing changed unless some desired moved.
+        // Allocate (§3.3, "Responding to Overload"): the squish is a pure
+        // function of (desires, importances, available); nothing changed
+        // unless some desired moved.
         if desired_changed {
             if incr.columns.overloaded() {
                 output.events.push(ControllerEvent::Squished {
@@ -826,9 +869,7 @@ impl Controller {
                     if grant == entry.granted {
                         continue;
                     }
-                    incr.granted_total_ppt =
-                        incr.granted_total_ppt + grant.ppt() - entry.granted.ppt();
-                    let load = &mut ctx.cpu_load[entry.cpu.index()];
+                    let load = &mut loads.granted[entry.cpu.index()];
                     *load = *load - entry.granted.ppt() as u64 + grant.ppt() as u64;
                     entry.granted = grant;
                     // The grant is an input of the next recompute.
@@ -842,13 +883,13 @@ impl Controller {
                 }
             }
         }
+        laps.lap(3);
 
-        // Place: the cached per-CPU loads are current; run the candidate
-        // scan only when the imbalance bound is actually exceeded.
-        if let Some((max_c, min_c, gap)) = pipeline::imbalance(&ctx.cpu_load, config) {
+        // Place: the per-CPU loads are current; run the candidate scan only
+        // when the imbalance bound is actually exceeded.
+        if let Some((max_c, min_c, gap)) = pipeline::imbalance(&loads.granted, config) {
             let on_max = jobs.iter().filter_map(|(slot, job, entry)| {
-                let class = entry.spec.with_progress_metric(entry.has_metric).classify();
-                (entry.cpu.index() == max_c && class.is_squishable())
+                (entry.cpu.index() == max_c && entry.class().is_squishable())
                     .then_some(((slot, job), entry.granted))
             });
             if let Some((slot, job)) = pipeline::migrant(gap, on_max) {
@@ -857,8 +898,8 @@ impl Controller {
                 let to = CpuId(min_c as u32);
                 entry.cpu = to;
                 let g = entry.granted.ppt() as u64;
-                ctx.cpu_load[from.index()] -= g;
-                ctx.cpu_load[to.index()] += g;
+                loads.granted[from.index()] -= g;
+                loads.granted[to.index()] += g;
                 output
                     .events
                     .push(ControllerEvent::Migrated { job, from, to });
@@ -876,8 +917,9 @@ impl Controller {
                 }
             }
         }
+        laps.lap(4);
 
-        // Quality exceptions for the jobs this cycle actually recomputed.
+        // Actuate: quality exceptions for the jobs this cycle recomputed.
         for &(row, q) in &incr.recomputed {
             let (slot, job) = incr.request_slots[row as usize];
             let granted = jobs.get(slot).expect("recomputed slot is live").granted;
@@ -886,9 +928,28 @@ impl Controller {
                 config, job, desired, granted, q, now_s,
             ));
         }
-
-        output.total_granted_ppt = incr.granted_total_ppt;
+        if rebuild {
+            // Every job's reservation, fixed ones first; every slot stays
+            // marked, so the next cycle recomputes every job once more.
+            output.actuations.clear();
+            for fixed in [true, false] {
+                for (slot, job, entry) in jobs.iter() {
+                    if entry.class().is_squishable() == fixed {
+                        continue;
+                    }
+                    incr.dirty.insert(slot.index());
+                    output.actuations.push(Actuation {
+                        slot,
+                        job,
+                        reservation: Reservation::new(entry.granted, entry.period),
+                        cpu: entry.cpu,
+                    });
+                }
+            }
+        }
+        output.total_granted_ppt = loads.granted_total_ppt() as u32;
         output.cost_us = config.cost_model.invocation_cost_us(jobs.len());
+        laps.lap(5);
     }
 }
 
@@ -920,16 +981,13 @@ mod tests {
         let cpus = c.config.placement.cpu_count();
         let (mut granted, mut fixed) = (vec![0u64; cpus], vec![0u64; cpus]);
         for (_, _, e) in c.jobs.iter() {
-            if e.cpu.index() >= cpus {
-                continue;
-            }
             granted[e.cpu.index()] += e.granted.ppt() as u64;
             if !e.spec.classify().is_squishable() {
                 fixed[e.cpu.index()] += e.spec.proportion.map_or(0, |p| p.ppt() as u64);
             }
         }
-        assert_eq!(c.ctx.cpu_load, granted, "granted load per CPU");
-        assert_eq!(c.ctx.cpu_fixed_load, fixed, "fixed load per CPU");
+        assert_eq!(c.loads.granted, granted, "granted load per CPU");
+        assert_eq!(c.loads.fixed, fixed, "fixed load per CPU");
         let total: u64 = c.jobs.iter().map(|(_, _, e)| e.granted.ppt() as u64).sum();
         assert_eq!(c.granted_total_ppt(), total, "granted total");
     }
@@ -1396,27 +1454,42 @@ mod tests {
             cycle(&mut c, 20);
             assert!(c.remove_job(JobId(0)));
             assert_cpu_loads_current(&c);
-            // Shrink under the jobs on cpu2, admit while they are stale,
-            // let the Place stage pull them back, then grow again.
-            c.set_cpus(2);
+            // Grow under the jobs, admit onto the empty CPU, let Place
+            // spread the load.
+            c.grow_cpus(4);
             assert_cpu_loads_current(&c);
             c.add_job(JobId(20), JobSpec::miscellaneous()).unwrap();
+            assert_eq!(c.cpu_of(JobId(20)), Some(CpuId(3)));
             assert_cpu_loads_current(&c);
             cycle(&mut c, 5);
-            c.set_cpus(3);
-            assert_cpu_loads_current(&c);
-            cycle(&mut c, 5);
-            // Cross-controller migration, onto a CPU and off the machine.
+            // Cross-controller migration.
             let moved = c.extract_job(JobId(6)).unwrap();
             assert_cpu_loads_current(&c);
             other.inject_job(moved, CpuId(1)).unwrap();
             assert_cpu_loads_current(&other);
-            let moved = c.extract_job(JobId(1)).unwrap();
-            other.inject_job(moved, CpuId(7)).unwrap();
-            assert_cpu_loads_current(&other);
             cycle(&mut other, 3);
             cycle(&mut c, 3);
         }
+    }
+
+    #[test]
+    fn inject_rejects_a_cpu_off_the_machine() {
+        let config = ControllerConfig::default().with_cpus(2);
+        let mut src = Controller::new(config, MetricRegistry::new());
+        let mut dst = Controller::new(config, MetricRegistry::new());
+        src.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
+        let moved = src.extract_job(JobId(1)).unwrap();
+        let err = dst.inject_job(moved, CpuId(2)).unwrap_err();
+        assert_eq!(err, AdmitError::NoSuchCpu(CpuId(2)));
+        assert_eq!(err.to_string(), "cpu2 is not on this machine");
+        assert_eq!(dst.job_count(), 0);
+        assert_cpu_loads_current(&dst);
+        // The same job lands on a CPU the machine has.
+        src.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
+        let moved = src.extract_job(JobId(2)).unwrap();
+        dst.inject_job(moved, CpuId(1)).unwrap();
+        assert_eq!(dst.cpu_of(JobId(2)), Some(CpuId(1)));
+        assert_cpu_loads_current(&dst);
     }
 
     #[test]
@@ -1534,8 +1607,8 @@ mod tests {
                 );
             }
         }
-        // At the fixed point the full path still re-emits every actuation,
-        // while the incremental path emits none (and costs the same by the
+        // At the fixed point the rebuilding controller still re-emits every
+        // actuation, while the maintained one emits none (and costs the same by the
         // model, which charges per managed job).
         let out_full = full.control_cycle_with_dt(9.01, dt).clone();
         let out_incr = incr.control_cycle_with_dt(9.01, dt).clone();
@@ -1548,7 +1621,7 @@ mod tests {
         assert_eq!(out_full.total_granted_ppt, out_incr.total_granted_ppt);
         assert_eq!(out_full.cost_us, out_incr.cost_us);
         // A structural change snaps the incremental controller back to a
-        // full (all-actuations) cycle.
+        // rebuild (all-actuations) cycle.
         incr.add_job(JobId(99), JobSpec::miscellaneous()).unwrap();
         let out = incr.control_cycle_with_dt(9.02, dt);
         assert_eq!(out.actuations.len(), 5);
@@ -1590,7 +1663,7 @@ mod tests {
         assert_eq!(full.granted(JobId(1)), incr.granted(JobId(1)));
     }
 
-    /// The incremental cycle samples the metrics the full cycle resolved,
+    /// A maintained cycle samples the metrics the last rebuild resolved,
     /// not the registry — and must sum them to the registry's value bit
     /// for bit, because its skip test compares `to_bits()`.  A producer at
     /// exactly half fill contributes `−1 · 0 = −0.0`: two of them sum to
@@ -1612,7 +1685,7 @@ mod tests {
         registry.register(JobKey(1), Role::Producer, other.clone());
         let slot = c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
         let sensed = |c: &Controller| {
-            let resolved = c.incr.sense.summed_pressure(slot.index());
+            let resolved = c.incr.sense.summed_pressure(slot.index(), None);
             let expected = registry.summed_pressure(JobKey(1)).unwrap();
             assert_eq!(
                 resolved.to_bits(),
@@ -1621,8 +1694,8 @@ mod tests {
             );
             resolved
         };
-        // The full cycle resolves; walk the second queue through every
-        // level on incremental cycles, crossing half fill both ways.
+        // The first cycle rebuilds; walk the second queue through every
+        // level on maintained cycles, crossing half fill both ways.
         let levels = [3, 0, 1, 2, 3, 4, 5, 6, 3];
         for (i, level) in levels.into_iter().enumerate() {
             other.drain();
@@ -1648,8 +1721,8 @@ mod tests {
     }
 
     proptest! {
-        /// The incremental controller against the staged reference: the
-        /// same operation sequence drives one controller of each mode on a
+        /// The incremental controller against the rebuild-every-cycle
+        /// reference: the same operation sequence drives one of each on a
         /// two-CPU machine, and after every paired cycle the committed
         /// state (grants, placements, totals) must match exactly, as must
         /// the state reconstructed by *applying* each side's emitted

@@ -41,7 +41,7 @@ pub enum ControllerEvent {
         /// per thousand.
         available_ppt: u32,
     },
-    /// The Place stage moved a job to another CPU to rebalance load.
+    /// The Place rule moved a job to another CPU to rebalance load.
     Migrated {
         /// The job that moved.
         job: JobId,

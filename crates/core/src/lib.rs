@@ -3,8 +3,8 @@
 //!
 //! The adaptive controller (§3.3) sits between the progress monitors (the
 //! symbiotic interfaces of `rrs-queue`) and the reservation scheduler
-//! (`rrs-scheduler`).  Every controller period one cycle flows through the
-//! staged control-plane pipeline of [`pipeline`]:
+//! (`rrs-scheduler`).  Every controller period one cycle of
+//! [`controller::Controller`] runs the paper's loop in six steps:
 //!
 //! ```text
 //!   Sense ──▶ Classify ──▶ Estimate ──▶ Allocate ──▶ Place ──▶ Actuate
@@ -37,13 +37,17 @@
 //!    CPU) and raises quality exceptions when demand cannot be met
 //!    ([`events`]).
 //!
-//! The stages share a reusable `pipeline::CycleContext` with
-//! pre-allocated scratch buffers and operate on dense [`slot`]-indexed
-//! job storage, so the steady-state cycle is allocation-free, `O(jobs)`,
-//! and each stage is independently testable.  The [`controller::Controller`]
-//! shell drives the pipeline via
-//! [`controller::Controller::control_cycle_with_dt`] (usage recorded by
-//! slot, borrowed output).  Its own execution cost is modelled by
+//! The cycle works on dense [`slot`]-indexed job storage and keeps what
+//! it derived between periods — which jobs are real-rate and where their
+//! queues are, the squish inputs, the per-CPU loads — so a steady-state
+//! cycle costs the jobs whose inputs changed and allocates nothing.  A
+//! structural change (a job added or removed, a CPU added, a registry
+//! mutation, a new cycle length) makes the next cycle rebuild those
+//! caches from the job table first and then recompute and actuate every
+//! job.  The per-job and per-machine decisions are kernels of their own
+//! in `pipeline`.  [`controller::Controller::control_cycle_with_dt`] is
+//! the entry point (usage recorded by slot, borrowed output).  Its own
+//! execution cost is modelled by
 //! [`cost::ControllerCostModel`] so the Figure 5 overhead experiment can
 //! be reproduced.
 
@@ -58,7 +62,7 @@ pub mod estimator;
 pub mod events;
 pub mod handle;
 pub mod period;
-pub mod pipeline;
+mod pipeline;
 pub mod pressure;
 pub mod slot;
 pub mod squish;

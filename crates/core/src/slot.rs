@@ -241,8 +241,8 @@ impl SlotSet {
 
     /// Adds `index`.  An index past the sized range is ignored, which is
     /// sound for the controller's use: such a slot was created after the
-    /// last full cycle sized the set, and that structural change already
-    /// forces the next cycle to be full and re-mark every live slot.
+    /// last rebuild sized the set, and that structural change already
+    /// forces the next cycle to rebuild and re-mark every live slot.
     pub fn insert(&mut self, index: usize) {
         if let Some(word) = self.words.get_mut(index / 64) {
             *word |= 1 << (index % 64);

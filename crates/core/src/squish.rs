@@ -251,8 +251,8 @@ pub(crate) fn squish_into(
 /// cycles so a cycle pays for the desires that moved instead of re-listing
 /// every job.
 ///
-/// [`SquishColumns::rebuild`] lists the rows once (after a full controller
-/// cycle); [`SquishColumns::set_desired`] then edits one row in place and
+/// [`SquishColumns::rebuild`] lists the rows once (at a controller
+/// rebuild); [`SquishColumns::set_desired`] then edits one row in place and
 /// keeps the desired total current, and [`SquishColumns::regrant`] answers
 /// with exactly what [`squish_into`] over the same rows would grant — or
 /// with `None` when it can prove those grants equal the previous answer
@@ -277,8 +277,8 @@ pub(crate) struct SquishColumns {
     unit: f64,
     /// Rows that round would cap: `unit·w ≥ desired`.
     capped_rows: usize,
-    /// The last evaluation (the full cycle's squish at `rebuild`, else
-    /// `regrant`) was in the desire-independent regime.
+    /// The last `regrant` evaluation was in the desire-independent regime
+    /// (never after a `rebuild`, which no evaluation has seen yet).
     desire_free: bool,
     grants: Vec<Proportion>,
     scratch: SquishScratch,
@@ -300,8 +300,8 @@ impl SquishColumns {
         }
     }
 
-    /// Replaces the rows.  The caller has just evaluated `squish_into`
-    /// (or, not overloaded, granted every desire) over these same rows.
+    /// Replaces the rows.  The next [`SquishColumns::regrant`] evaluates
+    /// them, whatever their desires.
     pub(crate) fn rebuild(
         &mut self,
         available_ppt: u32,
@@ -318,7 +318,7 @@ impl SquishColumns {
             self.desired_total_ppt += r.desired.ppt() as u64;
             self.capped_rows += caps(self.unit, r.importance, r.desired) as usize;
         }
-        self.desire_free = self.in_desire_free_regime();
+        self.desire_free = false;
     }
 
     /// Row `row`'s current desire.
@@ -586,7 +586,7 @@ mod tests {
     }
 
     /// What the controller does with [`SquishColumns`]: after a rebuild
-    /// the committed grants are the full cycle's from-scratch squish;
+    /// the committed grants are its first, forced evaluation;
     /// after a batch of desire changes they are whatever `regrant` hands
     /// back, or stay put when it hands back nothing.
     struct DeltaHarness {
@@ -628,12 +628,14 @@ mod tests {
             );
         }
 
+        /// A controller rebuild: new rows, evaluated at once.
         fn rebuild(&mut self) {
-            self.squish_afresh();
-            self.committed.clone_from(&self.expected);
-            self.total_granted_ppt = self.committed.iter().map(|g| g.ppt()).sum();
             self.columns
                 .rebuild(self.available_ppt, self.rows.iter().copied());
+            let grants = self.columns.regrant().expect("a rebuild is evaluated");
+            self.committed.clear();
+            self.committed.extend_from_slice(grants);
+            self.total_granted_ppt = self.committed.iter().map(|g| g.ppt()).sum();
         }
 
         fn want(&mut self, row: usize, desired: u32) {
@@ -642,7 +644,7 @@ mod tests {
             self.columns.set_desired(row, desired);
         }
 
-        /// Ends a batch of desire changes the way an incremental cycle
+        /// Ends a batch of desire changes the way a controller cycle
         /// does, then checks every output against the oracle.
         fn regrant_and_check(&mut self) -> Result<(), String> {
             match self.columns.regrant() {
@@ -746,8 +748,8 @@ mod tests {
         /// extra)` tuples (the vendored proptest miniature has no
         /// `prop_oneof`): selectors 0–5 change one to three desires and
         /// evaluate, 6–8 change a weight, a floor or the capacity and
-        /// rebuild, as the structural events behind them force a full
-        /// controller cycle.  Desires come from three bands — below the
+        /// rebuild, as the structural events behind them force a
+        /// controller rebuild.  Desires come from three bands — below the
         /// floors and first-round offers, around them, and far above —
         /// and capacities from zero to beyond the desired total, so runs
         /// cross overloaded ↔ not, cap set empty ↔ non-empty and desired

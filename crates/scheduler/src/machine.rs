@@ -112,8 +112,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// The largest machine supported — the same bound as the control
-    /// pipeline's `PlacementConfig::MAX_CPUS`, so the placement authority
+    /// The largest machine supported.  The controller's
+    /// `PlacementConfig::MAX_CPUS` is defined as this bound, so placement
     /// can never address a CPU the machine refuses to grow to.
     pub const MAX_CPUS: usize = 4096;
 

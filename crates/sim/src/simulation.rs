@@ -236,9 +236,8 @@ pub struct Simulation {
 impl Simulation {
     /// Creates a simulation with the given configuration.
     ///
-    /// The event loop forces the two machine-level optimisations it is
-    /// built on: the dispatcher's lazy period rollovers and the
-    /// controller's incremental cycles.
+    /// The event loop forces the dispatcher's lazy period rollovers, the
+    /// machine-level optimisation it is built on.
     pub fn new(config: SimConfig) -> Self {
         Self::with_shard_identity(config, MetricRegistry::new(), 1, 1)
     }
@@ -259,7 +258,6 @@ impl Simulation {
         id_stride: u64,
     ) -> Self {
         config.dispatcher.lazy_rollovers = true;
-        config.controller.incremental = true;
         let ctl = ControlLoop::new(config.controller, config.dispatcher, registry)
             .with_ids(first_id, id_stride);
         let mut calendar = Schedule::new();

@@ -21,7 +21,7 @@
 //! simulator — same code path, same numbers, bit for bit.
 
 use realrate::api::{Host, JobSpec, Period, Proportion, Runtime, SimTime};
-use realrate::sim::{RunResult, SimStats, Simulation, WorkModel};
+use realrate::sim::{RunResult, SimConfig, SimStats, Simulation, WorkModel};
 
 /// Uses every cycle offered, never blocks.
 struct Spin;
@@ -61,13 +61,12 @@ impl WorkModel for BurstSleep {
     }
 }
 
-/// The fixed mixed workload: real-time spinners, greedy hogs and periodic
-/// burst-sleep jobs; at `N = 8` a mid-run removal forces rebalancing
-/// migrations.  Populations scale with the CPU count so every CPU carries
-/// work.
-fn run_mixed_workload(cpus: usize) -> SimStats {
-    let mut host = Runtime::sim().cpus(cpus).build();
-    let n = cpus as u64;
+/// The fixed mixed workload on `host`: real-time spinners, greedy hogs and
+/// periodic burst-sleep jobs; at `N = 8` a mid-run removal forces
+/// rebalancing migrations.  Populations scale with the CPU count so every
+/// CPU carries work.
+fn run_mixed_workload(mut host: Box<dyn Host>) -> SimStats {
+    let n = host.cpu_count() as u64;
     for i in 0..n {
         host.add_job(
             &format!("rt{i}"),
@@ -109,19 +108,16 @@ fn run_mixed_workload(cpus: usize) -> SimStats {
         .expect("Runtime::sim() builds a Simulation")
 }
 
-fn check(cpus: usize, expected_json: &str) {
-    let stats = run_mixed_workload(cpus);
+fn check(name: &str, host: Box<dyn Host>, expected_json: &str) {
+    let stats = run_mixed_workload(host);
     if std::env::var_os("GOLDEN_PRINT").is_some() {
-        println!(
-            "golden for {cpus} cpu(s):\n{}",
-            serde_json::to_string(&stats).unwrap()
-        );
+        println!("golden {name}:\n{}", serde_json::to_string(&stats).unwrap());
         return;
     }
     let expected: SimStats = serde_json::from_str(expected_json).expect("golden blob parses");
     assert_eq!(
         stats, expected,
-        "SimStats diverged from the golden capture at {cpus} cpu(s)"
+        "SimStats diverged from the golden capture {name}"
     );
 }
 
@@ -131,10 +127,26 @@ const GOLDEN_CALENDAR_8CPU: &str = r#"{"controller_invocations":299,"controller_
 
 #[test]
 fn golden_simstats_calendar_1cpu() {
-    check(1, GOLDEN_CALENDAR_1CPU);
+    check("1cpu", Runtime::sim().cpus(1).build(), GOLDEN_CALENDAR_1CPU);
 }
 
 #[test]
 fn golden_simstats_calendar_8cpu() {
-    check(8, GOLDEN_CALENDAR_8CPU);
+    check("8cpu", Runtime::sim().cpus(8).build(), GOLDEN_CALENDAR_8CPU);
+}
+
+/// Period estimation (§3.3) rebuilds the controller's caches every cycle,
+/// the one simulator configuration that does, so every cycle re-actuates
+/// every job and re-raises every event.  The mixed workload has no
+/// real-rate job for the heuristic to act on, so the counters must land
+/// exactly on the 1-CPU pin.
+#[test]
+fn golden_simstats_period_estimation_1cpu() {
+    let mut config = SimConfig::default();
+    config.controller.period_estimation = true;
+    check(
+        "period_estimation_1cpu",
+        Box::new(Simulation::new(config)),
+        GOLDEN_CALENDAR_1CPU,
+    );
 }

@@ -11,14 +11,16 @@
 //! minimum.
 //!
 //! It is sorted rather than heap-ordered because both callers work at the
-//! ends.  The run queue *rotates* (the thread just picked takes the
-//! greatest key of its goodness: front to back), and a timer armed for a
-//! thread's next period boundary is, on a busy CPU, later than nearly every
-//! timer already armed.  Neither is a plain FIFO, so the place of an insert
-//! is found by walking in from the tail, and past [`TAIL_WALK`] places by
-//! binary search.  Measured over whole `--seconds 1` runs of the repo
-//! benchmark, set-up and warm-up included (an arm that changes the timer's
-//! key; a shift counts the entries `insert` moves):
+//! ends.  The run queue pops its pick off the front, and a pick still
+//! runnable when its span ends comes back under the greatest key of its
+//! goodness — the tail, when every runnable thread shares one goodness;
+//! a timer armed for a thread's next period boundary is, on a busy CPU,
+//! later than nearly every timer already armed.  Neither is a plain FIFO,
+//! so the place of an insert is found by walking in from the tail, and
+//! past [`TAIL_WALK`] places by binary search.  Measured over whole
+//! `--seconds 1` runs of the repo benchmark, set-up and warm-up included
+//! (an arm that changes the timer's key; a shift counts the entries
+//! `insert` moves):
 //!
 //! | timer arms                          | `spin_saturated` | `sharded_churn` | `pipeline_blocking` | `spin_uncontended` |
 //! |-------------------------------------|------------------|-----------------|---------------------|--------------------|
@@ -29,14 +31,14 @@
 //! | mean timers armed on that CPU / max | 51 / 257         | 37 / 229        | 4 / 21              | 0 / 0              |
 //! | cancels of an armed timer, at front | 0                | 59 606 (63 %)   | 86 366 (23 %)       | 3 456 (100 %)      |
 //!
-//! (run-queue re-queues: nine in ten land off the tail, 2 to 15 places in
-//! on average and up to 519 — see [`crate::runqueue`]).
+//! (run-queue re-queues: the four workloads' own table is in
+//! [`crate::runqueue`]).
 //!
-//! Costs: the minimum, a pop, and any insert or removal at either end are
-//! `O(1)`; anything else is an `O(log n)` search plus a shift, and the
-//! shift is the known worst case — an entry that lands or leaves `i`
-//! places from the front of `n` moves `min(i, n − i)` entries (`memmove`),
-//! where a heap pays `O(log n)`.  Eager (wall-clock executor) rollovers
+//! Costs: the minimum, a pop, a removal at the front and an insert at the
+//! tail are `O(1)`; anything else is an `O(log n)` search plus a shift
+//! (none at either end), and the shift is the known worst case — an entry
+//! that lands or leaves `i` places from the front of `n` moves
+//! `min(i, n − i)` entries (`memmove`), where a heap pays `O(log n)`.  Eager (wall-clock executor) rollovers
 //! over threads of mixed periods are what can hit it on the timer list:
 //! every thread keeps a timer armed and a short-period one re-arms in
 //! front of every longer one.  Over the eight corpus scenarios run eagerly
@@ -50,9 +52,9 @@
 use std::collections::VecDeque;
 
 /// How many places an insert walks in from the tail before it gives up and
-/// binary-searches.  Rotation and a next-boundary timer stop at the first
-/// comparison, a released thread a few places in; anything deeper is
-/// cheaper to find in `O(log n)`.
+/// binary-searches.  A re-linked pick and a next-boundary timer nearly
+/// always stop at the first comparison, a released thread a few places in;
+/// anything deeper is cheaper to find in `O(log n)`.
 pub(crate) const TAIL_WALK: usize = 8;
 
 /// `(key, slot)` pairs in ascending order — the front is the minimum —
@@ -94,54 +96,27 @@ impl<K: Ord + Copy> SortedDeque<K> {
     }
 
     /// Queues `slot` under `key`, or re-ranks it if already queued.
-    /// Re-ranking under an unchanged key touches nothing, and a re-keyed
-    /// head that still sorts first is overwritten where it sits (a lone
-    /// runnable thread re-picked over and over moves nothing).
+    /// Re-ranking under an unchanged key touches nothing.
     pub(crate) fn upsert(&mut self, slot: u32, key: K) {
-        let item = (key, slot);
         if self.keys.len() <= slot as usize {
             self.keys.resize(slot as usize + 1, None);
         }
-        match self.queue.front() {
-            // The run queue's post-pick re-key names the head.  Its queued
-            // key is right there, so the key table — a cold line per slot
-            // on a large machine — is written but never waited for.
-            Some(&(old, head)) if head == slot => {
-                if old == key {
-                    return;
-                }
-                self.keys[slot as usize] = Some(key);
-                if self.queue.get(1).is_none_or(|next| item < *next) {
-                    self.queue[0] = item;
-                } else {
-                    self.queue.pop_front();
-                    self.link(item);
-                }
-            }
-            _ => {
-                let old = self.keys[slot as usize];
-                if old == Some(key) {
-                    return;
-                }
-                self.keys[slot as usize] = Some(key);
-                if let Some(old) = old {
-                    self.unlink((old, slot));
-                }
-                self.link(item);
-            }
+        let old = self.keys[slot as usize].replace(key);
+        if old == Some(key) {
+            return;
         }
+        if let Some(old) = old {
+            self.unlink((old, slot));
+        }
+        self.link((key, slot));
     }
 
     /// Removes `slot`, returning the key it was queued under.
     pub fn remove(&mut self, slot: u32) -> Option<K> {
-        // The ends name their slots, so neither waits for the key table:
-        // the thread that runs into its throttle, or blocks, right after
-        // its pick is the run queue's tail, and a cancelled timer is the
-        // next to expire a quarter to all of the time.
-        if self.queue.back().is_some_and(|&(_, tail)| tail == slot) {
-            self.keys[slot as usize] = None;
-            return self.queue.pop_back().map(|(key, _)| key);
-        }
+        // The front names its slot, so it does not wait for the key table:
+        // over whole `--seconds 1` benchmark runs that is 78 % of the run
+        // queue's removals on `pipeline_blocking`, and a quarter to all of
+        // the cancels of an armed timer (the table above).
         if self.queue.front().is_some_and(|&(_, head)| head == slot) {
             return self.pop_front().map(|(key, _)| key);
         }

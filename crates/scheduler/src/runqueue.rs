@@ -10,16 +10,28 @@
 //! The order is sorted rather than heap order because of what a saturated
 //! CPU does to it.  RBS only ranks threads by goodness, and "jobs with
 //! shorter periods have higher goodness values" (§3.1), so the runnable
-//! threads of a busy CPU share one or two goodness values and the pick
-//! *rotates*: the thread just picked takes the newest pick sequence, which
-//! makes it the greatest key of its goodness, and it goes from the front of
-//! the deque to the back — a pop and a push, where a heap sifts it from
-//! the root to a leaf on every dispatch.  It is not a plain FIFO, though.
-//! A thread released from a throttle or a block comes back under the pick
-//! sequence it *left* with, which is among the newest but not the newest:
-//! over the repo benchmark nine in ten such re-queues land off the tail, 2
-//! to 15 places in on average and up to 519 — hence the deque's walk in
-//! from the tail.  Its costs are stated in [`crate::deque`].
+//! threads of a busy CPU share one or two goodness values.  The dispatcher
+//! pops its pick off the front, and the pick stays off the queue while it
+//! runs.  If its span leaves it runnable it comes back under the newest
+//! pick sequence, the greatest key of its goodness: the tail of its class,
+//! where a heap would sift it from the root to a leaf.  On a saturated CPU
+//! it nearly never comes back — the span ends in a throttle — so a pick
+//! costs one pop.  It is not a plain FIFO, though.  A thread released from
+//! a throttle or woken from a block comes back under the pick sequence it
+//! *left* with, which is among the newest but not always the newest —
+//! hence the deque's walk in from the tail.  Measured over whole
+//! `--seconds 1` runs of the repo benchmark:
+//!
+//! | run-queue links                        | `spin_saturated` | `sharded_churn` | `pipeline_blocking` | `spin_uncontended` |
+//! |----------------------------------------|------------------|-----------------|---------------------|--------------------|
+//! | picks re-linked, per slow dispatch     | 0.009            | 0.11            | 0.90                | 1.0                |
+//! | … landing exactly on the tail          | 100 %            | 100 %           | 83.1 %              | 100 %              |
+//! | other links (release, wake, admission) | 1 451 296        | 2 914 714       | 1 028 194           | 7 296              |
+//! | … landing exactly on the tail          | 95.5 %           | 15.2 %          | 1.6 %               | 100 %              |
+//! | … at most 7 places in                  | 96.5 %           | 70.3 %          | 93.4 %              | 100 %              |
+//! | … mean places in / worst               | 1.4 / 102        | 12.9 / 519      | 3.3 / 25            | 0 / 0              |
+//!
+//! Its costs are stated in [`crate::deque`].
 
 use crate::deque::SortedDeque;
 use crate::types::ThreadId;
@@ -135,10 +147,11 @@ mod tests {
             (0..20).collect::<Vec<_>>(),
             "never picked: ids break the ties"
         );
-        // Two full turns: every pick takes the newest sequence, which makes
-        // it the greatest key of the one goodness, and goes to the tail.
+        // Two full turns: every pick is popped, takes the newest sequence,
+        // which makes it the greatest key of the one goodness, and is
+        // re-linked at the tail.
         for seq in 1..=40u64 {
-            let (_, slot) = q.peek().unwrap();
+            let (_, slot) = q.pop_front().unwrap();
             assert_eq!(slot as u64, (seq - 1) % 20);
             q.upsert(slot, key(5, seq, slot as u64));
             assert_eq!(q.iter().next_back().unwrap().1, slot);
@@ -185,6 +198,7 @@ mod tests {
             q.upsert(slot, key(slot as i64 % 4, 0, slot as u64));
         }
         let behind = slots(&q)[3..].to_vec();
+        assert_eq!(q.pop_front().map(|(_, slot)| slot), Some(0));
         q.upsert(0, key(1000, 1, 0));
         assert_eq!(slots(&q)[..3], [1, 2, 0]);
         assert_eq!(slots(&q)[3..], behind);
@@ -192,22 +206,30 @@ mod tests {
         for slot in low.skip(2) {
             q.remove(slot);
         }
+        assert_eq!(q.pop_front().map(|(_, slot)| slot), Some(1));
         q.upsert(1, key(1000, 2, 1));
         assert_eq!(slots(&q)[..3], [2, 0, 1]);
         assert_eq!(q.len(), 5);
         q.assert_consistent();
     }
 
+    /// A pick that still outranks every queued thread — a lone one, or one
+    /// above the rest's goodness — is re-linked at the front, and nothing
+    /// behind it moves.
     #[test]
-    fn a_head_that_still_sorts_first_is_rekeyed_where_it_sits() {
+    fn a_popped_pick_that_still_sorts_first_relinks_at_the_front() {
         let mut q = RunQueue::default();
         q.upsert(9, key(1000, 0, 9));
+        assert_eq!(q.pop_front(), Some((key(1000, 0, 9), 9)));
+        assert_eq!(q.len(), 0);
         q.upsert(9, key(1000, 1, 9));
         assert_eq!(q.peek(), Some((key(1000, 1, 9), 9)), "a lone thread");
         for slot in 0..5u32 {
             q.upsert(slot, key(3, slot as u64, slot as u64));
         }
         let rest = slots(&q)[1..].to_vec();
+        assert_eq!(q.pop_front().map(|(_, slot)| slot), Some(9));
+        assert_eq!(slots(&q), rest, "the pick is off the queue");
         q.upsert(9, key(1000, 7, 9));
         assert_eq!(q.peek(), Some((key(1000, 7, 9), 9)));
         assert_eq!(slots(&q)[1..], rest);

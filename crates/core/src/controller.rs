@@ -258,7 +258,8 @@ struct IncrState {
     /// real-rate samples above read their queues without the registry's
     /// lock or tree.
     sense: ResolvedSense,
-    /// The squishable jobs' requests, one row each in slot order.
+    /// The squishable jobs' requests and held grants, one row each in
+    /// slot order.
     columns: SquishColumns,
     /// Row → job, aligned with `columns`.
     request_slots: Vec<(JobSlot, JobId)>,
@@ -287,6 +288,17 @@ impl IncrState {
             recomputed: Vec::new(),
             fills: Vec::new(),
         }
+    }
+
+    /// Whether every squish row's held grant is its job's committed grant.
+    fn held_mirrors(&self, jobs: &JobTable) -> bool {
+        self.request_slots
+            .iter()
+            .enumerate()
+            .all(|(row, &(slot, _))| {
+                jobs.get(slot)
+                    .is_some_and(|e| e.granted == self.columns.held(row))
+            })
     }
 }
 
@@ -737,12 +749,17 @@ impl Controller {
         let floor = config.min_proportion;
         incr.columns.rebuild(
             capacity_ppt.saturating_sub(fixed_total_ppt),
-            incr.request_slots.iter().map(|&(slot, _)| SquishRequest {
-                desired: Proportion::ZERO,
-                importance: jobs.get(slot).expect("request slot is live").importance,
-                floor,
+            incr.request_slots.iter().map(|&(slot, _)| {
+                let entry = jobs.get(slot).expect("request slot is live");
+                let request = SquishRequest {
+                    desired: Proportion::ZERO,
+                    importance: entry.importance,
+                    floor,
+                };
+                (request, entry.granted)
             }),
         );
+        debug_assert!(incr.held_mirrors(jobs), "a rebuilt held grant diverged");
         incr.last_dt = dt;
         incr.structural_dirty = false;
         laps.lap(1);
@@ -863,12 +880,10 @@ impl Controller {
                     available_ppt: incr.columns.available_ppt(),
                 });
             }
-            if let Some(grants) = incr.columns.regrant() {
-                for (&(slot, job), &grant) in incr.request_slots.iter().zip(grants) {
+            if let Some(moved) = incr.columns.regrant() {
+                for &(row, grant) in moved {
+                    let (slot, job) = incr.request_slots[row as usize];
                     let entry = jobs.get_mut(slot).expect("request slot is live");
-                    if grant == entry.granted {
-                        continue;
-                    }
                     let load = &mut loads.granted[entry.cpu.index()];
                     *load = *load - entry.granted.ppt() as u64 + grant.ppt() as u64;
                     entry.granted = grant;
@@ -881,6 +896,7 @@ impl Controller {
                         cpu: entry.cpu,
                     });
                 }
+                debug_assert!(incr.held_mirrors(jobs), "a regranted held grant diverged");
             }
         }
         laps.lap(3);
@@ -919,13 +935,17 @@ impl Controller {
         }
         laps.lap(4);
 
-        // Actuate: quality exceptions for the jobs this cycle recomputed.
+        // Actuate: quality exceptions for the jobs this cycle recomputed,
+        // read off the squish columns.
         for &(row, q) in &incr.recomputed {
-            let (slot, job) = incr.request_slots[row as usize];
-            let granted = jobs.get(slot).expect("recomputed slot is live").granted;
-            let desired = incr.columns.desired(row as usize);
+            let row = row as usize;
             output.events.extend(pipeline::quality_exception(
-                config, job, desired, granted, q, now_s,
+                config,
+                incr.request_slots[row].1,
+                incr.columns.desired(row),
+                incr.columns.held(row),
+                q,
+                now_s,
             ));
         }
         if rebuild {

@@ -82,8 +82,8 @@ impl SquishRequest {
 /// steady-state cycle performs no heap allocation once warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct SquishScratch {
-    grant: Vec<f64>,
-    capped: Vec<bool>,
+    /// The water-fill's rows not yet capped at their desire, in row order.
+    uncapped: Vec<u32>,
 }
 
 /// Squishes requests by plain fair share: every request is scaled by the
@@ -116,13 +116,11 @@ pub fn squish_fair_share_into(
         out.extend(requests.iter().map(|r| r.desired));
         return;
     }
-    if total == 0 {
-        out.extend(requests.iter().map(|r| r.floor));
-        return;
-    }
+    // Overloaded, so `total > 0`; `as u32` is `floor` for the
+    // non-negative products here.
     let scale = avail as f64 / total as f64;
     out.extend(requests.iter().map(|r| {
-        let scaled = (r.desired.ppt() as f64 * scale).floor() as u32;
+        let scaled = (r.desired.ppt() as f64 * scale) as u32;
         Proportion::from_ppt(scaled.max(r.floor.ppt()))
     }));
 }
@@ -158,63 +156,81 @@ pub fn squish_weighted_into(
     scratch: &mut SquishScratch,
     out: &mut Vec<Proportion>,
 ) {
-    out.clear();
     let total: u64 = requests.iter().map(|r| r.desired.ppt() as u64).sum();
-    let avail = available_ppt as f64;
     if total <= available_ppt as u64 {
+        out.clear();
         out.extend(requests.iter().map(|r| r.desired));
         return;
     }
+    let weight_total = requests.iter().map(|r| r.importance.weight()).sum();
+    water_fill(requests, available_ppt, weight_total, scratch, out);
+}
 
-    let n = requests.len();
-    let grant = &mut scratch.grant;
-    let capped = &mut scratch.capped;
-    grant.clear();
-    grant.resize(n, 0.0);
-    capped.clear();
-    capped.resize(n, false);
-    let mut remaining = avail;
-
-    // Water-fill: at most n rounds.
-    for _ in 0..n {
-        let active_weight: f64 = requests
-            .iter()
-            .zip(capped.iter())
-            .filter(|(_, &c)| !c)
-            .map(|(r, _)| r.importance.weight())
-            .sum();
+/// The weighted water-fill over overloaded `requests`, given their weight
+/// total summed in row order.
+///
+/// Each round offers every uncapped row `unit·wᵢ`, `unit = remaining /
+/// Σ uncapped w`, and caps the rows whose offer reaches their desire,
+/// taking their desire off `remaining`; the first round that caps nobody
+/// hands the offers out and ends the fill.  An uncapped row holds nothing
+/// until then, so its grant is that last offer, and a capped row's is its
+/// desire.  A round walks `scratch`'s list of the rows still uncapped —
+/// the full scan's rows in the full scan's order, so each sum and each
+/// `remaining` update is the full scan's, bit for bit — and costs those
+/// rows only: `n`, then however many the caps left.
+fn water_fill(
+    requests: &[SquishRequest],
+    available_ppt: u32,
+    weight_total: f64,
+    scratch: &mut SquishScratch,
+    out: &mut Vec<Proportion>,
+) {
+    let uncapped = &mut scratch.uncapped;
+    uncapped.clear();
+    uncapped.extend(0..requests.len() as u32);
+    let mut remaining = available_ppt as f64;
+    let mut active_weight = weight_total;
+    // The uncapped rows' closing `unit`; 0 if the fill runs dry first.
+    let mut share = 0.0;
+    for _ in 0..requests.len() {
         if active_weight <= 0.0 || remaining <= 0.0 {
             break;
         }
-        let mut newly_capped = false;
         let unit = remaining / active_weight;
-        for i in 0..n {
-            if capped[i] {
-                continue;
+        let was_uncapped = uncapped.len();
+        uncapped.retain(|&i| {
+            let r = &requests[i as usize];
+            let desired = r.desired.ppt() as f64;
+            let capped = unit * r.importance.weight() >= desired;
+            if capped {
+                remaining -= desired;
             }
-            let offered = grant[i] + unit * requests[i].importance.weight();
-            if offered >= requests[i].desired.ppt() as f64 {
-                remaining -= requests[i].desired.ppt() as f64 - grant[i];
-                grant[i] = requests[i].desired.ppt() as f64;
-                capped[i] = true;
-                newly_capped = true;
-            }
-        }
-        if !newly_capped {
-            // No one capped this round: hand out the rest proportionally.
-            for i in 0..n {
-                if !capped[i] {
-                    grant[i] += unit * requests[i].importance.weight();
-                }
-            }
+            !capped
+        });
+        if uncapped.len() == was_uncapped {
+            share = unit;
             break;
         }
+        active_weight = uncapped
+            .iter()
+            .map(|&i| requests[i as usize].importance.weight())
+            .sum();
     }
 
-    out.extend(requests.iter().enumerate().map(|(i, r)| {
-        let g = grant[i].floor() as u32;
-        Proportion::from_ppt(g.clamp(r.floor.ppt(), r.desired.ppt().max(r.floor.ppt())))
-    }));
+    // `as u32` truncates toward zero and saturates: `floor` for every
+    // non-negative offer, 0 for a negative or NaN one, as `floor` gives.
+    out.clear();
+    out.extend(requests.iter().map(|r| clamp_grant(r.desired.ppt(), r)));
+    for &i in uncapped.iter() {
+        let r = &requests[i as usize];
+        out[i as usize] = clamp_grant((share * r.importance.weight()) as u32, r);
+    }
+}
+
+/// A water-fill grant truncated to `g` ‰, held between the row's floor and
+/// its desire (or its floor, should that be higher).
+fn clamp_grant(g: u32, r: &SquishRequest) -> Proportion {
+    Proportion::from_ppt(g.clamp(r.floor.ppt(), r.desired.ppt().max(r.floor.ppt())))
 }
 
 /// Applies the configured policy.
@@ -247,32 +263,43 @@ pub(crate) fn squish_into(
     }
 }
 
-/// The squish inputs of a fixed job population, kept between controller
-/// cycles so a cycle pays for the desires that moved instead of re-listing
-/// every job.
+/// The squish inputs and committed grants of a fixed job population, kept
+/// between controller cycles so a cycle pays for the desires and grants
+/// that moved instead of re-listing every job.
 ///
 /// [`SquishColumns::rebuild`] lists the rows once (at a controller
-/// rebuild); [`SquishColumns::set_desired`] then edits one row in place and
-/// keeps the desired total current, and [`SquishColumns::regrant`] answers
-/// with exactly what [`squish_into`] over the same rows would grant — or
-/// with `None` when it can prove those grants equal the previous answer
-/// without running the squish:
+/// rebuild), each with the grant its job holds; [`SquishColumns::set_desired`]
+/// then edits one row in place and keeps the desired total current, and
+/// [`SquishColumns::regrant`] evaluates exactly what [`squish_into`] over
+/// the same rows would grant, commits it to the `held` column and hands
+/// back only the rows whose grant moved — or nothing at all when it can
+/// prove those grants equal the previous answer without running the
+/// squish.  `held` mirrors the controller's `JobEntry::granted` row for
+/// row, so the controller reads a row's grant here and touches a job's
+/// entry only when its grant moved.
 ///
-/// Under [`SquishPolicy::WeightedFairShare`] the water-fill's first round
-/// offers row *i* `unit·wᵢ`, `unit = available / Σw`, and caps the rows
-/// whose offer reaches their desire.  While the rows are overloaded and
-/// that round caps *nobody*, it is also the last round, and every grant is
-/// `max(⌊unit·wᵢ⌋, floorᵢ)` — a function of weights, floors and capacity,
-/// none of which [`SquishColumns::set_desired`] can change.  So two
-/// consecutive evaluations in that regime grant the same thing.  The
-/// columns cache `unit` (summed in [`squish_weighted_into`]'s order) and
-/// count the rows round one would cap, which makes the regime test `O(1)`.
+/// The proof: under [`SquishPolicy::WeightedFairShare`] the water-fill's
+/// first round offers row *i* `unit·wᵢ`, `unit = available / Σw`, and caps
+/// the rows whose offer reaches their desire.  While the rows are
+/// overloaded and that round caps *nobody*, it is also the last round, and
+/// every grant is `max(⌊unit·wᵢ⌋, floorᵢ)` — a function of weights, floors
+/// and capacity, none of which [`SquishColumns::set_desired`] can change.
+/// So two consecutive evaluations in that regime grant the same thing.
+/// The columns cache `Σw` (summed in [`squish_weighted_into`]'s order, so
+/// the water-fill starts from it) and `unit`, and count the rows round one
+/// would cap, which makes the regime test `O(1)`.  Outside it, an
+/// evaluation costs the water-fill's rounds — `n` rows, then only the
+/// rows still uncapped — plus one pass comparing grants with `held`.
 #[derive(Debug)]
 pub(crate) struct SquishColumns {
     policy: SquishPolicy,
     available_ppt: u32,
     requests: Vec<SquishRequest>,
+    /// Each row's committed grant: its job's `JobEntry::granted`.
+    held: Vec<Proportion>,
     desired_total_ppt: u64,
+    /// `Σ weight` over the rows, in row order.
+    weight_total: f64,
     /// The water-fill's first-round `available / Σ weight`.
     unit: f64,
     /// Rows that round would cap: `unit·w ≥ desired`.
@@ -280,7 +307,10 @@ pub(crate) struct SquishColumns {
     /// The last `regrant` evaluation was in the desire-independent regime
     /// (never after a `rebuild`, which no evaluation has seen yet).
     desire_free: bool,
+    /// Scratch: the last evaluation's grants, row-aligned.
     grants: Vec<Proportion>,
+    /// Scratch: the rows the last evaluation moved, with their new grants.
+    moved: Vec<(u32, Proportion)>,
     scratch: SquishScratch,
 }
 
@@ -291,27 +321,34 @@ impl SquishColumns {
             policy,
             available_ppt: 0,
             requests: Vec::new(),
+            held: Vec::new(),
             desired_total_ppt: 0,
+            weight_total: 0.0,
             unit: 0.0,
             capped_rows: 0,
             desire_free: false,
             grants: Vec::new(),
+            moved: Vec::new(),
             scratch: SquishScratch::default(),
         }
     }
 
-    /// Replaces the rows.  The next [`SquishColumns::regrant`] evaluates
-    /// them, whatever their desires.
+    /// Replaces the rows, each with the grant its job holds.  The next
+    /// [`SquishColumns::regrant`] evaluates them, whatever their desires.
     pub(crate) fn rebuild(
         &mut self,
         available_ppt: u32,
-        rows: impl Iterator<Item = SquishRequest>,
+        rows: impl Iterator<Item = (SquishRequest, Proportion)>,
     ) {
         self.available_ppt = available_ppt;
         self.requests.clear();
-        self.requests.extend(rows);
-        let weight: f64 = self.requests.iter().map(|r| r.importance.weight()).sum();
-        self.unit = available_ppt as f64 / weight;
+        self.held.clear();
+        for (request, held) in rows {
+            self.requests.push(request);
+            self.held.push(held);
+        }
+        self.weight_total = self.requests.iter().map(|r| r.importance.weight()).sum();
+        self.unit = available_ppt as f64 / self.weight_total;
         self.desired_total_ppt = 0;
         self.capped_rows = 0;
         for r in &self.requests {
@@ -324,6 +361,11 @@ impl SquishColumns {
     /// Row `row`'s current desire.
     pub(crate) fn desired(&self, row: usize) -> Proportion {
         self.requests[row].desired
+    }
+
+    /// Row `row`'s committed grant.
+    pub(crate) fn held(&self, row: usize) -> Proportion {
+        self.held[row]
     }
 
     /// Changes row `row`'s desire in place.
@@ -356,22 +398,39 @@ impl SquishColumns {
     }
 
     /// Evaluates the rows after a batch of [`SquishColumns::set_desired`]
-    /// calls: the grants, row-aligned, or `None` when they provably equal
-    /// the previous evaluation's.
-    pub(crate) fn regrant(&mut self) -> Option<&[Proportion]> {
+    /// calls and commits the grants to `held`: the rows whose grant moved,
+    /// in row order with their new grants, or `None` when the grants
+    /// provably equal the previous evaluation's.
+    pub(crate) fn regrant(&mut self) -> Option<&[(u32, Proportion)]> {
         let was_desire_free = self.desire_free;
         self.desire_free = self.in_desire_free_regime();
         if was_desire_free && self.desire_free {
             return None;
         }
-        squish_into(
-            self.policy,
-            &self.requests,
-            self.available_ppt,
-            &mut self.scratch,
-            &mut self.grants,
-        );
-        Some(&self.grants)
+        match self.policy {
+            SquishPolicy::WeightedFairShare if self.overloaded() => water_fill(
+                &self.requests,
+                self.available_ppt,
+                self.weight_total,
+                &mut self.scratch,
+                &mut self.grants,
+            ),
+            policy => squish_into(
+                policy,
+                &self.requests,
+                self.available_ppt,
+                &mut self.scratch,
+                &mut self.grants,
+            ),
+        }
+        self.moved.clear();
+        for (row, (held, &grant)) in self.held.iter_mut().zip(&self.grants).enumerate() {
+            if *held != grant {
+                *held = grant;
+                self.moved.push((row as u32, grant));
+            }
+        }
+        Some(&self.moved)
     }
 }
 
@@ -392,6 +451,82 @@ mod tests {
 
     fn req_w(ppt: u32, weight: f64) -> SquishRequest {
         SquishRequest::new(Proportion::from_ppt(ppt)).with_importance(Importance::new(weight))
+    }
+
+    /// The fair share as first written, `floor` and the unreachable
+    /// zero-total branch included: the reference for the truncating one.
+    fn reference_fair_share(requests: &[SquishRequest], available_ppt: u32) -> Vec<Proportion> {
+        let total: u64 = requests.iter().map(|r| r.desired.ppt() as u64).sum();
+        let avail = available_ppt as u64;
+        if total <= avail {
+            return requests.iter().map(|r| r.desired).collect();
+        }
+        if total == 0 {
+            return requests.iter().map(|r| r.floor).collect();
+        }
+        let scale = avail as f64 / total as f64;
+        requests
+            .iter()
+            .map(|r| {
+                let scaled = (r.desired.ppt() as f64 * scale).floor() as u32;
+                Proportion::from_ppt(scaled.max(r.floor.ppt()))
+            })
+            .collect()
+    }
+
+    /// The water-fill as first written: every round scans every row,
+    /// skipping the capped ones, and grants are `floor`ed.  The reference
+    /// the uncapped-list water-fill must match grant for grant.
+    fn reference_weighted(requests: &[SquishRequest], available_ppt: u32) -> Vec<Proportion> {
+        let total: u64 = requests.iter().map(|r| r.desired.ppt() as u64).sum();
+        if total <= available_ppt as u64 {
+            return requests.iter().map(|r| r.desired).collect();
+        }
+        let n = requests.len();
+        let mut grant = vec![0.0f64; n];
+        let mut capped = vec![false; n];
+        let mut remaining = available_ppt as f64;
+        for _ in 0..n {
+            let active_weight: f64 = requests
+                .iter()
+                .zip(capped.iter())
+                .filter(|(_, &c)| !c)
+                .map(|(r, _)| r.importance.weight())
+                .sum();
+            if active_weight <= 0.0 || remaining <= 0.0 {
+                break;
+            }
+            let mut newly_capped = false;
+            let unit = remaining / active_weight;
+            for i in 0..n {
+                if capped[i] {
+                    continue;
+                }
+                let offered = grant[i] + unit * requests[i].importance.weight();
+                if offered >= requests[i].desired.ppt() as f64 {
+                    remaining -= requests[i].desired.ppt() as f64 - grant[i];
+                    grant[i] = requests[i].desired.ppt() as f64;
+                    capped[i] = true;
+                    newly_capped = true;
+                }
+            }
+            if !newly_capped {
+                for i in 0..n {
+                    if !capped[i] {
+                        grant[i] += unit * requests[i].importance.weight();
+                    }
+                }
+                break;
+            }
+        }
+        requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let g = grant[i].floor() as u32;
+                Proportion::from_ppt(g.clamp(r.floor.ppt(), r.desired.ppt().max(r.floor.ppt())))
+            })
+            .collect()
     }
 
     #[test]
@@ -585,10 +720,10 @@ mod tests {
         assert_eq!(Importance::default().weight(), 1.0);
     }
 
-    /// What the controller does with [`SquishColumns`]: after a rebuild
-    /// the committed grants are its first, forced evaluation;
-    /// after a batch of desire changes they are whatever `regrant` hands
-    /// back, or stay put when it hands back nothing.
+    /// What the controller does with [`SquishColumns`]: a rebuild lists
+    /// the rows with the grants the jobs hold and evaluates them at once;
+    /// a batch of desire changes is evaluated by `regrant`, and only the
+    /// rows it hands back change their committed grant.
     struct DeltaHarness {
         policy: SquishPolicy,
         available_ppt: u32,
@@ -606,15 +741,15 @@ mod tests {
             let mut h = Self {
                 policy,
                 available_ppt,
+                committed: vec![Proportion::ZERO; rows.len()],
                 rows,
                 columns: SquishColumns::new(policy),
-                committed: Vec::new(),
                 total_granted_ppt: 0,
                 scratch: SquishScratch::default(),
                 expected: Vec::new(),
                 skips: 0,
             };
-            h.rebuild();
+            h.rebuild().unwrap();
             h
         }
 
@@ -629,13 +764,18 @@ mod tests {
         }
 
         /// A controller rebuild: new rows, evaluated at once.
-        fn rebuild(&mut self) {
-            self.columns
-                .rebuild(self.available_ppt, self.rows.iter().copied());
-            let grants = self.columns.regrant().expect("a rebuild is evaluated");
-            self.committed.clear();
-            self.committed.extend_from_slice(grants);
-            self.total_granted_ppt = self.committed.iter().map(|g| g.ppt()).sum();
+        fn rebuild(&mut self) -> Result<(), String> {
+            self.columns.rebuild(
+                self.available_ppt,
+                self.rows
+                    .iter()
+                    .copied()
+                    .zip(self.committed.iter().copied()),
+            );
+            if self.columns.regrant().is_none() {
+                return Err("a rebuild is evaluated".into());
+            }
+            self.commit_moved()
         }
 
         fn want(&mut self, row: usize, desired: u32) {
@@ -648,15 +788,37 @@ mod tests {
         /// does, then checks every output against the oracle.
         fn regrant_and_check(&mut self) -> Result<(), String> {
             match self.columns.regrant() {
-                Some(grants) => {
-                    for (old, &new) in self.committed.iter_mut().zip(grants) {
-                        self.total_granted_ppt = self.total_granted_ppt + new.ppt() - old.ppt();
-                        *old = new;
-                    }
-                }
+                Some(_) => self.commit_moved()?,
                 None => self.skips += 1,
             }
             self.check()
+        }
+
+        /// Commits the rows the last evaluation moved, after checking they
+        /// are exactly the rows whose from-scratch grant differs from the
+        /// committed one, and that `held` mirrors the committed grants.
+        fn commit_moved(&mut self) -> Result<(), String> {
+            self.squish_afresh();
+            let want: Vec<(u32, Proportion)> = (0..self.rows.len())
+                .filter(|&row| self.expected[row] != self.committed[row])
+                .map(|row| (row as u32, self.expected[row]))
+                .collect();
+            let moved = self.columns.moved.clone();
+            if moved != want {
+                return Err(format!("moved rows {moved:?} != {want:?}"));
+            }
+            for (row, grant) in moved {
+                let old = &mut self.committed[row as usize];
+                self.total_granted_ppt = self.total_granted_ppt + grant.ppt() - old.ppt();
+                *old = grant;
+            }
+            if self.columns.held != self.committed {
+                return Err(format!(
+                    "held {:?} != committed {:?}",
+                    self.columns.held, self.committed
+                ));
+            }
+            Ok(())
         }
 
         fn check(&mut self) -> Result<(), String> {
@@ -799,11 +961,9 @@ mod tests {
                     }
                     6 => {
                         h.rows[row % n].importance = Importance::new(value as f64 / 100.0);
-                        h.rebuild();
                     }
                     7 => {
                         h.rows[row % n].floor = Proportion::from_ppt(value % 60);
-                        h.rebuild();
                     }
                     _ => {
                         h.available_ppt = match extra {
@@ -811,13 +971,45 @@ mod tests {
                             1 => value,
                             _ => value * 12,
                         };
-                        h.rebuild();
+                    }
+                }
+                if selector >= 6 {
+                    if let Err(e) = h.rebuild() {
+                        prop_assert!(false, "at a rebuild: {e}");
                     }
                 }
                 if let Err(e) = h.check() {
                     prop_assert!(false, "after a rebuild: {e}");
                 }
             }
+        }
+
+        /// Both policies against the full-scan reference, grant for
+        /// grant.  Rows are `(desired, weight, floor, kind)`: kind 0 zeroes
+        /// the desire and kind 1 sets the normal importance, so a case
+        /// mixes zero desires, floors above desires and ties between equal
+        /// weights with arbitrary ones; capacities run from zero to beyond
+        /// the desired total, so cases take one water-fill round, several,
+        /// or none.
+        #[test]
+        fn squish_matches_full_scan_reference(
+            rows in proptest::collection::vec((0u32..=1000, 0.01f64..20.0, 0u32..=60, 0u8..4), 0..40),
+            capacity in 0u32..=6000,
+        ) {
+            let requests: Vec<SquishRequest> = rows
+                .iter()
+                .map(|&(desired, weight, floor, kind)| SquishRequest {
+                    desired: Proportion::from_ppt(if kind == 0 { 0 } else { desired }),
+                    importance: if kind == 1 { Importance::NORMAL } else { Importance::new(weight) },
+                    floor: Proportion::from_ppt(floor),
+                })
+                .collect();
+            let mut scratch = SquishScratch::default();
+            let mut out = Vec::new();
+            squish_fair_share_into(&requests, capacity, &mut out);
+            prop_assert_eq!(&out, &reference_fair_share(&requests, capacity));
+            squish_weighted_into(&requests, capacity, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &reference_weighted(&requests, capacity));
         }
 
         #[test]

@@ -19,7 +19,8 @@
 //! ends in a throttle, so a slow dispatch there is one pop and nothing
 //! more.  Re-ranking is lazy: a thread's queue entry is only touched by
 //! the state changes that can affect it (block/unblock, throttle, charge,
-//! reservation change, pick), so an idle dispatcher — the paper's "no work
+//! a reservation change that moves the period or releases the thread,
+//! pick), so an idle dispatcher — the paper's "no work
 //! unless at least one timer has expired" case — re-dispatches in
 //! constant time.
 //!
@@ -696,6 +697,14 @@ impl Dispatcher {
     /// [`Dispatcher::set_reservation`] for a caller that holds the
     /// thread's dense slot — the per-actuation path, with no id → slot
     /// lookup.
+    ///
+    /// Most actuations under overload move the grant alone.  When the
+    /// period and the run state are unchanged and the slot is not the
+    /// off-queue pick, the thread's timer and run-queue key are already
+    /// where the timer rule and the ranking put them — both derive from
+    /// period, state and boundary only — so it skips the re-arm and the
+    /// re-rank.  It still bumps `queue_gen`, so the next-quantum cache
+    /// disarms exactly as after a re-rank.
     pub(crate) fn set_reservation_slot(
         &mut self,
         slot: u32,
@@ -716,21 +725,28 @@ impl Dispatcher {
         // Growing the budget mid-period can un-throttle the thread; a
         // shrinking budget only applies from the next period so work already
         // granted is not clawed back.
+        let mut released = false;
         if new_budget > entry.account.budget_us {
             entry.account.budget_us = new_budget;
             if entry.state == ThreadState::Throttled && !entry.account.exhausted() {
                 entry.state = ThreadState::Ready;
                 entry.account.mark_runnable();
+                released = true;
             }
         }
-        if old.period != reservation.period {
+        let new_period = old.period != reservation.period;
+        if new_period {
             // New period length: re-anchor the boundary grid from now.
             entry.next_boundary_us = now + reservation.period.as_micros();
         }
         self.reserved_ppt -= old.proportion.ppt();
         self.reserved_ppt += reservation.proportion.ppt();
-        self.rearm(slot);
-        self.reindex(slot);
+        if new_period || released || self.off_queue_pick == Some(slot) {
+            self.rearm(slot);
+            self.reindex(slot);
+        } else {
+            self.queue_gen += 1;
+        }
         self.watch(slot);
         Ok(())
     }
@@ -984,9 +1000,13 @@ impl Dispatcher {
     /// the controller consumes instead of a sweep over every account.
     ///
     /// A thread leaves the watch set once it has settled at a 0.0 ratio
-    /// with nothing consumed in the current period; any later activity
-    /// (pick, charge, reservation change) re-watches it.  Works in both
-    /// rollover modes.
+    /// with nothing consumed in the current period, under a non-zero
+    /// budget both now and from the next boundary on; any later activity
+    /// (pick, charge, reservation change) re-watches it.  A zero budget
+    /// keeps it watched: a period it governs closes at the 0/0 ratio 1.0
+    /// (`UsageAccount::last_period_usage_ratio`), and lazy rollovers arm
+    /// no timer that would re-watch an untouched thread for that boundary.
+    /// Works in both rollover modes.
     pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, f64)) {
         self.settle_span();
         let mut i = 0;
@@ -1010,7 +1030,10 @@ impl Dispatcher {
                 entry.last_reported_ratio = ratio;
                 f(entry.id, ratio);
             }
-            let settled = ratio == 0.0 && entry.account.used_this_period_us == 0;
+            let settled = ratio == 0.0
+                && entry.account.used_this_period_us == 0
+                && entry.account.budget_us > 0
+                && entry.reservation.budget_micros() > 0;
             if settled {
                 entry.watched = false;
                 self.watch_list.swap_remove(i);
@@ -1493,6 +1516,13 @@ mod tests {
 
     fn ids(d: &Dispatcher) -> Vec<ThreadId> {
         d.by_id.keys().copied().collect()
+    }
+
+    /// Re-reserves `id` at `ppt` under its current period — the
+    /// grant-only actuation a squish makes.  `None` if `id` is not here.
+    fn regrant(d: &mut Dispatcher, id: ThreadId, ppt: u32) -> Option<Result<(), SchedError>> {
+        let period = d.reservation(id)?.period;
+        Some(d.set_reservation(id, Reservation::new(Proportion::from_ppt(ppt), period)))
     }
 
     #[test]
@@ -1979,6 +2009,147 @@ mod tests {
         d.assert_consistent();
     }
 
+    /// Drives one dispatcher of each rollover mode through `steps` on
+    /// thread 3.  A step is `(kind, n, ppt)`: `add` or `reserve` it at
+    /// `ppt` ‰ per `n` ms, `block` it, `advance` to `n` µs, or `drain` both
+    /// usage feeds and check each equals the next entry of `want`.
+    fn eager_and_lazy_feeds(steps: &[(&str, u64, u32)], want: &[Vec<(ThreadId, f64)>]) {
+        let mut pair = [
+            Dispatcher::new(DispatcherConfig::default()),
+            Dispatcher::new(lazy_config()),
+        ];
+        let mut wants = want.iter();
+        for &(step, n, ppt) in steps {
+            let want = (step == "drain").then(|| wants.next().expect("a want per drain"));
+            for d in &mut pair {
+                match step {
+                    "add" => d
+                        .add_thread_preadmitted(ThreadId(3), reserved(ppt, n))
+                        .unwrap(),
+                    "reserve" => d.set_reservation(ThreadId(3), reserved(ppt, n)).unwrap(),
+                    "block" => d.block(ThreadId(3)).unwrap(),
+                    "advance" => d.advance_to(n),
+                    "drain" => {
+                        let mut got = Vec::new();
+                        d.drain_usage_changes(|id, ratio| got.push((id, ratio)));
+                        let lazy = d.config.lazy_rollovers;
+                        assert_eq!(Some(&got), want, "lazy={lazy} at {} µs", d.now_us());
+                    }
+                    other => unreachable!("unknown step {other}"),
+                }
+                d.assert_consistent();
+            }
+        }
+        assert!(wants.next().is_none(), "more wants than drains");
+    }
+
+    /// A 0 ‰ reservation's period closes at the 0/0 ratio 1.0, so a thread
+    /// under one stays watched after its 0.0 report: the lazy feed hears
+    /// the 1.0 at the boundary, as the eager drain's timer does.
+    #[test]
+    fn a_zero_budget_period_is_reported_in_both_modes() {
+        eager_and_lazy_feeds(
+            &[
+                ("add", 16, 254),
+                ("reserve", 39, 0),
+                ("advance", 39_000, 0),
+                ("drain", 0, 0),
+                ("advance", 78_000, 0),
+                ("drain", 0, 0),
+            ],
+            &[vec![(ThreadId(3), 0.0)], vec![(ThreadId(3), 1.0)]],
+        );
+    }
+
+    /// The deferred shrink: a 0 ‰ grant on an idle, settled thread applies
+    /// from its next boundary, so the thread must stay watched through the
+    /// period that still has budget until the 0/0 period closes.
+    #[test]
+    fn a_deferred_shrink_to_zero_is_reported_in_both_modes() {
+        eager_and_lazy_feeds(
+            &[
+                ("add", 16, 254),
+                ("block", 0, 0),
+                ("advance", 16_000, 0),
+                ("drain", 0, 0),
+                ("advance", 32_000, 0),
+                ("drain", 0, 0),
+                ("reserve", 16, 0),
+                ("drain", 0, 0),
+                ("advance", 48_000, 0),
+                ("drain", 0, 0),
+                ("advance", 64_000, 0),
+                ("drain", 0, 0),
+            ],
+            &[
+                vec![(ThreadId(3), 0.0)],
+                vec![],
+                vec![],
+                vec![],
+                vec![(ThreadId(3), 1.0)],
+            ],
+        );
+    }
+
+    /// A re-reservation that moves only the grant leaves the run queue,
+    /// the timer list and the off-queue pick as they were, and still
+    /// disarms the next-quantum cache; one that releases a throttled
+    /// thread, changes the period or names the pick re-ranks as before.
+    #[test]
+    fn a_grant_only_re_reservation_skips_the_re_rank() {
+        let mut d = Dispatcher::new(lazy_config());
+        for (id, ppt, period_ms) in [(1, 100, 10), (2, 100, 20), (3, 100, 40), (4, 50, 30)] {
+            d.add_thread_preadmitted(ThreadId(id), reserved(ppt, period_ms))
+                .unwrap();
+        }
+        // Thread 4 throttles (a release timer), thread 1 is picked.
+        d.charge(ThreadId(4), 1_500).unwrap();
+        assert_eq!(d.thread_state(ThreadId(4)), Some(ThreadState::Throttled));
+        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
+        let s1 = d.slot_of(ThreadId(1)).unwrap();
+        assert_eq!(d.quantum_cache_gen, Some(d.queue_gen), "cache armed");
+        let snapshot = |d: &Dispatcher| {
+            (
+                d.runnable.iter().collect::<Vec<_>>(),
+                format!("{:?}", d.timers),
+                d.off_queue_pick,
+            )
+        };
+        let before = snapshot(&d);
+        // Queued, grown; throttled, shrunk (no release): nothing moves.
+        for (id, r) in [(2, reserved(300, 20)), (4, reserved(20, 30))] {
+            d.set_reservation(ThreadId(id), r).unwrap();
+            assert_eq!(snapshot(&d), before, "thread {id}");
+            assert_ne!(d.quantum_cache_gen, Some(d.queue_gen), "cache disarmed");
+            assert_eq!(d.reservation(ThreadId(id)), Some(r));
+            d.assert_consistent();
+        }
+        assert_eq!(d.total_reserved_ppt(), 100 + 300 + 100 + 20);
+        // The next dispatch misses the cache and re-picks thread 1.
+        let misses = d.stats().quantum_cache_misses;
+        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
+        assert_eq!(d.stats().quantum_cache_misses, misses + 1);
+        assert_eq!(d.off_queue_pick, Some(s1));
+        // A grant on the pick re-links it.
+        d.set_reservation(ThreadId(1), reserved(150, 10)).unwrap();
+        assert_eq!(d.off_queue_pick, None);
+        assert!(d.runnable.key_of(s1).is_some());
+        d.assert_consistent();
+        // A release re-ranks and drops the timer; a new period re-ranks.
+        d.set_reservation(ThreadId(4), reserved(200, 30)).unwrap();
+        assert_eq!(d.thread_state(ThreadId(4)), Some(ThreadState::Ready));
+        let s4 = d.slot_of(ThreadId(4)).unwrap();
+        assert_eq!(d.timers.expiry_of(s4), None);
+        assert!(d.runnable.key_of(s4).is_some());
+        d.set_reservation(ThreadId(3), reserved(100, 5)).unwrap();
+        assert_eq!(
+            d.dispatch().thread,
+            Some(ThreadId(3)),
+            "shortest period now"
+        );
+        d.assert_consistent();
+    }
+
     #[test]
     fn charge_span_batches_until_the_throttle_edge() {
         let mut d = Dispatcher::new(lazy_config());
@@ -2290,10 +2461,11 @@ mod tests {
         /// vendored proptest miniature has no `prop_oneof`; selectors 7–10
         /// all dispatch so the pick comparison dominates the mix, and 7
         /// charges nothing, so the pick stands unexecuted and the next slow
-        /// dispatch must re-link it first.
+        /// dispatch must re-link it first.  Selector 11 re-reserves under
+        /// the current period, the grant-only path.
         #[test]
         fn indexed_pick_matches_naive_scan(
-            ops in proptest::collection::vec((0u8..11, 0u64..48, 0u32..600, 1u64..60), 1..250),
+            ops in proptest::collection::vec((0u8..12, 0u64..48, 0u32..600, 1u64..60), 1..250),
         ) {
             for config in [DispatcherConfig::default(), lazy_config()] {
                 let mut d = Dispatcher::new(config);
@@ -2318,6 +2490,9 @@ mod tests {
                             let _ = d.set_reservation(ThreadId(i), reserved(p, aux));
                         }
                         6 => d.advance_to(d.now_us() + aux * 499),
+                        11 => {
+                            let _ = regrant(&mut d, ThreadId(i), p);
+                        }
                         _ => {
                             let oracle = d.oracle_pick();
                             let outcome = d.dispatch();
@@ -2369,10 +2544,11 @@ mod tests {
         /// sequences drive one dispatcher of each mode, advancing time only
         /// to the eager dispatcher's own timer expiries so the eager grid
         /// cannot drift.  Picks, quanta, post-sync accounts, states and
-        /// stats (except idle bookkeeping) must match exactly.
+        /// stats (except idle bookkeeping) must match exactly.  Selector 9
+        /// re-reserves under the current period, the grant-only path.
         #[test]
         fn lazy_rollovers_match_eager_reference(
-            ops in proptest::collection::vec((0u8..9, 0u64..6, 0u32..500, 1u64..40), 1..120),
+            ops in proptest::collection::vec((0u8..10, 0u64..6, 0u32..500, 1u64..40), 1..120),
         ) {
             let mut eager = Dispatcher::new(DispatcherConfig::default());
             let mut lazy = Dispatcher::new(lazy_config());
@@ -2419,6 +2595,10 @@ mod tests {
                         b.sort_unstable();
                         prop_assert_eq!(a, b, "usage feeds diverged");
                     }
+                    9 => {
+                        let a = regrant(&mut eager, ThreadId(i), p);
+                        prop_assert_eq!(a, regrant(&mut lazy, ThreadId(i), p));
+                    }
                     _ => {
                         let oe = eager.dispatch();
                         let ol = lazy.dispatch();
@@ -2458,10 +2638,10 @@ mod tests {
         /// `lazy_rollovers_match_eager_reference` with the eager side
         /// charged through [`Dispatcher::charge_span`], so every eager
         /// boundary meets an open batch that must land in the period it
-        /// was consumed in.
+        /// was consumed in.  Selector 8 is a grant-only re-reservation.
         #[test]
         fn eager_span_charges_match_the_lazy_reference(
-            ops in proptest::collection::vec((0u8..8, 0u64..6, 0u32..500, 1u64..40), 1..120),
+            ops in proptest::collection::vec((0u8..9, 0u64..6, 0u32..500, 1u64..40), 1..120),
         ) {
             let mut eager = Dispatcher::new(DispatcherConfig::default());
             let mut lazy = Dispatcher::new(lazy_config());
@@ -2490,6 +2670,10 @@ mod tests {
                             eager.advance_to(t);
                             lazy.advance_to(t);
                         }
+                    }
+                    8 => {
+                        let a = regrant(&mut eager, id, p);
+                        prop_assert_eq!(a, regrant(&mut lazy, id, p));
                     }
                     _ => {
                         let oe = eager.dispatch();
@@ -2530,11 +2714,12 @@ mod tests {
         /// The per-id charge re-ranks the queue after every span, so the
         /// reference can never serve a pick from the cache; picks, quanta,
         /// post-sync accounts and stats must nevertheless match exactly,
-        /// across wakes, re-reservations, cross-CPU migrations and picks
-        /// that stand unexecuted (selector 7 charges nothing).
+        /// across wakes, re-reservations (selector 12 moves the grant
+        /// alone), cross-CPU migrations and picks that stand unexecuted
+        /// (selector 7 charges nothing).
         #[test]
         fn span_fast_path_matches_settled_reference(
-            ops in proptest::collection::vec((0u8..12, 0u64..8, 0u32..500, 1u64..40), 1..150),
+            ops in proptest::collection::vec((0u8..13, 0u64..8, 0u32..500, 1u64..40), 1..150),
         ) {
             let mut fast = [Dispatcher::new(lazy_config()), Dispatcher::new(lazy_config())];
             let mut refd = [Dispatcher::new(lazy_config()), Dispatcher::new(lazy_config())];
@@ -2584,6 +2769,10 @@ mod tests {
                             refd[to].inject_thread(tr).unwrap();
                         }
                     }
+                    12 => for c in 0..2 {
+                        let a = regrant(&mut fast[c], id, p);
+                        prop_assert_eq!(a, regrant(&mut refd[c], id, p));
+                    },
                     _ => {
                         let of = fast[cpu].dispatch();
                         let or = refd[cpu].dispatch();

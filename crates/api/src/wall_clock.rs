@@ -341,6 +341,7 @@ impl Host for WallClockHost {
             }
             self.round();
         }
+        self.ctl.machine_mut().sync_all();
     }
 
     fn now(&self) -> SimTime {
@@ -628,5 +629,26 @@ mod tests {
         host.remove_job(dead);
         assert_eq!(host.controller().job_count(), 1);
         assert!(host.tasks[dead.slot.index()].is_none());
+    }
+
+    /// A parked job is never dispatched again, so between the controller
+    /// cycles that re-reserve it only the closing sync of `advance` rolls
+    /// its account through the boundaries it sat out.  Its period is a
+    /// tenth of the controller's, and the short advances below land at
+    /// several offsets into a controller period, so a missing sync leaves
+    /// a boundary behind at one of them.
+    #[test]
+    fn a_parked_job_s_account_is_current_after_advance() {
+        let mut host = WallClockHost::new(1);
+        let spec = JobSpec::real_time(Proportion::from_ppt(100), Period::from_millis(1));
+        let job = host.add_job("panicky", spec, Box::new(Panicky)).unwrap();
+        host.advance(SimTime::from_millis(200));
+        for _ in 0..5 {
+            host.advance(SimTime::from_millis(3));
+            let account = host.usage(job).expect("resident");
+            let now = host.ctl.machine().now_us();
+            let open = account.period_start_us..account.period_start_us + 1_000;
+            assert!(open.contains(&now), "open period {open:?}, clock {now}");
+        }
     }
 }

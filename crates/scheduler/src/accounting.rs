@@ -99,10 +99,9 @@ impl UsageAccount {
         missed
     }
 
-    /// Closes `k >= 1` consecutive periods in one `O(1)` batch.  The eager
-    /// drain closes one per expired timer; under
-    /// [`crate::DispatcherConfig::lazy_rollovers`] a thread's account is
-    /// only brought up to date when the thread is next touched and may be
+    /// Closes `k >= 1` consecutive periods in one `O(1)` batch.  The
+    /// dispatcher rolls boundaries lazily: a thread's account is only
+    /// brought up to date when the thread is next touched, and may be
     /// several boundaries behind.
     ///
     /// The first boundary closes the in-flight period exactly like
@@ -111,10 +110,10 @@ impl UsageAccount {
     /// untouched, so each used zero CPU under the refreshed budget and
     /// counts as a missed deadline iff `runnable_rest` (whether the thread
     /// sat runnable through them) and the budget is non-zero — the same
-    /// verdict the eager path reaches by re-marking a runnable thread at
-    /// every boundary.  `final_start_us` is the last boundary's instant and
-    /// becomes the new period start.  Returns how many of the `k` closed
-    /// periods missed their deadline.
+    /// verdict rolling each boundary in turn reaches by re-marking a
+    /// runnable thread at every one.  `final_start_us` is the last
+    /// boundary's instant and becomes the new period start.  Returns how
+    /// many of the `k` closed periods missed their deadline.
     pub(crate) fn roll_periods(
         &mut self,
         k: u64,
@@ -277,11 +276,11 @@ mod tests {
     }
 
     proptest! {
-        /// The `O(1)` batch roll must land on exactly the state the eager
-        /// path reaches by rolling every boundary in turn (re-marking a
-        /// runnable thread at each one).
+        /// The `O(1)` batch roll must land on exactly the state reached by
+        /// rolling every boundary in turn (re-marking a runnable thread at
+        /// each one).
         #[test]
-        fn batch_roll_matches_eager_boundary_loop(
+        fn batch_roll_matches_per_boundary_loop(
             k in 1u64..20,
             budget in 1u64..2_000,
             next_budget in 0u64..2_000,
@@ -298,14 +297,14 @@ mod tests {
                 a.charge(used);
                 a
             };
-            let mut eager = seed(started_runnable);
+            let mut looped = seed(started_runnable);
             for i in 1..=k {
-                eager.roll_period(i * period, next_budget);
+                looped.roll_period(i * period, next_budget);
                 if runnable_rest {
-                    eager.mark_runnable();
+                    looped.mark_runnable();
                 }
             }
-            // The eager loop leaves `was_runnable` set for the new period;
+            // The loop leaves `was_runnable` set for the new period;
             // the batch caller re-marks separately, mirroring the
             // dispatcher's sync step.
             let mut batch = seed(started_runnable);
@@ -313,7 +312,7 @@ mod tests {
             if runnable_rest {
                 batch.mark_runnable();
             }
-            prop_assert_eq!(format!("{eager:?}"), format!("{batch:?}"));
+            prop_assert_eq!(format!("{looped:?}"), format!("{batch:?}"));
             prop_assert_eq!(missed, batch.deadlines_missed);
         }
 

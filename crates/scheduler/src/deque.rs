@@ -38,14 +38,12 @@
 //! tail are `O(1)`; anything else is an `O(log n)` search plus a shift
 //! (none at either end), and the shift is the known worst case — an entry
 //! that lands or leaves `i` places from the front of `n` moves
-//! `min(i, n − i)` entries (`memmove`), where a heap pays `O(log n)`.  Eager (wall-clock executor) rollovers
-//! over threads of mixed periods are what can hit it on the timer list:
-//! every thread keeps a timer armed and a short-period one re-arms in
-//! front of every longer one.  Over the eight corpus scenarios run eagerly
-//! that is small: at most 21 timers on a CPU, 44–99 % of arms on the tail,
-//! 0.0–0.4 entries shifted per arm on average and 9 (216 bytes) at worst.
-//! If a workload with thousands of mixed-period timers per CPU ever shows
-//! it, the fix is a chunked deque, not a return to the heap.  Nothing
+//! `min(i, n − i)` entries (`memmove`), where a heap pays `O(log n)`.  On
+//! the timer list only throttled threads hold timers, so a short-period
+//! release arming in front of many longer ones needs many threads
+//! throttled at once on one CPU.  If a workload with thousands of
+//! mixed-period releases per CPU ever shows it, the fix is a chunked
+//! deque, not a return to the heap.  Nothing
 //! allocates once the deque and the key table have grown to the
 //! population's high-water mark.
 

@@ -71,35 +71,35 @@
 //!   pending slot's account has strictly positive remaining budget after
 //!   the batch and its next period boundary is still in the future at
 //!   every accumulation instant, so the batch always lands in the period
-//!   it was consumed in.  The lazy drain in `advance_to` never settles:
-//!   the span thread is running (never throttled), so no armed timer can
-//!   name its slot, and other slots' rollovers cannot touch its account.
-//!   The eager drain settles first: there the running thread keeps a
-//!   timer like every other thread.
+//!   it was consumed in.  The drain in `advance_to` never settles: the
+//!   span thread is running (never throttled), so no armed timer can name
+//!   its slot, and other slots' rollovers cannot touch its account.
 //!
-//! The cache arms in lazy-rollover mode only (the calendar simulator) —
-//! the eager drain rolls accounts behind its back — while span charges
-//! batch in either mode; the golden SimStats captures pin the whole
-//! optimisation as observationally invisible.
+//! The golden SimStats captures pin the whole optimisation as
+//! observationally invisible.
 //!
 //! # Period boundaries and timers
 //!
-//! What happens to one thread at a period boundary, and who keeps a timer,
-//! are each stated once, for both rollover modes
-//! ([`DispatcherConfig::lazy_rollovers`]):
+//! Period boundaries roll lazily: a thread's account is brought up to
+//! date when the thread is next touched (picked, charged, blocked,
+//! unblocked, re-reserved, migrated) or explicitly synced
+//! ([`Dispatcher::sync_all`], [`Dispatcher::drain_usage_changes`]), so
+//! [`Dispatcher::usage`] may lag until then.  What happens at a boundary,
+//! and who keeps a timer, are each stated once:
 //!
-//! * **The boundary roll** (`roll`) closes the thread's period(s) in its
-//!   [`UsageAccount`], moves its next boundary, releases it if it was
-//!   throttled, books the rollovers and missed deadlines, and puts it on
-//!   the usage watch list if its ratio moved.  Eager mode rolls one
-//!   boundary per expired timer, ending at the drain instant; lazy mode
-//!   rolls a thread's whole backlog on its grid when the thread is next
-//!   touched (`sync_entry`).
-//! * **The timer rule** (`rearm`): eager, every thread keeps a timer at
-//!   its next boundary; lazy, only a throttled one does — its release is
-//!   the one boundary that can change a dispatch decision.  Every site
-//!   that changes a thread's state or boundary re-applies the rule instead
-//!   of arming or cancelling for itself.
+//! * **The boundary roll** (`roll`) closes the thread's whole backlog of
+//!   periods in its [`UsageAccount`] in one `O(1)` batch on the exact
+//!   periodic grid anchored at the last reservation change
+//!   (`sync_entry`), moves its next boundary, releases it if it was
+//!   throttled, books the rollovers and missed deadlines — one per
+//!   boundary it sat runnable and underserved through — and puts it on
+//!   the usage watch list if its ratio moved.
+//! * **The timer rule** (`rearm`): only a throttled thread keeps a timer,
+//!   at its next boundary — its release is the one boundary that can
+//!   change a dispatch decision, and the paper's "no work unless at least
+//!   one timer has expired".  Every site that changes a thread's state or
+//!   boundary re-applies the rule instead of arming or cancelling for
+//!   itself.
 //!
 //! The cache and the span batch are counted by the always-on [`DispatchStats`]
 //! (exposed per CPU by [`Dispatcher::stats`] and machine-wide by
@@ -139,29 +139,9 @@ pub struct DispatcherConfig {
     /// Additional modelled cost per context switch (cache and TLB refill),
     /// in microseconds.
     pub context_switch_cost_us: f64,
-    /// Roll reservation periods lazily (event-calendar mode).
-    ///
-    /// The two modes run the same boundary roll and differ in two places
-    /// only.  *The drain* ([`Dispatcher::advance_to`]): eager processes one
-    /// boundary per expired timer as the clock passes it — `O(threads)`
-    /// timer work per period, even for threads nobody touches; lazy brings
-    /// an account up to date in one `O(1)` batch
-    /// (`crate::UsageAccount::roll_periods`) when the thread is next
-    /// touched (picked, charged, blocked, unblocked, re-reserved, migrated)
-    /// or explicitly synced ([`Dispatcher::sync_all`],
-    /// [`Dispatcher::drain_usage_changes`]).  *The timer rule*: eager keeps
-    /// a period timer armed for every thread; lazy only for
-    /// *throttled* ones (at their replenishment boundary, which is the only
-    /// boundary that can change a dispatch decision).
-    ///
-    /// Two deliberate semantic differences follow: lazy boundaries stay on
-    /// the exact periodic grid anchored at the last reservation change (the
-    /// eager path re-arms from the drain instant, so late drains drift),
-    /// and a thread that sits runnable-but-starved across `k` boundaries
-    /// counts `k` missed deadlines (the eager path counts one per processed
-    /// timer, so a fast-forwarded gap undercounts).
-    /// Usage queries via [`Dispatcher::usage`]
-    /// may lag until the entry is synced.
+    /// Ignored: period boundaries always roll lazily (see the module
+    /// docs).  Kept one more change for callers that still name it; its
+    /// removal is queued with the benchmark's other renames.
     #[serde(default)]
     pub lazy_rollovers: bool,
 }
@@ -174,7 +154,7 @@ impl Default for DispatcherConfig {
             // the CPU, matching the knee reported in Figure 8.
             dispatch_cost_us: 6.8,
             context_switch_cost_us: 1.9,
-            lazy_rollovers: false,
+            lazy_rollovers: true,
         }
     }
 }
@@ -251,12 +231,10 @@ struct ThreadEntry {
     /// used to round-robin among equal-period threads.
     last_picked_seq: u64,
     /// The earliest period boundary not yet rolled into the account — the
-    /// one source of truth in both rollover modes ([`Dispatcher::rearm`]
-    /// arms the timer here, [`Dispatcher::roll`] moves it).  In lazy mode
-    /// boundaries sit on the exact periodic grid anchored at the last
-    /// reservation change, so [`Dispatcher::sync_entry`] can batch any
-    /// backlog in `O(1)`; in eager mode each is one period after the drain
-    /// that rolled the last.
+    /// one source of truth ([`Dispatcher::rearm`] arms the timer here,
+    /// [`Dispatcher::roll`] moves it).  Boundaries sit on the exact
+    /// periodic grid anchored at the last reservation change, so
+    /// [`Dispatcher::sync_entry`] can batch any backlog in `O(1)`.
     next_boundary_us: u64,
     /// The last usage ratio handed out through
     /// [`Dispatcher::drain_usage_changes`]; a thread is only re-reported
@@ -569,8 +547,8 @@ impl Dispatcher {
     /// preserving its reservation, run state and usage account.
     ///
     /// A running thread is demoted to Ready (it is not running on the
-    /// destination CPU); its period timer is cancelled here and re-armed by
-    /// [`Dispatcher::inject_thread`].
+    /// destination CPU); a throttled one's release timer is cancelled here
+    /// and re-armed by [`Dispatcher::inject_thread`].
     #[cfg(test)]
     pub(crate) fn take_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
         let slot = self.resolve(id)?;
@@ -609,20 +587,14 @@ impl Dispatcher {
 
     /// Inserts a migrated thread, continuing its current period.
     ///
-    /// The period timer is re-armed at exactly the boundary the source CPU
-    /// had scheduled; if that boundary has already passed on this CPU's
-    /// clock it fires at the next [`Dispatcher::advance_to`].  Placement is
-    /// the migrating authority's responsibility, exactly like the
-    /// controller's actuation path.
+    /// The thread keeps the boundary grid the source CPU had scheduled.  A
+    /// boundary that has already passed on this CPU's clock rolls at once;
+    /// a thread still throttled gets its release timer at its next
+    /// boundary.  Placement is the migrating authority's responsibility,
+    /// exactly like the controller's actuation path.
     pub(crate) fn inject_thread(&mut self, thread: MigratedThread) -> Result<(), SchedError> {
         if self.by_id.contains_key(&thread.id) {
             return Err(SchedError::DuplicateThread(thread.id));
-        }
-        let mut next_boundary_us = thread.next_boundary_us;
-        if !self.config.lazy_rollovers {
-            // The eager drain fires timers, not backlogs: a boundary this
-            // CPU's clock already passed fires at the next `advance_to`.
-            next_boundary_us = next_boundary_us.max(self.now_us + 1);
         }
         let idx = self.link(ThreadEntry {
             id: thread.id,
@@ -630,19 +602,17 @@ impl Dispatcher {
             state: thread.state,
             account: thread.account,
             last_picked_seq: 0,
-            next_boundary_us,
+            next_boundary_us: thread.next_boundary_us,
             last_reported_ratio: 1.0,
             watched: false,
         });
-        // Lazy: boundaries that already passed on this CPU's clock roll
-        // immediately.
         self.sync_entry(idx);
         self.rearm(idx);
         Ok(())
     }
 
-    /// The earliest armed period timer, if any — the next instant at which
-    /// an idle CPU has work to do.
+    /// The next throttle release, if any — the next instant at which an
+    /// idle CPU has work to do.
     pub fn next_timer_expiry(&self) -> Option<u64> {
         self.timers.next_expiry()
     }
@@ -802,8 +772,8 @@ impl Dispatcher {
     }
 
     fn block_inner(&mut self, idx: u32) {
-        // Roll boundaries while the thread still counts as runnable so the
-        // was-runnable miss accounting matches the eager path.
+        // Roll boundaries while the thread still counts as runnable, so
+        // the periods it sat runnable through count their misses.
         self.sync_entry(idx);
         let entry = self.entries[idx as usize].as_mut().expect(
             "block_inner receives the current span's slot or a verified one, both occupied",
@@ -853,10 +823,10 @@ impl Dispatcher {
         }
     }
 
-    /// Advances the scheduler clock to `now_us`, processing any period
-    /// timers that expired on the way (`do_timers()` in the prototype).
-    /// Constant-time when no timer has expired; a clock that is already
-    /// there costs the caller one inlined compare.
+    /// Advances the scheduler clock to `now_us`, releasing every throttled
+    /// thread whose timer expired on the way (`do_timers()` in the
+    /// prototype).  Constant-time when no timer has expired; a clock that
+    /// is already there costs the caller one inlined compare.
     #[inline]
     pub fn advance_to(&mut self, now_us: u64) {
         if now_us > self.now_us {
@@ -869,33 +839,16 @@ impl Dispatcher {
     #[inline(never)]
     fn advance_slow(&mut self, now_us: u64) {
         self.now_us = now_us;
-        if self.config.lazy_rollovers {
-            // Only throttle-release timers are armed, and the popped slot is
-            // the dispatcher's own dense index — no id resolution.
-            while let Some(idx) = self.timers.pop_next_expired(now_us) {
-                self.sync_entry(idx);
-            }
-            return;
-        }
-        // The running thread keeps a timer too, so its open span batch lands
-        // before the drain can close the period it was consumed in.
-        self.settle_span();
-        // One boundary per expired timer, in expiry order, each ending at
-        // the drain instant: the re-armed timers land strictly in the
-        // future, so the drain terminates.
+        // Only throttle-release timers are armed, and the popped slot is the
+        // dispatcher's own dense index — no id resolution.
         while let Some(idx) = self.timers.pop_next_expired(now_us) {
-            self.roll(idx, 1, now_us);
+            self.sync_entry(idx);
         }
     }
 
-    /// Lazy mode: rolls the slot's period-boundary backlog into its account
-    /// in one `O(1)` batch on the grid.  No-op in eager mode (the drain in
-    /// [`Dispatcher::advance_to`] rolls instead) and when no boundary has
-    /// passed.
+    /// Rolls the slot's period-boundary backlog into its account in one
+    /// `O(1)` batch on the grid.  No-op when no boundary has passed.
     fn sync_entry(&mut self, idx: u32) {
-        if !self.config.lazy_rollovers {
-            return;
-        }
         let now = self.now_us;
         let Some(entry) = self.entries.get(idx as usize).and_then(Option::as_ref) else {
             return;
@@ -909,11 +862,11 @@ impl Dispatcher {
         self.roll(idx, k, final_start);
     }
 
-    /// The period-boundary roll, for both rollover modes: closes `k`
-    /// periods of the thread's account, the last one ending — and the open
-    /// one starting — at `final_start_us`, puts its next boundary one
-    /// period after that, releases it if it was throttled, and books the
-    /// rollovers and missed deadlines.
+    /// The period-boundary roll: closes `k` periods of the thread's
+    /// account, the last one ending — and the open one starting — at
+    /// `final_start_us`, puts its next boundary one period after that,
+    /// releases it if it was throttled, and books the rollovers and missed
+    /// deadlines.
     fn roll(&mut self, idx: u32, k: u64, final_start_us: u64) {
         // A boundary roll must never race an unsettled span batch for the
         // same slot: every settle point runs before its roll.
@@ -954,13 +907,11 @@ impl Dispatcher {
                 },
             );
         }
-        // A lazy thread that was not throttled held no timer and holds none
-        // now; skipping the rule for it keeps the timer list's key table
-        // off the dispatch span.
-        if released || !self.config.lazy_rollovers {
-            self.rearm(idx);
-        }
+        // A thread that was not throttled held no timer and holds none now;
+        // skipping the rule for it keeps the timer list's key table off the
+        // dispatch span.
         if released {
+            self.rearm(idx);
             self.reindex(idx);
         }
         if ratio_changed {
@@ -968,26 +919,24 @@ impl Dispatcher {
         }
     }
 
-    /// The timer rule, for both rollover modes: eager, every thread keeps a
-    /// timer at its next boundary; lazy, only a throttled one does (its
-    /// release is the one boundary that can change a dispatch decision).
-    /// Called after every change to a thread's state or next boundary;
-    /// arming a timer where it already is moves nothing.
+    /// The timer rule: only a throttled thread keeps a timer, at its next
+    /// boundary (its release is the one boundary that can change a
+    /// dispatch decision).  Called after every change to a thread's state
+    /// or next boundary; arming a timer where it already is moves nothing.
     fn rearm(&mut self, idx: u32) {
         let Some(entry) = self.entries[idx as usize].as_ref() else {
             return;
         };
-        if !self.config.lazy_rollovers || entry.state == ThreadState::Throttled {
+        if entry.state == ThreadState::Throttled {
             self.timers.arm(idx, entry.id, entry.next_boundary_us);
         } else {
             self.timers.cancel(idx);
         }
     }
 
-    /// Lazy mode: settles every thread's boundary backlog so that
-    /// [`Dispatcher::usage`]-style queries and final statistics reflect the
-    /// current instant.  No-op in eager mode (but still settles any
-    /// pending span batch).
+    /// Settles the pending span batch and every thread's boundary backlog,
+    /// so that [`Dispatcher::usage`]-style queries and final statistics
+    /// reflect the current instant.
     pub fn sync_all(&mut self) {
         self.settle_span();
         for idx in 0..self.entries.len() as u32 {
@@ -1004,9 +953,8 @@ impl Dispatcher {
     /// budget both now and from the next boundary on; any later activity
     /// (pick, charge, reservation change) re-watches it.  A zero budget
     /// keeps it watched: a period it governs closes at the 0/0 ratio 1.0
-    /// (`UsageAccount::last_period_usage_ratio`), and lazy rollovers arm
-    /// no timer that would re-watch an untouched thread for that boundary.
-    /// Works in both rollover modes.
+    /// (`UsageAccount::last_period_usage_ratio`), and no timer would
+    /// re-watch an untouched thread for that boundary.
     pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, f64)) {
         self.settle_span();
         let mut i = 0;
@@ -1153,19 +1101,17 @@ impl Dispatcher {
         let quantum = self.config.dispatch_interval_us.max(1).min(budget_cap);
         // Arm the next-quantum cache: if the re-keyed pick still sorts
         // before the queue's front, nothing can outrank it until some
-        // operation bumps `queue_gen` (only lazy picks qualify — eager mode
-        // rolls accounts behind the cache's back).
+        // operation bumps `queue_gen`.
         self.span_slot = Some(idx);
         let rekeyed = RunKey {
             last_picked_seq: pick_seq,
             ..key
         };
-        self.quantum_cache_gen = (self.config.lazy_rollovers
-            && self
-                .runnable
-                .peek()
-                .is_none_or(|front| (rekeyed, idx) < front))
-        .then_some(self.queue_gen);
+        self.quantum_cache_gen = self
+            .runnable
+            .peek()
+            .is_none_or(|front| (rekeyed, idx) < front)
+            .then_some(self.queue_gen);
         DispatchOutcome {
             thread: Some(picked),
             quantum_us: quantum,
@@ -1317,7 +1263,7 @@ impl Dispatcher {
     /// batch can never throttle or cross a boundary — the settlement rule
     /// settles *before* either edge — so this is a plain account update
     /// plus a re-rank and a controller watch, identical in sum to having
-    /// charged each span eagerly.
+    /// charged each span on its own.
     fn settle_span(&mut self) {
         if self.span_pending_us == 0 {
             return;
@@ -1328,10 +1274,9 @@ impl Dispatcher {
     }
 
     /// The full per-charge path for a resolved slot: sync the period
-    /// backlog (lazy mode), then apply the charge.
+    /// backlog, then apply the charge.
     fn charge_inner(&mut self, idx: u32, us: u64) {
-        // Charge against the current period, not a stale one (no-op in
-        // eager mode).
+        // Charge against the current period, not a stale one.
         self.sync_entry(idx);
         self.apply_charge(idx, us);
     }
@@ -1426,13 +1371,11 @@ impl Dispatcher {
             if entry.state.is_runnable() {
                 runnable += 1;
             }
-            // The timer rule ([`Dispatcher::rearm`]), restated: eager, every
-            // thread keeps a timer at its next boundary; lazy, only a
-            // throttled one does.
-            let keeps = !self.config.lazy_rollovers || entry.state == ThreadState::Throttled;
+            // The timer rule ([`Dispatcher::rearm`]), restated: only a
+            // throttled thread keeps a timer, at its next boundary.
             assert_eq!(
                 self.timers.expiry_of(idx),
-                keeps.then_some(entry.next_boundary_us),
+                (entry.state == ThreadState::Throttled).then_some(entry.next_boundary_us),
                 "timer rule broken for {id} ({:?})",
                 entry.state
             );
@@ -1523,6 +1466,132 @@ mod tests {
     fn regrant(d: &mut Dispatcher, id: ThreadId, ppt: u32) -> Option<Result<(), SchedError>> {
         let period = d.reservation(id)?.period;
         Some(d.set_reservation(id, Reservation::new(Proportion::from_ppt(ppt), period)))
+    }
+
+    /// How one side of [`match_per_boundary_reference`] charges a pick.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Charging {
+        /// [`Dispatcher::charge`]: settled at once, by id.
+        PerCharge,
+        /// [`Dispatcher::charge_span`]: batched until a settle point.
+        Span,
+    }
+
+    /// Lazy rollovers against a per-boundary (eager) reference: identical
+    /// `(selector, id, ppt, aux)` operation sequences drive two
+    /// dispatchers.  The lazy side is never synced, so boundaries pile up
+    /// and roll in batches.  The reference is synced after every operation
+    /// — except one that left a span batch open, which settles at the next
+    /// operation's sync, so an advance can meet it — and its clock only
+    /// ever moves to its own next period boundary, so each boundary rolls
+    /// on its own, at its instant.  Picks, quanta, usage feeds, post-sync
+    /// accounts, states, reservations and stats (except idle bookkeeping)
+    /// must match exactly.  Selector 9 re-reserves under the current
+    /// period, the grant-only path.
+    fn match_per_boundary_reference(
+        ops: &[(u8, u64, u32, u64)],
+        lazy_charging: Charging,
+        ref_charging: Charging,
+    ) {
+        fn charge(d: &mut Dispatcher, how: Charging, t: ThreadId, used: u64) {
+            match how {
+                Charging::PerCharge => d.charge(t, used).expect("picked exists"),
+                Charging::Span => d.charge_span(used),
+            }
+        }
+        let mut lazy = Dispatcher::new(DispatcherConfig::default());
+        let mut refd = Dispatcher::new(DispatcherConfig::default());
+        for &(op, i, p, aux) in ops {
+            let id = ThreadId(i);
+            let mut span_open = false;
+            match op {
+                0 => {
+                    let a = lazy.add_thread_preadmitted(id, reserved(p, aux));
+                    assert_eq!(a, refd.add_thread_preadmitted(id, reserved(p, aux)));
+                }
+                1 => {
+                    let a = lazy.remove_thread(id);
+                    assert_eq!(a, refd.remove_thread(id));
+                }
+                2 => {
+                    let _ = lazy.block(id);
+                    let _ = refd.block(id);
+                }
+                3 => {
+                    let _ = lazy.unblock(id);
+                    let _ = refd.unblock(id);
+                }
+                4 => {
+                    let _ = lazy.set_reservation(id, reserved(p, aux));
+                    let _ = refd.set_reservation(id, reserved(p, aux));
+                }
+                5 => {
+                    // The reference's next boundary: none has passed since
+                    // its last sync, so this rolls exactly one.
+                    let next = refd
+                        .entries
+                        .iter()
+                        .flatten()
+                        .map(|e| e.next_boundary_us)
+                        .min();
+                    if let Some(t) = next {
+                        lazy.advance_to(t);
+                        refd.advance_to(t);
+                    }
+                }
+                6 => {
+                    // The same changed-usage feed, order aside.
+                    let mut a = Vec::new();
+                    lazy.drain_usage_changes(|id, r| a.push((id, r.to_bits())));
+                    let mut b = Vec::new();
+                    refd.drain_usage_changes(|id, r| b.push((id, r.to_bits())));
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    assert_eq!(a, b, "usage feeds diverged");
+                }
+                9 => {
+                    let a = regrant(&mut lazy, id, p);
+                    assert_eq!(a, regrant(&mut refd, id, p));
+                }
+                _ => {
+                    let ol = lazy.dispatch();
+                    let or = refd.dispatch();
+                    assert_eq!(ol.thread, or.thread, "picks diverged");
+                    if let Some(t) = ol.thread {
+                        assert_eq!(ol.quantum_us, or.quantum_us, "quanta diverged");
+                        let used = (ol.quantum_us * (aux % 3 + 1) / 3).max(1);
+                        charge(&mut lazy, lazy_charging, t, used);
+                        charge(&mut refd, ref_charging, t, used);
+                        span_open = ref_charging == Charging::Span;
+                    }
+                }
+            }
+            if !span_open {
+                refd.sync_all();
+            }
+            lazy.assert_consistent();
+            refd.assert_consistent();
+        }
+        // Settle both backlogs, then every observable must agree.
+        lazy.sync_all();
+        refd.sync_all();
+        assert_eq!(ids(&lazy), ids(&refd));
+        for id in ids(&refd) {
+            assert_eq!(lazy.thread_state(id), refd.thread_state(id));
+            assert_eq!(lazy.reservation(id), refd.reservation(id));
+            let (la, ra) = (lazy.usage(id).unwrap(), refd.usage(id).unwrap());
+            assert_eq!(
+                format!("{la:?}"),
+                format!("{ra:?}"),
+                "account diverged for {:?}",
+                id
+            );
+        }
+        let (ls, rs) = (lazy.stats(), refd.stats());
+        assert_eq!(ls.dispatches, rs.dispatches);
+        assert_eq!(ls.context_switches, rs.context_switches);
+        assert_eq!(ls.period_rollovers, rs.period_rollovers);
+        assert_eq!(ls.deadlines_missed, rs.deadlines_missed);
     }
 
     #[test]
@@ -1810,15 +1879,6 @@ mod tests {
     }
 
     #[test]
-    fn next_timer_expiry_tracks_reserved_threads() {
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        assert_eq!(d.next_timer_expiry(), None);
-        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
-            .unwrap();
-        assert_eq!(d.next_timer_expiry(), Some(10_000));
-    }
-
-    #[test]
     fn advance_to_is_monotone() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
         d.advance_to(1000);
@@ -1846,53 +1906,44 @@ mod tests {
     /// exactly as it was.
     #[test]
     fn stale_slot_never_reaches_the_slots_next_tenant() {
-        for config in [DispatcherConfig::default(), lazy_config()] {
-            let mut d = Dispatcher::new(config);
-            d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
-                .unwrap();
-            let slot = d.slot_of(ThreadId(1)).unwrap();
-            d.remove_thread(ThreadId(1)).unwrap();
-            let gone = Err(SchedError::UnknownThread(ThreadId(1)));
-            assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone, "freed slot");
-            d.add_thread_preadmitted(ThreadId(2), reserved(200, 20))
-                .unwrap();
-            assert_eq!(d.slot_of(ThreadId(2)), Some(slot), "LIFO reuse");
-            d.block(ThreadId(2)).unwrap();
-            let r = Reservation::new(Proportion::from_ppt(900), Period::from_millis(1));
-            assert_eq!(d.set_reservation_slot(slot, ThreadId(1), r), gone);
-            assert_eq!(d.reservation_slot(slot, ThreadId(1)), None);
-            assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone);
-            assert_eq!(d.block_slot(slot, ThreadId(1)), gone);
-            assert_eq!(d.charge_slot(slot, ThreadId(1), 500), gone);
-            assert!(d.take_thread_slot(slot, ThreadId(1)).is_err());
-            assert_eq!(
-                d.unblock_slot(slot + 7, ThreadId(2)),
-                Err(SchedError::UnknownThread(ThreadId(2))),
-                "out of range"
-            );
-            // The tenant: still blocked, still on its own reservation,
-            // nothing charged.
-            assert_eq!(d.thread_state(ThreadId(2)), Some(ThreadState::Blocked));
-            assert_eq!(d.reservation(ThreadId(2)).unwrap().proportion.ppt(), 200);
-            assert_eq!(d.usage(ThreadId(2)).unwrap().total_used_us, 0);
-            assert_eq!(d.total_reserved_ppt(), 200);
-            // Under its own id the same slot works.
-            d.unblock_slot(slot, ThreadId(2)).unwrap();
-            assert_eq!(d.thread_state(ThreadId(2)), Some(ThreadState::Ready));
-            d.assert_consistent();
-        }
-    }
-
-    fn lazy_config() -> DispatcherConfig {
-        DispatcherConfig {
-            lazy_rollovers: true,
-            ..DispatcherConfig::default()
-        }
+        let mut d = Dispatcher::new(DispatcherConfig::default());
+        d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+            .unwrap();
+        let slot = d.slot_of(ThreadId(1)).unwrap();
+        d.remove_thread(ThreadId(1)).unwrap();
+        let gone = Err(SchedError::UnknownThread(ThreadId(1)));
+        assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone, "freed slot");
+        d.add_thread_preadmitted(ThreadId(2), reserved(200, 20))
+            .unwrap();
+        assert_eq!(d.slot_of(ThreadId(2)), Some(slot), "LIFO reuse");
+        d.block(ThreadId(2)).unwrap();
+        let r = Reservation::new(Proportion::from_ppt(900), Period::from_millis(1));
+        assert_eq!(d.set_reservation_slot(slot, ThreadId(1), r), gone);
+        assert_eq!(d.reservation_slot(slot, ThreadId(1)), None);
+        assert_eq!(d.unblock_slot(slot, ThreadId(1)), gone);
+        assert_eq!(d.block_slot(slot, ThreadId(1)), gone);
+        assert_eq!(d.charge_slot(slot, ThreadId(1), 500), gone);
+        assert!(d.take_thread_slot(slot, ThreadId(1)).is_err());
+        assert_eq!(
+            d.unblock_slot(slot + 7, ThreadId(2)),
+            Err(SchedError::UnknownThread(ThreadId(2))),
+            "out of range"
+        );
+        // The tenant: still blocked, still on its own reservation,
+        // nothing charged.
+        assert_eq!(d.thread_state(ThreadId(2)), Some(ThreadState::Blocked));
+        assert_eq!(d.reservation(ThreadId(2)).unwrap().proportion.ppt(), 200);
+        assert_eq!(d.usage(ThreadId(2)).unwrap().total_used_us, 0);
+        assert_eq!(d.total_reserved_ppt(), 200);
+        // Under its own id the same slot works.
+        d.unblock_slot(slot, ThreadId(2)).unwrap();
+        assert_eq!(d.thread_state(ThreadId(2)), Some(ThreadState::Ready));
+        d.assert_consistent();
     }
 
     #[test]
-    fn lazy_exhausted_thread_is_replenished_at_the_boundary() {
-        let mut d = Dispatcher::new(lazy_config());
+    fn exhausted_thread_is_replenished_at_the_boundary() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         let o = d.dispatch();
@@ -1914,8 +1965,8 @@ mod tests {
     }
 
     #[test]
-    fn lazy_sync_batches_a_multi_period_backlog() {
-        let mut d = Dispatcher::new(lazy_config());
+    fn sync_batches_a_multi_period_backlog() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         // Runnable but never picked for 5 whole periods: no timers fire,
@@ -1938,8 +1989,8 @@ mod tests {
     }
 
     #[test]
-    fn lazy_blocked_thread_misses_only_its_runnable_period() {
-        let mut d = Dispatcher::new(lazy_config());
+    fn blocked_thread_misses_only_its_runnable_period() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         d.block(ThreadId(1)).unwrap();
@@ -1954,9 +2005,9 @@ mod tests {
     }
 
     #[test]
-    fn lazy_take_and_inject_keep_the_release_timer() {
-        let mut src = Dispatcher::new(lazy_config());
-        let mut dst = Dispatcher::new(lazy_config());
+    fn take_and_inject_keep_the_release_timer() {
+        let mut src = Dispatcher::new(DispatcherConfig::default());
+        let mut dst = Dispatcher::new(DispatcherConfig::default());
         src.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         let o = src.dispatch();
@@ -1978,7 +2029,7 @@ mod tests {
 
     #[test]
     fn drain_usage_changes_reports_only_transitions() {
-        let mut d = Dispatcher::new(lazy_config());
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         let drain = |d: &mut Dispatcher| {
@@ -2009,46 +2060,40 @@ mod tests {
         d.assert_consistent();
     }
 
-    /// Drives one dispatcher of each rollover mode through `steps` on
-    /// thread 3.  A step is `(kind, n, ppt)`: `add` or `reserve` it at
-    /// `ppt` ‰ per `n` ms, `block` it, `advance` to `n` µs, or `drain` both
-    /// usage feeds and check each equals the next entry of `want`.
-    fn eager_and_lazy_feeds(steps: &[(&str, u64, u32)], want: &[Vec<(ThreadId, f64)>]) {
-        let mut pair = [
-            Dispatcher::new(DispatcherConfig::default()),
-            Dispatcher::new(lazy_config()),
-        ];
+    /// Drives a dispatcher through `steps` on thread 3.  A step is
+    /// `(kind, n, ppt)`: `add` or `reserve` it at `ppt` ‰ per `n` ms,
+    /// `block` it, `advance` to `n` µs, or `drain` the usage feed and check
+    /// it equals the next entry of `want`.
+    fn usage_feed(steps: &[(&str, u64, u32)], want: &[Vec<(ThreadId, f64)>]) {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         let mut wants = want.iter();
         for &(step, n, ppt) in steps {
-            let want = (step == "drain").then(|| wants.next().expect("a want per drain"));
-            for d in &mut pair {
-                match step {
-                    "add" => d
-                        .add_thread_preadmitted(ThreadId(3), reserved(ppt, n))
-                        .unwrap(),
-                    "reserve" => d.set_reservation(ThreadId(3), reserved(ppt, n)).unwrap(),
-                    "block" => d.block(ThreadId(3)).unwrap(),
-                    "advance" => d.advance_to(n),
-                    "drain" => {
-                        let mut got = Vec::new();
-                        d.drain_usage_changes(|id, ratio| got.push((id, ratio)));
-                        let lazy = d.config.lazy_rollovers;
-                        assert_eq!(Some(&got), want, "lazy={lazy} at {} µs", d.now_us());
-                    }
-                    other => unreachable!("unknown step {other}"),
+            match step {
+                "add" => d
+                    .add_thread_preadmitted(ThreadId(3), reserved(ppt, n))
+                    .unwrap(),
+                "reserve" => d.set_reservation(ThreadId(3), reserved(ppt, n)).unwrap(),
+                "block" => d.block(ThreadId(3)).unwrap(),
+                "advance" => d.advance_to(n),
+                "drain" => {
+                    let want = wants.next().expect("a want per drain");
+                    let mut got = Vec::new();
+                    d.drain_usage_changes(|id, ratio| got.push((id, ratio)));
+                    assert_eq!(&got, want, "at {} µs", d.now_us());
                 }
-                d.assert_consistent();
+                other => unreachable!("unknown step {other}"),
             }
+            d.assert_consistent();
         }
         assert!(wants.next().is_none(), "more wants than drains");
     }
 
     /// A 0 ‰ reservation's period closes at the 0/0 ratio 1.0, so a thread
-    /// under one stays watched after its 0.0 report: the lazy feed hears
-    /// the 1.0 at the boundary, as the eager drain's timer does.
+    /// under one stays watched after its 0.0 report and the feed hears the
+    /// 1.0 at the boundary, though no timer marks it.
     #[test]
-    fn a_zero_budget_period_is_reported_in_both_modes() {
-        eager_and_lazy_feeds(
+    fn a_zero_budget_period_is_reported() {
+        usage_feed(
             &[
                 ("add", 16, 254),
                 ("reserve", 39, 0),
@@ -2065,8 +2110,8 @@ mod tests {
     /// from its next boundary, so the thread must stay watched through the
     /// period that still has budget until the 0/0 period closes.
     #[test]
-    fn a_deferred_shrink_to_zero_is_reported_in_both_modes() {
-        eager_and_lazy_feeds(
+    fn a_deferred_shrink_to_zero_is_reported() {
+        usage_feed(
             &[
                 ("add", 16, 254),
                 ("block", 0, 0),
@@ -2097,7 +2142,7 @@ mod tests {
     /// thread, changes the period or names the pick re-ranks as before.
     #[test]
     fn a_grant_only_re_reservation_skips_the_re_rank() {
-        let mut d = Dispatcher::new(lazy_config());
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         for (id, ppt, period_ms) in [(1, 100, 10), (2, 100, 20), (3, 100, 40), (4, 50, 30)] {
             d.add_thread_preadmitted(ThreadId(id), reserved(ppt, period_ms))
                 .unwrap();
@@ -2152,7 +2197,7 @@ mod tests {
 
     #[test]
     fn charge_span_batches_until_the_throttle_edge() {
-        let mut d = Dispatcher::new(lazy_config());
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         let o = d.dispatch();
@@ -2179,7 +2224,7 @@ mod tests {
 
     #[test]
     fn block_span_settles_and_unblock_slot_rewakes() {
-        let mut d = Dispatcher::new(lazy_config());
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
         d.add_thread_preadmitted(ThreadId(2), reserved(100, 20))
@@ -2202,7 +2247,7 @@ mod tests {
 
     #[test]
     fn next_quantum_cache_invalidates_on_queue_change() {
-        let mut d = Dispatcher::new(lazy_config());
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 20))
             .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
@@ -2224,7 +2269,6 @@ mod tests {
     /// its true key; a throttle or a block has nothing to remove.
     #[test]
     fn a_pick_is_off_the_run_queue_until_its_span_settles() {
-        // Eager rollovers: no next-quantum cache, every dispatch is slow.
         let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
@@ -2233,8 +2277,13 @@ mod tests {
         assert!(d.has_runnable());
         assert_eq!(d.runnable.len(), 0);
         d.assert_consistent();
+        // Nothing moved, so the next-quantum cache re-issues the pick.
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)), "unexecuted");
-        assert_eq!(d.stats().quantum_cache_misses, 2);
+        let stats = d.stats();
+        assert_eq!(
+            (stats.quantum_cache_hits, stats.quantum_cache_misses),
+            (1, 1)
+        );
         assert_eq!((d.runnable.len(), d.off_queue_pick), (0, Some(s1)));
 
         // Two longer-period threads queue behind; thread 1's span ends
@@ -2276,7 +2325,7 @@ mod tests {
 
     #[test]
     fn span_batch_settles_before_the_boundary_roll() {
-        let mut d = Dispatcher::new(lazy_config());
+        let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
             .unwrap();
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
@@ -2292,49 +2341,28 @@ mod tests {
         d.assert_consistent();
     }
 
-    #[test]
-    fn an_eager_span_batch_lands_in_the_period_it_was_consumed_in() {
-        let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
-            .unwrap();
-        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
-        d.charge_span(400);
-        d.advance_to(10_000);
-        let acct = d.usage(ThreadId(1)).unwrap();
-        assert_eq!(acct.last_period_used_us, 400);
-        assert_eq!(acct.used_this_period_us, 0);
-        d.assert_consistent();
-    }
-
     /// The timer rule over its whole table, from either prior timer state:
-    /// eager, a thread keeps a timer at its next boundary whatever its
-    /// state; lazy, only while throttled.
+    /// a thread keeps a timer at its next boundary only while throttled.
     #[test]
     fn rearm_holds_the_timer_rule_in_every_mode_and_state() {
         use ThreadState::{Blocked, Ready, Running, Throttled};
-        for lazy in [false, true] {
-            for state in [Ready, Running, Throttled, Blocked] {
-                for stale_timer in [None, Some(777)] {
-                    let mut d = Dispatcher::new(DispatcherConfig {
-                        lazy_rollovers: lazy,
-                        ..DispatcherConfig::default()
-                    });
-                    d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
-                        .unwrap();
-                    let idx = d.slot_of(ThreadId(1)).unwrap();
-                    d.entries[idx as usize].as_mut().unwrap().state = state;
-                    d.timers.cancel(idx);
-                    if let Some(expiry) = stale_timer {
-                        d.timers.arm(idx, ThreadId(1), expiry);
-                    }
-                    d.rearm(idx);
-                    let keeps = !lazy || state == Throttled;
-                    assert_eq!(
-                        d.timers.expiry_of(idx),
-                        keeps.then_some(10_000),
-                        "lazy={lazy} {state:?} from {stale_timer:?}"
-                    );
+        for state in [Ready, Running, Throttled, Blocked] {
+            for stale_timer in [None, Some(777)] {
+                let mut d = Dispatcher::new(DispatcherConfig::default());
+                d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+                    .unwrap();
+                let idx = d.slot_of(ThreadId(1)).unwrap();
+                d.entries[idx as usize].as_mut().unwrap().state = state;
+                d.timers.cancel(idx);
+                if let Some(expiry) = stale_timer {
+                    d.timers.arm(idx, ThreadId(1), expiry);
                 }
+                d.rearm(idx);
+                assert_eq!(
+                    d.timers.expiry_of(idx),
+                    (state == Throttled).then_some(10_000),
+                    "{state:?} from {stale_timer:?}"
+                );
             }
         }
     }
@@ -2346,116 +2374,44 @@ mod tests {
     /// throttles, instead of winning every dispatch for free.
     #[test]
     fn preadmitted_thread_is_placed_whole_in_one_step() {
-        for config in [DispatcherConfig::default(), lazy_config()] {
-            let mut d = Dispatcher::new(config);
-            d.advance_to(3_000);
-            let r = reserved(250, 20);
-            d.add_thread_preadmitted(ThreadId(7), r).unwrap();
-            let idx = d.slot_of(ThreadId(7)).unwrap();
-            assert_eq!(d.thread_state(ThreadId(7)), Some(ThreadState::Ready));
-            assert_eq!(d.reservation(ThreadId(7)), Some(r));
-            let a = d.usage(ThreadId(7)).unwrap();
-            assert_eq!(a.period_start_us, 3_000);
-            assert_eq!((a.budget_us, a.used_this_period_us), (r.budget_micros(), 0));
-            assert!(a.was_runnable_this_period);
-            let entry = d.entries[idx as usize].as_ref().unwrap();
-            assert_eq!(entry.next_boundary_us, 23_000);
-            assert_eq!(d.runnable.len(), 1);
-            assert!(d.runnable.key_of(idx).is_some());
-            assert_eq!(d.watch_list, [idx]);
-            assert_eq!(
-                d.timers.expiry_of(idx),
-                (!config.lazy_rollovers).then_some(23_000)
-            );
-            assert_eq!(d.total_reserved_ppt(), 250);
-            d.assert_consistent();
-
-            // Zero proportion, shorter period: it outranks thread 7 once,
-            // for the minimal quantum, and is throttled by that charge.
-            d.add_thread_preadmitted(ThreadId(8), reserved(0, 10))
-                .unwrap();
-            assert_eq!(d.usage(ThreadId(8)).unwrap().budget_us, 0);
-            let o = d.dispatch();
-            assert_eq!((o.thread, o.quantum_us), (Some(ThreadId(8)), 1));
-            d.charge(ThreadId(8), o.quantum_us).unwrap();
-            assert_eq!(d.thread_state(ThreadId(8)), Some(ThreadState::Throttled));
-            assert_eq!(d.dispatch().thread, Some(ThreadId(7)));
-            d.assert_consistent();
-        }
-    }
-
-    /// One boundary through the eager drain — `roll` with `k = 1` ending at
-    /// the drain instant — against hand-written expectations: the account,
-    /// the release, the counters, and the re-arm one period after the
-    /// (late) drain rather than on the grid.
-    #[test]
-    fn eager_drain_rolls_one_boundary_ending_at_the_drain_instant() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
-        d.add_thread_preadmitted(ThreadId(1), reserved(500, 10))
-            .unwrap();
-        d.add_thread_preadmitted(ThreadId(2), reserved(200, 20))
-            .unwrap();
-        let (s1, s2) = (
-            d.slot_of(ThreadId(1)).unwrap(),
-            d.slot_of(ThreadId(2)).unwrap(),
-        );
-        // Thread 1 runs into its throttle; thread 2 uses a quarter of its
-        // budget and stays ready.
-        d.charge(ThreadId(1), 5_000).unwrap();
-        d.charge(ThreadId(2), 1_000).unwrap();
-        assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Throttled));
-
-        // A late drain: thread 1's boundary (10 000) has passed, thread 2's
-        // (20 000) has not.
-        d.advance_to(10_300);
-        let a1 = d.usage(ThreadId(1)).unwrap();
-        assert_eq!(a1.period_start_us, 10_300);
-        assert_eq!(
-            (a1.last_period_used_us, a1.last_period_budget_us),
-            (5_000, 5_000)
-        );
-        assert_eq!((a1.used_this_period_us, a1.budget_us), (0, 5_000));
-        assert_eq!((a1.periods_completed, a1.deadlines_missed), (1, 0));
-        assert!(a1.was_runnable_this_period, "a released thread is runnable");
-        assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Ready));
-        assert_eq!(
-            d.timers.expiry_of(s1),
-            Some(20_300),
-            "re-armed from the drain"
-        );
-        assert_eq!(d.usage(ThreadId(2)).unwrap().periods_completed, 0);
-        assert_eq!(d.timers.expiry_of(s2), Some(20_000));
-        let stats = d.stats();
-        assert_eq!((stats.period_rollovers, stats.deadlines_missed), (1, 0));
+        d.advance_to(3_000);
+        let r = reserved(250, 20);
+        d.add_thread_preadmitted(ThreadId(7), r).unwrap();
+        let idx = d.slot_of(ThreadId(7)).unwrap();
+        assert_eq!(d.thread_state(ThreadId(7)), Some(ThreadState::Ready));
+        assert_eq!(d.reservation(ThreadId(7)), Some(r));
+        let a = d.usage(ThreadId(7)).unwrap();
+        assert_eq!(a.period_start_us, 3_000);
+        assert_eq!((a.budget_us, a.used_this_period_us), (r.budget_micros(), 0));
+        assert!(a.was_runnable_this_period);
+        let entry = d.entries[idx as usize].as_ref().unwrap();
+        assert_eq!(entry.next_boundary_us, 23_000);
+        assert_eq!(d.runnable.len(), 1);
+        assert!(d.runnable.key_of(idx).is_some());
+        assert_eq!(d.watch_list, [idx]);
+        assert_eq!(d.timers.expiry_of(idx), None);
+        assert_eq!(d.total_reserved_ppt(), 250);
         d.assert_consistent();
 
-        // Thread 2's own boundary, on time: runnable and underserved, so a
-        // miss; nobody is released; thread 1 is not due.
-        d.advance_to(20_000);
-        let a2 = d.usage(ThreadId(2)).unwrap();
-        assert_eq!(a2.period_start_us, 20_000);
-        assert_eq!(
-            (a2.last_period_used_us, a2.last_period_budget_us),
-            (1_000, 4_000)
-        );
-        assert_eq!((a2.periods_completed, a2.deadlines_missed), (1, 1));
-        assert_eq!(d.timers.expiry_of(s2), Some(40_000));
-        assert_eq!(d.timers.expiry_of(s1), Some(20_300));
-        let stats = d.stats();
-        assert_eq!((stats.period_rollovers, stats.deadlines_missed), (2, 1));
-        // Only the ratio that moved (1.0 → 0.25) reaches the usage feed.
-        let mut fed = Vec::new();
-        d.drain_usage_changes(|id, ratio| fed.push((id, ratio)));
-        assert_eq!(fed, vec![(ThreadId(2), 0.25)]);
+        // Zero proportion, shorter period: it outranks thread 7 once,
+        // for the minimal quantum, and is throttled by that charge.
+        d.add_thread_preadmitted(ThreadId(8), reserved(0, 10))
+            .unwrap();
+        assert_eq!(d.usage(ThreadId(8)).unwrap().budget_us, 0);
+        let o = d.dispatch();
+        assert_eq!((o.thread, o.quantum_us), (Some(ThreadId(8)), 1));
+        d.charge(ThreadId(8), o.quantum_us).unwrap();
+        assert_eq!(d.thread_state(ThreadId(8)), Some(ThreadState::Throttled));
+        assert_eq!(d.dispatch().thread, Some(ThreadId(7)));
         d.assert_consistent();
     }
 
     proptest! {
         /// The tentpole's safety net: over arbitrary thread-state
         /// sequences, the run queue's pick must equal the naive full-scan
-        /// pick, and every derived index must stay consistent — in both
-        /// rollover modes, and over enough ids that the queue outgrows the
-        /// few places its tail walk covers.
+        /// pick, and every derived index must stay consistent — over enough
+        /// ids that the queue outgrows the few places its tail walk covers.
         ///
         /// Ops are encoded as `(selector, id, ppt, aux)` tuples because the
         /// vendored proptest miniature has no `prop_oneof`; selectors 7–10
@@ -2467,46 +2423,44 @@ mod tests {
         fn indexed_pick_matches_naive_scan(
             ops in proptest::collection::vec((0u8..12, 0u64..48, 0u32..600, 1u64..60), 1..250),
         ) {
-            for config in [DispatcherConfig::default(), lazy_config()] {
-                let mut d = Dispatcher::new(config);
-                for &(op, i, p, aux) in &ops {
-                    match op {
-                        0 => {
-                            let _ = d.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
-                        }
-                        1 => {
-                            let _ = d.remove_thread(ThreadId(i));
-                        }
-                        2 => {
-                            let _ = d.block(ThreadId(i));
-                        }
-                        3 => {
-                            let _ = d.unblock(ThreadId(i));
-                        }
-                        4 => {
-                            let _ = d.charge(ThreadId(i), p as u64 * 37);
-                        }
-                        5 => {
-                            let _ = d.set_reservation(ThreadId(i), reserved(p, aux));
-                        }
-                        6 => d.advance_to(d.now_us() + aux * 499),
-                        11 => {
-                            let _ = regrant(&mut d, ThreadId(i), p);
-                        }
-                        _ => {
-                            let oracle = d.oracle_pick();
-                            let outcome = d.dispatch();
-                            prop_assert_eq!(
-                                outcome.thread, oracle,
-                                "indexed pick diverged from the full scan"
-                            );
-                            if let (Some(t), false) = (outcome.thread, op == 7) {
-                                d.charge(t, outcome.quantum_us).expect("picked exists");
-                            }
+            let mut d = Dispatcher::new(DispatcherConfig::default());
+            for &(op, i, p, aux) in &ops {
+                match op {
+                    0 => {
+                        let _ = d.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
+                    }
+                    1 => {
+                        let _ = d.remove_thread(ThreadId(i));
+                    }
+                    2 => {
+                        let _ = d.block(ThreadId(i));
+                    }
+                    3 => {
+                        let _ = d.unblock(ThreadId(i));
+                    }
+                    4 => {
+                        let _ = d.charge(ThreadId(i), p as u64 * 37);
+                    }
+                    5 => {
+                        let _ = d.set_reservation(ThreadId(i), reserved(p, aux));
+                    }
+                    6 => d.advance_to(d.now_us() + aux * 499),
+                    11 => {
+                        let _ = regrant(&mut d, ThreadId(i), p);
+                    }
+                    _ => {
+                        let oracle = d.oracle_pick();
+                        let outcome = d.dispatch();
+                        prop_assert_eq!(
+                            outcome.thread, oracle,
+                            "indexed pick diverged from the full scan"
+                        );
+                        if let (Some(t), false) = (outcome.thread, op == 7) {
+                            d.charge(t, outcome.quantum_us).expect("picked exists");
                         }
                     }
-                    d.assert_consistent();
                 }
+                d.assert_consistent();
             }
         }
 
@@ -2540,175 +2494,44 @@ mod tests {
             }
         }
 
-        /// Lazy rollovers against the eager reference: identical operation
-        /// sequences drive one dispatcher of each mode, advancing time only
-        /// to the eager dispatcher's own timer expiries so the eager grid
-        /// cannot drift.  Picks, quanta, post-sync accounts, states and
-        /// stats (except idle bookkeeping) must match exactly.  Selector 9
-        /// re-reserves under the current period, the grant-only path.
+        /// Lazy rollovers against the per-boundary reference: the lazy side
+        /// charges through [`Dispatcher::charge_span`] and is never synced,
+        /// the reference settles every charge through
+        /// [`Dispatcher::charge`] (see [`match_per_boundary_reference`]).
+        #[test]
+        fn lazy_rollovers_match_per_boundary_reference(
+            ops in proptest::collection::vec((0u8..10, 0u64..6, 0u32..500, 1u64..40), 1..120),
+        ) {
+            match_per_boundary_reference(&ops, Charging::Span, Charging::PerCharge);
+        }
+
+        /// Lazy rollovers against the eager reference: both sides charge
+        /// through [`Dispatcher::charge`], so the two differ only in when
+        /// boundaries roll — in batches on the lazy side, one at a time at
+        /// their instants on the eagerly synced reference.
         #[test]
         fn lazy_rollovers_match_eager_reference(
             ops in proptest::collection::vec((0u8..10, 0u64..6, 0u32..500, 1u64..40), 1..120),
         ) {
-            let mut eager = Dispatcher::new(DispatcherConfig::default());
-            let mut lazy = Dispatcher::new(lazy_config());
-            for (op, i, p, aux) in ops {
-                match op {
-                    0 => {
-                        let a = eager.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
-                        let b = lazy.add_thread_preadmitted(ThreadId(i), reserved(p, aux));
-                        prop_assert_eq!(a, b);
-                    }
-                    1 => {
-                        let _ = eager.remove_thread(ThreadId(i));
-                        let _ = lazy.remove_thread(ThreadId(i));
-                    }
-                    2 => {
-                        let _ = eager.block(ThreadId(i));
-                        let _ = lazy.block(ThreadId(i));
-                    }
-                    3 => {
-                        let _ = eager.unblock(ThreadId(i));
-                        let _ = lazy.unblock(ThreadId(i));
-                    }
-                    4 => {
-                        let _ = eager.set_reservation(ThreadId(i), reserved(p, aux));
-                        let _ = lazy.set_reservation(ThreadId(i), reserved(p, aux));
-                    }
-                    5 => {
-                        // Advance exactly to the eager dispatcher's next
-                        // period boundary (its timers fire *on* the grid, so
-                        // its re-arm-from-now cannot drift off it).
-                        if let Some(t) = eager.next_timer_expiry() {
-                            eager.advance_to(t);
-                            lazy.advance_to(t);
-                        }
-                    }
-                    6 => {
-                        // Both modes report the same changed-usage feed,
-                        // order aside.
-                        let mut a = Vec::new();
-                        eager.drain_usage_changes(|id, r| a.push((id, r.to_bits())));
-                        let mut b = Vec::new();
-                        lazy.drain_usage_changes(|id, r| b.push((id, r.to_bits())));
-                        a.sort_unstable();
-                        b.sort_unstable();
-                        prop_assert_eq!(a, b, "usage feeds diverged");
-                    }
-                    9 => {
-                        let a = regrant(&mut eager, ThreadId(i), p);
-                        prop_assert_eq!(a, regrant(&mut lazy, ThreadId(i), p));
-                    }
-                    _ => {
-                        let oe = eager.dispatch();
-                        let ol = lazy.dispatch();
-                        prop_assert_eq!(oe.thread, ol.thread, "picks diverged");
-                        if let Some(t) = oe.thread {
-                            prop_assert_eq!(oe.quantum_us, ol.quantum_us, "quanta diverged");
-                            let used = (oe.quantum_us * (aux % 3 + 1) / 3).max(1);
-                            eager.charge(t, used).expect("picked exists");
-                            lazy.charge(t, used).expect("picked exists");
-                        }
-                    }
-                }
-                eager.assert_consistent();
-                lazy.assert_consistent();
-            }
-            // Settle the lazy backlog, then every observable must agree.
-            lazy.sync_all();
-            prop_assert_eq!(ids(&eager), ids(&lazy));
-            for id in ids(&eager) {
-                prop_assert_eq!(eager.thread_state(id), lazy.thread_state(id));
-                prop_assert_eq!(eager.reservation(id), lazy.reservation(id));
-                let (ea, la) = (eager.usage(id).unwrap(), lazy.usage(id).unwrap());
-                prop_assert_eq!(
-                    format!("{ea:?}"),
-                    format!("{la:?}"),
-                    "account diverged for {:?}", id
-                );
-            }
-            let (es, ls) = (eager.stats(), lazy.stats());
-            prop_assert_eq!(es.dispatches, ls.dispatches);
-            prop_assert_eq!(es.context_switches, ls.context_switches);
-            prop_assert_eq!(es.period_rollovers, ls.period_rollovers);
-            prop_assert_eq!(es.deadlines_missed, ls.deadlines_missed);
+            match_per_boundary_reference(&ops, Charging::PerCharge, Charging::PerCharge);
         }
 
-        /// Span batching under eager rollovers: the pairing of
-        /// `lazy_rollovers_match_eager_reference` with the eager side
-        /// charged through [`Dispatcher::charge_span`], so every eager
-        /// boundary meets an open batch that must land in the period it
-        /// was consumed in.  Selector 8 is a grant-only re-reservation.
+        /// Span batching under eager rollovers: the reference charges
+        /// through [`Dispatcher::charge_span`] and leaves the batch open
+        /// until its next operation, so a boundary it advances to meets an
+        /// open batch, which must land in the period it was consumed in;
+        /// the lazy side settles every charge through
+        /// [`Dispatcher::charge`].
         #[test]
         fn eager_span_charges_match_the_lazy_reference(
-            ops in proptest::collection::vec((0u8..9, 0u64..6, 0u32..500, 1u64..40), 1..120),
+            ops in proptest::collection::vec((0u8..10, 0u64..6, 0u32..500, 1u64..40), 1..120),
         ) {
-            let mut eager = Dispatcher::new(DispatcherConfig::default());
-            let mut lazy = Dispatcher::new(lazy_config());
-            for (op, i, p, aux) in ops {
-                let id = ThreadId(i);
-                match op {
-                    0 => {
-                        let a = eager.add_thread_preadmitted(id, reserved(p, aux));
-                        prop_assert_eq!(a, lazy.add_thread_preadmitted(id, reserved(p, aux)));
-                    }
-                    1 => {
-                        let _ = eager.block(id);
-                        let _ = lazy.block(id);
-                    }
-                    2 => {
-                        let _ = eager.unblock(id);
-                        let _ = lazy.unblock(id);
-                    }
-                    3 => {
-                        let _ = eager.set_reservation(id, reserved(p, aux));
-                        let _ = lazy.set_reservation(id, reserved(p, aux));
-                    }
-                    4 => {
-                        // On the eager grid, as in the reference pairing.
-                        if let Some(t) = eager.next_timer_expiry() {
-                            eager.advance_to(t);
-                            lazy.advance_to(t);
-                        }
-                    }
-                    8 => {
-                        let a = regrant(&mut eager, id, p);
-                        prop_assert_eq!(a, regrant(&mut lazy, id, p));
-                    }
-                    _ => {
-                        let oe = eager.dispatch();
-                        let ol = lazy.dispatch();
-                        prop_assert_eq!(oe.thread, ol.thread, "picks diverged");
-                        if let Some(t) = oe.thread {
-                            prop_assert_eq!(oe.quantum_us, ol.quantum_us, "quanta diverged");
-                            let used = (oe.quantum_us * (aux % 3 + 1) / 3).max(1);
-                            eager.charge_span(used);
-                            lazy.charge(t, used).expect("picked exists");
-                        }
-                    }
-                }
-                eager.assert_consistent();
-                lazy.assert_consistent();
-            }
-            eager.sync_all();
-            lazy.sync_all();
-            for id in ids(&eager) {
-                prop_assert_eq!(eager.thread_state(id), lazy.thread_state(id));
-                let (ea, la) = (eager.usage(id).unwrap(), lazy.usage(id).unwrap());
-                prop_assert_eq!(
-                    format!("{ea:?}"),
-                    format!("{la:?}"),
-                    "account diverged for {:?}", id
-                );
-            }
-            let (es, ls) = (eager.stats(), lazy.stats());
-            prop_assert_eq!(es.period_rollovers, ls.period_rollovers);
-            prop_assert_eq!(es.deadlines_missed, ls.deadlines_missed);
+            match_per_boundary_reference(&ops, Charging::PerCharge, Charging::Span);
         }
 
         /// The span fast path (next-quantum cache + batched `charge_span`)
         /// against an always-settled reference: identical op sequences
-        /// drive two lazy dispatcher pairs (two "CPUs"), the fast side
+        /// drive two dispatcher pairs (two "CPUs"), the fast side
         /// charging spans through [`Dispatcher::charge_span`] and the
         /// reference settling every charge through [`Dispatcher::charge`].
         /// The per-id charge re-ranks the queue after every span, so the
@@ -2721,8 +2544,8 @@ mod tests {
         fn span_fast_path_matches_settled_reference(
             ops in proptest::collection::vec((0u8..13, 0u64..8, 0u32..500, 1u64..40), 1..150),
         ) {
-            let mut fast = [Dispatcher::new(lazy_config()), Dispatcher::new(lazy_config())];
-            let mut refd = [Dispatcher::new(lazy_config()), Dispatcher::new(lazy_config())];
+            let mut fast = [Dispatcher::new(DispatcherConfig::default()), Dispatcher::new(DispatcherConfig::default())];
+            let mut refd = [Dispatcher::new(DispatcherConfig::default()), Dispatcher::new(DispatcherConfig::default())];
             for (op, i, p, aux) in ops {
                 let id = ThreadId(i);
                 let cpu = (aux % 2) as usize;

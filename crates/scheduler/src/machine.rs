@@ -482,15 +482,16 @@ impl Machine {
     }
 
     /// Advances every CPU's clock to `now_us` in lockstep, processing each
-    /// CPU's expired period timers.
+    /// CPU's expired throttle-release timers.
     pub fn advance_to(&mut self, now_us: u64) {
         for d in &mut self.cpus {
             d.advance_to(now_us);
         }
     }
 
-    /// Settles every thread's lazy period-boundary backlog on every CPU
-    /// (see [`Dispatcher::sync_all`]); no-op in eager rollover mode.
+    /// Settles every thread's period-boundary backlog on every CPU (see
+    /// [`Dispatcher::sync_all`]), so usage queries and statistics reflect
+    /// the current instant.
     pub fn sync_all(&mut self) {
         for d in &mut self.cpus {
             d.sync_all();
@@ -660,6 +661,8 @@ mod tests {
         for cpu in (0..m.cpu_count() as u32).map(CpuId) {
             assert_eq!(m.dispatcher(cpu).now_us(), m.now_us(), "lockstep clocks");
         }
+        // Boundaries roll when a thread is next touched; settle them all.
+        m.sync_all();
         let agg = m.stats();
         assert_eq!(agg.dispatches, 40);
         assert!(agg.period_rollovers > 0);
@@ -668,7 +671,6 @@ mod tests {
             assert!(m.usage(id).unwrap().total_used_us > 0);
         }
         assert_eq!(agg.deadlines_missed, 0);
-        assert!(m.dispatcher(CpuId(0)).next_timer_expiry().is_some());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! of truth for *when* that is, shared by the batched sim path and the
 //! per-charge reference path
 //! ([`Dispatcher::charge`](crate::Dispatcher::charge), which the
-//! wall-clock executor drives), so the two modes cannot
-//! drift: the eager path derives its throttle decision from the same
+//! wall-clock executor drives), so the two paths cannot
+//! drift: the per-charge path derives its throttle decision from the same
 //! [`charge_exhausts`] arithmetic the batcher uses to detect the throttle
 //! edge.
 
@@ -36,7 +36,7 @@ pub(crate) enum SettleReason {
 /// settled — exhausts the period budget.
 ///
 /// This is exactly [`UsageAccount::exhausted`] evaluated *after* such a
-/// charge would land: the eager charge path asserts the equivalence, so the
+/// charge would land: the per-charge path asserts the equivalence, so the
 /// batcher's throttle-edge prediction and the reference's post-charge
 /// throttle test are one rule.
 pub(crate) fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool {

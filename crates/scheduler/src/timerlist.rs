@@ -10,12 +10,12 @@
 //! next expiry, so the nothing-expired check and a popped expiry are
 //! `O(1)`, and the pop hands the dispatcher the slot directly, with no id →
 //! slot map on the [`pop_next_expired`](TimerList::pop_next_expired) hot
-//! path.  A thread's timer is armed for its next period boundary, which on
-//! a busy CPU is later than nearly every timer already armed, so
-//! [`arm`](TimerList::arm) finds its place by walking in from the tail
-//! (96 % of arms land exactly on it on `spin_saturated`; the full
-//! displacement table, and the eager-mode mixed-period worst case — a
-//! mid-list arm shifts `min(i, n − i)` entries — are in `deque.rs`).
+//! path.  Only a throttled thread holds a timer, armed for its release at
+//! its next period boundary, which on a busy CPU is later than nearly
+//! every timer already armed, so [`arm`](TimerList::arm) finds its place
+//! by walking in from the tail (96 % of arms land exactly on it on
+//! `spin_saturated`; the full displacement table, and the mid-list worst
+//! case — an arm that shifts `min(i, n − i)` entries — are in `deque.rs`).
 //! Equal expiries pop in [`ThreadId`] order, as they did when the list was
 //! a sorted set of `(expiry, thread, slot)`, and re-arming a timer at the
 //! expiry it already has moves nothing.

@@ -98,7 +98,8 @@ pub trait Host {
     fn remove_job(&mut self, handle: JobHandle);
 
     /// Runs the host for `dt` of its own time (simulated or wall-clock),
-    /// to the end of the clock if that comes first.
+    /// to the end of the clock if that comes first, then settles every
+    /// thread's period-boundary backlog so [`Host::usage`] is current.
     fn advance(&mut self, dt: SimTime);
 
     /// Time elapsed since the host was created.

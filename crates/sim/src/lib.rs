@@ -40,8 +40,8 @@
 //! operation per span, and no idle fast-forward special case, because an
 //! idle CPU simply has nothing scheduled before the next event.  Reservation
 //! period boundaries do not enter the calendar at all: the dispatcher rolls
-//! them lazily ([`rrs_scheduler::DispatcherConfig::lazy_rollovers`]) and
-//! only throttle releases arm real timers.
+//! them lazily, when a thread is next touched ([`rrs_scheduler::Dispatcher`]),
+//! and only throttle releases arm real timers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -235,9 +235,6 @@ pub struct Simulation {
 
 impl Simulation {
     /// Creates a simulation with the given configuration.
-    ///
-    /// The event loop forces the dispatcher's lazy period rollovers, the
-    /// machine-level optimisation it is built on.
     pub fn new(config: SimConfig) -> Self {
         Self::with_shard_identity(config, MetricRegistry::new(), 1, 1)
     }
@@ -252,12 +249,11 @@ impl Simulation {
     /// [`Simulation::new`] is the `first_id = 1, id_stride = 1` special
     /// case.
     pub(crate) fn with_shard_identity(
-        mut config: SimConfig,
+        config: SimConfig,
         registry: MetricRegistry,
         first_id: u64,
         id_stride: u64,
     ) -> Self {
-        config.dispatcher.lazy_rollovers = true;
         let ctl = ControlLoop::new(config.controller, config.dispatcher, registry)
             .with_ids(first_id, id_stride);
         let mut calendar = Schedule::new();

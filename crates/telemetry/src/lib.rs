@@ -222,7 +222,8 @@ pub enum TraceEventKind {
         cpu: u32,
         /// Thread whose period rolled.
         thread: u64,
-        /// Number of boundaries crossed at once (lazy mode can batch).
+        /// Number of boundaries crossed at once: a thread's boundaries roll
+        /// when it is next touched, so several can roll in one batch.
         count: u32,
     },
     /// The top-level rebalancer acted on the sharded machine.  Recorded

@@ -14,9 +14,9 @@
 //!
 //! The pass ships its own small Rust [`lexer`] (comment-, string- and
 //! attribute-aware; `#[cfg(test)]` items are elided for production-path
-//! lints) and a minimal [`toml`] reader for the checked-in
-//! `analysis.toml` of per-lint path scopes and justified allowlist
-//! entries — no external parser, because the workspace builds offline.
+//! lints) and reads the checked-in `analysis.json` of per-lint path
+//! scopes and justified allowlist entries through the vendored
+//! `serde_json`, the workspace's one config reader.
 //!
 //! Run it with:
 //!
@@ -36,7 +36,6 @@ pub mod config;
 pub mod lexer;
 pub mod lints;
 pub mod report;
-pub mod toml;
 pub mod walk;
 
 use std::path::Path;
@@ -45,11 +44,11 @@ pub use config::AnalysisConfig;
 pub use lints::SourceFile;
 pub use report::{AnalysisReport, UnsafeSite, Violation};
 
-/// Loads `analysis.toml` from `path`.
+/// Loads `analysis.json` from `path`.
 pub fn load_config(path: &Path) -> Result<AnalysisConfig, String> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    AnalysisConfig::from_toml(&src)
+    AnalysisConfig::from_json(&src)
 }
 
 /// Walks the workspace at `root`, lexes every source file in the

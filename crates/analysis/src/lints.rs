@@ -6,7 +6,7 @@
 //! | lint | invariant |
 //! |------|-----------|
 //! | `determinism` | sim/scheduler/controller code is replay-deterministic: no wall clocks, no hash-order-dependent containers |
-//! | `hot-path-no-alloc` | functions declared hot in `analysis.toml` contain no syntactic allocation or clone |
+//! | `hot-path-no-alloc` | functions declared hot in `analysis.json` contain no syntactic allocation or clone |
 //! | `integer-time` | no new `f64`-seconds parameters in core/scheduler/sim signatures outside the deprecated API edge |
 //! | `edge-only-by-id` | id-keyed maps (`by_id`, the machine's `placement`) are touched only at the public-API edge, never on hot paths |
 //! | `panic-discipline` | steady-state paths carry no bare `unwrap()` or empty `expect("")` — panics must name the broken invariant |
@@ -108,8 +108,10 @@ fn seq_at(tokens: &[Token], i: usize, pattern: &[&str]) -> bool {
 /// Forbids wall clocks and hash-ordered containers in replay-deterministic
 /// crates.  One violation per site: `Instant` (reported as `Instant::now`
 /// when called), `SystemTime`, `HashMap`, `HashSet`, `thread::current`.
+/// The golden `SimStats` captures and the calendar replay proptest guard
+/// the same property dynamically.
 fn determinism(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(&file.path, &config.determinism_paths) {
+    if !in_scope(&file.path, config.paths("determinism")) {
         return;
     }
     let code = &file.code;
@@ -156,10 +158,11 @@ const ALLOC_PATTERNS: &[(&[&str], &str)] = &[
 ];
 
 /// Forbids syntactic allocation (and owned clones) inside the functions
-/// `analysis.toml` declares hot, complementing the dynamic
-/// counting-allocator test.  A configured function that no longer exists
-/// is itself a violation, so the hot list cannot silently rot after a
-/// rename.
+/// `analysis.json` declares hot (`<file>::<fn>`, or `<file>::*`): the
+/// dispatch spans, the controller cycle and the actuation / wake-up paths
+/// between them.  Complements the dynamic counting-allocator test.  A
+/// configured function that no longer exists is itself a violation, so
+/// the hot list cannot silently rot after a rename.
 fn hot_path_no_alloc(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Violation>) {
     for hot in &config.hot_functions {
         let Some(file) = files.iter().find(|f| f.path == hot.file) else {
@@ -183,7 +186,7 @@ fn hot_path_no_alloc(config: &AnalysisConfig, files: &[SourceFile], out: &mut Ve
                 file: hot.file.clone(),
                 line: 0,
                 snippet: format!("{}::{}", hot.file, hot.function),
-                message: "hot-declared function not found — update analysis.toml after renames"
+                message: "hot-declared function not found — update analysis.json after renames"
                     .to_owned(),
             });
             continue;
@@ -214,9 +217,11 @@ fn hot_path_no_alloc(config: &AnalysisConfig, files: &[SourceFile], out: &mut Ve
 /// Flags `f64` seconds parameters (`*_s`, `*_secs`, `seconds`) in
 /// function signatures of integer-time crates.  Time crosses the host
 /// boundary as integer-microsecond `SimTime`; the surviving f64 edges
-/// are allowlisted with justifications.
+/// are the pre-`SimTime` surface kept for compatibility, allowlisted with
+/// justifications: each converts once at the boundary and computes in
+/// integer microseconds.
 fn integer_time(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(&file.path, &config.integer_time_paths) {
+    if !in_scope(&file.path, config.paths("integer-time")) {
         return;
     }
     let code = &file.code;
@@ -271,12 +276,13 @@ fn seconds_name(name: &str) -> bool {
 }
 
 /// Confines access to the configured id-keyed maps (`by_id`, and fields
-/// such as the machine's `placement` tracked in their own file only) to
-/// the declared public-API-edge files, and bans it outright inside
-/// hot-declared functions even there (the PR 7 contract: steady-state
-/// spans are dense-handle only).
+/// such as the machine's `placement` tracked in their own file only,
+/// because a controller config field shares the name) to the declared
+/// public-API-edge files, and bans it outright inside hot-declared
+/// functions even there (the dense-handle contract: steady-state spans
+/// address threads and jobs by slot handle only).
 fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(&file.path, &config.edge_paths) {
+    if !in_scope(&file.path, config.paths("edge-only-by-id")) {
         return;
     }
     let is_edge_file = config.edge_files.iter().any(|f| f == &file.path);
@@ -324,17 +330,18 @@ fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Vio
                 snippet: map.clone(),
                 message: format!(
                     "`{map}` outside the declared public-API-edge files (see \
-                     analysis.toml [lints.edge-only-by-id] edge_files)"
+                     analysis.json lints.edge-only-by-id.edge_files)"
                 ),
             });
         }
     }
 }
 
-/// Forbids bare `unwrap()` and empty `expect("")` in steady-state crates:
-/// a slot-invariant panic must name the invariant that broke.
+/// Forbids bare `unwrap()` and empty `expect("")` outside `#[cfg(test)]`
+/// code in steady-state crates: a slot-invariant panic must name the
+/// invariant that broke.
 fn panic_discipline(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(&file.path, &config.panic_paths) {
+    if !in_scope(&file.path, config.paths("panic-discipline")) {
         return;
     }
     let code = &file.code;
@@ -369,14 +376,15 @@ fn panic_discipline(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Vi
 
 /// Enumerates every `unsafe` occurrence (tests included) into the
 /// inventory and flags any without a `// SAFETY:` comment on the same
-/// line or within the three lines above.
+/// line or within the three lines above.  The production crates all
+/// `#![forbid(unsafe_code)]`, so the sites are in test code.
 fn unsafe_inventory(
     config: &AnalysisConfig,
     file: &SourceFile,
     out: &mut Vec<Violation>,
     inventory: &mut Vec<UnsafeSite>,
 ) {
-    if !in_scope(&file.path, &config.unsafe_paths) {
+    if !in_scope(&file.path, config.paths("unsafe-inventory")) {
         return;
     }
     for (i, t) in file.tokens.iter().enumerate() {
@@ -418,10 +426,12 @@ fn unsafe_inventory(
     }
 }
 
-/// Audits the sharded parallel region: inside every
-/// `std::thread::scope(...)` call in the configured file, `self.<field>`
-/// may touch only the per-shard handles, and the barrier-merge machinery
-/// (trace merge, rebalancer state) must not be reachable at all.
+/// Audits the sharded parallel region (`ShardedSim::advance_all`): inside
+/// every `std::thread::scope(...)` call in the configured file,
+/// `self.<field>` may touch only the per-shard handles, and the
+/// barrier-merge machinery (trace merge, rebalancer state) must not be
+/// reachable at all.  Complements the bit-identical parallel-vs-sequential
+/// test in `tests/sharded_sim.rs`.
 fn parallel_region(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
     if file.path != config.parallel_file || config.parallel_file.is_empty() {
         return;
@@ -478,9 +488,10 @@ fn parallel_region(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Vio
     }
 }
 
-/// The parallel region must *exist*: if the configured file no longer
-/// contains a `thread::scope` call the audit has silently lost its
-/// subject, which is itself an error.
+/// The parallel region must *exist*, and so must every name its config
+/// lists: a missing `thread::scope` call (reported alone), or a self
+/// field or forbidden name the file never mentions, means the audit has
+/// silently lost its subject, which is itself an error.
 fn parallel_region_presence(
     config: &AnalysisConfig,
     files: &[SourceFile],
@@ -489,20 +500,35 @@ fn parallel_region_presence(
     if config.parallel_file.is_empty() {
         return;
     }
-    let found = files.iter().any(|f| {
+    let Some(file) = files.iter().find(|f| {
         f.path == config.parallel_file
             && (0..f.code.len()).any(|i| seq_at(&f.code, i, &["thread", ":", ":", "scope"]))
-    });
-    if !found {
+    }) else {
         out.push(Violation {
             lint: "parallel-region",
             file: config.parallel_file.clone(),
             line: 0,
             snippet: "thread::scope".to_owned(),
             message: "no `thread::scope` parallel region found in the configured file — \
-                      update analysis.toml if the sharded executor moved"
+                      update analysis.json if the sharded executor moved"
                 .to_owned(),
         });
+        return;
+    };
+    let configured = config.parallel_allowed_self_fields.iter();
+    for name in configured.chain(&config.parallel_forbidden) {
+        if !file.code.iter().any(|t| t.is_ident(name)) {
+            out.push(Violation {
+                lint: "parallel-region",
+                file: file.path.clone(),
+                line: 0,
+                snippet: name.clone(),
+                message: format!(
+                    "`{name}` is configured for the parallel region but the file never \
+                     mentions it, so the entry guards nothing — delete it from analysis.json"
+                ),
+            });
+        }
     }
 }
 
@@ -564,7 +590,7 @@ const FN_QUALIFIERS: &[&str] = &["const", "async", "unsafe", "extern"];
 /// which rustc's own `dead_code` decides, with real name resolution,
 /// whether it is live inside its crate), or allowlist it with a reason.
 fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Violation>) {
-    if config.dead_public_paths.is_empty() {
+    if config.paths("dead-public").is_empty() {
         return;
     }
     let units: Vec<Option<(String, bool)>> = files.iter().map(|f| crate_unit(&f.path)).collect();
@@ -602,7 +628,7 @@ fn dead_public(config: &AnalysisConfig, files: &[SourceFile], out: &mut Vec<Viol
     }
     for ((file, unit), decls) in files.iter().zip(&units).zip(&decls) {
         let Some((unit, true)) = unit else { continue };
-        if !in_scope(&file.path, &config.dead_public_paths) {
+        if !in_scope(&file.path, config.paths("dead-public")) {
             continue;
         }
         let code = &file.code;

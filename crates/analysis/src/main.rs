@@ -33,13 +33,13 @@ fn main() -> ExitCode {
         }
     }
     if list {
-        println!("lints enforced by rrs-analysis (scopes in analysis.toml):");
+        println!("lints enforced by rrs-analysis (scopes in analysis.json):");
         for name in rrs_analysis::config::LINT_NAMES {
             println!("  {name}");
         }
         return ExitCode::SUCCESS;
     }
-    let config_path = config_path.unwrap_or_else(|| root.join("analysis.toml"));
+    let config_path = config_path.unwrap_or_else(|| root.join("analysis.json"));
     let config = match rrs_analysis::load_config(&config_path) {
         Ok(config) => config,
         Err(e) => {

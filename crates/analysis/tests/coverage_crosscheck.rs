@@ -1,5 +1,5 @@
 //! Cross-checks the static hot list against the dynamic zero-alloc test:
-//! every file with functions declared hot in `analysis.toml` must carry a
+//! every file with functions declared hot in `analysis.json` must carry a
 //! `// hot-coverage: <file>` marker in `tests/zero_alloc_steady_state.rs`
 //! (placed where the counting-allocator run actually drives that module),
 //! and every marker must name a file still in the hot set — so the static
@@ -12,7 +12,7 @@ use std::path::Path;
 fn hot_list_and_zero_alloc_test_cover_each_other() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let config =
-        rrs_analysis::load_config(&root.join("analysis.toml")).expect("analysis.toml is valid");
+        rrs_analysis::load_config(&root.join("analysis.json")).expect("analysis.json is valid");
     let declared: BTreeSet<String> = config
         .hot_functions
         .iter()
@@ -20,7 +20,7 @@ fn hot_list_and_zero_alloc_test_cover_each_other() {
         .collect();
     assert!(
         !declared.is_empty(),
-        "analysis.toml declares no hot functions — the zero-alloc contract lost its subject"
+        "analysis.json declares no hot functions — the zero-alloc contract lost its subject"
     );
     let test_src = std::fs::read_to_string(root.join("tests/zero_alloc_steady_state.rs"))
         .expect("tests/zero_alloc_steady_state.rs exists");
@@ -32,13 +32,13 @@ fn hot_list_and_zero_alloc_test_cover_each_other() {
     let uncovered: Vec<&String> = declared.difference(&marked).collect();
     assert!(
         uncovered.is_empty(),
-        "files declared hot in analysis.toml but not marked as covered by the \
+        "files declared hot in analysis.json but not marked as covered by the \
          zero-alloc test (add the coverage, then the marker): {uncovered:?}"
     );
     let undeclared: Vec<&String> = marked.difference(&declared).collect();
     assert!(
         undeclared.is_empty(),
         "hot-coverage markers in tests/zero_alloc_steady_state.rs for files no \
-         longer declared hot in analysis.toml: {undeclared:?}"
+         longer declared hot in analysis.json: {undeclared:?}"
     );
 }

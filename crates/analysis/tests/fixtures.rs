@@ -3,7 +3,7 @@
 //! the `*_clean.rs` file must stay quiet; `dead-public`, whose verdict
 //! depends on which crate spells a name, gets the miniature workspace
 //! under `dead_public/`.  Each test builds its config through the real
-//! TOML parser, so the fixtures also exercise the config path end to end.
+//! JSON loader, so the fixtures also exercise the config path end to end.
 
 use rrs_analysis::config::AnalysisConfig;
 use rrs_analysis::lints::{self, SourceFile};
@@ -18,7 +18,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn run_lints(cfg: &str, files: &[(&str, String)]) -> AnalysisReport {
-    let config = AnalysisConfig::from_toml(cfg).expect("fixture config is valid");
+    let config = AnalysisConfig::from_json(cfg).expect("fixture config is valid");
     let parsed: Vec<SourceFile> = files
         .iter()
         .map(|(path, src)| SourceFile::parse(*path, src))
@@ -43,10 +43,16 @@ fn assert_quiet(report: &AnalysisReport) {
 }
 
 const DETERMINISM_CFG: &str = r#"
-[paths]
-include = ["fixtures"]
-[lints.determinism]
-paths = ["fixtures"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "determinism": {
+      "paths": ["fixtures"]
+    }
+  }
+}
 "#;
 
 #[test]
@@ -82,17 +88,29 @@ fn determinism_stays_quiet_on_ordered_containers_and_test_code() {
 }
 
 const HOT_TRIGGER_CFG: &str = r#"
-[paths]
-include = ["fixtures"]
-[lints.hot-path-no-alloc]
-hot = ["fixtures/hot_alloc_trigger.rs::dispatch"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "hot-path-no-alloc": {
+      "hot": ["fixtures/hot_alloc_trigger.rs::dispatch"]
+    }
+  }
+}
 "#;
 
 const HOT_CLEAN_CFG: &str = r#"
-[paths]
-include = ["fixtures"]
-[lints.hot-path-no-alloc]
-hot = ["fixtures/hot_alloc_clean.rs::dispatch"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "hot-path-no-alloc": {
+      "hot": ["fixtures/hot_alloc_clean.rs::dispatch"]
+    }
+  }
+}
 "#;
 
 #[test]
@@ -122,10 +140,16 @@ fn hot_path_flags_stale_hot_entries() {
     // A hot entry naming a function that no longer exists is itself a
     // violation — the list cannot silently rot after a rename.
     let cfg = r#"
-[paths]
-include = ["fixtures"]
-[lints.hot-path-no-alloc]
-hot = ["fixtures/hot_alloc_clean.rs::renamed_away"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "hot-path-no-alloc": {
+      "hot": ["fixtures/hot_alloc_clean.rs::renamed_away"]
+    }
+  }
+}
 "#;
     let report = run_lints(
         cfg,
@@ -136,10 +160,16 @@ hot = ["fixtures/hot_alloc_clean.rs::renamed_away"]
 }
 
 const INTEGER_TIME_CFG: &str = r#"
-[paths]
-include = ["fixtures"]
-[lints.integer-time]
-paths = ["fixtures"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "integer-time": {
+      "paths": ["fixtures"]
+    }
+  }
+}
 "#;
 
 #[test]
@@ -170,14 +200,21 @@ fn integer_time_allows_integer_micros_and_non_second_f64s() {
 #[test]
 fn edge_only_by_id_fires_outside_edge_files_and_inside_hot_fns() {
     let cfg = r#"
-[paths]
-include = ["fixtures"]
-[lints.edge-only-by-id]
-paths = ["fixtures"]
-edge_files = ["fixtures/edge_by_id_clean.rs"]
-id_maps = ["by_id", "fixtures/edge_by_id_trigger.rs::placement"]
-[lints.hot-path-no-alloc]
-hot = ["fixtures/edge_by_id_trigger.rs::dispatch", "fixtures/edge_by_id_trigger.rs::actuate"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "edge-only-by-id": {
+      "paths": ["fixtures"],
+      "edge_files": ["fixtures/edge_by_id_clean.rs"],
+      "id_maps": ["by_id", "fixtures/edge_by_id_trigger.rs::placement"]
+    },
+    "hot-path-no-alloc": {
+      "hot": ["fixtures/edge_by_id_trigger.rs::dispatch", "fixtures/edge_by_id_trigger.rs::actuate"]
+    }
+  }
+}
 "#;
     let report = run_lints(
         cfg,
@@ -202,14 +239,21 @@ hot = ["fixtures/edge_by_id_trigger.rs::dispatch", "fixtures/edge_by_id_trigger.
 #[test]
 fn edge_only_by_id_allows_edge_files() {
     let cfg = r#"
-[paths]
-include = ["fixtures"]
-[lints.edge-only-by-id]
-paths = ["fixtures"]
-edge_files = ["fixtures/edge_by_id_clean.rs"]
-id_maps = ["by_id", "fixtures/edge_by_id_trigger.rs::placement"]
-[lints.hot-path-no-alloc]
-hot = ["fixtures/edge_by_id_clean.rs::dispatch"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "edge-only-by-id": {
+      "paths": ["fixtures"],
+      "edge_files": ["fixtures/edge_by_id_clean.rs"],
+      "id_maps": ["by_id", "fixtures/edge_by_id_trigger.rs::placement"]
+    },
+    "hot-path-no-alloc": {
+      "hot": ["fixtures/edge_by_id_clean.rs::dispatch"]
+    }
+  }
+}
 "#;
     let report = run_lints(
         cfg,
@@ -222,10 +266,16 @@ hot = ["fixtures/edge_by_id_clean.rs::dispatch"]
 }
 
 const PANIC_CFG: &str = r#"
-[paths]
-include = ["fixtures"]
-[lints.panic-discipline]
-paths = ["fixtures"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "panic-discipline": {
+      "paths": ["fixtures"]
+    }
+  }
+}
 "#;
 
 #[test]
@@ -252,10 +302,16 @@ fn panic_discipline_accepts_named_invariants_and_test_unwraps() {
 }
 
 const UNSAFE_CFG: &str = r#"
-[paths]
-include = ["fixtures"]
-[lints.unsafe-inventory]
-paths = ["fixtures"]
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "unsafe-inventory": {
+      "paths": ["fixtures"]
+    }
+  }
+}
 "#;
 
 #[test]
@@ -283,12 +339,18 @@ fn unsafe_inventory_accepts_safety_comments_but_still_inventories() {
 fn parallel_cfg(file: &str) -> String {
     format!(
         r#"
-[paths]
-include = ["fixtures"]
-[lints.parallel-region]
-file = "fixtures/{file}"
-allowed_self_fields = ["shards"]
-forbidden = ["merge_traces", "loads"]
+{{
+  "paths": {{
+    "include": ["fixtures"]
+  }},
+  "lints": {{
+    "parallel-region": {{
+      "file": "fixtures/{file}",
+      "allowed_self_fields": ["shards"],
+      "forbidden": ["merge", "loads"]
+    }}
+  }}
+}}
 "#
     )
 }
@@ -328,21 +390,46 @@ fn parallel_region_presence_fires_when_the_scope_disappears() {
 }
 
 #[test]
+fn parallel_region_presence_fires_on_a_name_the_file_never_mentions() {
+    // A configured name that exists nowhere in the file guards nothing:
+    // exactly one violation, naming it.
+    let cfg =
+        parallel_cfg("parallel_clean.rs").replace(r#""loads""#, r#""loads", "merged_samples""#);
+    let report = run_lints(
+        &cfg,
+        &[("fixtures/parallel_clean.rs", fixture("parallel_clean.rs"))],
+    );
+    assert_eq!(fired(&report, "parallel-region"), 1, "{report:?}");
+    assert_eq!(report.violations[0].snippet, "merged_samples");
+    assert!(report.violations[0].message.contains("never mentions"));
+}
+
+#[test]
 fn allowlist_absorbs_bounded_matches_and_reports_stale_entries() {
     let cfg = r#"
-[paths]
-include = ["fixtures"]
-[lints.determinism]
-paths = ["fixtures"]
-[[lints.determinism.allow]]
-file = "fixtures/determinism_trigger.rs"
-pattern = "Instant"
-count = 2
-why = "fixture exercising the absorption path"
-[[lints.determinism.allow]]
-file = "fixtures/determinism_trigger.rs"
-pattern = "ThisNeverMatches"
-why = "fixture exercising staleness detection"
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "determinism": {
+      "paths": ["fixtures"],
+      "allow": [
+        {
+          "file": "fixtures/determinism_trigger.rs",
+          "pattern": "Instant",
+          "count": 2,
+          "why": "fixture exercising the absorption path"
+        },
+        {
+          "file": "fixtures/determinism_trigger.rs",
+          "pattern": "ThisNeverMatches",
+          "why": "fixture exercising staleness detection"
+        }
+      ]
+    }
+  }
+}
 "#;
     let report = run_lints(
         cfg,
@@ -373,10 +460,16 @@ const DEAD_PUBLIC_TREE: &[&str] = &[
 ];
 
 const DEAD_PUBLIC_CFG: &str = r#"
-[paths]
-include = ["crates", "src", "tests", "examples", "benchmark/src"]
-[lints.dead-public]
-paths = ["crates"]
+{
+  "paths": {
+    "include": ["crates", "src", "tests", "examples", "benchmark/src"]
+  },
+  "lints": {
+    "dead-public": {
+      "paths": ["crates"]
+    }
+  }
+}
 "#;
 
 /// Every unrestricted `pub` item of the fixture's `alpha` library that
@@ -420,12 +513,12 @@ fn flagged(report: &AnalysisReport) -> Vec<&str> {
 
 #[test]
 fn dead_public_flags_exactly_the_items_no_other_crate_calls() {
-    // Through the real walker and the fixture's own analysis.toml, so the
+    // Through the real walker and the fixture's own analysis.json, so the
     // directory classification (src/bin, tests/, examples/, benchmark/src)
     // is exercised end to end.
     let root =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/analysis_fixtures/dead_public");
-    let config = rrs_analysis::load_config(&root.join("analysis.toml")).expect("fixture config");
+    let config = rrs_analysis::load_config(&root.join("analysis.json")).expect("fixture config");
     let report = rrs_analysis::analyze_workspace(&root, &config).expect("fixture tree scans");
     assert_eq!(report.files_scanned, DEAD_PUBLIC_TREE.len());
     assert_eq!(flagged(&report), DEAD_IN_ALPHA);
@@ -480,20 +573,32 @@ fn dead_public_counts_each_kind_of_caller() {
 
 #[test]
 fn dead_public_allow_entries_absorb_count_matches_and_go_stale() {
-    let cfg = format!(
-        r#"{DEAD_PUBLIC_CFG}
-[[lints.dead-public.allow]]
-file = "crates/alpha/src/lib.rs"
-pattern = "fn only_"
-count = 3
-why = "fixture: three of the five only_* functions are excused"
-[[lints.dead-public.allow]]
-file = "crates/alpha/src/lib.rs"
-pattern = "fn deleted_last_year"
-why = "fixture: the item this excused no longer exists"
-"#
-    );
-    let report = dead_public_without(&cfg, &[]);
+    let cfg = r#"
+{
+  "paths": {
+    "include": ["crates", "src", "tests", "examples", "benchmark/src"]
+  },
+  "lints": {
+    "dead-public": {
+      "paths": ["crates"],
+      "allow": [
+        {
+          "file": "crates/alpha/src/lib.rs",
+          "pattern": "fn only_",
+          "count": 3,
+          "why": "fixture: three of the five only_* functions are excused"
+        },
+        {
+          "file": "crates/alpha/src/lib.rs",
+          "pattern": "fn deleted_last_year",
+          "why": "fixture: the item this excused no longer exists"
+        }
+      ]
+    }
+  }
+}
+"#;
+    let report = dead_public_without(cfg, &[]);
     assert_eq!(report.allowed.len(), 3, "{report:?}");
     assert_eq!(flagged(&report).len(), DEAD_IN_ALPHA.len() - 3);
     assert_eq!(

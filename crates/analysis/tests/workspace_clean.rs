@@ -9,7 +9,7 @@ use std::path::Path;
 fn workspace_passes_the_invariant_linter() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let config =
-        rrs_analysis::load_config(&root.join("analysis.toml")).expect("analysis.toml is valid");
+        rrs_analysis::load_config(&root.join("analysis.json")).expect("analysis.json is valid");
     let report = rrs_analysis::analyze_workspace(&root, &config).expect("workspace scan succeeds");
     let mut problems = Vec::new();
     for v in &report.violations {
@@ -35,6 +35,25 @@ fn workspace_passes_the_invariant_linter() {
             site.documented,
             "undocumented unsafe at {}:{}",
             site.file, site.line
+        );
+    }
+}
+
+#[test]
+fn every_lint_has_a_scope_in_the_checked_in_config() {
+    // An emptied or deleted `lints.<name>` section would switch its lint
+    // off without a word; here it fails by name.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let c = rrs_analysis::load_config(&root.join("analysis.json")).expect("analysis.json is valid");
+    for lint in rrs_analysis::config::LINT_NAMES {
+        let scoped = match *lint {
+            "hot-path-no-alloc" => !c.hot_functions.is_empty(),
+            "parallel-region" => !c.parallel_file.is_empty(),
+            _ => !c.lint_paths[*lint].is_empty(),
+        };
+        assert!(
+            scoped,
+            "lint {lint:?} has an empty scope in analysis.json, so it is switched off"
         );
     }
 }

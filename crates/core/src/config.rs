@@ -160,11 +160,6 @@ impl ControllerConfig {
         self.incremental = enabled;
         self
     }
-
-    /// Sampling frequency in Hz.
-    pub fn frequency_hz(&self) -> f64 {
-        1.0 / self.controller_period_s
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +170,6 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = ControllerConfig::default();
         assert_eq!(c.controller_period_s, 0.010);
-        assert_eq!(c.frequency_hz(), 100.0);
         assert_eq!(c.default_period, Period::from_millis(30));
         assert_eq!(c.overload_threshold_ppt, 950);
         assert!(!c.period_estimation);

@@ -464,7 +464,7 @@ impl ControlLoop {
         // allow(determinism): wall-clock duration of the controller cycle
         // for the telemetry recorder only; never read back by the loop, so
         // event order and SimStats are identical with and without it.
-        // Allowlisted in analysis.toml.
+        // Allowlisted in analysis.json.
         let timer = recorder.as_ref().map(|_| std::time::Instant::now());
         let out = controller.control_cycle_with_dt(now.as_secs_f64(), dt_us as f64 * 1e-6);
         stats.controller_invocations += 1;

@@ -314,7 +314,7 @@ impl Laps {
     // allow(determinism): opt-in stage timing (off by default) measures
     // wall-clock cost per stage for telemetry; the durations feed
     // TelemetrySnapshot only and never a control decision.  Allowlisted
-    // in analysis.toml.
+    // in analysis.json.
     fn start(on: bool) -> Self {
         Self {
             mark: on.then(std::time::Instant::now),

@@ -32,23 +32,6 @@ impl Default for ControllerCostModel {
 }
 
 impl ControllerCostModel {
-    /// Creates a cost model.
-    pub fn new(fixed_us: f64, per_job_us: f64) -> Self {
-        Self {
-            fixed_us,
-            per_job_us,
-        }
-    }
-
-    /// A zero-cost model, for experiments that want to ignore controller
-    /// overhead.
-    pub fn free() -> Self {
-        Self {
-            fixed_us: 0.0,
-            per_job_us: 0.0,
-        }
-    }
-
     /// Cost of one controller invocation over `jobs` controlled jobs, in
     /// microseconds.
     pub(crate) fn invocation_cost_us(&self, jobs: usize) -> f64 {
@@ -75,12 +58,6 @@ mod tests {
         // 40 jobs ≈ 2.7 % of the CPU, as quoted in the figure caption.
         let at_40 = utilisation(40);
         assert!((at_40 - 0.027).abs() < 0.001, "got {at_40}");
-    }
-
-    #[test]
-    fn free_model_costs_nothing() {
-        let m = ControllerCostModel::free();
-        assert_eq!(m.invocation_cost_us(100), 0.0);
     }
 
     proptest! {

@@ -48,14 +48,6 @@ impl TimeSeries {
         }
     }
 
-    /// Creates an empty series with the given name and reserved capacity.
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        Self {
-            name: name.into(),
-            samples: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Returns the series name.
     pub fn name(&self) -> &str {
         &self.name

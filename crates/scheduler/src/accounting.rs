@@ -159,15 +159,6 @@ impl UsageAccount {
             (self.last_period_used_us as f64 / self.last_period_budget_us as f64).min(1.0)
         }
     }
-
-    /// Lifetime deadline-miss ratio.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.periods_completed == 0 {
-            0.0
-        } else {
-            self.deadlines_missed as f64 / self.periods_completed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +227,6 @@ mod tests {
         a.mark_runnable();
         a.charge(1000);
         assert!(!a.roll_period(30_000, 1000));
-        assert_eq!(a.miss_ratio(), 0.0);
     }
 
     #[test]
@@ -251,14 +241,12 @@ mod tests {
         assert_eq!(a.periods_completed, 2);
         assert_eq!(a.total_used_us, 2500);
         assert_eq!(a.total_budget_us, 3000);
-        assert_eq!(a.miss_ratio(), 0.5);
     }
 
     #[test]
     fn fresh_account_ratios() {
         let a = UsageAccount::new(0, 500);
         assert_eq!(a.last_period_usage_ratio(), 1.0);
-        assert_eq!(a.miss_ratio(), 0.0);
     }
 
     #[test]
@@ -332,7 +320,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(a.total_used_us, total);
-            prop_assert!(a.miss_ratio() >= 0.0 && a.miss_ratio() <= 1.0);
         }
     }
 }

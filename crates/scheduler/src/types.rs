@@ -6,14 +6,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ThreadId(pub u64);
 
-impl ThreadId {
-    /// Returns the raw identifier, used to key external tables such as the
-    /// progress-metric registry.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for ThreadId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "t{}", self.0)
@@ -114,11 +106,6 @@ impl Proportion {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Proportion) -> Proportion {
         Proportion(self.0.saturating_sub(other.0))
-    }
-
-    /// Scales the proportion by `factor` (clamped to `[0, 1000 ppt]`).
-    pub fn scale(self, factor: f64) -> Proportion {
-        Proportion::from_fraction(self.as_fraction() * factor.max(0.0))
     }
 }
 
@@ -227,9 +214,6 @@ mod tests {
         let b = Proportion::from_ppt(500);
         assert_eq!(a.saturating_sub(b).ppt(), 100);
         assert_eq!(b.saturating_sub(a).ppt(), 0);
-        assert_eq!(a.scale(0.5).ppt(), 300);
-        assert_eq!(a.scale(10.0), Proportion::FULL);
-        assert_eq!(a.scale(-1.0), Proportion::ZERO);
     }
 
     #[test]
@@ -268,10 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_id_display_and_raw() {
-        let id = ThreadId(42);
-        assert_eq!(id.to_string(), "t42");
-        assert_eq!(id.raw(), 42);
+    fn thread_id_display() {
+        assert_eq!(ThreadId(42).to_string(), "t42");
     }
 
     #[test]
@@ -288,13 +270,6 @@ mod tests {
             let p = Proportion::from_ppt(ppt);
             let back = Proportion::from_fraction(p.as_fraction());
             prop_assert_eq!(p, back);
-        }
-
-        #[test]
-        fn scale_is_monotone(ppt in 0u32..=1000, f1 in 0.0f64..2.0, f2 in 0.0f64..2.0) {
-            let p = Proportion::from_ppt(ppt);
-            let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
-            prop_assert!(p.scale(lo).ppt() <= p.scale(hi).ppt());
         }
     }
 }

@@ -1990,7 +1990,10 @@ mod tests {
             chunks in proptest::collection::vec(1u64..25_000, 1..8),
         ) {
             let mut config = SimConfig::default().with_cpus(cpus);
-            config.controller.cost_model = ControllerCostModel::free();
+            config.controller.cost_model = ControllerCostModel {
+                fixed_us: 0.0,
+                per_job_us: 0.0,
+            };
             let mut sim = Simulation::new(config);
             for (i, &kind) in jobs.iter().enumerate() {
                 let work: Box<dyn WorkModel> = match kind {

@@ -40,12 +40,12 @@
 //! * [`metrics`] (`rrs-metrics`) — time series, statistics and experiment
 //!   export.
 //! * [`analysis`] (`rrs-analysis`) — the workspace invariant linter: a
-//!   self-contained static-analysis pass (own Rust lexer, no external
-//!   parser) that machine-checks the hot-path contracts — zero-alloc
+//!   static-analysis pass (own Rust lexer, config read through the
+//!   vendored `serde_json`) that machine-checks the hot-path contracts — zero-alloc
 //!   steady state, replay determinism, integer time, edge-only id maps,
 //!   panic discipline, `unsafe` inventory, the sharded parallel-region
 //!   audit — and that every `pub` item has a caller in another crate,
-//!   against the justified allowlist in `analysis.toml`.  CI blocks on `cargo run -p rrs-analysis -- --deny`.
+//!   against the justified allowlist in `analysis.json`.  CI blocks on `cargo run -p rrs-analysis -- --deny`.
 //! * [`telemetry`] (`rrs-telemetry`) — zero-cost runtime tracing: the
 //!   bounded-ring [`telemetry::Recorder`] (enabled per host via
 //!   `Runtime::sim().telemetry(..)`), the shared

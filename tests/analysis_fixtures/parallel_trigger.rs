@@ -14,4 +14,8 @@ impl Sharded {
             self.loads.clear();
         });
     }
+
+    fn merge(&mut self) {
+        self.loads.clear();
+    }
 }

@@ -347,7 +347,7 @@ impl realrate::sim::WorkModel for Spin {
 /// indexed heap), the event calendar, and the simulation window loop
 /// — so, together with the actuation and wake-up window further down, the
 /// counting-allocator measurement dynamically covers every module the
-/// static hot list in analysis.toml declares allocation-free.  The
+/// static hot list in analysis.json declares allocation-free.  The
 /// markers are kept in sync with that list by
 /// crates/analysis/tests/coverage_crosscheck.rs: adding a file to the hot
 /// list without extending this test (or vice versa) fails `cargo test`.

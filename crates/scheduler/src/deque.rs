@@ -11,8 +11,8 @@
 //! minimum.
 //!
 //! It is sorted rather than heap-ordered because both callers work at the
-//! ends.  The run queue pops its pick off the front, and a pick still
-//! runnable when its span ends comes back under the greatest key of its
+//! ends.  The run queue pops its pick off the front, and a pick that a
+//! later dispatch finds outranked comes back under the greatest key of its
 //! goodness — the tail, when every runnable thread shares one goodness;
 //! a timer armed for a thread's next period boundary is, on a busy CPU,
 //! later than nearly every timer already armed.  Neither is a plain FIFO,

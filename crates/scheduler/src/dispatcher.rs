@@ -13,11 +13,14 @@
 //! is kept ranked in a goodness-ordered run queue (a sorted deque,
 //! `runqueue.rs`), so a dispatch decision is an `O(1)` pop from the front
 //! of the queue instead of the original full scan over every registered
-//! thread.  The pick stays off the queue while it runs and rejoins it
-//! through the ordinary re-rank at its next state change: when its span
-//! settles, if it is still runnable.  On a saturated CPU nearly every pick
-//! ends in a throttle, so a slow dispatch there is one pop and nothing
-//! more.  Re-ranking is lazy: a thread's queue entry is only touched by
+//! thread.  The pick stays off the queue for as long as it stays runnable,
+//! and goes back through the queue only when it must: the next slow
+//! dispatch compares its key with the queue's front and picks it again in
+//! place — no link, no pop — while it still sorts first, or links it and
+//! pops the front once it is outranked.  On a saturated CPU nearly every
+//! pick ends in a throttle, and on an uncontended one the pick nearly
+//! always still sorts first, so a slow dispatch there is one pop or one
+//! compare.  Re-ranking is lazy: a thread's queue entry is only touched by
 //! the state changes that can affect it (block/unblock, throttle, charge,
 //! a reservation change that moves the period or releases the thread,
 //! pick), so an idle dispatcher — the paper's "no work
@@ -48,16 +51,21 @@
 //! CPU:
 //!
 //! * **The next-quantum cache.** `queue_gen` counts every mutation that
-//!   can change the run-queue head (any re-rank or removal).  When a
+//!   can change the run-queue head (any re-rank or removal, and every
+//!   charge settled into the pick's account).  When a
 //!   dispatch picks a thread whose re-keyed pick still sorts before the
 //!   queue's front (or the queue is empty), the decision is cached by
 //!   recording the post-pick generation; as long as the generation is
 //!   unchanged and the clock has not reached the thread's period boundary,
 //!   the next dispatch re-issues the pick in `O(1)` without touching the
-//!   queue.  The cached thread is the off-queue pick, so it has no queue
-//!   key to go stale: a fast pick bumps the pick sequence on the entry,
-//!   which only pushes it further behind threads of its own goodness — and
-//!   the front has none, or the pick would not have sorted first.
+//!   queue ([`Dispatcher::dispatch_cached`], which a span loop can also
+//!   call on its own to run a stretch of hits).  The cached thread is the
+//!   off-queue pick, so it has no queue key to go stale: a fast pick bumps
+//!   the pick sequence on the entry, which only pushes it further behind
+//!   threads of its own goodness — and the front has none, or the pick
+//!   would not have sorted first.  A settled span disarms the cache but
+//!   leaves the pick off the queue, so the counted miss that follows is a
+//!   compare with the front, not a link and a pop.
 //! * **Batched span charging.** [`Dispatcher::charge_span`] accumulates
 //!   consecutive charges to the cached thread in `span_pending_us` and
 //!   settles them into the account in one batch, but only while the
@@ -332,10 +340,11 @@ pub struct Dispatcher {
     /// [`Dispatcher::block_span`].  Cleared when that thread leaves the
     /// dispatcher or a dispatch goes idle.
     span_slot: Option<u32>,
-    /// Dense slot of the last slow-path pick while it is runnable but off
-    /// the run queue: [`Dispatcher::dispatch_slow`] pops its pick instead of
-    /// re-ranking it, and the pick rejoins through `reindex` at its next
-    /// state change — or at the next slow dispatch, if it had none.
+    /// Dense slot of the last slow-path pick while it is runnable — it is
+    /// then off the run queue: [`Dispatcher::dispatch_slow`] pops its pick,
+    /// or picks this one again in place, and a pick that stays runnable
+    /// only rejoins the queue when the next slow dispatch finds it
+    /// outranked.  A throttle, block or removal clears it.
     off_queue_pick: Option<u32>,
     /// `Some(queue_gen)` recorded when a dispatch armed the next-quantum
     /// cache; the cache is live while it equals the current `queue_gen`
@@ -491,21 +500,26 @@ impl Dispatcher {
     }
 
     /// Re-derives the entry's run-queue membership and rank from its current
-    /// state, and is how the off-queue pick rejoins the queue.  Called after
-    /// every mutation that can affect them: `O(1)` for a throttle or block
-    /// of the pick (nothing to remove) and for an insert or removal at or
-    /// near the queue's tail, a binary search plus a shift otherwise.
-    /// Conservatively bumps `queue_gen` (disarming the next-quantum cache)
-    /// even when nothing changes.
+    /// state.  Called after every mutation that can affect them: `O(1)` for
+    /// any change to the off-queue pick — while it stays runnable it stays
+    /// off the queue (the next slow dispatch ranks it against the front),
+    /// and a throttle or block has nothing to remove — and for an insert or
+    /// removal at or near the queue's tail, a binary search plus a shift
+    /// otherwise.  Conservatively bumps `queue_gen` (disarming the
+    /// next-quantum cache) even when nothing changes.
     fn reindex(&mut self, idx: u32) {
         self.queue_gen += 1;
-        let off_queue = self.off_queue_pick.take_if(|pick| *pick == idx).is_some();
         let Some(entry) = self.entries[idx as usize].as_ref() else {
             return;
         };
-        if entry.state.is_runnable() {
+        let runnable = entry.state.is_runnable();
+        if self.off_queue_pick == Some(idx) {
+            if !runnable {
+                self.off_queue_pick = None;
+            }
+        } else if runnable {
             self.runnable.upsert(idx, entry.run_key());
-        } else if !off_queue {
+        } else {
             self.runnable.remove(idx);
         }
     }
@@ -669,12 +683,12 @@ impl Dispatcher {
     /// lookup.
     ///
     /// Most actuations under overload move the grant alone.  When the
-    /// period and the run state are unchanged and the slot is not the
-    /// off-queue pick, the thread's timer and run-queue key are already
-    /// where the timer rule and the ranking put them — both derive from
-    /// period, state and boundary only — so it skips the re-arm and the
-    /// re-rank.  It still bumps `queue_gen`, so the next-quantum cache
-    /// disarms exactly as after a re-rank.
+    /// period and the run state are unchanged, the thread's timer and
+    /// run-queue key are already where the timer rule and the ranking put
+    /// them — both derive from period, state and boundary only, and the
+    /// off-queue pick is ranked afresh at the next slow dispatch — so it
+    /// skips the re-arm and the re-rank.  It still bumps `queue_gen`, so
+    /// the next-quantum cache disarms exactly as after a re-rank.
     pub(crate) fn set_reservation_slot(
         &mut self,
         slot: u32,
@@ -711,7 +725,7 @@ impl Dispatcher {
         }
         self.reserved_ppt -= old.proportion.ppt();
         self.reserved_ppt += reservation.proportion.ppt();
-        if new_period || released || self.off_queue_pick == Some(slot) {
+        if new_period || released {
             self.rearm(slot);
             self.reindex(slot);
         } else {
@@ -825,23 +839,28 @@ impl Dispatcher {
 
     /// Advances the scheduler clock to `now_us`, releasing every throttled
     /// thread whose timer expired on the way (`do_timers()` in the
-    /// prototype).  Constant-time when no timer has expired; a clock that
-    /// is already there costs the caller one inlined compare.
+    /// prototype).  The "is a timer due" test is inlined with the clock
+    /// store, so a span loop pays a compare and a peek at the timer list's
+    /// front and makes no call unless a timer has expired — the paper's "no
+    /// work unless at least one timer has expired".
     #[inline]
     pub fn advance_to(&mut self, now_us: u64) {
         if now_us > self.now_us {
-            self.advance_slow(now_us);
+            self.now_us = now_us;
+            if self.timers.next_expiry().is_some_and(|e| e <= now_us) {
+                self.release_expired();
+            }
         }
     }
 
-    /// [`Dispatcher::advance_to`] once the clock really moves: out of line,
-    /// so the span loop inlines only the compare.
+    /// Releases every throttled thread whose timer has expired by the
+    /// clock: out of line, so [`Dispatcher::advance_to`] inlines only its
+    /// test.
     #[inline(never)]
-    fn advance_slow(&mut self, now_us: u64) {
-        self.now_us = now_us;
+    fn release_expired(&mut self) {
         // Only throttle-release timers are armed, and the popped slot is the
         // dispatcher's own dense index — no id resolution.
-        while let Some(idx) = self.timers.pop_next_expired(now_us) {
+        while let Some(idx) = self.timers.pop_next_expired(self.now_us) {
             self.sync_entry(idx);
         }
     }
@@ -1018,15 +1037,16 @@ impl Dispatcher {
     /// That check is all a span loop inlines; the slow path is out of line.
     #[inline]
     pub fn dispatch(&mut self) -> DispatchOutcome {
-        match self.cached_outcome() {
+        match self.dispatch_cached() {
             Some(outcome) => outcome,
             None => self.dispatch_slow(),
         }
     }
 
-    /// [`Dispatcher::dispatch`] past the next-quantum cache: re-link the
-    /// last pick if it is still off the run queue, pop the new pick off
-    /// it, re-arm the cache.
+    /// [`Dispatcher::dispatch`] past the next-quantum cache: pick again the
+    /// last pick in place if it is still runnable and sorts before the run
+    /// queue's front, or else (linking the last pick first, if runnable)
+    /// pop the front; then re-arm the cache.
     #[inline(never)]
     fn dispatch_slow(&mut self) -> DispatchOutcome {
         self.settle_span();
@@ -1041,58 +1061,76 @@ impl Dispatcher {
                 },
             );
         }
-        // A last pick that nothing has re-linked since — one that stood
-        // unexecuted at a window edge — is still off the queue.
-        if let Some(last) = self.off_queue_pick {
-            debug_assert!(
-                self.entries[last as usize]
-                    .as_ref()
-                    .is_some_and(|e| e.state.is_runnable()),
-                "the off-queue pick is runnable"
-            );
-            self.reindex(last);
-        }
-
         // Pick the best runnable thread: highest goodness, ties broken by
-        // least recently picked, then lowest id.
-        let Some((key, idx)) = self.runnable.pop_front() else {
-            // Nothing runnable: idle until the next timer or one dispatch
-            // interval, whichever comes first.
-            let quantum = self
-                .timers
-                .next_expiry()
-                .map(|t| t.saturating_sub(self.now_us).max(1))
-                .unwrap_or(self.config.dispatch_interval_us)
-                .min(self.config.dispatch_interval_us.max(1));
-            self.stats.idle_us += quantum;
-            if self.running.is_some() {
-                self.running = None;
+        // least recently picked, then lowest id.  A last pick still
+        // runnable is off the queue: picked again in place while it sorts
+        // before the front, linked and passed over once it does not.  The
+        // pick's key is only needed against a front, so a pick alone on
+        // its CPU does not compute one.
+        let (idx, key) = match self.off_queue_pick {
+            Some(last) => {
+                let entry = self.entries[last as usize]
+                    .as_ref()
+                    .expect("unlink clears the off-queue pick before freeing its slot");
+                debug_assert!(entry.state.is_runnable(), "the off-queue pick is runnable");
+                match self.runnable.peek() {
+                    None => (last, None),
+                    Some(front) => {
+                        let key = entry.run_key();
+                        if (key, last) < front {
+                            (last, Some(key))
+                        } else {
+                            self.runnable.upsert(last, key);
+                            let (key, idx) = self
+                                .runnable
+                                .pop_front()
+                                .expect("the queue held a front, and gained a thread");
+                            (idx, Some(key))
+                        }
+                    }
+                }
             }
-            self.span_slot = None;
-            self.quantum_cache_gen = None;
-            return DispatchOutcome {
-                thread: None,
-                quantum_us: quantum,
-            };
+            None => match self.runnable.pop_front() {
+                Some((key, idx)) => (idx, Some(key)),
+                None => {
+                    // Nothing runnable: idle until the next timer or one
+                    // dispatch interval, whichever comes first.
+                    let quantum = self
+                        .timers
+                        .next_expiry()
+                        .map(|t| t.saturating_sub(self.now_us).max(1))
+                        .unwrap_or(self.config.dispatch_interval_us)
+                        .min(self.config.dispatch_interval_us.max(1));
+                    self.stats.idle_us += quantum;
+                    if self.running.is_some() {
+                        self.running = None;
+                    }
+                    self.span_slot = None;
+                    self.quantum_cache_gen = None;
+                    return DispatchOutcome {
+                        thread: None,
+                        quantum_us: quantum,
+                    };
+                }
+            },
         };
-        let picked = key.id;
         self.off_queue_pick = Some(idx);
         // Bring the picked thread's account up to date before the quantum is
         // capped by its remaining budget.  The rank key is period-derived,
         // so a roll cannot invalidate the pick.
         self.sync_entry(idx);
 
+        self.pick_seq += 1;
+        let pick_seq = self.pick_seq;
+        let entry = self.entries[idx as usize]
+            .as_mut()
+            .expect("the runqueue only holds occupied slots (remove precedes unlink)");
+        let picked = entry.id;
         if self.running != Some(picked) {
             self.stats.context_switches += 1;
             self.stats.overhead_us += self.config.context_switch_cost_us;
         }
         self.running = Some(picked);
-        self.pick_seq += 1;
-
-        let pick_seq = self.pick_seq;
-        let entry = self.entries[idx as usize]
-            .as_mut()
-            .expect("the runqueue only holds occupied slots (remove precedes unlink)");
         entry.last_picked_seq = pick_seq;
         entry.state = ThreadState::Running;
         entry.account.mark_runnable();
@@ -1100,30 +1138,35 @@ impl Dispatcher {
         let budget_cap = entry.account.remaining_us().max(1);
         let quantum = self.config.dispatch_interval_us.max(1).min(budget_cap);
         // Arm the next-quantum cache: if the re-keyed pick still sorts
-        // before the queue's front, nothing can outrank it until some
-        // operation bumps `queue_gen`.
+        // before the queue's front (there is none if the pick had no key),
+        // nothing can outrank it until some operation bumps `queue_gen`.
         self.span_slot = Some(idx);
-        let rekeyed = RunKey {
-            last_picked_seq: pick_seq,
-            ..key
-        };
-        self.quantum_cache_gen = self
-            .runnable
-            .peek()
-            .is_none_or(|front| (rekeyed, idx) < front)
-            .then_some(self.queue_gen);
+        let sorts_first = key.is_none_or(|key| {
+            let rekeyed = RunKey {
+                last_picked_seq: pick_seq,
+                ..key
+            };
+            self.runnable
+                .peek()
+                .is_none_or(|front| (rekeyed, idx) < front)
+        });
+        self.quantum_cache_gen = sorts_first.then_some(self.queue_gen);
         DispatchOutcome {
             thread: Some(picked),
             quantum_us: quantum,
         }
     }
 
-    /// The `O(1)` fast path of [`Dispatcher::dispatch`]: re-issues the
-    /// cached pick when the queue generation is unchanged and the pick's
-    /// period boundary is still ahead.  Touches no map and no queue;
-    /// observably identical to the slow path re-picking the same thread.
+    /// The `O(1)` fast path of [`Dispatcher::dispatch`] on its own: re-issues
+    /// the cached pick when the queue generation is unchanged and the pick's
+    /// period boundary is still ahead, and returns `None` — having changed
+    /// nothing — otherwise.  Touches no map and no queue; observably
+    /// identical to the slow path re-picking the same thread.  A span loop
+    /// that has just charged the pick calls it to run a stretch of cache
+    /// hits without the checks a general dispatch needs (a live cache
+    /// implies [`Dispatcher::has_runnable`]).
     #[inline]
-    fn cached_outcome(&mut self) -> Option<DispatchOutcome> {
+    pub fn dispatch_cached(&mut self) -> Option<DispatchOutcome> {
         if self.quantum_cache_gen != Some(self.queue_gen) {
             return None;
         }
@@ -1281,6 +1324,12 @@ impl Dispatcher {
         self.apply_charge(idx, us);
     }
 
+    /// Charges `us` to the slot's account, throttling it at the edge, and
+    /// re-ranks it.  The off-queue pick is not re-linked: a charge that
+    /// leaves it runnable leaves it the off-queue pick, and `reindex`'s
+    /// `queue_gen` bump disarms the next-quantum cache, so the next
+    /// dispatch is a counted miss — one that picks it again in place while
+    /// it still sorts before the queue's front.
     fn apply_charge(&mut self, idx: u32, us: u64) {
         let entry = self.entries[idx as usize]
             .as_mut()
@@ -2138,8 +2187,8 @@ mod tests {
 
     /// A re-reservation that moves only the grant leaves the run queue,
     /// the timer list and the off-queue pick as they were, and still
-    /// disarms the next-quantum cache; one that releases a throttled
-    /// thread, changes the period or names the pick re-ranks as before.
+    /// disarms the next-quantum cache — on the pick too; one that releases
+    /// a throttled thread or changes the period re-ranks as before.
     #[test]
     fn a_grant_only_re_reservation_skips_the_re_rank() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
@@ -2175,10 +2224,13 @@ mod tests {
         assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
         assert_eq!(d.stats().quantum_cache_misses, misses + 1);
         assert_eq!(d.off_queue_pick, Some(s1));
-        // A grant on the pick re-links it.
+        // A grant on the pick moves nothing either: it stays the off-queue
+        // pick, for the next slow dispatch to rank against the front.
+        let before = snapshot(&d);
         d.set_reservation(ThreadId(1), reserved(150, 10)).unwrap();
-        assert_eq!(d.off_queue_pick, None);
-        assert!(d.runnable.key_of(s1).is_some());
+        assert_eq!(snapshot(&d), before);
+        assert_eq!(d.off_queue_pick, Some(s1));
+        assert_ne!(d.quantum_cache_gen, Some(d.queue_gen), "cache disarmed");
         d.assert_consistent();
         // A release re-ranks and drops the timer; a new period re-ranks.
         d.set_reservation(ThreadId(4), reserved(200, 30)).unwrap();
@@ -2191,6 +2243,10 @@ mod tests {
             d.dispatch().thread,
             Some(ThreadId(3)),
             "shortest period now"
+        );
+        assert!(
+            d.runnable.key_of(s1).is_some(),
+            "the outranked pick is linked"
         );
         d.assert_consistent();
     }
@@ -2262,13 +2318,15 @@ mod tests {
         d.assert_consistent();
     }
 
-    /// The pick leaves the run queue.  Mid-span the sole runnable thread is
-    /// queued nowhere yet the CPU reads busy; a pick that stood unexecuted
-    /// is re-linked by the next slow dispatch, and picked again only while
-    /// it still sorts first; a span that ends runnable re-links it under
-    /// its true key; a throttle or a block has nothing to remove.
+    /// The pick leaves the run queue and stays off it while it is
+    /// runnable.  Mid-span the sole runnable thread is queued nowhere yet
+    /// the CPU reads busy.  A span that ends runnable leaves it the
+    /// off-queue pick and the queue untouched but disarms the cache, so the
+    /// next dispatch is a counted miss — which picks it again in place
+    /// while it still sorts first, and links it and passes over it once it
+    /// is outranked.  A throttle or a block has nothing to remove.
     #[test]
-    fn a_pick_is_off_the_run_queue_until_its_span_settles() {
+    fn a_runnable_pick_stays_off_the_run_queue_until_outranked() {
         let mut d = Dispatcher::new(DispatcherConfig::default());
         d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
             .unwrap();
@@ -2287,21 +2345,30 @@ mod tests {
         assert_eq!((d.runnable.len(), d.off_queue_pick), (0, Some(s1)));
 
         // Two longer-period threads queue behind; thread 1's span ends
-        // runnable and re-links it at the front, under its second pick.
+        // runnable and it stays the off-queue pick, the queue untouched.
         d.add_thread_preadmitted(ThreadId(2), reserved(100, 20))
             .unwrap();
         d.add_thread_preadmitted(ThreadId(3), reserved(100, 40))
             .unwrap();
+        let queued: Vec<_> = d.runnable.iter().collect();
+        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
+        assert_eq!(d.quantum_cache_gen, Some(d.queue_gen), "cache armed");
         d.charge(ThreadId(1), 100).unwrap();
-        let key = d.entries[s1 as usize].as_ref().unwrap().run_key();
-        assert_eq!(key.last_picked_seq, 2);
-        assert_eq!(d.runnable.peek(), Some((key, s1)));
-        assert_eq!(d.off_queue_pick, None);
+        assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Ready));
+        assert_eq!(d.off_queue_pick, Some(s1));
+        assert_eq!(d.runnable.iter().collect::<Vec<_>>(), queued);
+        assert_ne!(d.quantum_cache_gen, Some(d.queue_gen), "cache disarmed");
+        d.assert_consistent();
+        // The miss picks it again in place: no link, no pop.
+        let misses = d.stats().quantum_cache_misses;
+        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
+        assert_eq!(d.stats().quantum_cache_misses, misses + 1);
+        assert_eq!(d.entries[s1 as usize].as_ref().unwrap().last_picked_seq, 4);
+        assert_eq!(d.off_queue_pick, Some(s1));
+        assert_eq!(d.runnable.iter().collect::<Vec<_>>(), queued);
         d.assert_consistent();
 
         // A throttle leaves the queue as it was...
-        assert_eq!(d.dispatch().thread, Some(ThreadId(1)));
-        let queued: Vec<_> = d.runnable.iter().collect();
         d.charge_span(900);
         assert_eq!(d.thread_state(ThreadId(1)), Some(ThreadState::Throttled));
         assert_eq!(d.runnable.iter().collect::<Vec<_>>(), queued);
@@ -2313,12 +2380,15 @@ mod tests {
         assert_eq!(d.off_queue_pick, None);
         d.assert_consistent();
 
-        // An unexecuted pick outranked in the meantime is re-linked and
-        // passed over.
+        // A pick outranked once its span settles is linked and passed
+        // over.
         assert_eq!(d.dispatch().thread, Some(ThreadId(3)));
-        d.unblock(ThreadId(2)).unwrap();
-        assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
         let s3 = d.slot_of(ThreadId(3)).unwrap();
+        d.charge_span(100);
+        d.unblock(ThreadId(2)).unwrap();
+        assert_eq!(d.off_queue_pick, Some(s3), "the settle leaves it off");
+        assert_eq!(d.runnable.key_of(s3), None);
+        assert_eq!(d.dispatch().thread, Some(ThreadId(2)));
         assert!(d.runnable.key_of(s3).is_some());
         d.assert_consistent();
     }

@@ -20,8 +20,9 @@
 //! * [`goodness`] — the Linux-style goodness function (rate monotonic).
 //! * [`Dispatcher`] — goodness-ordered run queue and expiry-ordered timer
 //!   list over dense slot-indexed thread storage, both on one sorted deque
-//!   (`O(1)` pick — a pop, the pick rejoining only if its span leaves it
-//!   runnable — next expiry and tail arm); per-period
+//!   (`O(1)` pick — a pop, or the last pick again in place while it
+//!   still sorts first, the pick rejoining only once outranked — next
+//!   expiry and tail arm); per-period
 //!   accounting, deadline-miss detection and dispatch-overhead modelling.
 //! * [`Machine`] — the multi-CPU layer: `N` per-CPU dispatchers in
 //!   lockstep behind the single-CPU API, with thread placement and

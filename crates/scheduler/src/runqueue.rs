@@ -11,25 +11,26 @@
 //! CPU does to it.  RBS only ranks threads by goodness, and "jobs with
 //! shorter periods have higher goodness values" (§3.1), so the runnable
 //! threads of a busy CPU share one or two goodness values.  The dispatcher
-//! pops its pick off the front, and the pick stays off the queue while it
-//! runs.  If its span leaves it runnable it comes back under the newest
-//! pick sequence, the greatest key of its goodness: the tail of its class,
-//! where a heap would sift it from the root to a leaf.  On a saturated CPU
-//! it nearly never comes back — the span ends in a throttle — so a pick
-//! costs one pop.  It is not a plain FIFO, though.  A thread released from
-//! a throttle or woken from a block comes back under the pick sequence it
-//! *left* with, which is among the newest but not always the newest —
-//! hence the deque's walk in from the tail.  Measured over whole
-//! `--seconds 1` runs of the repo benchmark:
+//! pops its pick off the front, and the pick stays off the queue for as
+//! long as it stays runnable.  It comes back only when a later slow
+//! dispatch finds it outranked, under the newest pick sequence, the
+//! greatest key of its goodness: the tail of its class, where a heap would
+//! sift it from the root to a leaf.  On a saturated CPU it nearly never
+//! comes back — the span ends in a throttle — and on an uncontended one it
+//! is never outranked, so a pick costs one pop or none.  It is not a plain
+//! FIFO, though.  A thread released from a throttle or woken from a block
+//! comes back under the pick sequence it *left* with, which is among the
+//! newest but not always the newest — hence the deque's walk in from the
+//! tail.  Measured over whole `--seconds 1` runs of the repo benchmark:
 //!
 //! | run-queue links                        | `spin_saturated` | `sharded_churn` | `pipeline_blocking` | `spin_uncontended` |
 //! |----------------------------------------|------------------|-----------------|---------------------|--------------------|
-//! | picks re-linked, per slow dispatch     | 0.009            | 0.11            | 0.90                | 1.0                |
-//! | … landing exactly on the tail          | 100 %            | 100 %           | 83.1 %              | 100 %              |
+//! | picks re-linked, per slow dispatch     | 0.009            | 0.11            | 0.75                | 0                  |
+//! | … landing exactly on the tail          | 100 %            | 100 %           | 100 %               | —                  |
 //! | other links (release, wake, admission) | 1 451 296        | 2 914 714       | 1 028 194           | 7 296              |
-//! | … landing exactly on the tail          | 95.5 %           | 15.2 %          | 1.6 %               | 100 %              |
-//! | … at most 7 places in                  | 96.5 %           | 70.3 %          | 93.4 %              | 100 %              |
-//! | … mean places in / worst               | 1.4 / 102        | 12.9 / 519      | 3.3 / 25            | 0 / 0              |
+//! | … landing exactly on the tail          | 95.9 %           | 17.7 %          | 2.0 %               | 100 %              |
+//! | … at most 7 places in                  | 96.5 %           | 70.4 %          | 94.3 %              | 100 %              |
+//! | … mean places in / worst               | 1.4 / 102        | 12.9 / 518      | 2.6 / 24            | 0 / 0              |
 //!
 //! Its costs are stated in [`crate::deque`].
 

@@ -49,6 +49,7 @@ impl TimerList {
     }
 
     /// The next expiry time, if any timer is armed.
+    #[inline]
     pub(crate) fn next_expiry(&self) -> Option<u64> {
         self.timers.peek().map(|((expiry, _), _)| expiry)
     }

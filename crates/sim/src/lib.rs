@@ -37,7 +37,8 @@
 //! simulator advances each CPU *analytically*: the dispatcher picks a thread, the work model consumes
 //! its quantum (clipped to the event window), usage is charged, and the CPU
 //! repeats until the window is exhausted — no global tick, no heap
-//! operation per span, and no idle fast-forward special case, because an
+//! operation per span (a pick the next-quantum cache re-issues runs as a
+//! tight loop of spans), and no idle fast-forward special case, because an
 //! idle CPU simply has nothing scheduled before the next event.  Reservation
 //! period boundaries do not enter the calendar at all: the dispatcher rolls
 //! them lazily, when a thread is next touched ([`rrs_scheduler::Dispatcher`]),

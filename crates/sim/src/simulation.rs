@@ -641,6 +641,20 @@ impl Simulation {
     /// watermark and carry, its used time, the global overhead sum — live
     /// in locals written back when the window ends, so a span touches
     /// nothing through `self`.
+    ///
+    /// The loop head fires due local wakes and polls, releases due
+    /// timers, and idles or dispatches; one span body then runs the pick.
+    /// After a span that leaves the pick running, with no local wake or
+    /// poll pending, the span body runs again at once on a *hit run*:
+    /// [`Dispatcher::advance_to`] and [`Dispatcher::dispatch_cached`]
+    /// alone, until the window ends.  The head would do nothing else: no
+    /// wake or poll exists, and a live cache implies a runnable thread.  A
+    /// throttle release that `advance_to` makes bumps the dispatcher's
+    /// queue generation, so the cache misses exactly where the head's
+    /// dispatch would have.  The dispatcher's mutators run in the same
+    /// order either way, and every counter and statistic is the same.  The
+    /// span thread's model is resolved once per run.  A miss, a block, a
+    /// zero-use span or the window end hands the CPU back to the head.
     fn advance_cpu(
         &mut self,
         cpu: CpuId,
@@ -670,7 +684,7 @@ impl Simulation {
         let (dispatcher, slot_of, recorder) = ctl.cpu_window(cpu);
         let mut t = start;
         let mut next_poll = u64::MAX;
-        loop {
+        'window: loop {
             // Fire local wake-ups that have come due.
             let mut i = 0;
             while i < local_wakes.len() {
@@ -733,89 +747,119 @@ impl Simulation {
                 continue;
             }
 
-            let outcome = dispatcher.dispatch();
-            // Book this CPU's dispatch overhead, consuming whole
-            // microseconds of the window; the fractional remainder carries
-            // over.  `total - last` rather than the dispatch's own cost:
-            // the two are not the same f64.
-            let total = dispatcher.overhead_us();
-            let delta = total - last_overhead;
-            last_overhead = total;
-            overhead_sum += delta;
-            if delta > 0.0 {
-                carry += delta;
-                // The carry only ever holds a non-negative remainder, so the
-                // cast's truncation is its floor (and not the libm call
-                // `floor` is on baseline x86-64).  Both conversions go
-                // through `i64`: the same values here, and one instruction
-                // each where the unsigned ones take several.
-                debug_assert!(carry >= 0.0);
-                let charge = ((carry as i64) as u64).min(target_us - t);
-                if charge > 0 {
-                    carry -= (charge as i64) as f64;
-                    t += charge;
-                    if t >= target_us {
-                        // The pick stands unexecuted; the next window
-                        // re-dispatches.
-                        continue;
-                    }
-                }
-            }
-            let Some(tid) = outcome.thread else {
-                // Defensive: an idle dispatch despite `has_runnable`.
-                let jump = (t + outcome.quantum_us.max(1)).min(target_us);
-                dispatcher.rebook_idle_us(outcome.quantum_us, jump - t);
-                t = jump;
-                continue;
-            };
-
-            let span = outcome.quantum_us.min(target_us - t).max(1);
-            let entry = entry_mut(threads, slot_of(tid)).expect("dispatched thread exists");
-            let result = entry.work.run(t, span, cpu_hz);
-            let used = result.used_us.min(span);
-            let wake = if result.blocked {
-                entry.work.next_transition(SimTime::from_micros(t + used))
-            } else {
-                None
-            };
-            // Slot-addressed batched charge on the span's own CPU: no
-            // placement lookup, no id → slot map, and consecutive
-            // uncontended spans settle in one account update.
-            dispatcher.charge_span(used);
-            used_sum += used;
-            if let Some(recorder) = recorder {
-                recorder.record(
-                    t,
-                    TraceEventKind::DispatchSpan {
-                        cpu: cpu.0,
-                        thread: tid.0,
-                        len_us: used,
-                    },
-                );
-            }
-            t += used;
-            if result.blocked {
-                let dslot = dispatcher.block_span();
-                match wake {
-                    Some(w) => {
-                        let at = w.as_micros().max(t + 1);
-                        if at < target_us {
-                            local_wakes.push((at, tid, dslot));
-                        } else {
-                            let id = calendar.schedule(SimTime::from_micros(at), Event::Wake(tid));
-                            set_wake_event(wake_events, tid, id);
+            let mut outcome = dispatcher.dispatch();
+            // The span thread's model, resolved once for the whole pass.
+            let mut span_thread = outcome
+                .thread
+                .and_then(|tid| entry_mut(threads, slot_of(tid)));
+            // One span per pass: the general dispatch's, then a hit run —
+            // the cache's re-issues of the same pick, for as long as the
+            // checks above provably have nothing to do.
+            loop {
+                // Book this CPU's dispatch overhead, consuming whole
+                // microseconds of the window; the fractional remainder
+                // carries over.  `total - last` rather than the dispatch's
+                // own cost: the two are not the same f64.
+                let total = dispatcher.overhead_us();
+                let delta = total - last_overhead;
+                last_overhead = total;
+                overhead_sum += delta;
+                if delta > 0.0 {
+                    carry += delta;
+                    // The carry only ever holds a non-negative remainder, so
+                    // the cast's truncation is its floor (and not the libm
+                    // call `floor` is on baseline x86-64).  Both conversions
+                    // go through `i64`: the same values here, and one
+                    // instruction each where the unsigned ones take several.
+                    debug_assert!(carry >= 0.0);
+                    let charge = ((carry as i64) as u64).min(target_us - t);
+                    if charge > 0 {
+                        carry -= (charge as i64) as f64;
+                        t += charge;
+                        if t >= target_us {
+                            // The pick stands unexecuted; the next window
+                            // re-dispatches.
+                            continue 'window;
                         }
                     }
-                    None => {
-                        local_poll.push((tid, dslot));
-                        next_poll = next_poll.min(t + interval);
-                    }
                 }
-            } else if used == 0 {
-                // Progress guard: a runnable model that consumed nothing
-                // still moves the local clock one microsecond.
-                dispatcher.rebook_idle_us(0, 1);
-                t += 1;
+                let Some(tid) = outcome.thread else {
+                    // Defensive: an idle dispatch despite `has_runnable`.
+                    let jump = (t + outcome.quantum_us.max(1)).min(target_us);
+                    dispatcher.rebook_idle_us(outcome.quantum_us, jump - t);
+                    t = jump;
+                    continue 'window;
+                };
+
+                let span = outcome.quantum_us.min(target_us - t).max(1);
+                let entry = span_thread
+                    .as_deref_mut()
+                    .expect("dispatched thread exists");
+                let result = entry.work.run(t, span, cpu_hz);
+                let used = result.used_us.min(span);
+                let wake = if result.blocked {
+                    entry.work.next_transition(SimTime::from_micros(t + used))
+                } else {
+                    None
+                };
+                // Slot-addressed batched charge on the span's own CPU: no
+                // placement lookup, no id → slot map, and consecutive
+                // uncontended spans settle in one account update.
+                dispatcher.charge_span(used);
+                used_sum += used;
+                if let Some(recorder) = recorder {
+                    recorder.record(
+                        t,
+                        TraceEventKind::DispatchSpan {
+                            cpu: cpu.0,
+                            thread: tid.0,
+                            len_us: used,
+                        },
+                    );
+                }
+                t += used;
+                if result.blocked {
+                    let dslot = dispatcher.block_span();
+                    match wake {
+                        Some(w) => {
+                            let at = w.as_micros().max(t + 1);
+                            if at < target_us {
+                                local_wakes.push((at, tid, dslot));
+                            } else {
+                                let id =
+                                    calendar.schedule(SimTime::from_micros(at), Event::Wake(tid));
+                                set_wake_event(wake_events, tid, id);
+                            }
+                        }
+                        None => {
+                            local_poll.push((tid, dslot));
+                            next_poll = next_poll.min(t + interval);
+                        }
+                    }
+                    continue 'window;
+                }
+                if used == 0 {
+                    // Progress guard: a runnable model that consumed nothing
+                    // still moves the local clock one microsecond.
+                    dispatcher.rebook_idle_us(0, 1);
+                    t += 1;
+                    continue 'window;
+                }
+                // The pick still runs.  With no local wake or poll pending
+                // and the window not over, all the loop head would do is
+                // advance the clock — releasing any throttle due, which
+                // bumps `queue_gen` — and dispatch on a CPU a live cache
+                // proves busy.  So the next dispatch goes straight to the
+                // cache, and a miss hands the CPU back to the loop head.
+                if t >= target_us || !local_wakes.is_empty() || !local_poll.is_empty() {
+                    continue 'window;
+                }
+                dispatcher.advance_to(t);
+                match dispatcher.dispatch_cached() {
+                    Some(hit) => outcome = hit,
+                    None => continue 'window,
+                }
+                debug_assert!(dispatcher.has_runnable(), "a cache hit on an idle CPU");
             }
         }
         last_cpu_overhead[cpu.index()] = last_overhead;
@@ -1934,6 +1978,217 @@ mod tests {
         assert_eq!(parsed, snap);
     }
 
+    /// Runs `burst_us` of CPU a quantum at a time, then blocks for
+    /// `sleep_us` on a timer it reports through
+    /// [`WorkModel::next_transition`].
+    struct Bursty {
+        burst_us: u64,
+        sleep_us: u64,
+        left_us: u64,
+        wake_at: Option<u64>,
+    }
+
+    impl WorkModel for Bursty {
+        fn run(&mut self, now: u64, quantum_us: u64, _hz: f64) -> RunResult {
+            if self.left_us > quantum_us {
+                self.left_us -= quantum_us;
+                return RunResult::ran(quantum_us);
+            }
+            let used = std::mem::replace(&mut self.left_us, self.burst_us);
+            self.wake_at = Some(now + used + self.sleep_us);
+            RunResult::blocked_after(used)
+        }
+        fn poll_unblock(&mut self, now_us: u64) -> bool {
+            self.wake_at.is_none_or(|w| now_us >= w)
+        }
+        fn next_transition(&self, _now: SimTime) -> Option<SimTime> {
+            self.wake_at.map(SimTime::from_micros)
+        }
+    }
+
+    /// Spins, except that every `every`-th span uses nothing and does not
+    /// block.
+    struct Stutter {
+        every: u64,
+        spans: u64,
+    }
+
+    impl WorkModel for Stutter {
+        fn run(&mut self, _now: u64, quantum_us: u64, _hz: f64) -> RunResult {
+            self.spans += 1;
+            RunResult::ran(if self.spans.is_multiple_of(self.every) {
+                0
+            } else {
+                quantum_us
+            })
+        }
+    }
+
+    /// One CPU, no controller, each job's reservation forced to
+    /// `(ppt, period_ms)`: the machine the hit-run exit tests drive.
+    fn forced(jobs: Vec<(Box<dyn WorkModel>, u32, u64)>) -> (Simulation, Vec<JobHandle>) {
+        let mut sim = Simulation::new(SimConfig {
+            controller_enabled: false,
+            ..SimConfig::default()
+        });
+        let handles = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (work, ppt, period_ms))| {
+                let h = sim
+                    .add_job(&format!("j{i}"), JobSpec::miscellaneous(), work)
+                    .unwrap();
+                let period = Period::from_millis(period_ms);
+                sim.force_reservation(h, Reservation::new(Proportion::from_ppt(ppt), period));
+                h
+            })
+            .collect();
+        (sim, handles)
+    }
+
+    /// The scheduling counters of a telemetry snapshot: everything but
+    /// the derived rates, the stage timings (wall clock) and the ring's
+    /// own counts.
+    fn counters(t: &TelemetrySnapshot) -> [u64; 17] {
+        [
+            t.quantum_cache_hits,
+            t.quantum_cache_misses,
+            t.settles_period_boundary,
+            t.settles_throttle_edge,
+            t.settles_zero_span,
+            t.events_controller,
+            t.events_trace,
+            t.events_wake,
+            t.events_poll_tick,
+            t.events_horizon,
+            t.controller_full_cycles,
+            t.controller_incremental_cycles,
+            t.dispatches,
+            t.context_switches,
+            t.period_rollovers,
+            t.migrations,
+            t.rebalance_cycles,
+        ]
+    }
+
+    /// What a hit-run exit test pins: the whole `SimStats`, then the
+    /// snapshot's [`counters`].
+    fn pinned(sim: &Simulation) -> String {
+        format!("{:?} {:?}", sim.stats(), counters(&sim.telemetry()))
+    }
+
+    /// A window that ends inside a cache hit's overhead charge leaves the
+    /// pick standing unexecuted, and the next window dispatches again.
+    #[test]
+    fn a_hit_run_ends_inside_a_dispatch_charge_at_the_window_end() {
+        let (mut sim, h) = forced(vec![(Box::new(Spin::new()), 500, 10)]);
+        // 8 µs of switch, a 1 000 µs span, then the hit's 7 µs charge
+        // meets the window's end 4 µs in.
+        sim.run_until_micros(1_012);
+        assert_eq!(sim.telemetry().quantum_cache_hits, 1);
+        assert_eq!(sim.cpu_used(h[0]).as_micros(), 1_000, "the hit stood");
+        for end in (1..=40).map(|k| 1_012 + k * 1_237) {
+            sim.run_until_micros(end);
+        }
+        assert_eq!(pinned(&sim), HIT_RUN_WINDOW_END);
+    }
+
+    /// A throttled thread's release inside another thread's run of hits
+    /// bounds the run, and the released thread preempts at once.
+    #[test]
+    fn a_hit_run_stops_at_another_threads_release() {
+        let (mut sim, h) = forced(vec![
+            (Box::new(Spin::new()), 100, 10),
+            (Box::new(Spin::new()), 600, 20),
+        ]);
+        sim.run_until_micros(60_000);
+        assert_eq!(sim.cpu_used(h[0]).as_micros(), 6_000, "every release ran");
+        assert_eq!(pinned(&sim), HIT_RUN_RELEASE);
+    }
+
+    /// The pick blocks mid-run; its wake falls inside the window.
+    #[test]
+    fn a_hit_run_ends_when_the_pick_blocks() {
+        let (mut sim, h) = forced(vec![(
+            Box::new(Bursty {
+                burst_us: 3_500,
+                sleep_us: 2_000,
+                left_us: 3_500,
+                wake_at: None,
+            }),
+            800,
+            10,
+        )]);
+        sim.run_until_micros(60_000);
+        assert!(sim.telemetry().events_wake == 0, "every wake was local");
+        assert!(sim.cpu_used(h[0]).as_micros() > 20_000);
+        assert_eq!(pinned(&sim), HIT_RUN_BLOCK);
+    }
+
+    /// Uses half of every quantum and never blocks: its quantum is capped
+    /// by its remaining budget, so it never exhausts it.
+    struct Half;
+
+    impl WorkModel for Half {
+        fn run(&mut self, _now: u64, quantum_us: u64, _hz: f64) -> RunResult {
+            RunResult::ran(quantum_us / 2)
+        }
+    }
+
+    /// A pick that never throttles runs into its period boundary, where
+    /// the cache stops serving it.
+    #[test]
+    fn a_hit_run_ends_at_the_picks_period_boundary() {
+        let (mut sim, _) = forced(vec![(Box::new(Half), 1_000, 10)]);
+        sim.run_until_micros(60_000);
+        let t = sim.telemetry();
+        assert_eq!((t.quantum_cache_misses, t.settles_throttle_edge), (6, 0));
+        assert_eq!(pinned(&sim), HIT_RUN_BOUNDARY);
+    }
+
+    /// A span that uses nothing ends the run, and the clock moves a
+    /// microsecond.
+    #[test]
+    fn a_hit_run_ends_at_a_zero_use_span() {
+        let (mut sim, _) = forced(vec![(Box::new(Stutter { every: 4, spans: 0 }), 500, 10)]);
+        sim.run_until_micros(60_000);
+        assert!(sim.telemetry().settles_zero_span > 0);
+        assert_eq!(pinned(&sim), HIT_RUN_ZERO_SPAN);
+    }
+
+    // Each exit test's `pinned` line, taken on the simulator before the
+    // hit run existed.
+    const HIT_RUN_WINDOW_END: &str = concat!(
+        "SimStats { controller_invocations: 0, controller_cost_us: 0.0, ",
+        "dispatch_overhead_us: 297.0000000000002, quality_exceptions: 0, squish_events: 0, admission_rejections: 0, migrations: 0, steps: 1, ",
+        "per_cpu: [CpuStats { used_us: 25483, idle_us: 24712, migrations_in: 0, migrations_out: 0, deadlines_missed: 0 }] }",
+        " [16, 26, 0, 5, 0, 0, 1, 0, 0, 0, 0, 0, 42, 6, 5, 0, 0]",
+    );
+    const HIT_RUN_RELEASE: &str = concat!(
+        "SimStats { controller_invocations: 0, controller_cost_us: 0.0, ",
+        "dispatch_overhead_us: 308.4000000000002, quality_exceptions: 0, squish_events: 0, admission_rejections: 0, migrations: 0, steps: 1, ",
+        "per_cpu: [CpuStats { used_us: 42000, idle_us: 17692, migrations_in: 0, migrations_out: 0, deadlines_missed: 0 }] }",
+        " [30, 12, 0, 9, 0, 0, 1, 0, 0, 0, 0, 0, 42, 12, 9, 0, 0]",
+    );
+    const HIT_RUN_BLOCK: &str = concat!(
+        "SimStats { controller_invocations: 0, controller_cost_us: 0.0, ",
+        "dispatch_overhead_us: 320.10000000000025, quality_exceptions: 0, squish_events: 0, admission_rejections: 0, migrations: 0, steps: 1, ",
+        "per_cpu: [CpuStats { used_us: 38500, idle_us: 21180, migrations_in: 0, migrations_out: 0, deadlines_missed: 6 }] }",
+        " [30, 14, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 44, 11, 6, 0, 0]",
+    );
+    const HIT_RUN_BOUNDARY: &str = concat!(
+        "SimStats { controller_invocations: 0, controller_cost_us: 0.0, ",
+        "dispatch_overhead_us: 885.8999999999982, quality_exceptions: 0, squish_events: 0, admission_rejections: 0, migrations: 0, steps: 1, ",
+        "per_cpu: [CpuStats { used_us: 59115, idle_us: 0, migrations_in: 0, migrations_out: 0, deadlines_missed: 6 }] }",
+        " [124, 6, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 130, 1, 6, 0, 0]",
+    );
+    const HIT_RUN_ZERO_SPAN: &str = concat!(
+        "SimStats { controller_invocations: 0, controller_cost_us: 0.0, ",
+        "dispatch_overhead_us: 276.6000000000002, quality_exceptions: 0, squish_events: 0, admission_rejections: 0, migrations: 0, steps: 1, ",
+        "per_cpu: [CpuStats { used_us: 30000, idle_us: 29724, migrations_in: 0, migrations_out: 0, deadlines_missed: 0 }] }",
+        " [24, 15, 0, 6, 9, 0, 1, 0, 0, 0, 0, 0, 39, 6, 6, 0, 0]",
+    );
+
     proptest! {
         /// Closed-form oracle: on blocking-free workloads with fixed
         /// under-committed reservations every thread drains its whole
@@ -2022,6 +2277,63 @@ mod tests {
                     sim.now_micros()
                 );
             }
+        }
+
+        /// A recorder never changes what is simulated.  The same random mix
+        /// of spinners, sippers and sleepers — some under tight forced
+        /// reservations that throttle them — over the same odd windows,
+        /// with and without `enable_telemetry`, gives identical `SimStats`
+        /// and identical telemetry [`counters`], on `Simulation` and on a
+        /// sequential two-shard `ShardedSim`.
+        #[test]
+        fn a_recorder_never_changes_what_is_simulated(
+            cpus in 1usize..4,
+            controller in proptest::bool::ANY,
+            jobs in proptest::collection::vec((0u8..3, 0u32..400, 0usize..3), 1..7),
+            chunks in proptest::collection::vec(1u64..25_000, 1..8),
+        ) {
+            let config = SimConfig {
+                controller_enabled: controller,
+                ..SimConfig::default().with_cpus(cpus)
+            };
+            let drive = |host: &mut dyn Host, traced: bool| {
+                if traced {
+                    host.enable_telemetry(TelemetryConfig::default());
+                }
+                for (i, &(kind, ppt, period)) in jobs.iter().enumerate() {
+                    let work: Box<dyn WorkModel> = match kind {
+                        0 => Box::new(Spin::new()),
+                        1 => Box::new(Sip),
+                        _ => Box::new(Sleeper {
+                            burst_us: 700,
+                            sleep_us: 2_300,
+                            wake_at: None,
+                            polls: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+                        }),
+                    };
+                    let h = host.add_job(&format!("j{i}"), JobSpec::miscellaneous(), work).unwrap();
+                    // Below 20‰ the job keeps the reservation it was admitted with.
+                    if ppt >= 20 {
+                        let period = Period::from_millis([5, 10, 30][period]);
+                        host.force_reservation(h, Reservation::new(Proportion::from_ppt(ppt), period));
+                    }
+                }
+                for &chunk in &chunks {
+                    host.advance(SimTime::from_micros(chunk));
+                }
+                (host.stats(), counters(&host.telemetry()))
+            };
+            let single = |traced| drive(&mut Simulation::new(config), traced);
+            prop_assert_eq!(single(false), single(true));
+            let sharded = |traced| {
+                let shards = crate::ShardConfig {
+                    shards: 2,
+                    parallel: false,
+                    ..crate::ShardConfig::default()
+                };
+                drive(&mut crate::ShardedSim::new(config, shards), traced)
+            };
+            prop_assert_eq!(sharded(false), sharded(true));
         }
 
         /// Replaying the same mixed workload gives bitwise-identical

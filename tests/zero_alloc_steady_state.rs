@@ -543,6 +543,48 @@ fn assert_saturated_dispatch_allocation_free() {
     assert_eq!(done.migrations, 0);
 }
 
+/// The uncontended CPU's half of the dispatch guarantee: fewer spinners
+/// than CPUs, so each runs alone and nearly every dispatch is served by
+/// the next-quantum cache — the span loop's hit run, a stretch of
+/// `dispatch_cached` spans between one throttle release and the next.
+/// Migration is switched off for the reason given above.
+fn assert_uncontended_dispatch_allocation_free() {
+    use realrate::core::SimTime;
+    use realrate::sim::{Host, SimConfig, Simulation};
+
+    let mut config = SimConfig::default().with_cpus(4);
+    config.controller.placement.imbalance_threshold_ppt = u32::MAX;
+    let mut sim = Simulation::new(config);
+    for i in 0..3 {
+        sim.add_job(
+            &format!("spin{i}"),
+            JobSpec::miscellaneous(),
+            Box::new(Spin),
+        )
+        .unwrap();
+    }
+    sim.set_trace_interval(SimTime::from_secs(3600));
+    sim.run_for(1.0);
+    let warm = sim.telemetry();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    sim.run_for(0.5);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "uncontended dispatch (cache hits, throttle, release) must perform no heap allocation"
+    );
+    let done = sim.telemetry();
+    let hits = done.quantum_cache_hits - warm.quantum_cache_hits;
+    let dispatches = done.dispatches - warm.dispatches;
+    assert!(
+        hits >= 1000 && hits * 10 >= dispatches * 8,
+        "the fixture must run on cache hits, saw {hits} of {dispatches} dispatches"
+    );
+    assert_eq!(done.migrations, 0);
+}
+
 #[test]
 fn steady_state_control_cycle_is_allocation_free() {
     // The paper's single CPU, and a 4-CPU machine with the Place stage
@@ -565,4 +607,6 @@ fn steady_state_control_cycle_is_allocation_free() {
     assert_actuation_and_wake_paths_allocation_free();
     // And the saturated run queue: rotation and displaced re-queues.
     assert_saturated_dispatch_allocation_free();
+    // And the uncontended CPU: the span loop's run of cache hits.
+    assert_uncontended_dispatch_allocation_free();
 }

@@ -32,6 +32,7 @@ use rrs_scheduler::{CpuId, DispatcherConfig, Reservation, UsageAccount};
 use rrs_sim::{JobSeries, SimConfig, Trace, WorkModel};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use std::any::Any;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -401,8 +402,8 @@ impl Host for WallClockHost {
         self.ctl.recorder().cloned()
     }
 
-    fn trace(&self) -> &Trace {
-        &self.trace
+    fn trace(&self) -> Cow<'_, Trace> {
+        Cow::Borrowed(&self.trace)
     }
 
     fn as_any(&self) -> &dyn Any {

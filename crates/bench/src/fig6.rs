@@ -94,7 +94,7 @@ pub(crate) fn add_windowed_series(
     for name in names {
         if let Some(series) = trace.get(name) {
             let mut windowed = TimeSeries::new(*name);
-            for (t, mean) in window_means(series, stride) {
+            for (t, mean) in window_means(&series, stride) {
                 windowed.push(t, mean);
             }
             record.add_series(windowed);
@@ -108,7 +108,10 @@ pub fn run_scenario(params: &Fig6Params) -> (Trace, PulseTrain) {
     let mut sim = Simulation::new(sim_config(params.controller));
     let _handles = PulsePipeline::install(&mut sim, params.pipeline.clone());
     sim.run_for(params.duration_s);
-    (sim.trace().clone(), params.pipeline.production_rate.clone())
+    (
+        sim.trace().into_owned(),
+        params.pipeline.production_rate.clone(),
+    )
 }
 
 /// Runs the experiment and assembles the figure's series and scalars.
@@ -156,7 +159,7 @@ pub fn run(params: Fig6Params) -> ExperimentRecord {
             record.scalar("alloc_ratio", pulse / base);
             let target = base * 1.9;
             if let Some((t, _)) =
-                window_means(alloc, 1).find(|&(t, mean)| t >= pulse_start && mean >= target)
+                window_means(&alloc, 1).find(|&(t, mean)| t >= pulse_start && mean >= target)
             {
                 record.scalar("response_time_s", t - pulse_start);
             }
@@ -254,7 +257,7 @@ mod tests {
         });
         let _handles = PulsePipeline::install(&mut sim, params.pipeline.clone());
         sim.run_for(params.duration_s);
-        let fine = means(sim.trace());
+        let fine = means(&sim.trace());
         for (a, b) in per_cycle.into_iter().zip(fine) {
             assert!(
                 (a - b).abs() <= 0.05 * b,

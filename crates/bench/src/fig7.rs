@@ -28,7 +28,7 @@ pub fn run_scenario(params: &Fig7Params) -> Trace {
     sim.add_job("hog", JobSpec::miscellaneous(), Box::new(CpuHog::new()))
         .expect("misc jobs are always admitted");
     sim.run_for(params.base.duration_s);
-    sim.trace().clone()
+    sim.trace().into_owned()
 }
 
 /// Runs the experiment and assembles the figure's series and scalars.

@@ -86,6 +86,11 @@ pub struct SquishScratch {
     uncapped: Vec<u32>,
 }
 
+/// Grows `buffer`'s capacity to at least `len` elements.
+fn hold<T>(buffer: &mut Vec<T>, len: usize) {
+    buffer.reserve(len.saturating_sub(buffer.len()));
+}
+
 /// Squishes requests by plain fair share: every request is scaled by the
 /// same factor so the total fits in `available`.
 ///
@@ -347,6 +352,12 @@ impl SquishColumns {
             self.requests.push(request);
             self.held.push(held);
         }
+        // An evaluation over these rows grows no scratch, however long
+        // after this its first squish comes (a shard may overload late).
+        let rows = self.requests.len();
+        hold(&mut self.scratch.uncapped, rows);
+        hold(&mut self.grants, rows);
+        hold(&mut self.moved, rows);
         self.weight_total = self.requests.iter().map(|r| r.importance.weight()).sum();
         self.unit = available_ppt as f64 / self.weight_total;
         self.desired_total_ppt = 0;

@@ -48,6 +48,21 @@ impl TimeSeries {
         }
     }
 
+    /// Creates a series holding `samples`, in their order.
+    ///
+    /// ```
+    /// use rrs_metrics::timeseries::{Sample, TimeSeries};
+    ///
+    /// let ts = TimeSeries::from_samples("alloc", vec![Sample { time: 0.1, value: 200.0 }]);
+    /// assert_eq!(ts.values(), [200.0]);
+    /// ```
+    pub fn from_samples(name: impl Into<String>, samples: Vec<Sample>) -> Self {
+        Self {
+            name: name.into(),
+            samples,
+        }
+    }
+
     /// Returns the series name.
     pub fn name(&self) -> &str {
         &self.name

@@ -487,8 +487,9 @@ pub(crate) fn run_scenario_on(
             delivered / (ppt as f64 / 1000.0)
         })
         .min_by(|a, b| a.total_cmp(b));
+    let trace = host.trace();
     let obs = Observations {
-        trace: host.trace(),
+        trace: &trace,
         elapsed_s,
         capacity_us,
         total_used_us,

@@ -16,6 +16,7 @@ use rrs_scheduler::{CpuId, Reservation, UsageAccount};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which engine a host runs jobs on.
@@ -172,8 +173,10 @@ pub trait Host {
     fn telemetry_recorder(&self) -> Option<Arc<Recorder>>;
 
     /// The recorded trace (`alloc/<job>`, `rate/<job>`,
-    /// `fill/<queue>`, … series).
-    fn trace(&self) -> &Trace;
+    /// `fill/<queue>`, … series): the backend's own store, or a view
+    /// assembled on each call where there is no single store (a
+    /// multi-shard machine).
+    fn trace(&self) -> Cow<'_, Trace>;
 
     /// Escape hatch to the concrete backend (see
     /// [`as_sim`](trait.Host.html#method.as_sim) on `dyn Host`).

@@ -50,7 +50,7 @@ use rrs_queue::MetricRegistry;
 use rrs_scheduler::{CpuId, Reservation, ThreadId, UsageAccount};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 // The parallel advance hands each shard to its own scoped thread; this
@@ -141,16 +141,11 @@ pub struct ShardedSim {
     telemetry: Option<Arc<Recorder>>,
     rebalance_cycles: u64,
     rebalance_migrations: u64,
-    /// Cross-shard view of every shard's recorded trace, merged at
-    /// barriers.  Per-job series come from the owning shard; `fill/*`
-    /// series are taken from shard 0 only (the registry is shared, so
-    /// every shard samples every queue).
-    merged_trace: Trace,
-    /// Samples already merged, per shard and series name.
-    trace_cursor: Vec<BTreeMap<String, usize>>,
-    /// Per-shard [`Trace::total_samples`] at the last merge: a shard
-    /// whose count is unchanged is skipped without walking its series.
-    trace_seen: Vec<u64>,
+    /// Where the cross-shard trace view's merge epochs end: one row per
+    /// barrier (or end of an advance) that saw new samples, each row every
+    /// shard's [`Trace::close_epoch`] in shard order.  [`Host::trace`]
+    /// assembles the view from the shards' own stores through these rows.
+    trace_marks: Vec<u32>,
     /// Rebalancer scratch (reused across cycles).
     loads: Vec<u64>,
     candidates: Vec<(JobId, u32)>,
@@ -192,9 +187,7 @@ impl ShardedSim {
             telemetry: None,
             rebalance_cycles: 0,
             rebalance_migrations: 0,
-            merged_trace: Trace::new(),
-            trace_cursor: vec![BTreeMap::new(); shards_n],
-            trace_seen: vec![0; shards_n],
+            trace_marks: Vec::new(),
             loads: vec![0; shards_n],
             candidates: Vec::new(),
         }
@@ -303,7 +296,7 @@ impl ShardedSim {
     /// Multi-shard: shards advance independently (in parallel when
     /// configured) to each rebalance barrier at the
     /// [`ShardConfig::rebalance_interval_s`] cadence; at the barrier the
-    /// rebalancer runs and traces merge.  Single shard: direct
+    /// rebalancer runs and a trace merge epoch ends.  Single shard: direct
     /// delegation, no barriers.
     pub(crate) fn run_until_micros(&mut self, end_us: u64) {
         if self.shards.len() == 1 {
@@ -322,13 +315,13 @@ impl ShardedSim {
             let barrier = self.next_rebalance_us;
             self.advance_all(barrier);
             self.clock_us = barrier;
-            self.merge_traces();
+            self.mark_traces();
             self.rebalance(barrier);
             while self.next_rebalance_us <= barrier {
                 self.next_rebalance_us += interval_us;
             }
         }
-        self.merge_traces();
+        self.mark_traces();
     }
 
     /// Advances every shard to `target_us` — each on its own scoped OS
@@ -435,42 +428,21 @@ impl ShardedSim {
         }
     }
 
-    /// Folds newly recorded per-shard trace samples into the merged
-    /// cross-shard trace.  Per-job series (`alloc/`, `period/`, `rate/`)
-    /// come from the shard that owns the job; `fill/*` queue series are
-    /// taken from shard 0 only, because the registry is shared and every
-    /// shard samples every queue.
-    fn merge_traces(&mut self) {
-        for (k, shard) in self.shards.iter().enumerate() {
-            // One counter comparison skips the whole per-series walk for
-            // a quiet shard — with tracing at a slow cadence (or pushed
-            // past the horizon, as the throughput benches do) this makes
-            // the barrier's trace work free.
-            let total = shard.trace().total_samples();
-            if total == self.trace_seen[k] {
-                continue;
-            }
-            self.trace_seen[k] = total;
-            let cursor = &mut self.trace_cursor[k];
-            for (name, series) in shard.trace().iter() {
-                if k > 0 && name.starts_with("fill/") {
-                    continue;
-                }
-                // `get_mut` first: the by-value `entry` key would allocate
-                // a `String` on every barrier even for known series, and
-                // barrier merges sit inside the zero-alloc window measured
-                // by `tests/zero_alloc_steady_state.rs` when no new
-                // samples arrived.
-                let seen = match cursor.get_mut(name) {
-                    Some(seen) => seen,
-                    None => cursor.entry(name.to_string()).or_insert(0),
-                };
-                let samples = series.samples();
-                for s in &samples[*seen..] {
-                    self.merged_trace.record(name, s.time, s.value);
-                }
-                *seen = samples.len();
-            }
+    /// Ends a trace merge epoch: the samples every shard recorded since
+    /// the last one join the cross-shard view after the earlier epochs'.
+    /// A row is kept only if some shard recorded something, so a quiet
+    /// barrier (tracing at a slow cadence, or pushed past the horizon, as
+    /// the throughput benches do) costs one comparison per shard.
+    fn mark_traces(&mut self) {
+        let last = self.trace_marks.len().checked_sub(self.shards.len());
+        let mut moved = false;
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            let before = last.map_or(0, |at| self.trace_marks[at + k]);
+            moved |= shard.trace.close_epoch() != before;
+        }
+        if moved {
+            let marks = self.shards.iter_mut().map(|s| s.trace.close_epoch());
+            self.trace_marks.extend(marks);
         }
     }
 }
@@ -627,14 +599,17 @@ impl Host for ShardedSim {
         self.telemetry.clone()
     }
 
-    /// The inner simulation's own trace with one shard, the
-    /// barrier-merged cross-shard view otherwise.
-    fn trace(&self) -> &Trace {
+    /// The inner simulation's own trace with one shard; otherwise the
+    /// cross-shard view, assembled from the shards' stores on each call:
+    /// merge epoch by epoch (the rebalance barriers and the ends of
+    /// advances), each shard's samples in shard order, per-job series
+    /// from the shard that recorded them and `fill/*` from shard 0 only.
+    fn trace(&self) -> Cow<'_, Trace> {
         if self.shards.len() == 1 {
-            self.shards[0].trace()
-        } else {
-            &self.merged_trace
+            return self.shards[0].trace();
         }
+        let shards: Vec<&Trace> = self.shards.iter().map(|s| &s.trace).collect();
+        Cow::Owned(Trace::merged(&shards, &self.trace_marks))
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -761,6 +736,110 @@ mod tests {
         let c0 = sim.shard(0).controller().job_count();
         let c1 = sim.shard(1).controller().job_count();
         assert_eq!(c0 + c1, 12, "jobs are conserved across shards");
+    }
+
+    /// Spins and counts what it ran, so it has a `rate/` series.
+    struct Counter(f64);
+    impl WorkModel for Counter {
+        fn run(&mut self, _now: u64, quantum_us: u64, _hz: f64) -> RunResult {
+            self.0 += quantum_us as f64;
+            RunResult::ran(quantum_us)
+        }
+        fn progress_counter(&self) -> Option<f64> {
+            Some(self.0)
+        }
+    }
+
+    /// The cross-shard view is what the barrier merge it replaced built:
+    /// epoch by epoch, each shard's new samples in shard order, `fill/*`
+    /// from shard 0 only.  The reference merge below is that merge, run
+    /// after every advance; advancing half a rebalance interval at a time
+    /// makes those the machine's merge points too (a call that starts on
+    /// a barrier merges nothing new there).  Jobs named alike land on
+    /// both shards, the rebalancer migrates some mid-run, one is removed,
+    /// and a queue's fill is sampled by both shards.
+    #[test]
+    fn the_cross_shard_trace_keeps_the_barrier_merge_order() {
+        use crate::trace::Reference;
+        use rrs_queue::{BoundedBuffer, Role};
+        use std::collections::BTreeMap;
+
+        let mut sim = ShardedSim::new(
+            SimConfig::default().with_cpus(4),
+            ShardConfig {
+                shards: 2,
+                rebalance_interval_s: 0.05,
+                rebalance_threshold_ppt: 10,
+                parallel: false,
+            },
+        );
+        sim.set_trace_interval(SimTime::from_millis(10));
+        let queue = Arc::new(BoundedBuffer::<u8>::new("pipe", 8));
+        let consumer = sim
+            .add_job("consumer", JobSpec::real_rate(), Box::new(Counter(0.0)))
+            .unwrap();
+        sim.registry()
+            .register(consumer.job.key(), Role::Consumer, queue.clone());
+        // Admitted before any grant, so all on shard 0 until rebalanced.
+        let mut handles: Vec<JobHandle> = (0..6)
+            .map(|i| {
+                let name = if i % 2 == 0 {
+                    "hog".to_string()
+                } else {
+                    format!("solo{i}")
+                };
+                sim.add_job(&name, JobSpec::miscellaneous(), Box::new(Counter(0.0)))
+                    .unwrap()
+            })
+            .collect();
+
+        let mut reference = Reference::default();
+        let mut cursors: Vec<BTreeMap<String, usize>> = vec![BTreeMap::new(); 2];
+        for step in 0..40 {
+            sim.advance(SimTime::from_micros(25_000));
+            if step % 3 == 0 {
+                let _ = queue.try_push(0);
+            } else {
+                queue.try_pop();
+            }
+            match step {
+                8 => {
+                    for _ in 0..3 {
+                        let h = sim
+                            .add_job("hog", JobSpec::miscellaneous(), Box::new(Counter(0.0)))
+                            .unwrap();
+                        handles.push(h);
+                    }
+                }
+                20 => sim.remove_job(handles.remove(0)),
+                _ => {}
+            }
+            for (k, cursor) in cursors.iter_mut().enumerate() {
+                for (name, series) in sim.shard(k).trace().iter() {
+                    if k > 0 && name.starts_with("fill/") {
+                        continue;
+                    }
+                    let seen = cursor.entry(name.to_string()).or_insert(0);
+                    for s in &series.samples()[*seen..] {
+                        reference.record(name, s.time, s.value);
+                    }
+                    *seen = series.len();
+                }
+            }
+            reference.assert_read_back(&sim.trace());
+        }
+        assert!(
+            sim.telemetry().rebalance_migrations > 0,
+            "the rebalancer moved jobs"
+        );
+        for k in 0..2 {
+            let shard = sim.shard(k).trace();
+            assert!(shard.get("alloc/hog").is_some(), "shard {k} samples a hog");
+            assert!(
+                shard.get("fill/pipe").is_some(),
+                "shard {k} samples the queue"
+            );
+        }
     }
 
     use proptest::prelude::*;

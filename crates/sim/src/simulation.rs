@@ -37,6 +37,7 @@ use rrs_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The simulated CPU.
@@ -227,7 +228,8 @@ pub struct Simulation {
     last_cpu_overhead: Vec<f64>,
     /// Per-CPU fractional overhead not yet consumed as simulated time.
     overhead_carry: Vec<f64>,
-    trace: Trace,
+    /// The sample trace; the sharded machine closes its merge epochs.
+    pub(crate) trace: Trace,
     /// Always-on calendar event counters, one per [`Event`] variant, in
     /// pop order: controller, trace, wake, poll-tick, horizon.
     event_counts: [u64; 5],
@@ -1034,8 +1036,8 @@ impl Host for Simulation {
         self.ctl.recorder().cloned()
     }
 
-    fn trace(&self) -> &Trace {
-        &self.trace
+    fn trace(&self) -> Cow<'_, Trace> {
+        Cow::Borrowed(&self.trace)
     }
 
     fn as_any(&self) -> &dyn Any {

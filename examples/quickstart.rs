@@ -87,7 +87,7 @@ fn main() {
         print!(
             "{}",
             ascii_plot(
-                fill,
+                &fill,
                 PlotConfig {
                     y_min: Some(0.0),
                     y_max: Some(1.0),
@@ -99,7 +99,7 @@ fn main() {
     }
     if let Some(alloc) = sim.trace().get("alloc/consumer") {
         println!("consumer allocation over time (parts per thousand):");
-        print!("{}", ascii_plot(alloc, PlotConfig::default()));
+        print!("{}", ascii_plot(&alloc, PlotConfig::default()));
         println!();
     }
 

@@ -39,11 +39,11 @@ fn main() {
         let fps = rate.window_mean(10.0, 30.0).unwrap_or(0.0);
         println!();
         println!("sustained frame rate at the renderer: {fps:.1} fps");
-        print!("{}", ascii_plot(rate, PlotConfig::default()));
+        print!("{}", ascii_plot(&rate, PlotConfig::default()));
     }
     if let Some(alloc) = host.trace().get("alloc/decoder") {
         println!();
         println!("decoder allocation over time:");
-        print!("{}", ascii_plot(alloc, PlotConfig::default()));
+        print!("{}", ascii_plot(&alloc, PlotConfig::default()));
     }
 }

@@ -38,7 +38,7 @@ fn main() {
             "sustained service rate: {served:.1} req/s (offered {:.0})",
             config.arrival_rate_hz
         );
-        print!("{}", ascii_plot(rate, PlotConfig::default()));
+        print!("{}", ascii_plot(&rate, PlotConfig::default()));
     }
     if let Some(fill) = host.trace().get("fill/server-backlog") {
         println!();
@@ -46,7 +46,7 @@ fn main() {
         print!(
             "{}",
             ascii_plot(
-                fill,
+                &fill,
                 PlotConfig {
                     y_min: Some(0.0),
                     y_max: Some(1.0),

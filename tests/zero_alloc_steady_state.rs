@@ -337,10 +337,13 @@ impl realrate::sim::WorkModel for Spin {
 /// barriers each shard is an ordinary simulation on its own dense state,
 /// so a warmed multi-shard advance window allocates nothing.  The
 /// barriers themselves are exempt (the rebalancer's extract/inject and
-/// the trace merge may allocate; they run on the slow cadence, not the
-/// hot path), so the measured window is placed strictly inside one
+/// a trace epoch's marks may allocate; they run on the slow cadence, not
+/// the hot path), so the measured window is placed strictly inside one
 /// barrier interval.  Sequential mode — spawning scoped threads
-/// allocates, and parallel execution is bit-identical anyway.
+/// allocates, and parallel execution is bit-identical anyway.  With 8
+/// hogs on the 4 CPUs both shards are overloaded from the start; with 6
+/// the second shard first overloads inside the measured window, so its
+/// squish runs there for the first time.
 ///
 /// The warmed advance window below drives the full per-shard stack —
 /// dispatcher spans (run-queue picks, and timer-list rollovers on the
@@ -355,7 +358,7 @@ impl realrate::sim::WorkModel for Spin {
 // hot-coverage: crates/scheduler/src/dispatcher.rs
 // hot-coverage: crates/sim/src/calendar.rs
 // hot-coverage: crates/sim/src/simulation.rs
-fn assert_sharded_steady_state_allocation_free() {
+fn assert_sharded_steady_state_allocation_free(hogs: usize) {
     use realrate::sim::{ShardConfig, ShardedSim, SimConfig};
 
     let mut sim = ShardedSim::new(
@@ -367,7 +370,7 @@ fn assert_sharded_steady_state_allocation_free() {
             parallel: false,
         },
     );
-    for i in 0..8 {
+    for i in 0..hogs {
         sim.add_job(&format!("hog{i}"), JobSpec::miscellaneous(), Box::new(Spin))
             .unwrap();
     }
@@ -385,7 +388,7 @@ fn assert_sharded_steady_state_allocation_free() {
         after - before,
         0,
         "a multi-shard advance between rebalance barriers must perform \
-         no heap allocation"
+         no heap allocation ({hogs} hogs)"
     );
 }
 
@@ -585,6 +588,55 @@ fn assert_uncontended_dispatch_allocation_free() {
     assert_eq!(done.migrations, 0);
 }
 
+/// The sample trace's half of the guarantee: a sampler round whose
+/// values all repeat the previous round's — 64 jobs sharing one name, 64
+/// with their own, every one with a reservation and a steady progress
+/// rate, and a queue's fill — is counter bumps in the run-length store
+/// once the first rounds have opened each series' runs.
+fn assert_repeating_trace_rounds_allocation_free() {
+    use realrate::scheduler::{Period, Proportion, Reservation};
+    use realrate::sim::{JobSeries, Trace};
+
+    let registry = MetricRegistry::new();
+    let queue = Arc::new(BoundedBuffer::<u8>::new("frames", 8));
+    queue.try_push(0).unwrap();
+    registry.register(JobKey(1), Role::Consumer, queue);
+    let mut jobs: Vec<JobSeries> = (0..128)
+        .map(|i| {
+            let name = if i < 64 {
+                "decoder".to_string()
+            } else {
+                format!("web{i}")
+            };
+            JobSeries::new(&name)
+        })
+        .collect();
+    let reservation = Reservation::new(Proportion::from_ppt(30), Period::from_millis(10));
+    let mut trace = Trace::new();
+    let mut round = |trace: &mut Trace, r: u64| {
+        let time = (r * 100_000) as f64 / 1e6;
+        for job in &mut jobs {
+            job.sample(trace, time, 0.1, Some(reservation), Some(r as f64 * 50.0));
+        }
+        trace.record_fills(time, &registry);
+    };
+    for r in 0..3 {
+        round(&mut trace, r);
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for r in 3..1_003 {
+        round(&mut trace, r);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "trace rounds that repeat the last one must perform no heap allocation"
+    );
+    assert_eq!(trace.total_samples(), 1_003 * (3 * 128 + 1));
+}
+
 #[test]
 fn steady_state_control_cycle_is_allocation_free() {
     // The paper's single CPU, and a 4-CPU machine with the Place stage
@@ -602,11 +654,14 @@ fn steady_state_control_cycle_is_allocation_free() {
     // And with telemetry enabled, the recording hot path itself.
     assert_steady_state_recording_allocation_free();
     // And the per-shard guarantee on the two-level machine.
-    assert_sharded_steady_state_allocation_free();
+    assert_sharded_steady_state_allocation_free(8);
+    assert_sharded_steady_state_allocation_free(6);
     // And what runs between spans and cycles: actuation, wake-up, poll.
     assert_actuation_and_wake_paths_allocation_free();
     // And the saturated run queue: rotation and displaced re-queues.
     assert_saturated_dispatch_allocation_free();
     // And the uncontended CPU: the span loop's run of cache hits.
     assert_uncontended_dispatch_allocation_free();
+    // And the sample trace's repeating rounds.
+    assert_repeating_trace_rounds_allocation_free();
 }

@@ -87,7 +87,6 @@ struct Task {
     join: JoinHandle<()>,
     /// Blocked until the next controller tick re-polls it.
     blocked: bool,
-    series: JobSeries,
     /// The model's progress counter as of its last report.
     progress: Option<f64>,
 }
@@ -99,6 +98,10 @@ pub(crate) struct WallClockHost {
     /// Indexed by [`rrs_core::JobSlot::index`]; the loop owns the one id →
     /// slot table ([`ControlLoop::slot_of`]).
     tasks: Vec<Option<Task>>,
+    /// Every job's trace series and name, indexed like `tasks`.
+    series: JobSeries,
+    /// Scratch for a trace round's walk in thread-id order.
+    trace_order: Vec<u32>,
     reports: (SyncSender<Report>, Receiver<Report>),
     /// Time zero of the host's clock, the one its control loop,
     /// statistics and trace timestamps run on.
@@ -128,6 +131,8 @@ impl WallClockHost {
                 MetricRegistry::new(),
             ),
             tasks: Vec::new(),
+            series: JobSeries::new(),
+            trace_order: Vec::new(),
             reports: sync_channel(64),
             start: Instant::now(),
             cpu_hz: sim.cpu.clock_hz,
@@ -238,13 +243,19 @@ impl WallClockHost {
         let interval = (now.saturating_sub(self.last_trace))
             .as_secs_f64()
             .max(1e-9);
-        for (thread, slot) in self.ctl.threads_by_id() {
+        for (thread, slot) in self.ctl.threads_by_id(&mut self.trace_order) {
             let task = self.tasks[slot.index()]
                 .as_mut()
                 .expect("a bound slot has its task");
             let reservation = self.ctl.reservation(slot, thread);
-            task.series
-                .sample(&mut self.trace, t, interval, reservation, task.progress);
+            self.series.sample(
+                slot.index(),
+                &mut self.trace,
+                t,
+                interval,
+                reservation,
+                task.progress,
+            );
         }
         self.trace.record_fills(t, self.ctl.controller().registry());
         self.last_trace = now;
@@ -309,9 +320,9 @@ impl Host for WallClockHost {
             to_worker,
             join,
             blocked: false,
-            series: JobSeries::new(name),
             progress,
         });
+        self.series.insert(index, name);
         Ok(handle)
     }
 
@@ -330,6 +341,7 @@ impl Host for WallClockHost {
         };
         drop(task.to_worker);
         let _ = task.join.join();
+        self.series.remove(handle.slot.index());
         self.ctl.retire(handle);
     }
 

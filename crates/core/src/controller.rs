@@ -14,7 +14,7 @@ use crate::events::{ControllerEvent, QualityException};
 use crate::period::PeriodEstimatorConfig;
 use crate::pipeline::{self, CpuLoads, JobEntry, JobTable, ResolvedSense};
 use crate::slot::{JobSlot, SlotSet};
-use crate::squish::{Importance, SquishColumns, SquishPolicy, SquishRequest};
+use crate::squish::{SquishColumns, SquishPolicy, SquishRequest};
 use crate::taxonomy::{JobClass, JobSpec};
 use rrs_queue::{JobKey, MetricRegistry};
 use rrs_scheduler::{CpuId, Proportion, Reservation};
@@ -39,6 +39,12 @@ impl JobId {
     }
 }
 
+impl From<JobId> for u64 {
+    fn from(id: JobId) -> u64 {
+        id.0
+    }
+}
+
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job{}", self.0)
@@ -47,8 +53,8 @@ impl std::fmt::Display for JobId {
 
 /// A job's detached controller-side state, in transit between two
 /// controller instances (the sharded machine's cross-shard migration
-/// path).  Opaque: produced by [`Controller::extract_job`], consumed by
-/// [`Controller::inject_job`].
+/// path).  Opaque: produced by [`crate::ControlLoop::extract`], consumed by
+/// [`crate::ControlLoop::inject`].
 #[derive(Debug)]
 pub struct MigratedJob {
     job: JobId,
@@ -59,11 +65,6 @@ impl MigratedJob {
     /// The migrating job's id.
     pub fn job(&self) -> JobId {
         self.job
-    }
-
-    /// The migrating job's spec, as registered.
-    pub fn spec(&self) -> JobSpec {
-        self.entry.spec
     }
 
     /// The grant the source controller last settled on.
@@ -91,10 +92,9 @@ impl Default for UsageSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Actuation {
     /// The dense handle of the job whose reservation changes; consumer
-    /// layers index their own side tables with it.
+    /// layers index their own side tables with it
+    /// ([`Controller::job_of`] names the job).
     pub slot: JobSlot,
-    /// The job whose reservation changes.
-    pub job: JobId,
     /// The new reservation.
     pub reservation: Reservation,
     /// The CPU the Place rule has the job on.  Consumers holding the
@@ -118,12 +118,6 @@ pub struct ControlOutput {
 }
 
 impl ControlOutput {
-    /// Looks up the actuation for a job, if any.
-    #[cfg(test)]
-    pub(crate) fn actuation_for(&self, job: JobId) -> Option<Actuation> {
-        self.actuations.iter().copied().find(|a| a.job == job)
-    }
-
     /// Returns the quality exceptions raised this cycle.
     pub fn quality_exceptions(&self) -> Vec<QualityException> {
         self.events
@@ -262,7 +256,7 @@ struct IncrState {
     /// slot order.
     columns: SquishColumns,
     /// Row → job, aligned with `columns`.
-    request_slots: Vec<(JobSlot, JobId)>,
+    request_slots: Vec<JobSlot>,
     /// Slot index → row, for squishable slots.
     row_of: Vec<u32>,
     /// Scratch: the rows this cycle recomputed, each with the cycle's
@@ -292,13 +286,10 @@ impl IncrState {
 
     /// Whether every squish row's held grant is its job's committed grant.
     fn held_mirrors(&self, jobs: &JobTable) -> bool {
-        self.request_slots
-            .iter()
-            .enumerate()
-            .all(|(row, &(slot, _))| {
-                jobs.get(slot)
-                    .is_some_and(|e| e.granted == self.columns.held(row))
-            })
+        self.request_slots.iter().enumerate().all(|(row, &slot)| {
+            jobs.get(slot)
+                .is_some_and(|e| e.granted == self.columns.held(row))
+        })
     }
 }
 
@@ -473,24 +464,12 @@ impl Controller {
     /// Registers a job and returns its dense slot.
     ///
     /// The importance weight is read from the spec
-    /// ([`JobSpec::with_importance`]).
+    /// ([`JobSpec::with_importance`]).  Real-time jobs (proportion and
+    /// period both specified) are subject to admission control: if the
+    /// requested proportion does not fit under the overload threshold
+    /// together with the already-admitted real-time jobs, the registration
+    /// is rejected.
     pub fn add_job(&mut self, job: JobId, spec: JobSpec) -> Result<JobSlot, AdmitError> {
-        self.add_job_with_importance(job, spec, spec.importance)
-    }
-
-    /// Registers a job with an explicit importance weight and returns its
-    /// dense slot.
-    ///
-    /// Real-time jobs (proportion and period both specified) are subject to
-    /// admission control: if the requested proportion does not fit under the
-    /// overload threshold together with the already-admitted real-time jobs,
-    /// the registration is rejected.
-    pub(crate) fn add_job_with_importance(
-        &mut self,
-        job: JobId,
-        spec: JobSpec,
-        importance: Importance,
-    ) -> Result<JobSlot, AdmitError> {
         if self.jobs.slot_of(job).is_some() {
             return Err(AdmitError::Duplicate(job));
         }
@@ -515,7 +494,7 @@ impl Controller {
             // Adaptive jobs go wherever the granted load is lightest.
             self.least_loaded_cpu(false).0
         };
-        let mut entry = JobEntry::new(spec, importance, &self.config);
+        let mut entry = JobEntry::new(spec, &self.config);
         entry.cpu = cpu;
         self.loads.shift(&entry, true);
         self.incr.structural_dirty = true;
@@ -550,7 +529,7 @@ impl Controller {
     /// path).  Returns `None` if the job is unknown.  The counterpart of
     /// [`Controller::inject_job`]; use [`Controller::remove_job`] when the
     /// job is actually leaving the system.
-    pub fn extract_job(&mut self, job: JobId) -> Option<MigratedJob> {
+    pub(crate) fn extract_job(&mut self, job: JobId) -> Option<MigratedJob> {
         let (_, entry) = self.jobs.remove(job)?;
         self.loads.shift(&entry, false);
         self.incr.structural_dirty = true;
@@ -564,7 +543,11 @@ impl Controller {
     /// No admission control runs here — the caller (the rebalancer) has
     /// already ruled on capacity.  Fails on a duplicate id and on a CPU
     /// this machine does not have.
-    pub fn inject_job(&mut self, migrated: MigratedJob, cpu: CpuId) -> Result<JobSlot, AdmitError> {
+    pub(crate) fn inject_job(
+        &mut self,
+        migrated: MigratedJob,
+        cpu: CpuId,
+    ) -> Result<JobSlot, AdmitError> {
         let MigratedJob { job, mut entry } = migrated;
         if self.jobs.slot_of(job).is_some() {
             return Err(AdmitError::Duplicate(job));
@@ -719,7 +702,7 @@ impl Controller {
         incr.request_slots.clear();
         loads.clear();
         let mut fixed_total_ppt = 0;
-        for (slot, job, entry) in jobs.iter_mut() {
+        for (slot, _, entry) in jobs.iter_mut() {
             let index = slot.index();
             incr.dirty.insert(index);
             match entry.class() {
@@ -737,7 +720,7 @@ impl Controller {
                         incr.real_rate.insert(index);
                     }
                     incr.row_of[index] = incr.request_slots.len() as u32;
-                    incr.request_slots.push((slot, job));
+                    incr.request_slots.push(slot);
                 }
             }
             loads.shift(entry, true);
@@ -749,11 +732,11 @@ impl Controller {
         let floor = config.min_proportion;
         incr.columns.rebuild(
             capacity_ppt.saturating_sub(fixed_total_ppt),
-            incr.request_slots.iter().map(|&(slot, _)| {
+            incr.request_slots.iter().map(|&slot| {
                 let entry = jobs.get(slot).expect("request slot is live");
                 let request = SquishRequest {
                     desired: Proportion::ZERO,
-                    importance: entry.importance,
+                    importance: entry.spec.importance,
                     floor,
                 };
                 (request, entry.granted)
@@ -778,7 +761,7 @@ impl Controller {
     /// overloaded and actuates every job — fixed reservations first, then
     /// the adaptive ones, each in slot order.  Otherwise a job leaves the
     /// dirty set only after a recompute proved itself a bitwise no-op
-    /// ([`crate::PressureEstimator::state_fingerprint`]), and every input a
+    /// (`PressureState::fingerprint`), and every input a
     /// recompute reads either re-marks the slot when it changes (usage,
     /// committed grant), is re-sampled every cycle (a real-rate job's
     /// pressure) or forces a rebuild (cycle length, importance, spec,
@@ -844,8 +827,9 @@ impl Controller {
                     continue;
                 }
 
-                let before = entry.pressure.state_fingerprint();
-                let (q, desired) = entry.demand(estimator, summed, entry.usage.usage_ratio, dt);
+                let before = entry.pressure.fingerprint();
+                let (q, desired) =
+                    entry.demand(&config.pid, estimator, summed, entry.usage.usage_ratio, dt);
                 if estimate_period {
                     entry.estimate_period(&incr.fills, *dispatch_interval_us);
                 } else if entry.spec.period.is_none() {
@@ -860,7 +844,7 @@ impl Controller {
                 // The recompute was a bitwise no-op: repeating it with the
                 // same inputs stays a no-op, so the job may be skipped
                 // until an input changes.
-                if same_desired && entry.pressure.state_fingerprint() == before {
+                if same_desired && entry.pressure.fingerprint() == before {
                     incr.dirty.remove(index);
                 } else {
                     incr.dirty.insert(index);
@@ -882,7 +866,7 @@ impl Controller {
             }
             if let Some(moved) = incr.columns.regrant() {
                 for &(row, grant) in moved {
-                    let (slot, job) = incr.request_slots[row as usize];
+                    let slot = incr.request_slots[row as usize];
                     let entry = jobs.get_mut(slot).expect("request slot is live");
                     let load = &mut loads.granted[entry.cpu.index()];
                     *load = *load - entry.granted.ppt() as u64 + grant.ppt() as u64;
@@ -891,7 +875,6 @@ impl Controller {
                     incr.dirty.insert(slot.index());
                     output.actuations.push(Actuation {
                         slot,
-                        job,
                         reservation: Reservation::new(grant, entry.period),
                         cpu: entry.cpu,
                     });
@@ -926,7 +909,6 @@ impl Controller {
                     Some(a) => a.cpu = to,
                     None => output.actuations.push(Actuation {
                         slot,
-                        job,
                         reservation,
                         cpu: to,
                     }),
@@ -939,9 +921,13 @@ impl Controller {
         // read off the squish columns.
         for &(row, q) in &incr.recomputed {
             let row = row as usize;
+            let job = || {
+                jobs.id_of(incr.request_slots[row])
+                    .expect("request slot is live")
+            };
             output.events.extend(pipeline::quality_exception(
                 config,
-                incr.request_slots[row].1,
+                job,
                 incr.columns.desired(row),
                 incr.columns.held(row),
                 q,
@@ -953,14 +939,13 @@ impl Controller {
             // marked, so the next cycle recomputes every job once more.
             output.actuations.clear();
             for fixed in [true, false] {
-                for (slot, job, entry) in jobs.iter() {
+                for (slot, _, entry) in jobs.iter() {
                     if entry.class().is_squishable() == fixed {
                         continue;
                     }
                     incr.dirty.insert(slot.index());
                     output.actuations.push(Actuation {
                         slot,
-                        job,
                         reservation: Reservation::new(entry.granted, entry.period),
                         cpu: entry.cpu,
                     });
@@ -976,7 +961,20 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::squish::Importance;
     use proptest::prelude::*;
+
+    impl ControlOutput {
+        /// The actuation for the job at `slot`, if any.
+        pub(crate) fn actuation_for(&self, slot: JobSlot) -> Option<Actuation> {
+            self.actuations.iter().copied().find(|a| a.slot == slot)
+        }
+
+        /// The actuation for `job`, if any, in an output of `c`.
+        pub(crate) fn actuation_for_job(&self, c: &Controller, job: JobId) -> Option<Actuation> {
+            self.actuation_for(c.slot_of(job)?)
+        }
+    }
     use rrs_queue::{BoundedBuffer, Role};
     use rrs_scheduler::Period;
     use std::collections::BTreeMap;
@@ -1048,7 +1046,7 @@ mod tests {
         let spec = JobSpec::real_time(Proportion::from_ppt(300), Period::from_millis(20));
         c.add_job(JobId(1), spec).unwrap();
         let out = run_cycles(&mut c, 5, 0.01);
-        let a = out.actuation_for(JobId(1)).unwrap();
+        let a = out.actuation_for_job(&c, JobId(1)).unwrap();
         assert_eq!(a.reservation.proportion.ppt(), 300);
         assert_eq!(a.reservation.period, Period::from_millis(20));
         assert_eq!(c.job_class(JobId(1)), Some(JobClass::RealTime));
@@ -1063,7 +1061,7 @@ mod tests {
         )
         .unwrap();
         let out = run_cycles(&mut c, 1, 0.01);
-        let a = out.actuation_for(JobId(1)).unwrap();
+        let a = out.actuation_for_job(&c, JobId(1)).unwrap();
         assert_eq!(a.reservation.proportion.ppt(), 200);
         assert_eq!(a.reservation.period, Period::from_millis(30));
     }
@@ -1100,12 +1098,12 @@ mod tests {
         let first = run_cycles(&mut c, 1, 0.01);
         let later = run_cycles(&mut c, 30, 0.01);
         let p_first = first
-            .actuation_for(JobId(1))
+            .actuation_for_job(&c, JobId(1))
             .unwrap()
             .reservation
             .proportion;
         let p_later = later
-            .actuation_for(JobId(1))
+            .actuation_for_job(&c, JobId(1))
             .unwrap()
             .reservation
             .proportion;
@@ -1127,7 +1125,11 @@ mod tests {
         reg.register(JobKey(1), Role::Producer, queue);
         c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
         let out = run_cycles(&mut c, 30, 0.01);
-        let p = out.actuation_for(JobId(1)).unwrap().reservation.proportion;
+        let p = out
+            .actuation_for_job(&c, JobId(1))
+            .unwrap()
+            .reservation
+            .proportion;
         assert_eq!(p, ControllerConfig::default().min_proportion);
     }
 
@@ -1141,7 +1143,11 @@ mod tests {
         reg.register(JobKey(1), Role::Consumer, queue);
         c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
         let out = run_cycles(&mut c, 20, 0.01);
-        let p = out.actuation_for(JobId(1)).unwrap().reservation.proportion;
+        let p = out
+            .actuation_for_job(&c, JobId(1))
+            .unwrap()
+            .reservation
+            .proportion;
         // No pressure: the allocation stays near the bottom.
         assert!(p.ppt() <= 50, "got {}", p.ppt());
     }
@@ -1151,7 +1157,11 @@ mod tests {
         let (mut c, _reg) = controller();
         c.add_job(JobId(1), JobSpec::miscellaneous()).unwrap();
         let out = run_cycles(&mut c, 200, 0.01);
-        let p = out.actuation_for(JobId(1)).unwrap().reservation.proportion;
+        let p = out
+            .actuation_for_job(&c, JobId(1))
+            .unwrap()
+            .reservation
+            .proportion;
         // Alone on the machine it should end up with a large fraction,
         // bounded by the overload threshold.
         assert!(p.ppt() > 500, "got {}", p.ppt());
@@ -1198,11 +1208,23 @@ mod tests {
         c.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
         c.add_job(JobId(3), JobSpec::miscellaneous()).unwrap();
         let out = run_cycles(&mut c, 300, 0.01);
-        let rt = out.actuation_for(JobId(1)).unwrap().reservation.proportion;
+        let rt = out
+            .actuation_for_job(&c, JobId(1))
+            .unwrap()
+            .reservation
+            .proportion;
         assert_eq!(rt.ppt(), 400);
         // The adaptive jobs share what is left under the threshold.
-        let a = out.actuation_for(JobId(2)).unwrap().reservation.proportion;
-        let b = out.actuation_for(JobId(3)).unwrap().reservation.proportion;
+        let a = out
+            .actuation_for_job(&c, JobId(2))
+            .unwrap()
+            .reservation
+            .proportion;
+        let b = out
+            .actuation_for_job(&c, JobId(3))
+            .unwrap()
+            .reservation
+            .proportion;
         assert!(a.ppt() + b.ppt() <= 950 - 400 + 2);
         assert!(a.ppt() > 0 && b.ppt() > 0);
     }
@@ -1210,13 +1232,27 @@ mod tests {
     #[test]
     fn importance_weights_the_squish() {
         let (mut c, _reg) = controller();
-        c.add_job_with_importance(JobId(1), JobSpec::miscellaneous(), Importance::new(4.0))
-            .unwrap();
-        c.add_job_with_importance(JobId(2), JobSpec::miscellaneous(), Importance::new(1.0))
-            .unwrap();
+        c.add_job(
+            JobId(1),
+            JobSpec::miscellaneous().with_importance(Importance::new(4.0)),
+        )
+        .unwrap();
+        c.add_job(
+            JobId(2),
+            JobSpec::miscellaneous().with_importance(Importance::new(1.0)),
+        )
+        .unwrap();
         let out = run_cycles(&mut c, 300, 0.01);
-        let important = out.actuation_for(JobId(1)).unwrap().reservation.proportion;
-        let normal = out.actuation_for(JobId(2)).unwrap().reservation.proportion;
+        let important = out
+            .actuation_for_job(&c, JobId(1))
+            .unwrap()
+            .reservation
+            .proportion;
+        let normal = out
+            .actuation_for_job(&c, JobId(2))
+            .unwrap()
+            .reservation
+            .proportion;
         assert!(
             important.ppt() > normal.ppt(),
             "important {} should exceed normal {}",
@@ -1288,8 +1324,11 @@ mod tests {
                 } else {
                     queue.drain();
                 }
-                let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
-                periods.push(out.actuation_for(JobId(1)).map(|a| a.reservation.period));
+                let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01).clone();
+                periods.push(
+                    out.actuation_for_job(&c, JobId(1))
+                        .map(|a| a.reservation.period),
+                );
                 let created = c.jobs.get(slot).unwrap().period_estimator.is_some();
                 assert_eq!(created, from_admission || i >= 40, "cycle {i}");
             }
@@ -1317,7 +1356,7 @@ mod tests {
         for i in 1..=100 {
             grown = c
                 .control_cycle_with_dt(i as f64 * 0.01, 0.01)
-                .actuation_for(JobId(1))
+                .actuation_for(slot)
                 .unwrap()
                 .reservation
                 .proportion
@@ -1330,7 +1369,7 @@ mod tests {
         for i in 101..=200 {
             shrunk = c
                 .control_cycle_with_dt(i as f64 * 0.01, 0.01)
-                .actuation_for(JobId(1))
+                .actuation_for(slot)
                 .unwrap()
                 .reservation
                 .proportion
@@ -1559,13 +1598,50 @@ mod tests {
         }
     }
 
+    /// A NaN PID limit means "no clamp" (`f64::clamp` with NaN bounds
+    /// panics): a controller configured with both limits NaN cycles, and
+    /// its jobs' pressure drives their grants exactly as with the limits
+    /// at infinity.
+    #[test]
+    fn nan_pid_limits_do_not_clamp() {
+        let grants = |limit: f64| {
+            let mut config = ControllerConfig::default();
+            config.pid.integral_limit = limit;
+            config.pid.output_limit = limit;
+            let registry = MetricRegistry::new();
+            let queue = Arc::new(BoundedBuffer::<u8>::new("q", 4));
+            for i in 0..4 {
+                queue.try_push(i).unwrap();
+            }
+            registry.register(JobKey(1), Role::Consumer, queue);
+            let mut c = Controller::new(config, registry);
+            c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
+            c.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
+            (1..=50)
+                .map(|i| {
+                    let out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
+                    out.total_granted_ppt
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(grants(f64::NAN), grants(f64::INFINITY));
+    }
+
+    /// A rebuild cycle actuates every job, so the output buffer holds one
+    /// actuation per job at its high-water mark: the job it is for is its
+    /// slot's (`Controller::job_of`), not a copy in each row.
+    #[test]
+    fn layout_budget() {
+        assert!(std::mem::size_of::<Actuation>() <= 32);
+    }
+
     #[test]
     fn output_helpers() {
         let (mut c, _reg) = controller();
         c.add_job(JobId(5), JobSpec::miscellaneous()).unwrap();
         let out = run_cycles(&mut c, 1, 0.01);
-        assert!(out.actuation_for(JobId(5)).is_some());
-        assert!(out.actuation_for(JobId(99)).is_none());
+        assert!(out.actuation_for_job(&c, JobId(5)).is_some());
+        assert!(out.actuation_for_job(&c, JobId(99)).is_none());
         assert!(out.quality_exceptions().is_empty());
         assert_eq!(c.cycles(), 1);
         assert_eq!(c.slot_of(JobId(5)).map(|s| s.index()), Some(0));
@@ -1852,10 +1928,10 @@ mod tests {
                         let out_full = full.control_cycle_with_dt(now, dt).clone();
                         let out_incr = incr.control_cycle_with_dt(now, dt).clone();
                         for a in &out_full.actuations {
-                            mirror_full.insert(a.job, (a.reservation, a.cpu));
+                            mirror_full.insert(full.job_of(a.slot).unwrap(), (a.reservation, a.cpu));
                         }
                         for a in &out_incr.actuations {
-                            mirror_incr.insert(a.job, (a.reservation, a.cpu));
+                            mirror_incr.insert(incr.job_of(a.slot).unwrap(), (a.reservation, a.cpu));
                         }
                         prop_assert_eq!(
                             out_full.total_granted_ppt, out_incr.total_granted_ppt,

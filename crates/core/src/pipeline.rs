@@ -25,10 +25,10 @@ use crate::controller::{JobId, UsageSnapshot};
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
 use crate::period::{PeriodEstimator, PeriodEstimatorConfig};
-use crate::pressure::PressureEstimator;
+use crate::pressure::PressureState;
 use crate::slot::SlotTable;
-use crate::squish::Importance;
 use crate::taxonomy::{JobClass, JobSpec};
+use rrs_feedback::PidConfig;
 use rrs_queue::{Attachment, JobKey, MetricRegistry};
 use rrs_scheduler::{CpuId, Period, Proportion};
 
@@ -36,8 +36,9 @@ use rrs_scheduler::{CpuId, Period, Proportion};
 #[derive(Debug)]
 pub(crate) struct JobEntry {
     pub(crate) spec: JobSpec,
-    pub(crate) importance: Importance,
-    pub(crate) pressure: PressureEstimator,
+    /// The PID state of Figure 3's `G`; the gains are the controller's
+    /// one `config.pid`, passed to each step.
+    pub(crate) pressure: PressureState,
     /// The §3.3 period heuristic's state, out of line and created by the
     /// first real-rate cycle that reaches the job with period estimation
     /// on: every other job (all of them, in the paper's configuration)
@@ -236,10 +237,12 @@ pub(crate) fn migrant<K>(gap: u64, candidates: impl Iterator<Item = (K, Proporti
 
 /// The quality exception an adaptive job raises when its demand could not
 /// be met: granted less than it desired *and* under at least the
-/// configured pressure.
+/// configured pressure.  The job is named (`job()`) only when it raises
+/// one: the cycle resolves it from the job table, a row it would
+/// otherwise not touch.
 pub(crate) fn quality_exception(
     config: &ControllerConfig,
-    job: JobId,
+    job: impl FnOnce() -> JobId,
     desired: Proportion,
     granted: Proportion,
     pressure: f64,
@@ -247,30 +250,33 @@ pub(crate) fn quality_exception(
 ) -> Option<ControllerEvent> {
     let unmet =
         granted.ppt() < desired.ppt() && pressure.abs() >= config.quality_exception_pressure;
-    unmet.then_some(ControllerEvent::Quality(QualityException {
-        job,
-        desired,
-        granted,
-        pressure,
-        time,
-    }))
+    unmet.then(|| {
+        ControllerEvent::Quality(QualityException {
+            job: job(),
+            desired,
+            granted,
+            pressure,
+            time,
+        })
+    })
 }
 
 impl JobEntry {
     /// Figures 3–4 for one adaptive job: feeds the summed pressure through
-    /// the PID control function, turns the resulting `Q_t` into a desired
-    /// proportion (`P'_t = k·Q_t`, or the usage-based reclaim), and on a
-    /// reclaim damps the PID state so the reclaimed allocation is not
+    /// the PID control function `pid`, turns the resulting `Q_t` into a
+    /// desired proportion (`P'_t = k·Q_t`, or the usage-based reclaim), and
+    /// on a reclaim damps the PID state so the reclaimed allocation is not
     /// immediately re-requested.  Returns `(Q_t, desired)`, `Q_t` as it was
     /// before any damping.
     pub(crate) fn demand(
         &mut self,
+        pid: &PidConfig,
         estimator: &ProportionEstimator,
         summed: f64,
         usage_ratio: f64,
         dt: f64,
     ) -> (f64, Proportion) {
-        let q = self.pressure.update(summed, dt);
+        let q = self.pressure.update(pid, summed, dt);
         let outcome = estimator.estimate(self.granted, q, usage_ratio);
         if outcome.reclaimed {
             let target = if self.granted.ppt() > 0 {
@@ -278,7 +284,7 @@ impl JobEntry {
             } else {
                 0.0
             };
-            self.pressure.scale_state(target.clamp(0.0, 1.0));
+            self.pressure.scale(pid, target.clamp(0.0, 1.0));
         }
         (q, outcome.desired)
     }
@@ -307,7 +313,7 @@ impl JobEntry {
         self.spec.with_progress_metric(self.has_metric).classify()
     }
 
-    pub(crate) fn new(spec: JobSpec, importance: Importance, config: &ControllerConfig) -> Self {
+    pub(crate) fn new(spec: JobSpec, config: &ControllerConfig) -> Self {
         let class = spec.classify();
         let period = spec.period.unwrap_or(config.default_period);
         let initial = match class {
@@ -318,8 +324,7 @@ impl JobEntry {
         };
         Self {
             spec,
-            importance,
-            pressure: PressureEstimator::new(config.pid),
+            pressure: PressureState::default(),
             period_estimator: None,
             period,
             granted: initial,
@@ -341,17 +346,18 @@ mod tests {
     /// fit the 2 MiB L2.  Moving the period estimator out of line took an
     /// entry from 296 B to 176 B and, on top of the inline thread tables,
     /// `spin_saturated` `run_wall_s` 0.140 → 0.130 and `sharded_churn`
-    /// 0.499 → 0.474; three cache lines is the budget.
+    /// 0.499 → 0.474.  Keeping the PID gains and the importance once per
+    /// controller instead of once per job took it to 120 B.
     #[test]
     fn layout_budget() {
-        assert!(std::mem::size_of::<JobEntry>() <= 192);
+        assert!(std::mem::size_of::<JobEntry>() <= 120);
     }
 
     fn table_with(specs: &[(u64, JobSpec)]) -> (JobTable, ControllerConfig) {
         let config = ControllerConfig::default();
         let mut table = JobTable::new();
         for &(id, spec) in specs {
-            let entry = JobEntry::new(spec, Importance::NORMAL, &config);
+            let entry = JobEntry::new(spec, &config);
             table.insert(JobId(id), entry).expect("unique test ids");
         }
         (table, config)
@@ -473,7 +479,11 @@ mod tests {
         registry.register(JobKey(4), Role::Consumer, full_queue(2));
 
         let out = run_cycles(&mut c, 1);
-        let order: Vec<u64> = out.actuations.iter().map(|a| a.job.0).collect();
+        let order: Vec<u64> = out
+            .actuations
+            .iter()
+            .map(|a| c.job_of(a.slot).unwrap().0)
+            .collect();
         assert_eq!(order, [1, 2, 3, 4], "fixed first, each half in slot order");
         let rt = out.actuations[0].reservation;
         assert_eq!(
@@ -496,7 +506,7 @@ mod tests {
         let entry = jobs.entry_at_mut(0).unwrap().2;
         let (mut q, mut desired) = (0.0, Proportion::ZERO);
         for _ in 0..20 {
-            (q, desired) = entry.demand(&estimator, 0.5, 1.0, 0.01);
+            (q, desired) = entry.demand(&config.pid, &estimator, 0.5, 1.0, 0.01);
         }
         assert!(
             desired.ppt() > 100,
@@ -512,7 +522,7 @@ mod tests {
         let estimator = ProportionEstimator::new(&config);
         let entry = jobs.entry_at_mut(0).unwrap().2;
         entry.granted = Proportion::from_ppt(500);
-        let (_, desired) = entry.demand(&estimator, config.misc_pressure, 0.1, 0.01);
+        let (_, desired) = entry.demand(&config.pid, &estimator, config.misc_pressure, 0.1, 0.01);
         assert_eq!(
             desired.ppt(),
             500 - config.reclaim_ppt,
@@ -530,7 +540,7 @@ mod tests {
         let (mut jobs, _) = table_with(&[(1, JobSpec::miscellaneous())]);
         let fresh = jobs.entry_at_mut(0).unwrap().2;
         let estimator = ProportionEstimator::new(&config);
-        let (_, desired) = fresh.demand(&estimator, config.misc_pressure, 1.0, 0.01);
+        let (_, desired) = fresh.demand(&config.pid, &estimator, config.misc_pressure, 1.0, 0.01);
         // ...is granted unchanged: nothing to squish.
         let out = run_cycles(&mut c, 1);
         assert!(!squished(&out));
@@ -641,7 +651,10 @@ mod tests {
 
         assert_eq!(out.actuations.len(), 2);
         let rt = out.actuations[0];
-        assert_eq!((rt.job, rt.reservation.proportion.ppt()), (JobId(1), 150));
+        assert_eq!(
+            (c.job_of(rt.slot), rt.reservation.proportion.ppt()),
+            (Some(JobId(1)), 150)
+        );
         let misc = out.actuations[1];
         assert!(misc.reservation.proportion.ppt() < exceptions[0].desired.ppt());
         // Grants were committed.
@@ -692,7 +705,7 @@ mod tests {
         let bar = config.quality_exception_pressure;
         let ppt = Proportion::from_ppt;
         let raise = |desired, granted, q| {
-            quality_exception(&config, JobId(7), ppt(desired), ppt(granted), q, 0.5)
+            quality_exception(&config, || JobId(7), ppt(desired), ppt(granted), q, 0.5)
         };
         assert_eq!(raise(300, 300, 1.0), None, "demand met");
         assert_eq!(raise(300, 100, bar / 2.0), None, "pressure under the bar");

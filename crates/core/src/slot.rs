@@ -13,8 +13,8 @@
 //! their own thread handle instead of re-deriving `JobId ↔ ThreadId ↔
 //! JobKey` mappings each cycle.
 
+use rrs_scheduler::IdMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A dense, generational handle to a job managed by the controller.
 ///
@@ -53,28 +53,27 @@ impl std::fmt::Display for JobSlot {
 /// Dense storage of `T` keyed by [`JobSlot`], with a by-id index.
 ///
 /// Iteration order is slot order (insertion order, with removed slots
-/// reused LIFO), not id order; [`SlotTable::ids`] provides the id-ordered
-/// view for queries that want determinism by id.
+/// reused LIFO), not id order.
 #[derive(Debug)]
-pub(crate) struct SlotTable<Id: Ord + Copy, T> {
+pub(crate) struct SlotTable<Id: Copy + Eq + Into<u64>, T> {
     entries: Vec<Option<(Id, T)>>,
     generations: Vec<u32>,
     free: Vec<u32>,
-    by_id: BTreeMap<Id, JobSlot>,
+    by_id: IdMap<Id, JobSlot>,
 }
 
-impl<Id: Ord + Copy, T> Default for SlotTable<Id, T> {
+impl<Id: Copy + Eq + Into<u64>, T> Default for SlotTable<Id, T> {
     fn default() -> Self {
         Self {
             entries: Vec::new(),
             generations: Vec::new(),
             free: Vec::new(),
-            by_id: BTreeMap::new(),
+            by_id: IdMap::new(),
         }
     }
 }
 
-impl<Id: Ord + Copy, T> SlotTable<Id, T> {
+impl<Id: Copy + Eq + Into<u64>, T> SlotTable<Id, T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
@@ -93,7 +92,7 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
 
     /// Inserts an entry, returning its slot, or `None` if the id is taken.
     pub fn insert(&mut self, id: Id, value: T) -> Option<JobSlot> {
-        if self.by_id.contains_key(&id) {
+        if self.by_id.contains(id) {
             return None;
         }
         let slot = match self.free.pop() {
@@ -118,7 +117,7 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
 
     /// The slot currently assigned to `id`.
     pub fn slot_of(&self, id: Id) -> Option<JobSlot> {
-        self.by_id.get(&id).copied()
+        self.by_id.get(id)
     }
 
     /// The id stored at `slot`, if the slot is live and current.
@@ -166,7 +165,7 @@ impl<Id: Ord + Copy, T> SlotTable<Id, T> {
 
     /// Removes the entry for `id`, freeing its slot for reuse.
     pub fn remove(&mut self, id: Id) -> Option<(JobSlot, T)> {
-        let slot = self.by_id.remove(&id)?;
+        let slot = self.by_id.remove(id)?;
         let (_, value) = self.entries[slot.index()]
             .take()
             .expect("indexed entry is live");
@@ -328,8 +327,6 @@ mod tests {
         t.remove(3);
         let seen: Vec<(u64, u8)> = t.iter().map(|(_, id, v)| (id, *v)).collect();
         assert_eq!(seen, vec![(5, 50), (9, 90)]);
-        let ids: Vec<u64> = t.by_id.keys().copied().collect();
-        assert_eq!(ids, vec![5, 9]);
         for (_, _, v) in t.iter_mut() {
             *v += 1;
         }

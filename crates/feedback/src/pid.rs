@@ -9,6 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Gains and limits for a [`PidController`].
+///
+/// A limit clamps a magnitude: its sign is ignored, and `f64::INFINITY`
+/// or a NaN limit disables it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PidConfig {
     /// Proportional gain.
@@ -17,9 +20,11 @@ pub struct PidConfig {
     pub ki: f64,
     /// Derivative gain.
     pub kd: f64,
-    /// Clamp on the magnitude of the integral term (anti-windup).
+    /// Clamp on the magnitude of the integral term (anti-windup);
+    /// `f64::INFINITY` or NaN disables it.
     pub integral_limit: f64,
-    /// Clamp on the magnitude of the output; `f64::INFINITY` disables it.
+    /// Clamp on the magnitude of the output; `f64::INFINITY` or NaN
+    /// disables it.
     pub output_limit: f64,
 }
 
@@ -58,6 +63,30 @@ impl PidConfig {
             ..Self::default()
         }
     }
+
+    /// `integral` clamped to `±integral_limit`.
+    #[inline]
+    pub fn clamp_integral(&self, integral: f64) -> f64 {
+        clamp_magnitude(integral, self.integral_limit)
+    }
+
+    /// `output` clamped to `±output_limit`.
+    #[inline]
+    pub fn clamp_output(&self, output: f64) -> f64 {
+        clamp_magnitude(output, self.output_limit)
+    }
+}
+
+/// `x` clamped to `±|limit|`, or `x` itself for a NaN limit (where
+/// `f64::clamp` would panic).  A NaN `x` stays NaN.
+#[inline]
+fn clamp_magnitude(x: f64, limit: f64) -> f64 {
+    let lim = limit.abs();
+    if lim.is_nan() {
+        x
+    } else {
+        x.clamp(-lim, lim)
+    }
 }
 
 /// Discrete-time PID controller with anti-windup and output clamping.
@@ -78,7 +107,6 @@ pub struct PidController {
     config: PidConfig,
     integral: f64,
     last_error: Option<f64>,
-    last_output: f64,
 }
 
 impl PidController {
@@ -88,7 +116,6 @@ impl PidController {
             config,
             integral: 0.0,
             last_error: None,
-            last_output: 0.0,
         }
     }
 
@@ -108,9 +135,7 @@ impl PidController {
 
         let mut d = 0.0;
         if dt > 0.0 {
-            self.integral += error * dt;
-            let lim = self.config.integral_limit.abs();
-            self.integral = self.integral.clamp(-lim, lim);
+            self.integral = self.config.clamp_integral(self.integral + error * dt);
             if let Some(prev) = self.last_error {
                 d = self.config.kd * (error - prev) / dt;
             }
@@ -118,15 +143,7 @@ impl PidController {
         }
 
         let i = self.config.ki * self.integral;
-        let lim = self.config.output_limit.abs();
-        let out = (p + i + d).clamp(-lim, lim);
-        self.last_output = out;
-        out
-    }
-
-    /// Returns the most recent output without stepping the controller.
-    pub fn last_output(&self) -> f64 {
-        self.last_output
+        self.config.clamp_output(p + i + d)
     }
 
     /// Returns the current value of the integral accumulator.
@@ -144,7 +161,6 @@ impl PidController {
     pub fn reset(&mut self) {
         self.integral = 0.0;
         self.last_error = None;
-        self.last_output = 0.0;
     }
 }
 
@@ -182,11 +198,12 @@ mod tests {
             output_limit: f64::INFINITY,
         };
         let mut pid = PidController::new(config);
+        let mut out = 0.0;
         for _ in 0..1000 {
-            pid.update(1.0, 0.1);
+            out = pid.update(1.0, 0.1);
         }
         assert!(pid.integral() <= 0.5 + 1e-12);
-        assert!(pid.last_output() <= 0.5 + 1e-12);
+        assert!(out <= 0.5 + 1e-12);
     }
 
     #[test]
@@ -223,6 +240,33 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_integral_limit_does_not_clamp() {
+        let config = PidConfig {
+            integral_limit: f64::NAN,
+            ..PidConfig::pi(0.0, 1.0)
+        };
+        let mut pid = PidController::new(config);
+        let mut out = 0.0;
+        for _ in 0..100 {
+            out = pid.update(1.0, 0.1);
+        }
+        // Ten unit-seconds, far past the default limit of 2.
+        assert!((pid.integral() - 10.0).abs() < 1e-9);
+        assert!((out - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_nan_output_limit_does_not_clamp() {
+        let config = PidConfig {
+            output_limit: f64::NAN,
+            ..PidConfig::pi(100.0, 0.0)
+        };
+        let mut pid = PidController::new(config);
+        assert_eq!(pid.update(1.0, 0.1), 100.0);
+        assert_eq!(pid.update(-1.0, 0.1), -100.0);
+    }
+
+    #[test]
     fn zero_dt_skips_integral_and_derivative() {
         let mut pid = PidController::new(PidConfig::pid(1.0, 1.0, 1.0));
         let out = pid.update(0.5, 0.0);
@@ -238,7 +282,7 @@ mod tests {
         assert!(pid.integral() > 0.0);
         pid.reset();
         assert_eq!(pid.integral(), 0.0);
-        assert_eq!(pid.last_output(), 0.0);
+        assert_eq!(pid.last_error(), None);
     }
 
     #[test]

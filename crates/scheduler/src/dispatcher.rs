@@ -124,6 +124,7 @@
 use crate::accounting::UsageAccount;
 use crate::error::SchedError;
 use crate::goodness::rbs_goodness;
+use crate::idmap::IdMap;
 use crate::reservation::Reservation;
 use crate::runqueue::{RunKey, RunQueue};
 use crate::settle::{charge_exhausts, span_settle_reason, SettleReason};
@@ -131,7 +132,6 @@ use crate::timerlist::TimerList;
 use crate::types::{ThreadId, ThreadState};
 use rrs_telemetry::{Recorder, SettleCause, TraceEventKind};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration for the dispatcher.
@@ -316,8 +316,10 @@ pub struct Dispatcher {
     /// Dense slot-indexed thread storage; freed slots are reused LIFO.
     entries: Vec<Option<ThreadEntry>>,
     free: Vec<u32>,
-    /// Id → dense slot, and the id-ordered iteration view.
-    by_id: BTreeMap<ThreadId, u32>,
+    /// Id → dense slot.  Boxed: only the id-keyed edge reads it, and
+    /// inline its 80 bytes spread the fields a dispatch span touches over
+    /// one more cache line (`spin_uncontended` `run_wall_s` ×1.05).
+    by_id: Box<IdMap<ThreadId, u32>>,
     /// Every runnable thread, ranked by the dispatch key.
     runnable: RunQueue,
     /// Running sum of reserved proportions, in parts per thousand.
@@ -367,7 +369,7 @@ impl Dispatcher {
             config,
             entries: Vec::new(),
             free: Vec::new(),
-            by_id: BTreeMap::new(),
+            by_id: Box::default(),
             runnable: RunQueue::default(),
             reserved_ppt: 0,
             timers: TimerList::new(),
@@ -426,7 +428,7 @@ impl Dispatcher {
     /// The dense slot `id` occupies — the id → slot edge.  Valid for the
     /// slot-addressed methods until the thread is removed or taken.
     pub fn slot_of(&self, id: ThreadId) -> Option<u32> {
-        self.by_id.get(&id).copied()
+        self.by_id.get(id)
     }
 
     fn resolve(&self, id: ThreadId) -> Result<u32, SchedError> {
@@ -494,7 +496,7 @@ impl Dispatcher {
             self.runnable.remove(idx);
         }
         self.reserved_ppt -= entry.reservation.proportion.ppt();
-        self.by_id.remove(&entry.id);
+        self.by_id.remove(entry.id);
         self.free.push(idx);
         entry
     }
@@ -538,7 +540,7 @@ impl Dispatcher {
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<(), SchedError> {
-        if self.by_id.contains_key(&id) {
+        if self.by_id.contains(id) {
             return Err(SchedError::DuplicateThread(id));
         }
         let mut account = UsageAccount::new(self.now_us, reservation.budget_micros());
@@ -607,7 +609,7 @@ impl Dispatcher {
     /// boundary.  Placement is the migrating authority's responsibility,
     /// exactly like the controller's actuation path.
     pub(crate) fn inject_thread(&mut self, thread: MigratedThread) -> Result<(), SchedError> {
-        if self.by_id.contains_key(&thread.id) {
+        if self.by_id.contains(thread.id) {
             return Err(SchedError::DuplicateThread(thread.id));
         }
         let idx = self.link(ThreadEntry {
@@ -1400,8 +1402,8 @@ impl Dispatcher {
             let id = entry.id;
             live += 1;
             assert_eq!(
-                self.by_id.get(&id),
-                Some(&idx),
+                self.by_id.get(id),
+                Some(idx),
                 "by_id disagrees with dense storage for {id}"
             );
             reserved += entry.reservation.proportion.ppt();
@@ -1507,7 +1509,9 @@ mod tests {
     }
 
     fn ids(d: &Dispatcher) -> Vec<ThreadId> {
-        d.by_id.keys().copied().collect()
+        let mut ids: Vec<ThreadId> = d.entries.iter().flatten().map(|e| e.id).collect();
+        ids.sort();
+        ids
     }
 
     /// Re-reserves `id` at `ppt` under its current period — the

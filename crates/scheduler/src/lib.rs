@@ -29,6 +29,8 @@
 //!   cross-CPU migration ([`CpuId`]).  `N = 1` is bit-for-bit the
 //!   single-dispatcher system.  A [`ThreadHandle`] addresses a thread
 //!   without an id lookup.
+//! * [`IdMap`] — the id → handle index the dispatcher, the machine and the
+//!   controller each keep: a sorted `Vec` that admissions append to.
 //! * [`accounting::UsageAccount`] — per-thread usage the controller reads to
 //!   reclaim over-allocated CPU.
 
@@ -40,6 +42,7 @@ mod deque;
 pub mod dispatcher;
 pub mod error;
 pub mod goodness;
+pub mod idmap;
 pub mod machine;
 pub mod reservation;
 mod runqueue;
@@ -52,6 +55,7 @@ pub use dispatcher::{
     DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread,
 };
 pub use error::SchedError;
+pub use idmap::IdMap;
 pub use machine::{CpuStats, Machine};
 pub use reservation::Reservation;
 /// The trace/telemetry types [`Machine::set_telemetry`] speaks.

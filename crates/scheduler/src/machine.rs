@@ -48,12 +48,12 @@ use crate::dispatcher::{
     DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread,
 };
 use crate::error::SchedError;
+use crate::idmap::IdMap;
 use crate::reservation::Reservation;
 use crate::types::{CpuId, ThreadHandle, ThreadId};
 use crate::UsageAccount;
 use rrs_telemetry::{Recorder, TraceEventKind};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-CPU counters of one host run, one entry per CPU.
@@ -105,7 +105,7 @@ pub struct Machine {
     cpus: Vec<Dispatcher>,
     /// Id → CPU, the machine's half of the id edge (the dispatcher's
     /// `by_id` is the other).
-    placement: BTreeMap<ThreadId, CpuId>,
+    placement: IdMap<ThreadId, CpuId>,
     /// Trace-event sink shared with every dispatcher; `None` when
     /// telemetry is disabled.
     telemetry: Option<Arc<Recorder>>,
@@ -124,7 +124,7 @@ impl Machine {
         let n = cpus.clamp(1, Self::MAX_CPUS);
         Self {
             cpus: (0..n).map(|_| Dispatcher::new(config)).collect(),
-            placement: BTreeMap::new(),
+            placement: IdMap::new(),
             telemetry: None,
         }
     }
@@ -202,7 +202,7 @@ impl Machine {
 
     /// The CPU a thread is currently placed on.
     pub fn cpu_of(&self, id: ThreadId) -> Option<CpuId> {
-        self.placement.get(&id).copied()
+        self.placement.get(id)
     }
 
     /// A thread's current handle — the id edge, two map lookups.  Valid
@@ -301,7 +301,7 @@ impl Machine {
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<ThreadHandle, SchedError> {
-        if self.placement.contains_key(&id) {
+        if self.placement.contains(id) {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].add_thread_preadmitted(id, reservation)?;
@@ -312,7 +312,7 @@ impl Machine {
     pub fn remove_thread(&mut self, id: ThreadId) -> Result<(), SchedError> {
         let cpu = self
             .placement
-            .remove(&id)
+            .remove(id)
             .ok_or(SchedError::UnknownThread(id))?;
         self.cpus[cpu.index()].remove_thread(id)
     }
@@ -393,7 +393,7 @@ impl Machine {
     pub fn extract_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
         let handle = self.resolve(id)?;
         let thread = self.cpus[handle.cpu.index()].take_thread_slot(handle.slot, id)?;
-        self.placement.remove(&id);
+        self.placement.remove(id);
         Ok(thread)
     }
 
@@ -410,7 +410,7 @@ impl Machine {
         if cpu.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
         }
-        if self.placement.contains_key(&id) {
+        if self.placement.contains(id) {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].inject_thread(thread)?;
@@ -477,7 +477,7 @@ impl Machine {
 
     /// Returns a copy of a thread's usage account.
     pub fn usage(&self, id: ThreadId) -> Option<UsageAccount> {
-        let cpu = self.placement.get(&id)?;
+        let cpu = self.placement.get(id)?;
         self.cpus[cpu.index()].usage(id)
     }
 

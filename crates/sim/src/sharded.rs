@@ -390,16 +390,16 @@ impl ShardedSim {
                     break;
                 }
                 let (job, _) = self.candidates[i];
-                let Some(migrated) = self.shards[src].extract_job(job) else {
+                let [from, to] = self
+                    .shards
+                    .get_disjoint_mut([src, dst])
+                    .expect("the two shards differ");
+                let cpu = to.machine().least_loaded_cpu();
+                let Some((handle, granted)) = from.migrate_job(job, to, cpu) else {
                     continue;
                 };
-                let granted = migrated.granted_ppt() as u64;
-                let cpu = self.shards[dst].machine().least_loaded_cpu();
-                let handle = self.shards[dst]
-                    .inject_job(migrated, cpu)
-                    .expect("ids are globally unique across shards");
                 self.note_job(handle.job, dst);
-                moved_ppt += granted;
+                moved_ppt += granted as u64;
                 moved += 1;
                 self.rebalance_migrations += 1;
                 if let Some(t) = &self.telemetry {

@@ -29,8 +29,7 @@ use rrs_core::{
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
-    CpuId, Dispatcher, DispatcherConfig, Machine, MigratedThread, Reservation, ThreadId,
-    ThreadState, UsageAccount,
+    CpuId, Dispatcher, DispatcherConfig, Machine, Reservation, ThreadId, ThreadState, UsageAccount,
 };
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
@@ -115,16 +114,13 @@ impl SimConfig {
     }
 }
 
-/// A job's simulator-side state, one entry of [`Simulation::threads`].
+/// A job's simulator-side state, one entry of [`Simulation::threads`]:
+/// what the span loop calls into.  The fat pointer sits in the table
+/// itself, so a dispatched thread's model is one dependent load from its
+/// slot.  The job's trace series, read once per trace sample and never
+/// per span, sit in [`Simulation::series`] beside it.
 struct SimThread {
-    /// What the span loop calls into: the fat pointer sits in the table
-    /// itself, so a dispatched thread's model is one dependent load from
-    /// its slot.
     work: Box<dyn WorkModel>,
-    /// The job's `alloc/`, `period/` and `rate/` trace series.  Read once
-    /// per trace sample, never per span, so it lives behind its own box and
-    /// the hot table stays at three words an entry.
-    series: Box<JobSeries>,
 }
 
 /// The entry of [`Simulation::threads`] at `slot`, if the slot is live.
@@ -141,22 +137,6 @@ fn set_wake_event(wake_events: &mut Vec<Option<EventId>>, tid: ThreadId, id: Eve
         wake_events.resize(i + 1, None);
     }
     wake_events[i] = Some(id);
-}
-
-/// A job's complete simulator-side state, in transit between two shards
-/// of the sharded simulator.  Produced by [`Simulation::extract_job`],
-/// consumed by [`Simulation::inject_job`].
-pub(crate) struct MigratedSimJob {
-    thread: SimThread,
-    mjob: rrs_core::MigratedJob,
-    mthread: MigratedThread,
-}
-
-impl MigratedSimJob {
-    /// The grant the source shard's controller last settled on, in ppt.
-    pub(crate) fn granted_ppt(&self) -> u32 {
-        self.mjob.granted().ppt()
-    }
 }
 
 /// The discrete-event simulation.
@@ -196,6 +176,11 @@ pub struct Simulation {
     /// id resolves to no slot, so a stale wake or usage report never
     /// reaches the index's next tenant.
     threads: Vec<Option<SimThread>>,
+    /// Every job's trace series and name, indexed like `threads`.
+    series: JobSeries,
+    /// Scratch for a trace round's walk in thread-id order
+    /// ([`ControlLoop::threads_by_id`]).
+    trace_order: Vec<u32>,
     /// The blocked-thread calendar: raw ids (dense, like `threads`) whose
     /// work model reported a block and has not yet been polled awake.  The
     /// bitset walks in id order, matching the original full scan, and skips
@@ -269,6 +254,8 @@ impl Simulation {
             config,
             ctl,
             threads: Vec::new(),
+            series: JobSeries::new(),
+            trace_order: Vec::new(),
             blocked: SlotSet::default(),
             scratch_wakes: Vec::new(),
             scratch_poll: Vec::new(),
@@ -358,16 +345,30 @@ impl Simulation {
         }
     }
 
-    /// Detaches a job's complete simulator-side state — work model,
-    /// controller entry, dispatcher thread, block/wake status — for
-    /// re-injection into a sibling shard.  The job's queue-metric
-    /// attachments stay registered (the registry is shared between
-    /// shards).  Returns `None` if the job is unknown.
-    pub(crate) fn extract_job(&mut self, job: JobId) -> Option<MigratedSimJob> {
+    /// Moves a job's complete simulator-side state — work model, trace
+    /// series, controller entry, dispatcher thread, block/wake status — to
+    /// CPU `cpu` of the sibling shard `to`, and returns its handle there
+    /// with the grant (ppt) this shard's controller last settled on.  The
+    /// job's queue-metric attachments stay registered (the registry is
+    /// shared between shards).  A blocked thread's wake-up is re-derived
+    /// from its work model there (the model is the authority; this shard's
+    /// calendar entry is cancelled).  Returns `None` if the job is unknown
+    /// here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` refuses the job: sibling shards issue disjoint ids,
+    /// and the caller picks a CPU `to` has.
+    pub(crate) fn migrate_job(
+        &mut self,
+        job: JobId,
+        to: &mut Simulation,
+        cpu: CpuId,
+    ) -> Option<(JobHandle, u32)> {
         let tid = ThreadId(job.0);
         let slot = self.ctl.slot_of(tid)?;
         // From here on every layer must agree the job exists.
-        let mut thread = self.threads[slot.index()]
+        let thread = self.threads[slot.index()]
             .take()
             .expect("a bound slot has its simulator entry");
         let (mjob, mthread) = self
@@ -375,55 +376,35 @@ impl Simulation {
             .extract(job)
             .expect("a thread in the table is a job in the loop");
         self.clear_wait(tid);
-        thread.series.rebase();
-        Some(MigratedSimJob {
-            thread,
-            mjob,
-            mthread,
-        })
-    }
-
-    /// Installs a job previously detached with
-    /// [`Simulation::extract_job`] (from a sibling shard) on an explicit
-    /// CPU of this simulation's machine.  A blocked thread's wake-up is
-    /// re-derived from its work model (the model is the authority; the
-    /// source shard's calendar entry was cancelled at extraction).
-    pub(crate) fn inject_job(
-        &mut self,
-        migrated: MigratedSimJob,
-        cpu: CpuId,
-    ) -> Result<JobHandle, AdmitError> {
-        let MigratedSimJob {
-            thread,
-            mjob,
-            mthread,
-        } = migrated;
+        let granted_ppt = mjob.granted().ppt();
         let was_blocked = mthread.state() == ThreadState::Blocked;
-        let handle = self.ctl.inject(mjob, mthread, cpu)?;
-        let tid = handle.thread;
+        let handle = to
+            .ctl
+            .inject(mjob, mthread, cpu)
+            .expect("ids are globally unique across shards");
+        self.series
+            .move_to(slot.index(), &mut to.series, handle.slot.index());
         let wake = if was_blocked {
-            thread
-                .work
-                .next_transition(SimTime::from_micros(self.now_us))
+            thread.work.next_transition(SimTime::from_micros(to.now_us))
         } else {
             None
         };
-        self.install_thread(handle, thread);
+        to.install_thread(handle, thread);
         match wake {
             Some(w) => {
-                let at = w.as_micros().max(self.now_us + 1);
-                let id = self
+                let at = w.as_micros().max(to.now_us + 1);
+                let id = to
                     .calendar
                     .schedule(SimTime::from_micros(at), Event::Wake(tid));
-                set_wake_event(&mut self.wake_events, tid, id);
+                set_wake_event(&mut to.wake_events, tid, id);
             }
             None if was_blocked => {
-                self.blocked.insert(tid.0 as usize);
-                self.ensure_poll_tick(self.now_us);
+                to.blocked.insert(tid.0 as usize);
+                to.ensure_poll_tick(to.now_us);
             }
             None => {}
         }
-        Ok(handle)
+        Some((handle, granted_ppt))
     }
 
     /// Rebuilds a job's handle from its id, if the job is live here.
@@ -911,11 +892,12 @@ impl Simulation {
         // the trace at its first sample, and slot indices are reused, so a
         // walk over `threads` would number a churned run's series by which
         // index each arrival happened to get, not by admission.
-        for (tid, slot) in self.ctl.threads_by_id() {
+        for (tid, slot) in self.ctl.threads_by_id(&mut self.trace_order) {
             let thread = self.threads[slot.index()]
                 .as_mut()
                 .expect("a bound slot has its simulator entry");
-            thread.series.sample(
+            self.series.sample(
+                slot.index(),
                 &mut self.trace,
                 t,
                 gap_s,
@@ -949,8 +931,8 @@ impl Host for Simulation {
         work: Box<dyn WorkModel>,
     ) -> Result<JobHandle, AdmitError> {
         let handle = self.ctl.admit(spec)?;
-        let series = Box::new(JobSeries::new(name));
-        self.install_thread(handle, SimThread { work, series });
+        self.series.insert(handle.slot.index(), name);
+        self.install_thread(handle, SimThread { work });
         Ok(handle)
     }
 
@@ -959,6 +941,7 @@ impl Host for Simulation {
         // job names an index that may be somebody else's by now.
         if self.ctl.slot_of(handle.thread) == Some(handle.slot) {
             self.threads[handle.slot.index()] = None;
+            self.series.remove(handle.slot.index());
         }
         self.clear_wait(handle.thread);
         self.ctl.retire(handle);
@@ -1793,11 +1776,12 @@ mod tests {
         );
     }
 
-    /// Three words an entry: with 10 000 jobs the table the span loop
-    /// indexes is 240 KB of the 2 MiB L2 rather than 80 KB of pointers to
-    /// 10 000 separately boxed 80-byte threads (`spin_saturated`
-    /// `run_wall_s` 0.189 → 0.153 for that alone).  Anything cold goes
-    /// behind `SimThread::series`' box, not into the entry.
+    /// Inline entries: with 10 000 jobs the table the span loop indexes is
+    /// 160 KB of the 2 MiB L2 rather than 80 KB of pointers to 10 000
+    /// separately boxed 80-byte threads (`spin_saturated` `run_wall_s`
+    /// 0.189 → 0.153 for that alone).  Anything cold goes in a table
+    /// beside it (the trace series sit in `Simulation::series`), not into
+    /// the entry; the entry is the model's fat pointer alone.
     #[test]
     fn layout_budget() {
         assert!(std::mem::size_of::<Option<SimThread>>() <= 32);

@@ -218,18 +218,57 @@ struct FillSeries {
     series: Vec<(SeriesId, Attachment)>,
 }
 
-/// One job's share of the sample trace — the `alloc/<job>`, `period/<job>`
-/// and `rate/<job>` series every host backend records — with each series
-/// name looked up once, at that series' first sample.
-#[derive(Debug)]
+/// Every job's share of the sample trace — the `alloc/<job>`,
+/// `period/<job>` and `rate/<job>` series every host backend records — in
+/// one table indexed by the job's [`rrs_core::JobSlot::index`], beside the
+/// backend's own slot-indexed job table.
+///
+/// A row is 32 B: the three series handles, each looked up by name once,
+/// at that series' first sample; the progress counter at the previous
+/// sample; and the job's name as a byte range of one string that holds
+/// every row's name back to back.  So admitting a job costs no allocation
+/// of its own, only the amortised growth of the two tables.  A removed
+/// job's name bytes stay behind until an admission would grow the string
+/// while at least half of it is such leftovers; it packs the string
+/// instead.
+#[derive(Debug, Default)]
 pub struct JobSeries {
-    name: String,
+    rows: Vec<SeriesRow>,
+    /// Every row's name, back to back, with removed rows' bytes between.
+    names: String,
+    /// Bytes of `names` no row refers to.
+    garbage: usize,
+}
+
+/// One job's row of [`JobSeries`].
+#[derive(Debug, Clone, Copy)]
+struct SeriesRow {
     /// Handles into the trace being sampled, indexed like
-    /// [`JobSeries::KINDS`].
-    ids: [Option<SeriesId>; 3],
+    /// [`JobSeries::KINDS`]; [`NONE`] until the series' first sample.
+    ids: [u32; 3],
+    /// The name's byte range in [`JobSeries::names`]; empty for a free
+    /// row.
+    name: (u32, u32),
     /// The progress counter at the previous sample (`rate/` is its
     /// difference quotient).
     last_progress: f64,
+}
+
+impl SeriesRow {
+    const FREE: SeriesRow = SeriesRow {
+        ids: [NONE; 3],
+        name: (0, 0),
+        last_progress: 0.0,
+    };
+
+    fn name_len(&self) -> usize {
+        (self.name.1 - self.name.0) as usize
+    }
+
+    /// The row's name in `names`, its table's string.
+    fn name_in<'a>(&self, names: &'a str) -> &'a str {
+        &names[self.name.0 as usize..self.name.1 as usize]
+    }
 }
 
 impl JobSeries {
@@ -238,49 +277,106 @@ impl JobSeries {
     const PERIOD: usize = 1;
     const RATE: usize = 2;
 
-    /// The series of the job called `name`, with no sample taken yet.
-    pub fn new(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            ids: [None; 3],
-            last_progress: 0.0,
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Gives the job at slot `index` the series of the job called `name`,
+    /// with no sample taken yet.  Whatever the row held before is
+    /// forgotten.
+    pub fn insert(&mut self, index: usize, name: &str) {
+        self.insert_row(index, name, 0.0);
+    }
+
+    /// Frees the row at slot `index` (a no-op for a row never inserted).
+    pub fn remove(&mut self, index: usize) {
+        if let Some(row) = self.rows.get_mut(index) {
+            self.garbage += row.name_len();
+            *row = SeriesRow::FREE;
         }
     }
 
-    /// Points the job at a *different* trace (the sharded simulator moves
-    /// jobs between shards): the handles into the old trace are dropped,
-    /// the progress baseline is kept.
-    pub(crate) fn rebase(&mut self) {
-        self.ids = [None; 3];
+    /// Moves the row at `index` to slot `to_index` of `to`, a table
+    /// sampling a *different* trace (the sharded simulator moves jobs
+    /// between shards): the handles into the old trace are dropped, the
+    /// name and the progress baseline travel.
+    pub(crate) fn move_to(&mut self, index: usize, to: &mut JobSeries, to_index: usize) {
+        let row = self.rows[index];
+        to.insert_row(to_index, row.name_in(&self.names), row.last_progress);
+        self.remove(index);
     }
 
-    fn push(&mut self, trace: &mut Trace, kind: usize, sample: Sample) {
-        let id =
-            *self.ids[kind].get_or_insert_with(|| trace.series_id(Self::KINDS[kind], &self.name));
-        trace.record_at(id, sample);
+    fn insert_row(&mut self, index: usize, name: &str, last_progress: f64) {
+        self.remove(index);
+        if self.names.len() + name.len() > self.names.capacity()
+            && self.garbage > 0
+            && 2 * self.garbage >= self.names.len()
+        {
+            self.pack();
+        }
+        if self.rows.len() <= index {
+            self.rows.resize(index + 1, SeriesRow::FREE);
+        }
+        let start = self.names.len();
+        self.names.push_str(name);
+        let offset = |at: usize| u32::try_from(at).expect("job names fit in 4 GiB");
+        self.rows[index] = SeriesRow {
+            ids: [NONE; 3],
+            name: (offset(start), offset(self.names.len())),
+            last_progress,
+        };
     }
 
-    /// Takes one sample at `time` (seconds): the job's reserved proportion
-    /// (ppt) and period (ms) if it holds a reservation, and the rate of its
-    /// progress counter over the `interval` (seconds) since the previous
-    /// sample if its work model reports one.
+    /// Drops the removed rows' name bytes, into a string of the same
+    /// capacity: at least half of it is free again.
+    #[cold]
+    fn pack(&mut self) {
+        let mut names = String::with_capacity(self.names.capacity());
+        for row in &mut self.rows {
+            let start = names.len() as u32;
+            names.push_str(row.name_in(&self.names));
+            row.name = (start, names.len() as u32);
+        }
+        self.names = names;
+        self.garbage = 0;
+    }
+
+    /// Takes one sample at `time` (seconds) for the job at slot `index`:
+    /// its reserved proportion (ppt) and period (ms) if it holds a
+    /// reservation, and the rate of its progress counter over the
+    /// `interval` (seconds) since the previous sample if its work model
+    /// reports one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row was inserted at `index`.
     pub fn sample(
         &mut self,
+        index: usize,
         trace: &mut Trace,
         time: f64,
         interval: f64,
         reservation: Option<Reservation>,
         progress: Option<f64>,
     ) {
-        let at = |value: f64| Sample { time, value };
+        let Self { rows, names, .. } = self;
+        let row = &mut rows[index];
+        let name = row.name_in(names);
+        let mut push = |kind: usize, value: f64| {
+            if row.ids[kind] == NONE {
+                row.ids[kind] = trace.series_id(Self::KINDS[kind], name).0;
+            }
+            trace.record_at(SeriesId(row.ids[kind]), Sample { time, value });
+        };
         if let Some(r) = reservation {
-            self.push(trace, Self::ALLOC, at(r.proportion.ppt() as f64));
-            self.push(trace, Self::PERIOD, at(r.period.as_secs_f64() * 1e3));
+            push(Self::ALLOC, r.proportion.ppt() as f64);
+            push(Self::PERIOD, r.period.as_secs_f64() * 1e3);
         }
         if let Some(progress) = progress {
-            let rate = (progress - self.last_progress) / interval;
-            self.last_progress = progress;
-            self.push(trace, Self::RATE, at(rate));
+            let rate = (progress - row.last_progress) / interval;
+            push(Self::RATE, rate);
+            row.last_progress = progress;
         }
     }
 }
@@ -987,6 +1083,47 @@ mod tests {
         assert_eq!(resolved.get("fill/a").unwrap().len(), 4);
     }
 
+    /// A removed row's name bytes are packed away before the string would
+    /// grow, so a table whose rows are replaced again and again stays the
+    /// size of its live names; a moved row keeps its name and progress
+    /// baseline in the table it lands in, and resolves its series there.
+    #[test]
+    fn job_names_pack_and_travel() {
+        let mut table = JobSeries::new();
+        for i in 0..1000 {
+            table.insert(i % 10, &format!("job{i}"));
+        }
+        let live: usize = (990..1000).map(|i| format!("job{i}").len()).sum();
+        assert_eq!(table.names.len() - table.garbage, live);
+        assert!(
+            table.names.capacity() <= 4 * live,
+            "{}",
+            table.names.capacity()
+        );
+        table.remove(4);
+        table.remove(4);
+        assert_eq!(table.names.len() - table.garbage, live - "job994".len());
+
+        let reservation = Reservation::new(Proportion::from_ppt(30), Period::from_millis(10));
+        let (mut here, mut there) = (Trace::new(), Trace::new());
+        table.sample(3, &mut here, 0.0, 1.0, Some(reservation), Some(10.0));
+        let mut other = JobSeries::new();
+        other.insert(0, "elsewhere");
+        table.move_to(3, &mut other, 7);
+        assert_eq!(table.rows[3].name_len(), 0);
+        other.sample(7, &mut there, 1.0, 1.0, None, Some(30.0));
+        assert_eq!(here.get("alloc/job993").unwrap().len(), 1);
+        assert_eq!(there.names(), ["rate/job993"]);
+        assert_eq!(there.get("rate/job993").unwrap().values(), [20.0]);
+    }
+
+    /// A resident job's row: three handles, the progress baseline and its
+    /// name's byte range, with no allocation of its own.
+    #[test]
+    fn series_row_layout_budget() {
+        assert!(std::mem::size_of::<SeriesRow>() <= 32);
+    }
+
     /// The footprint guard: a sampler's rounds of constant reservations
     /// cost their run counters and nothing per sample.  64 jobs share one
     /// name (as `pipeline_blocking`'s decoders do) and 64 more have their
@@ -995,20 +1132,22 @@ mod tests {
     #[test]
     fn constant_rounds_cost_no_bytes_per_sample() {
         let mut trace = Trace::new();
-        let mut jobs: Vec<JobSeries> = (0..128)
-            .map(|i| {
-                JobSeries::new(&if i < 64 {
+        let mut jobs = JobSeries::new();
+        for i in 0..128 {
+            jobs.insert(
+                i,
+                &if i < 64 {
                     "decoder".into()
                 } else {
                     format!("web{i}")
-                })
-            })
-            .collect();
+                },
+            );
+        }
         let reservation = Reservation::new(Proportion::from_ppt(30), Period::from_millis(10));
         for round in 0..2_000u64 {
             let time = (round * 100_000) as f64 / 1e6;
-            for job in &mut jobs {
-                job.sample(&mut trace, time, 0.1, Some(reservation), None);
+            for i in 0..128 {
+                jobs.sample(i, &mut trace, time, 0.1, Some(reservation), None);
             }
         }
         assert_eq!(trace.total_samples(), 2_000 * 256);
@@ -1067,24 +1206,31 @@ mod tests {
                 .map(|k| Arc::new(BoundedBuffer::<u8>::new(format!("q{}", k % 2), 4)))
                 .collect();
             let (mut trace, mut reference) = (Trace::new(), Reference::default());
-            // Live jobs: the store's sampler, the reference's progress
-            // baseline, and the name both sample under.
-            let mut jobs: Vec<(JobSeries, f64, &str)> = Vec::new();
+            // Live jobs: the sampler's row (slots are reused, as a host's
+            // are), the reference's progress baseline, and the name both
+            // sample under.
+            let mut table = JobSeries::new();
+            let mut free: Vec<usize> = Vec::new();
+            let mut jobs: Vec<(usize, f64, &str)> = Vec::new();
             let mut round = 0u64;
             for (op, arg) in ops {
                 let round_time = (round * 100_000) as f64 / 1e6;
                 match op {
                     0 => {
                         let name = NAMES[arg as usize % NAMES.len()];
-                        jobs.push((JobSeries::new(name), 0.0, name));
+                        let slot = free.pop().unwrap_or(jobs.len() + free.len());
+                        table.insert(slot, name);
+                        jobs.push((slot, 0.0, name));
                     }
                     1 if !jobs.is_empty() => {
-                        jobs.remove(arg as usize % jobs.len());
+                        let (slot, _, _) = jobs.remove(arg as usize % jobs.len());
+                        table.remove(slot);
+                        free.push(slot);
                     }
                     2 | 3 => {
                         round += 1;
                         let time = (round * 100_000) as f64 / 1e6;
-                        for (i, (series, last, name)) in jobs.iter_mut().enumerate() {
+                        for (i, (slot, last, name)) in jobs.iter_mut().enumerate() {
                             let pick = arg.rotate_left(7 * i as u32);
                             let reservation = (pick % 3 != 0).then(|| {
                                 Reservation::new(
@@ -1093,7 +1239,7 @@ mod tests {
                                 )
                             });
                             let progress = (pick % 5 != 0).then(|| value(pick / 5));
-                            series.sample(&mut trace, time, 0.1, reservation, progress);
+                            table.sample(*slot, &mut trace, time, 0.1, reservation, progress);
                             reference.sample_job(name, last, time, 0.1, reservation, progress);
                         }
                         trace.record_fills(time, &registry);

@@ -588,6 +588,36 @@ fn assert_uncontended_dispatch_allocation_free() {
     assert_eq!(done.migrations, 0);
 }
 
+/// The allocations admitting `n` spinners through `Simulation::add_job`
+/// makes, names prepared beforehand.
+fn admission_allocations(n: usize) -> u64 {
+    use realrate::sim::{Host, SimConfig, Simulation};
+
+    let mut sim = Simulation::new(SimConfig::default().with_cpus(8));
+    let names: Vec<String> = (0..n).map(|i| format!("j{i}")).collect();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for name in &names {
+        sim.add_job(name, JobSpec::miscellaneous(), Box::new(Spin))
+            .unwrap();
+    }
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// Admission's half of the footprint guarantee: every layer keeps a job
+/// in shared tables — slot tables, sorted id indexes, the series table and
+/// its one string of names — that grow by doubling, so admitting `n`
+/// spinners makes `O(log n)` allocations (333 for 1 000 spinners on 8
+/// CPUs, 558 for 16 000).  A box and a string per job, and a B-tree node
+/// per few ids in each of three id indexes, made 16 times the jobs cost
+/// about 16 times the allocations (2 742 and 40 394).
+fn assert_admission_allocations_grow_logarithmically() {
+    let (small, large) = (admission_allocations(1_000), admission_allocations(16_000));
+    assert!(
+        large < 2 * small,
+        "admitting 16 000 spinners made {large} allocations, 1 000 made {small}"
+    );
+}
+
 /// The sample trace's half of the guarantee: a sampler round whose
 /// values all repeat the previous round's — 64 jobs sharing one name, 64
 /// with their own, every one with a reservation and a steady progress
@@ -601,22 +631,28 @@ fn assert_repeating_trace_rounds_allocation_free() {
     let queue = Arc::new(BoundedBuffer::<u8>::new("frames", 8));
     queue.try_push(0).unwrap();
     registry.register(JobKey(1), Role::Consumer, queue);
-    let mut jobs: Vec<JobSeries> = (0..128)
-        .map(|i| {
-            let name = if i < 64 {
-                "decoder".to_string()
-            } else {
-                format!("web{i}")
-            };
-            JobSeries::new(&name)
-        })
-        .collect();
+    let mut jobs = JobSeries::new();
+    for i in 0..128 {
+        let name = if i < 64 {
+            "decoder".to_string()
+        } else {
+            format!("web{i}")
+        };
+        jobs.insert(i, &name);
+    }
     let reservation = Reservation::new(Proportion::from_ppt(30), Period::from_millis(10));
     let mut trace = Trace::new();
     let mut round = |trace: &mut Trace, r: u64| {
         let time = (r * 100_000) as f64 / 1e6;
-        for job in &mut jobs {
-            job.sample(trace, time, 0.1, Some(reservation), Some(r as f64 * 50.0));
+        for i in 0..128 {
+            jobs.sample(
+                i,
+                trace,
+                time,
+                0.1,
+                Some(reservation),
+                Some(r as f64 * 50.0),
+            );
         }
         trace.record_fills(time, &registry);
     };
@@ -664,4 +700,6 @@ fn steady_state_control_cycle_is_allocation_free() {
     assert_uncontended_dispatch_allocation_free();
     // And the sample trace's repeating rounds.
     assert_repeating_trace_rounds_allocation_free();
+    // And admission: shared tables grow, no job allocates on its own.
+    assert_admission_allocations_grow_logarithmically();
 }

@@ -95,8 +95,8 @@ struct Task {
 pub(crate) struct WallClockHost {
     /// The feedback loop proper — the same one the simulator drives.
     ctl: ControlLoop,
-    /// Indexed by [`rrs_core::JobSlot::index`]; the loop owns the one id →
-    /// slot table ([`ControlLoop::slot_of`]).
+    /// Indexed by [`rrs_core::JobSlot::index`], which is also a dispatched
+    /// thread's owner tag ([`rrs_scheduler::Dispatcher::span_owner`]).
     tasks: Vec<Option<Task>>,
     /// Every job's trace series and name, indexed like `tasks`.
     series: JobSeries,
@@ -178,17 +178,18 @@ impl WallClockHost {
                 min_idle_quantum = min_idle_quantum.min(outcome.quantum_us);
                 continue;
             };
-            let slot = self
+            let owner = self
                 .ctl
-                .slot_of(tid)
-                .expect("dispatched thread serves a job");
-            let task = self.tasks[slot.index()]
+                .machine()
+                .dispatcher(CpuId(cpu as u32))
+                .span_owner();
+            let task = self.tasks[owner.expect("a dispatched thread has an owner tag") as usize]
                 .as_ref()
                 .expect("dispatched job has a task");
             // A worker whose model panicked behind a round that gave up
             // waiting may be gone before its report drains; park it.
             if task.to_worker.send(outcome.quantum_us).is_err() {
-                self.ctl.block(slot, tid);
+                self.ctl.block(task.handle.slot, tid);
                 continue;
             }
             running += 1;
@@ -635,10 +636,20 @@ mod tests {
         assert!(host.cpu_used(dead) > SimTime::ZERO, "it was released once");
         let task = host.tasks[dead.slot.index()].as_ref().expect("resident");
         assert!(!task.blocked, "parked for good, never re-polled");
-        let used = host.cpu_used(spin);
-        assert!(used > SimTime::ZERO);
-        host.advance(SimTime::from_millis(50));
-        assert!(host.cpu_used(spin) > used, "the spinner keeps running");
+        // The spinner runs, and keeps running: its time grows within some
+        // 50 ms step, however loaded the box it shares.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let grown = |host: &mut WallClockHost, from: SimTime| {
+            while host.cpu_used(spin) <= from {
+                assert!(Instant::now() < deadline, "the spinner keeps running");
+                host.advance(SimTime::from_millis(50));
+            }
+            host.cpu_used(spin)
+        };
+        let used = grown(&mut host, SimTime::ZERO);
+        grown(&mut host, used);
+        let task = host.tasks[dead.slot.index()].as_ref().expect("resident");
+        assert!(!task.blocked, "still parked");
         host.remove_job(dead);
         assert_eq!(host.controller().job_count(), 1);
         assert!(host.tasks[dead.slot.index()].is_none());

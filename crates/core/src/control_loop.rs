@@ -4,8 +4,8 @@
 //! usage are sensed, the controller computes proportion and period, and
 //! the result is actuated on the reservation scheduler.  [`ControlLoop`]
 //! is that loop as a value.  It owns the [`Controller`], the
-//! [`Machine`], the table binding each controller slot to the scheduler
-//! thread serving it, the run's counters ([`SimStats`]) and the optional
+//! [`Machine`], the table of where each controller slot's scheduler
+//! thread sits, the run's counters ([`SimStats`]) and the optional
 //! trace [`Recorder`], and it holds every step both host backends share:
 //! admission, retirement, cross-machine extract/inject, the controller
 //! cycle, the statistics and telemetry views, CPU hot-add and the
@@ -77,12 +77,12 @@ impl SimStats {
     }
 }
 
-/// Reads the dense id → slot table (see `ControlLoop::slots`).
-#[inline]
-fn lookup(slots: &[JobSlot], thread: ThreadId) -> Option<JobSlot> {
-    let slot = *slots.get(thread.0 as usize)?;
-    (slot != JobSlot::NONE).then_some(slot)
-}
+/// The handle an unbound slot holds: it names no CPU, so the machine
+/// answers every call through it as a stale handle.
+const UNBOUND: ThreadHandle = ThreadHandle {
+    cpu: CpuId(u32::MAX),
+    slot: u32::MAX,
+};
 
 /// One controller driving one machine: the state and the steps every host
 /// backend shares.
@@ -113,20 +113,15 @@ fn lookup(slots: &[JobSlot], thread: ThreadId) -> Option<JobSlot> {
 pub struct ControlLoop {
     controller: Controller,
     machine: Machine,
-    /// Controller slot → the scheduler thread serving that job and where
-    /// it sits on the machine.  This is the only copy of the handle: it is
-    /// written where the thread is placed (`admit`, `inject`), refreshed
-    /// where it moves ([`Machine::actuate`]) and cleared where it leaves,
-    /// so actuations, wake-ups and trace reads reach the thread without
-    /// an id lookup.
-    threads: Vec<Option<(ThreadId, ThreadHandle)>>,
-    /// The way back: raw thread id → controller slot, [`JobSlot::NONE`]
-    /// where the id serves no job here.  Written and cleared with
-    /// `threads`, so the usage feed and a backend's own slot-indexed
-    /// tables resolve a reporting or dispatched thread in one dense load —
-    /// the one id-keyed table a backend needs, kept once.  Ids are never
-    /// reused, so an id left over from a removed job reaches nobody.
-    slots: Vec<JobSlot>,
+    /// Controller slot index → where the thread serving that job sits on
+    /// the machine, the only copy of the handle: written where the thread
+    /// is placed (`admit`, `inject`), refreshed where it moves
+    /// ([`Machine::actuate`]) and set to `UNBOUND` where it leaves.  It is
+    /// all a slot keeps: each call through it names the thread, which the
+    /// machine checks, so a slot's former tenant cannot reach its next one.
+    /// The way back is the thread's owner tag, its slot index, handed back
+    /// with a dispatch ([`Dispatcher::span_owner`]) and a usage report.
+    threads: Vec<ThreadHandle>,
     stats: SimStats,
     /// The structured trace recorder, when telemetry is enabled.  `None`
     /// (the default) keeps every hot path on a single branch.
@@ -166,7 +161,6 @@ impl ControlLoop {
             controller,
             machine,
             threads: Vec::new(),
-            slots: Vec::new(),
             recorder: None,
             next_id: 1,
             id_stride: 1,
@@ -222,58 +216,30 @@ impl ControlLoop {
     }
 
     /// One CPU's share of the loop, split-borrowed for a backend's span
-    /// loop: the CPU's dispatcher, the id → slot table read-only (as
-    /// [`ControlLoop::slot_of`]) and the recorder.  Taken once per window,
-    /// so the loop body re-resolves none of them; what the window books
-    /// (per-CPU use, dispatch overhead) goes through
+    /// loop: the CPU's dispatcher, whose picks name their job by owner tag
+    /// ([`Dispatcher::span_owner`]: the slot index), and the recorder.
+    /// Taken once per window, so the loop body re-resolves neither; what
+    /// the window books (per-CPU use, dispatch overhead) goes through
     /// [`ControlLoop::stats_mut`] once it is over.
     #[inline]
-    pub fn cpu_window(
-        &mut self,
-        cpu: CpuId,
-    ) -> (
-        &mut Dispatcher,
-        impl Fn(ThreadId) -> Option<JobSlot> + Copy + '_,
-        Option<&Arc<Recorder>>,
-    ) {
-        let Self {
-            machine,
-            slots,
-            recorder,
-            ..
-        } = self;
-        let slots: &[JobSlot] = slots;
-        (
-            machine.dispatcher_mut(cpu),
-            move |thread| lookup(slots, thread),
-            recorder.as_ref(),
-        )
+    pub fn cpu_window(&mut self, cpu: CpuId) -> (&mut Dispatcher, Option<&Arc<Recorder>>) {
+        (self.machine.dispatcher_mut(cpu), self.recorder.as_ref())
     }
 
-    fn bind(&mut self, slot: JobSlot, thread: ThreadId, handle: ThreadHandle) {
+    fn bind(&mut self, slot: JobSlot, handle: ThreadHandle) {
         if self.threads.len() <= slot.index() {
-            self.threads.resize(slot.index() + 1, None);
+            self.threads.resize(slot.index() + 1, UNBOUND);
         }
-        self.threads[slot.index()] = Some((thread, handle));
-        let id = thread.0 as usize;
-        if self.slots.len() <= id {
-            self.slots.resize(id + 1, JobSlot::NONE);
-        }
-        self.slots[id] = slot;
-    }
-
-    fn unbind(&mut self, slot: JobSlot) {
-        if let Some((thread, _)) = self.threads.get_mut(slot.index()).and_then(Option::take) {
-            self.slots[thread.0 as usize] = JobSlot::NONE;
-        }
+        self.threads[slot.index()] = handle;
     }
 
     /// The controller slot of the job `thread` serves, if it serves one
     /// here: `None` once the job is retired or extracted, whoever holds
-    /// its slot index now.
+    /// its slot index now.  An id lookup, for the API edge; a thread the
+    /// machine hands back carries its slot index as its owner tag.
     #[inline]
     pub fn slot_of(&self, thread: ThreadId) -> Option<JobSlot> {
-        lookup(&self.slots, thread)
+        self.controller.slot_of(JobId(thread.0))
     }
 
     /// Every thread serving a job here, with the job's slot, in thread-id
@@ -288,22 +254,18 @@ impl ControlLoop {
         &'a self,
         order: &'a mut Vec<u32>,
     ) -> impl Iterator<Item = (ThreadId, JobSlot)> + 'a {
-        let threads = &self.threads;
+        let controller = &self.controller;
         let thread_at = move |index: u32| {
-            threads[index as usize]
-                .expect("the order lists bound slots")
-                .0
+            let slot = controller
+                .slot_at(index)
+                .expect("the order lists live slots");
+            let job = controller.job_of(slot).expect("a live slot holds a job");
+            (ThreadId(job.0), slot)
         };
         order.clear();
-        order.extend((0..threads.len() as u32).filter(|&i| threads[i as usize].is_some()));
-        order.sort_unstable_by_key(|&i| thread_at(i));
-        order.iter().map(move |&i| {
-            let thread = thread_at(i);
-            (
-                thread,
-                lookup(&self.slots, thread).expect("a bound thread has its slot"),
-            )
-        })
+        order.extend((0..self.threads.len() as u32).filter(|&i| controller.slot_at(i).is_some()));
+        order.sort_unstable_by_key(|&i| thread_at(i).0);
+        order.iter().map(move |&i| thread_at(i))
     }
 
     /// Admits a job: the controller rules on admission (real-time specs)
@@ -331,9 +293,9 @@ impl ControlLoop {
             .expect("slot was just created");
         let handle = self
             .machine
-            .add_thread_preadmitted_on(cpu, thread, initial)
+            .add_thread_preadmitted_on(cpu, thread, initial, slot.index() as u32)
             .expect("fresh thread id cannot clash");
-        self.bind(slot, thread, handle);
+        self.bind(slot, handle);
         Ok(JobHandle { job, thread, slot })
     }
 
@@ -343,7 +305,7 @@ impl ControlLoop {
     pub fn retire(&mut self, handle: JobHandle) {
         let _ = self.machine.remove_thread(handle.thread);
         if self.controller.remove_slot(handle.slot) {
-            self.unbind(handle.slot);
+            self.threads[handle.slot.index()] = UNBOUND;
         }
     }
 
@@ -361,7 +323,7 @@ impl ControlLoop {
             .machine
             .extract_thread(ThreadId(job.0))
             .expect("thread registered with the machine");
-        self.unbind(slot);
+        self.threads[slot.index()] = UNBOUND;
         Some((mjob, mthread))
     }
 
@@ -379,26 +341,24 @@ impl ControlLoop {
         let slot = self.controller.inject_job(mjob, cpu)?;
         let handle = self
             .machine
-            .inject_thread_on(cpu, mthread)
+            .inject_thread_on(cpu, mthread, slot.index() as u32)
             .expect("controller accepted the id, so the machine must too");
-        self.bind(slot, thread, handle);
+        self.bind(slot, handle);
         Ok(JobHandle { job, thread, slot })
     }
 
-    /// Where `thread` sits on the machine, if it is still the thread
-    /// serving `slot` — thread ids are never reused, so a slot left over
-    /// from a removed job cannot reach the slot's next tenant.
-    fn handle_at(&self, slot: JobSlot, thread: ThreadId) -> Option<ThreadHandle> {
-        match self.threads.get(slot.index()) {
-            Some(&Some((tenant, handle))) if tenant == thread => Some(handle),
-            _ => None,
-        }
+    /// Where the thread serving `slot` sits on the machine.  The machine
+    /// checks every call through it against the thread the caller names,
+    /// and thread ids are never reused, so a slot left over from a removed
+    /// job cannot reach the slot's next tenant.
+    fn handle_at(&self, slot: JobSlot) -> Option<ThreadHandle> {
+        self.threads.get(slot.index()).copied()
     }
 
     /// Wakes `thread`, the thread serving `slot`; a stale slot or a thread
     /// that is not blocked is a no-op.
     pub fn unblock(&mut self, slot: JobSlot, thread: ThreadId) {
-        if let Some(handle) = self.handle_at(slot, thread) {
+        if let Some(handle) = self.handle_at(slot) {
             let _ = self.machine.unblock_at(handle, thread);
         }
     }
@@ -406,7 +366,7 @@ impl ControlLoop {
     /// Marks `thread`, the thread serving `slot`, as blocked; a stale slot
     /// is a no-op.
     pub fn block(&mut self, slot: JobSlot, thread: ThreadId) {
-        if let Some(handle) = self.handle_at(slot, thread) {
+        if let Some(handle) = self.handle_at(slot) {
             let _ = self.machine.block_at(handle, thread);
         }
     }
@@ -415,7 +375,7 @@ impl ControlLoop {
     /// and books it on the CPU the thread sits on; a stale slot is a
     /// no-op.
     pub fn charge(&mut self, slot: JobSlot, thread: ThreadId, us: u64) {
-        if let Some(handle) = self.handle_at(slot, thread) {
+        if let Some(handle) = self.handle_at(slot) {
             if self.machine.charge_at(handle, thread, us).is_ok() {
                 self.stats.per_cpu[handle.cpu.index()].used_us += us;
             }
@@ -425,8 +385,7 @@ impl ControlLoop {
     /// The reservation currently held by `thread`, the thread serving
     /// `slot`.
     pub fn reservation(&self, slot: JobSlot, thread: ThreadId) -> Option<Reservation> {
-        self.machine
-            .reservation_at(self.handle_at(slot, thread)?, thread)
+        self.machine.reservation_at(self.handle_at(slot)?, thread)
     }
 
     /// When the next controller cycle is due, in microseconds.
@@ -453,8 +412,8 @@ impl ControlLoop {
     ///
     /// * **Sense**: drains the usage ratios that changed since the last
     ///   cycle ([`Machine::drain_usage_changes`]) into the controller's
-    ///   sticky snapshots, each reporting thread resolved through the
-    ///   loop's own id → slot table.
+    ///   sticky snapshots, each reporting thread resolved by its owner tag
+    ///   (its slot index).
     /// * **Control**: the cycle length is the exact integer time since the
     ///   previous cycle (at least one microsecond), whatever the backend's
     ///   clock.
@@ -467,14 +426,13 @@ impl ControlLoop {
             controller,
             machine,
             threads,
-            slots,
             stats,
             recorder,
             last_cycle_us,
             ..
         } = self;
-        machine.drain_usage_changes(|thread, ratio| {
-            if let Some(slot) = lookup(slots, thread) {
+        machine.drain_usage_changes(|_, owner, ratio| {
+            if let Some(slot) = controller.slot_at(owner) {
                 controller.record_usage(slot, UsageSnapshot { usage_ratio: ratio });
             }
         });
@@ -486,7 +444,8 @@ impl ControlLoop {
         // event order and SimStats are identical with and without it.
         // Allowlisted in analysis.json.
         let timer = recorder.as_ref().map(|_| std::time::Instant::now());
-        let out = controller.control_cycle_with_dt(now.as_secs_f64(), dt_us as f64 * 1e-6);
+        controller.control_cycle_with_dt(now.as_secs_f64(), dt_us as f64 * 1e-6);
+        let out = controller.output();
         stats.controller_invocations += 1;
         stats.controller_cost_us += out.cost_us;
         for event in &out.events {
@@ -497,16 +456,20 @@ impl ControlLoop {
             }
         }
         for actuation in &out.actuations {
-            let Some(Some((thread, handle))) = threads.get_mut(actuation.slot.index()) else {
+            let (Some(handle), Some(job)) = (
+                threads.get_mut(actuation.slot.index()),
+                controller.job_of(actuation.slot),
+            ) else {
                 continue;
             };
-            let moved = machine.actuate(handle, *thread, actuation.reservation, actuation.cpu);
+            let thread = ThreadId(job.0);
+            let moved = machine.actuate(handle, thread, actuation.reservation, actuation.cpu);
             if let Ok(Some(from)) = moved {
                 stats.migrations += 1;
                 stats.per_cpu[from.index()].migrations_out += 1;
                 stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
                 if migration_cost_us > 0 {
-                    let _ = machine.charge_at(*handle, *thread, migration_cost_us);
+                    let _ = machine.charge_at(*handle, thread, migration_cost_us);
                 }
             }
         }
@@ -815,7 +778,7 @@ mod tests {
             .with_ids(first, 2)
         };
         let scan = |ctl: &ControlLoop| -> Vec<(ThreadId, JobSlot)> {
-            (0..ctl.slots.len() as u64)
+            (0..64)
                 .filter_map(|raw| Some((ThreadId(raw), ctl.slot_of(ThreadId(raw))?)))
                 .collect()
         };
@@ -856,6 +819,97 @@ mod tests {
         };
         assert_eq!(ids(&a), [1, 6, 7, 11, 13]);
         assert_eq!(ids(&b), [4, 8, 9]);
+    }
+
+    /// The loop keeps the handle alone for each slot; the slot's thread
+    /// is named by every call through it.
+    #[test]
+    fn layout_budget() {
+        assert!(std::mem::size_of::<ThreadHandle>() <= 8);
+    }
+
+    /// With the thread's id checked by the machine rather than kept beside
+    /// the handle, a retired job's `(slot, thread)` pair still reaches
+    /// nothing once its slot serves another job: block, unblock, charge
+    /// and a reservation read all leave the new tenant alone.
+    #[test]
+    fn a_stale_slot_and_thread_pair_is_a_no_op_after_slot_reuse() {
+        let mut ctl = bare(1);
+        let old = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        ctl.block(old.slot, old.thread);
+        ctl.retire(old);
+        let tenant = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        assert_eq!(tenant.slot.index(), old.slot.index(), "slot reused");
+        let granted = ctl.reservation(tenant.slot, tenant.thread).unwrap();
+        let used = |ctl: &ControlLoop| ctl.stats().total_used_us();
+
+        ctl.block(old.slot, old.thread);
+        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Ready));
+        ctl.charge(old.slot, old.thread, 500);
+        assert_eq!(used(&ctl), 0);
+        assert_eq!(ctl.reservation(old.slot, old.thread), None);
+        ctl.block(tenant.slot, tenant.thread);
+        ctl.unblock(old.slot, old.thread);
+        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Blocked));
+
+        // The tenant's own pair reaches it.
+        ctl.unblock(tenant.slot, tenant.thread);
+        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Ready));
+        ctl.charge(tenant.slot, tenant.thread, 500);
+        assert_eq!(used(&ctl), 500);
+        assert_eq!(ctl.reservation(tenant.slot, tenant.thread), Some(granted));
+    }
+
+    /// A shard that sees ten times its resident count of ids — admissions,
+    /// retirements and migrations both ways — keeps one table entry per
+    /// slot it has ever needed at once, not one per id it has seen.
+    #[test]
+    fn the_slot_table_stays_as_large_as_the_resident_jobs() {
+        const RESIDENT: usize = 8;
+        let registry = MetricRegistry::new();
+        let shard = |first| {
+            ControlLoop::new(
+                ControllerConfig::default(),
+                DispatcherConfig::default(),
+                registry.clone(),
+            )
+            .with_ids(first, 2)
+        };
+        let (mut a, mut b) = (shard(1), shard(2));
+        let mut jobs: Vec<JobHandle> = (0..RESIDENT)
+            .map(|_| a.admit(JobSpec::miscellaneous()).unwrap())
+            .collect();
+        let mut guests = vec![b.admit(JobSpec::miscellaneous()).unwrap()];
+        for round in 0..10 * RESIDENT {
+            a.retire(jobs.remove(0));
+            jobs.push(a.admit(JobSpec::miscellaneous()).unwrap());
+            if round % 3 == 0 {
+                // One job out to `b` and one of `b`'s in.
+                let out = jobs.remove(0);
+                let (mjob, mthread) = a.extract(out.job).unwrap();
+                guests.push(b.inject(mjob, mthread, CpuId(0)).unwrap());
+                let guest = guests.remove(0);
+                let (mjob, mthread) = b.extract(guest.job).unwrap();
+                jobs.push(a.inject(mjob, mthread, CpuId(0)).unwrap());
+            }
+            run_due_cycle(&mut a);
+        }
+        assert!(
+            a.next_id > 20 * RESIDENT as u64,
+            "ids issued: {}",
+            a.next_id
+        );
+        assert_eq!(a.controller().job_count(), RESIDENT);
+        assert!(
+            a.threads.len() <= RESIDENT + 1,
+            "{} entries",
+            a.threads.len()
+        );
+        assert!(b.threads.len() <= 2, "{} entries", b.threads.len());
+        for job in &jobs {
+            assert_eq!(a.slot_of(job.thread), Some(job.slot));
+            assert!(a.reservation(job.slot, job.thread).is_some());
+        }
     }
 
     #[test]

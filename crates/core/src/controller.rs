@@ -425,6 +425,12 @@ impl Controller {
         self.jobs.slot_of(job)
     }
 
+    /// The live slot at a dense index ([`JobSlot::index`]), if one is —
+    /// how a side table indexed by slot index names its job.
+    pub fn slot_at(&self, index: u32) -> Option<JobSlot> {
+        self.jobs.slot_at(index)
+    }
+
     /// The job id stored at a slot, if the slot is live and current.
     pub fn job_of(&self, slot: JobSlot) -> Option<JobId> {
         self.jobs.id_of(slot)
@@ -663,6 +669,12 @@ impl Controller {
                 *total += n;
             }
         }
+        &self.output
+    }
+
+    /// The last cycle's output, as [`Controller::control_cycle_with_dt`]
+    /// returned it.
+    pub(crate) fn output(&self) -> &ControlOutput {
         &self.output
     }
 

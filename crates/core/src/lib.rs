@@ -79,7 +79,7 @@ pub use events::{ControllerEvent, QualityException};
 pub use handle::JobHandle;
 pub use period::PeriodEstimator;
 pub use pressure::PressureEstimator;
-pub use slot::{JobSlot, SlotSet};
+pub use slot::JobSlot;
 pub use squish::{squish_fair_share, squish_weighted, Importance, SquishPolicy};
 pub use taxonomy::{JobClass, JobSpec};
 pub use time::SimTime;

@@ -27,14 +27,6 @@ pub struct JobSlot {
 }
 
 impl JobSlot {
-    /// "No slot", for dense tables of slots that would otherwise pay
-    /// `Option`'s extra word per entry.  No [`SlotTable`] hands it out: a
-    /// table would need 2³² live entries to reach the index.
-    pub(crate) const NONE: JobSlot = JobSlot {
-        index: u32::MAX,
-        generation: u32::MAX,
-    };
-
     /// The dense index of this slot, usable for parallel side tables.
     ///
     /// Indices are reused after removal; pair with the generation (the full
@@ -118,6 +110,15 @@ impl<Id: Copy + Eq + Into<u64>, T> SlotTable<Id, T> {
     /// The slot currently assigned to `id`.
     pub fn slot_of(&self, id: Id) -> Option<JobSlot> {
         self.by_id.get(id)
+    }
+
+    /// The live slot at dense index `index`, if one is.
+    pub(crate) fn slot_at(&self, index: u32) -> Option<JobSlot> {
+        self.entries.get(index as usize)?.as_ref()?;
+        Some(JobSlot {
+            index,
+            generation: self.generations[index as usize],
+        })
     }
 
     /// The id stored at `slot`, if the slot is live and current.
@@ -214,66 +215,50 @@ impl<Id: Copy + Eq + Into<u64>, T> SlotTable<Id, T> {
 /// A set of dense indices as a bitset, walked in index order one 64-index
 /// word at a time.
 ///
-/// The controller keeps its dirty slots ([`JobSlot::index`]) in one; the
-/// simulator keeps its blocked threads (raw thread ids, which it allocates
-/// densely) in another, where the in-order walk *is* the id-order poll.
+/// The controller keeps its dirty slots ([`JobSlot::index`]) in one.
 #[derive(Debug, Default)]
-pub struct SlotSet {
+pub(crate) struct SlotSet {
     words: Vec<u64>,
 }
 
 impl SlotSet {
     /// Empties the set and sizes it for indices below `dense_len`.
-    pub fn reset(&mut self, dense_len: usize) {
+    pub(crate) fn reset(&mut self, dense_len: usize) {
         self.words.clear();
         self.words.resize(dense_len.div_ceil(64), 0);
-    }
-
-    /// Widens the sized range to cover indices below `dense_len`, keeping
-    /// the members; never narrows it.
-    pub fn grow(&mut self, dense_len: usize) {
-        let words = dense_len.div_ceil(64);
-        if words > self.words.len() {
-            self.words.resize(words, 0);
-        }
     }
 
     /// Adds `index`.  An index past the sized range is ignored, which is
     /// sound for the controller's use: such a slot was created after the
     /// last rebuild sized the set, and that structural change already
     /// forces the next cycle to rebuild and re-mark every live slot.
-    pub fn insert(&mut self, index: usize) {
+    pub(crate) fn insert(&mut self, index: usize) {
         if let Some(word) = self.words.get_mut(index / 64) {
             *word |= 1 << (index % 64);
         }
     }
 
     /// Removes `index`; an index past the sized range was never a member.
-    pub fn remove(&mut self, index: usize) {
+    pub(crate) fn remove(&mut self, index: usize) {
         if let Some(word) = self.words.get_mut(index / 64) {
             *word &= !(1 << (index % 64));
         }
     }
 
     /// Whether `index` is a member.
-    pub fn contains(&self, index: usize) -> bool {
+    pub(crate) fn contains(&self, index: usize) -> bool {
         self.words
             .get(index / 64)
             .is_some_and(|word| word & (1 << (index % 64)) != 0)
     }
 
-    /// Whether the set has no members; one pass over the words.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&word| word == 0)
-    }
-
     /// Number of 64-index words in the sized range.
-    pub fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         self.words.len()
     }
 
     /// Word `w`: bit `b` set means index `64·w + b` is a member.
-    pub fn word(&self, w: usize) -> u64 {
+    pub(crate) fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
 }
@@ -364,18 +349,13 @@ mod tests {
         assert_eq!(s.word(2), 1 << 1);
         s.remove(63);
         assert!(s.contains(0) && !s.contains(63) && !s.contains(192));
-        s.grow(200);
-        assert_eq!(s.word_count(), 4);
-        s.insert(192);
-        s.grow(10);
-        assert!(
-            s.contains(0) && s.contains(192),
-            "grow keeps members, never narrows"
-        );
         s.remove(4096);
-        assert!(!s.is_empty());
+        assert!(s.contains(0));
         s.reset(130);
-        assert!(!s.contains(0) && s.is_empty(), "reset empties the set");
+        assert!(
+            (0..s.word_count()).all(|w| s.word(w) == 0),
+            "reset empties the set"
+        );
     }
 
     #[test]

@@ -251,6 +251,11 @@ struct ThreadEntry {
     last_reported_ratio: f64,
     /// Whether this entry currently sits on [`Dispatcher::watch_list`].
     watched: bool,
+    /// The caller's tag for the job this thread serves (the control
+    /// loop's slot index), handed back by [`Dispatcher::span_owner`] and
+    /// the usage feed so a caller resolves a thread without an id lookup.
+    /// Opaque here, and carried across CPUs.
+    owner: u32,
 }
 
 impl ThreadEntry {
@@ -283,6 +288,9 @@ pub struct MigratedThread {
     /// verbatim so a mid-period reservation change (which re-anchors from
     /// the change instant, not the period start) survives migration.
     next_boundary_us: u64,
+    /// The thread's owner tag; a move between machines sets a new one
+    /// ([`crate::Machine::inject_thread_on`]).
+    pub(crate) owner: u32,
 }
 
 impl MigratedThread {
@@ -534,11 +542,21 @@ impl Dispatcher {
     /// its overload threshold before it calls here ("preadmitted"); it
     /// squishes allocations instead of rejecting them, so its running jobs
     /// can legitimately sit at that threshold.  Fails only on a duplicate
-    /// id.
+    /// id.  The thread's owner tag is 0.
     pub fn add_thread_preadmitted(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
+    ) -> Result<(), SchedError> {
+        self.add_thread_owned(id, reservation, 0)
+    }
+
+    /// [`Dispatcher::add_thread_preadmitted`] with an owner tag.
+    pub(crate) fn add_thread_owned(
+        &mut self,
+        id: ThreadId,
+        reservation: Reservation,
+        owner: u32,
     ) -> Result<(), SchedError> {
         if self.by_id.contains(id) {
             return Err(SchedError::DuplicateThread(id));
@@ -554,6 +572,7 @@ impl Dispatcher {
             next_boundary_us: self.now_us + reservation.period.as_micros(),
             last_reported_ratio: 1.0,
             watched: false,
+            owner,
         });
         self.rearm(idx);
         Ok(())
@@ -598,6 +617,7 @@ impl Dispatcher {
             state,
             account: entry.account,
             next_boundary_us: entry.next_boundary_us,
+            owner: entry.owner,
         })
     }
 
@@ -621,6 +641,7 @@ impl Dispatcher {
             next_boundary_us: thread.next_boundary_us,
             last_reported_ratio: 1.0,
             watched: false,
+            owner: thread.owner,
         });
         self.sync_entry(idx);
         self.rearm(idx);
@@ -975,8 +996,9 @@ impl Dispatcher {
     /// (pick, charge, reservation change) re-watches it.  A zero budget
     /// keeps it watched: a period it governs closes at the 0/0 ratio 1.0
     /// (`UsageAccount::last_period_usage_ratio`), and no timer would
-    /// re-watch an untouched thread for that boundary.
-    pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, f64)) {
+    /// re-watch an untouched thread for that boundary.  `f` gets each
+    /// thread's id, owner tag and ratio.
+    pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, u32, f64)) {
         self.settle_span();
         let mut i = 0;
         while i < self.watch_list.len() {
@@ -997,7 +1019,7 @@ impl Dispatcher {
             let ratio = entry.account.last_period_usage_ratio();
             if ratio != entry.last_reported_ratio {
                 entry.last_reported_ratio = ratio;
-                f(entry.id, ratio);
+                f(entry.id, entry.owner, ratio);
             }
             let settled = ratio == 0.0
                 && entry.account.used_this_period_us == 0
@@ -1213,6 +1235,14 @@ impl Dispatcher {
             thread: Some(thread),
             quantum_us: interval.max(1).min(cap),
         })
+    }
+
+    /// The owner tag of the thread the last [`Dispatcher::dispatch`]
+    /// picked, while it is here — how a span loop finds the job it runs
+    /// without an id lookup.  `None` after an idle dispatch.
+    #[inline]
+    pub fn span_owner(&self) -> Option<u32> {
+        Some(self.entries.get(self.span_slot? as usize)?.as_ref()?.owner)
     }
 
     /// Charges `us` microseconds of CPU consumption to a thread, throttling
@@ -1595,9 +1625,9 @@ mod tests {
                 6 => {
                     // The same changed-usage feed, order aside.
                     let mut a = Vec::new();
-                    lazy.drain_usage_changes(|id, r| a.push((id, r.to_bits())));
+                    lazy.drain_usage_changes(|id, _, r| a.push((id, r.to_bits())));
                     let mut b = Vec::new();
-                    refd.drain_usage_changes(|id, r| b.push((id, r.to_bits())));
+                    refd.drain_usage_changes(|id, _, r| b.push((id, r.to_bits())));
                     a.sort_unstable();
                     b.sort_unstable();
                     assert_eq!(a, b, "usage feeds diverged");
@@ -1913,6 +1943,7 @@ mod tests {
                 state: ThreadState::Ready,
                 account: UsageAccount::new(0, 0),
                 next_boundary_us: 10_000,
+                owner: 0,
             }),
             Err(SchedError::DuplicateThread(ThreadId(1)))
         );
@@ -2087,7 +2118,7 @@ mod tests {
             .unwrap();
         let drain = |d: &mut Dispatcher| {
             let mut got = Vec::new();
-            d.drain_usage_changes(|id, ratio| got.push((id, ratio)));
+            d.drain_usage_changes(|id, _, ratio| got.push((id, ratio)));
             got
         };
         // Nothing has happened: the controller's default assumption (1.0)
@@ -2131,7 +2162,7 @@ mod tests {
                 "drain" => {
                     let want = wants.next().expect("a want per drain");
                     let mut got = Vec::new();
-                    d.drain_usage_changes(|id, ratio| got.push((id, ratio)));
+                    d.drain_usage_changes(|id, _, ratio| got.push((id, ratio)));
                     assert_eq!(&got, want, "at {} µs", d.now_us());
                 }
                 other => unreachable!("unknown step {other}"),

@@ -282,29 +282,34 @@ impl Machine {
     }
 
     /// Registers a pre-admitted thread on the least-loaded CPU (the
-    /// controller already ruled on admission).  Returns the chosen CPU.
+    /// controller already ruled on admission), with owner tag 0.  Returns
+    /// the chosen CPU.
     pub fn add_thread_preadmitted(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<CpuId, SchedError> {
-        self.add_thread_preadmitted_on(self.least_loaded_cpu(), id, reservation)
+        self.add_thread_preadmitted_on(self.least_loaded_cpu(), id, reservation, 0)
             .map(|handle| handle.cpu)
     }
 
     /// Registers a pre-admitted thread on an explicit CPU — the placement
-    /// authority (the control pipeline's Place stage) has already chosen.
+    /// authority (the control pipeline's Place stage) has already chosen —
+    /// tagged with `owner`, the caller's name for the job it serves, which
+    /// the thread keeps through moves between CPUs
+    /// ([`Dispatcher::span_owner`], [`Machine::drain_usage_changes`]).
     /// Returns the thread's handle.
     pub fn add_thread_preadmitted_on(
         &mut self,
         cpu: CpuId,
         id: ThreadId,
         reservation: Reservation,
+        owner: u32,
     ) -> Result<ThreadHandle, SchedError> {
         if self.placement.contains(id) {
             return Err(SchedError::DuplicateThread(id));
         }
-        self.cpus[cpu.index()].add_thread_preadmitted(id, reservation)?;
+        self.cpus[cpu.index()].add_thread_owned(id, reservation, owner)?;
         Ok(self.placed(id, cpu))
     }
 
@@ -399,13 +404,16 @@ impl Machine {
 
     /// Installs a thread previously removed with
     /// [`Machine::extract_thread`] (possibly from another machine) on an
-    /// explicit CPU, preserving its reservation, throttle state and
-    /// mid-period usage account.  Returns the thread's handle.
+    /// explicit CPU under the owner tag `owner`, preserving its
+    /// reservation, throttle state and mid-period usage account.  Returns
+    /// the thread's handle.
     pub fn inject_thread_on(
         &mut self,
         cpu: CpuId,
-        thread: MigratedThread,
+        mut thread: MigratedThread,
+        owner: u32,
     ) -> Result<ThreadHandle, SchedError> {
+        thread.owner = owner;
         let id = thread.id;
         if cpu.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
@@ -501,7 +509,7 @@ impl Machine {
     /// Visits every thread (machine-wide, CPU 0 first) whose
     /// usage ratio changed since its last visit — the changed-only usage
     /// feed for the controller (see [`Dispatcher::drain_usage_changes`]).
-    pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, f64)) {
+    pub fn drain_usage_changes(&mut self, mut f: impl FnMut(ThreadId, u32, f64)) {
         for d in &mut self.cpus {
             d.drain_usage_changes(&mut f);
         }
@@ -575,10 +583,10 @@ mod tests {
     #[test]
     fn duplicate_ids_rejected_across_cpus() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10))
+        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10), 0)
             .unwrap();
         assert_eq!(
-            m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(1, 10)),
+            m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(1, 10), 0),
             Err(SchedError::DuplicateThread(ThreadId(1))),
             "a thread exists once per machine, not once per CPU"
         );
@@ -587,7 +595,7 @@ mod tests {
     #[test]
     fn migration_preserves_throttled_state_mid_period() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10))
+        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10), 0)
             .unwrap();
         let o = m.dispatch(CpuId(0));
         charge(&mut m, ThreadId(1), o.quantum_us);
@@ -619,7 +627,7 @@ mod tests {
     #[test]
     fn migrate_to_same_cpu_is_a_noop() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(100, 10))
+        m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(100, 10), 0)
             .unwrap();
         assert_eq!(m.migrate(ThreadId(1), CpuId(1)), Ok(CpuId(1)));
         assert_eq!(m.cpu_of(ThreadId(1)), Some(CpuId(1)));
@@ -632,7 +640,7 @@ mod tests {
             m.migrate(ThreadId(9), CpuId(1)),
             Err(SchedError::UnknownThread(ThreadId(9)))
         );
-        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10))
+        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10), 0)
             .unwrap();
         assert!(matches!(
             m.migrate(ThreadId(1), CpuId(7)),
@@ -643,9 +651,9 @@ mod tests {
     #[test]
     fn lockstep_advance_and_aggregate_stats() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
-        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(300, 10))
+        m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(300, 10), 0)
             .unwrap();
-        m.add_thread_preadmitted_on(CpuId(1), ThreadId(2), res(300, 10))
+        m.add_thread_preadmitted_on(CpuId(1), ThreadId(2), res(300, 10), 0)
             .unwrap();
         for _ in 0..20 {
             let mut max_q = 1;
@@ -671,6 +679,39 @@ mod tests {
             assert!(m.usage(id).unwrap().total_used_us > 0);
         }
         assert_eq!(agg.deadlines_missed, 0);
+    }
+
+    /// A thread's owner tag is set where it is placed, stays with it
+    /// through a move between CPUs and one between machines (where the
+    /// receiver sets a new one), and comes back with each of its
+    /// dispatches and usage reports.
+    #[test]
+    fn the_owner_tag_travels_with_the_thread() {
+        let mut m = Machine::new(DispatcherConfig::default(), 2);
+        let mut handle = m
+            .add_thread_preadmitted_on(CpuId(0), ThreadId(5), res(500, 10), 7)
+            .unwrap();
+        m.add_thread_preadmitted_on(CpuId(1), ThreadId(6), res(500, 10), 9)
+            .unwrap();
+        let span_owner = |m: &mut Machine, cpu| {
+            m.dispatch(cpu);
+            m.dispatcher(cpu).span_owner()
+        };
+        assert_eq!(span_owner(&mut m, CpuId(0)), Some(7));
+        m.actuate(&mut handle, ThreadId(5), res(200, 10), CpuId(1))
+            .unwrap();
+        m.extract_thread(ThreadId(6)).unwrap();
+        assert_eq!(span_owner(&mut m, CpuId(1)), Some(7), "moved with it");
+        assert_eq!(span_owner(&mut m, CpuId(0)), None, "an idle dispatch");
+
+        let mut other = Machine::new(DispatcherConfig::default(), 1);
+        let thread = m.extract_thread(ThreadId(5)).unwrap();
+        other.inject_thread_on(CpuId(0), thread, 3).unwrap();
+        assert_eq!(span_owner(&mut other, CpuId(0)), Some(3));
+        other.advance_to(100_000);
+        let mut reports = Vec::new();
+        other.drain_usage_changes(|id, owner, _| reports.push((id, owner)));
+        assert_eq!(reports, [(ThreadId(5), 3)]);
     }
 
     #[test]

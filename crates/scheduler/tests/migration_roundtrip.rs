@@ -73,7 +73,7 @@ proptest! {
             Period::from_millis(period_ms),
         );
         machine
-            .add_thread_preadmitted_on(CpuId(0), id, reservation)
+            .add_thread_preadmitted_on(CpuId(0), id, reservation, 0)
             .unwrap();
         oracle.add_thread_preadmitted(id, reservation).unwrap();
 
@@ -240,8 +240,8 @@ proptest! {
                 // Admit the thread (by slot reuse, if anything was freed).
                 (0 | 1, None) => {
                     let r = reservation(a, b);
-                    by_id.add_thread_preadmitted_on(to, id, r).unwrap();
-                    let handle = by_handle.add_thread_preadmitted_on(to, id, r).unwrap();
+                    by_id.add_thread_preadmitted_on(to, id, r, 0).unwrap();
+                    let handle = by_handle.add_thread_preadmitted_on(to, id, r, 0).unwrap();
                     prop_assert_eq!(handle.cpu, to);
                     handles.insert(id, handle);
                 }
@@ -253,9 +253,9 @@ proptest! {
                 }
                 (1, Some(handle)) => {
                     let thread = by_id.extract_thread(id).unwrap();
-                    by_id.inject_thread_on(to, thread).unwrap();
+                    by_id.inject_thread_on(to, thread, 0).unwrap();
                     let thread = by_handle.extract_thread(id).unwrap();
-                    let moved = by_handle.inject_thread_on(to, thread).unwrap();
+                    let moved = by_handle.inject_thread_on(to, thread, 0).unwrap();
                     handles.insert(id, moved);
                     stale.push((id, handle));
                 }

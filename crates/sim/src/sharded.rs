@@ -47,7 +47,7 @@ use crate::trace::Trace;
 use crate::workload::WorkModel;
 use rrs_core::{controller::AdmitError, Controller, JobClass, JobHandle, JobId, JobSpec, SimTime};
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{CpuId, Reservation, ThreadId, UsageAccount};
+use rrs_scheduler::{CpuId, IdMap, Reservation, ThreadId, UsageAccount};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use std::any::Any;
 use std::borrow::Cow;
@@ -128,9 +128,8 @@ pub struct ShardedSim {
     /// Global CPU index of each shard's CPU 0 (prefix sums of per-shard
     /// CPU counts), plus one trailing entry holding the total.
     cpu_base: Vec<usize>,
-    /// Owning shard per raw job id (dense, indexed by `JobId.0`;
-    /// `u32::MAX` = not ours / removed).
-    job_shard: Vec<u32>,
+    /// Owning shard per resident job.
+    job_shard: IdMap<JobId, u32>,
     /// Absolute time of the next rebalance barrier, in microseconds.
     next_rebalance_us: u64,
     /// The requested-horizon clock: `run_until_micros(end)` leaves this
@@ -181,7 +180,7 @@ impl ShardedSim {
             registry,
             shards,
             cpu_base,
-            job_shard: Vec::new(),
+            job_shard: IdMap::new(),
             next_rebalance_us: interval_us,
             clock_us: 0,
             telemetry: None,
@@ -205,10 +204,7 @@ impl ShardedSim {
 
     /// The shard currently owning a job, if the job is live.
     pub fn shard_of(&self, job: JobId) -> Option<usize> {
-        match self.job_shard.get(job.0 as usize) {
-            Some(&s) if s != u32::MAX => Some(s as usize),
-            _ => None,
-        }
+        self.job_shard.get(job).map(|s| s as usize)
     }
 
     /// The global configuration the machine was built from.
@@ -233,14 +229,6 @@ impl ShardedSim {
 
     fn owning_shard(&self, job: JobId) -> Option<&Simulation> {
         self.shard_of(job).map(|s| &self.shards[s])
-    }
-
-    fn note_job(&mut self, job: JobId, shard: usize) {
-        let i = job.0 as usize;
-        if self.job_shard.len() <= i {
-            self.job_shard.resize(i + 1, u32::MAX);
-        }
-        self.job_shard[i] = shard as u32;
     }
 
     /// The shard with the lowest granted load per CPU (lowest index wins
@@ -274,7 +262,7 @@ impl ShardedSim {
             _ => 0,
         };
         let handle = self.shards[shard].add_job(name, spec, work)?;
-        self.note_job(handle.job, shard);
+        self.job_shard.insert(handle.job, shard as u32);
         Ok(handle)
     }
 
@@ -398,7 +386,7 @@ impl ShardedSim {
                 let Some((handle, granted)) = from.migrate_job(job, to, cpu) else {
                     continue;
                 };
-                self.note_job(handle.job, dst);
+                self.job_shard.insert(handle.job, dst as u32);
                 moved_ppt += granted as u64;
                 moved += 1;
                 self.rebalance_migrations += 1;
@@ -470,7 +458,7 @@ impl Host for ShardedSim {
         if let Some(fresh) = self.shards[s].handle_of(handle.job) {
             self.shards[s].remove_job(fresh);
         }
-        self.job_shard[handle.job.0 as usize] = u32::MAX;
+        self.job_shard.remove(handle.job);
     }
 
     fn advance(&mut self, dt: SimTime) {

@@ -24,8 +24,8 @@ use crate::trace::{JobSeries, Trace};
 use crate::workload::WorkModel;
 pub use rrs_core::SimStats;
 use rrs_core::{
-    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobId, JobSlot,
-    JobSpec, SimTime, SlotSet,
+    controller::AdmitError, ControlLoop, Controller, ControllerConfig, JobHandle, JobId, JobSpec,
+    SimTime,
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
@@ -123,20 +123,22 @@ struct SimThread {
     work: Box<dyn WorkModel>,
 }
 
-/// The entry of [`Simulation::threads`] at `slot`, if the slot is live.
+/// The live entry of [`Simulation::threads`] at slot index `index` — a
+/// dispatched thread's owner tag, or a [`rrs_core::JobSlot::index`].
 #[inline]
-fn entry_mut(threads: &mut [Option<SimThread>], slot: Option<JobSlot>) -> Option<&mut SimThread> {
-    threads.get_mut(slot?.index())?.as_mut()
+fn entry_mut(threads: &mut [Option<SimThread>], index: usize) -> &mut SimThread {
+    threads[index]
+        .as_mut()
+        .expect("a bound slot has its simulator entry")
 }
 
-/// Records `id` as `tid`'s pending `Event::Wake` in
-/// [`Simulation::wake_events`].
-fn set_wake_event(wake_events: &mut Vec<Option<EventId>>, tid: ThreadId, id: EventId) {
-    let i = tid.0 as usize;
-    if wake_events.len() <= i {
-        wake_events.resize(i + 1, None);
+/// Records `id` as the pending `Event::Wake` of the job at slot index
+/// `index` in [`Simulation::wake_events`].
+fn set_wake_event(wake_events: &mut Vec<Option<EventId>>, index: usize, id: EventId) {
+    if wake_events.len() <= index {
+        wake_events.resize(index + 1, None);
     }
-    wake_events[i] = Some(id);
+    wake_events[index] = Some(id);
 }
 
 /// The discrete-event simulation.
@@ -165,34 +167,36 @@ pub struct Simulation {
     /// and recorder.  Everything below is the simulated clock and the work
     /// models it drives.
     ctl: ControlLoop,
-    /// Dense thread table indexed by [`JobSlot::index`], entries inline: a
-    /// dispatched or reporting [`ThreadId`] resolves through the loop's id
-    /// → slot table ([`ControlLoop::slot_of`]) and lands on its work model
-    /// with no box in between.  Slot-indexed rather than id-indexed because
-    /// under the sharded simulator a shard owns one id in every
-    /// `id_stride`: an id-indexed table of inline entries is mostly holes
-    /// the size of an entry (+2.2 MiB peak RSS on `sharded_churn` when
-    /// tried), whereas slot indices are dense and reused.  A removed job's
-    /// id resolves to no slot, so a stale wake or usage report never
-    /// reaches the index's next tenant.
+    /// Dense thread table indexed by [`rrs_core::JobSlot::index`], entries
+    /// inline; a dispatched thread's owner tag is that index
+    /// ([`Dispatcher::span_owner`]), so the span loop reaches its work
+    /// model with no lookup.  Not by id: a shard owns one id in every
+    /// `id_stride` and migrations bring it ids from every other shard, so
+    /// an id-indexed table is mostly holes and grows with every id issued.
+    /// A removed job's id resolves to no slot ([`ControlLoop::slot_of`]),
+    /// so a stale wake-up never reaches the index's next tenant.
     threads: Vec<Option<SimThread>>,
     /// Every job's trace series and name, indexed like `threads`.
     series: JobSeries,
     /// Scratch for a trace round's walk in thread-id order
     /// ([`ControlLoop::threads_by_id`]).
     trace_order: Vec<u32>,
-    /// The blocked-thread calendar: raw ids (dense, like `threads`) whose
-    /// work model reported a block and has not yet been polled awake.  The
-    /// bitset walks in id order, matching the original full scan, and skips
-    /// 64 unblocked threads per word.
-    blocked: SlotSet,
-    /// Scratch for in-window wake entries `(wake_at_us, id, dense slot)`
-    /// in [`Simulation::advance_cpus_to`] (reused across CPUs/windows so
-    /// the window loop stays allocation-free once warmed).
-    scratch_wakes: Vec<(u64, ThreadId, u32)>,
-    /// Scratch for in-window poll entries `(id, dense slot)`, same reuse
-    /// discipline as `scratch_wakes`.
-    scratch_poll: Vec<(ThreadId, u32)>,
+    /// The blocked-thread calendar: the threads whose work model reported
+    /// a block and has not yet been polled awake, as `(id, slot index)`.
+    /// `blocked` is sorted by id, the order of the original full scan over
+    /// every id.  A thread that blocks joins `arrivals`, which the next
+    /// poll merges in, so joining is a push.
+    blocked: Vec<(ThreadId, u32)>,
+    arrivals: Vec<(ThreadId, u32)>,
+    /// Scratch the poll gathers the still-blocked threads into.
+    still_blocked: Vec<(ThreadId, u32)>,
+    /// Scratch for in-window wake entries `(wake_at_us, id, dispatcher
+    /// slot, owner tag)` in [`Simulation::advance_cpus_to`] (reused across
+    /// CPUs/windows so the window loop stays allocation-free once warmed).
+    scratch_wakes: Vec<(u64, ThreadId, u32, u32)>,
+    /// Scratch for in-window poll entries `(id, dispatcher slot, owner
+    /// tag)`, same reuse discipline as `scratch_wakes`.
+    scratch_poll: Vec<(ThreadId, u32, u32)>,
     now_us: u64,
     /// Time of the last event popped off the calendar; event times must
     /// never run backwards (checked on every pop in debug builds).
@@ -204,8 +208,9 @@ pub struct Simulation {
     /// The event calendar: controller cycles, trace samples, known
     /// wake-ups and poll ticks.
     calendar: Schedule,
-    /// Pending `Event::Wake` entries indexed by `ThreadId.0` (dense, like
-    /// `threads`), so removing a job cancels its wake-up.
+    /// Pending `Event::Wake` entries indexed like `threads`, so removing
+    /// or moving a job cancels its wake-up.  Apart from `threads`, and
+    /// grown only by a wake-up, so jobs that never sleep pay nothing.
     wake_events: Vec<Option<EventId>>,
     /// The single outstanding `Event::PollTick`, if any.
     poll_tick: Option<EventId>,
@@ -256,7 +261,9 @@ impl Simulation {
             threads: Vec::new(),
             series: JobSeries::new(),
             trace_order: Vec::new(),
-            blocked: SlotSet::default(),
+            blocked: Vec::new(),
+            arrivals: Vec::new(),
+            still_blocked: Vec::new(),
             scratch_wakes: Vec::new(),
             scratch_poll: Vec::new(),
             now_us: 0,
@@ -314,33 +321,22 @@ impl Simulation {
         self.ctl.attach_telemetry(recorder);
     }
 
-    /// The live job `tid` serves: its controller slot and its entry.
-    #[inline]
-    fn thread_mut(&mut self, tid: ThreadId) -> Option<(JobSlot, &mut SimThread)> {
-        let slot = self.ctl.slot_of(tid)?;
-        Some((slot, entry_mut(&mut self.threads, Some(slot))?))
-    }
-
-    fn take_wake_event(&mut self, tid: ThreadId) -> Option<EventId> {
-        self.wake_events
-            .get_mut(tid.0 as usize)
-            .and_then(Option::take)
-    }
-
-    /// Stores a thread's simulator-side state in the dense tables.
+    /// Stores a thread's simulator-side state in the dense table.
     fn install_thread(&mut self, handle: JobHandle, thread: SimThread) {
         let i = handle.slot.index();
         if self.threads.len() <= i {
             self.threads.resize_with(i + 1, || None);
         }
         self.threads[i] = Some(thread);
-        self.blocked.grow(handle.thread.0 as usize + 1);
     }
 
-    /// Forgets a thread's block/wake status (the thread is leaving).
-    fn clear_wait(&mut self, tid: ThreadId) {
-        self.blocked.remove(tid.0 as usize);
-        if let Some(id) = self.take_wake_event(tid) {
+    /// Forgets the block/wake status of `tid`, the thread serving slot
+    /// index `index` (the thread is leaving).
+    fn clear_wait(&mut self, tid: ThreadId, index: usize) {
+        for set in [&mut self.blocked, &mut self.arrivals] {
+            set.retain(|&(t, _)| t != tid);
+        }
+        if let Some(id) = self.wake_events.get_mut(index).and_then(Option::take) {
             self.calendar.cancel(id);
         }
     }
@@ -375,7 +371,7 @@ impl Simulation {
             .ctl
             .extract(job)
             .expect("a thread in the table is a job in the loop");
-        self.clear_wait(tid);
+        self.clear_wait(tid, slot.index());
         let granted_ppt = mjob.granted().ppt();
         let was_blocked = mthread.state() == ThreadState::Blocked;
         let handle = to
@@ -396,10 +392,10 @@ impl Simulation {
                 let id = to
                     .calendar
                     .schedule(SimTime::from_micros(at), Event::Wake(tid));
-                set_wake_event(&mut to.wake_events, tid, id);
+                set_wake_event(&mut to.wake_events, handle.slot.index(), id);
             }
             None if was_blocked => {
-                to.blocked.insert(tid.0 as usize);
+                to.arrivals.push((tid, handle.slot.index() as u32));
                 to.ensure_poll_tick(to.now_us);
             }
             None => {}
@@ -526,18 +522,21 @@ impl Simulation {
                     .schedule(SimTime::from_micros(next), Event::Trace);
             }
             Event::Wake(tid) => {
-                self.take_wake_event(tid);
                 let now_us = self.now_us;
-                let Some((slot, entry)) = self.thread_mut(tid) else {
+                let Some(slot) = self.ctl.slot_of(tid) else {
                     return;
                 };
+                if let Some(pending) = self.wake_events.get_mut(slot.index()) {
+                    *pending = None;
+                }
+                let entry = entry_mut(&mut self.threads, slot.index());
                 // The wake time came from the model's own `next_transition`,
                 // but the model stays the authority: confirm via the poll
                 // hook, and fall back to polling if it disagrees.
                 if entry.work.poll_unblock(now_us) {
                     self.ctl.unblock(slot, tid);
                 } else {
-                    self.blocked.insert(tid.0 as usize);
+                    self.arrivals.push((tid, slot.index() as u32));
                     self.ensure_poll_tick(now_us);
                 }
             }
@@ -582,10 +581,10 @@ impl Simulation {
         }
         for cpu in 0..self.ctl.machine().cpu_count() {
             // In-window wake/poll entries carry the dispatcher's dense slot
-            // (returned by `block_span`), so waking is slot-addressed: no
-            // placement or id → slot map on the hot path.  Slots are stable
-            // within a window — migrations and removals only happen at
-            // controller events, which bound it.
+            // (returned by `block_span`) and the thread's owner tag, so
+            // waking is slot-addressed: no placement or id map on the hot
+            // path.  Slots are stable within a window — migrations and
+            // removals only happen at controller events, which bound it.
             let mut local_wakes = std::mem::take(&mut self.scratch_wakes);
             let mut local_poll = std::mem::take(&mut self.scratch_poll);
             self.advance_cpu(
@@ -599,16 +598,15 @@ impl Simulation {
             // global paths wake through the thread's stored handle — a
             // controller event in between may migrate the thread and
             // invalidate this window's slot).
-            for (at, tid, _) in local_wakes.drain(..) {
+            for (at, tid, _, owner) in local_wakes.drain(..) {
                 let id = self
                     .calendar
                     .schedule(SimTime::from_micros(at.max(target_us)), Event::Wake(tid));
-                set_wake_event(&mut self.wake_events, tid, id);
+                set_wake_event(&mut self.wake_events, owner as usize, id);
             }
             let had_poll = !local_poll.is_empty();
-            for (tid, _) in local_poll.drain(..) {
-                self.blocked.insert(tid.0 as usize);
-            }
+            let blocked = local_poll.drain(..).map(|(tid, _, owner)| (tid, owner));
+            self.arrivals.extend(blocked);
             if had_poll {
                 self.ensure_poll_tick(target_us);
             }
@@ -619,8 +617,7 @@ impl Simulation {
 
     /// One CPU's window from `start` to `target_us`, the simulator's
     /// innermost loop (see [`Simulation::advance_cpus_to`]).  The CPU's
-    /// dispatcher, the id → slot table, the thread table and the recorder
-    /// are borrowed once, and the window's counters — the CPU's overhead
+    /// dispatcher, the thread table and the recorder are borrowed once, and the window's counters — the CPU's overhead
     /// watermark and carry, its used time, the global overhead sum — live
     /// in locals written back when the window ends, so a span touches
     /// nothing through `self`.
@@ -643,8 +640,8 @@ impl Simulation {
         cpu: CpuId,
         start: u64,
         target_us: u64,
-        local_wakes: &mut Vec<(u64, ThreadId, u32)>,
-        local_poll: &mut Vec<(ThreadId, u32)>,
+        local_wakes: &mut Vec<(u64, ThreadId, u32, u32)>,
+        local_poll: &mut Vec<(ThreadId, u32, u32)>,
     ) {
         let cpu_hz = self.config.cpu.clock_hz;
         let interval = self.config.dispatcher.dispatch_interval_us.max(1);
@@ -664,26 +661,25 @@ impl Simulation {
         // f64 sum.
         let mut overhead_sum = ctl.stats_mut().dispatch_overhead_us;
         let mut used_sum = 0;
-        let (dispatcher, slot_of, recorder) = ctl.cpu_window(cpu);
+        let (dispatcher, recorder) = ctl.cpu_window(cpu);
         let mut t = start;
         let mut next_poll = u64::MAX;
         'window: loop {
             // Fire local wake-ups that have come due.
             let mut i = 0;
             while i < local_wakes.len() {
-                let (at, tid, dslot) = local_wakes[i];
+                let (at, tid, dslot, owner) = local_wakes[i];
                 if at > t {
                     i += 1;
                     continue;
                 }
                 local_wakes.swap_remove(i);
-                let entry = entry_mut(threads, slot_of(tid)).expect("blocked thread exists");
-                if entry.work.poll_unblock(t) {
+                if entry_mut(threads, owner as usize).work.poll_unblock(t) {
                     dispatcher
                         .unblock_slot(dslot, tid)
                         .expect("a slot blocked in this window is still the thread's");
                 } else {
-                    local_poll.push((tid, dslot));
+                    local_poll.push((tid, dslot, owner));
                     next_poll = next_poll.min(t + interval);
                 }
             }
@@ -691,9 +687,8 @@ impl Simulation {
             if t >= next_poll && !local_poll.is_empty() {
                 let mut j = 0;
                 while j < local_poll.len() {
-                    let (tid, dslot) = local_poll[j];
-                    let entry = entry_mut(threads, slot_of(tid)).expect("blocked thread exists");
-                    if entry.work.poll_unblock(t) {
+                    let (tid, dslot, owner) = local_poll[j];
+                    if entry_mut(threads, owner as usize).work.poll_unblock(t) {
                         local_poll.swap_remove(j);
                         dispatcher
                             .unblock_slot(dslot, tid)
@@ -721,7 +716,7 @@ impl Simulation {
                 if let Some(e) = dispatcher.next_timer_expiry() {
                     jump = jump.min(e);
                 }
-                for &(at, _, _) in local_wakes.iter() {
+                for &(at, ..) in local_wakes.iter() {
                     jump = jump.min(at);
                 }
                 jump = jump.min(next_poll).clamp(t + 1, target_us);
@@ -732,9 +727,9 @@ impl Simulation {
 
             let mut outcome = dispatcher.dispatch();
             // The span thread's model, resolved once for the whole pass.
-            let mut span_thread = outcome
-                .thread
-                .and_then(|tid| entry_mut(threads, slot_of(tid)));
+            let mut span_thread = dispatcher
+                .span_owner()
+                .and_then(|owner| threads.get_mut(owner as usize)?.as_mut());
             // One span per pass: the general dispatch's, then a hit run —
             // the cache's re-issues of the same pick, for as long as the
             // checks above provably have nothing to do.
@@ -786,7 +781,7 @@ impl Simulation {
                     None
                 };
                 // Slot-addressed batched charge on the span's own CPU: no
-                // placement lookup, no id → slot map, and consecutive
+                // placement lookup, no id map, and consecutive
                 // uncontended spans settle in one account update.
                 dispatcher.charge_span(used);
                 used_sum += used;
@@ -802,20 +797,21 @@ impl Simulation {
                 }
                 t += used;
                 if result.blocked {
+                    let owner = dispatcher.span_owner().expect("the span thread is here");
                     let dslot = dispatcher.block_span();
                     match wake {
                         Some(w) => {
                             let at = w.as_micros().max(t + 1);
                             if at < target_us {
-                                local_wakes.push((at, tid, dslot));
+                                local_wakes.push((at, tid, dslot, owner));
                             } else {
                                 let id =
                                     calendar.schedule(SimTime::from_micros(at), Event::Wake(tid));
-                                set_wake_event(wake_events, tid, id);
+                                set_wake_event(wake_events, owner as usize, id);
                             }
                         }
                         None => {
-                            local_poll.push((tid, dslot));
+                            local_poll.push((tid, dslot, owner));
                             next_poll = next_poll.min(t + interval);
                         }
                     }
@@ -866,22 +862,33 @@ impl Simulation {
 
     fn poll_blocked(&mut self) {
         let now = self.now_us;
-        // Ascending bits are ascending ids, the order of the original full
-        // scan.  Each word is copied out before its threads are polled, so
-        // taking a woken thread out of the set cannot disturb the walk.
-        for w in 0..self.blocked.word_count() {
-            let mut pending = self.blocked.word(w);
-            while pending != 0 {
-                let raw = w * 64 + pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let tid = ThreadId(raw as u64);
-                let (slot, entry) = self.thread_mut(tid).expect("blocked thread exists");
-                if entry.work.poll_unblock(now) {
-                    self.blocked.remove(raw);
-                    self.ctl.unblock(slot, tid);
-                }
+        let Self {
+            blocked,
+            arrivals,
+            still_blocked,
+            threads,
+            ctl,
+            ..
+        } = self;
+        arrivals.sort_unstable_by_key(|&(tid, _)| tid);
+        let (mut old, mut new) = (blocked.iter().peekable(), arrivals.iter().peekable());
+        // Both in ascending thread id, merged: the order of the original
+        // full scan.
+        while let Some(&(tid, index)) = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        } {
+            if entry_mut(threads, index as usize).work.poll_unblock(now) {
+                let slot = ctl.controller().slot_at(index);
+                ctl.unblock(slot.expect("a blocked thread serves a live job"), tid);
+            } else {
+                still_blocked.push((tid, index));
             }
         }
+        arrivals.clear();
+        blocked.clear();
+        std::mem::swap(blocked, still_blocked);
     }
 
     /// Takes one round of trace samples and returns when the next is due.
@@ -939,11 +946,11 @@ impl Host for Simulation {
     fn remove_job(&mut self, handle: JobHandle) {
         // Only the slot's current tenant: a handle left over from a removed
         // job names an index that may be somebody else's by now.
-        if self.ctl.slot_of(handle.thread) == Some(handle.slot) {
+        if self.ctl.controller().job_of(handle.slot) == Some(handle.job) {
+            self.clear_wait(handle.thread, handle.slot.index());
             self.threads[handle.slot.index()] = None;
             self.series.remove(handle.slot.index());
         }
-        self.clear_wait(handle.thread);
         self.ctl.retire(handle);
     }
 
@@ -1050,6 +1057,14 @@ mod tests {
     use rrs_queue::{JobKey, Role};
     use rrs_scheduler::{Period, Proportion};
     use std::sync::Arc;
+
+    impl Simulation {
+        /// The live job `tid` serves: its controller slot and its entry.
+        fn thread_mut(&mut self, tid: ThreadId) -> Option<(rrs_core::JobSlot, &mut SimThread)> {
+            let slot = self.ctl.slot_of(tid)?;
+            Some((slot, entry_mut(&mut self.threads, slot.index())))
+        }
+    }
 
     /// Uses every cycle it is offered and never blocks.
     struct Spin {
@@ -1695,6 +1710,69 @@ mod tests {
         fn next_transition(&self, _now: SimTime) -> Option<SimTime> {
             self.wake_at.map(SimTime::from_micros)
         }
+    }
+
+    /// A shard that sees ten times its resident count of ids — sleepers
+    /// with pending wake-ups and blocked pollers among them, admitted,
+    /// removed and migrated both ways — keeps its thread table (and with
+    /// it the wake-ups) as large as its resident jobs, not as the ids.
+    #[test]
+    fn the_thread_table_stays_as_large_as_the_resident_jobs() {
+        const RESIDENT: usize = 6;
+        let registry = MetricRegistry::new();
+        let shard = |first| {
+            Simulation::with_shard_identity(SimConfig::default(), registry.clone(), first, 2)
+        };
+        let (mut a, mut b) = (shard(1), shard(2));
+        let polls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let job = |i: usize| -> Box<dyn WorkModel> {
+            match i % 3 {
+                0 => Box::new(Spin::new()),
+                1 => Box::new(Dummy),
+                _ => Box::new(Sleeper {
+                    burst_us: 200,
+                    sleep_us: 30_000,
+                    wake_at: None,
+                    polls: polls.clone(),
+                }),
+            }
+        };
+        let mut jobs: Vec<JobHandle> = (0..RESIDENT)
+            .map(|i| a.add_job("j", JobSpec::miscellaneous(), job(i)).unwrap())
+            .collect();
+        let mut guests = vec![b.add_job("g", JobSpec::miscellaneous(), job(2)).unwrap()];
+        for round in 0..10 * RESIDENT {
+            a.remove_job(jobs.remove(0));
+            jobs.push(
+                a.add_job("j", JobSpec::miscellaneous(), job(round))
+                    .unwrap(),
+            );
+            if round % 3 == 0 {
+                let out = jobs.remove(0);
+                guests.push(a.migrate_job(out.job, &mut b, CpuId::ZERO).unwrap().0);
+                let guest = guests.remove(0);
+                jobs.push(b.migrate_job(guest.job, &mut a, CpuId::ZERO).unwrap().0);
+            }
+            a.run_for(0.02);
+            b.run_for(0.02);
+        }
+        assert!(jobs.iter().any(|h| h.job.0 > 20 * RESIDENT as u64));
+        assert!(!a.blocked.is_empty(), "the dummies wait in the poll set");
+        assert!(a.blocked.len() + a.arrivals.len() <= RESIDENT);
+        assert_eq!(a.controller().job_count(), RESIDENT);
+        let sizes = |sim: &Simulation| (sim.threads.len(), sim.wake_events.len());
+        let (threads, wakes) = sizes(&a);
+        assert!(
+            threads <= RESIDENT + 1 && wakes <= RESIDENT + 1,
+            "{threads}, {wakes}"
+        );
+        let (threads, wakes) = sizes(&b);
+        assert!(threads <= 2 && wakes <= 2, "{threads}, {wakes}");
+        // Every pending wake-up belongs to a resident job: the calendar
+        // holds those, the poll tick, the next cycle and the next sample.
+        let pending = a.wake_events.iter().flatten().count();
+        assert!(pending > 0, "the sleepers wait on the calendar");
+        assert_eq!(a.calendar.len(), pending + a.poll_tick.iter().count() + 2);
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn throttled_thread_migrates_mid_period_without_losing_state() {
     // original period boundary.
     let mut m = Machine::new(DispatcherConfig::default(), 2);
     let r = Reservation::new(Proportion::from_ppt(100), Period::from_millis(10));
-    m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), r)
+    m.add_thread_preadmitted_on(CpuId(0), ThreadId(1), r, 0)
         .unwrap();
     let outcome = m.dispatch(CpuId(0));
     let handle = m.handle_of(ThreadId(1)).unwrap();

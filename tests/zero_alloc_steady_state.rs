@@ -6,7 +6,9 @@
 //!
 //! This file must contain only this one test: the counting allocator is
 //! process-global, so any concurrently running test in the same binary
-//! would pollute the measurement.
+//! would pollute the measurement.  It counts only on threads that armed
+//! it ([`arm_counting`]), so the test harness's own threads, which may
+//! allocate at any time, never land in a measured window.
 
 use realrate::core::{
     Controller, ControllerConfig, ControllerEvent, JobId, JobSpec, UsageSnapshot,
@@ -16,6 +18,7 @@ use realrate::telemetry::{
     CalendarEventKind, Recorder, SettleCause, TelemetryConfig, TraceEventKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,13 +26,32 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted.  A `const`
+    /// initialiser without a destructor: reading it never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts the calling thread's allocations from here on.  The measured
+/// code runs on the test's own thread (the sharded cases run their shards
+/// sequentially), so arming it once covers every window.
+fn arm_counting() {
+    COUNTED.with(|counted| counted.set(true));
+}
+
+fn count_allocation() {
+    if COUNTED.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: pure pass-through to `System` that only bumps a relaxed atomic
-// counter on the side; every GlobalAlloc contract obligation (layout
+// counter on armed threads; every GlobalAlloc contract obligation (layout
 // validity, pointer provenance, thread safety) is delegated unchanged.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards the caller's contract to `System` verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: caller upholds GlobalAlloc's `alloc` contract (non-zero
         // layout); we forward it verbatim to `System`.
         unsafe { System.alloc(layout) }
@@ -45,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwards the caller's contract to `System` verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: same delegation as `dealloc` — `ptr` originates from
         // `System` via our `alloc`, and the caller upholds the layout and
         // `new_size` requirements of `GlobalAlloc::realloc`.
@@ -675,6 +697,7 @@ fn assert_repeating_trace_rounds_allocation_free() {
 
 #[test]
 fn steady_state_control_cycle_is_allocation_free() {
+    arm_counting();
     // The paper's single CPU, and a 4-CPU machine with the Place stage
     // doing per-CPU load accounting (run sequentially: the counting
     // allocator is process-global).  Both run with telemetry disabled —

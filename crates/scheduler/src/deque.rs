@@ -1,14 +1,15 @@
-//! The slot-addressed sorted deque behind the run queue and the timer list.
+//! The caller-keyed sorted deque behind the run queue and the timer list.
 //!
 //! Both of the dispatcher's ordered structures ask the same three
 //! questions — what is the minimum, re-rank this slot, drop this slot —
 //! over elements addressed by the dispatcher's dense thread slot: the run
 //! queue under the dispatch key ([`crate::runqueue::RunKey`]), the timer
 //! list under `(expiry, ThreadId)`.  [`SortedDeque`] answers them from one
-//! `VecDeque` of `(key, slot)` pairs kept in ascending order, plus a
-//! per-slot table of the key each slot is queued under.  Elements compare
-//! as pairs, so keys that tie still have a total order and a deterministic
-//! minimum.
+//! `VecDeque` of `(key, slot)` pairs kept in ascending order, and nothing
+//! else: removing a slot, or re-ranking it (a removal and an insert),
+//! takes the key it is queued under, which the dispatcher derives from the
+//! thread's own entry.  Elements compare as pairs, so keys that tie still
+//! have a total order and a deterministic minimum.
 //!
 //! It is sorted rather than heap-ordered because both callers work at the
 //! ends.  The run queue pops its pick off the front, and a pick that a
@@ -44,8 +45,8 @@
 //! throttled at once on one CPU.  If a workload with thousands of
 //! mixed-period releases per CPU ever shows it, the fix is a chunked
 //! deque, not a return to the heap.  Nothing
-//! allocates once the deque and the key table have grown to the
-//! population's high-water mark.
+//! allocates once the deque has grown to the population's high-water
+//! mark.
 
 use std::collections::VecDeque;
 
@@ -55,83 +56,34 @@ use std::collections::VecDeque;
 /// anything deeper is cheaper to find in `O(log n)`.
 pub(crate) const TAIL_WALK: usize = 8;
 
-/// `(key, slot)` pairs in ascending order — the front is the minimum —
-/// addressed by dense thread-slot index.  The slot breaks ties between
-/// equal keys, so the order is total whatever the keys are.
+/// `(key, slot)` pairs in ascending order — the front is the minimum.
+/// The slot breaks ties between equal keys, so the order is total whatever
+/// the keys are.  The caller keeps each slot queued at most once and names
+/// the key it is queued under to take it out again.
 #[derive(Debug, Clone)]
 pub(crate) struct SortedDeque<K> {
     /// The queued pairs, sorted ascending.
     queue: VecDeque<(K, u32)>,
-    /// `slot -> key it is queued under`, `None` when the slot is not
-    /// queued: what finds a slot's pair again without scanning for it.
-    keys: Vec<Option<K>>,
 }
 
 impl<K> Default for SortedDeque<K> {
     fn default() -> Self {
         Self {
             queue: VecDeque::new(),
-            keys: Vec::new(),
         }
     }
 }
 
 impl<K: Ord + Copy> SortedDeque<K> {
-    /// Number of queued slots.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The minimum `(key, slot)` pair, if any.
     pub fn peek(&self) -> Option<(K, u32)> {
         self.queue.front().copied()
     }
 
-    /// The key `slot` is queued under, if it is queued.
-    #[cfg(test)]
-    pub(crate) fn key_of(&self, slot: u32) -> Option<K> {
-        self.keys.get(slot as usize).copied().flatten()
-    }
-
-    /// Queues `slot` under `key`, or re-ranks it if already queued.
-    /// Re-ranking under an unchanged key touches nothing.
-    pub(crate) fn upsert(&mut self, slot: u32, key: K) {
-        if self.keys.len() <= slot as usize {
-            self.keys.resize(slot as usize + 1, None);
-        }
-        let old = self.keys[slot as usize].replace(key);
-        if old == Some(key) {
-            return;
-        }
-        if let Some(old) = old {
-            self.unlink((old, slot));
-        }
-        self.link((key, slot));
-    }
-
-    /// Removes `slot`, returning the key it was queued under.
-    pub fn remove(&mut self, slot: u32) -> Option<K> {
-        // The front names its slot, so it does not wait for the key table:
-        // over whole `--seconds 1` benchmark runs that is 78 % of the run
-        // queue's removals on `pipeline_blocking`, and a quarter to all of
-        // the cancels of an armed timer (the table above).
-        if self.queue.front().is_some_and(|&(_, head)| head == slot) {
-            return self.pop_front().map(|(key, _)| key);
-        }
-        let key = self.keys.get_mut(slot as usize)?.take()?;
-        self.unlink((key, slot));
-        Some(key)
-    }
-
-    /// Removes and returns the minimum `(key, slot)` pair.
-    pub fn pop_front(&mut self) -> Option<(K, u32)> {
-        let min = self.queue.pop_front()?;
-        self.keys[min.1 as usize] = None;
-        Some(min)
-    }
-
-    /// Inserts `item` at its sorted place, looking for it from the tail.
-    fn link(&mut self, item: (K, u32)) {
+    /// Queues `slot` under `key`, at its sorted place, looking for it from
+    /// the tail.  The slot must not be queued already.
+    pub(crate) fn insert(&mut self, slot: u32, key: K) {
+        let item = (key, slot);
         let len = self.queue.len();
         let mut at = len;
         while at > 0 && self.queue[at - 1] > item {
@@ -144,35 +96,61 @@ impl<K: Ord + Copy> SortedDeque<K> {
         self.queue.insert(at, item);
     }
 
-    /// Takes the queued pair `item` out from wherever it sits (at either
-    /// end the removal shifts nothing).
-    fn unlink(&mut self, item: (K, u32)) {
-        let at = self
-            .queue
-            .binary_search(&item)
-            .expect("the key table names the key every queued slot is sorted under");
-        self.queue.remove(at);
+    /// Takes `slot`, queued under `key`, out from wherever it sits (at
+    /// either end the removal shifts nothing); `false` if it is not queued
+    /// under that key.
+    pub(crate) fn remove(&mut self, slot: u32, key: K) -> bool {
+        let item = (key, slot);
+        // The front needs no search: over whole `--seconds 1` benchmark
+        // runs that is 78 % of the run queue's removals on
+        // `pipeline_blocking`, and a quarter to all of the cancels of an
+        // armed timer (the table above).
+        if self.queue.front() == Some(&item) {
+            self.queue.pop_front();
+            return true;
+        }
+        match self.queue.binary_search(&item) {
+            Ok(at) => {
+                self.queue.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Removes and returns the minimum `(key, slot)` pair.
+    pub fn pop_front(&mut self) -> Option<(K, u32)> {
+        self.queue.pop_front()
     }
 }
 
 #[cfg(test)]
 impl<K: Ord + Copy + std::fmt::Debug> SortedDeque<K> {
+    /// Number of queued slots.
+    pub fn len(&self) -> usize {
+        self.queue.len()
+    }
+
     /// The queued pairs, front to back.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (K, u32)> + '_ {
         self.queue.iter().copied()
     }
 
-    /// Invariant check: the deque is strictly sorted and agrees with the
-    /// key table both ways.
+    /// The key `slot` is queued under, if it is queued: a scan, for tests.
+    pub(crate) fn key_of(&self, slot: u32) -> Option<K> {
+        self.iter().find(|&(_, s)| s == slot).map(|(key, _)| key)
+    }
+
+    /// Invariant check: the deque is strictly sorted and holds each slot
+    /// at most once.
     pub fn assert_consistent(&self) {
+        let mut slots = std::collections::BTreeSet::new();
         for (i, &(key, slot)) in self.queue.iter().enumerate() {
-            assert_eq!(self.keys[slot as usize], Some(key), "key table broken");
+            assert!(slots.insert(slot), "slot {slot} queued twice");
             if i > 0 {
                 assert!(self.queue[i - 1] < (key, slot), "sort order broken");
             }
         }
-        let queued = self.keys.iter().flatten().count();
-        assert_eq!(queued, self.queue.len(), "keys/queue cardinality mismatch");
     }
 }
 
@@ -181,13 +159,15 @@ pub(crate) mod tests {
     use super::*;
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// What [`check_against_oracle`] drives: the slot-addressed ordered
+    /// What [`check_against_oracle`] drives: the caller-keyed ordered
     /// queue both of the dispatcher's structures are — the deque itself
     /// under the run queue, [`crate::timerlist::TimerList`] through its
     /// public arm / cancel / pop surface.
     pub(crate) trait SlotQueue<K: Copy>: Default {
-        fn upsert(&mut self, slot: u32, key: K);
-        fn remove(&mut self, slot: u32) -> Option<K>;
+        /// Queues a slot that is not queued.
+        fn insert(&mut self, slot: u32, key: K);
+        /// Takes out `slot` queued under `key`; `false` if it is not.
+        fn remove(&mut self, slot: u32, key: K) -> bool;
         fn peek(&self) -> Option<(K, u32)>;
         fn len(&self) -> usize;
         fn key_of(&self, slot: u32) -> Option<K>;
@@ -197,11 +177,11 @@ pub(crate) mod tests {
     }
 
     impl<K: Ord + Copy + std::fmt::Debug> SlotQueue<K> for SortedDeque<K> {
-        fn upsert(&mut self, slot: u32, key: K) {
-            SortedDeque::upsert(self, slot, key)
+        fn insert(&mut self, slot: u32, key: K) {
+            SortedDeque::insert(self, slot, key)
         }
-        fn remove(&mut self, slot: u32) -> Option<K> {
-            SortedDeque::remove(self, slot)
+        fn remove(&mut self, slot: u32, key: K) -> bool {
+            SortedDeque::remove(self, slot, key)
         }
         fn peek(&self) -> Option<(K, u32)> {
             SortedDeque::peek(self)
@@ -222,9 +202,13 @@ pub(crate) mod tests {
 
     /// Drives a queue and a `BTreeSet` oracle through the same ops and
     /// compares them after every step, then drains both and compares the
-    /// pop order.  `ops` are `(slot, op, key)`: op 0–2 upserts (insert, or
-    /// re-key up or down), op 3 removes the slot (first, middle or last,
-    /// wherever it happens to sit), op 4 pops the minimum.
+    /// pop order.  The caller's side of the contract — which key each slot
+    /// is queued under — is the `keys` map, as the dispatcher's is its
+    /// thread table.  `ops` are `(slot, op, key)`: op 0–2 queue the slot
+    /// under `key` (an insert, or a re-key up or down: a removal under the
+    /// old key, then an insert), op 3 removes the slot (first, middle or
+    /// last, wherever it happens to sit) under its key, and must find
+    /// nothing under `key` when that is not its key, op 4 pops the minimum.
     pub(crate) fn check_against_oracle<K, Q>(ops: &[(u32, u8, K)])
     where
         K: Ord + Copy + std::fmt::Debug,
@@ -236,18 +220,23 @@ pub(crate) mod tests {
         for &(slot, op, key) in ops {
             match op {
                 0..=2 => {
-                    queue.upsert(slot, key);
                     if let Some(old) = keys.insert(slot, key) {
+                        assert!(queue.remove(slot, old), "queued under its old key");
                         oracle.remove(&(old, slot));
                     }
+                    queue.insert(slot, key);
                     oracle.insert((key, slot));
                 }
                 3 => {
                     let old = keys.remove(&slot);
+                    if old != Some(key) {
+                        assert!(!queue.remove(slot, key), "not queued under {key:?}");
+                    }
                     if let Some(old) = old {
                         oracle.remove(&(old, slot));
+                        assert!(queue.remove(slot, old));
                     }
-                    assert_eq!(queue.remove(slot), old);
+                    assert!(!queue.remove(slot, old.unwrap_or(key)), "double remove");
                 }
                 _ => {
                     let min = oracle.pop_first();
@@ -273,15 +262,16 @@ pub(crate) mod tests {
     fn remove_front_middle_back_and_absent() {
         let mut q = SortedDeque::default();
         for slot in 0..10u32 {
-            q.upsert(slot, 100 - slot as u64);
+            q.insert(slot, 100 - slot as u64);
         }
-        assert_eq!(q.remove(9), Some(91), "the front");
+        assert!(q.remove(9, 91), "the front");
         q.assert_consistent();
-        assert_eq!(q.remove(0), Some(100), "the back");
+        assert!(q.remove(0, 100), "the back");
         q.assert_consistent();
-        assert_eq!(q.remove(4), Some(96));
-        assert_eq!(q.remove(4), None, "double remove");
-        assert_eq!(q.remove(99), None, "never-queued slot");
+        assert!(!q.remove(4, 95), "under a key it is not queued under");
+        assert!(q.remove(4, 96));
+        assert!(!q.remove(4, 96), "double remove");
+        assert!(!q.remove(99, 1), "never-queued slot");
         q.assert_consistent();
         assert_eq!(q.len(), 7);
         assert_eq!(q.peek(), Some((92, 8)));
@@ -290,22 +280,11 @@ pub(crate) mod tests {
     #[test]
     fn equal_keys_order_by_slot() {
         let mut q = SortedDeque::default();
-        q.upsert(7, 5u64);
-        q.upsert(3, 5u64);
+        q.insert(7, 5u64);
+        q.insert(3, 5u64);
+        assert!(!q.remove(7, 4), "the key, not the slot, finds a pair");
         assert_eq!(q.pop_front(), Some((5, 3)));
         assert_eq!(q.pop_front(), Some((5, 7)));
         assert_eq!(q.pop_front(), None);
-    }
-
-    #[test]
-    fn upsert_under_the_same_key_moves_nothing() {
-        let mut q = SortedDeque::default();
-        for slot in 0..20u32 {
-            q.upsert(slot, slot as u64);
-        }
-        let before: Vec<_> = q.iter().collect();
-        q.upsert(13, 13);
-        q.upsert(0, 0);
-        assert_eq!(q.iter().collect::<Vec<_>>(), before);
     }
 }

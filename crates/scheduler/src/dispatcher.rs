@@ -42,8 +42,8 @@
 //! not only in debug builds — that the slot still holds the id the caller
 //! names: a stale slot is [`SchedError::UnknownThread`], never another
 //! thread's state.  From the edge inwards the hot loop runs entirely on
-//! dense `u32` slots — the run queue, the [`TimerList`] (slot-keyed, so a
-//! popped expiry is already a slot) and the watch list all speak slots.
+//! dense `u32` slots — the run queue, the [`TimerList`] (whose expired
+//! front names its slot) and the watch list all speak slots.
 //! The steady-state span loop the simulator drives
 //! ([`Dispatcher::dispatch`] → [`Dispatcher::charge_span`] →
 //! [`Dispatcher::advance_to`]) therefore touches no maps at all, and two
@@ -105,9 +105,13 @@
 //! * **The timer rule** (`rearm`): only a throttled thread keeps a timer,
 //!   at its next boundary — its release is the one boundary that can
 //!   change a dispatch decision, and the paper's "no work unless at least
-//!   one timer has expired".  Every site that changes a thread's state or
-//!   boundary re-applies the rule instead of arming or cancelling for
-//!   itself.
+//!   one timer has expired".
+//!
+//! The run queue and the timer list keep no record of a slot's key: both
+//! keys and both memberships are functions of the thread's entry
+//! (`Filing`).  Every site that changes a key input (pick sequence,
+//! period, next boundary) or a membership state reads the filing before
+//! the change and hands it to `refile` after, which unlinks under it.
 //!
 //! The cache and the span batch are counted by the always-on [`DispatchStats`]
 //! (exposed per CPU by [`Dispatcher::stats`] and machine-wide by
@@ -267,6 +271,24 @@ impl ThreadEntry {
             id: self.id,
         }
     }
+
+    /// Where the rules file this thread (`off_queue`: it is that pick).
+    fn filing(&self, off_queue: bool) -> Filing {
+        Filing {
+            queued: (self.state.is_runnable() && !off_queue).then(|| self.run_key()),
+            armed: (self.state == ThreadState::Throttled)
+                .then_some((self.next_boundary_us, self.id)),
+        }
+    }
+}
+
+/// The keys a thread is filed under, both derived from its entry: its run
+/// key while it is runnable and not the off-queue pick, its release timer
+/// `(next boundary, id)` while it is throttled (the timer rule).
+#[derive(Clone, Copy, Default)]
+struct Filing {
+    queued: Option<RunKey>,
+    armed: Option<(u64, ThreadId)>,
 }
 
 /// A thread lifted out of one dispatcher for insertion into another — the
@@ -328,10 +350,11 @@ pub struct Dispatcher {
     /// inline its 80 bytes spread the fields a dispatch span touches over
     /// one more cache line (`spin_uncontended` `run_wall_s` ×1.05).
     by_id: Box<IdMap<ThreadId, u32>>,
-    /// Every runnable thread, ranked by the dispatch key.
+    /// Every runnable thread but the off-queue pick, by dispatch key.
     runnable: RunQueue,
     /// Running sum of reserved proportions, in parts per thousand.
     reserved_ppt: u32,
+    /// Every throttled thread's release timer.
     timers: TimerList,
     now_us: u64,
     running: Option<ThreadId>,
@@ -482,7 +505,7 @@ impl Dispatcher {
         self.reserved_ppt += entry.reservation.proportion.ppt();
         self.by_id.insert(entry.id, idx);
         self.entries[idx as usize] = Some(entry);
-        self.reindex(idx);
+        self.refile(idx, Filing::default());
         // A fresh reservation's ratio is about to diverge from whatever the
         // controller last saw, so it goes straight on watch.
         self.watch(idx);
@@ -500,37 +523,44 @@ impl Dispatcher {
             self.span_slot = None;
             self.span_pending_us = 0;
         }
-        if self.off_queue_pick.take_if(|pick| *pick == idx).is_none() {
-            self.runnable.remove(idx);
-        }
+        let off_queue = self.off_queue_pick.take_if(|pick| *pick == idx).is_some();
+        let was = entry.filing(off_queue);
+        self.reindex(idx, was.queued, None);
+        self.rearm(idx, was.armed, None);
         self.reserved_ppt -= entry.reservation.proportion.ppt();
         self.by_id.remove(entry.id);
         self.free.push(idx);
         entry
     }
 
-    /// Re-derives the entry's run-queue membership and rank from its current
-    /// state.  Called after every mutation that can affect them: `O(1)` for
-    /// any change to the off-queue pick — while it stays runnable it stays
-    /// off the queue (the next slow dispatch ranks it against the front),
-    /// and a throttle or block has nothing to remove — and for an insert or
-    /// removal at or near the queue's tail, a binary search plus a shift
-    /// otherwise.  Conservatively bumps `queue_gen` (disarming the
-    /// next-quantum cache) even when nothing changes.
-    fn reindex(&mut self, idx: u32) {
+    /// Moves the thread at `idx` from `was`, its filing read before a
+    /// change, to where the rules file it now: `O(1)` at either end of a
+    /// structure, a binary search plus a shift elsewhere, nothing for a
+    /// key that did not change.  Always bumps `queue_gen`.
+    fn refile(&mut self, idx: u32, was: Filing) {
         self.queue_gen += 1;
-        let Some(entry) = self.entries[idx as usize].as_ref() else {
+        let entry = self.entries[idx as usize]
+            .as_ref()
+            .expect("a re-file follows a change to an occupied slot");
+        if !entry.state.is_runnable() {
+            self.off_queue_pick.take_if(|pick| *pick == idx);
+        }
+        let now = entry.filing(self.off_queue_pick == Some(idx));
+        self.reindex(idx, was.queued, now.queued);
+        self.rearm(idx, was.armed, now.armed);
+    }
+
+    /// Re-ranks the slot from `was`, the key it is queued under, to `now`.
+    fn reindex(&mut self, idx: u32, was: Option<RunKey>, now: Option<RunKey>) {
+        if was == now {
             return;
-        };
-        let runnable = entry.state.is_runnable();
-        if self.off_queue_pick == Some(idx) {
-            if !runnable {
-                self.off_queue_pick = None;
-            }
-        } else if runnable {
-            self.runnable.upsert(idx, entry.run_key());
-        } else {
-            self.runnable.remove(idx);
+        }
+        if let Some(key) = was {
+            let queued = self.runnable.remove(idx, key);
+            debug_assert!(queued, "slot {idx} was not queued under its derived key");
+        }
+        if let Some(key) = now {
+            self.runnable.insert(idx, key);
         }
     }
 
@@ -563,7 +593,7 @@ impl Dispatcher {
         }
         let mut account = UsageAccount::new(self.now_us, reservation.budget_micros());
         account.mark_runnable();
-        let idx = self.link(ThreadEntry {
+        self.link(ThreadEntry {
             id,
             reservation,
             state: ThreadState::Ready,
@@ -574,7 +604,6 @@ impl Dispatcher {
             watched: false,
             owner,
         });
-        self.rearm(idx);
         Ok(())
     }
 
@@ -582,8 +611,8 @@ impl Dispatcher {
     /// preserving its reservation, run state and usage account.
     ///
     /// A running thread is demoted to Ready (it is not running on the
-    /// destination CPU); a throttled one's release timer is cancelled here
-    /// and re-armed by [`Dispatcher::inject_thread`].
+    /// destination CPU); a throttled one's release timer goes with its
+    /// entry here and is armed again by [`Dispatcher::inject_thread`].
     #[cfg(test)]
     pub(crate) fn take_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
         let slot = self.resolve(id)?;
@@ -602,7 +631,6 @@ impl Dispatcher {
         // Settle any boundary backlog on this CPU's clock, then hand the
         // next boundary to the destination.
         self.sync_entry(idx);
-        self.timers.cancel(idx);
         if self.running == Some(id) {
             self.running = None;
         }
@@ -644,7 +672,6 @@ impl Dispatcher {
             owner: thread.owner,
         });
         self.sync_entry(idx);
-        self.rearm(idx);
         Ok(())
     }
 
@@ -674,9 +701,6 @@ impl Dispatcher {
         // Settle the departing thread's boundary backlog so the global
         // rollover and miss statistics don't lose its final periods.
         self.sync_entry(idx);
-        // Cancel before the unlink frees (and possibly recycles) the slot
-        // the timer list is keyed by.
-        self.timers.cancel(idx);
         self.unlink(idx);
         if self.running == Some(id) {
             self.running = None;
@@ -705,13 +729,10 @@ impl Dispatcher {
     /// thread's dense slot — the per-actuation path, with no id → slot
     /// lookup.
     ///
-    /// Most actuations under overload move the grant alone.  When the
-    /// period and the run state are unchanged, the thread's timer and
-    /// run-queue key are already where the timer rule and the ranking put
-    /// them — both derive from period, state and boundary only, and the
-    /// off-queue pick is ranked afresh at the next slow dispatch — so it
-    /// skips the re-arm and the re-rank.  It still bumps `queue_gen`, so
-    /// the next-quantum cache disarms exactly as after a re-rank.
+    /// Most actuations under overload move the grant alone.  Unless the
+    /// period changes or a throttled thread may be released, its filing
+    /// does not move, so it skips the re-file and the run key it would
+    /// read; it still bumps `queue_gen`, as a re-file would.
     pub(crate) fn set_reservation_slot(
         &mut self,
         slot: u32,
@@ -727,32 +748,30 @@ impl Dispatcher {
         let entry = self.entries[slot as usize]
             .as_mut()
             .expect("verified occupied above; neither settle nor sync frees a slot");
+        let new_period = entry.reservation.period != reservation.period;
+        let was = (new_period || entry.state == ThreadState::Throttled)
+            .then(|| entry.filing(self.off_queue_pick == Some(slot)));
         let old = std::mem::replace(&mut entry.reservation, reservation);
         let new_budget = reservation.budget_micros();
         // Growing the budget mid-period can un-throttle the thread; a
         // shrinking budget only applies from the next period so work already
         // granted is not clawed back.
-        let mut released = false;
         if new_budget > entry.account.budget_us {
             entry.account.budget_us = new_budget;
             if entry.state == ThreadState::Throttled && !entry.account.exhausted() {
                 entry.state = ThreadState::Ready;
                 entry.account.mark_runnable();
-                released = true;
             }
         }
-        let new_period = old.period != reservation.period;
         if new_period {
             // New period length: re-anchor the boundary grid from now.
             entry.next_boundary_us = now + reservation.period.as_micros();
         }
         self.reserved_ppt -= old.proportion.ppt();
         self.reserved_ppt += reservation.proportion.ppt();
-        if new_period || released {
-            self.rearm(slot);
-            self.reindex(slot);
-        } else {
-            self.queue_gen += 1;
+        self.queue_gen += 1;
+        if let Some(was) = was {
+            self.refile(slot, was);
         }
         self.watch(slot);
         Ok(())
@@ -815,13 +834,13 @@ impl Dispatcher {
         let entry = self.entries[idx as usize].as_mut().expect(
             "block_inner receives the current span's slot or a verified one, both occupied",
         );
+        let was = entry.filing(self.off_queue_pick == Some(idx));
         let id = entry.id;
         entry.state = ThreadState::Blocked;
-        self.rearm(idx);
         if self.running == Some(id) {
             self.running = None;
         }
-        self.reindex(idx);
+        self.refile(idx, was);
     }
 
     /// Wakes a blocked thread.  Threads that are throttled stay throttled
@@ -849,14 +868,14 @@ impl Dispatcher {
             return;
         };
         if entry.state == ThreadState::Blocked {
+            // A blocked thread is filed nowhere.
             if entry.account.exhausted() {
                 entry.state = ThreadState::Throttled;
             } else {
                 entry.state = ThreadState::Ready;
                 entry.account.mark_runnable();
             }
-            self.rearm(idx);
-            self.reindex(idx);
+            self.refile(idx, Filing::default());
         }
     }
 
@@ -881,9 +900,11 @@ impl Dispatcher {
     /// test.
     #[inline(never)]
     fn release_expired(&mut self) {
-        // Only throttle-release timers are armed, and the popped slot is the
-        // dispatcher's own dense index — no id resolution.
-        while let Some(idx) = self.timers.pop_next_expired(self.now_us) {
+        // The roll releases the thread, and its re-file takes the timer off
+        // the front: the same slot twice in a row would spin, so it fails.
+        let mut last = None;
+        while let Some(idx) = self.timers.next_expired(self.now_us) {
+            assert_ne!(last.replace(idx), Some(idx), "a timer outlived its release");
             self.sync_entry(idx);
         }
     }
@@ -921,6 +942,9 @@ impl Dispatcher {
             .expect("both callers hold a live slot: a popped timer's or a probed entry's");
         let reservation = entry.reservation;
         let runnable_rest = entry.state.is_runnable();
+        // Only a release moves a filing (the run key ignores the boundary).
+        let released = entry.state == ThreadState::Throttled;
+        let was = released.then(|| entry.filing(false));
         let missed = entry.account.roll_periods(
             k,
             reservation.budget_micros(),
@@ -928,7 +952,6 @@ impl Dispatcher {
             final_start_us,
         );
         entry.next_boundary_us = final_start_us + reservation.period.as_micros().max(1);
-        let released = entry.state == ThreadState::Throttled;
         if released {
             entry.state = ThreadState::Ready;
         }
@@ -949,12 +972,8 @@ impl Dispatcher {
                 },
             );
         }
-        // A thread that was not throttled held no timer and holds none now;
-        // skipping the rule for it keeps the timer list's key table off the
-        // dispatch span.
-        if released {
-            self.rearm(idx);
-            self.reindex(idx);
+        if let Some(was) = was {
+            self.refile(idx, was);
         }
         if ratio_changed {
             self.watch(idx);
@@ -963,16 +982,18 @@ impl Dispatcher {
 
     /// The timer rule: only a throttled thread keeps a timer, at its next
     /// boundary (its release is the one boundary that can change a
-    /// dispatch decision).  Called after every change to a thread's state
-    /// or next boundary; arming a timer where it already is moves nothing.
-    fn rearm(&mut self, idx: u32) {
-        let Some(entry) = self.entries[idx as usize].as_ref() else {
+    /// dispatch decision).  Re-arms the slot from `was`, the timer it
+    /// holds, to `now`, the one the rule gives it after a change.
+    fn rearm(&mut self, idx: u32, was: Option<(u64, ThreadId)>, now: Option<(u64, ThreadId)>) {
+        if was == now {
             return;
-        };
-        if entry.state == ThreadState::Throttled {
-            self.timers.arm(idx, entry.id, entry.next_boundary_us);
-        } else {
-            self.timers.cancel(idx);
+        }
+        if let Some((expiry, id)) = was {
+            let armed = self.timers.cancel(idx, id, expiry);
+            debug_assert!(armed, "slot {idx} was not armed at its derived expiry");
+        }
+        if let Some((expiry, id)) = now {
+            self.timers.arm(idx, id, expiry);
         }
     }
 
@@ -1104,7 +1125,7 @@ impl Dispatcher {
                         if (key, last) < front {
                             (last, Some(key))
                         } else {
-                            self.runnable.upsert(last, key);
+                            self.runnable.insert(last, key);
                             let (key, idx) = self
                                 .runnable
                                 .pop_front()
@@ -1356,12 +1377,11 @@ impl Dispatcher {
         self.apply_charge(idx, us);
     }
 
-    /// Charges `us` to the slot's account, throttling it at the edge, and
-    /// re-ranks it.  The off-queue pick is not re-linked: a charge that
-    /// leaves it runnable leaves it the off-queue pick, and `reindex`'s
-    /// `queue_gen` bump disarms the next-quantum cache, so the next
-    /// dispatch is a counted miss — one that picks it again in place while
-    /// it still sorts before the queue's front.
+    /// Charges `us` to the slot's account, throttling it at the edge.  A
+    /// charge that leaves the thread runnable moves no key (the off-queue
+    /// pick stays off the queue), but the `queue_gen` bump disarms the
+    /// next-quantum cache, so the next dispatch is a counted miss — one
+    /// that picks it again in place while it still sorts first.
     fn apply_charge(&mut self, idx: u32, us: u64) {
         let entry = self.entries[idx as usize]
             .as_mut()
@@ -1372,16 +1392,17 @@ impl Dispatcher {
         let exhausts = charge_exhausts(&entry.account, 0, us);
         entry.account.charge(us);
         debug_assert_eq!(exhausts, entry.account.exhausted());
+        self.queue_gen += 1;
         if exhausts && entry.state.is_runnable() {
+            let was = entry.filing(self.off_queue_pick == Some(idx));
             entry.state = ThreadState::Throttled;
             if self.running == Some(id) {
                 self.running = None;
             }
-            self.rearm(idx);
+            self.refile(idx, was);
         } else if entry.state == ThreadState::Running {
             entry.state = ThreadState::Ready;
         }
-        self.reindex(idx);
         self.watch(idx);
     }
 
@@ -1421,10 +1442,24 @@ impl Dispatcher {
     }
 
     /// Cross-checks every derived index against a full recomputation.
+    /// The run queue and the timer list are held to the filing rules
+    /// exactly: a live slot is queued under its run key exactly when it is
+    /// runnable and not the off-queue pick, and armed at
+    /// `(next_boundary_us, id)` exactly when it is throttled; neither holds
+    /// anything else.
     #[cfg(test)]
-    fn assert_consistent(&self) {
+    pub(crate) fn assert_consistent(&self) {
+        use std::collections::BTreeMap;
+        self.runnable.assert_consistent();
+        self.timers.assert_consistent();
+        let mut queued: BTreeMap<u32, RunKey> = self
+            .runnable
+            .iter()
+            .map(|(key, slot)| (slot, key))
+            .collect();
+        let mut armed: BTreeMap<u32, (u64, ThreadId)> =
+            self.timers.iter().map(|(key, slot)| (slot, key)).collect();
         let mut reserved = 0u32;
-        let mut runnable = 0usize;
         let mut live = 0usize;
         for (slot, entry) in self.entries.iter().enumerate() {
             let Some(entry) = entry else { continue };
@@ -1437,26 +1472,22 @@ impl Dispatcher {
                 "by_id disagrees with dense storage for {id}"
             );
             reserved += entry.reservation.proportion.ppt();
-            // Queued ⇔ runnable, except the off-queue pick, which is
-            // runnable and not queued.
             let off_queue = self.off_queue_pick == Some(idx);
             assert!(
                 !off_queue || entry.state.is_runnable(),
                 "off-queue pick {id} is not runnable"
             );
             assert_eq!(
-                self.runnable.key_of(idx).is_some(),
-                entry.state.is_runnable() && !off_queue,
-                "run-queue membership stale for {id}"
+                queued.remove(&idx),
+                (entry.state.is_runnable() && !off_queue).then(|| entry.run_key()),
+                "run-queue filing broken for {id} ({:?})",
+                entry.state
             );
-            if entry.state.is_runnable() {
-                runnable += 1;
-            }
             // The timer rule ([`Dispatcher::rearm`]), restated: only a
             // throttled thread keeps a timer, at its next boundary.
             assert_eq!(
-                self.timers.expiry_of(idx),
-                (entry.state == ThreadState::Throttled).then_some(entry.next_boundary_us),
+                armed.remove(&idx),
+                (entry.state == ThreadState::Throttled).then_some((entry.next_boundary_us, id)),
                 "timer rule broken for {id} ({:?})",
                 entry.state
             );
@@ -1467,13 +1498,22 @@ impl Dispatcher {
                 );
             }
         }
+        assert!(
+            queued.is_empty(),
+            "the run queue holds freed slots {queued:?}"
+        );
+        assert!(
+            armed.is_empty(),
+            "the timer list holds freed slots {armed:?}"
+        );
+        if let Some(pick) = self.off_queue_pick {
+            assert!(
+                self.entries[pick as usize].is_some(),
+                "the off-queue pick names a freed slot"
+            );
+        }
         assert_eq!(self.by_id.len(), live, "by_id holds a freed slot");
         assert_eq!(self.reserved_ppt, reserved);
-        assert_eq!(
-            self.runnable.len() + usize::from(self.off_queue_pick.is_some()),
-            runnable,
-            "the off-queue pick names a freed slot, or the queue a non-runnable one"
-        );
         // Span-batch invariants: pending usage always has a live owner and
         // stays strictly under its budget (the throttle edge
         // settles before it is reached).
@@ -1521,21 +1561,26 @@ mod tests {
     /// misses and every byte added to an entry is paid on each of them.
     /// `ThreadEntry` is held at the size it has, not rounded up: padding it
     /// to 192 B (`align(64)`) read `spin_saturated` `run_wall_s` 0.130 →
-    /// 0.135 — footprint, not alignment, is the lever.  The queued pair and
-    /// the per-slot key of the run queue and the timer list stay within
-    /// half a line, so a walk in from the tail covers two places per line.
+    /// 0.135 — footprint, not alignment, is the lever.  The queued pairs
+    /// of the run queue and the timer list stay within half a line, so a
+    /// walk in from the tail covers two places per line; neither keeps
+    /// anything per slot (both keys derive from the entry).
     #[test]
     fn layout_budget() {
         use std::mem::size_of;
         assert!(size_of::<ThreadEntry>() <= 136);
         assert!(size_of::<(RunKey, u32)>() <= 32);
-        assert!(size_of::<Option<RunKey>>() <= 32);
         assert!(size_of::<((u64, ThreadId), u32)>() <= 32);
-        assert!(size_of::<Option<(u64, ThreadId)>>() <= 32);
     }
 
     fn reserved(ppt: u32, period_ms: u64) -> Reservation {
         Reservation::new(Proportion::from_ppt(ppt), Period::from_millis(period_ms))
+    }
+
+    /// Where the rules file the thread at `idx` now.
+    fn filing(d: &Dispatcher, idx: u32) -> Filing {
+        let entry = d.entries[idx as usize].as_ref().expect("occupied");
+        entry.filing(d.off_queue_pick == Some(idx))
     }
 
     fn ids(d: &Dispatcher) -> Vec<ThreadId> {
@@ -2446,30 +2491,72 @@ mod tests {
         d.assert_consistent();
     }
 
-    /// The timer rule over its whole table, from either prior timer state:
-    /// a thread keeps a timer at its next boundary only while throttled.
+    /// The timer rule over its whole table: from any state the rules
+    /// filed a thread in, a change of state, with or without a moved
+    /// boundary, leaves it a timer at its next boundary exactly when it is
+    /// throttled — and a run-queue place exactly when it is runnable.
     #[test]
     fn rearm_holds_the_timer_rule_in_every_mode_and_state() {
         use ThreadState::{Blocked, Ready, Running, Throttled};
-        for state in [Ready, Running, Throttled, Blocked] {
-            for stale_timer in [None, Some(777)] {
-                let mut d = Dispatcher::new(DispatcherConfig::default());
-                d.add_thread_preadmitted(ThreadId(1), reserved(100, 10))
+        let states = [Ready, Running, Throttled, Blocked];
+        for (from, to, moved) in states
+            .into_iter()
+            .flat_map(|from| states.map(|to| (from, to)))
+            .flat_map(|(from, to)| [(from, to, false), (from, to, true)])
+        {
+            let mut d = Dispatcher::new(DispatcherConfig::default());
+            for id in 1..=3 {
+                d.add_thread_preadmitted(ThreadId(id), reserved(100, 10 * id))
                     .unwrap();
-                let idx = d.slot_of(ThreadId(1)).unwrap();
-                d.entries[idx as usize].as_mut().unwrap().state = state;
-                d.timers.cancel(idx);
-                if let Some(expiry) = stale_timer {
-                    d.timers.arm(idx, ThreadId(1), expiry);
-                }
-                d.rearm(idx);
-                assert_eq!(
-                    d.timers.expiry_of(idx),
-                    (state == Throttled).then_some(10_000),
-                    "{state:?} from {stale_timer:?}"
-                );
             }
+            let idx = d.slot_of(ThreadId(2)).unwrap();
+            for (state, shift) in [(from, 0), (to, if moved { 5_000 } else { 0 })] {
+                let was = filing(&d, idx);
+                let entry = d.entries[idx as usize].as_mut().unwrap();
+                entry.state = state;
+                entry.next_boundary_us += shift;
+                d.refile(idx, was);
+                d.assert_consistent();
+            }
+            let boundary = if moved { 25_000 } else { 20_000 };
+            assert_eq!(
+                d.timers.expiry_of(idx),
+                (to == Throttled).then_some(boundary),
+                "{from:?} to {to:?}, boundary moved: {moved}"
+            );
+            assert_eq!(d.runnable.key_of(idx).is_some(), to.is_runnable());
         }
+    }
+
+    /// Re-filing a thread whose keys did not change leaves both structures
+    /// as they were; so does a charge that leaves a queued thread runnable.
+    #[test]
+    fn a_re_file_under_unchanged_keys_moves_nothing() {
+        let mut d = Dispatcher::new(DispatcherConfig::default());
+        for id in 0..20u64 {
+            d.add_thread_preadmitted(ThreadId(id), reserved(40, 10 + id % 3))
+                .unwrap();
+        }
+        for id in [3, 7, 11] {
+            d.charge(ThreadId(id), 1_000).unwrap();
+            assert_eq!(d.thread_state(ThreadId(id)), Some(ThreadState::Throttled));
+        }
+        let snapshot = |d: &Dispatcher| {
+            (
+                d.runnable.iter().collect::<Vec<_>>(),
+                d.timers.iter().collect::<Vec<_>>(),
+            )
+        };
+        let before = snapshot(&d);
+        assert_eq!(before.1.len(), 3);
+        for idx in 0..20u32 {
+            let was = filing(&d, idx);
+            d.refile(idx, was);
+        }
+        assert_eq!(snapshot(&d), before);
+        d.charge(ThreadId(13), 10).unwrap();
+        assert_eq!(snapshot(&d), before);
+        d.assert_consistent();
     }
 
     /// Admission places a thread in one step: ready, with a full budget

@@ -714,6 +714,82 @@ mod tests {
         assert_eq!(reports, [(ThreadId(5), 3)]);
     }
 
+    /// Threads come and go and move between CPUs, ten times over the
+    /// machine's resident count, while the CPUs dispatch, charge, block,
+    /// wake and re-reserve them: after every operation each CPU's run
+    /// queue and timer list hold exactly the keys its thread table
+    /// derives.
+    #[test]
+    fn churn_keeps_every_cpu_filed_by_its_thread_table() {
+        const CPUS: u32 = 4;
+        const RESIDENT: usize = 24;
+        let mut m = Machine::new(DispatcherConfig::default(), CPUS as usize);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut resident: Vec<ThreadId> = Vec::new();
+        let (mut added, mut removed, mut migrated, mut armed) = (0u64, 0u64, 0u64, 0u64);
+        while added < 10 * RESIDENT as u64 {
+            let pick = |resident: &[ThreadId], r: u64| resident[r as usize % resident.len()];
+            match next(9) {
+                0 | 1 if resident.len() < 2 * RESIDENT => {
+                    let id = ThreadId(added);
+                    let cpu = CpuId(next(CPUS as u64) as u32);
+                    let r = res(20 + next(300) as u32, 2 + next(30));
+                    m.add_thread_preadmitted_on(cpu, id, r, added as u32)
+                        .unwrap();
+                    resident.push(id);
+                    added += 1;
+                }
+                2 if resident.len() > RESIDENT / 2 => {
+                    let at = next(resident.len() as u64) as usize;
+                    m.remove_thread(resident.swap_remove(at)).unwrap();
+                    removed += 1;
+                }
+                3 if !resident.is_empty() => {
+                    let id = pick(&resident, next(u64::MAX));
+                    m.migrate(id, CpuId(next(CPUS as u64) as u32)).unwrap();
+                    migrated += 1;
+                }
+                4 if !resident.is_empty() => {
+                    let id = pick(&resident, next(u64::MAX));
+                    let handle = m.handle_of(id).unwrap();
+                    if m.dispatcher(handle.cpu).thread_state(id) == Some(ThreadState::Blocked) {
+                        m.unblock_at(handle, id).unwrap();
+                    } else {
+                        m.block_at(handle, id).unwrap();
+                    }
+                }
+                5 if !resident.is_empty() => {
+                    let id = pick(&resident, next(u64::MAX));
+                    let r = res(20 + next(300) as u32, 2 + next(30));
+                    m.set_reservation(id, r).unwrap();
+                }
+                _ => {
+                    for cpu in (0..CPUS).map(CpuId) {
+                        let o = m.dispatch(cpu);
+                        if o.thread.is_some() {
+                            let used = 1 + next(o.quantum_us);
+                            m.dispatcher_mut(cpu).charge_span(used);
+                        }
+                    }
+                    m.advance_to(m.now_us() + 1 + next(2_000));
+                }
+            }
+            for cpu in (0..CPUS).map(CpuId) {
+                m.dispatcher(cpu).assert_consistent();
+                armed += u64::from(m.dispatcher(cpu).next_timer_expiry().is_some());
+            }
+            assert_eq!(m.thread_count(), resident.len());
+        }
+        assert!(removed > 3 * RESIDENT as u64 && migrated > 3 * RESIDENT as u64);
+        assert!(armed > 100, "throttled threads were churned too");
+    }
+
     #[test]
     fn remove_thread_frees_its_cpu() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);

@@ -76,9 +76,9 @@ mod tests {
     #[test]
     fn peek_returns_highest_goodness() {
         let mut q = RunQueue::default();
-        q.upsert(0, key(10, 0, 0));
-        q.upsert(1, key(30, 0, 1));
-        q.upsert(2, key(20, 0, 2));
+        q.insert(0, key(10, 0, 0));
+        q.insert(1, key(30, 0, 1));
+        q.insert(2, key(20, 0, 2));
         assert_eq!(q.peek().unwrap().1, 1);
         assert_eq!(q.len(), 3);
         q.assert_consistent();
@@ -87,21 +87,26 @@ mod tests {
     #[test]
     fn ties_break_by_seq_then_id() {
         let mut q = RunQueue::default();
-        q.upsert(0, key(10, 5, 0));
-        q.upsert(1, key(10, 2, 1));
+        q.insert(0, key(10, 5, 0));
+        q.insert(1, key(10, 2, 1));
         assert_eq!(q.peek().unwrap().1, 1, "older pick wins");
-        q.upsert(2, key(10, 2, 2));
+        q.insert(2, key(10, 2, 2));
         assert_eq!(q.peek().unwrap().1, 1, "equal seq: lower id wins");
     }
 
+    /// A re-rank is a removal under the key the slot is queued under and
+    /// an insert under the new one.
     #[test]
-    fn upsert_reranks_in_place() {
+    fn a_re_rank_reorders_in_place() {
         let mut q = RunQueue::default();
-        q.upsert(0, key(10, 0, 0));
-        q.upsert(1, key(20, 0, 1));
-        q.upsert(0, key(30, 0, 0));
+        q.insert(0, key(10, 0, 0));
+        q.insert(1, key(20, 0, 1));
+        assert!(q.remove(0, key(10, 0, 0)));
+        q.insert(0, key(30, 0, 0));
         assert_eq!(q.peek().unwrap().1, 0);
-        q.upsert(0, key(1, 0, 0));
+        assert!(!q.remove(0, key(10, 0, 0)), "not under its old key");
+        assert!(q.remove(0, key(30, 0, 0)));
+        q.insert(0, key(1, 0, 0));
         assert_eq!(q.peek().unwrap().1, 1);
         assert_eq!(q.len(), 2);
         q.assert_consistent();
@@ -111,11 +116,11 @@ mod tests {
     fn remove_middle_and_absent() {
         let mut q = RunQueue::default();
         for i in 0..10u32 {
-            q.upsert(i, key(i as i64, 0, i as u64));
+            q.insert(i, key(i as i64, 0, i as u64));
         }
-        assert!(q.remove(5).is_some());
-        assert!(q.remove(5).is_none(), "double remove");
-        assert!(q.remove(99).is_none(), "out-of-range slot");
+        assert!(q.remove(5, key(5, 0, 5)));
+        assert!(!q.remove(5, key(5, 0, 5)), "double remove");
+        assert!(!q.remove(99, key(5, 0, 5)), "out-of-range slot");
         assert_eq!(q.key_of(5), None);
         assert!(q.key_of(9).is_some());
         assert_eq!(q.len(), 9);
@@ -128,7 +133,7 @@ mod tests {
         let mut q = RunQueue::default();
         assert_eq!(q.len(), 0);
         assert_eq!(q.peek(), None);
-        assert!(q.remove(0).is_none());
+        assert!(!q.remove(0, key(0, 0, 0)));
         assert_eq!(q.key_of(0), None);
     }
 
@@ -141,7 +146,7 @@ mod tests {
     fn rotation_cycles_a_full_queue_in_pick_order() {
         let mut q = RunQueue::default();
         for slot in (0..20u32).rev() {
-            q.upsert(slot, key(5, 0, slot as u64));
+            q.insert(slot, key(5, 0, slot as u64));
         }
         assert_eq!(
             slots(&q),
@@ -154,7 +159,7 @@ mod tests {
         for seq in 1..=40u64 {
             let (_, slot) = q.pop_front().unwrap();
             assert_eq!(slot as u64, (seq - 1) % 20);
-            q.upsert(slot, key(5, seq, slot as u64));
+            q.insert(slot, key(5, seq, slot as u64));
             assert_eq!(q.iter().next_back().unwrap().1, slot);
             q.assert_consistent();
         }
@@ -169,14 +174,14 @@ mod tests {
         let n = 3 * TAIL_WALK;
         let mut q = RunQueue::default();
         for slot in 0..n as u32 {
-            q.upsert(slot, key(5, 10 * slot as u64, slot as u64));
+            q.insert(slot, key(5, 10 * slot as u64, slot as u64));
         }
         for places_in in [0, 1, TAIL_WALK - 1, TAIL_WALK, TAIL_WALK + 1, n / 2, n - 1] {
             let at = n - 1 - places_in;
             let (k, slot) = q.iter().nth(at).unwrap();
-            assert_eq!(q.remove(slot), Some(k));
+            assert!(q.remove(slot, k));
             assert_eq!(q.key_of(slot), None);
-            q.upsert(slot, k);
+            q.insert(slot, k);
             assert_eq!(
                 q.iter().nth(at),
                 Some((k, slot)),
@@ -190,25 +195,25 @@ mod tests {
     fn a_picked_thread_goes_to_its_class_tail_not_the_deque_tail() {
         let mut q = RunQueue::default();
         for slot in 0..3u32 {
-            q.upsert(slot, key(1000, 0, slot as u64));
+            q.insert(slot, key(1000, 0, slot as u64));
         }
         // Lower-goodness (longer-period) threads queue behind them — here
         // more of them than the walk covers.
         let low = 3..3 + 2 * TAIL_WALK as u32;
         for slot in low.clone() {
-            q.upsert(slot, key(slot as i64 % 4, 0, slot as u64));
+            q.insert(slot, key(slot as i64 % 4, 0, slot as u64));
         }
         let behind = slots(&q)[3..].to_vec();
         assert_eq!(q.pop_front().map(|(_, slot)| slot), Some(0));
-        q.upsert(0, key(1000, 1, 0));
+        q.insert(0, key(1000, 1, 0));
         assert_eq!(slots(&q)[..3], [1, 2, 0]);
         assert_eq!(slots(&q)[3..], behind);
         // And with only two of them left, inside the walk.
         for slot in low.skip(2) {
-            q.remove(slot);
+            assert!(q.remove(slot, key(slot as i64 % 4, 0, slot as u64)));
         }
         assert_eq!(q.pop_front().map(|(_, slot)| slot), Some(1));
-        q.upsert(1, key(1000, 2, 1));
+        q.insert(1, key(1000, 2, 1));
         assert_eq!(slots(&q)[..3], [2, 0, 1]);
         assert_eq!(q.len(), 5);
         q.assert_consistent();
@@ -220,25 +225,22 @@ mod tests {
     #[test]
     fn a_popped_pick_that_still_sorts_first_relinks_at_the_front() {
         let mut q = RunQueue::default();
-        q.upsert(9, key(1000, 0, 9));
+        q.insert(9, key(1000, 0, 9));
         assert_eq!(q.pop_front(), Some((key(1000, 0, 9), 9)));
         assert_eq!(q.len(), 0);
-        q.upsert(9, key(1000, 1, 9));
+        q.insert(9, key(1000, 1, 9));
         assert_eq!(q.peek(), Some((key(1000, 1, 9), 9)), "a lone thread");
         for slot in 0..5u32 {
-            q.upsert(slot, key(3, slot as u64, slot as u64));
+            q.insert(slot, key(3, slot as u64, slot as u64));
         }
         let rest = slots(&q)[1..].to_vec();
         assert_eq!(q.pop_front().map(|(_, slot)| slot), Some(9));
         assert_eq!(slots(&q), rest, "the pick is off the queue");
-        q.upsert(9, key(1000, 7, 9));
+        q.insert(9, key(1000, 7, 9));
         assert_eq!(q.peek(), Some((key(1000, 7, 9), 9)));
         assert_eq!(slots(&q)[1..], rest);
-        assert_eq!(
-            q.remove(9),
-            Some(key(1000, 7, 9)),
-            "found under the new key"
-        );
+        assert!(!q.remove(9, key(1000, 1, 9)), "not under an old key");
+        assert!(q.remove(9, key(1000, 7, 9)), "found under the new key");
         q.assert_consistent();
     }
 
@@ -269,11 +271,15 @@ mod tests {
                 match op {
                     0 | 1 => {
                         let k = key(g, seq, slot as u64);
-                        q.upsert(slot, k);
-                        oracle.insert(slot, k);
+                        if let Some(old) = oracle.insert(slot, k) {
+                            prop_assert!(q.remove(slot, old));
+                        }
+                        q.insert(slot, k);
                     }
                     _ => {
-                        prop_assert_eq!(q.remove(slot), oracle.remove(&slot));
+                        if let Some(old) = oracle.remove(&slot) {
+                            prop_assert!(q.remove(slot, old));
+                        }
                     }
                 }
                 q.assert_consistent();

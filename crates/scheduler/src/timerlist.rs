@@ -4,21 +4,22 @@
 //! and cache the next expiration time to avoid doing any work unless at
 //! least one timer has expired" (§4.1).
 //!
-//! Timers are keyed by the dispatcher's dense thread slot and kept in the
-//! sorted deque of `deque.rs` — the one the run queue sits on — under
-//! `(expiry, ThreadId)`.  The front *is* the cached
-//! next expiry, so the nothing-expired check and a popped expiry are
-//! `O(1)`, and the pop hands the dispatcher the slot directly, with no id →
-//! slot map on the [`pop_next_expired`](TimerList::pop_next_expired) hot
-//! path.  Only a throttled thread holds a timer, armed for its release at
-//! its next period boundary, which on a busy CPU is later than nearly
-//! every timer already armed, so [`arm`](TimerList::arm) finds its place
-//! by walking in from the tail (96 % of arms land exactly on it on
-//! `spin_saturated`; the full displacement table, and the mid-list worst
-//! case — an arm that shifts `min(i, n − i)` entries — are in `deque.rs`).
-//! Equal expiries pop in [`ThreadId`] order, as they did when the list was
-//! a sorted set of `(expiry, thread, slot)`, and re-arming a timer at the
-//! expiry it already has moves nothing.
+//! Timers are kept in the sorted deque of `deque.rs` — the one the run
+//! queue sits on — as `(expiry, ThreadId)` keys paired with the
+//! dispatcher's dense thread slot.  The front *is* the cached next expiry,
+//! so the nothing-expired check and a popped expiry are `O(1)`, and the
+//! pop hands the dispatcher the slot directly, with no id → slot map on the
+//! [`pop_next_expired`](TimerList::pop_next_expired) hot path.  A cancel
+//! names the expiry and thread the slot was armed for, which the
+//! dispatcher reads off the thread's entry.  Only a throttled thread holds
+//! a timer, armed for its next period boundary, which on a busy CPU is
+//! later than nearly every timer already armed, so
+//! [`arm`](TimerList::arm) finds its place by walking in from the tail
+//! (96 % of arms land exactly on it on `spin_saturated`; the full
+//! displacement table, and the mid-list worst case — an arm that shifts
+//! `min(i, n − i)` entries — are in `deque.rs`).  Equal expiries pop in
+//! [`ThreadId`] order, as they did when the list was a sorted set of
+//! `(expiry, thread, slot)`.
 
 use crate::deque::SortedDeque;
 use crate::types::ThreadId;
@@ -36,16 +37,20 @@ impl TimerList {
         Self::default()
     }
 
-    /// Arms (or re-arms) a timer for the thread in dense slot `slot` at
-    /// `expiry_us`.  A slot has at most one timer: any existing timer for
-    /// it is replaced.
+    /// Arms a timer for `thread`, in dense slot `slot`, at `expiry_us`.
+    /// The slot must hold no timer (a popped one holds none): the list
+    /// keeps no per-slot record, so a second arm would arm it twice.
+    /// Re-arming — a cancel under the armed expiry, then an arm — is the
+    /// dispatcher's timer rule (`Dispatcher::rearm`), which reads both
+    /// expiries off the thread's entry.
     pub fn arm(&mut self, slot: u32, thread: ThreadId, expiry_us: u64) {
-        self.timers.upsert(slot, (expiry_us, thread));
+        self.timers.insert(slot, (expiry_us, thread));
     }
 
-    /// Cancels the timer for `slot`; returns `true` if one existed.
-    pub fn cancel(&mut self, slot: u32) -> bool {
-        self.timers.remove(slot).is_some()
+    /// Cancels `slot`'s timer, armed for `thread` at `expiry_us`; returns
+    /// `true` if that timer was armed.
+    pub fn cancel(&mut self, slot: u32, thread: ThreadId, expiry_us: u64) -> bool {
+        self.timers.remove(slot, (expiry_us, thread))
     }
 
     /// The next expiry time, if any timer is armed.
@@ -54,10 +59,15 @@ impl TimerList {
         self.timers.peek().map(|((expiry, _), _)| expiry)
     }
 
-    /// The armed expiry of `slot`'s timer, if it has one.
-    #[cfg(test)]
-    pub(crate) fn expiry_of(&self, slot: u32) -> Option<u64> {
-        self.timers.key_of(slot).map(|(expiry, _)| expiry)
+    /// The slot of the earliest timer with `expiry <= now_us`, if any,
+    /// left armed: the dispatcher's release cancels it with the rest of
+    /// the thread's re-filing.
+    #[inline]
+    pub(crate) fn next_expired(&self, now_us: u64) -> Option<u32> {
+        self.timers
+            .peek()
+            .filter(|&((expiry, _), _)| expiry <= now_us)
+            .map(|(_, slot)| slot)
     }
 
     /// Removes the earliest timer with `expiry <= now_us`, if any, and
@@ -65,20 +75,35 @@ impl TimerList {
     /// the common case the paper optimises for; callers drain expiries one
     /// at a time.
     pub fn pop_next_expired(&mut self, now_us: u64) -> Option<u32> {
-        if self.next_expiry().is_none_or(|t| t > now_us) {
-            return None;
-        }
+        self.next_expired(now_us)?;
         self.timers.pop_front().map(|(_, slot)| slot)
     }
+}
 
+#[cfg(test)]
+impl TimerList {
     /// Number of armed timers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.timers.len()
     }
 
-    /// Returns `true` if no timers are armed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The armed `((expiry, thread), slot)` timers, next to expire first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((u64, ThreadId), u32)> + '_ {
+        self.timers.iter()
+    }
+
+    /// The armed expiry of `slot`'s timer, if it has one: a scan.
+    pub(crate) fn expiry_of(&self, slot: u32) -> Option<u64> {
+        self.timers.key_of(slot).map(|(expiry, _)| expiry)
+    }
+
+    /// Invariant check: sorted, each slot armed at most once.
+    pub(crate) fn assert_consistent(&self) {
+        self.timers.assert_consistent()
     }
 }
 
@@ -123,10 +148,18 @@ mod tests {
         assert!(pop_expired(&mut TimerList::new(), 1_000_000).is_empty());
     }
 
+    /// Cancels `slot`'s timer, armed at `expiry` by [`arm`].
+    fn cancel(tl: &mut TimerList, slot: u32, expiry: u64) -> bool {
+        tl.cancel(slot, ThreadId(slot as u64), expiry)
+    }
+
+    /// Re-arming is the caller's: a cancel under the armed expiry, then an
+    /// arm at the new one.
     #[test]
     fn rearming_replaces_existing_timer() {
         let mut tl = TimerList::new();
         arm(&mut tl, 1, 100);
+        assert!(cancel(&mut tl, 1, 100));
         arm(&mut tl, 1, 500);
         assert_eq!(tl.len(), 1);
         assert_eq!(tl.expiry_of(1), Some(500));
@@ -139,9 +172,11 @@ mod tests {
     fn cancel_removes_timer() {
         let mut tl = TimerList::new();
         arm(&mut tl, 1, 100);
-        assert!(tl.cancel(1));
-        assert!(!tl.cancel(1));
-        assert!(!tl.cancel(99), "never-armed slot is a no-op");
+        assert!(!cancel(&mut tl, 1, 101), "not armed at that expiry");
+        assert!(!tl.cancel(1, ThreadId(2), 100), "not armed for that thread");
+        assert!(cancel(&mut tl, 1, 100));
+        assert!(!cancel(&mut tl, 1, 100));
+        assert!(!cancel(&mut tl, 99, 100), "never-armed slot is a no-op");
         assert!(tl.is_empty());
         assert_eq!(tl.next_expiry(), None);
         assert_eq!(tl.expiry_of(1), None);
@@ -204,27 +239,27 @@ mod tests {
             arm(&mut tl, slot, 100 + slot as u64);
         }
         let before = slots(&tl);
-        arm(&mut tl, 4, 104);
-        arm(&mut tl, 0, 100);
+        for (slot, expiry) in [(4, 104), (0, 100), (9, 109)] {
+            assert!(cancel(&mut tl, slot, expiry));
+            arm(&mut tl, slot, expiry);
+        }
         assert_eq!(slots(&tl), before, "re-armed in place");
-        assert!(tl.cancel(0), "at the front");
+        assert!(cancel(&mut tl, 0, 100), "at the front");
         assert_eq!(tl.next_expiry(), Some(101));
-        assert!(tl.cancel(5), "in the middle");
-        assert!(tl.cancel(9), "on the tail");
-        assert!(!tl.cancel(5), "already cancelled");
-        assert!(!tl.cancel(77), "never armed");
+        assert!(cancel(&mut tl, 5, 105), "in the middle");
+        assert!(cancel(&mut tl, 9, 109), "on the tail");
+        assert!(!cancel(&mut tl, 5, 105), "already cancelled");
+        assert!(!cancel(&mut tl, 77, 177), "never armed");
         assert_eq!(slots(&tl), vec![1, 2, 3, 4, 6, 7, 8]);
         tl.timers.assert_consistent();
     }
 
     impl SlotQueue<(u64, ThreadId)> for TimerList {
-        fn upsert(&mut self, slot: u32, (expiry, thread): (u64, ThreadId)) {
+        fn insert(&mut self, slot: u32, (expiry, thread): (u64, ThreadId)) {
             self.arm(slot, thread, expiry)
         }
-        fn remove(&mut self, slot: u32) -> Option<(u64, ThreadId)> {
-            let key = self.timers.key_of(slot);
-            assert_eq!(self.cancel(slot), key.is_some());
-            key
+        fn remove(&mut self, slot: u32, (expiry, thread): (u64, ThreadId)) -> bool {
+            self.cancel(slot, thread, expiry)
         }
         fn peek(&self) -> Option<((u64, ThreadId), u32)> {
             self.timers.peek()
@@ -268,13 +303,15 @@ mod tests {
             cutoff in 0u64..1000,
         ) {
             let mut tl = TimerList::new();
-            // Last arm per slot wins.
+            // Last arm per slot wins, cancelling the one before.
             let mut expected: std::collections::BTreeMap<u32, u64> = Default::default();
             for &(expiry, slot) in &entries {
+                if let Some(old) = expected.insert(slot, expiry) {
+                    prop_assert!(cancel(&mut tl, slot, old));
+                }
                 arm(&mut tl, slot, expiry);
-                expected.insert(slot, expiry);
             }
-            // The reverse index agrees with the final arms.
+            // The armed expiries agree with the final arms.
             for (&slot, &expiry) in &expected {
                 prop_assert_eq!(tl.expiry_of(slot), Some(expiry));
             }
@@ -288,7 +325,7 @@ mod tests {
             prop_assert_eq!(expired.len(), should_expire);
             // Remaining timers are all after the cutoff.
             prop_assert!(tl.next_expiry().is_none_or(|t| t > cutoff));
-            // Popped slots are gone from the reverse index too.
+            // Popped slots are disarmed.
             for s in &expired {
                 prop_assert_eq!(tl.expiry_of(*s), None);
             }
@@ -302,11 +339,14 @@ mod tests {
             let mut tl = TimerList::new();
             let mut oracle: std::collections::BTreeMap<u32, u64> = Default::default();
             for &(expiry, slot) in &entries {
+                if let Some(old) = oracle.insert(slot, expiry) {
+                    prop_assert!(cancel(&mut tl, slot, old));
+                }
                 arm(&mut tl, slot, expiry);
-                oracle.insert(slot, expiry);
             }
             for &slot in &cancels {
-                prop_assert_eq!(tl.cancel(slot), oracle.remove(&slot).is_some());
+                let armed = oracle.remove(&slot);
+                prop_assert_eq!(cancel(&mut tl, slot, armed.unwrap_or(0)), armed.is_some());
             }
             prop_assert_eq!(tl.len(), oracle.len());
             prop_assert_eq!(tl.next_expiry(), oracle.values().min().copied());

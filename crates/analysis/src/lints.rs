@@ -8,7 +8,7 @@
 //! | `determinism` | sim/scheduler/controller code is replay-deterministic: no wall clocks, no hash-order-dependent containers |
 //! | `hot-path-no-alloc` | functions declared hot in `analysis.json` contain no syntactic allocation or clone |
 //! | `integer-time` | no new `f64`-seconds parameters in core/scheduler/sim signatures outside the deprecated API edge |
-//! | `edge-only-by-id` | id-keyed maps (`by_id`, the machine's `placement`) are touched only at the public-API edge, never on hot paths |
+//! | `edge-only-by-id` | id-keyed maps (`by_id`, and fields tracked in one named file) are touched only at the public-API edge, never on hot paths; a file-scoped entry its file never names is stale |
 //! | `panic-discipline` | steady-state paths carry no bare `unwrap()` or empty `expect("")` — panics must name the broken invariant |
 //! | `unsafe-inventory` | every `unsafe` is enumerated and carries a `// SAFETY:` comment |
 //! | `parallel-region` | the sharded scoped-thread region reaches shared state only through per-shard handles; barrier-merge machinery stays outside |
@@ -276,14 +276,32 @@ fn seconds_name(name: &str) -> bool {
 }
 
 /// Confines access to the configured id-keyed maps (`by_id`, and fields
-/// such as the machine's `placement` tracked in their own file only,
-/// because a controller config field shares the name) to the declared
-/// public-API-edge files, and bans it outright inside hot-declared
-/// functions even there (the dense-handle contract: steady-state spans
-/// address threads and jobs by slot handle only).
+/// tracked in their own file only, where another file's field shares the
+/// name) to the declared public-API-edge files, and bans it outright
+/// inside hot-declared functions even there (the dense-handle contract:
+/// steady-state spans address threads and jobs by slot handle only).  A
+/// file-scoped entry whose file never names its field guards nothing and
+/// is reported as stale, like an allowlist entry that matches nothing.
 fn edge_only_by_id(config: &AnalysisConfig, file: &SourceFile, out: &mut Vec<Violation>) {
     if !in_scope(&file.path, config.paths("edge-only-by-id")) {
         return;
+    }
+    let own = config
+        .id_maps
+        .iter()
+        .filter(|m| m.file.as_ref() == Some(&file.path));
+    for map in own.filter(|m| !file.code.iter().any(|t| t.is_ident(&m.field))) {
+        out.push(Violation {
+            lint: "edge-only-by-id",
+            file: file.path.clone(),
+            line: 0,
+            snippet: map.field.clone(),
+            message: format!(
+                "stale id map: `{}` is tracked in this file but the file never names it — \
+                 delete the entry from analysis.json",
+                map.field
+            ),
+        });
     }
     let is_edge_file = config.edge_files.iter().any(|f| f == &file.path);
     let hot_spans: Vec<&FnSpan> = config

@@ -265,6 +265,41 @@ fn edge_only_by_id_allows_edge_files() {
     assert_quiet(&report);
 }
 
+#[test]
+fn edge_only_by_id_flags_a_tracked_field_its_file_never_names() {
+    // A file-scoped id map whose field left its file guards nothing: the
+    // entry is stale, and exactly that entry is reported.
+    let cfg = r#"
+{
+  "paths": {
+    "include": ["fixtures"]
+  },
+  "lints": {
+    "edge-only-by-id": {
+      "paths": ["fixtures"],
+      "edge_files": ["fixtures/edge_by_id_trigger.rs"],
+      "id_maps": [
+        "by_id",
+        "fixtures/edge_by_id_trigger.rs::placement",
+        "fixtures/edge_by_id_trigger.rs::job_shard"
+      ]
+    }
+  }
+}
+"#;
+    let report = run_lints(
+        cfg,
+        &[(
+            "fixtures/edge_by_id_trigger.rs",
+            fixture("edge_by_id_trigger.rs"),
+        )],
+    );
+    assert_eq!(fired(&report, "edge-only-by-id"), 1, "{report:?}");
+    assert_eq!(report.violations[0].snippet, "job_shard");
+    assert!(report.violations[0].message.contains("stale"));
+    assert!(!report.is_clean());
+}
+
 const PANIC_CFG: &str = r#"
 {
   "paths": {

@@ -164,7 +164,7 @@ impl WallClockHost {
             self.ctl.skip_to_next_cycle(self.now_us());
             for task in self.tasks.iter_mut().flatten().filter(|t| t.blocked) {
                 task.blocked = false;
-                self.ctl.unblock(task.handle.slot, task.handle.thread);
+                self.ctl.unblock(task.handle.slot, task.handle.thread());
             }
         }
         let now_us = self.now_us();
@@ -215,12 +215,12 @@ impl WallClockHost {
         // report drains here in a later round — by when the slot may serve
         // another job.  The loop refuses the stale charge by thread id,
         // the task table likewise.
-        self.ctl.charge(handle.slot, handle.thread, used_us);
+        self.ctl.charge(handle.slot, handle.thread(), used_us);
         let Some(task) = self
             .tasks
             .get_mut(handle.slot.index())
             .and_then(Option::as_mut)
-            .filter(|task| task.handle.thread == handle.thread)
+            .filter(|task| task.handle.job == handle.job)
         else {
             return;
         };
@@ -228,7 +228,7 @@ impl WallClockHost {
         if report.blocked || report.died {
             // A dead worker is parked for good: never re-polled.
             task.blocked = !report.died;
-            self.ctl.block(handle.slot, handle.thread);
+            self.ctl.block(handle.slot, handle.thread());
         }
     }
 
@@ -332,7 +332,7 @@ impl Host for WallClockHost {
     fn remove_job(&mut self, handle: JobHandle) {
         // Slot indices are reused: a leftover handle must not evict the
         // slot's next tenant.
-        let tenant = |task: &mut Task| task.handle.thread == handle.thread;
+        let tenant = |task: &mut Task| task.handle.job == handle.job;
         let Some(task) = self
             .tasks
             .get_mut(handle.slot.index())
@@ -363,15 +363,15 @@ impl Host for WallClockHost {
     }
 
     fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.ctl.reservation(handle.slot, handle.thread)
+        self.ctl.reservation(handle.slot, handle.thread())
     }
 
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.ctl.machine().cpu_of(handle.thread)
+        self.ctl.cpu_of(handle.slot, handle.thread())
     }
 
     fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.ctl.machine().usage(handle.thread)
+        self.ctl.usage(handle.slot, handle.thread())
     }
 
     fn grow_cpus(&mut self, cpus: usize) -> usize {
@@ -391,10 +391,8 @@ impl Host for WallClockHost {
     }
 
     fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
-        let _ = self
-            .ctl
-            .machine_mut()
-            .set_reservation(handle.thread, reservation);
+        self.ctl
+            .set_reservation(handle.slot, handle.thread(), reservation);
     }
 
     fn stats(&self) -> SimStats {
@@ -582,14 +580,14 @@ mod tests {
         host.advance(SimTime::from_millis(30));
         host.remove_job(old);
         assert!(host.tasks[old.slot.index()].is_none(), "entry freed");
-        assert_eq!(host.ctl.slot_of(old.thread), None);
+        assert_eq!(host.ctl.slot_of(old.thread()), None);
         assert_eq!(Arc::strong_count(&old_steps), 1, "its worker exited");
         host.remove_job(old); // an already-removed handle is a no-op
 
         let (work, steps) = spinner(300);
         let new = misc(&mut host, "new", work);
         assert_eq!(new.slot.index(), old.slot.index(), "slot reused");
-        assert_ne!(new.thread, old.thread);
+        assert_ne!(new.thread(), old.thread());
 
         // A report the old worker left behind (it can outlive a round
         // that gave up waiting) reaches neither the slot's new tenant's
@@ -613,6 +611,17 @@ mod tests {
         host.advance(SimTime::from_millis(60));
         assert!(steps.load(Ordering::Relaxed) > 0, "the fresh worker runs");
         assert!(host.cpu_used(new) > SimTime::ZERO);
+
+        // Every query through the leftover handle answers for nobody,
+        // while the tenant's queries answer.
+        assert_eq!(host.reservation(old), None);
+        assert_eq!(host.cpu_of(old), None);
+        assert!(host.usage(old).is_none());
+        assert_eq!(host.allocation_ppt(old), 0);
+        assert!(host.reservation(new).is_some());
+        assert_eq!(host.cpu_of(new), Some(CpuId(0)));
+        assert!(host.usage(new).is_some_and(|u| u.total_used_us > 0));
+        assert!(host.allocation_ppt(new) > 0);
     }
 
     /// Panics on its first run.

@@ -26,7 +26,7 @@ use rrs_queue::MetricRegistry;
 use rrs_scheduler::telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use rrs_scheduler::{
     CpuId, CpuStats, Dispatcher, DispatcherConfig, Machine, MigratedThread, Reservation,
-    ThreadHandle, ThreadId,
+    ThreadHandle, ThreadId, UsageAccount,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ const UNBOUND: ThreadHandle = ThreadHandle {
 /// // what ran; when a cycle comes due it runs it and re-arms the clock.
 /// let now = ctl.next_cycle_us();
 /// ctl.cycle(SimTime::from_micros(now), 0);
-/// assert_eq!(ctl.slot_of(job.thread), Some(job.slot));
+/// assert_eq!(ctl.slot_of(job.thread()), Some(job.slot));
 /// assert!(ctl.skip_to_next_cycle(now) > now);
 /// assert_eq!(ctl.stats().controller_invocations, 1);
 /// ctl.retire(job);
@@ -275,7 +275,6 @@ impl ControlLoop {
     /// [`SimStats::admission_rejections`] and consumes no id.
     pub fn admit(&mut self, spec: JobSpec) -> Result<JobHandle, AdmitError> {
         let job = JobId(self.next_id);
-        let thread = ThreadId(self.next_id);
         let slot = self.controller.add_job(job, spec).inspect_err(|e| {
             if matches!(e, AdmitError::Rejected { .. }) {
                 self.stats.admission_rejections += 1;
@@ -293,20 +292,22 @@ impl ControlLoop {
             .expect("slot was just created");
         let handle = self
             .machine
-            .add_thread_preadmitted_on(cpu, thread, initial, slot.index() as u32)
+            .add_thread_preadmitted_on(cpu, ThreadId(job.0), initial, slot.index() as u32)
             .expect("fresh thread id cannot clash");
         self.bind(slot, handle);
-        Ok(JobHandle { job, thread, slot })
+        Ok(JobHandle { job, slot })
     }
 
     /// Removes a job: withdraws its reservation, deregisters it from the
     /// controller (detaching its registry entries) and frees its slot.
     /// Unknown or already-removed handles are a no-op.
     pub fn retire(&mut self, handle: JobHandle) {
-        let _ = self.machine.remove_thread(handle.thread);
-        if self.controller.remove_slot(handle.slot) {
-            self.threads[handle.slot.index()] = UNBOUND;
+        if self.controller.job_of(handle.slot) != Some(handle.job) {
+            return;
         }
+        let thread = std::mem::replace(&mut self.threads[handle.slot.index()], UNBOUND);
+        let _ = self.machine.remove_thread_at(thread, handle.thread());
+        self.controller.remove_slot(handle.slot);
     }
 
     /// Detaches a job's controller entry and scheduler thread, mid-period
@@ -319,11 +320,11 @@ impl ControlLoop {
             .controller
             .extract_job(job)
             .expect("slot resolved above");
+        let thread = std::mem::replace(&mut self.threads[slot.index()], UNBOUND);
         let mthread = self
             .machine
-            .extract_thread(ThreadId(job.0))
-            .expect("thread registered with the machine");
-        self.threads[slot.index()] = UNBOUND;
+            .extract_thread_at(thread, ThreadId(job.0))
+            .expect("a live slot's handle points at its thread");
         Some((mjob, mthread))
     }
 
@@ -337,14 +338,13 @@ impl ControlLoop {
         cpu: CpuId,
     ) -> Result<JobHandle, AdmitError> {
         let job = mjob.job();
-        let thread = ThreadId(job.0);
         let slot = self.controller.inject_job(mjob, cpu)?;
         let handle = self
             .machine
             .inject_thread_on(cpu, mthread, slot.index() as u32)
             .expect("controller accepted the id, so the machine must too");
         self.bind(slot, handle);
-        Ok(JobHandle { job, thread, slot })
+        Ok(JobHandle { job, slot })
     }
 
     /// Where the thread serving `slot` sits on the machine.  The machine
@@ -386,6 +386,25 @@ impl ControlLoop {
     /// `slot`.
     pub fn reservation(&self, slot: JobSlot, thread: ThreadId) -> Option<Reservation> {
         self.machine.reservation_at(self.handle_at(slot)?, thread)
+    }
+
+    /// The CPU `thread`, the thread serving `slot`, sits on.
+    pub fn cpu_of(&self, slot: JobSlot, thread: ThreadId) -> Option<CpuId> {
+        let handle = self.handle_at(slot)?;
+        self.machine.holds(handle, thread).then_some(handle.cpu)
+    }
+
+    /// A copy of the usage account of `thread`, the thread serving `slot`.
+    pub fn usage(&self, slot: JobSlot, thread: ThreadId) -> Option<UsageAccount> {
+        self.machine.usage_at(self.handle_at(slot)?, thread)
+    }
+
+    /// Sets the reservation of `thread`, the thread serving `slot`,
+    /// outside the controller's actuation; a stale slot is a no-op.
+    pub fn set_reservation(&mut self, slot: JobSlot, thread: ThreadId, reservation: Reservation) {
+        if let Some(handle) = self.handle_at(slot) {
+            let _ = self.machine.set_reservation_at(handle, thread, reservation);
+        }
     }
 
     /// When the next controller cycle is due, in microseconds.
@@ -625,7 +644,7 @@ mod tests {
         assert_eq!(ctl.machine().thread_count(), 1, "nothing was placed");
         let next = ctl.admit(JobSpec::miscellaneous()).unwrap();
         assert_eq!(next.job, JobId(2), "the rejected request took no id");
-        assert_eq!(next.thread, ThreadId(2));
+        assert_eq!(next.thread(), ThreadId(2));
         assert_eq!(ctl.stats().admission_rejections, 1);
     }
 
@@ -634,7 +653,7 @@ mod tests {
         let mut ctl = bare(1);
         let a = ctl.admit(JobSpec::miscellaneous()).unwrap();
         let initial = ctl
-            .reservation(a.slot, a.thread)
+            .reservation(a.slot, a.thread())
             .expect("placed at admission");
         assert_eq!(
             initial.proportion,
@@ -646,35 +665,35 @@ mod tests {
         assert_eq!(ctl.stats().controller_invocations, 50);
         assert_eq!(ctl.last_cycle_us, 500_000);
         assert_eq!(ctl.next_cycle_us(), 510_000);
-        let grown = ctl.reservation(a.slot, a.thread).unwrap();
+        let grown = ctl.reservation(a.slot, a.thread()).unwrap();
         assert!(
             grown.proportion.ppt() > initial.proportion.ppt(),
             "the cycle's actuations reach the thread through the slot table"
         );
 
-        assert_eq!(ctl.slot_of(a.thread), Some(a.slot));
+        assert_eq!(ctl.slot_of(a.thread()), Some(a.slot));
         ctl.retire(a);
-        assert_eq!(ctl.reservation(a.slot, a.thread), None, "entry cleared");
-        assert_eq!(ctl.slot_of(a.thread), None, "both ways");
+        assert_eq!(ctl.reservation(a.slot, a.thread()), None, "entry cleared");
+        assert_eq!(ctl.slot_of(a.thread()), None, "both ways");
         assert_eq!(ctl.controller().job_count(), 0);
         assert_eq!(ctl.machine().thread_count(), 0);
         ctl.retire(a); // an already-removed handle is a no-op
 
         let b = ctl.admit(JobSpec::miscellaneous()).unwrap();
         assert_eq!(b.slot.index(), a.slot.index(), "slot reused");
-        assert!(ctl.reservation(b.slot, b.thread).is_some());
-        assert_eq!(ctl.slot_of(b.thread), Some(b.slot));
+        assert!(ctl.reservation(b.slot, b.thread()).is_some());
+        assert_eq!(ctl.slot_of(b.thread()), Some(b.slot));
         assert_eq!(
-            ctl.slot_of(a.thread),
+            ctl.slot_of(a.thread()),
             None,
             "a's id does not follow the index"
         );
         // The leftover handle reaches neither the entry nor its new tenant.
-        assert_eq!(ctl.reservation(a.slot, a.thread), None);
+        assert_eq!(ctl.reservation(a.slot, a.thread()), None);
         ctl.retire(a);
         assert_eq!(ctl.controller().job_count(), 1, "b survives a's handle");
         run_due_cycle(&mut ctl);
-        assert!(ctl.reservation(b.slot, b.thread).is_some());
+        assert!(ctl.reservation(b.slot, b.thread()).is_some());
     }
 
     #[test]
@@ -685,7 +704,7 @@ mod tests {
         let a = ctl.admit(JobSpec::miscellaneous()).unwrap();
         let b = ctl.admit(JobSpec::miscellaneous()).unwrap();
         let c = ctl.admit(JobSpec::miscellaneous()).unwrap();
-        let before = [a, c].map(|h| ctl.machine().handle_of(h.thread).unwrap());
+        let before = [a, c].map(|h| ctl.machine().handle_of(h.thread()).unwrap());
         assert_eq!(before[0].cpu, before[1].cpu);
         ctl.retire(b);
         for _ in 0..1_000 {
@@ -699,22 +718,22 @@ mod tests {
         assert_eq!(stats.per_cpu[0].migrations_out, 1);
         assert_eq!(stats.per_cpu[1].migrations_in, 1);
         assert_eq!(ctl.telemetry().migrations, 1);
-        let (moved, stale) = if ctl.machine().cpu_of(a.thread) == Some(CpuId(1)) {
+        let (moved, stale) = if ctl.machine().cpu_of(a.thread()) == Some(CpuId(1)) {
             (a, before[0])
         } else {
             (c, before[1])
         };
-        let fresh = ctl.machine().handle_of(moved.thread).unwrap();
+        let fresh = ctl.machine().handle_of(moved.thread()).unwrap();
         assert_ne!(fresh, stale, "the pre-migration handle is stale");
         // The table holds the fresh one: the next cycles' actuations and
         // a wake-up still reach the thread on its new CPU.
-        ctl.block(moved.slot, moved.thread);
-        ctl.unblock(moved.slot, moved.thread);
-        assert_eq!(state_of(&ctl, moved.thread), Some(ThreadState::Ready));
+        ctl.block(moved.slot, moved.thread());
+        ctl.unblock(moved.slot, moved.thread());
+        assert_eq!(state_of(&ctl, moved.thread()), Some(ThreadState::Ready));
         run_due_cycle(&mut ctl);
         assert_eq!(
-            ctl.reservation(moved.slot, moved.thread),
-            ctl.machine().reservation(moved.thread)
+            ctl.reservation(moved.slot, moved.thread()),
+            ctl.machine().reservation_at(fresh, moved.thread())
         );
 
         // The slot's next tenant is out of reach of everything left over
@@ -722,14 +741,14 @@ mod tests {
         ctl.retire(moved);
         let tenant = ctl.admit(JobSpec::miscellaneous()).unwrap();
         assert_eq!(tenant.slot.index(), moved.slot.index());
-        ctl.block(tenant.slot, tenant.thread);
-        ctl.unblock(moved.slot, moved.thread);
-        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Blocked));
-        assert_eq!(ctl.machine().reservation_at(stale, moved.thread), None);
-        assert_eq!(ctl.machine().reservation_at(fresh, moved.thread), None);
-        assert_eq!(ctl.reservation(moved.slot, moved.thread), None);
-        ctl.unblock(tenant.slot, tenant.thread);
-        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Ready));
+        ctl.block(tenant.slot, tenant.thread());
+        ctl.unblock(moved.slot, moved.thread());
+        assert_eq!(state_of(&ctl, tenant.thread()), Some(ThreadState::Blocked));
+        assert_eq!(ctl.machine().reservation_at(stale, moved.thread()), None);
+        assert_eq!(ctl.machine().reservation_at(fresh, moved.thread()), None);
+        assert_eq!(ctl.reservation(moved.slot, moved.thread()), None);
+        ctl.unblock(tenant.slot, tenant.thread());
+        assert_eq!(state_of(&ctl, tenant.thread()), Some(ThreadState::Ready));
     }
 
     #[test]
@@ -749,16 +768,16 @@ mod tests {
         for _ in 0..20 {
             run_due_cycle(&mut src);
         }
-        let granted = src.reservation(job.slot, job.thread).unwrap();
+        let granted = src.reservation(job.slot, job.thread()).unwrap();
         assert!(src.extract(JobId(99)).is_none());
         let (mjob, mthread) = src.extract(job.job).unwrap();
-        assert_eq!(src.reservation(job.slot, job.thread), None);
-        assert_eq!(src.slot_of(job.thread), None);
+        assert_eq!(src.reservation(job.slot, job.thread()), None);
+        assert_eq!(src.slot_of(job.thread()), None);
         assert_eq!(src.machine().thread_count(), 1);
         let landed = dst.inject(mjob, mthread, CpuId(0)).unwrap();
         assert_eq!(landed.job, job.job, "the id travels with the job");
-        assert_eq!(dst.slot_of(landed.thread), Some(landed.slot));
-        assert_eq!(dst.reservation(landed.slot, landed.thread), Some(granted));
+        assert_eq!(dst.slot_of(landed.thread()), Some(landed.slot));
+        assert_eq!(dst.reservation(landed.slot, landed.thread()), Some(granted));
         assert_eq!(dst.admit(JobSpec::miscellaneous()).unwrap().job, JobId(2));
     }
 
@@ -798,7 +817,7 @@ mod tests {
         }
         let (mjob, mthread) = b.extract(others[2].job).unwrap();
         a.inject(mjob, mthread, CpuId(0)).unwrap();
-        let moved = b.slot_of(jobs[2].thread).unwrap();
+        let moved = b.slot_of(jobs[2].thread()).unwrap();
         b.retire(JobHandle {
             slot: moved,
             ..jobs[2]
@@ -822,10 +841,12 @@ mod tests {
     }
 
     /// The loop keeps the handle alone for each slot; the slot's thread
-    /// is named by every call through it.
+    /// is named by every call through it.  A job handle carries its id
+    /// once: the thread id is the same number.
     #[test]
     fn layout_budget() {
         assert!(std::mem::size_of::<ThreadHandle>() <= 8);
+        assert!(std::mem::size_of::<JobHandle>() <= 16);
     }
 
     /// With the thread's id checked by the machine rather than kept beside
@@ -836,28 +857,28 @@ mod tests {
     fn a_stale_slot_and_thread_pair_is_a_no_op_after_slot_reuse() {
         let mut ctl = bare(1);
         let old = ctl.admit(JobSpec::miscellaneous()).unwrap();
-        ctl.block(old.slot, old.thread);
+        ctl.block(old.slot, old.thread());
         ctl.retire(old);
         let tenant = ctl.admit(JobSpec::miscellaneous()).unwrap();
         assert_eq!(tenant.slot.index(), old.slot.index(), "slot reused");
-        let granted = ctl.reservation(tenant.slot, tenant.thread).unwrap();
+        let granted = ctl.reservation(tenant.slot, tenant.thread()).unwrap();
         let used = |ctl: &ControlLoop| ctl.stats().total_used_us();
 
-        ctl.block(old.slot, old.thread);
-        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Ready));
-        ctl.charge(old.slot, old.thread, 500);
+        ctl.block(old.slot, old.thread());
+        assert_eq!(state_of(&ctl, tenant.thread()), Some(ThreadState::Ready));
+        ctl.charge(old.slot, old.thread(), 500);
         assert_eq!(used(&ctl), 0);
-        assert_eq!(ctl.reservation(old.slot, old.thread), None);
-        ctl.block(tenant.slot, tenant.thread);
-        ctl.unblock(old.slot, old.thread);
-        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Blocked));
+        assert_eq!(ctl.reservation(old.slot, old.thread()), None);
+        ctl.block(tenant.slot, tenant.thread());
+        ctl.unblock(old.slot, old.thread());
+        assert_eq!(state_of(&ctl, tenant.thread()), Some(ThreadState::Blocked));
 
         // The tenant's own pair reaches it.
-        ctl.unblock(tenant.slot, tenant.thread);
-        assert_eq!(state_of(&ctl, tenant.thread), Some(ThreadState::Ready));
-        ctl.charge(tenant.slot, tenant.thread, 500);
+        ctl.unblock(tenant.slot, tenant.thread());
+        assert_eq!(state_of(&ctl, tenant.thread()), Some(ThreadState::Ready));
+        ctl.charge(tenant.slot, tenant.thread(), 500);
         assert_eq!(used(&ctl), 500);
-        assert_eq!(ctl.reservation(tenant.slot, tenant.thread), Some(granted));
+        assert_eq!(ctl.reservation(tenant.slot, tenant.thread()), Some(granted));
     }
 
     /// A shard that sees ten times its resident count of ids — admissions,
@@ -907,8 +928,8 @@ mod tests {
         );
         assert!(b.threads.len() <= 2, "{} entries", b.threads.len());
         for job in &jobs {
-            assert_eq!(a.slot_of(job.thread), Some(job.slot));
-            assert!(a.reservation(job.slot, job.thread).is_some());
+            assert_eq!(a.slot_of(job.thread()), Some(job.slot));
+            assert!(a.reservation(job.slot, job.thread()).is_some());
         }
     }
 
@@ -956,7 +977,7 @@ mod tests {
             for _ in 0..3 {
                 run_due_cycle(&mut ctl);
             }
-            let reservation = ctl.reservation(job.slot, job.thread).unwrap();
+            let reservation = ctl.reservation(job.slot, job.thread()).unwrap();
             assert_eq!(reservation.proportion, pinned);
             reservation.period.as_micros()
         };

@@ -11,7 +11,7 @@
 use crate::config::ControllerConfig;
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
-use crate::period::PeriodEstimatorConfig;
+use crate::period::DEFAULT_DISPATCH_INTERVAL_US;
 use crate::pipeline::{self, CpuLoads, JobEntry, JobTable, ResolvedSense};
 use crate::slot::{JobSlot, SlotSet};
 use crate::squish::{SquishColumns, SquishPolicy, SquishRequest};
@@ -328,7 +328,7 @@ impl Controller {
     pub fn new(config: ControllerConfig, registry: MetricRegistry) -> Self {
         Self {
             estimator: ProportionEstimator::new(&config),
-            dispatch_interval_us: PeriodEstimatorConfig::default().dispatch_interval_us,
+            dispatch_interval_us: DEFAULT_DISPATCH_INTERVAL_US,
             config,
             registry,
             jobs: JobTable::new(),

@@ -5,7 +5,7 @@
 //! door: workloads written against one backend could not hand their
 //! handles to the other.  The single [`JobHandle`] lives here, one layer
 //! below both backends, so a handle means the same thing everywhere: the
-//! controller-side id, the scheduler-side thread id and the controller's
+//! job's id (which is also its scheduler thread's) and the controller's
 //! dense slot.
 
 use crate::controller::JobId;
@@ -22,8 +22,14 @@ use rrs_scheduler::ThreadId;
 pub struct JobHandle {
     /// The controller-side job id.
     pub job: JobId,
-    /// The scheduler-side thread id (same raw value).
-    pub thread: ThreadId,
     /// The controller's dense slot handle, shared by every layer.
     pub slot: JobSlot,
+}
+
+impl JobHandle {
+    /// The scheduler-side thread id serving the job: the same raw value.
+    #[inline]
+    pub fn thread(self) -> ThreadId {
+        ThreadId(self.job.0)
+    }
 }

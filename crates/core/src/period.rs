@@ -14,47 +14,30 @@
 
 use rrs_feedback::MovingAverage;
 use rrs_scheduler::{Period, Proportion};
-use serde::{Deserialize, Serialize};
 
-/// Tuning parameters for the period-estimation heuristic.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PeriodEstimatorConfig {
-    /// Dispatch interval of the underlying scheduler, in microseconds.
-    pub dispatch_interval_us: u64,
-    /// Increase the period when the per-period budget falls below this many
-    /// dispatch intervals (quantization error becomes significant).
-    pub min_quanta_per_period: u64,
-    /// Decrease the period when the average per-period fill-level swing
-    /// exceeds this fraction of the buffer.
-    pub jitter_threshold: f64,
-    /// Multiplicative step for period changes.
-    pub adjust_factor: f64,
-    /// Number of recent periods over which the fill-level swing is averaged.
-    pub oscillation_window: usize,
-    /// Smallest period the heuristic may choose, in microseconds.
-    pub min_period_us: u64,
-    /// Largest period the heuristic may choose, in microseconds.
-    pub max_period_us: u64,
-}
-
-impl Default for PeriodEstimatorConfig {
-    fn default() -> Self {
-        Self {
-            dispatch_interval_us: 1_000,
-            min_quanta_per_period: 4,
-            jitter_threshold: 0.25,
-            adjust_factor: 1.25,
-            oscillation_window: 8,
-            min_period_us: 5_000,
-            max_period_us: 200_000,
-        }
-    }
-}
+/// Increase the period when the per-period budget falls below this many
+/// dispatch intervals (quantization error becomes significant).
+const MIN_QUANTA_PER_PERIOD: u64 = 4;
+/// Decrease the period when the average per-period fill-level swing
+/// exceeds this fraction of the buffer.
+const JITTER_THRESHOLD: f64 = 0.25;
+/// Multiplicative step for period changes.
+const ADJUST_FACTOR: f64 = 1.25;
+/// Number of recent periods over which the fill-level swing is averaged.
+const OSCILLATION_WINDOW: usize = 8;
+/// Smallest period the heuristic may choose, in microseconds.
+const MIN_PERIOD_US: u64 = 5_000;
+/// Largest period the heuristic may choose, in microseconds.
+const MAX_PERIOD_US: u64 = 200_000;
+/// The dispatch interval [`PeriodEstimator::with_defaults`] quantises
+/// against, in microseconds.
+pub(crate) const DEFAULT_DISPATCH_INTERVAL_US: u64 = 1_000;
 
 /// Per-job period estimator.
 #[derive(Debug, Clone)]
 pub struct PeriodEstimator {
-    config: PeriodEstimatorConfig,
+    /// Dispatch interval of the underlying scheduler, in microseconds.
+    dispatch_interval_us: u64,
     swing: MovingAverage,
     min_fill_this_period: f64,
     max_fill_this_period: f64,
@@ -62,20 +45,21 @@ pub struct PeriodEstimator {
 }
 
 impl PeriodEstimator {
-    /// Creates an estimator with the given configuration.
-    pub fn new(config: PeriodEstimatorConfig) -> Self {
+    /// Creates an estimator that quantises budgets against a scheduler
+    /// dispatching every `dispatch_interval_us` microseconds.
+    pub fn new(dispatch_interval_us: u64) -> Self {
         Self {
-            swing: MovingAverage::new(config.oscillation_window.max(1)),
-            config,
+            dispatch_interval_us,
+            swing: MovingAverage::new(OSCILLATION_WINDOW),
             min_fill_this_period: f64::INFINITY,
             max_fill_this_period: f64::NEG_INFINITY,
             have_sample: false,
         }
     }
 
-    /// Creates an estimator with default configuration.
+    /// Creates an estimator for the default dispatch interval.
     pub fn with_defaults() -> Self {
-        Self::new(PeriodEstimatorConfig::default())
+        Self::new(DEFAULT_DISPATCH_INTERVAL_US)
     }
 
     /// Records one fill-level observation (fraction in `[0, 1]`) taken
@@ -90,8 +74,8 @@ impl PeriodEstimator {
     /// Closes the current period and proposes the next period length given
     /// the job's current proportion and period.
     ///
-    /// Quantization wins over jitter: if the per-period budget is below the
-    /// configured number of dispatch quanta, the period grows even if the
+    /// Quantization wins over jitter: if the per-period budget is below
+    /// `MIN_QUANTA_PER_PERIOD` dispatch quanta, the period grows even if the
     /// buffer is oscillating.
     pub fn end_period(&mut self, proportion: Proportion, period: Period) -> Period {
         if self.have_sample {
@@ -103,21 +87,19 @@ impl PeriodEstimator {
         self.have_sample = false;
 
         let budget_us = (period.as_micros() as f64 * proportion.as_fraction()).round() as u64;
-        let quanta = budget_us / self.config.dispatch_interval_us.max(1);
+        let quanta = budget_us / self.dispatch_interval_us.max(1);
 
-        let factor = self.config.adjust_factor.max(1.0 + f64::EPSILON);
         let mut next_us = period.as_micros() as f64;
-        if quanta < self.config.min_quanta_per_period {
+        if quanta < MIN_QUANTA_PER_PERIOD {
             // Small proportion: grow the period to reduce quantization error.
-            next_us *= factor;
-        } else if self.swing.value() > self.config.jitter_threshold {
+            next_us *= ADJUST_FACTOR;
+        } else if self.swing.value() > JITTER_THRESHOLD {
             // Large oscillations: shrink the period to reduce jitter.
-            next_us /= factor;
+            next_us /= ADJUST_FACTOR;
         }
-        let clamped = next_us.round().clamp(
-            self.config.min_period_us as f64,
-            self.config.max_period_us as f64,
-        ) as u64;
+        let clamped = next_us
+            .round()
+            .clamp(MIN_PERIOD_US as f64, MAX_PERIOD_US as f64) as u64;
         Period::from_micros(clamped.max(1))
     }
 }
@@ -127,13 +109,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn config() -> PeriodEstimatorConfig {
-        PeriodEstimatorConfig::default()
-    }
-
     #[test]
     fn small_proportion_grows_period() {
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         // 1 ‰ of 10 ms = 10 µs budget: far below 4 dispatch quanta.
         let next = est.end_period(Proportion::from_ppt(1), Period::from_millis(10));
         assert!(next.as_micros() > 10_000);
@@ -141,7 +119,7 @@ mod tests {
 
     #[test]
     fn high_oscillation_shrinks_period() {
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         // Large swings for several periods.
         let mut period = Period::from_millis(100);
         for _ in 0..10 {
@@ -154,7 +132,7 @@ mod tests {
 
     #[test]
     fn steady_fill_keeps_period() {
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         let mut period = Period::from_millis(30);
         for _ in 0..10 {
             est.observe_fill(0.5);
@@ -166,27 +144,27 @@ mod tests {
 
     #[test]
     fn period_respects_bounds() {
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         let mut period = Period::from_millis(150);
         // Force repeated growth.
         for _ in 0..50 {
             period = est.end_period(Proportion::from_ppt(1), period);
         }
-        assert!(period.as_micros() <= config().max_period_us);
+        assert!(period.as_micros() <= MAX_PERIOD_US);
 
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         let mut period = Period::from_millis(10);
         for _ in 0..50 {
             est.observe_fill(0.0);
             est.observe_fill(1.0);
             period = est.end_period(Proportion::from_ppt(900), period);
         }
-        assert!(period.as_micros() >= config().min_period_us);
+        assert!(period.as_micros() >= MIN_PERIOD_US);
     }
 
     #[test]
     fn quantization_takes_precedence_over_jitter() {
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         // Oscillating fill *and* a tiny proportion: the period must grow.
         for _ in 0..5 {
             est.observe_fill(0.0);
@@ -199,7 +177,7 @@ mod tests {
 
     #[test]
     fn swing_tracking_averages_over_window() {
-        let mut est = PeriodEstimator::new(config());
+        let mut est = PeriodEstimator::with_defaults();
         est.observe_fill(0.2);
         est.observe_fill(0.8);
         est.end_period(Proportion::from_ppt(500), Period::from_millis(30));
@@ -213,15 +191,14 @@ mod tests {
             period_ms in 1u64..500,
             fills in proptest::collection::vec(0.0f64..1.0, 0..20),
         ) {
-            let cfg = config();
-            let mut est = PeriodEstimator::new(cfg);
+            let mut est = PeriodEstimator::with_defaults();
             for f in fills {
                 est.observe_fill(f);
             }
             let next = est.end_period(Proportion::from_ppt(ppt), Period::from_millis(period_ms));
             // Clamped either to the configured window or unchanged.
-            prop_assert!(next.as_micros() >= cfg.min_period_us.min(period_ms * 1000));
-            prop_assert!(next.as_micros() <= cfg.max_period_us.max(period_ms * 1000));
+            prop_assert!(next.as_micros() >= MIN_PERIOD_US.min(period_ms * 1000));
+            prop_assert!(next.as_micros() <= MAX_PERIOD_US.max(period_ms * 1000));
         }
     }
 }

@@ -24,7 +24,7 @@ use crate::config::ControllerConfig;
 use crate::controller::{JobId, UsageSnapshot};
 use crate::estimator::ProportionEstimator;
 use crate::events::{ControllerEvent, QualityException};
-use crate::period::{PeriodEstimator, PeriodEstimatorConfig};
+use crate::period::PeriodEstimator;
 use crate::pressure::PressureState;
 use crate::slot::SlotTable;
 use crate::taxonomy::{JobClass, JobSpec};
@@ -295,12 +295,9 @@ impl JobEntry {
     /// and moves the period where it decides, against the grant the job
     /// held through the samples.
     pub(crate) fn estimate_period(&mut self, fills: &[f64], dispatch_interval_us: u64) {
-        let estimator = self.period_estimator.get_or_insert_with(|| {
-            Box::new(PeriodEstimator::new(PeriodEstimatorConfig {
-                dispatch_interval_us,
-                ..PeriodEstimatorConfig::default()
-            }))
-        });
+        let estimator = self
+            .period_estimator
+            .get_or_insert_with(|| Box::new(PeriodEstimator::new(dispatch_interval_us)));
         for &fill in fills {
             estimator.observe_fill(fill);
         }

@@ -119,7 +119,7 @@
 //! either a `quantum_cache_hits` (served by the cache in `O(1)`) or a
 //! `quantum_cache_misses` (slow path), and every forced settle lands in
 //! exactly one of `settles_period_boundary`, `settles_throttle_edge` or
-//! `settles_zero_span` — the `crate::settle::SettleReason` taxonomy.
+//! `settles_zero_span` — the [`SettleCause`] taxonomy.
 //! With a telemetry recorder attached ([`Dispatcher::set_telemetry`]) the
 //! same points also emit
 //! structured trace events (`quantum_cache_hit` / `quantum_cache_miss`
@@ -131,7 +131,7 @@ use crate::goodness::rbs_goodness;
 use crate::idmap::IdMap;
 use crate::reservation::Reservation;
 use crate::runqueue::{RunKey, RunQueue};
-use crate::settle::{charge_exhausts, span_settle_reason, SettleReason};
+use crate::settle::{charge_exhausts, span_settle_reason};
 use crate::timerlist::TimerList;
 use crate::types::{ThreadId, ThreadState};
 use rrs_telemetry::{Recorder, SettleCause, TraceEventKind};
@@ -177,7 +177,7 @@ impl Default for DispatcherConfig {
 /// invariants refer to: `quantum_cache_hits` / `quantum_cache_misses`
 /// split every dispatch decision by whether the next-quantum cache served
 /// it, and the three `settles_*` counters split batched span settles by
-/// their `SettleReason`.  Always counted (an increment is cheaper than a
+/// their [`SettleCause`].  Always counted (an increment is cheaper than a
 /// branch to skip it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DispatchStats {
@@ -456,6 +456,11 @@ impl Dispatcher {
         self.reserved_ppt
     }
 
+    /// Number of threads registered here.
+    pub(crate) fn thread_count(&self) -> usize {
+        self.by_id.len()
+    }
+
     /// The dense slot `id` occupies — the id → slot edge.  Valid for the
     /// slot-addressed methods until the thread is removed or taken.
     pub fn slot_of(&self, id: ThreadId) -> Option<u32> {
@@ -695,9 +700,17 @@ impl Dispatcher {
     }
 
     /// Removes a thread from the dispatcher.
-    pub fn remove_thread(&mut self, id: ThreadId) -> Result<(), SchedError> {
+    #[cfg(test)]
+    pub(crate) fn remove_thread(&mut self, id: ThreadId) -> Result<(), SchedError> {
         self.settle_span();
         let idx = self.resolve(id)?;
+        self.remove_thread_slot(idx, id)
+    }
+
+    /// Removes the thread at `idx`, provided it is still `id`'s.
+    pub(crate) fn remove_thread_slot(&mut self, idx: u32, id: ThreadId) -> Result<(), SchedError> {
+        self.settle_span();
+        self.verify(idx, id)?;
         // Settle the departing thread's boundary backlog so the global
         // rollover and miss statistics don't lose its final periods.
         self.sync_entry(idx);
@@ -796,6 +809,12 @@ impl Dispatcher {
     /// Returns a copy of a thread's usage account.
     pub fn usage(&self, id: ThreadId) -> Option<UsageAccount> {
         self.entry_of(id).map(|t| t.account)
+    }
+
+    /// [`Dispatcher::usage`] for a caller that holds the thread's dense
+    /// slot.
+    pub(crate) fn usage_slot(&self, slot: u32, id: ThreadId) -> Option<UsageAccount> {
+        self.entry_at(slot, id).map(|t| t.account)
     }
 
     /// Marks a thread as blocked (waiting on I/O or a queue).
@@ -1316,29 +1335,20 @@ impl Dispatcher {
 
     /// [`Dispatcher::charge_span`] when the batch must settle first.
     #[inline(never)]
-    fn charge_span_slow(&mut self, idx: u32, us: u64, reason: SettleReason) {
-        self.note_settle(idx, reason);
+    fn charge_span_slow(&mut self, idx: u32, us: u64, cause: SettleCause) {
+        self.note_settle(idx, cause);
         self.settle_span();
         self.charge_inner(idx, us);
     }
 
     /// Counts a forced span settle by its reason and, when telemetry is
     /// enabled, records the settle point as a trace event.
-    fn note_settle(&mut self, idx: u32, reason: SettleReason) {
-        let cause = match reason {
-            SettleReason::PeriodBoundary => {
-                self.stats.settles_period_boundary += 1;
-                SettleCause::PeriodBoundary
-            }
-            SettleReason::ThrottleEdge => {
-                self.stats.settles_throttle_edge += 1;
-                SettleCause::ThrottleEdge
-            }
-            SettleReason::ZeroSpan => {
-                self.stats.settles_zero_span += 1;
-                SettleCause::ZeroSpan
-            }
-        };
+    fn note_settle(&mut self, idx: u32, cause: SettleCause) {
+        match cause {
+            SettleCause::PeriodBoundary => self.stats.settles_period_boundary += 1,
+            SettleCause::ThrottleEdge => self.stats.settles_throttle_edge += 1,
+            SettleCause::ZeroSpan => self.stats.settles_zero_span += 1,
+        }
         if let Some(t) = &self.telemetry {
             let thread = self.entries[idx as usize]
                 .as_ref()

@@ -1,9 +1,11 @@
 //! The id → handle index every layer keeps: an open-addressing hash table.
 //!
-//! The dispatcher (thread id → dense slot), the machine (thread id → CPU)
-//! and the controller (job id → slot) each look their residents up by id.
+//! Each id is filed once, where its resident lives: each dispatcher maps
+//! thread id → dense slot and each controller job id → slot.  The layers
+//! above keep no id index of their own: the machine asks its dispatchers
+//! and the sharded simulator its shards' controllers, one probe each.
 //! A B-tree allocates a node for every few ids it holds, so admitting `n`
-//! jobs made `O(n)` allocations in each of the three; a sorted `Vec` grows
+//! jobs made `O(n)` allocations in each index; a sorted `Vec` grows
 //! by doubling but shifts half of itself for every id that arrives or
 //! leaves out of order, which a migration does twice per index
 //! (`sharded_churn` `run_wall_s` ×1.14 against the B-trees).  Here the ids

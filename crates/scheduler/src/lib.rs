@@ -29,8 +29,8 @@
 //!   cross-CPU migration ([`CpuId`]).  `N = 1` is bit-for-bit the
 //!   single-dispatcher system.  A [`ThreadHandle`] addresses a thread
 //!   without an id lookup.
-//! * [`IdMap`] — the id → handle index the dispatcher, the machine and the
-//!   controller each keep: a sorted `Vec` that admissions append to.
+//! * [`IdMap`] — the id → handle index the dispatcher and the controller
+//!   each keep: an open-addressing hash table.
 //! * [`accounting::UsageAccount`] — per-thread usage the controller reads to
 //!   reclaim over-allocated CPU.
 

@@ -3,9 +3,9 @@
 //! The paper's prototype ran on one 400 MHz CPU; this module makes "the
 //! machine" a first-class abstraction so the same dispatcher state machine
 //! scales to `N` CPUs.  A [`Machine`] owns one [`Dispatcher`] per CPU —
-//! each with its own run queue, timer list and accounting — plus the
-//! thread→CPU placement map, and routes every single-CPU call
-//! (`add_thread_preadmitted`, `charge_at`, `set_reservation`,
+//! each with its own run queue, timer list, accounting and `by_id` index
+//! of the threads it holds — and routes every single-CPU call
+//! (`add_thread_preadmitted_on`, `charge_at`, `set_reservation_at`,
 //! `advance_to`, usage queries) to the owning CPU.  With `N = 1` it is a
 //! transparent shell around one dispatcher: every operation takes the
 //! exact code path the single-CPU system took, so the paper's figures
@@ -14,32 +14,32 @@
 //! CPUs share one logical clock: [`Machine::advance_to`] moves every
 //! dispatcher in lockstep, which is how both the discrete-event simulator
 //! and the wall-clock executor drive it.  Cross-CPU migration
-//! ([`Machine::migrate`]) transplants a thread's full mid-period state —
+//! ([`Machine::migrate_at`]) transplants a thread's full mid-period state —
 //! reservation, throttle status, usage account — via
-//! `Dispatcher::take_thread` / `Dispatcher::inject_thread`, so a
+//! `Dispatcher::take_thread_slot` / `Dispatcher::inject_thread`, so a
 //! throttled thread stays throttled until the period boundary its source
 //! CPU had scheduled.
 //!
 //! # Thread handles
 //!
-//! Every id-keyed method resolves the thread's [`ThreadHandle`] — its CPU
-//! and its dense slot in that CPU's dispatcher — through the two id maps
-//! (`placement` here, `by_id` in the dispatcher) exactly once and calls
-//! its handle-addressed twin (`set_reservation` →
-//! [`Machine::set_reservation_at`], and likewise `reservation`,
-//! `migrate`), which holds all the logic; block, wake and charge — what a
-//! backend does every span — exist only handle-addressed
-//! ([`Machine::block_at`], [`Machine::unblock_at`],
-//! [`Machine::charge_at`]).  The calls that place
-//! a thread ([`Machine::add_thread_preadmitted_on`],
+//! A thread is addressed by its [`ThreadHandle`] — its CPU and its dense
+//! slot in that CPU's dispatcher.  The machine keeps no id index of its
+//! own: each thread is filed once, in the `by_id` map of the dispatcher
+//! that holds it, so the few calls that start from a bare id
+//! ([`Machine::handle_of`], [`Machine::cpu_of`], [`Machine::migrate`],
+//! [`Machine::add_thread_preadmitted`], the duplicate check of the placing
+//! calls, [`Machine::thread_count`]) ask every CPU in turn, `O(CPUs)`
+//! probes at the API edge.  Everything else is handle-addressed: block,
+//! wake, charge, re-reserve, query, migrate, extract and remove.  The
+//! calls that place a thread ([`Machine::add_thread_preadmitted_on`],
 //! [`Machine::inject_thread_on`], [`Machine::migrate_at`],
-//! [`Machine::actuate`]) hand the handle back, so
-//! a driver that stores it beside the `ThreadId` — both host backends do —
-//! never touches a map on its per-cycle paths.  The handle belongs to
-//! whoever placed the thread and goes stale when the thread next changes
-//! slot: on `migrate*` (which returns the new one), `extract_thread` and
-//! `remove_thread`.  A stale handle is harmless: every `_at` method checks
-//! on every call that the slot still holds the named id and answers
+//! [`Machine::actuate`]) hand the handle back, so a driver that stores it
+//! beside the `ThreadId` — both host backends do — never touches a map on
+//! its per-cycle paths.  The handle belongs to whoever placed the thread
+//! and goes stale when the thread next changes slot: on `migrate*` (which
+//! returns the new one), `extract_thread_at` and `remove_thread_at`.  A
+//! stale handle is harmless: every `_at` method checks on every call that
+//! the slot still holds the named id and answers
 //! [`SchedError::UnknownThread`] (or `None`) otherwise, so it can never
 //! reach the thread that reused the slot; [`Machine::handle_of`] gets a
 //! fresh one.
@@ -48,7 +48,6 @@ use crate::dispatcher::{
     DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread,
 };
 use crate::error::SchedError;
-use crate::idmap::IdMap;
 use crate::reservation::Reservation;
 use crate::types::{CpuId, ThreadHandle, ThreadId};
 use crate::UsageAccount;
@@ -103,9 +102,6 @@ pub struct CpuStats {
 #[derive(Debug)]
 pub struct Machine {
     cpus: Vec<Dispatcher>,
-    /// Id → CPU, the machine's half of the id edge (the dispatcher's
-    /// `by_id` is the other).
-    placement: IdMap<ThreadId, CpuId>,
     /// Trace-event sink shared with every dispatcher; `None` when
     /// telemetry is disabled.
     telemetry: Option<Arc<Recorder>>,
@@ -124,7 +120,6 @@ impl Machine {
         let n = cpus.clamp(1, Self::MAX_CPUS);
         Self {
             cpus: (0..n).map(|_| Dispatcher::new(config)).collect(),
-            placement: IdMap::new(),
             telemetry: None,
         }
     }
@@ -202,15 +197,26 @@ impl Machine {
 
     /// The CPU a thread is currently placed on.
     pub fn cpu_of(&self, id: ThreadId) -> Option<CpuId> {
-        self.placement.get(id)
+        self.handle_of(id).map(|handle| handle.cpu)
     }
 
-    /// A thread's current handle — the id edge, two map lookups.  Valid
-    /// for the `_at` methods until the thread migrates or leaves.
+    /// A thread's current handle — the id edge: one `by_id` probe per CPU
+    /// until one holds it.  Valid for the `_at` methods until the thread
+    /// migrates or leaves.
     pub fn handle_of(&self, id: ThreadId) -> Option<ThreadHandle> {
-        let cpu = self.cpu_of(id)?;
-        let slot = self.cpus[cpu.index()].slot_of(id)?;
-        Some(ThreadHandle { cpu, slot })
+        self.cpus.iter().enumerate().find_map(|(i, d)| {
+            Some(ThreadHandle {
+                cpu: CpuId(i as u32),
+                slot: d.slot_of(id)?,
+            })
+        })
+    }
+
+    /// Whether `handle` still points at `id`.
+    pub fn holds(&self, handle: ThreadHandle, id: ThreadId) -> bool {
+        self.cpus
+            .get(handle.cpu.index())
+            .is_some_and(|d| d.holds(handle.slot, id))
     }
 
     fn resolve(&self, id: ThreadId) -> Result<ThreadHandle, SchedError> {
@@ -227,7 +233,7 @@ impl Machine {
 
     /// Total number of threads across all CPUs.
     pub fn thread_count(&self) -> usize {
-        self.placement.len()
+        self.cpus.iter().map(Dispatcher::thread_count).sum()
     }
 
     /// The shared logical clock, in microseconds (all CPUs advance in
@@ -272,9 +278,8 @@ impl Machine {
         total
     }
 
-    /// Records that `id` now lives on `cpu` and returns its handle.
-    fn placed(&mut self, id: ThreadId, cpu: CpuId) -> ThreadHandle {
-        self.placement.insert(id, cpu);
+    /// The handle of `id`, which `cpu` has just accepted.
+    fn placed(&self, id: ThreadId, cpu: CpuId) -> ThreadHandle {
         let slot = self.cpus[cpu.index()]
             .slot_of(id)
             .expect("the dispatcher indexed the thread it just accepted");
@@ -306,20 +311,20 @@ impl Machine {
         reservation: Reservation,
         owner: u32,
     ) -> Result<ThreadHandle, SchedError> {
-        if self.placement.contains(id) {
+        if self.handle_of(id).is_some() {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].add_thread_owned(id, reservation, owner)?;
         Ok(self.placed(id, cpu))
     }
 
-    /// Removes a thread from whichever CPU holds it.
-    pub fn remove_thread(&mut self, id: ThreadId) -> Result<(), SchedError> {
-        let cpu = self
-            .placement
-            .remove(id)
-            .ok_or(SchedError::UnknownThread(id))?;
-        self.cpus[cpu.index()].remove_thread(id)
+    /// Removes the thread `handle` points at.
+    pub fn remove_thread_at(
+        &mut self,
+        handle: ThreadHandle,
+        id: ThreadId,
+    ) -> Result<(), SchedError> {
+        self.at(handle, id)?.remove_thread_slot(handle.slot, id)
     }
 
     /// Moves a thread to another CPU, preserving its reservation, throttle
@@ -341,7 +346,7 @@ impl Machine {
         to: CpuId,
     ) -> Result<ThreadHandle, SchedError> {
         let from = handle.cpu;
-        if !self.at(handle, id)?.holds(handle.slot, id) {
+        if !self.holds(handle, id) {
             return Err(SchedError::UnknownThread(id));
         }
         if to.index() >= self.cpus.len() {
@@ -390,20 +395,21 @@ impl Machine {
         Ok(Some(from))
     }
 
-    /// Removes a thread from the machine but returns its transplantable
-    /// mid-period state instead of discarding it, so the thread can be
-    /// re-injected into a *different* machine (the sharded simulator's
-    /// cross-shard migration path).  The counterpart of
+    /// Removes the thread `handle` points at but returns its
+    /// transplantable mid-period state instead of discarding it, so the
+    /// thread can be re-injected into a *different* machine (the sharded
+    /// simulator's cross-shard migration path).  The counterpart of
     /// [`Machine::inject_thread_on`].
-    pub fn extract_thread(&mut self, id: ThreadId) -> Result<MigratedThread, SchedError> {
-        let handle = self.resolve(id)?;
-        let thread = self.cpus[handle.cpu.index()].take_thread_slot(handle.slot, id)?;
-        self.placement.remove(id);
-        Ok(thread)
+    pub fn extract_thread_at(
+        &mut self,
+        handle: ThreadHandle,
+        id: ThreadId,
+    ) -> Result<MigratedThread, SchedError> {
+        self.at(handle, id)?.take_thread_slot(handle.slot, id)
     }
 
     /// Installs a thread previously removed with
-    /// [`Machine::extract_thread`] (possibly from another machine) on an
+    /// [`Machine::extract_thread_at`] (possibly from another machine) on an
     /// explicit CPU under the owner tag `owner`, preserving its
     /// reservation, throttle state and mid-period usage account.  Returns
     /// the thread's handle.
@@ -418,27 +424,15 @@ impl Machine {
         if cpu.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
         }
-        if self.placement.contains(id) {
+        if self.handle_of(id).is_some() {
             return Err(SchedError::DuplicateThread(id));
         }
         self.cpus[cpu.index()].inject_thread(thread)?;
         Ok(self.placed(id, cpu))
     }
 
-    /// Changes a thread's reservation on its current CPU and returns that
-    /// CPU.
-    pub fn set_reservation(
-        &mut self,
-        id: ThreadId,
-        reservation: Reservation,
-    ) -> Result<CpuId, SchedError> {
-        let handle = self.resolve(id)?;
-        self.set_reservation_at(handle, id, reservation)?;
-        Ok(handle.cpu)
-    }
-
-    /// [`Machine::set_reservation`] for a caller that holds the thread's
-    /// handle — the controller's per-cycle actuation path.
+    /// Changes the reservation of the thread `handle` points at — the
+    /// controller's per-cycle actuation path.
     pub fn set_reservation_at(
         &mut self,
         handle: ThreadHandle,
@@ -449,13 +443,7 @@ impl Machine {
             .set_reservation_slot(handle.slot, id, reservation)
     }
 
-    /// Returns a thread's current reservation.
-    pub fn reservation(&self, id: ThreadId) -> Option<Reservation> {
-        self.reservation_at(self.handle_of(id)?, id)
-    }
-
-    /// [`Machine::reservation`] for a caller that holds the thread's
-    /// handle.
+    /// The current reservation of the thread `handle` points at.
     pub fn reservation_at(&self, handle: ThreadHandle, id: ThreadId) -> Option<Reservation> {
         self.cpus
             .get(handle.cpu.index())?
@@ -483,10 +471,11 @@ impl Machine {
         self.at(handle, id)?.charge_slot(handle.slot, id, us)
     }
 
-    /// Returns a copy of a thread's usage account.
-    pub fn usage(&self, id: ThreadId) -> Option<UsageAccount> {
-        let cpu = self.placement.get(id)?;
-        self.cpus[cpu.index()].usage(id)
+    /// A copy of the usage account of the thread `handle` points at.
+    pub fn usage_at(&self, handle: ThreadHandle, id: ThreadId) -> Option<UsageAccount> {
+        self.cpus
+            .get(handle.cpu.index())?
+            .usage_slot(handle.slot, id)
     }
 
     /// Advances every CPU's clock to `now_us` in lockstep, processing each
@@ -535,6 +524,15 @@ mod tests {
         m.charge_at(handle, id, us).unwrap();
     }
 
+    fn usage(m: &Machine, id: ThreadId) -> Option<UsageAccount> {
+        m.usage_at(m.handle_of(id)?, id)
+    }
+
+    fn extract(m: &mut Machine, id: ThreadId) -> MigratedThread {
+        let handle = m.handle_of(id).expect("resident");
+        m.extract_thread_at(handle, id).unwrap()
+    }
+
     #[test]
     fn single_cpu_machine_matches_dispatcher_behaviour() {
         let mut m = Machine::new(DispatcherConfig::default(), 1);
@@ -555,7 +553,7 @@ mod tests {
         }
         assert_eq!(m.stats(), d.stats());
         assert_eq!(
-            m.usage(ThreadId(1)).unwrap().total_used_us,
+            usage(&m, ThreadId(1)).unwrap().total_used_us,
             d.usage(ThreadId(1)).unwrap().total_used_us
         );
     }
@@ -603,7 +601,7 @@ mod tests {
             m.dispatcher(CpuId(0)).thread_state(ThreadId(1)),
             Some(ThreadState::Throttled)
         );
-        let used = m.usage(ThreadId(1)).unwrap().total_used_us;
+        let used = usage(&m, ThreadId(1)).unwrap().total_used_us;
 
         let from = m.migrate(ThreadId(1), CpuId(1)).unwrap();
         assert_eq!(from, CpuId(0));
@@ -613,7 +611,7 @@ mod tests {
             Some(ThreadState::Throttled),
             "throttle survives migration"
         );
-        assert_eq!(m.usage(ThreadId(1)).unwrap().total_used_us, used);
+        assert_eq!(usage(&m, ThreadId(1)).unwrap().total_used_us, used);
         assert_eq!(m.dispatch(CpuId(1)).thread, None, "still parked");
         // The original period boundary replenishes it on the new CPU.
         m.advance_to(10_000);
@@ -676,7 +674,7 @@ mod tests {
         assert!(agg.period_rollovers > 0);
         // Both CPUs' threads consumed.
         for id in [ThreadId(1), ThreadId(2)] {
-            assert!(m.usage(id).unwrap().total_used_us > 0);
+            assert!(usage(&m, id).unwrap().total_used_us > 0);
         }
         assert_eq!(agg.deadlines_missed, 0);
     }
@@ -700,12 +698,12 @@ mod tests {
         assert_eq!(span_owner(&mut m, CpuId(0)), Some(7));
         m.actuate(&mut handle, ThreadId(5), res(200, 10), CpuId(1))
             .unwrap();
-        m.extract_thread(ThreadId(6)).unwrap();
+        extract(&mut m, ThreadId(6));
         assert_eq!(span_owner(&mut m, CpuId(1)), Some(7), "moved with it");
         assert_eq!(span_owner(&mut m, CpuId(0)), None, "an idle dispatch");
 
         let mut other = Machine::new(DispatcherConfig::default(), 1);
-        let thread = m.extract_thread(ThreadId(5)).unwrap();
+        let thread = extract(&mut m, ThreadId(5));
         other.inject_thread_on(CpuId(0), thread, 3).unwrap();
         assert_eq!(span_owner(&mut other, CpuId(0)), Some(3));
         other.advance_to(100_000);
@@ -718,7 +716,8 @@ mod tests {
     /// machine's resident count, while the CPUs dispatch, charge, block,
     /// wake and re-reserve them: after every operation each CPU's run
     /// queue and timer list hold exactly the keys its thread table
-    /// derives.
+    /// derives, the id edge finds every resident thread at the handle
+    /// the test holds for it, and it finds no departed one.
     #[test]
     fn churn_keeps_every_cpu_filed_by_its_thread_table() {
         const CPUS: u32 = 4;
@@ -731,33 +730,39 @@ mod tests {
             rng ^= rng << 17;
             rng % n
         };
-        let mut resident: Vec<ThreadId> = Vec::new();
+        let mut resident: Vec<(ThreadId, ThreadHandle)> = Vec::new();
+        let mut departed: Vec<ThreadId> = Vec::new();
         let (mut added, mut removed, mut migrated, mut armed) = (0u64, 0u64, 0u64, 0u64);
         while added < 10 * RESIDENT as u64 {
-            let pick = |resident: &[ThreadId], r: u64| resident[r as usize % resident.len()];
+            let pick = |resident: &[(ThreadId, ThreadHandle)], r: u64| r as usize % resident.len();
             match next(9) {
                 0 | 1 if resident.len() < 2 * RESIDENT => {
                     let id = ThreadId(added);
                     let cpu = CpuId(next(CPUS as u64) as u32);
                     let r = res(20 + next(300) as u32, 2 + next(30));
-                    m.add_thread_preadmitted_on(cpu, id, r, added as u32)
+                    let handle = m
+                        .add_thread_preadmitted_on(cpu, id, r, added as u32)
                         .unwrap();
-                    resident.push(id);
+                    resident.push((id, handle));
                     added += 1;
                 }
                 2 if resident.len() > RESIDENT / 2 => {
                     let at = next(resident.len() as u64) as usize;
-                    m.remove_thread(resident.swap_remove(at)).unwrap();
+                    let (id, handle) = resident.swap_remove(at);
+                    m.remove_thread_at(handle, id).unwrap();
+                    departed.push(id);
                     removed += 1;
                 }
                 3 if !resident.is_empty() => {
-                    let id = pick(&resident, next(u64::MAX));
-                    m.migrate(id, CpuId(next(CPUS as u64) as u32)).unwrap();
+                    let at = pick(&resident, next(u64::MAX));
+                    let (id, handle) = &mut resident[at];
+                    *handle = m
+                        .migrate_at(*handle, *id, CpuId(next(CPUS as u64) as u32))
+                        .unwrap();
                     migrated += 1;
                 }
                 4 if !resident.is_empty() => {
-                    let id = pick(&resident, next(u64::MAX));
-                    let handle = m.handle_of(id).unwrap();
+                    let (id, handle) = resident[pick(&resident, next(u64::MAX))];
                     if m.dispatcher(handle.cpu).thread_state(id) == Some(ThreadState::Blocked) {
                         m.unblock_at(handle, id).unwrap();
                     } else {
@@ -765,9 +770,9 @@ mod tests {
                     }
                 }
                 5 if !resident.is_empty() => {
-                    let id = pick(&resident, next(u64::MAX));
+                    let (id, handle) = resident[pick(&resident, next(u64::MAX))];
                     let r = res(20 + next(300) as u32, 2 + next(30));
-                    m.set_reservation(id, r).unwrap();
+                    m.set_reservation_at(handle, id, r).unwrap();
                 }
                 _ => {
                     for cpu in (0..CPUS).map(CpuId) {
@@ -785,6 +790,13 @@ mod tests {
                 armed += u64::from(m.dispatcher(cpu).next_timer_expiry().is_some());
             }
             assert_eq!(m.thread_count(), resident.len());
+            for &(id, handle) in &resident {
+                assert_eq!(m.handle_of(id), Some(handle));
+                assert_eq!(m.cpu_of(id), Some(handle.cpu));
+            }
+            for &id in &departed {
+                assert_eq!((m.handle_of(id), m.cpu_of(id)), (None, None));
+            }
         }
         assert!(removed > 3 * RESIDENT as u64 && migrated > 3 * RESIDENT as u64);
         assert!(armed > 100, "throttled threads were churned too");
@@ -794,15 +806,17 @@ mod tests {
     fn remove_thread_frees_its_cpu() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
         m.add_thread_preadmitted(ThreadId(1), res(500, 10)).unwrap();
-        m.remove_thread(ThreadId(1)).unwrap();
+        let handle = m.handle_of(ThreadId(1)).unwrap();
+        m.remove_thread_at(handle, ThreadId(1)).unwrap();
         assert_eq!(m.thread_count(), 0);
         assert_eq!(m.total_reserved_ppt(), 0);
         assert_eq!(
-            m.remove_thread(ThreadId(1)),
+            m.remove_thread_at(handle, ThreadId(1)),
             Err(SchedError::UnknownThread(ThreadId(1)))
         );
-        assert_eq!(m.reservation(ThreadId(1)), None);
-        assert!(m.usage(ThreadId(1)).is_none());
-        assert!(m.usage(ThreadId(1)).is_none());
+        assert_eq!(m.handle_of(ThreadId(1)), None);
+        assert_eq!(m.reservation_at(handle, ThreadId(1)), None);
+        assert!(m.usage_at(handle, ThreadId(1)).is_none());
+        assert!(usage(&m, ThreadId(1)).is_none());
     }
 }

@@ -14,22 +14,7 @@
 //! edge.
 
 use crate::accounting::UsageAccount;
-
-/// Why a batched span charge had to settle instead of accumulating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SettleReason {
-    /// The clock reached the thread's next period boundary: the pending
-    /// usage belongs to the finished period and must land in the account
-    /// before the boundary rolls.
-    PeriodBoundary,
-    /// This charge exhausts the period budget: the thread throttles *now*,
-    /// which unlinks it from the run queue and arms its release timer.
-    ThrottleEdge,
-    /// A zero-length charge still publishes the Running → Ready transition
-    /// and re-watches the thread for the controller's usage feed, so it
-    /// takes the full per-charge path.
-    ZeroSpan,
-}
+use rrs_telemetry::SettleCause;
 
 /// Returns `true` when charging `us` more microseconds — on top of what the
 /// account has already recorded this period plus `pending_us` not yet
@@ -62,15 +47,15 @@ pub(crate) fn span_settle_reason(
     account: &UsageAccount,
     now_us: u64,
     next_boundary_us: u64,
-) -> Option<SettleReason> {
+) -> Option<SettleCause> {
     if now_us >= next_boundary_us {
-        return Some(SettleReason::PeriodBoundary);
+        return Some(SettleCause::PeriodBoundary);
     }
     if charge_exhausts(account, pending_us, us) {
-        return Some(SettleReason::ThrottleEdge);
+        return Some(SettleCause::ThrottleEdge);
     }
     if us == 0 {
-        return Some(SettleReason::ZeroSpan);
+        return Some(SettleCause::ZeroSpan);
     }
     None
 }
@@ -90,7 +75,7 @@ mod tests {
         let a = account(1000, 10);
         assert_eq!(
             span_settle_reason(10, 0, &a, 5_000, 5_000),
-            Some(SettleReason::PeriodBoundary)
+            Some(SettleCause::PeriodBoundary)
         );
         assert_eq!(span_settle_reason(10, 0, &a, 4_999, 5_000), None);
     }
@@ -103,7 +88,7 @@ mod tests {
         // ... + 100 = 1000: exhausts, settle and throttle.
         assert_eq!(
             span_settle_reason(100, 300, &a, 0, 1),
-            Some(SettleReason::ThrottleEdge)
+            Some(SettleCause::ThrottleEdge)
         );
         assert!(charge_exhausts(&a, 300, 100));
         assert!(!charge_exhausts(&a, 300, 99));
@@ -114,7 +99,7 @@ mod tests {
         let a = account(1000, 10);
         assert_eq!(
             span_settle_reason(0, 0, &a, 0, 1),
-            Some(SettleReason::ZeroSpan)
+            Some(SettleCause::ZeroSpan)
         );
     }
 

@@ -11,21 +11,48 @@
 //! equal after every operation.
 //!
 //! The last test pins the handle contract on top: a machine driven
-//! through [`ThreadHandle`]s must be indistinguishable from one driven by
-//! id, and a handle made stale by a migration, a removal or the reuse of
-//! its slot must be refused without touching anything.
+//! through the [`ThreadHandle`]s its placing calls returned must be
+//! indistinguishable from one whose every call resolves the thread's id
+//! afresh, and a handle made stale by a migration, a removal or the reuse
+//! of its slot must be refused without touching anything.
 
 use proptest::prelude::*;
 use rrs_scheduler::{
-    CpuId, Dispatcher, DispatcherConfig, Machine, Period, Proportion, Reservation, SchedError,
-    ThreadHandle, ThreadId, UsageAccount,
+    CpuId, Dispatcher, DispatcherConfig, Machine, MigratedThread, Period, Proportion, Reservation,
+    SchedError, ThreadHandle, ThreadId, UsageAccount,
 };
 use std::collections::BTreeMap;
 
 /// The id edge as a caller without a stored handle spells it: resolve
-/// through the two id maps, then act on the handle.
+/// through the CPUs' id maps, then act on the handle.
 fn resolve(machine: &Machine, id: ThreadId) -> Result<ThreadHandle, SchedError> {
     machine.handle_of(id).ok_or(SchedError::UnknownThread(id))
+}
+
+fn remove(machine: &mut Machine, id: ThreadId) -> Result<(), SchedError> {
+    resolve(machine, id).and_then(|h| machine.remove_thread_at(h, id))
+}
+
+fn extract(machine: &mut Machine, id: ThreadId) -> Result<MigratedThread, SchedError> {
+    resolve(machine, id).and_then(|h| machine.extract_thread_at(h, id))
+}
+
+/// Re-reserves the thread and returns the CPU it is on.
+fn set_reservation(
+    machine: &mut Machine,
+    id: ThreadId,
+    r: Reservation,
+) -> Result<CpuId, SchedError> {
+    let h = resolve(machine, id)?;
+    machine.set_reservation_at(h, id, r).map(|()| h.cpu)
+}
+
+fn reservation_of(machine: &Machine, id: ThreadId) -> Option<Reservation> {
+    machine.reservation_at(machine.handle_of(id)?, id)
+}
+
+fn usage_of(machine: &Machine, id: ThreadId) -> Option<UsageAccount> {
+    machine.usage_at(machine.handle_of(id)?, id)
 }
 
 fn block(machine: &mut Machine, id: ThreadId) -> Result<(), SchedError> {
@@ -125,7 +152,7 @@ proptest! {
                         Period::from_millis(1 + target % 20),
                     );
                     prop_assert_eq!(
-                        machine.set_reservation(id, new).is_ok(),
+                        set_reservation(&mut machine, id, new).is_ok(),
                         oracle.set_reservation(id, new).is_ok()
                     );
                 }
@@ -136,7 +163,7 @@ proptest! {
             // mover's boundary backlog, so both sides settle theirs first.
             machine.sync_all();
             oracle.sync_all();
-            prop_assert_eq!(machine.reservation(id), oracle.reservation(id));
+            prop_assert_eq!(reservation_of(&machine, id), oracle.reservation(id));
             let cpu = machine.cpu_of(id).unwrap();
             prop_assert_eq!(
                 machine.dispatcher(cpu).thread_state(id),
@@ -144,7 +171,7 @@ proptest! {
                 "throttle/run state diverged"
             );
             assert_accounts_equal(
-                &machine.usage(id).unwrap(),
+                &usage_of(&machine, id).unwrap(),
                 &oracle.usage(id).unwrap(),
             );
         }
@@ -189,20 +216,20 @@ proptest! {
             machine.sync_all();
             let id = ThreadId(pick % threads);
             let to = CpuId((to % cpus as u64) as u32);
-            let before_account = machine.usage(id).unwrap();
-            let before_reservation = machine.reservation(id).unwrap();
+            let before_account = usage_of(&machine, id).unwrap();
+            let before_reservation = reservation_of(&machine, id).unwrap();
             let before_state = machine
                 .dispatcher(machine.cpu_of(id).unwrap())
                 .thread_state(id)
                 .unwrap();
             machine.migrate(id, to).unwrap();
             prop_assert_eq!(machine.cpu_of(id), Some(to));
-            prop_assert_eq!(machine.reservation(id), Some(before_reservation));
+            prop_assert_eq!(reservation_of(&machine, id), Some(before_reservation));
             prop_assert_eq!(
                 machine.dispatcher(to).thread_state(id),
                 Some(before_state)
             );
-            assert_accounts_equal(&machine.usage(id).unwrap(), &before_account);
+            assert_accounts_equal(&usage_of(&machine, id).unwrap(), &before_account);
 
             // Conservation: nobody was lost, duplicated or re-weighted.
             prop_assert_eq!(machine.thread_count(), threads as usize);
@@ -246,15 +273,15 @@ proptest! {
                     handles.insert(id, handle);
                 }
                 (0, Some(handle)) => {
-                    by_id.remove_thread(id).unwrap();
-                    by_handle.remove_thread(id).unwrap();
+                    remove(&mut by_id, id).unwrap();
+                    by_handle.remove_thread_at(handle, id).unwrap();
                     handles.remove(&id);
                     stale.push((id, handle));
                 }
                 (1, Some(handle)) => {
-                    let thread = by_id.extract_thread(id).unwrap();
+                    let thread = extract(&mut by_id, id).unwrap();
                     by_id.inject_thread_on(to, thread, 0).unwrap();
-                    let thread = by_handle.extract_thread(id).unwrap();
+                    let thread = by_handle.extract_thread_at(handle, id).unwrap();
                     let moved = by_handle.inject_thread_on(to, thread, 0).unwrap();
                     handles.insert(id, moved);
                     stale.push((id, handle));
@@ -270,7 +297,7 @@ proptest! {
                 // `actuate`.
                 (3, Some(mut handle)) => {
                     let r = reservation(b, a);
-                    let from = by_id.set_reservation(id, r).unwrap();
+                    let from = set_reservation(&mut by_id, id, r).unwrap();
                     let migrated = from != to && by_id.migrate(id, to).is_ok();
                     let moved = by_handle.actuate(&mut handle, id, r, to).unwrap();
                     prop_assert_eq!(moved, migrated.then_some(from));
@@ -278,7 +305,7 @@ proptest! {
                 }
                 (4, Some(handle)) => {
                     let r = reservation(a, b);
-                    by_id.set_reservation(id, r).unwrap();
+                    set_reservation(&mut by_id, id, r).unwrap();
                     by_handle.set_reservation_at(handle, id, r).unwrap();
                 }
                 (5, Some(handle)) => {
@@ -328,6 +355,9 @@ proptest! {
                 let r = reservation(a, b);
                 prop_assert_eq!(by_handle.set_reservation_at(handle, id, r), gone);
                 prop_assert_eq!(by_handle.reservation_at(handle, id), None);
+                prop_assert!(by_handle.usage_at(handle, id).is_none());
+                prop_assert_eq!(by_handle.remove_thread_at(handle, id), gone.clone());
+                prop_assert!(by_handle.extract_thread_at(handle, id).is_err());
                 prop_assert_eq!(by_handle.unblock_at(handle, id), gone);
                 prop_assert_eq!(by_handle.charge_at(handle, id, b), gone);
                 prop_assert_eq!(
@@ -350,14 +380,14 @@ proptest! {
                 prop_assert_eq!(by_handle.handle_of(id), handles.get(&id).copied());
                 prop_assert_eq!(by_id.cpu_of(id), by_handle.cpu_of(id));
                 let Some(handle) = handles.get(&id).copied() else {
-                    prop_assert!(by_id.usage(id).is_none() && by_handle.usage(id).is_none());
+                    prop_assert!(usage_of(&by_id, id).is_none() && usage_of(&by_handle, id).is_none());
                     continue;
                 };
                 assert_accounts_equal(
-                    &by_id.usage(id).unwrap(),
-                    &by_handle.usage(id).unwrap(),
+                    &usage_of(&by_id, id).unwrap(),
+                    &by_handle.usage_at(handle, id).unwrap(),
                 );
-                prop_assert_eq!(by_id.reservation(id), by_handle.reservation_at(handle, id));
+                prop_assert_eq!(reservation_of(&by_id, id), by_handle.reservation_at(handle, id));
                 prop_assert_eq!(
                     by_id.dispatcher(handle.cpu).thread_state(id),
                     by_handle.dispatcher(handle.cpu).thread_state(id)

@@ -336,6 +336,27 @@ mod tests {
         assert!(sim.trace().get("alloc/b").is_some());
         assert!(sim.stats().controller_invocations > 0);
         assert_eq!(sim.controller().job_count(), 2);
+        // A new job takes `a`'s slot index: a query through `a` reaches
+        // nobody on either host, while the tenant's queries answer.
+        let tenants = [&mut sim, &mut sharded].map(|host| {
+            let c = host.add_job("c", JobSpec::miscellaneous(), Box::<Spin>::default());
+            host.advance(SimTime::from_micros(100_000));
+            c.unwrap()
+        });
+        assert_eq!(tenants[0], tenants[1], "the same handles");
+        let c = tenants[0];
+        assert_eq!(c.slot.index(), a.slot.index(), "the slot is reused");
+        for host in [&sim, &sharded] {
+            assert_eq!(host.reservation(a), None);
+            assert_eq!(host.cpu_of(a), None);
+            assert!(host.usage(a).is_none());
+            assert_eq!(host.allocation_ppt(a), 0);
+            assert!(host.reservation(c).is_some());
+            assert!(host.cpu_of(c).is_some());
+            assert!(host.usage(c).is_some_and(|u| u.total_used_us > 0));
+            assert!(host.allocation_ppt(c) > 0);
+        }
+        same(sim.as_ref(), sharded.as_ref());
     }
 
     /// `rate/` is a difference quotient over the gap between samples: a

@@ -47,7 +47,7 @@ use crate::trace::Trace;
 use crate::workload::WorkModel;
 use rrs_core::{controller::AdmitError, Controller, JobClass, JobHandle, JobId, JobSpec, SimTime};
 use rrs_queue::MetricRegistry;
-use rrs_scheduler::{CpuId, IdMap, Reservation, ThreadId, UsageAccount};
+use rrs_scheduler::{CpuId, Reservation, UsageAccount};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use std::any::Any;
 use std::borrow::Cow;
@@ -128,8 +128,6 @@ pub struct ShardedSim {
     /// Global CPU index of each shard's CPU 0 (prefix sums of per-shard
     /// CPU counts), plus one trailing entry holding the total.
     cpu_base: Vec<usize>,
-    /// Owning shard per resident job.
-    job_shard: IdMap<JobId, u32>,
     /// Absolute time of the next rebalance barrier, in microseconds.
     next_rebalance_us: u64,
     /// The requested-horizon clock: `run_until_micros(end)` leaves this
@@ -180,7 +178,6 @@ impl ShardedSim {
             registry,
             shards,
             cpu_base,
-            job_shard: IdMap::new(),
             next_rebalance_us: interval_us,
             clock_us: 0,
             telemetry: None,
@@ -204,7 +201,18 @@ impl ShardedSim {
 
     /// The shard currently owning a job, if the job is live.
     pub fn shard_of(&self, job: JobId) -> Option<usize> {
-        self.job_shard.get(job).map(|s| s as usize)
+        self.locate(job).map(|(s, _)| s)
+    }
+
+    /// The shard holding `job` and the job's handle there: one id probe
+    /// per shard controller, which files each resident once.  A handle
+    /// the caller holds may name a stale slot (the rebalancer reassigns
+    /// slots on migration), so the `Host` calls trust only its job id.
+    fn locate(&self, job: JobId) -> Option<(usize, JobHandle)> {
+        self.shards
+            .iter()
+            .enumerate()
+            .find_map(|(s, shard)| Some((s, shard.handle_of(job)?)))
     }
 
     /// The global configuration the machine was built from.
@@ -225,10 +233,6 @@ impl ShardedSim {
         } else {
             self.clock_us
         }
-    }
-
-    fn owning_shard(&self, job: JobId) -> Option<&Simulation> {
-        self.shard_of(job).map(|s| &self.shards[s])
     }
 
     /// The shard with the lowest granted load per CPU (lowest index wins
@@ -261,9 +265,7 @@ impl ShardedSim {
             JobClass::Miscellaneous => self.least_loaded_shard(),
             _ => 0,
         };
-        let handle = self.shards[shard].add_job(name, spec, work)?;
-        self.job_shard.insert(handle.job, shard as u32);
-        Ok(handle)
+        self.shards[shard].add_job(name, spec, work)
     }
 
     /// Changes the trace sampling interval on every shard.
@@ -383,10 +385,9 @@ impl ShardedSim {
                     .get_disjoint_mut([src, dst])
                     .expect("the two shards differ");
                 let cpu = to.machine().least_loaded_cpu();
-                let Some((handle, granted)) = from.migrate_job(job, to, cpu) else {
+                let Some((_, granted)) = from.migrate_job(job, to, cpu) else {
                     continue;
                 };
-                self.job_shard.insert(handle.job, dst as u32);
                 moved_ppt += granted as u64;
                 moved += 1;
                 self.rebalance_migrations += 1;
@@ -449,16 +450,10 @@ impl Host for ShardedSim {
         ShardedSim::add_job(self, name, spec, work)
     }
 
-    /// The handle's slot may be stale (the rebalancer reassigns slots on
-    /// migration); only the job id is trusted.
     fn remove_job(&mut self, handle: JobHandle) {
-        let Some(s) = self.shard_of(handle.job) else {
-            return;
-        };
-        if let Some(fresh) = self.shards[s].handle_of(handle.job) {
+        if let Some((s, fresh)) = self.locate(handle.job) {
             self.shards[s].remove_job(fresh);
         }
-        self.job_shard.remove(handle.job);
     }
 
     fn advance(&mut self, dt: SimTime) {
@@ -470,22 +465,20 @@ impl Host for ShardedSim {
     }
 
     fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.owning_shard(handle.job)?
-            .machine()
-            .reservation(ThreadId(handle.job.0))
+        let (s, fresh) = self.locate(handle.job)?;
+        self.shards[s].reservation(fresh)
     }
 
     /// The owning shard's CPU base plus the job's local CPU index.
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        let s = self.shard_of(handle.job)?;
-        let local = self.shards[s].machine().cpu_of(ThreadId(handle.job.0))?;
+        let (s, fresh) = self.locate(handle.job)?;
+        let local = self.shards[s].cpu_of(fresh)?;
         Some(CpuId((self.cpu_base[s] + local.index()) as u32))
     }
 
     fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.owning_shard(handle.job)?
-            .machine()
-            .usage(ThreadId(handle.job.0))
+        let (s, fresh) = self.locate(handle.job)?;
+        self.shards[s].usage(fresh)
     }
 
     /// Deals the new capacity across shards with the same even split as
@@ -528,10 +521,8 @@ impl Host for ShardedSim {
     }
 
     fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
-        if let Some(s) = self.shard_of(handle.job) {
-            if let Some(fresh) = self.shards[s].handle_of(handle.job) {
-                self.shards[s].force_reservation(fresh, reservation);
-            }
+        if let Some((s, fresh)) = self.locate(handle.job) {
+            self.shards[s].force_reservation(fresh, reservation);
         }
     }
 

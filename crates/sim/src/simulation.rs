@@ -406,11 +406,7 @@ impl Simulation {
     /// Rebuilds a job's handle from its id, if the job is live here.
     pub(crate) fn handle_of(&self, job: JobId) -> Option<JobHandle> {
         let slot = self.ctl.controller().slot_of(job)?;
-        Some(JobHandle {
-            job,
-            thread: ThreadId(job.0),
-            slot,
-        })
+        Some(JobHandle { job, slot })
     }
 
     /// Runs the simulation for `duration_s` simulated seconds
@@ -947,7 +943,7 @@ impl Host for Simulation {
         // Only the slot's current tenant: a handle left over from a removed
         // job names an index that may be somebody else's by now.
         if self.ctl.controller().job_of(handle.slot) == Some(handle.job) {
-            self.clear_wait(handle.thread, handle.slot.index());
+            self.clear_wait(handle.thread(), handle.slot.index());
             self.threads[handle.slot.index()] = None;
             self.series.remove(handle.slot.index());
         }
@@ -963,15 +959,15 @@ impl Host for Simulation {
     }
 
     fn reservation(&self, handle: JobHandle) -> Option<Reservation> {
-        self.machine().reservation(handle.thread)
+        self.ctl.reservation(handle.slot, handle.thread())
     }
 
     fn cpu_of(&self, handle: JobHandle) -> Option<CpuId> {
-        self.machine().cpu_of(handle.thread)
+        self.ctl.cpu_of(handle.slot, handle.thread())
     }
 
     fn usage(&self, handle: JobHandle) -> Option<UsageAccount> {
-        self.machine().usage(handle.thread)
+        self.ctl.usage(handle.slot, handle.thread())
     }
 
     fn grow_cpus(&mut self, cpus: usize) -> usize {
@@ -995,10 +991,8 @@ impl Host for Simulation {
     }
 
     fn force_reservation(&mut self, handle: JobHandle, reservation: Reservation) {
-        let _ = self
-            .ctl
-            .machine_mut()
-            .set_reservation(handle.thread, reservation);
+        self.ctl
+            .set_reservation(handle.slot, handle.thread(), reservation);
     }
 
     fn stats(&self) -> SimStats {
@@ -1899,18 +1893,18 @@ mod tests {
             Reservation::new(Proportion::from_ppt(500), Period::from_millis(10)),
         );
         assert_eq!(new.slot.index(), old.slot.index(), "index reused");
-        assert_ne!(new.thread, old.thread);
-        assert!(sim.thread_mut(old.thread).is_none());
-        assert_eq!(sim.thread_mut(new.thread).map(|(s, _)| s), Some(new.slot));
+        assert_ne!(new.thread(), old.thread());
+        assert!(sim.thread_mut(old.thread()).is_none());
+        assert_eq!(sim.thread_mut(new.thread()).map(|(s, _)| s), Some(new.slot));
 
         // A wake-up addressed to the old thread polls nobody's model, and
         // the old handle removes nothing.
         sim.run_for(0.05);
         let polled = new_polls.load(std::sync::atomic::Ordering::Relaxed);
-        sim.handle_event(Event::Wake(old.thread));
+        sim.handle_event(Event::Wake(old.thread()));
         sim.remove_job(old);
         assert_eq!(new_polls.load(std::sync::atomic::Ordering::Relaxed), polled);
-        assert!(sim.thread_mut(new.thread).is_some());
+        assert!(sim.thread_mut(new.thread()).is_some());
         assert_eq!(sim.controller().job_count(), 1);
         sim.run_for(0.05);
         assert_eq!(sim.cpu_used(new).as_micros(), 100, "the tenant's own burst");

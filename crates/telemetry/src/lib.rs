@@ -62,16 +62,21 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Why a batched span charge settled — the telemetry mirror of the
-/// scheduler's `SettleReason` (this crate is a leaf, so the scheduler
-/// converts into it at the recording site).
+/// Why a batched span charge had to settle instead of accumulating: the
+/// scheduler's settlement rule decides with it, counts by it and records
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SettleCause {
-    /// The clock reached the thread's next period boundary.
+    /// The clock reached the thread's next period boundary: the pending
+    /// usage belongs to the finished period and must land in the account
+    /// before the boundary rolls.
     PeriodBoundary,
-    /// The charge exhausts the period budget: throttle now.
+    /// The charge exhausts the period budget: the thread throttles now,
+    /// which unlinks it from the run queue and arms its release timer.
     ThrottleEdge,
-    /// A zero-length charge publishing a state/watch transition.
+    /// A zero-length charge still publishes the Running → Ready transition
+    /// and re-watches the thread for the controller's usage feed, so it
+    /// takes the full per-charge path.
     ZeroSpan,
 }
 

@@ -82,7 +82,9 @@ fn throttled_thread_migrates_mid_period_without_losing_state() {
     assert_eq!(m.dispatch(CpuId(1)).thread, None);
     m.advance_to(10_000); // the boundary the source CPU had scheduled
     assert_eq!(m.dispatch(CpuId(1)).thread, Some(ThreadId(1)));
-    let account = m.usage(ThreadId(1)).unwrap();
+    let handle = m.handle_of(ThreadId(1)).unwrap();
+    assert_eq!(handle.cpu, CpuId(1));
+    let account = m.usage_at(handle, ThreadId(1)).unwrap();
     assert_eq!(account.periods_completed, 1);
     assert_eq!(account.total_used_us, outcome.quantum_us);
 }

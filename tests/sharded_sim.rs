@@ -296,8 +296,30 @@ fn migration_and_slot_reuse_keep_every_thread_on_its_own_work_model() {
             "{:?}: model-side and machine-side CPU time",
             h.job
         );
-        let shard = sim.shard(sim.shard_of(h.job).expect("live job has a shard"));
+        let owner = sim.shard_of(h.job).expect("live job has a shard");
+        let shard = sim.shard(owner);
         assert!(shard.controller().slot_of(h.job).is_some());
+        for k in 0..sim.shard_count() {
+            let holds = sim.shard(k).controller().slot_of(h.job).is_some();
+            assert_eq!(holds, k == owner, "{:?} is filed in one shard only", h.job);
+        }
+        // The handle `add_job` returned still answers every query, however
+        // often the rebalancer re-slotted its job, and each answer is the
+        // owning shard's own.
+        let thread = h.thread();
+        let local = shard.machine().handle_of(thread).expect("placed");
+        let base: usize = (0..owner).map(|k| sim.shard(k).machine().cpu_count()).sum();
+        assert_eq!(
+            sim.cpu_of(*h).map(|c| c.index()),
+            Some(base + local.cpu.index())
+        );
+        assert_eq!(
+            sim.reservation(*h),
+            shard.machine().reservation_at(local, thread)
+        );
+        let usage = sim.usage(*h).expect("resident").total_used_us;
+        let account = shard.machine().usage_at(local, thread).expect("resident");
+        assert_eq!(usage, account.total_used_us);
     }
     for (h, used_us, at_removal) in &removed {
         assert_eq!(

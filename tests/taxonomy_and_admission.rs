@@ -63,7 +63,7 @@ fn aperiodic_real_time_jobs_get_the_default_period() {
         )
         .unwrap();
     sim.run_for(2.0);
-    let reservation = sim.dispatcher().reservation(job.thread).unwrap();
+    let reservation = sim.dispatcher().reservation(job.thread()).unwrap();
     assert_eq!(reservation.proportion.ppt(), 250);
     assert_eq!(reservation.period, Period::from_millis(30));
 }
@@ -89,8 +89,8 @@ fn rate_monotonic_ordering_prefers_short_period_threads() {
         )
         .unwrap();
     sim.run_for(5.0);
-    let short_usage = sim.dispatcher().usage(short.thread).unwrap();
-    let long_usage = sim.dispatcher().usage(long.thread).unwrap();
+    let short_usage = sim.dispatcher().usage(short.thread()).unwrap();
+    let long_usage = sim.dispatcher().usage(long.thread()).unwrap();
     assert_eq!(
         short_usage.deadlines_missed, 0,
         "the short-period reservation must never miss"

@@ -29,7 +29,7 @@ use rrs_core::{
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{CpuId, DispatcherConfig, Reservation, UsageAccount};
-use rrs_sim::{JobSeries, SimConfig, Trace, WorkModel};
+use rrs_sim::{JobSeries, SimConfig, Trace, WorkModel, CPU_CLOCK_HZ};
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot};
 use std::any::Any;
 use std::borrow::Cow;
@@ -100,16 +100,10 @@ pub(crate) struct WallClockHost {
     tasks: Vec<Option<Task>>,
     /// Every job's trace series and name, indexed like `tasks`.
     series: JobSeries,
-    /// Scratch for a trace round's walk in thread-id order.
-    trace_order: Vec<u32>,
     reports: (SyncSender<Report>, Receiver<Report>),
     /// Time zero of the host's clock, the one its control loop,
     /// statistics and trace timestamps run on.
     start: Instant,
-    /// The virtual clock rate work models convert cycles to time with —
-    /// the simulator's, so a workload's CPU demand means the same thing
-    /// on both backends.
-    cpu_hz: f64,
     trace: Trace,
     /// Interval between trace samples — the simulator's.
     trace_interval: SimTime,
@@ -121,8 +115,6 @@ impl WallClockHost {
     /// A host sharding its workers over `cpus` logical CPUs (at least
     /// one), with the default dispatcher and controller.
     pub(crate) fn new(cpus: usize) -> Self {
-        let sim = SimConfig::default();
-        let trace_interval_us = (sim.trace_interval_s * 1e6).round().max(1.0) as u64;
         let controller = ControllerConfig::default().with_cpus(cpus);
         Self {
             ctl: ControlLoop::new(
@@ -132,12 +124,10 @@ impl WallClockHost {
             ),
             tasks: Vec::new(),
             series: JobSeries::new(),
-            trace_order: Vec::new(),
             reports: sync_channel(64),
             start: Instant::now(),
-            cpu_hz: sim.cpu.clock_hz,
             trace: Trace::new(),
-            trace_interval: SimTime::from_micros(trace_interval_us),
+            trace_interval: SimTime::from_micros(SimConfig::default().trace_interval_us()),
             next_trace: SimTime::ZERO,
             last_trace: SimTime::ZERO,
         }
@@ -233,32 +223,28 @@ impl WallClockHost {
     }
 
     /// Records one trace sample round if one is due, through the
-    /// simulator's sampler ([`JobSeries`], [`Trace::record_fills`]) and in
-    /// its order (thread id, so slot reuse does not renumber the series).
+    /// simulator's sampler ([`JobSeries::sample_round`]).
     fn maybe_record_trace(&mut self) {
         let now = Host::now(self);
         if now < self.next_trace {
             return;
         }
-        let t = now.as_secs_f64();
         let interval = (now.saturating_sub(self.last_trace))
             .as_secs_f64()
             .max(1e-9);
-        for (thread, slot) in self.ctl.threads_by_id(&mut self.trace_order) {
-            let task = self.tasks[slot.index()]
-                .as_mut()
-                .expect("a bound slot has its task");
-            let reservation = self.ctl.reservation(slot, thread);
-            self.series.sample(
-                slot.index(),
-                &mut self.trace,
-                t,
-                interval,
-                reservation,
-                task.progress,
-            );
-        }
-        self.trace.record_fills(t, self.ctl.controller().registry());
+        let tasks = &self.tasks;
+        self.series.sample_round(
+            &mut self.trace,
+            &self.ctl,
+            now.as_secs_f64(),
+            interval,
+            |index| {
+                tasks[index]
+                    .as_ref()
+                    .expect("a bound slot has its task")
+                    .progress
+            },
+        );
         self.last_trace = now;
         while self.next_trace <= now {
             self.next_trace += self.trace_interval;
@@ -281,7 +267,7 @@ impl Host for WallClockHost {
         let progress = work.progress_counter();
         let (to_worker, from_host) = sync_channel::<u64>(1);
         let to_host = self.reports.0.clone();
-        let (epoch, cpu_hz) = (self.start, self.cpu_hz);
+        let epoch = self.start;
         let join = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
@@ -292,7 +278,9 @@ impl Host for WallClockHost {
                         let now_us = epoch.elapsed().as_micros() as u64;
                         let quantum_us = quantum_us.max(1);
                         if !blocked || work.poll_unblock(now_us) {
-                            let result = work.run(now_us, quantum_us, cpu_hz);
+                            // The simulator's clock, so a workload's CPU
+                            // demand means the same thing on both backends.
+                            let result = work.run(now_us, quantum_us, CPU_CLOCK_HZ);
                             blocked = result.blocked;
                             spin_for_us(result.used_us.min(quantum_us));
                         }

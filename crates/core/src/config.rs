@@ -3,16 +3,19 @@
 use crate::cost::ControllerCostModel;
 use crate::squish::SquishPolicy;
 use rrs_feedback::PidConfig;
-use rrs_scheduler::{Period, Proportion};
-use serde::{Deserialize, Serialize};
+use rrs_scheduler::Proportion;
 
-/// Configuration of the adaptive controller.
+/// Configuration of the adaptive controller: the values a caller varies.
 ///
 /// The defaults correspond to the paper's prototype: a 10 ms controller
-/// period (100 Hz sampling), a 30 ms default dispatch period for jobs that
-/// do not specify one, a 95 % overload threshold, and period estimation
-/// disabled (as it was for all experiments in §4).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// period (100 Hz sampling) and period estimation disabled (as it was for
+/// all experiments in §4).  The paper's fixed constants are constants here
+/// too, each beside the one rule that reads it: Figure 4's reclamation
+/// step `C` and usage threshold ([`crate::estimator`]), the
+/// miscellaneous pseudo-pressure and the 95 % overload threshold
+/// ([`crate::controller`]), the quality-exception bar, and the 30 ms period
+/// of a job that names none ([`rrs_scheduler::Period::DEFAULT`]).
+#[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// How often the controller runs, in seconds (paper: 10 ms).
     pub controller_period_s: f64,
@@ -22,31 +25,13 @@ pub struct ControllerConfig {
     /// The constant scaling factor `k` of Figure 4, in parts per thousand
     /// of CPU per unit of cumulative pressure.
     pub gain_k_ppt: f64,
-    /// The constant decrement `C` of Figure 4, in parts per thousand,
-    /// applied when the previous allocation was too generous.
-    pub reclaim_ppt: u32,
-    /// A job is "too generous" when it used less than this fraction of its
-    /// allocation in the last period.
-    pub usage_threshold: f64,
-    /// The constant pseudo-pressure applied to miscellaneous jobs, so that
-    /// they keep asking for more CPU until satisfied or squished.
-    pub misc_pressure: f64,
     /// The smallest proportion any job may be assigned; keeping this
     /// non-zero is what rules out starvation.
     pub min_proportion: Proportion,
     /// The largest proportion the controller will hand to a single job.
     pub max_proportion: Proportion,
-    /// Default period assigned to jobs that do not specify one (paper:
-    /// 30 ms).
-    pub default_period: Period,
-    /// Total allocation (parts per thousand) the controller will hand out;
-    /// beyond this it squishes.  Mirrors the RBS admission threshold.
-    pub overload_threshold_ppt: u32,
     /// Policy used to squish real-rate and miscellaneous jobs on overload.
     pub squish_policy: SquishPolicy,
-    /// Pressure magnitude at which a quality exception is raised for an
-    /// overloaded real-rate job (a nearly full or nearly empty queue).
-    pub quality_exception_pressure: f64,
     /// Whether the period-estimation heuristic of §3.3 runs (the paper
     /// disabled it for all experiments).
     pub period_estimation: bool,
@@ -77,7 +62,6 @@ pub struct ControllerConfig {
     /// "unchanged"), and squish/quality-exception events only on cycles
     /// that recomputed the jobs involved.  [`crate::ControlLoop`] turns it
     /// on; a bare [`crate::Controller`] defaults to off.
-    #[serde(default)]
     pub incremental: bool,
 }
 
@@ -86,7 +70,7 @@ pub struct ControllerConfig {
 ///
 /// With the default single CPU every job sits on `cpu0` and never
 /// migrates, which is exactly the paper's machine.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlacementConfig {
     /// Number of CPUs jobs are placed onto (at least 1).
     pub cpus: usize,
@@ -130,15 +114,9 @@ impl Default for ControllerConfig {
                 output_limit: 2.5,
             },
             gain_k_ppt: 500.0,
-            reclaim_ppt: 20,
-            usage_threshold: 0.5,
-            misc_pressure: 0.25,
             min_proportion: Proportion::MIN_NONZERO,
             max_proportion: Proportion::FULL,
-            default_period: Period::DEFAULT,
-            overload_threshold_ppt: 950,
             squish_policy: SquishPolicy::WeightedFairShare,
-            quality_exception_pressure: 0.45,
             period_estimation: false,
             cost_model: ControllerCostModel::default(),
             placement: PlacementConfig::default(),
@@ -170,8 +148,8 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = ControllerConfig::default();
         assert_eq!(c.controller_period_s, 0.010);
-        assert_eq!(c.default_period, Period::from_millis(30));
-        assert_eq!(c.overload_threshold_ppt, 950);
+        assert_eq!(rrs_scheduler::Period::DEFAULT.as_micros(), 30_000);
+        assert_eq!(crate::controller::OVERLOAD_THRESHOLD_PPT, 950);
         assert!(!c.period_estimation);
         assert!(!c.incremental, "a bare controller rebuilds every cycle");
         assert_eq!(c.min_proportion.ppt(), 1);

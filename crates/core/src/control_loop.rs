@@ -25,7 +25,7 @@ use crate::ControllerConfig;
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use rrs_scheduler::{
-    CpuId, CpuStats, Dispatcher, DispatcherConfig, Machine, MigratedThread, Reservation,
+    CpuId, CpuStats, Dispatcher, DispatcherConfig, Machine, MigratedThread, Period, Reservation,
     ThreadHandle, ThreadId, UsageAccount,
 };
 use serde::{Deserialize, Serialize};
@@ -242,32 +242,6 @@ impl ControlLoop {
         self.controller.slot_of(JobId(thread.0))
     }
 
-    /// Every thread serving a job here, with the job's slot, in thread-id
-    /// order — the order a backend's sampler needs to stay independent of
-    /// slot reuse.  `order` is the caller's scratch: it is refilled with
-    /// the resident slots' indices, sorted by thread id, so the walk costs
-    /// the resident jobs rather than every id ever issued (a run without
-    /// removals or migrations lists them in id order already, which the
-    /// sort checks in one pass), and a sampler that keeps its scratch
-    /// allocates nothing once it has grown.
-    pub fn threads_by_id<'a>(
-        &'a self,
-        order: &'a mut Vec<u32>,
-    ) -> impl Iterator<Item = (ThreadId, JobSlot)> + 'a {
-        let controller = &self.controller;
-        let thread_at = move |index: u32| {
-            let slot = controller
-                .slot_at(index)
-                .expect("the order lists live slots");
-            let job = controller.job_of(slot).expect("a live slot holds a job");
-            (ThreadId(job.0), slot)
-        };
-        order.clear();
-        order.extend((0..self.threads.len() as u32).filter(|&i| controller.slot_at(i).is_some()));
-        order.sort_unstable_by_key(|&i| thread_at(i).0);
-        order.iter().map(move |&i| thread_at(i))
-    }
-
     /// Admits a job: the controller rules on admission (real-time specs)
     /// and picks the CPU (least-loaded fit), and the job's thread starts
     /// there from its requested reservation or the minimum allocation.  A
@@ -284,7 +258,7 @@ impl ControlLoop {
         let config = self.controller.config();
         let initial = Reservation::new(
             spec.proportion.unwrap_or(config.min_proportion),
-            spec.period.unwrap_or(config.default_period),
+            spec.period.unwrap_or(Period::DEFAULT),
         );
         let cpu = self
             .controller
@@ -779,65 +753,6 @@ mod tests {
         assert_eq!(dst.slot_of(landed.thread()), Some(landed.slot));
         assert_eq!(dst.reservation(landed.slot, landed.thread()), Some(granted));
         assert_eq!(dst.admit(JobSpec::miscellaneous()).unwrap().job, JobId(2));
-    }
-
-    /// The id-ordered walk over the resident slots visits exactly what a
-    /// scan of every id ever issued finds bound here, in the same order,
-    /// through admissions, retirements, migrations both ways and slot
-    /// reuse, whatever the scratch held before.
-    #[test]
-    fn threads_by_id_matches_a_scan_of_every_issued_id() {
-        let registry = MetricRegistry::new();
-        let shard = |first| {
-            ControlLoop::new(
-                ControllerConfig::default(),
-                DispatcherConfig::default(),
-                registry.clone(),
-            )
-            .with_ids(first, 2)
-        };
-        let scan = |ctl: &ControlLoop| -> Vec<(ThreadId, JobSlot)> {
-            (0..64)
-                .filter_map(|raw| Some((ThreadId(raw), ctl.slot_of(ThreadId(raw))?)))
-                .collect()
-        };
-        let (mut a, mut b) = (shard(1), shard(2));
-        let jobs: Vec<JobHandle> = (0..6)
-            .map(|_| a.admit(JobSpec::miscellaneous()).unwrap())
-            .collect();
-        let others: Vec<JobHandle> = (0..3)
-            .map(|_| b.admit(JobSpec::miscellaneous()).unwrap())
-            .collect();
-        a.retire(jobs[1]);
-        b.retire(others[0]);
-        // Two moves a → b, one back, and a retirement of a moved job.
-        for job in [jobs[4], jobs[2]] {
-            let (mjob, mthread) = a.extract(job.job).unwrap();
-            b.inject(mjob, mthread, CpuId(0)).unwrap();
-        }
-        let (mjob, mthread) = b.extract(others[2].job).unwrap();
-        a.inject(mjob, mthread, CpuId(0)).unwrap();
-        let moved = b.slot_of(jobs[2].thread()).unwrap();
-        b.retire(JobHandle {
-            slot: moved,
-            ..jobs[2]
-        });
-        // Slot reuse after the removals.
-        a.admit(JobSpec::miscellaneous()).unwrap();
-        b.admit(JobSpec::miscellaneous()).unwrap();
-        let mut order = vec![7, 7, 7];
-        for ctl in [&a, &b] {
-            let walked: Vec<_> = ctl.threads_by_id(&mut order).collect();
-            assert_eq!(walked, scan(ctl));
-            assert_eq!(walked.len(), ctl.controller().job_count());
-        }
-        let ids = |ctl: &ControlLoop| -> Vec<u64> {
-            ctl.threads_by_id(&mut Vec::new())
-                .map(|(t, _)| t.0)
-                .collect()
-        };
-        assert_eq!(ids(&a), [1, 6, 7, 11, 13]);
-        assert_eq!(ids(&b), [4, 8, 9]);
     }
 
     /// The loop keeps the handle alone for each slot; the slot's thread

@@ -17,8 +17,20 @@ use crate::slot::{JobSlot, SlotSet};
 use crate::squish::{SquishColumns, SquishPolicy, SquishRequest};
 use crate::taxonomy::{JobClass, JobSpec};
 use rrs_queue::{JobKey, MetricRegistry};
-use rrs_scheduler::{CpuId, Proportion, Reservation};
+use rrs_scheduler::{CpuId, Period, Proportion, Reservation};
 use serde::{Deserialize, Serialize};
+
+/// The share of each CPU, in parts per thousand, that the controller hands
+/// out before it squishes: §3.3's overload threshold, 95 % in the paper's
+/// prototype.  It is also the admission bound of a real-time reservation,
+/// as for the paper's RBS; a machine of `n` CPUs has `n` times this
+/// capacity.
+pub(crate) const OVERLOAD_THRESHOLD_PPT: u32 = 950;
+
+/// The constant pseudo-pressure of a miscellaneous job: with no progress
+/// metric of its own it keeps asking for more CPU until it is satisfied or
+/// squished, as the paper's controller treats such jobs.
+pub(crate) const MISC_PRESSURE: f64 = 0.25;
 
 /// Identifies a job to the controller.
 ///
@@ -487,7 +499,7 @@ impl Controller {
             let requested = spec.proportion.unwrap_or(Proportion::ZERO);
             let (cpu, reserved) = self.least_loaded_cpu(true);
             let available = Proportion::from_ppt(
-                (self.config.overload_threshold_ppt as u64).saturating_sub(reserved) as u32,
+                (OVERLOAD_THRESHOLD_PPT as u64).saturating_sub(reserved) as u32,
             );
             if requested.ppt() > available.ppt() {
                 return Err(AdmitError::Rejected {
@@ -724,7 +736,7 @@ impl Controller {
                         .proportion
                         .expect("a reservation has a proportion");
                     entry.granted = p;
-                    entry.period = entry.spec.period.unwrap_or(config.default_period);
+                    entry.period = entry.spec.period.unwrap_or(Period::DEFAULT);
                     fixed_total_ppt += p.ppt();
                 }
                 class => {
@@ -740,7 +752,7 @@ impl Controller {
         // The machine's capacity is `overload_threshold × CPUs`: on the
         // paper's single CPU exactly the original threshold.  The rows'
         // desires are placeholders the cycle overwrites.
-        let capacity_ppt = config.overload_threshold_ppt * config.placement.cpu_count() as u32;
+        let capacity_ppt = OVERLOAD_THRESHOLD_PPT * config.placement.cpu_count() as u32;
         let floor = config.min_proportion;
         incr.columns.rebuild(
             capacity_ppt.saturating_sub(fixed_total_ppt),
@@ -831,7 +843,7 @@ impl Controller {
                         };
                         incr.sense.summed_pressure(index, fills)
                     }
-                    _ => config.misc_pressure,
+                    _ => MISC_PRESSURE,
                 };
                 if !incr.dirty.contains(index)
                     && summed.to_bits() == entry.pressure.last_summed_pressure().to_bits()
@@ -845,7 +857,7 @@ impl Controller {
                 if estimate_period {
                     entry.estimate_period(&incr.fills, *dispatch_interval_us);
                 } else if entry.spec.period.is_none() {
-                    entry.period = config.default_period;
+                    entry.period = Period::DEFAULT;
                 }
                 let row = incr.row_of[index];
                 let same_desired = desired == incr.columns.desired(row as usize);
@@ -938,7 +950,6 @@ impl Controller {
                     .expect("request slot is live")
             };
             output.events.extend(pipeline::quality_exception(
-                config,
                 job,
                 incr.columns.desired(row),
                 incr.columns.held(row),
@@ -988,7 +999,6 @@ mod tests {
         }
     }
     use rrs_queue::{BoundedBuffer, Role};
-    use rrs_scheduler::Period;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -1177,7 +1187,7 @@ mod tests {
         // Alone on the machine it should end up with a large fraction,
         // bounded by the overload threshold.
         assert!(p.ppt() > 500, "got {}", p.ppt());
-        assert!(p.ppt() <= ControllerConfig::default().overload_threshold_ppt);
+        assert!(p.ppt() <= OVERLOAD_THRESHOLD_PPT);
     }
 
     #[test]
@@ -1206,7 +1216,7 @@ mod tests {
             }
         }
         assert!(squished, "two greedy jobs must eventually oversubscribe");
-        assert!(last_total <= ControllerConfig::default().overload_threshold_ppt + 2);
+        assert!(last_total <= OVERLOAD_THRESHOLD_PPT + 2);
     }
 
     #[test]
@@ -1276,14 +1286,17 @@ mod tests {
 
     #[test]
     fn quality_exception_raised_when_demand_cannot_be_met() {
-        let config = ControllerConfig {
-            overload_threshold_ppt: 200,
-            ..ControllerConfig::default()
-        };
         let registry = MetricRegistry::new();
-        let mut c = Controller::new(config, registry.clone());
+        let mut c = Controller::new(ControllerConfig::default(), registry.clone());
         // Consumer of a permanently full queue (its producer is not CPU
-        // limited), but only 200 ‰ of CPU exists in total.
+        // limited), but an admitted reservation holds all of the CPU the
+        // controller hands out but 200 ‰.
+        let reserved = Proportion::from_ppt(OVERLOAD_THRESHOLD_PPT - 200);
+        c.add_job(
+            JobId(3),
+            JobSpec::real_time(reserved, Period::from_millis(10)),
+        )
+        .unwrap();
         let queue = Arc::new(BoundedBuffer::<u8>::new("q", 4));
         for i in 0..4 {
             queue.try_push(i).unwrap();
@@ -1402,7 +1415,7 @@ mod tests {
             c.control_cycle_with_dt(i as f64 * 0.01, 0.01);
         }
         let grown = c.jobs.get(slot).map(|e| e.granted).unwrap().ppt();
-        let reclaim = c.config().reclaim_ppt;
+        let reclaim = crate::estimator::RECLAIM_PPT;
         assert!(
             grown > 2 * reclaim + 1,
             "fixture needs headroom, got {grown}"

@@ -9,10 +9,8 @@
 //! model reproduces that accounting so the simulator can charge the
 //! controller for its own CPU use.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-invocation execution cost of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerCostModel {
     /// Fixed cost per controller invocation, in microseconds.
     pub fixed_us: f64,

@@ -10,6 +10,15 @@
 use crate::config::ControllerConfig;
 use rrs_scheduler::Proportion;
 
+/// Figure 4's constant decrement `C`, in parts per thousand: what a job
+/// whose previous allocation was too generous loses per cycle.
+pub(crate) const RECLAIM_PPT: u32 = 20;
+
+/// Figure 4's "too generous" test: a job that used less than this fraction
+/// of its allocation over the last period has its allocation reduced by
+/// [`RECLAIM_PPT`] instead of set from its pressure.
+const USAGE_THRESHOLD: f64 = 0.5;
+
 /// The outcome of one proportion-estimation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EstimateOutcome {
@@ -23,8 +32,6 @@ pub(crate) struct EstimateOutcome {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProportionEstimator {
     gain_k_ppt: f64,
-    reclaim_ppt: u32,
-    usage_threshold: f64,
     min: Proportion,
     max: Proportion,
 }
@@ -34,8 +41,6 @@ impl ProportionEstimator {
     pub fn new(config: &ControllerConfig) -> Self {
         Self {
             gain_k_ppt: config.gain_k_ppt,
-            reclaim_ppt: config.reclaim_ppt,
-            usage_threshold: config.usage_threshold,
             min: config.min_proportion,
             max: config.max_proportion,
         }
@@ -48,20 +53,21 @@ impl ProportionEstimator {
     /// * `usage_ratio` — fraction of the last period's allocation the job
     ///   actually used, in `[0, 1]`.
     ///
-    /// When `usage_ratio` falls below the configured threshold the job is
+    /// When `usage_ratio` falls below [`USAGE_THRESHOLD`] the job is
     /// considered "too generous\[ly\]" provisioned and its allocation is
-    /// reduced by the constant `C`; otherwise the allocation is `k·Q_t`.
-    /// The result is clamped to the configured `[min, max]` proportion so
-    /// every job always keeps a non-zero allocation (no starvation).
+    /// reduced by the constant `C` ([`RECLAIM_PPT`]); otherwise the
+    /// allocation is `k·Q_t`.  The result is clamped to the configured
+    /// `[min, max]` proportion so every job always keeps a non-zero
+    /// allocation (no starvation).
     pub(crate) fn estimate(
         &self,
         current: Proportion,
         cumulative_pressure: f64,
         usage_ratio: f64,
     ) -> EstimateOutcome {
-        if usage_ratio < self.usage_threshold {
+        if usage_ratio < USAGE_THRESHOLD {
             // Too generous: reclaim a constant amount.
-            let reduced = current.ppt().saturating_sub(self.reclaim_ppt);
+            let reduced = current.ppt().saturating_sub(RECLAIM_PPT);
             return EstimateOutcome {
                 desired: self.clamp(reduced),
                 reclaimed: true,
@@ -130,9 +136,8 @@ mod tests {
 
     #[test]
     fn usage_at_threshold_is_not_reclaimed() {
-        let config = ControllerConfig::default();
-        let est = ProportionEstimator::new(&config);
-        let out = est.estimate(Proportion::from_ppt(100), 0.2, config.usage_threshold);
+        let est = estimator();
+        let out = est.estimate(Proportion::from_ppt(100), 0.2, USAGE_THRESHOLD);
         assert!(!out.reclaimed);
     }
 
@@ -186,10 +191,9 @@ mod tests {
             usage in 0.0f64..1.0,
             pressure in -1.0f64..1.0,
         ) {
-            let config = ControllerConfig::default();
-            let est = ProportionEstimator::new(&config);
+            let est = estimator();
             let out = est.estimate(Proportion::from_ppt(500), pressure, usage);
-            prop_assert_eq!(out.reclaimed, usage < config.usage_threshold);
+            prop_assert_eq!(out.reclaimed, usage < USAGE_THRESHOLD);
         }
     }
 }

@@ -235,21 +235,24 @@ pub(crate) fn migrant<K>(gap: u64, candidates: impl Iterator<Item = (K, Proporti
     best.map(|(_, key)| key)
 }
 
+/// The pressure magnitude at which an adaptive job whose demand was not met
+/// raises the paper's quality exception: its queue is nearly full or
+/// nearly empty, so the application, not the allocator, must adapt.
+const QUALITY_EXCEPTION_PRESSURE: f64 = 0.45;
+
 /// The quality exception an adaptive job raises when its demand could not
-/// be met: granted less than it desired *and* under at least the
-/// configured pressure.  The job is named (`job()`) only when it raises
-/// one: the cycle resolves it from the job table, a row it would
+/// be met: granted less than it desired *and* under at least
+/// [`QUALITY_EXCEPTION_PRESSURE`].  The job is named (`job()`) only when it
+/// raises one: the cycle resolves it from the job table, a row it would
 /// otherwise not touch.
 pub(crate) fn quality_exception(
-    config: &ControllerConfig,
     job: impl FnOnce() -> JobId,
     desired: Proportion,
     granted: Proportion,
     pressure: f64,
     time: f64,
 ) -> Option<ControllerEvent> {
-    let unmet =
-        granted.ppt() < desired.ppt() && pressure.abs() >= config.quality_exception_pressure;
+    let unmet = granted.ppt() < desired.ppt() && pressure.abs() >= QUALITY_EXCEPTION_PRESSURE;
     unmet.then(|| {
         ControllerEvent::Quality(QualityException {
             job: job(),
@@ -312,7 +315,7 @@ impl JobEntry {
 
     pub(crate) fn new(spec: JobSpec, config: &ControllerConfig) -> Self {
         let class = spec.classify();
-        let period = spec.period.unwrap_or(config.default_period);
+        let period = spec.period.unwrap_or(Period::DEFAULT);
         let initial = match class {
             JobClass::RealTime | JobClass::AperiodicRealTime => {
                 spec.proportion.unwrap_or(config.min_proportion)
@@ -335,7 +338,8 @@ impl JobEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{ControlOutput, Controller};
+    use crate::controller::{ControlOutput, Controller, MISC_PRESSURE, OVERLOAD_THRESHOLD_PPT};
+    use crate::estimator::RECLAIM_PPT;
     use rrs_queue::{BoundedBuffer, JobKey, Role};
     use std::sync::Arc;
 
@@ -490,7 +494,7 @@ mod tests {
         let aperiodic = out.actuations[1].reservation;
         assert_eq!(
             (aperiodic.proportion.ppt(), aperiodic.period),
-            (100, config.default_period)
+            (100, Period::DEFAULT)
         );
         assert_eq!(c.job_class(JobId(3)), Some(JobClass::Miscellaneous));
         assert_eq!(c.job_class(JobId(4)), Some(JobClass::RealRate));
@@ -519,10 +523,10 @@ mod tests {
         let estimator = ProportionEstimator::new(&config);
         let entry = jobs.entry_at_mut(0).unwrap().2;
         entry.granted = Proportion::from_ppt(500);
-        let (_, desired) = entry.demand(&config.pid, &estimator, config.misc_pressure, 0.1, 0.01);
+        let (_, desired) = entry.demand(&config.pid, &estimator, MISC_PRESSURE, 0.1, 0.01);
         assert_eq!(
             desired.ppt(),
-            500 - config.reclaim_ppt,
+            500 - RECLAIM_PPT,
             "reclamation takes the −C branch"
         );
     }
@@ -537,7 +541,7 @@ mod tests {
         let (mut jobs, _) = table_with(&[(1, JobSpec::miscellaneous())]);
         let fresh = jobs.entry_at_mut(0).unwrap().2;
         let estimator = ProportionEstimator::new(&config);
-        let (_, desired) = fresh.demand(&config.pid, &estimator, config.misc_pressure, 1.0, 0.01);
+        let (_, desired) = fresh.demand(&config.pid, &estimator, MISC_PRESSURE, 1.0, 0.01);
         // ...is granted unchanged: nothing to squish.
         let out = run_cycles(&mut c, 1);
         assert!(!squished(&out));
@@ -560,7 +564,7 @@ mod tests {
             out = c.control_cycle_with_dt(i as f64 * 0.01, 0.01).clone();
         }
         assert!(squished(&out), "two greedy jobs must oversubscribe one CPU");
-        assert!(out.total_granted_ppt <= config.overload_threshold_ppt);
+        assert!(out.total_granted_ppt <= OVERLOAD_THRESHOLD_PPT);
         assert!(
             out.actuations
                 .iter()
@@ -617,14 +621,11 @@ mod tests {
     #[test]
     fn actuate_commits_grants_and_raises_quality_exceptions() {
         let registry = MetricRegistry::new();
-        let config = ControllerConfig {
-            overload_threshold_ppt: 200,
-            ..ControllerConfig::default()
-        };
-        let mut c = rebuilding(config, &registry);
+        let mut c = rebuilding(ControllerConfig::default(), &registry);
+        let reserved = OVERLOAD_THRESHOLD_PPT - 50;
         c.add_job(
             JobId(1),
-            JobSpec::real_time(Proportion::from_ppt(150), Period::from_millis(10)),
+            JobSpec::real_time(Proportion::from_ppt(reserved), Period::from_millis(10)),
         )
         .unwrap();
         c.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
@@ -650,7 +651,7 @@ mod tests {
         let rt = out.actuations[0];
         assert_eq!(
             (c.job_of(rt.slot), rt.reservation.proportion.ppt()),
-            (Some(JobId(1)), 150)
+            (Some(JobId(1)), reserved)
         );
         let misc = out.actuations[1];
         assert!(misc.reservation.proportion.ppt() < exceptions[0].desired.ppt());
@@ -658,7 +659,7 @@ mod tests {
         assert_eq!(c.granted(JobId(2)), Some(misc.reservation.proportion));
         assert_eq!(
             out.total_granted_ppt,
-            150 + misc.reservation.proportion.ppt()
+            reserved + misc.reservation.proportion.ppt()
         );
     }
 
@@ -698,11 +699,10 @@ mod tests {
 
     #[test]
     fn quality_exception_needs_a_short_grant_and_the_pressure_bar() {
-        let config = ControllerConfig::default();
-        let bar = config.quality_exception_pressure;
+        let bar = QUALITY_EXCEPTION_PRESSURE;
         let ppt = Proportion::from_ppt;
         let raise = |desired, granted, q| {
-            quality_exception(&config, || JobId(7), ppt(desired), ppt(granted), q, 0.5)
+            quality_exception(|| JobId(7), ppt(desired), ppt(granted), q, 0.5)
         };
         assert_eq!(raise(300, 300, 1.0), None, "demand met");
         assert_eq!(raise(300, 100, bar / 2.0), None, "pressure under the bar");

@@ -40,7 +40,7 @@ impl Default for Importance {
 }
 
 /// Which squish policy the controller applies under overload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SquishPolicy {
     /// Scale every squishable job by the same factor (proportional to its
     /// request, so larger requests lose more in absolute terms).

@@ -6,13 +6,11 @@
 //! their integral (I) and first derivative (D) to provide "error reduction
 //! together with acceptable stability and damping".
 
-use serde::{Deserialize, Serialize};
-
 /// Gains and limits for a [`PidController`].
 ///
 /// A limit clamps a magnitude: its sign is ignored, and `f64::INFINITY`
 /// or a NaN limit disables it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -102,7 +100,7 @@ fn clamp_magnitude(x: f64, limit: f64) -> f64 {
 /// assert_eq!(pid.update(0.5, 0.01), 1.0);
 /// assert_eq!(pid.update(0.5, 0.01), 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PidController {
     config: PidConfig,
     integral: f64,
@@ -117,11 +115,6 @@ impl PidController {
             integral: 0.0,
             last_error: None,
         }
-    }
-
-    /// Returns the configuration.
-    pub fn config(&self) -> PidConfig {
-        self.config
     }
 
     /// Advances the controller by one step with the given error and time

@@ -139,7 +139,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration for the dispatcher.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DispatcherConfig {
     /// The dispatch (timer) interval in microseconds; the paper's prototype
     /// uses 1 ms.
@@ -154,7 +154,6 @@ pub struct DispatcherConfig {
     /// Ignored: period boundaries always roll lazily (see the module
     /// docs).  Kept one more change for callers that still name it; its
     /// removal is queued with the benchmark's other renames.
-    #[serde(default)]
     pub lazy_rollovers: bool,
 }
 

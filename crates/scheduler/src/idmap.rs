@@ -14,8 +14,8 @@
 //! the run behind it back, so no tombstones).  The hash is fixed —
 //! a multiply by the golden ratio, which spreads the sequential and
 //! strided ids the layers issue — so everything stays deterministic.
-//! Nothing iterates the table: a walk in id order goes over a layer's own
-//! dense tables (`ControlLoop::threads_by_id`).
+//! Nothing iterates the table: a walk over a layer's residents goes over
+//! its own dense slot tables, in slot order (`JobSeries::sample_round`).
 
 /// A map from ids to small `Copy` values, as described in the
 /// [module documentation](self).

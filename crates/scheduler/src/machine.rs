@@ -133,11 +133,6 @@ impl Machine {
         }
     }
 
-    /// The attached telemetry recorder, if any.
-    pub fn telemetry(&self) -> Option<Arc<Recorder>> {
-        self.telemetry.clone()
-    }
-
     /// Number of CPUs.
     pub fn cpu_count(&self) -> usize {
         self.cpus.len()

@@ -271,7 +271,6 @@ mod tests {
         let config = SimConfig::default();
         let mut sim: Box<dyn Host> = Box::new(Simulation::new(config));
         let mut sharded: Box<dyn Host> = Box::new(one_shard_sharded_sim(config));
-        assert_eq!(sim.as_sim().unwrap().config().cpu.clock_hz, 400e6);
         let mut jobs = Vec::new();
         for host in [&mut sim, &mut sharded] {
             assert_eq!(host.backend(), Backend::Sim);

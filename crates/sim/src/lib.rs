@@ -20,7 +20,8 @@
 //!   slow-cadence rebalancer between them.
 //! * [`Trace`] — named time series recorded during a run, used by the
 //!   figure-regeneration benches.
-//! * [`SimConfig`] / [`CpuConfig`] — experiment parameters.
+//! * [`SimConfig`] — experiment parameters; [`CPU_CLOCK_HZ`] — the
+//!   simulated CPU's clock, the paper's 400 MHz.
 //!
 //! # How the simulator advances time
 //!
@@ -61,6 +62,6 @@ pub use host::{Backend, Host};
 pub use rrs_core::{JobHandle, SimTime};
 pub use rrs_scheduler::CpuStats;
 pub use sharded::{ShardConfig, ShardedSim};
-pub use simulation::{CpuConfig, SimConfig, SimStats, Simulation};
+pub use simulation::{SimConfig, SimStats, Simulation, CPU_CLOCK_HZ};
 pub use trace::{JobSeries, Trace};
 pub use workload::{RunResult, WorkModel};

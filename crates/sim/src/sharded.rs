@@ -121,13 +121,14 @@ impl Default for ShardConfig {
 /// assert!(sim.now_micros() >= 1_000_000);
 /// ```
 pub struct ShardedSim {
-    config: SimConfig,
     shard_config: ShardConfig,
     registry: MetricRegistry,
     shards: Vec<Simulation>,
     /// Global CPU index of each shard's CPU 0 (prefix sums of per-shard
     /// CPU counts), plus one trailing entry holding the total.
     cpu_base: Vec<usize>,
+    /// [`ShardConfig::rebalance_interval_s`] in whole microseconds.
+    rebalance_interval_us: u64,
     /// Absolute time of the next rebalance barrier, in microseconds.
     next_rebalance_us: u64,
     /// The requested-horizon clock: `run_until_micros(end)` leaves this
@@ -173,11 +174,11 @@ impl ShardedSim {
         cpu_base.push(base);
         let interval_us = (shard.rebalance_interval_s * 1e6).round().max(1.0) as u64;
         Self {
-            config,
             shard_config: shard,
             registry,
             shards,
             cpu_base,
+            rebalance_interval_us: interval_us,
             next_rebalance_us: interval_us,
             clock_us: 0,
             telemetry: None,
@@ -213,16 +214,6 @@ impl ShardedSim {
             .iter()
             .enumerate()
             .find_map(|(s, shard)| Some((s, shard.handle_of(job)?)))
-    }
-
-    /// The global configuration the machine was built from.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// The sharding configuration.
-    pub fn shard_config(&self) -> &ShardConfig {
-        &self.shard_config
     }
 
     /// Current simulated time in microseconds: the horizon every shard
@@ -293,9 +284,6 @@ impl ShardedSim {
             self.shards[0].run_until_micros(end_us);
             return;
         }
-        let interval_us = (self.shard_config.rebalance_interval_s * 1e6)
-            .round()
-            .max(1.0) as u64;
         while self.clock_us < end_us {
             if end_us <= self.next_rebalance_us {
                 self.advance_all(end_us);
@@ -308,7 +296,7 @@ impl ShardedSim {
             self.mark_traces();
             self.rebalance(barrier);
             while self.next_rebalance_us <= barrier {
-                self.next_rebalance_us += interval_us;
+                self.next_rebalance_us += self.rebalance_interval_us;
             }
         }
         self.mark_traces();

@@ -34,29 +34,18 @@ use rrs_scheduler::{
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// The simulated CPU.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CpuConfig {
-    /// Clock rate in Hz.  The paper's testbed was a 400 MHz Pentium II.
-    pub clock_hz: f64,
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        Self { clock_hz: 400e6 }
-    }
-}
+/// The simulated CPU's clock rate, in Hz: the paper's testbed was a
+/// 400 MHz Pentium II.  Work models convert cycles to time with it
+/// ([`WorkModel::run`]), on both backends.
+pub const CPU_CLOCK_HZ: f64 = 400e6;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// The simulated CPU.
-    pub cpu: CpuConfig,
     /// Dispatcher configuration (dispatch interval, overhead model, ...).
     pub dispatcher: DispatcherConfig,
     /// Controller configuration (controller period, gains, squish policy).
@@ -76,7 +65,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            cpu: CpuConfig::default(),
             dispatcher: DispatcherConfig::default(),
             controller: ControllerConfig::default(),
             controller_enabled: true,
@@ -95,11 +83,6 @@ pub(crate) fn end_after(now_us: u64, dt_us: u64) -> u64 {
     now_us.saturating_add(dt_us)
 }
 
-/// The trace sampling interval in whole microseconds (at least one).
-fn trace_interval_us(config: &SimConfig) -> u64 {
-    (config.trace_interval_s * 1e6).round().max(1.0) as u64
-}
-
 impl SimConfig {
     /// Returns a copy simulating a machine of `cpus` CPUs (clamped to at
     /// least one).  The default configuration is the paper's single CPU.
@@ -111,6 +94,11 @@ impl SimConfig {
     /// Number of simulated CPUs.
     pub fn cpus(&self) -> usize {
         self.controller.placement.cpu_count()
+    }
+
+    /// The trace sampling interval in whole microseconds (at least one).
+    pub fn trace_interval_us(&self) -> u64 {
+        (self.trace_interval_s * 1e6).round().max(1.0) as u64
     }
 }
 
@@ -178,9 +166,6 @@ pub struct Simulation {
     threads: Vec<Option<SimThread>>,
     /// Every job's trace series and name, indexed like `threads`.
     series: JobSeries,
-    /// Scratch for a trace round's walk in thread-id order
-    /// ([`ControlLoop::threads_by_id`]).
-    trace_order: Vec<u32>,
     /// The blocked-thread calendar: the threads whose work model reported
     /// a block and has not yet been polled awake, as `(id, slot index)`.
     /// `blocked` is sorted by id, the order of the original full scan over
@@ -202,6 +187,9 @@ pub struct Simulation {
     /// never run backwards (checked on every pop in debug builds).
     last_event_us: u64,
     next_trace_us: u64,
+    /// Interval between trace samples, in whole microseconds
+    /// ([`Simulation::set_trace_interval`]).
+    trace_interval_us: u64,
     /// The gap between the previous trace sample's grid instant and
     /// `next_trace_us`: what the next `rate/` sample divides by.
     trace_gap_us: u64,
@@ -260,7 +248,6 @@ impl Simulation {
             ctl,
             threads: Vec::new(),
             series: JobSeries::new(),
-            trace_order: Vec::new(),
             blocked: Vec::new(),
             arrivals: Vec::new(),
             still_blocked: Vec::new(),
@@ -269,7 +256,8 @@ impl Simulation {
             now_us: 0,
             last_event_us: 0,
             next_trace_us: 0,
-            trace_gap_us: trace_interval_us(&config),
+            trace_interval_us: config.trace_interval_us(),
+            trace_gap_us: config.trace_interval_us(),
             calendar,
             wake_events: Vec::new(),
             poll_tick: None,
@@ -278,12 +266,6 @@ impl Simulation {
             trace: Trace::new(),
             event_counts: [0; 5],
         }
-    }
-
-    /// The simulation's current configuration (mid-run setters like
-    /// [`Simulation::set_trace_interval`] are visible here).
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Current simulated time in microseconds.
@@ -300,7 +282,7 @@ impl Simulation {
     /// one microsecond).  Takes effect after the next already-scheduled
     /// sample, whose `rate/` values still span the old interval.
     pub fn set_trace_interval(&mut self, interval: SimTime) {
-        self.config.trace_interval_s = interval.as_micros().max(1) as f64 / 1e6;
+        self.trace_interval_us = interval.as_micros().max(1);
     }
 
     /// Read-only access to CPU 0's dispatcher — the whole machine on the
@@ -639,7 +621,6 @@ impl Simulation {
         local_wakes: &mut Vec<(u64, ThreadId, u32, u32)>,
         local_poll: &mut Vec<(ThreadId, u32, u32)>,
     ) {
-        let cpu_hz = self.config.cpu.clock_hz;
         let interval = self.config.dispatcher.dispatch_interval_us.max(1);
         let Self {
             ctl,
@@ -769,7 +750,7 @@ impl Simulation {
                 let entry = span_thread
                     .as_deref_mut()
                     .expect("dispatched thread exists");
-                let result = entry.work.run(t, span, cpu_hz);
+                let result = entry.work.run(t, span, CPU_CLOCK_HZ);
                 let used = result.used_us.min(span);
                 let wake = if result.blocked {
                     entry.work.next_transition(SimTime::from_micros(t + used))
@@ -889,29 +870,19 @@ impl Simulation {
 
     /// Takes one round of trace samples and returns when the next is due.
     fn record_trace(&mut self) -> u64 {
-        let t = self.now_seconds();
-        let gap_s = self.trace_gap_us as f64 / 1e6;
-        // In thread-id order, not table order: a series takes its id in
-        // the trace at its first sample, and slot indices are reused, so a
-        // walk over `threads` would number a churned run's series by which
-        // index each arrival happened to get, not by admission.
-        for (tid, slot) in self.ctl.threads_by_id(&mut self.trace_order) {
-            let thread = self.threads[slot.index()]
-                .as_mut()
-                .expect("a bound slot has its simulator entry");
-            self.series.sample(
-                slot.index(),
-                &mut self.trace,
-                t,
-                gap_s,
-                self.ctl.reservation(slot, tid),
-                thread.work.progress_counter(),
-            );
-        }
-        self.trace.record_fills(t, self.ctl.controller().registry());
-        let (at, interval_us) = (self.next_trace_us, trace_interval_us(&self.config));
+        let (time, gap_s) = (self.now_seconds(), self.trace_gap_us as f64 / 1e6);
+        let threads = &self.threads;
+        self.series
+            .sample_round(&mut self.trace, &self.ctl, time, gap_s, |index| {
+                threads[index]
+                    .as_ref()
+                    .expect("a bound slot has its simulator entry")
+                    .work
+                    .progress_counter()
+            });
+        let at = self.next_trace_us;
         while self.next_trace_us <= self.now_us {
-            self.next_trace_us += interval_us;
+            self.next_trace_us += self.trace_interval_us;
         }
         self.trace_gap_us = self.next_trace_us - at;
         self.next_trace_us
@@ -1604,7 +1575,7 @@ mod tests {
         sim.run_for(1.0);
         let coarse = sim.trace().get("alloc/spin").unwrap().len();
         sim.set_trace_interval(SimTime::from_millis(10));
-        assert_eq!(sim.config().trace_interval_s, 0.01);
+        assert_eq!(sim.trace_interval_us, 10_000);
         sim.run_for(1.0);
         let fine = sim.trace().get("alloc/spin").unwrap().len() - coarse;
         assert!(
@@ -1976,7 +1947,7 @@ mod tests {
         sim.run_for(1.0);
         let coarse = sim.trace().get("alloc/spin").unwrap().len();
         sim.set_trace_interval(SimTime::from_millis(10));
-        assert_eq!(sim.config().trace_interval_s, 0.01);
+        assert_eq!(sim.trace_interval_us, 10_000);
         sim.run_for(1.0);
         let fine = sim.trace().get("alloc/spin").unwrap().len() - coarse;
         assert!(
@@ -1985,7 +1956,7 @@ mod tests {
         );
         // A zero interval clamps at 1 µs.
         sim.set_trace_interval(SimTime::ZERO);
-        assert_eq!(sim.config().trace_interval_s, 1e-6);
+        assert_eq!(sim.trace_interval_us, 1);
     }
 
     #[test]

@@ -40,9 +40,10 @@
 //! Reads materialise: [`Trace::get`] and [`Trace::iter`] return owned
 //! [`TimeSeries`] holding each series' samples in recording order.
 
+use rrs_core::ControlLoop;
 use rrs_metrics::timeseries::{Sample, TimeSeries};
 use rrs_queue::{Attachment, MetricRegistry};
-use rrs_scheduler::Reservation;
+use rrs_scheduler::{Reservation, ThreadId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::mem::size_of;
@@ -379,6 +380,34 @@ impl JobSeries {
             row.last_progress = progress;
         }
     }
+
+    /// Takes the sample round both backends take at `time` (seconds):
+    /// [`JobSeries::sample`] for every row whose slot `ctl` holds a job
+    /// in, in slot order, then every registered queue's `fill/` level,
+    /// once per metric name.  `progress(index)` reads the progress
+    /// counter of the job at slot index `index`; `interval` (seconds) is
+    /// what its `rate/` sample divides by.  Every read of a [`Trace`] goes
+    /// by name, so the walk's order shows only where jobs of one name
+    /// share a series: as the order of their samples within a round.
+    pub fn sample_round(
+        &mut self,
+        trace: &mut Trace,
+        ctl: &ControlLoop,
+        time: f64,
+        interval: f64,
+        mut progress: impl FnMut(usize) -> Option<f64>,
+    ) {
+        let controller = ctl.controller();
+        for index in 0..self.rows.len() {
+            let Some(slot) = controller.slot_at(index as u32) else {
+                continue;
+            };
+            let job = controller.job_of(slot).expect("a live slot holds a job");
+            let reservation = ctl.reservation(slot, ThreadId(job.0));
+            self.sample(index, trace, time, interval, reservation, progress(index));
+        }
+        trace.record_fills(time, controller.registry());
+    }
 }
 
 /// `time` as a whole number of microseconds, if it is exactly that
@@ -626,7 +655,7 @@ impl Trace {
     /// to it.  The queues are looked up again only when the registry's
     /// version has moved since the last sample; a trace samples one
     /// registry.
-    pub fn record_fills(&mut self, time: f64, registry: &MetricRegistry) {
+    pub(crate) fn record_fills(&mut self, time: f64, registry: &MetricRegistry) {
         let version = registry.version();
         if self.fills.version != Some(version) {
             self.resolve_fills(version, registry);
@@ -1115,6 +1144,47 @@ mod tests {
         assert_eq!(here.get("alloc/job993").unwrap().len(), 1);
         assert_eq!(there.names(), ["rate/job993"]);
         assert_eq!(there.get("rate/job993").unwrap().values(), [20.0]);
+    }
+
+    /// A sample round's walk order is not observable: the same rounds
+    /// taken with the jobs at opposite slot indices, so their series are
+    /// created in opposite orders, read back alike through every reader.
+    #[test]
+    fn a_rounds_job_order_does_not_show_in_the_trace() {
+        let names = ["decoder", "audio", "renderer", "net"];
+        let n = names.len();
+        let (mut forward, mut backward) = (JobSeries::new(), JobSeries::new());
+        for (i, name) in names.iter().enumerate() {
+            forward.insert(i, name);
+            backward.insert(n - 1 - i, name);
+        }
+        let (mut ft, mut bt) = (Trace::new(), Trace::new());
+        for round in 0..6usize {
+            let time = round as f64 * 0.1;
+            let take = |job: usize| {
+                let ppt = 10 * (job + 1) as u32 * (1 + round as u32 % 2);
+                let reservation = (job != 1 || round > 2)
+                    .then(|| Reservation::new(Proportion::from_ppt(ppt), Period::from_millis(10)));
+                let progress = (job != 3).then(|| (job * round * round) as f64);
+                (reservation, progress)
+            };
+            for i in 0..n {
+                let (reservation, progress) = take(i);
+                forward.sample(i, &mut ft, time, 0.1, reservation, progress);
+            }
+            for i in 0..n {
+                let job = n - 1 - i;
+                let (reservation, progress) = take(job);
+                backward.sample(i, &mut bt, time, 0.1, reservation, progress);
+            }
+        }
+        assert_eq!(ft.total_samples(), bt.total_samples());
+        assert_eq!(ft.names(), bt.names());
+        assert_eq!(ft.names().len(), 11);
+        for name in ft.names() {
+            let (f, b) = (ft.get(&name).unwrap(), bt.get(&name).unwrap());
+            assert_eq!(f.samples(), b.samples(), "{name}");
+        }
     }
 
     /// A resident job's row: three handles, the progress baseline and its

@@ -35,21 +35,21 @@
 //! becomes instant (`"i"`) events.  [`TelemetrySnapshot::summary_json`]
 //! is the compact counter summary.
 
+#![forbid(unsafe_code)]
+
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration for an enabled telemetry recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Capacity of the bounded trace-event ring, in events.  The ring is
     /// allocated once at enable time; when full it overwrites the oldest
     /// events (counted by [`Recorder::dropped`]).
-    #[serde(default)]
     pub ring_capacity: usize,
     /// Record per-stage (sense/classify/estimate/allocate/place/actuate)
     /// wall-clock timing inside full controller cycles.
-    #[serde(default)]
     pub stage_timing: bool,
 }
 

@@ -12,7 +12,7 @@ use crate::kernel::{Burn, Cadence};
 use rrs_api::Host;
 use rrs_core::{JobHandle, JobSpec};
 use rrs_scheduler::{Period, Proportion};
-use rrs_sim::{CpuConfig, RunResult, SimTime, WorkModel};
+use rrs_sim::{RunResult, SimTime, WorkModel, CPU_CLOCK_HZ};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ impl SoftwareModem {
     /// Installs the modem into any [`Host`] as a real-time job with
     /// exactly the reservation it needs (plus 20 % headroom), as the paper
     /// recommends for isochronous devices.  The reservation is sized
-    /// against the paper's 400 MHz CPU ([`CpuConfig::default`]), the
+    /// against the paper's 400 MHz CPU ([`CPU_CLOCK_HZ`]), the
     /// clock rate every `rrs_api::Runtime` host runs work models at.
     /// Returns the handle and the shared statistics.
     pub fn install_with_reservation(
@@ -106,7 +106,7 @@ impl SoftwareModem {
     ) -> (JobHandle, Arc<ModemStats>) {
         let (modem, stats) = SoftwareModem::new(config);
         let spec = JobSpec::real_time(
-            config.required_proportion(CpuConfig::default().clock_hz, 1.2),
+            config.required_proportion(CPU_CLOCK_HZ, 1.2),
             config.period(),
         );
         let handle = host

@@ -105,9 +105,9 @@ fn admission_admits_exactly_at_capacity_and_rejects_one_past_it() {
     use realrate::core::{Controller, ControllerConfig, JobId};
     use realrate::queue::MetricRegistry;
 
-    let config = ControllerConfig::default();
-    let threshold = config.overload_threshold_ppt;
-    let mut c = Controller::new(config, MetricRegistry::new());
+    // The controller's 95 % overload threshold, its admission bound.
+    let threshold = 950;
+    let mut c = Controller::new(ControllerConfig::default(), MetricRegistry::new());
     c.add_job(
         JobId(1),
         JobSpec::real_time(Proportion::from_ppt(500), Period::from_millis(10)),

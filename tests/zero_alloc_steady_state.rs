@@ -640,19 +640,26 @@ fn assert_admission_allocations_grow_logarithmically() {
     );
 }
 
-/// The sample trace's half of the guarantee: a sampler round whose
-/// values all repeat the previous round's — 64 jobs sharing one name, 64
-/// with their own, every one with a reservation and a steady progress
-/// rate, and a queue's fill — is counter bumps in the run-length store
-/// once the first rounds have opened each series' runs.
+/// The sample trace's half of the guarantee: a sample round
+/// (`JobSeries::sample_round`, the one both backends take) whose values
+/// all repeat the previous round's — 64 jobs sharing one name, 64 with
+/// their own, every one with a reservation and a steady progress rate,
+/// and a queue's fill — is counter bumps in the run-length store once the
+/// first rounds have opened each series' runs.
 fn assert_repeating_trace_rounds_allocation_free() {
-    use realrate::scheduler::{Period, Proportion, Reservation};
+    use realrate::core::ControlLoop;
+    use realrate::scheduler::DispatcherConfig;
     use realrate::sim::{JobSeries, Trace};
 
     let registry = MetricRegistry::new();
     let queue = Arc::new(BoundedBuffer::<u8>::new("frames", 8));
     queue.try_push(0).unwrap();
     registry.register(JobKey(1), Role::Consumer, queue);
+    let mut ctl = ControlLoop::new(
+        ControllerConfig::default(),
+        DispatcherConfig::default(),
+        registry,
+    );
     let mut jobs = JobSeries::new();
     for i in 0..128 {
         let name = if i < 64 {
@@ -660,23 +667,13 @@ fn assert_repeating_trace_rounds_allocation_free() {
         } else {
             format!("web{i}")
         };
-        jobs.insert(i, &name);
+        let handle = ctl.admit(JobSpec::miscellaneous()).unwrap();
+        jobs.insert(handle.slot.index(), &name);
     }
-    let reservation = Reservation::new(Proportion::from_ppt(30), Period::from_millis(10));
     let mut trace = Trace::new();
     let mut round = |trace: &mut Trace, r: u64| {
         let time = (r * 100_000) as f64 / 1e6;
-        for i in 0..128 {
-            jobs.sample(
-                i,
-                trace,
-                time,
-                0.1,
-                Some(reservation),
-                Some(r as f64 * 50.0),
-            );
-        }
-        trace.record_fills(time, &registry);
+        jobs.sample_round(trace, &ctl, time, 0.1, |_| Some(r as f64 * 50.0));
     };
     for r in 0..3 {
         round(&mut trace, r);

@@ -58,8 +58,11 @@
 //!   recording the post-pick generation; as long as the generation is
 //!   unchanged and the clock has not reached the thread's period boundary,
 //!   the next dispatch re-issues the pick in `O(1)` without touching the
-//!   queue ([`Dispatcher::dispatch_cached`], which a span loop can also
-//!   call on its own to run a stretch of hits).  The cached thread is the
+//!   queue.  A span loop runs a stretch of such hits without calling the
+//!   dispatcher at all: [`Dispatcher::hit_run`] hands out a [`HitRun`], a
+//!   copy of the state a hit reads and writes, and
+//!   [`Dispatcher::end_hit_run`] writes it back once the run stops; a
+//!   cached dispatch is a run of one hit.  The cached thread is the
 //!   off-queue pick, so it has no queue key to go stale: a fast pick bumps
 //!   the pick sequence on the entry, which only pushes it further behind
 //!   threads of its own goodness — and the front has none, or the pick
@@ -128,6 +131,7 @@
 use crate::accounting::UsageAccount;
 use crate::error::SchedError;
 use crate::goodness::rbs_goodness;
+use crate::hit_run::HitRun;
 use crate::idmap::IdMap;
 use crate::reservation::Reservation;
 use crate::runqueue::{RunKey, RunQueue};
@@ -1220,60 +1224,83 @@ impl Dispatcher {
         }
     }
 
-    /// The `O(1)` fast path of [`Dispatcher::dispatch`] on its own: re-issues
-    /// the cached pick when the queue generation is unchanged and the pick's
-    /// period boundary is still ahead, and returns `None` — having changed
-    /// nothing — otherwise.  Touches no map and no queue; observably
-    /// identical to the slow path re-picking the same thread.  A span loop
-    /// that has just charged the pick calls it to run a stretch of cache
-    /// hits without the checks a general dispatch needs (a live cache
-    /// implies [`Dispatcher::has_runnable`]).
+    /// The `O(1)` fast path of [`Dispatcher::dispatch`]: a run of one cache
+    /// hit ([`Dispatcher::hit_run`]).  Re-issues the cached pick when the
+    /// queue generation is unchanged and the pick's period boundary is
+    /// still ahead, and returns `None` — having changed nothing —
+    /// otherwise.  Touches no map and no queue; observably identical to
+    /// the slow path re-picking the same thread.
     #[inline]
-    pub fn dispatch_cached(&mut self) -> Option<DispatchOutcome> {
+    fn dispatch_cached(&mut self) -> Option<DispatchOutcome> {
+        let mut run = self.hit_run()?;
+        let quantum_us = run.hit(self.now_us, self.telemetry.as_deref())?;
+        self.end_hit_run(run);
+        Some(DispatchOutcome {
+            thread: Some(run.thread),
+            quantum_us,
+        })
+    }
+
+    /// Opens a run of next-quantum cache hits: a copy of the state the
+    /// cached pick's dispatches and deferred span charges read and write,
+    /// or `None` when the cache is not live.  A span loop serves hits from
+    /// it ([`HitRun::hit`], [`HitRun::defer`]) for as long as nothing else
+    /// happens on the CPU, then hands it to [`Dispatcher::end_hit_run`].
+    /// A live cache implies [`Dispatcher::has_runnable`].
+    #[inline]
+    pub fn hit_run(&self) -> Option<HitRun> {
         if self.quantum_cache_gen != Some(self.queue_gen) {
             return None;
         }
-        let idx = self.span_slot?;
-        let pending = self.span_pending_us;
-        let pick_seq = self.pick_seq + 1;
-        let dispatch_cost = self.config.dispatch_cost_us;
-        let interval = self.config.dispatch_interval_us;
-        let entry = self.entries[idx as usize]
-            .as_mut()
+        let entry = self.entries[self.span_slot? as usize]
+            .as_ref()
             .expect("queue mutations invalidate the cache before a slot can be freed");
-        if self.now_us >= entry.next_boundary_us {
-            // The pick's period rolls at or before now: take the slow path,
-            // which syncs the account before capping the quantum.
-            return None;
-        }
+        // Every change to the pick's state re-files it, which disarms the
+        // cache, and a boundary roll marks a running thread runnable again.
         debug_assert_eq!(self.running, Some(entry.id), "cache survived a preemption");
-        self.stats.dispatches += 1;
-        self.stats.overhead_us += dispatch_cost;
-        self.pick_seq = pick_seq;
-        entry.last_picked_seq = pick_seq;
-        entry.state = ThreadState::Running;
-        entry.account.mark_runnable();
-        // Identical to the slow path's `remaining_us()` cap with the
-        // pending span batch counted as already charged.
-        let cap = entry
-            .account
-            .budget_us
-            .saturating_sub(entry.account.used_this_period_us + pending)
-            .max(1);
-        let thread = entry.id;
-        self.stats.quantum_cache_hits += 1;
-        if let Some(t) = &self.telemetry {
-            t.record(
-                self.now_us,
-                TraceEventKind::CacheHit {
-                    cpu: self.telemetry_cpu,
-                },
-            );
-        }
-        Some(DispatchOutcome {
-            thread: Some(thread),
-            quantum_us: interval.max(1).min(cap),
+        debug_assert!(
+            entry.state == ThreadState::Running && entry.account.was_runnable_this_period,
+            "the cached pick runs and counts as runnable this period"
+        );
+        Some(HitRun {
+            now_us: self.now_us,
+            pending_us: self.span_pending_us,
+            pick_seq: self.pick_seq,
+            overhead_us: self.stats.overhead_us,
+            budget_us: entry.account.budget_us,
+            used_us: entry.account.used_this_period_us,
+            next_boundary_us: entry.next_boundary_us,
+            next_expiry_us: self.timers.next_expiry().unwrap_or(u64::MAX),
+            interval_us: self.config.dispatch_interval_us.max(1),
+            dispatch_cost_us: self.config.dispatch_cost_us,
+            thread: entry.id,
+            cpu: self.telemetry_cpu,
         })
+    }
+
+    /// Writes a hit run back, once, when it ends: the clock, the pending
+    /// batch, the pick sequence (on the pick's entry too), the overhead
+    /// total, and one dispatch and one cache hit per hit served.  The
+    /// state is then what the same dispatches and charges, made one by
+    /// one, would have left.
+    #[inline]
+    pub fn end_hit_run(&mut self, run: HitRun) {
+        debug_assert!(
+            self.quantum_cache_gen == Some(self.queue_gen),
+            "the dispatcher moved under an open hit run"
+        );
+        let hits = run.pick_seq - self.pick_seq;
+        self.now_us = run.now_us;
+        self.span_pending_us = run.pending_us;
+        self.pick_seq = run.pick_seq;
+        self.stats.dispatches += hits;
+        self.stats.quantum_cache_hits += hits;
+        self.stats.overhead_us = run.overhead_us;
+        let idx = self.span_slot.expect("a hit run has a span slot");
+        self.entries[idx as usize]
+            .as_mut()
+            .expect("a hit run's span slot is occupied")
+            .last_picked_seq = run.pick_seq;
     }
 
     /// The owner tag of the thread the last [`Dispatcher::dispatch`]
@@ -1321,8 +1348,8 @@ impl Dispatcher {
             .expect("unlink clears span_slot, so a live span always points at an occupied slot");
         let reason = span_settle_reason(
             us,
-            self.span_pending_us,
-            &entry.account,
+            entry.account.used_this_period_us + self.span_pending_us,
+            entry.account.budget_us,
             self.now_us,
             entry.next_boundary_us,
         );
@@ -1398,7 +1425,11 @@ impl Dispatcher {
         let id = entry.id;
         // The shared settlement arithmetic IS the throttle test: the
         // batcher's edge prediction and this reference path cannot drift.
-        let exhausts = charge_exhausts(&entry.account, 0, us);
+        let exhausts = charge_exhausts(
+            entry.account.budget_us,
+            entry.account.used_this_period_us,
+            us,
+        );
         entry.account.charge(us);
         debug_assert_eq!(exhausts, entry.account.exhausted());
         self.queue_gen += 1;

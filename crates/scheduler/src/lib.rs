@@ -24,6 +24,9 @@
 //!   still sorts first, the pick rejoining only once outranked — next
 //!   expiry and tail arm); per-period
 //!   accounting, deadline-miss detection and dispatch-overhead modelling.
+//!   A [`HitRun`] is a copy of what a run of next-quantum cache hits
+//!   reads and writes, so a span loop serves the run without calling the
+//!   dispatcher and writes it back once.
 //! * [`Machine`] — the multi-CPU layer: `N` per-CPU dispatchers in
 //!   lockstep behind the single-CPU API, with thread placement and
 //!   cross-CPU migration ([`CpuId`]).  `N = 1` is bit-for-bit the
@@ -42,6 +45,7 @@ mod deque;
 pub mod dispatcher;
 pub mod error;
 pub mod goodness;
+mod hit_run;
 pub mod idmap;
 pub mod machine;
 pub mod reservation;
@@ -55,6 +59,7 @@ pub use dispatcher::{
     DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, MigratedThread,
 };
 pub use error::SchedError;
+pub use hit_run::HitRun;
 pub use idmap::IdMap;
 pub use machine::{CpuStats, Machine};
 pub use reservation::Reservation;

@@ -13,23 +13,24 @@
 //! [`charge_exhausts`] arithmetic the batcher uses to detect the throttle
 //! edge.
 
-use crate::accounting::UsageAccount;
 use rrs_telemetry::SettleCause;
 
-/// Returns `true` when charging `us` more microseconds — on top of what the
-/// account has already recorded this period plus `pending_us` not yet
-/// settled — exhausts the period budget.
+/// Returns `true` when charging `us` more microseconds to a period that
+/// has used `used_us` of its `budget_us` — the pending span batch counted
+/// as used — exhausts the budget.
 ///
-/// This is exactly [`UsageAccount::exhausted`] evaluated *after* such a
-/// charge would land: the per-charge path asserts the equivalence, so the
-/// batcher's throttle-edge prediction and the reference's post-charge
-/// throttle test are one rule.
-pub(crate) fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) -> bool {
-    let used = account.used_this_period_us + pending_us + us;
-    used >= account.budget_us && used > 0
+/// This is exactly [`crate::UsageAccount::exhausted`] evaluated *after*
+/// such a charge would land: the per-charge path asserts the equivalence,
+/// so the batcher's throttle-edge prediction and the reference's
+/// post-charge throttle test are one rule.
+pub(crate) fn charge_exhausts(budget_us: u64, used_us: u64, us: u64) -> bool {
+    let used = used_us + us;
+    used >= budget_us && used > 0
 }
 
-/// Decides whether a span charge of `us` microseconds may be deferred.
+/// Decides whether a span charge of `us` microseconds may be deferred, for
+/// a thread whose period has used `used_us` of its `budget_us` (the
+/// pending batch included) and ends at `next_boundary_us`.
 ///
 /// `None` means the charge can accumulate into the pending batch: the
 /// clock has not reached the thread's next period boundary, the budget
@@ -43,15 +44,15 @@ pub(crate) fn charge_exhausts(account: &UsageAccount, pending_us: u64, us: u64) 
 /// block, migration, re-reservation, sync, usage drain).
 pub(crate) fn span_settle_reason(
     us: u64,
-    pending_us: u64,
-    account: &UsageAccount,
+    used_us: u64,
+    budget_us: u64,
     now_us: u64,
     next_boundary_us: u64,
 ) -> Option<SettleCause> {
     if now_us >= next_boundary_us {
         return Some(SettleCause::PeriodBoundary);
     }
-    if charge_exhausts(account, pending_us, us) {
+    if charge_exhausts(budget_us, used_us, us) {
         return Some(SettleCause::ThrottleEdge);
     }
     if us == 0 {
@@ -63,6 +64,7 @@ pub(crate) fn span_settle_reason(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accounting::UsageAccount;
 
     fn account(budget: u64, used: u64) -> UsageAccount {
         let mut a = UsageAccount::new(0, budget);
@@ -74,31 +76,35 @@ mod tests {
     fn boundary_reached_settles_before_the_roll() {
         let a = account(1000, 10);
         assert_eq!(
-            span_settle_reason(10, 0, &a, 5_000, 5_000),
+            span_settle_reason(10, a.used_this_period_us, a.budget_us, 5_000, 5_000),
             Some(SettleCause::PeriodBoundary)
         );
-        assert_eq!(span_settle_reason(10, 0, &a, 4_999, 5_000), None);
+        assert_eq!(
+            span_settle_reason(10, a.used_this_period_us, a.budget_us, 4_999, 5_000),
+            None
+        );
     }
 
     #[test]
     fn throttle_edge_counts_the_pending_batch() {
         let a = account(1000, 600);
+        let used = a.used_this_period_us + 300;
         // 600 used + 300 pending + 99 = 999 < 1000: still deferrable.
-        assert_eq!(span_settle_reason(99, 300, &a, 0, 1), None);
+        assert_eq!(span_settle_reason(99, used, a.budget_us, 0, 1), None);
         // ... + 100 = 1000: exhausts, settle and throttle.
         assert_eq!(
-            span_settle_reason(100, 300, &a, 0, 1),
+            span_settle_reason(100, used, a.budget_us, 0, 1),
             Some(SettleCause::ThrottleEdge)
         );
-        assert!(charge_exhausts(&a, 300, 100));
-        assert!(!charge_exhausts(&a, 300, 99));
+        assert!(charge_exhausts(a.budget_us, used, 100));
+        assert!(!charge_exhausts(a.budget_us, used, 99));
     }
 
     #[test]
     fn zero_span_takes_the_full_path() {
         let a = account(1000, 10);
         assert_eq!(
-            span_settle_reason(0, 0, &a, 0, 1),
+            span_settle_reason(0, a.used_this_period_us, a.budget_us, 0, 1),
             Some(SettleCause::ZeroSpan)
         );
     }
@@ -109,10 +115,10 @@ mod tests {
         // (`used > 0` guards the degenerate case), matching
         // `UsageAccount::exhausted`.
         let a = account(0, 0);
-        assert!(!charge_exhausts(&a, 0, 0));
-        assert_eq!(charge_exhausts(&a, 0, 0), a.exhausted());
+        assert!(!charge_exhausts(0, 0, 0));
+        assert_eq!(charge_exhausts(0, 0, 0), a.exhausted());
         // Any actual use on a zero budget is exhaustion.
-        assert!(charge_exhausts(&a, 0, 1));
+        assert!(charge_exhausts(0, 0, 1));
     }
 
     /// The prediction matches the account's own post-charge verdict.
@@ -122,7 +128,7 @@ mod tests {
             for used in [0u64, 1, 499, 500, 999, 1000] {
                 for us in [0u64, 1, 500, 1000] {
                     let mut a = account(budget, used);
-                    let predicted = charge_exhausts(&a, 0, us);
+                    let predicted = charge_exhausts(budget, used, us);
                     a.charge(us);
                     assert_eq!(
                         predicted,

@@ -129,6 +129,181 @@ fn set_wake_event(wake_events: &mut Vec<Option<EventId>>, index: usize, id: Even
     wake_events[index] = Some(id);
 }
 
+/// One CPU's window in [`Simulation::advance_cpu`]: what it borrows, and
+/// the clock and counters it keeps until the window ends.
+struct CpuWindow<'a> {
+    dispatcher: &'a mut Dispatcher,
+    recorder: Option<&'a Recorder>,
+    calendar: &'a mut Schedule,
+    wake_events: &'a mut Vec<Option<EventId>>,
+    /// In-window wakes `(wake_at_us, id, dispatcher slot, owner tag)`.
+    local_wakes: &'a mut Vec<(u64, ThreadId, u32, u32)>,
+    /// In-window polls `(id, dispatcher slot, owner tag)`.
+    local_poll: &'a mut Vec<(ThreadId, u32, u32)>,
+    cpu: CpuId,
+    /// The dispatch interval, at least 1 µs: the local poll cadence.
+    interval: u64,
+    target_us: u64,
+    /// The CPU's local clock.
+    t: u64,
+    next_poll: u64,
+    /// The CPU's dispatcher overhead watermark.
+    last_overhead: f64,
+    /// The fractional overhead not yet consumed as simulated time.
+    carry: f64,
+    /// The global dispatch overhead sum.
+    overhead_sum: f64,
+    used_sum: u64,
+}
+
+/// The whole part of `x`, a carry of at least 0 µs plus a booking's
+/// `delta`, as an `f64`: the cast's truncation is the floor.  The general
+/// span's booking finds it so; see [`whole_by_compare`] for a hit run's.
+#[inline(always)]
+fn whole_by_cast(x: f64, _delta: f64) -> f64 {
+    (x as i64) as f64
+}
+
+/// [`whole_by_cast`], bit for bit, found by comparison.
+///
+/// A carry under 1 µs, the usual case, leaves the whole part the delta's
+/// or one more, so two compares against the delta's whole part find it,
+/// and the conversion round trip runs on the delta alone.  In a hit run
+/// the delta is the dispatch cost, known a dispatch ahead, so the carry's
+/// own dependency chain from one dispatch to the next is one add, one
+/// subtract and a predicted branch instead of two conversions; that chain
+/// bounds a run.  Elsewhere the delta and the branch's pattern vary, and
+/// a mispredicted branch costs more than the conversions
+/// (`spin_saturated` `run_wall_s` ×1.02–×1.05).  `delta`'s whole part is at
+/// most `x`, and adding 1 or 2 to it rounds, if at all, only where `x`
+/// is a whole number already, so every case gives the exact floor.
+#[inline(always)]
+fn whole_by_compare(x: f64, delta: f64) -> f64 {
+    let below = (delta as i64) as f64;
+    if x < below + 1.0 {
+        below
+    } else if x < below + 2.0 {
+        below + 1.0
+    } else {
+        whole_by_cast(x, delta)
+    }
+}
+
+impl CpuWindow<'_> {
+    /// Books the CPU's dispatch overhead up to the dispatcher's total
+    /// `total_us`, consuming whole microseconds of the window — found by
+    /// `whole_part` ([`whole_by_cast`] or [`whole_by_compare`]) — and
+    /// carrying the fractional remainder over.  Returns `false` when the
+    /// charge reaches the window end: the pick then stands unexecuted, and
+    /// the next window dispatches again.
+    #[inline(always)]
+    fn book_overhead(&mut self, total_us: f64, whole_part: fn(f64, f64) -> f64) -> bool {
+        // `total - last` rather than the dispatch's own cost: the two are
+        // not the same f64.
+        let delta = total_us - self.last_overhead;
+        self.last_overhead = total_us;
+        self.overhead_sum += delta;
+        if delta > 0.0 {
+            debug_assert!(self.carry >= 0.0 && self.t < self.target_us);
+            let carry = self.carry + delta;
+            let whole = whole_part(carry, delta);
+            // The carry only ever holds a non-negative remainder, so the
+            // casts' truncation is the floor (and not the libm call
+            // `floor` is on baseline x86-64).  The conversions go through
+            // `i64`: the same values here, and one instruction each where
+            // the unsigned ones take several.
+            let charge = (whole as i64) as u64;
+            let left = self.target_us - self.t;
+            if charge < left {
+                self.carry = carry - whole;
+                self.t += charge;
+                return true;
+            }
+            self.carry = carry - (left as i64) as f64;
+            self.t = self.target_us;
+            return false;
+        }
+        true
+    }
+
+    /// Books a charged span of `used` µs that `tid` ran from the local
+    /// clock: counts it, records it and moves the clock past it.
+    #[inline(always)]
+    fn ran(&mut self, tid: ThreadId, used: u64) {
+        self.used_sum += used;
+        if let Some(recorder) = self.recorder {
+            recorder.record(
+                self.t,
+                TraceEventKind::DispatchSpan {
+                    cpu: self.cpu.0,
+                    thread: tid.0,
+                    len_us: used,
+                },
+            );
+        }
+        self.t += used;
+    }
+
+    /// Ends a span in which `work`, the pick `tid`, used `used` µs and
+    /// perhaps `blocked`: charges the span and books it ([`CpuWindow::ran`]);
+    /// a pick that blocked joins the local wake list, the local poll list
+    /// or the calendar, and a span that used nothing still moves the clock
+    /// one microsecond.  Returns whether the pick still runs.
+    #[inline(always)]
+    fn end_span(
+        &mut self,
+        work: &mut dyn WorkModel,
+        tid: ThreadId,
+        used: u64,
+        blocked: bool,
+    ) -> bool {
+        let wake = if blocked {
+            work.next_transition(SimTime::from_micros(self.t + used))
+        } else {
+            None
+        };
+        // Slot-addressed batched charge on the span's own CPU: no
+        // placement lookup, no id map, and consecutive uncontended spans
+        // settle in one account update.
+        self.dispatcher.charge_span(used);
+        self.ran(tid, used);
+        let t = self.t;
+        if blocked {
+            let owner = self
+                .dispatcher
+                .span_owner()
+                .expect("the span thread is here");
+            let dslot = self.dispatcher.block_span();
+            match wake {
+                Some(w) => {
+                    let at = w.as_micros().max(t + 1);
+                    if at < self.target_us {
+                        self.local_wakes.push((at, tid, dslot, owner));
+                    } else {
+                        let id = self
+                            .calendar
+                            .schedule(SimTime::from_micros(at), Event::Wake(tid));
+                        set_wake_event(self.wake_events, owner as usize, id);
+                    }
+                }
+                None => {
+                    self.local_poll.push((tid, dslot, owner));
+                    self.next_poll = self.next_poll.min(t + self.interval);
+                }
+            }
+            return false;
+        }
+        if used == 0 {
+            // Progress guard: a runnable model that consumed nothing still
+            // moves the local clock one microsecond.
+            self.dispatcher.rebook_idle_us(0, 1);
+            self.t += 1;
+            return false;
+        }
+        true
+    }
+}
+
 /// The discrete-event simulation.
 ///
 /// # Examples
@@ -595,24 +770,28 @@ impl Simulation {
 
     /// One CPU's window from `start` to `target_us`, the simulator's
     /// innermost loop (see [`Simulation::advance_cpus_to`]).  The CPU's
-    /// dispatcher, the thread table and the recorder are borrowed once, and the window's counters — the CPU's overhead
-    /// watermark and carry, its used time, the global overhead sum — live
-    /// in locals written back when the window ends, so a span touches
-    /// nothing through `self`.
+    /// dispatcher, the thread table and the recorder are borrowed once,
+    /// and the window's counters — the CPU's overhead watermark and carry,
+    /// its used time, the global overhead sum — live in a [`CpuWindow`]
+    /// written back when the window ends, so a span touches nothing
+    /// through `self`.
     ///
     /// The loop head fires due local wakes and polls, releases due
-    /// timers, and idles or dispatches; one span body then runs the pick.
+    /// timers, and idles or dispatches; one span then runs the pick.
     /// After a span that leaves the pick running, with no local wake or
-    /// poll pending, the span body runs again at once on a *hit run*:
-    /// [`Dispatcher::advance_to`] and [`Dispatcher::dispatch_cached`]
-    /// alone, until the window ends.  The head would do nothing else: no
-    /// wake or poll exists, and a live cache implies a runnable thread.  A
-    /// throttle release that `advance_to` makes bumps the dispatcher's
-    /// queue generation, so the cache misses exactly where the head's
-    /// dispatch would have.  The dispatcher's mutators run in the same
-    /// order either way, and every counter and statistic is the same.  The
-    /// span thread's model is resolved once per run.  A miss, a block, a
-    /// zero-use span or the window end hands the CPU back to the head.
+    /// poll pending, the pick goes on in a *hit run*: the next-quantum
+    /// cache's re-issues of the same pick, served from a
+    /// [`rrs_scheduler::HitRun`] copy of the dispatcher state with no
+    /// dispatcher call, and written back once when the run stops.  The
+    /// head would do nothing else: no wake or poll exists, and a live
+    /// cache implies a runnable thread.  The run stops where the head's
+    /// dispatch would not hit — at a throttle release due by the local
+    /// clock, which the head then makes, or at the pick's period boundary
+    /// — and at a span that blocks, uses nothing or must settle, which
+    /// then goes through [`CpuWindow::end_span`] as any span does, or at
+    /// the window end.  Every dispatcher mutation, overhead sum and
+    /// recorder event happens in the order the head's dispatches would
+    /// make them, so the counters and statistics are the same.
     fn advance_cpu(
         &mut self,
         cpu: CpuId,
@@ -621,7 +800,6 @@ impl Simulation {
         local_wakes: &mut Vec<(u64, ThreadId, u32, u32)>,
         local_poll: &mut Vec<(ThreadId, u32, u32)>,
     ) {
-        let interval = self.config.dispatcher.dispatch_interval_us.max(1);
         let Self {
             ctl,
             threads,
@@ -631,193 +809,161 @@ impl Simulation {
             overhead_carry,
             ..
         } = self;
-        let mut last_overhead = last_cpu_overhead[cpu.index()];
-        let mut carry = overhead_carry[cpu.index()];
         // Starts from the global sum and adds this CPU's deltas in span
         // order: per-CPU partials added at the end would re-associate the
         // f64 sum.
-        let mut overhead_sum = ctl.stats_mut().dispatch_overhead_us;
-        let mut used_sum = 0;
+        let overhead_sum = ctl.stats_mut().dispatch_overhead_us;
         let (dispatcher, recorder) = ctl.cpu_window(cpu);
-        let mut t = start;
-        let mut next_poll = u64::MAX;
+        let mut w = CpuWindow {
+            dispatcher,
+            recorder: recorder.map(Arc::as_ref),
+            calendar,
+            wake_events,
+            local_wakes,
+            local_poll,
+            cpu,
+            interval: self.config.dispatcher.dispatch_interval_us.max(1),
+            target_us,
+            t: start,
+            next_poll: u64::MAX,
+            last_overhead: last_cpu_overhead[cpu.index()],
+            carry: overhead_carry[cpu.index()],
+            overhead_sum,
+            used_sum: 0,
+        };
         'window: loop {
+            let t = w.t;
             // Fire local wake-ups that have come due.
             let mut i = 0;
-            while i < local_wakes.len() {
-                let (at, tid, dslot, owner) = local_wakes[i];
+            while i < w.local_wakes.len() {
+                let (at, tid, dslot, owner) = w.local_wakes[i];
                 if at > t {
                     i += 1;
                     continue;
                 }
-                local_wakes.swap_remove(i);
+                w.local_wakes.swap_remove(i);
                 if entry_mut(threads, owner as usize).work.poll_unblock(t) {
-                    dispatcher
+                    w.dispatcher
                         .unblock_slot(dslot, tid)
                         .expect("a slot blocked in this window is still the thread's");
                 } else {
-                    local_poll.push((tid, dslot, owner));
-                    next_poll = next_poll.min(t + interval);
+                    w.local_poll.push((tid, dslot, owner));
+                    w.next_poll = w.next_poll.min(t + w.interval);
                 }
             }
             // Poll locally blocked threads at the dispatch cadence.
-            if t >= next_poll && !local_poll.is_empty() {
+            if t >= w.next_poll && !w.local_poll.is_empty() {
                 let mut j = 0;
-                while j < local_poll.len() {
-                    let (tid, dslot, owner) = local_poll[j];
+                while j < w.local_poll.len() {
+                    let (tid, dslot, owner) = w.local_poll[j];
                     if entry_mut(threads, owner as usize).work.poll_unblock(t) {
-                        local_poll.swap_remove(j);
-                        dispatcher
+                        w.local_poll.swap_remove(j);
+                        w.dispatcher
                             .unblock_slot(dslot, tid)
                             .expect("a slot blocked in this window is still the thread's");
                     } else {
                         j += 1;
                     }
                 }
-                next_poll = if local_poll.is_empty() {
+                w.next_poll = if w.local_poll.is_empty() {
                     u64::MAX
                 } else {
-                    t + interval
+                    t + w.interval
                 };
             }
 
             // Settle throttle-release timers up to the local clock.
-            dispatcher.advance_to(t);
+            w.dispatcher.advance_to(t);
             if t >= target_us {
                 break;
             }
 
-            if !dispatcher.has_runnable() {
+            if !w.dispatcher.has_runnable() {
                 // Idle: jump straight to the next local event.
                 let mut jump = target_us;
-                if let Some(e) = dispatcher.next_timer_expiry() {
+                if let Some(e) = w.dispatcher.next_timer_expiry() {
                     jump = jump.min(e);
                 }
-                for &(at, ..) in local_wakes.iter() {
+                for &(at, ..) in w.local_wakes.iter() {
                     jump = jump.min(at);
                 }
-                jump = jump.min(next_poll).clamp(t + 1, target_us);
-                dispatcher.rebook_idle_us(0, jump - t);
-                t = jump;
+                jump = jump.min(w.next_poll).clamp(t + 1, target_us);
+                w.dispatcher.rebook_idle_us(0, jump - t);
+                w.t = jump;
                 continue;
             }
 
-            let mut outcome = dispatcher.dispatch();
-            // The span thread's model, resolved once for the whole pass.
-            let mut span_thread = dispatcher
-                .span_owner()
-                .and_then(|owner| threads.get_mut(owner as usize)?.as_mut());
-            // One span per pass: the general dispatch's, then a hit run —
-            // the cache's re-issues of the same pick, for as long as the
-            // checks above provably have nothing to do.
+            let outcome = w.dispatcher.dispatch();
+            if !w.book_overhead(w.dispatcher.overhead_us(), whole_by_cast) {
+                continue;
+            }
+            let t = w.t;
+            let Some(tid) = outcome.thread else {
+                // Defensive: an idle dispatch despite `has_runnable`.
+                let jump = (t + outcome.quantum_us.max(1)).min(target_us);
+                w.dispatcher.rebook_idle_us(outcome.quantum_us, jump - t);
+                w.t = jump;
+                continue;
+            };
+            // The span thread's model, resolved once for the span and the
+            // hit run after it.
+            let owner = w.dispatcher.span_owner().expect("the span thread is here");
+            let work = &mut *entry_mut(threads, owner as usize).work;
+            let span = outcome.quantum_us.min(target_us - t).max(1);
+            let result = work.run(t, span, CPU_CLOCK_HZ);
+            let mut ended = (result.used_us.min(span), result.blocked);
+            // The span, then while the pick runs on with nothing else due
+            // a hit run, and the span that stops it.
             loop {
-                // Book this CPU's dispatch overhead, consuming whole
-                // microseconds of the window; the fractional remainder
-                // carries over.  `total - last` rather than the dispatch's
-                // own cost: the two are not the same f64.
-                let total = dispatcher.overhead_us();
-                let delta = total - last_overhead;
-                last_overhead = total;
-                overhead_sum += delta;
-                if delta > 0.0 {
-                    carry += delta;
-                    // The carry only ever holds a non-negative remainder, so
-                    // the cast's truncation is its floor (and not the libm
-                    // call `floor` is on baseline x86-64).  Both conversions
-                    // go through `i64`: the same values here, and one
-                    // instruction each where the unsigned ones take several.
-                    debug_assert!(carry >= 0.0);
-                    let charge = ((carry as i64) as u64).min(target_us - t);
-                    if charge > 0 {
-                        carry -= (charge as i64) as f64;
-                        t += charge;
-                        if t >= target_us {
-                            // The pick stands unexecuted; the next window
-                            // re-dispatches.
-                            continue 'window;
-                        }
-                    }
+                let (used, blocked) = ended;
+                if !w.end_span(work, tid, used, blocked)
+                    || w.t >= target_us
+                    || !w.local_wakes.is_empty()
+                    || !w.local_poll.is_empty()
+                {
+                    continue 'window;
                 }
-                let Some(tid) = outcome.thread else {
-                    // Defensive: an idle dispatch despite `has_runnable`.
-                    let jump = (t + outcome.quantum_us.max(1)).min(target_us);
-                    dispatcher.rebook_idle_us(outcome.quantum_us, jump - t);
-                    t = jump;
+                // A settle disarms the cache, so after a stop at a span
+                // this opens no run.
+                let Some(mut run) = w.dispatcher.hit_run() else {
                     continue 'window;
                 };
-
-                let span = outcome.quantum_us.min(target_us - t).max(1);
-                let entry = span_thread
-                    .as_deref_mut()
-                    .expect("dispatched thread exists");
-                let result = entry.work.run(t, span, CPU_CLOCK_HZ);
-                let used = result.used_us.min(span);
-                let wake = if result.blocked {
-                    entry.work.next_transition(SimTime::from_micros(t + used))
-                } else {
-                    None
-                };
-                // Slot-addressed batched charge on the span's own CPU: no
-                // placement lookup, no id map, and consecutive
-                // uncontended spans settle in one account update.
-                dispatcher.charge_span(used);
-                used_sum += used;
-                if let Some(recorder) = recorder {
-                    recorder.record(
-                        t,
-                        TraceEventKind::DispatchSpan {
-                            cpu: cpu.0,
-                            thread: tid.0,
-                            len_us: used,
-                        },
-                    );
-                }
-                t += used;
-                if result.blocked {
-                    let owner = dispatcher.span_owner().expect("the span thread is here");
-                    let dslot = dispatcher.block_span();
-                    match wake {
-                        Some(w) => {
-                            let at = w.as_micros().max(t + 1);
-                            if at < target_us {
-                                local_wakes.push((at, tid, dslot, owner));
-                            } else {
-                                let id =
-                                    calendar.schedule(SimTime::from_micros(at), Event::Wake(tid));
-                                set_wake_event(wake_events, owner as usize, id);
-                            }
-                        }
-                        None => {
-                            local_poll.push((tid, dslot, owner));
-                            next_poll = next_poll.min(t + interval);
-                        }
+                debug_assert!(w.dispatcher.has_runnable(), "a hit run on an idle CPU");
+                // The hit run: each pass is the head's advance and dispatch
+                // and one span, for as long as the cache serves the pick
+                // and the span's charge defers.
+                let stop = loop {
+                    let Some(quantum) = run.hit(w.t, w.recorder) else {
+                        break None;
+                    };
+                    if !w.book_overhead(run.overhead_us(), whole_by_compare) {
+                        break None;
                     }
-                    continue 'window;
-                }
-                if used == 0 {
-                    // Progress guard: a runnable model that consumed nothing
-                    // still moves the local clock one microsecond.
-                    dispatcher.rebook_idle_us(0, 1);
-                    t += 1;
-                    continue 'window;
-                }
-                // The pick still runs.  With no local wake or poll pending
-                // and the window not over, all the loop head would do is
-                // advance the clock — releasing any throttle due, which
-                // bumps `queue_gen` — and dispatch on a CPU a live cache
-                // proves busy.  So the next dispatch goes straight to the
-                // cache, and a miss hands the CPU back to the loop head.
-                if t >= target_us || !local_wakes.is_empty() || !local_poll.is_empty() {
-                    continue 'window;
-                }
-                dispatcher.advance_to(t);
-                match dispatcher.dispatch_cached() {
-                    Some(hit) => outcome = hit,
+                    let span = quantum.min(target_us - w.t).max(1);
+                    let result = work.run(w.t, span, CPU_CLOCK_HZ);
+                    let used = result.used_us.min(span);
+                    if result.blocked || !run.defer(used) {
+                        break Some((used, result.blocked));
+                    }
+                    w.ran(tid, used);
+                    if w.t >= target_us {
+                        break None;
+                    }
+                };
+                w.dispatcher.end_hit_run(run);
+                match stop {
+                    Some(span) => ended = span,
                     None => continue 'window,
                 }
-                debug_assert!(dispatcher.has_runnable(), "a cache hit on an idle CPU");
             }
         }
+        let CpuWindow {
+            last_overhead,
+            carry,
+            overhead_sum,
+            used_sum,
+            ..
+        } = w;
         last_cpu_overhead[cpu.index()] = last_overhead;
         overhead_carry[cpu.index()] = carry;
         let stats = ctl.stats_mut();
@@ -2054,12 +2200,19 @@ mod tests {
     }
 
     /// One CPU, no controller, each job's reservation forced to
-    /// `(ppt, period_ms)`: the machine the hit-run exit tests drive.
-    fn forced(jobs: Vec<(Box<dyn WorkModel>, u32, u64)>) -> (Simulation, Vec<JobHandle>) {
+    /// `(ppt, period_ms)`: the machine the hit-run exit tests drive, with
+    /// a recorder attached if `traced`.
+    fn forced(
+        traced: bool,
+        jobs: Vec<(Box<dyn WorkModel>, u32, u64)>,
+    ) -> (Simulation, Vec<JobHandle>) {
         let mut sim = Simulation::new(SimConfig {
             controller_enabled: false,
             ..SimConfig::default()
         });
+        if traced {
+            sim.enable_telemetry(TelemetryConfig::default());
+        }
         let handles = jobs
             .into_iter()
             .enumerate()
@@ -2106,52 +2259,81 @@ mod tests {
         format!("{:?} {:?}", sim.stats(), counters(&sim.telemetry()))
     }
 
+    /// Checks a hit-run exit test's machine against its `pinned` line,
+    /// traced or not; traced, the ring, which dropped nothing, also holds
+    /// one `CacheHit` event per counted cache hit.
+    fn assert_pinned(sim: &Simulation, want: &str) {
+        let traced = sim.telemetry_recorder();
+        assert_eq!(pinned(sim), want, "traced: {}", traced.is_some());
+        if let Some(recorder) = traced {
+            assert_eq!(recorder.dropped(), 0);
+            let hits = recorder
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::CacheHit { .. }))
+                .count();
+            assert_eq!(hits as u64, sim.telemetry().quantum_cache_hits);
+        }
+    }
+
     /// A window that ends inside a cache hit's overhead charge leaves the
     /// pick standing unexecuted, and the next window dispatches again.
     #[test]
     fn a_hit_run_ends_inside_a_dispatch_charge_at_the_window_end() {
-        let (mut sim, h) = forced(vec![(Box::new(Spin::new()), 500, 10)]);
-        // 8 µs of switch, a 1 000 µs span, then the hit's 7 µs charge
-        // meets the window's end 4 µs in.
-        sim.run_until_micros(1_012);
-        assert_eq!(sim.telemetry().quantum_cache_hits, 1);
-        assert_eq!(sim.cpu_used(h[0]).as_micros(), 1_000, "the hit stood");
-        for end in (1..=40).map(|k| 1_012 + k * 1_237) {
-            sim.run_until_micros(end);
+        for traced in [false, true] {
+            let (mut sim, h) = forced(traced, vec![(Box::new(Spin::new()), 500, 10)]);
+            // 8 µs of switch, a 1 000 µs span, then the hit's 7 µs charge
+            // meets the window's end 4 µs in.
+            sim.run_until_micros(1_012);
+            assert_eq!(sim.telemetry().quantum_cache_hits, 1);
+            assert_eq!(sim.cpu_used(h[0]).as_micros(), 1_000, "the hit stood");
+            for end in (1..=40).map(|k| 1_012 + k * 1_237) {
+                sim.run_until_micros(end);
+            }
+            assert_pinned(&sim, HIT_RUN_WINDOW_END);
         }
-        assert_eq!(pinned(&sim), HIT_RUN_WINDOW_END);
     }
 
     /// A throttled thread's release inside another thread's run of hits
     /// bounds the run, and the released thread preempts at once.
     #[test]
     fn a_hit_run_stops_at_another_threads_release() {
-        let (mut sim, h) = forced(vec![
-            (Box::new(Spin::new()), 100, 10),
-            (Box::new(Spin::new()), 600, 20),
-        ]);
-        sim.run_until_micros(60_000);
-        assert_eq!(sim.cpu_used(h[0]).as_micros(), 6_000, "every release ran");
-        assert_eq!(pinned(&sim), HIT_RUN_RELEASE);
+        for traced in [false, true] {
+            let (mut sim, h) = forced(
+                traced,
+                vec![
+                    (Box::new(Spin::new()), 100, 10),
+                    (Box::new(Spin::new()), 600, 20),
+                ],
+            );
+            sim.run_until_micros(60_000);
+            assert_eq!(sim.cpu_used(h[0]).as_micros(), 6_000, "every release ran");
+            assert_pinned(&sim, HIT_RUN_RELEASE);
+        }
     }
 
     /// The pick blocks mid-run; its wake falls inside the window.
     #[test]
     fn a_hit_run_ends_when_the_pick_blocks() {
-        let (mut sim, h) = forced(vec![(
-            Box::new(Bursty {
-                burst_us: 3_500,
-                sleep_us: 2_000,
-                left_us: 3_500,
-                wake_at: None,
-            }),
-            800,
-            10,
-        )]);
-        sim.run_until_micros(60_000);
-        assert!(sim.telemetry().events_wake == 0, "every wake was local");
-        assert!(sim.cpu_used(h[0]).as_micros() > 20_000);
-        assert_eq!(pinned(&sim), HIT_RUN_BLOCK);
+        for traced in [false, true] {
+            let (mut sim, h) = forced(
+                traced,
+                vec![(
+                    Box::new(Bursty {
+                        burst_us: 3_500,
+                        sleep_us: 2_000,
+                        left_us: 3_500,
+                        wake_at: None,
+                    }),
+                    800,
+                    10,
+                )],
+            );
+            sim.run_until_micros(60_000);
+            assert!(sim.telemetry().events_wake == 0, "every wake was local");
+            assert!(sim.cpu_used(h[0]).as_micros() > 20_000);
+            assert_pinned(&sim, HIT_RUN_BLOCK);
+        }
     }
 
     /// Uses half of every quantum and never blocks: its quantum is capped
@@ -2168,21 +2350,26 @@ mod tests {
     /// the cache stops serving it.
     #[test]
     fn a_hit_run_ends_at_the_picks_period_boundary() {
-        let (mut sim, _) = forced(vec![(Box::new(Half), 1_000, 10)]);
-        sim.run_until_micros(60_000);
-        let t = sim.telemetry();
-        assert_eq!((t.quantum_cache_misses, t.settles_throttle_edge), (6, 0));
-        assert_eq!(pinned(&sim), HIT_RUN_BOUNDARY);
+        for traced in [false, true] {
+            let (mut sim, _) = forced(traced, vec![(Box::new(Half), 1_000, 10)]);
+            sim.run_until_micros(60_000);
+            let t = sim.telemetry();
+            assert_eq!((t.quantum_cache_misses, t.settles_throttle_edge), (6, 0));
+            assert_pinned(&sim, HIT_RUN_BOUNDARY);
+        }
     }
 
     /// A span that uses nothing ends the run, and the clock moves a
     /// microsecond.
     #[test]
     fn a_hit_run_ends_at_a_zero_use_span() {
-        let (mut sim, _) = forced(vec![(Box::new(Stutter { every: 4, spans: 0 }), 500, 10)]);
-        sim.run_until_micros(60_000);
-        assert!(sim.telemetry().settles_zero_span > 0);
-        assert_eq!(pinned(&sim), HIT_RUN_ZERO_SPAN);
+        for traced in [false, true] {
+            let stutter = Stutter { every: 4, spans: 0 };
+            let (mut sim, _) = forced(traced, vec![(Box::new(stutter), 500, 10)]);
+            sim.run_until_micros(60_000);
+            assert!(sim.telemetry().settles_zero_span > 0);
+            assert_pinned(&sim, HIT_RUN_ZERO_SPAN);
+        }
     }
 
     // Each exit test's `pinned` line, taken on the simulator before the
@@ -2218,7 +2405,60 @@ mod tests {
         " [24, 15, 0, 6, 9, 0, 1, 0, 0, 0, 0, 0, 39, 6, 6, 0, 0]",
     );
 
+    /// `whole_by_compare` against `whole_by_cast` on the edges of its
+    /// compares and of exact integer `f64`s.
+    #[test]
+    fn whole_by_compare_is_the_cast_at_the_edges() {
+        let ulp_below_1 = 1.0 - f64::EPSILON / 2.0;
+        let carries = [0.0, 0.25, ulp_below_1, 1.0, 1.5, 2.0 - f64::EPSILON, 3.75];
+        let deltas = [
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.9,
+            6.8,
+            8.7,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64,
+            (1u64 << 53) as f64 - 1.0,
+            (1u64 << 53) as f64,
+            (1u64 << 54) as f64 + 4.0,
+            9.2e18,
+            (1u64 << 63) as f64,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for carry in carries {
+            for delta in deltas {
+                let x = carry + delta;
+                assert_eq!(
+                    whole_by_compare(x, delta).to_bits(),
+                    whole_by_cast(x, delta).to_bits(),
+                    "carry {carry:e} delta {delta:e}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        /// `whole_by_compare` against `whole_by_cast`, for any carry in
+        /// `[0, 4)` and any positive finite delta, bit for bit.
+        #[test]
+        fn whole_by_compare_is_the_cast(
+            carry_bits in 0u64..0x4010_0000_0000_0000,
+            delta_bits in 1u64..0x7FF0_0000_0000_0000,
+            small_delta in 0.0f64..64.0,
+        ) {
+            let carry = f64::from_bits(carry_bits);
+            for delta in [f64::from_bits(delta_bits), small_delta] {
+                if delta > 0.0 {
+                    let x = carry + delta;
+                    prop_assert_eq!(whole_by_compare(x, delta).to_bits(), whole_by_cast(x, delta).to_bits());
+                }
+            }
+        }
+
         /// Closed-form oracle: on blocking-free workloads with fixed
         /// under-committed reservations every thread drains its whole
         /// budget every period (total demand stays below each CPU's

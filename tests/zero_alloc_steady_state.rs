@@ -570,9 +570,13 @@ fn assert_saturated_dispatch_allocation_free() {
 
 /// The uncontended CPU's half of the dispatch guarantee: fewer spinners
 /// than CPUs, so each runs alone and nearly every dispatch is served by
-/// the next-quantum cache — the span loop's hit run, a stretch of
-/// `dispatch_cached` spans between one throttle release and the next.
-/// Migration is switched off for the reason given above.
+/// the next-quantum cache — the span loop's hit run, a stretch of spans
+/// served from a `HitRun` copy of the dispatcher state between one
+/// throttle release and the next.  At least 80 % of the measured window's
+/// dispatches must be hits, so the window runs on that loop.  Migration
+/// is switched off for the reason given above.
+// hot-coverage: crates/scheduler/src/hit_run.rs
+// hot-coverage: crates/scheduler/src/settle.rs
 fn assert_uncontended_dispatch_allocation_free() {
     use realrate::core::SimTime;
     use realrate::sim::{Host, SimConfig, Simulation};
@@ -605,7 +609,7 @@ fn assert_uncontended_dispatch_allocation_free() {
     let dispatches = done.dispatches - warm.dispatches;
     assert!(
         hits >= 1000 && hits * 10 >= dispatches * 8,
-        "the fixture must run on cache hits, saw {hits} of {dispatches} dispatches"
+        "the fixture must run on cache hits (at least 80 %), saw {hits} of {dispatches} dispatches"
     );
     assert_eq!(done.migrations, 0);
 }
